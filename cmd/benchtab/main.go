@@ -4,26 +4,13 @@
 // Usage:
 //
 //	benchtab -exp table2 [-papers 1500] [-queries 50] [-m 150] [-n 20] [-dim 64] [-seed 7]
+//	benchtab -exp table2,fig7
 //	benchtab -exp all
 //
-// Experiments: table2, table3, table4, table5, table6, fig7, fig8a,
-// fig8b, fig8c, fig8d, coresearch, query, cluster, kernels, all. The query
-// experiment benchmarks the concurrent serving layer (cold/warm/concurrent
-// latency, QPS, cache hit rate) and writes BENCH_query.json (-bench-out).
-// The cluster experiment compares single-node serving against router+2/4
-// shards over loopback HTTP and writes BENCH_cluster.json
-// (-cluster-bench-out); it is excluded from "all" because it binds
-// listening sockets. The kernels experiment microbenchmarks the float64,
-// float32, and int8 distance/update kernels and writes BENCH_kernels.json
-// (-kernel-bench-out). The replication experiment measures follower
-// snapshot bootstrap, WAL catch-up throughput, steady-state write
-// propagation, and the replica read path, and writes
-// BENCH_replication.json (-replication-bench-out); like cluster, it
-// binds listening sockets and is excluded from "all". The scale
-// experiment sweeps corpus sizes (-scale-sizes, default 10^4..10^6
-// papers), loading each snapshot with the columnar section mmap'd and
-// heap-decoded, and writes BENCH_scale.json (-scale-bench-out); it is
-// excluded from "all" because the large sizes take minutes to build.
+// benchtab -h lists the experiment ids; "all" runs every one of them in
+// that order. benchtab prints the paper's rows and nothing else: the
+// repository's performance numbers come from `sh bench/run.sh` (see
+// bench/README.md and BENCHMARK.json).
 package main
 
 import (
@@ -37,183 +24,137 @@ import (
 	"expertfind/internal/experiments"
 )
 
-// benchOut is the -bench-out flag: where -exp query writes its JSON.
-// clusterBenchOut and kernelBenchOut are the same for -exp cluster and
-// -exp kernels; scaleBenchOut and scaleSizes configure -exp scale.
-var benchOut, clusterBenchOut, kernelBenchOut, replBenchOut, scaleBenchOut string
-var scaleSizes []int
-
-func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment id (table1..table6, fig5, fig7, fig8a..fig8d, coresearch, sig, query, cluster, kernels, replication, all)")
-		papers  = flag.Int("papers", experiments.Default.Papers, "papers per dataset")
-		queries = flag.Int("queries", experiments.Default.Queries, "evaluation queries per dataset")
-		m       = flag.Int("m", experiments.Default.M, "top-m papers retrieved")
-		n       = flag.Int("n", experiments.Default.N, "top-n experts returned")
-		dim     = flag.Int("dim", experiments.Default.Dim, "embedding dimension")
-		seed    = flag.Int64("seed", experiments.Default.Seed, "random seed")
-		bench   = flag.String("bench-out", "BENCH_query.json", "output file for the query benchmark (-exp query)")
-		cbench  = flag.String("cluster-bench-out", "BENCH_cluster.json", "output file for the cluster benchmark (-exp cluster)")
-		kbench  = flag.String("kernel-bench-out", "BENCH_kernels.json", "output file for the kernel microbenchmarks (-exp kernels)")
-		rbench  = flag.String("replication-bench-out", "BENCH_replication.json", "output file for the replication benchmark (-exp replication)")
-		sbench  = flag.String("scale-bench-out", "BENCH_scale.json", "output file for the scale benchmark (-exp scale)")
-		ssizes  = flag.String("scale-sizes", "10000,100000,1000000", "comma-separated corpus sizes for -exp scale")
-	)
-	flag.Parse()
-	benchOut = *bench
-	clusterBenchOut = *cbench
-	kernelBenchOut = *kbench
-	replBenchOut = *rbench
-	scaleBenchOut = *sbench
-	var err error
-	if scaleSizes, err = parseSizes(*ssizes); err != nil {
-		fmt.Fprintln(os.Stderr, "benchtab:", err)
-		os.Exit(1)
-	}
-
-	sc := experiments.Scale{
-		Papers: *papers, Queries: *queries, M: *m, N: *n, Dim: *dim, Seed: *seed,
-	}
-
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = []string{"table1", "table2", "table3", "table4", "table5", "table6",
-			"fig5", "fig7", "fig8a", "fig8b", "fig8c", "fig8d", "coresearch", "sig", "query"}
-	}
-	for _, id := range ids {
-		t0 := time.Now()
-		out, err := run(strings.TrimSpace(id), sc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
-		fmt.Printf("[%s completed in %s]\n\n", id, time.Since(t0).Round(time.Millisecond))
-	}
+// experiment is one printable table or figure of the paper.
+type experiment struct {
+	id  string
+	run func(experiments.Scale) string
 }
 
-func run(id string, sc experiments.Scale) (string, error) {
-	switch id {
-	case "table1":
-		return experiments.FormatTable1(experiments.RunTable1(sc)), nil
-	case "fig5":
-		return experiments.FormatFig5(experiments.RunFig5(sc)), nil
-	case "sig":
-		return experiments.FormatSignificance(experiments.RunSignificance(sc)), nil
-	case "table2":
-		return experiments.FormatTable2(experiments.RunTable2(sc)), nil
-	case "table3":
-		return experiments.FormatTable3(experiments.RunTable3(sc)), nil
-	case "table4":
+// table lists every experiment in the order "all" runs them. The -exp
+// help text and the "all" list are generated from it.
+var table = []experiment{
+	{"table1", func(sc experiments.Scale) string {
+		return experiments.FormatTable1(experiments.RunTable1(sc))
+	}},
+	{"table2", func(sc experiments.Scale) string {
+		return experiments.FormatTable2(experiments.RunTable2(sc))
+	}},
+	{"table3", func(sc experiments.Scale) string {
+		return experiments.FormatTable3(experiments.RunTable3(sc))
+	}},
+	{"table4", func(sc experiments.Scale) string {
 		var b strings.Builder
 		for _, r := range experiments.RunTable4(sc) {
 			b.WriteString(experiments.FormatEffectivenessTable(
 				"TABLE IV — effect of meta-paths, dataset "+r.Dataset, r.Rows, false))
 			b.WriteByte('\n')
 		}
-		return b.String(), nil
-	case "table5":
-		return experiments.FormatTable5(experiments.RunTable5(sc)), nil
-	case "table6":
-		return experiments.FormatTable6(experiments.RunTable6(sc)), nil
-	case "fig7":
-		return experiments.FormatFig7(experiments.RunFig7(sc)), nil
-	case "fig8a":
+		return b.String()
+	}},
+	{"table5", func(sc experiments.Scale) string {
+		return experiments.FormatTable5(experiments.RunTable5(sc))
+	}},
+	{"table6", func(sc experiments.Scale) string {
+		return experiments.FormatTable6(experiments.RunTable6(sc))
+	}},
+	{"fig5", func(sc experiments.Scale) string {
+		return experiments.FormatFig5(experiments.RunFig5(sc))
+	}},
+	{"fig7", func(sc experiments.Scale) string {
+		return experiments.FormatFig7(experiments.RunFig7(sc))
+	}},
+	{"fig8a", func(sc experiments.Scale) string {
 		return experiments.FormatSensitivity("FIGURE 8(a) — sample ratio f (Aminer-sim)",
-			"train-time", experiments.RunFig8a(sc)), nil
-	case "fig8b":
+			"train-time", experiments.RunFig8a(sc))
+	}},
+	{"fig8b", func(sc experiments.Scale) string {
 		return experiments.FormatSensitivity("FIGURE 8(b) — core size k (Aminer-sim)",
-			"train-time", experiments.RunFig8b(sc)), nil
-	case "fig8c":
+			"train-time", experiments.RunFig8b(sc))
+	}},
+	{"fig8c", func(sc experiments.Scale) string {
 		return experiments.FormatSensitivity("FIGURE 8(c) — top-m papers (Aminer-sim)",
-			"query-time", experiments.RunFig8c(sc)), nil
-	case "fig8d":
+			"query-time", experiments.RunFig8c(sc))
+	}},
+	{"fig8d", func(sc experiments.Scale) string {
 		return experiments.FormatSensitivity("FIGURE 8(d) — top-n experts (Aminer-sim)",
-			"query-time", experiments.RunFig8d(sc)), nil
-	case "coresearch":
-		rows := experiments.RunCoreSearchComparison(sc, 4, 20)
+			"query-time", experiments.RunFig8d(sc))
+	}},
+	{"coresearch", func(sc experiments.Scale) string {
 		var b strings.Builder
 		b.WriteString("ABLATION — (k,P)-core community search algorithms (k=4, P-A-P)\n")
-		for _, r := range rows {
+		for _, r := range experiments.RunCoreSearchComparison(sc, 4, 20) {
 			fmt.Fprintf(&b, "%-28s avg %-12s avg core size %.1f\n",
 				r.Algorithm, r.AvgTime.Round(time.Microsecond), r.AvgCore)
 		}
-		return b.String(), nil
-	case "query":
-		rep := experiments.RunQueryBench(sc)
-		if err := writeBenchJSON(benchOut, rep); err != nil {
-			return "", err
-		}
-		return experiments.FormatQueryBench(rep) +
-			fmt.Sprintf("[wrote %s]\n", benchOut), nil
-	case "cluster":
-		rep := experiments.RunClusterBench(sc)
-		if err := writeBenchJSON(clusterBenchOut, rep); err != nil {
-			return "", err
-		}
-		return experiments.FormatClusterBench(rep) +
-			fmt.Sprintf("[wrote %s]\n", clusterBenchOut), nil
-	case "kernels":
-		rep := experiments.RunKernelBench(sc)
-		if err := writeBenchJSON(kernelBenchOut, rep); err != nil {
-			return "", err
-		}
-		return experiments.FormatKernelBench(rep) +
-			fmt.Sprintf("[wrote %s]\n", kernelBenchOut), nil
-	case "replication":
-		rep := experiments.RunReplBench(sc)
-		if err := writeBenchJSON(replBenchOut, rep); err != nil {
-			return "", err
-		}
-		return experiments.FormatReplBench(rep) +
-			fmt.Sprintf("[wrote %s]\n", replBenchOut), nil
-	case "scale":
-		rep := experiments.RunScaleBench(sc, scaleSizes)
-		if err := writeBenchJSON(scaleBenchOut, rep); err != nil {
-			return "", err
-		}
-		return experiments.FormatScaleBench(rep) +
-			fmt.Sprintf("[wrote %s]\n", scaleBenchOut), nil
-	default:
-		return "", fmt.Errorf("unknown experiment %q", id)
-	}
+		return b.String()
+	}},
+	{"sig", func(sc experiments.Scale) string {
+		return experiments.FormatSignificance(experiments.RunSignificance(sc))
+	}},
 }
 
-// jsonReport is any benchmark report that can serialise itself.
-type jsonReport interface {
-	WriteJSON(w io.Writer) error
+// ids returns the table's experiment ids in order.
+func ids() []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.id
+	}
+	return out
 }
 
-// parseSizes decodes the -scale-sizes grammar: positive comma-separated
-// corpus sizes.
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+func lookup(id string) (experiment, bool) {
+	for _, e := range table {
+		if e.id == id {
+			return e, true
 		}
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("-scale-sizes: bad size %q", part)
-		}
-		out = append(out, n)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-scale-sizes: no sizes given")
-	}
-	return out, nil
+	return experiment{}, false
 }
 
-// writeBenchJSON writes a benchmark report to path.
-func writeBenchJSON(path string, rep jsonReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs as parameters; it returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	var exp string
+	sc := experiments.Default
+	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&exp, "exp", "all", "comma-separated experiment ids ("+strings.Join(ids(), ", ")+"), or all")
+	fs.IntVar(&sc.Papers, "papers", sc.Papers, "papers per dataset")
+	fs.IntVar(&sc.Queries, "queries", sc.Queries, "evaluation queries per dataset")
+	fs.IntVar(&sc.M, "m", sc.M, "top-m papers retrieved")
+	fs.IntVar(&sc.N, "n", sc.N, "top-n experts returned")
+	fs.IntVar(&sc.Dim, "dim", sc.Dim, "embedding dimension")
+	fs.Int64Var(&sc.Seed, "seed", sc.Seed, "random seed")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+
+	want := ids()
+	if exp != "all" {
+		want = strings.Split(exp, ",")
 	}
-	return f.Close()
+	// Resolve every id before running any: a typo should not cost the
+	// minutes the experiments before it take.
+	todo := make([]experiment, 0, len(want))
+	for _, id := range want {
+		e, ok := lookup(strings.TrimSpace(id))
+		if !ok {
+			fmt.Fprintf(stderr, "benchtab: unknown experiment %q\n", id)
+			return 1
+		}
+		todo = append(todo, e)
+	}
+	for _, e := range todo {
+		t0 := time.Now()
+		fmt.Fprint(stdout, e.run(sc))
+		fmt.Fprintf(stdout, "[%s completed in %s]\n\n", e.id, time.Since(t0).Round(time.Millisecond))
+	}
+	return 0
 }

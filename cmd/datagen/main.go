@@ -5,18 +5,18 @@
 // Usage:
 //
 //	datagen -preset aminer -papers 2000 -out aminer.json
-//	datagen -preset aminer -papers 1000000 -out big.json -shards 4
+//	datagen -preset aminer -papers 1000000 -out big.json -queries 200
 //
 // Large corpora: generation is linear in -papers and logs progress to
 // stderr, so a 10^6-paper graph is a matter of tens of seconds and a
-// few GiB of JSON. Pair a large -out with -shards S to also write an
-// S-way paper partition to <out>.shards/ (one slice manifest per
-// shard, consumed by expertserve -role shard), and serve the result
-// with expertserve -mmap auto so the embedding matrix pages in from
-// the snapshot instead of occupying heap. -queries N writes N held-out
-// evaluation queries to <out>.queries.json. Both -queries and -shards
-// need -out — that is checked before generation starts, not after
-// minutes of work.
+// few GiB of JSON. Every expertserve role reads the one graph file —
+// a shard takes the full -graph plus -shards/-shard-id and keeps the
+// papers cluster.AssignShard gives it — so there is no per-shard output.
+// Serve a large corpus with expertserve -mmap auto so the embedding
+// matrix pages in from the snapshot instead of occupying heap.
+// -queries N writes N held-out evaluation queries to
+// <out>.queries.json and needs -out — that is checked before generation
+// starts, not after minutes of work.
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"os"
 	"time"
 
-	"expertfind/internal/cluster"
 	"expertfind/internal/dataset"
 )
 
@@ -38,7 +37,6 @@ func main() {
 		out     = flag.String("out", "", "output file (default stdout)")
 		queries = flag.Int("queries", 0, "also write this many evaluation queries to <out>.queries.json (requires -out)")
 		qseed   = flag.Int64("qseed", 1, "random seed for query sampling")
-		shards  = flag.Int("shards", 0, "also write an S-way paper partition to <out>.shards/ (requires -out)")
 	)
 	flag.Parse()
 
@@ -51,14 +49,11 @@ func main() {
 	if *papers < 0 {
 		fail("-papers must be >= 0, got %d", *papers)
 	}
-	if *queries < 0 || *shards < 0 {
-		fail("-queries and -shards must be >= 0")
+	if *queries < 0 {
+		fail("-queries must be >= 0, got %d", *queries)
 	}
 	if *queries > 0 && *out == "" {
 		fail("-queries requires -out (the queries land next to the graph file)")
-	}
-	if *shards > 0 && *out == "" {
-		fail("-shards requires -out (the partition lands in <out>.shards/)")
 	}
 
 	var cfg dataset.Config
@@ -117,19 +112,5 @@ func main() {
 			fail("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d queries to %s.queries.json\n", len(qs), *out)
-	}
-
-	if *shards > 0 {
-		dir := *out + ".shards"
-		fmt.Fprintf(os.Stderr, "partitioning into %d shards...\n", *shards)
-		man, err := cluster.WritePartition(dir, ds.Graph, *shards)
-		if err != nil {
-			fail("%v", err)
-		}
-		for i, sl := range man.Slices {
-			fmt.Fprintf(os.Stderr, "shard %d: %d papers, %d authors, %d edges\n",
-				i, sl.Papers, sl.Authors, sl.Edges)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d-shard partition to %s/\n", *shards, dir)
 	}
 }

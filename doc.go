@@ -16,7 +16,8 @@
 // evaluation (internal/experiments).
 //
 // Binaries: cmd/expertfind (query CLI), cmd/datagen (dataset generator),
-// cmd/benchtab (experiment runner). Runnable examples are under examples/.
-// The benchmarks in bench_test.go exercise one workload per paper table
-// and figure plus the ablations called out in DESIGN.md.
+// cmd/benchtab (prints the paper's tables and figures), cmd/expertserve
+// (the HTTP service). Runnable examples are under examples/. Performance
+// is measured by one program, bench/ (its own module; `sh bench/run.sh`),
+// whose workloads and metrics BENCHMARK.json names.
 package expertfind

@@ -463,13 +463,7 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, 
 	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// A cancelled context is the caller's doing — the primary won a
-		// hedge race, or the query was abandoned — and says nothing about
-		// this replica's health. Counting it would eject healthy replicas
-		// on every hedge, permanently disabling hedging for the shard.
-		if !errors.Is(err, context.Canceled) {
-			c.fail(shard, rp, err)
-		}
+		c.fail(shard, rp, err)
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -510,6 +504,14 @@ func (c *ShardClient) succeed(shard int, rp *replica) {
 }
 
 func (c *ShardClient) fail(shard int, rp *replica, cause error) {
+	// A cancelled context is the caller's doing — the primary won a hedge
+	// race (often while the loser's body was still being read), or the
+	// query was abandoned — and says nothing about this replica's health.
+	// Counting it would eject healthy replicas on every hedge, permanently
+	// disabling hedging for the shard.
+	if errors.Is(cause, context.Canceled) {
+		return
+	}
 	rp.mu.Lock()
 	rp.consecFails++
 	eject := !rp.ejected && rp.consecFails >= c.cfg.EjectAfter

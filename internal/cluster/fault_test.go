@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -219,4 +220,41 @@ func TestWholeShardDownIs502(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRanking(t, q.Text, queryExperts(t, topo.routerURL, q.Text, 40, 10), want)
+}
+
+// TestSlowShardIs504AndCounted: a shard that outlives QueryTimeout turns
+// the query into a 504, and — as on a single node — every such 504
+// increments expertfind_http_timeouts_total.
+func TestSlowShardIs504AndCounted(t *testing.T) {
+	ds, eng := equivEngine(t)
+	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
+
+	var gate *faultGate
+	topo := startTopology(t, eng, 2,
+		RouterConfig{QueryTimeout: 30 * time.Millisecond},
+		ClientConfig{HedgeAfter: -1},
+		nil,
+		func(shard, rep int, inner http.Handler) http.Handler {
+			if shard == 1 {
+				gate = &faultGate{inner: inner}
+				return gate
+			}
+			return inner
+		})
+
+	gate.delay.Store(int64(300 * time.Millisecond))
+	for _, path := range []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"} {
+		resp, err := http.Get(topo.routerURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s with a slow shard: got status %d, want 504", path, resp.StatusCode)
+		}
+	}
+	if !strings.Contains(scrapeMetrics(t, topo.routerURL), "expertfind_http_timeouts_total 2\n") {
+		t.Error("/metrics does not count the two 504s in expertfind_http_timeouts_total")
+	}
 }

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"path/filepath"
 	"testing"
 
-	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 )
 
@@ -36,121 +34,33 @@ func TestAssignShardSpreadsConsecutiveIDs(t *testing.T) {
 	}
 }
 
+// TestPartitionPapersCoversDisjointly: the shard engines of an S-way
+// topology, each carving its slice out of the full engine by
+// AssignShard, own every paper exactly once.
 func TestPartitionPapersCoversDisjointly(t *testing.T) {
-	ds := dataset.Generate(dataset.AminerSim(150))
-	g := ds.Graph
+	_, eng := equivEngine(t)
+	papers := eng.Graph().NodesOfType(hetgraph.Paper)
 	for _, shards := range []int{2, 4} {
-		parts := PartitionPapers(g, shards)
-		if len(parts) != shards {
-			t.Fatalf("got %d parts, want %d", len(parts), shards)
-		}
-		seen := map[hetgraph.NodeID]int{}
 		total := 0
-		for s, papers := range parts {
-			prev := hetgraph.NodeID(-1)
-			for _, p := range papers {
-				if owner, dup := seen[p]; dup {
-					t.Fatalf("paper %d in shards %d and %d", p, owner, s)
-				}
-				seen[p] = s
-				if AssignShard(p, shards) != s {
-					t.Fatalf("paper %d listed under shard %d but hashes to %d",
-						p, s, AssignShard(p, shards))
-				}
-				if p <= prev {
-					t.Fatalf("shard %d papers not ascending: %d after %d", s, p, prev)
-				}
-				prev = p
-				total++
+		engines := make([]*ShardEngine, shards)
+		for id := range engines {
+			se, err := NewShardEngine(eng, ShardConfig{ID: id, Of: shards})
+			if err != nil {
+				t.Fatal(err)
 			}
+			engines[id] = se
+			total += se.NumOwned()
 		}
-		if want := g.NumNodesOfType(hetgraph.Paper); total != want {
-			t.Fatalf("partition covers %d papers, graph has %d", total, want)
+		if total != len(papers) {
+			t.Fatalf("%d shards own %d papers, graph has %d", shards, total, len(papers))
 		}
-	}
-}
-
-func TestWritePartitionRoundTrip(t *testing.T) {
-	ds := dataset.Generate(dataset.AminerSim(120))
-	g := ds.Graph
-	dir := filepath.Join(t.TempDir(), "parts")
-
-	man, err := WritePartition(dir, g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Shards != 3 || len(man.Slices) != 3 {
-		t.Fatalf("manifest: %+v", man)
-	}
-	if man.Papers != g.NumNodesOfType(hetgraph.Paper) {
-		t.Fatalf("manifest papers %d, graph %d", man.Papers, g.NumNodesOfType(hetgraph.Paper))
-	}
-
-	loaded, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Shards != man.Shards || loaded.Papers != man.Papers || len(loaded.Slices) != len(man.Slices) {
-		t.Fatalf("manifest round trip: wrote %+v, read %+v", man, loaded)
-	}
-	for i := range man.Slices {
-		if loaded.Slices[i] != man.Slices[i] {
-			t.Fatalf("manifest slice %d round trip: wrote %+v, read %+v",
-				i, man.Slices[i], loaded.Slices[i])
-		}
-	}
-
-	parts := PartitionPapers(g, 3)
-	sumPapers := 0
-	for i := 0; i < 3; i++ {
-		sub, idmap, err := ReadSlice(dir, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sub.NumNodesOfType(hetgraph.Paper), len(parts[i]); got != want {
-			t.Fatalf("slice %d has %d papers, partition says %d", i, got, want)
-		}
-		sumPapers += sub.NumNodesOfType(hetgraph.Paper)
-		// Every owned paper maps into the slice with its authorship order
-		// intact — the Zipf contribution ranks must survive slicing.
-		for _, p := range parts[i] {
-			local, ok := idmap[p]
-			if !ok {
-				t.Fatalf("slice %d: owned paper %d missing from idmap", i, p)
-			}
-			gAuthors := g.AuthorsOf(p)
-			sAuthors := sub.AuthorsOf(local)
-			if len(gAuthors) != len(sAuthors) {
-				t.Fatalf("slice %d paper %d: %d authors in slice, %d in graph",
-					i, p, len(sAuthors), len(gAuthors))
-			}
-			for j := range gAuthors {
-				if idmap[gAuthors[j]] != sAuthors[j] {
-					t.Fatalf("slice %d paper %d: author order diverged at position %d", i, p, j)
+		for _, p := range papers {
+			for id, se := range engines {
+				if want := AssignShard(p, shards) == id; se.Owns(p) != want {
+					t.Fatalf("paper %d: shard %d/%d Owns = %v, AssignShard says %v",
+						p, id, shards, se.Owns(p), want)
 				}
 			}
-		}
-	}
-	if sumPapers != man.Papers {
-		t.Fatalf("slices hold %d papers, manifest %d", sumPapers, man.Papers)
-	}
-}
-
-func TestWritePartitionDeterministic(t *testing.T) {
-	ds := dataset.Generate(dataset.AminerSim(100))
-	d1 := filepath.Join(t.TempDir(), "a")
-	d2 := filepath.Join(t.TempDir(), "b")
-	m1, err := WritePartition(d1, ds.Graph, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := WritePartition(d2, ds.Graph, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.Slices {
-		if m1.Slices[i] != m2.Slices[i] {
-			t.Fatalf("slice %d differs across runs: %+v vs %+v", i, m1.Slices[i], m2.Slices[i])
 		}
 	}
 }

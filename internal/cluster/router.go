@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,10 +95,6 @@ func NewRouter(client *ShardClient, cfg RouterConfig, reg *obs.Registry, log *ob
 	rt.mux.HandleFunc("/papers", rt.handlePapers)
 	rt.mux.HandleFunc("/healthz", rt.handleHealth)
 	rt.mux.HandleFunc("/readyz", rt.handleReady)
-	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("/debug/vars", rt.handleDebugVars)
-	rt.mux.HandleFunc("/debug/traces", rt.handleTraces)
-	rt.mux.HandleFunc("/debug/traces/", rt.handleTraces)
 	return rt
 }
 
@@ -108,172 +103,63 @@ func NewRouter(client *ShardClient, cfg RouterConfig, reg *obs.Registry, log *ob
 // top of it).
 func (rt *Router) SetReady(ready bool) { rt.ready.Store(ready) }
 
-// ServeHTTP wraps the routes in the same observability envelope as the
-// single-node server: request IDs, per-route latency and status metrics,
-// one access-log line per request.
+// routerRoutes and routerTraced are the router's route tables: the two
+// query routes, probes, and the envelope's own endpoints.
+var routerRoutes = map[string]bool{
+	"/experts":       true,
+	"/papers":        true,
+	"/healthz":       true,
+	"/readyz":        true,
+	"/metrics":       true,
+	"/debug/vars":    true,
+	"/debug/traces":  true,
+	"/debug/traces/": true,
+}
+
+var routerTraced = map[string]bool{"/experts": true, "/papers": true}
+
+// envelope assembles the router's HTTP shell — the same one the
+// single-node server runs in — from its current settings.
+func (rt *Router) envelope() serve.Envelope {
+	return serve.Envelope{Reg: rt.reg, Log: rt.Log, Traces: rt.Traces, SlowQuery: rt.SlowQuery,
+		Routes: routerRoutes, Traced: routerTraced}
+}
+
+// ServeHTTP implements http.Handler: the shared envelope around the
+// router's routes.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
-	route := "other"
-	switch r.URL.Path {
-	case "/experts", "/papers", "/healthz", "/readyz", "/metrics", "/debug/vars", "/debug/traces":
-		route = r.URL.Path
-	}
-	if strings.HasPrefix(r.URL.Path, "/debug/traces/") {
-		route = "/debug/traces"
-	}
-	inflight := rt.reg.Gauge("expertfind_http_in_flight", "Requests currently being served.")
-	inflight.Add(1)
-	sw := &routerStatusWriter{ResponseWriter: w}
-	// Propagate the request ID to shard sub-requests through the context,
-	// and set up the trace plumbing: the registry for span recording, a
-	// capture that hands the query handler's root span back here, and —
-	// when a trace store is attached — the collect flag that makes
-	// sub-requests ask shards for their span trees.
-	ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
-	ctx = obs.WithRegistry(ctx, rt.reg)
-	var capture *obs.TraceCapture
-	if route == "/experts" || route == "/papers" {
-		ctx, capture = obs.WithTraceCapture(ctx)
-		if rt.Traces != nil {
-			ctx = withCollect(ctx)
-		}
-	}
-	r = r.WithContext(ctx)
-	rt.mux.ServeHTTP(sw, r)
-	inflight.Add(-1)
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	dur := time.Since(start)
-	durMs := float64(dur.Microseconds()) / 1000
-	traceID := rt.finishTrace(capture, r, route, sw.code, durMs)
-	rt.reg.Counter("expertfind_http_requests_total", "HTTP requests by route and status code.",
-		obs.L("route", route), obs.L("code", strconv.Itoa(sw.code))).Inc()
-	rt.reg.Histogram("expertfind_http_request_seconds", "HTTP request latency by route.",
-		nil, obs.L("route", route)).ObserveWithExemplar(dur.Seconds(), traceID)
-	rt.Log.Info("access", "req_id", reqID, "method", r.Method, "path", r.URL.Path,
-		"route", route, "status", sw.code, "bytes", sw.bytes,
-		"dur_ms", durMs)
-}
-
-// finishTrace offers the assembled trace to the store and emits the
-// slow-query log line. Returns the query's trace id, or "".
-func (rt *Router) finishTrace(capture *obs.TraceCapture, r *http.Request, route string,
-	status int, durMs float64) string {
-	if capture == nil {
-		return ""
-	}
-	root := capture.Root()
-	if root == nil {
-		return ""
-	}
-	traceID := root.TraceID().String()
-	if rt.Traces != nil {
-		tree := root.Tree()
-		rt.Traces.Add(obs.TraceRecord{
-			TraceID:    traceID,
-			Route:      route,
-			Query:      r.URL.Query().Get("q"),
-			Status:     status,
-			Start:      root.Start(),
-			DurationMs: durMs,
-			Root:       tree,
-		}, obs.KeepFlags{
-			Error:    status >= 500,
-			Hedged:   tree.HasAttr("hedge"),
-			Deepened: tree.HasAttr("deepened"),
-		})
-	}
-	if rt.SlowQuery > 0 && durMs >= rt.SlowQuery.Seconds()*1000 {
-		rt.reg.Counter("expertfind_slow_queries_total",
-			"Queries slower than the slow-query log threshold.").Inc()
-		rt.Log.Warn("slow_query", "trace_id", traceID, "route", route,
-			"q", r.URL.Query().Get("q"), "status", status, "dur_ms", durMs)
-	}
-	return traceID
-}
-
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	serve.ServeTraces(w, r, rt.Traces, rt.writeJSON)
+	rt.envelope().Serve(w, r, rt.mux)
 }
 
 type requestIDKey struct{}
 
-type routerStatusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int64
-}
-
-func (w *routerStatusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
+// queryContext derives a query handler's context: bounded by
+// QueryTimeout, carrying the request ID the envelope stamped on the
+// response so shard sub-requests forward it, and — when a trace store is
+// attached — the collect flag that makes sub-requests ask shards for
+// their span trees.
+func (rt *Router) queryContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := serve.QueryContext(r, rt.cfg.QueryTimeout)
+	ctx = context.WithValue(ctx, requestIDKey{}, w.Header().Get("X-Request-ID"))
+	if rt.Traces != nil {
+		ctx = withCollect(ctx)
 	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *routerStatusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func (rt *Router) queryContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if rt.cfg.QueryTimeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), rt.cfg.QueryTimeout)
+	return ctx, cancel
 }
 
 // writeRouterError maps fan-out failures onto client statuses: a whole
 // shard down is 502 (the merge would be silently wrong without its
-// partials — correctness beats availability), an expired budget is 504,
-// a departed client 499, bad parameters 400.
+// partials — correctness beats availability); an expired budget (504,
+// counted), a departed client (499) and the rest map as on a single node.
 func (rt *Router) writeRouterError(w http.ResponseWriter, err error) bool {
-	if err == nil {
-		return false
-	}
 	var se *shardError
-	switch {
-	case errors.As(err, &se):
-		if errors.Is(err, context.DeadlineExceeded) {
-			http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
-			return true
-		}
+	if errors.As(err, &se) && !errors.Is(err, context.DeadlineExceeded) {
 		rt.reg.Counter("expertfind_cluster_shard_unavailable_total",
 			"Queries failed because a whole shard (every replica) was unreachable.").Inc()
 		http.Error(w, err.Error(), http.StatusBadGateway)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		http.Error(w, "client closed request", 499)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return true
 	}
-	return true
-}
-
-func (rt *Router) intParam(r *http.Request, name string, def, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 1 {
-		return 0, fmt.Errorf("parameter %s must be a positive integer", name)
-	}
-	if v > max {
-		return 0, fmt.Errorf("parameter %s exceeds the maximum %d", name, max)
-	}
-	return v, nil
+	return rt.envelope().WriteQueryError(w, err)
 }
 
 // rankedPaper is one globally merged retrieved paper with its origin.
@@ -582,17 +468,17 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	n, err := rt.intParam(r, "n", rt.cfg.DefaultN, rt.cfg.MaxN)
+	n, err := serve.IntParam(r, "n", rt.cfg.DefaultN, rt.cfg.MaxN)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	m, err := rt.intParam(r, "m", rt.cfg.DefaultM, rt.cfg.MaxM)
+	m, err := serve.IntParam(r, "m", rt.cfg.DefaultM, rt.cfg.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ctx, cancel := rt.queryContext(r)
+	ctx, cancel := rt.queryContext(w, r)
 	defer cancel()
 
 	// The root span of the distributed query: every fan-out, retry and
@@ -629,7 +515,7 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 			Stages:  serve.StagesFromTree(root.Tree()),
 		}
 	}
-	rt.writeJSON(w, resp)
+	rt.envelope().WriteJSON(w, resp)
 }
 
 func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
@@ -638,12 +524,12 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	m, err := rt.intParam(r, "m", rt.cfg.DefaultN, rt.cfg.MaxM)
+	m, err := serve.IntParam(r, "m", rt.cfg.DefaultN, rt.cfg.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ctx, cancel := rt.queryContext(r)
+	ctx, cancel := rt.queryContext(w, r)
 	defer cancel()
 	qctx, root := obs.StartSpan(ctx, "papers")
 	resps, err := rt.scatterPapers(qctx, q, m, true)
@@ -657,11 +543,11 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 		out = append(out, serve.PaperResult{
 			Rank:    p.rank,
 			ID:      p.ID,
-			Text:    runeTruncate(p.Text, 120),
+			Text:    serve.Truncate(p.Text, 120),
 			Authors: p.Authors,
 		})
 	}
-	rt.writeJSON(w, out)
+	rt.envelope().WriteJSON(w, out)
 }
 
 // RouterHealth is the router's /healthz payload.
@@ -671,7 +557,7 @@ type RouterHealth struct {
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, RouterHealth{
+	rt.envelope().WriteJSON(w, RouterHealth{
 		Topology: serve.Topology{
 			Role:     "router",
 			Shards:   rt.client.NumShards(),
@@ -708,42 +594,5 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.writeJSON(w, serve.ReadyResponse{Status: "ready"})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if obs.AcceptsOpenMetrics(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
-		rt.reg.WriteOpenMetrics(w)
-		return
-	}
-	w.Header().Set("Content-Type", obs.ContentTypeText)
-	rt.reg.WritePrometheus(w)
-}
-
-func (rt *Router) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, rt.reg.Snapshot())
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, v interface{}) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, "response encoding failed", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
-}
-
-// runeTruncate shortens s to at most n runes plus an ellipsis, matching
-// the single-node /papers text truncation.
-func runeTruncate(s string, n int) string {
-	seen := 0
-	for i := range s {
-		if seen == n {
-			return s[:i] + "..."
-		}
-		seen++
-	}
-	return s
+	rt.envelope().WriteJSON(w, serve.ReadyResponse{Status: "ready"})
 }

@@ -123,9 +123,16 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 // the router can extend that order across shards. The returned list is
 // sorted (partial score descending, id ascending) and truncated to limit
 // (<= 0: complete); Threshold is the largest omitted partial.
-func (se *ShardEngine) ScoreExperts(req ExpertsRequest) (ShardExpertsResponse, error) {
+//
+// The graph is read under the engine's lock: a shard accepts POST /add
+// while it scores.
+func (se *ShardEngine) ScoreExperts(req ExpertsRequest) (resp ShardExpertsResponse, err error) {
+	se.eng.ReadGraph(func(g *hetgraph.Graph) { resp, err = se.scoreExperts(g, req) })
+	return resp, err
+}
+
+func (se *ShardEngine) scoreExperts(g *hetgraph.Graph, req ExpertsRequest) (ShardExpertsResponse, error) {
 	resp := ShardExpertsResponse{Shard: se.cfg.ID}
-	g := se.eng.Graph()
 
 	papers := append([]RankedPaper(nil), req.Papers...)
 	sort.Slice(papers, func(i, j int) bool { return papers[i].Rank < papers[j].Rank })
@@ -191,10 +198,11 @@ func (se *ShardEngine) ScoreExperts(req ExpertsRequest) (ShardExpertsResponse, e
 // PaperMeta fills the metadata fields of a WirePaper for /papers
 // responses, mirroring the single-node PaperResult shape.
 func (se *ShardEngine) PaperMeta(p hetgraph.NodeID) (text string, authors []string) {
-	g := se.eng.Graph()
-	text = g.Label(p)
-	for _, a := range g.AuthorsOf(p) {
-		authors = append(authors, g.Label(a))
-	}
+	se.eng.ReadGraph(func(g *hetgraph.Graph) {
+		text = g.Label(p)
+		for _, a := range g.AuthorsOf(p) {
+			authors = append(authors, g.Label(a))
+		}
+	})
 	return text, authors
 }

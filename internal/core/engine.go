@@ -161,8 +161,8 @@ type Engine struct {
 	// walSeq is the WAL sequence of the most recent applied update.
 	walSeq uint64
 
-	// colsec is the columnar snapshot section backing a v2 load (nil
-	// for built or v1-loaded engines). It anchors the mmap'd views the
+	// colsec is the columnar snapshot section backing an engine loaded
+	// from a file (nil for a built one). It anchors the mmap'd views the
 	// embedding matrix and index adjacency alias; see CloseSnapshot.
 	colsec *colstore.Section
 }
@@ -255,8 +255,20 @@ func (e *Engine) Stats() BuildStats { return e.stats }
 // Metrics returns the registry the engine records into (never nil).
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// Graph returns the underlying heterogeneous graph.
+// Graph returns the underlying heterogeneous graph. Reading it is safe
+// only while no update (AddPaper, ApplyLogged) can run: updates append
+// nodes and edges under the engine's write lock. Code that reads the
+// graph of a live engine goes through ReadGraph.
 func (e *Engine) Graph() *hetgraph.Graph { return e.g }
+
+// ReadGraph calls fn with the graph while holding the engine's read
+// lock, so fn sees no half-applied update. fn must not call back into
+// the engine's locking methods (queries, AddPaper, ReadGraph).
+func (e *Engine) ReadGraph(fn func(g *hetgraph.Graph)) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	fn(e.g)
+}
 
 // Encoder returns the (fine-tuned) document encoder.
 func (e *Engine) Encoder() *textenc.Encoder { return e.enc }

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -195,20 +197,21 @@ func TestMmapEquivalenceModeAuto(t *testing.T) {
 	assertRankingsIdentical(t, ds, "built vs auto", built, auto)
 }
 
-// TestV1SnapshotStillLoads is the backward-compatibility gate: a
-// version-1 container (all-gob, no columnar section) written the way
-// pre-columnar builds wrote it must load and rank exactly like the v2
-// snapshot of the same engine.
-func TestV1SnapshotStillLoads(t *testing.T) {
-	ds, built, snap := mmapEquivSetup(t)
+// TestV1SnapshotRejectedTyped pins what happens to a version-1 container
+// (all-gob, no columnar section — the format pre-columnar builds wrote,
+// whose reader is gone): every load path and the follower's verifier
+// refuse it with a *durable.VersionError naming the version this build
+// reads, never with a gob error from a half-interpreted payload.
+func TestV1SnapshotRejectedTyped(t *testing.T) {
+	_, _, snap := mmapEquivSetup(t)
 
-	// Reconstruct the v1 bytes from the v2 snapshot: same gob payload
-	// minus the columnar shapes, sealed as container version 1.
+	// Reconstruct v1 bytes from the v2 snapshot: same gob payload minus
+	// the columnar shapes, sealed as container version 1.
 	raw, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, payload, _, err := durable.ReadContainerPrefix(bytes.NewReader(raw), snap, snapshotVersionV2)
+	payload, _, err := readSnapshotPrefix(bytes.NewReader(raw), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,27 +224,46 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 	if err := gob.NewEncoder(&v1Payload).Encode(p); err != nil {
 		t.Fatal(err)
 	}
+	var v1 bytes.Buffer
+	if err := durable.WriteContainer(&v1, 1, v1Payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
 	v1Path := filepath.Join(t.TempDir(), "v1.snap")
-	w, err := os.Create(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.WriteContainer(w, snapshotVersionV1, v1Payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if err := os.WriteFile(v1Path, v1.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	check := func(what string, err error) {
+		t.Helper()
+		var ve *durable.VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("%s: want *durable.VersionError, got %v", what, err)
+		}
+		if ve.Got != 1 || ve.Max != snapshotVersion {
+			t.Fatalf("%s: VersionError got=%d max=%d, want 1 and %d", what, ve.Got, ve.Max, snapshotVersion)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 1 is no longer supported") ||
+			!strings.Contains(msg, fmt.Sprintf("reads version %d", snapshotVersion)) {
+			t.Fatalf("%s: message does not name both versions: %s", what, msg)
+		}
+	}
 	for _, mode := range []colstore.Mode{colstore.ModeAuto, colstore.ModeOn, colstore.ModeOff} {
-		v1, err := LoadFileWith(v1Path, freshEquivGraph(), LoadOptions{Mmap: mode})
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		if v1.SnapshotMapped() {
-			t.Fatalf("mode %v: v1 snapshot has nothing to map", mode)
-		}
-		assertRankingsIdentical(t, ds, fmt.Sprintf("v1 mode %v", mode), built, v1)
+		_, err := LoadFileWith(v1Path, freshEquivGraph(), LoadOptions{Mmap: mode})
+		check(fmt.Sprintf("LoadFileWith mode %v", mode), err)
+	}
+	_, err = Load(bytes.NewReader(v1.Bytes()), freshEquivGraph())
+	check("Load", err)
+	check("VerifySnapshotFile", VerifySnapshotFile(v1Path))
+
+	// A version-2 container whose payload describes no columnar section
+	// is not something Save can write: corrupt, by type.
+	var v2 bytes.Buffer
+	if err := durable.WriteContainer(&v2, snapshotVersion, v1Payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var ce *durable.CorruptError
+	if _, err := Load(bytes.NewReader(v2.Bytes()), freshEquivGraph()); !errors.As(err, &ce) {
+		t.Fatalf("v2 container without columnar metadata: want *durable.CorruptError, got %v", err)
 	}
 }
 

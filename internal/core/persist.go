@@ -3,19 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"expertfind/internal/colstore"
 	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
-	"expertfind/internal/obs"
 	"expertfind/internal/pgindex"
 	"expertfind/internal/sampling"
 	"expertfind/internal/textenc"
-	"expertfind/internal/train"
-	"expertfind/internal/vec"
 )
 
 // The offline pipeline (§III) runs once; the online stage (§IV) serves
@@ -35,9 +32,10 @@ import (
 // before a single payload byte is interpreted — never a cryptic mid-gob
 // failure, and never a silently half-loaded engine.
 
-// The container format versions live in persist_v2.go: version 1 is
-// the original all-gob layout, version 2 appends the columnar section.
-// Save always writes version 2; Load reads both.
+// The container format (version 2: the gob payload plus a columnar
+// section) is described in persist_v2.go. It is the only one Save writes
+// and the only one Load reads; a version-1 file (all-gob, written before
+// the columnar store existed) is refused with a *durable.VersionError.
 
 // enginePersist is the gob-encoded form of the engine's static state.
 type enginePersist struct {
@@ -126,9 +124,9 @@ type snapshotPayload struct {
 	Engine  enginePersist
 	Updates []persistUpdate
 	LastSeq uint64
-	// Col describes the v2 columnar section that follows the payload
-	// (shapes and index scalars); nil in v1 snapshots and in the rare
-	// v2 snapshot with nothing columnar to store.
+	// Col describes the columnar section that follows the payload
+	// (shapes and index scalars). Never nil in a snapshot Save wrote: an
+	// engine always has embeddings.
 	Col *colPersist
 }
 
@@ -198,24 +196,22 @@ func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
 	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
 		return 0, fmt.Errorf("core: save: %w", err)
 	}
-	if err := durable.WriteContainer(w, snapshotVersionV2, payload.Bytes()); err != nil {
+	if err := durable.WriteContainer(w, snapshotVersion, payload.Bytes()); err != nil {
 		return 0, fmt.Errorf("core: save: %w", err)
 	}
-	if col != nil {
-		base := int64(durable.ContainerHeaderSize) + int64(payload.Len())
-		if _, _, err := colstore.WriteSection(w, base, segs); err != nil {
-			return 0, fmt.Errorf("core: save: %w", err)
-		}
+	base := int64(durable.ContainerHeaderSize) + int64(payload.Len())
+	if _, _, err := colstore.WriteSection(w, base, segs); err != nil {
+		return 0, fmt.Errorf("core: save: %w", err)
 	}
 	return e.walSeq, nil
 }
 
 // Load restores an engine saved with Save: it verifies the container
-// (magic, version, checksum), decodes the payload, re-embeds every
-// paper of g with the restored fine-tuned encoder, rebuilds the
-// PG-Index, and re-applies the journalled online updates. The graph
-// must be the base graph the engine was built over (same node ids);
-// Load cannot verify that beyond shape checks.
+// (magic, version, checksum) and the columnar section, decodes the
+// payload, adopts the saved embedding matrix and PG-Index as they are,
+// and re-applies the journalled online updates to g. The graph must be
+// the base graph the engine was built over (same node ids); Load cannot
+// verify that beyond shape checks.
 //
 // Failure modes are typed: errors.Is(err, durable.ErrTruncated /
 // ErrChecksum / ErrBadMagic) and errors.As(&durable.VersionError{},
@@ -233,30 +229,40 @@ func LoadFile(path string, g *hetgraph.Graph) (*Engine, error) {
 }
 
 func loadNamed(r io.Reader, name string, g *hetgraph.Graph) (*Engine, error) {
-	version, payload, end, err := durable.ReadContainerPrefix(r, name, snapshotVersionV2)
+	payload, end, err := readSnapshotPrefix(r, name)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
+	}
+	p, err := decodePayload(payload, name)
+	if err != nil {
+		return nil, err
 	}
 	rest, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	if version == snapshotVersionV1 {
-		if len(rest) != 0 {
-			return nil, trailingErr(name, end)
-		}
-		return loadPayload(payload, name, g)
+	// Heap mode only — a stream has no file to map. The section
+	// directory addresses segments by absolute file offset.
+	ra := &offsetReaderAt{base: end, data: rest}
+	sec, err := colstore.OpenReaderAt(ra, name, end+int64(len(rest)), end)
+	if err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	return loadV2Bytes(payload, rest, end, name, g)
+	return engineFromColumns(p, sec, name, g)
 }
 
-// loadPayload restores a v1 engine: decode, then materialise.
-func loadPayload(payload []byte, name string, g *hetgraph.Graph) (*Engine, error) {
-	p, err := decodePayload(payload, name)
+// readSnapshotPrefix reads and verifies the container at the head of a
+// snapshot and insists on the one format version this build reads: an
+// older file is as unreadable as a newer one, and says so by type.
+func readSnapshotPrefix(r io.Reader, name string) (payload []byte, end int64, err error) {
+	version, payload, end, err := durable.ReadContainerPrefix(r, name, snapshotVersion)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return engineFromPayload(p, name, g)
+	if version != snapshotVersion {
+		return nil, 0, &durable.VersionError{Path: name, Got: version, Max: snapshotVersion}
+	}
+	return payload, end, nil
 }
 
 // decodePayload gob-decodes and shape-checks a snapshot payload.
@@ -276,6 +282,11 @@ func decodePayload(payload []byte, name string) (*snapshotPayload, error) {
 			Path: name, Offset: 0, Detail: "engine shape",
 			Err: fmt.Errorf("dim %d, %d tokens, %d weights", p.Engine.Dim,
 				len(p.Engine.Tokens), len(p.Engine.EmbData))})
+	}
+	if p.Col == nil {
+		return nil, fmt.Errorf("core: load: %w", &durable.CorruptError{
+			Path: name, Offset: 0, Detail: "columnar shape",
+			Err: errors.New("snapshot describes no columnar section")})
 	}
 	return &p, nil
 }
@@ -305,57 +316,6 @@ func optionsFromPersist(ep *enginePersist) (Options, error) {
 	return opts, nil
 }
 
-// engineFromPayload materialises a v1-style engine from the decoded
-// payload: re-embed every paper with the restored encoder, rebuild the
-// PG-Index deterministically, re-apply the journalled updates in full.
-func engineFromPayload(p *snapshotPayload, name string, g *hetgraph.Graph) (*Engine, error) {
-	opts, err := optionsFromPersist(&p.Engine)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := restoreEncoder(&p.Engine)
-	if err != nil {
-		return nil, err
-	}
-
-	e := &Engine{g: g, opts: opts, enc: enc, reg: obs.Default()}
-	e.cache = train.BuildTokenCache(g, enc)
-	e.Embeddings = train.EmbedAll(enc, e.cache)
-	e.stats.VocabSize = len(p.Engine.Tokens)
-	if p.Engine.UsePGIndex {
-		e.index = pgindex.BuildWithRand(e.Embeddings, opts.Index,
-			rand.New(rand.NewSource(opts.Index.Seed)))
-		e.stats.IndexEdges = e.index.NumEdges()
-		e.stats.IndexMemory = e.index.MemoryBytes()
-	}
-
-	// Re-apply the journalled online updates in order. The engine is not
-	// yet shared, but applyUpdate requires the write lock for its cache
-	// invariants, so take it the normal way.
-	for i, u := range p.Updates {
-		np := u.toNewPaper()
-		e.mu.Lock()
-		err := func() error {
-			if verr := e.validateNewPaper(np); verr != nil {
-				return verr
-			}
-			_, aerr := e.applyUpdateLocked(np, 0)
-			return aerr
-		}()
-		e.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("core: load: %w", &durable.CorruptError{
-				Path: name, Offset: 0,
-				Detail: fmt.Sprintf("journalled update %d/%d", i+1, len(p.Updates)),
-				Err:    err})
-		}
-	}
-	e.mu.Lock()
-	e.walSeq = p.LastSeq
-	e.mu.Unlock()
-	return e, nil
-}
-
 // countingReader tracks bytes consumed so decode errors can report how
 // far into the payload parsing got.
 type countingReader struct {
@@ -367,28 +327,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// SaveEmbeddings writes E itself (paper id, vector) with gob, for
-// interoperability with external ANN tooling. Like Save, it holds the
-// engine's read lock against concurrent updates.
-func (e *Engine) SaveEmbeddings(w io.Writer) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	type pair struct {
-		ID  hetgraph.NodeID
-		Vec vec.Vector
-	}
-	pairs := make([]pair, 0, len(e.Embeddings))
-	for _, p := range e.g.NodesOfType(hetgraph.Paper) {
-		pairs = append(pairs, pair{ID: p, Vec: e.Embeddings[p].Float64()})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {
-		return fmt.Errorf("core: save embeddings: %w", err)
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
 }
 
 // textencTokenID converts a dense id to the tokenizer's id type; split out

@@ -144,20 +144,5 @@ func TestLoadRejectsCorruptData(t *testing.T) {
 	}
 }
 
-func TestSaveEmbeddings(t *testing.T) {
-	ds := dataset.Generate(dataset.AminerSim(100))
-	e, err := Build(ds.Graph, Options{Dim: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.SaveEmbeddings(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("nothing written")
-	}
-}
-
 // randSource is a tiny helper for deterministic query sampling in tests.
 func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -15,36 +15,32 @@ import (
 	"expertfind/internal/vec"
 )
 
-// Version 2 of the snapshot container splits the engine into two parts:
-// the gob payload keeps the small state (encoder table, options,
+// The snapshot container (format version 2) splits the engine into two
+// parts: the gob payload keeps the small state (encoder table, options,
 // update journal), and a page-aligned columnar section (internal/
 // colstore) carries the big fixed-width blocks — the float32 embedding
 // matrix, the PG-Index CSR adjacency, and the int8 quantization shadow.
 //
-// The payoff is the load path: a v1 snapshot re-embeds every paper and
-// rebuilds the index from scratch; a v2 snapshot adopts the saved
-// blocks directly, and when the file is mmap'd (LoadOptions.Mmap) the
-// matrix and adjacency are zero-copy views of the page cache — the
-// corpus never has to fit in RAM, pages fault in on demand and the
-// kernel evicts them under pressure. Rankings are bit-identical either
-// way: the bytes are the bytes.
+// The payoff is the load path: nothing is re-embedded or rebuilt, the
+// saved blocks are adopted directly, and when the file is mmap'd
+// (LoadOptions.Mmap) the matrix and adjacency are zero-copy views of
+// the page cache — the corpus never has to fit in RAM, pages fault in
+// on demand and the kernel evicts them under pressure. Rankings are
+// bit-identical either way: the bytes are the bytes.
 //
-// File layout (v2):
+// File layout:
 //
 //	0                durable container header (version 2)
 //	20               gob(snapshotPayload)   — includes Col metadata
 //	20+len(payload)  colstore section       — page-aligned segments
 //
-// A v1-only binary rejects a v2 file with a typed *durable.VersionError
-// instead of misreading it; this binary still loads v1 files through
-// the original materialising path.
+// Version 1 (all-gob, re-embed and rebuild on load) was last written
+// before the columnar store existed; its reader is gone and such a file
+// is refused with a typed *durable.VersionError, as a future version is.
 
-const (
-	// snapshotVersionV1 is the original all-gob container format.
-	snapshotVersionV1 = 1
-	// snapshotVersionV2 appends the columnar section; see above.
-	snapshotVersionV2 = 2
-)
+// snapshotVersion is the container format version Save writes and Load
+// reads.
+const snapshotVersion = 2
 
 // Columnar segment names inside the v2 section.
 const (
@@ -73,11 +69,10 @@ type colPersist struct {
 
 // LoadOptions configures how LoadFileWith materialises a snapshot.
 type LoadOptions struct {
-	// Mmap selects how the v2 columnar section is accessed:
-	// ModeAuto (zero value) maps it when the platform supports mmap and
-	// falls back to heap reads otherwise, ModeOn requires the mapping,
-	// ModeOff forces heap reads. Ignored for v1 snapshots, which have
-	// no columnar section.
+	// Mmap selects how the columnar section is accessed: ModeAuto (zero
+	// value) maps it when the platform supports mmap and falls back to
+	// heap reads otherwise, ModeOn requires the mapping, ModeOff forces
+	// heap reads.
 	Mmap colstore.Mode
 }
 
@@ -119,9 +114,6 @@ func (e *Engine) columnSegmentsLocked() ([]colstore.SegmentData, *colPersist, er
 	// matrix in ascending id order, so brute-force engines get the same
 	// rebuild-free, mmap-able load path.
 	n := len(e.Embeddings)
-	if n == 0 {
-		return nil, nil, nil
-	}
 	dim := e.opts.Dim
 	ids := make([]hetgraph.NodeID, 0, n)
 	for id := range e.Embeddings {
@@ -145,7 +137,7 @@ func (e *Engine) columnSegmentsLocked() ([]colstore.SegmentData, *colPersist, er
 }
 
 // LoadFileWith is LoadFile with explicit materialisation options: o.Mmap
-// decides whether a v2 snapshot's columnar section is mmap'd (zero-copy
+// decides whether the snapshot's columnar section is mmap'd (zero-copy
 // views, corpus larger than RAM) or read onto the heap. The two modes
 // produce bit-identical engines; only residency behaviour differs.
 func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error) {
@@ -161,26 +153,13 @@ func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	version, payload, end, err := durable.ReadContainerPrefix(f, path, snapshotVersionV2)
+	payload, end, err := readSnapshotPrefix(f, path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
-	}
-	if version == snapshotVersionV1 {
-		// v1 keeps its original strictness: nothing may follow the payload.
-		if end != fi.Size() {
-			return nil, trailingErr(path, end)
-		}
-		return loadPayload(payload, path, g)
 	}
 	p, err := decodePayload(payload, path)
 	if err != nil {
 		return nil, err
-	}
-	if p.Col == nil {
-		if end != fi.Size() {
-			return nil, trailingErr(path, end)
-		}
-		return engineFromPayload(p, path, g)
 	}
 	sec, err := colstore.Open(f, end, o.Mmap)
 	if err != nil {
@@ -199,31 +178,8 @@ func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error
 	return e, nil
 }
 
-// loadV2Bytes restores a v2 engine from in-memory bytes (the streaming
-// Load path): payload is the verified gob container payload, rest every
-// byte after it, base the file offset where rest begins. Heap mode
-// only — there is no file to map.
-func loadV2Bytes(payload, rest []byte, base int64, name string, g *hetgraph.Graph) (*Engine, error) {
-	p, err := decodePayload(payload, name)
-	if err != nil {
-		return nil, err
-	}
-	if p.Col == nil {
-		if len(rest) != 0 {
-			return nil, trailingErr(name, base)
-		}
-		return engineFromPayload(p, name, g)
-	}
-	ra := &offsetReaderAt{base: base, data: rest}
-	sec, err := colstore.OpenReaderAt(ra, name, base+int64(len(rest)), base)
-	if err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
-	}
-	return engineFromColumns(p, sec, name, g)
-}
-
 // engineFromColumns assembles an engine from the decoded payload plus
-// an opened, CRC-verified columnar section — the v2 load path. Nothing
+// an opened, CRC-verified columnar section. Nothing
 // is recomputed: the embedding matrix and the index adjacency are
 // adopted as-is (zero-copy when sec is mapped), and the journalled
 // updates are replayed against the graph only, because their embeddings
@@ -370,7 +326,7 @@ func engineFromColumns(p *snapshotPayload, sec *colstore.Section, name string, g
 	return e, nil
 }
 
-// applyUpdateGraphOnly is applyUpdateLocked for the v2 replay: the
+// applyUpdateGraphOnly is applyUpdateLocked for the snapshot replay: the
 // graph mutation, token cache entry, journal append and update counter
 // — but no embedding or index insert, because the saved columnar
 // blocks already contain the update's row. Caller holds e.mu for
@@ -407,7 +363,7 @@ func (e *Engine) applyUpdateGraphOnly(p NewPaper) (hetgraph.NodeID, error) {
 
 // SnapshotMapped reports whether this engine's embedding matrix and
 // index adjacency are zero-copy views of an mmap'd snapshot file
-// (false: heap-resident, either a v1 load, a fresh build, or -mmap=off).
+// (false: heap-resident, either a fresh build or -mmap=off).
 func (e *Engine) SnapshotMapped() bool {
 	return e.colsec != nil && e.colsec.Mapped
 }
@@ -428,7 +384,7 @@ func (e *Engine) CloseSnapshot() error {
 
 // VerifySnapshotFile checks a snapshot file's integrity without
 // materialising an engine: container magic, version, payload CRC, and
-// — for v2 — the columnar section directory and every segment CRC.
+// the columnar section directory and every segment CRC.
 // This is what a replication follower runs on a freshly downloaded
 // snapshot before letting it replace anything: a torn or bit-flipped
 // download fails here, with a typed error, not at some later boot.
@@ -442,15 +398,9 @@ func VerifySnapshotFile(path string) error {
 	if err != nil {
 		return err
 	}
-	version, _, end, err := durable.ReadContainerPrefix(f, path, snapshotVersionV2)
+	_, end, err := readSnapshotPrefix(f, path)
 	if err != nil {
 		return err
-	}
-	if version == snapshotVersionV1 || end == fi.Size() {
-		if end != fi.Size() {
-			return trailingErr(path, end)
-		}
-		return nil
 	}
 	secEnd, err := colstore.VerifySection(f, path, fi.Size(), end)
 	if err != nil {
@@ -471,7 +421,7 @@ func trailingErr(name string, at int64) error {
 }
 
 // offsetReaderAt serves a byte slice as an io.ReaderAt whose offsets
-// start at base instead of zero — the tail of a streamed v2 snapshot,
+// start at base instead of zero — the tail of a streamed snapshot,
 // addressed with the absolute file offsets the section directory uses.
 type offsetReaderAt struct {
 	base int64

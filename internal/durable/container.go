@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Container format — the on-disk envelope for engine snapshots.
@@ -59,44 +58,15 @@ func WriteContainer(w io.Writer, version uint16, payload []byte) error {
 // Trailing bytes after the payload are corruption (a concatenated or
 // doubly-written file) and are rejected.
 func ReadContainer(r io.Reader, name string, maxVersion uint16) (version uint16, payload []byte, err error) {
-	var hdr [containerHeaderSize]byte
-	n, err := io.ReadFull(r, hdr[:])
+	version, payload, end, err := ReadContainerPrefix(r, name, maxVersion)
 	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, &CorruptError{Path: name, Offset: int64(n),
-				Detail: "container header", Err: ErrTruncated}
-		}
-		return 0, nil, fmt.Errorf("durable: %s: read header: %w", name, err)
-	}
-	if [6]byte(hdr[:6]) != containerMagic {
-		return 0, nil, &CorruptError{Path: name, Offset: 0,
-			Detail: "container magic", Err: ErrBadMagic}
-	}
-	version = binary.LittleEndian.Uint16(hdr[6:8])
-	if version == 0 || version > maxVersion {
-		return 0, nil, &VersionError{Path: name, Got: version, Max: maxVersion}
-	}
-	plen := binary.LittleEndian.Uint64(hdr[8:16])
-	if int64(plen) < 0 || int64(plen) > MaxPayloadBytes {
-		return 0, nil, &CorruptError{Path: name, Offset: 8,
-			Detail: "container payload length", Err: ErrChecksum}
-	}
-	want := binary.LittleEndian.Uint32(hdr[16:20])
-	payload = make([]byte, plen)
-	n, err = io.ReadFull(r, payload)
-	if err != nil {
-		return 0, nil, &CorruptError{Path: name, Offset: containerHeaderSize + int64(n),
-			Detail: "container payload", Err: ErrTruncated}
-	}
-	if got := Checksum(payload); got != want {
-		return 0, nil, &CorruptError{Path: name, Offset: containerHeaderSize,
-			Detail: "container payload", Err: ErrChecksum}
+		return 0, nil, err
 	}
 	// One extra readable byte past the payload means the file holds more
 	// than its header declares — reject rather than silently ignore.
 	var one [1]byte
 	if n, _ := r.Read(one[:]); n != 0 {
-		return 0, nil, &CorruptError{Path: name, Offset: containerHeaderSize + int64(plen),
+		return 0, nil, &CorruptError{Path: name, Offset: end,
 			Detail: "trailing bytes after payload", Err: ErrChecksum}
 	}
 	return version, payload, nil
@@ -104,10 +74,9 @@ func ReadContainer(r io.Reader, name string, maxVersion uint16) (version uint16,
 
 // ReadContainerPrefix reads and verifies a container at the head of r
 // but — unlike ReadContainer — tolerates bytes after the payload,
-// returning the offset where they begin. It exists for the v2 snapshot
+// returning the offset where they begin. It exists for the snapshot
 // layout, where a columnar section follows the gob container in the
-// same file; plain v1 readers keep using ReadContainer, which still
-// rejects trailing garbage.
+// same file.
 func ReadContainerPrefix(r io.Reader, name string, maxVersion uint16) (version uint16, payload []byte, end int64, err error) {
 	var hdr [containerHeaderSize]byte
 	n, err := io.ReadFull(r, hdr[:])
@@ -143,28 +112,4 @@ func ReadContainerPrefix(r io.Reader, name string, maxVersion uint16) (version u
 			Detail: "container payload", Err: ErrChecksum}
 	}
 	return version, payload, containerHeaderSize + int64(plen), nil
-}
-
-// ReadContainerFile opens path and reads its container.
-func ReadContainerFile(path string, maxVersion uint16) (uint16, []byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer f.Close()
-	return ReadContainer(f, path, maxVersion)
-}
-
-// WriteContainerFile atomically replaces path with a container around
-// payload (see AtomicWriteFile for the crash-safety argument).
-func WriteContainerFile(path string, version uint16, payload []byte, sync bool) error {
-	buf := make([]byte, 0, containerHeaderSize+len(payload))
-	var hdr [containerHeaderSize]byte
-	copy(hdr[:6], containerMagic[:])
-	binary.LittleEndian.PutUint16(hdr[6:8], version)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[16:20], Checksum(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	return AtomicWriteFile(path, buf, sync)
 }

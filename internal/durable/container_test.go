@@ -109,16 +109,34 @@ func TestContainerRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// writeContainerFile and readContainerFile persist a container the way
+// the snapshot store does: AtomicWriteTo around WriteContainer.
+func writeContainerFile(path string, payload []byte) error {
+	return AtomicWriteTo(path, true, func(f *os.File) error {
+		return WriteContainer(f, 1, payload)
+	})
+}
+
+func readContainerFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	_, payload, err := ReadContainer(f, path, 1)
+	return payload, err
+}
+
 func TestContainerFileAtomicReplace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.bin")
-	if err := WriteContainerFile(path, 1, []byte("first"), true); err != nil {
+	if err := writeContainerFile(path, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteContainerFile(path, 1, []byte("second"), true); err != nil {
+	if err := writeContainerFile(path, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := ReadContainerFile(path, 1)
+	payload, err := readContainerFile(path)
 	if err != nil || string(payload) != "second" {
 		t.Fatalf("got %q, %v", payload, err)
 	}
@@ -132,7 +150,7 @@ func TestContainerFileAtomicReplace(t *testing.T) {
 func TestAtomicWriteFailureKeepsOldFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.bin")
-	if err := WriteContainerFile(path, 1, []byte("good"), true); err != nil {
+	if err := writeContainerFile(path, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 	// Writing into a removed directory must fail without touching path.
@@ -140,7 +158,7 @@ func TestAtomicWriteFailureKeepsOldFile(t *testing.T) {
 	if err := AtomicWriteFile(bad, []byte("x"), true); err == nil {
 		t.Fatal("write into missing directory succeeded")
 	}
-	_, payload, err := ReadContainerFile(path, 1)
+	payload, err := readContainerFile(path)
 	if err != nil || string(payload) != "good" {
 		t.Fatalf("old file damaged: %q, %v", payload, err)
 	}

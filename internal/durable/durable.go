@@ -57,8 +57,9 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return e.Err }
 
-// VersionError reports a container written by a newer (or unknown)
-// format version than this build understands.
+// VersionError reports a container written in a format version this
+// build does not read: a newer (or unknown) one, or an older one whose
+// reader has been retired.
 type VersionError struct {
 	Path string
 	Got  uint16 // version found in the file
@@ -66,6 +67,10 @@ type VersionError struct {
 }
 
 func (e *VersionError) Error() string {
+	if e.Got != 0 && e.Got < e.Max {
+		return fmt.Sprintf("durable: %s: format version %d is no longer supported (this build reads version %d)",
+			e.Path, e.Got, e.Max)
+	}
 	return fmt.Sprintf("durable: %s: format version %d not supported (max %d)",
 		e.Path, e.Got, e.Max)
 }

@@ -4,8 +4,7 @@
 // Table V (negative-sampling strategies), Table VI (PG-Index overhead),
 // Figure 7 (efficiency of Ours-1..4 vs baselines) and Figure 8 (parameter
 // sensitivity). Each Run* function returns structured rows and can render
-// them in the paper's layout; cmd/benchtab and bench_test.go both drive
-// these entry points.
+// them in the paper's layout; cmd/benchtab drives these entry points.
 package experiments
 
 import (

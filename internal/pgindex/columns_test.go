@@ -23,6 +23,29 @@ func buildTestIndex(t *testing.T, n, dim int, exactOnly bool) *Index {
 	return Build(embs, Config{K: 4, Refine: true, Seed: 5, ExactOnly: exactOnly})
 }
 
+// reload persists idx the way the product does — Columns() out,
+// FromColumns() back in — through a deep copy of every column, so the
+// returned index shares no storage with idx (as after a reload from
+// disk).
+func reload(t *testing.T, idx *Index) *Index {
+	t.Helper()
+	c := idx.Columns()
+	c.IDs = append([]hetgraph.NodeID(nil), c.IDs...)
+	c.Embs = append([]float32(nil), c.Embs...)
+	c.NbrOff = append([]uint64(nil), c.NbrOff...)
+	c.NbrDat = append([]int32(nil), c.NbrDat...)
+	c.Entries = append([]int32(nil), c.Entries...)
+	c.Dead = append([]byte(nil), c.Dead...)
+	c.QCodes = append([]int8(nil), c.QCodes...)
+	c.QScales = append([]float32(nil), c.QScales...)
+	c.QNorms = append([]float32(nil), c.QNorms...)
+	loaded, err := FromColumns(c)
+	if err != nil {
+		t.Fatalf("FromColumns: %v", err)
+	}
+	return loaded
+}
+
 // TestColumnsRoundTrip proves Columns → FromColumns reproduces the index
 // exactly: identical search results (distances compared as raw bits),
 // identical adjacency, identical quantized shadow.

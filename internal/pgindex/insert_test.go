@@ -1,9 +1,7 @@
 package pgindex
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"expertfind/internal/hetgraph"
@@ -102,14 +100,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 	embs := clusteredEmbeddings(rng, 8, 10, 6)
 	idx := Build(embs, Config{Refine: true, Seed: 2})
 
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reload(t, idx)
 	if loaded.Len() != idx.Len() || loaded.NavigatingNode() != idx.NavigatingNode() ||
 		loaded.NumEdges() != idx.NumEdges() {
 		t.Fatal("shape changed after round trip")
@@ -131,15 +122,6 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 	// A loaded index accepts inserts.
 	if err := loaded.Insert(hetgraph.NodeID(5000), embs[loaded.NavigatingNode()].Clone()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReadIndexRejectsCorruptData(t *testing.T) {
-	if _, err := ReadIndex(strings.NewReader("junk")); err == nil {
-		t.Error("junk accepted")
-	}
-	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
 	}
 }
 
@@ -226,14 +208,7 @@ func TestRemoveSurvivesSerialization(t *testing.T) {
 	if err := idx.Remove(hetgraph.NodeID(5)); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reload(t, idx)
 	if loaded.Len() != 39 {
 		t.Fatalf("loaded Len = %d, want 39", loaded.Len())
 	}

@@ -1,7 +1,6 @@
 package pgindex
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,20 +149,28 @@ func TestInsertFindableExactOnly(t *testing.T) {
 	}
 }
 
-// TestExactOnlySurvivesSerialization checks the mode round-trips and that
-// quantized indexes rebuild their codes on load (codes are not persisted).
+// TestExactOnlySurvivesSerialization checks the mode round-trips through
+// Columns/FromColumns, that a quantized index keeps its codes across a
+// reload, and that a reload without the quant columns re-codes to the
+// same bytes.
 func TestExactOnlySurvivesSerialization(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	embs := randomEmbeddings(rng, 60, 8)
 	for _, exactOnly := range []bool{false, true} {
 		idx := Build(embs, Config{Refine: true, Seed: 2, ExactOnly: exactOnly})
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := ReadIndex(&buf)
-		if err != nil {
-			t.Fatal(err)
+		loaded := reload(t, idx)
+		if !exactOnly {
+			c := idx.Columns()
+			c.QCodes, c.QScales, c.QNorms = nil, nil, nil
+			recoded, err := FromColumns(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range idx.quant.Codes {
+				if idx.quant.Codes[i] != recoded.quant.Codes[i] {
+					t.Fatal("codes rebuilt without the quant columns differ from originals")
+				}
+			}
 		}
 		if loaded.exactOnly != exactOnly {
 			t.Fatalf("exactOnly=%v lost in round trip", exactOnly)
@@ -173,11 +180,11 @@ func TestExactOnlySurvivesSerialization(t *testing.T) {
 		}
 		if !exactOnly {
 			if loaded.quant == nil {
-				t.Fatal("quantized codes not rebuilt on load")
+				t.Fatal("quantized codes lost on load")
 			}
 			for i := range idx.quant.Codes {
 				if idx.quant.Codes[i] != loaded.quant.Codes[i] {
-					t.Fatal("rebuilt codes differ from originals")
+					t.Fatal("loaded codes differ from originals")
 				}
 			}
 		}

@@ -1,40 +1,88 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 
+	"expertfind/internal/core"
 	"expertfind/internal/obs"
 )
 
-// knownRoutes bounds the route label's cardinality: anything else is
-// folded into "other" so a path-scanning client cannot grow the registry
-// without bound.
-var knownRoutes = map[string]string{
-	"/experts":       "/experts",
-	"/papers":        "/papers",
-	"/similar":       "/similar",
-	"/add":           "/add",
-	"/healthz":       "/healthz",
-	"/readyz":        "/readyz",
-	"/metrics":       "/metrics",
-	"/debug/vars":    "/debug/vars",
-	"/debug/traces":  "/debug/traces",
-	"/shard/papers":  "/shard/papers",
-	"/shard/experts": "/shard/experts",
+// Envelope is the HTTP shell every node serves its routes through — the
+// single-node/shard Server here and the cluster Router: request ids, the
+// access log line, per-route metrics, trace capture and retention, the
+// slow-query log, and the response helpers. It is plain data, so the two
+// servers differ only in the values they put in it, and a fix to the
+// shell reaches both.
+type Envelope struct {
+	Reg *obs.Registry
+	Log *obs.Logger
+	// Traces retains captured query span trees and backs /debug/traces;
+	// nil disables retention.
+	Traces *obs.TraceStore
+	// SlowQuery, when positive, is the slow-query log threshold.
+	SlowQuery time.Duration
+	// Routes holds the request paths that get a route metric label of
+	// their own (the path). A key ending in "/" gives the whole subtree
+	// below it the key's label, minus the slash. Every other path is
+	// folded into "other", so a path-scanning client cannot grow the
+	// registry without bound.
+	Routes map[string]bool
+	// Traced holds the route labels whose root spans feed the trace
+	// store: the query-serving paths. Health, metrics and debug
+	// endpoints stay untraced.
+	Traced map[string]bool
 }
 
-func routeLabel(path string) string {
-	if r, ok := knownRoutes[path]; ok {
-		return r
+// serverRoutes is the Server's route table, the /shard/* routes the
+// cluster layer mounts on it included.
+var serverRoutes = map[string]bool{
+	"/experts":       true,
+	"/papers":        true,
+	"/similar":       true,
+	"/add":           true,
+	"/healthz":       true,
+	"/readyz":        true,
+	"/metrics":       true,
+	"/debug/vars":    true,
+	"/debug/traces":  true,
+	"/debug/traces/": true,
+	"/debug/pprof/":  true,
+	"/shard/papers":  true,
+	"/shard/experts": true,
+}
+
+// serverTraced are the Server's traced routes, public and internal.
+var serverTraced = map[string]bool{
+	"/experts":       true,
+	"/papers":        true,
+	"/similar":       true,
+	"/shard/papers":  true,
+	"/shard/experts": true,
+}
+
+// envelope assembles the Server's shell from its current settings.
+func (s *Server) envelope() Envelope {
+	return Envelope{Reg: s.reg, Log: s.Log, Traces: s.Traces, SlowQuery: s.SlowQuery,
+		Routes: serverRoutes, Traced: serverTraced}
+}
+
+func routeLabel(routes map[string]bool, path string) string {
+	if routes[path] {
+		return strings.TrimSuffix(path, "/")
 	}
-	if len(path) >= len("/debug/pprof/") && path[:len("/debug/pprof/")] == "/debug/pprof/" {
-		return "/debug/pprof"
-	}
-	if len(path) >= len("/debug/traces/") && path[:len("/debug/traces/")] == "/debug/traces/" {
-		return "/debug/traces"
+	for i := strings.LastIndexByte(path, '/'); i > 0; i = strings.LastIndexByte(path[:i], '/') {
+		if routes[path[:i+1]] {
+			return path[:i]
+		}
 	}
 	return "other"
 }
@@ -63,29 +111,56 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ServeHTTP implements http.Handler: the observability middleware around
-// the route mux. Each request gets a request ID (honouring an incoming
-// X-Request-ID so ids propagate across services), an access-log line, and
-// per-route metrics. Query routes additionally run under a trace-aware
-// context: an incoming X-Trace-Context joins the request to its
-// originating distributed trace, and the handler's root span is captured
-// here — rather than wrapped in a middleware span, which would rename
-// every stage metric series — for trace retention, exemplars and the
-// slow-query log.
+// ServeHTTP implements http.Handler: the envelope around the route mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.envelope().Serve(w, r, s.mux)
+}
+
+// Serve runs next inside the envelope, answering the envelope's own
+// routes (/metrics, /debug/vars, /debug/traces[/{id}], where Routes
+// lists them) itself. Each request gets a request ID
+// (honouring an incoming X-Request-ID so ids propagate across services;
+// handlers can read it back from the response header), an access-log
+// line, and per-route metrics. Traced routes additionally run under a
+// trace-aware context: an incoming X-Trace-Context joins the request to
+// its originating distributed trace, and the handler's root span is
+// captured here — rather than wrapped in a middleware span, which would
+// rename every stage metric series — for trace retention, exemplars and
+// the slow-query log.
+func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) {
 	start := time.Now()
 	reqID := r.Header.Get("X-Request-ID")
 	if reqID == "" {
 		reqID = obs.NewRequestID()
 	}
 	w.Header().Set("X-Request-ID", reqID)
-	route := routeLabel(r.URL.Path)
-	r, capture := enrichContext(r, s.reg, route)
+	route := routeLabel(e.Routes, r.URL.Path)
 
-	inflight := s.reg.Gauge("expertfind_http_in_flight", "Requests currently being served.")
+	ctx := obs.WithRegistry(r.Context(), e.Reg)
+	if tc, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)); ok {
+		ctx = obs.ContextWithRemote(ctx, tc)
+	}
+	var capture *obs.TraceCapture
+	if e.Traced[route] {
+		ctx, capture = obs.WithTraceCapture(ctx)
+	}
+	r = r.WithContext(ctx)
+
+	inflight := e.Reg.Gauge("expertfind_http_in_flight", "Requests currently being served.")
 	inflight.Add(1)
 	sw := &statusWriter{ResponseWriter: w}
-	s.mux.ServeHTTP(sw, r)
+	switch route {
+	case "/metrics":
+		e.serveMetrics(sw, r)
+	case "/debug/vars":
+		// A JSON snapshot of every metric, histograms summarised as
+		// count/sum/p50/p90/p99 — a human-readable mirror of /metrics.
+		e.WriteJSON(sw, e.Reg.Snapshot())
+	case "/debug/traces":
+		e.serveTraces(sw, r)
+	default:
+		next.ServeHTTP(sw, r)
+	}
 	inflight.Add(-1)
 
 	if sw.code == 0 { // handler wrote nothing at all
@@ -93,12 +168,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	dur := time.Since(start)
 	durMs := float64(dur.Microseconds()) / 1000
-	traceID := s.finishTrace(capture, r, route, sw.code, durMs)
-	s.reg.Counter("expertfind_http_requests_total", "HTTP requests by route and status code.",
+	traceID := e.finishTrace(capture, r, route, sw.code, durMs)
+	e.Reg.Counter("expertfind_http_requests_total", "HTTP requests by route and status code.",
 		obs.L("route", route), obs.L("code", strconv.Itoa(sw.code))).Inc()
-	s.reg.Histogram("expertfind_http_request_seconds", "HTTP request latency by route.",
+	e.Reg.Histogram("expertfind_http_request_seconds", "HTTP request latency by route.",
 		nil, obs.L("route", route)).ObserveWithExemplar(dur.Seconds(), traceID)
-	s.Log.Info("access",
+	e.Log.Info("access",
 		"req_id", reqID,
 		"method", r.Method,
 		"path", r.URL.Path,
@@ -109,24 +184,163 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	)
 }
 
-// handleMetrics serves the registry in the Prometheus text exposition
+// finishTrace runs the envelope's tail work for one request: offer the
+// captured root to the trace store under the tail-based keep rules, and
+// emit the slow-query log line. Returns the trace id ("" when the
+// request produced no span — e.g. a cache hit).
+func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route string,
+	status int, durMs float64) string {
+	if capture == nil {
+		return ""
+	}
+	root := capture.Root()
+	if root == nil {
+		return ""
+	}
+	traceID := root.TraceID().String()
+	if e.Traces != nil {
+		tree := root.Tree()
+		e.Traces.Add(obs.TraceRecord{
+			TraceID:    traceID,
+			Route:      route,
+			Query:      r.URL.Query().Get("q"),
+			Status:     status,
+			Start:      root.Start(),
+			DurationMs: durMs,
+			Root:       tree,
+		}, obs.KeepFlags{
+			Error:    status >= 500,
+			Hedged:   tree.HasAttr("hedge"),
+			Deepened: tree.HasAttr("deepened"),
+		})
+	}
+	if e.SlowQuery > 0 && durMs >= e.SlowQuery.Seconds()*1000 {
+		e.Reg.Counter("expertfind_slow_queries_total",
+			"Queries slower than the slow-query log threshold.").Inc()
+		e.Log.Warn("slow_query",
+			"trace_id", traceID,
+			"route", route,
+			"q", r.URL.Query().Get("q"),
+			"status", status,
+			"dur_ms", durMs,
+		)
+	}
+	return traceID
+}
+
+// serveMetrics serves the registry in the Prometheus text exposition
 // format; scrapers that negotiate OpenMetrics via Accept additionally
 // get histogram exemplars, which the classic 0.0.4 parser rejects.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (e Envelope) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if obs.AcceptsOpenMetrics(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
-		s.reg.WriteOpenMetrics(w)
+		e.Reg.WriteOpenMetrics(w)
 		return
 	}
 	w.Header().Set("Content-Type", obs.ContentTypeText)
-	s.reg.WritePrometheus(w)
+	e.Reg.WritePrometheus(w)
 }
 
-// handleDebugVars serves a JSON snapshot of every metric, histograms
-// summarised as count/sum/p50/p90/p99 — a quick human-readable mirror of
-// /metrics in the expvar tradition.
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, s.reg.Snapshot())
+// serveTraces answers both /debug/traces (index) and /debug/traces/{id}
+// (full span trees) from the trace store.
+func (e Envelope) serveTraces(w http.ResponseWriter, r *http.Request) {
+	if e.Traces == nil {
+		http.Error(w, "trace store disabled (enable with -trace-capacity)", http.StatusNotFound)
+		return
+	}
+	id := strings.TrimPrefix(r.URL.Path, "/debug/traces")
+	id = strings.Trim(id, "/")
+	if id == "" {
+		idx := e.Traces.Index()
+		e.WriteJSON(w, TraceIndexResponse{Count: len(idx), Traces: idx})
+		return
+	}
+	recs := e.Traces.Get(id)
+	if len(recs) == 0 {
+		http.Error(w, "trace not found (evicted, dropped by keep rules, or never sampled)",
+			http.StatusNotFound)
+		return
+	}
+	e.WriteJSON(w, TraceResponse{TraceID: id, Records: recs})
+}
+
+// WriteJSON encodes v into a buffer first, so an encoding failure can
+// still produce a clean 500 — writing through the encoder directly would
+// have already committed the 200 header and part of the body.
+func (e Envelope) WriteJSON(w http.ResponseWriter, v interface{}) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		e.Reg.Counter("expertfind_http_encode_failures_total",
+			"Responses dropped because JSON encoding failed.").Inc()
+		http.Error(w, "response encoding failed", http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes())
+}
+
+// WriteQueryError maps a query error onto an HTTP status: 400 for bad
+// parameters, 504 for an expired deadline (counted), 499 for a client
+// that went away, 500 otherwise. Returns true when it wrote a response.
+func (e Envelope) WriteQueryError(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return false
+	}
+	var bad *core.BadParamError
+	switch {
+	case errors.As(err, &bad):
+		http.Error(w, bad.Error(), http.StatusBadRequest)
+	case errors.Is(err, context.DeadlineExceeded):
+		e.Reg.Counter("expertfind_http_timeouts_total",
+			"Query requests that exceeded their deadline.").Inc()
+		http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
+	case errors.Is(err, context.Canceled):
+		http.Error(w, "client closed request", statusClientClosedRequest)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+	return true
+}
+
+// QueryContext derives a query handler's context: the request's own (so
+// client disconnects cancel server work) bounded by timeout when positive.
+func QueryContext(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout <= 0 {
+		return r.Context(), func() {}
+	}
+	return context.WithTimeout(r.Context(), timeout)
+}
+
+// IntParam reads a positive integer query parameter bounded by max, or
+// def when the request omits it.
+func IntParam(r *http.Request, name string, def, max int) (int, error) {
+	raw := r.URL.Query().Get(name)
+	if raw == "" {
+		return def, nil
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil || v < 1 {
+		return 0, fmt.Errorf("parameter %s must be a positive integer", name)
+	}
+	if v > max {
+		return 0, fmt.Errorf("parameter %s exceeds the maximum %d", name, max)
+	}
+	return v, nil
+}
+
+// Truncate shortens s to at most n runes plus an ellipsis. Slicing at a
+// byte offset would split multi-byte UTF-8 sequences in non-ASCII titles.
+func Truncate(s string, n int) string {
+	seen := 0
+	for i := range s {
+		if seen == n {
+			return s[:i] + "..."
+		}
+		seen++
+	}
+	return s
 }
 
 // EnablePprof mounts the net/http/pprof profiling handlers under

@@ -185,7 +185,7 @@ func TestPprofOptIn(t *testing.T) {
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	s := &Server{reg: obs.NewRegistry()}
 	rec := httptest.NewRecorder()
-	s.writeJSON(rec, map[string]interface{}{"bad": make(chan int)})
+	s.WriteJSON(rec, map[string]interface{}{"bad": make(chan int)})
 	if rec.Code != 500 {
 		t.Errorf("status %d, want 500", rec.Code)
 	}
@@ -194,7 +194,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	}
 	// Success path: headers only written after a full encode.
 	rec = httptest.NewRecorder()
-	s.writeJSON(rec, map[string]int{"ok": 1})
+	s.WriteJSON(rec, map[string]int{"ok": 1})
 	if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
 		t.Errorf("success path: %d %q", rec.Code, rec.Header().Get("Content-Type"))
 	}
@@ -215,12 +215,12 @@ func TestTruncateRuneSafe(t *testing.T) {
 		{"", 5, ""},
 	}
 	for _, c := range cases {
-		got := truncate(c.in, c.n)
+		got := Truncate(c.in, c.n)
 		if got != c.want {
-			t.Errorf("truncate(%q, %d) = %q, want %q", c.in, c.n, got, c.want)
+			t.Errorf("Truncate(%q, %d) = %q, want %q", c.in, c.n, got, c.want)
 		}
 		if !utf8.ValidString(got) {
-			t.Errorf("truncate(%q, %d) produced invalid UTF-8: %q", c.in, c.n, got)
+			t.Errorf("Truncate(%q, %d) produced invalid UTF-8: %q", c.in, c.n, got)
 		}
 	}
 }

@@ -1,16 +1,18 @@
 // Package serve exposes a built expert-finding engine over HTTP: the
 // online stage of the paper (§IV) as a long-lived service. The handlers
-// are safe for concurrent use — the engine is read-only after Build.
+// are safe for concurrent use, POST /add beside the query routes
+// included: whatever they read of the graph, they read under the
+// engine's lock.
 //
-// Every request passes through the observability middleware
-// (middleware.go): request-ID assignment, an access log line, per-route
-// latency histograms, status-code counters and an in-flight gauge, all
-// recorded in the engine's obs.Registry and scrapeable at /metrics (with
-// a JSON mirror at /debug/vars and opt-in pprof under /debug/pprof/).
+// Every request passes through the observability envelope
+// (middleware.go), shared with the cluster router: request-ID
+// assignment, an access log line, per-route latency histograms,
+// status-code counters and an in-flight gauge, all recorded in the
+// engine's obs.Registry and scrapeable at /metrics (with a JSON mirror
+// at /debug/vars and opt-in pprof under /debug/pprof/).
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -107,10 +109,6 @@ func New(engine *core.Engine) *Server {
 	s.mux.HandleFunc("/add", s.handleAdd)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/vars", s.handleDebugVars)
-	s.mux.HandleFunc("/debug/traces", s.handleTraces)
-	s.mux.HandleFunc("/debug/traces/", s.handleTraces)
 	return s
 }
 
@@ -121,9 +119,9 @@ func (s *Server) Handle(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, h)
 }
 
-// WriteJSON renders v as indented JSON with the server's buffered-encode
-// error handling, for handlers mounted via Handle.
-func (s *Server) WriteJSON(w http.ResponseWriter, v interface{}) { s.writeJSON(w, v) }
+// WriteJSON renders v as indented JSON with the envelope's buffered-encode
+// error handling; exported for handlers mounted via Handle.
+func (s *Server) WriteJSON(w http.ResponseWriter, v interface{}) { s.envelope().WriteJSON(w, v) }
 
 // DenyWrites makes /add refuse updates with 503 + Retry-After and the
 // given reason — the state of a replication follower, whose only writes
@@ -204,38 +202,6 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
 }
 
-// queryContext derives the handler context: the request's own (so client
-// disconnects cancel server work) bounded by QueryTimeout when set.
-func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.QueryTimeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), s.QueryTimeout)
-}
-
-// writeQueryError maps an engine error onto an HTTP status: 400 for bad
-// parameters, 504 for an expired deadline, 499 for a client that went
-// away, 500 otherwise. Returns true when it wrote a response.
-func (s *Server) writeQueryError(w http.ResponseWriter, err error) bool {
-	if err == nil {
-		return false
-	}
-	var bad *core.BadParamError
-	switch {
-	case errors.As(err, &bad):
-		http.Error(w, bad.Error(), http.StatusBadRequest)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.reg.Counter("expertfind_http_timeouts_total",
-			"Query requests that exceeded their deadline.").Inc()
-		http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		http.Error(w, "client closed request", statusClientClosedRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-	return true
-}
-
 // ExpertResult is one expert in an /experts response.
 type ExpertResult struct {
 	Rank   int     `json:"rank"`
@@ -265,12 +231,12 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	n, err := s.intParam(r, "n", s.DefaultN, s.MaxN)
+	n, err := IntParam(r, "n", s.DefaultN, s.MaxN)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	m, err := s.intParam(r, "m", s.DefaultM, s.MaxM)
+	m, err := IntParam(r, "m", s.DefaultM, s.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -280,14 +246,13 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.queryContext(r)
+	ctx, cancel := QueryContext(r, s.QueryTimeout)
 	defer cancel()
 
 	ranked, st, err := s.engine.TopExpertsCtx(ctx, q, m, n)
-	if s.writeQueryError(w, err) {
+	if s.envelope().WriteQueryError(w, err) {
 		return
 	}
-	g := s.engine.Graph()
 	resp := ExpertsResponse{
 		Query:      q,
 		ResponseMs: float64(st.Total().Microseconds()) / 1000,
@@ -296,15 +261,17 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 		Cached:     st.CacheHit,
 		Experts:    make([]ExpertResult, 0, len(ranked)),
 	}
-	for i, e := range ranked {
-		resp.Experts = append(resp.Experts, ExpertResult{
-			Rank:   i + 1,
-			ID:     int32(e.Expert),
-			Name:   g.Label(e.Expert),
-			Score:  e.Score,
-			Papers: len(g.PapersOf(e.Expert)),
-		})
-	}
+	s.engine.ReadGraph(func(g *hetgraph.Graph) {
+		for i, e := range ranked {
+			resp.Experts = append(resp.Experts, ExpertResult{
+				Rank:   i + 1,
+				ID:     int32(e.Expert),
+				Name:   g.Label(e.Expert),
+				Score:  e.Score,
+				Papers: len(g.PapersOf(e.Expert)),
+			})
+		}
+	})
 	if r.URL.Query().Get("debug") == "1" {
 		resp.Debug = &QueryDebug{
 			// Empty on a cache hit: the answer ran no spans this time.
@@ -316,7 +283,7 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 			},
 		}
 	}
-	s.writeJSON(w, resp)
+	s.WriteJSON(w, resp)
 }
 
 // PaperResult is one paper in a /papers response.
@@ -327,13 +294,20 @@ type PaperResult struct {
 	Authors []string `json:"authors"`
 }
 
-func (s *Server) paperResult(rank int, p hetgraph.NodeID) PaperResult {
-	g := s.engine.Graph()
-	pr := PaperResult{Rank: rank, ID: int32(p), Text: truncate(g.Label(p), 120)}
-	for _, a := range g.AuthorsOf(p) {
-		pr.Authors = append(pr.Authors, g.Label(a))
-	}
-	return pr
+// paperResults renders retrieved papers in rank order, reading their
+// text and authors under the engine's lock.
+func (s *Server) paperResults(papers []hetgraph.NodeID) []PaperResult {
+	out := make([]PaperResult, 0, len(papers))
+	s.engine.ReadGraph(func(g *hetgraph.Graph) {
+		for i, p := range papers {
+			pr := PaperResult{Rank: i + 1, ID: int32(p), Text: Truncate(g.Label(p), 120)}
+			for _, a := range g.AuthorsOf(p) {
+				pr.Authors = append(pr.Authors, g.Label(a))
+			}
+			out = append(out, pr)
+		}
+	})
+	return out
 }
 
 func (s *Server) handlePapers(w http.ResponseWriter, r *http.Request) {
@@ -342,7 +316,7 @@ func (s *Server) handlePapers(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	m, err := s.intParam(r, "m", s.DefaultN, s.MaxM)
+	m, err := IntParam(r, "m", s.DefaultN, s.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -352,17 +326,13 @@ func (s *Server) handlePapers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.queryContext(r)
+	ctx, cancel := QueryContext(r, s.QueryTimeout)
 	defer cancel()
 	papers, _, err := s.engine.RetrievePapersCtx(ctx, q, m)
-	if s.writeQueryError(w, err) {
+	if s.envelope().WriteQueryError(w, err) {
 		return
 	}
-	out := make([]PaperResult, 0, len(papers))
-	for i, p := range papers {
-		out = append(out, s.paperResult(i+1, p))
-	}
-	s.writeJSON(w, out)
+	s.WriteJSON(w, s.paperResults(papers))
 }
 
 // handleSimilar returns the papers most similar to an already-indexed
@@ -380,7 +350,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "id must be an integer node id", http.StatusBadRequest)
 		return
 	}
-	m, err := s.intParam(r, "m", s.DefaultN, s.MaxM)
+	m, err := IntParam(r, "m", s.DefaultN, s.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -390,7 +360,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.queryContext(r)
+	ctx, cancel := QueryContext(r, s.QueryTimeout)
 	defer cancel()
 	ids, _, err := s.engine.SimilarPapersCtx(ctx, hetgraph.NodeID(id64), m)
 	switch {
@@ -400,14 +370,10 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, core.ErrNoIndex):
 		http.Error(w, "index disabled on this engine", http.StatusServiceUnavailable)
 		return
-	case s.writeQueryError(w, err):
+	case s.envelope().WriteQueryError(w, err):
 		return
 	}
-	out := make([]PaperResult, 0, len(ids))
-	for i, p := range ids {
-		out = append(out, s.paperResult(i+1, p))
-	}
-	s.writeJSON(w, out)
+	s.WriteJSON(w, s.paperResults(ids))
 }
 
 // AddRequest is the POST /add body: one paper to accept online.
@@ -488,7 +454,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, AddResponse{ID: int32(id), Seq: s.engine.LastUpdateSeq()})
+	s.WriteJSON(w, AddResponse{ID: int32(id), Seq: s.engine.LastUpdateSeq()})
 }
 
 func toNodeIDs(ids []int32) []hetgraph.NodeID {
@@ -533,7 +499,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\n  \"status\": %q\n}\n", status)
 		return
 	}
-	s.writeJSON(w, ReadyResponse{Status: "ready"})
+	s.WriteJSON(w, ReadyResponse{Status: "ready"})
 }
 
 // Topology identifies a process's place in a (possibly sharded) cluster,
@@ -568,63 +534,19 @@ type HealthResponse struct {
 func (s *Server) SetTopology(t Topology) { s.topology = t }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	g := s.engine.Graph()
 	st := s.engine.Stats()
-	top := s.topology
-	if top.Role == "" {
-		top.Role = "single"
-	}
-	s.writeJSON(w, HealthResponse{
-		Topology:   top,
-		Papers:     g.NumNodesOfType(hetgraph.Paper),
-		Experts:    g.NumNodesOfType(hetgraph.Author),
+	resp := HealthResponse{
+		Topology:   s.topology,
 		VocabSize:  st.VocabSize,
 		IndexEdges: st.IndexEdges,
 		IndexBytes: st.IndexMemory,
+	}
+	if resp.Role == "" {
+		resp.Role = "single"
+	}
+	s.engine.ReadGraph(func(g *hetgraph.Graph) {
+		resp.Papers = g.NumNodesOfType(hetgraph.Paper)
+		resp.Experts = g.NumNodesOfType(hetgraph.Author)
 	})
-}
-
-func (s *Server) intParam(r *http.Request, name string, def, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 1 {
-		return 0, fmt.Errorf("parameter %s must be a positive integer", name)
-	}
-	if v > max {
-		return 0, fmt.Errorf("parameter %s exceeds the maximum %d", name, max)
-	}
-	return v, nil
-}
-
-// writeJSON encodes v into a buffer first, so an encoding failure can
-// still produce a clean 500 — writing through the encoder directly would
-// have already committed the 200 header and part of the body.
-func (s *Server) writeJSON(w http.ResponseWriter, v interface{}) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		s.reg.Counter("expertfind_http_encode_failures_total",
-			"Responses dropped because JSON encoding failed.").Inc()
-		http.Error(w, "response encoding failed", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
-}
-
-// truncate shortens s to at most n runes plus an ellipsis. Slicing at a
-// byte offset would split multi-byte UTF-8 sequences in non-ASCII titles.
-func truncate(s string, n int) string {
-	seen := 0
-	for i := range s {
-		if seen == n {
-			return s[:i] + "..."
-		}
-		seen++
-	}
-	return s
+	s.WriteJSON(w, resp)
 }

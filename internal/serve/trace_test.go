@@ -196,7 +196,7 @@ func TestTraceServeRouteLabel(t *testing.T) {
 		"/debug/traces/x/y":     "/debug/traces",
 		"/debug/tracesnotquite": "other",
 	} {
-		if got := routeLabel(path); got != want {
+		if got := routeLabel(serverRoutes, path); got != want {
 			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
 		}
 	}
