@@ -2,14 +2,19 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"expertfind/internal/ctxtest"
+	"expertfind/internal/serve"
 )
 
 // faultGate wraps a shard handler with switchable failure modes: while
@@ -256,5 +261,44 @@ func TestSlowShardIs504AndCounted(t *testing.T) {
 	}
 	if !strings.Contains(scrapeMetrics(t, topo.routerURL), "expertfind_http_timeouts_total 2\n") {
 		t.Error("/metrics does not count the two 504s in expertfind_http_timeouts_total")
+	}
+}
+
+// TestExactShardHonoursContext: a shard without a PG-Index hands its
+// context to the scan, so /shard/papers answers a request the router
+// already dropped with 499 and one past its deadline with 504, and a
+// context that dies after Retrieve's entry check still stops the scan.
+func TestExactShardHonoursContext(t *testing.T) {
+	_, eng := equivEngine(t)
+	se, err := NewShardEngine(eng, ShardConfig{ID: 0, Of: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(eng)
+	srv.SetReady(true)
+	MountShard(srv, se)
+	status := func(ctx context.Context) int {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/papers?q=graph&m=10", nil).WithContext(ctx))
+		return rec.Code
+	}
+	if got := status(context.Background()); got != http.StatusOK {
+		t.Fatalf("live request: status %d", got)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got := status(cancelled); got != 499 {
+		t.Fatalf("pre-cancelled request: status %d, want 499", got)
+	}
+	expired, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	<-expired.Done() // the runtime timer fires some time after the deadline
+	if got := status(expired); got != http.StatusGatewayTimeout {
+		t.Fatalf("1us-deadline request: status %d, want 504", got)
+	}
+	// Poll 1 is Retrieve's entry check; poll 2 is the scan's first block.
+	res, err := se.Retrieve(ctxtest.New(2), "graph", 10)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled mid-retrieve: %d results, err %v; want context.Canceled", len(res), err)
 	}
 }

@@ -37,12 +37,17 @@ type ShardConfig struct {
 // hold the same model for embeddings (and therefore distances and ranks)
 // to agree across the cluster. What the shard restricts is the SERVING
 // state: retrieval searches only the owned embeddings, and expert scoring
-// sums only over owned papers.
+// sums only over owned papers. That state is carved out once, at
+// construction: papers the engine accepts later are not retrievable
+// through the shard until it is rebuilt.
 type ShardEngine struct {
 	eng   *core.Engine
 	cfg   ShardConfig
 	owned map[hetgraph.NodeID]bool
-	embs  map[hetgraph.NodeID]vec.Vec32
+	// ids and rows are the owned papers in ascending id order, the storage
+	// the exact path scans; index replaces them when cfg.UsePGIndex.
+	ids   []hetgraph.NodeID
+	rows  *vec.Matrix32
 	index *pgindex.Index
 }
 
@@ -53,24 +58,22 @@ func NewShardEngine(eng *core.Engine, cfg ShardConfig) (*ShardEngine, error) {
 	if cfg.Of < 1 || cfg.ID < 0 || cfg.ID >= cfg.Of {
 		return nil, fmt.Errorf("cluster: invalid shard id %d of %d", cfg.ID, cfg.Of)
 	}
-	se := &ShardEngine{
-		eng:   eng,
-		cfg:   cfg,
-		owned: map[hetgraph.NodeID]bool{},
-		embs:  map[hetgraph.NodeID]vec.Vec32{},
-	}
+	se := &ShardEngine{eng: eng, cfg: cfg, owned: map[hetgraph.NodeID]bool{}}
+	embs := map[hetgraph.NodeID]vec.Vec32{}
 	for _, p := range eng.Graph().NodesOfType(hetgraph.Paper) {
 		if AssignShard(p, cfg.Of) != cfg.ID {
 			continue
 		}
 		se.owned[p] = true
 		if e, ok := eng.Embeddings[p]; ok {
-			se.embs[p] = e
+			embs[p] = e
 		}
 	}
 	if cfg.UsePGIndex {
-		se.index = pgindex.BuildWithRand(se.embs, cfg.Index,
+		se.index = pgindex.BuildWithRand(embs, cfg.Index,
 			rand.New(rand.NewSource(cfg.Index.Seed)))
+	} else {
+		se.ids, se.rows = pgindex.FlatRows(embs)
 	}
 	return se, nil
 }
@@ -110,7 +113,7 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 		res, _, err := se.index.SearchCtx(ctx, qv, m, se.cfg.EF)
 		return res, err
 	}
-	return pgindex.BruteForce(se.embs, qv, m), nil
+	return pgindex.Scan(ctx, se.ids, se.rows, qv, m)
 }
 
 // ScoreExperts computes the shard's bounded partial expert ranking over

@@ -139,11 +139,19 @@ type Engine struct {
 	enc   *textenc.Encoder
 	cache train.TokenCache
 	// Embeddings is E, the representation of every paper. Treat as
-	// read-only outside the engine; AddPaper mutates it under mu.
+	// read-only outside the engine; AddPaper mutates it under mu. Values
+	// may be views of shared row storage (a flat matrix, a mapped
+	// snapshot), so a vector must never be written or appended to.
 	Embeddings map[hetgraph.NodeID]vec.Vec32
 	index      *pgindex.Index
-	stats      BuildStats
-	reg        *obs.Registry
+	// ids and rows are what an engine without a PG-Index scans: every
+	// paper in ascending id order, row i of rows the embedding of ids[i].
+	// Embeddings' values are views of these rows (see viewRowsLocked). Nil
+	// on an indexed engine, whose index holds the matrix it searches.
+	ids   []hetgraph.NodeID
+	rows  *vec.Matrix32
+	stats BuildStats
+	reg   *obs.Registry
 
 	// mu serialises online updates against queries.
 	mu sync.RWMutex
@@ -236,6 +244,9 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 		e.stats.IndexTime = sp.End()
 		e.stats.IndexEdges = e.index.NumEdges()
 		e.stats.IndexMemory = e.index.MemoryBytes()
+	} else {
+		e.ids, e.rows = pgindex.FlatRows(e.Embeddings)
+		e.viewRowsLocked(0)
 	}
 	e.stats.TotalTime = root.End()
 
@@ -337,28 +348,34 @@ func (e *Engine) retrievePapersLocked(ctx context.Context, query string, m int) 
 	}
 
 	_, sp = obs.StartSpan(ctx, "retrieve")
-	var ids []hetgraph.NodeID
+	var res []pgindex.Result
+	var err error
 	if e.index != nil {
 		st.UsedPGIndex = true
-		res, sst, err := e.index.SearchCtx(ctx, qv, m, e.opts.EF)
-		st.Search = sst
-		if err != nil {
-			st.RetrieveTime = sp.End()
-			return nil, st, err
-		}
-		ids = make([]hetgraph.NodeID, len(res))
-		for i, r := range res {
-			ids[i] = r.ID
-		}
+		res, st.Search, err = e.index.SearchCtx(ctx, qv, m, e.opts.EF)
 	} else {
-		res := pgindex.BruteForce(e.Embeddings, qv, m)
-		ids = make([]hetgraph.NodeID, len(res))
-		for i, r := range res {
-			ids[i] = r.ID
-		}
+		res, err = pgindex.Scan(ctx, e.ids, e.rows, qv, m)
 	}
 	st.RetrieveTime = sp.End()
+	if err != nil {
+		return nil, st, err
+	}
+	ids := make([]hetgraph.NodeID, len(res))
+	for i, r := range res {
+		ids[i] = r.ID
+	}
 	return ids, st, ctx.Err()
+}
+
+// viewRowsLocked points Embeddings at rows [from, len(ids)) of the flat
+// matrix. Each view's capacity is clipped to its row, so an append to one
+// reallocates instead of running into the next row (or a read-only
+// mapping). Caller holds e.mu for writing, or owns the engine outright.
+func (e *Engine) viewRowsLocked(from int) {
+	dim := e.rows.Cols
+	for i := from; i < len(e.ids); i++ {
+		e.Embeddings[e.ids[i]] = e.rows.Data[i*dim : (i+1)*dim : (i+1)*dim]
+	}
 }
 
 // topExpertsLocked runs the full uncached pipeline under a read lock.

@@ -95,6 +95,12 @@ func freshEquivGraph() *hetgraph.Graph {
 // two engines bit for bit across a deterministic query set.
 func assertRankingsIdentical(t *testing.T, ds *dataset.Dataset, label string, want, got *Engine) {
 	t.Helper()
+	assertExpertsIdentical(t, ds, label, want, got)
+	assertSimilarIdentical(t, label, want, got)
+}
+
+func assertExpertsIdentical(t *testing.T, ds *dataset.Dataset, label string, want, got *Engine) {
+	t.Helper()
 	for _, q := range ds.Queries(6, rand.New(rand.NewSource(21))) {
 		w, _, err := want.TopExperts(q.Text, 40, 10)
 		if err != nil {
@@ -118,6 +124,10 @@ func assertRankingsIdentical(t *testing.T, ds *dataset.Dataset, label string, wa
 			}
 		}
 	}
+}
+
+func assertSimilarIdentical(t *testing.T, label string, want, got *Engine) {
+	t.Helper()
 	papers := want.Graph().NodesOfType(hetgraph.Paper)
 	for _, id := range []hetgraph.NodeID{papers[0], papers[len(papers)/2], papers[len(papers)-1]} {
 		w, _, err := want.SimilarPapers(id, 8)
@@ -182,6 +192,105 @@ func TestMmapEquivalenceSingleNode(t *testing.T) {
 		}
 	}
 	assertRankingsIdentical(t, ds, "heap vs mmap after updates", heap, mapped)
+}
+
+// TestMmapEquivalenceExactEngine covers engines without a PG-Index,
+// whose scan storage is the snapshot's embedding column itself: a mapped
+// load scans the mapping in place, ranks bit-identically to the heap load
+// and the built engine, and an AddPaper on top of it grows the rows onto
+// the heap — never through the read-only mapping.
+func TestMmapEquivalenceExactEngine(t *testing.T) {
+	ds := dataset.Generate(dataset.AminerSim(120))
+	built, err := Build(ds.Graph, Options{
+		Dim: 8, Seed: 11, UseKPCore: Bool(false), UsePGIndex: Bool(false), Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(e *Engine, tag string, n int) {
+		t.Helper()
+		authors := e.Graph().NodesOfType(hetgraph.Author)
+		for i := 0; i < n; i++ {
+			_, err := e.AddPaper(NewPaper{
+				Text:    fmt.Sprintf("%s paper %d on expert finding", tag, i),
+				Authors: []hetgraph.NodeID{authors[(i*3)%len(authors)]},
+			})
+			if err != nil {
+				t.Fatalf("%s: add paper %d: %v", tag, i, err)
+			}
+		}
+	}
+	add(built, "journalled", 3)
+	var saved bytes.Buffer
+	if err := built.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "exact.snap")
+	if err := os.WriteFile(snap, saved.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	heap, err := LoadFileWith(snap, freshEquivGraph(), LoadOptions{Mmap: colstore.ModeOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadFileWith(snap, freshEquivGraph(), LoadOptions{Mmap: colstore.ModeOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.CloseSnapshot()
+	if !mapped.SnapshotMapped() || heap.SnapshotMapped() {
+		t.Fatalf("mapped=%v heap=%v, want true and false", mapped.SnapshotMapped(), heap.SnapshotMapped())
+	}
+
+	// The scan's matrix IS the mapped column, and the public map's rows
+	// are views of that same storage.
+	col, err := mapped.colsec.Float32s(segEmbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &mapped.rows.Data[0] != &col[0] || len(mapped.rows.Data) != len(col) {
+		t.Fatal("mapped exact engine copied the embedding column instead of scanning it in place")
+	}
+	if cap(mapped.rows.Data) != len(mapped.rows.Data) {
+		t.Fatalf("mapped rows have %d spare capacity: an append would write through the mapping",
+			cap(mapped.rows.Data)-len(mapped.rows.Data))
+	}
+	aliases := func(e *Engine) {
+		t.Helper()
+		if len(e.Embeddings) != len(e.ids) {
+			t.Fatalf("%d embeddings for %d rows", len(e.Embeddings), len(e.ids))
+		}
+		for i, id := range e.ids {
+			if v := e.Embeddings[id]; &v[0] != &e.rows.Row(i)[0] || cap(v) != len(v) {
+				t.Fatalf("Embeddings[%d] is not a clipped view of row %d", id, i)
+			}
+		}
+	}
+	for _, e := range []*Engine{built, heap, mapped} {
+		aliases(e)
+	}
+	assertExpertsIdentical(t, ds, "exact built vs heap", built, heap)
+	assertExpertsIdentical(t, ds, "exact heap vs mmap", heap, mapped)
+
+	// A save of the loaded engine reproduces the file byte for byte.
+	var resaved bytes.Buffer
+	if err := mapped.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+		t.Fatalf("save -> load -> save changed the snapshot (%d vs %d bytes)", saved.Len(), resaved.Len())
+	}
+
+	for _, e := range []*Engine{built, heap, mapped} {
+		add(e, "post-load", 4)
+		aliases(e)
+	}
+	if &mapped.rows.Data[0] == &col[0] {
+		t.Fatal("AddPaper on a mapped engine appended in place")
+	}
+	assertExpertsIdentical(t, ds, "exact built vs mmap after updates", built, mapped)
+	assertExpertsIdentical(t, ds, "exact heap vs mmap after updates", heap, mapped)
 }
 
 // TestMmapEquivalenceModeAuto pins the default: ModeAuto behaves like

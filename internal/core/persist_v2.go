@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"expertfind/internal/colstore"
 	"expertfind/internal/durable"
@@ -110,28 +109,13 @@ func (e *Engine) columnSegmentsLocked() ([]colstore.SegmentData, *colPersist, er
 		return segs, col, nil
 	}
 
-	// No index (UsePGIndex=false): persist the embedding map as a
-	// matrix in ascending id order, so brute-force engines get the same
-	// rebuild-free, mmap-able load path.
-	n := len(e.Embeddings)
-	dim := e.opts.Dim
-	ids := make([]hetgraph.NodeID, 0, n)
-	for id := range e.Embeddings {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	flat := make([]float32, 0, n*dim)
-	for _, id := range ids {
-		v := e.Embeddings[id]
-		if len(v) != dim {
-			return nil, nil, fmt.Errorf("core: save: paper %d embedding has %d dims, engine %d", id, len(v), dim)
-		}
-		flat = append(flat, v...)
-	}
-	col := &colPersist{Rows: n, Dim: dim}
+	// No index (UsePGIndex=false): the flat rows already are the two
+	// columns, in the ascending id order the format wants, so exact
+	// engines get the same rebuild-free, mmap-able load path.
+	col := &colPersist{Rows: len(e.ids), Dim: e.rows.Cols}
 	segs := []colstore.SegmentData{
-		colstore.F32Seg(segEmbs, flat),
-		colstore.I32Seg(segIDs, idsToInt32(ids)),
+		colstore.F32Seg(segEmbs, e.rows.Data),
+		colstore.I32Seg(segIDs, idsToInt32(e.ids)),
 	}
 	return segs, col, nil
 }
@@ -278,6 +262,14 @@ func engineFromColumns(p *snapshotPayload, sec *colstore.Section, name string, g
 		e.index = idx
 		e.stats.IndexEdges = idx.NumEdges()
 		e.stats.IndexMemory = idx.MemoryBytes()
+	}
+
+	// An engine without an index scans the saved matrix where it lies —
+	// in the mapping, when there is one. Capacity is clipped to length so
+	// AddPaper's append reallocates instead of writing through it.
+	if !col.HasIndex {
+		e.ids = ids
+		e.rows = &vec.Matrix32{Rows: col.Rows, Cols: col.Dim, Data: embs[:len(embs):len(embs)]}
 	}
 
 	// The Embeddings map holds full-capacity row views of the shared

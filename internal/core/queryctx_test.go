@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"expertfind/internal/ctxtest"
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/obs"
 )
 
 // buildTiny builds the smallest engine worth querying, for tests that
@@ -124,6 +127,56 @@ func TestQueryCtxDeadlineExceeded(t *testing.T) {
 	_, _, err := e.TopExpertsCtx(ctx, "graph", 10, 5)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestExactRetrievalHonoursContext: an engine without a PG-Index polls
+// the context inside its scan, not only around it, so a query cancelled at
+// any point of its life returns the context's error, and one that got past
+// the entry check counts as abandoned.
+func TestExactRetrievalHonoursContext(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, e := buildTiny(t, func(o *Options) {
+		o.UseKPCore, o.UsePGIndex, o.Metrics = Bool(false), Bool(false), reg
+	})
+	abandoned := reg.Counter("expertfind_query_abandoned_total", "")
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := e.TopExpertsCtx(cancelled, "graph", 200, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: got %v, want context.Canceled", err)
+	}
+	expired, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	<-expired.Done() // the runtime timer fires some time after the deadline
+	if _, _, err := e.TopExpertsCtx(expired, "graph", 200, 5); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("1us deadline: got %v, want context.DeadlineExceeded", err)
+	}
+
+	// Retrieval alone polls at entry, around the encode and after the
+	// scan; anything beyond those four is the scan's own block loop.
+	live := ctxtest.New(0)
+	if _, _, err := e.RetrievePapersCtx(live, "graph", 200); err != nil {
+		t.Fatal(err)
+	}
+	if live.Polls() <= 4 {
+		t.Fatalf("retrieval polled its context %d times: the scan never looks", live.Polls())
+	}
+
+	live = ctxtest.New(0)
+	if _, _, err := e.TopExpertsCtx(live, "graph", 200, 5); err != nil {
+		t.Fatal(err)
+	}
+	for after := int64(1); after <= live.Polls(); after++ {
+		before := abandoned.Value()
+		_, _, err := e.TopExpertsCtx(ctxtest.New(after), "graph", 200, 5)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d: got %v, want context.Canceled", after, err)
+		}
+		// Poll 1 is the entry check, before the query starts.
+		if want := before + 1; after > 1 && abandoned.Value() != want {
+			t.Fatalf("cancelled at poll %d: abandoned counter %v, want %v", after, abandoned.Value(), want)
+		}
 	}
 }
 

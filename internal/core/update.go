@@ -205,11 +205,23 @@ func (e *Engine) applyUpdateLocked(p NewPaper, seq uint64) (hetgraph.NodeID, err
 	tokens := e.enc.Tokenizer().Tokenize(p.Text)
 	e.cache[id] = tokens
 	emb := e.enc.EncodeTokens(tokens)
-	e.Embeddings[id] = emb
 	if e.index != nil {
+		e.Embeddings[id] = emb
 		if err := e.index.Insert(id, emb); err != nil {
 			return 0, fmt.Errorf("core: index insert: %w", err)
 		}
+	} else {
+		// New node ids only grow, so appending keeps the rows ascending.
+		// When growth moved the matrix, every view is re-pointed: views of
+		// the old array would keep it alive beside the new one.
+		old := e.rows.Data
+		e.rows.AppendRow(emb)
+		e.ids = append(e.ids, id)
+		from := len(e.ids) - 1
+		if len(old) > 0 && &old[0] != &e.rows.Data[0] {
+			from = 0
+		}
+		e.viewRowsLocked(from)
 	}
 	e.updates = append(e.updates, p)
 	if seq > e.walSeq {

@@ -2,9 +2,12 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -198,6 +201,40 @@ func TestReadContainerPrefixToleratesTrailer(t *testing.T) {
 	}
 	if _, _, _, err := ReadContainerPrefix(bytes.NewReader(buf.Bytes()), "<s>", 1); err == nil {
 		t.Fatal("future version accepted")
+	}
+}
+
+// TestLyingHeaderCostsOnlyTheStream: the declared payload length is not
+// trusted with an allocation. A header claiming the 4 GiB maximum over a
+// 32-byte stream is a truncation, found after reading those 32 bytes —
+// whether or not the reader can tell its own size.
+func TestLyingHeaderCostsOnlyTheStream(t *testing.T) {
+	var file bytes.Buffer
+	if err := WriteContainer(&file, 1, make([]byte, 12)); err != nil {
+		t.Fatal(err)
+	}
+	raw := file.Bytes() // 20-byte header + 12 bytes = 32
+	binary.LittleEndian.PutUint64(raw[8:16], uint64(MaxPayloadBytes))
+
+	for name, r := range map[string]io.Reader{
+		"seekable": bytes.NewReader(raw),
+		"stream":   struct{ io.Reader }{bytes.NewReader(raw)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := ReadContainerPrefix(r, "lying", 1)
+		runtime.ReadMemStats(&after)
+
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: got %v, want *CorruptError wrapping ErrTruncated", name, err)
+		}
+		if ce.Offset != int64(len(raw)) {
+			t.Fatalf("%s: truncation reported at byte %d, want %d", name, ce.Offset, len(raw))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: reading a 32-byte stream allocated %d bytes", name, grew)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
@@ -106,18 +105,11 @@ func Build(embs map[hetgraph.NodeID]vec.Vec32, cfg Config) *Index {
 func BuildWithRand(embs map[hetgraph.NodeID]vec.Vec32, cfg Config, rng *rand.Rand) *Index {
 	cfg = cfg.withDefaults()
 	idx := &Index{pos: make(map[hetgraph.NodeID]int32, len(embs)), exactOnly: cfg.ExactOnly}
-	idx.ids = make([]hetgraph.NodeID, 0, len(embs))
-	for id := range embs {
-		idx.ids = append(idx.ids, id)
-	}
-	sort.Slice(idx.ids, func(i, j int) bool { return idx.ids[i] < idx.ids[j] })
+	idx.ids, idx.embs = FlatRows(embs)
 	if len(idx.ids) == 0 {
 		return idx
 	}
-	dim := embs[idx.ids[0]].Dim()
-	idx.embs = vec.NewMatrix32(len(idx.ids), dim)
 	for i, id := range idx.ids {
-		copy(idx.embs.Row(i), embs[id])
 		idx.pos[id] = int32(i)
 	}
 	if !cfg.ExactOnly {
@@ -336,6 +328,7 @@ type searchScratch struct {
 	epoch   uint32
 	cand    []distEntry // min-heap of unexpanded candidates
 	pool    []distEntry // max-heap of current best ef results
+	sel     []scored    // the final selector's heap
 	qcodes  []int8
 }
 
@@ -461,22 +454,18 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 
 	// Exact re-rank of the ENTIRE pool (not just the top-m): quantized
 	// distances decide who made the pool, exact float32 kernels decide the
-	// published order. Ties break by paper id, matching BruteForce.
-	final := s.pool
-	if useQuant {
-		for i := range final {
-			final[i].dist = vec.L2Sq32(idx.embs.Row(int(final[i].id)), query)
+	// published order — the selector's canonical one, as in BruteForce.
+	t := topM{m: m, h: s.sel[:0]}
+	for _, e := range s.pool {
+		d := e.dist
+		if useQuant {
+			d = vec.L2Sq32(idx.embs.Row(int(e.id)), query)
 			st.DistanceComputations++
 		}
+		t.offer(d, idx.ids[e.id])
 	}
-	idx.sortCanonical(final)
-	if len(final) > m {
-		final = final[:m]
-	}
-	res := make([]Result, len(final))
-	for i, e := range final {
-		res[i] = Result{ID: idx.ids[e.id], Dist: sqrt(float64(e.dist))}
-	}
+	res := t.results()
+	s.sel = t.h
 	st.record()
 	return res, st, nil
 }
@@ -484,79 +473,29 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 // searchExhaustive scans every live row of the flat embedding matrix with
 // exact kernels and returns the canonical top-m.
 func (idx *Index) searchExhaustive(ctx context.Context, query vec.Vec32, m int, st *SearchStats) ([]Result, SearchStats, error) {
-	n := len(idx.ids)
-	all := make([]distEntry, 0, idx.Len())
-	for i := 0; i < n; i++ {
-		if i%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				st.record()
-				return nil, *st, err
-			}
-		}
-		if idx.isDead(int32(i)) {
-			continue
-		}
-		all = append(all, distEntry{int32(i), vec.L2Sq32(idx.embs.Row(i), query)})
-	}
-	st.DistanceComputations += len(all)
-	st.NodesVisited += len(all)
-	idx.sortCanonical(all)
-	if len(all) > m {
-		all = all[:m]
-	}
-	res := make([]Result, len(all))
-	for i, e := range all {
-		res[i] = Result{ID: idx.ids[e.id], Dist: sqrt(float64(e.dist))}
+	res, err := scan(ctx, idx.ids, idx.embs, idx.dead, query, m)
+	if err == nil {
+		st.DistanceComputations += idx.Len()
+		st.NodesVisited += idx.Len()
 	}
 	st.record()
-	return res, *st, nil
+	return res, *st, err
 }
 
-// BruteForce scans every embedding and returns the exact m nearest papers
-// to the query, sorted ascending by distance — the "w/o PG-Index" variant.
+// BruteForce scans every embedding of the map and returns the exact m
+// nearest papers to the query in canonical order. It is the oracle the
+// tests and the benchmark judge every other retrieval path against;
+// engines scan their contiguous rows with Scan instead.
 func BruteForce(embs map[hetgraph.NodeID]vec.Vec32, query vec.Vec32, m int) []Result {
-	all := make([]Result, 0, len(embs))
+	m = min(m, len(embs))
+	if m <= 0 {
+		return []Result{}
+	}
+	t := newTopM(m)
 	for id, e := range embs {
-		all = append(all, Result{ID: id, Dist: query.L2(e)})
+		t.offer(vec.L2Sq32(query, e), id)
 	}
-	slices.SortFunc(all, func(a, b Result) int {
-		switch {
-		case a.Dist < b.Dist:
-			return -1
-		case a.Dist > b.Dist:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	if len(all) > m {
-		all = all[:m]
-	}
-	return all
-}
-
-// sortCanonical orders distance entries by the package's canonical total
-// order — distance ascending, NodeID ascending — via slices.SortFunc,
-// which monomorphises the comparator instead of boxing it the way
-// sort.Slice does; the sort dominates the exhaustive search path.
-func (idx *Index) sortCanonical(es []distEntry) {
-	ids := idx.ids
-	slices.SortFunc(es, func(a, b distEntry) int {
-		switch {
-		case a.dist < b.dist:
-			return -1
-		case a.dist > b.dist:
-			return 1
-		case ids[a.id] < ids[b.id]:
-			return -1
-		case ids[a.id] > ids[b.id]:
-			return 1
-		}
-		return 0
-	})
+	return t.results()
 }
 
 // Len returns the number of live (searchable) papers.
