@@ -275,7 +275,7 @@ func (c *ShardClient) Get(ctx context.Context, shard int, pathAndQuery string) (
 	return c.do(ctx, shard, http.MethodGet, pathAndQuery, nil)
 }
 
-// Post runs a POST sub-request with a JSON body against shard.
+// Post runs a POST sub-request with a frame body against shard.
 func (c *ShardClient) Post(ctx context.Context, shard int, path string, body []byte) ([]byte, error) {
 	return c.do(ctx, shard, http.MethodPost, path, body)
 }
@@ -429,7 +429,9 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 // send issues one HTTP request to one replica and settles its health
 // accounting: success resets the failure streak, failure advances it and
 // ejects past the threshold. A response, whatever its status, proves the
-// replica alive; only 5xx and transport errors count as failures.
+// replica alive; only 5xx, transport errors and a response frame that
+// claims another shard (a replica started with the wrong -shard-id) count
+// as failures.
 func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, path string, body []byte) ([]byte, error) {
 	var rdr io.Reader
 	if body != nil {
@@ -440,7 +442,7 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, 
 		return nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", frameContentType)
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := int(time.Until(dl).Milliseconds())
@@ -487,6 +489,11 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, 
 	if resp.StatusCode != http.StatusOK {
 		// 4xx is the router's bug, not the replica's health problem.
 		return nil, fmt.Errorf("replica %s: status %d: %s", rp.addr, resp.StatusCode, firstLine(b))
+	}
+	if got, ok := frameShard(b); ok && got != shard {
+		err := fmt.Errorf("replica %s: answered as shard %d, asked as shard %d", rp.addr, got, shard)
+		c.fail(shard, rp, err)
+		return nil, err
 	}
 	c.succeed(shard, rp)
 	return b, nil

@@ -176,30 +176,83 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestRouterDeepeningRound forces the second, deeper fetch: with the
-// initial per-shard limit squeezed to 1 the first round's bound cannot
-// certify, the router must go back for more, and the final ranking must
-// still match single node exactly.
-func TestRouterDeepeningRound(t *testing.T) {
+// TestRouterOneCertifiedRound pins the shape of a routed /experts: every
+// shard is asked exactly twice — its papers, then the experts of the ranked
+// papers it owns — every expert response is a complete list (Exhausted, and
+// really holding every author of every paper sent), so the first merge
+// certifies (ta_depth 1), and the ranking still matches single node bit
+// for bit.
+func TestRouterOneCertifiedRound(t *testing.T) {
 	ds, eng := equivEngine(t)
 	queries := ds.Queries(4, rand.New(rand.NewSource(9)))
 	const m, n = 40, 10
 
-	topo := startTopology(t, eng, 2, RouterConfig{InitialLimit: 1}, ClientConfig{}, nil, nil)
-	for _, q := range queries {
-		want, _, err := eng.TopExperts(q.Text, m, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := queryExperts(t, topo.routerURL, q.Text, m, n)
-		assertSameRanking(t, q.Text, got, want)
-		if got.TADepth < 2 {
-			t.Fatalf("query %q: expected a deepening round, ta_depth = %d", q.Text, got.TADepth)
-		}
-	}
-	deep := topo.reg.Counter("expertfind_cluster_deep_fetches_total", "").Value()
-	if deep < float64(len(queries)) {
-		t.Fatalf("deep-fetch counter %v after %d forced-deepening queries", deep, len(queries))
+	for _, shards := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// Per shard: sub-requests served, and every /shard/experts
+			// exchange (request, response).
+			var mu sync.Mutex
+			served := make([]int, shards)
+			exchanges := make([][][2][]byte, shards)
+			topo := startTopology(t, eng, shards, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil,
+				func(shard, rep int, inner http.Handler) http.Handler {
+					return interceptShard(inner, func(path string, req, resp []byte) []byte {
+						mu.Lock()
+						defer mu.Unlock()
+						served[shard]++
+						if path == "/shard/experts" {
+							exchanges[shard] = append(exchanges[shard], [2][]byte{req, resp})
+						}
+						return resp
+					})
+				})
+			for qi, q := range queries {
+				want, _, err := eng.TopExperts(q.Text, m, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := queryExperts(t, topo.routerURL, q.Text, m, n)
+				assertSameRanking(t, q.Text, got, want)
+				if got.TADepth != 1 {
+					t.Fatalf("query %q: ta_depth = %d, want 1", q.Text, got.TADepth)
+				}
+				mu.Lock()
+				for i, got := range served {
+					if got != 2*(qi+1) {
+						t.Fatalf("query %q: shard %d has served %d sub-requests, want %d (2 per query)",
+							q.Text, i, got, 2*(qi+1))
+					}
+				}
+				mu.Unlock()
+			}
+			for i := range exchanges {
+				if len(exchanges[i]) != len(queries) {
+					t.Fatalf("shard %d served %d /shard/experts, want %d", i, len(exchanges[i]), len(queries))
+				}
+				for _, exchange := range exchanges[i] {
+					req, err := decodeExpertsRequest(exchange[0])
+					if err != nil {
+						t.Fatalf("shard %d request: %v", i, err)
+					}
+					resp, err := decodeExpertsResponse(exchange[1])
+					if err != nil {
+						t.Fatalf("shard %d response: %v", i, err)
+					}
+					authors := map[hetgraph.NodeID]bool{}
+					eng.ReadGraph(func(g *hetgraph.Graph) {
+						for _, p := range req.Papers {
+							for _, a := range g.AuthorsOf(hetgraph.NodeID(p.ID)) {
+								authors[a] = true
+							}
+						}
+					})
+					if !resp.Exhausted || resp.Threshold != 0 || resp.Shard != i || len(resp.Experts) != len(authors) {
+						t.Fatalf("shard %d answered exhausted=%v threshold=%v shard=%d with %d experts; want the complete list of %d",
+							i, resp.Exhausted, resp.Threshold, resp.Shard, len(resp.Experts), len(authors))
+					}
+				}
+			}
+		})
 	}
 }
 

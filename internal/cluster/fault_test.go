@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"expertfind/internal/ctxtest"
+	"expertfind/internal/hetgraph"
 	"expertfind/internal/serve"
 )
 
@@ -300,5 +302,152 @@ func TestExactShardHonoursContext(t *testing.T) {
 	res, err := se.Retrieve(ctxtest.New(2), "graph", 10)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("cancelled mid-retrieve: %d results, err %v; want context.Canceled", len(res), err)
+	}
+}
+
+// interceptShard passes a shard server's /shard/* traffic through see,
+// which is shown every exchange that ended 200 — path, request body,
+// response body — and returns the response body to send.
+func interceptShard(inner http.Handler, see func(path string, req, resp []byte) []byte) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/shard/") {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		req, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(req))
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			body = see(r.URL.Path, req, body)
+		}
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+}
+
+// routerStatus runs one routed query and returns status and body.
+func routerStatus(t *testing.T, topo *topology, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(topo.routerURL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b)
+}
+
+// TestWrongShardIDIs502NamingReplica: a replica started with the wrong
+// -shard-id answers with another shard's id in its frames. The router
+// used to take a paper's owner from that field and index its per-shard
+// table with it — a panic for an id past the shard count, papers sent to
+// a shard that does not own them otherwise. Now the owner is the fan-out
+// index and the lying replica is a failed replica: 502, named.
+func TestWrongShardIDIs502NamingReplica(t *testing.T) {
+	ds, eng := equivEngine(t)
+	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
+
+	for _, claimed := range []int{7, 0, -1} { // past the shard count, a real other shard, negative
+		topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 5 * time.Second},
+			ClientConfig{HedgeAfter: -1}, nil,
+			func(shard, rep int, inner http.Handler) http.Handler {
+				if shard != 1 {
+					return inner
+				}
+				return interceptShard(inner, func(_ string, _, body []byte) []byte {
+					le.PutUint32(body[frameHeaderLen:], uint32(int32(claimed)))
+					return body
+				})
+			})
+		liar := topo.client.Replicas()[1][0]
+		for _, path := range []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"} {
+			code, body := routerStatus(t, topo, path)
+			if code != http.StatusBadGateway {
+				t.Fatalf("claimed shard %d, %s: status %d, want 502: %s", claimed, path, code, body)
+			}
+			if !strings.Contains(body, liar) {
+				t.Fatalf("claimed shard %d, %s: 502 does not name replica %s: %s", claimed, path, liar, body)
+			}
+		}
+	}
+}
+
+// TestOldShardJSONIs502: a shard that still answers the JSON protocol (or
+// anything else that is not a frame) is a typed decode error that reaches
+// the client as 502, never a panic or a silently empty merge.
+func TestOldShardJSONIs502(t *testing.T) {
+	ds, eng := equivEngine(t)
+	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
+
+	var onlyExperts atomic.Bool
+	topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 5 * time.Second},
+		ClientConfig{HedgeAfter: -1}, nil,
+		func(shard, rep int, inner http.Handler) http.Handler {
+			if shard != 0 {
+				return inner
+			}
+			return interceptShard(inner, func(path string, _, body []byte) []byte {
+				switch {
+				case path == "/shard/experts":
+					return []byte(`{"shard":0,"experts":[],"threshold":0,"exhausted":true,"candidates":0}`)
+				case onlyExperts.Load():
+					return body
+				}
+				return []byte(`{"shard":0,"papers":[]}`)
+			})
+		})
+	for _, stage := range []string{"bad papers payload", "bad experts payload"} {
+		code, body := routerStatus(t, topo, "/experts?q="+q+"&m=40&n=10")
+		if code != http.StatusBadGateway || !strings.Contains(body, stage) || !strings.Contains(body, "bad shard frame") {
+			t.Fatalf("JSON-speaking shard: status %d, want 502 with %q and the frame error: %s", code, stage, body)
+		}
+		onlyExperts.Store(true)
+	}
+}
+
+// TestShardRefusesMalformedExpertsRequest: the shard side of the decoder.
+// Anything that is not one well-formed request frame is a 400 — the
+// router's bug, not a shard failure — and the 8 MiB body cap stands.
+func TestShardRefusesMalformedExpertsRequest(t *testing.T) {
+	_, eng := equivEngine(t)
+	se, err := NewShardEngine(eng, ShardConfig{ID: 0, Of: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(eng)
+	srv.SetReady(true)
+	MountShard(srv, se)
+	post := func(body []byte) int {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/experts", strings.NewReader(string(body))))
+		return rec.Code
+	}
+
+	var owned RankedPaper
+	for id := int32(0); owned.Rank == 0; id++ {
+		if se.owned[hetgraph.NodeID(id)] {
+			owned = RankedPaper{ID: id, Rank: 1}
+		}
+	}
+	good := encodeRequest(ExpertsRequest{Papers: []RankedPaper{owned}})
+	if got := post(good); got != http.StatusOK {
+		t.Fatalf("well-formed request: status %d", got)
+	}
+	oversize := encodeRequest(ExpertsRequest{Papers: make([]RankedPaper, (8<<20)/8)}) // 8 MiB + header
+	for name, body := range map[string][]byte{
+		"empty":         nil,
+		"old JSON":      []byte(`{"papers":[{"id":1,"rank":1}],"limit":40}`),
+		"response tag":  append([]byte{tagExperts}, good[1:]...),
+		"truncated":     good[:len(good)-1],
+		"trailing byte": append(append([]byte(nil), good...), 0),
+		"lying count":   {tagRequest, frameVersion, 0, 0, 0, 0x40},
+		"past the cap":  oversize,
+	} {
+		if got := post(body); got != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, got)
+		}
 	}
 }

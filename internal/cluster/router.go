@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -26,11 +25,6 @@ type RouterConfig struct {
 	// QueryTimeout bounds each query end to end (504 past it); the
 	// per-shard budgets of every scatter derive from what remains of it.
 	QueryTimeout time.Duration
-	// InitialLimit is the per-shard partial-list depth of the first
-	// /shard/experts round (0: max(2n, 16)). Each uncertified round
-	// quadruples it; past MaxM the router asks for unbounded lists, which
-	// always certify.
-	InitialLimit int
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -201,7 +195,7 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool)
 				return
 			}
 			var pr PapersResponse
-			if err := json.Unmarshal(b, &pr); err != nil {
+			if err := decodeFrame(b, tagPapers, &pr); err != nil {
 				errs[i] = &shardError{shard: i, err: fmt.Errorf("bad papers payload: %w", err)}
 				return
 			}
@@ -225,12 +219,17 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool)
 // (distance ascending, id ascending) — the exact comparator of the
 // single-node brute-force retrieval, applied to the same distance bits,
 // so the merged list equals the single-node list when shards retrieve
-// exactly.
+// exactly. A paper's owner is the shard that was ASKED, not the id in the
+// payload (the client refuses a frame that claims another shard).
 func mergePapers(resps []*PapersResponse, m int) []rankedPaper {
-	var all []rankedPaper
+	total := 0
 	for _, r := range resps {
+		total += len(r.Papers)
+	}
+	all := make([]rankedPaper, 0, total)
+	for i, r := range resps {
 		for _, p := range r.Papers {
-			all = append(all, rankedPaper{WirePaper: p, shard: r.Shard})
+			all = append(all, rankedPaper{WirePaper: p, shard: i})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -249,9 +248,9 @@ func mergePapers(resps []*PapersResponse, m int) []rankedPaper {
 }
 
 // scatterExperts fans POST /shard/experts out to the shards owning at
-// least one ranked paper, with per-shard partial-list limit t. The
-// returned slice is indexed by shard; shards with no papers stay nil.
-func (rt *Router) scatterExperts(ctx context.Context, papers []rankedPaper, t int) ([]*ShardExpertsResponse, error) {
+// least one ranked paper, each receiving its papers once. The returned
+// slice is indexed by shard; shards with no papers stay nil.
+func (rt *Router) scatterExperts(ctx context.Context, papers []rankedPaper) ([]*ShardExpertsResponse, error) {
 	s := rt.client.NumShards()
 	perShard := make([][]RankedPaper, s)
 	for _, p := range papers {
@@ -267,20 +266,16 @@ func (rt *Router) scatterExperts(ctx context.Context, papers []rankedPaper, t in
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, err := json.Marshal(ExpertsRequest{Papers: perShard[i], Limit: t})
-			if err != nil {
-				errs[i] = err
-				return
-			}
 			fctx, fanout := startFanout(ctx, i)
 			defer fanout.End()
-			b, err := rt.client.Post(fctx, i, "/shard/experts", body)
+			b, err := rt.client.Post(fctx, i, "/shard/experts",
+				encodeFrame(tagRequest, &ExpertsRequest{Papers: perShard[i]}))
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			var er ShardExpertsResponse
-			if err := json.Unmarshal(b, &er); err != nil {
+			if err := decodeFrame(b, tagExperts, &er); err != nil {
 				errs[i] = &shardError{shard: i, err: fmt.Errorf("bad experts payload: %w", err)}
 				return
 			}
@@ -308,104 +303,65 @@ type mergedExpert struct {
 	papers int
 }
 
-// mergeStats reports the distributed ranking's work for the response.
-type mergeStats struct {
-	candidates int
-	rounds     int
-}
-
 // rankExperts runs the two-round distributed pipeline: retrieval scatter
-// + global rank assignment, then expert scatter rounds of growing depth
-// until ta.MergePartials certifies the global top-n.
-func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]mergedExpert, mergeStats, error) {
-	var ms mergeStats
+// + global rank assignment, then one expert scatter whose complete
+// per-shard lists ta.MergePartials certifies on the first merge. It
+// returns the global top-n and the number of distinct candidates merged.
+func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]mergedExpert, int, error) {
 	sctx, sp := obs.StartSpan(ctx, "scatter_papers")
 	r1, err := rt.scatterPapers(sctx, q, m, false)
 	sp.End()
 	if err != nil {
-		return nil, ms, err
+		return nil, 0, err
 	}
 	_, mp := obs.StartSpan(ctx, "merge_papers")
 	papers := mergePapers(r1, m)
 	mp.End()
 
-	t := rt.cfg.InitialLimit
-	if t <= 0 {
-		t = 2 * n
-		if t < 16 {
-			t = 16
-		}
+	ectx, es := obs.StartSpan(ctx, "scatter_experts")
+	resps, err := rt.scatterExperts(ectx, papers)
+	es.End()
+	if err != nil {
+		return nil, 0, err
 	}
-	for {
-		ms.rounds++
-		// Each deepening round is its own sibling span: the assembled
-		// trace shows how many rounds ran and what each cost.
-		ectx, es := obs.StartSpan(ctx, "scatter_experts")
-		es.Annotate("round", strconv.Itoa(ms.rounds))
-		es.Annotate("limit", strconv.Itoa(t))
-		resps, err := rt.scatterExperts(ectx, papers, t)
-		es.End()
-		if err != nil {
-			return nil, ms, err
-		}
-		// Partials enter the merge in ascending shard order: the merged
-		// certification sums are deterministic for a given topology.
-		var parts []ta.Partial
-		for _, r := range resps {
-			if r == nil {
-				continue
-			}
-			entries := make([]ta.Ranking, len(r.Experts))
-			for i, e := range r.Experts {
-				entries[i] = ta.Ranking{Expert: hetgraph.NodeID(e.ID), Score: e.Score}
-			}
-			parts = append(parts, ta.Partial{
-				Entries:   entries,
-				Threshold: r.Threshold,
-				Exhausted: r.Exhausted,
-			})
-		}
-		_, st := ta.MergePartials(parts, n)
-		ms.candidates = st.Candidates
-		if st.Satisfied {
-			return finalRanking(resps, n), ms, nil
-		}
-		if t == 0 {
-			// Unbounded lists are exhaustive and always certify; reaching
-			// here means a shard broke the partial-list contract.
-			return nil, ms, fmt.Errorf("cluster: merge failed to certify on exhaustive lists")
-		}
-		rt.reg.Counter("expertfind_cluster_deep_fetches_total",
-			"Extra scatter rounds issued because the distributed threshold bound was not satisfied.").Inc()
-		t *= 4
-		if t > rt.cfg.MaxM {
-			t = 0 // ask for complete lists; termination guaranteed
-		}
-	}
-}
-
-// finalRanking assembles the certified global top-n from the last round's
-// responses. Scores are NOT the certification sums: each expert's
-// per-paper contributions from all shards are re-summed in ascending
-// global rank — the single-node summation order — so scores, and
-// therefore tie behaviour, are bit-identical to single-node TopExperts.
-// Only exact candidates (present in every truncated shard's list)
-// qualify; the certified bound guarantees no inexact candidate can reach
-// the top n.
-func finalRanking(resps []*ShardExpertsResponse, n int) []mergedExpert {
-	type cand struct {
-		mergedExpert
-		contribs []Contribution
-		present  int
-	}
-	byID := map[int32]*cand{}
-	var order []int32
-	active := 0 // responses that actually carry partials
+	// Partials enter the merge in ascending shard order: the merged
+	// certification sums are deterministic for a given topology.
+	parts := make([]ta.Partial, 0, len(resps))
 	for _, r := range resps {
 		if r == nil {
 			continue
 		}
-		active++
+		entries := make([]ta.Ranking, len(r.Experts))
+		for j, e := range r.Experts {
+			entries[j] = ta.Ranking{Expert: hetgraph.NodeID(e.ID), Score: e.Score}
+		}
+		parts = append(parts, ta.Partial{Entries: entries, Threshold: r.Threshold, Exhausted: r.Exhausted})
+	}
+	_, st := ta.MergePartials(parts, n)
+	if !st.Satisfied {
+		// Complete lists — the only kind the frame can carry — always
+		// certify: this is a bug here, not a bad gateway.
+		return nil, 0, errors.New("cluster: merge failed to certify on complete lists")
+	}
+	return finalRanking(resps, n), st.Candidates, nil
+}
+
+// finalRanking assembles the certified global top-n from the shards'
+// complete lists. Scores are NOT the certification sums: each expert's
+// per-paper contributions from all shards are re-summed in ascending
+// global rank — the single-node summation order — so scores, and
+// therefore tie behaviour, are bit-identical to single-node TopExperts.
+func finalRanking(resps []*ShardExpertsResponse, n int) []mergedExpert {
+	type cand struct {
+		mergedExpert
+		contribs []Contribution
+	}
+	byID := map[int32]*cand{}
+	var order []int32
+	for _, r := range resps {
+		if r == nil {
+			continue
+		}
 		for _, e := range r.Experts {
 			c := byID[e.ID]
 			if c == nil {
@@ -414,15 +370,11 @@ func finalRanking(resps []*ShardExpertsResponse, n int) []mergedExpert {
 				order = append(order, e.ID)
 			}
 			c.contribs = append(c.contribs, e.Contribs...)
-			c.present++
 		}
 	}
 	exact := make([]mergedExpert, 0, len(order))
 	for _, id := range order {
 		c := byID[id]
-		if !isExact(c.present, resps) {
-			continue
-		}
 		sort.SliceStable(c.contribs, func(i, j int) bool {
 			return c.contribs[i].Rank < c.contribs[j].Rank
 		})
@@ -443,22 +395,6 @@ func finalRanking(resps []*ShardExpertsResponse, n int) []mergedExpert {
 		exact = exact[:n]
 	}
 	return exact
-}
-
-// isExact reports whether an expert seen in `present` responses is fully
-// determined: it must appear in every response that could omit entries.
-// An exhausted response omits only zero-score experts, so absence there
-// costs nothing.
-func isExact(present int, resps []*ShardExpertsResponse) bool {
-	required := 0
-	for _, r := range resps {
-		if r != nil && !r.Exhausted {
-			required++
-		}
-	}
-	// Present in all truncated responses — absences can only be in
-	// exhausted ones (score exactly 0 there).
-	return present >= required
 }
 
 func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
@@ -485,19 +421,16 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 	// hedge below shares its trace id, and the middleware capture picks
 	// it up for the trace store.
 	qctx, root := obs.StartSpan(ctx, "query")
-	experts, ms, err := rt.rankExperts(qctx, q, m, n)
+	experts, candidates, err := rt.rankExperts(qctx, q, m, n)
 	root.End()
-	if ms.rounds > 1 {
-		root.Annotate("deepened", strconv.Itoa(ms.rounds))
-	}
 	if rt.writeRouterError(w, err) {
 		return
 	}
 	resp := serve.ExpertsResponse{
 		Query:      q,
 		ResponseMs: float64(time.Since(start).Microseconds()) / 1000,
-		Candidates: ms.candidates,
-		TADepth:    ms.rounds,
+		Candidates: candidates,
+		TADepth:    1, // one expert round, certified by construction
 		Experts:    make([]serve.ExpertResult, 0, len(experts)),
 	}
 	for i, e := range experts {

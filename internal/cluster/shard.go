@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -22,15 +22,16 @@ const BudgetHeader = "X-Budget-Ms"
 
 // MountShard exposes the internal shard API on an existing serve.Server:
 //
-//	GET  /shard/papers?q=&m=[&meta=1] -> PapersResponse
-//	POST /shard/experts               -> ShardExpertsResponse
+//	GET  /shard/papers?q=&m=[&meta=1]  -> PapersResponse
+//	POST /shard/experts ExpertsRequest -> ShardExpertsResponse
 //
+// with every body in the frame proto.go lays out.
 // The routes ride the server's observability middleware and in-flight
 // shedding like the public ones, and honour the X-Budget-Ms deadline
 // budget. The server's /healthz topology block is set to the shard's
 // coordinates (satisfying probes that must tell topology members apart).
 func MountShard(srv *serve.Server, se *ShardEngine) {
-	sh := &shardAPI{srv: srv, se: se}
+	sh := &shardAPI{se: se}
 	srv.Handle("/shard/papers", sh.handlePapers)
 	srv.Handle("/shard/experts", sh.handleExperts)
 	srv.SetTopology(serve.Topology{
@@ -68,10 +69,7 @@ func MountFollowerShard(srv *serve.Server, se *ShardEngine, fo *core.Follower) {
 	srv.DenyWrites("replication follower serves reads only; write to the leader")
 }
 
-type shardAPI struct {
-	srv *serve.Server
-	se  *ShardEngine
-}
+type shardAPI struct{ se *ShardEngine }
 
 // budgetContext bounds ctx by the request's X-Budget-Ms header, when
 // present and positive.
@@ -108,17 +106,11 @@ func writeShardError(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// collectRequested reports whether the router asked for the span tree in
-// the response envelope.
-func collectRequested(r *http.Request) bool {
-	return r.Header.Get(obs.CollectHeader) == "1"
-}
-
 // exportTree closes the shard-side root span and returns its tree for
-// the envelope when the router asked for it.
+// the frame's trace section when the router asked for it.
 func exportTree(span *obs.Span, r *http.Request) *obs.SpanNode {
 	span.End()
-	if !collectRequested(r) {
+	if r.Header.Get(obs.CollectHeader) != "1" {
 		return nil
 	}
 	t := span.Tree()
@@ -158,7 +150,8 @@ func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
 		resp.Papers = append(resp.Papers, wp)
 	}
 	resp.Trace = exportTree(span, r)
-	sh.srv.WriteJSON(w, resp)
+	w.Header().Set("Content-Type", frameContentType)
+	w.Write(encodeFrame(tagPapers, &resp))
 }
 
 func (sh *shardAPI) handleExperts(w http.ResponseWriter, r *http.Request) {
@@ -167,15 +160,18 @@ func (sh *shardAPI) handleExperts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	if err != nil {
+		http.Error(w, "unreadable body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	var req ExpertsRequest
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
+	if err := decodeFrame(body, tagRequest, &req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	sctx, span := obs.StartSpan(r.Context(), "shard_experts")
 	span.Annotate("shard", strconv.Itoa(sh.se.ID()))
-	span.Annotate("limit", strconv.Itoa(req.Limit))
 	defer span.End()
 	ctx, cancel := budgetContext(sctx, r)
 	defer cancel()
@@ -191,5 +187,6 @@ func (sh *shardAPI) handleExperts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Trace = exportTree(span, r)
-	sh.srv.WriteJSON(w, resp)
+	w.Header().Set("Content-Type", frameContentType)
+	w.Write(encodeFrame(tagExperts, &resp))
 }

@@ -116,7 +116,7 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 	return pgindex.Scan(ctx, se.ids, se.rows, qv, m)
 }
 
-// ScoreExperts computes the shard's bounded partial expert ranking over
+// ScoreExperts computes the shard's complete partial expert ranking over
 // the given owned papers with their GLOBAL ranks: for each paper at
 // global rank j, each author at Zipf position i contributes
 // ExpertScore(j, i, numAuthors) to its partial sum.
@@ -124,8 +124,9 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 // Per-expert sums accumulate in ascending global rank — the single-node
 // summation order — and each entry carries its per-paper contributions so
 // the router can extend that order across shards. The returned list is
-// sorted (partial score descending, id ascending) and truncated to limit
-// (<= 0: complete); Threshold is the largest omitted partial.
+// sorted (partial score descending, id ascending) and complete: Exhausted
+// is set and Threshold stays 0, which is what lets ta.MergePartials
+// certify the router's first merge.
 //
 // The graph is read under the engine's lock: a shard accepts POST /add
 // while it scores.
@@ -135,7 +136,7 @@ func (se *ShardEngine) ScoreExperts(req ExpertsRequest) (resp ShardExpertsRespon
 }
 
 func (se *ShardEngine) scoreExperts(g *hetgraph.Graph, req ExpertsRequest) (ShardExpertsResponse, error) {
-	resp := ShardExpertsResponse{Shard: se.cfg.ID}
+	resp := ShardExpertsResponse{Shard: se.cfg.ID, Exhausted: true}
 
 	papers := append([]RankedPaper(nil), req.Papers...)
 	sort.Slice(papers, func(i, j int) bool { return papers[i].Rank < papers[j].Rank })
@@ -168,7 +169,6 @@ func (se *ShardEngine) scoreExperts(g *hetgraph.Graph, req ExpertsRequest) (Shar
 			e.contribs = append(e.contribs, Contribution{Rank: rp.Rank, S: s})
 		}
 	}
-	resp.Candidates = len(order)
 
 	entries := make([]WireExpert, 0, len(order))
 	for _, a := range order {
@@ -187,13 +187,6 @@ func (se *ShardEngine) scoreExperts(g *hetgraph.Graph, req ExpertsRequest) (Shar
 		}
 		return entries[i].ID < entries[j].ID
 	})
-
-	if req.Limit > 0 && len(entries) > req.Limit {
-		resp.Threshold = entries[req.Limit].Score
-		entries = entries[:req.Limit]
-	} else {
-		resp.Exhausted = true
-	}
 	resp.Experts = entries
 	return resp, nil
 }

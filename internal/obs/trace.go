@@ -221,7 +221,7 @@ type SpanNode struct {
 }
 
 // HasAttr reports whether the node or any descendant carries attr key —
-// how keep rules spot hedges and deepening rounds in assembled trees.
+// how the keep rules spot hedges in assembled trees.
 func (n SpanNode) HasAttr(key string) bool {
 	if _, ok := n.Attrs[key]; ok {
 		return true

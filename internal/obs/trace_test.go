@@ -309,15 +309,14 @@ func TestTraceStoreKeepRules(t *testing.T) {
 	reg := NewRegistry()
 	st := NewTraceStore(TracePolicy{Capacity: 16, SlowestN: 2, SampleEvery: 4}, reg)
 
-	// Error/hedged/deepened are kept unconditionally, in that precedence.
+	// Error/hedged are kept unconditionally, in that precedence.
 	if reason, kept := st.Add(mkRecord("e1", 1), KeepFlags{Error: true, Hedged: true}); !kept || reason != KeepError {
 		t.Fatalf("error trace: reason=%q kept=%v", reason, kept)
 	}
-	if reason, _ := st.Add(mkRecord("h1", 1), KeepFlags{Hedged: true, Deepened: true}); reason != KeepHedged {
-		t.Fatalf("hedged trace: reason=%q", reason)
-	}
-	if reason, _ := st.Add(mkRecord("d1", 1), KeepFlags{Deepened: true}); reason != KeepDeepen {
-		t.Fatalf("deepened trace: reason=%q", reason)
+	for _, id := range []string{"h1", "h2"} {
+		if reason, _ := st.Add(mkRecord(id, 1), KeepFlags{Hedged: true}); reason != KeepHedged {
+			t.Fatalf("hedged trace %s: reason=%q", id, reason)
+		}
 	}
 
 	// Slowest-N: with fewer than N slower records retained, it's slow.

@@ -7,7 +7,7 @@ import (
 
 // TracePolicy configures a TraceStore's retention. Tail-based: the keep
 // decision is made after the request finishes, when its duration, status
-// and shape (hedged? deepened?) are known — the interesting traces are
+// and shape (hedged?) are known — the interesting traces are
 // exactly the ones head-based sampling would have skipped.
 type TracePolicy struct {
 	// Capacity is the ring size; the oldest kept trace is evicted when a
@@ -44,15 +44,12 @@ type KeepFlags struct {
 	Error bool
 	// Hedged: at least one hedged attempt fired.
 	Hedged bool
-	// Deepened: the TA merge needed more than one scatter round.
-	Deepened bool
 }
 
 // Keep reasons, in decision precedence order.
 const (
 	KeepError   = "error"
 	KeepHedged  = "hedged"
-	KeepDeepen  = "deepened"
 	KeepSlow    = "slow"
 	KeepSampled = "sampled"
 )
@@ -107,8 +104,8 @@ func NewTraceStore(policy TracePolicy, reg *Registry) *TraceStore {
 		ring:   make([]TraceRecord, 0, p.Capacity),
 	}
 	if reg != nil {
-		s.kept = make(map[string]*Counter, 5)
-		for _, reason := range []string{KeepError, KeepHedged, KeepDeepen, KeepSlow, KeepSampled} {
+		s.kept = make(map[string]*Counter, 4)
+		for _, reason := range []string{KeepError, KeepHedged, KeepSlow, KeepSampled} {
 			s.kept[reason] = reg.Counter("expertfind_traces_kept_total",
 				"Traces retained by the trace store, by keep rule.", L("reason", reason))
 		}
@@ -155,8 +152,6 @@ func (s *TraceStore) decide(rec TraceRecord, flags KeepFlags) string {
 		return KeepError
 	case flags.Hedged:
 		return KeepHedged
-	case flags.Deepened:
-		return KeepDeepen
 	}
 	if s.policy.SlowestN > 0 && s.isSlow(rec.DurationMs) {
 		return KeepSlow

@@ -61,7 +61,6 @@ func RegisterCluster(r *Registry) {
 		"expertfind_cluster_hedge_wins_total":        "Hedged shard sub-requests that finished before the primary, by shard.",
 		"expertfind_cluster_ejections_total":         "Replica ejections after consecutive failures, by shard and replica.",
 		"expertfind_cluster_readmissions_total":      "Ejected replicas re-admitted by a successful probe, by shard and replica.",
-		"expertfind_cluster_deep_fetches_total":      "Extra scatter rounds issued because the distributed threshold bound was not satisfied.",
 		"expertfind_cluster_wire_bytes_total":        "Response bytes read from shard sub-requests, by shard.",
 		"expertfind_cluster_shard_unavailable_total": "Queries failed because a whole shard (every replica) was unreachable.",
 	} {

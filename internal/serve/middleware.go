@@ -209,9 +209,8 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 			DurationMs: durMs,
 			Root:       tree,
 		}, obs.KeepFlags{
-			Error:    status >= 500,
-			Hedged:   tree.HasAttr("hedge"),
-			Deepened: tree.HasAttr("deepened"),
+			Error:  status >= 500,
+			Hedged: tree.HasAttr("hedge"),
 		})
 	}
 	if e.SlowQuery > 0 && durMs >= e.SlowQuery.Seconds()*1000 {

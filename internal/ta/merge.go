@@ -55,8 +55,8 @@ type MergeStats struct {
 // present in every shard that is not exhausted — and the n-th exact score
 // strictly dominates every other candidate's upper bound. Strictness makes
 // boundary ties conservative: a candidate whose upper bound merely touches
-// the n-th score could tie and win the id tie-break, so the caller must
-// deepen instead.
+// the n-th score could tie and win the id tie-break, so such a merge is
+// not certified.
 //
 // The returned ranking is sorted by score descending, ties by expert id
 // ascending — the same contract as TopExperts — and is exact whenever
@@ -91,8 +91,8 @@ func MergePartials(parts []Partial, n int) ([]Ranking, MergeStats) {
 
 	// Upper bound on an expert no shard reported at all. Fully exhausted
 	// partials leave nothing unknown, so the merge is certified whatever
-	// the scores — this is what guarantees the caller's deepening loop
-	// terminates once it requests unbounded lists.
+	// the scores — this is what lets the cluster router, whose shards
+	// always answer with complete lists, certify on its first merge.
 	var unseenUB float64
 	allExhausted := true
 	for _, p := range parts {
