@@ -162,9 +162,9 @@ func answer(engine *core.Engine, g *hetgraph.Graph, query string, m, n int) {
 		return
 	}
 	fmt.Printf("query: %s\n", truncate(query, 70))
-	fmt.Printf("top-%d experts (%.2fms: encode %.2f, retrieve %.2f, rank %.2f; %d dist comps, TA depth %d):\n",
+	fmt.Printf("top-%d experts (%.2fms: encode %.2f, retrieve %.2f, rank %.2f; %d dist comps, %d candidates):\n",
 		n, ms(st.Total()), ms(st.EncodeTime), ms(st.RetrieveTime), ms(st.RankTime),
-		st.Search.DistanceComputations, st.TA.Depth)
+		st.Search.DistanceComputations, st.TA.Candidates)
 	for i, r := range experts {
 		fmt.Printf("  %2d. %-28s score %.4f  (%d papers)\n",
 			i+1, g.Label(r.Expert), r.Score, len(g.PapersOf(r.Expert)))

@@ -9,7 +9,7 @@
 // (internal/textenc), sampling-based training-data generation
 // (internal/sampling), triplet-loss fine-tuning with Adam
 // (internal/train), the PG-Index proximity graph (internal/pgindex), the
-// threshold-algorithm expert ranking (internal/ta), the synthetic
+// top-n expert ranking (internal/ta), the synthetic
 // Aminer/DBLP/ACM stand-ins (internal/dataset), seven comparison baselines
 // (internal/baselines), the assembled engine (internal/core), and the
 // experiment harness regenerating every table and figure of the paper's

@@ -43,8 +43,8 @@ func main() {
 	fmt.Printf("\nquery: %.70s...\n", q.Text)
 
 	experts, qs, _ := engine.TopExperts(q.Text, 200, 10)
-	fmt.Printf("top-10 experts in %.2fms (PG-Index visited %d nodes; TA stopped at depth %d):\n",
-		float64(qs.Total().Microseconds())/1000, qs.Search.NodesVisited, qs.TA.Depth)
+	fmt.Printf("top-10 experts in %.2fms (PG-Index visited %d nodes; %d candidate experts scored):\n",
+		float64(qs.Total().Microseconds())/1000, qs.Search.NodesVisited, qs.TA.Candidates)
 	for i, r := range experts {
 		mark := " "
 		if q.Truth[r.Expert] {

@@ -176,12 +176,73 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestFinalRankingMatchesTopExperts holds the merge itself — no HTTP, no
+// router — to the single-node ranker: the ranked papers of a query, dealt
+// to S in {1, 2, 4} shard engines with their global ranks and scored
+// there, must come out of finalRanking as ta.TopExperts returns them over
+// the undivided list, for cuts inside, at and past the candidate count.
+func TestFinalRankingMatchesTopExperts(t *testing.T) {
+	ds, eng := equivEngine(t)
+	g := eng.Graph()
+	for _, shards := range []int{1, 2, 4} {
+		engines := make([]*ShardEngine, shards)
+		for i := range engines {
+			se, err := NewShardEngine(eng, ShardConfig{ID: i, Of: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[i] = se
+		}
+		for _, q := range ds.Queries(6, rand.New(rand.NewSource(11))) {
+			papers, _, err := eng.RetrievePapers(q.Text, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := make([]ExpertsRequest, shards)
+			for rank, p := range papers {
+				i := AssignShard(p, shards)
+				reqs[i].Papers = append(reqs[i].Papers, RankedPaper{ID: int32(p), Rank: rank + 1})
+			}
+			resps := make([]*ShardExpertsResponse, shards)
+			for i, se := range engines {
+				if len(reqs[i].Papers) == 0 {
+					continue // the router does not ask a shard that owns none
+				}
+				resp, err := se.ScoreExperts(reqs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				resps[i] = &resp
+			}
+			_, st := ta.TopExperts(g, papers, 1)
+			for _, n := range []int{1, 10, st.Candidates, st.Candidates + 5} {
+				want, _ := ta.TopExperts(g, papers, n)
+				got, candidates := finalRanking(resps, n)
+				if candidates != st.Candidates || len(got) != len(want) {
+					t.Fatalf("S=%d %q n=%d: merged %d of %d candidates, single node %d of %d",
+						shards, q.Text, n, len(got), candidates, len(want), st.Candidates)
+				}
+				for i, e := range got {
+					w := want[i]
+					if e.id != int32(w.Expert) || math.Float64bits(e.score) != math.Float64bits(w.Score) {
+						t.Fatalf("S=%d %q n=%d rank %d: merged (%d, %x), single node (%d, %x)", shards, q.Text,
+							n, i+1, e.id, math.Float64bits(e.score), w.Expert, math.Float64bits(w.Score))
+					}
+					if e.name != g.Label(w.Expert) || e.papers != len(g.PapersOf(w.Expert)) {
+						t.Fatalf("S=%d %q rank %d: metadata (%q, %d) is not expert %d's",
+							shards, q.Text, i+1, e.name, e.papers, w.Expert)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRouterOneCertifiedRound pins the shape of a routed /experts: every
 // shard is asked exactly twice — its papers, then the experts of the ranked
 // papers it owns — every expert response is a complete list (Exhausted, and
-// really holding every author of every paper sent), so the first merge
-// certifies (ta_depth 1), and the ranking still matches single node bit
-// for bit.
+// really holding every author of every paper sent), so one merge is final
+// (ta_depth 1), and the ranking still matches single node bit for bit.
 func TestRouterOneCertifiedRound(t *testing.T) {
 	ds, eng := equivEngine(t)
 	queries := ds.Queries(4, rand.New(rand.NewSource(9)))

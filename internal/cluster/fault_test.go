@@ -420,21 +420,25 @@ func TestShardRefusesMalformedExpertsRequest(t *testing.T) {
 	srv := serve.New(eng)
 	srv.SetReady(true)
 	MountShard(srv, se)
-	post := func(body []byte) int {
+	post := func(body []byte) (int, []byte) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/experts", strings.NewReader(string(body))))
-		return rec.Code
+		return rec.Code, rec.Body.Bytes()
 	}
 
-	var owned RankedPaper
-	for id := int32(0); owned.Rank == 0; id++ {
+	var owned []int32
+	for id := int32(0); len(owned) < 2; id++ {
 		if se.owned[hetgraph.NodeID(id)] {
-			owned = RankedPaper{ID: id, Rank: 1}
+			owned = append(owned, id)
 		}
 	}
-	good := encodeRequest(ExpertsRequest{Papers: []RankedPaper{owned}})
-	if got := post(good); got != http.StatusOK {
+	request := func(papers ...RankedPaper) []byte { return encodeRequest(ExpertsRequest{Papers: papers}) }
+	good := request(RankedPaper{ID: owned[0], Rank: 1})
+	if got, _ := post(good); got != http.StatusOK {
 		t.Fatalf("well-formed request: status %d", got)
+	}
+	if got, _ := post(request(RankedPaper{ID: owned[1], Rank: 7}, RankedPaper{ID: owned[0], Rank: 2})); got != http.StatusOK {
+		t.Fatalf("two papers out of rank order: status %d", got)
 	}
 	oversize := encodeRequest(ExpertsRequest{Papers: make([]RankedPaper, (8<<20)/8)}) // 8 MiB + header
 	for name, body := range map[string][]byte{
@@ -445,9 +449,18 @@ func TestShardRefusesMalformedExpertsRequest(t *testing.T) {
 		"trailing byte": append(append([]byte(nil), good...), 0),
 		"lying count":   {tagRequest, frameVersion, 0, 0, 0, 0x40},
 		"past the cap":  oversize,
+		// Well-formed frames a scorer must not sum: the paper would count
+		// twice, and equal ranks have no summation order.
+		"paper listed twice":  request(RankedPaper{ID: owned[0], Rank: 1}, RankedPaper{ID: owned[1], Rank: 2}, RankedPaper{ID: owned[0], Rank: 3}),
+		"two papers one rank": request(RankedPaper{ID: owned[0], Rank: 4}, RankedPaper{ID: owned[1], Rank: 4}),
+		"rank zero":           request(RankedPaper{ID: owned[0], Rank: 0}),
 	} {
-		if got := post(body); got != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, got)
+		code, answer := post(body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		if _, err := decodeExpertsResponse(answer); err == nil {
+			t.Errorf("%s: the refusal carries a ranking", name)
 		}
 	}
 }

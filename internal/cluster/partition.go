@@ -1,8 +1,8 @@
 // Package cluster is the multi-process topology of the system: a
-// deterministic paper-to-shard assignment, a shard server mode exposing bounded
-// partial rankings over internal /shard/* APIs, and a router mode that
-// scatter-gathers those partials and merges them with the distributed
-// threshold bound of ta.MergePartials (see DESIGN.md, "Sharded cluster").
+// deterministic paper-to-shard assignment, a shard server mode exposing
+// complete partial rankings over internal /shard/* APIs, and a router mode
+// that scatter-gathers those partials and merges them through the
+// single-node scorer (see DESIGN.md, "Sharded cluster layer").
 //
 // Shards own disjoint subsets of the papers, assigned by a hash of the
 // paper id that every process computes identically, so the router needs no

@@ -12,8 +12,8 @@ import "expertfind/internal/obs"
 //
 //  2. POST /shard/experts [(id, global rank)] — each owning shard receives
 //     its ranked papers once, scores their experts and returns its COMPLETE
-//     partial list, the only kind the frame can carry (Exhausted, Threshold
-//     0). Complete lists satisfy ta.MergePartials on the first merge; the
+//     partial list, the only kind the frame can carry, so the router's
+//     merge (finalRanking) is the single-node sum over all of them; the
 //     response is bounded by the request (papers sent × authors per paper).
 //
 // Expert and paper ids on the wire are GLOBAL: every process builds the
@@ -76,7 +76,7 @@ type ExpertsRequest struct {
 
 // Contribution is one per-paper term of an expert's partial score:
 // S(a, p) of Eq. 4 for the owned paper at global rank Rank. The router
-// re-sums an expert's contributions from all shards in ascending global
+// adds every shard's contributions to one ta.Scores in ascending global
 // rank — the exact float summation order of single-node ta.TopExperts —
 // so merged scores are bit-identical to the single-node path.
 type Contribution struct {
@@ -98,15 +98,15 @@ type WireExpert struct {
 }
 
 // ShardExpertsResponse is the /shard/experts payload: the shard's complete
-// partial list (score descending, id ascending) in the shape
-// ta.MergePartials takes.
+// partial list, ordered by ta.Ranking.Before on the partial scores.
 type ShardExpertsResponse struct {
 	Shard   int
 	Experts []WireExpert
 	// Threshold bounds the partial score of any expert absent from
 	// Experts, and Exhausted reports the list is complete: every expert
 	// with a non-zero partial score on this shard is present. Neither is
-	// on the wire — ScoreExperts and the decoder both set 0 and true.
+	// on the wire — ScoreExperts and the decoder both set 0 and true —
+	// and nothing but bench/ reads them (ROADMAP item 3(a)).
 	Threshold float64
 	Exhausted bool
 	// Trace is the shard's completed span tree for this sub-request,

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,9 +47,9 @@ func (c RouterConfig) withDefaults() RouterConfig {
 
 // Router is the scatter-gather front of a sharded cluster. It holds no
 // corpus: queries fan out to the shard replicas through a ShardClient and
-// partial results merge under the distributed threshold bound of
-// ta.MergePartials. Responses match the single-node /experts and /papers
-// shapes byte for byte, so clients cannot tell the topologies apart.
+// the shards' complete partial lists merge in finalRanking. Responses
+// match the single-node /experts and /papers shapes byte for byte, so
+// clients cannot tell the topologies apart.
 type Router struct {
 	mux    *http.ServeMux
 	client *ShardClient
@@ -305,8 +307,8 @@ type mergedExpert struct {
 
 // rankExperts runs the two-round distributed pipeline: retrieval scatter
 // + global rank assignment, then one expert scatter whose complete
-// per-shard lists ta.MergePartials certifies on the first merge. It
-// returns the global top-n and the number of distinct candidates merged.
+// per-shard lists finalRanking merges. It returns the global top-n and
+// the number of distinct candidates merged.
 func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]mergedExpert, int, error) {
 	sctx, sp := obs.StartSpan(ctx, "scatter_papers")
 	r1, err := rt.scatterPapers(sctx, q, m, false)
@@ -324,77 +326,60 @@ func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]merged
 	if err != nil {
 		return nil, 0, err
 	}
-	// Partials enter the merge in ascending shard order: the merged
-	// certification sums are deterministic for a given topology.
-	parts := make([]ta.Partial, 0, len(resps))
-	for _, r := range resps {
-		if r == nil {
-			continue
-		}
-		entries := make([]ta.Ranking, len(r.Experts))
-		for j, e := range r.Experts {
-			entries[j] = ta.Ranking{Expert: hetgraph.NodeID(e.ID), Score: e.Score}
-		}
-		parts = append(parts, ta.Partial{Entries: entries, Threshold: r.Threshold, Exhausted: r.Exhausted})
-	}
-	_, st := ta.MergePartials(parts, n)
-	if !st.Satisfied {
-		// Complete lists — the only kind the frame can carry — always
-		// certify: this is a bug here, not a bad gateway.
-		return nil, 0, errors.New("cluster: merge failed to certify on complete lists")
-	}
-	return finalRanking(resps, n), st.Candidates, nil
+	experts, candidates := finalRanking(resps, n)
+	return experts, candidates, nil
 }
 
-// finalRanking assembles the certified global top-n from the shards'
-// complete lists. Scores are NOT the certification sums: each expert's
-// per-paper contributions from all shards are re-summed in ascending
-// global rank — the single-node summation order — so scores, and
-// therefore tie behaviour, are bit-identical to single-node TopExperts.
-func finalRanking(resps []*ShardExpertsResponse, n int) []mergedExpert {
-	type cand struct {
-		mergedExpert
-		contribs []Contribution
+// finalRanking is the distributed merge: every shard's list is complete
+// (the only kind the frame can carry), so the global ranking is the
+// single-node computation over the union of their per-paper
+// contributions — flattened, ordered by ascending global rank (the
+// single-node summation order) and fed to the accumulator and selector
+// ta.TopExperts itself runs on. Scores, and therefore tie behaviour, are
+// bit-identical to single-node TopExperts. It returns the top n and the
+// number of distinct candidates.
+func finalRanking(resps []*ShardExpertsResponse, n int) ([]mergedExpert, int) {
+	type term struct {
+		expert int32
+		Contribution
 	}
-	byID := map[int32]*cand{}
-	var order []int32
+	var terms []term
 	for _, r := range resps {
 		if r == nil {
 			continue
 		}
 		for _, e := range r.Experts {
-			c := byID[e.ID]
-			if c == nil {
-				c = &cand{mergedExpert: mergedExpert{id: e.ID, name: e.Name, papers: e.Papers}}
-				byID[e.ID] = c
-				order = append(order, e.ID)
+			for _, c := range e.Contribs {
+				terms = append(terms, term{e.ID, c})
 			}
-			c.contribs = append(c.contribs, e.Contribs...)
 		}
 	}
-	exact := make([]mergedExpert, 0, len(order))
-	for _, id := range order {
-		c := byID[id]
-		sort.SliceStable(c.contribs, func(i, j int) bool {
-			return c.contribs[i].Rank < c.contribs[j].Rank
-		})
-		var sum float64
-		for _, t := range c.contribs {
-			sum += t.S
-		}
-		c.score = sum
-		exact = append(exact, c.mergedExpert)
+	slices.SortStableFunc(terms, func(a, b term) int { return cmp.Compare(a.Rank, b.Rank) })
+	sc := ta.NewScores(len(terms))
+	for _, t := range terms {
+		sc.Add(hetgraph.NodeID(t.expert), t.S)
 	}
-	sort.Slice(exact, func(i, j int) bool {
-		if exact[i].score != exact[j].score {
-			return exact[i].score > exact[j].score
-		}
-		return exact[i].id < exact[j].id
-	})
-	if len(exact) > n {
-		exact = exact[:n]
+	top := sc.Top(n)
+
+	// Name and paper count ride on every shard's entry for an expert;
+	// only the n winners need them.
+	out := make([]mergedExpert, len(top))
+	at := make(map[int32]int, len(top))
+	for i, r := range top {
+		out[i] = mergedExpert{id: int32(r.Expert), score: r.Score}
+		at[out[i].id] = i
 	}
-	return exact
+	for _, r := range resps {
+		if r == nil {
+			continue
+		}
+		for _, e := range r.Experts {
+			if i, ok := at[e.ID]; ok {
+				out[i].name, out[i].papers = e.Name, e.Papers
+			}
+		}
+	}
+	return out, sc.Len()
 }
 
 func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {

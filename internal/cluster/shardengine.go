@@ -124,9 +124,11 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 // Per-expert sums accumulate in ascending global rank — the single-node
 // summation order — and each entry carries its per-paper contributions so
 // the router can extend that order across shards. The returned list is
-// sorted (partial score descending, id ascending) and complete: Exhausted
-// is set and Threshold stays 0, which is what lets ta.MergePartials
-// certify the router's first merge.
+// complete and sorted under ta.Ranking.Before on the partial scores. A
+// request naming a paper this shard does not own, a rank below 1, a paper
+// twice or two papers at one rank is refused before anything is scored:
+// a repeated paper would be summed twice and equal ranks have no
+// summation order.
 //
 // The graph is read under the engine's lock: a shard accepts POST /add
 // while it scores.
@@ -139,55 +141,55 @@ func (se *ShardEngine) scoreExperts(g *hetgraph.Graph, req ExpertsRequest) (Shar
 	resp := ShardExpertsResponse{Shard: se.cfg.ID, Exhausted: true}
 
 	papers := append([]RankedPaper(nil), req.Papers...)
-	sort.Slice(papers, func(i, j int) bool { return papers[i].Rank < papers[j].Rank })
-
-	type acc struct {
-		sum      float64
-		contribs []Contribution
-	}
-	sums := map[hetgraph.NodeID]*acc{}
-	var order []hetgraph.NodeID
-	for _, rp := range papers {
-		p := hetgraph.NodeID(rp.ID)
-		if !se.owned[p] {
+	sort.SliceStable(papers, func(i, j int) bool { return papers[i].Rank < papers[j].Rank })
+	seen := make(map[int32]bool, len(papers))
+	for i, rp := range papers {
+		switch {
+		case !se.owned[hetgraph.NodeID(rp.ID)]:
 			return resp, fmt.Errorf("cluster: paper %d is not owned by shard %d/%d",
 				rp.ID, se.cfg.ID, se.cfg.Of)
-		}
-		if rp.Rank < 1 {
+		case rp.Rank < 1:
 			return resp, fmt.Errorf("cluster: paper %d has invalid rank %d", rp.ID, rp.Rank)
+		case i > 0 && rp.Rank == papers[i-1].Rank:
+			return resp, fmt.Errorf("cluster: papers %d and %d share rank %d", papers[i-1].ID, rp.ID, rp.Rank)
+		case seen[rp.ID]:
+			return resp, fmt.Errorf("cluster: paper %d is listed twice", rp.ID)
 		}
-		authors := g.AuthorsOf(p)
+		seen[rp.ID] = true
+	}
+
+	type acc struct {
+		ta.Ranking // the partial sum
+		contribs   []Contribution
+	}
+	sums := map[hetgraph.NodeID]*acc{}
+	var order []*acc
+	for _, rp := range papers {
+		authors := g.AuthorsOf(hetgraph.NodeID(rp.ID))
 		for i, a := range authors {
 			s := ta.ExpertScore(rp.Rank, i+1, len(authors))
 			e := sums[a]
 			if e == nil {
-				e = &acc{}
+				e = &acc{Ranking: ta.Ranking{Expert: a}}
 				sums[a] = e
-				order = append(order, a)
+				order = append(order, e)
 			}
-			e.sum += s
+			e.Score += s
 			e.contribs = append(e.contribs, Contribution{Rank: rp.Rank, S: s})
 		}
 	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Before(order[j].Ranking) })
 
-	entries := make([]WireExpert, 0, len(order))
-	for _, a := range order {
-		e := sums[a]
-		entries = append(entries, WireExpert{
-			ID:       int32(a),
-			Score:    e.sum,
-			Name:     g.Label(a),
-			Papers:   len(g.PapersOf(a)),
+	resp.Experts = make([]WireExpert, 0, len(order))
+	for _, e := range order {
+		resp.Experts = append(resp.Experts, WireExpert{
+			ID:       int32(e.Expert),
+			Score:    e.Score,
+			Name:     g.Label(e.Expert),
+			Papers:   len(g.PapersOf(e.Expert)),
 			Contribs: e.contribs,
 		})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Score != entries[j].Score {
-			return entries[i].Score > entries[j].Score
-		}
-		return entries[i].ID < entries[j].ID
-	})
-	resp.Experts = entries
 	return resp, nil
 }
 

@@ -1,9 +1,9 @@
 // Package core assembles the paper's complete system: the offline
 // (k,P)-core based document-embedding pipeline (§III) and the online
-// PG-Index + threshold-algorithm top-n expert finding (§IV), behind one
-// build/query API. Every stage can be ablated through Options, which is
-// how the experiment harness produces the paper's Ours-1..Ours-4 variants
-// and the "w/o (k,P)-core" row of Table IV.
+// PG-Index retrieval + top-n expert ranking (§IV), behind one build/query
+// API. The offline stages and the index can be ablated through Options,
+// which is how the experiment harness produces the "w/o PG-Index" variants
+// of Figure 7 and the "w/o (k,P)-core" row of Table IV.
 package core
 
 import (
@@ -61,9 +61,6 @@ type Options struct {
 	// UsePGIndex gates approximate retrieval; false scans all embeddings
 	// (Ours-3/Ours-4).
 	UsePGIndex *bool
-	// UseTA gates the threshold algorithm; false ranks every candidate
-	// expert (Ours-2/Ours-4).
-	UseTA *bool
 	// Seed drives sampling, shuffling and index construction.
 	Seed int64
 	// VocabConfig tunes vocabulary induction.
@@ -127,7 +124,7 @@ type BuildStats struct {
 }
 
 // Engine is a built expert-finding system: fine-tuned embeddings E, the
-// PG-Index over them, and the TA ranker.
+// PG-Index over them, and the expert ranker.
 //
 // Queries and online updates may run concurrently: query paths hold mu
 // for reading, AddPaper holds it for writing. The optional query cache
@@ -295,7 +292,6 @@ type QueryStats struct {
 	Search       pgindex.SearchStats
 	TA           ta.Stats
 	UsedPGIndex  bool
-	UsedTA       bool
 	// CacheHit reports that the answer came from the query cache; the
 	// remaining fields then describe the original fill, not this lookup.
 	CacheHit bool
@@ -390,12 +386,7 @@ func (e *Engine) topExpertsLocked(ctx context.Context, query string, m, n int) (
 	}
 	_, sp := obs.StartSpan(sctx, "rank")
 	var experts []ta.Ranking
-	if boolOpt(e.opts.UseTA, true) {
-		st.UsedTA = true
-		experts, st.TA, err = ta.TopExpertsCtx(sctx, e.g, papers, n)
-	} else {
-		experts = ta.TopExpertsFullScan(e.g, papers, n)
-	}
+	experts, st.TA, err = ta.TopExpertsCtx(sctx, e.g, papers, n)
 	st.RankTime = sp.End()
 	if err != nil {
 		e.abandonQuery(root)

@@ -69,8 +69,8 @@ func TestTopExpertsEndToEnd(t *testing.T) {
 		if len(ranked) == 0 {
 			t.Fatal("no experts returned")
 		}
-		if !st.UsedPGIndex || !st.UsedTA {
-			t.Error("default engine should use PG-Index and TA")
+		if !st.UsedPGIndex {
+			t.Error("default engine should use the PG-Index")
 		}
 		if st.Total() <= 0 {
 			t.Error("query stats missing timings")
@@ -108,11 +108,6 @@ func TestAblationsChangeThePipeline(t *testing.T) {
 	}
 	if len(ranked) == 0 {
 		t.Error("brute-force fallback returned nothing")
-	}
-	_, noTA := buildSmall(t, func(o *Options) { o.UseTA = Bool(false) })
-	_, st2, _ := noTA.TopExperts("some query text", 30, 10)
-	if st2.UsedTA {
-		t.Error("stats claim TA was used")
 	}
 }
 

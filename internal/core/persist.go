@@ -52,7 +52,6 @@ type enginePersist struct {
 	EF                  int
 	Seed                int64
 	UsePGIndex          bool
-	UseTA               bool
 	IndexConfig         pgindex.Config
 
 	// Tokens is the vocabulary in id order; EmbData the fine-tuned table.
@@ -160,7 +159,6 @@ func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
 		EF:                  e.opts.EF,
 		Seed:                e.opts.Seed,
 		UsePGIndex:          boolOpt(e.opts.UsePGIndex, true),
-		UseTA:               boolOpt(e.opts.UseTA, true),
 		IndexConfig:         e.opts.Index,
 		// The table is float32 in memory; persisting float64 keeps the
 		// snapshot format stable and round-trips exactly (every float32
@@ -303,7 +301,6 @@ func optionsFromPersist(ep *enginePersist) (Options, error) {
 		Seed:                ep.Seed,
 		Index:               ep.IndexConfig,
 		UsePGIndex:          Bool(ep.UsePGIndex),
-		UseTA:               Bool(ep.UseTA),
 	}
 	opts.NegStrategy = samplingStrategy(ep.NegStrategy)
 	for _, s := range ep.MetaPaths {

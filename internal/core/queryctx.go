@@ -48,18 +48,18 @@ func (e *Engine) InvalidateQueryCache() {
 }
 
 // TopExperts answers a query (§IV-C): retrieve the top-m papers, extract
-// candidate experts, and return the top-n by ranking score — through the
-// threshold algorithm by default, or a full scan when disabled. m and n
-// must be positive; a *BadParamError reports violations instead of
-// silently ranking over zero papers.
+// candidate experts, and return the top-n by ranking score
+// (ta.TopExperts). m and n must be positive; a *BadParamError reports
+// violations instead of silently ranking over zero papers.
 func (e *Engine) TopExperts(query string, m, n int) ([]ta.Ranking, QueryStats, error) {
 	return e.TopExpertsCtx(context.Background(), query, m, n)
 }
 
 // TopExpertsCtx is TopExperts with cooperative cancellation: ctx is
-// checked between the encode, PG-Index and TA stages and inside the
-// PG-Index expansion and TA descent loops, so an expired deadline
-// surfaces as ctx.Err() within a few hundred distance computations.
+// checked between the encode, retrieval and ranking stages and inside
+// the PG-Index expansion, exact scan and expert scoring loops, so an
+// expired deadline surfaces as ctx.Err() within a few hundred distance
+// computations.
 func (e *Engine) TopExpertsCtx(ctx context.Context, query string, m, n int) ([]ta.Ranking, QueryStats, error) {
 	if m <= 0 {
 		return nil, QueryStats{}, &BadParamError{Param: "m", Value: m}

@@ -48,8 +48,8 @@ type System interface {
 }
 
 // baselineSystem adapts a baselines.Method: exhaustive retrieval followed
-// by full-scan candidate ranking, as the paper describes for all
-// competitors.
+// by scoring every candidate expert, as the paper describes for all
+// competitors — through ta.TopExperts, the engine's own ranker.
 type baselineSystem struct {
 	m baselines.Method
 	g *hetgraph.Graph
@@ -59,7 +59,8 @@ func (b baselineSystem) Name() string { return b.m.Name() }
 
 func (b baselineSystem) TopExperts(query string, m, n int) []ta.Ranking {
 	papers := b.m.QueryPapers(query, m)
-	return ta.TopExpertsFullScan(b.g, papers, n)
+	ranked, _ := ta.TopExperts(b.g, papers, n)
+	return ranked
 }
 
 // engineSystem adapts core.Engine.

@@ -13,6 +13,7 @@ import (
 	"expertfind/internal/kpcore"
 	"expertfind/internal/metrics"
 	"expertfind/internal/sampling"
+	"expertfind/internal/ta"
 )
 
 // Thin wrappers keep the algorithm table in RunCoreSearchComparison
@@ -37,26 +38,22 @@ type Fig7Row struct {
 	AvgMs   float64
 }
 
-// oursVariants returns the four efficiency variants of Figure 7.
-func oursVariants() []struct {
-	Name              string
-	UsePGIndex, UseTA bool
-} {
-	return []struct {
-		Name              string
-		UsePGIndex, UseTA bool
-	}{
-		{"Ours-1 (PG+TA)", true, true},
-		{"Ours-2 (PG only)", true, false},
-		{"Ours-3 (TA only)", false, true},
-		{"Ours-4 (neither)", false, false},
-	}
+// taSystem is the paper's online path with its §IV-C ranker: the engine
+// retrieves the papers, the threshold-algorithm reference ranks them.
+type taSystem struct{ engineSystem }
+
+func (s taSystem) TopExperts(query string, m, n int) []ta.Ranking {
+	papers, _, _ := s.e.RetrievePapers(query, m)
+	r, _ := TopExpertsTA(s.e.Graph(), papers, n)
+	return r
 }
 
 // RunFig7 reproduces Figure 7: mean response time of the seven baselines
 // and the four Ours variants (with/without PG-Index and TA) per dataset.
-// The fine-tuned embeddings are built once per dataset and shared by the
-// four variants, since Figure 7 varies only the online path.
+// One engine is built per retrieval path; its "+TA" leg ranks the
+// engine's retrieved papers through the threshold-algorithm reference
+// (TopExpertsTA), the other leg is the engine's own query path, whose
+// ranker (ta.TopExperts) returns the same ranking bit for bit.
 func RunFig7(sc Scale) []Fig7Row {
 	var out []Fig7Row
 	for _, spec := range Datasets() {
@@ -69,14 +66,18 @@ func RunFig7(sc Scale) []Fig7Row {
 			eff := Evaluate(baselineSystem{m, g}, g, queries, sc.M, sc.N, nil)
 			out = append(out, Fig7Row{Dataset: spec.Name, Method: m.Name(), AvgMs: eff.AvgMs})
 		}
-		for _, v := range oursVariants() {
-			v := v
-			e := buildOurs(g, sc, func(o *core.Options) {
-				o.UsePGIndex = core.Bool(v.UsePGIndex)
-				o.UseTA = core.Bool(v.UseTA)
-			})
-			eff := Evaluate(WrapEngine(v.Name, e), g, queries, sc.M, sc.N, nil)
-			out = append(out, Fig7Row{Dataset: spec.Name, Method: v.Name, AvgMs: eff.AvgMs})
+		for _, v := range []struct {
+			withTA, withoutTA string
+			usePGIndex        bool
+		}{
+			{"Ours-1 (PG+TA)", "Ours-2 (PG only)", true},
+			{"Ours-3 (TA only)", "Ours-4 (neither)", false},
+		} {
+			e := buildOurs(g, sc, func(o *core.Options) { o.UsePGIndex = core.Bool(v.usePGIndex) })
+			for _, sys := range []System{taSystem{engineSystem{v.withTA, e}}, WrapEngine(v.withoutTA, e)} {
+				eff := Evaluate(sys, g, queries, sc.M, sc.N, nil)
+				out = append(out, Fig7Row{Dataset: spec.Name, Method: sys.Name(), AvgMs: eff.AvgMs})
+			}
 		}
 	}
 	return out

@@ -1,10 +1,19 @@
-package ta
+package experiments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"expertfind/internal/hetgraph"
+	"expertfind/internal/ta"
 )
+
+// The tests of the §IV-C reference (ta_reference.go): the paper's
+// Example 5 walkthrough, Theorem 2's correctness against a brute-force
+// sum, early termination on dominated instances, and the tie order.
 
 // bruteAggregate is the reference: sum every key's scores, sort, cut.
 func bruteAggregate(lists [][]ListEntry, numKeys, n int) []KeyScore {
@@ -159,5 +168,128 @@ func TestAggregateEarlyTerminationOnDominantKey(t *testing.T) {
 	}
 	if !st.EarlyTermination {
 		t.Error("no early termination on a dominated instance")
+	}
+}
+
+func TestAggregateTieOrderDeterministic(t *testing.T) {
+	// Four keys with identical totals (0.5 each), fed through lists in an
+	// order chosen to disagree with key order.
+	lists := [][]ListEntry{
+		{{Key: 3, Score: 0.5}, {Key: 1, Score: 0.5}},
+		{{Key: 0, Score: 0.5}, {Key: 2, Score: 0.5}},
+	}
+	exact := func(k int32) float64 { return 0.5 }
+	for n := 1; n <= 4; n++ {
+		out, _ := Aggregate(lists, 4, n, exact)
+		if len(out) != n {
+			t.Fatalf("n=%d: got %d results", n, len(out))
+		}
+		for i, ks := range out {
+			if ks.Key != int32(i) {
+				t.Fatalf("n=%d: tie order broken: result %d is key %d, want %d (out=%v)",
+					n, i, ks.Key, i, out)
+			}
+			if ks.Score != 0.5 {
+				t.Fatalf("n=%d: score %v, want 0.5", n, ks.Score)
+			}
+		}
+	}
+}
+
+func TestAggregateTieAtTruncationBoundary(t *testing.T) {
+	// Keys 1 and 2 tie below key 0; with n=2 the smaller key must win the
+	// last slot regardless of list order.
+	lists := [][]ListEntry{
+		{{Key: 0, Score: 1.0}, {Key: 2, Score: 0.25}},
+		{{Key: 2, Score: 0.25}, {Key: 1, Score: 0.5}},
+	}
+	exact := map[int32]float64{0: 1.0, 1: 0.5, 2: 0.5}
+	out, _ := Aggregate(lists, 3, 2, func(k int32) float64 { return exact[k] })
+	want := []KeyScore{{Key: 0, Score: 1.0}, {Key: 1, Score: 0.5}}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("boundary tie: got %v, want %v", out, want)
+	}
+}
+
+func TestTAEarlyTermination(t *testing.T) {
+	// A long retrieved list with a dominant expert: TA should stop before
+	// exhausting the lists.
+	g := hetgraph.New()
+	star := g.AddNode(hetgraph.Author, "star")
+	var retrieved []hetgraph.NodeID
+	for i := 0; i < 40; i++ {
+		p := g.AddNode(hetgraph.Paper, "")
+		g.MustAddEdge(star, p, hetgraph.Write)
+		// Two co-authors per paper, all distinct.
+		for j := 0; j < 2; j++ {
+			a := g.AddNode(hetgraph.Author, "")
+			g.MustAddEdge(a, p, hetgraph.Write)
+		}
+		retrieved = append(retrieved, p)
+	}
+	res, st := TopExpertsTA(g, retrieved, 1)
+	if len(res) != 1 || res[0].Expert != star {
+		t.Fatalf("top expert = %+v, want the star author", res)
+	}
+	if !st.EarlyTermination {
+		t.Error("TA did not terminate early on a dominated instance")
+	}
+	if st.Depth >= 3 {
+		t.Errorf("TA depth = %d, expected to stop within a couple of rounds", st.Depth)
+	}
+}
+
+// BenchmarkExpertRankers is the sweep behind EXPERIMENTS.md "Expert
+// ranking sweep": the three rankers over m ranked papers of a fixed
+// number of authors each, drawn from a pool of authors, n = 20. The TA
+// rows also report whether the threshold test ever fired before the
+// lists were exhausted ("early" = 1).
+func BenchmarkExpertRankers(b *testing.B) {
+	const n = 20
+	for _, m := range []int{200, 1000, 5000} {
+		for _, perPaper := range []int{3, 10, 50, 200} {
+			for _, pool := range []int{500, 5000} {
+				rng := rand.New(rand.NewSource(int64(m + perPaper + pool)))
+				g := hetgraph.New()
+				authors := make([]hetgraph.NodeID, pool)
+				for i := range authors {
+					authors[i] = g.AddNode(hetgraph.Author, "")
+				}
+				ranked := make([]hetgraph.NodeID, m)
+				for j := range ranked {
+					ranked[j] = g.AddNode(hetgraph.Paper, "")
+					for _, a := range rng.Perm(pool)[:perPaper] {
+						g.MustAddEdge(authors[a], ranked[j], hetgraph.Write)
+					}
+				}
+				want := ta.TopExpertsFullScan(g, ranked, n)
+				got, _ := ta.TopExperts(g, ranked, n)
+				ref, st := TopExpertsTA(g, ranked, n)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(ref, want) {
+					b.Fatalf("m=%d authors=%d pool=%d: the rankers disagree", m, perPaper, pool)
+				}
+				early := 0.0
+				if st.EarlyTermination {
+					early = 1
+				}
+				cell := fmt.Sprintf("m=%d/authors=%d/pool=%d/", m, perPaper, pool)
+				b.Run(cell+"TA", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						TopExpertsTA(g, ranked, n)
+					}
+					b.ReportMetric(early, "early")
+				})
+				b.Run(cell+"oracle", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ta.TopExpertsFullScan(g, ranked, n)
+					}
+				})
+				b.Run(cell+"scorer", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ta.TopExperts(g, ranked, n)
+					}
+				})
+			}
+		}
 	}
 }

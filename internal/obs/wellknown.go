@@ -11,11 +11,10 @@ func RegisterWellKnown(r *Registry) {
 		"expertfind_pgindex_hops_total":                  "PG-Index node expansions (search hops) across all searches.",
 		"expertfind_pgindex_nodes_visited_total":         "PG-Index nodes visited across all searches.",
 		"expertfind_pgindex_distance_computations_total": "Distance computations across all PG-Index searches.",
-		"expertfind_ta_runs_total":                       "Threshold-algorithm rankings executed.",
-		"expertfind_ta_candidates_total":                 "Candidate experts considered across all TA runs.",
-		"expertfind_ta_depth_total":                      "Ranked-list depth reached across all TA runs.",
-		"expertfind_ta_sorted_accesses_total":            "Sorted accesses performed across all TA runs.",
-		"expertfind_ta_early_terminations_total":         "TA runs that stopped before exhausting the lists.",
+		"expertfind_ta_runs_total":                       "Expert rankings executed (ta.TopExperts runs).",
+		"expertfind_ta_candidates_total":                 "Distinct candidate experts scored across all rankings.",
+		"expertfind_ta_depth_total":                      "Longest author list among the ranked papers, summed across all rankings.",
+		"expertfind_ta_sorted_accesses_total":            "(expert, paper) score entries summed across all rankings.",
 		"expertfind_train_runs_total":                    "Fine-tuning runs completed.",
 		"expertfind_train_epochs_total":                  "Fine-tuning epochs completed.",
 		"expertfind_train_epoch_seconds_total":           "Cumulative wall time spent in training epochs.",

@@ -86,7 +86,7 @@ type Server struct {
 // New returns a server over a built engine with sensible bounds. The
 // server records into the engine's metrics registry and installs that
 // registry as the measurement sink of the pipeline packages, so PG-Index
-// and TA work counters aggregate across requests.
+// and expert-ranking work counters aggregate across requests.
 func New(engine *core.Engine) *Server {
 	s := &Server{
 		engine:     engine,

@@ -56,8 +56,23 @@ func TestExpertsEndpoint(t *testing.T) {
 			t.Error("experts not sorted by score")
 		}
 	}
-	if resp.Candidates == 0 {
-		t.Error("stats missing")
+	// candidates is the number of distinct authors of the papers the
+	// query retrieved, whatever the engine's options.
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/papers?q="+url.QueryEscape(q)+"&m=40", nil))
+	var papers []PaperResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &papers); err != nil || len(papers) != 40 {
+		t.Fatalf("/papers: %d papers, err %v", len(papers), err)
+	}
+	authors := map[hetgraph.NodeID]bool{}
+	for _, p := range papers {
+		for _, a := range ds.Graph.AuthorsOf(hetgraph.NodeID(p.ID)) {
+			authors[a] = true
+		}
+	}
+	if resp.Candidates != len(authors) || resp.TADepth == 0 {
+		t.Errorf("candidates = %d, ta_depth = %d; the retrieved papers have %d distinct authors",
+			resp.Candidates, resp.TADepth, len(authors))
 	}
 }
 

@@ -14,6 +14,11 @@ import (
 // scores, and a shard that truncates its list to its top-t entries can
 // still bound every absent expert's contribution by the largest score it
 // omitted.
+//
+// Nothing in the repository truncates any more: shards answer with
+// complete lists and the cluster router merges them through Scores. The
+// file stays while the benchmark times MergePartials (ta.merge_us);
+// ROADMAP item 3(a) deletes both together.
 
 // Partial is one shard's bounded contribution to a distributed ranking:
 // its experts with non-zero partial scores, sorted by score descending
@@ -91,8 +96,7 @@ func MergePartials(parts []Partial, n int) ([]Ranking, MergeStats) {
 
 	// Upper bound on an expert no shard reported at all. Fully exhausted
 	// partials leave nothing unknown, so the merge is certified whatever
-	// the scores — this is what lets the cluster router, whose shards
-	// always answer with complete lists, certify on its first merge.
+	// the scores.
 	var unseenUB float64
 	allExhausted := true
 	for _, p := range parts {
@@ -120,12 +124,7 @@ func MergePartials(parts []Partial, n int) ([]Ranking, MergeStats) {
 			inexactUB = append(inexactUB, ub)
 		}
 	}
-	sort.Slice(exacts, func(i, j int) bool {
-		if exacts[i].Score != exacts[j].Score {
-			return exacts[i].Score > exacts[j].Score
-		}
-		return exacts[i].Expert < exacts[j].Expert
-	})
+	sort.Slice(exacts, func(i, j int) bool { return exacts[i].Before(exacts[j]) })
 
 	if len(exacts) < n {
 		// Not enough certain candidates to fill n slots: complete only

@@ -3,7 +3,7 @@ package ta
 import "sync/atomic"
 
 // Sink receives named measurements from every TopExperts run, so a
-// service can watch candidate-set sizes and termination depths across
+// service can watch candidate-set sizes and author-list lengths across
 // requests (obs.Registry satisfies the interface). Stats remains the
 // per-call report.
 type Sink interface {
@@ -35,7 +35,4 @@ func (st Stats) record() {
 	s.Observe("expertfind_ta_candidates_total", float64(st.Candidates))
 	s.Observe("expertfind_ta_depth_total", float64(st.Depth))
 	s.Observe("expertfind_ta_sorted_accesses_total", float64(st.SortedAccesses))
-	if st.EarlyTermination {
-		s.Observe("expertfind_ta_early_terminations_total", 1)
-	}
 }

@@ -1,9 +1,10 @@
 // Package ta implements §IV-C: expert scoring over the retrieved top-m
 // papers (Eq. 4-6, with Zipf-distributed author-contribution weights) and
-// the threshold-algorithm (TA/NRA) top-n expert finding that terminates
-// without scanning and ranking all candidates. A full-scan ranker is the
-// "w/o TA" baseline of Figure 7. The generic list-aggregation core lives
-// in aggregate.go.
+// the top-n expert ranking over them — one accumulate-and-select pass
+// (Scores) under one order (Ranking.Before). The paper's threshold
+// algorithm (TA/NRA) is kept as Figure 7's reference in
+// internal/experiments; TopExpertsFullScan is the naive oracle the tests
+// and the benchmark compare against.
 //
 // Note on polarity: Problem 1 writes arg min R(a), but the score of Eq. 4-6
 // accumulates reciprocal ranks, so larger R means a better expert, and the
@@ -13,7 +14,6 @@ package ta
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,17 +27,16 @@ type Ranking struct {
 	Score  float64
 }
 
-// Stats reports the work done by a TA run, for the efficiency evaluation.
+// Stats reports the work done by one TopExperts run.
 type Stats struct {
 	// Candidates is |C|, the number of distinct candidate experts.
 	Candidates int
-	// SortedAccesses counts entries read from the ranked lists before
-	// termination.
+	// SortedAccesses counts the (expert, paper) entries summed.
 	SortedAccesses int
-	// Depth is the list depth reached when the threshold test fired.
+	// Depth is the longest author list among the ranked papers.
 	Depth int
-	// EarlyTermination reports whether TA stopped before exhausting the
-	// lists.
+	// EarlyTermination is always false: TopExperts reads every entry. The
+	// field stays until bench/ stops reading it (ROADMAP item 3(a)).
 	EarlyTermination bool
 }
 
@@ -96,135 +95,132 @@ var (
 	harmonicVal atomic.Value // []float64; index i holds H(i)
 )
 
-// candidateIndex interns expert NodeIDs as dense keys for Aggregate: the
-// key of id is its position in the sorted ids slice.
-type candidateIndex struct {
-	ids []hetgraph.NodeID
+// Before is the package's one ranking order: score descending, ties by
+// expert id ascending. Every ranker in the repository — this package, the
+// cluster router's merge and the shards' partial lists — orders experts
+// through it, so equal scores rank the same way everywhere.
+func (a Ranking) Before(b Ranking) bool {
+	return a.Score > b.Score || (a.Score == b.Score && a.Expert < b.Expert)
 }
 
-// buildLists materialises the m ranked lists of Figure 6, one per
-// retrieved paper, restricted to experts with non-zero score (a paper's
-// own authors; all other candidates implicitly score zero, exactly the
-// S(a,p_j)=0 convention of the paper). The Zipf weight is strictly
-// decreasing in author rank, so each list is already in descending score
-// order. All entries live in one flat arena sliced per paper.
-func buildLists(g *hetgraph.Graph, papers []hetgraph.NodeID) ([][]ListEntry, *candidateIndex) {
-	// Assign dense keys in ascending NodeID order so Aggregate's key
-	// tie-break coincides with the package's NodeID tie-break — otherwise
-	// equal-score experts at the top-n boundary could differ from the
-	// full-scan ranking. Sort-and-compact plus binary search beats a hash
-	// map here: candidate sets are a few hundred ids.
-	total := 0
-	for _, p := range papers {
-		total += len(g.AuthorsOf(p))
-	}
-	all := make([]hetgraph.NodeID, 0, total)
-	for _, p := range papers {
-		all = append(all, g.AuthorsOf(p)...)
-	}
-	slices.Sort(all)
-	all = slices.Compact(all)
-	cands := &candidateIndex{ids: all}
+// Scores accumulates per-expert sums of S(a,p) and selects the top n. An
+// expert's score is the float sum of its contributions in the order they
+// were added, so callers that want comparable bits add in one agreed
+// order: ASCENDING PAPER RANK, the package's canonical summation order,
+// which both TopExperts and the cluster router's merge follow.
+type Scores struct {
+	slot map[hetgraph.NodeID]int32
+	sums []Ranking
+}
 
-	arena := make([]ListEntry, 0, total)
-	lists := make([][]ListEntry, 0, len(papers))
-	for j, p := range papers {
-		authors := g.AuthorsOf(p)
-		start := len(arena)
-		for i, a := range authors {
-			k, _ := slices.BinarySearch(all, a)
-			arena = append(arena, ListEntry{Key: int32(k), Score: ExpertScore(j+1, i+1, len(authors))})
+// NewScores returns an empty accumulator sized for about hint experts;
+// growing a map to a few hundred keys costs as much as filling it.
+func NewScores(hint int) *Scores {
+	return &Scores{slot: make(map[hetgraph.NodeID]int32, hint), sums: make([]Ranking, 0, hint)}
+}
+
+// Add adds one contribution to the expert's running sum.
+func (s *Scores) Add(expert hetgraph.NodeID, score float64) {
+	i, ok := s.slot[expert]
+	if !ok {
+		i = int32(len(s.sums))
+		s.slot[expert] = i
+		s.sums = append(s.sums, Ranking{Expert: expert})
+	}
+	s.sums[i].Score += score
+}
+
+// Len returns the number of distinct experts added so far.
+func (s *Scores) Len() int { return len(s.sums) }
+
+// Top returns the n experts that come first under Before, in that order
+// (all of them when fewer were added, nil when n <= 0 or none were): a
+// binary heap of n survivors whose root is the one a better candidate
+// evicts, then sorted in place.
+func (s *Scores) Top(n int) []Ranking {
+	n = min(n, len(s.sums))
+	if n <= 0 {
+		return nil
+	}
+	h := append(make([]Ranking, 0, n), s.sums[:n]...)
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for _, r := range s.sums[n:] {
+		if r.Before(h[0]) {
+			h[0] = r
+			siftDown(h, 0)
 		}
-		lists = append(lists, arena[start:len(arena):len(arena)])
 	}
-	return lists, cands
+	for i := n - 1; i > 0; i-- {
+		h[0], h[i] = h[i], h[0]
+		siftDown(h[:i], 0)
+	}
+	return h
 }
 
-// TopExperts runs the TA-based top-n expert finding of §IV-C over the
-// ranked retrieved papers (rank 1 first). It maintains upper and lower
-// bounds of R(a) per visited expert (Eq. 7) and terminates as soon as the
-// n-th largest lower bound is at least every other candidate's upper bound
-// (Theorem 2). The returned experts carry their exact scores, descending.
+// siftDown restores the heap property below i: a parent never comes
+// Before its children, so h[0] is the last of the heap under Before.
+func siftDown(h []Ranking, i int) {
+	for {
+		l, r, last := 2*i+1, 2*i+2, i
+		if l < len(h) && h[last].Before(h[l]) {
+			last = l
+		}
+		if r < len(h) && h[last].Before(h[r]) {
+			last = r
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
+}
+
+// pollEvery is how many retrieved papers TopExpertsCtx scores between
+// context polls: a few microseconds of work.
+const pollEvery = 256
+
+// TopExperts is the top-n expert finding of §IV-C over the ranked
+// retrieved papers (rank 1 first): it sums S(a,p) per author in ascending
+// paper rank and returns the n largest R(a) under Before, with their
+// exact scores. The paper prunes this with a threshold algorithm
+// (Theorem 2); each ranked list here is one paper's handful of authors,
+// so the first sorted-access round already reads a third of all entries
+// and the prune never fires — the reference implementation and the sweep
+// that shows it live in internal/experiments (EXPERIMENTS.md, Figure 7).
 func TopExperts(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, Stats) {
 	out, st, _ := TopExpertsCtx(context.Background(), g, papers, n)
 	return out, st
 }
 
-// TopExpertsCtx is TopExperts with cooperative cancellation, checked once
-// per TA depth round. On cancellation it returns ctx.Err() and the work
-// stats accumulated so far; no partial ranking is returned, because a
-// truncated TA scan carries no correctness guarantee.
-func TopExpertsCtx(ctx context.Context, g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, Stats, error) {
-	lists, cands := buildLists(g, papers)
-
-	// Random-access scorer: recompute R(a) by walking the retrieved list
-	// in ASCENDING PAPER RANK. This order is the package's canonical
-	// summation order — Aggregate re-scores every returned winner through
-	// it, and cluster routers re-sum cross-shard contributions in the
-	// same order, so single-node and distributed scores agree bit for
-	// bit. The per-key contribution index (CSR over one flat buffer,
-	// filled in ascending paper rank so the prefix order IS the canonical
-	// order) is built lazily on the first call — TA often terminates
-	// without needing random access at all.
-	var coff, ccnt []int32
-	var cbuf []float64
-	exact := func(key int32) float64 {
-		if cbuf == nil {
-			total := 0
-			ccnt = make([]int32, len(cands.ids))
-			for _, l := range lists {
-				total += len(l)
-				for _, e := range l {
-					ccnt[e.Key]++
-				}
-			}
-			coff = make([]int32, len(cands.ids))
-			var off int32
-			for k := range coff {
-				coff[k] = off
-				off += ccnt[k]
-				ccnt[k] = 0
-			}
-			cbuf = make([]float64, total)
-			for _, l := range lists {
-				for _, e := range l {
-					cbuf[coff[e.Key]+ccnt[e.Key]] = e.Score
-					ccnt[e.Key]++
-				}
+// TopExpertsCtx is TopExperts with cooperative cancellation, checked
+// every pollEvery papers. On cancellation it returns ctx.Err() with the
+// work done so far and no partial ranking.
+func TopExpertsCtx(ctx context.Context, g *hetgraph.Graph, papers []hetgraph.NodeID, n int) (out []Ranking, st Stats, err error) {
+	defer func() { st.record() }()
+	sc := NewScores(len(papers))
+	for j, p := range papers {
+		if j%pollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, st, err
 			}
 		}
-		var r float64
-		for _, s := range cbuf[coff[key] : coff[key]+ccnt[key]] {
-			r += s
+		authors := g.AuthorsOf(p)
+		for i, a := range authors {
+			sc.Add(a, ExpertScore(j+1, i+1, len(authors)))
 		}
-		return r
+		st.SortedAccesses += len(authors)
+		st.Depth = max(st.Depth, len(authors))
+		st.Candidates = sc.Len()
 	}
-
-	top, st, err := AggregateCtx(ctx, lists, len(cands.ids), n, exact)
-	st.record()
-	if err != nil {
-		return nil, st, err
-	}
-	if len(top) == 0 {
-		return nil, st, nil
-	}
-	out := make([]Ranking, len(top))
-	for i, ks := range top {
-		out[i] = Ranking{Expert: cands.ids[ks.Key], Score: ks.Score}
-	}
-	// Aggregate breaks ties by dense key; re-break by NodeID for a stable
-	// public contract.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Expert < out[j].Expert
-	})
-	return out, st, nil
+	return sc.Top(n), st, nil
 }
 
-// TopExpertsFullScan computes R(a) for every candidate expert of the
-// retrieved papers and returns the n largest — the "w/o TA" baseline.
+// TopExpertsFullScan is the naive reference of TopExperts — a map of
+// sums, every candidate sorted, cut to n — kept independent of Scores so
+// tests and the benchmark have an oracle to compare against.
 func TopExpertsFullScan(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) []Ranking {
 	scores := map[hetgraph.NodeID]float64{}
 	for j, p := range papers {
@@ -237,12 +233,7 @@ func TopExpertsFullScan(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) []Ra
 	for a, s := range scores {
 		out = append(out, Ranking{Expert: a, Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Expert < out[j].Expert
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

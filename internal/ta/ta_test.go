@@ -1,11 +1,13 @@
 package ta
 
 import (
+	"context"
+	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"expertfind/internal/ctxtest"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/hetgraph/testgraph"
 )
@@ -107,61 +109,34 @@ func TestTAMatchesFullScanOnFigure2(t *testing.T) {
 	}
 }
 
-// Property: on random graphs and random retrieved lists, TA returns
-// exactly the full-scan top-n (Theorem 2's correctness), for every n.
-func TestTAMatchesFullScanOnRandomGraphs(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := testgraph.Random(rng, 50, 30, 3, 3)
-		papers := g.NodesOfType(hetgraph.Paper)
-		perm := rng.Perm(len(papers))
-		m := 5 + rng.Intn(20)
-		retrieved := make([]hetgraph.NodeID, m)
-		for i := 0; i < m; i++ {
-			retrieved[i] = papers[perm[i]]
-		}
-		for _, n := range []int{1, 3, 10} {
-			taRes, _ := TopExperts(g, retrieved, n)
-			fsRes := TopExpertsFullScan(g, retrieved, n)
-			if len(taRes) != len(fsRes) {
-				t.Fatalf("seed %d n=%d: sizes differ (%d vs %d)", seed, n, len(taRes), len(fsRes))
-			}
-			for i := range taRes {
-				if taRes[i].Expert != fsRes[i].Expert ||
-					math.Abs(taRes[i].Score-fsRes[i].Score) > 1e-9 {
-					t.Fatalf("seed %d n=%d rank %d: TA %+v != full scan %+v",
-						seed, n, i, taRes[i], fsRes[i])
-				}
-			}
-		}
-	}
-}
-
-func TestTAEarlyTermination(t *testing.T) {
-	// A long retrieved list with a dominant expert: TA should stop before
-	// exhausting the lists.
+// A cancelled context ends the run at the next poll — at most pollEvery
+// papers later — with ctx.Err(), no partial ranking and the stats of the
+// work actually done.
+func TestTopExpertsHonoursContext(t *testing.T) {
 	g := hetgraph.New()
-	star := g.AddNode(hetgraph.Author, "star")
-	var retrieved []hetgraph.NodeID
-	for i := 0; i < 40; i++ {
+	var ranked []hetgraph.NodeID
+	for i := 0; i < 3*pollEvery+10; i++ {
 		p := g.AddNode(hetgraph.Paper, "")
-		g.MustAddEdge(star, p, hetgraph.Write)
-		// Two co-authors per paper, all distinct.
-		for j := 0; j < 2; j++ {
-			a := g.AddNode(hetgraph.Author, "")
-			g.MustAddEdge(a, p, hetgraph.Write)
+		for k := 0; k < 2; k++ {
+			g.MustAddEdge(g.AddNode(hetgraph.Author, ""), p, hetgraph.Write)
 		}
-		retrieved = append(retrieved, p)
+		ranked = append(ranked, p)
 	}
-	res, st := TopExperts(g, retrieved, 1)
-	if len(res) != 1 || res[0].Expert != star {
-		t.Fatalf("top expert = %+v, want the star author", res)
+	const polls = 4 // before papers 0, 256, 512 and 768
+	for after := int64(1); after <= polls; after++ {
+		ctx := ctxtest.New(after)
+		out, st, err := TopExpertsCtx(ctx, g, ranked, 5)
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("cancelled at poll %d: ranking %v, err %v", after, out, err)
+		}
+		if want := int(after-1) * pollEvery * 2; ctx.Polls() != after || st.SortedAccesses != want {
+			t.Errorf("cancelled at poll %d: returned after %d polls and %d entries, want %d",
+				after, ctx.Polls(), st.SortedAccesses, want)
+		}
 	}
-	if !st.EarlyTermination {
-		t.Error("TA did not terminate early on a dominated instance")
-	}
-	if st.Depth >= 3 {
-		t.Errorf("TA depth = %d, expected to stop within a couple of rounds", st.Depth)
+	ctx := ctxtest.New(polls + 1)
+	if out, _, err := TopExpertsCtx(ctx, g, ranked, 5); err != nil || len(out) != 5 || ctx.Polls() != polls {
+		t.Errorf("live context: %d experts, err %v, %d polls", len(out), err, ctx.Polls())
 	}
 }
 

@@ -12,46 +12,6 @@ import (
 // rank deterministically everywhere: score descending, then key/NodeID
 // ascending. These tests pin that contract at every layer.
 
-func TestAggregateTieOrderDeterministic(t *testing.T) {
-	// Four keys with identical totals (0.5 each), fed through lists in an
-	// order chosen to disagree with key order.
-	lists := [][]ListEntry{
-		{{Key: 3, Score: 0.5}, {Key: 1, Score: 0.5}},
-		{{Key: 0, Score: 0.5}, {Key: 2, Score: 0.5}},
-	}
-	exact := func(k int32) float64 { return 0.5 }
-	for n := 1; n <= 4; n++ {
-		out, _ := Aggregate(lists, 4, n, exact)
-		if len(out) != n {
-			t.Fatalf("n=%d: got %d results", n, len(out))
-		}
-		for i, ks := range out {
-			if ks.Key != int32(i) {
-				t.Fatalf("n=%d: tie order broken: result %d is key %d, want %d (out=%v)",
-					n, i, ks.Key, i, out)
-			}
-			if ks.Score != 0.5 {
-				t.Fatalf("n=%d: score %v, want 0.5", n, ks.Score)
-			}
-		}
-	}
-}
-
-func TestAggregateTieAtTruncationBoundary(t *testing.T) {
-	// Keys 1 and 2 tie below key 0; with n=2 the smaller key must win the
-	// last slot regardless of list order.
-	lists := [][]ListEntry{
-		{{Key: 0, Score: 1.0}, {Key: 2, Score: 0.25}},
-		{{Key: 2, Score: 0.25}, {Key: 1, Score: 0.5}},
-	}
-	exact := map[int32]float64{0: 1.0, 1: 0.5, 2: 0.5}
-	out, _ := Aggregate(lists, 3, 2, func(k int32) float64 { return exact[k] })
-	want := []KeyScore{{Key: 0, Score: 1.0}, {Key: 1, Score: 0.5}}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("boundary tie: got %v, want %v", out, want)
-	}
-}
-
 // tieGraph builds two 2-author papers whose Zipf/rank arithmetic yields an
 // exact score tie: S(rank-1 paper, author 2) = 1/(2·H(2)) = S(rank-2
 // paper, author 1). tiedFirst selects which of the two tied authors gets

@@ -13,10 +13,10 @@ func elemsOverflow(rows, cols int) bool {
 }
 
 // ShapeError reports an invalid or mismatched matrix/vector shape: a
-// negative dimension in a constructor, or mismatched lengths in a kernel.
-// NewMatrix and NewMatrix32 panic with it; NewMatrixErr and
-// NewMatrix32Err return it, for callers — snapshot loaders, servers
-// validating untrusted dimensions — that must recover instead of crash.
+// negative or overflowing dimension in a constructor, or mismatched
+// lengths in a kernel. NewMatrix, NewMatrix32 and AppendRow panic with
+// it; Matrix32FromFloat64, which takes shapes from snapshot files,
+// returns it.
 type ShapeError struct {
 	Op         string // operation that rejected the shape
 	Rows, Cols int    // the offending pair (rows x cols, or the two lengths)
@@ -26,9 +26,8 @@ func (e *ShapeError) Error() string {
 	return fmt.Sprintf("vec: %s: invalid shape %dx%d", e.Op, e.Rows, e.Cols)
 }
 
-// IndexError reports an out-of-range row or element access on a matrix.
-// The panicking fast accessors (Row, At) use it as their panic value; the
-// checked variants (RowErr, AtErr) return it.
+// IndexError reports an out-of-range row access on a matrix: it is the
+// panic value of Matrix.Row and Matrix32.Row.
 type IndexError struct {
 	Op         string // accessor that rejected the index
 	I, J       int    // requested row and column (J is -1 for row access)

@@ -9,41 +9,29 @@ import (
 // Vectors that share storage with the matrix, which is what the trainer's
 // optimiser state relies on to update rows in place.
 //
-// The hot-path accessors (Row, At, Set) stay panicking-fast — the trainer
-// calls them per touched row per step and its indices are loop-derived,
-// so a failure there is a programming error. The *Err variants return
-// typed errors (*ShapeError, *IndexError) for callers handling untrusted
-// shapes, e.g. snapshot restore paths.
+// The accessors (Row, At, Set) are panicking-fast — the trainer calls
+// them per touched row per step and its indices are loop-derived, so a
+// failure there is a programming error. Row and the constructors panic
+// with typed values (*IndexError, *ShapeError).
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
 }
 
 // NewMatrix returns a zero matrix of the given shape. It panics with a
-// *ShapeError on a negative dimension; use NewMatrixErr to recover.
+// *ShapeError when rows or cols is negative or when rows*cols overflows
+// int (a wrapped product would silently allocate the wrong size for a
+// huge declared shape). Zero-sized shapes (0xN, Nx0) are valid and yield
+// an empty Data slice.
 func NewMatrix(rows, cols int) *Matrix {
-	m, err := NewMatrixErr(rows, cols)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// NewMatrixErr is NewMatrix returning a typed error instead of
-// panicking: a *ShapeError when rows or cols is negative or when
-// rows*cols overflows int (a wrapped product would silently allocate
-// the wrong size for a huge declared shape, e.g. from a forged
-// snapshot). Zero-sized shapes (0xN, Nx0) are valid and yield an empty
-// Data slice.
-func NewMatrixErr(rows, cols int) (*Matrix, error) {
 	if rows < 0 || cols < 0 || elemsOverflow(rows, cols) {
-		return nil, &ShapeError{Op: "NewMatrix", Rows: rows, Cols: cols}
+		panic(&ShapeError{Op: "NewMatrix", Rows: rows, Cols: cols})
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}, nil
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
 // Row returns row i as a Vector sharing storage with m. It panics with a
-// *IndexError when i is out of range; use RowErr to recover.
+// *IndexError when i is out of range.
 func (m *Matrix) Row(i int) Vector {
 	if i < 0 || i >= m.Rows {
 		panic(&IndexError{Op: "Row", I: i, J: -1, Rows: m.Rows, Cols: m.Cols})
@@ -51,25 +39,9 @@ func (m *Matrix) Row(i int) Vector {
 	return Vector(m.Data[i*m.Cols : (i+1)*m.Cols])
 }
 
-// RowErr is Row returning a typed *IndexError instead of panicking.
-func (m *Matrix) RowErr(i int) (Vector, error) {
-	if i < 0 || i >= m.Rows {
-		return nil, &IndexError{Op: "RowErr", I: i, J: -1, Rows: m.Rows, Cols: m.Cols}
-	}
-	return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]), nil
-}
-
 // At returns the element at (i, j). Unchecked for speed: out-of-range
-// indices fault on the backing slice. Use AtErr to recover.
+// indices fault on the backing slice.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// AtErr is At with bounds checking, returning a typed *IndexError.
-func (m *Matrix) AtErr(i, j int) (float64, error) {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		return 0, &IndexError{Op: "AtErr", I: i, J: j, Rows: m.Rows, Cols: m.Cols}
-	}
-	return m.Data[i*m.Cols+j], nil
-}
 
 // Set assigns the element at (i, j). Unchecked for speed.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }

@@ -8,36 +8,25 @@ import "math/rand"
 // table: row views share the backing array, so handing a row to a caller
 // costs nothing, and a full-matrix scan walks memory linearly.
 //
-// Like Matrix, the hot accessors (Row, At, Set) panic on misuse; the
-// *Err variants return typed errors for untrusted shapes.
+// Like Matrix, the accessors (Row, At, Set) panic on misuse.
 type Matrix32 struct {
 	Rows, Cols int
 	Data       []float32
 }
 
 // NewMatrix32 returns a zero matrix of the given shape. It panics with a
-// *ShapeError on a negative dimension; use NewMatrix32Err to recover.
+// *ShapeError on a negative dimension or when rows*cols overflows int
+// (huge declared shapes would otherwise wrap before make and allocate
+// the wrong size). Zero-sized shapes (0xN, Nx0) are valid.
 func NewMatrix32(rows, cols int) *Matrix32 {
-	m, err := NewMatrix32Err(rows, cols)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// NewMatrix32Err is NewMatrix32 returning a typed error instead of
-// panicking: a *ShapeError on a negative dimension or when rows*cols
-// overflows int (huge declared shapes would otherwise wrap before make
-// and allocate the wrong size). Zero-sized shapes (0xN, Nx0) are valid.
-func NewMatrix32Err(rows, cols int) (*Matrix32, error) {
 	if rows < 0 || cols < 0 || elemsOverflow(rows, cols) {
-		return nil, &ShapeError{Op: "NewMatrix32", Rows: rows, Cols: cols}
+		panic(&ShapeError{Op: "NewMatrix32", Rows: rows, Cols: cols})
 	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}, nil
+	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
 // Row returns row i as a Vec32 sharing storage with m. It panics with a
-// *IndexError when i is out of range; use RowErr to recover.
+// *IndexError when i is out of range.
 func (m *Matrix32) Row(i int) Vec32 {
 	if i < 0 || i >= m.Rows {
 		panic(&IndexError{Op: "Row", I: i, J: -1, Rows: m.Rows, Cols: m.Cols})
@@ -45,24 +34,8 @@ func (m *Matrix32) Row(i int) Vec32 {
 	return Vec32(m.Data[i*m.Cols : (i+1)*m.Cols])
 }
 
-// RowErr is Row returning a typed *IndexError instead of panicking.
-func (m *Matrix32) RowErr(i int) (Vec32, error) {
-	if i < 0 || i >= m.Rows {
-		return nil, &IndexError{Op: "RowErr", I: i, J: -1, Rows: m.Rows, Cols: m.Cols}
-	}
-	return Vec32(m.Data[i*m.Cols : (i+1)*m.Cols]), nil
-}
-
 // At returns the element at (i, j). Unchecked for speed.
 func (m *Matrix32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// AtErr is At with bounds checking, returning a typed *IndexError.
-func (m *Matrix32) AtErr(i, j int) (float32, error) {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		return 0, &IndexError{Op: "AtErr", I: i, J: j, Rows: m.Rows, Cols: m.Cols}
-	}
-	return m.Data[i*m.Cols+j], nil
-}
 
 // Set assigns the element at (i, j). Unchecked for speed.
 func (m *Matrix32) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }

@@ -1,13 +1,17 @@
 package vec
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
-// TestMatrixEdgeShapes is the satellite-4 table: zero-sized shapes are
-// valid, negative shapes return (or panic with) typed errors, and the
-// checked accessors return *IndexError where the fast ones panic.
+// panicValue runs f and returns what it panicked with (nil if it
+// returned).
+func panicValue(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestMatrixEdgeShapes: zero-sized shapes are valid, negative shapes
+// panic with a *ShapeError carrying the offending pair.
 func TestMatrixEdgeShapes(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -24,38 +28,22 @@ func TestMatrixEdgeShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m64, err64 := NewMatrixErr(c.rows, c.cols)
-			m32, err32 := NewMatrix32Err(c.rows, c.cols)
 			if c.wantErr {
-				var se *ShapeError
-				if !errors.As(err64, &se) {
-					t.Fatalf("NewMatrixErr(%d,%d) err = %v, want *ShapeError", c.rows, c.cols, err64)
-				}
-				if se.Rows != c.rows || se.Cols != c.cols {
-					t.Errorf("ShapeError carries %dx%d, want %dx%d", se.Rows, se.Cols, c.rows, c.cols)
-				}
-				if !errors.As(err32, &se) {
-					t.Fatalf("NewMatrix32Err(%d,%d) err = %v, want *ShapeError", c.rows, c.cols, err32)
-				}
-				// The panicking constructors must panic with the same type.
 				for name, f := range map[string]func(){
 					"NewMatrix":   func() { NewMatrix(c.rows, c.cols) },
 					"NewMatrix32": func() { NewMatrix32(c.rows, c.cols) },
 				} {
-					func() {
-						defer func() {
-							if _, ok := recover().(*ShapeError); !ok {
-								t.Errorf("%s(%d,%d) did not panic with *ShapeError", name, c.rows, c.cols)
-							}
-						}()
-						f()
-					}()
+					se, ok := panicValue(f).(*ShapeError)
+					if !ok {
+						t.Fatalf("%s(%d,%d) did not panic with *ShapeError", name, c.rows, c.cols)
+					}
+					if se.Rows != c.rows || se.Cols != c.cols {
+						t.Errorf("ShapeError carries %dx%d, want %dx%d", se.Rows, se.Cols, c.rows, c.cols)
+					}
 				}
 				return
 			}
-			if err64 != nil || err32 != nil {
-				t.Fatalf("errors on valid shape: %v, %v", err64, err32)
-			}
+			m64, m32 := NewMatrix(c.rows, c.cols), NewMatrix32(c.rows, c.cols)
 			if m64.Rows != c.rows || m64.Cols != c.cols || len(m64.Data) != c.rows*c.cols {
 				t.Errorf("Matrix shape %dx%d data %d", m64.Rows, m64.Cols, len(m64.Data))
 			}
@@ -64,66 +52,37 @@ func TestMatrixEdgeShapes(t *testing.T) {
 			}
 			// Row access on a 0xN matrix must fail cleanly, not slice-fault.
 			if c.rows == 0 {
-				if _, err := m64.RowErr(0); err == nil {
-					t.Error("RowErr(0) on empty matrix returned nil error")
+				if _, ok := panicValue(func() { m64.Row(0) }).(*IndexError); !ok {
+					t.Error("Row(0) on an empty matrix did not panic with *IndexError")
 				}
-				if _, err := m32.RowErr(0); err == nil {
-					t.Error("Matrix32.RowErr(0) on empty matrix returned nil error")
+				if _, ok := panicValue(func() { m32.Row(0) }).(*IndexError); !ok {
+					t.Error("Matrix32.Row(0) on an empty matrix did not panic with *IndexError")
 				}
 			}
 		})
 	}
 }
 
+// TestMatrixTypedAccessErrors: Row panics with an *IndexError that says
+// which row of which shape was asked for.
 func TestMatrixTypedAccessErrors(t *testing.T) {
 	m64 := NewMatrix(2, 3)
 	m32 := NewMatrix32(2, 3)
-
 	for _, i := range []int{-1, 2, 100} {
-		if _, err := m64.RowErr(i); err == nil {
-			t.Errorf("RowErr(%d) = nil error", i)
-		} else {
-			var ie *IndexError
-			if !errors.As(err, &ie) || ie.I != i || ie.J != -1 || ie.Rows != 2 {
-				t.Errorf("RowErr(%d) error %v lacks index context", i, err)
+		for name, f := range map[string]func(){
+			"Matrix.Row":   func() { m64.Row(i) },
+			"Matrix32.Row": func() { m32.Row(i) },
+		} {
+			ie, ok := panicValue(f).(*IndexError)
+			if !ok {
+				t.Errorf("%s(%d) did not panic with *IndexError", name, i)
+			} else if ie.I != i || ie.J != -1 || ie.Rows != 2 || ie.Cols != 3 {
+				t.Errorf("%s(%d): %v lacks index context", name, i, ie)
 			}
 		}
-		if _, err := m32.RowErr(i); err == nil {
-			t.Errorf("Matrix32.RowErr(%d) = nil error", i)
-		}
 	}
-
-	if _, err := m64.AtErr(0, 3); err == nil {
-		t.Error("AtErr(0,3) = nil error")
-	} else {
-		var ie *IndexError
-		if !errors.As(err, &ie) || ie.I != 0 || ie.J != 3 {
-			t.Errorf("AtErr error %v lacks element context", err)
-		}
-	}
-	if v, err := m64.AtErr(1, 2); err != nil || v != 0 {
-		t.Errorf("AtErr(1,2) = %v, %v", v, err)
-	}
-	if _, err := m32.AtErr(-1, 0); err == nil {
-		t.Error("Matrix32.AtErr(-1,0) = nil error")
-	}
-	if v, err := m32.AtErr(1, 2); err != nil || v != 0 {
-		t.Errorf("Matrix32.AtErr(1,2) = %v, %v", v, err)
-	}
-
-	// Fast accessors panic with *IndexError.
-	for name, f := range map[string]func(){
-		"Matrix.Row":   func() { m64.Row(5) },
-		"Matrix32.Row": func() { m32.Row(5) },
-	} {
-		func() {
-			defer func() {
-				if _, ok := recover().(*IndexError); !ok {
-					t.Errorf("%s(5) did not panic with *IndexError", name)
-				}
-			}()
-			f()
-		}()
+	if panicValue(func() { m64.Row(1); m32.Row(0) }) != nil {
+		t.Error("Row in range panicked")
 	}
 }
 
@@ -134,14 +93,9 @@ func TestMatrix32AppendRowAndConvert(t *testing.T) {
 	if m.Rows != 2 || m.At(1, 2) != 6 {
 		t.Fatalf("AppendRow built %dx%d with At(1,2)=%v", m.Rows, m.Cols, m.At(1, 2))
 	}
-	func() {
-		defer func() {
-			if _, ok := recover().(*ShapeError); !ok {
-				t.Error("AppendRow with wrong width did not panic with *ShapeError")
-			}
-		}()
-		m.AppendRow([]float32{1})
-	}()
+	if _, ok := panicValue(func() { m.AppendRow([]float32{1}) }).(*ShapeError); !ok {
+		t.Error("AppendRow with wrong width did not panic with *ShapeError")
+	}
 
 	// Round trip through the float64 persistence format is bit-exact.
 	back, err := Matrix32FromFloat64(m.Rows, m.Cols, m.Float64())

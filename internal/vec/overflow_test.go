@@ -7,7 +7,7 @@ import (
 )
 
 // TestConstructorOverflowGuard pins the rows*cols overflow fix: shapes
-// whose element count wraps int must come back as a *ShapeError, never
+// whose element count wraps int must be refused with a *ShapeError, never
 // reach make with a wrapped (possibly tiny or negative) size.
 func TestConstructorOverflowGuard(t *testing.T) {
 	half := math.MaxInt/2 + 1 // 2*half wraps negative
@@ -23,13 +23,13 @@ func TestConstructorOverflowGuard(t *testing.T) {
 	}
 	for _, s := range bad {
 		rows, cols := s[0], s[1]
+		if v, ok := panicValue(func() { NewMatrix(rows, cols) }).(*ShapeError); !ok {
+			t.Errorf("NewMatrix(%d, %d): panicked with %v, want *ShapeError", rows, cols, v)
+		}
+		if v, ok := panicValue(func() { NewMatrix32(rows, cols) }).(*ShapeError); !ok {
+			t.Errorf("NewMatrix32(%d, %d): panicked with %v, want *ShapeError", rows, cols, v)
+		}
 		var se *ShapeError
-		if _, err := NewMatrixErr(rows, cols); !errors.As(err, &se) {
-			t.Errorf("NewMatrixErr(%d, %d): got %v, want *ShapeError", rows, cols, err)
-		}
-		if _, err := NewMatrix32Err(rows, cols); !errors.As(err, &se) {
-			t.Errorf("NewMatrix32Err(%d, %d): got %v, want *ShapeError", rows, cols, err)
-		}
 		if _, err := Matrix32FromFloat64(rows, cols, nil); !errors.As(err, &se) {
 			t.Errorf("Matrix32FromFloat64(%d, %d): got %v, want *ShapeError", rows, cols, err)
 		}
@@ -45,11 +45,11 @@ func TestConstructorBoundaryShapes(t *testing.T) {
 		if rows*cols > 1<<20 { // shapes that are valid but too big to allocate
 			continue
 		}
-		if m, err := NewMatrixErr(rows, cols); err != nil || m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols {
-			t.Errorf("NewMatrixErr(%d, %d): %v", rows, cols, err)
+		if m := NewMatrix(rows, cols); m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols {
+			t.Errorf("NewMatrix(%d, %d): %dx%d with %d elements", rows, cols, m.Rows, m.Cols, len(m.Data))
 		}
-		if m, err := NewMatrix32Err(rows, cols); err != nil || len(m.Data) != rows*cols {
-			t.Errorf("NewMatrix32Err(%d, %d): %v", rows, cols, err)
+		if m := NewMatrix32(rows, cols); len(m.Data) != rows*cols {
+			t.Errorf("NewMatrix32(%d, %d): %d elements", rows, cols, len(m.Data))
 		}
 	}
 	// 1 x MaxInt passes the overflow guard (no wrap) — it must fail only
