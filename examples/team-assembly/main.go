@@ -22,7 +22,7 @@ import (
 func main() {
 	ds := dataset.Generate(dataset.DBLPSim(900))
 	g := ds.Graph
-	engine, err := core.Build(g, core.Options{Dim: 48, Seed: 6, FastSampling: true})
+	engine, err := core.Build(g, core.Options{Dim: 48, Seed: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

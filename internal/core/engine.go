@@ -42,14 +42,20 @@ type Options struct {
 	// (default 64; 0 keeps the default, -1 removes the bound). Topic-wide
 	// P-T-P communities would otherwise dominate the training set.
 	MaxPositivesPerSeed int
-	// FastSampling answers community queries from precomputed core
-	// decompositions (kpcore.CoreIndex) instead of per-seed searches.
+	// FastSampling draws near negatives from each community's boundary
+	// instead of Algorithm 1's whole delete queue
+	// (sampling.Config.UseCoreIndex). It makes nothing faster: every build
+	// answers its communities from a kpcore.CoreIndex. The field survives
+	// because the frozen bench/ sets it on four workloads (ROADMAP 3(a)).
 	FastSampling bool
 	// Dim is the embedding dimensionality d.
 	Dim int
 	// Pooling selects Φ_P (mean by default).
 	Pooling textenc.Pooling
-	// Train carries the optimiser hyper-parameters.
+	// Train carries the optimiser hyper-parameters. Train.Workers also
+	// fixes the order of the gradient sums and defaults to GOMAXPROCS: pin
+	// it to get the same embedding bits on machines with different core
+	// counts (README, "Reproducing a build").
 	Train train.Config
 	// Index configures PG-Index construction.
 	Index pgindex.Config
@@ -182,24 +188,37 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 	if g.NumNodesOfType(hetgraph.Paper) == 0 {
 		return nil, fmt.Errorf("core: graph has no papers")
 	}
+	if opts.K < 0 {
+		return nil, fmt.Errorf("core: negative k %d", opts.K)
+	}
+	for _, mp := range opts.MetaPaths {
+		if !mp.IsPaperPaper() || !mp.IsSymmetric() {
+			return nil, fmt.Errorf("core: meta-path %s is not a symmetric paper-paper path, which a (k,P)-core needs", mp)
+		}
+	}
 	e := &Engine{g: g, opts: opts, reg: opts.Metrics}
 	if e.reg == nil {
 		e.reg = obs.Default()
 	}
 	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), e.reg), "build")
 
-	// Vocabulary + pre-trained encoder.
-	_, sp := obs.StartSpan(ctx, "pretrain")
+	// Vocabulary, pre-trained encoder, tokenised corpus: one span each,
+	// the stages bench/ times one by one in its replay of a build.
+	_, sp := obs.StartSpan(ctx, "vocab")
 	corpus := make([]string, 0, g.NumNodesOfType(hetgraph.Paper))
 	for _, p := range g.NodesOfType(hetgraph.Paper) {
 		corpus = append(corpus, g.Label(p))
 	}
 	vocab := textenc.BuildVocab(corpus, opts.Vocab)
+	e.stats.VocabSize = vocab.Size()
+	sp.End()
+	_, sp = obs.StartSpan(ctx, "pretrain")
 	e.enc = textenc.NewEncoder(vocab, opts.Dim, opts.Seed)
 	textenc.PretrainDistributional(e.enc, corpus)
 	e.enc.Pooling = opts.Pooling
+	sp.End()
+	_, sp = obs.StartSpan(ctx, "tokencache")
 	e.cache = train.BuildTokenCache(g, e.enc)
-	e.stats.VocabSize = vocab.Size()
 	sp.End()
 
 	// Offline stage 1: (k,P)-core communities and training triples.

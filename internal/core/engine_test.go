@@ -33,6 +33,22 @@ func TestBuildRejectsPaperlessGraph(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsUnusableCoreParameters: a meta-path from the command
+// line that no (k,P)-core is defined over, or a negative k, is an error
+// from Build, not a panic in the sampling stage.
+func TestBuildRejectsUnusableCoreParameters(t *testing.T) {
+	g := dataset.Generate(dataset.AminerSim(50)).Graph
+	for _, path := range []string{"P-A", "P-A-P-T-P"} {
+		opts := Options{MetaPaths: []hetgraph.MetaPath{hetgraph.MustParseMetaPath(path)}}
+		if _, err := Build(g, opts); err == nil {
+			t.Errorf("meta-path %s accepted", path)
+		}
+	}
+	if _, err := Build(g, Options{K: -1}); err == nil {
+		t.Error("negative k accepted")
+	}
+}
+
 func TestBuildProducesAllArtifacts(t *testing.T) {
 	ds, e := buildSmall(t, nil)
 	st := e.Stats()

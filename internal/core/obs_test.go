@@ -59,6 +59,20 @@ func TestBuildStatsDerivedFromSpans(t *testing.T) {
 	if phases > st.TotalTime {
 		t.Errorf("phases sum %v exceeds total %v", phases, st.TotalTime)
 	}
+	// What precedes sampling is three stages of its own — the ones the
+	// benchmark's staged replay times — and the seven together are the
+	// build: what no span covers is bookkeeping between them.
+	covered := phases.Seconds()
+	for _, stage := range []string{"build/vocab", "build/pretrain", "build/tokencache"} {
+		d := stageSum(reg, stage)
+		if d <= 0 {
+			t.Errorf("stage %s: not recorded", stage)
+		}
+		covered += d
+	}
+	if total := st.TotalTime.Seconds(); covered > total || covered < 0.8*total {
+		t.Errorf("the seven stages cover %.4fs of a %.4fs build", covered, total)
+	}
 	if got := reg.Counter("expertfind_builds_total", "").Value(); got != 1 {
 		t.Errorf("builds counter = %v", got)
 	}

@@ -81,6 +81,18 @@ func (mp MetaPath) Target() NodeType { return mp.types[len(mp.types)-1] }
 // only shape the (k,P)-core definition uses.
 func (mp MetaPath) IsPaperPaper() bool { return mp.Source() == Paper && mp.Target() == Paper }
 
+// IsSymmetric reports whether the meta-path reads the same in both
+// directions (P-A-P, P-T-P, P-P), which makes the P-neighbour relation
+// symmetric: the projection along mp is then an undirected graph.
+func (mp MetaPath) IsSymmetric() bool {
+	for i, j := 0, len(mp.types)-1; i < j; i, j = i+1, j-1 {
+		if mp.types[i] != mp.types[j] {
+			return false
+		}
+	}
+	return true
+}
+
 // ForEachPNeighbor calls fn once for every distinct P-neighbour of u via
 // mp (Definition 4): every node v != u reachable from u by a path instance
 // of mp. Iteration stops early if fn returns false. The visit order is

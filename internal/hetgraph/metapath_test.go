@@ -177,3 +177,14 @@ func TestProjectMulti(t *testing.T) {
 		t.Error("multi projection endpoints wrong")
 	}
 }
+
+func TestIsSymmetric(t *testing.T) {
+	for path, want := range map[string]bool{
+		"P-A-P": true, "P-T-P": true, "P-P": true, "P-V-P": true, "P-A-P-A-P": true,
+		"P-A": false, "P-A-P-T-P": false, "A-P-T": false,
+	} {
+		if got := MustParseMetaPath(path).IsSymmetric(); got != want {
+			t.Errorf("IsSymmetric(%s) = %v, want %v", path, got, want)
+		}
+	}
+}

@@ -1,147 +1,203 @@
 package kpcore
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"expertfind/internal/hetgraph"
 )
 
-// CoreIndex precomputes, for one meta-path and one k, everything needed to
-// answer (k,P)-core community queries for any seed in O(|community|):
-// the projection's core membership and the connected components of the
-// core-induced subgraph. The sampling stage issues f·|V(P)| community
-// searches over the same graph; Algorithm 1 answers each from scratch,
-// while the index pays one projection + decomposition and serves every
-// seed afterwards — the batch counterpart DESIGN.md calls out.
+// CoreIndex answers Algorithm 1 for every seed of one graph, meta-path and
+// k from one projection and one core decomposition: Core, Members and Near
+// equal Search's for any seed, in O(|community|) per seed instead of one
+// labelled search and one peel each. The sampling stage issues f·|V(P)|
+// searches over the same graph, and for a topic-wide meta-path every one
+// of them re-peels the same component; the index peels it once.
+//
+// Why it is exact. Let H be the papers whose P-degree is at least k.
+// (1) Algorithm 1 expands only from H, so its candidate set S is the union
+// of the connected components of the sub-graph induced by H that the seed
+// belongs to or is adjacent to. (2) Every (k,P)-core member lies in H, so
+// the k-core of such a component is the global k-core inside it: peeling S
+// removes exactly the component's non-core papers. (3) The delete queue
+// therefore holds, per component C, the sub-k papers adjacent to it and
+// the members it peeled — (N(C) \ H) ∪ (C \ core), a set that does not
+// depend on the seed. (4) Core is the union of the core components the
+// seed belongs to or is adjacent to, Members adds the seed and its
+// P-neighbours, and Near is the union of (3) over (1) minus Members.
+//
+// The index is a snapshot of the graph at construction and serves the
+// papers that existed then.
 type CoreIndex struct {
-	g  *hetgraph.Graph
-	mp hetgraph.MetaPath
-	k  int
+	// h is the projection along the meta-path: h.Adj[p] lists the
+	// P-neighbours of paper p.
+	h *hetgraph.HomoGraph
 
-	// comp[p] is the core-component label of paper p (core members only);
-	// -1 for papers outside the core.
-	comp map[hetgraph.NodeID]int32
-	// members[c] lists component c's papers, sorted.
+	// coreOf[p] labels the core component of paper p — a connected
+	// component of the sub-graph induced by the (k,P)-core — and is -1
+	// outside the core. Indexed by NodeID, like candOf.
+	coreOf []int32
+	// members[c] lists core component c, sorted.
 	members [][]hetgraph.NodeID
-	// boundary[c] lists the non-core papers P-adjacent to component c,
-	// sorted: the index's near-negative pool. It generally differs from
-	// Algorithm 1's delete-queue pool (which also holds sub-k papers met
-	// during the labelled search), but serves the same purpose: papers
-	// close to the community yet outside it.
+	// boundary[c] lists the non-core papers P-adjacent to core component
+	// c, sorted: the smaller near pool CommunityAround returns on request.
+	// It exists because the frozen benchmark pins the triples four of its
+	// workloads draw from it (sampling.Config.UseCoreIndex).
 	boundary [][]hetgraph.NodeID
+
+	// candOf[p] labels the candidate component of paper p — a connected
+	// component of the sub-graph induced by H — and is -1 for sub-k papers.
+	candOf []int32
+	// pruned[d] is what Algorithm 1's delete queue holds once it has
+	// worked through candidate component d (point 3 above), sorted.
+	pruned [][]hetgraph.NodeID
 }
 
 // NewCoreIndex builds the index by projecting g along mp and decomposing
-// it once.
+// the projection once. It panics unless mp is a symmetric paper-paper
+// meta-path: the (k,P)-core is defined over an undirected P-neighbour
+// relation, and the component argument above needs one.
 func NewCoreIndex(g *hetgraph.Graph, k int, mp hetgraph.MetaPath) *CoreIndex {
+	if !mp.IsPaperPaper() || !mp.IsSymmetric() {
+		panic(fmt.Sprintf("kpcore: meta-path %s is not a symmetric paper-paper path", mp))
+	}
+	if k < 0 {
+		panic(fmt.Sprintf("kpcore: negative k %d", k))
+	}
 	h := hetgraph.Project(g, mp)
-	d := Decompose(h)
-
-	idx := &CoreIndex{g: g, mp: mp, k: k, comp: make(map[hetgraph.NodeID]int32, len(h.Nodes))}
-	inCore := func(p hetgraph.NodeID) bool { return d.CoreNumber[p] >= k }
-
-	// Label the connected components of the core-induced subgraph.
+	coreNumber := Decompose(h).CoreNumber
+	inCore := make([]bool, g.NumNodes())
+	inCand := make([]bool, g.NumNodes())
 	for _, p := range h.Nodes {
-		if !inCore(p) {
-			idx.comp[p] = -1
-			continue
-		}
-		if _, done := idx.comp[p]; done {
-			continue
-		}
-		label := int32(len(idx.members))
-		var mems []hetgraph.NodeID
-		bset := map[hetgraph.NodeID]bool{}
-		queue := []hetgraph.NodeID{p}
-		idx.comp[p] = label
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			mems = append(mems, v)
-			for _, u := range h.Adj[v] {
-				if !inCore(u) {
-					bset[u] = true
-					continue
-				}
-				if _, done := idx.comp[u]; !done {
-					idx.comp[u] = label
-					queue = append(queue, u)
-				}
+		inCore[p] = coreNumber[p] >= k
+		inCand[p] = len(h.Adj[p]) >= k
+	}
+
+	idx := &CoreIndex{h: h}
+	idx.coreOf, idx.members, idx.boundary = components(h, inCore)
+	var cands [][]hetgraph.NodeID
+	idx.candOf, cands, idx.pruned = components(h, inCand)
+	for d, comp := range cands {
+		for _, p := range comp {
+			if !inCore[p] {
+				idx.pruned[d] = append(idx.pruned[d], p)
 			}
 		}
-		sort.Slice(mems, func(i, j int) bool { return mems[i] < mems[j] })
-		bnd := make([]hetgraph.NodeID, 0, len(bset))
-		for v := range bset {
-			bnd = append(bnd, v)
-		}
-		sort.Slice(bnd, func(i, j int) bool { return bnd[i] < bnd[j] })
-		idx.members = append(idx.members, mems)
-		idx.boundary = append(idx.boundary, bnd)
+		slices.Sort(idx.pruned[d])
 	}
 	return idx
 }
 
-// K returns the index's cohesiveness threshold.
-func (idx *CoreIndex) K() int { return idx.k }
-
-// MetaPath returns the index's meta-path.
-func (idx *CoreIndex) MetaPath() hetgraph.MetaPath { return idx.mp }
-
-// NumComponents returns the number of connected core components.
-func (idx *CoreIndex) NumComponents() int { return len(idx.members) }
-
-// CoreNumberAtLeastK reports whether p is a member of the global
-// (k,P)-core.
-func (idx *CoreIndex) CoreNumberAtLeastK(p hetgraph.NodeID) bool {
-	c, ok := idx.comp[p]
-	return ok && c >= 0
+// components labels the connected components of the sub-graph of h
+// induced by the papers p with in[p] (in is indexed by NodeID). It returns
+// the label of every node (-1 outside the set), each component's papers,
+// and each component's fringe: the papers outside the set that are
+// adjacent to it. Both lists are sorted.
+func components(h *hetgraph.HomoGraph, in []bool) (label []int32, members, fringe [][]hetgraph.NodeID) {
+	label = make([]int32, len(in))
+	// onFringe[p] is the last component that recorded the outside paper p.
+	onFringe := make([]int32, len(in))
+	for i := range label {
+		label[i], onFringe[i] = -1, -1
+	}
+	for _, p := range h.Nodes {
+		if label[p] >= 0 || !in[p] {
+			continue
+		}
+		c := int32(len(members))
+		comp := []hetgraph.NodeID{p}
+		var out []hetgraph.NodeID
+		label[p] = c
+		for i := 0; i < len(comp); i++ {
+			for _, u := range h.Adj[comp[i]] {
+				switch {
+				case !in[u]:
+					if onFringe[u] != c {
+						onFringe[u] = c
+						out = append(out, u)
+					}
+				case label[u] < 0:
+					label[u] = c
+					comp = append(comp, u)
+				}
+			}
+		}
+		slices.Sort(comp)
+		slices.Sort(out)
+		members = append(members, comp)
+		fringe = append(fringe, out)
+	}
+	return label, members, fringe
 }
 
-// CommunityAround answers the same query as Search: the seed-connected
-// core region, the extended member set (seed + its P-neighbours), and a
-// near pool. Core and Members match Search exactly; Near is the community
-// boundary (see the field comment).
-func (idx *CoreIndex) CommunityAround(seed hetgraph.NodeID) *Community {
-	// Collect the core components the seed belongs to or touches.
-	compSet := map[int32]bool{}
-	if c, ok := idx.comp[seed]; ok && c >= 0 {
-		compSet[c] = true
+// CommunityAround answers the same query as Search with the same answer:
+// the seed-connected core region, the extended member set (seed + its
+// P-neighbours) and Algorithm 1's delete queue as the near pool. With
+// boundaryNear the near pool is instead the community's boundary — the
+// non-core papers adjacent to its core components, a subset of the delete
+// queue. It panics if seed is not a paper the index was built over.
+func (idx *CoreIndex) CommunityAround(seed hetgraph.NodeID, boundaryNear bool) *Community {
+	if _, ok := idx.h.Index(seed); !ok {
+		panic(fmt.Sprintf("kpcore: seed %d is not a paper of the indexed graph", seed))
 	}
-	memberSet := map[hetgraph.NodeID]bool{seed: true}
-	idx.g.ForEachPNeighbor(seed, idx.mp, func(u hetgraph.NodeID) bool {
-		memberSet[u] = true
-		if c, ok := idx.comp[u]; ok && c >= 0 {
-			compSet[c] = true
+	nbrs := idx.h.Adj[seed]
+	coreLabels := touchedLabels(idx.coreOf, seed, nbrs)
+	core := unionOf(idx.members, coreLabels)
+
+	members := make([]hetgraph.NodeID, 0, 1+len(nbrs)+len(core))
+	members = append(members, seed)
+	members = append(members, nbrs...)
+	members = append(members, core...)
+	slices.Sort(members)
+	members = slices.Compact(members)
+
+	var pool []hetgraph.NodeID
+	if boundaryNear {
+		pool = unionOf(idx.boundary, coreLabels)
+	} else {
+		pool = unionOf(idx.pruned, touchedLabels(idx.candOf, seed, nbrs))
+	}
+	// The extension re-admits pruned neighbours of the seed: they are
+	// members, and the two sets must stay disjoint (see Search).
+	near := pool[:0]
+	i := 0
+	for _, v := range pool {
+		for i < len(members) && members[i] < v {
+			i++
 		}
-		return true
-	})
-
-	var core []hetgraph.NodeID
-	nearSet := map[hetgraph.NodeID]bool{}
-	for c := range compSet {
-		core = append(core, idx.members[c]...)
-		for _, v := range idx.boundary[c] {
-			nearSet[v] = true
-		}
-	}
-	sort.Slice(core, func(i, j int) bool { return core[i] < core[j] })
-	for _, v := range core {
-		memberSet[v] = true
-	}
-
-	members := make([]hetgraph.NodeID, 0, len(memberSet))
-	for v := range memberSet {
-		members = append(members, v)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-
-	near := make([]hetgraph.NodeID, 0, len(nearSet))
-	for v := range nearSet {
-		if !memberSet[v] {
+		if i == len(members) || members[i] != v {
 			near = append(near, v)
 		}
 	}
-	sort.Slice(near, func(i, j int) bool { return near[i] < near[j] })
-
 	return &Community{Seed: seed, Core: core, Members: members, Near: near}
+}
+
+// touchedLabels returns the distinct components, ascending, that the seed
+// belongs to or is adjacent to.
+func touchedLabels(label []int32, seed hetgraph.NodeID, nbrs []hetgraph.NodeID) []int32 {
+	var out []int32
+	if c := label[seed]; c >= 0 {
+		out = append(out, c)
+	}
+	for _, u := range nbrs {
+		if c := label[u]; c >= 0 && (len(out) == 0 || out[len(out)-1] != c) {
+			out = append(out, c)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// unionOf returns a fresh sorted, duplicate-free union of lists[c] over
+// the given labels.
+func unionOf(lists [][]hetgraph.NodeID, labels []int32) []hetgraph.NodeID {
+	var out []hetgraph.NodeID
+	for _, c := range labels {
+		out = append(out, lists[c]...)
+	}
+	if len(labels) > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	return out
 }

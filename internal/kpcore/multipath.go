@@ -21,14 +21,20 @@ func SearchMulti(g *hetgraph.Graph, seed hetgraph.NodeID, k int, mps []hetgraph.
 	}
 	result := Search(g, seed, k, mps[0])
 	for _, mp := range mps[1:] {
-		next := Search(g, seed, k, mp)
-		result.Core = intersectSorted(result.Core, next.Core)
-		result.Members = intersectSorted(result.Members, next.Members)
-		result.Near = unionSorted(result.Near, next.Near)
+		result.intersect(Search(g, seed, k, mp))
 	}
-	// The seed always remains a member: the extension step of each search
-	// guarantees seed ∈ Members, so the intersection preserves it.
 	return result
+}
+
+// intersect narrows c to the common sub-community with next, a community
+// of the same seed under another meta-path (Eq. 8). The seed stays a
+// member — each search's extension puts it in Members — and Near stays
+// disjoint from Members, because each near pool is disjoint from its own
+// path's members and the intersection is a subset of those.
+func (c *Community) intersect(next *Community) {
+	c.Core = intersectSorted(c.Core, next.Core)
+	c.Members = intersectSorted(c.Members, next.Members)
+	c.Near = unionSorted(c.Near, next.Near)
 }
 
 func intersectSorted(a, b []hetgraph.NodeID) []hetgraph.NodeID {
@@ -58,32 +64,17 @@ func unionSorted(a, b []hetgraph.NodeID) []hetgraph.NodeID {
 }
 
 // SearchMultiIndexed is SearchMulti answered from prebuilt CoreIndexes
-// (one per meta-path, all with the same k): identical Core and Members,
-// boundary-style near pools. Building the indexes once and calling this
-// per seed amortises the projection across the f·|V(P)| seeds of the
-// sampling stage.
-func SearchMultiIndexed(idxs []*CoreIndex, seed hetgraph.NodeID) *Community {
+// (one per meta-path, all with the same k): the same Core, Members and
+// Near, or with boundaryNear the union of the per-path boundary pools
+// (see CoreIndex.CommunityAround). Building the indexes once and calling
+// this per seed is how the sampling stage searches its f·|V(P)| seeds.
+func SearchMultiIndexed(idxs []*CoreIndex, seed hetgraph.NodeID, boundaryNear bool) *Community {
 	if len(idxs) == 0 {
 		panic("kpcore: SearchMultiIndexed needs at least one index")
 	}
-	result := idxs[0].CommunityAround(seed)
+	result := idxs[0].CommunityAround(seed, boundaryNear)
 	for _, idx := range idxs[1:] {
-		next := idx.CommunityAround(seed)
-		result.Core = intersectSorted(result.Core, next.Core)
-		result.Members = intersectSorted(result.Members, next.Members)
-		result.Near = unionSorted(result.Near, next.Near)
+		result.intersect(idx.CommunityAround(seed, boundaryNear))
 	}
-	// Keep Near disjoint from the (possibly shrunken) member set.
-	memberSet := map[hetgraph.NodeID]bool{}
-	for _, v := range result.Members {
-		memberSet[v] = true
-	}
-	kept := result.Near[:0]
-	for _, v := range result.Near {
-		if !memberSet[v] {
-			kept = append(kept, v)
-		}
-	}
-	result.Near = kept
 	return result
 }

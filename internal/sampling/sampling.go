@@ -4,7 +4,9 @@
 // and emits training triples ⟨p+, p_s, p-⟩ with positives drawn from the
 // community (Definition 6) and negatives drawn either uniformly from
 // outside it (random negative) or from the papers Algorithm 1 pruned
-// (near negative, the strategy the paper finds superior).
+// (near negative, the strategy the paper finds superior). The communities
+// are Algorithm 1's, answered for all seeds from one kpcore.CoreIndex per
+// meta-path.
 package sampling
 
 import (
@@ -62,10 +64,13 @@ type Config struct {
 	// MaxPositivesPerSeed bounds positives taken from one community, 0 for
 	// no bound. Large communities otherwise dominate the training set.
 	MaxPositivesPerSeed int
-	// UseCoreIndex answers community queries from one precomputed core
-	// decomposition per meta-path instead of per-seed searches —
-	// identical communities, boundary-style near pools, and much faster
-	// when the seed count is large (see kpcore.CoreIndex).
+	// UseCoreIndex draws near negatives from the community's boundary (the
+	// non-core papers adjacent to its core) instead of Algorithm 1's whole
+	// delete queue. Communities and positives are the same either way, and
+	// every community is answered from a kpcore.CoreIndex whatever this
+	// says: the field keeps its name, and exists at all, because the
+	// frozen bench/ sets it on four workloads whose triples must not move
+	// (ROADMAP 3(a)).
 	UseCoreIndex bool
 }
 
@@ -125,20 +130,13 @@ func Generate(g *hetgraph.Graph, cfg Config, rng *rand.Rand) ([]Triple, *Report)
 	var triples []Triple
 	covered := map[hetgraph.NodeID]bool{}
 
-	var indexes []*kpcore.CoreIndex
-	if cfg.UseCoreIndex {
-		for _, mp := range cfg.MetaPaths {
-			indexes = append(indexes, kpcore.NewCoreIndex(g, cfg.K, mp))
-		}
+	indexes := make([]*kpcore.CoreIndex, len(cfg.MetaPaths))
+	for i, mp := range cfg.MetaPaths {
+		indexes[i] = kpcore.NewCoreIndex(g, cfg.K, mp)
 	}
 
 	for _, seed := range seeds {
-		var com *kpcore.Community
-		if cfg.UseCoreIndex {
-			com = kpcore.SearchMultiIndexed(indexes, seed)
-		} else {
-			com = kpcore.SearchMulti(g, seed, cfg.K, cfg.MetaPaths)
-		}
+		com := kpcore.SearchMultiIndexed(indexes, seed, cfg.UseCoreIndex)
 		rep.MeanCommunity += float64(len(com.Members))
 		rep.MeanNearPool += float64(len(com.Near))
 

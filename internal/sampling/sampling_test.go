@@ -2,8 +2,10 @@ package sampling
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/hetgraph/testgraph"
 	"expertfind/internal/kpcore"
@@ -184,8 +186,9 @@ func TestUseCoreIndexEquivalentCommunities(t *testing.T) {
 	if repSlow.Communities != repFast.Communities || repSlow.Seeds != repFast.Seeds {
 		t.Errorf("community counts differ: %+v vs %+v", repSlow, repFast)
 	}
-	// Positive structure is identical (same seeds, same communities);
-	// only the near pools — hence the drawn negatives — may differ.
+	// Positive structure is identical (same seeds, same communities from
+	// the same index); the flag swaps the delete-queue pool for the
+	// boundary pool, so only the drawn negatives may differ.
 	type sp struct{ s, p hetgraph.NodeID }
 	pairsOf := func(ts []Triple) map[sp]int {
 		out := map[sp]int{}
@@ -201,6 +204,74 @@ func TestUseCoreIndexEquivalentCommunities(t *testing.T) {
 	for k, v := range a {
 		if b[k] != v {
 			t.Fatalf("pair %v count %d vs %d", k, v, b[k])
+		}
+	}
+}
+
+// generatePerSeed is Generate as it was before the communities came from
+// a kpcore.CoreIndex: one kpcore.SearchMulti — the paper's Algorithm 1 —
+// per seed, and the same draws from rng in the same order. It is the
+// oracle TestGenerateMatchesPerSeedOracle holds Generate to.
+func generatePerSeed(g *hetgraph.Graph, cfg Config, rng *rand.Rand) []Triple {
+	cfg = cfg.withDefaults()
+	papers := g.NodesOfType(hetgraph.Paper)
+	r := int(cfg.Fraction * float64(len(papers)))
+	if r < 1 {
+		r = 1
+	}
+	if r > len(papers) {
+		r = len(papers)
+	}
+	var triples []Triple
+	for _, seed := range samplePapers(papers, r, rng) {
+		com := kpcore.SearchMulti(g, seed, cfg.K, cfg.MetaPaths)
+		var pos []hetgraph.NodeID
+		for _, p := range com.Members {
+			if p != seed {
+				pos = append(pos, p)
+			}
+		}
+		if len(pos) == 0 {
+			continue
+		}
+		if cfg.MaxPositivesPerSeed > 0 && len(pos) > cfg.MaxPositivesPerSeed {
+			rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+			pos = pos[:cfg.MaxPositivesPerSeed]
+		}
+		for _, p := range pos {
+			for s := 0; s < cfg.NegPerPos; s++ {
+				if neg, ok := drawNegative(cfg.Strategy, com, com.Near, papers, rng); ok {
+					triples = append(triples, Triple{Pos: p, Seed: seed, Neg: neg})
+				}
+			}
+		}
+	}
+	return triples
+}
+
+// TestGenerateMatchesPerSeedOracle: the indexed communities are
+// Algorithm 1's, so the triples — every positive, every negative, in
+// order — are the ones a per-seed search yields.
+func TestGenerateMatchesPerSeedOracle(t *testing.T) {
+	graphs := map[string]*hetgraph.Graph{
+		"random": testgraph.Random(rand.New(rand.NewSource(7)), 150, 60, 4, 3),
+		"aminer": dataset.Generate(dataset.AminerSim(300)).Graph,
+	}
+	for name, g := range graphs {
+		for _, st := range []Strategy{NearNegative, RandomNegative} {
+			for _, maxPos := range []int{0, 8} {
+				// The paper's defaults otherwise: k=4 over P-A-P ∩ P-T-P.
+				cfg := Config{Strategy: st, MaxPositivesPerSeed: maxPos, NegPerPos: 2}
+				got, _ := Generate(g, cfg, rand.New(rand.NewSource(11)))
+				want := generatePerSeed(g, cfg, rand.New(rand.NewSource(11)))
+				if len(want) == 0 {
+					t.Fatalf("%s/%s/max=%d: the oracle generated no triples", name, st, maxPos)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s/%s/max=%d: %d triples differ from the per-seed oracle's %d",
+						name, st, maxPos, len(got), len(want))
+				}
+			}
 		}
 	}
 }

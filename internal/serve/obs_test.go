@@ -91,6 +91,9 @@ func TestMetricsEndpointIntegration(t *testing.T) {
 		"expertfind_queries_total 3",
 		// Offline build phases, from the build spans.
 		`expertfind_stage_seconds_count{stage="build"} 1`,
+		`expertfind_stage_seconds_count{stage="build/vocab"} 1`,
+		`expertfind_stage_seconds_count{stage="build/pretrain"} 1`,
+		`expertfind_stage_seconds_count{stage="build/tokencache"} 1`,
 		`expertfind_stage_seconds_count{stage="build/sampling"} 1`,
 		`expertfind_stage_seconds_count{stage="build/training"} 1`,
 		`expertfind_stage_seconds_count{stage="build/embedding"} 1`,

@@ -2,10 +2,12 @@ package textenc
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
+	"unicode/utf8"
 
 	"expertfind/internal/vec"
 )
@@ -75,36 +77,72 @@ func NewEncoder(v *Vocab, dim int, seed int64) *Encoder {
 		Normalize: true,
 		idf:       make([]float64, v.Size()),
 	}
+	// One initialiser for the whole table: vocabulary tokens share most of
+	// their character n-grams (about 26 uses per distinct n-gram on the
+	// benchmark corpora), and its memo of their hash vectors is dropped
+	// with it when this function returns.
+	surf := newSurfaceInit(dim, seed)
 	for id := 0; id < v.Size(); id++ {
-		initTokenRow(e.Emb.Row(id), v.Token(TokenID(id)), seed)
+		surf.fill(e.Emb.Row(id), v.Token(TokenID(id)))
 		e.idf[id] = v.IDF(TokenID(id))
 	}
 	return e
 }
 
-// initTokenRow fills a token's pre-trained vector FastText-style: the unit
+// surfaceInit builds pre-trained token vectors FastText-style: the unit
 // mean of deterministic hash vectors of the surface form and its character
 // 3- and 4-grams. Morphological variants of one stem therefore start out
 // close — the sub-lexical "semantic" knowledge a real pre-trained encoder
 // brings, which bag-of-words baselines lack. The accumulation runs in
 // float64 and rounds once into the float32 row.
-func initTokenRow(row vec.Vec32, token string, seed int64) {
-	acc := vec.New(len(row))
-	surface := strings.TrimPrefix(token, "##")
-	padded := "<" + surface + ">"
-	hashInto(acc, token, seed) // the exact form always contributes
-	r := []rune(padded)
-	tmp := vec.New(len(row))
+type surfaceInit struct {
+	hash hasher
+	seed int64
+	acc  vec.Vector
+	// grams memoises the hash vector of every n-gram met so far.
+	grams map[string]vec.Vector
+	runes []rune
+	key   []byte
+}
+
+func newSurfaceInit(dim int, seed int64) *surfaceInit {
+	return &surfaceInit{hash: newHasher(), seed: seed, acc: vec.New(dim), grams: map[string]vec.Vector{}}
+}
+
+// fill sets row to the pre-trained vector of token.
+func (s *surfaceInit) fill(row vec.Vec32, token string) {
+	acc := s.acc
+	s.hash.into(acc, token, s.seed) // the exact form always contributes
+	r := append(s.runes[:0], '<')
+	for _, c := range strings.TrimPrefix(token, "##") {
+		r = append(r, c)
+	}
+	r = append(r, '>')
+	s.runes = r
 	for n := 3; n <= 4; n++ {
 		for i := 0; i+n <= len(r); i++ {
-			hashInto(tmp.Zero(), string(r[i:i+n]), seed)
-			acc.Add(tmp)
+			acc.Add(s.gram(r[i : i+n]))
 		}
 	}
 	acc.Normalize()
 	for j := range row {
 		row[j] = float32(acc[j])
 	}
+}
+
+// gram returns the hash vector of one character n-gram.
+func (s *surfaceInit) gram(r []rune) vec.Vector {
+	s.key = s.key[:0]
+	for _, c := range r {
+		s.key = utf8.AppendRune(s.key, c)
+	}
+	if v, ok := s.grams[string(s.key)]; ok {
+		return v
+	}
+	v := vec.New(len(s.acc))
+	s.hash.into(v, string(s.key), s.seed)
+	s.grams[string(s.key)] = v
+	return v
 }
 
 // PretrainDistributional completes the encoder's "pre-training" with a
@@ -119,9 +157,10 @@ func initTokenRow(row vec.Vec32, token string, seed int64) {
 func PretrainDistributional(e *Encoder, corpus []string) {
 	acc := vec.NewMatrix(e.vocab.Size(), e.Dim)
 	sig := vec.New(e.Dim)
+	hash := newHasher()
 	seen := map[TokenID]bool{}
 	for d, doc := range corpus {
-		hashInto(sig, fmt.Sprintf("doc|%d", d), 0x3779B97F4A7C15)
+		hash.into(sig, fmt.Sprintf("doc|%d", d), 0x3779B97F4A7C15)
 		clear(seen)
 		for _, id := range e.tok.Tokenize(doc) {
 			if seen[id] {
@@ -152,18 +191,30 @@ func PretrainDistributional(e *Encoder, corpus []string) {
 // that methods differ in how they use structure, not in lexical capability.
 func SurfaceVector(dim int, s string, seed int64) vec.Vec32 {
 	row := vec.New32(dim)
-	initTokenRow(row, s, seed)
+	newSurfaceInit(dim, seed).fill(row, s)
 	return row
 }
 
-// hashInto fills dst with the deterministic Gaussian hash vector of s.
-func hashInto(dst vec.Vector, s string, seed int64) {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ seed))
+// hasher draws the deterministic Gaussian hash vectors the pre-trained
+// state is made of: the vector of s is the stream of the math/rand source
+// seeded with FNV-1a(s) ^ seed. It owns one source and re-seeds it per
+// string — Seed(x) leaves the state NewSource(x) starts in — because a
+// source is 4.9 KB and a table initialisation hashes some 10^5 strings.
+type hasher struct {
+	fnv hash.Hash64
+	rng *rand.Rand
+}
+
+func newHasher() hasher { return hasher{fnv.New64a(), rand.New(rand.NewSource(0))} }
+
+// into fills dst with the hash vector of s.
+func (h hasher) into(dst vec.Vector, s string, seed int64) {
+	h.fnv.Reset()
+	h.fnv.Write([]byte(s))
+	h.rng.Seed(int64(h.fnv.Sum64()) ^ seed)
 	sigma := 1 / math.Sqrt(float64(len(dst)))
 	for j := range dst {
-		dst[j] = rng.NormFloat64() * sigma
+		dst[j] = h.rng.NormFloat64() * sigma
 	}
 }
 

@@ -73,14 +73,19 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 	}
 
 	wordFreq := map[string]int{}
-	subFreq := map[string]int{}
 	for _, doc := range corpus {
-		for _, w := range SplitWords(doc) {
+		forEachWord(doc, func(w string) bool {
 			wordFreq[w]++
-			// Collect candidate pieces: prefixes and ## continuations.
-			for _, piece := range piecesOf(w) {
-				subFreq[piece]++
-			}
+			return true
+		})
+	}
+	// Candidate pieces — prefixes and ## continuations — are a function of
+	// the word, so each distinct word is cut up once and its pieces counted
+	// at the word's frequency.
+	subFreq := map[string]int{}
+	for w, f := range wordFreq {
+		for _, piece := range piecesOf(w) {
+			subFreq[piece] += f
 		}
 	}
 
@@ -94,8 +99,24 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 	}
 	// Always include every single character (as both start and
 	// continuation piece) so segmentation can't fail on known alphabets.
+	// Ids follow first appearance in the corpus; a character seen before
+	// has its two tokens already.
+	var seenASCII [utf8.RuneSelf]bool
+	seenWide := map[rune]bool{}
 	for _, doc := range corpus {
-		for _, r := range strings.ToLower(doc) {
+		for _, r := range doc {
+			r = unicode.ToLower(r)
+			if r < utf8.RuneSelf {
+				if seenASCII[r] {
+					continue
+				}
+				seenASCII[r] = true
+			} else {
+				if seenWide[r] {
+					continue
+				}
+				seenWide[r] = true
+			}
 			if unicode.IsLetter(r) || unicode.IsDigit(r) {
 				v.add(string(r))
 				v.add("##" + string(r))
@@ -107,19 +128,19 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 	}
 
 	// Document frequencies for IDF, counted over the final vocabulary by
-	// re-tokenizing each document.
+	// re-tokenizing each document. countedIn[t] is the last document
+	// (1-based) that counted token t.
 	v.docFreq = make([]int, len(v.tokens))
 	tk := &Tokenizer{vocab: v, maxLen: 1 << 30}
-	seen := map[TokenID]bool{}
+	countedIn := make([]int, len(v.tokens))
 	for _, doc := range corpus {
-		clear(seen)
+		v.numDocs++
 		for _, id := range tk.Tokenize(doc) {
-			if !seen[id] {
-				seen[id] = true
+			if countedIn[id] != v.numDocs {
+				countedIn[id] = v.numDocs
 				v.docFreq[id]++
 			}
 		}
-		v.numDocs++
 	}
 	return v
 }

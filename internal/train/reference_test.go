@@ -1,0 +1,274 @@
+package train
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"expertfind/internal/sampling"
+	"expertfind/internal/textenc"
+	"expertfind/internal/vec"
+)
+
+// The functions below are the trainer as it stood before PR 18 replaced
+// its map[TokenID]vec.Vector gradients with dense rows: frozen here as the
+// reference FineTune must reproduce bit for bit at every Workers value.
+// They allocate per triple and step Adam on one goroutine; nothing else
+// about them differs, which is the point.
+
+func refFineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
+	cfg Config, rng *rand.Rand) *Result {
+	cfg = cfg.withDefaults()
+	res := &Result{Triples: len(triples)}
+	if len(triples) == 0 {
+		return res
+	}
+	opt := newAdam(enc.Emb, cfg)
+	order := make([]int, len(triples))
+	for i := range order {
+		order[i] = i
+	}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var epochLoss float64
+		for start := 0; start < len(order); start += cfg.BatchSize {
+			end := start + cfg.BatchSize
+			if end > len(order) {
+				end = len(order)
+			}
+			grads, loss := refBatchGradients(enc, cache, triples, order[start:end], cfg)
+			epochLoss += loss
+			if len(grads) > 0 {
+				refAdamStep(opt, grads)
+				res.Steps++
+			}
+		}
+		res.EpochLosses = append(res.EpochLosses, epochLoss/float64(len(order)))
+	}
+	return res
+}
+
+func refBatchGradients(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
+	batch []int, cfg Config) (map[textenc.TokenID]vec.Vector, float64) {
+	workers := cfg.Workers
+	if workers > len(batch) {
+		workers = len(batch)
+	}
+	type partial struct {
+		grads map[textenc.TokenID]vec.Vector
+		loss  float64
+	}
+	parts := make([]partial, workers)
+	var wg sync.WaitGroup
+	chunk := (len(batch) + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > len(batch) {
+			hi = len(batch)
+		}
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			p := partial{grads: map[textenc.TokenID]vec.Vector{}}
+			for _, idx := range batch[lo:hi] {
+				p.loss += refTripleGradient(enc, cache, triples[idx], cfg.Margin, p.grads)
+			}
+			parts[w] = p
+		}(w, lo, hi)
+	}
+	wg.Wait()
+
+	total := map[textenc.TokenID]vec.Vector{}
+	var loss float64
+	for _, p := range parts {
+		loss += p.loss
+		for id, gp := range p.grads {
+			if g, ok := total[id]; ok {
+				g.Add(gp)
+			} else {
+				total[id] = gp
+			}
+		}
+	}
+	return total, loss
+}
+
+func refTripleGradient(enc *textenc.Encoder, cache TokenCache, t sampling.Triple,
+	margin float64, grads map[textenc.TokenID]vec.Vector) float64 {
+	sTok, pTok, nTok := cache[t.Seed], cache[t.Pos], cache[t.Neg]
+	us := enc.EncodeTokensRaw64(sTok)
+	up := enc.EncodeTokensRaw64(pTok)
+	un := enc.EncodeTokensRaw64(nTok)
+	vs, nvs := refNormalized(enc, us)
+	vp, nvp := refNormalized(enc, up)
+	vn, nvn := refNormalized(enc, un)
+
+	dp := vs.Clone().Sub(vp)
+	dn := vs.Clone().Sub(vn)
+	np := dp.Norm()
+	nn := dn.Norm()
+	loss := np - nn + margin
+	if loss <= 0 {
+		return 0
+	}
+	gs := vec.New(enc.Dim)
+	gp := vec.New(enc.Dim)
+	gn := vec.New(enc.Dim)
+	if np > 0 {
+		gs.Axpy(1/np, dp)
+		gp.Axpy(-1/np, dp)
+	}
+	if nn > 0 {
+		gs.Axpy(-1/nn, dn)
+		gn.Axpy(1/nn, dn)
+	}
+	refScatter(enc, sTok, refThroughNorm(enc, gs, vs, nvs), grads)
+	refScatter(enc, pTok, refThroughNorm(enc, gp, vp, nvp), grads)
+	refScatter(enc, nTok, refThroughNorm(enc, gn, vn, nvn), grads)
+	return loss
+}
+
+func refNormalized(enc *textenc.Encoder, u vec.Vector) (vec.Vector, float64) {
+	n := u.Norm()
+	if !enc.Normalize || n == 0 {
+		return u, n
+	}
+	return u.Clone().Scale(1 / n), n
+}
+
+func refThroughNorm(enc *textenc.Encoder, g, v vec.Vector, rawNorm float64) vec.Vector {
+	if !enc.Normalize || rawNorm == 0 {
+		return g
+	}
+	out := g.Clone()
+	out.Axpy(-g.Dot(v), v)
+	return out.Scale(1 / rawNorm)
+}
+
+func refScatter(enc *textenc.Encoder, ids []textenc.TokenID, gDoc vec.Vector,
+	grads map[textenc.TokenID]vec.Vector) {
+	if len(ids) == 0 {
+		return
+	}
+	row := func(id textenc.TokenID) vec.Vector {
+		g, ok := grads[id]
+		if !ok {
+			g = vec.New(gDoc.Dim())
+			grads[id] = g
+		}
+		return g
+	}
+	if enc.Pooling == textenc.MaxPooling {
+		arg := enc.PoolArgmax(ids)
+		for j, pos := range arg {
+			row(ids[pos])[j] += gDoc[j]
+		}
+		return
+	}
+	ws := enc.PoolWeights(ids)
+	for i, id := range ids {
+		row(id).Axpy(ws[i], gDoc)
+	}
+}
+
+func refAdamStep(a *adam, grads map[textenc.TokenID]vec.Vector) {
+	c := a.cfg
+	for id, g := range grads {
+		r := int(id)
+		a.tRow[r]++
+		t := float64(a.tRow[r])
+		mRow, vRow, w := a.m.Row(r), a.v.Row(r), a.table.Row(r)
+		bc1 := 1 - math.Pow(c.Beta1, t)
+		bc2 := 1 - math.Pow(c.Beta2, t)
+		for j, gj := range g {
+			mRow[j] = c.Beta1*mRow[j] + (1-c.Beta1)*gj
+			vRow[j] = c.Beta2*vRow[j] + (1-c.Beta2)*gj*gj
+			mHat := mRow[j] / bc1
+			vHat := vRow[j] / bc2
+			w[j] = float32(float64(w[j]) - c.LearningRate*mHat/(math.Sqrt(vHat)+c.Epsilon))
+		}
+	}
+}
+
+// requireSameRun fails unless two fine-tuned tables and their per-epoch
+// losses are the same bits.
+func requireSameRun(t *testing.T, what string, got, want *textenc.Encoder, gotRes, wantRes *Result) {
+	t.Helper()
+	for i := range want.Emb.Data {
+		if math.Float32bits(got.Emb.Data[i]) != math.Float32bits(want.Emb.Data[i]) {
+			t.Fatalf("%s: table row %d dim %d is %x, want %x", what, i/want.Emb.Cols, i%want.Emb.Cols,
+				math.Float32bits(got.Emb.Data[i]), math.Float32bits(want.Emb.Data[i]))
+		}
+	}
+	if len(gotRes.EpochLosses) != len(wantRes.EpochLosses) || gotRes.Steps != wantRes.Steps {
+		t.Fatalf("%s: %d epochs and %d steps, want %d and %d", what,
+			len(gotRes.EpochLosses), gotRes.Steps, len(wantRes.EpochLosses), wantRes.Steps)
+	}
+	for i, l := range wantRes.EpochLosses {
+		if math.Float64bits(gotRes.EpochLosses[i]) != math.Float64bits(l) {
+			t.Fatalf("%s: epoch %d loss %x, want %x", what, i,
+				math.Float64bits(gotRes.EpochLosses[i]), math.Float64bits(l))
+		}
+	}
+}
+
+// TestFineTuneMatchesReference: the dense-row trainer moves no bit of the
+// table or of any epoch's loss relative to the map-of-vectors trainer, for
+// every chunk grid a batch of 64 (and a ragged last batch of 9) can be cut
+// into, both poolings, with and without normalisation.
+func TestFineTuneMatchesReference(t *testing.T) {
+	g, base, cache := fixture(t)
+	triples := someTriples(g, 64*3+9)
+	for _, pooling := range []textenc.Pooling{textenc.MeanPooling, textenc.MaxPooling} {
+		for _, normalize := range []bool{true, false} {
+			for _, workers := range []int{1, 2, 3, 4, 8} {
+				cfg := Config{Epochs: 3, Workers: workers}
+				got, want := base.Clone(), base.Clone()
+				for _, e := range []*textenc.Encoder{got, want} {
+					e.Pooling, e.Normalize = pooling, normalize
+				}
+				gotRes := FineTune(got, cache, triples, cfg, rand.New(rand.NewSource(3)))
+				wantRes := refFineTune(want, cache, triples, cfg, rand.New(rand.NewSource(3)))
+				if wantRes.Steps == 0 {
+					t.Fatal("the reference took no optimiser step")
+				}
+				requireSameRun(t, fmt.Sprintf("%s pooling, normalize %v, %d workers", pooling, normalize, workers),
+					got, want, gotRes, wantRes)
+			}
+		}
+	}
+}
+
+// TestFineTuneBitsFollowWorkersNotGOMAXPROCS pins what FineTune's comment
+// promises: with Workers set, the result does not depend on how many Ps
+// the process runs on — and, so that the promise is not vacuous, that it
+// does depend on Workers (on this small fixture the float64 loss sums show
+// it; the float32 table needs a longer run before a last bit flips).
+func TestFineTuneBitsFollowWorkersNotGOMAXPROCS(t *testing.T) {
+	g, base, cache := fixture(t)
+	triples := someTriples(g, 200)
+	run := func(procs, workers int) (*textenc.Encoder, *Result) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		enc := base.Clone()
+		return enc, FineTune(enc, cache, triples, Config{Epochs: 2, Workers: workers}, rand.New(rand.NewSource(3)))
+	}
+	one, oneRes := run(1, 2)
+	four, fourRes := run(4, 2)
+	requireSameRun(t, "Workers 2 under GOMAXPROCS 4 vs 1", four, one, fourRes, oneRes)
+
+	_, otherRes := run(4, 1)
+	same := true
+	for i, l := range oneRes.EpochLosses {
+		same = same && math.Float64bits(otherRes.EpochLosses[i]) == math.Float64bits(l)
+	}
+	if same {
+		t.Error("Workers 1 reproduced the losses of Workers 2 bit for bit: the fixture no longer shows that the chunk grid decides the bits")
+	}
+}

@@ -31,8 +31,9 @@ type Config struct {
 	Margin       float64 // c in Eq. 3
 	Epochs       int
 	BatchSize    int
-	// Workers bounds data-parallel gradient computation; 0 means
-	// GOMAXPROCS.
+	// Workers is the number of contiguous chunks each batch's gradient is
+	// summed in, one goroutine per chunk; 0 means GOMAXPROCS. It is part of
+	// the arithmetic, not only of the speed: see FineTune.
 	Workers int
 	// Progress, if non-nil, receives the mean loss after each epoch.
 	Progress func(epoch int, meanLoss float64)
@@ -91,9 +92,14 @@ func BuildTokenCache(g *hetgraph.Graph, enc *textenc.Encoder) TokenCache {
 }
 
 // FineTune minimises the triplet loss over triples, updating enc's
-// embedding table in place. Shuffling uses rng, so a fixed seed reproduces
-// the run exactly (worker-parallel gradient sums are merged in
-// deterministic chunk order).
+// embedding table in place. Shuffling uses rng, and every floating-point
+// sum is taken in an order fixed by the batch and by cfg.Workers (each
+// batch is cut into Workers contiguous chunks whose partial gradients are
+// merged in chunk order), so a fixed seed and a fixed Workers reproduce
+// the run bit for bit on any machine. The default Workers is GOMAXPROCS:
+// leave it unset and two machines with different core counts group the
+// float64 sums differently, so their tables may differ in their last bits.
+// Pin Workers to reproduce a build.
 func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 	cfg Config, rng *rand.Rand) *Result {
 	cfg = cfg.withDefaults()
@@ -103,6 +109,11 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 	}
 
 	opt := newAdam(enc.Emb, cfg)
+	weights := poolWeights(enc, cache, triples)
+	workers := make([]*worker, cfg.Workers)
+	for i := range workers {
+		workers[i] = newWorker(enc, cache, weights)
+	}
 	order := make([]int, len(triples))
 	for i := range order {
 		order[i] = i
@@ -117,11 +128,10 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 			if end > len(order) {
 				end = len(order)
 			}
-			batch := order[start:end]
-			grads, loss := batchGradients(enc, cache, triples, batch, cfg)
+			grads, loss := batchGradients(workers, triples, order[start:end], cfg.Margin)
 			epochLoss += loss
-			if len(grads) > 0 {
-				opt.step(grads)
+			if len(grads.ids) > 0 {
+				opt.step(grads, cfg.Workers)
 				res.Steps++
 			}
 		}
@@ -145,151 +155,271 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 	return res
 }
 
-// batchGradients computes the summed sparse gradient of the batch and its
-// total loss, fanning work across workers.
-func batchGradients(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
-	batch []int, cfg Config) (map[textenc.TokenID]vec.Vector, float64) {
-	workers := cfg.Workers
-	if workers > len(batch) {
-		workers = len(batch)
+// inChunks cuts [0,n) into at most parts contiguous chunks of
+// ceil(n/parts) and runs fn on each — concurrently, or inline when there
+// is one — returning when all are done. Chunk c is always the same range
+// for the same (n, parts): the grid FineTune's summation order is made of.
+func inChunks(n, parts int, fn func(c, lo, hi int)) {
+	if parts > n {
+		parts = n
 	}
-	type partial struct {
-		grads map[textenc.TokenID]vec.Vector
-		loss  float64
+	if parts <= 1 {
+		if n > 0 {
+			fn(0, 0, n)
+		}
+		return
 	}
-	parts := make([]partial, workers)
+	size := (n + parts - 1) / parts
 	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if lo >= hi {
-			continue
-		}
+	for c := 0; c*size < n; c++ {
+		lo, hi := c*size, min((c+1)*size, n)
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			p := partial{grads: map[textenc.TokenID]vec.Vector{}}
-			for _, idx := range batch[lo:hi] {
-				p.loss += tripleGradient(enc, cache, triples[idx], cfg.Margin, p.grads)
-			}
-			parts[w] = p
-		}(w, lo, hi)
+			fn(c, lo, hi)
+		}()
 	}
 	wg.Wait()
+}
 
-	// Merge in chunk order for determinism.
-	total := map[textenc.TokenID]vec.Vector{}
+// batchGradients computes the summed sparse gradient of the batch and its
+// total loss. Worker c takes chunk c of the batch, triple by triple in
+// batch order; the partial sums are then merged into worker 0's in chunk
+// order. The returned gradient is worker 0's and lives until the next call.
+func batchGradients(workers []*worker, triples []sampling.Triple, batch []int,
+	margin float64) (*sparseGrad, float64) {
+	for _, w := range workers {
+		w.grad.reset()
+		w.loss = 0
+	}
+	inChunks(len(batch), len(workers), func(c, lo, hi int) {
+		w := workers[c]
+		for _, idx := range batch[lo:hi] {
+			w.loss += w.tripleGradient(triples[idx], margin)
+		}
+	})
+	total := workers[0].grad
 	var loss float64
-	for _, p := range parts {
-		loss += p.loss
-		for id, gp := range p.grads {
-			if g, ok := total[id]; ok {
-				g.Add(gp)
-			} else {
-				total[id] = gp
-			}
+	for c, w := range workers {
+		loss += w.loss
+		if c > 0 {
+			total.add(w.grad)
 		}
 	}
 	return total, loss
 }
 
-// tripleGradient accumulates ∂L/∂Θ_B for one triple into grads and returns
-// the triple's loss L = max(δ(v_s,v+) - δ(v_s,v-) + c, 0).
-func tripleGradient(enc *textenc.Encoder, cache TokenCache, t sampling.Triple,
-	margin float64, grads map[textenc.TokenID]vec.Vector) float64 {
-	sTok, pTok, nTok := cache[t.Seed], cache[t.Pos], cache[t.Neg]
-	// The forward pass pools the float32 table in float64
-	// (EncodeTokensRaw64): the finite-difference gradient check needs loss
-	// resolution float32 partial sums cannot provide.
-	us := enc.EncodeTokensRaw64(sTok)
-	up := enc.EncodeTokensRaw64(pTok)
-	un := enc.EncodeTokensRaw64(nTok)
-	vs, nvs := normalized(enc, us)
-	vp, nvp := normalized(enc, up)
-	vn, nvn := normalized(enc, un)
+// poolWeights resolves, once per paper that occurs in triples, the
+// mean-pooling weights of its tokens (they depend on the vocabulary's IDF
+// table, which training does not change). All weights share one flat
+// slice. Max pooling has no weights and gets nil.
+func poolWeights(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple) map[hetgraph.NodeID][]float64 {
+	if enc.Pooling == textenc.MaxPooling {
+		return nil
+	}
+	weights := map[hetgraph.NodeID][]float64{}
+	total := 0
+	for _, t := range triples {
+		for _, p := range [3]hetgraph.NodeID{t.Seed, t.Pos, t.Neg} {
+			if _, ok := weights[p]; !ok {
+				weights[p] = nil
+				total += len(cache[p])
+			}
+		}
+	}
+	flat := make([]float64, 0, total)
+	for p := range weights {
+		lo := len(flat)
+		flat = append(flat, enc.PoolWeights(cache[p])...)
+		weights[p] = flat[lo:len(flat):len(flat)]
+	}
+	return weights
+}
 
-	dp := vs.Clone().Sub(vp) // v_s - v_+
-	dn := vs.Clone().Sub(vn) // v_s - v_-
-	np := dp.Norm()
-	nn := dn.Norm()
+// sparseGrad is a sum of per-token gradient rows: dense float64 rows
+// handed out of one arena in first-touch order and found through a
+// token → slot array, so accumulating into a row is an index, not a map
+// probe, and a reset costs only the rows that were touched.
+type sparseGrad struct {
+	dim   int
+	slot  []int32           // per token: its index in ids, -1 when untouched
+	ids   []textenc.TokenID // touched tokens
+	arena []float64         // len(ids) rows of dim values, row s for ids[s]
+}
+
+func newSparseGrad(tokens, dim int) *sparseGrad {
+	g := &sparseGrad{dim: dim, slot: make([]int32, tokens)}
+	for i := range g.slot {
+		g.slot[i] = -1
+	}
+	return g
+}
+
+// row returns the gradient row of token id, a zero row on first touch.
+// The row is valid until the next first touch, which may move the arena.
+func (g *sparseGrad) row(id textenc.TokenID) vec.Vector {
+	s := g.slot[id]
+	if s < 0 {
+		s = int32(len(g.ids))
+		g.slot[id] = s
+		g.ids = append(g.ids, id)
+		g.arena = append(g.arena, make([]float64, g.dim)...)
+	}
+	return g.at(int(s))
+}
+
+// at returns row s of the arena, the gradient of token ids[s].
+func (g *sparseGrad) at(s int) vec.Vector { return g.arena[s*g.dim : (s+1)*g.dim] }
+
+func (g *sparseGrad) reset() {
+	for _, id := range g.ids {
+		g.slot[id] = -1
+	}
+	g.ids = g.ids[:0]
+	g.arena = g.arena[:0]
+}
+
+// add merges o into g: a row g has not touched is copied, one it has is
+// summed into — in that order per row, which is the order that fixes the
+// bits of the sum.
+func (g *sparseGrad) add(o *sparseGrad) {
+	for s, id := range o.ids {
+		if g.slot[id] < 0 {
+			copy(g.row(id), o.at(s))
+		} else {
+			g.row(id).Add(o.at(s))
+		}
+	}
+}
+
+// worker is one goroutine's share of a batch: the sparse gradient and loss
+// it accumulates, and the scratch its forward and backward passes run in.
+type worker struct {
+	enc     *textenc.Encoder
+	cache   TokenCache
+	weights map[hetgraph.NodeID][]float64
+	grad    *sparseGrad
+	loss    float64
+	// seed, pos and neg are the three documents of the triple in hand;
+	// dp and dn hold v_s - v_+ and v_s - v_-.
+	seed, pos, neg pooledDoc
+	dp, dn         vec.Vector
+}
+
+// pooledDoc is one document's way through the encoder and back.
+type pooledDoc struct {
+	toks []textenc.TokenID
+	ws   []float64  // mean-pooling weights of toks
+	arg  []int      // max pooling: per dimension, the position in toks that attains it
+	u    vec.Vector // pooled, before normalisation
+	norm float64    // ‖u‖
+	v    vec.Vector // what the loss sees: u/‖u‖ in unit, or u itself
+	unit vec.Vector // backing store of v when the encoder normalises
+	g    vec.Vector // ∂L/∂v, then ∂L/∂u
+}
+
+func newWorker(enc *textenc.Encoder, cache TokenCache, weights map[hetgraph.NodeID][]float64) *worker {
+	w := &worker{enc: enc, cache: cache, weights: weights,
+		grad: newSparseGrad(enc.Emb.Rows, enc.Dim), dp: vec.New(enc.Dim), dn: vec.New(enc.Dim)}
+	for _, d := range []*pooledDoc{&w.seed, &w.pos, &w.neg} {
+		d.u, d.unit, d.g = vec.New(enc.Dim), vec.New(enc.Dim), vec.New(enc.Dim)
+		d.arg = make([]int, enc.Dim)
+	}
+	return w
+}
+
+// forward pools paper p as Encoder.EncodeTokensRaw64 does — the float32
+// table in float64, because the finite-difference gradient check needs
+// loss resolution float32 partial sums cannot provide — and normalises as
+// Encoder.EncodeTokens does.
+func (w *worker) forward(d *pooledDoc, p hetgraph.NodeID) {
+	d.toks, d.ws = w.cache[p], w.weights[p]
+	emb := w.enc.Emb
+	d.u.Zero()
+	switch {
+	case len(d.toks) == 0:
+	case w.enc.Pooling == textenc.MaxPooling:
+		// Ties go to the earliest token, as in Encoder.PoolArgmax.
+		for j, x := range emb.Row(int(d.toks[0])) {
+			d.u[j], d.arg[j] = float64(x), 0
+		}
+		for i, id := range d.toks[1:] {
+			for j, x := range emb.Row(int(id)) {
+				if float64(x) > d.u[j] {
+					d.u[j], d.arg[j] = float64(x), i+1
+				}
+			}
+		}
+	default: // MeanPooling, IDF-weighted
+		for i, id := range d.toks {
+			vec.AxpyInto64(d.u, d.ws[i], emb.Row(int(id)))
+		}
+	}
+	d.norm = d.u.Norm()
+	d.v = d.u
+	if w.enc.Normalize && d.norm != 0 {
+		copy(d.unit, d.u)
+		d.v = d.unit.Scale(1 / d.norm)
+	}
+}
+
+// backward routes d.g, the gradient on the document vector, into token
+// rows. Through the normalisation v = u/‖u‖ first: ∂L/∂u = (g - (g·v)v)/‖u‖.
+// Then, under mean pooling, every token receives its pooling weight's
+// share (∂v_doc/∂row_t = w_t · I); under max pooling each dimension's
+// gradient goes solely to the token attaining the maximum there (the
+// standard max-pool sub-gradient).
+func (w *worker) backward(d *pooledDoc) {
+	if len(d.toks) == 0 {
+		return
+	}
+	if w.enc.Normalize && d.norm != 0 {
+		d.g.Axpy(-d.g.Dot(d.v), d.v).Scale(1 / d.norm)
+	}
+	if w.enc.Pooling == textenc.MaxPooling {
+		for j, pos := range d.arg {
+			w.grad.row(d.toks[pos])[j] += d.g[j]
+		}
+		return
+	}
+	for i, id := range d.toks {
+		w.grad.row(id).Axpy(d.ws[i], d.g)
+	}
+}
+
+// tripleGradient accumulates ∂L/∂Θ_B for one triple into w.grad and
+// returns the triple's loss L = max(δ(v_s,v+) - δ(v_s,v-) + c, 0).
+func (w *worker) tripleGradient(t sampling.Triple, margin float64) float64 {
+	s, p, n := &w.seed, &w.pos, &w.neg
+	w.forward(s, t.Seed)
+	w.forward(p, t.Pos)
+	w.forward(n, t.Neg)
+
+	copy(w.dp, s.v)
+	copy(w.dn, s.v)
+	np := w.dp.Sub(p.v).Norm() // δ(v_s, v_+)
+	nn := w.dn.Sub(n.v).Norm() // δ(v_s, v_-)
 	loss := np - nn + margin
 	if loss <= 0 {
 		return 0
 	}
 
 	// ∂δ(v_s,v_+)/∂v_s = (v_s - v_+)/δ; guard zero distances.
-	gs := vec.New(enc.Dim)
-	gp := vec.New(enc.Dim)
-	gn := vec.New(enc.Dim)
+	s.g.Zero()
+	p.g.Zero()
+	n.g.Zero()
 	if np > 0 {
-		gs.Axpy(1/np, dp)
-		gp.Axpy(-1/np, dp)
+		s.g.Axpy(1/np, w.dp)
+		p.g.Axpy(-1/np, w.dp)
 	}
 	if nn > 0 {
-		gs.Axpy(-1/nn, dn)
-		gn.Axpy(1/nn, dn)
+		s.g.Axpy(-1/nn, w.dn)
+		n.g.Axpy(1/nn, w.dn)
 	}
-
-	scatter(enc, sTok, throughNorm(enc, gs, vs, nvs), grads)
-	scatter(enc, pTok, throughNorm(enc, gp, vp, nvp), grads)
-	scatter(enc, nTok, throughNorm(enc, gn, vn, nvn), grads)
+	w.backward(s)
+	w.backward(p)
+	w.backward(n)
 	return loss
-}
-
-// normalized returns the (possibly) normalised document vector and the raw
-// pooled norm, matching Encoder.EncodeTokens.
-func normalized(enc *textenc.Encoder, u vec.Vector) (vec.Vector, float64) {
-	n := u.Norm()
-	if !enc.Normalize || n == 0 {
-		return u, n
-	}
-	return u.Clone().Scale(1 / n), n
-}
-
-// throughNorm backpropagates a gradient on the normalised vector v = u/‖u‖
-// to the raw pooled vector u: ∂L/∂u = (g - (g·v)v)/‖u‖.
-func throughNorm(enc *textenc.Encoder, g, v vec.Vector, rawNorm float64) vec.Vector {
-	if !enc.Normalize || rawNorm == 0 {
-		return g
-	}
-	out := g.Clone()
-	out.Axpy(-g.Dot(v), v)
-	return out.Scale(1 / rawNorm)
-}
-
-// scatter routes a document-level gradient into token rows. Under mean
-// pooling every token receives its pooling weight's share
-// (∂v_doc/∂row_t = w_t · I); under max pooling each dimension's gradient
-// goes solely to the token attaining the maximum there (the standard
-// max-pool sub-gradient).
-func scatter(enc *textenc.Encoder, ids []textenc.TokenID, gDoc vec.Vector,
-	grads map[textenc.TokenID]vec.Vector) {
-	if len(ids) == 0 {
-		return
-	}
-	row := func(id textenc.TokenID) vec.Vector {
-		g, ok := grads[id]
-		if !ok {
-			g = vec.New(gDoc.Dim())
-			grads[id] = g
-		}
-		return g
-	}
-	if enc.Pooling == textenc.MaxPooling {
-		arg := enc.PoolArgmax(ids)
-		for j, pos := range arg {
-			row(ids[pos])[j] += gDoc[j]
-		}
-		return
-	}
-	ws := enc.PoolWeights(ids)
-	for i, id := range ids {
-		row(id).Axpy(ws[i], gDoc)
-	}
 }
 
 // adam holds the optimiser state for the embedding table: first and second
@@ -315,24 +445,28 @@ func newAdam(table *vec.Matrix32, cfg Config) *adam {
 	}
 }
 
-// step applies one Adam update for every row with a non-zero gradient.
-func (a *adam) step(grads map[textenc.TokenID]vec.Vector) {
+// step applies one Adam update to every row grads touched, on up to
+// workers goroutines: a row's update reads and writes that row's state
+// only, so how the rows are split changes no bit.
+func (a *adam) step(grads *sparseGrad, workers int) {
 	c := a.cfg
-	for id, g := range grads {
-		r := int(id)
-		a.tRow[r]++
-		t := float64(a.tRow[r])
-		mRow, vRow, w := a.m.Row(r), a.v.Row(r), a.table.Row(r)
-		bc1 := 1 - math.Pow(c.Beta1, t)
-		bc2 := 1 - math.Pow(c.Beta2, t)
-		for j, gj := range g {
-			mRow[j] = c.Beta1*mRow[j] + (1-c.Beta1)*gj
-			vRow[j] = c.Beta2*vRow[j] + (1-c.Beta2)*gj*gj
-			mHat := mRow[j] / bc1
-			vHat := vRow[j] / bc2
-			w[j] = float32(float64(w[j]) - c.LearningRate*mHat/(math.Sqrt(vHat)+c.Epsilon))
+	inChunks(len(grads.ids), workers, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			r := int(grads.ids[s])
+			a.tRow[r]++
+			t := float64(a.tRow[r])
+			mRow, vRow, w := a.m.Row(r), a.v.Row(r), a.table.Row(r)
+			bc1 := 1 - math.Pow(c.Beta1, t)
+			bc2 := 1 - math.Pow(c.Beta2, t)
+			for j, gj := range grads.at(s) {
+				mRow[j] = c.Beta1*mRow[j] + (1-c.Beta1)*gj
+				vRow[j] = c.Beta2*vRow[j] + (1-c.Beta2)*gj*gj
+				mHat := mRow[j] / bc1
+				vHat := vRow[j] / bc2
+				w[j] = float32(float64(w[j]) - c.LearningRate*mHat/(math.Sqrt(vHat)+c.Epsilon))
+			}
 		}
-	}
+	})
 }
 
 // EmbedAll computes the fine-tuned representation of every paper in cache,

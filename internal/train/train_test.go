@@ -128,15 +128,16 @@ func TestTripleGradientNumerical(t *testing.T) {
 		t.Skip("fixture triple has zero loss; gradient everywhere zero")
 	}
 
-	grads := map[textenc.TokenID]vec.Vector{}
-	got := tripleGradient(enc, cache, tr, margin, grads)
+	w := newWorker(enc, cache, poolWeights(enc, cache, []sampling.Triple{tr}))
+	got := w.tripleGradient(tr, margin)
 	if math.Abs(got-loss()) > 1e-9 {
 		t.Fatalf("returned loss %v != recomputed %v", got, loss())
 	}
 
 	const h = 1e-6
 	checked := 0
-	for id, gv := range grads {
+	for s, id := range w.grad.ids {
+		gv := w.grad.at(s)
 		row := enc.Emb.Row(int(id))
 		for j := 0; j < len(row); j += 5 { // sample dimensions
 			orig := row[j]
@@ -185,9 +186,9 @@ func TestTripleGradientZeroWhenSatisfied(t *testing.T) {
 	papers := g.NodesOfType(hetgraph.Paper)
 	// With margin 0 and pos == seed, the loss is -d(s,neg) <= 0.
 	tr := sampling.Triple{Seed: papers[0], Pos: papers[0], Neg: papers[1]}
-	grads := map[textenc.TokenID]vec.Vector{}
-	if l := tripleGradient(enc, cache, tr, 0, grads); l != 0 || len(grads) != 0 {
-		t.Errorf("satisfied triple produced loss %v and %d gradients", l, len(grads))
+	w := newWorker(enc, cache, poolWeights(enc, cache, []sampling.Triple{tr}))
+	if l := w.tripleGradient(tr, 0); l != 0 || len(w.grad.ids) != 0 {
+		t.Errorf("satisfied triple produced loss %v and %d gradients", l, len(w.grad.ids))
 	}
 }
 
@@ -221,8 +222,9 @@ func TestConfigDefaults(t *testing.T) {
 func TestAdamStepMovesAgainstGradient(t *testing.T) {
 	table := vec.NewMatrix32(2, 3)
 	opt := newAdam(table, Config{}.withDefaults())
-	g := map[textenc.TokenID]vec.Vector{0: {1, -1, 0}}
-	opt.step(g)
+	g := newSparseGrad(2, 3)
+	copy(g.row(0), []float64{1, -1, 0})
+	opt.step(g, 1)
 	row := table.Row(0)
 	if !(row[0] < 0 && row[1] > 0 && row[2] == 0) {
 		t.Errorf("Adam step direction wrong: %v", row)
@@ -253,12 +255,13 @@ func TestTripleGradientNumericalMaxPooling(t *testing.T) {
 	if loss() == 0 {
 		t.Skip("fixture triple has zero loss under max pooling")
 	}
-	grads := map[textenc.TokenID]vec.Vector{}
-	tripleGradient(enc, cache, tr, margin, grads)
+	w := newWorker(enc, cache, poolWeights(enc, cache, []sampling.Triple{tr}))
+	w.tripleGradient(tr, margin)
 
 	const h = 1e-6
 	checked := 0
-	for id, gv := range grads {
+	for s, id := range w.grad.ids {
+		gv := w.grad.at(s)
 		row := enc.Emb.Row(int(id))
 		for j := 0; j < len(row); j += 4 {
 			if gv[j] == 0 {
