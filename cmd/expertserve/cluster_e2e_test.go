@@ -180,7 +180,7 @@ func TestClusterE2E(t *testing.T) {
 	hedged := false
 	var walk func(n spanNode)
 	walk = func(n spanNode) {
-		if n.Name == "shard_papers" || n.Name == "shard_experts" {
+		if n.Name == "shard_papers" {
 			shardsSeen[n.Attrs["shard"]] = true
 		}
 		if n.Name == "rpc" && n.Attrs["hedge"] == "1" {

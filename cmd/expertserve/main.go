@@ -31,16 +31,17 @@
 // The -role flag selects the process's place in a sharded topology:
 //
 //	single    (default) the whole corpus in one process, as above
-//	shard     same build, but also serves the internal /shard/papers and
-//	          /shard/experts partial-list API for its slice of the corpus
-//	          (-shards total, -shard-id this one)
+//	shard     same build, but also serves the internal /shard/papers route
+//	          (its slice's top-m papers with their author lists, as a
+//	          binary frame) for the router (-shards total, -shard-id this
+//	          one)
 //	follower  read replica: bootstraps from the -leader node's snapshot,
 //	          tails its WAL (resumable, log-before-apply), serves reads
 //	          once lag <= -max-replication-lag, refuses writes until
 //	          promoted via POST /replication/promote
-//	router    no corpus: scatter-gathers /experts and /papers across the
-//	          shard replicas given by -replicas, with retries, hedging and
-//	          replica health ejection
+//	router    no corpus: scatters /experts and /papers once across the
+//	          shard replicas given by -replicas, merges and ranks what
+//	          comes back, with retries, hedging and replica health ejection
 //
 // Usage:
 //

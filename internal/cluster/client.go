@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -271,16 +270,7 @@ func (e *shardError) Unwrap() error { return e.err }
 
 // Get runs a GET sub-request against shard, with retries and hedging, and
 // returns the response body.
-func (c *ShardClient) Get(ctx context.Context, shard int, pathAndQuery string) ([]byte, error) {
-	return c.do(ctx, shard, http.MethodGet, pathAndQuery, nil)
-}
-
-// Post runs a POST sub-request with a frame body against shard.
-func (c *ShardClient) Post(ctx context.Context, shard int, path string, body []byte) ([]byte, error) {
-	return c.do(ctx, shard, http.MethodPost, path, body)
-}
-
-func (c *ShardClient) do(ctx context.Context, shard int, method, path string, body []byte) ([]byte, error) {
+func (c *ShardClient) Get(ctx context.Context, shard int, path string) ([]byte, error) {
 	rs := c.sets[shard]
 	attempts := c.cfg.Retries + 1
 	backoff := c.cfg.RetryBackoff
@@ -306,7 +296,7 @@ func (c *ShardClient) do(ctx context.Context, shard int, method, path string, bo
 		actx, cancel := c.attemptContext(ctx, attempts-attempt)
 		rp := rs.pick(prev)
 		prev = rp
-		b, err := c.attempt(actx, rs, rp, method, path, body)
+		b, err := c.attempt(actx, rs, rp, path)
 		cancel()
 		if err == nil {
 			return b, nil
@@ -336,7 +326,7 @@ func (c *ShardClient) attemptContext(ctx context.Context, attemptsLeft int) (con
 // a hedge_win mark, and an attempt abandoned in flight is closed with a
 // cancelled mark before attempt returns (attributes are safe to set
 // after End, which only freezes timing).
-func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, method, path string, body []byte) ([]byte, error) {
+func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, path string) ([]byte, error) {
 	type outcome struct {
 		body   []byte
 		err    error
@@ -373,7 +363,7 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 		}
 		launched = append(launched, span)
 		go func() {
-			b, err := c.send(sctx, rs.shard, target, method, path, body)
+			b, err := c.send(sctx, rs.shard, target, path)
 			span.End()
 			if err != nil {
 				span.Annotate("error", err.Error())
@@ -426,23 +416,16 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 	}
 }
 
-// send issues one HTTP request to one replica and settles its health
+// send issues one GET to one replica and settles its health
 // accounting: success resets the failure streak, failure advances it and
 // ejects past the threshold. A response, whatever its status, proves the
 // replica alive; only 5xx, transport errors and a response frame that
 // claims another shard (a replica started with the wrong -shard-id) count
 // as failures.
-func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, path string, body []byte) ([]byte, error) {
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+rp.addr+path, rdr)
+func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+rp.addr+path, nil)
 	if err != nil {
 		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", frameContentType)
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := int(time.Until(dl).Milliseconds())

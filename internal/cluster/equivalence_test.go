@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,13 +156,46 @@ func assertSameRanking(t *testing.T, q string, got serve.ExpertsResponse, want [
 	}
 }
 
+// getJSON fetches a URL that must answer 200 and decodes its body as
+// generic JSON.
+func getJSON(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, b)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatalf("%s: bad payload: %v", url, err)
+	}
+	return out
+}
+
+// singleNode serves eng the way a one-process deployment does.
+func singleNode(t *testing.T, eng *core.Engine) string {
+	t.Helper()
+	s := serve.New(eng)
+	s.SetReady(true)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
 // TestRouterMatchesSingleNode is the acceptance equivalence test: for
 // S in {2, 4}, the router's top-n over S shards must equal single-node
-// ta.TopExperts exactly — ids, order and float bits, ties included.
+// ta.TopExperts exactly — ids, order and float bits, ties included — and
+// its whole /experts body must be the single node's, response_ms aside:
+// names, paper counts, candidates, ta_depth, cached.
 func TestRouterMatchesSingleNode(t *testing.T) {
 	ds, eng := equivEngine(t)
 	queries := ds.Queries(8, rand.New(rand.NewSource(3)))
 	const m, n = 40, 10
+	single := singleNode(t, eng)
 
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -171,20 +207,52 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 				}
 				got := queryExperts(t, topo.routerURL, q.Text, m, n)
 				assertSameRanking(t, q.Text, got, want)
+
+				path := fmt.Sprintf("/experts?q=%s&m=%d&n=%d", url.QueryEscape(q.Text), m, n)
+				routed, alone := getJSON(t, topo.routerURL+path), getJSON(t, single+path)
+				if routed["candidates"] == float64(0) || routed["ta_depth"] == float64(0) {
+					t.Fatalf("query %q: candidates %v, ta_depth %v", q.Text, routed["candidates"], routed["ta_depth"])
+				}
+				delete(routed, "response_ms")
+				delete(alone, "response_ms")
+				if !reflect.DeepEqual(routed, alone) {
+					t.Fatalf("query %q: router body %v, single node %v", q.Text, routed, alone)
+				}
 			}
 		})
 	}
 }
 
-// TestFinalRankingMatchesTopExperts holds the merge itself — no HTTP, no
-// router — to the single-node ranker: the ranked papers of a query, dealt
-// to S in {1, 2, 4} shard engines with their global ranks and scored
-// there, must come out of finalRanking as ta.TopExperts returns them over
-// the undivided list, for cuts inside, at and past the candidate count.
-func TestFinalRankingMatchesTopExperts(t *testing.T) {
+// shardFrames asks S shard engines for a query's papers the way the router
+// does and passes each answer through the wire codec.
+func shardFrames(t *testing.T, engines []*ShardEngine, query string, m int) []*PapersResponse {
+	t.Helper()
+	resps := make([]*PapersResponse, len(engines))
+	for i, se := range engines {
+		res, err := se.Retrieve(context.Background(), query, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := se.Papers(res, true, false)
+		resps[i] = new(PapersResponse)
+		if err := decodeFrame(encodeFrame(&sent), resps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resps
+}
+
+// TestRouterSumMatchesTopExperts holds the router's ranking itself — no
+// HTTP, no router — to the single-node ranker: the papers S in 2..5 shard
+// engines retrieve, framed with their author lists, decoded, merged and
+// summed by rankResponses, must come out as ta.TopExperts returns them over
+// the undivided list on the graph, for cuts inside, at and past the
+// candidate count — ids, score bits, work stats, names and paper counts.
+func TestRouterSumMatchesTopExperts(t *testing.T) {
 	ds, eng := equivEngine(t)
 	g := eng.Graph()
-	for _, shards := range []int{1, 2, 4} {
+	const m = 40
+	for shards := 2; shards <= 5; shards++ {
 		engines := make([]*ShardEngine, shards)
 		for i := range engines {
 			se, err := NewShardEngine(eng, ShardConfig{ID: i, Of: shards})
@@ -194,43 +262,31 @@ func TestFinalRankingMatchesTopExperts(t *testing.T) {
 			engines[i] = se
 		}
 		for _, q := range ds.Queries(6, rand.New(rand.NewSource(11))) {
-			papers, _, err := eng.RetrievePapers(q.Text, 40)
+			papers, _, err := eng.RetrievePapers(q.Text, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reqs := make([]ExpertsRequest, shards)
-			for rank, p := range papers {
-				i := AssignShard(p, shards)
-				reqs[i].Papers = append(reqs[i].Papers, RankedPaper{ID: int32(p), Rank: rank + 1})
-			}
-			resps := make([]*ShardExpertsResponse, shards)
-			for i, se := range engines {
-				if len(reqs[i].Papers) == 0 {
-					continue // the router does not ask a shard that owns none
-				}
-				resp, err := se.ScoreExperts(reqs[i])
+			resps := shardFrames(t, engines, q.Text, m)
+			_, all := ta.TopExperts(g, papers, 1)
+			for _, n := range []int{1, 10, all.Candidates, all.Candidates + 5} {
+				want, wantStats := ta.TopExperts(g, papers, n)
+				got, stats, err := rankResponses(context.Background(), resps, m, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resps[i] = &resp
-			}
-			_, st := ta.TopExperts(g, papers, 1)
-			for _, n := range []int{1, 10, st.Candidates, st.Candidates + 5} {
-				want, _ := ta.TopExperts(g, papers, n)
-				got, candidates := finalRanking(resps, n)
-				if candidates != st.Candidates || len(got) != len(want) {
-					t.Fatalf("S=%d %q n=%d: merged %d of %d candidates, single node %d of %d",
-						shards, q.Text, n, len(got), candidates, len(want), st.Candidates)
+				if stats != wantStats || len(got) != len(want) {
+					t.Fatalf("S=%d %q n=%d: router ranked %d with stats %+v, single node %d with %+v",
+						shards, q.Text, n, len(got), stats, len(want), wantStats)
 				}
 				for i, e := range got {
 					w := want[i]
-					if e.id != int32(w.Expert) || math.Float64bits(e.score) != math.Float64bits(w.Score) {
-						t.Fatalf("S=%d %q n=%d rank %d: merged (%d, %x), single node (%d, %x)", shards, q.Text,
-							n, i+1, e.id, math.Float64bits(e.score), w.Expert, math.Float64bits(w.Score))
+					if e.ID != int32(w.Expert) || math.Float64bits(e.Score) != math.Float64bits(w.Score) || e.Rank != i+1 {
+						t.Fatalf("S=%d %q n=%d rank %d: router (%d, %x), single node (%d, %x)", shards, q.Text,
+							n, i+1, e.ID, math.Float64bits(e.Score), w.Expert, math.Float64bits(w.Score))
 					}
-					if e.name != g.Label(w.Expert) || e.papers != len(g.PapersOf(w.Expert)) {
+					if e.Name != g.Label(w.Expert) || e.Papers != len(g.PapersOf(w.Expert)) {
 						t.Fatalf("S=%d %q rank %d: metadata (%q, %d) is not expert %d's",
-							shards, q.Text, i+1, e.name, e.papers, w.Expert)
+							shards, q.Text, i+1, e.Name, e.Papers, w.Expert)
 					}
 				}
 			}
@@ -238,82 +294,85 @@ func TestFinalRankingMatchesTopExperts(t *testing.T) {
 	}
 }
 
-// TestRouterOneCertifiedRound pins the shape of a routed /experts: every
-// shard is asked exactly twice — its papers, then the experts of the ranked
-// papers it owns — every expert response is a complete list (Exhausted, and
-// really holding every author of every paper sent), so one merge is final
-// (ta_depth 1), and the ranking still matches single node bit for bit.
-func TestRouterOneCertifiedRound(t *testing.T) {
+// TestRouterOneRound pins the shape of a routed /experts: every shard is
+// asked exactly once, for its papers — S sub-requests per query and none to
+// the retired experts route — each answer carries every retrieved paper's
+// author list as the graph has it and a table of exactly those authors, and
+// the ranking, candidates and ta_depth are the single node's.
+func TestRouterOneRound(t *testing.T) {
 	ds, eng := equivEngine(t)
 	queries := ds.Queries(4, rand.New(rand.NewSource(9)))
 	const m, n = 40, 10
 
 	for _, shards := range []int{2, 3, 5} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// Per shard: sub-requests served, and every /shard/experts
-			// exchange (request, response).
 			var mu sync.Mutex
 			served := make([]int, shards)
-			exchanges := make([][][2][]byte, shards)
 			topo := startTopology(t, eng, shards, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil,
 				func(shard, rep int, inner http.Handler) http.Handler {
-					return interceptShard(inner, func(path string, req, resp []byte) []byte {
+					return interceptShard(inner, func(path string, resp []byte) []byte {
 						mu.Lock()
 						defer mu.Unlock()
 						served[shard]++
-						if path == "/shard/experts" {
-							exchanges[shard] = append(exchanges[shard], [2][]byte{req, resp})
+						if path != "/shard/papers" {
+							t.Errorf("shard %d was asked for %s", shard, path)
 						}
+						checkAuthorFrame(t, eng, shard, resp)
 						return resp
 					})
 				})
 			for qi, q := range queries {
-				want, _, err := eng.TopExperts(q.Text, m, n)
+				papers, _, err := eng.RetrievePapers(q.Text, m)
 				if err != nil {
 					t.Fatal(err)
 				}
+				want, st := ta.TopExperts(eng.Graph(), papers, n)
 				got := queryExperts(t, topo.routerURL, q.Text, m, n)
 				assertSameRanking(t, q.Text, got, want)
-				if got.TADepth != 1 {
-					t.Fatalf("query %q: ta_depth = %d, want 1", q.Text, got.TADepth)
+				if got.Candidates != st.Candidates || got.TADepth != st.Depth {
+					t.Fatalf("query %q: candidates %d ta_depth %d, single node %d and %d",
+						q.Text, got.Candidates, got.TADepth, st.Candidates, st.Depth)
 				}
 				mu.Lock()
 				for i, got := range served {
-					if got != 2*(qi+1) {
-						t.Fatalf("query %q: shard %d has served %d sub-requests, want %d (2 per query)",
-							q.Text, i, got, 2*(qi+1))
+					if got != qi+1 {
+						t.Fatalf("query %q: shard %d has served %d sub-requests, want %d (1 per query)",
+							q.Text, i, got, qi+1)
 					}
 				}
 				mu.Unlock()
 			}
-			for i := range exchanges {
-				if len(exchanges[i]) != len(queries) {
-					t.Fatalf("shard %d served %d /shard/experts, want %d", i, len(exchanges[i]), len(queries))
-				}
-				for _, exchange := range exchanges[i] {
-					req, err := decodeExpertsRequest(exchange[0])
-					if err != nil {
-						t.Fatalf("shard %d request: %v", i, err)
-					}
-					resp, err := decodeExpertsResponse(exchange[1])
-					if err != nil {
-						t.Fatalf("shard %d response: %v", i, err)
-					}
-					authors := map[hetgraph.NodeID]bool{}
-					eng.ReadGraph(func(g *hetgraph.Graph) {
-						for _, p := range req.Papers {
-							for _, a := range g.AuthorsOf(hetgraph.NodeID(p.ID)) {
-								authors[a] = true
-							}
-						}
-					})
-					if !resp.Exhausted || resp.Threshold != 0 || resp.Shard != i || len(resp.Experts) != len(authors) {
-						t.Fatalf("shard %d answered exhausted=%v threshold=%v shard=%d with %d experts; want the complete list of %d",
-							i, resp.Exhausted, resp.Threshold, resp.Shard, len(resp.Experts), len(authors))
-					}
-				}
-			}
 		})
+	}
+}
+
+// checkAuthorFrame holds one /shard/papers?authors=1 answer to the graph:
+// each paper's list is its ordered authors, and the table (whose order the
+// decoder checks) holds exactly the distinct authors of those papers.
+func checkAuthorFrame(t *testing.T, eng *core.Engine, shard int, body []byte) {
+	resp, err := decodePapersResponse(body)
+	if err != nil || resp.Shard != shard {
+		t.Errorf("shard %d answered shard=%d, err %v", shard, resp.Shard, err)
+		return
+	}
+	distinct := map[hetgraph.NodeID]bool{}
+	eng.ReadGraph(func(g *hetgraph.Graph) {
+		for _, p := range resp.Papers {
+			if !slices.Equal(p.Authors, g.AuthorsOf(hetgraph.NodeID(p.ID))) {
+				t.Errorf("shard %d: paper %d carries authors %v, the graph has %v", shard, p.ID, p.Authors, g.AuthorsOf(hetgraph.NodeID(p.ID)))
+			}
+			for _, a := range p.Authors {
+				distinct[a] = true
+			}
+		}
+		for _, a := range resp.Authors {
+			if !distinct[a.ID] || a.Name != g.Label(a.ID) || a.Papers != len(g.PapersOf(a.ID)) {
+				t.Errorf("shard %d: table entry %+v is not an author of its papers as the graph has it", shard, a)
+			}
+		}
+	})
+	if len(resp.Authors) != len(distinct) {
+		t.Errorf("shard %d: table of %d for %d distinct authors", shard, len(resp.Authors), len(distinct))
 	}
 }
 
@@ -324,12 +383,7 @@ func TestRouterPapersMatchesSingleNode(t *testing.T) {
 	q := ds.Queries(1, rand.New(rand.NewSource(17)))[0]
 	const m = 15
 
-	single := httptest.NewServer(func() http.Handler {
-		s := serve.New(eng)
-		s.SetReady(true)
-		return s
-	}())
-	defer single.Close()
+	single := singleNode(t, eng)
 	topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{}, nil, nil)
 
 	fetch := func(base string) []serve.PaperResult {
@@ -348,15 +402,10 @@ func TestRouterPapersMatchesSingleNode(t *testing.T) {
 		}
 		return out
 	}
-	want := fetch(single.URL)
+	want := fetch(single)
 	got := fetch(topo.routerURL)
-	if len(got) != len(want) {
-		t.Fatalf("router returned %d papers, single node %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Rank != want[i].Rank || got[i].Text != want[i].Text {
-			t.Fatalf("paper %d: router %+v, single node %+v", i, got[i], want[i])
-		}
+	if len(want) != m || !reflect.DeepEqual(got, want) {
+		t.Fatalf("router returned %+v, single node %+v", got, want)
 	}
 }
 

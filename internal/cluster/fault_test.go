@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -9,13 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"expertfind/internal/ctxtest"
-	"expertfind/internal/hetgraph"
 	"expertfind/internal/serve"
 )
 
@@ -306,21 +305,19 @@ func TestExactShardHonoursContext(t *testing.T) {
 }
 
 // interceptShard passes a shard server's /shard/* traffic through see,
-// which is shown every exchange that ended 200 — path, request body,
-// response body — and returns the response body to send.
-func interceptShard(inner http.Handler, see func(path string, req, resp []byte) []byte) http.Handler {
+// which is shown every exchange that ended 200 — path and response body —
+// and returns the response body to send.
+func interceptShard(inner http.Handler, see func(path string, resp []byte) []byte) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/shard/") {
 			inner.ServeHTTP(w, r)
 			return
 		}
-		req, _ := io.ReadAll(r.Body)
-		r.Body = io.NopCloser(bytes.NewReader(req))
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()
 		if rec.Code == http.StatusOK {
-			body = see(r.URL.Path, req, body)
+			body = see(r.URL.Path, body)
 		}
 		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
 		w.WriteHeader(rec.Code)
@@ -357,7 +354,7 @@ func TestWrongShardIDIs502NamingReplica(t *testing.T) {
 				if shard != 1 {
 					return inner
 				}
-				return interceptShard(inner, func(_ string, _, body []byte) []byte {
+				return interceptShard(inner, func(_ string, body []byte) []byte {
 					le.PutUint32(body[frameHeaderLen:], uint32(int32(claimed)))
 					return body
 				})
@@ -375,43 +372,110 @@ func TestWrongShardIDIs502NamingReplica(t *testing.T) {
 	}
 }
 
-// TestOldShardJSONIs502: a shard that still answers the JSON protocol (or
-// anything else that is not a frame) is a typed decode error that reaches
-// the client as 502, never a panic or a silently empty merge.
+// TestOldShardJSONIs502: a shard that still answers the JSON protocol, or
+// the frame of the two-round protocol (version 1), or anything else that is
+// not this version's frame, is a typed decode error that reaches the client
+// as 502, never a panic or a silently empty merge.
 func TestOldShardJSONIs502(t *testing.T) {
 	ds, eng := equivEngine(t)
 	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
 
-	var onlyExperts atomic.Bool
+	var answer atomic.Pointer[[]byte]
 	topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 5 * time.Second},
 		ClientConfig{HedgeAfter: -1}, nil,
 		func(shard, rep int, inner http.Handler) http.Handler {
 			if shard != 0 {
 				return inner
 			}
-			return interceptShard(inner, func(path string, _, body []byte) []byte {
-				switch {
-				case path == "/shard/experts":
-					return []byte(`{"shard":0,"experts":[],"threshold":0,"exhausted":true,"candidates":0}`)
-				case onlyExperts.Load():
-					return body
+			return interceptShard(inner, func(path string, body []byte) []byte {
+				if path != "/shard/papers" {
+					t.Errorf("shard asked for %s", path)
 				}
-				return []byte(`{"shard":0,"papers":[]}`)
+				return *answer.Load()
 			})
 		})
-	for _, stage := range []string{"bad papers payload", "bad experts payload"} {
-		code, body := routerStatus(t, topo, "/experts?q="+q+"&m=40&n=10")
-		if code != http.StatusBadGateway || !strings.Contains(body, stage) || !strings.Contains(body, "bad shard frame") {
-			t.Fatalf("JSON-speaking shard: status %d, want 502 with %q and the frame error: %s", code, stage, body)
+	// Version 1 laid a papers response out as shard · n · papers · trace.
+	v1 := []byte{tagPapers, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	for name, body := range map[string][]byte{
+		"JSON":          []byte(`{"shard":0,"papers":[]}`),
+		"version 1":     v1,
+		"experts frame": {'E', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		answer.Store(&body)
+		for _, path := range []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"} {
+			code, got := routerStatus(t, topo, path)
+			if code != http.StatusBadGateway || !strings.Contains(got, "bad papers payload") ||
+				!strings.Contains(got, "bad shard frame") || !strings.Contains(got, "shard 0") {
+				t.Fatalf("%s-speaking shard, %s: status %d, want 502 naming shard 0 and the frame error: %s", name, path, code, got)
+			}
 		}
-		onlyExperts.Store(true)
 	}
 }
 
-// TestShardRefusesMalformedExpertsRequest: the shard side of the decoder.
-// Anything that is not one well-formed request frame is a 400 — the
-// router's bug, not a shard failure — and the 8 MiB body cap stands.
-func TestShardRefusesMalformedExpertsRequest(t *testing.T) {
+// TestRouterRefusesUnmergeableAnswers: answers that decode but would
+// corrupt the expert sum are 502s naming the shards, not rankings — a paper
+// two shards both return (it would be summed twice), a list out of
+// retrieval order, and an author no table holds.
+func TestRouterRefusesUnmergeableAnswers(t *testing.T) {
+	ds, eng := equivEngine(t)
+	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
+	paths := []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"}
+	refused := func(t *testing.T, topo *topology, want ...string) {
+		t.Helper()
+		for _, path := range paths {
+			code, body := routerStatus(t, topo, path)
+			if code != http.StatusBadGateway {
+				t.Fatalf("%s: status %d, want 502: %s", path, code, body)
+			}
+			for _, w := range want {
+				if !strings.Contains(body, w) {
+					t.Fatalf("%s: the 502 does not say %q: %s", path, w, body)
+				}
+			}
+		}
+	}
+	// rewrite re-frames the answers of the given shards after edit has been
+	// at them.
+	rewrite := func(edit func(*PapersResponse), shards ...int) func(shard, rep int, inner http.Handler) http.Handler {
+		return func(shard, rep int, inner http.Handler) http.Handler {
+			if !slices.Contains(shards, shard) {
+				return inner
+			}
+			return interceptShard(inner, func(_ string, body []byte) []byte {
+				resp, err := decodePapersResponse(body)
+				if err != nil {
+					t.Error(err)
+				}
+				edit(resp)
+				return encodeFrame(resp)
+			})
+		}
+	}
+
+	t.Run("duplicate paper", func(t *testing.T) {
+		// Both servers hold shard 0's slice (two shards started with
+		// overlapping partitions); the second answers as shard 1.
+		topo := startTopologyCfg(t, eng, 2, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil,
+			rewrite(func(r *PapersResponse) { r.Shard = 1 }, 1),
+			func(id, of int) ShardConfig { return ShardConfig{ID: 0, Of: of} })
+		refused(t, topo, "also came from shard 0", "shard 1")
+	})
+	t.Run("list out of order", func(t *testing.T) {
+		topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil,
+			rewrite(func(r *PapersResponse) { r.Papers[0], r.Papers[1] = r.Papers[1], r.Papers[0] }, 1))
+		refused(t, topo, "shard 1", "not in (distance, id) order")
+	})
+	t.Run("author in no table", func(t *testing.T) {
+		topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil,
+			rewrite(func(r *PapersResponse) { r.Authors = nil }, 0, 1))
+		refused(t, topo, "is in no author table", "sent papers listing it")
+	})
+}
+
+// TestShardPapersRequest: the one shard route answers 400 to a request
+// without a query or a positive m, frames whatever detail was asked for,
+// and the retired experts route is not there at all.
+func TestShardPapersRequest(t *testing.T) {
 	_, eng := equivEngine(t)
 	se, err := NewShardEngine(eng, ShardConfig{ID: 0, Of: 1})
 	if err != nil {
@@ -420,47 +484,40 @@ func TestShardRefusesMalformedExpertsRequest(t *testing.T) {
 	srv := serve.New(eng)
 	srv.SetReady(true)
 	MountShard(srv, se)
-	post := func(body []byte) (int, []byte) {
+	do := func(method, target string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/experts", strings.NewReader(string(body))))
-		return rec.Code, rec.Body.Bytes()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		return rec
 	}
-
-	var owned []int32
-	for id := int32(0); len(owned) < 2; id++ {
-		if se.owned[hetgraph.NodeID(id)] {
-			owned = append(owned, id)
-		}
-	}
-	request := func(papers ...RankedPaper) []byte { return encodeRequest(ExpertsRequest{Papers: papers}) }
-	good := request(RankedPaper{ID: owned[0], Rank: 1})
-	if got, _ := post(good); got != http.StatusOK {
-		t.Fatalf("well-formed request: status %d", got)
-	}
-	if got, _ := post(request(RankedPaper{ID: owned[1], Rank: 7}, RankedPaper{ID: owned[0], Rank: 2})); got != http.StatusOK {
-		t.Fatalf("two papers out of rank order: status %d", got)
-	}
-	oversize := encodeRequest(ExpertsRequest{Papers: make([]RankedPaper, (8<<20)/8)}) // 8 MiB + header
-	for name, body := range map[string][]byte{
-		"empty":         nil,
-		"old JSON":      []byte(`{"papers":[{"id":1,"rank":1}],"limit":40}`),
-		"response tag":  append([]byte{tagExperts}, good[1:]...),
-		"truncated":     good[:len(good)-1],
-		"trailing byte": append(append([]byte(nil), good...), 0),
-		"lying count":   {tagRequest, frameVersion, 0, 0, 0, 0x40},
-		"past the cap":  oversize,
-		// Well-formed frames a scorer must not sum: the paper would count
-		// twice, and equal ranks have no summation order.
-		"paper listed twice":  request(RankedPaper{ID: owned[0], Rank: 1}, RankedPaper{ID: owned[1], Rank: 2}, RankedPaper{ID: owned[0], Rank: 3}),
-		"two papers one rank": request(RankedPaper{ID: owned[0], Rank: 4}, RankedPaper{ID: owned[1], Rank: 4}),
-		"rank zero":           request(RankedPaper{ID: owned[0], Rank: 0}),
+	for target, want := range map[string]int{
+		"/shard/papers":               http.StatusBadRequest,
+		"/shard/papers?m=5":           http.StatusBadRequest,
+		"/shard/papers?q=graph":       http.StatusBadRequest,
+		"/shard/papers?q=graph&m=0":   http.StatusBadRequest,
+		"/shard/papers?q=graph&m=ten": http.StatusBadRequest,
+		"/shard/papers?q=graph&m=5":   http.StatusOK,
+		"/shard/experts":              http.StatusNotFound,
 	} {
-		code, answer := post(body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, code)
+		if got := do(http.MethodGet, target).Code; got != want {
+			t.Errorf("GET %s: status %d, want %d", target, got, want)
 		}
-		if _, err := decodeExpertsResponse(answer); err == nil {
-			t.Errorf("%s: the refusal carries a ranking", name)
+	}
+	if got := do(http.MethodPost, "/shard/experts").Code; got != http.StatusNotFound {
+		t.Errorf("POST /shard/experts: status %d, want 404", got)
+	}
+	for detail, want := range map[string][3]bool{ // lists, table, text
+		"":                  {false, false, false},
+		"&authors=1":        {true, true, false},
+		"&meta=1":           {true, true, true},
+		"&authors=0&meta=0": {false, false, false},
+	} {
+		resp, err := decodePapersResponse(do(http.MethodGet, "/shard/papers?q=graph&m=5"+detail).Body.Bytes())
+		if err != nil || len(resp.Papers) != 5 {
+			t.Fatalf("detail %q: %d papers, err %v", detail, len(resp.Papers), err)
+		}
+		got := [3]bool{len(resp.Papers[0].Authors) > 0, len(resp.Authors) > 0, resp.Papers[0].Text != ""}
+		if got != want {
+			t.Errorf("detail %q: lists, table, text = %v, want %v", detail, got, want)
 		}
 	}
 }

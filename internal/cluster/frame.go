@@ -6,24 +6,26 @@ import (
 	"fmt"
 	"math"
 
+	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 )
 
-// The codec of the /shard/* bodies (layout: proto.go). ONE walk over a
-// message's fields both writes and reads it: the directions cannot drift.
+// The codec of the /shard/papers body (layout: proto.go). ONE walk over
+// the message's fields both writes and reads it: the directions cannot
+// drift.
 
 const (
-	tagPapers, tagRequest, tagExperts byte = 'P', 'Q', 'E'
+	tagPapers byte = 'P'
 
-	frameVersion     byte = 1
+	frameVersion     byte = 2
 	frameHeaderLen        = 2 // tag, version
 	frameContentType      = "application/x-expertfind-frame"
 )
 
 var le = binary.LittleEndian
 
-// FrameError is a /shard/* body the decoder refuses. The router answers
-// 502 for one in a response, the shard 400 for one in a request.
+// FrameError is a /shard/papers body the decoder refuses; the router
+// answers 502 for one.
 type FrameError struct{ Reason string }
 
 func (e *FrameError) Error() string { return "cluster: bad shard frame: " + e.Reason }
@@ -37,29 +39,23 @@ type frame struct {
 	err   error // a *FrameError
 }
 
-// message is one of the three bodies: walk visits its fields in wire order,
-// wireSize is the body length (span tree aside) the encoder allocates.
-type message interface {
-	walk(*frame)
-	wireSize() int
-}
-
-// encodeFrame writes one message: header, then its fields.
-func encodeFrame(tag byte, m message) []byte {
-	f := frame{write: true, b: append(make([]byte, 0, frameHeaderLen+m.wireSize()), tag, frameVersion)}
-	m.walk(&f)
+// encodeFrame writes one response: header, then its fields.
+func encodeFrame(r *PapersResponse) []byte {
+	f := frame{write: true, b: append(make([]byte, 0, frameHeaderLen+r.wireSize()), tagPapers, frameVersion)}
+	r.walk(&f)
 	return f.b
 }
 
-// decodeFrame reads one message into m. It refuses a frame that does not
-// open with tag and this version — a JSON body, a peer from before the
-// frame, fails there on its first byte — and one with bytes left over.
-func decodeFrame(b []byte, tag byte, m message) error {
+// decodeFrame reads one response into r, whose strings and author lists
+// it allocates once each, not per entry. It refuses a frame that does not
+// open with the tag and this version — a JSON body, a peer that speaks
+// version 1, fails there on its first bytes — and one with bytes left over.
+func decodeFrame(b []byte, r *PapersResponse) error {
 	f := frame{b: b}
-	if h := f.field(frameHeaderLen); h == nil || h[0] != tag || h[1] != frameVersion {
-		f.fail("header %q, want tag %q version %d", b[:min(len(b), frameHeaderLen)], tag, frameVersion)
+	if h := f.field(frameHeaderLen); h == nil || h[0] != tagPapers || h[1] != frameVersion {
+		f.fail("header %q, want tag %q version %d", b[:min(len(b), frameHeaderLen)], tagPapers, frameVersion)
 	}
-	if m.walk(&f); f.err == nil && len(f.b) != 0 {
+	if r.walk(&f); f.err == nil && len(f.b) != 0 {
 		f.fail("%d trailing bytes", len(f.b))
 	}
 	return f.err
@@ -88,8 +84,8 @@ func (f *frame) field(n int) []byte {
 	return out
 }
 
-// i32 carries ids, ranks and counts, all within int32.
-func i32[T int | int32](f *frame, v *T) {
+// i32 carries ids and counts, all within int32.
+func i32[T int | ~int32](f *frame, v *T) {
 	if b := f.field(4); f.write {
 		le.PutUint32(b, uint32(int32(*v)))
 	} else if b != nil {
@@ -133,7 +129,18 @@ func (f *frame) str(s *string) {
 	}
 }
 
-// trace closes both responses: the span tree as length-prefixed JSON, of
+// share checks one part against what is left of a total the frame declared
+// ahead of it — the array behind every author list, the string behind
+// every name — and refuses a part larger than that.
+func (f *frame) share(n, left int) bool {
+	if n < 0 || n > left {
+		f.fail("a length of %d exceeds the %d left of the declared total", uint32(n), left)
+		return false
+	}
+	return true
+}
+
+// trace closes the response: the span tree as length-prefixed JSON, of
 // length 0 unless the request asked for it.
 func (f *frame) trace(t **obs.SpanNode) {
 	var js []byte
@@ -152,62 +159,83 @@ func (f *frame) trace(t **obs.SpanNode) {
 	}
 }
 
-func (r *PapersResponse) wireSize() int { return 12 + 20*len(r.Papers) } // without text and authors
+// totals are the two sums the frame declares ahead of their parts: author
+// ids over all lists, name bytes over the table.
+func (r *PapersResponse) totals() (ids, names int) {
+	for i := range r.Papers {
+		ids += len(r.Papers[i].Authors)
+	}
+	for i := range r.Authors {
+		names += len(r.Authors[i].Name)
+	}
+	return ids, names
+}
+
+// wireSize is the body length, text and span tree aside, the encoder
+// allocates up front.
+func (r *PapersResponse) wireSize() int {
+	ids, names := r.totals()
+	return 24 + 20*len(r.Papers) + 4*ids + 12*len(r.Authors) + names
+}
 
 func (r *PapersResponse) walk(f *frame) {
+	ids, names := 0, 0
+	if f.write {
+		ids, names = r.totals()
+	}
 	i32(f, &r.Shard)
-	for i := range list(f, &r.Papers, 20) {
-		p := &r.Papers[i]
+	papers := list(f, &r.Papers, 20)
+	var arena []hetgraph.NodeID // reading: the one array behind every list
+	if ids = f.count(ids, 4); !f.write {
+		arena = make([]hetgraph.NodeID, ids)
+	}
+	for i := range papers {
+		p := &papers[i]
 		i32(f, &p.ID)
 		f.f64(&p.Dist)
 		f.str(&p.Text)
-		for j := range list(f, &p.Authors, 4) {
-			f.str(&p.Authors[j])
+		if a := f.count(len(p.Authors), 4); !f.write && a > 0 && f.share(a, len(arena)) {
+			p.Authors, arena = arena[:a:a], arena[a:]
+		}
+		for j := range p.Authors {
+			i32(f, &p.Authors[j])
 		}
 	}
-	f.trace(&r.Trace)
-}
 
-func (q *ExpertsRequest) wireSize() int { return 4 + 8*len(q.Papers) }
-
-func (q *ExpertsRequest) walk(f *frame) {
-	for i := range list(f, &q.Papers, 8) {
-		i32(f, &q.Papers[i].ID)
-		i32(f, &q.Papers[i].Rank)
+	table := list(f, &r.Authors, 12)
+	var blob string // reading: the one string behind every name
+	if names = f.count(names, 1); f.write {
+		for i := range table {
+			f.b = append(f.b, table[i].Name...)
+		}
+	} else {
+		blob = string(f.field(names))
 	}
-}
-
-func (r *ShardExpertsResponse) walk(f *frame) {
-	if !f.write { // version 1 has no truncated lists: neither is on the wire
-		r.Exhausted, r.Threshold = true, 0
-	}
-	i32(f, &r.Shard)
-	for i := range list(f, &r.Experts, 24) {
-		e := &r.Experts[i]
-		i32(f, &e.ID)
-		f.f64(&e.Score)
-		i32(f, &e.Papers)
-		f.str(&e.Name)
-		for j := range list(f, &e.Contribs, 12) {
-			i32(f, &e.Contribs[j].Rank)
-			f.f64(&e.Contribs[j].S)
+	for i := range table {
+		a := &table[i]
+		i32(f, &a.ID)
+		i32(f, &a.Papers)
+		n := len(a.Name)
+		if i32(f, &n); f.write {
+			continue
+		}
+		if f.share(n, len(blob)) {
+			a.Name, blob = blob[:n], blob[n:]
+		}
+		if i > 0 && a.ID <= table[i-1].ID {
+			f.fail("author table is not in ascending id order at entry %d", i)
 		}
 	}
-	f.trace(&r.Trace)
-}
-
-func (r *ShardExpertsResponse) wireSize() int {
-	size := 12
-	for i := range r.Experts {
-		size += 24 + len(r.Experts[i].Name) + 12*len(r.Experts[i].Contribs)
+	if !f.write && len(arena)+len(blob) != 0 {
+		f.fail("%d author ids and %d name bytes are declared and in no list", len(arena), len(blob))
 	}
-	return size
+	f.trace(&r.Trace)
 }
 
 // frameShard reads the shard id a response frame claims without decoding
 // the rest; ok is false for anything that is not a response frame.
 func frameShard(b []byte) (shard int, ok bool) {
-	if len(b) < frameHeaderLen+4 || (b[0] != tagPapers && b[0] != tagExperts) {
+	if len(b) < frameHeaderLen+4 || b[0] != tagPapers {
 		return 0, false
 	}
 	return int(int32(le.Uint32(b[frameHeaderLen:]))), true

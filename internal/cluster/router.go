@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,10 +45,11 @@ func (c RouterConfig) withDefaults() RouterConfig {
 }
 
 // Router is the scatter-gather front of a sharded cluster. It holds no
-// corpus: queries fan out to the shard replicas through a ShardClient and
-// the shards' complete partial lists merge in finalRanking. Responses
-// match the single-node /experts and /papers shapes byte for byte, so
-// clients cannot tell the topologies apart.
+// corpus: a query fans out once to the shard replicas through a
+// ShardClient, and the router ranks experts itself over the papers and
+// author lists that come back (rankExperts). Responses match the
+// single-node /experts and /papers bodies field for field, so clients
+// cannot tell the topologies apart.
 type Router struct {
 	mux    *http.ServeMux
 	client *ShardClient
@@ -144,9 +144,10 @@ func (rt *Router) queryContext(w http.ResponseWriter, r *http.Request) (context.
 }
 
 // writeRouterError maps fan-out failures onto client statuses: a whole
-// shard down is 502 (the merge would be silently wrong without its
-// partials — correctness beats availability); an expired budget (504,
-// counted), a departed client (499) and the rest map as on a single node.
+// shard down, or shards whose answers cannot be merged, is 502 (the merge
+// would be silently wrong — correctness beats availability); an expired
+// budget (504, counted), a departed client (499) and the rest map as on a
+// single node.
 func (rt *Router) writeRouterError(w http.ResponseWriter, err error) bool {
 	var se *shardError
 	if errors.As(err, &se) && !errors.Is(err, context.DeadlineExceeded) {
@@ -158,11 +159,11 @@ func (rt *Router) writeRouterError(w http.ResponseWriter, err error) bool {
 	return rt.envelope().WriteQueryError(w, err)
 }
 
-// rankedPaper is one globally merged retrieved paper with its origin.
+// rankedPaper is one globally merged retrieved paper with the shard it
+// came from; its global rank is its position in the merged list plus one.
 type rankedPaper struct {
 	WirePaper
 	shard int
-	rank  int
 }
 
 // startFanout opens the per-shard fan-out span under ctx: the parent of
@@ -174,9 +175,11 @@ func startFanout(ctx context.Context, shard int) (context.Context, *obs.Span) {
 	return fctx, span
 }
 
-// scatterPapers fans GET /shard/papers out to every shard and returns the
-// per-shard results. Any shard failing entirely fails the query.
-func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool) ([]*PapersResponse, error) {
+// scatterPapers fans GET /shard/papers out to every shard — detail is
+// "&authors=1", "&meta=1" or empty — and returns the per-shard results.
+// Any shard failing entirely fails the query.
+func (rt *Router) scatterPapers(ctx context.Context, q string, m int, detail string) ([]*PapersResponse, error) {
+	path := "/shard/papers?q=" + url.QueryEscape(q) + "&m=" + strconv.Itoa(m) + detail
 	s := rt.client.NumShards()
 	resps := make([]*PapersResponse, s)
 	errs := make([]error, s)
@@ -185,10 +188,6 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			path := "/shard/papers?q=" + url.QueryEscape(q) + "&m=" + strconv.Itoa(m)
-			if meta {
-				path += "&meta=1"
-			}
 			fctx, fanout := startFanout(ctx, i)
 			defer fanout.End()
 			b, err := rt.client.Get(fctx, i, path)
@@ -197,7 +196,7 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool)
 				return
 			}
 			var pr PapersResponse
-			if err := decodeFrame(b, tagPapers, &pr); err != nil {
+			if err := decodeFrame(b, &pr); err != nil {
 				errs[i] = &shardError{shard: i, err: fmt.Errorf("bad papers payload: %w", err)}
 				return
 			}
@@ -217,184 +216,136 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool)
 	return resps, nil
 }
 
-// mergePapers combines per-shard retrieval lists into the global top-m by
-// (distance ascending, id ascending) — the exact comparator of the
-// single-node brute-force retrieval, applied to the same distance bits,
-// so the merged list equals the single-node list when shards retrieve
-// exactly. A paper's owner is the shard that was ASKED, not the id in the
-// payload (the client refuses a frame that claims another shard).
-func mergePapers(resps []*PapersResponse, m int) []rankedPaper {
+// before is the one retrieval order, (distance ascending, id ascending):
+// the comparator of the single-node exact retrieval.
+func (p *WirePaper) before(q *WirePaper) bool {
+	return p.Dist < q.Dist || (p.Dist == q.Dist && p.ID < q.ID)
+}
+
+// mergePapers merges the shards' retrieval lists, each already in
+// retrieval order, into the global top-m under that order applied to the
+// same distance bits, so the merged list equals the single-node list when
+// shards retrieve exactly. A paper's owner is the shard that was ASKED, not
+// the id in the payload (the client refuses a frame that claims another
+// shard). It refuses, naming the shards, what would corrupt the expert sum:
+// a list out of order, and a paper two shards both returned — or one
+// returned twice — which would be summed twice.
+func mergePapers(resps []*PapersResponse, m int) ([]rankedPaper, error) {
 	total := 0
 	for _, r := range resps {
 		total += len(r.Papers)
 	}
-	all := make([]rankedPaper, 0, total)
-	for i, r := range resps {
-		for _, p := range r.Papers {
-			all = append(all, rankedPaper{WirePaper: p, shard: i})
+	out := make([]rankedPaper, 0, min(m, total))
+	next := make([]int, len(resps)) // per shard, the head of its list
+	for len(out) < cap(out) {
+		var head *WirePaper
+		from := -1
+		for i, r := range resps {
+			if next[i] == len(r.Papers) {
+				continue
+			}
+			p := &r.Papers[next[i]]
+			switch {
+			case head == nil || p.before(head):
+				head, from = p, i
+			case !head.before(p):
+				return nil, &shardError{shard: i, err: fmt.Errorf("paper %d also came from shard %d", p.ID, from)}
+			}
 		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
+		if k := next[from]; k > 0 && !resps[from].Papers[k-1].before(head) {
+			return nil, &shardError{shard: from, err: fmt.Errorf(
+				"papers %d and %d are not in (distance, id) order", resps[from].Papers[k-1].ID, head.ID)}
 		}
-		return all[i].ID < all[j].ID
-	})
-	if len(all) > m {
-		all = all[:m]
+		out = append(out, rankedPaper{WirePaper: *head, shard: from})
+		next[from]++
 	}
-	for i := range all {
-		all[i].rank = i + 1
-	}
-	return all
+	return out, nil
 }
 
-// scatterExperts fans POST /shard/experts out to the shards owning at
-// least one ranked paper, each receiving its papers once. The returned
-// slice is indexed by shard; shards with no papers stay nil.
-func (rt *Router) scatterExperts(ctx context.Context, papers []rankedPaper) ([]*ShardExpertsResponse, error) {
-	s := rt.client.NumShards()
-	perShard := make([][]RankedPaper, s)
+// findAuthor looks an author up in the shards' tables, which are in
+// ascending id order; every shard that lists the author says the same of it.
+func findAuthor(resps []*PapersResponse, id hetgraph.NodeID) (WireAuthor, bool) {
+	for _, r := range resps {
+		if i, ok := slices.BinarySearchFunc(r.Authors, id, func(a WireAuthor, id hetgraph.NodeID) int {
+			return cmp.Compare(a.ID, id)
+		}); ok {
+			return r.Authors[i], true
+		}
+	}
+	return WireAuthor{}, false
+}
+
+// missingAuthor is the refusal of an author some paper lists and no table
+// holds; it names the shards whose papers list it.
+func missingAuthor(papers []rankedPaper, id hetgraph.NodeID) error {
+	var shards []int
 	for _, p := range papers {
-		perShard[p.shard] = append(perShard[p.shard], RankedPaper{ID: p.ID, Rank: p.rank})
-	}
-	resps := make([]*ShardExpertsResponse, s)
-	errs := make([]error, s)
-	var wg sync.WaitGroup
-	for i := 0; i < s; i++ {
-		if len(perShard[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fctx, fanout := startFanout(ctx, i)
-			defer fanout.End()
-			b, err := rt.client.Post(fctx, i, "/shard/experts",
-				encodeFrame(tagRequest, &ExpertsRequest{Papers: perShard[i]}))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var er ShardExpertsResponse
-			if err := decodeFrame(b, tagExperts, &er); err != nil {
-				errs[i] = &shardError{shard: i, err: fmt.Errorf("bad experts payload: %w", err)}
-				return
-			}
-			fanout.End()
-			if er.Trace != nil {
-				fanout.Graft(*er.Trace)
-			}
-			resps[i] = &er
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if slices.Contains(p.Authors, id) && !slices.Contains(shards, p.shard) {
+			shards = append(shards, p.shard)
 		}
 	}
-	return resps, nil
+	slices.Sort(shards)
+	return &shardError{shard: shards[0], err: fmt.Errorf(
+		"author %d is in no author table; shards %v sent papers listing it", id, shards)}
 }
 
-// mergedExpert is one globally ranked expert after the distributed merge.
-type mergedExpert struct {
-	id     int32
-	score  float64
-	name   string
-	papers int
-}
-
-// rankExperts runs the two-round distributed pipeline: retrieval scatter
-// + global rank assignment, then one expert scatter whose complete
-// per-shard lists finalRanking merges. It returns the global top-n and
-// the number of distinct candidates merged.
-func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]mergedExpert, int, error) {
+// rankExperts is the distributed pipeline in one round: scatter the
+// retrieval with author lists, then rank what came back.
+func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.ExpertResult, ta.Stats, error) {
 	sctx, sp := obs.StartSpan(ctx, "scatter_papers")
-	r1, err := rt.scatterPapers(sctx, q, m, false)
+	resps, err := rt.scatterPapers(sctx, q, m, "&authors=1")
 	sp.End()
 	if err != nil {
-		return nil, 0, err
+		return nil, ta.Stats{}, err
 	}
-	_, mp := obs.StartSpan(ctx, "merge_papers")
-	papers := mergePapers(r1, m)
-	mp.End()
-
-	ectx, es := obs.StartSpan(ctx, "scatter_experts")
-	resps, err := rt.scatterExperts(ectx, papers)
-	es.End()
-	if err != nil {
-		return nil, 0, err
-	}
-	experts, candidates := finalRanking(resps, n)
-	return experts, candidates, nil
+	return rankResponses(ctx, resps, m, n)
 }
 
-// finalRanking is the distributed merge: every shard's list is complete
-// (the only kind the frame can carry), so the global ranking is the
-// single-node computation over the union of their per-paper
-// contributions — flattened, ordered by ascending global rank (the
-// single-node summation order) and fed to the accumulator and selector
-// ta.TopExperts itself runs on. Scores, and therefore tie behaviour, are
-// bit-identical to single-node TopExperts. It returns the top n and the
-// number of distinct candidates.
-func finalRanking(resps []*ShardExpertsResponse, n int) ([]mergedExpert, int) {
-	type term struct {
-		expert int32
-		Contribution
+// rankResponses merges the shards' answers into the global top-m and runs
+// the single node's own expert sum (ta.TopExpertsOf) over the merged author
+// lists: every term of Eq. 4 needs only a paper's global rank and its
+// ordered authors, both of which the router holds, so scores, ties and work
+// stats are the single node's, bit for bit. The n winners take their name
+// and paper count from the shards' author tables.
+func rankResponses(ctx context.Context, resps []*PapersResponse, m, n int) ([]serve.ExpertResult, ta.Stats, error) {
+	_, mp := obs.StartSpan(ctx, "merge_papers")
+	papers, err := mergePapers(resps, m)
+	mp.End()
+	if err != nil {
+		return nil, ta.Stats{}, err
 	}
-	var terms []term
-	for _, r := range resps {
-		if r == nil {
-			continue
-		}
-		for _, e := range r.Experts {
-			for _, c := range e.Contribs {
-				terms = append(terms, term{e.ID, c})
-			}
-		}
-	}
-	slices.SortStableFunc(terms, func(a, b term) int { return cmp.Compare(a.Rank, b.Rank) })
-	sc := ta.NewScores(len(terms))
-	for _, t := range terms {
-		sc.Add(hetgraph.NodeID(t.expert), t.S)
-	}
-	top := sc.Top(n)
 
-	// Name and paper count ride on every shard's entry for an expert;
-	// only the n winners need them.
-	out := make([]mergedExpert, len(top))
-	at := make(map[int32]int, len(top))
+	rctx, rs := obs.StartSpan(ctx, "rank")
+	defer rs.End()
+	top, st, err := ta.TopExpertsOf(rctx, len(papers), func(j int) []hetgraph.NodeID { return papers[j].Authors }, n)
+	if err != nil {
+		return nil, st, err
+	}
+	experts := make([]serve.ExpertResult, len(top))
 	for i, r := range top {
-		out[i] = mergedExpert{id: int32(r.Expert), score: r.Score}
-		at[out[i].id] = i
-	}
-	for _, r := range resps {
-		if r == nil {
-			continue
+		a, ok := findAuthor(resps, r.Expert)
+		if !ok {
+			return nil, st, missingAuthor(papers, r.Expert)
 		}
-		for _, e := range r.Experts {
-			if i, ok := at[e.ID]; ok {
-				out[i].name, out[i].papers = e.Name, e.Papers
-			}
-		}
+		experts[i] = serve.ExpertResult{Rank: i + 1, ID: int32(r.Expert), Name: a.Name, Score: r.Score, Papers: a.Papers}
 	}
-	return out, sc.Len()
+	return experts, st, nil
 }
 
 func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	n, err := serve.IntParam(r, "n", rt.cfg.DefaultN, rt.cfg.MaxN)
+	n, err := serve.IntParam(params, "n", rt.cfg.DefaultN, rt.cfg.MaxN)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	m, err := serve.IntParam(r, "m", rt.cfg.DefaultM, rt.cfg.MaxM)
+	m, err := serve.IntParam(params, "m", rt.cfg.DefaultM, rt.cfg.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -406,28 +357,19 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 	// hedge below shares its trace id, and the middleware capture picks
 	// it up for the trace store.
 	qctx, root := obs.StartSpan(ctx, "query")
-	experts, candidates, err := rt.rankExperts(qctx, q, m, n)
+	experts, st, err := rt.rankExperts(qctx, q, m, n)
 	root.End()
 	if rt.writeRouterError(w, err) {
 		return
 	}
 	resp := serve.ExpertsResponse{
 		Query:      q,
+		Experts:    experts,
 		ResponseMs: float64(time.Since(start).Microseconds()) / 1000,
-		Candidates: candidates,
-		TADepth:    1, // one expert round, certified by construction
-		Experts:    make([]serve.ExpertResult, 0, len(experts)),
+		Candidates: st.Candidates,
+		TADepth:    st.Depth,
 	}
-	for i, e := range experts {
-		resp.Experts = append(resp.Experts, serve.ExpertResult{
-			Rank:   i + 1,
-			ID:     e.id,
-			Name:   e.name,
-			Score:  e.score,
-			Papers: e.papers,
-		})
-	}
-	if r.URL.Query().Get("debug") == "1" {
+	if params.Get("debug") == "1" {
 		resp.Debug = &serve.QueryDebug{
 			TraceID: root.TraceID().String(),
 			Stages:  serve.StagesFromTree(root.Tree()),
@@ -437,12 +379,13 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	m, err := serve.IntParam(r, "m", rt.cfg.DefaultN, rt.cfg.MaxM)
+	m, err := serve.IntParam(params, "m", rt.cfg.DefaultN, rt.cfg.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -450,20 +393,26 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryContext(w, r)
 	defer cancel()
 	qctx, root := obs.StartSpan(ctx, "papers")
-	resps, err := rt.scatterPapers(qctx, q, m, true)
+	resps, err := rt.scatterPapers(qctx, q, m, "&meta=1")
 	root.End()
 	if rt.writeRouterError(w, err) {
 		return
 	}
-	merged := mergePapers(resps, m)
-	out := make([]serve.PaperResult, 0, len(merged))
-	for _, p := range merged {
-		out = append(out, serve.PaperResult{
-			Rank:    p.rank,
-			ID:      p.ID,
-			Text:    serve.Truncate(p.Text, 120),
-			Authors: p.Authors,
-		})
+	merged, err := mergePapers(resps, m)
+	if rt.writeRouterError(w, err) {
+		return
+	}
+	out := make([]serve.PaperResult, len(merged))
+	for i, p := range merged {
+		out[i] = serve.PaperResult{Rank: i + 1, ID: p.ID, Text: serve.Truncate(p.Text, 120)}
+		for _, id := range p.Authors {
+			a, ok := findAuthor(resps, id)
+			if !ok {
+				rt.writeRouterError(w, missingAuthor(merged, id))
+				return
+			}
+			out[i].Authors = append(out[i].Authors, a.Name)
+		}
 	}
 	rt.envelope().WriteJSON(w, out)
 }

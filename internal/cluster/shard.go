@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -22,18 +21,16 @@ const BudgetHeader = "X-Budget-Ms"
 
 // MountShard exposes the internal shard API on an existing serve.Server:
 //
-//	GET  /shard/papers?q=&m=[&meta=1]  -> PapersResponse
-//	POST /shard/experts ExpertsRequest -> ShardExpertsResponse
+//	GET /shard/papers?q=&m=[&authors=1][&meta=1] -> PapersResponse
 //
-// with every body in the frame proto.go lays out.
-// The routes ride the server's observability middleware and in-flight
-// shedding like the public ones, and honour the X-Budget-Ms deadline
-// budget. The server's /healthz topology block is set to the shard's
-// coordinates (satisfying probes that must tell topology members apart).
+// with the body in the frame proto.go lays out. The route rides the
+// server's observability middleware like the public ones, and honours the
+// X-Budget-Ms deadline budget. The server's /healthz topology block is set
+// to the shard's coordinates (satisfying probes that must tell topology
+// members apart).
 func MountShard(srv *serve.Server, se *ShardEngine) {
 	sh := &shardAPI{se: se}
 	srv.Handle("/shard/papers", sh.handlePapers)
-	srv.Handle("/shard/experts", sh.handleExperts)
 	srv.SetTopology(serve.Topology{
 		Role:        "shard",
 		ShardID:     se.ID(),
@@ -43,8 +40,8 @@ func MountShard(srv *serve.Server, se *ShardEngine) {
 }
 
 // MountFollowerShard exposes the shard API on a replication follower,
-// making it a drop-in member of a router replica set: same /shard/*
-// routes, same wire shapes, but the engine underneath is replicated
+// making it a drop-in member of a router replica set: same /shard/papers
+// route, same wire shape, but the engine underneath is replicated
 // from a leader rather than locally written. The differences are all
 // lifecycle — /healthz reports role "follower", /readyz stays 503
 // (status "replication_lag") until the follower's lag is within its
@@ -118,17 +115,19 @@ func exportTree(span *obs.Span, r *http.Request) *obs.SpanNode {
 }
 
 func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	m, err := strconv.Atoi(r.URL.Query().Get("m"))
+	m, err := strconv.Atoi(params.Get("m"))
 	if err != nil || m < 1 {
 		http.Error(w, "parameter m must be a positive integer", http.StatusBadRequest)
 		return
 	}
-	withMeta := r.URL.Query().Get("meta") == "1"
+	withText := params.Get("meta") == "1"
+	withAuthors := withText || params.Get("authors") == "1"
 	// The root span joins the router's trace through the remote context
 	// the serve middleware extracted from X-Trace-Context.
 	sctx, span := obs.StartSpan(r.Context(), "shard_papers")
@@ -141,52 +140,8 @@ func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
 	if writeShardError(w, err) {
 		return
 	}
-	resp := PapersResponse{Shard: sh.se.ID(), Papers: make([]WirePaper, 0, len(res))}
-	for _, p := range res {
-		wp := WirePaper{ID: int32(p.ID), Dist: p.Dist}
-		if withMeta {
-			wp.Text, wp.Authors = sh.se.PaperMeta(p.ID)
-		}
-		resp.Papers = append(resp.Papers, wp)
-	}
+	resp := sh.se.Papers(res, withAuthors, withText)
 	resp.Trace = exportTree(span, r)
 	w.Header().Set("Content-Type", frameContentType)
-	w.Write(encodeFrame(tagPapers, &resp))
-}
-
-func (sh *shardAPI) handleExperts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		http.Error(w, "unreadable body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req ExpertsRequest
-	if err := decodeFrame(body, tagRequest, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sctx, span := obs.StartSpan(r.Context(), "shard_experts")
-	span.Annotate("shard", strconv.Itoa(sh.se.ID()))
-	defer span.End()
-	ctx, cancel := budgetContext(sctx, r)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		writeShardError(w, err)
-		return
-	}
-	_, score := obs.StartSpan(ctx, "score")
-	resp, err := sh.se.ScoreExperts(req)
-	score.End()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp.Trace = exportTree(span, r)
-	w.Header().Set("Content-Type", frameContentType)
-	w.Write(encodeFrame(tagExperts, &resp))
+	w.Write(encodeFrame(&resp))
 }

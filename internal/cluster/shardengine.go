@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"expertfind/internal/core"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 	"expertfind/internal/pgindex"
-	"expertfind/internal/ta"
 	"expertfind/internal/vec"
 )
 
@@ -36,10 +35,9 @@ type ShardConfig struct {
 // corpus — the document encoder is corpus-trained, so every process must
 // hold the same model for embeddings (and therefore distances and ranks)
 // to agree across the cluster. What the shard restricts is the SERVING
-// state: retrieval searches only the owned embeddings, and expert scoring
-// sums only over owned papers. That state is carved out once, at
-// construction: papers the engine accepts later are not retrievable
-// through the shard until it is rebuilt.
+// state: retrieval searches only the owned embeddings. That state is
+// carved out once, at construction: papers the engine accepts later are
+// not retrievable through the shard until it is rebuilt.
 type ShardEngine struct {
 	eng   *core.Engine
 	cfg   ShardConfig
@@ -116,91 +114,41 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 	return pgindex.Scan(ctx, se.ids, se.rows, qv, m)
 }
 
-// ScoreExperts computes the shard's complete partial expert ranking over
-// the given owned papers with their GLOBAL ranks: for each paper at
-// global rank j, each author at Zipf position i contributes
-// ExpertScore(j, i, numAuthors) to its partial sum.
-//
-// Per-expert sums accumulate in ascending global rank — the single-node
-// summation order — and each entry carries its per-paper contributions so
-// the router can extend that order across shards. The returned list is
-// complete and sorted under ta.Ranking.Before on the partial scores. A
-// request naming a paper this shard does not own, a rank below 1, a paper
-// twice or two papers at one rank is refused before anything is scored:
-// a repeated paper would be summed twice and equal ranks have no
-// summation order.
-//
-// The graph is read under the engine's lock: a shard accepts POST /add
-// while it scores.
-func (se *ShardEngine) ScoreExperts(req ExpertsRequest) (resp ShardExpertsResponse, err error) {
-	se.eng.ReadGraph(func(g *hetgraph.Graph) { resp, err = se.scoreExperts(g, req) })
-	return resp, err
-}
-
-func (se *ShardEngine) scoreExperts(g *hetgraph.Graph, req ExpertsRequest) (ShardExpertsResponse, error) {
-	resp := ShardExpertsResponse{Shard: se.cfg.ID, Exhausted: true}
-
-	papers := append([]RankedPaper(nil), req.Papers...)
-	sort.SliceStable(papers, func(i, j int) bool { return papers[i].Rank < papers[j].Rank })
-	seen := make(map[int32]bool, len(papers))
-	for i, rp := range papers {
-		switch {
-		case !se.owned[hetgraph.NodeID(rp.ID)]:
-			return resp, fmt.Errorf("cluster: paper %d is not owned by shard %d/%d",
-				rp.ID, se.cfg.ID, se.cfg.Of)
-		case rp.Rank < 1:
-			return resp, fmt.Errorf("cluster: paper %d has invalid rank %d", rp.ID, rp.Rank)
-		case i > 0 && rp.Rank == papers[i-1].Rank:
-			return resp, fmt.Errorf("cluster: papers %d and %d share rank %d", papers[i-1].ID, rp.ID, rp.Rank)
-		case seen[rp.ID]:
-			return resp, fmt.Errorf("cluster: paper %d is listed twice", rp.ID)
-		}
-		seen[rp.ID] = true
-	}
-
-	type acc struct {
-		ta.Ranking // the partial sum
-		contribs   []Contribution
-	}
-	sums := map[hetgraph.NodeID]*acc{}
-	var order []*acc
-	for _, rp := range papers {
-		authors := g.AuthorsOf(hetgraph.NodeID(rp.ID))
-		for i, a := range authors {
-			s := ta.ExpertScore(rp.Rank, i+1, len(authors))
-			e := sums[a]
-			if e == nil {
-				e = &acc{Ranking: ta.Ranking{Expert: a}}
-				sums[a] = e
-				order = append(order, e)
-			}
-			e.Score += s
-			e.contribs = append(e.contribs, Contribution{Rank: rp.Rank, S: s})
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].Before(order[j].Ranking) })
-
-	resp.Experts = make([]WireExpert, 0, len(order))
-	for _, e := range order {
-		resp.Experts = append(resp.Experts, WireExpert{
-			ID:       int32(e.Expert),
-			Score:    e.Score,
-			Name:     g.Label(e.Expert),
-			Papers:   len(g.PapersOf(e.Expert)),
-			Contribs: e.contribs,
-		})
-	}
-	return resp, nil
-}
-
-// PaperMeta fills the metadata fields of a WirePaper for /papers
-// responses, mirroring the single-node PaperResult shape.
-func (se *ShardEngine) PaperMeta(p hetgraph.NodeID) (text string, authors []string) {
+// Papers renders retrieved papers as the /shard/papers payload under ONE
+// read of the graph — a shard accepts POST /add while it answers — copying
+// what it reads: with authors, each paper's ordered author ids (one array
+// behind every list) and the table of those authors, each once in
+// ascending id order (sorted and compacted: a few hundred ids are cheaper
+// to sort than to hash); with text, the papers' text too.
+func (se *ShardEngine) Papers(res []pgindex.Result, authors, text bool) PapersResponse {
+	resp := PapersResponse{Shard: se.cfg.ID, Papers: make([]WirePaper, len(res))}
 	se.eng.ReadGraph(func(g *hetgraph.Graph) {
-		text = g.Label(p)
-		for _, a := range g.AuthorsOf(p) {
-			authors = append(authors, g.Label(a))
+		ids := 0
+		for i, p := range res {
+			resp.Papers[i] = WirePaper{ID: int32(p.ID), Dist: p.Dist}
+			if text {
+				resp.Papers[i].Text = g.Label(p.ID)
+			}
+			if authors {
+				ids += len(g.AuthorsOf(p.ID))
+			}
+		}
+		if ids == 0 {
+			return
+		}
+		arena := make([]hetgraph.NodeID, 0, ids)
+		for i, p := range res {
+			from := len(arena)
+			arena = append(arena, g.AuthorsOf(p.ID)...)
+			resp.Papers[i].Authors = arena[from:len(arena):len(arena)]
+		}
+		distinct := slices.Clone(arena)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		resp.Authors = make([]WireAuthor, len(distinct))
+		for i, a := range distinct {
+			resp.Authors[i] = WireAuthor{ID: a, Papers: len(g.PapersOf(a)), Name: g.Label(a)}
 		}
 	})
-	return text, authors
+	return resp
 }

@@ -249,35 +249,31 @@ func TestTraceAssemblyAcrossCluster(t *testing.T) {
 		t.Fatalf("unexpected record: trace=%s root=%q", rec.TraceID, rec.Root.Name)
 	}
 
-	// Router-side structure: the two scatter stages, once each.
-	if rec.Root.Find("scatter_papers") == nil {
-		t.Fatal("assembled trace missing scatter_papers span")
+	// Router-side structure: ONE scatter span holding one fan-out per shard,
+	// each with that shard's own subtree grafted in under it (carrying its
+	// shard attr), then the merge and the rank — and no second round.
+	names := map[string]int{}
+	walkNodes(rec.Root, func(nd obs.SpanNode) { names[nd.Name]++ })
+	if names["scatter_papers"] != 1 || names["merge_papers"] != 1 || names["rank"] != 1 ||
+		names["fanout"] != shards || names["shard_papers"] != shards ||
+		names["scatter_experts"]+names["shard_experts"] != 0 {
+		t.Fatalf("assembled trace has spans %v; want one scatter_papers over %d fanout/shard_papers, one merge_papers, one rank", names, shards)
 	}
-	rounds := 0
-	walkNodes(rec.Root, func(nd obs.SpanNode) {
-		if nd.Name == "scatter_experts" {
-			rounds++
-		}
-	})
-	if rounds != 1 {
-		t.Fatalf("assembled trace shows %d scatter_experts spans, want 1", rounds)
+	scatter := rec.Root.Find("scatter_papers")
+	if len(scatter.Children) != shards {
+		t.Fatalf("scatter_papers has %d children, want %d fan-outs", len(scatter.Children), shards)
 	}
-
-	// Every shard's subtree is grafted in, carrying its shard attr and
-	// its own pipeline spans (encode/search under shard_papers).
 	seen := map[string]bool{}
-	walkNodes(rec.Root, func(nd obs.SpanNode) {
-		if nd.Name == "shard_papers" || nd.Name == "shard_experts" {
-			seen[nd.Name+"/"+nd.Attrs["shard"]] = true
+	for _, fanout := range scatter.Children {
+		sub := fanout.Find("shard_papers")
+		if fanout.Name != "fanout" || sub == nil || sub.Attrs["shard"] != fanout.Attrs["shard"] {
+			t.Fatalf("fan-out %+v does not hold its shard's grafted subtree", fanout)
 		}
-	})
+		seen[sub.Attrs["shard"]] = true
+	}
 	for i := 0; i < shards; i++ {
-		is := strconv.Itoa(i)
-		if !seen["shard_papers/"+is] {
+		if !seen[strconv.Itoa(i)] {
 			t.Errorf("no grafted shard_papers subtree for shard %d (saw %v)", i, seen)
-		}
-		if !seen["shard_experts/"+is] {
-			t.Errorf("no grafted shard_experts subtree for shard %d (saw %v)", i, seen)
 		}
 	}
 	if sp := rec.Root.Find("shard_papers"); sp != nil && sp.Find("search") == nil {

@@ -224,9 +224,15 @@ func labelKey(labels []Label) string {
 	return b.String()
 }
 
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// escapeLabel escapes a label value for the exposition format. It runs on
+// every labelled metric lookup, and almost no value needs escaping.
 func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	return labelEscaper.Replace(v)
 }
 
 // declare creates the family for name without any series, fixing its

@@ -162,6 +162,25 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestEscapeLabel pins the exposition escaping of backslash, quote and
+// newline, and that a value with none of them comes back as it went in.
+func TestEscapeLabel(t *testing.T) {
+	for in, want := range map[string]string{
+		"":                "",
+		"/experts":        "/experts",
+		"query/rank":      "query/rank",
+		`C:\dir`:          `C:\\dir`,
+		`say "hi"`:        `say \"hi\"`,
+		"two\nlines":      `two\nlines`,
+		"\\\"\n":          `\\\"\n`,
+		`already \\ done`: `already \\\\ done`,
+	} {
+		if got := escapeLabel(in); got != want {
+			t.Errorf("escapeLabel(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(2)

@@ -419,20 +419,20 @@ func TestTraceStoreRingEviction(t *testing.T) {
 }
 
 func TestTraceStoreMultipleRecordsPerTrace(t *testing.T) {
-	// A shard serves both /shard/papers and /shard/experts for the same
-	// query: two records share one trace id and Get returns both.
+	// A shard can serve two sub-requests of one query (a hedged or retried
+	// /shard/papers): two records share one trace id and Get returns both.
 	st := NewTraceStore(TracePolicy{Capacity: 8, SlowestN: -1, SampleEvery: 1}, nil)
 	a := mkRecord("shared", 1)
 	a.Route = "/shard/papers"
 	b := mkRecord("shared", 2)
-	b.Route = "/shard/experts"
+	b.Route = "/shard/papers#retry"
 	st.Add(a, KeepFlags{})
 	st.Add(b, KeepFlags{})
 	recs := st.Get("shared")
 	if len(recs) != 2 {
 		t.Fatalf("Get returned %d records, want 2", len(recs))
 	}
-	if recs[0].Route != "/shard/papers" || recs[1].Route != "/shard/experts" {
+	if recs[0].Route != "/shard/papers" || recs[1].Route != "/shard/papers#retry" {
 		t.Fatalf("records out of order: %+v", recs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -42,7 +43,7 @@ type Envelope struct {
 	Traced map[string]bool
 }
 
-// serverRoutes is the Server's route table, the /shard/* routes the
+// serverRoutes is the Server's route table, the /shard/papers route the
 // cluster layer mounts on it included.
 var serverRoutes = map[string]bool{
 	"/experts":       true,
@@ -57,16 +58,14 @@ var serverRoutes = map[string]bool{
 	"/debug/traces/": true,
 	"/debug/pprof/":  true,
 	"/shard/papers":  true,
-	"/shard/experts": true,
 }
 
 // serverTraced are the Server's traced routes, public and internal.
 var serverTraced = map[string]bool{
-	"/experts":       true,
-	"/papers":        true,
-	"/similar":       true,
-	"/shard/papers":  true,
-	"/shard/experts": true,
+	"/experts":      true,
+	"/papers":       true,
+	"/similar":      true,
+	"/shard/papers": true,
 }
 
 // envelope assembles the Server's shell from its current settings.
@@ -313,9 +312,10 @@ func QueryContext(r *http.Request, timeout time.Duration) (context.Context, cont
 }
 
 // IntParam reads a positive integer query parameter bounded by max, or
-// def when the request omits it.
-func IntParam(r *http.Request, name string, def, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
+// def when the request omits it. It takes the parsed query: r.URL.Query()
+// parses the string anew on every call, so a handler calls it once.
+func IntParam(params url.Values, name string, def, max int) (int, error) {
+	raw := params.Get(name)
 	if raw == "" {
 		return def, nil
 	}

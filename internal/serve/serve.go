@@ -226,17 +226,18 @@ type ExpertsResponse struct {
 }
 
 func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	n, err := IntParam(r, "n", s.DefaultN, s.MaxN)
+	n, err := IntParam(params, "n", s.DefaultN, s.MaxN)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	m, err := IntParam(r, "m", s.DefaultM, s.MaxM)
+	m, err := IntParam(params, "m", s.DefaultM, s.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -272,7 +273,7 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	})
-	if r.URL.Query().Get("debug") == "1" {
+	if params.Get("debug") == "1" {
 		resp.Debug = &QueryDebug{
 			// Empty on a cache hit: the answer ran no spans this time.
 			TraceID: obs.TraceIDFromContext(ctx),
@@ -311,12 +312,13 @@ func (s *Server) paperResults(papers []hetgraph.NodeID) []PaperResult {
 }
 
 func (s *Server) handlePapers(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	m, err := IntParam(r, "m", s.DefaultN, s.MaxM)
+	m, err := IntParam(params, "m", s.DefaultN, s.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -340,7 +342,8 @@ func (s *Server) handlePapers(w http.ResponseWriter, r *http.Request) {
 // directly. The search goes through the engine so the configured EF
 // search-pool option applies, exactly as it does for /experts.
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("id")
+	params := r.URL.Query()
+	raw := params.Get("id")
 	if raw == "" {
 		http.Error(w, "missing id parameter", http.StatusBadRequest)
 		return
@@ -350,7 +353,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "id must be an integer node id", http.StatusBadRequest)
 		return
 	}
-	m, err := IntParam(r, "m", s.DefaultN, s.MaxM)
+	m, err := IntParam(params, "m", s.DefaultN, s.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

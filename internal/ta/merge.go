@@ -15,10 +15,10 @@ import (
 // still bound every absent expert's contribution by the largest score it
 // omitted.
 //
-// Nothing in the repository truncates any more: shards answer with
-// complete lists and the cluster router merges them through Scores. The
-// file stays while the benchmark times MergePartials (ta.merge_us);
-// ROADMAP item 3(a) deletes both together.
+// Nothing in the repository truncates, or has partial scores, any more:
+// shards send author lists with their papers and the cluster router runs
+// TopExpertsOf over them. The file stays while the benchmark times
+// MergePartials (ta.merge_us); ROADMAP item 1(a) deletes both together.
 
 // Partial is one shard's bounded contribution to a distributed ranking:
 // its experts with non-zero partial scores, sorted by score descending

@@ -96,8 +96,7 @@ var (
 )
 
 // Before is the package's one ranking order: score descending, ties by
-// expert id ascending. Every ranker in the repository — this package, the
-// cluster router's merge and the shards' partial lists — orders experts
+// expert id ascending. Every ranker in the repository orders experts
 // through it, so equal scores rank the same way everywhere.
 func (a Ranking) Before(b Ranking) bool {
 	return a.Score > b.Score || (a.Score == b.Score && a.Expert < b.Expert)
@@ -107,7 +106,8 @@ func (a Ranking) Before(b Ranking) bool {
 // expert's score is the float sum of its contributions in the order they
 // were added, so callers that want comparable bits add in one agreed
 // order: ASCENDING PAPER RANK, the package's canonical summation order,
-// which both TopExperts and the cluster router's merge follow.
+// which TopExpertsOf — the one loop behind the engine and the cluster
+// router — follows.
 type Scores struct {
 	slot map[hetgraph.NodeID]int32
 	sums []Ranking
@@ -198,16 +198,25 @@ func TopExperts(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, 
 // TopExpertsCtx is TopExperts with cooperative cancellation, checked
 // every pollEvery papers. On cancellation it returns ctx.Err() with the
 // work done so far and no partial ranking.
-func TopExpertsCtx(ctx context.Context, g *hetgraph.Graph, papers []hetgraph.NodeID, n int) (out []Ranking, st Stats, err error) {
+func TopExpertsCtx(ctx context.Context, g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, Stats, error) {
+	return TopExpertsOf(ctx, len(papers), func(j int) []hetgraph.NodeID { return g.AuthorsOf(papers[j]) }, n)
+}
+
+// TopExpertsOf is the ranking loop itself, fed author lists instead of a
+// graph: authorsOf(j) is the ordered author list of the paper at rank j+1
+// of m. The engine feeds it from its graph (TopExpertsCtx), the cluster
+// router from the lists the shards sent with their papers — one loop, so
+// the two cannot disagree on a bit of a score or on a tie.
+func TopExpertsOf(ctx context.Context, m int, authorsOf func(j int) []hetgraph.NodeID, n int) (out []Ranking, st Stats, err error) {
 	defer func() { st.record() }()
-	sc := NewScores(len(papers))
-	for j, p := range papers {
+	sc := NewScores(m)
+	for j := 0; j < m; j++ {
 		if j%pollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, st, err
 			}
 		}
-		authors := g.AuthorsOf(p)
+		authors := authorsOf(j)
 		for i, a := range authors {
 			sc.Add(a, ExpertScore(j+1, i+1, len(authors)))
 		}
