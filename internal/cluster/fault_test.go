@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -519,5 +520,24 @@ func TestShardPapersRequest(t *testing.T) {
 		if got != want {
 			t.Errorf("detail %q: lists, table, text = %v, want %v", detail, got, want)
 		}
+	}
+}
+
+// TestRouterNotReadyBody: the router's 503 goes through the envelope's one
+// JSON writer like every other body — compact, typed, length declared.
+func TestRouterNotReadyBody(t *testing.T) {
+	client, err := NewShardClient([][]string{{"127.0.0.1:1"}}, ClientConfig{HedgeAfter: -1}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(client, RouterConfig{}, nil, nil)
+	rt.SetReady(false)
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+	want := `{"status":"draining"}` + "\n"
+	if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != want ||
+		rec.Header().Get("Content-Type") != "application/json" ||
+		rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
+		t.Errorf("router /readyz while draining: %d %q %v", rec.Code, rec.Body.String(), rec.Header())
 	}
 }

@@ -371,11 +371,11 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 	}
 	if params.Get("debug") == "1" {
 		resp.Debug = &serve.QueryDebug{
-			TraceID: root.TraceID().String(),
+			TraceID: root.TraceIDString(),
 			Stages:  serve.StagesFromTree(root.Tree()),
 		}
 	}
-	rt.envelope().WriteJSON(w, resp)
+	rt.envelope().WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
@@ -414,7 +414,7 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 			out[i].Authors = append(out[i].Authors, a.Name)
 		}
 	}
-	rt.envelope().WriteJSON(w, out)
+	rt.envelope().WriteJSON(w, http.StatusOK, out)
 }
 
 // RouterHealth is the router's /healthz payload.
@@ -424,7 +424,7 @@ type RouterHealth struct {
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	rt.envelope().WriteJSON(w, RouterHealth{
+	rt.envelope().WriteJSON(w, http.StatusOK, RouterHealth{
 		Topology: serve.Topology{
 			Role:     "router",
 			Shards:   rt.client.NumShards(),
@@ -440,9 +440,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 // re-admits one.
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	notReady := func(why string) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "{\n  \"status\": %q\n}\n", why)
+		rt.envelope().WriteJSON(w, http.StatusServiceUnavailable, serve.ReadyResponse{Status: why})
 	}
 	if !rt.ready.Load() {
 		notReady("draining")
@@ -461,5 +459,5 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.envelope().WriteJSON(w, serve.ReadyResponse{Status: "ready"})
+	rt.envelope().WriteJSON(w, http.StatusOK, serve.ReadyResponse{Status: "ready"})
 }

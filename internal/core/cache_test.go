@@ -34,15 +34,38 @@ func TestNormalizeQueryKey(t *testing.T) {
 		{"   ", ""},
 		{"Naïve Gráph 研究", "naïve gráph 研究"},
 		{"a", "a"},
+		// Already normal ASCII takes the fast path and comes back as is...
+		{"graph embedding", "graph embedding"},
+		{"k-core (k,p) 2022 x_y", "k-core (k,p) 2022 x_y"},
+		{"nul\x00kept", "nul\x00kept"},
+		// ...which every one of these must miss by a single byte.
+		{"graph embedding ", "graph embedding"},
+		{" graph embedding", "graph embedding"},
+		{"graph  embedding", "graph embedding"},
+		{"graph\vembedding", "graph embedding"},
+		{"graph embeddinG", "graph embedding"},
+		{"graph\u00a0embedding\u0085", "graph embedding"},
+		{"naïve gráph 研究", "naïve gráph 研究"},
+		{"ǅ İ", "ǆ i"},
+		{"bad\xffutf8", "bad\ufffdutf8"},
 	}
 	for _, c := range cases {
 		if got := NormalizeQueryKey(c.in); got != c.want {
 			t.Errorf("NormalizeQueryKey(%q) = %q, want %q", c.in, got, c.want)
 		}
+		// The fast path may only ever return its input; the general path
+		// defines the function.
+		if isNormalASCII(c.in) && c.in != c.want {
+			t.Errorf("isNormalASCII(%q) is true, but the normal form is %q", c.in, c.want)
+		}
 		// Idempotence is part of the contract.
 		if once := NormalizeQueryKey(c.in); NormalizeQueryKey(once) != once {
 			t.Errorf("NormalizeQueryKey not idempotent on %q", c.in)
 		}
+	}
+	normal := "heterogeneous graph embedding for expert finding"
+	if allocs := testing.AllocsPerRun(100, func() { normal = NormalizeQueryKey(normal) }); allocs != 0 {
+		t.Errorf("normalizing already-normal text made %v allocations, want 0", allocs)
 	}
 }
 

@@ -335,7 +335,7 @@ func (e *Engine) finishQuery(root *obs.Span, st QueryStats) {
 	e.reg.Counter("expertfind_queries_total", "Online queries answered.").Inc()
 	e.reg.Histogram("expertfind_query_seconds",
 		"End-to-end online query latency.", nil).
-		ObserveWithExemplar(st.Total().Seconds(), root.TraceID().String())
+		ObserveWithExemplar(st.Total().Seconds(), root.TraceIDString())
 }
 
 // abandonQuery closes the root span of a query that died on cancellation

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // NormalizeQueryKey canonicalises free-form query text for cache lookup:
@@ -12,7 +13,11 @@ import (
 // case or spacing therefore share one cache entry, matching the encoder,
 // whose tokenizer is itself case- and whitespace-insensitive. The function
 // is idempotent: NormalizeQueryKey(NormalizeQueryKey(q)) == NormalizeQueryKey(q).
+// Text that is already normal comes back as it is, unallocated.
 func NormalizeQueryKey(q string) string {
+	if isNormalASCII(q) {
+		return q
+	}
 	var b strings.Builder
 	b.Grow(len(q))
 	space := false
@@ -28,6 +33,20 @@ func NormalizeQueryKey(q string) string {
 		b.WriteRune(unicode.ToLower(r))
 	}
 	return b.String()
+}
+
+// isNormalASCII reports whether q is ASCII that NormalizeQueryKey would
+// return unchanged: no upper case, no whitespace but single inner spaces.
+func isNormalASCII(q string) bool {
+	afterSpace := true // so a leading space is refused
+	for i := 0; i < len(q); i++ {
+		c := q[i]
+		if c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' || '\t' <= c && c <= '\r' || c == ' ' && afterSpace {
+			return false
+		}
+		afterSpace = c == ' '
+	}
+	return !afterSpace || q == ""
 }
 
 // queryKind distinguishes the cached result families so an /experts fill

@@ -333,3 +333,33 @@ func TestStoreCloseWritesFinalSnapshot(t *testing.T) {
 		t.Errorf("recovery after clean close: %+v", rec)
 	}
 }
+
+// TestAddPaperSpans: a journaled AddPaper splits the time it holds the
+// write lock into update/log and update/apply, in the stage family the
+// build and query spans use; a replayed update journals nothing, so it
+// records no span at all.
+func TestAddPaperSpans(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openTestStore(t, dir)
+	names := []string{"update", "update/log", "update/apply"}
+	counts := func(e *Engine) (c [3]uint64) { // the fixture's engines share obs.Default()
+		for i, name := range names {
+			c[i] = e.Metrics().Histogram("expertfind_stage_seconds", "", nil, obs.L("stage", name)).Count()
+		}
+		return c
+	}
+	before := counts(st.Engine())
+	addTestPapers(t, st.Engine(), 3)
+	after := counts(st.Engine())
+	for i, name := range names {
+		if got := after[i] - before[i]; got != 3 {
+			t.Errorf("stage %s recorded %d times for 3 updates", name, got)
+		}
+	}
+	st2, _ := openTestStore(t, dir) // crash, then replay of the three
+	defer st2.Close()
+	if st2.Recovery().Replayed != 3 || counts(st2.Engine()) != after {
+		t.Errorf("replayed %d updates, stage counts %v -> %v, want 3 and no change",
+			st2.Recovery().Replayed, after, counts(st2.Engine()))
+	}
+}

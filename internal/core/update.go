@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/obs"
 )
 
 // NewPaper describes a paper to add to a built engine: its text, its
@@ -117,17 +119,27 @@ func (e *Engine) AddPaper(p NewPaper) (hetgraph.NodeID, error) {
 	if err := e.validateNewPaper(p); err != nil {
 		return 0, err
 	}
+	// update/log and update/apply split the time the write lock is held —
+	// and every concurrent read waits — into the journal (encode, append,
+	// fsync) and the mutation (tokenise, embed, insert).
+	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), e.reg), "update")
+	defer root.End()
 	var seq uint64
 	if e.wal != nil {
+		_, sp := obs.StartSpan(ctx, "log")
 		payload, err := EncodeUpdate(p)
+		if err == nil {
+			if seq, err = e.wal.Append(payload); err != nil {
+				err = &UpdateLogError{Err: err}
+			}
+		}
+		sp.End()
 		if err != nil {
 			return 0, err
 		}
-		seq, err = e.wal.Append(payload)
-		if err != nil {
-			return 0, &UpdateLogError{Err: err}
-		}
 	}
+	_, sp := obs.StartSpan(ctx, "apply")
+	defer sp.End()
 	return e.applyUpdateLocked(p, seq)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,27 +95,23 @@ var DefBuckets = []float64{
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.upper, v) // first bucket with upper >= v
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-}
+func (h *Histogram) Observe(v float64) { h.ObserveWithExemplar(v, "") }
 
 // ObserveWithExemplar records one value and, when traceID is non-empty,
 // remembers it as the histogram's exemplar (last writer wins — recency
 // is the useful property for "show me a trace like this").
 func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if traceID == "" || traceID == zeroTraceID {
-		return
+	i := sort.SearchFloat64s(h.upper, v) // first bucket with upper >= v
+	h.counts[i].Add(1)
+	h.sum.Add(v)
+	h.count.Add(1)
+	if traceID != "" && traceID != zeroTraceID {
+		h.exemplar.Store(&Exemplar{TraceID: traceID, Value: v, bucket: i})
 	}
-	i := sort.SearchFloat64s(h.upper, v)
-	h.exemplar.Store(&Exemplar{TraceID: traceID, Value: v, bucket: i})
 }
 
-// zeroTraceID is the string form of an unset TraceID; spans created
-// outside any trace-aware context render it and must not emit exemplars.
+// zeroTraceID is the string form of an unset TraceID, which names no
+// trace and must not become an exemplar.
 const zeroTraceID = "00000000000000000000000000000000"
 
 // LastExemplar returns the histogram's current exemplar, or nil.
@@ -177,10 +174,9 @@ func (k kind) String() string {
 
 // series is one (metric name, label set) time series.
 type series struct {
-	labels []Label
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	c *Counter
+	g *Gauge
+	h *Histogram
 }
 
 // family groups the series sharing a metric name.
@@ -205,23 +201,20 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// labelKey renders labels canonically (sorted) for series lookup and
+// appendLabelKey renders labels, already in key order, as the series'
+// signature — the map key of a lookup and the label text of the
 // exposition.
-func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
+func appendLabelKey(dst []byte, labels []Label) []byte {
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
+		dst = append(dst, l.Key...)
+		dst = append(dst, `="`...)
+		dst = append(dst, escapeLabel(l.Value)...)
+		dst = append(dst, '"')
 	}
-	return b.String()
+	return dst
 }
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
@@ -251,16 +244,24 @@ func (r *Registry) declare(name, help string, k kind, buckets []float64) {
 
 // getSeries returns (creating as needed) the series for name+labels,
 // checking that the metric kind is consistent with prior registrations.
+// Labels name the same series in any order. Finding an existing one —
+// every Span.End, every envelope counter — allocates nothing when they
+// arrive in key order (none, one, or a sorted set): no copy, the signature
+// built on the stack; a series keeps that string, never the caller's slice.
 func (r *Registry) getSeries(name, help string, k kind, buckets []float64, labels []Label) *series {
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	key := labelKey(sorted)
+	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(labels, byKey) {
+		labels = slices.Clone(labels)
+		slices.SortFunc(labels, byKey)
+	}
+	var scratch [128]byte
+	key := appendLabelKey(scratch[:0], labels)
 
 	r.mu.RLock()
 	f := r.families[name]
 	var s *series
 	if f != nil {
-		s = f.series[key]
+		s = f.series[string(key)]
 	}
 	r.mu.RUnlock()
 	if s != nil {
@@ -280,10 +281,10 @@ func (r *Registry) getSeries(name, help string, k kind, buckets []float64, label
 	if f.kind != k {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, k))
 	}
-	if s = f.series[key]; s != nil {
+	if s = f.series[string(key)]; s != nil {
 		return s
 	}
-	s = &series{labels: sorted}
+	s = &series{}
 	switch k {
 	case counterKind:
 		s.c = &Counter{}
@@ -296,7 +297,7 @@ func (r *Registry) getSeries(name, help string, k kind, buckets []float64, label
 		}
 		s.h = &Histogram{upper: b, counts: make([]atomic.Uint64, len(b)+1)}
 	}
-	f.series[key] = s
+	f.series[string(key)] = s
 	return s
 }
 

@@ -194,3 +194,44 @@ func TestSnapshot(t *testing.T) {
 		t.Errorf("snapshot b_seconds = %+v", snap["b_seconds"])
 	}
 }
+
+// TestGetSeriesLabelOrderIndependent: two labels in either order name one
+// series, rendered in key order; the registry keeps the signature, not
+// the caller's slice; and finding an existing series allocates nothing
+// when the labels arrive in key order.
+func TestGetSeriesLabelOrderIndependent(t *testing.T) {
+	r := NewRegistry()
+	labels := []Label{L("route", "/experts"), L("code", "200")}
+	c := r.Counter("req_total", "", labels...)
+	c.Inc()
+	if r.Counter("req_total", "", L("code", "200"), L("route", "/experts")) != c {
+		t.Fatal("the same labels in the other order made a second series")
+	}
+	if labels[0].Key != "route" {
+		t.Errorf("the lookup reordered its caller's slice: %v", labels)
+	}
+	labels[0], labels[1] = L("zone", "x"), L("code", "500") // the caller reuses its slice
+	if r.Counter("req_total", "", L("route", "/experts"), L("code", "200")) != c {
+		t.Error("the stored series aliased the caller's slice")
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if want := `req_total{code="200",route="/experts"} 1`; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, b.String())
+	}
+
+	h := r.Histogram("stage_seconds", "", nil, L("stage", "query/encode"))
+	for name, lookup := range map[string]func(){
+		"no label":          func() { r.Counter("plain_total", "").Inc() },
+		"one label":         func() { r.Histogram("stage_seconds", "", nil, L("stage", "query/encode")).Observe(1) },
+		"two sorted labels": func() { r.Counter("req_total", "", L("code", "200"), L("route", "/experts")).Inc() },
+	} {
+		lookup()
+		if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+			t.Errorf("%s: a lookup of an existing series made %v allocations, want 0", name, allocs)
+		}
+	}
+	if h.Count() < 100 {
+		t.Errorf("the one-label lookups observed into another histogram: count %d", h.Count())
+	}
+}

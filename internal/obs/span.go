@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"time"
 )
@@ -22,6 +23,7 @@ type Span struct {
 	// level up — possibly on another node, when the trace context arrived
 	// over the wire.
 	traceID  TraceID
+	traceHex string // traceID formatted once, by the root; every End's exemplar reads it
 	id       SpanID
 	parentID SpanID
 
@@ -58,7 +60,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent, ok := ctx.Value(spanKey).(*Span); ok && parent != nil {
 		s.name = parent.name + "/" + name
 		s.reg = parent.reg
-		s.traceID = parent.traceID
+		s.traceID, s.traceHex = parent.traceID, parent.traceHex
 		s.parentID = parent.id
 		parent.mu.Lock()
 		parent.children = append(parent.children, s)
@@ -76,6 +78,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		} else {
 			s.traceID = NewTraceID()
 		}
+		s.traceHex = s.traceID.String()
 		if c, ok := ctx.Value(captureKey).(*TraceCapture); ok {
 			c.offer(s)
 		}
@@ -115,13 +118,16 @@ func (s *Span) end() (time.Duration, bool) {
 	if reg != nil {
 		reg.Histogram("expertfind_stage_seconds",
 			"Duration of pipeline stages, labelled by span path.",
-			nil, L("stage", s.name)).ObserveWithExemplar(d.Seconds(), s.traceID.String())
+			nil, L("stage", s.name)).ObserveWithExemplar(d.Seconds(), s.traceHex)
 	}
 	return d, true
 }
 
 // TraceID returns the id of the trace the span belongs to.
 func (s *Span) TraceID() TraceID { return s.traceID }
+
+// TraceIDString returns TraceID().String() without formatting it again.
+func (s *Span) TraceIDString() string { return s.traceHex }
 
 // ID returns the span's own id.
 func (s *Span) ID() SpanID { return s.id }
@@ -140,14 +146,6 @@ func (s *Span) Annotate(key, value string) {
 	}
 	s.attrs[key] = value
 	s.mu.Unlock()
-}
-
-// Attr returns the value of an attribute set by Annotate.
-func (s *Span) Attr(key string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.attrs[key]
-	return v, ok
 }
 
 // Graft adopts a remote subtree (a shard's exported spans) as a child of
@@ -200,21 +198,7 @@ func (s *Span) Tree() SpanNode {
 }
 
 // shortName returns the last segment of a "parent/child" span path.
-func shortName(name string) string {
-	if i := lastSlash(name); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
-}
+func shortName(name string) string { return name[strings.LastIndexByte(name, '/')+1:] }
 
 // Name returns the span's full hierarchical name.
 func (s *Span) Name() string { return s.name }

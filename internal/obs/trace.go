@@ -190,11 +190,11 @@ func InjectTrace(ctx context.Context, h headerSetter) bool {
 // carries no trace at all (e.g. a cache hit that started no span).
 func TraceIDFromContext(ctx context.Context) string {
 	if s := SpanFromContext(ctx); s != nil {
-		return s.TraceID().String()
+		return s.TraceIDString()
 	}
 	if c, ok := ctx.Value(captureKey).(*TraceCapture); ok {
 		if root := c.Root(); root != nil {
-			return root.TraceID().String()
+			return root.TraceIDString()
 		}
 	}
 	if tc, ok := RemoteFromContext(ctx); ok {

@@ -45,16 +45,14 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // state.
 func bootHandler() http.Handler {
 	mux := http.NewServeMux()
+	env := Envelope{Reg: obs.Default()} // no engine yet, so no registry of its own
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte("{\n  \"status\": \"booting\"\n}\n"))
+		env.WriteJSON(w, http.StatusOK, ReadyResponse{Status: "booting"})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Booting is transient by definition; tell probes when to look again.
 		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\n  \"status\": \"loading\"\n}\n"))
+		env.WriteJSON(w, http.StatusServiceUnavailable, ReadyResponse{Status: "loading"})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"expertfind/internal/core"
@@ -87,7 +89,10 @@ func routeLabel(routes map[string]bool, path string) string {
 }
 
 // statusWriter captures the response code and body size for metrics and
-// the access log.
+// the access log. Embedding hides what else the connection's writer can
+// do, so the two things handlers use are handed back: Unwrap lets a
+// ResponseController flush (the WAL tail), ReadFrom keeps io.Copy on the
+// writer's own ReaderFrom (the snapshot download).
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
@@ -107,6 +112,17 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	}
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
+	return n, err
+}
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+func (w *statusWriter) ReadFrom(src io.Reader) (int64, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	n, err := io.Copy(w.ResponseWriter, src)
+	w.bytes += n
 	return n, err
 }
 
@@ -154,7 +170,7 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	case "/debug/vars":
 		// A JSON snapshot of every metric, histograms summarised as
 		// count/sum/p50/p90/p99 — a human-readable mirror of /metrics.
-		e.WriteJSON(sw, e.Reg.Snapshot())
+		e.WriteJSON(sw, http.StatusOK, e.Reg.Snapshot())
 	case "/debug/traces":
 		e.serveTraces(sw, r)
 	default:
@@ -168,19 +184,15 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	dur := time.Since(start)
 	durMs := float64(dur.Microseconds()) / 1000
 	traceID := e.finishTrace(capture, r, route, sw.code, durMs)
+	// Labels in key order: a sorted lookup is answered without a copy.
 	e.Reg.Counter("expertfind_http_requests_total", "HTTP requests by route and status code.",
-		obs.L("route", route), obs.L("code", strconv.Itoa(sw.code))).Inc()
+		obs.L("code", strconv.Itoa(sw.code)), obs.L("route", route)).Inc()
 	e.Reg.Histogram("expertfind_http_request_seconds", "HTTP request latency by route.",
 		nil, obs.L("route", route)).ObserveWithExemplar(dur.Seconds(), traceID)
-	e.Log.Info("access",
-		"req_id", reqID,
-		"method", r.Method,
-		"path", r.URL.Path,
-		"route", route,
-		"status", sw.code,
-		"bytes", sw.bytes,
-		"dur_ms", durMs,
-	)
+	if e.Log.Enabled(obs.LevelInfo) { // a silenced logger should not cost 14 boxed arguments
+		e.Log.Info("access", "req_id", reqID, "method", r.Method, "path", r.URL.Path,
+			"route", route, "status", sw.code, "bytes", sw.bytes, "dur_ms", durMs)
+	}
 }
 
 // finishTrace runs the envelope's tail work for one request: offer the
@@ -196,13 +208,18 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 	if root == nil {
 		return ""
 	}
-	traceID := root.TraceID().String()
+	traceID := root.TraceIDString()
+	slow := e.SlowQuery > 0 && durMs >= e.SlowQuery.Seconds()*1000
+	if e.Traces == nil && !slow {
+		return traceID
+	}
+	q := r.URL.Query().Get("q") // parsed here at most once, and only when a record needs it
 	if e.Traces != nil {
 		tree := root.Tree()
 		e.Traces.Add(obs.TraceRecord{
 			TraceID:    traceID,
 			Route:      route,
-			Query:      r.URL.Query().Get("q"),
+			Query:      q,
 			Status:     status,
 			Start:      root.Start(),
 			DurationMs: durMs,
@@ -212,16 +229,11 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 			Hedged: tree.HasAttr("hedge"),
 		})
 	}
-	if e.SlowQuery > 0 && durMs >= e.SlowQuery.Seconds()*1000 {
+	if slow {
 		e.Reg.Counter("expertfind_slow_queries_total",
 			"Queries slower than the slow-query log threshold.").Inc()
-		e.Log.Warn("slow_query",
-			"trace_id", traceID,
-			"route", route,
-			"q", r.URL.Query().Get("q"),
-			"status", status,
-			"dur_ms", durMs,
-		)
+		e.Log.Warn("slow_query", "trace_id", traceID, "route", route, "q", q,
+			"status", status, "dur_ms", durMs)
 	}
 	return traceID
 }
@@ -250,7 +262,7 @@ func (e Envelope) serveTraces(w http.ResponseWriter, r *http.Request) {
 	id = strings.Trim(id, "/")
 	if id == "" {
 		idx := e.Traces.Index()
-		e.WriteJSON(w, TraceIndexResponse{Count: len(idx), Traces: idx})
+		e.WriteJSON(w, http.StatusOK, TraceIndexResponse{Count: len(idx), Traces: idx})
 		return
 	}
 	recs := e.Traces.Get(id)
@@ -259,23 +271,40 @@ func (e Envelope) serveTraces(w http.ResponseWriter, r *http.Request) {
 			http.StatusNotFound)
 		return
 	}
-	e.WriteJSON(w, TraceResponse{TraceID: id, Records: recs})
+	e.WriteJSON(w, http.StatusOK, TraceResponse{TraceID: id, Records: recs})
 }
 
-// WriteJSON encodes v into a buffer first, so an encoding failure can
-// still produce a clean 500 — writing through the encoder directly would
-// have already committed the 200 header and part of the body.
-func (e Envelope) WriteJSON(w http.ResponseWriter, v interface{}) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// jsonBufs recycles WriteJSON's encode buffers; one that grew past
+// maxPooledJSON is dropped, so a single /debug/vars or /papers?m=5000
+// cannot pin its size for the life of the process.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSON = 64 << 10
+
+// WriteJSON is the only JSON body writer of the server and the router, for
+// every status: compact encoding/json output and the encoder's newline
+// (indenting cost more than encoding the query; `| jq .` pretty-prints).
+// It encodes into a buffer first, so an encoding failure can still produce
+// a clean 500 — writing through the encoder would have committed the
+// header and part of the body — and so the length is known: a body over
+// net/http's 2 KB sniff window goes out with Content-Length, not chunked.
+func (e Envelope) WriteJSON(w http.ResponseWriter, code int, v interface{}) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			buf.Reset()
+			jsonBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		e.Reg.Counter("expertfind_http_encode_failures_total",
 			"Responses dropped because JSON encoding failed.").Inc()
 		http.Error(w, "response encoding failed", http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(code)
 	w.Write(buf.Bytes())
 }
 

@@ -91,7 +91,8 @@ func handleReplWAL(srv *Server, st *core.Store) http.HandlerFunc {
 		defer it.Close()
 		replEpochHeaders(w, st)
 		w.Header().Set("Content-Type", "application/octet-stream")
-		flusher, _ := w.(http.Flusher)
+		// The envelope wraps w; the controller unwraps it to the connection.
+		rc := http.NewResponseController(w)
 		for {
 			seq, payload, err := it.Next()
 			if err == io.EOF {
@@ -108,9 +109,7 @@ func handleReplWAL(srv *Server, st *core.Store) http.HandlerFunc {
 			if _, err := w.Write(durable.MarshalRecord(seq, payload)); err != nil {
 				return // follower went away
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			rc.Flush() // each record leaves now; a writer that cannot flush is not an error
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -119,9 +118,12 @@ func (s *Server) Handle(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, h)
 }
 
-// WriteJSON renders v as indented JSON with the envelope's buffered-encode
-// error handling; exported for handlers mounted via Handle.
-func (s *Server) WriteJSON(w http.ResponseWriter, v interface{}) { s.envelope().WriteJSON(w, v) }
+// WriteJSON answers 200 with v through Envelope.WriteJSON, the one body
+// writer (compact JSON, clean 500 when v does not encode); exported for
+// handlers mounted via Handle.
+func (s *Server) WriteJSON(w http.ResponseWriter, v interface{}) {
+	s.envelope().WriteJSON(w, http.StatusOK, v)
+}
 
 // DenyWrites makes /add refuse updates with 503 + Retry-After and the
 // given reason — the state of a replication follower, whose only writes
@@ -220,8 +222,7 @@ type ExpertsResponse struct {
 	TADepth    int            `json:"ta_depth"`
 	Cached     bool           `json:"cached"`
 	// Debug carries the opt-in (?debug=1) trace id and stage breakdown;
-	// omitted otherwise, so default responses are byte-identical to
-	// pre-tracing builds.
+	// omitted otherwise, so default responses carry no trace of tracing.
 	Debug *QueryDebug `json:"debug,omitempty"`
 }
 
@@ -497,9 +498,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ready {
 		s.setRetryAfter(w)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "{\n  \"status\": %q\n}\n", status)
+		s.envelope().WriteJSON(w, http.StatusServiceUnavailable, ReadyResponse{Status: status})
 		return
 	}
 	s.WriteJSON(w, ReadyResponse{Status: "ready"})
