@@ -2,7 +2,7 @@
 // snapshots servable without heap-decoding them: a directory of
 // fixed-width, page-aligned, individually CRC-32C-checked segments
 // (float32 embedding rows, int32 CSR adjacency, int8 quantized codes,
-// ...) appended after the gob payload of an EFSNAP v2 snapshot.
+// ...) appended after the gob payload of an EFSNAP snapshot.
 //
 // The layout is built for two readers with identical semantics:
 //

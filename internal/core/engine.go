@@ -172,9 +172,10 @@ type Engine struct {
 	// walSeq is the WAL sequence of the most recent applied update.
 	walSeq uint64
 
-	// colsec is the columnar snapshot section backing an engine loaded
-	// from a file (nil for a built one). It anchors the mmap'd views the
-	// embedding matrix and index adjacency alias; see CloseSnapshot.
+	// colsec is the mapped columnar snapshot section backing an engine
+	// loaded from a file (nil for a built or heap-loaded one). It anchors
+	// the mmap'd views the embedding matrix and index adjacency alias; see
+	// CloseSnapshot.
 	colsec *colstore.Section
 }
 

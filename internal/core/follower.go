@@ -178,37 +178,23 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 	if err != nil {
 		return nil, err
 	}
-	wal, err := durable.OpenWAL(filepath.Join(dir, "wal"), durable.WALOptions{
+	wal, replayed, err := recoverLog(dir, e, durable.WALOptions{
 		Sync: o.Sync, SyncEvery: o.SyncEvery, SegmentBytes: o.SegmentBytes,
-		InitialSeq: e.LastUpdateSeq() + 1,
 	})
 	if err != nil {
-		return nil, err
-	}
-	replayed := 0
-	err = wal.Replay(e.LastUpdateSeq(), func(seq uint64, payload []byte) error {
-		p, derr := DecodeUpdate(payload)
-		if derr != nil {
-			return &durable.CorruptError{Path: wal.Dir(), Offset: 0,
-				Detail: fmt.Sprintf("update record seq %d", seq), Err: derr}
-		}
-		if _, aerr := e.ApplyLogged(p, seq); aerr != nil {
-			return fmt.Errorf("core: replay of update seq %d failed: %w", seq, aerr)
-		}
-		replayed++
-		return nil
-	})
-	if err != nil {
-		wal.Close()
 		return nil, err
 	}
 	if leaderEpoch > 0 {
 		if err := wal.AdoptEpoch(leaderEpoch); err != nil {
 			wal.Close()
+			e.CloseSnapshot()
 			return nil, err
 		}
 	}
-	f.store = newAttachedStore(dir, e, wal, reg, log)
+	f.store = &Store{
+		dir: dir, engine: e, wal: wal, reg: reg, log: log,
+		followers: make(map[string]followerPos), followerTTL: DefaultFollowerTTL,
+	}
 	f.applied = wal.LastSeq()
 	if f.applied == 0 {
 		f.applied = e.LastUpdateSeq()
@@ -260,37 +246,19 @@ func (f *Follower) fetchSnapshot(path string) (uint64, error) {
 		return 0, fmt.Errorf("core: bootstrap snapshot: leader answered %s", resp.Status)
 	}
 	epoch, _ := strconv.ParseUint(resp.Header.Get(ReplEpochHeader), 10, 64)
-	tmp, err := os.CreateTemp(filepath.Dir(path), "snapshot.boot-*")
+	err = durable.AtomicWriteTo(path, true, func(tmp *os.File) error {
+		if _, err := io.Copy(tmp, resp.Body); err != nil {
+			return err
+		}
+		// Validate every checksum — container header, payload CRC, the
+		// columnar section directory and each segment — before the file
+		// is allowed to become the snapshot: a torn download must fail
+		// here, not at some later boot. The caller's load then validates
+		// the payload in depth.
+		return VerifySnapshotFile(tmp.Name())
+	})
 	if err != nil {
 		return 0, fmt.Errorf("core: bootstrap snapshot: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(step string, err error) (uint64, error) {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("core: bootstrap snapshot: %s: %w", step, err)
-	}
-	if _, err := io.Copy(tmp, resp.Body); err != nil {
-		return fail("download", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail("fsync", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail("close", err)
-	}
-	// Validate every checksum — container header, payload CRC, and for
-	// v2 the columnar section directory and each segment — before the
-	// file is allowed to become the snapshot: a torn download must fail
-	// here, not at some later boot. The caller's load then validates
-	// the payload in depth.
-	if err := VerifySnapshotFile(tmpName); err != nil {
-		os.Remove(tmpName)
-		return 0, err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("core: bootstrap snapshot: rename: %w", err)
 	}
 	return epoch, nil
 }
@@ -461,12 +429,8 @@ func (f *Follower) applyRecord(seq uint64, payload []byte) error {
 	if err := f.store.wal.AppendReplicated(seq, payload); err != nil {
 		return err
 	}
-	p, err := DecodeUpdate(payload)
-	if err != nil {
-		return fmt.Errorf("core: replicated record seq %d: %w", seq, err)
-	}
-	if _, err := f.store.engine.ApplyLogged(p, seq); err != nil {
-		return fmt.Errorf("core: apply replicated record seq %d: %w", seq, err)
+	if err := f.store.engine.applyRecord(f.store.wal.Dir(), seq, payload); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	f.applied = seq
@@ -481,6 +445,10 @@ func (f *Follower) applyRecord(seq uint64, payload []byte) error {
 func (f *Follower) Lag() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.lagLocked()
+}
+
+func (f *Follower) lagLocked() uint64 {
 	if f.leaderSeq <= f.applied {
 		return 0
 	}
@@ -503,14 +471,7 @@ func (f *Follower) Ready() bool {
 	if f.promoted {
 		return true
 	}
-	if !f.polled {
-		return false
-	}
-	lag := uint64(0)
-	if f.leaderSeq > f.applied {
-		lag = f.leaderSeq - f.applied
-	}
-	return lag <= f.opts.MaxLag
+	return f.polled && f.lagLocked() <= f.opts.MaxLag
 }
 
 // FollowerStatus is the JSON shape of /replication/status on a follower.
@@ -533,14 +494,11 @@ func (f *Follower) Status() FollowerStatus {
 	defer f.mu.Unlock()
 	st := FollowerStatus{
 		Role: "follower", Leader: f.leader, Epoch: f.store.Epoch(),
-		Applied: f.applied, LeaderSeq: f.leaderSeq,
+		Applied: f.applied, LeaderSeq: f.leaderSeq, Lag: f.lagLocked(),
 		CaughtUp: caught, Ready: ready,
 	}
 	if f.promoted {
 		st.Role = "leader"
-	}
-	if f.leaderSeq > f.applied {
-		st.Lag = f.leaderSeq - f.applied
 	}
 	if f.lastErr != nil {
 		st.LastError = f.lastErr.Error()
@@ -591,12 +549,8 @@ func (f *Follower) Close() error {
 // setGauges publishes the follower's replication position.
 func (f *Follower) setGauges() {
 	f.mu.Lock()
-	applied, leaderSeq, polled := f.applied, f.leaderSeq, f.polled
+	applied, leaderSeq, polled, lag := f.applied, f.leaderSeq, f.polled, f.lagLocked()
 	f.mu.Unlock()
-	lag := uint64(0)
-	if leaderSeq > applied {
-		lag = leaderSeq - applied
-	}
 	f.reg.Gauge("expertfind_replication_lag_seq",
 		"WAL sequences this follower trails its leader by.").Set(float64(lag))
 	f.reg.Gauge("expertfind_replication_applied_seq",

@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -31,7 +31,7 @@ var mmapEquivFixture = struct {
 	once sync.Once
 	ds   *dataset.Dataset
 	eng  *Engine
-	snap string // saved v2 snapshot path
+	snap string // saved snapshot path
 	err  error
 }{}
 
@@ -306,78 +306,114 @@ func TestMmapEquivalenceModeAuto(t *testing.T) {
 	assertRankingsIdentical(t, ds, "built vs auto", built, auto)
 }
 
-// TestV1SnapshotRejectedTyped pins what happens to a version-1 container
-// (all-gob, no columnar section — the format pre-columnar builds wrote,
-// whose reader is gone): every load path and the follower's verifier
-// refuse it with a *durable.VersionError naming the version this build
-// reads, never with a gob error from a half-interpreted payload.
-func TestV1SnapshotRejectedTyped(t *testing.T) {
+// TestSnapshotOpenersAgree pins the one-opener rule: whatever is wrong
+// with a snapshot's bytes, the streaming Load, the heap and the mapped
+// LoadFileWith and the follower's VerifySnapshotFile all refuse it, with
+// the same typed error class. A retired format version — 1, all-gob; 2,
+// Θ_B inside the gob payload — is refused by *durable.VersionError naming
+// the version this build reads, never by a gob error from a
+// half-interpreted payload.
+func TestSnapshotOpenersAgree(t *testing.T) {
 	_, _, snap := mmapEquivSetup(t)
-
-	// Reconstruct v1 bytes from the v2 snapshot: same gob payload minus
-	// the columnar shapes, sealed as container version 1.
-	raw, err := os.ReadFile(snap)
+	valid, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := readSnapshotPrefix(bytes.NewReader(raw), snap)
+	// Find the encoder table's segment to damage it.
+	plen := int64(binary.LittleEndian.Uint64(valid[8:16]))
+	sec, err := colstore.OpenReaderAt(bytes.NewReader(valid), snap, int64(len(valid)),
+		durable.ContainerHeaderSize+plen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := decodePayload(payload, snap)
-	if err != nil {
-		t.Fatal(err)
+	tableAt := -1
+	for _, sg := range sec.Segments() {
+		if sg.Name == segTable && sg.Length > 0 {
+			tableAt = int(sg.Offset + sg.Length/2)
+		}
 	}
-	p.Col = nil
-	var v1Payload bytes.Buffer
-	if err := gob.NewEncoder(&v1Payload).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := durable.WriteContainer(&v1, 1, v1Payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	v1Path := filepath.Join(t.TempDir(), "v1.snap")
-	if err := os.WriteFile(v1Path, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	if tableAt < 0 {
+		t.Fatalf("snapshot has no %q segment", segTable)
 	}
 
-	check := func(what string, err error) {
-		t.Helper()
+	// The version field sits outside every checksum and is judged before
+	// the payload is read, so rewriting it is what a retired build's file
+	// looks like to the opener.
+	withVersion := func(v uint16) []byte {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint16(b[6:8], v)
+		return b
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[tableAt] ^= 0x20
+	cases := []struct {
+		name  string
+		bytes []byte
+		want  string
+	}{
+		{"valid", valid, "ok"},
+		{"5000 trailing bytes", append(append([]byte(nil), valid...), bytes.Repeat([]byte{0xEE}, 5000)...), "corrupt: checksum"},
+		{"one byte short", valid[:len(valid)-1], "corrupt: truncated"},
+		{"version-1 container", withVersion(1), "version 1"},
+		{"version-2 container", withVersion(2), "version 2"},
+		{"flipped byte in the table segment", flipped, "corrupt: checksum"},
+	}
+	class := func(err error) string {
 		var ve *durable.VersionError
-		if !errors.As(err, &ve) {
-			t.Fatalf("%s: want *durable.VersionError, got %v", what, err)
+		var ce *durable.CorruptError
+		switch {
+		case err == nil:
+			return "ok"
+		case errors.As(err, &ve):
+			if ve.Max != snapshotVersion || !strings.Contains(err.Error(),
+				fmt.Sprintf("version %d is no longer supported (this build reads version %d)", ve.Got, snapshotVersion)) {
+				return "version error that does not name both versions: " + err.Error()
+			}
+			return fmt.Sprintf("version %d", ve.Got)
+		case errors.As(err, &ce) && errors.Is(err, durable.ErrTruncated):
+			return "corrupt: truncated"
+		case errors.As(err, &ce) && errors.Is(err, durable.ErrChecksum):
+			return "corrupt: checksum"
 		}
-		if ve.Got != 1 || ve.Max != snapshotVersion {
-			t.Fatalf("%s: VersionError got=%d max=%d, want 1 and %d", what, ve.Got, ve.Max, snapshotVersion)
-		}
-		if msg := err.Error(); !strings.Contains(msg, "version 1 is no longer supported") ||
-			!strings.Contains(msg, fmt.Sprintf("reads version %d", snapshotVersion)) {
-			t.Fatalf("%s: message does not name both versions: %s", what, msg)
+		return "untyped: " + err.Error()
+	}
+	loadFile := func(mode colstore.Mode) func(string, []byte) error {
+		return func(path string, _ []byte) error {
+			e, err := LoadFileWith(path, freshEquivGraph(), LoadOptions{Mmap: mode})
+			if err == nil {
+				e.CloseSnapshot()
+			}
+			return err
 		}
 	}
-	for _, mode := range []colstore.Mode{colstore.ModeAuto, colstore.ModeOn, colstore.ModeOff} {
-		_, err := LoadFileWith(v1Path, freshEquivGraph(), LoadOptions{Mmap: mode})
-		check(fmt.Sprintf("LoadFileWith mode %v", mode), err)
+	openers := []struct {
+		name string
+		open func(path string, b []byte) error
+	}{
+		{"Load", func(_ string, b []byte) error {
+			_, err := Load(bytes.NewReader(b), freshEquivGraph())
+			return err
+		}},
+		{"LoadFileWith heap", loadFile(colstore.ModeOff)},
+		{"LoadFileWith mmap", loadFile(colstore.ModeOn)},
+		{"VerifySnapshotFile", func(path string, _ []byte) error { return VerifySnapshotFile(path) }},
 	}
-	_, err = Load(bytes.NewReader(v1.Bytes()), freshEquivGraph())
-	check("Load", err)
-	check("VerifySnapshotFile", VerifySnapshotFile(v1Path))
-
-	// A version-2 container whose payload describes no columnar section
-	// is not something Save can write: corrupt, by type.
-	var v2 bytes.Buffer
-	if err := durable.WriteContainer(&v2, snapshotVersion, v1Payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	var ce *durable.CorruptError
-	if _, err := Load(bytes.NewReader(v2.Bytes()), freshEquivGraph()); !errors.As(err, &ce) {
-		t.Fatalf("v2 container without columnar metadata: want *durable.CorruptError, got %v", err)
+	dir := t.TempDir()
+	for i, c := range cases {
+		path := filepath.Join(dir, fmt.Sprintf("case%d.snap", i))
+		if err := os.WriteFile(path, c.bytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range openers {
+			if got := class(o.open(path, c.bytes)); got != c.want {
+				t.Errorf("%s through %s: %s, want %s", c.name, o.name, got, c.want)
+			}
+		}
 	}
 }
 
 // TestVerifySnapshotFile pins the follower-bootstrap validator: a valid
-// v2 file passes, and truncation, trailing junk, or a flipped byte in
+// file passes, and truncation, trailing junk, or a flipped byte in
 // any region (header, gob payload, columnar payload, padding) fails
 // with a typed error.
 func TestVerifySnapshotFile(t *testing.T) {

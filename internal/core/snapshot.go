@@ -1,0 +1,593 @@
+package core
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+
+	"expertfind/internal/colstore"
+	"expertfind/internal/durable"
+	"expertfind/internal/hetgraph"
+	"expertfind/internal/obs"
+	"expertfind/internal/pgindex"
+	"expertfind/internal/sampling"
+	"expertfind/internal/textenc"
+	"expertfind/internal/train"
+	"expertfind/internal/vec"
+)
+
+// The offline pipeline (§III) runs once; the online stage (§IV) serves
+// queries. Save and Load split the two across process lifetimes: Save
+// writes the fine-tuned parameters Θ_B, the embeddings E, the PG-Index,
+// the configuration, and the journal of online updates accepted since
+// the build; Load restores a query-ready engine against the same base
+// graph by adopting those blocks as they are and re-applying the
+// journalled updates to the graph.
+//
+// One format, container version 3, with one rule for what lives where:
+// the gob payload holds scalars and strings (options, vocabulary, update
+// journal, block shapes), and every fixed-width block is a segment of
+// the page-aligned columnar section (internal/colstore) that follows it —
+// the encoder table Θ_B, the float32 embedding matrix, the PG-Index CSR
+// adjacency, and the int8 quantization shadow.
+//
+//	0                durable container header (magic, version, CRC-32C)
+//	20               gob(snapshotPayload)   — includes Col metadata
+//	20+len(payload)  colstore section       — page-aligned segments
+//	                 ... and nothing after the section's final page
+//
+// The payoff is the load path: nothing is re-embedded or rebuilt, and
+// when the file is mmap'd (LoadOptions.Mmap) the matrix and adjacency are
+// zero-copy views of the page cache — the corpus never has to fit in RAM,
+// pages fault in on demand and the kernel evicts them under pressure.
+// Rankings are bit-identical either way: the bytes are the bytes.
+//
+// A truncated, bit-flipped, foreign or differently-versioned file is
+// rejected with a typed error (durable.ErrTruncated, durable.ErrChecksum,
+// durable.ErrBadMagic, *durable.VersionError) before a single payload
+// byte is interpreted — never a cryptic mid-gob failure, and never a
+// silently half-loaded engine. Versions 1 (all-gob) and 2 (Θ_B inside the
+// gob payload as float64) are as unreadable as a future one and say so by
+// type: rebuild from the graph.
+
+// snapshotVersion is the container format version Save writes and the
+// only one Load reads.
+const snapshotVersion = 3
+
+// Columnar segment names inside the section.
+const (
+	segTable   = "table"   // float32, vocabulary x Dim row-major encoder table Θ_B
+	segEmbs    = "embs"    // float32, Rows x Dim row-major embedding matrix
+	segIDs     = "ids"     // int32, paper node id of each row
+	segNbrOff  = "nbroff"  // uint64, Rows+1 CSR offsets
+	segNbrDat  = "nbrdat"  // int32, concatenated neighbour lists
+	segEntries = "entries" // int32, PG-Index entry points
+	segDead    = "dead"    // uint8, tombstone flags (present iff NumDead > 0)
+	segQCodes  = "qcodes"  // int8, quantized codes (present iff quantized)
+	segQScales = "qscales" // float32, per-row quantization scales
+	segQNorms  = "qnorms"  // float32, per-row exact squared norms
+)
+
+// enginePersist is the gob-encoded form of the engine's static state.
+type enginePersist struct {
+	// Options echoes the build configuration (function-typed and pointer
+	// fields excluded).
+	K                   int
+	MetaPaths           []string
+	SampleFraction      float64
+	NegStrategy         uint8
+	NegPerPos           int
+	MaxPositivesPerSeed int
+	Dim                 int
+	Pooling             uint8
+	EF                  int
+	Seed                int64
+	UsePGIndex          bool
+	IndexConfig         pgindex.Config
+
+	// Tokens is the vocabulary in id order; the fine-tuned table over it
+	// is the segTable column.
+	Tokens []string
+	// DocFreqs and NumDocs restore the IDF weights.
+	DocFreqs []int
+	NumDocs  int
+}
+
+// colPersist is the gob-side metadata describing the columnar section:
+// the shapes the segments must agree with, and the index scalars that
+// are not worth a segment of their own.
+type colPersist struct {
+	Rows      int
+	Dim       int
+	HasIndex  bool
+	ExactOnly bool
+	Nav       int32
+	NumDead   int
+}
+
+// snapshotPayload is the complete gob payload inside the container: the
+// static engine state plus the journal of online updates it has
+// accepted, and the WAL sequence the journal reaches. Restoring the
+// payload therefore reproduces the live state, and WAL replay only
+// needs records past LastSeq.
+type snapshotPayload struct {
+	Engine  enginePersist
+	Updates []NewPaper
+	LastSeq uint64
+	// Col describes the columnar section that follows the payload
+	// (shapes and index scalars). Never nil in a snapshot Save wrote: an
+	// engine always has embeddings.
+	Col *colPersist
+}
+
+// LoadOptions configures how LoadFileWith materialises a snapshot.
+type LoadOptions struct {
+	// Mmap selects how the columnar section is accessed: ModeAuto (zero
+	// value) maps it when the platform supports mmap and falls back to
+	// heap reads otherwise, ModeOn requires the mapping, ModeOff forces
+	// heap reads.
+	Mmap colstore.Mode
+}
+
+// Save serialises the engine — fine-tuned encoder, embeddings, index,
+// configuration, and the journal of accepted online updates — as a
+// versioned, checksummed container. It holds the engine's read lock, so
+// it can run while queries are served but not mid-update.
+func (e *Engine) Save(w io.Writer) error {
+	_, err := e.SaveSnapshot(w)
+	return err
+}
+
+// SaveSnapshot is Save returning the WAL sequence number the written
+// snapshot covers: every update with sequence <= lastSeq is inside the
+// snapshot, so WAL segments up to it can be truncated once the bytes
+// are durably on disk.
+func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	vocab := e.enc.Vocab()
+	p := snapshotPayload{LastSeq: e.walSeq, Updates: e.updates}
+	p.Engine = enginePersist{
+		K:                   e.opts.K,
+		SampleFraction:      e.opts.SampleFraction,
+		NegStrategy:         uint8(e.opts.NegStrategy),
+		NegPerPos:           e.opts.NegPerPos,
+		MaxPositivesPerSeed: e.opts.MaxPositivesPerSeed,
+		Dim:                 e.opts.Dim,
+		Pooling:             uint8(e.enc.Pooling),
+		EF:                  e.opts.EF,
+		Seed:                e.opts.Seed,
+		UsePGIndex:          boolOpt(e.opts.UsePGIndex, true),
+		IndexConfig:         e.opts.Index,
+		NumDocs:             vocab.NumDocs(),
+	}
+	for _, mp := range e.opts.MetaPaths {
+		p.Engine.MetaPaths = append(p.Engine.MetaPaths, mp.String())
+	}
+	p.Engine.Tokens = make([]string, vocab.Size())
+	p.Engine.DocFreqs = make([]int, vocab.Size())
+	for id := range p.Engine.Tokens {
+		p.Engine.Tokens[id] = vocab.Token(textenc.TokenID(id))
+		p.Engine.DocFreqs[id] = vocab.DocFreq(textenc.TokenID(id))
+	}
+	var segs []colstore.SegmentData
+	segs, p.Col = e.columnSegmentsLocked()
+
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
+		return 0, fmt.Errorf("core: save: %w", err)
+	}
+	if err := durable.WriteContainer(w, snapshotVersion, payload.Bytes()); err != nil {
+		return 0, fmt.Errorf("core: save: %w", err)
+	}
+	base := int64(durable.ContainerHeaderSize) + int64(payload.Len())
+	if _, _, err := colstore.WriteSection(w, base, segs); err != nil {
+		return 0, fmt.Errorf("core: save: %w", err)
+	}
+	return e.walSeq, nil
+}
+
+// columnSegmentsLocked decomposes the engine's fixed-width state into
+// columnar segments, with the shapes that describe them. Caller holds
+// e.mu (read). The returned slices view live engine storage — they are
+// only valid until the lock is released, which is exactly long enough to
+// write them out.
+func (e *Engine) columnSegmentsLocked() ([]colstore.SegmentData, *colPersist) {
+	segs := []colstore.SegmentData{colstore.F32Seg(segTable, e.enc.Emb.Data)}
+	if e.index == nil {
+		// No index (UsePGIndex=false): the flat rows already are the two
+		// columns, in the ascending id order the format wants, so exact
+		// engines get the same rebuild-free, mmap-able load path.
+		return append(segs,
+			colstore.F32Seg(segEmbs, e.rows.Data),
+			colstore.I32Seg(segIDs, idsToInt32(e.ids)),
+		), &colPersist{Rows: len(e.ids), Dim: e.rows.Cols}
+	}
+	c := e.index.Columns()
+	segs = append(segs,
+		colstore.F32Seg(segEmbs, c.Embs),
+		colstore.I32Seg(segIDs, idsToInt32(c.IDs)),
+		colstore.U64Seg(segNbrOff, c.NbrOff),
+		colstore.I32Seg(segNbrDat, c.NbrDat),
+		colstore.I32Seg(segEntries, c.Entries))
+	if c.NumDead > 0 {
+		segs = append(segs, colstore.U8Seg(segDead, c.Dead))
+	}
+	if len(c.QCodes) > 0 {
+		segs = append(segs,
+			colstore.I8Seg(segQCodes, c.QCodes),
+			colstore.F32Seg(segQScales, c.QScales),
+			colstore.F32Seg(segQNorms, c.QNorms))
+	}
+	return segs, &colPersist{
+		Rows:      len(c.IDs),
+		Dim:       c.Dim,
+		HasIndex:  true,
+		ExactOnly: c.ExactOnly,
+		Nav:       c.Nav,
+		NumDead:   c.NumDead,
+	}
+}
+
+func idsToInt32(ids []hetgraph.NodeID) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = int32(id)
+	}
+	return out
+}
+
+// Load restores an engine saved with Save: it verifies the container
+// (magic, version, checksum) and the columnar section, decodes the
+// payload, adopts the saved encoder table, embedding matrix and PG-Index
+// as they are, and re-applies the journalled online updates to g. The
+// graph must be the base graph the engine was built over (same node
+// ids); Load cannot verify that beyond shape checks.
+//
+// Failure modes are typed: errors.Is(err, durable.ErrTruncated /
+// ErrChecksum / ErrBadMagic) and errors.As(&durable.VersionError{},
+// &durable.CorruptError{}) distinguish damage classes, and every decode
+// error carries the byte offset where parsing stopped.
+func Load(r io.Reader, g *hetgraph.Graph) (*Engine, error) {
+	// A stream has no file to map: its bytes are read whole and opened the
+	// way a file's are, on the heap.
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
+	}
+	return loadSnapshot(bytes.NewReader(data), "<stream>", int64(len(data)), colstore.ModeOff, g)
+}
+
+// LoadFile is Load with path context in every error, and — unlike the
+// streaming Load — able to mmap the snapshot's columnar section.
+// It uses ModeAuto; LoadFileWith exposes the choice.
+func LoadFile(path string, g *hetgraph.Graph) (*Engine, error) {
+	return LoadFileWith(path, g, LoadOptions{})
+}
+
+// LoadFileWith is LoadFile with explicit materialisation options: o.Mmap
+// decides whether the snapshot's columnar section is mmap'd (zero-copy
+// views, corpus larger than RAM) or read onto the heap. The two modes
+// produce bit-identical engines; only residency behaviour differs.
+func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error) {
+	f, size, err := openSized(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
+	}
+	// The file handle is only needed during the load: a mapping
+	// survives Close, and heap mode materialises every segment before
+	// loadSnapshot returns.
+	defer f.Close()
+	return loadSnapshot(f, path, size, o.Mmap, g)
+}
+
+// VerifySnapshotFile checks a snapshot file's integrity without
+// materialising an engine: container magic, version, payload CRC, the
+// columnar section directory and every segment CRC, and the file's end.
+// This is what a replication follower runs on a freshly downloaded
+// snapshot before letting it replace anything: a torn or bit-flipped
+// download fails here, with a typed error, not at some later boot.
+func VerifySnapshotFile(path string) error {
+	f, size, err := openSized(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, _, err = openSnapshot(f, path, size, colstore.ModeOff)
+	return err
+}
+
+func openSized(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
+// openSnapshot is the one way snapshot bytes are accepted, whichever
+// entry point they came through: the container at the head of src (magic,
+// payload CRC, and the one format version this build reads — an older
+// file is as unreadable as a newer one, and says so by type), then the
+// columnar section behind it with its directory and every segment CRC,
+// then the end of the source, which must be the section's final page
+// boundary — readable bytes past it mean a concatenated or doubly-written
+// file, never a legitimate one. src is the whole snapshot, size bytes
+// long; when it is a file, mode decides whether the returned section maps
+// it (a stream's bytes can only be read onto the heap).
+func openSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode) (payload []byte, sec *colstore.Section, err error) {
+	version, payload, end, err := durable.ReadContainerPrefix(io.NewSectionReader(src, 0, size), name, snapshotVersion)
+	if err != nil {
+		return nil, nil, err
+	}
+	if version != snapshotVersion {
+		return nil, nil, &durable.VersionError{Path: name, Got: version, Max: snapshotVersion}
+	}
+	if f, ok := src.(*os.File); ok {
+		sec, err = colstore.Open(f, end, mode)
+	} else {
+		sec, err = colstore.OpenReaderAt(src, name, size, end)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if aligned := colstore.AlignUp(sec.End()); size != aligned {
+		sec.Close()
+		return nil, nil, &durable.CorruptError{Path: name, Offset: aligned,
+			Detail: "trailing bytes after snapshot", Err: durable.ErrChecksum}
+	}
+	return payload, sec, nil
+}
+
+// loadSnapshot opens a snapshot and assembles the engine it describes.
+func loadSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode, g *hetgraph.Graph) (*Engine, error) {
+	payload, sec, err := openSnapshot(src, name, size, mode)
+	if err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
+	}
+	e, err := engineFromColumns(payload, name, sec, g)
+	if err != nil {
+		sec.Close()
+		var ce *durable.CorruptError
+		if !errors.As(err, &ce) {
+			// Checksums held, so what is wrong is the snapshot's content.
+			err = &durable.CorruptError{Path: name, Detail: "snapshot content", Err: err}
+		}
+		return nil, fmt.Errorf("core: load: %w", err)
+	}
+	if sec.Mapped {
+		e.colsec = sec
+	}
+	return e, nil
+}
+
+// decodePayload gob-decodes a snapshot payload.
+func decodePayload(payload []byte, name string) (*snapshotPayload, error) {
+	var p snapshotPayload
+	// gob reads a bytes.Reader byte by byte, so what is left of it says
+	// how far into the payload parsing got.
+	rd := bytes.NewReader(payload)
+	if err := gob.NewDecoder(rd).Decode(&p); err != nil {
+		// The payload passed its checksum, so a gob failure means the
+		// snapshot was written by an incompatible build — report it with
+		// position context instead of a bare "gob: ..." message.
+		return nil, &durable.CorruptError{Path: name, Offset: int64(len(payload) - rd.Len()),
+			Detail: "engine gob payload", Err: err}
+	}
+	if p.Col == nil {
+		return nil, errors.New("snapshot describes no columnar section")
+	}
+	return &p, nil
+}
+
+// optionsFromPersist reconstructs the build Options a payload echoes.
+func optionsFromPersist(ep *enginePersist) (Options, error) {
+	opts := Options{
+		K:                   ep.K,
+		SampleFraction:      ep.SampleFraction,
+		NegStrategy:         sampling.Strategy(ep.NegStrategy),
+		NegPerPos:           ep.NegPerPos,
+		MaxPositivesPerSeed: ep.MaxPositivesPerSeed,
+		Dim:                 ep.Dim,
+		EF:                  ep.EF,
+		Seed:                ep.Seed,
+		Index:               ep.IndexConfig,
+		UsePGIndex:          Bool(ep.UsePGIndex),
+	}
+	for _, s := range ep.MetaPaths {
+		mp, err := hetgraph.ParseMetaPath(s)
+		if err != nil {
+			return Options{}, err
+		}
+		opts.MetaPaths = append(opts.MetaPaths, mp)
+	}
+	return opts, nil
+}
+
+// engineFromColumns assembles an engine from the CRC-verified payload
+// (name labels its source) plus the opened, CRC-verified columnar section. Nothing is recomputed: the
+// encoder table, the embedding matrix and the index adjacency are adopted
+// as-is (the latter two zero-copy when sec is mapped), and the journalled
+// updates are replayed against the graph only, because their embeddings
+// and index entries are already inside the saved blocks. An error is
+// either a *durable.CorruptError or a plain description of the content
+// that does not hold together, which the caller wraps in one.
+func engineFromColumns(payload []byte, name string, sec *colstore.Section, g *hetgraph.Graph) (*Engine, error) {
+	p, err := decodePayload(payload, name)
+	if err != nil {
+		return nil, err
+	}
+	col := p.Col
+	if col.Rows < 0 || p.Engine.Dim <= 0 || col.Dim != p.Engine.Dim {
+		return nil, fmt.Errorf("columnar shape: %d rows x %d dims vs engine dim %d",
+			col.Rows, col.Dim, p.Engine.Dim)
+	}
+	opts, err := optionsFromPersist(&p.Engine)
+	if err != nil {
+		return nil, err
+	}
+
+	// Residency discipline: the assembly below walks the small metadata
+	// columns (row ids, CSR offsets, entry points, tombstones) in full,
+	// so zero-copy views of them would fault their pages resident during
+	// load for no benefit — read those through the file onto the heap.
+	// The encoder table goes there too: every query token touches it, and
+	// it stays writable (fine-tuning and tests write to Emb).
+	// The blocks that actually pay off lazily — the embedding matrix,
+	// the concatenated neighbour lists, and the quantization shadow —
+	// stay views of the mapping and page in on first query touch.
+	meta := sec.Materialized()
+	table, err := meta.Float32s(segTable)
+	if err != nil {
+		return nil, fmt.Errorf("encoder table: %w", err)
+	}
+	vocab, err := textenc.NewVocabFromTokens(p.Engine.Tokens, p.Engine.DocFreqs, p.Engine.NumDocs)
+	if err != nil {
+		return nil, err
+	}
+	// The shape check (vocabulary x Dim against the segment's length,
+	// overflow included) is the constructor's: shapes come from a file.
+	enc, err := textenc.NewEncoderWithTable(vocab, p.Engine.Dim, table)
+	if err != nil {
+		return nil, err
+	}
+	enc.Pooling = textenc.Pooling(p.Engine.Pooling)
+
+	embs, err := sec.Float32s(segEmbs)
+	if err != nil {
+		return nil, fmt.Errorf("embedding matrix: %w", err)
+	}
+	ids32, err := meta.Int32s(segIDs)
+	if err != nil {
+		return nil, fmt.Errorf("row ids: %w", err)
+	}
+	// Capacity is clipped to length so an engine without an index, whose
+	// AddPaper appends to these rows, reallocates instead of writing
+	// through a mapping.
+	rows, err := vec.Matrix32Of(col.Rows, col.Dim, embs[:len(embs):len(embs)])
+	if err != nil || len(ids32) != col.Rows {
+		return nil, fmt.Errorf("columnar shape: %d ids, %d weights for %d x %d",
+			len(ids32), len(embs), col.Rows, col.Dim)
+	}
+	ids := make([]hetgraph.NodeID, len(ids32))
+	for i, id := range ids32 {
+		ids[i] = hetgraph.NodeID(id)
+	}
+
+	e := &Engine{g: g, opts: opts, enc: enc, reg: obs.Default()}
+	// The token cache is rebuilt lazily: journalled updates repopulate
+	// their entries below, and new AddPapers write theirs. Eagerly
+	// re-tokenising the whole corpus would defeat the point of the
+	// rebuild-free load.
+	e.cache = make(train.TokenCache)
+	e.stats.VocabSize = vocab.Size()
+
+	var dead []byte
+	if col.HasIndex {
+		c := pgindex.Columns{
+			IDs: ids, Dim: col.Dim, Embs: embs,
+			ExactOnly: col.ExactOnly,
+			Nav:       col.Nav, NumDead: col.NumDead,
+		}
+		if c.NbrOff, err = meta.Uint64s(segNbrOff); err != nil {
+			return nil, fmt.Errorf("CSR offsets: %w", err)
+		}
+		if c.NbrDat, err = sec.Int32s(segNbrDat); err != nil {
+			return nil, fmt.Errorf("CSR neighbours: %w", err)
+		}
+		if c.Entries, err = meta.Int32s(segEntries); err != nil {
+			return nil, fmt.Errorf("index entry points: %w", err)
+		}
+		if col.NumDead > 0 {
+			if dead, err = meta.Bytes(segDead); err != nil {
+				return nil, fmt.Errorf("tombstones: %w", err)
+			}
+			c.Dead = dead
+		}
+		if sec.Has(segQCodes) {
+			if c.QCodes, err = sec.Int8s(segQCodes); err != nil {
+				return nil, fmt.Errorf("quantized codes: %w", err)
+			}
+			if c.QScales, err = sec.Float32s(segQScales); err != nil {
+				return nil, fmt.Errorf("quantization scales: %w", err)
+			}
+			if c.QNorms, err = sec.Float32s(segQNorms); err != nil {
+				return nil, fmt.Errorf("quantization norms: %w", err)
+			}
+		}
+		if e.index, err = pgindex.FromColumns(c); err != nil {
+			return nil, fmt.Errorf("columnar index: %w", err)
+		}
+		e.stats.IndexEdges = e.index.NumEdges()
+		e.stats.IndexMemory = e.index.MemoryBytes()
+	} else {
+		// An engine without an index scans the saved matrix where it lies —
+		// in the mapping, when there is one.
+		e.ids, e.rows = ids, rows
+	}
+
+	// The Embeddings map holds full-capacity row views of the shared
+	// matrix: cap == len, so anything that appends to a row reallocates
+	// onto the heap instead of writing through a read-only mapping.
+	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, col.Rows)
+	for i, id := range ids {
+		if len(dead) > 0 && dead[i] != 0 {
+			continue
+		}
+		lo, hi := i*col.Dim, (i+1)*col.Dim
+		e.Embeddings[id] = embs[lo:hi:hi]
+	}
+
+	// Re-apply journalled updates to the graph and token cache only:
+	// their embeddings and index rows are already in the columnar
+	// blocks. Each replayed paper must land on a row id the snapshot
+	// knows — a mismatch means the snapshot and journal disagree.
+	// Nothing else can reach the engine yet, so no lock is taken.
+	for i, np := range p.Updates {
+		err := func() error {
+			if err := e.validateNewPaper(np); err != nil {
+				return err
+			}
+			id, err := e.addToGraphLocked(np)
+			if err != nil {
+				return err
+			}
+			if _, ok := e.Embeddings[id]; !ok {
+				return fmt.Errorf("replayed paper %d has no row in the columnar matrix", id)
+			}
+			return nil
+		}()
+		if err != nil {
+			return nil, fmt.Errorf("journalled update %d/%d: %w", i+1, len(p.Updates), err)
+		}
+	}
+	e.walSeq = p.LastSeq
+	return e, nil
+}
+
+// SnapshotMapped reports whether this engine's embedding matrix and
+// index adjacency are zero-copy views of an mmap'd snapshot file
+// (false: heap-resident, either a fresh build or -mmap=off).
+func (e *Engine) SnapshotMapped() bool { return e.colsec != nil }
+
+// CloseSnapshot releases the mmap'd columnar section backing this
+// engine, if any. The engine must not be used afterwards — its matrix
+// and adjacency views become invalid. Intended for tests and orderly
+// process teardown; leaving the mapping open for the process lifetime
+// is also fine.
+func (e *Engine) CloseSnapshot() error {
+	if e.colsec == nil {
+		return nil
+	}
+	sec := e.colsec
+	e.colsec = nil
+	return sec.Close()
+}

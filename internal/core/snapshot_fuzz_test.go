@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"expertfind/internal/colstore"
 	"expertfind/internal/dataset"
 	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
@@ -124,13 +125,18 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 		// gob stream stops early — the shape of an incompatible or buggy
 		// writer rather than bit rot. The typed error must say the payload
 		// was the problem and carry the offset where decoding stopped.
-		// Cut inside the gob payload (before the columnar section), and
-		// re-seal the shortened container so only gob decoding can object.
+		// Cut inside the gob payload, re-seal the shortened container and
+		// put a well-formed columnar section behind it, so only gob decoding
+		// can object.
 		plen := int(binary.LittleEndian.Uint64(valid[8:16]))
-		mut := append([]byte(nil), valid[:20+plen-10]...)
-		binary.LittleEndian.PutUint64(mut[8:16], uint64(plen-10))
-		binary.LittleEndian.PutUint32(mut[16:20], durable.Checksum(mut[20:]))
-		_, err := Load(bytes.NewReader(mut), freshGraph())
+		mut := bytes.NewBuffer(append([]byte(nil), valid[:20+plen-10]...))
+		binary.LittleEndian.PutUint64(mut.Bytes()[8:16], uint64(plen-10))
+		binary.LittleEndian.PutUint32(mut.Bytes()[16:20], durable.Checksum(mut.Bytes()[20:]))
+		segs := []colstore.SegmentData{colstore.F32Seg(segTable, make([]float32, 4))}
+		if _, _, err := colstore.WriteSection(mut, int64(mut.Len()), segs); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(mut, freshGraph())
 		var ce *durable.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("want *CorruptError, got %v", err)

@@ -2,14 +2,61 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"expertfind/internal/colstore"
 	"expertfind/internal/dataset"
+	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/sampling"
 )
+
+// loadBothModes restores a saved engine twice, from the stream onto the
+// heap and from a file through a mapping, each against its own copy of
+// the base graph, and checks that Θ_B came back bit for bit in both: the
+// table is a float32 column of the snapshot, not a widened copy.
+func loadBothModes(t *testing.T, built *Engine, saved []byte, graph func() *hetgraph.Graph) (heap, mapped *Engine) {
+	t.Helper()
+	heap, err := Load(bytes.NewReader(saved), graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "engine.snap")
+	if err := os.WriteFile(path, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err = LoadFileWith(path, graph(), LoadOptions{Mmap: colstore.ModeOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mapped.CloseSnapshot() })
+	want := built.Encoder().Emb
+	for _, loaded := range []*Engine{heap, mapped} {
+		got := loaded.Encoder().Emb
+		if got.Rows != want.Rows || got.Cols != want.Cols || len(got.Data) != len(want.Data) {
+			t.Fatalf("encoder table %dx%d after reload, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i, x := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(x) {
+				t.Fatalf("encoder weight %d: bits %08x after reload, want %08x",
+					i, math.Float32bits(got.Data[i]), math.Float32bits(x))
+			}
+		}
+		// The table is on the heap in either mode, because training and tests
+		// write to it; a store through a read-only mapping would fault here.
+		w := got.Data[0]
+		got.Data[0] = 0
+		got.Data[0] = w
+	}
+	return heap, mapped
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := dataset.Generate(dataset.AminerSim(200))
@@ -29,10 +76,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := built.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// No journalled update touches the graph, so both loads may share it.
+	loaded, _ := loadBothModes(t, built, buf.Bytes(), func() *hetgraph.Graph { return g })
 
 	// Restored embeddings must be bit-identical: same vocabulary, same
 	// fine-tuned table, same pooling.
@@ -101,11 +146,7 @@ func TestSaveLoadAfterUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restore against a FRESH base graph, as a restarted process would.
-	ds2 := gen()
-	loaded, err := Load(&buf, ds2.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded, _ := loadBothModes(t, built, buf.Bytes(), func() *hetgraph.Graph { return gen().Graph })
 	if loaded.AppliedUpdates() != 4 {
 		t.Fatalf("journalled updates: %d, want 4", loaded.AppliedUpdates())
 	}
@@ -141,6 +182,30 @@ func TestLoadRejectsCorruptData(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(nil), ds.Graph); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// TestSnapshotWithoutColumnsRejected: a container of this build's version
+// whose payload describes no columnar section is not something Save can
+// write. Every checksum holds, so it is the content that is refused —
+// by type, before anything dereferences the missing shapes.
+func TestSnapshotWithoutColumnsRejected(t *testing.T) {
+	var payload, file bytes.Buffer
+	p := snapshotPayload{Engine: enginePersist{Dim: 4, Tokens: []string{"[UNK]"}, DocFreqs: []int{0}}}
+	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteContainer(&file, snapshotVersion, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	segs := []colstore.SegmentData{colstore.F32Seg(segTable, make([]float32, 4))}
+	if _, _, err := colstore.WriteSection(&file, int64(file.Len()), segs); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&file, dataset.Generate(dataset.AminerSim(60)).Graph)
+	var ce *durable.CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "no columnar section") {
+		t.Fatalf("want *durable.CorruptError naming the missing section, got %v", err)
 	}
 }
 

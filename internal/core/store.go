@@ -84,7 +84,7 @@ type StoreOptions struct {
 	// FollowerTTL overrides how long a silent replication follower pins
 	// WAL truncation (zero: DefaultFollowerTTL).
 	FollowerTTL time.Duration
-	// Mmap selects how a v2 snapshot's columnar section is materialised
+	// Mmap selects how the snapshot's columnar section is materialised
 	// on recovery (see LoadOptions.Mmap): the zero value maps it when
 	// the platform allows, ModeOff forces heap reads, ModeOn fails if
 	// the mapping cannot be established.
@@ -138,6 +138,7 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 		s.followerTTL = DefaultFollowerTTL
 	}
 	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), reg), "recover")
+	defer root.End() // on the error paths; recovery's own end is taken below
 
 	// Phase 1: restore the checkpointed state.
 	snapPath := filepath.Join(dir, SnapshotFileName)
@@ -146,7 +147,6 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 	if st, err := os.Stat(snapPath); err == nil {
 		e, err := LoadFileWith(snapPath, g, LoadOptions{Mmap: o.Mmap})
 		if err != nil {
-			root.End()
 			return nil, err // typed: checksum/truncation/version context intact
 		}
 		s.engine, hadSnapshot = e, true
@@ -161,12 +161,10 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 			"seq", s.info.SnapshotSeq, "mmap", s.info.SnapshotMapped,
 			"age", time.Since(st.ModTime()).Round(time.Second))
 	} else if !os.IsNotExist(err) {
-		root.End()
 		return nil, fmt.Errorf("core: open store: %w", err)
 	} else {
 		e, err := build()
 		if err != nil {
-			root.End()
 			return nil, err
 		}
 		s.engine = e
@@ -177,35 +175,17 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 	// Phase 2: open the log (validating every record) and replay what
 	// the snapshot does not cover.
 	_, sp = obs.StartSpan(ctx, "wal_replay")
-	wal, err := durable.OpenWAL(filepath.Join(dir, "wal"), durable.WALOptions{
+	wal, replayed, err := recoverLog(dir, s.engine, durable.WALOptions{
 		Sync:         o.Sync,
 		SyncEvery:    o.SyncEvery,
 		SegmentBytes: o.SegmentBytes,
 	})
 	if err != nil {
-		root.End()
 		return nil, err
 	}
 	s.wal = wal
 	s.info.TornWALTail = wal.Stats().TornTail
-	after := s.engine.LastUpdateSeq()
-	err = wal.Replay(after, func(seq uint64, payload []byte) error {
-		p, derr := DecodeUpdate(payload)
-		if derr != nil {
-			return &durable.CorruptError{Path: wal.Dir(), Offset: 0,
-				Detail: fmt.Sprintf("update record seq %d", seq), Err: derr}
-		}
-		if _, aerr := s.engine.ApplyLogged(p, seq); aerr != nil {
-			return fmt.Errorf("core: replay of update seq %d failed: %w", seq, aerr)
-		}
-		s.info.Replayed++
-		return nil
-	})
-	if err != nil {
-		wal.Close()
-		root.End()
-		return nil, err
-	}
+	s.info.Replayed = replayed
 	sp.End()
 	s.engine.SetUpdateLog(wal)
 	s.info.Duration = root.End()
@@ -262,12 +242,12 @@ func (s *Store) Snapshot() error {
 	path := filepath.Join(s.dir, SnapshotFileName)
 	var seq uint64
 	var nbytes int64
-	err := durable.AtomicWriteTo(path, true, func(f *os.File) error {
-		cw := &countingWriter{w: f}
-		var serr error
-		seq, serr = s.engine.SaveSnapshot(cw)
-		nbytes = cw.n
-		return serr
+	err := durable.AtomicWriteTo(path, true, func(f *os.File) (err error) {
+		if seq, err = s.engine.SaveSnapshot(f); err != nil {
+			return err
+		}
+		nbytes, err = f.Seek(0, io.SeekCurrent)
+		return err
 	})
 	if err != nil {
 		return err
@@ -293,19 +273,6 @@ func (s *Store) Snapshot() error {
 	s.log.Info("store_snapshot_written", "file", path, "bytes", nbytes,
 		"seq", seq, "dur", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// countingWriter counts bytes for the snapshot size gauge while the
-// snapshot streams to disk.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // StartSnapshotLoop checkpoints every interval until Close. Errors are
@@ -386,16 +353,44 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// newAttachedStore builds a Store around an engine and WAL a replication
-// follower has already assembled (snapshot fetched and loaded, log
-// opened at the right sequence). The WAL is NOT attached to the engine
-// as an update log — a follower records replicated sequences explicitly,
-// and only Promote wires the engine to log its own writes.
-func newAttachedStore(dir string, e *Engine, wal *durable.WAL, reg *obs.Registry, log *obs.Logger) *Store {
-	return &Store{
-		dir: dir, engine: e, wal: wal, reg: reg, log: log,
-		followers: make(map[string]followerPos), followerTTL: DefaultFollowerTTL,
+// recoverLog opens the write-ahead log under dir and replays onto e, the
+// engine recovered from dir's snapshot (or built fresh), every record the
+// snapshot does not cover — the recovery a leader and a follower share.
+// A log with no segments yet starts right after the snapshot's sequence,
+// so a follower's records line up with its leader's. On failure nothing
+// stays open: the log is closed and e's snapshot mapping released.
+func recoverLog(dir string, e *Engine, o durable.WALOptions) (wal *durable.WAL, replayed int, err error) {
+	after := e.LastUpdateSeq()
+	o.InitialSeq = after + 1
+	wal, err = durable.OpenWAL(filepath.Join(dir, "wal"), o)
+	if err != nil {
+		e.CloseSnapshot()
+		return nil, 0, err
 	}
+	err = wal.Replay(after, func(seq uint64, payload []byte) error {
+		replayed++
+		return e.applyRecord(wal.Dir(), seq, payload)
+	})
+	if err != nil {
+		wal.Close()
+		e.CloseSnapshot()
+		return nil, 0, err
+	}
+	return wal, replayed, nil
+}
+
+// applyRecord decodes one WAL record's payload and applies it under the
+// record's sequence; dir names the log holding the record in the error.
+func (e *Engine) applyRecord(dir string, seq uint64, payload []byte) error {
+	p, err := DecodeUpdate(payload)
+	if err != nil {
+		return &durable.CorruptError{Path: dir, Offset: 0,
+			Detail: fmt.Sprintf("update record seq %d", seq), Err: err}
+	}
+	if _, err := e.ApplyLogged(p, seq); err != nil {
+		return fmt.Errorf("core: apply of update seq %d failed: %w", seq, err)
+	}
+	return nil
 }
 
 // SnapshotPath returns the snapshot file's path inside the store.

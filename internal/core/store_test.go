@@ -134,6 +134,37 @@ func TestStoreCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestStoreLostLogResumesAfterSnapshot: a store whose snapshot covers
+// sequence S but whose log directory is gone numbers its next record
+// S+1, never 1 — a record numbered below the snapshot's own sequence
+// would be skipped by the next recovery, an acknowledged write lost.
+func TestStoreLostLogResumesAfterSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openTestStore(t, dir)
+	addTestPapers(t, st.Engine(), 2)
+	if err := st.Close(); err != nil { // snapshot covers seq 2
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, _ := openTestStore(t, dir)
+	id := addTestPapers(t, st2.Engine(), 1)[0]
+	if got := st2.LastSeq(); got != 3 {
+		t.Fatalf("first record after a lost log got seq %d, want 3", got)
+	}
+	// Crash (no Close), recover: the acknowledged paper must be replayed.
+	st3, _ := openTestStore(t, dir)
+	defer st3.Close()
+	if rec := st3.Recovery(); rec.Replayed != 1 {
+		t.Errorf("replayed %d records, want 1", rec.Replayed)
+	}
+	if st3.Engine().Graph().NumNodes() <= int(id) || st3.Engine().Graph().Type(id) != hetgraph.Paper {
+		t.Errorf("acknowledged paper %d missing after recovery", id)
+	}
+}
+
 // TestStoreSnapshotCoversUpdates: after an explicit snapshot, restart
 // needs no WAL replay, and the covered segments are reclaimed.
 func TestStoreSnapshotCoversUpdates(t *testing.T) {

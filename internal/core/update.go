@@ -80,7 +80,7 @@ func (e *Engine) AppliedUpdates() int {
 // EncodeUpdate serialises an update for the write-ahead log.
 func EncodeUpdate(p NewPaper) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(toPersistUpdate(p)); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 		return nil, fmt.Errorf("core: encode update: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -88,11 +88,11 @@ func EncodeUpdate(p NewPaper) ([]byte, error) {
 
 // DecodeUpdate reverses EncodeUpdate for WAL replay.
 func DecodeUpdate(b []byte) (NewPaper, error) {
-	var u persistUpdate
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&u); err != nil {
+	var p NewPaper
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
 		return NewPaper{}, fmt.Errorf("core: decode update: %w", err)
 	}
-	return u.toNewPaper(), nil
+	return p, nil
 }
 
 // AddPaper appends a paper to the engine's graph, embeds it with the
@@ -185,9 +185,45 @@ func (e *Engine) validateNewPaper(p NewPaper) error {
 	return nil
 }
 
-// applyUpdateLocked performs the validated mutation: graph, embedding,
-// index, journal. Caller holds e.mu for writing and has validated p.
+// applyUpdateLocked performs the validated mutation: graph and journal
+// (addToGraphLocked), then embedding and index. Caller holds e.mu for
+// writing and has validated p.
 func (e *Engine) applyUpdateLocked(p NewPaper, seq uint64) (hetgraph.NodeID, error) {
+	id, err := e.addToGraphLocked(p)
+	if err != nil {
+		return 0, err
+	}
+	emb := e.enc.EncodeTokens(e.cache[id])
+	if e.index != nil {
+		e.Embeddings[id] = emb
+		if err := e.index.Insert(id, emb); err != nil {
+			return 0, fmt.Errorf("core: index insert: %w", err)
+		}
+	} else {
+		// New node ids only grow, so appending keeps the rows ascending.
+		// When growth moved the matrix, every view is re-pointed: views of
+		// the old array would keep it alive beside the new one.
+		old := e.rows.Data
+		e.rows.AppendRow(emb)
+		e.ids = append(e.ids, id)
+		from := len(e.ids) - 1
+		if len(old) > 0 && &old[0] != &e.rows.Data[0] {
+			from = 0
+		}
+		e.viewRowsLocked(from)
+	}
+	if seq > e.walSeq {
+		e.walSeq = seq
+	}
+	return id, nil
+}
+
+// addToGraphLocked is the half of an update that a snapshot does not
+// already hold, and so the whole of replaying a snapshot's journal: the
+// paper node and its edges, its token-cache entry, the journal append and
+// the update counter — no embedding, no index insert. Caller holds e.mu
+// for writing (or owns the engine outright) and has validated p.
+func (e *Engine) addToGraphLocked(p NewPaper) (hetgraph.NodeID, error) {
 	g := e.g
 	// From here on the graph mutates; invalidate even on a partial failure
 	// so no cached ranking outlives a half-applied update.
@@ -213,32 +249,8 @@ func (e *Engine) applyUpdateLocked(p NewPaper, seq uint64) (hetgraph.NodeID, err
 			return 0, err
 		}
 	}
-
-	tokens := e.enc.Tokenizer().Tokenize(p.Text)
-	e.cache[id] = tokens
-	emb := e.enc.EncodeTokens(tokens)
-	if e.index != nil {
-		e.Embeddings[id] = emb
-		if err := e.index.Insert(id, emb); err != nil {
-			return 0, fmt.Errorf("core: index insert: %w", err)
-		}
-	} else {
-		// New node ids only grow, so appending keeps the rows ascending.
-		// When growth moved the matrix, every view is re-pointed: views of
-		// the old array would keep it alive beside the new one.
-		old := e.rows.Data
-		e.rows.AppendRow(emb)
-		e.ids = append(e.ids, id)
-		from := len(e.ids) - 1
-		if len(old) > 0 && &old[0] != &e.rows.Data[0] {
-			from = 0
-		}
-		e.viewRowsLocked(from)
-	}
+	e.cache[id] = e.enc.Tokenizer().Tokenize(p.Text)
 	e.updates = append(e.updates, p)
-	if seq > e.walSeq {
-		e.walSeq = seq
-	}
 	e.reg.Counter("expertfind_updates_total", "Online papers added to a built engine.").Inc()
 	return id, nil
 }

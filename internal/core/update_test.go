@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"expertfind/internal/dataset"
@@ -87,5 +89,44 @@ func TestAddPaperValidation(t *testing.T) {
 		// leave at most the validation-passed node... ensure no edge-level
 		// partial writes slipped through beyond the expected.
 		t.Logf("nodes grew from %d to %d across rejected inserts", before, g.NumNodes())
+	}
+}
+
+// TestOldUpdateRecordDecodes pins the WAL record payload across the
+// change of the encoded type: these are the bytes EncodeUpdate produced
+// when the record was a struct of []int32 lists named persistUpdate. gob
+// matches fields by name and sends NodeID as the integer it is, so a log
+// written before the change still replays, and a node running the older
+// code can tail this one.
+func TestOldUpdateRecordDecodes(t *testing.T) {
+	const old = "537f0301010d7065727369737455706461746501ff80000105010454657874010c0001" +
+		"07417574686f727301ff8200010656656e75657301ff82000106546f7069637301ff8200" +
+		"0105436974657301ff8200000015ff81020101075b5d696e74333201ff8200010400003e" +
+		"ff8001286578706572742066696e64696e67206f7665722068657465726f67656e656f75" +
+		"732067726170687301020efe025801011801035052fd01fbd000"
+	want := NewPaper{
+		Text:    "expert finding over heterogeneous graphs",
+		Authors: []hetgraph.NodeID{7, 300},
+		Venues:  []hetgraph.NodeID{12},
+		Topics:  []hetgraph.NodeID{40, 41, 65000},
+	}
+	b, err := hex.DecodeString(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeUpdate(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("old record decoded to %+v, want %+v", got, want)
+	}
+	// And what this build writes decodes to the same paper.
+	b, err = EncodeUpdate(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = DecodeUpdate(b); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip gave %+v, %v", got, err)
 	}
 }

@@ -27,7 +27,7 @@ const (
 	containerHeaderSize = 20
 	// ContainerHeaderSize is the fixed byte length of the container
 	// header — the offset where the payload begins. Callers that append
-	// out-of-band data after the payload (the v2 columnar snapshot
+	// out-of-band data after the payload (the columnar snapshot
 	// section) use it to compute absolute file offsets.
 	ContainerHeaderSize = containerHeaderSize
 	// MaxPayloadBytes bounds a declared payload length so a corrupt

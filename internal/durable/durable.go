@@ -88,39 +88,10 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // survives a power cut. A crash at any point leaves either the old file
 // or the new one, never a torn mix.
 func AtomicWriteFile(path string, data []byte, sync bool) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("durable: atomic write %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	// Any failure past this point must not leave the temp file behind.
-	fail := func(step string, err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("durable: atomic write %s: %s: %w", path, step, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return fail("write", err)
-	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			return fail("fsync", err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return fail("close", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("durable: atomic write %s: rename: %w", path, err)
-	}
-	if sync {
-		if err := syncDir(dir); err != nil {
-			return fmt.Errorf("durable: atomic write %s: sync dir: %w", path, err)
-		}
-	}
-	return nil
+	return AtomicWriteTo(path, sync, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
 }
 
 // AtomicWriteTo is AtomicWriteFile for producers too large to buffer:
@@ -135,6 +106,7 @@ func AtomicWriteTo(path string, sync bool, write func(f *os.File) error) error {
 		return fmt.Errorf("durable: atomic write %s: %w", path, err)
 	}
 	tmpName := tmp.Name()
+	// Any failure past this point must not leave the temp file behind.
 	fail := func(step string, err error) error {
 		tmp.Close()
 		os.Remove(tmpName)

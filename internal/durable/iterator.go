@@ -18,12 +18,11 @@ type WALIterator struct {
 	segs    []segmentInfo
 	seg     int // index into segs of the segment being read
 	f       *os.File
-	r       *offsetReader
-	from    uint64 // first sequence the caller asked for
-	scanSeq uint64 // sequence the next scanned record must carry
-	upTo    uint64 // last sequence this iterator will yield
-	err     error  // sticky terminal state (io.EOF when exhausted)
-	buf     []byte // payload buffer, reused across Next calls
+	rr      *RecordReader // decodes the segment being read
+	from    uint64        // first sequence the caller asked for
+	scanSeq uint64        // sequence the next scanned record must carry
+	upTo    uint64        // last sequence this iterator will yield
+	err     error         // sticky terminal state (io.EOF when exhausted)
 }
 
 // ReadFrom returns an iterator over records with sequence >= from, up to
@@ -156,7 +155,7 @@ func (it *WALIterator) openSegment() error {
 		return fmt.Errorf("durable: open WAL segment: %w", err)
 	}
 	it.f = f
-	it.r = &offsetReader{r: f}
+	it.rr = newRecordReader(f, seg.path)
 	return nil
 }
 
@@ -205,34 +204,13 @@ func (it *WALIterator) advanceSegment() error {
 // (seq <= upTo) was completely written before ReadFrom returned, so a
 // partial record can only be the in-flight tail beyond the promise.
 func (it *WALIterator) scanOne() (uint64, []byte, error) {
-	start := it.r.off
-	var hdr [recordHeaderSize]byte
-	if _, err := io.ReadFull(it.r, hdr[:]); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, errSegmentDone
-		}
-		return 0, nil, fmt.Errorf("durable: read WAL segment: %w", err)
+	start := it.rr.off
+	seq, payload, err := it.rr.Next()
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return 0, nil, errSegmentDone
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	seq := binary.LittleEndian.Uint64(hdr[8:16])
-	if int64(plen) > MaxRecordBytes {
-		return 0, nil, &CorruptError{Path: it.segs[it.seg].path, Offset: start,
-			Detail: "record length", Err: ErrChecksum}
-	}
-	if cap(it.buf) < int(plen) {
-		it.buf = make([]byte, plen)
-	}
-	payload := it.buf[:plen]
-	if _, err := io.ReadFull(it.r, payload); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, errSegmentDone
-		}
-		return 0, nil, fmt.Errorf("durable: read WAL segment: %w", err)
-	}
-	if got := recordChecksum(seq, payload); got != crc {
-		return 0, nil, &CorruptError{Path: it.segs[it.seg].path, Offset: start,
-			Detail: "record checksum", Err: ErrChecksum}
+	if err != nil {
+		return 0, nil, err
 	}
 	if seq != it.scanSeq {
 		return 0, nil, &CorruptError{Path: it.segs[it.seg].path, Offset: start,
@@ -252,41 +230,42 @@ func MarshalRecord(seq uint64, payload []byte) []byte {
 }
 
 // RecordReader decodes a stream of records in the WAL wire/on-disk
-// format (see MarshalRecord), validating each checksum. It is the
-// follower-side counterpart of streaming a WALIterator over HTTP.
+// format (see MarshalRecord), validating each checksum. It is the only
+// place a record header is interpreted: the open-time segment scan, the
+// WALIterator and the replication follower all read through it.
 type RecordReader struct {
-	r   *offsetReader
-	buf []byte
+	r    io.Reader
+	name string // labels the source in errors: a segment path, or "<stream>"
+	off  int64  // bytes of r consumed by the complete records returned so far
+	buf  []byte // payload buffer, reused across Next calls
 }
 
 // NewRecordReader wraps r, which must carry zero or more complete
 // records back to back.
-func NewRecordReader(r io.Reader) *RecordReader {
-	return &RecordReader{r: &offsetReader{r: r}}
+func NewRecordReader(r io.Reader) *RecordReader { return newRecordReader(r, "<stream>") }
+
+func newRecordReader(r io.Reader, name string) *RecordReader {
+	return &RecordReader{r: r, name: name}
 }
 
 // Next returns the next record. io.EOF reports a clean end between
-// records; io.ErrUnexpectedEOF a stream cut mid-record (a torn tail on
-// the wire — resume from the last applied sequence); a *CorruptError a
-// checksum or framing failure. The payload is reused on the following
-// call; copy to retain.
+// records; io.ErrUnexpectedEOF a stream cut mid-record (a torn tail —
+// on the wire, resume from the last applied sequence); a *CorruptError,
+// carrying the source's name and the record's offset, a checksum or
+// framing failure. The payload is reused on the following call; copy to
+// retain.
 func (rr *RecordReader) Next() (seq uint64, payload []byte, err error) {
-	start := rr.r.off
 	var hdr [recordHeaderSize]byte
 	if _, err := io.ReadFull(rr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+		return 0, nil, rr.readErr(err, io.EOF)
 	}
 	plen := binary.LittleEndian.Uint32(hdr[0:4])
 	crc := binary.LittleEndian.Uint32(hdr[4:8])
 	seq = binary.LittleEndian.Uint64(hdr[8:16])
 	if int64(plen) > MaxRecordBytes {
-		return 0, nil, &CorruptError{Path: "<stream>", Offset: start,
+		// An over-large length at the tail is indistinguishable from a torn
+		// header; anywhere else it is corruption either way.
+		return 0, nil, &CorruptError{Path: rr.name, Offset: rr.off,
 			Detail: "record length", Err: ErrChecksum}
 	}
 	if cap(rr.buf) < int(plen) {
@@ -294,14 +273,26 @@ func (rr *RecordReader) Next() (seq uint64, payload []byte, err error) {
 	}
 	payload = rr.buf[:plen]
 	if _, err := io.ReadFull(rr.r, payload); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+		return 0, nil, rr.readErr(err, io.ErrUnexpectedEOF)
 	}
 	if got := recordChecksum(seq, payload); got != crc {
-		return 0, nil, &CorruptError{Path: "<stream>", Offset: start,
+		return 0, nil, &CorruptError{Path: rr.name, Offset: rr.off,
 			Detail: "record checksum", Err: ErrChecksum}
 	}
+	rr.off += recordHeaderSize + int64(plen)
 	return seq, payload, nil
+}
+
+// readErr classifies a failed read: the source ending before any byte
+// of the wanted field is atEOF (clean between records, torn inside
+// one), ending part-way through it is always torn, and anything else is
+// the source's own failure.
+func (rr *RecordReader) readErr(err, atEOF error) error {
+	switch {
+	case err == io.EOF:
+		return atEOF
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("durable: read %s: %w", rr.name, err)
 }

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -411,7 +410,8 @@ func (w *WAL) Sync() error {
 
 // Replay streams every record with sequence > after, in order, to fn.
 // It re-reads the segment files, so it reflects exactly what survived
-// on disk. A fn error aborts the replay and is returned unchanged.
+// on disk. The payload is valid only until fn returns; copy to retain.
+// A fn error aborts the replay and is returned unchanged.
 func (w *WAL) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	w.mu.Lock()
 	if w.closed {
@@ -607,12 +607,12 @@ type scanResult struct {
 }
 
 // scanSegment validates every record in one segment file, optionally
-// delivering payloads to fn. expect is the sequence the first record
-// must carry (0 to accept the segment's declared first sequence —
-// used when earlier segments were truncated away by a snapshot).
-// In the final segment (last=true) a record cut short by EOF is
-// reported via tornAt instead of an error; any other damage is a
-// *CorruptError.
+// delivering payloads to fn (each valid only until fn returns). expect
+// is the sequence the first record must carry (0 to accept the
+// segment's declared first sequence — used when earlier segments were
+// truncated away by a snapshot). In the final segment (last=true) a
+// record cut short by EOF is reported via tornAt instead of an error;
+// any other damage is a *CorruptError.
 func scanSegment(path string, firstSeq, expect uint64, last bool, fn func(uint64, []byte) error) (scanResult, error) {
 	res := scanResult{tornAt: -1}
 	f, err := os.Open(path)
@@ -632,39 +632,20 @@ func scanSegment(path string, firstSeq, expect uint64, last bool, fn func(uint64
 		return res, &CorruptError{Path: path, Offset: 0, Detail: "segment sequence",
 			Err: fmt.Errorf("segment starts at seq %d, want %d: %w", firstSeq, expect, ErrTruncated)}
 	}
-	r := &offsetReader{r: f}
-	var hdr [recordHeaderSize]byte
+	rr := newRecordReader(f, path)
 	for {
-		start := r.off
-		_, err := io.ReadFull(r, hdr[:])
-		if err == io.EOF {
+		start := rr.off
+		seq, payload, err := rr.Next()
+		switch {
+		case err == io.EOF:
 			return res, nil // clean end
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return tornOrCorrupt(path, start, "record header", last, &res)
-		}
-		if err != nil {
-			return res, fmt.Errorf("durable: read WAL segment %s: %w", path, err)
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		seq := binary.LittleEndian.Uint64(hdr[8:16])
-		if int64(plen) > MaxRecordBytes {
-			// An over-large length in the final position is indistinguishable
-			// from a torn header; mid-file it is corruption either way.
-			return res, &CorruptError{Path: path, Offset: start,
-				Detail: "record length", Err: ErrChecksum}
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-				return tornOrCorrupt(path, start, "record payload", last, &res)
-			}
-			return res, fmt.Errorf("durable: read WAL segment %s: %w", path, err)
-		}
-		if got := recordChecksum(seq, payload); got != crc {
-			return res, &CorruptError{Path: path, Offset: start,
-				Detail: "record checksum", Err: ErrChecksum}
+		case err == io.ErrUnexpectedEOF && last:
+			res.tornAt = start // a tolerated torn tail
+			return res, nil
+		case err == io.ErrUnexpectedEOF:
+			return res, &CorruptError{Path: path, Offset: start, Detail: "torn record", Err: ErrTruncated}
+		case err != nil:
+			return res, err
 		}
 		if seq != expect {
 			return res, &CorruptError{Path: path, Offset: start, Detail: "record sequence",
@@ -679,29 +660,6 @@ func scanSegment(path string, firstSeq, expect uint64, last bool, fn func(uint64
 		res.lastSeq = seq
 		expect++
 	}
-}
-
-// tornOrCorrupt resolves a short read at offset start: a tolerated torn
-// tail in the final segment, a typed corruption error anywhere else.
-func tornOrCorrupt(path string, start int64, what string, last bool, res *scanResult) (scanResult, error) {
-	if last {
-		res.tornAt = start
-		return *res, nil
-	}
-	return *res, &CorruptError{Path: path, Offset: start, Detail: what, Err: ErrTruncated}
-}
-
-// offsetReader tracks the byte offset of an underlying reader so errors
-// can point at the damaged region.
-type offsetReader struct {
-	r   io.Reader
-	off int64
-}
-
-func (o *offsetReader) Read(p []byte) (int, error) {
-	n, err := o.r.Read(p)
-	o.off += int64(n)
-	return n, err
 }
 
 func encodeRecord(seq uint64, payload []byte) []byte {

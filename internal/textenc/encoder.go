@@ -335,15 +335,16 @@ func (e *Encoder) NumParameters() int { return len(e.Emb.Data) }
 
 // NewEncoderWithTable builds an encoder over v whose embedding table is
 // the given row-major weight data (vocab.Size() x dim) — the restore path
-// for a fine-tuned Θ_B saved to disk. The float64 data is rounded into the
-// float32 table; a table saved via Emb.Float64() restores bit-identically.
-func NewEncoderWithTable(v *Vocab, dim int, data []float64) (*Encoder, error) {
+// for a fine-tuned Θ_B saved to disk. The encoder adopts data as its table
+// (no copy), so a table saved from Emb.Data restores bit-identically.
+func NewEncoderWithTable(v *Vocab, dim int, data []float32) (*Encoder, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("textenc: non-positive dimension %d", dim)
 	}
-	emb, err := vec.Matrix32FromFloat64(v.Size(), dim, data)
+	emb, err := vec.Matrix32Of(v.Size(), dim, data)
 	if err != nil {
-		return nil, fmt.Errorf("textenc: table has %d weights, want %d", len(data), v.Size()*dim)
+		return nil, fmt.Errorf("textenc: table has %d weights for %d tokens x %d dims: %w",
+			len(data), v.Size(), dim, err)
 	}
 	e := &Encoder{
 		vocab:     v,

@@ -54,7 +54,7 @@ func TestNewVocabFromTokensValidation(t *testing.T) {
 func TestNewEncoderWithTable(t *testing.T) {
 	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
 	orig := NewEncoder(v, 8, 3)
-	data := orig.Emb.Float64()
+	data := orig.Emb.Clone().Data
 	re, err := NewEncoderWithTable(v, 8, data)
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,7 @@ func elemsOverflow(rows, cols int) bool {
 // ShapeError reports an invalid or mismatched matrix/vector shape: a
 // negative or overflowing dimension in a constructor, or mismatched
 // lengths in a kernel. NewMatrix, NewMatrix32 and AppendRow panic with
-// it; Matrix32FromFloat64, which takes shapes from snapshot files,
-// returns it.
+// it; Matrix32Of, which takes shapes from snapshot files, returns it.
 type ShapeError struct {
 	Op         string // operation that rejected the shape
 	Rows, Cols int    // the offending pair (rows x cols, or the two lengths)

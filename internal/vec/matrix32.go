@@ -67,28 +67,13 @@ func (m *Matrix32) FillGaussian(rng *rand.Rand, sigma float64) {
 	}
 }
 
-// Float64 returns the matrix contents widened to []float64, row-major —
-// the persistence format of the encoder table (float32→float64 is exact,
-// so a round trip reproduces the matrix bit for bit).
-func (m *Matrix32) Float64() []float64 {
-	out := make([]float64, len(m.Data))
-	for i, x := range m.Data {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// Matrix32FromFloat64 builds a Matrix32 from row-major float64 data,
-// rounding each component once. It returns a *ShapeError when the data
-// length does not match rows*cols (including shapes whose product
-// overflows int and would wrap onto len(data)).
-func Matrix32FromFloat64(rows, cols int, data []float64) (*Matrix32, error) {
+// Matrix32Of wraps row-major data as a rows x cols matrix without copying
+// it. It returns a *ShapeError when the data length does not match
+// rows*cols (including shapes whose product overflows int and would wrap
+// onto len(data)): this is the constructor for shapes read from a file.
+func Matrix32Of(rows, cols int, data []float32) (*Matrix32, error) {
 	if rows < 0 || cols < 0 || elemsOverflow(rows, cols) || len(data) != rows*cols {
-		return nil, &ShapeError{Op: "Matrix32FromFloat64", Rows: rows, Cols: cols}
+		return nil, &ShapeError{Op: "Matrix32Of", Rows: rows, Cols: cols}
 	}
-	m := &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, len(data))}
-	for i, x := range data {
-		m.Data[i] = float32(x)
-	}
-	return m, nil
+	return &Matrix32{Rows: rows, Cols: cols, Data: data}, nil
 }

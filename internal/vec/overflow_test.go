@@ -30,8 +30,8 @@ func TestConstructorOverflowGuard(t *testing.T) {
 			t.Errorf("NewMatrix32(%d, %d): panicked with %v, want *ShapeError", rows, cols, v)
 		}
 		var se *ShapeError
-		if _, err := Matrix32FromFloat64(rows, cols, nil); !errors.As(err, &se) {
-			t.Errorf("Matrix32FromFloat64(%d, %d): got %v, want *ShapeError", rows, cols, err)
+		if _, err := Matrix32Of(rows, cols, nil); !errors.As(err, &se) {
+			t.Errorf("Matrix32Of(%d, %d): got %v, want *ShapeError", rows, cols, err)
 		}
 	}
 }
@@ -53,13 +53,13 @@ func TestConstructorBoundaryShapes(t *testing.T) {
 		}
 	}
 	// 1 x MaxInt passes the overflow guard (no wrap) — it must fail only
-	// at allocation, which we do not attempt here. Matrix32FromFloat64
+	// at allocation, which we do not attempt here. Matrix32Of
 	// with a mismatched data length must still reject cleanly.
 	var se *ShapeError
-	if _, err := Matrix32FromFloat64(2, 3, make([]float64, 5)); !errors.As(err, &se) {
-		t.Errorf("Matrix32FromFloat64 length mismatch: got %v, want *ShapeError", err)
+	if _, err := Matrix32Of(2, 3, make([]float32, 5)); !errors.As(err, &se) {
+		t.Errorf("Matrix32Of length mismatch: got %v, want *ShapeError", err)
 	}
-	if m, err := Matrix32FromFloat64(2, 2, []float64{1, 2, 3, 4}); err != nil || m.At(1, 1) != 4 {
-		t.Errorf("Matrix32FromFloat64 valid: %v", err)
+	if m, err := Matrix32Of(2, 2, []float32{1, 2, 3, 4}); err != nil || m.At(1, 1) != 4 {
+		t.Errorf("Matrix32Of valid: %v", err)
 	}
 }
