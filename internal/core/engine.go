@@ -352,18 +352,34 @@ func (e *Engine) abandonQuery(root *obs.Span) {
 // and retrieve spans populate QueryStats, so Total() is by construction
 // the sum of the span durations.
 func (e *Engine) retrievePapersLocked(ctx context.Context, query string, m int) ([]hetgraph.NodeID, QueryStats, error) {
-	var st QueryStats
 	if err := ctx.Err(); err != nil {
-		return nil, st, err
+		return nil, QueryStats{}, err
 	}
 	_, sp := obs.StartSpan(ctx, "encode")
 	qv := e.enc.Encode(query)
-	st.EncodeTime = sp.End()
+	encodeTime := sp.End()
 	if err := ctx.Err(); err != nil {
+		return nil, QueryStats{EncodeTime: encodeTime}, err
+	}
+	res, st, err := e.retrieveVecLocked(ctx, qv, m)
+	st.EncodeTime = encodeTime
+	if err != nil {
 		return nil, st, err
 	}
+	ids := make([]hetgraph.NodeID, len(res))
+	for i, r := range res {
+		ids[i] = r.ID
+	}
+	return ids, st, ctx.Err()
+}
 
-	_, sp = obs.StartSpan(ctx, "retrieve")
+// retrieveVecLocked is the retrieve stage of every query, text or paper:
+// the m rows nearest to qv, through the PG-Index when the engine has one
+// and the exact scan over its rows otherwise, under one "retrieve" span.
+// The caller holds e.mu for reading.
+func (e *Engine) retrieveVecLocked(ctx context.Context, qv vec.Vec32, m int) ([]pgindex.Result, QueryStats, error) {
+	var st QueryStats
+	_, sp := obs.StartSpan(ctx, "retrieve")
 	var res []pgindex.Result
 	var err error
 	if e.index != nil {
@@ -373,14 +389,7 @@ func (e *Engine) retrievePapersLocked(ctx context.Context, query string, m int) 
 		res, err = pgindex.Scan(ctx, e.ids, e.rows, qv, m)
 	}
 	st.RetrieveTime = sp.End()
-	if err != nil {
-		return nil, st, err
-	}
-	ids := make([]hetgraph.NodeID, len(res))
-	for i, r := range res {
-		ids[i] = r.ID
-	}
-	return ids, st, ctx.Err()
+	return res, st, err
 }
 
 // viewRowsLocked points Embeddings at rows [from, len(ids)) of the flat
@@ -420,8 +429,6 @@ func (e *Engine) topExpertsLocked(ctx context.Context, query string, m, n int) (
 var (
 	// ErrUnknownPaper reports an id with no indexed embedding.
 	ErrUnknownPaper = errors.New("core: unknown paper id")
-	// ErrNoIndex reports that the engine was built without a PG-Index.
-	ErrNoIndex = errors.New("core: PG-Index disabled on this engine")
 )
 
 // BadParamError reports a query parameter outside its valid range, such
@@ -437,8 +444,8 @@ func (e *BadParamError) Error() string {
 
 // SimilarPapers returns the m papers nearest to an already-indexed paper,
 // excluding the paper itself — the related-work lookup behind /similar.
-// The search honours the engine's configured EF option, exactly like
-// query retrieval.
+// It is query retrieval with the paper's embedding for the query's: the
+// PG-Index at the engine's configured EF, or the exact scan without one.
 func (e *Engine) SimilarPapers(id hetgraph.NodeID, m int) ([]hetgraph.NodeID, QueryStats, error) {
 	return e.SimilarPapersCtx(context.Background(), id, m)
 }
@@ -454,18 +461,10 @@ func (e *Engine) SimilarPapersCtx(ctx context.Context, id hetgraph.NodeID, m int
 	if !ok {
 		return nil, QueryStats{}, ErrUnknownPaper
 	}
-	if e.index == nil {
-		return nil, QueryStats{}, ErrNoIndex
-	}
 	sctx, root := e.startQuery(ctx)
-	var st QueryStats
-	_, sp := obs.StartSpan(sctx, "retrieve")
-	st.UsedPGIndex = true
 	// +1: the paper itself ranks first in its own neighbourhood.
-	res, sst, err := e.index.SearchCtx(sctx, emb, m+1, e.opts.EF)
-	st.Search = sst
+	res, st, err := e.retrieveVecLocked(sctx, emb, m+1)
 	if err != nil {
-		st.RetrieveTime = sp.End()
 		e.abandonQuery(root)
 		return nil, st, err
 	}
@@ -479,7 +478,6 @@ func (e *Engine) SimilarPapersCtx(ctx context.Context, id hetgraph.NodeID, m int
 			break
 		}
 	}
-	st.RetrieveTime = sp.End()
 	e.finishQuery(root, st)
 	return ids, st, nil
 }

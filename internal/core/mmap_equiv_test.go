@@ -18,13 +18,15 @@ import (
 	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
+	"expertfind/internal/textenc"
+	"expertfind/internal/train"
 )
 
 // The mmap equivalence suite: the same snapshot loaded heap-decoded and
 // mmap'd must produce bit-for-bit identical rankings — expert ids,
 // order, and Float64bits of every score. The corpus is built once with
-// the PG-Index on (so the CSR, entry-point, and quantization segments
-// are all exercised) and includes journalled updates, covering the
+// the PG-Index on (so the CSR and entry-point segments are exercised)
+// and includes journalled updates, covering the
 // graph-only replay path of the columnar loader.
 
 var mmapEquivFixture = struct {
@@ -319,21 +321,12 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the encoder table's segment to damage it.
-	plen := int64(binary.LittleEndian.Uint64(valid[8:16]))
-	sec, err := colstore.OpenReaderAt(bytes.NewReader(valid), snap, int64(len(valid)),
-		durable.ContainerHeaderSize+plen)
+	// A byte flipped inside a segment no loader reads — the int8 codes a
+	// build before the shadow left the index wrote — is refused like one
+	// inside a segment every query touches.
+	parent, err := os.ReadFile(parentSnapshot)
 	if err != nil {
 		t.Fatal(err)
-	}
-	tableAt := -1
-	for _, sg := range sec.Segments() {
-		if sg.Name == segTable && sg.Length > 0 {
-			tableAt = int(sg.Offset + sg.Length/2)
-		}
-	}
-	if tableAt < 0 {
-		t.Fatalf("snapshot has no %q segment", segTable)
 	}
 
 	// The version field sits outside every checksum and is judged before
@@ -344,8 +337,11 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[6:8], v)
 		return b
 	}
-	flipped := append([]byte(nil), valid...)
-	flipped[tableAt] ^= 0x20
+	flipIn := func(raw []byte, segment string) []byte {
+		b := append([]byte(nil), raw...)
+		b[segmentMiddle(t, raw, segment)] ^= 0x20
+		return b
+	}
 	cases := []struct {
 		name  string
 		bytes []byte
@@ -356,7 +352,8 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 		{"one byte short", valid[:len(valid)-1], "corrupt: truncated"},
 		{"version-1 container", withVersion(1), "version 1"},
 		{"version-2 container", withVersion(2), "version 2"},
-		{"flipped byte in the table segment", flipped, "corrupt: checksum"},
+		{"flipped byte in the table segment", flipIn(valid, segTable), "corrupt: checksum"},
+		{"flipped byte in the parent's ignored qcodes segment", flipIn(parent, "qcodes"), "corrupt: checksum"},
 	}
 	class := func(err error) string {
 		var ve *durable.VersionError
@@ -408,6 +405,80 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 			if got := class(o.open(path, c.bytes)); got != c.want {
 				t.Errorf("%s through %s: %s, want %s", c.name, o.name, got, c.want)
 			}
+		}
+	}
+}
+
+// segmentMiddle returns the file offset of the middle byte of the named
+// columnar segment of a snapshot.
+func segmentMiddle(t *testing.T, raw []byte, name string) int {
+	t.Helper()
+	plen := int64(binary.LittleEndian.Uint64(raw[8:16]))
+	sec, err := colstore.OpenReaderAt(bytes.NewReader(raw), name, int64(len(raw)),
+		durable.ContainerHeaderSize+plen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sg := range sec.Segments() {
+		if sg.Name == name && sg.Length > 0 {
+			return int(sg.Offset + sg.Length/2)
+		}
+	}
+	t.Fatalf("snapshot has no %q segment", name)
+	return -1
+}
+
+// parentSnapshot is a 60 KB snapshot written by the last build whose
+// PG-Index carried an int8 shadow of the embedding matrix (PR 23's
+// SaveSnapshot, container version 3): the engine of parentSnapshotEngine,
+// with the qcodes, qscales and qnorms segments and the traversal-mode
+// header field this build no longer has.
+const parentSnapshot = "testdata/parent_pr23_shadow.efs"
+
+// parentSnapshotEngine rebuilds the engine parentSnapshot was saved from.
+// Train.Workers is pinned because it fixes the order of the gradient sums;
+// EF covers the corpus, so every retrieval is the exact scan.
+func parentSnapshotEngine(t *testing.T) (*dataset.Dataset, *Engine) {
+	t.Helper()
+	ds := dataset.Generate(dataset.AminerSim(60))
+	e, err := Build(ds.Graph, Options{
+		Dim: 8, Seed: 7, EF: 1 << 20, Train: train.Config{Workers: 1},
+		Vocab: textenc.VocabConfig{MaxWords: 300, MaxSubwords: 200}, Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, e
+}
+
+// TestLoadsParentSnapshotWithShadowColumns pins the format decision that
+// took the int8 shadow out of the snapshot without a version bump: a
+// version-3 file that still carries the three shadow segments verifies,
+// opens heap-decoded and mmap'd, and — searched with a pool that covers the
+// corpus, where retrieval is the exact scan — ranks Float64bits-identically
+// to an engine built fresh at the same options.
+func TestLoadsParentSnapshotWithShadowColumns(t *testing.T) {
+	if err := VerifySnapshotFile(parentSnapshot); err != nil {
+		t.Fatalf("parent snapshot rejected: %v", err)
+	}
+	raw, err := os.ReadFile(parentSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segmentMiddle(t, raw, "qcodes") // the file really is a shadow-carrying one
+	ds, built := parentSnapshotEngine(t)
+	for _, mode := range []colstore.Mode{colstore.ModeOff, colstore.ModeOn} {
+		loaded, err := LoadFileWith(parentSnapshot, dataset.Generate(dataset.AminerSim(60)).Graph, LoadOptions{Mmap: mode})
+		if err != nil {
+			t.Fatalf("mmap mode %v: %v", mode, err)
+		}
+		if loaded.opts.EF != built.opts.EF || loaded.index == nil || loaded.index.Len() != built.index.Len() ||
+			loaded.index.NumEdges() != built.index.NumEdges() {
+			t.Fatalf("mmap mode %v: loaded index %v, built %v", mode, loaded.index, built.index)
+		}
+		assertRankingsIdentical(t, ds, fmt.Sprintf("built vs parent snapshot (mmap mode %v)", mode), built, loaded)
+		if err := loaded.CloseSnapshot(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

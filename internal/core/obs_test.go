@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
+	"expertfind/internal/pgindex"
 )
 
 // buildObserved builds a small engine recording into a private registry.
@@ -117,24 +120,56 @@ func TestQueryStatsSpanConsistency(t *testing.T) {
 	}
 }
 
-// TestSimilarPapersErrors pins the sentinel errors /similar maps to HTTP
-// statuses.
+// TestSimilarPapersErrors pins the sentinel error /similar maps to an HTTP
+// status.
 func TestSimilarPapersErrors(t *testing.T) {
-	e, _, ds := buildObserved(t)
+	e, _, _ := buildObserved(t)
 	if _, _, err := e.SimilarPapers(999999, 5); err != ErrUnknownPaper {
 		t.Errorf("unknown id: %v", err)
 	}
-	noIdx, err := Build(ds.Graph, Options{Dim: 16, Seed: 9, UsePGIndex: Bool(false),
-		Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSimilarPapersExactEngine holds /similar on an engine without a
+// PG-Index to the retrieval that engine uses for every other query: the
+// scan's top-(m+1) over its rows minus the paper itself — which is also,
+// id for id, what an indexed engine over the same embeddings answers once
+// its pool covers the corpus.
+func TestSimilarPapersExactEngine(t *testing.T) {
+	ds := dataset.Generate(dataset.AminerSim(200))
+	build := func(usePG bool) *Engine {
+		// EF beyond the corpus: the indexed engine searches exhaustively.
+		e, err := Build(ds.Graph, Options{Dim: 16, Seed: 9, EF: 1 << 20, UseKPCore: Bool(false),
+			UsePGIndex: Bool(usePG), Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	var some hetgraph.NodeID
-	for id := range noIdx.Embeddings {
-		some = id
-		break
+	exact, indexed := build(false), build(true)
+	if _, _, err := exact.SimilarPapers(999999, 5); err != ErrUnknownPaper {
+		t.Errorf("unknown id on an exact engine: %v", err)
 	}
-	if _, _, err := noIdx.SimilarPapers(some, 5); err != ErrNoIndex {
-		t.Errorf("no index: %v", err)
+	const m = 7
+	for _, id := range []hetgraph.NodeID{exact.ids[0], exact.ids[len(exact.ids)/2], exact.ids[len(exact.ids)-1]} {
+		scanned, err := pgindex.Scan(context.Background(), exact.ids, exact.rows, exact.Embeddings[id], m+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []hetgraph.NodeID
+		for _, r := range scanned {
+			if r.ID != id && len(want) < m {
+				want = append(want, r.ID)
+			}
+		}
+		got, st, err := exact.SimilarPapers(id, m)
+		if err != nil || st.UsedPGIndex || !slices.Equal(got, want) {
+			t.Fatalf("similar(%d) on the exact engine: %v (index used: %v, err %v), scan says %v",
+				id, got, st.UsedPGIndex, err, want)
+		}
+		got, st, err = indexed.SimilarPapers(id, m)
+		if err != nil || !st.UsedPGIndex || !slices.Equal(got, want) {
+			t.Fatalf("similar(%d) on the indexed engine: %v (index used: %v, err %v), scan says %v",
+				id, got, st.UsedPGIndex, err, want)
+		}
 	}
 }

@@ -31,8 +31,12 @@ import (
 // the gob payload holds scalars and strings (options, vocabulary, update
 // journal, block shapes), and every fixed-width block is a segment of
 // the page-aligned columnar section (internal/colstore) that follows it —
-// the encoder table Θ_B, the float32 embedding matrix, the PG-Index CSR
-// adjacency, and the int8 quantization shadow.
+// the encoder table Θ_B, the float32 embedding matrix and the PG-Index CSR
+// adjacency. Segments are looked up by name and gob skips fields the
+// struct lacks, so the three int8 shadow segments and the traversal-mode
+// header field that builds before PR 24 wrote are checksummed with the rest
+// and otherwise ignored; the version did not change because those builds
+// open a file without them too.
 //
 //	0                durable container header (magic, version, CRC-32C)
 //	20               gob(snapshotPayload)   — includes Col metadata
@@ -65,10 +69,6 @@ const (
 	segNbrOff  = "nbroff"  // uint64, Rows+1 CSR offsets
 	segNbrDat  = "nbrdat"  // int32, concatenated neighbour lists
 	segEntries = "entries" // int32, PG-Index entry points
-	segDead    = "dead"    // uint8, tombstone flags (present iff NumDead > 0)
-	segQCodes  = "qcodes"  // int8, quantized codes (present iff quantized)
-	segQScales = "qscales" // float32, per-row quantization scales
-	segQNorms  = "qnorms"  // float32, per-row exact squared norms
 )
 
 // enginePersist is the gob-encoded form of the engine's static state.
@@ -100,12 +100,10 @@ type enginePersist struct {
 // the shapes the segments must agree with, and the index scalars that
 // are not worth a segment of their own.
 type colPersist struct {
-	Rows      int
-	Dim       int
-	HasIndex  bool
-	ExactOnly bool
-	Nav       int32
-	NumDead   int
+	Rows     int
+	Dim      int
+	HasIndex bool
+	Nav      int32
 }
 
 // snapshotPayload is the complete gob payload inside the container: the
@@ -213,22 +211,11 @@ func (e *Engine) columnSegmentsLocked() ([]colstore.SegmentData, *colPersist) {
 		colstore.U64Seg(segNbrOff, c.NbrOff),
 		colstore.I32Seg(segNbrDat, c.NbrDat),
 		colstore.I32Seg(segEntries, c.Entries))
-	if c.NumDead > 0 {
-		segs = append(segs, colstore.U8Seg(segDead, c.Dead))
-	}
-	if len(c.QCodes) > 0 {
-		segs = append(segs,
-			colstore.I8Seg(segQCodes, c.QCodes),
-			colstore.F32Seg(segQScales, c.QScales),
-			colstore.F32Seg(segQNorms, c.QNorms))
-	}
 	return segs, &colPersist{
-		Rows:      len(c.IDs),
-		Dim:       c.Dim,
-		HasIndex:  true,
-		ExactOnly: c.ExactOnly,
-		Nav:       c.Nav,
-		NumDead:   c.NumDead,
+		Rows:     len(c.IDs),
+		Dim:      c.Dim,
+		HasIndex: true,
+		Nav:      c.Nav,
 	}
 }
 
@@ -436,14 +423,14 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section, g *he
 	}
 
 	// Residency discipline: the assembly below walks the small metadata
-	// columns (row ids, CSR offsets, entry points, tombstones) in full,
+	// columns (row ids, CSR offsets, entry points) in full,
 	// so zero-copy views of them would fault their pages resident during
 	// load for no benefit — read those through the file onto the heap.
 	// The encoder table goes there too: every query token touches it, and
 	// it stays writable (fine-tuning and tests write to Emb).
-	// The blocks that actually pay off lazily — the embedding matrix,
-	// the concatenated neighbour lists, and the quantization shadow —
-	// stay views of the mapping and page in on first query touch.
+	// The blocks that actually pay off lazily — the embedding matrix and
+	// the concatenated neighbour lists — stay views of the mapping and page
+	// in on first query touch.
 	meta := sec.Materialized()
 	table, err := meta.Float32s(segTable)
 	if err != nil {
@@ -490,13 +477,8 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section, g *he
 	e.cache = make(train.TokenCache)
 	e.stats.VocabSize = vocab.Size()
 
-	var dead []byte
 	if col.HasIndex {
-		c := pgindex.Columns{
-			IDs: ids, Dim: col.Dim, Embs: embs,
-			ExactOnly: col.ExactOnly,
-			Nav:       col.Nav, NumDead: col.NumDead,
-		}
+		c := pgindex.Columns{IDs: ids, Dim: col.Dim, Embs: embs, Nav: col.Nav}
 		if c.NbrOff, err = meta.Uint64s(segNbrOff); err != nil {
 			return nil, fmt.Errorf("CSR offsets: %w", err)
 		}
@@ -505,23 +487,6 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section, g *he
 		}
 		if c.Entries, err = meta.Int32s(segEntries); err != nil {
 			return nil, fmt.Errorf("index entry points: %w", err)
-		}
-		if col.NumDead > 0 {
-			if dead, err = meta.Bytes(segDead); err != nil {
-				return nil, fmt.Errorf("tombstones: %w", err)
-			}
-			c.Dead = dead
-		}
-		if sec.Has(segQCodes) {
-			if c.QCodes, err = sec.Int8s(segQCodes); err != nil {
-				return nil, fmt.Errorf("quantized codes: %w", err)
-			}
-			if c.QScales, err = sec.Float32s(segQScales); err != nil {
-				return nil, fmt.Errorf("quantization scales: %w", err)
-			}
-			if c.QNorms, err = sec.Float32s(segQNorms); err != nil {
-				return nil, fmt.Errorf("quantization norms: %w", err)
-			}
 		}
 		if e.index, err = pgindex.FromColumns(c); err != nil {
 			return nil, fmt.Errorf("columnar index: %w", err)
@@ -539,9 +504,6 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section, g *he
 	// onto the heap instead of writing through a read-only mapping.
 	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, col.Rows)
 	for i, id := range ids {
-		if len(dead) > 0 && dead[i] != 0 {
-			continue
-		}
 		lo, hi := i*col.Dim, (i+1)*col.Dim
 		e.Embeddings[id] = embs[lo:hi:hi]
 	}

@@ -10,37 +10,27 @@ import (
 // Columns is the flat, fixed-width decomposition of an Index — the form
 // the columnar snapshot store persists. Adjacency is CSR (NbrOff[i] to
 // NbrOff[i+1] index NbrDat); the embedding matrix is one row-major
-// float32 block; the int8 quantization shadow rides along so a load
-// never re-codes. Every slice is either a save-time view of live index
+// float32 block. Every slice is either a save-time view of live index
 // storage (Columns) or, on load, may alias a read-only mmap'd snapshot
 // (FromColumns) — neither direction copies the big blocks.
 type Columns struct {
-	IDs       []hetgraph.NodeID
-	Dim       int
-	Embs      []float32 // row-major, len(IDs) x Dim
-	ExactOnly bool
-	NbrOff    []uint64 // len(IDs)+1 CSR offsets into NbrDat
-	NbrDat    []int32  // concatenated out-neighbour lists
-	Nav       int32
-	Entries   []int32
-	Dead      []byte // 1 = tombstoned; empty when NumDead == 0
-	NumDead   int
-	QCodes    []int8    // len(IDs) x Dim; empty when ExactOnly
-	QScales   []float32 // len(IDs); empty when ExactOnly
-	QNorms    []float32 // len(IDs); empty when ExactOnly
+	IDs     []hetgraph.NodeID
+	Dim     int
+	Embs    []float32 // row-major, len(IDs) x Dim
+	NbrOff  []uint64  // len(IDs)+1 CSR offsets into NbrDat
+	NbrDat  []int32   // concatenated out-neighbour lists
+	Nav     int32
+	Entries []int32
 }
 
-// Columns decomposes the index into its columnar form. The embedding,
-// id, entry and quantization slices are views of live index storage
-// (valid while the index is not mutated); adjacency is flattened into a
-// fresh CSR pair.
+// Columns decomposes the index into its columnar form. The embedding, id
+// and entry slices are views of live index storage (valid while the index
+// is not mutated); adjacency is flattened into a fresh CSR pair.
 func (idx *Index) Columns() Columns {
 	c := Columns{
-		IDs:       idx.ids,
-		ExactOnly: idx.exactOnly,
-		Nav:       idx.nav,
-		Entries:   idx.entries,
-		NumDead:   idx.numDead,
+		IDs:     idx.ids,
+		Nav:     idx.nav,
+		Entries: idx.entries,
 	}
 	if idx.embs != nil {
 		c.Dim = idx.embs.Cols
@@ -56,33 +46,19 @@ func (idx *Index) Columns() Columns {
 	for _, nb := range idx.nbrs {
 		c.NbrDat = append(c.NbrDat, nb...)
 	}
-	if idx.numDead > 0 {
-		c.Dead = make([]byte, len(idx.dead))
-		for i, d := range idx.dead {
-			if d {
-				c.Dead[i] = 1
-			}
-		}
-	}
-	if idx.quant != nil {
-		c.QCodes = idx.quant.Codes
-		c.QScales = idx.quant.Scales
-		c.QNorms = idx.quant.SqNorms
-	}
 	return c
 }
 
 // FromColumns reconstructs an Index from its columnar form without
-// copying the large blocks: the embedding matrix adopts c.Embs, each
-// adjacency list is a full-capacity sub-slice of c.NbrDat, and the
-// quantization shadow adopts the code/scale/norm columns. Because the
+// copying the large blocks: the embedding matrix adopts c.Embs and each
+// adjacency list is a full-capacity sub-slice of c.NbrDat. Because the
 // blocks may alias a read-only mapping, every view is capped at its
 // length — an insert that appends to a list or the matrix reallocates
 // onto the heap instead of writing through the mapping.
 //
 // All cross-column invariants are validated first (shape agreement, CSR
-// monotonicity, neighbour/nav/entry ranges, dead count), so a forged or
-// damaged snapshot fails loudly here rather than faulting mid-search.
+// monotonicity, neighbour/nav/entry ranges), so a forged or damaged
+// snapshot fails loudly here rather than faulting mid-search.
 func FromColumns(c Columns) (*Index, error) {
 	n := len(c.IDs)
 	if len(c.NbrOff) != n+1 {
@@ -113,17 +89,12 @@ func FromColumns(c Columns) (*Index, error) {
 			return nil, fmt.Errorf("pgindex: columns: entry point %d out of range", e)
 		}
 	}
-	if len(c.Dead) != 0 && len(c.Dead) != n {
-		return nil, fmt.Errorf("pgindex: columns: %d tombstones for %d nodes", len(c.Dead), n)
-	}
 
 	idx := &Index{
-		ids:       c.IDs,
-		exactOnly: c.ExactOnly,
-		nav:       c.Nav,
-		entries:   c.Entries,
-		pos:       make(map[hetgraph.NodeID]int32, n),
-		numDead:   c.NumDead,
+		ids:     c.IDs,
+		nav:     c.Nav,
+		entries: c.Entries,
+		pos:     make(map[hetgraph.NodeID]int32, n),
 	}
 	if n > 0 {
 		idx.embs = &vec.Matrix32{Rows: n, Cols: c.Dim, Data: c.Embs}
@@ -133,36 +104,8 @@ func FromColumns(c Columns) (*Index, error) {
 		lo, hi := c.NbrOff[i], c.NbrOff[i+1]
 		idx.nbrs[i] = c.NbrDat[lo:hi:hi]
 	}
-	dead := 0
-	if len(c.Dead) > 0 {
-		idx.dead = make([]bool, n)
-		for i, d := range c.Dead {
-			if d != 0 {
-				idx.dead[i] = true
-				dead++
-			}
-		}
-	}
-	if dead != c.NumDead {
-		return nil, fmt.Errorf("pgindex: columns: %d tombstones set, NumDead %d", dead, c.NumDead)
-	}
 	for i, id := range c.IDs {
-		if !idx.isDead(int32(i)) {
-			idx.pos[id] = int32(i)
-		}
-	}
-	if !c.ExactOnly && n > 0 {
-		if len(c.QCodes) > 0 {
-			if len(c.QCodes) != n*c.Dim || len(c.QScales) != n || len(c.QNorms) != n {
-				return nil, fmt.Errorf("pgindex: columns: quant shapes %d/%d/%d for %d x %d",
-					len(c.QCodes), len(c.QScales), len(c.QNorms), n, c.Dim)
-			}
-			idx.quant = &vec.Quantized{Rows: n, Cols: c.Dim, Codes: c.QCodes, Scales: c.QScales, SqNorms: c.QNorms}
-		} else {
-			// Quant columns absent (e.g. written by a config that skipped
-			// them): re-code deterministically from the exact rows.
-			idx.quant = vec.Quantize(idx.embs)
-		}
+		idx.pos[id] = int32(i)
 	}
 	return idx, nil
 }

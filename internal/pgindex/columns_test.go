@@ -1,7 +1,6 @@
 package pgindex
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 	"expertfind/internal/vec"
 )
 
-func buildTestIndex(t *testing.T, n, dim int, exactOnly bool) *Index {
+func buildTestIndex(t *testing.T, n, dim int) *Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	embs := make(map[hetgraph.NodeID]vec.Vec32, n)
@@ -20,7 +19,7 @@ func buildTestIndex(t *testing.T, n, dim int, exactOnly bool) *Index {
 		}
 		embs[hetgraph.NodeID(i*3+1)] = v
 	}
-	return Build(embs, Config{K: 4, Refine: true, Seed: 5, ExactOnly: exactOnly})
+	return Build(embs, Config{K: 4, Refine: true, Seed: 5})
 }
 
 // reload persists idx the way the product does — Columns() out,
@@ -35,10 +34,6 @@ func reload(t *testing.T, idx *Index) *Index {
 	c.NbrOff = append([]uint64(nil), c.NbrOff...)
 	c.NbrDat = append([]int32(nil), c.NbrDat...)
 	c.Entries = append([]int32(nil), c.Entries...)
-	c.Dead = append([]byte(nil), c.Dead...)
-	c.QCodes = append([]int8(nil), c.QCodes...)
-	c.QScales = append([]float32(nil), c.QScales...)
-	c.QNorms = append([]float32(nil), c.QNorms...)
 	loaded, err := FromColumns(c)
 	if err != nil {
 		t.Fatalf("FromColumns: %v", err)
@@ -47,59 +42,37 @@ func reload(t *testing.T, idx *Index) *Index {
 }
 
 // TestColumnsRoundTrip proves Columns → FromColumns reproduces the index
-// exactly: identical search results (distances compared as raw bits),
-// identical adjacency, identical quantized shadow.
+// exactly: identical search results (distances compared as raw bits) and
+// identical adjacency.
 func TestColumnsRoundTrip(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		idx := buildTestIndex(t, 120, 8, exact)
-		if err := idx.Remove(idx.ids[7]); err != nil {
-			t.Fatal(err)
-		}
+	idx := buildTestIndex(t, 120, 8)
+	got, err := FromColumns(idx.Columns())
+	if err != nil {
+		t.Fatalf("FromColumns: %v", err)
+	}
 
-		got, err := FromColumns(idx.Columns())
-		if err != nil {
-			t.Fatalf("exact=%v: FromColumns: %v", exact, err)
+	if got.Len() != idx.Len() || got.nav != idx.nav {
+		t.Fatalf("header mismatch: %v vs %v", got, idx)
+	}
+	for i := range idx.nbrs {
+		if len(got.nbrs[i]) != len(idx.nbrs[i]) {
+			t.Fatalf("node %d degree %d vs %d", i, len(got.nbrs[i]), len(idx.nbrs[i]))
 		}
+		for j := range idx.nbrs[i] {
+			if got.nbrs[i][j] != idx.nbrs[i][j] {
+				t.Fatalf("node %d nbr %d mismatch", i, j)
+			}
+		}
+	}
 
-		if got.Len() != idx.Len() || got.nav != idx.nav || got.exactOnly != idx.exactOnly {
-			t.Fatalf("exact=%v: header mismatch: %v vs %v", exact, got, idx)
-		}
-		for i := range idx.nbrs {
-			if len(got.nbrs[i]) != len(idx.nbrs[i]) {
-				t.Fatalf("exact=%v: node %d degree %d vs %d", exact, i, len(got.nbrs[i]), len(idx.nbrs[i]))
-			}
-			for j := range idx.nbrs[i] {
-				if got.nbrs[i][j] != idx.nbrs[i][j] {
-					t.Fatalf("exact=%v: node %d nbr %d mismatch", exact, i, j)
-				}
-			}
-		}
-		if (idx.quant == nil) != (got.quant == nil) {
-			t.Fatalf("exact=%v: quant presence mismatch", exact)
-		}
-		if idx.quant != nil {
-			for i := range idx.quant.Codes {
-				if got.quant.Codes[i] != idx.quant.Codes[i] {
-					t.Fatalf("exact=%v: quant code %d mismatch", exact, i)
-				}
-			}
-		}
-
-		query := make(vec.Vec32, 8)
-		for j := range query {
-			query[j] = float32(j) * 0.25
-		}
-		want, _ := idx.Search(query, 10, 32)
-		have, _ := got.Search(query, 10, 32)
-		if len(want) != len(have) {
-			t.Fatalf("exact=%v: result count %d vs %d", exact, len(have), len(want))
-		}
-		for i := range want {
-			if want[i].ID != have[i].ID ||
-				math.Float64bits(want[i].Dist) != math.Float64bits(have[i].Dist) {
-				t.Fatalf("exact=%v: result %d: %+v vs %+v", exact, i, have[i], want[i])
-			}
-		}
+	query := make(vec.Vec32, 8)
+	for j := range query {
+		query[j] = float32(j) * 0.25
+	}
+	want, _ := idx.Search(query, 10, 32)
+	have, _ := got.Search(query, 10, 32)
+	if err := sameResults(have, want); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -108,7 +81,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 // edge Insert appends lands in a fresh heap allocation, never in the
 // (possibly read-only, possibly neighbouring-list) backing block.
 func TestFromColumnsCSRViewsFullCap(t *testing.T) {
-	idx := buildTestIndex(t, 60, 4, false)
+	idx := buildTestIndex(t, 60, 4)
 	got, err := FromColumns(idx.Columns())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +112,7 @@ func TestFromColumnsCSRViewsFullCap(t *testing.T) {
 }
 
 func TestFromColumnsRejectsCorruptShapes(t *testing.T) {
-	idx := buildTestIndex(t, 40, 4, false)
+	idx := buildTestIndex(t, 40, 4)
 	base := idx.Columns()
 
 	mutate := func(f func(c *Columns)) Columns {
@@ -158,8 +131,6 @@ func TestFromColumnsRejectsCorruptShapes(t *testing.T) {
 		"bad nav":            mutate(func(c *Columns) { c.Nav = int32(len(c.IDs)) }),
 		"bad entry":          mutate(func(c *Columns) { c.Entries[0] = -2 }),
 		"short matrix":       mutate(func(c *Columns) { c.Embs = c.Embs[:len(c.Embs)-1] }),
-		"bad dead count":     mutate(func(c *Columns) { c.Dead = make([]byte, len(c.IDs)); c.Dead[0] = 1 }),
-		"short quant":        mutate(func(c *Columns) { c.QScales = c.QScales[:1] }),
 	}
 	for name, c := range cases {
 		if _, err := FromColumns(c); err == nil {

@@ -26,18 +26,6 @@ type Config struct {
 	Refine bool
 	// Seed drives NNDescent's random initialisation.
 	Seed int64
-	// ExactOnly disables the int8-quantized candidate-scoring fast path,
-	// making graph traversal use exact float32 distances throughout. The
-	// default (false) scores traversal candidates against quantized codes
-	// and re-ranks the full candidate pool with exact kernels before
-	// returning, so a published distance never carries quantized
-	// arithmetic — but which papers reach the pool can depend on it.
-	// Rankings are identical whenever the pool saturates (both traversals
-	// collect the same candidates; the equivalence suite in
-	// internal/cluster asserts that case bit for bit) and can differ where
-	// the search is approximate: EXPERIMENTS.md, "ExactOnly A/B", has a
-	// 2 000-paper corpus whose ranking digest and recall_at_m move.
-	ExactOnly bool
 }
 
 func (c Config) withDefaults() Config {
@@ -61,28 +49,20 @@ func DefaultConfig() Config { return Config{Refine: true}.withDefaults() }
 // keeps a short refined out-neighbour list; search enters at the
 // navigating node (the paper closest to the corpus centroid).
 //
-// Embeddings live in one flat row-major float32 matrix — a full-pool
-// re-rank or exhaustive scan walks memory linearly — with an optional
-// int8-quantized shadow copy (quant) used only to score candidates during
-// graph traversal.
+// Embeddings live in one flat row-major float32 matrix, so an exhaustive
+// scan walks memory linearly, and every distance — traversal, pool and
+// published order — is vec.L2Sq32 over its rows.
 type Index struct {
 	ids  []hetgraph.NodeID // dense index -> paper id
 	embs *vec.Matrix32     // dense index -> representation (row i)
-	// quant holds the int8 codes of embs for traversal scoring; nil when
-	// the index was built with Config.ExactOnly.
-	quant     *vec.Quantized
-	exactOnly bool
-	nbrs      [][]int32 // refined out-neighbours per dense index
-	nav       int32     // navigating node (dense index)
+	nbrs [][]int32         // refined out-neighbours per dense index
+	nav  int32             // navigating node (dense index)
 	// entries are additional stratified search entry points. Fine-tuned
 	// corpora form tight, mutually near-equidistant clusters; a single
 	// entry leaves greedy search stranded on that plateau, so the search
 	// seeds its pool with these as well (see EXPERIMENTS.md).
 	entries []int32
 	pos     map[hetgraph.NodeID]int32
-	// dead tombstones removed papers (see Remove); nil when none.
-	dead    []bool
-	numDead int
 }
 
 // Result is one retrieved paper with its distance to the query.
@@ -104,21 +84,16 @@ func Build(embs map[hetgraph.NodeID]vec.Vec32, cfg Config) *Index {
 // it draws exclusively from rng — never the global math/rand source — so
 // two builds over equal embeddings with identically seeded rngs produce
 // identical indexes. Cluster shards rely on this to rebuild bit-identical
-// per-shard indexes independently on every replica. Construction always
-// uses exact float32 distances — quantization affects search only, so the
-// graph is identical with and without ExactOnly.
+// per-shard indexes independently on every replica.
 func BuildWithRand(embs map[hetgraph.NodeID]vec.Vec32, cfg Config, rng *rand.Rand) *Index {
 	cfg = cfg.withDefaults()
-	idx := &Index{pos: make(map[hetgraph.NodeID]int32, len(embs)), exactOnly: cfg.ExactOnly}
+	idx := &Index{pos: make(map[hetgraph.NodeID]int32, len(embs))}
 	idx.ids, idx.embs = FlatRows(embs)
 	if len(idx.ids) == 0 {
 		return idx
 	}
 	for i, id := range idx.ids {
 		idx.pos[id] = int32(i)
-	}
-	if !cfg.ExactOnly {
-		idx.quant = vec.Quantize(idx.embs)
 	}
 
 	// (1) Navigating node: the paper whose representation is closest to
@@ -313,10 +288,6 @@ func (idx *Index) SearchEx(query vec.Vec32, m, ef int, multiEntry bool) ([]Resul
 // an expansion performs.
 const cancelCheckEvery = 32
 
-// minEF floors the search pool regardless of the requested ef (see
-// searchCtx).
-const minEF = 8
-
 // distEntry pairs a dense node index with its (squared) distance to the
 // current query.
 type distEntry struct {
@@ -334,12 +305,11 @@ type searchScratch struct {
 	cand    []distEntry // min-heap of unexpanded candidates
 	pool    []distEntry // max-heap of current best ef results
 	sel     []scored    // the final selector's heap
-	qcodes  []int8
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &searchScratch{} }}
 
-func getScratch(n, dim int) *searchScratch {
+func getScratch(n int) *searchScratch {
 	s := scratchPool.Get().(*searchScratch)
 	if len(s.visited) < n {
 		s.visited = make([]uint32, n)
@@ -351,9 +321,6 @@ func getScratch(n, dim int) *searchScratch {
 			s.visited[i] = 0
 		}
 		s.epoch = 1
-	}
-	if cap(s.qcodes) < dim {
-		s.qcodes = make([]int8, dim)
 	}
 	s.cand = s.cand[:0]
 	s.pool = s.pool[:0]
@@ -375,56 +342,25 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 			ef = m
 		}
 	}
-	// Floor the pool size: quantized candidate scores have a resolution of
-	// ~1/127 of the row scale, so a one- or two-slot pool rejects near-ties
-	// the exact re-rank would have promoted. A small floor costs a handful
-	// of distance computations and applies to both modes symmetrically.
-	if ef < minEF {
-		ef = minEF
-	}
-
-	// Exhaustive fast path: when the pool would admit every live paper
-	// anyway, graph traversal is pure overhead — scan the flat matrix with
-	// the exact kernels instead. Both quantized and exact-only indexes take
-	// this path, and it performs the same distance computations as
-	// BruteForce, so results agree bit for bit across all of them.
-	if ef >= idx.Len() {
+	// Exhaustive fast path: when the pool would admit every paper anyway,
+	// graph traversal is pure overhead — scan the flat matrix instead. It
+	// performs the same distance computations as BruteForce, so results
+	// agree with it bit for bit.
+	if ef >= n {
 		return idx.searchExhaustive(ctx, query, m, &st)
 	}
 
-	s := getScratch(n, idx.embs.Cols)
+	s := getScratch(n)
 	defer scratchPool.Put(s)
-
-	// Traversal distances: quantized codes when available, exact float32
-	// kernels otherwise. Quantized distances steer the walk and the pool
-	// only — the final ranking below is always exact.
-	useQuant := idx.quant != nil
-	var qCodes []int8
-	var qScale, qSqNorm float32
-	if useQuant {
-		qCodes = s.qcodes[:idx.embs.Cols]
-		qScale, qSqNorm = vec.QuantizeRow(qCodes, query)
-	}
 
 	push := func(i int32) {
 		if s.visited[i] == s.epoch {
 			return
 		}
 		s.visited[i] = s.epoch
-		var d float32
-		if useQuant {
-			d = idx.quant.ApproxL2Sq(int(i), qCodes, qScale, qSqNorm)
-		} else {
-			d = vec.L2Sq32(idx.embs.Row(int(i)), query)
-		}
+		d := vec.L2Sq32(idx.embs.Row(int(i)), query)
 		st.DistanceComputations++
 		st.NodesVisited++
-		if idx.isDead(i) {
-			// Tombstoned papers keep routing traffic but never enter the
-			// result pool.
-			heapPushMin(&s.cand, distEntry{i, d})
-			return
-		}
 		if len(s.pool) < ef {
 			heapPushMin(&s.cand, distEntry{i, d})
 			heapPushMax(&s.pool, distEntry{i, d})
@@ -457,17 +393,12 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 		}
 	}
 
-	// Exact re-rank of the ENTIRE pool (not just the top-m): quantized
-	// distances decide who made the pool, exact float32 kernels decide the
-	// published order — the selector's canonical one, as in BruteForce.
+	// The pool holds the traversal's distances, the same kernel over the
+	// same rows as BruteForce; the selector puts its best m in the
+	// canonical order.
 	t := topM{m: m, h: s.sel[:0]}
 	for _, e := range s.pool {
-		d := e.dist
-		if useQuant {
-			d = vec.L2Sq32(idx.embs.Row(int(e.id)), query)
-			st.DistanceComputations++
-		}
-		t.offer(d, idx.ids[e.id])
+		t.offer(e.dist, idx.ids[e.id])
 	}
 	res := t.results()
 	s.sel = t.h
@@ -475,13 +406,13 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 	return res, st, nil
 }
 
-// searchExhaustive scans every live row of the flat embedding matrix with
-// exact kernels and returns the canonical top-m.
+// searchExhaustive scans every row of the flat embedding matrix and
+// returns the canonical top-m.
 func (idx *Index) searchExhaustive(ctx context.Context, query vec.Vec32, m int, st *SearchStats) ([]Result, SearchStats, error) {
-	res, err := scan(ctx, idx.ids, idx.embs, idx.dead, query, m)
+	res, err := Scan(ctx, idx.ids, idx.embs, query, m)
 	if err == nil {
-		st.DistanceComputations += idx.Len()
-		st.NodesVisited += idx.Len()
+		st.DistanceComputations += len(idx.ids)
+		st.NodesVisited += len(idx.ids)
 	}
 	st.record()
 	return res, *st, err
@@ -503,8 +434,8 @@ func BruteForce(embs map[hetgraph.NodeID]vec.Vec32, query vec.Vec32, m int) []Re
 	return t.results()
 }
 
-// Len returns the number of live (searchable) papers.
-func (idx *Index) Len() int { return len(idx.ids) - idx.numDead }
+// Len returns the number of indexed papers.
+func (idx *Index) Len() int { return len(idx.ids) }
 
 // NavigatingNode returns the entry paper of the index.
 func (idx *Index) NavigatingNode() hetgraph.NodeID { return idx.ids[idx.nav] }
@@ -534,15 +465,11 @@ func (idx *Index) NumEdges() int {
 }
 
 // MemoryBytes estimates the index's resident size: float32 embeddings,
-// int8 codes when quantization is on, adjacency, and the id maps (Table
-// VI's memory column).
+// adjacency, and the id maps (Table VI's memory column).
 func (idx *Index) MemoryBytes() int64 {
 	var b int64
 	if idx.embs != nil {
 		b += int64(len(idx.embs.Data)) * 4
-	}
-	if idx.quant != nil {
-		b += idx.quant.MemoryBytes()
 	}
 	b += int64(idx.NumEdges()) * 4
 	b += int64(len(idx.ids)) * (4 + 8) // ids slice + pos map entries (approx)

@@ -22,9 +22,6 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 		// First insert (or an index built over nothing): the new paper
 		// fixes the dimensionality.
 		idx.embs = vec.NewMatrix32(0, v.Dim())
-		if !idx.exactOnly {
-			idx.quant = &vec.Quantized{Cols: v.Dim()}
-		}
 	}
 	if v.Dim() != idx.embs.Cols {
 		return fmt.Errorf("pgindex: dimension %d != index dimension %d", v.Dim(), idx.embs.Cols)
@@ -33,9 +30,6 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 	dense := int32(len(idx.ids))
 	idx.ids = append(idx.ids, id)
 	idx.embs.AppendRow(v)
-	if idx.quant != nil {
-		idx.quant.AppendRow(v)
-	}
 	idx.pos[id] = dense
 	idx.nbrs = append(idx.nbrs, nil)
 	if dense == 0 {

@@ -124,98 +124,3 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRemoveHidesFromResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	embs := randomEmbeddings(rng, 80, 8)
-	idx := Build(embs, Config{Refine: true, Seed: 1})
-
-	victim := hetgraph.NodeID(7)
-	if err := idx.Remove(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Remove(victim); err == nil {
-		t.Error("double remove accepted")
-	}
-	if idx.Len() != 79 {
-		t.Errorf("Len = %d, want 79", idx.Len())
-	}
-	if f := idx.DeadFraction(); f <= 0 || f >= 0.05 {
-		t.Errorf("DeadFraction = %v", f)
-	}
-	// Searching with the victim's own embedding must not return it.
-	res, _ := idx.Search(embs[victim], 10, 0)
-	for _, r := range res {
-		if r.ID == victim {
-			t.Fatal("tombstoned paper returned")
-		}
-	}
-	if len(res) != 10 {
-		t.Errorf("results shrank to %d", len(res))
-	}
-}
-
-func TestRemovedSlotsStillRoute(t *testing.T) {
-	// Tombstone a whole cluster's interior; its neighbours must remain
-	// reachable through the dead slots.
-	rng := rand.New(rand.NewSource(12))
-	embs := clusteredEmbeddings(rng, 6, 12, 8)
-	idx := Build(embs, Config{Refine: true, Seed: 2})
-	for i := 0; i < 20; i++ {
-		if err := idx.Remove(hetgraph.NodeID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := embs[hetgraph.NodeID(30)]
-	res, _ := idx.Search(q, 10, 0)
-	if len(res) != 10 {
-		t.Fatalf("got %d results after heavy removal", len(res))
-	}
-	for _, r := range res {
-		if r.ID < 20 {
-			t.Fatal("tombstoned paper returned")
-		}
-	}
-}
-
-func TestCompactDropsTombstones(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	embs := randomEmbeddings(rng, 60, 8)
-	idx := Build(embs, Config{Refine: true, Seed: 3})
-	for i := 0; i < 15; i++ {
-		if err := idx.Remove(hetgraph.NodeID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idx.Compact(Config{Refine: true, Seed: 3})
-	if idx.Len() != 45 || idx.DeadFraction() != 0 {
-		t.Fatalf("after compact: len %d, dead %v", idx.Len(), idx.DeadFraction())
-	}
-	res, _ := idx.Search(embs[hetgraph.NodeID(30)], 5, 0)
-	if len(res) != 5 || res[0].ID != 30 {
-		t.Errorf("post-compact search broken: %v", res)
-	}
-	// Compacted index accepts new inserts.
-	if err := idx.Insert(hetgraph.NodeID(500), embs[hetgraph.NodeID(30)].Clone()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemoveSurvivesSerialization(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	embs := randomEmbeddings(rng, 40, 6)
-	idx := Build(embs, Config{Refine: true, Seed: 4})
-	if err := idx.Remove(hetgraph.NodeID(5)); err != nil {
-		t.Fatal(err)
-	}
-	loaded := reload(t, idx)
-	if loaded.Len() != 39 {
-		t.Fatalf("loaded Len = %d, want 39", loaded.Len())
-	}
-	res, _ := loaded.Search(embs[hetgraph.NodeID(5)], 5, 0)
-	for _, r := range res {
-		if r.ID == 5 {
-			t.Fatal("tombstone lost in serialisation")
-		}
-	}
-}

@@ -12,8 +12,9 @@ import (
 // max-heap under the canonical total order (squared distance ascending,
 // paper id ascending) and the blocked scan over contiguous rows that
 // feeds it. Engines and shards without a PG-Index (Scan), the index's
-// exhaustive and re-rank paths, and the map oracle BruteForce all select
-// through it, so their rankings agree bit for bit by construction.
+// exhaustive path and final pool selection, and the map oracle BruteForce
+// all select through it, so their rankings agree bit for bit by
+// construction.
 
 // scored is one candidate: its squared distance to the query and its id.
 type scored struct {
@@ -125,47 +126,30 @@ func FlatRows(embs map[hetgraph.NodeID]vec.Vec32) ([]hetgraph.NodeID, *vec.Matri
 // of a 64-dim matrix, tens of microseconds of work.
 const scanBlock = 1024
 
-// scanRows offers every row to t, skipping tombstoned rows (dead may be nil
-// or cover only a prefix of the rows), and returns ctx.Err() from the first
-// block boundary at which the context is done.
-func (t *topM) scanRows(ctx context.Context, ids []hetgraph.NodeID, rows *vec.Matrix32, dead []bool, query vec.Vec32) error {
-	dim := rows.Cols
-	for lo := 0; lo < len(ids); lo += scanBlock {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := min(lo+scanBlock, len(ids))
-		block := rows.Data[lo*dim : end*dim]
-		for i := lo; i < end; i++ {
-			if i >= len(dead) || !dead[i] {
-				t.offer(vec.L2Sq32(block[:dim:dim], query), ids[i])
-			}
-			block = block[dim:]
-		}
-	}
-	return nil
-}
-
 // Scan returns the exact m nearest rows to the query — the "w/o PG-Index"
 // retrieval of Ours-3/Ours-4 — in canonical order: distance ascending,
 // ties by paper id. ids[i] names row i of rows; both are only read. A done
-// ctx stops the scan at the next block of rows with ctx.Err().
+// ctx stops the scan at the next block of rows with ctx.Err(). It is one
+// pass on the caller's goroutine: splitting row ranges over Ps did not beat
+// it by more than the run-to-run spread on any benchmarked workload
+// (EXPERIMENTS.md, "Exact scan").
 func Scan(ctx context.Context, ids []hetgraph.NodeID, rows *vec.Matrix32, query vec.Vec32, m int) ([]Result, error) {
-	return scan(ctx, ids, rows, nil, query, m)
-}
-
-// scan is Scan over the rows not tombstoned in dead. It is one pass on the
-// caller's goroutine: splitting row ranges over Ps did not beat it by more
-// than the run-to-run spread on any benchmarked workload (EXPERIMENTS.md,
-// "Exact scan").
-func scan(ctx context.Context, ids []hetgraph.NodeID, rows *vec.Matrix32, dead []bool, query vec.Vec32, m int) ([]Result, error) {
 	m = min(m, len(ids))
 	if m <= 0 {
 		return nil, ctx.Err()
 	}
 	t := newTopM(m)
-	if err := t.scanRows(ctx, ids, rows, dead, query); err != nil {
-		return nil, err
+	dim := rows.Cols
+	for lo := 0; lo < len(ids); lo += scanBlock {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		end := min(lo+scanBlock, len(ids))
+		block := rows.Data[lo*dim : end*dim]
+		for i := lo; i < end; i++ {
+			t.offer(vec.L2Sq32(block[:dim:dim], query), ids[i])
+			block = block[dim:]
+		}
 	}
 	return t.results(), nil
 }

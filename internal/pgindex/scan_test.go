@@ -48,13 +48,10 @@ func scanCorpus(seed int64, n, dim int, grid bool) ([]hetgraph.NodeID, *vec.Matr
 }
 
 // sortEverything is the reference the selector is judged against: score
-// every live row, sort the lot by (distance, id), cut at m.
-func sortEverything(ids []hetgraph.NodeID, rows *vec.Matrix32, dead []bool, q vec.Vec32, m int) []Result {
+// every row, sort the lot by (distance, id), cut at m.
+func sortEverything(ids []hetgraph.NodeID, rows *vec.Matrix32, q vec.Vec32, m int) []Result {
 	all := []Result{}
 	for i, id := range ids {
-		if i < len(dead) && dead[i] {
-			continue
-		}
 		all = append(all, Result{ID: id, Dist: math.Sqrt(float64(vec.L2Sq32(rows.Row(i), q)))})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -82,30 +79,28 @@ func sameResults(got, want []Result) error {
 	return nil
 }
 
-// liveMap is the map form BruteForce takes, over the rows not tombstoned.
-func liveMap(ids []hetgraph.NodeID, rows *vec.Matrix32, dead []bool) map[hetgraph.NodeID]vec.Vec32 {
+// rowMap is the map form BruteForce takes.
+func rowMap(ids []hetgraph.NodeID, rows *vec.Matrix32) map[hetgraph.NodeID]vec.Vec32 {
 	embs := make(map[hetgraph.NodeID]vec.Vec32, len(ids))
 	for i, id := range ids {
-		if i >= len(dead) || !dead[i] {
-			embs[id] = rows.Row(i)
-		}
+		embs[id] = rows.Row(i)
 	}
 	return embs
 }
 
 // checkScan holds the flat scan and the map oracle to the sort-everything
 // reference.
-func checkScan(t *testing.T, ids []hetgraph.NodeID, rows *vec.Matrix32, dead []bool, q vec.Vec32, m int) {
+func checkScan(t *testing.T, ids []hetgraph.NodeID, rows *vec.Matrix32, q vec.Vec32, m int) {
 	t.Helper()
-	want := sortEverything(ids, rows, dead, q, m)
-	got, err := scan(context.Background(), ids, rows, dead, q, m)
+	want := sortEverything(ids, rows, q, m)
+	got, err := Scan(context.Background(), ids, rows, q, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sameResults(got, want); err != nil {
 		t.Fatalf("scan m=%d: %v", m, err)
 	}
-	if err := sameResults(BruteForce(liveMap(ids, rows, dead), q, m), want); err != nil {
+	if err := sameResults(BruteForce(rowMap(ids, rows), q, m), want); err != nil {
 		t.Fatalf("BruteForce m=%d: %v", m, err)
 	}
 }
@@ -119,73 +114,43 @@ func TestScanEquivalence(t *testing.T) {
 		for _, dim := range []int{1, 7, 64} {
 			ids, rows, q := scanCorpus(int64(n*100+dim), n, dim, dim == 7)
 			for _, m := range []int{1, m0, n, n + 7} {
-				checkScan(t, ids, rows, nil, q, m)
+				checkScan(t, ids, rows, q, m)
 			}
 		}
 	}
 	for dim := 1; dim <= 67; dim++ {
 		ids, rows, q := scanCorpus(int64(dim), 300, dim, dim%2 == 0)
-		checkScan(t, ids, rows, nil, q, 25)
+		checkScan(t, ids, rows, q, 25)
 	}
 }
 
 // TestScanEquivalenceIndex covers the index's exhaustive path: with
 // ef >= Len() a search must select exactly what the scan, the map oracle
-// and the reference select, tombstones excluded.
+// and the reference select.
 func TestScanEquivalenceIndex(t *testing.T) {
 	for _, tc := range []struct{ n, dim int }{{1, 3}, {11, 5}, {600, 13}, {2500, 32}} {
 		ids, rows, q := scanCorpus(int64(tc.n+tc.dim), tc.n, tc.dim, tc.dim == 13)
-		idx := Build(liveMap(ids, rows, nil), Config{K: 4, MaxIters: 2, Seed: 1})
-		rng := rand.New(rand.NewSource(9))
-		dead := make([]bool, tc.n)
-		for i := range dead {
-			if tc.n > 1 && rng.Intn(8) == 0 {
-				dead[i] = true
-				if err := idx.Remove(ids[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		idx := Build(rowMap(ids, rows), Config{K: 4, MaxIters: 2, Seed: 1})
 		for _, m := range []int{1, 10, tc.n, tc.n + 7} {
-			want := sortEverything(ids, rows, dead, q, m)
+			want := sortEverything(ids, rows, q, m)
 			got, _ := idx.Search(q, m, tc.n+7)
 			if err := sameResults(got, want); err != nil {
 				t.Fatalf("n=%d m=%d Index.Search: %v", tc.n, m, err)
 			}
-			checkScan(t, idx.ids, idx.embs, idx.dead, q, m)
+			checkScan(t, idx.ids, idx.embs, q, m)
 		}
 	}
 }
 
-// FuzzScanEquivalence lets the fuzzer pick the corpus shape, the bound and
-// the tombstone density.
+// FuzzScanEquivalence lets the fuzzer pick the corpus shape and the bound.
 func FuzzScanEquivalence(f *testing.F) {
 	for _, n := range []uint16{0, 1, 9, 10, 11, 5000} {
-		f.Add(int64(n), n, uint8(n%67), uint16(10), uint8(0))
-		f.Add(int64(n)+1, n, uint8(63), n+7, uint8(4))
+		f.Add(int64(n), n, uint8(n%67), uint16(10))
+		f.Add(int64(n)+1, n, uint8(63), n+7)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, m uint16, deadEvery uint8) {
-		rows := int(n) % 6000
-		ids, mat, q := scanCorpus(seed, rows, int(dim)%67+1, seed%2 == 0)
-		var dead []bool
-		if deadEvery > 0 {
-			// A prefix-only mask, as Index.Remove followed by Insert leaves.
-			dead = make([]bool, rows/2)
-			for i := range dead {
-				dead[i] = i%int(deadEvery) == 0
-			}
-		}
-		want := sortEverything(ids, mat, dead, q, int(m))
-		got, err := scan(context.Background(), ids, mat, dead, q, int(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameResults(got, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := sameResults(BruteForce(liveMap(ids, mat, dead), q, int(m)), want); err != nil {
-			t.Fatalf("BruteForce: %v", err)
-		}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, m uint16) {
+		ids, mat, q := scanCorpus(seed, int(n)%6000, int(dim)%67+1, seed%2 == 0)
+		checkScan(t, ids, mat, q, int(m))
 	})
 }
 

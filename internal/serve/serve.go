@@ -371,9 +371,6 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, core.ErrUnknownPaper):
 		http.Error(w, "unknown paper id", http.StatusNotFound)
 		return
-	case errors.Is(err, core.ErrNoIndex):
-		http.Error(w, "index disabled on this engine", http.StatusServiceUnavailable)
-		return
 	case s.envelope().WriteQueryError(w, err):
 		return
 	}

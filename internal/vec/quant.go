@@ -1,11 +1,17 @@
 package vec
 
-// Int8 scalar quantization for candidate scoring: each row of a Matrix32
-// is coded independently as 127 levels of a symmetric per-row scale
-// (code = round(x/scale), scale = maxAbs/127). The PG-Index scores
-// traversal candidates against the codes — 4x less memory traffic than
-// float32 rows — and re-ranks its final pool with the exact float32
-// kernels, so published rankings never depend on quantized arithmetic.
+// This file holds what only the frozen benchmark still calls:
+// bench/layers.go times DotInt8 over the rows of a Quantize'd matrix for its
+// vec.dot_i8_ns_d64 row (ROADMAP item 1(a) deletes that row and this file
+// together). It was the int8 shadow of the PG-Index's embedding matrix —
+// traversal candidates scored against codes, the pool re-ranked with the
+// float32 kernels — which lost to the plain float32 traversal on every
+// workload that measured it (EXPERIMENTS.md, "One distance, no dead rows")
+// and left the index; nothing under internal/ or cmd/ reads any of this.
+//
+// Int8 scalar quantization: each row of a Matrix32 is coded independently
+// as 127 levels of a symmetric per-row scale (code = round(x/scale),
+// scale = maxAbs/127).
 //
 // The error contract, asserted by the property and fuzz suites: the scale
 // is either 0 (zero, non-finite, or vanishingly small rows — all coded as
@@ -21,7 +27,7 @@ package vec
 // beyond any embedding dimensionality here.
 
 // Quantized holds the int8 codes of a row-major matrix plus the per-row
-// dequantization state the approximate distance needs.
+// dequantization state.
 type Quantized struct {
 	Rows, Cols int
 	Codes      []int8    // row-major, Rows x Cols
@@ -30,8 +36,7 @@ type Quantized struct {
 }
 
 // Quantize codes every row of m. Rows containing NaN or Inf get scale 0
-// and all-zero codes (they cannot be ranked approximately; the exact
-// re-rank still sees their true values).
+// and all-zero codes.
 func Quantize(m *Matrix32) *Quantized {
 	q := &Quantized{
 		Rows:    m.Rows,
@@ -141,40 +146,4 @@ func (q *Quantized) Row(i int) []int8 {
 		panic(&IndexError{Op: "Row", I: i, J: -1, Rows: q.Rows, Cols: q.Cols})
 	}
 	return q.Codes[i*q.Cols : (i+1)*q.Cols]
-}
-
-// AppendRow quantizes v as a new row, mirroring Matrix32.AppendRow.
-func (q *Quantized) AppendRow(v []float32) {
-	if len(v) != q.Cols {
-		panic(&ShapeError{Op: "AppendRow", Rows: 1, Cols: len(v)})
-	}
-	codes := make([]int8, q.Cols)
-	scale, sq := QuantizeRow(codes, v)
-	q.Codes = append(q.Codes, codes...)
-	q.Scales = append(q.Scales, scale)
-	q.SqNorms = append(q.SqNorms, sq)
-	q.Rows++
-}
-
-// ApproxL2Sq returns the squared L2 distance between the dequantized row
-// i and a dequantized query given by (qCodes, qScale, qSqNorm), via
-//
-//	‖q̂‖² + ‖r̂‖² − 2·s_q·s_r·<qCodes, rCodes>
-//
-// with the integer dot exact and three float32 roundings. This is an
-// approximation of the true distance only because coding loses precision;
-// callers must treat it as a traversal heuristic and re-rank with exact
-// kernels before publishing an order.
-func (q *Quantized) ApproxL2Sq(i int, qCodes []int8, qScale, qSqNorm float32) float32 {
-	d := qSqNorm + q.SqNorms[i] - 2*qScale*q.Scales[i]*float32(DotInt8(qCodes, q.Row(i)))
-	if d < 0 {
-		d = 0 // rounding can push a near-zero distance slightly negative
-	}
-	return d
-}
-
-// MemoryBytes returns the resident size of the quantized block: one byte
-// per code plus the per-row scale and norm.
-func (q *Quantized) MemoryBytes() int64 {
-	return int64(len(q.Codes)) + int64(len(q.Scales)+len(q.SqNorms))*4
 }

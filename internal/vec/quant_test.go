@@ -3,7 +3,6 @@ package vec
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -101,161 +100,4 @@ func TestQuantizeRoundTripError(t *testing.T) {
 	check([]float32{float32(math.Inf(1)), 1})           // non-finite → zero codes
 	check([]float32{math.MaxFloat32, -math.MaxFloat32}) // extreme magnitude
 	check([]float32{1})                                 // single component: code must be ±127
-}
-
-// TestQuantizedApproxL2Sq checks that the approximate distance matches the
-// dequantized exact distance (the identity it implements) and that it is
-// within the analytic quantization envelope of the true distance — the
-// "recall before re-rank" half of the contract.
-func TestQuantizedApproxL2Sq(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const dim = 48
-	m := NewMatrix32(32, dim)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] = float32(rng.NormFloat64())
-		}
-	}
-	q := Quantize(m)
-
-	qv := randSlice32(rng, dim)
-	qCodes := make([]int8, dim)
-	qScale, qSqNorm := QuantizeRow(qCodes, qv)
-
-	for i := 0; i < m.Rows; i++ {
-		approx := q.ApproxL2Sq(i, qCodes, qScale, qSqNorm)
-
-		// Identity check: distance between the dequantized vectors.
-		deqRow := make([]float32, dim)
-		deqQ := make([]float32, dim)
-		for j := 0; j < dim; j++ {
-			deqRow[j] = float32(q.Row(i)[j]) * q.Scales[i]
-			deqQ[j] = float32(qCodes[j]) * qScale
-		}
-		var exactDeq float64
-		for j := 0; j < dim; j++ {
-			d := float64(deqQ[j]) - float64(deqRow[j])
-			exactDeq += d * d
-		}
-		if math.Abs(float64(approx)-exactDeq) > 1e-3*(1+exactDeq) {
-			t.Fatalf("row %d: approx %v vs dequantized-exact %v", i, approx, exactDeq)
-		}
-
-		// Envelope vs. the true float32 distance: per-component error is at
-		// most scale_q/2 + scale_r/2, so the L2 distance moves by at most
-		// sqrt(dim)·(scale_q+scale_r)/2.
-		truth := float64(L2Sq32(qv, m.Row(i)))
-		slack := math.Sqrt(dim) * float64(qScale+q.Scales[i]) / 2
-		dTrue, dApprox := math.Sqrt(truth), math.Sqrt(float64(approx))
-		if math.Abs(dTrue-dApprox) > slack*(1+1e-3) {
-			t.Fatalf("row %d: |sqrt distances| drift %g > envelope %g", i, math.Abs(dTrue-dApprox), slack)
-		}
-	}
-}
-
-// TestQuantizedTopKRerankExact is the quantization-error property the
-// index relies on: rank candidates by approximate distance, keep a pool a
-// bit larger than k, re-rank the pool with exact kernels — the result must
-// equal the exact top-k whenever the pool caught every true member. With a
-// generous pool this holds for well-spread Gaussian data; the test also
-// verifies the pool actually did catch them (recall == 1 at pool size),
-// so a quantization regression shows up as a recall failure, not flake.
-func TestQuantizedTopKRerankExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	const (
-		rows = 400
-		dim  = 32
-		k    = 10
-		pool = 80
-	)
-	m := NewMatrix32(rows, dim)
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64())
-	}
-	q := Quantize(m)
-
-	for trial := 0; trial < 20; trial++ {
-		qv := randSlice32(rng, dim)
-		qCodes := make([]int8, dim)
-		qScale, qSqNorm := QuantizeRow(qCodes, qv)
-
-		type cand struct {
-			id   int
-			dist float64
-		}
-		exact := make([]cand, rows)
-		approx := make([]cand, rows)
-		for i := 0; i < rows; i++ {
-			exact[i] = cand{i, float64(L2Sq32(qv, m.Row(i)))}
-			approx[i] = cand{i, float64(q.ApproxL2Sq(i, qCodes, qScale, qSqNorm))}
-		}
-		byDist := func(s []cand) func(a, b int) bool {
-			return func(a, b int) bool {
-				if s[a].dist != s[b].dist {
-					return s[a].dist < s[b].dist
-				}
-				return s[a].id < s[b].id
-			}
-		}
-		sort.Slice(exact, byDist(exact))
-		sort.Slice(approx, byDist(approx))
-
-		// Recall of the true top-k within the approximate pool.
-		inPool := map[int]bool{}
-		for _, c := range approx[:pool] {
-			inPool[c.id] = true
-		}
-		for _, c := range exact[:k] {
-			if !inPool[c.id] {
-				t.Fatalf("trial %d: true top-%d member %d missing from approx pool of %d", trial, k, c.id, pool)
-			}
-		}
-
-		// Exact re-rank of the pool reproduces the exact top-k, IDs and
-		// distances bit for bit.
-		rerank := make([]cand, 0, pool)
-		for _, c := range approx[:pool] {
-			rerank = append(rerank, cand{c.id, float64(L2Sq32(qv, m.Row(c.id)))})
-		}
-		sort.Slice(rerank, byDist(rerank))
-		for i := 0; i < k; i++ {
-			if rerank[i].id != exact[i].id ||
-				math.Float64bits(rerank[i].dist) != math.Float64bits(exact[i].dist) {
-				t.Fatalf("trial %d rank %d: rerank (%d,%x) != exact (%d,%x)", trial, i,
-					rerank[i].id, math.Float64bits(rerank[i].dist),
-					exact[i].id, math.Float64bits(exact[i].dist))
-			}
-		}
-	}
-}
-
-func TestQuantizedAppendRowMatchesQuantize(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const dim = 24
-	m := NewMatrix32(0, dim)
-	q := &Quantized{Cols: dim}
-	for i := 0; i < 10; i++ {
-		v := randSlice32(rng, dim)
-		m.AppendRow(v)
-		q.AppendRow(v)
-	}
-	full := Quantize(m)
-	if len(full.Codes) != len(q.Codes) || full.Rows != q.Rows {
-		t.Fatalf("shape mismatch: incremental %dx%d, batch %dx%d", q.Rows, q.Cols, full.Rows, full.Cols)
-	}
-	for i := range full.Codes {
-		if full.Codes[i] != q.Codes[i] {
-			t.Fatalf("code %d: incremental %d, batch %d", i, q.Codes[i], full.Codes[i])
-		}
-	}
-	for i := range full.Scales {
-		if math.Float32bits(full.Scales[i]) != math.Float32bits(q.Scales[i]) ||
-			math.Float32bits(full.SqNorms[i]) != math.Float32bits(q.SqNorms[i]) {
-			t.Fatalf("row %d scale/norm mismatch", i)
-		}
-	}
-	if q.MemoryBytes() != int64(10*dim)+int64(2*10)*4 {
-		t.Errorf("MemoryBytes = %d", q.MemoryBytes())
-	}
 }
