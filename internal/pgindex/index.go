@@ -1,11 +1,12 @@
 package pgindex
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"expertfind/internal/hetgraph"
@@ -124,13 +125,13 @@ func BuildWithRand(embs map[hetgraph.NodeID]vec.Vec32, cfg Config, rng *rand.Ran
 	// (3) Refine neighbours: extend with two-hop "highway" candidates,
 	// then drop occluded (redundant) ones.
 	idx.nbrs = make([][]int32, len(knn))
+	var cands []int32
 	for p := range knn {
-		cands := map[int32]bool{}
+		cands = append(cands[:0], knn[p]...)
 		for _, x := range knn[p] {
-			cands[x] = true
 			for _, y := range knn[x] {
 				if int(y) != p {
-					cands[y] = true
+					cands = append(cands, y)
 				}
 			}
 		}
@@ -214,20 +215,20 @@ func (idx *Index) ensureReachable() {
 // (lines 9-12): visiting candidates in ascending distance from p, a
 // candidate y is redundant — and removed — if some already-kept neighbour x
 // satisfies δ(x,y) <= δ(y,p), because the search can reach y through x.
-func (idx *Index) refineNeighbors(p int32, cands map[int32]bool, maxDegree int) []int32 {
-	type cd struct {
-		id   int32
-		dist float32
+// cands may repeat a row; it is sorted and compacted in place, so each
+// distinct candidate costs one distance.
+func (idx *Index) refineNeighbors(p int32, cands []int32, maxDegree int) []int32 {
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
+	list := make([]poolEntry, len(cands))
+	for k, c := range cands {
+		list[k] = poolEntry{id: c, dist: idx.l2sqDense(p, c)}
 	}
-	list := make([]cd, 0, len(cands))
-	for c := range cands {
-		list = append(list, cd{c, idx.l2sqDense(p, c)})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].dist != list[j].dist {
-			return list[i].dist < list[j].dist
+	slices.SortFunc(list, func(a, b poolEntry) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-		return list[i].id < list[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	var kept []int32
 	for _, c := range list {
@@ -288,23 +289,25 @@ func (idx *Index) SearchEx(query vec.Vec32, m, ef int, multiEntry bool) ([]Resul
 // an expansion performs.
 const cancelCheckEvery = 32
 
-// distEntry pairs a dense node index with its (squared) distance to the
-// current query.
-type distEntry struct {
+// poolEntry is one scored paper: its dense row, its squared distance to
+// the query (or, in refineNeighbors, to the paper being linked), and
+// whether a search has pushed its neighbours.
+type poolEntry struct {
 	id   int32
 	dist float32
+	done bool
 }
 
 // searchScratch is the per-search working memory, recycled through a
 // package-level pool so steady-state queries allocate only their result
 // slice. visited is an epoch-stamped array: marking a node is one store,
-// clearing all marks is one epoch increment.
+// clearing all marks is one epoch increment. pool holds the ef best papers
+// scored so far in canonical order (distance, then paper id); it is the
+// walk's frontier and the selector of its answer at once.
 type searchScratch struct {
 	visited []uint32
 	epoch   uint32
-	cand    []distEntry // min-heap of unexpanded candidates
-	pool    []distEntry // max-heap of current best ef results
-	sel     []scored    // the final selector's heap
+	pool    []poolEntry
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &searchScratch{} }}
@@ -322,7 +325,6 @@ func getScratch(n int) *searchScratch {
 		}
 		s.epoch = 1
 	}
-	s.cand = s.cand[:0]
 	s.pool = s.pool[:0]
 	return s
 }
@@ -333,41 +335,40 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 	if n == 0 || m <= 0 {
 		return nil, st, ctx.Err()
 	}
-	if m > n {
-		m = n
-	}
+	m = min(m, n)
 	if ef < m {
 		ef = 2 * m
-		if ef < m {
-			ef = m
-		}
 	}
 	// Exhaustive fast path: when the pool would admit every paper anyway,
 	// graph traversal is pure overhead — scan the flat matrix instead. It
 	// performs the same distance computations as BruteForce, so results
 	// agree with it bit for bit.
 	if ef >= n {
-		return idx.searchExhaustive(ctx, query, m, &st)
+		res, err := Scan(ctx, idx.ids, idx.embs, query, m)
+		if err == nil {
+			st.DistanceComputations, st.NodesVisited = n, n
+		}
+		st.record()
+		return res, st, err
 	}
 
+	// Greedy best-first expansion (§IV-B). s.pool keeps the ef papers
+	// nearest the query among those scored, in canonical order. Every
+	// scored paper is in the pool or was dropped behind its last entry, so
+	// the first unexpanded entry is the nearest unexpanded candidate, and
+	// the walk ends when no entry is left to expand.
 	s := getScratch(n)
 	defer scratchPool.Put(s)
-
+	cur := 0 // the first unexpanded pool entry
 	push := func(i int32) {
 		if s.visited[i] == s.epoch {
 			return
 		}
 		s.visited[i] = s.epoch
-		d := vec.L2Sq32(idx.embs.Row(int(i)), query)
 		st.DistanceComputations++
 		st.NodesVisited++
-		if len(s.pool) < ef {
-			heapPushMin(&s.cand, distEntry{i, d})
-			heapPushMax(&s.pool, distEntry{i, d})
-		} else if d < s.pool[0].dist {
-			heapPushMin(&s.cand, distEntry{i, d})
-			heapPopMax(&s.pool)
-			heapPushMax(&s.pool, distEntry{i, d})
+		if at := s.add(idx.ids, i, vec.L2Sq32(idx.embs.Row(int(i)), query), ef); at < cur {
+			cur = at
 		}
 	}
 	push(idx.nav)
@@ -376,11 +377,7 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 			push(e)
 		}
 	}
-	for len(s.cand) > 0 {
-		cur := heapPopMin(&s.cand)
-		if len(s.pool) >= ef && cur.dist > s.pool[0].dist {
-			break // the nearest unexpanded candidate cannot improve the pool
-		}
+	for cur < len(s.pool) {
 		if st.Expansions%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				st.record()
@@ -388,34 +385,58 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 			}
 		}
 		st.Expansions++
-		for _, nb := range idx.nbrs[cur.id] {
+		s.pool[cur].done = true
+		id := s.pool[cur].id
+		cur++
+		for _, nb := range idx.nbrs[id] {
 			push(nb)
 		}
+		for cur < len(s.pool) && s.pool[cur].done {
+			cur++
+		}
 	}
-
-	// The pool holds the traversal's distances, the same kernel over the
-	// same rows as BruteForce; the selector puts its best m in the
-	// canonical order.
-	t := topM{m: m, h: s.sel[:0]}
-	for _, e := range s.pool {
-		t.offer(e.dist, idx.ids[e.id])
-	}
-	res := t.results()
-	s.sel = t.h
 	st.record()
+	// The pool is in canonical order over the traversal's distances — the
+	// same kernel over the same rows as BruteForce — so its head is the
+	// answer.
+	res := make([]Result, min(m, len(s.pool)))
+	for i, e := range s.pool[:len(res)] {
+		res[i] = Result{ID: idx.ids[e.id], Dist: sqrt(float64(e.dist))}
+	}
 	return res, st, nil
 }
 
-// searchExhaustive scans every row of the flat embedding matrix and
-// returns the canonical top-m.
-func (idx *Index) searchExhaustive(ctx context.Context, query vec.Vec32, m int, st *SearchStats) ([]Result, SearchStats, error) {
-	res, err := Scan(ctx, idx.ids, idx.embs, query, m)
-	if err == nil {
-		st.DistanceComputations += len(idx.ids)
-		st.NodesVisited += len(idx.ids)
+// add inserts row i at squared distance d into the pool at its canonical
+// place, keeping at most ef entries, and returns that place — len(s.pool)
+// when i does not come before the last entry of a full pool.
+func (s *searchScratch) add(ids []hetgraph.NodeID, i int32, d float32, ef int) int {
+	pool := s.pool
+	n := len(pool)
+	if n == ef {
+		if w := pool[n-1]; !(d < w.dist || d == w.dist && ids[i] < ids[w.id]) {
+			return n
+		}
 	}
-	st.record()
-	return res, *st, err
+	// Binary search by distance, then along a run of equal distances by
+	// paper id.
+	at, hi := 0, n
+	for at < hi {
+		if h := int(uint(at+hi) >> 1); pool[h].dist < d {
+			at = h + 1
+		} else {
+			hi = h
+		}
+	}
+	for at < n && pool[at].dist == d && ids[pool[at].id] < ids[i] {
+		at++
+	}
+	if n < ef {
+		pool = append(pool, poolEntry{})
+	}
+	copy(pool[at+1:], pool[at:]) // a full pool drops its last entry
+	pool[at] = poolEntry{id: i, dist: d}
+	s.pool = pool
+	return at
 }
 
 // BruteForce scans every embedding of the map and returns the exact m
@@ -494,87 +515,4 @@ func sqrt(x float64) float64 {
 
 func (idx *Index) String() string {
 	return fmt.Sprintf("pgindex: %d papers, %d edges, nav=%d", idx.Len(), idx.NumEdges(), idx.nav)
-}
-
-// heapPushMin/heapPopMin maintain a binary min-heap over dist in a plain
-// slice; heapPushMax/heapPopMax the max-heap dual. Hand-rolled because
-// container/heap's interface boxing dominated the search profile.
-func heapPushMin(h *[]distEntry, e distEntry) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].dist <= s[i].dist {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-	*h = s
-}
-
-func heapPopMin(h *[]distEntry) distEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		sm := i
-		if l < n && s[l].dist < s[sm].dist {
-			sm = l
-		}
-		if r < n && s[r].dist < s[sm].dist {
-			sm = r
-		}
-		if sm == i {
-			break
-		}
-		s[i], s[sm] = s[sm], s[i]
-		i = sm
-	}
-	*h = s
-	return top
-}
-
-func heapPushMax(h *[]distEntry, e distEntry) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].dist >= s[i].dist {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-	*h = s
-}
-
-func heapPopMax(h *[]distEntry) distEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		lg := i
-		if l < n && s[l].dist > s[lg].dist {
-			lg = l
-		}
-		if r < n && s[r].dist > s[lg].dist {
-			lg = r
-		}
-		if lg == i {
-			break
-		}
-		s[i], s[lg] = s[lg], s[i]
-		i = lg
-	}
-	*h = s
-	return top
 }

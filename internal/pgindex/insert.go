@@ -2,6 +2,7 @@ package pgindex
 
 import (
 	"fmt"
+	"slices"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/vec"
@@ -40,15 +41,11 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 	// Candidate neighbours: the nearest nodes under the current graph
 	// (over-fetched, then occlusion-pruned like refineNeighbors).
 	const maxDegree = 20 // matches DefaultConfig: 2*K
-	res, _ := idx.searchDense(v, maxDegree*3)
-	cands := map[int32]bool{}
-	for _, r := range res {
-		cands[r] = true
-	}
+	cands := idx.searchDense(v, maxDegree*3)
 	// The exhaustive search path scans every row, including the one just
 	// appended; as a candidate for itself it sits at distance zero and
 	// occludes everything, leaving the node an island.
-	delete(cands, dense)
+	cands = slices.DeleteFunc(cands, func(c int32) bool { return c == dense })
 	idx.nbrs[dense] = idx.refineNeighbors(dense, cands, maxDegree)
 
 	// Reverse edges keep the new node reachable; overflowing lists are
@@ -56,11 +53,7 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 	for _, nb := range idx.nbrs[dense] {
 		idx.nbrs[nb] = append(idx.nbrs[nb], dense)
 		if len(idx.nbrs[nb]) > maxDegree*2 {
-			c := map[int32]bool{}
-			for _, x := range idx.nbrs[nb] {
-				c[x] = true
-			}
-			idx.nbrs[nb] = idx.refineNeighbors(nb, c, maxDegree)
+			idx.nbrs[nb] = idx.refineNeighbors(nb, idx.nbrs[nb], maxDegree)
 		}
 	}
 	if len(idx.nbrs[dense]) == 0 {
@@ -73,11 +66,11 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 }
 
 // searchDense is Search returning dense indices, for internal use.
-func (idx *Index) searchDense(q vec.Vec32, m int) ([]int32, SearchStats) {
-	res, st := idx.Search(q, m, 0)
+func (idx *Index) searchDense(q vec.Vec32, m int) []int32 {
+	res, _ := idx.Search(q, m, 0)
 	out := make([]int32, len(res))
 	for i, r := range res {
 		out[i] = idx.pos[r.ID]
 	}
-	return out, st
+	return out
 }

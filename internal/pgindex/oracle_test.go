@@ -1,7 +1,9 @@
 package pgindex
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"expertfind/internal/hetgraph"
@@ -43,6 +45,110 @@ func TestSearchTieOrderMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSearchPoolIsCanonicalUnderTies searches for a paper with many more
+// exact duplicates than the pool has slots: the pool must keep the
+// duplicates of smallest id, as the oracle ranks them, whichever order the
+// walk found them in. Half of each 300-paper corpus is copies of three
+// prototypes; the queries are the prototypes, m = 10, ef = 20. A greedy
+// walk need not reach every copy, so a query counts where the naive
+// canonical walk (canonicalWalk) reaches BruteForce's answer: there Search
+// must reach it too.
+func TestSearchPoolIsCanonicalUnderTies(t *testing.T) {
+	checked := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		draw := func() vec.Vec32 {
+			v := vec.New32(8)
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+			return v
+		}
+		proto := []vec.Vec32{draw(), draw(), draw()}
+		embs := map[hetgraph.NodeID]vec.Vec32{}
+		for i := 0; i < 300; i++ {
+			embs[hetgraph.NodeID(i)] = draw()
+			if i%2 == 1 {
+				embs[hetgraph.NodeID(i)] = proto[rng.Intn(3)].Clone()
+			}
+		}
+		idx := Build(embs, Config{Refine: true, Seed: seed})
+		for p, q := range proto {
+			want := BruteForce(embs, q, 10)
+			if reached, _ := canonicalWalk(idx, q, 10, 20, true); sameResults(reached, want) != nil {
+				continue
+			}
+			checked++
+			got, _ := idx.Search(q, 10, 20)
+			if err := sameResults(got, want); err != nil {
+				t.Errorf("corpus %d prototype %d: %v", seed, p, err)
+			}
+		}
+	}
+	if checked < 80 {
+		t.Fatalf("only %d of 120 queries reached the oracle's answer", checked)
+	}
+}
+
+// canonicalWalk is the greedy search over a sorted pool written the naive
+// way: after every insert the pool is re-sorted in canonical order and cut
+// back to ef, and the next node to expand is found by a linear scan for
+// the first unexpanded entry. Stats are counted as SearchStats counts them.
+func canonicalWalk(idx *Index, query vec.Vec32, m, ef int, multiEntry bool) ([]Result, SearchStats) {
+	type entry struct {
+		id   int32
+		dist float32
+		done bool
+	}
+	var st SearchStats
+	visited := map[int32]bool{}
+	var pool []entry
+	push := func(i int32) {
+		if visited[i] {
+			return
+		}
+		visited[i] = true
+		st.DistanceComputations++
+		st.NodesVisited++
+		pool = append(pool, entry{id: i, dist: vec.L2Sq32(idx.embs.Row(int(i)), query)})
+		sort.Slice(pool, func(a, b int) bool {
+			if pool[a].dist != pool[b].dist {
+				return pool[a].dist < pool[b].dist
+			}
+			return idx.ids[pool[a].id] < idx.ids[pool[b].id]
+		})
+		pool = pool[:min(len(pool), ef)]
+	}
+	push(idx.nav)
+	if multiEntry {
+		for _, e := range idx.entries {
+			push(e)
+		}
+	}
+	for {
+		next := -1
+		for k := range pool {
+			if !pool[k].done {
+				next = k
+				break
+			}
+		}
+		if next < 0 {
+			break
+		}
+		pool[next].done = true
+		st.Expansions++
+		for _, nb := range idx.nbrs[pool[next].id] {
+			push(nb)
+		}
+	}
+	res := make([]Result, min(m, len(pool)))
+	for k := range res {
+		res[k] = Result{ID: idx.ids[pool[k].id], Dist: math.Sqrt(float64(pool[k].dist))}
+	}
+	return res, st
 }
 
 // TestExhaustiveSearchMatchesBruteForce checks the index against the map

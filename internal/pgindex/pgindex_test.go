@@ -2,7 +2,9 @@ package pgindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/vec"
@@ -313,6 +315,39 @@ func TestNoRefineKeepsRawKNN(t *testing.T) {
 	if res, _ := raw.Search(embs[hetgraph.NodeID(1)], 5, 0); len(res) != 5 {
 		t.Error("raw kNN index search failed")
 	}
+}
+
+// BenchmarkSearch times Search at the query_pg shape: 5 000 papers of 64
+// dimensions in tight clusters, m = 200 and the default pool of 2m. ns/op
+// is a mean; p50-ns is the median of the per-search times.
+func BenchmarkSearch(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	embs := clusteredEmbeddings(rng, 100, 50, 64)
+	idx := Build(embs, DefaultConfig())
+	queries := make([]vec.Vec32, 64)
+	for i := range queries {
+		q := embs[hetgraph.NodeID(rng.Intn(len(embs)))].Clone()
+		for j := range q {
+			q[j] += float32(rng.NormFloat64() * 0.02)
+		}
+		queries[i] = q
+	}
+	var evals, expansions int
+	took := make([]time.Duration, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var st SearchStats
+		start := time.Now()
+		scanSink, st = idx.Search(queries[i%len(queries)], 200, 0)
+		took[i] = time.Since(start)
+		evals += st.DistanceComputations
+		expansions += st.Expansions
+	}
+	slices.Sort(took)
+	b.ReportMetric(float64(took[b.N/2].Nanoseconds()), "p50-ns")
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(expansions)/float64(b.N), "expansions/op")
 }
 
 func TestEmbeddingAccessor(t *testing.T) {

@@ -8,13 +8,13 @@ import (
 	"expertfind/internal/vec"
 )
 
-// This file holds the package's one exact top-m selection: a bounded
-// max-heap under the canonical total order (squared distance ascending,
-// paper id ascending) and the blocked scan over contiguous rows that
-// feeds it. Engines and shards without a PG-Index (Scan), the index's
-// exhaustive path and final pool selection, and the map oracle BruteForce
-// all select through it, so their rankings agree bit for bit by
-// construction.
+// This file holds the package's exact top-m selection over row scans: a
+// bounded max-heap under the canonical total order (squared distance
+// ascending, paper id ascending) and the blocked scan over contiguous
+// rows that feeds it. Engines and shards without a PG-Index (Scan), the
+// index's exhaustive path and the map oracle BruteForce select through
+// it; the greedy search keeps its pool sorted in the same order
+// (searchScratch), so their rankings agree bit for bit by construction.
 
 // scored is one candidate: its squared distance to the query and its id.
 type scored struct {
