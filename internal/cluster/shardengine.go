@@ -22,8 +22,9 @@ type ShardConfig struct {
 	// config the engine was built with, seed included — determinism makes
 	// every replica of this shard byte-identical).
 	Index pgindex.Config
-	// UsePGIndex selects approximate per-shard retrieval; false scans the
-	// owned embeddings exactly (required by the equivalence tests: exact
+	// UsePGIndex gives the shard's index a proximity graph, for
+	// approximate per-shard retrieval; false scans the owned embeddings
+	// exactly (required by the equivalence tests: exact
 	// per-shard top-m lists merge into exactly the single-node top-m).
 	UsePGIndex bool
 	// EF is the PG-Index search pool size (0: 2m).
@@ -42,36 +43,36 @@ type ShardEngine struct {
 	eng   *core.Engine
 	cfg   ShardConfig
 	owned map[hetgraph.NodeID]bool
-	// ids and rows are the owned papers in ascending id order, the storage
-	// the exact path scans; index replaces them when cfg.UsePGIndex.
-	ids   []hetgraph.NodeID
-	rows  *vec.Matrix32
+	// index holds the owned papers' embeddings in ascending id order, with
+	// a proximity graph when cfg.UsePGIndex.
 	index *pgindex.Index
 }
 
 // NewShardEngine carves shard cfg.ID's serving state out of a built
-// engine: the owned embedding subset and, when cfg.UsePGIndex, a
-// deterministic PG-Index over just those embeddings.
+// engine: an index over the owned embedding subset, with, when
+// cfg.UsePGIndex, a deterministic proximity graph over just those.
 func NewShardEngine(eng *core.Engine, cfg ShardConfig) (*ShardEngine, error) {
 	if cfg.Of < 1 || cfg.ID < 0 || cfg.ID >= cfg.Of {
 		return nil, fmt.Errorf("cluster: invalid shard id %d of %d", cfg.ID, cfg.Of)
 	}
 	se := &ShardEngine{eng: eng, cfg: cfg, owned: map[hetgraph.NodeID]bool{}}
-	embs := map[hetgraph.NodeID]vec.Vec32{}
+	var ids []hetgraph.NodeID // papers are numbered in insertion order: ascending
 	for _, p := range eng.Graph().NodesOfType(hetgraph.Paper) {
 		if AssignShard(p, cfg.Of) != cfg.ID {
 			continue
 		}
 		se.owned[p] = true
-		if e, ok := eng.Embeddings[p]; ok {
-			embs[p] = e
+		if _, ok := eng.Embeddings[p]; ok {
+			ids = append(ids, p)
 		}
 	}
+	rows := vec.NewMatrix32(len(ids), eng.Encoder().Dim)
+	for i, p := range ids {
+		copy(rows.Row(i), eng.Embeddings[p])
+	}
+	se.index = pgindex.FromRows(ids, rows)
 	if cfg.UsePGIndex {
-		se.index = pgindex.BuildWithRand(embs, cfg.Index,
-			rand.New(rand.NewSource(cfg.Index.Seed)))
-	} else {
-		se.ids, se.rows = pgindex.FlatRows(embs)
+		se.index.BuildGraph(cfg.Index, rand.New(rand.NewSource(cfg.Index.Seed)))
 	}
 	return se, nil
 }
@@ -107,11 +108,8 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 	sp.End()
 	_, sp = obs.StartSpan(ctx, "search")
 	defer sp.End()
-	if se.index != nil {
-		res, _, err := se.index.SearchCtx(ctx, qv, m, se.cfg.EF)
-		return res, err
-	}
-	return pgindex.Scan(ctx, se.ids, se.rows, qv, m)
+	res, _, err := se.index.SearchCtx(ctx, qv, m, se.cfg.EF)
+	return res, err
 }
 
 // Papers renders retrieved papers as the /shard/papers payload under ONE

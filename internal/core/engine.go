@@ -141,18 +141,13 @@ type Engine struct {
 	opts  Options
 	enc   *textenc.Encoder
 	cache train.TokenCache
-	// Embeddings is E, the representation of every paper. Treat as
-	// read-only outside the engine; AddPaper mutates it under mu. Values
-	// may be views of shared row storage (a flat matrix, a mapped
-	// snapshot), so a vector must never be written or appended to.
+	// Embeddings is E, the representation of every paper, as views of
+	// the index's rows (viewRowsLocked). Read-only outside the engine,
+	// which mutates it under mu; a vector is never written to.
 	Embeddings map[hetgraph.NodeID]vec.Vec32
-	index      *pgindex.Index
-	// ids and rows are what an engine without a PG-Index scans: every
-	// paper in ascending id order, row i of rows the embedding of ids[i].
-	// Embeddings' values are views of these rows (see viewRowsLocked). Nil
-	// on an indexed engine, whose index holds the matrix it searches.
-	ids   []hetgraph.NodeID
-	rows  *vec.Matrix32
+	// index holds E once, ids ascending; it has a proximity graph exactly
+	// when Options.UsePGIndex is on.
+	index *pgindex.Index
 	stats BuildStats
 	reg   *obs.Registry
 
@@ -247,23 +242,21 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 		e.stats.TrainTime = sp.End()
 	}
 
-	// Offline stage 3: embed all papers, build the PG-Index.
+	// Offline stage 3: embed all papers, build the PG-Index over them.
 	_, sp = obs.StartSpan(ctx, "embedding")
-	e.Embeddings = train.EmbedAll(e.enc, e.cache)
+	e.index = pgindex.FromRows(train.EmbedRows(e.enc, e.cache))
+	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, e.index.Len())
+	e.viewRowsLocked()
 	e.stats.EmbedTime = sp.End()
 	e.reg.Counter("expertfind_build_papers_embedded_total",
 		"Papers embedded by offline builds.").Add(float64(len(e.Embeddings)))
 
 	if boolOpt(opts.UsePGIndex, true) {
 		_, sp = obs.StartSpan(ctx, "indexing")
-		e.index = pgindex.BuildWithRand(e.Embeddings, opts.Index,
-			rand.New(rand.NewSource(opts.Index.Seed)))
+		e.index.BuildGraph(opts.Index, rand.New(rand.NewSource(opts.Index.Seed)))
 		e.stats.IndexTime = sp.End()
 		e.stats.IndexEdges = e.index.NumEdges()
 		e.stats.IndexMemory = e.index.MemoryBytes()
-	} else {
-		e.ids, e.rows = pgindex.FlatRows(e.Embeddings)
-		e.viewRowsLocked(0)
 	}
 	e.stats.TotalTime = root.End()
 
@@ -302,7 +295,12 @@ func (e *Engine) ReadGraph(fn func(g *hetgraph.Graph)) {
 func (e *Engine) Encoder() *textenc.Encoder { return e.enc }
 
 // Index returns the PG-Index, or nil when disabled.
-func (e *Engine) Index() *pgindex.Index { return e.index }
+func (e *Engine) Index() *pgindex.Index {
+	if !e.index.HasGraph() {
+		return nil
+	}
+	return e.index
+}
 
 // QueryStats reports the online work of one query.
 type QueryStats struct {
@@ -374,32 +372,30 @@ func (e *Engine) retrievePapersLocked(ctx context.Context, query string, m int) 
 }
 
 // retrieveVecLocked is the retrieve stage of every query, text or paper:
-// the m rows nearest to qv, through the PG-Index when the engine has one
-// and the exact scan over its rows otherwise, under one "retrieve" span.
+// the m rows nearest to qv — through the PG-Index when the engine has
+// one, by the index's exact scan otherwise — under one "retrieve" span.
 // The caller holds e.mu for reading.
 func (e *Engine) retrieveVecLocked(ctx context.Context, qv vec.Vec32, m int) ([]pgindex.Result, QueryStats, error) {
-	var st QueryStats
+	st := QueryStats{UsedPGIndex: e.index.HasGraph()}
 	_, sp := obs.StartSpan(ctx, "retrieve")
-	var res []pgindex.Result
-	var err error
-	if e.index != nil {
-		st.UsedPGIndex = true
-		res, st.Search, err = e.index.SearchCtx(ctx, qv, m, e.opts.EF)
-	} else {
-		res, err = pgindex.Scan(ctx, e.ids, e.rows, qv, m)
-	}
+	res, search, err := e.index.SearchCtx(ctx, qv, m, e.opts.EF)
+	st.Search = search
 	st.RetrieveTime = sp.End()
 	return res, st, err
 }
 
-// viewRowsLocked points Embeddings at rows [from, len(ids)) of the flat
-// matrix. Each view's capacity is clipped to its row, so an append to one
-// reallocates instead of running into the next row (or a read-only
-// mapping). Caller holds e.mu for writing, or owns the engine outright.
-func (e *Engine) viewRowsLocked(from int) {
-	dim := e.rows.Cols
-	for i := from; i < len(e.ids); i++ {
-		e.Embeddings[e.ids[i]] = e.rows.Data[i*dim : (i+1)*dim : (i+1)*dim]
+// viewRowsLocked brings Embeddings up to date with the index: it views
+// the rows appended since the last call, or every row when an append moved
+// the matrix — views of the old array would keep it alive beside the new
+// one. Caller holds e.mu for writing, or owns the engine outright.
+func (e *Engine) viewRowsLocked() {
+	ids, rows := e.index.Rows()
+	from := len(e.Embeddings) // one entry per row viewed so far
+	if from > 0 && &e.Embeddings[ids[0]][0] != &rows.Data[0] {
+		from = 0
+	}
+	for i := from; i < len(ids); i++ {
+		e.Embeddings[ids[i]] = rows.Row(i)
 	}
 }
 

@@ -251,26 +251,16 @@ func TestMmapEquivalenceExactEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &mapped.rows.Data[0] != &col[0] || len(mapped.rows.Data) != len(col) {
+	_, rows := mapped.index.Rows()
+	if &rows.Data[0] != &col[0] || len(rows.Data) != len(col) {
 		t.Fatal("mapped exact engine copied the embedding column instead of scanning it in place")
 	}
-	if cap(mapped.rows.Data) != len(mapped.rows.Data) {
+	if cap(rows.Data) != len(rows.Data) {
 		t.Fatalf("mapped rows have %d spare capacity: an append would write through the mapping",
-			cap(mapped.rows.Data)-len(mapped.rows.Data))
-	}
-	aliases := func(e *Engine) {
-		t.Helper()
-		if len(e.Embeddings) != len(e.ids) {
-			t.Fatalf("%d embeddings for %d rows", len(e.Embeddings), len(e.ids))
-		}
-		for i, id := range e.ids {
-			if v := e.Embeddings[id]; &v[0] != &e.rows.Row(i)[0] || cap(v) != len(v) {
-				t.Fatalf("Embeddings[%d] is not a clipped view of row %d", id, i)
-			}
-		}
+			cap(rows.Data)-len(rows.Data))
 	}
 	for _, e := range []*Engine{built, heap, mapped} {
-		aliases(e)
+		assertViewsIndexRows(t, "exact", e)
 	}
 	assertExpertsIdentical(t, ds, "exact built vs heap", built, heap)
 	assertExpertsIdentical(t, ds, "exact heap vs mmap", heap, mapped)
@@ -286,13 +276,89 @@ func TestMmapEquivalenceExactEngine(t *testing.T) {
 
 	for _, e := range []*Engine{built, heap, mapped} {
 		add(e, "post-load", 4)
-		aliases(e)
+		assertViewsIndexRows(t, "exact after updates", e)
 	}
-	if &mapped.rows.Data[0] == &col[0] {
+	if _, rows := mapped.index.Rows(); &rows.Data[0] == &col[0] {
 		t.Fatal("AddPaper on a mapped engine appended in place")
 	}
 	assertExpertsIdentical(t, ds, "exact built vs mmap after updates", built, mapped)
 	assertExpertsIdentical(t, ds, "exact heap vs mmap after updates", heap, mapped)
+}
+
+// assertViewsIndexRows checks that E has one home in e: the map holds one
+// entry per row of the index, and each is a view of its row of the index
+// matrix with cap == len.
+func assertViewsIndexRows(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	ids, rows := e.index.Rows()
+	if len(e.Embeddings) != len(ids) {
+		t.Fatalf("%s: %d embeddings for %d rows", label, len(e.Embeddings), len(ids))
+	}
+	for i, id := range ids {
+		v := e.Embeddings[id]
+		if len(v) != rows.Cols || &v[0] != &rows.Data[i*rows.Cols] || cap(v) != len(v) {
+			t.Fatalf("%s: Embeddings[%d] is not a clipped view of row %d", label, id, i)
+		}
+	}
+}
+
+// TestEmbeddingsViewIndexRows holds every engine kind — built, heap-loaded
+// and mmap-loaded, with and without a PG-Index — to one copy of E: the
+// Embeddings map is views of the index's matrix before and after AddPapers
+// that move that matrix (a built matrix is allocated to size, a loaded one
+// clipped, so the first append reallocates either).
+func TestEmbeddingsViewIndexRows(t *testing.T) {
+	for _, usePG := range []bool{true, false} {
+		built, err := Build(freshEquivGraph(), Options{Dim: 8, Seed: 11, UseKPCore: Bool(false),
+			UsePGIndex: Bool(usePG), Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := filepath.Join(t.TempDir(), "engine.snap")
+		var saved bytes.Buffer
+		if err := built.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snap, saved.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		engines := map[string]*Engine{"built": built}
+		for name, mode := range map[string]colstore.Mode{"heap": colstore.ModeOff, "mmap": colstore.ModeOn} {
+			e, err := LoadFileWith(snap, freshEquivGraph(), LoadOptions{Mmap: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.CloseSnapshot()
+			engines[name] = e
+		}
+		for name, e := range engines {
+			label := fmt.Sprintf("%s, PG-Index %v", name, usePG)
+			if (e.Index() != nil) != usePG {
+				t.Fatalf("%s: Index() = %v", label, e.Index())
+			}
+			assertViewsIndexRows(t, label, e)
+			var resaved bytes.Buffer
+			if err := e.Save(&resaved); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+				t.Fatalf("%s: save -> load -> save changed the snapshot", label)
+			}
+			_, rows := e.index.Rows()
+			before := &rows.Data[0]
+			authors := e.Graph().NodesOfType(hetgraph.Author)
+			for i := 0; i < 3; i++ {
+				if _, err := e.AddPaper(NewPaper{Text: fmt.Sprintf("views paper %d", i),
+					Authors: authors[i : i+1]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, rows = e.index.Rows(); &rows.Data[0] == before {
+				t.Fatalf("%s: the adds did not move the matrix", label)
+			}
+			assertViewsIndexRows(t, label+", after adds", e)
+		}
+	}
 }
 
 // TestMmapEquivalenceModeAuto pins the default: ModeAuto behaves like
@@ -342,6 +408,21 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 		b[segmentMiddle(t, raw, segment)] ^= 0x20
 		return b
 	}
+	// Row ids that do not ascend, saved with valid checksums: only the
+	// content is wrong, and a loader must not rank a paper twice.
+	withIDs := func(forge func(ids []hetgraph.NodeID)) []byte {
+		e, err := Load(bytes.NewReader(valid), freshEquivGraph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, _ := e.index.Rows()
+		forge(ids)
+		var b bytes.Buffer
+		if err := e.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
 	cases := []struct {
 		name  string
 		bytes []byte
@@ -354,6 +435,8 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 		{"version-2 container", withVersion(2), "version 2"},
 		{"flipped byte in the table segment", flipIn(valid, segTable), "corrupt: checksum"},
 		{"flipped byte in the parent's ignored qcodes segment", flipIn(parent, "qcodes"), "corrupt: checksum"},
+		{"duplicate row id", withIDs(func(ids []hetgraph.NodeID) { ids[1] = ids[0] }), "corrupt: content"},
+		{"descending row ids", withIDs(func(ids []hetgraph.NodeID) { ids[1], ids[2] = ids[2], ids[1] }), "corrupt: content"},
 	}
 	class := func(err error) string {
 		var ve *durable.VersionError
@@ -371,6 +454,8 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 			return "corrupt: truncated"
 		case errors.As(err, &ce) && errors.Is(err, durable.ErrChecksum):
 			return "corrupt: checksum"
+		case errors.As(err, &ce):
+			return "corrupt: content"
 		}
 		return "untyped: " + err.Error()
 	}

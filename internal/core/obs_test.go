@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"slices"
 	"testing"
@@ -131,7 +130,7 @@ func TestSimilarPapersErrors(t *testing.T) {
 
 // TestSimilarPapersExactEngine holds /similar on an engine without a
 // PG-Index to the retrieval that engine uses for every other query: the
-// scan's top-(m+1) over its rows minus the paper itself — which is also,
+// exact top-(m+1) over its embeddings minus the paper itself — which is also,
 // id for id, what an indexed engine over the same embeddings answers once
 // its pool covers the corpus.
 func TestSimilarPapersExactEngine(t *testing.T) {
@@ -150,11 +149,9 @@ func TestSimilarPapersExactEngine(t *testing.T) {
 		t.Errorf("unknown id on an exact engine: %v", err)
 	}
 	const m = 7
-	for _, id := range []hetgraph.NodeID{exact.ids[0], exact.ids[len(exact.ids)/2], exact.ids[len(exact.ids)-1]} {
-		scanned, err := pgindex.Scan(context.Background(), exact.ids, exact.rows, exact.Embeddings[id], m+1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	papers := ds.Graph.NodesOfType(hetgraph.Paper)
+	for _, id := range []hetgraph.NodeID{papers[0], papers[len(papers)/2], papers[len(papers)-1]} {
+		scanned := pgindex.BruteForce(exact.Embeddings, exact.Embeddings[id], m+1)
 		var want []hetgraph.NodeID
 		for _, r := range scanned {
 			if r.ID != id && len(want) < m {

@@ -194,29 +194,20 @@ func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
 // only valid until the lock is released, which is exactly long enough to
 // write them out.
 func (e *Engine) columnSegmentsLocked() ([]colstore.SegmentData, *colPersist) {
-	segs := []colstore.SegmentData{colstore.F32Seg(segTable, e.enc.Emb.Data)}
-	if e.index == nil {
-		// No index (UsePGIndex=false): the flat rows already are the two
-		// columns, in the ascending id order the format wants, so exact
-		// engines get the same rebuild-free, mmap-able load path.
-		return append(segs,
-			colstore.F32Seg(segEmbs, e.rows.Data),
-			colstore.I32Seg(segIDs, idsToInt32(e.ids)),
-		), &colPersist{Rows: len(e.ids), Dim: e.rows.Cols}
-	}
 	c := e.index.Columns()
-	segs = append(segs,
+	segs := []colstore.SegmentData{
+		colstore.F32Seg(segTable, e.enc.Emb.Data),
 		colstore.F32Seg(segEmbs, c.Embs),
 		colstore.I32Seg(segIDs, idsToInt32(c.IDs)),
-		colstore.U64Seg(segNbrOff, c.NbrOff),
-		colstore.I32Seg(segNbrDat, c.NbrDat),
-		colstore.I32Seg(segEntries, c.Entries))
-	return segs, &colPersist{
-		Rows:     len(c.IDs),
-		Dim:      c.Dim,
-		HasIndex: true,
-		Nav:      c.Nav,
 	}
+	col := &colPersist{Rows: len(c.IDs), Dim: c.Dim, HasIndex: e.index.HasGraph(), Nav: c.Nav}
+	if col.HasIndex {
+		segs = append(segs,
+			colstore.U64Seg(segNbrOff, c.NbrOff),
+			colstore.I32Seg(segNbrDat, c.NbrDat),
+			colstore.I32Seg(segEntries, c.Entries))
+	}
+	return segs, col
 }
 
 func idsToInt32(ids []hetgraph.NodeID) []int32 {
@@ -271,20 +262,24 @@ func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error
 	return loadSnapshot(f, path, size, o.Mmap, g)
 }
 
-// VerifySnapshotFile checks a snapshot file's integrity without
-// materialising an engine: container magic, version, payload CRC, the
-// columnar section directory and every segment CRC, and the file's end.
-// This is what a replication follower runs on a freshly downloaded
-// snapshot before letting it replace anything: a torn or bit-flipped
-// download fails here, with a typed error, not at some later boot.
+// VerifySnapshotFile checks everything of a snapshot file that needs no
+// graph: container, every CRC, the file's end, and the content the
+// segments must agree on (shapes, ascending row ids, adjacency). A
+// replication follower runs it on a downloaded snapshot before letting it
+// replace anything, so a torn or forged download fails here, typed.
 func VerifySnapshotFile(path string) error {
 	f, size, err := openSized(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	_, _, err = openSnapshot(f, path, size, colstore.ModeOff)
-	return err
+	payload, sec, err := openSnapshot(f, path, size, colstore.ModeOff)
+	if err != nil {
+		return err
+	}
+	defer sec.Close()
+	_, _, err = engineFromColumns(payload, path, sec)
+	return contentError(path, err)
 }
 
 func openSized(path string) (*os.File, int64, error) {
@@ -334,26 +329,35 @@ func openSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode) 
 	return payload, sec, nil
 }
 
-// loadSnapshot opens a snapshot and assembles the engine it describes.
+// loadSnapshot opens a snapshot, assembles the engine it describes and
+// re-applies its journal to g.
 func loadSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode, g *hetgraph.Graph) (*Engine, error) {
 	payload, sec, err := openSnapshot(src, name, size, mode)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	e, err := engineFromColumns(payload, name, sec, g)
+	e, updates, err := engineFromColumns(payload, name, sec)
+	if err == nil {
+		err = e.replayJournal(g, updates)
+	}
 	if err != nil {
 		sec.Close()
-		var ce *durable.CorruptError
-		if !errors.As(err, &ce) {
-			// Checksums held, so what is wrong is the snapshot's content.
-			err = &durable.CorruptError{Path: name, Detail: "snapshot content", Err: err}
-		}
-		return nil, fmt.Errorf("core: load: %w", err)
+		return nil, fmt.Errorf("core: load: %w", contentError(name, err))
 	}
 	if sec.Mapped {
 		e.colsec = sec
 	}
 	return e, nil
+}
+
+// contentError types an error found after every checksum held: what is
+// wrong is the snapshot's content, so it is a *durable.CorruptError.
+func contentError(name string, err error) error {
+	var ce *durable.CorruptError
+	if err == nil || errors.As(err, &ce) {
+		return err
+	}
+	return &durable.CorruptError{Path: name, Detail: "snapshot content", Err: err}
 }
 
 // decodePayload gob-decodes a snapshot payload.
@@ -399,27 +403,24 @@ func optionsFromPersist(ep *enginePersist) (Options, error) {
 	return opts, nil
 }
 
-// engineFromColumns assembles an engine from the CRC-verified payload
-// (name labels its source) plus the opened, CRC-verified columnar section. Nothing is recomputed: the
-// encoder table, the embedding matrix and the index adjacency are adopted
-// as-is (the latter two zero-copy when sec is mapped), and the journalled
-// updates are replayed against the graph only, because their embeddings
-// and index entries are already inside the saved blocks. An error is
-// either a *durable.CorruptError or a plain description of the content
-// that does not hold together, which the caller wraps in one.
-func engineFromColumns(payload []byte, name string, sec *colstore.Section, g *hetgraph.Graph) (*Engine, error) {
+// engineFromColumns assembles an engine without its graph from the
+// CRC-verified payload (name labels its source) and columnar section, and
+// returns the payload's journal. The encoder table, matrix and adjacency
+// are adopted as-is (the latter two zero-copy when sec is mapped). An
+// error is a *durable.CorruptError or a plain one for contentError.
+func engineFromColumns(payload []byte, name string, sec *colstore.Section) (*Engine, []NewPaper, error) {
 	p, err := decodePayload(payload, name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	col := p.Col
 	if col.Rows < 0 || p.Engine.Dim <= 0 || col.Dim != p.Engine.Dim {
-		return nil, fmt.Errorf("columnar shape: %d rows x %d dims vs engine dim %d",
+		return nil, nil, fmt.Errorf("columnar shape: %d rows x %d dims vs engine dim %d",
 			col.Rows, col.Dim, p.Engine.Dim)
 	}
 	opts, err := optionsFromPersist(&p.Engine)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Residency discipline: the assembly below walks the small metadata
@@ -434,105 +435,89 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section, g *he
 	meta := sec.Materialized()
 	table, err := meta.Float32s(segTable)
 	if err != nil {
-		return nil, fmt.Errorf("encoder table: %w", err)
+		return nil, nil, fmt.Errorf("encoder table: %w", err)
 	}
 	vocab, err := textenc.NewVocabFromTokens(p.Engine.Tokens, p.Engine.DocFreqs, p.Engine.NumDocs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The shape check (vocabulary x Dim against the segment's length,
 	// overflow included) is the constructor's: shapes come from a file.
 	enc, err := textenc.NewEncoderWithTable(vocab, p.Engine.Dim, table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	enc.Pooling = textenc.Pooling(p.Engine.Pooling)
 
-	embs, err := sec.Float32s(segEmbs)
-	if err != nil {
-		return nil, fmt.Errorf("embedding matrix: %w", err)
+	c := pgindex.Columns{Dim: col.Dim, Nav: col.Nav}
+	if c.Embs, err = sec.Float32s(segEmbs); err != nil {
+		return nil, nil, fmt.Errorf("embedding matrix: %w", err)
 	}
 	ids32, err := meta.Int32s(segIDs)
 	if err != nil {
-		return nil, fmt.Errorf("row ids: %w", err)
+		return nil, nil, fmt.Errorf("row ids: %w", err)
 	}
-	// Capacity is clipped to length so an engine without an index, whose
-	// AddPaper appends to these rows, reallocates instead of writing
-	// through a mapping.
-	rows, err := vec.Matrix32Of(col.Rows, col.Dim, embs[:len(embs):len(embs)])
-	if err != nil || len(ids32) != col.Rows {
-		return nil, fmt.Errorf("columnar shape: %d ids, %d weights for %d x %d",
-			len(ids32), len(embs), col.Rows, col.Dim)
+	if len(ids32) != col.Rows {
+		return nil, nil, fmt.Errorf("columnar shape: %d ids for %d rows", len(ids32), col.Rows)
 	}
-	ids := make([]hetgraph.NodeID, len(ids32))
+	c.IDs = make([]hetgraph.NodeID, len(ids32))
 	for i, id := range ids32 {
-		ids[i] = hetgraph.NodeID(id)
+		c.IDs[i] = hetgraph.NodeID(id)
+	}
+	if col.HasIndex {
+		if c.NbrOff, err = meta.Uint64s(segNbrOff); err != nil {
+			return nil, nil, fmt.Errorf("CSR offsets: %w", err)
+		}
+		if c.NbrDat, err = sec.Int32s(segNbrDat); err != nil {
+			return nil, nil, fmt.Errorf("CSR neighbours: %w", err)
+		}
+		if c.Entries, err = meta.Int32s(segEntries); err != nil {
+			return nil, nil, fmt.Errorf("index entry points: %w", err)
+		}
 	}
 
-	e := &Engine{g: g, opts: opts, enc: enc, reg: obs.Default()}
+	e := &Engine{opts: opts, enc: enc, reg: obs.Default()}
+	// The index adopts the matrix where it lies, mapping included, clipped
+	// so that an AddPaper reallocates instead of writing through it.
+	if e.index, err = pgindex.FromColumns(c); err != nil {
+		return nil, nil, fmt.Errorf("columnar index: %w", err)
+	}
+	if col.HasIndex {
+		e.stats.IndexEdges = e.index.NumEdges()
+		e.stats.IndexMemory = e.index.MemoryBytes()
+	}
 	// The token cache is rebuilt lazily: journalled updates repopulate
-	// their entries below, and new AddPapers write theirs. Eagerly
+	// their entries, and new AddPapers write theirs. Eagerly
 	// re-tokenising the whole corpus would defeat the point of the
 	// rebuild-free load.
 	e.cache = make(train.TokenCache)
 	e.stats.VocabSize = vocab.Size()
-
-	if col.HasIndex {
-		c := pgindex.Columns{IDs: ids, Dim: col.Dim, Embs: embs, Nav: col.Nav}
-		if c.NbrOff, err = meta.Uint64s(segNbrOff); err != nil {
-			return nil, fmt.Errorf("CSR offsets: %w", err)
-		}
-		if c.NbrDat, err = sec.Int32s(segNbrDat); err != nil {
-			return nil, fmt.Errorf("CSR neighbours: %w", err)
-		}
-		if c.Entries, err = meta.Int32s(segEntries); err != nil {
-			return nil, fmt.Errorf("index entry points: %w", err)
-		}
-		if e.index, err = pgindex.FromColumns(c); err != nil {
-			return nil, fmt.Errorf("columnar index: %w", err)
-		}
-		e.stats.IndexEdges = e.index.NumEdges()
-		e.stats.IndexMemory = e.index.MemoryBytes()
-	} else {
-		// An engine without an index scans the saved matrix where it lies —
-		// in the mapping, when there is one.
-		e.ids, e.rows = ids, rows
-	}
-
-	// The Embeddings map holds full-capacity row views of the shared
-	// matrix: cap == len, so anything that appends to a row reallocates
-	// onto the heap instead of writing through a read-only mapping.
 	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, col.Rows)
-	for i, id := range ids {
-		lo, hi := i*col.Dim, (i+1)*col.Dim
-		e.Embeddings[id] = embs[lo:hi:hi]
-	}
+	e.viewRowsLocked()
+	e.walSeq = p.LastSeq
+	return e, p.Updates, nil
+}
 
-	// Re-apply journalled updates to the graph and token cache only:
-	// their embeddings and index rows are already in the columnar
-	// blocks. Each replayed paper must land on a row id the snapshot
-	// knows — a mismatch means the snapshot and journal disagree.
-	// Nothing else can reach the engine yet, so no lock is taken.
-	for i, np := range p.Updates {
-		err := func() error {
-			if err := e.validateNewPaper(np); err != nil {
-				return err
-			}
-			id, err := e.addToGraphLocked(np)
-			if err != nil {
-				return err
-			}
-			if _, ok := e.Embeddings[id]; !ok {
-				return fmt.Errorf("replayed paper %d has no row in the columnar matrix", id)
-			}
-			return nil
-		}()
+// replayJournal attaches g and re-applies the journal to it and the token
+// cache only: the embeddings and index rows are in the columns already, so
+// each replayed paper must land on a row the snapshot has. Nothing else
+// can reach the engine yet, so no lock is taken.
+func (e *Engine) replayJournal(g *hetgraph.Graph, updates []NewPaper) error {
+	e.g = g
+	for i, np := range updates {
+		err := e.validateNewPaper(np)
+		var id hetgraph.NodeID
+		if err == nil {
+			id, err = e.addToGraphLocked(np)
+		}
+		if _, ok := e.Embeddings[id]; err == nil && !ok {
+			err = fmt.Errorf("replayed paper %d has no row in the columnar matrix", id)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("journalled update %d/%d: %w", i+1, len(p.Updates), err)
+			return fmt.Errorf("journalled update %d/%d: %w", i+1, len(updates), err)
 		}
 	}
-	e.walSeq = p.LastSeq
-	return e, nil
+	return nil
 }
 
 // SnapshotMapped reports whether this engine's embedding matrix and

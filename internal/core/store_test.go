@@ -314,6 +314,44 @@ func TestStoreCorruptWALInteriorFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestStoreLogPastSnapshotFailsLoudly: a snapshot at S over a log whose
+// first record is S+5 has lost four acknowledged updates. Recovery refuses
+// it with a typed error instead of replaying S+5 onwards around the hole.
+func TestStoreLogPastSnapshotFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	st, ds := openTestStore(t, dir)
+	addTestPapers(t, st.Engine(), 2)
+	if err := st.Close(); err != nil { // snapshot covers seq 2
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(dir, "wal")
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
+	}
+	w, err := durable.OpenWAL(walDir, durable.WALOptions{InitialSeq: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := EncodeUpdate(NewPaper{Text: "an update past the hole",
+		Authors: ds.Graph.NodesOfType(hetgraph.Author)[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := w.Append(payload); err != nil || seq != 7 {
+		t.Fatalf("append: seq %d, %v", seq, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, mk := storeFixture()
+	_, err = OpenStore(dir, ds.Graph, mk(ds.Graph), StoreOptions{Metrics: obs.NewRegistry()})
+	var ce *durable.CorruptError
+	if !errors.As(err, &ce) || !errors.Is(err, durable.ErrTruncated) {
+		t.Fatalf("snapshot at 2 over a log from 7: %v, want a *durable.CorruptError", err)
+	}
+}
+
 // failingUpdateLog refuses every append.
 type failingUpdateLog struct{}
 

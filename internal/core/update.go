@@ -193,25 +193,11 @@ func (e *Engine) applyUpdateLocked(p NewPaper, seq uint64) (hetgraph.NodeID, err
 	if err != nil {
 		return 0, err
 	}
-	emb := e.enc.EncodeTokens(e.cache[id])
-	if e.index != nil {
-		e.Embeddings[id] = emb
-		if err := e.index.Insert(id, emb); err != nil {
-			return 0, fmt.Errorf("core: index insert: %w", err)
-		}
-	} else {
-		// New node ids only grow, so appending keeps the rows ascending.
-		// When growth moved the matrix, every view is re-pointed: views of
-		// the old array would keep it alive beside the new one.
-		old := e.rows.Data
-		e.rows.AppendRow(emb)
-		e.ids = append(e.ids, id)
-		from := len(e.ids) - 1
-		if len(old) > 0 && &old[0] != &e.rows.Data[0] {
-			from = 0
-		}
-		e.viewRowsLocked(from)
+	// New node ids only grow, so the insert keeps the rows ascending.
+	if err := e.index.Insert(id, e.enc.EncodeTokens(e.cache[id])); err != nil {
+		return 0, fmt.Errorf("core: index insert: %w", err)
 	}
+	e.viewRowsLocked()
 	if seq > e.walSeq {
 		e.walSeq = seq
 	}

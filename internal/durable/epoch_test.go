@@ -151,8 +151,13 @@ func TestAppendReplicatedSequencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if got := replayAll(t, w2, 0); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+	if got := replayAll(t, w2, 10); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("replay after replicated appends: %v", got)
+	}
+	// Without the snapshot at 10, records 1-10 are a hole, not a replay.
+	var ce *CorruptError
+	if err := w2.Replay(0, func(uint64, []byte) error { return nil }); !errors.As(err, &ce) {
+		t.Fatalf("replay from before the log's start: %v, want *CorruptError", err)
 	}
 }
 

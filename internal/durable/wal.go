@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -178,7 +179,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	var expect uint64
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		res, err := scanSegment(seg.path, seg.firstSeq, expect, last, nil)
+		res, err := scanSegment(seg.path, seg.firstSeq, expect, last)
 		if err != nil {
 			return nil, err
 		}
@@ -408,40 +409,35 @@ func (w *WAL) Sync() error {
 	return w.f.Sync()
 }
 
-// Replay streams every record with sequence > after, in order, to fn.
-// It re-reads the segment files, so it reflects exactly what survived
-// on disk. The payload is valid only until fn returns; copy to retain.
-// A fn error aborts the replay and is returned unchanged.
+// Replay streams every record with sequence > after, in order, to fn:
+// a walk of ReadFrom(after+1), so it reflects exactly what survived on
+// disk up to the last sequence at call time. The payload is valid only
+// until fn returns; copy to retain. A fn error aborts the replay and is
+// returned unchanged. A log whose oldest record is past after+1 is
+// missing records the caller needs, and Replay refuses it with a
+// *CorruptError instead of replaying around the hole.
 func (w *WAL) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
+	it, err := w.ReadFrom(after + 1)
+	if errors.Is(err, ErrCompacted) {
+		return &CorruptError{Path: w.dir, Offset: 0, Detail: "WAL start",
+			Err: fmt.Errorf("log starts past seq %d: %w", after+1, ErrTruncated)}
 	}
-	// Replay must not race appends; hold the lock for the scan. Replay
-	// runs at recovery time, before serving starts, so this is not a
-	// contended path.
-	defer w.mu.Unlock()
-	segs, err := listSegments(w.dir)
 	if err != nil {
 		return err
 	}
-	var expect uint64
-	for i, seg := range segs {
-		res, err := scanSegment(seg.path, seg.firstSeq, expect, i == len(segs)-1, func(seq uint64, payload []byte) error {
-			if seq <= after {
-				return nil
-			}
-			return fn(seq, payload)
-		})
+	defer it.Close()
+	for {
+		seq, payload, err := it.Next()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		if res.lastSeq > 0 {
-			expect = res.lastSeq + 1
+		if err := fn(seq, payload); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
 // TruncateThrough removes segments whose records are all covered by a
@@ -606,14 +602,13 @@ type scanResult struct {
 	tornAt  int64 // byte offset of a torn tail, -1 if none
 }
 
-// scanSegment validates every record in one segment file, optionally
-// delivering payloads to fn (each valid only until fn returns). expect
+// scanSegment validates every record in one segment file. expect
 // is the sequence the first record must carry (0 to accept the
 // segment's declared first sequence — used when earlier segments were
 // truncated away by a snapshot). In the final segment (last=true) a
 // record cut short by EOF is reported via tornAt instead of an error;
 // any other damage is a *CorruptError.
-func scanSegment(path string, firstSeq, expect uint64, last bool, fn func(uint64, []byte) error) (scanResult, error) {
+func scanSegment(path string, firstSeq, expect uint64, last bool) (scanResult, error) {
 	res := scanResult{tornAt: -1}
 	f, err := os.Open(path)
 	if err != nil {
@@ -635,7 +630,7 @@ func scanSegment(path string, firstSeq, expect uint64, last bool, fn func(uint64
 	rr := newRecordReader(f, path)
 	for {
 		start := rr.off
-		seq, payload, err := rr.Next()
+		seq, _, err := rr.Next()
 		switch {
 		case err == io.EOF:
 			return res, nil // clean end
@@ -650,11 +645,6 @@ func scanSegment(path string, firstSeq, expect uint64, last bool, fn func(uint64
 		if seq != expect {
 			return res, &CorruptError{Path: path, Offset: start, Detail: "record sequence",
 				Err: fmt.Errorf("found seq %d, want %d: %w", seq, expect, ErrChecksum)}
-		}
-		if fn != nil {
-			if err := fn(seq, payload); err != nil {
-				return res, err
-			}
 		}
 		res.records++
 		res.lastSeq = seq

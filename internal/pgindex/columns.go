@@ -12,7 +12,8 @@ import (
 // NbrOff[i+1] index NbrDat); the embedding matrix is one row-major
 // float32 block. Every slice is either a save-time view of live index
 // storage (Columns) or, on load, may alias a read-only mmap'd snapshot
-// (FromColumns) — neither direction copies the big blocks.
+// (FromColumns) — neither direction copies the big blocks. An index
+// without a graph has nil NbrOff, NbrDat and Entries and a zero Nav.
 type Columns struct {
 	IDs     []hetgraph.NodeID
 	Dim     int
@@ -27,15 +28,15 @@ type Columns struct {
 // and entry slices are views of live index storage (valid while the index
 // is not mutated); adjacency is flattened into a fresh CSR pair.
 func (idx *Index) Columns() Columns {
-	c := Columns{
-		IDs:     idx.ids,
-		Nav:     idx.nav,
-		Entries: idx.entries,
-	}
+	c := Columns{IDs: idx.ids}
 	if idx.embs != nil {
 		c.Dim = idx.embs.Cols
 		c.Embs = idx.embs.Data
 	}
+	if !idx.graph {
+		return c
+	}
+	c.Nav, c.Entries = idx.nav, idx.entries
 	c.NbrOff = make([]uint64, len(idx.nbrs)+1)
 	total := 0
 	for i, nb := range idx.nbrs {
@@ -54,18 +55,30 @@ func (idx *Index) Columns() Columns {
 // adjacency list is a full-capacity sub-slice of c.NbrDat. Because the
 // blocks may alias a read-only mapping, every view is capped at its
 // length — an insert that appends to a list or the matrix reallocates
-// onto the heap instead of writing through the mapping.
+// onto the heap instead of writing through the mapping. Nil NbrOff makes
+// an index without a graph, and the other graph columns are ignored.
 //
-// All cross-column invariants are validated first (shape agreement, CSR
-// monotonicity, neighbour/nav/entry ranges), so a forged or damaged
-// snapshot fails loudly here rather than faulting mid-search.
+// All cross-column invariants are validated first (shape agreement,
+// strictly ascending ids, CSR monotonicity, neighbour/nav/entry ranges),
+// so a forged or damaged snapshot fails loudly here rather than faulting
+// mid-search or ranking a paper twice.
 func FromColumns(c Columns) (*Index, error) {
 	n := len(c.IDs)
+	embs, err := vec.Matrix32Of(n, c.Dim, c.Embs[:len(c.Embs):len(c.Embs)])
+	if err != nil {
+		return nil, fmt.Errorf("pgindex: columns: %d weights for %d x %d", len(c.Embs), n, c.Dim)
+	}
+	for i := 1; i < n; i++ {
+		if c.IDs[i] <= c.IDs[i-1] {
+			return nil, fmt.Errorf("pgindex: columns: id %d at row %d does not ascend past %d", c.IDs[i], i, c.IDs[i-1])
+		}
+	}
+	idx := FromRows(c.IDs, embs)
+	if c.NbrOff == nil {
+		return idx, nil
+	}
 	if len(c.NbrOff) != n+1 {
 		return nil, fmt.Errorf("pgindex: columns: %d CSR offsets for %d nodes", len(c.NbrOff), n)
-	}
-	if c.Dim < 0 || len(c.Embs) != n*c.Dim {
-		return nil, fmt.Errorf("pgindex: columns: %d weights for %d x %d", len(c.Embs), n, c.Dim)
 	}
 	if c.NbrOff[0] != 0 || c.NbrOff[n] != uint64(len(c.NbrDat)) {
 		return nil, fmt.Errorf("pgindex: columns: CSR ends [%d, %d] do not span %d edges",
@@ -90,22 +103,11 @@ func FromColumns(c Columns) (*Index, error) {
 		}
 	}
 
-	idx := &Index{
-		ids:     c.IDs,
-		nav:     c.Nav,
-		entries: c.Entries,
-		pos:     make(map[hetgraph.NodeID]int32, n),
-	}
-	if n > 0 {
-		idx.embs = &vec.Matrix32{Rows: n, Cols: c.Dim, Data: c.Embs}
-	}
+	idx.graph, idx.nav, idx.entries = true, c.Nav, c.Entries
 	idx.nbrs = make([][]int32, n)
 	for i := 0; i < n; i++ {
 		lo, hi := c.NbrOff[i], c.NbrOff[i+1]
 		idx.nbrs[i] = c.NbrDat[lo:hi:hi]
-	}
-	for i, id := range c.IDs {
-		idx.pos[id] = int32(i)
 	}
 	return idx, nil
 }

@@ -120,6 +120,7 @@ func TestFromColumnsRejectsCorruptShapes(t *testing.T) {
 		c.NbrOff = append([]uint64(nil), base.NbrOff...)
 		c.NbrDat = append([]int32(nil), base.NbrDat...)
 		c.Entries = append([]int32(nil), base.Entries...)
+		c.IDs = append([]hetgraph.NodeID(nil), base.IDs...)
 		f(&c)
 		return c
 	}
@@ -131,6 +132,8 @@ func TestFromColumnsRejectsCorruptShapes(t *testing.T) {
 		"bad nav":            mutate(func(c *Columns) { c.Nav = int32(len(c.IDs)) }),
 		"bad entry":          mutate(func(c *Columns) { c.Entries[0] = -2 }),
 		"short matrix":       mutate(func(c *Columns) { c.Embs = c.Embs[:len(c.Embs)-1] }),
+		"duplicate id":       mutate(func(c *Columns) { c.IDs[1] = c.IDs[0] }),
+		"descending ids":     mutate(func(c *Columns) { c.IDs[1], c.IDs[2] = c.IDs[2], c.IDs[1] }),
 	}
 	for name, c := range cases {
 		if _, err := FromColumns(c); err == nil {

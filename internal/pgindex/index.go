@@ -52,18 +52,20 @@ func DefaultConfig() Config { return Config{Refine: true}.withDefaults() }
 //
 // Embeddings live in one flat row-major float32 matrix, so an exhaustive
 // scan walks memory linearly, and every distance — traversal, pool and
-// published order — is vec.L2Sq32 over its rows.
+// published order — is vec.L2Sq32 over its rows. Ids ascend with the row.
+// The graph is optional: without one (FromRows, no BuildGraph) every
+// search is the exact Scan of the rows, the "w/o PG-Index" retrieval.
 type Index struct {
-	ids  []hetgraph.NodeID // dense index -> paper id
-	embs *vec.Matrix32     // dense index -> representation (row i)
-	nbrs [][]int32         // refined out-neighbours per dense index
-	nav  int32             // navigating node (dense index)
+	ids   []hetgraph.NodeID // dense index -> paper id, ascending
+	embs  *vec.Matrix32     // dense index -> representation (row i)
+	graph bool              // whether nbrs, nav and entries exist
+	nbrs  [][]int32         // refined out-neighbours per dense index
+	nav   int32             // navigating node (dense index)
 	// entries are additional stratified search entry points. Fine-tuned
 	// corpora form tight, mutually near-equidistant clusters; a single
 	// entry leaves greedy search stranded on that plateau, so the search
 	// seeds its pool with these as well (see EXPERIMENTS.md).
 	entries []int32
-	pos     map[hetgraph.NodeID]int32
 }
 
 // Result is one retrieved paper with its distance to the query.
@@ -72,29 +74,44 @@ type Result struct {
 	Dist float64 // L2 distance δ to the query
 }
 
-// Build constructs the PG-Index over the document embeddings E
-// (Algorithm 2): navigating-node selection, kNN-graph initialisation via
-// NNDescent, long-distance neighbour extension, and redundant-neighbour
-// removal. Construction is deterministic for a given cfg.Seed.
+// Build constructs the PG-Index over the document embeddings E: FlatRows
+// copies them into ascending rows, and BuildGraph runs Algorithm 2 over
+// them. Construction is deterministic for a given cfg.Seed.
 func Build(embs map[hetgraph.NodeID]vec.Vec32, cfg Config) *Index {
 	return BuildWithRand(embs, cfg, rand.New(rand.NewSource(cfg.Seed)))
 }
 
-// BuildWithRand is Build with the random source injected. The only
-// randomness in construction is NNDescent's kNN-graph initialisation, and
-// it draws exclusively from rng — never the global math/rand source — so
-// two builds over equal embeddings with identically seeded rngs produce
-// identical indexes. Cluster shards rely on this to rebuild bit-identical
-// per-shard indexes independently on every replica.
+// BuildWithRand is Build with the random source injected (see BuildGraph).
 func BuildWithRand(embs map[hetgraph.NodeID]vec.Vec32, cfg Config, rng *rand.Rand) *Index {
+	idx := FromRows(FlatRows(embs))
+	idx.BuildGraph(cfg, rng)
+	return idx
+}
+
+// FromRows adopts ids (strictly ascending) and rows (row i embeds ids[i];
+// nil when ids is empty) as an index without a graph, copying neither.
+func FromRows(ids []hetgraph.NodeID, rows *vec.Matrix32) *Index {
+	return &Index{ids: ids, embs: rows}
+}
+
+// HasGraph reports whether the index has a proximity graph.
+func (idx *Index) HasGraph() bool { return idx.graph }
+
+// Rows returns the index's live, read-only storage (see FromRows); an
+// Insert may move it.
+func (idx *Index) Rows() ([]hetgraph.NodeID, *vec.Matrix32) { return idx.ids, idx.embs }
+
+// BuildGraph (re)builds the proximity graph over the rows (Algorithm 2):
+// navigating-node selection, kNN-graph initialisation via NNDescent,
+// long-distance neighbour extension, and redundant-neighbour removal. Its
+// only randomness, NNDescent's initialisation, draws from rng alone, so
+// equal rows and equally seeded rngs give identical graphs — which lets
+// every replica of a cluster shard rebuild its index bit for bit.
+func (idx *Index) BuildGraph(cfg Config, rng *rand.Rand) {
 	cfg = cfg.withDefaults()
-	idx := &Index{pos: make(map[hetgraph.NodeID]int32, len(embs))}
-	idx.ids, idx.embs = FlatRows(embs)
+	idx.graph, idx.nbrs, idx.nav, idx.entries = true, nil, 0, nil
 	if len(idx.ids) == 0 {
-		return idx
-	}
-	for i, id := range idx.ids {
-		idx.pos[id] = int32(i)
+		return
 	}
 
 	// (1) Navigating node: the paper whose representation is closest to
@@ -119,7 +136,7 @@ func BuildWithRand(embs map[hetgraph.NodeID]vec.Vec32, cfg Config, rng *rand.Ran
 		idx.nbrs = knn
 		idx.ensureReachable()
 		idx.pickEntries()
-		return idx
+		return
 	}
 
 	// (3) Refine neighbours: extend with two-hop "highway" candidates,
@@ -145,7 +162,6 @@ func BuildWithRand(embs map[hetgraph.NodeID]vec.Vec32, cfg Config, rng *rand.Ran
 	// nearest reachable one so the search tree spans all papers.
 	idx.ensureReachable()
 	idx.pickEntries()
-	return idx
 }
 
 // l2sqDense returns the exact squared distance between dense rows a and b.
@@ -331,6 +347,10 @@ func getScratch(n int) *searchScratch {
 
 func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, multiEntry bool) ([]Result, SearchStats, error) {
 	var st SearchStats
+	if !idx.graph {
+		res, err := Scan(ctx, idx.ids, idx.embs, query, m)
+		return res, st, err
+	}
 	n := len(idx.ids)
 	if n == 0 || m <= 0 {
 		return nil, st, ctx.Err()
@@ -442,7 +462,7 @@ func (s *searchScratch) add(ids []hetgraph.NodeID, i int32, d float32, ef int) i
 // BruteForce scans every embedding of the map and returns the exact m
 // nearest papers to the query in canonical order. It is the oracle the
 // tests and the benchmark judge every other retrieval path against;
-// engines scan their contiguous rows with Scan instead.
+// an index scans its contiguous rows with Scan instead.
 func BruteForce(embs map[hetgraph.NodeID]vec.Vec32, query vec.Vec32, m int) []Result {
 	m = min(m, len(embs))
 	if m <= 0 {
@@ -461,11 +481,17 @@ func (idx *Index) Len() int { return len(idx.ids) }
 // NavigatingNode returns the entry paper of the index.
 func (idx *Index) NavigatingNode() hetgraph.NodeID { return idx.ids[idx.nav] }
 
+// row returns the dense row of paper p and whether p is indexed.
+func (idx *Index) row(p hetgraph.NodeID) (int32, bool) {
+	i, ok := slices.BinarySearch(idx.ids, p)
+	return int32(i), ok
+}
+
 // Neighbors returns the refined out-neighbours of paper p, for tests and
 // diagnostics.
 func (idx *Index) Neighbors(p hetgraph.NodeID) []hetgraph.NodeID {
-	i, ok := idx.pos[p]
-	if !ok {
+	i, ok := idx.row(p)
+	if !ok || !idx.graph {
 		return nil
 	}
 	out := make([]hetgraph.NodeID, len(idx.nbrs[i]))
@@ -486,20 +512,20 @@ func (idx *Index) NumEdges() int {
 }
 
 // MemoryBytes estimates the index's resident size: float32 embeddings,
-// adjacency, and the id maps (Table VI's memory column).
+// adjacency, and the row ids (Table VI's memory column).
 func (idx *Index) MemoryBytes() int64 {
 	var b int64
 	if idx.embs != nil {
 		b += int64(len(idx.embs.Data)) * 4
 	}
 	b += int64(idx.NumEdges()) * 4
-	b += int64(len(idx.ids)) * (4 + 8) // ids slice + pos map entries (approx)
+	b += int64(len(idx.ids)) * 4
 	return b
 }
 
 // Embedding returns the indexed representation of p, or nil.
 func (idx *Index) Embedding(p hetgraph.NodeID) vec.Vec32 {
-	i, ok := idx.pos[p]
+	i, ok := idx.row(p)
 	if !ok {
 		return nil
 	}

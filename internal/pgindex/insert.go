@@ -14,10 +14,11 @@ import (
 // nearest candidates and applying the same occlusion rule as Algorithm 2;
 // reverse edges are added (re-pruned when a neighbour's list overflows)
 // so the node is reachable. The first insert into an empty index makes
-// the node the navigating node.
+// the node the navigating node. An index without a graph only appends
+// the row. id must be above every indexed id, so the ids stay ascending.
 func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
-	if _, dup := idx.pos[id]; dup {
-		return fmt.Errorf("pgindex: paper %d already indexed", id)
+	if n := len(idx.ids); n > 0 && id <= idx.ids[n-1] {
+		return fmt.Errorf("pgindex: paper %d is not above the last indexed id %d", id, idx.ids[n-1])
 	}
 	if idx.embs == nil || idx.embs.Rows == 0 {
 		// First insert (or an index built over nothing): the new paper
@@ -31,7 +32,9 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 	dense := int32(len(idx.ids))
 	idx.ids = append(idx.ids, id)
 	idx.embs.AppendRow(v)
-	idx.pos[id] = dense
+	if !idx.graph {
+		return nil
+	}
 	idx.nbrs = append(idx.nbrs, nil)
 	if dense == 0 {
 		idx.nav = 0
@@ -70,7 +73,7 @@ func (idx *Index) searchDense(q vec.Vec32, m int) []int32 {
 	res, _ := idx.Search(q, m, 0)
 	out := make([]int32, len(res))
 	for i, r := range res {
-		out[i] = idx.pos[r.ID]
+		out[i], _ = idx.row(r.ID)
 	}
 	return out
 }

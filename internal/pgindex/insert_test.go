@@ -67,9 +67,14 @@ func TestInsertFindable(t *testing.T) {
 }
 
 func TestInsertRejectsDuplicatesAndBadDims(t *testing.T) {
-	idx := Build(map[hetgraph.NodeID]vec.Vec32{1: {1, 0}}, Config{Refine: true})
-	if err := idx.Insert(1, vec.Vec32{0, 1}); err == nil {
+	idx := Build(map[hetgraph.NodeID]vec.Vec32{1: {1, 0}, 4: {0, 1}}, Config{Refine: true})
+	if err := idx.Insert(4, vec.Vec32{0, 1}); err == nil {
 		t.Error("duplicate id accepted")
+	}
+	// Ids only grow: one below the last would break the binary search
+	// that maps a paper to its row.
+	if err := idx.Insert(2, vec.Vec32{0, 1}); err == nil {
+		t.Error("id below the last indexed one accepted")
 	}
 	if err := idx.Insert(2, vec.Vec32{0, 1, 2}); err == nil {
 		t.Error("dimension mismatch accepted")

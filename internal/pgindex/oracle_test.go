@@ -151,6 +151,83 @@ func canonicalWalk(idx *Index, query vec.Vec32, m, ef int, multiEntry bool) ([]R
 	return res, st
 }
 
+// TestSearchMatchesCanonicalWalk holds Search to canonicalWalk on a random
+// and a clustered corpus: the same papers at the same distance bits, the
+// same distance computations, visits and expansions, for pools from m to
+// one short of the corpus and both entry strategies.
+func TestSearchMatchesCanonicalWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	corpora := map[string]map[hetgraph.NodeID]vec.Vec32{
+		"random":    randomEmbeddings(rng, 600, 16),
+		"clustered": clusteredEmbeddings(rng, 30, 20, 16),
+	}
+	for name, embs := range corpora {
+		idx := Build(embs, Config{Refine: true, Seed: 4})
+		n := idx.Len()
+		for q := 0; q < 12; q++ {
+			query := embs[hetgraph.NodeID(rng.Intn(n))].Clone()
+			for j := range query {
+				query[j] += float32(rng.NormFloat64() * 0.05)
+			}
+			for _, m := range []int{1, 10, 200} {
+				for _, ef := range []int{0, m, 2 * m, 400, n - 1} {
+					for _, multi := range []bool{true, false} {
+						got, gst := idx.SearchEx(query, m, ef, multi)
+						pool := ef // Search's bound: a pool below m is 2m
+						if pool < m {
+							pool = 2 * m
+						}
+						want, wst := canonicalWalk(idx, query, m, pool, multi)
+						if err := sameResults(got, want); err != nil {
+							t.Fatalf("%s q=%d m=%d ef=%d multi=%v: %v", name, q, m, ef, multi, err)
+						}
+						if gst != wst {
+							t.Fatalf("%s q=%d m=%d ef=%d multi=%v: stats %+v, want %+v", name, q, m, ef, multi, gst, wst)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSearchMatchesReference holds Search to canonicalWalk on generated
+// corpora, duplicated rows and integer grids included, so ties occur at
+// every rank. A pool that covers the corpus takes the exhaustive path,
+// which must equal the sort-everything reference.
+func FuzzSearchMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(8), uint16(10), uint16(20), true)
+	f.Add(int64(2), uint16(300), uint8(8), uint16(10), uint16(20), false)
+	f.Add(int64(3), uint16(120), uint8(3), uint16(5), uint16(0), true)
+	f.Add(int64(4), uint16(250), uint8(16), uint16(40), uint16(200), true)
+	f.Add(int64(5), uint16(40), uint8(2), uint16(1), uint16(1), false)
+	f.Add(int64(6), uint16(90), uint8(5), uint16(90), uint16(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, m, ef uint16, multi bool) {
+		ids, rows, q := scanCorpus(seed, int(n)%400+1, int(dim)%24+1, seed%2 == 0)
+		idx := Build(rowMap(ids, rows), Config{K: 2 + int(uint64(seed)%8), Refine: seed%3 != 0, Seed: seed})
+		mm := int(m)%(len(ids)+3) + 1
+		got, gst := idx.SearchEx(q, mm, int(ef), multi)
+		// Search's own bounds: m at most the corpus, a pool below m is 2m.
+		mc, efc := min(mm, len(ids)), int(ef)
+		if efc < mc {
+			efc = 2 * mc
+		}
+		if efc >= len(ids) {
+			if err := sameResults(got, sortEverything(ids, rows, q, mm)); err != nil {
+				t.Fatalf("exhaustive m=%d ef=%d: %v", mm, ef, err)
+			}
+			return
+		}
+		want, wst := canonicalWalk(idx, q, mc, efc, multi)
+		if err := sameResults(got, want); err != nil {
+			t.Fatalf("m=%d ef=%d multi=%v: %v", mm, efc, multi, err)
+		}
+		if gst != wst {
+			t.Fatalf("m=%d ef=%d multi=%v: stats %+v, want %+v", mm, efc, multi, gst, wst)
+		}
+	})
+}
+
 // TestExhaustiveSearchMatchesBruteForce checks the index against the map
 // oracle on the exhaustive path (ef >= corpus), where results must be
 // exactly the true top-m, bit for bit.

@@ -11,7 +11,7 @@ import (
 // This file holds the package's exact top-m selection over row scans: a
 // bounded max-heap under the canonical total order (squared distance
 // ascending, paper id ascending) and the blocked scan over contiguous
-// rows that feeds it. Engines and shards without a PG-Index (Scan), the
+// rows that feeds it. An index without a graph (every search), a graph
 // index's exhaustive path and the map oracle BruteForce select through
 // it; the greedy search keeps its pool sorted in the same order
 // (searchScratch), so their rankings agree bit for bit by construction.
@@ -103,9 +103,9 @@ func (t *topM) results() []Result {
 	return out
 }
 
-// FlatRows copies an embedding map into the representation the scan and
-// the index hold: the paper ids ascending and one contiguous row-major
-// matrix whose row i is the embedding of ids[i] (nil for an empty map).
+// FlatRows copies an embedding map into the representation an index holds
+// (FromRows): the paper ids ascending and one contiguous row-major matrix
+// whose row i is the embedding of ids[i] (nil for an empty map).
 func FlatRows(embs map[hetgraph.NodeID]vec.Vec32) ([]hetgraph.NodeID, *vec.Matrix32) {
 	ids := make([]hetgraph.NodeID, 0, len(embs))
 	for id := range embs {

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -469,42 +470,42 @@ func (a *adam) step(grads *sparseGrad, workers int) {
 	})
 }
 
-// EmbedAll computes the fine-tuned representation of every paper in cache,
-// in parallel. The result E is the embedding set used by the PG-Index.
-func EmbedAll(enc *textenc.Encoder, cache TokenCache) map[hetgraph.NodeID]vec.Vec32 {
+// EmbedRows computes the fine-tuned representation of every paper in
+// cache, in parallel, into one matrix: ids ascending, row i the embedding
+// of ids[i]. Each worker fills its own range of rows. The pair is E in the
+// form the PG-Index adopts (pgindex.FromRows).
+func EmbedRows(enc *textenc.Encoder, cache TokenCache) ([]hetgraph.NodeID, *vec.Matrix32) {
 	ids := make([]hetgraph.NodeID, 0, len(cache))
 	for id := range cache {
 		ids = append(ids, id)
 	}
-	out := make(map[hetgraph.NodeID]vec.Vec32, len(ids))
-	var mu sync.Mutex
+	slices.Sort(ids)
+	rows := vec.NewMatrix32(len(ids), enc.Dim)
 	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (len(ids) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		if lo >= hi {
-			continue
-		}
+	for lo := 0; lo < len(ids); lo += chunk {
+		hi := min(lo+chunk, len(ids))
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			local := make(map[hetgraph.NodeID]vec.Vec32, hi-lo)
-			for _, id := range ids[lo:hi] {
-				local[id] = enc.EncodeTokens(cache[id])
+			for i := lo; i < hi; i++ {
+				copy(rows.Row(i), enc.EncodeTokens(cache[ids[i]]))
 			}
-			mu.Lock()
-			for k, v := range local {
-				out[k] = v
-			}
-			mu.Unlock()
 		}(lo, hi)
 	}
 	wg.Wait()
+	return ids, rows
+}
+
+// EmbedAll is EmbedRows as a map of row views, kept for the benchmark's
+// replay of a build.
+func EmbedAll(enc *textenc.Encoder, cache TokenCache) map[hetgraph.NodeID]vec.Vec32 {
+	ids, rows := EmbedRows(enc, cache)
+	out := make(map[hetgraph.NodeID]vec.Vec32, len(ids))
+	for i, id := range ids {
+		out[id] = rows.Row(i)
+	}
 	return out
 }
 

@@ -25,13 +25,15 @@ func NewMatrix32(rows, cols int) *Matrix32 {
 	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// Row returns row i as a Vec32 sharing storage with m. It panics with a
-// *IndexError when i is out of range.
+// Row returns row i as a Vec32 sharing storage with m, its capacity
+// clipped to the row: an append to it reallocates instead of running into
+// row i+1 (or a read-only mapping). It panics with a *IndexError when i is
+// out of range.
 func (m *Matrix32) Row(i int) Vec32 {
 	if i < 0 || i >= m.Rows {
 		panic(&IndexError{Op: "Row", I: i, J: -1, Rows: m.Rows, Cols: m.Cols})
 	}
-	return Vec32(m.Data[i*m.Cols : (i+1)*m.Cols])
+	return Vec32(m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols])
 }
 
 // At returns the element at (i, j). Unchecked for speed.
