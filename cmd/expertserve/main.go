@@ -70,8 +70,6 @@ import (
 	"expertfind/internal/obs"
 	"expertfind/internal/pgindex"
 	"expertfind/internal/serve"
-	"expertfind/internal/ta"
-	"expertfind/internal/train"
 )
 
 // The flag set. A role reads the flags it needs; the comments in the help
@@ -152,13 +150,6 @@ func main() {
 		fail(err)
 	}
 
-	// Wire the metrics sinks before the build so the offline phases
-	// (sampling, training epochs, indexing) are recorded too.
-	obs.RegisterWellKnown(n.reg)
-	pgindex.SetSink(n.reg)
-	ta.SetSink(n.reg)
-	train.SetSink(n.reg)
-
 	// Residency gauges (RSS, page faults) on /metrics: with an mmap'd
 	// snapshot these — not the Go heap profile — show the true footprint.
 	stopProcSampler := obs.StartProcSampler(n.reg, 10*time.Second)
@@ -210,7 +201,7 @@ func (n *node) runRouter() error {
 	router := cluster.NewRouter(client, cluster.RouterConfig{
 		QueryTimeout: *queryTO,
 	}, n.reg, n.log)
-	router.Traces = newTraceStore(n.reg)
+	router.Traces = newTraceStore()
 	router.SlowQuery = *slowQuery
 	n.gate.Install(router)
 	n.log.Info("serving", "addr", *addr, "role", "router",
@@ -234,7 +225,6 @@ func (n *node) runFollower() error {
 	if err != nil {
 		return err
 	}
-	obs.RegisterReplication(n.reg)
 	fo, err := core.OpenFollower(*dataDir, g, *leaderURL, core.FollowerOptions{
 		ID:           *followerID,
 		PollInterval: *replPoll,
@@ -375,7 +365,6 @@ func (n *node) runNode() error {
 	if store != nil {
 		// A durable node can lead: expose the replication surface so
 		// followers bootstrap from its snapshot and tail its WAL.
-		obs.RegisterReplication(n.reg)
 		serve.MountReplication(srv, store, nil)
 		n.log.Info("replication_mounted", "epoch", store.Epoch(), "last_seq", store.LastSeq())
 		// Final snapshot + WAL close: everything acknowledged is then in
@@ -401,7 +390,7 @@ func (n *node) newServer(engine *core.Engine) *serve.Server {
 	srv.Log = n.log
 	srv.QueryTimeout = *queryTO
 	srv.MaxInFlight = *maxInflight
-	srv.Traces = newTraceStore(n.reg)
+	srv.Traces = newTraceStore()
 	srv.SlowQuery = *slowQuery
 	if *enablePprof {
 		srv.EnablePprof()
@@ -451,7 +440,7 @@ func (n *node) serveUntilDone(setReady func(bool), what string, closeState func(
 
 // newTraceStore builds the trace ring from the -trace-* flags; capacity
 // 0 turns trace retention off entirely (nil store, /debug/traces 404s).
-func newTraceStore(reg *obs.Registry) *obs.TraceStore {
+func newTraceStore() *obs.TraceStore {
 	if *traceCap <= 0 {
 		return nil
 	}
@@ -459,7 +448,7 @@ func newTraceStore(reg *obs.Registry) *obs.TraceStore {
 		Capacity:    *traceCap,
 		SlowestN:    *traceSlowest,
 		SampleEvery: *traceSample,
-	}, reg)
+	})
 }
 
 // parseReplicas decodes the -replicas grammar: shards separated by

@@ -66,7 +66,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 
 // replica is one backend address of a shard with its health state.
 type replica struct {
-	addr string // host:port, no scheme
+	addr                    string // host:port, no scheme
+	ejections, readmissions *obs.Counter
 
 	mu          sync.Mutex
 	consecFails int
@@ -79,12 +80,17 @@ func (rp *replica) alive() bool {
 	return !rp.ejected
 }
 
-// replicaSet is the replicas of one shard plus round-robin state.
+// replicaSet is the replicas of one shard plus round-robin state, and
+// the shard's fan-out handles.
 type replicaSet struct {
 	shard    int
 	replicas []*replica
 	next     uint32
 	mu       sync.Mutex
+
+	fanout                                        *obs.Histogram
+	retries, errors, hedges, hedgeWins, wireBytes *obs.Counter
+	alive                                         *obs.Gauge
 }
 
 // pick returns the next replica in rotation, preferring live ones and
@@ -139,14 +145,14 @@ type ShardClient struct {
 	sets []*replicaSet
 	hc   *http.Client
 	cfg  ClientConfig
-	reg  *obs.Registry
 	log  *obs.Logger
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }
 
-// NewShardClient builds a client over one replica address list per shard.
+// NewShardClient builds a client over one replica address list per shard,
+// recording into reg (obs.Default() when nil) per shard and replica.
 func NewShardClient(shards [][]string, cfg ClientConfig, reg *obs.Registry, log *obs.Logger) (*ShardClient, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one shard")
@@ -157,11 +163,9 @@ func NewShardClient(shards [][]string, cfg ClientConfig, reg *obs.Registry, log 
 	if log == nil {
 		log = obs.NopLogger()
 	}
-	obs.RegisterCluster(reg)
 	c := &ShardClient{
 		hc:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}},
 		cfg: cfg.withDefaults(),
-		reg: reg,
 		log: log,
 		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
@@ -169,12 +173,25 @@ func NewShardClient(shards [][]string, cfg ClientConfig, reg *obs.Registry, log 
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
 		}
-		rs := &replicaSet{shard: i}
+		shard := obs.L("shard", strconv.Itoa(i))
+		rs := &replicaSet{shard: i,
+			fanout:    reg.Histogram("expertfind_cluster_fanout_seconds", "Latency of shard sub-requests, by shard.", nil, shard),
+			retries:   reg.Counter("expertfind_cluster_retries_total", "Shard sub-request retries, by shard.", shard),
+			errors:    reg.Counter("expertfind_cluster_fanout_errors_total", "Failed shard sub-requests (after all retries), by shard.", shard),
+			hedges:    reg.Counter("expertfind_cluster_hedges_total", "Hedged (duplicate) shard sub-requests launched, by shard.", shard),
+			hedgeWins: reg.Counter("expertfind_cluster_hedge_wins_total", "Hedged shard sub-requests that finished before the primary, by shard.", shard),
+			wireBytes: reg.Counter("expertfind_cluster_wire_bytes_total", "Response bytes read from shard sub-requests, by shard.", shard),
+			alive:     reg.Gauge("expertfind_cluster_replicas_alive", "Non-ejected replicas per shard.", shard),
+		}
 		for _, a := range addrs {
-			rs.replicas = append(rs.replicas, &replica{addr: a})
+			labels := []obs.Label{obs.L("replica", a), shard}
+			rs.replicas = append(rs.replicas, &replica{addr: a,
+				ejections:    reg.Counter("expertfind_cluster_ejections_total", "Replica ejections after consecutive failures, by shard and replica.", labels...),
+				readmissions: reg.Counter("expertfind_cluster_readmissions_total", "Ejected replicas re-admitted by a successful probe, by shard and replica.", labels...),
+			})
 		}
 		c.sets = append(c.sets, rs)
-		c.aliveGauge(i).Set(float64(len(addrs)))
+		rs.alive.Set(float64(len(addrs)))
 	}
 	return c, nil
 }
@@ -202,15 +219,6 @@ func (c *ShardClient) AliveReplicas() []int {
 	return out
 }
 
-func (c *ShardClient) shardLabel(shard int) obs.Label {
-	return obs.L("shard", strconv.Itoa(shard))
-}
-
-func (c *ShardClient) aliveGauge(shard int) *obs.Gauge {
-	return c.reg.Gauge("expertfind_cluster_replicas_alive",
-		"Non-ejected replicas per shard.", c.shardLabel(shard))
-}
-
 func (c *ShardClient) jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
@@ -229,8 +237,7 @@ func (c *ShardClient) hedgeDelay(shard int) time.Duration {
 	if c.cfg.HedgeAfter > 0 {
 		return c.cfg.HedgeAfter
 	}
-	h := c.reg.Histogram("expertfind_cluster_fanout_seconds",
-		"Latency of shard sub-requests, by shard.", nil, c.shardLabel(shard))
+	h := c.sets[shard].fanout
 	if h.Count() < 16 {
 		return -1 // not enough signal yet; don't double cold traffic
 	}
@@ -281,8 +288,7 @@ func (c *ShardClient) Get(ctx context.Context, shard int, path string) ([]byte, 
 			return nil, &shardError{shard: shard, err: err}
 		}
 		if attempt > 0 {
-			c.reg.Counter("expertfind_cluster_retries_total",
-				"Shard sub-request retries, by shard.", c.shardLabel(shard)).Inc()
+			rs.retries.Inc()
 			wait := c.jitter(backoff)
 			backoff *= 2
 			select {
@@ -303,8 +309,7 @@ func (c *ShardClient) Get(ctx context.Context, shard int, path string) ([]byte, 
 		}
 		last = err
 	}
-	c.reg.Counter("expertfind_cluster_fanout_errors_total",
-		"Failed shard sub-requests (after all retries), by shard.", c.shardLabel(shard)).Inc()
+	rs.errors.Inc()
 	return nil, &shardError{shard: shard, err: last}
 }
 
@@ -389,18 +394,14 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 			if second == nil || second == rp {
 				continue
 			}
-			c.reg.Counter("expertfind_cluster_hedges_total",
-				"Hedged (duplicate) shard sub-requests launched, by shard.",
-				c.shardLabel(rs.shard)).Inc()
+			rs.hedges.Inc()
 			inflight++
 			launch(second, true)
 		case out := <-results:
 			inflight--
 			if out.err == nil {
 				if out.hedged {
-					c.reg.Counter("expertfind_cluster_hedge_wins_total",
-						"Hedged shard sub-requests that finished before the primary, by shard.",
-						c.shardLabel(rs.shard)).Inc()
+					rs.hedgeWins.Inc()
 					out.span.Annotate("hedge_win", "1")
 				}
 				cancelAll() // the loser, if any, stops now
@@ -453,13 +454,9 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path str
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	dur := time.Since(start)
-	c.reg.Histogram("expertfind_cluster_fanout_seconds",
-		"Latency of shard sub-requests, by shard.", nil, c.shardLabel(shard)).
-		Observe(dur.Seconds())
-	c.reg.Counter("expertfind_cluster_wire_bytes_total",
-		"Response bytes read from shard sub-requests, by shard.", c.shardLabel(shard)).
-		Add(float64(len(b)))
+	rs := c.sets[shard]
+	rs.fanout.Observe(time.Since(start).Seconds())
+	rs.wireBytes.Add(float64(len(b)))
 	if err != nil {
 		c.fail(shard, rp, err)
 		return nil, err
@@ -510,20 +507,16 @@ func (c *ShardClient) fail(shard int, rp *replica, cause error) {
 	}
 	rp.mu.Unlock()
 	if eject {
-		c.reg.Counter("expertfind_cluster_ejections_total",
-			"Replica ejections after consecutive failures, by shard and replica.",
-			c.shardLabel(shard), obs.L("replica", rp.addr)).Inc()
-		c.aliveGauge(shard).Set(float64(c.sets[shard].aliveCount()))
+		rp.ejections.Inc()
+		c.sets[shard].alive.Set(float64(c.sets[shard].aliveCount()))
 		c.log.Warn("replica_ejected", "shard", shard, "replica", rp.addr,
 			"consec_fails", c.cfg.EjectAfter, "cause", cause)
 	}
 }
 
 func (c *ShardClient) readmitted(shard int, rp *replica, how string) {
-	c.reg.Counter("expertfind_cluster_readmissions_total",
-		"Ejected replicas re-admitted by a successful probe, by shard and replica.",
-		c.shardLabel(shard), obs.L("replica", rp.addr)).Inc()
-	c.aliveGauge(shard).Set(float64(c.sets[shard].aliveCount()))
+	rp.readmissions.Inc()
+	c.sets[shard].alive.Set(float64(c.sets[shard].aliveCount()))
 	c.log.Info("replica_readmitted", "shard", shard, "replica", rp.addr, "via", how)
 }
 

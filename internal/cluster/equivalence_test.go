@@ -506,7 +506,6 @@ func TestFollowerReplicaMatchesSingleNode(t *testing.T) {
 	// its WAL over the wire, over an independent copy of the base graph.
 	fg := dataset.Generate(dataset.AminerSim(papers)).Graph
 	foReg := obs.NewRegistry()
-	obs.RegisterReplication(foReg)
 	fo, err := core.OpenFollower(t.TempDir(), fg, lts.URL, core.FollowerOptions{
 		ID: "replica-1", PollInterval: 10 * time.Millisecond, Metrics: foReg,
 	})

@@ -51,11 +51,13 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // single-node /experts and /papers bodies field for field, so clients
 // cannot tell the topologies apart.
 type Router struct {
-	mux    *http.ServeMux
-	client *ShardClient
-	cfg    RouterConfig
-	reg    *obs.Registry
-	Log    *obs.Logger
+	mux         *http.ServeMux
+	client      *ShardClient
+	cfg         RouterConfig
+	metrics     *serve.EnvelopeMetrics
+	rank        *ta.Metrics
+	unavailable *obs.Counter
+	Log         *obs.Logger
 	// Traces, when set, retains assembled cross-node query traces under
 	// its tail-based keep rules and serves them on /debug/traces. It also
 	// switches span collection on: sub-requests ask shards to return
@@ -70,7 +72,8 @@ type Router struct {
 	ready  atomic.Bool
 }
 
-// NewRouter assembles a router over a shard client.
+// NewRouter assembles a router over a shard client, recording into reg
+// (obs.Default() when nil).
 func NewRouter(client *ShardClient, cfg RouterConfig, reg *obs.Registry, log *obs.Logger) *Router {
 	if reg == nil {
 		reg = obs.Default()
@@ -78,13 +81,15 @@ func NewRouter(client *ShardClient, cfg RouterConfig, reg *obs.Registry, log *ob
 	if log == nil {
 		log = obs.NopLogger()
 	}
-	obs.RegisterCluster(reg)
 	rt := &Router{
-		mux:    http.NewServeMux(),
-		client: client,
-		cfg:    cfg.withDefaults(),
-		reg:    reg,
-		Log:    log,
+		mux:     http.NewServeMux(),
+		client:  client,
+		cfg:     cfg.withDefaults(),
+		metrics: serve.NewEnvelopeMetrics(reg),
+		rank:    ta.NewMetrics(reg),
+		unavailable: reg.Counter("expertfind_cluster_shard_unavailable_total",
+			"Queries failed because a whole shard (every replica) was unreachable."),
+		Log: log,
 	}
 	rt.ready.Store(true)
 	rt.mux.HandleFunc("/experts", rt.handleExperts)
@@ -117,7 +122,7 @@ var routerTraced = map[string]bool{"/experts": true, "/papers": true}
 // envelope assembles the router's HTTP shell — the same one the
 // single-node server runs in — from its current settings.
 func (rt *Router) envelope() serve.Envelope {
-	return serve.Envelope{Reg: rt.reg, Log: rt.Log, Traces: rt.Traces, SlowQuery: rt.SlowQuery,
+	return serve.Envelope{Metrics: rt.metrics, Log: rt.Log, Traces: rt.Traces, SlowQuery: rt.SlowQuery,
 		Routes: routerRoutes, Traced: routerTraced}
 }
 
@@ -151,8 +156,7 @@ func (rt *Router) queryContext(w http.ResponseWriter, r *http.Request) (context.
 func (rt *Router) writeRouterError(w http.ResponseWriter, err error) bool {
 	var se *shardError
 	if errors.As(err, &se) && !errors.Is(err, context.DeadlineExceeded) {
-		rt.reg.Counter("expertfind_cluster_shard_unavailable_total",
-			"Queries failed because a whole shard (every replica) was unreachable.").Inc()
+		rt.unavailable.Inc()
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return true
 	}
@@ -290,7 +294,8 @@ func missingAuthor(papers []rankedPaper, id hetgraph.NodeID) error {
 }
 
 // rankExperts is the distributed pipeline in one round: scatter the
-// retrieval with author lists, then rank what came back.
+// retrieval with author lists, then rank what came back, recording the
+// ranking in the router's registry.
 func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.ExpertResult, ta.Stats, error) {
 	sctx, sp := obs.StartSpan(ctx, "scatter_papers")
 	resps, err := rt.scatterPapers(sctx, q, m, "&authors=1")
@@ -298,7 +303,11 @@ func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.
 	if err != nil {
 		return nil, ta.Stats{}, err
 	}
-	return rankResponses(ctx, resps, m, n)
+	experts, st, err := rankResponses(ctx, resps, m, n)
+	if err == nil {
+		rt.rank.Record(st)
+	}
+	return experts, st, err
 }
 
 // rankResponses merges the shards' answers into the global top-m and runs

@@ -45,7 +45,8 @@ type ShardEngine struct {
 	owned map[hetgraph.NodeID]bool
 	// index holds the owned papers' embeddings in ascending id order, with
 	// a proximity graph when cfg.UsePGIndex.
-	index *pgindex.Index
+	index  *pgindex.Index
+	search *pgindex.Metrics // Retrieve's graph searches, in the engine's registry
 }
 
 // NewShardEngine carves shard cfg.ID's serving state out of a built
@@ -55,7 +56,8 @@ func NewShardEngine(eng *core.Engine, cfg ShardConfig) (*ShardEngine, error) {
 	if cfg.Of < 1 || cfg.ID < 0 || cfg.ID >= cfg.Of {
 		return nil, fmt.Errorf("cluster: invalid shard id %d of %d", cfg.ID, cfg.Of)
 	}
-	se := &ShardEngine{eng: eng, cfg: cfg, owned: map[hetgraph.NodeID]bool{}}
+	se := &ShardEngine{eng: eng, cfg: cfg, owned: map[hetgraph.NodeID]bool{},
+		search: pgindex.NewMetrics(eng.Metrics())}
 	var ids []hetgraph.NodeID // papers are numbered in insertion order: ascending
 	for _, p := range eng.Graph().NodesOfType(hetgraph.Paper) {
 		if AssignShard(p, cfg.Of) != cfg.ID {
@@ -108,7 +110,10 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 	sp.End()
 	_, sp = obs.StartSpan(ctx, "search")
 	defer sp.End()
-	res, _, err := se.index.SearchCtx(ctx, qv, m, se.cfg.EF)
+	res, st, err := se.index.SearchCtx(ctx, qv, m, se.cfg.EF)
+	if err == nil && se.cfg.UsePGIndex {
+		se.search.Record(st)
+	}
 	return res, err
 }
 

@@ -54,7 +54,7 @@ func startTracedTopology(t *testing.T, eng *core.Engine, shards int, rcfg Router
 		for r := 0; r < reps; r++ {
 			srv := serve.New(eng)
 			srv.SetReady(true)
-			srv.Traces = obs.NewTraceStore(keepAll(), srv.Registry())
+			srv.Traces = obs.NewTraceStore(keepAll())
 			MountShard(srv, se)
 			ts := httptest.NewServer(srv)
 			t.Cleanup(ts.Close)
@@ -68,7 +68,7 @@ func startTracedTopology(t *testing.T, eng *core.Engine, shards int, rcfg Router
 		t.Fatal(err)
 	}
 	router := NewRouter(client, rcfg, reg, nil)
-	router.Traces = obs.NewTraceStore(keepAll(), reg)
+	router.Traces = obs.NewTraceStore(keepAll())
 	rs := httptest.NewServer(router)
 	t.Cleanup(rs.Close)
 	out.routerURL = rs.URL

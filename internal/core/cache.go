@@ -63,24 +63,24 @@ type cacheShard struct {
 
 // queryCache is a sharded, concurrency-safe LRU over normalized query
 // keys with TTL and generation-based invalidation. Hit/miss/eviction
-// traffic lands in the engine's obs registry under the
-// expertfind_qcache_* families.
+// traffic lands in the engine's cacheMetrics.
 type queryCache struct {
 	shards []*cacheShard
 	seed   maphash.Seed
 	ttl    time.Duration
 	gen    atomic.Uint64
 	size   atomic.Int64
-
-	hits          *obs.Counter
-	misses        *obs.Counter
-	evictions     *obs.Counter
-	expirations   *obs.Counter
-	invalidations *obs.Counter
-	entries       *obs.Gauge
+	*cacheMetrics
 }
 
-func newQueryCache(cfg CacheConfig, reg *obs.Registry) *queryCache {
+// cacheMetrics are the engine's query-cache handles. The engine owns them,
+// not the cache, so they are listed whether or not a cache is attached.
+type cacheMetrics struct {
+	hits, misses, evictions, expirations, invalidations *obs.Counter
+	entries                                             *obs.Gauge
+}
+
+func newQueryCache(cfg CacheConfig, m *cacheMetrics) *queryCache {
 	if cfg.MaxEntries <= 0 {
 		return nil
 	}
@@ -101,16 +101,10 @@ func newQueryCache(cfg CacheConfig, reg *obs.Registry) *queryCache {
 		}
 	}
 	c := &queryCache{
-		shards: make([]*cacheShard, ns),
-		seed:   maphash.MakeSeed(),
-		ttl:    cfg.TTL,
-
-		hits:          reg.Counter("expertfind_qcache_hits_total", "Query-cache lookups answered from the cache."),
-		misses:        reg.Counter("expertfind_qcache_misses_total", "Query-cache lookups that fell through to a full query."),
-		evictions:     reg.Counter("expertfind_qcache_evictions_total", "Query-cache entries evicted by the LRU size bound."),
-		expirations:   reg.Counter("expertfind_qcache_expired_total", "Query-cache entries dropped because their TTL elapsed."),
-		invalidations: reg.Counter("expertfind_qcache_invalidations_total", "Whole-cache invalidations triggered by graph updates."),
-		entries:       reg.Gauge("expertfind_qcache_entries", "Query-cache entries currently resident."),
+		shards:       make([]*cacheShard, ns),
+		seed:         maphash.MakeSeed(),
+		ttl:          cfg.TTL,
+		cacheMetrics: m,
 	}
 	per := cfg.MaxEntries / ns
 	if per < 1 {

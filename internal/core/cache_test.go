@@ -11,10 +11,18 @@ import (
 	"expertfind/internal/ta"
 )
 
+// cacheMetricsIn returns the query-cache handles an engine recording
+// into reg creates.
+func cacheMetricsIn(reg *obs.Registry) *cacheMetrics {
+	var e Engine
+	e.useRegistry(reg)
+	return e.m.cache
+}
+
 func newTestCache(t *testing.T, cfg CacheConfig) (*queryCache, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	c := newQueryCache(cfg, reg)
+	c := newQueryCache(cfg, cacheMetricsIn(reg))
 	if c == nil {
 		t.Fatalf("cache disabled for cfg %+v", cfg)
 	}
@@ -220,13 +228,13 @@ func TestCacheShardCountRounding(t *testing.T) {
 		{4, 16, 4},  // clamped so every shard holds at least one entry
 		{1, 16, 1},
 	} {
-		c := newQueryCache(CacheConfig{MaxEntries: tc.entries, Shards: tc.shards}, reg)
+		c := newQueryCache(CacheConfig{MaxEntries: tc.entries, Shards: tc.shards}, cacheMetricsIn(reg))
 		if len(c.shards) != tc.wantShards {
 			t.Errorf("entries=%d shards=%d: got %d shards, want %d",
 				tc.entries, tc.shards, len(c.shards), tc.wantShards)
 		}
 	}
-	if c := newQueryCache(CacheConfig{MaxEntries: 0}, reg); c != nil {
+	if c := newQueryCache(CacheConfig{MaxEntries: 0}, cacheMetricsIn(reg)); c != nil {
 		t.Error("MaxEntries=0 should disable the cache")
 	}
 }

@@ -46,7 +46,7 @@ type Options struct {
 	// instead of Algorithm 1's whole delete queue
 	// (sampling.Config.UseCoreIndex). It makes nothing faster: every build
 	// answers its communities from a kpcore.CoreIndex. The field survives
-	// because the frozen bench/ sets it on four workloads (ROADMAP 3(a)).
+	// because the frozen bench/ sets it on four workloads (ROADMAP 1(a)).
 	FastSampling bool
 	// Dim is the embedding dimensionality d.
 	Dim int
@@ -137,10 +137,9 @@ type BuildStats struct {
 // (EnableQueryCache) memoises answers and is invalidated by every update,
 // so a cached ranking never outlives the graph state it was computed on.
 type Engine struct {
-	g     *hetgraph.Graph
-	opts  Options
-	enc   *textenc.Encoder
-	cache train.TokenCache
+	g    *hetgraph.Graph
+	opts Options
+	enc  *textenc.Encoder
 	// Embeddings is E, the representation of every paper, as views of
 	// the index's rows (viewRowsLocked). Read-only outside the engine,
 	// which mutates it under mu; a vector is never written to.
@@ -150,6 +149,7 @@ type Engine struct {
 	index *pgindex.Index
 	stats BuildStats
 	reg   *obs.Registry
+	m     engineMetrics
 
 	// mu serialises online updates against queries.
 	mu sync.RWMutex
@@ -174,6 +174,45 @@ type Engine struct {
 	colsec *colstore.Section
 }
 
+// engineMetrics are the handles an engine records its online and
+// fine-tuning work through, created with the engine, built or loaded, so
+// every family it feeds is listed before its first event.
+type engineMetrics struct {
+	queries, abandoned, coalesced, updates *obs.Counter
+	latency                                *obs.Histogram
+	search                                 *pgindex.Metrics
+	rank                                   *ta.Metrics
+	train                                  *train.Metrics
+	cache                                  *cacheMetrics
+}
+
+// useRegistry points the engine at reg (obs.Default() when nil) and
+// creates its handles there.
+func (e *Engine) useRegistry(reg *obs.Registry) {
+	if reg == nil {
+		reg = obs.Default()
+	}
+	e.reg = reg
+	e.m = engineMetrics{
+		queries:   reg.Counter("expertfind_queries_total", "Online queries answered."),
+		abandoned: reg.Counter("expertfind_query_abandoned_total", "Queries abandoned because their context was cancelled or timed out."),
+		coalesced: reg.Counter("expertfind_singleflight_shared_total", "Queries answered by piggybacking on a concurrent identical query."),
+		updates:   reg.Counter("expertfind_updates_total", "Online papers added to a built engine."),
+		latency:   reg.Histogram("expertfind_query_seconds", "End-to-end online query latency.", nil),
+		search:    pgindex.NewMetrics(reg),
+		rank:      ta.NewMetrics(reg),
+		train:     train.NewMetrics(reg),
+		cache: &cacheMetrics{
+			hits:          reg.Counter("expertfind_qcache_hits_total", "Query-cache lookups answered from the cache."),
+			misses:        reg.Counter("expertfind_qcache_misses_total", "Query-cache lookups that fell through to a full query."),
+			evictions:     reg.Counter("expertfind_qcache_evictions_total", "Query-cache entries evicted by the LRU size bound."),
+			expirations:   reg.Counter("expertfind_qcache_expired_total", "Query-cache entries dropped because their TTL elapsed."),
+			invalidations: reg.Counter("expertfind_qcache_invalidations_total", "Whole-cache invalidations triggered by graph updates."),
+			entries:       reg.Gauge("expertfind_qcache_entries", "Query-cache entries currently resident."),
+		},
+	}
+}
+
 // Build runs the offline pipeline over g: vocabulary induction,
 // pre-trained encoding, (k,P)-core community sampling, triplet fine-tuning,
 // embedding of all papers, and PG-Index construction. Each phase runs
@@ -192,10 +231,8 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("core: meta-path %s is not a symmetric paper-paper path, which a (k,P)-core needs", mp)
 		}
 	}
-	e := &Engine{g: g, opts: opts, reg: opts.Metrics}
-	if e.reg == nil {
-		e.reg = obs.Default()
-	}
+	e := &Engine{g: g, opts: opts}
+	e.useRegistry(opts.Metrics)
 	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), e.reg), "build")
 
 	// Vocabulary, pre-trained encoder, tokenised corpus: one span each,
@@ -214,7 +251,7 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 	e.enc.Pooling = opts.Pooling
 	sp.End()
 	_, sp = obs.StartSpan(ctx, "tokencache")
-	e.cache = train.BuildTokenCache(g, e.enc)
+	cache := train.BuildTokenCache(g, e.enc)
 	sp.End()
 
 	// Offline stage 1: (k,P)-core communities and training triples.
@@ -237,14 +274,15 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 
 		// Offline stage 2: triplet-loss fine-tuning (Eq. 3).
 		_, sp = obs.StartSpan(ctx, "training")
-		e.stats.Training = train.FineTune(e.enc, e.cache, triples, opts.Train,
+		e.stats.Training = train.FineTune(e.enc, cache, triples, opts.Train,
 			rand.New(rand.NewSource(opts.Seed+1)))
 		e.stats.TrainTime = sp.End()
+		e.m.train.Record(e.stats.Training)
 	}
 
 	// Offline stage 3: embed all papers, build the PG-Index over them.
 	_, sp = obs.StartSpan(ctx, "embedding")
-	e.index = pgindex.FromRows(train.EmbedRows(e.enc, e.cache))
+	e.index = pgindex.FromRows(train.EmbedRows(e.enc, cache))
 	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, e.index.Len())
 	e.viewRowsLocked()
 	e.stats.EmbedTime = sp.End()
@@ -327,22 +365,22 @@ func (e *Engine) startQuery(ctx context.Context) (context.Context, *obs.Span) {
 	return obs.StartSpan(obs.WithRegistry(ctx, e.reg), "query")
 }
 
-// finishQuery closes the root span and records the request in the
-// registry's query counters and latency histogram.
+// finishQuery closes the root span and records the request: its latency,
+// and the PG-Index search behind it when the engine has a graph to walk.
 func (e *Engine) finishQuery(root *obs.Span, st QueryStats) {
 	root.End()
-	e.reg.Counter("expertfind_queries_total", "Online queries answered.").Inc()
-	e.reg.Histogram("expertfind_query_seconds",
-		"End-to-end online query latency.", nil).
-		ObserveWithExemplar(st.Total().Seconds(), root.TraceIDString())
+	e.m.queries.Inc()
+	e.m.latency.ObserveWithExemplar(st.Total().Seconds(), root.TraceIDString())
+	if st.UsedPGIndex {
+		e.m.search.Record(st.Search)
+	}
 }
 
 // abandonQuery closes the root span of a query that died on cancellation
 // and bumps the abandonment counter.
 func (e *Engine) abandonQuery(root *obs.Span) {
 	root.End()
-	e.reg.Counter("expertfind_query_abandoned_total",
-		"Queries abandoned because their context was cancelled or timed out.").Inc()
+	e.m.abandoned.Inc()
 }
 
 // retrievePapersLocked is the span-instrumented retrieval stage shared by
@@ -417,6 +455,7 @@ func (e *Engine) topExpertsLocked(ctx context.Context, query string, m, n int) (
 		e.abandonQuery(root)
 		return nil, st, err
 	}
+	e.m.rank.Record(st.TA)
 	e.finishQuery(root, st)
 	return experts, st, nil
 }

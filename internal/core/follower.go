@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -95,8 +96,10 @@ type Follower struct {
 	id     string
 	opts   FollowerOptions
 	client *http.Client
-	reg    *obs.Registry
 	log    *obs.Logger
+
+	applies, reconnects, tears, promotions *obs.Counter
+	lag, appliedSeq, caughtUp, bootstrap   *obs.Gauge
 
 	mu        sync.Mutex
 	leader    string // base URL, e.g. http://10.0.0.1:7080
@@ -122,14 +125,8 @@ type Follower struct {
 // OpenFollower returns with the engine consistent; call Start to begin
 // tailing.
 func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOptions) (*Follower, error) {
-	reg := o.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
-	log := o.Logger
-	if log == nil {
-		log = obs.NopLogger()
-	}
+	st := newStore(dir, StoreOptions{Metrics: o.Metrics, Logger: o.Logger})
+	reg, log := st.reg, st.log
 	if o.PollInterval <= 0 {
 		o.PollInterval = 200 * time.Millisecond
 	}
@@ -147,10 +144,23 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 	}
 
 	f := &Follower{
-		id: id, opts: o, client: client, reg: reg, log: log,
+		store: st, id: id, opts: o, client: client, log: log,
 		leader: leaderURL,
 		stop:   make(chan struct{}), done: make(chan struct{}),
+
+		applies:    reg.Counter("expertfind_replication_records_applied_total", "WAL records received from the leader and applied."),
+		reconnects: reg.Counter("expertfind_replication_reconnects_total", "Tail stream failures followed by a backoff and reconnect."),
+		tears:      reg.Counter("expertfind_replication_stream_tears_total", "Tail streams cut mid-record (resumed from the applied prefix)."),
+		promotions: reg.Counter("expertfind_replication_promotions_total", "Times this node was promoted from follower to leader."),
+		lag:        reg.Gauge("expertfind_replication_lag_seq", "WAL sequences this follower trails its leader by."),
+		appliedSeq: reg.Gauge("expertfind_replication_applied_seq", "Last WAL sequence this follower has applied."),
+		caughtUp:   reg.Gauge("expertfind_replication_caught_up", "1 when the follower has applied everything the leader acknowledged."),
+		bootstrap:  reg.Gauge("expertfind_replication_bootstrap_seconds", "Duration of the most recent follower snapshot bootstrap."),
 	}
+	// The same root span as a store's recovery, so a follower's stage
+	// family is listed before its first query too.
+	_, root := obs.StartSpan(obs.WithRegistry(context.Background(), reg), "recover")
+	defer root.End()
 
 	// Phase 1: obtain a snapshot — local if present, else the leader's.
 	snapPath := filepath.Join(dir, SnapshotFileName)
@@ -162,9 +172,7 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 			return nil, err
 		}
 		leaderEpoch = ep
-		reg.Gauge("expertfind_replication_bootstrap_seconds",
-			"Duration of the most recent follower snapshot bootstrap.").
-			Set(time.Since(start).Seconds())
+		f.bootstrap.Set(time.Since(start).Seconds())
 		log.Info("follower_bootstrapped", "leader", leaderURL,
 			"dur", time.Since(start).Round(time.Millisecond))
 	} else if err != nil {
@@ -174,7 +182,7 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 	// Phase 2: load the snapshot and recover the local log over it,
 	// exactly as a leader would — minus attaching the engine's update
 	// log, because a follower's writes come only from replication.
-	e, err := LoadFileWith(snapPath, g, LoadOptions{Mmap: o.Mmap})
+	e, err := loadFile(snapPath, g, o.Mmap, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -191,10 +199,7 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 			return nil, err
 		}
 	}
-	f.store = &Store{
-		dir: dir, engine: e, wal: wal, reg: reg, log: log,
-		followers: make(map[string]followerPos), followerTTL: DefaultFollowerTTL,
-	}
+	st.engine, st.wal = e, wal
 	f.applied = wal.LastSeq()
 	if f.applied == 0 {
 		f.applied = e.LastUpdateSeq()
@@ -316,8 +321,7 @@ func (f *Follower) run() {
 		}
 		var wait time.Duration
 		if err != nil {
-			f.reg.Counter("expertfind_replication_reconnects_total",
-				"Tail stream failures followed by a backoff and reconnect.").Inc()
+			f.reconnects.Inc()
 			f.log.Warn("follower_stream_error", "err", err.Error(),
 				"backoff", backoff.Round(time.Millisecond))
 			// Full jitter: uniform in (0, backoff], then grow the cap.
@@ -403,8 +407,7 @@ func (f *Follower) streamOnce() (int, error) {
 		}
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			// Torn tail on the wire: keep the applied prefix, resume later.
-			f.reg.Counter("expertfind_replication_stream_tears_total",
-				"Tail streams cut mid-record (resumed from the applied prefix).").Inc()
+			f.tears.Inc()
 			break
 		}
 		if err != nil {
@@ -435,8 +438,7 @@ func (f *Follower) applyRecord(seq uint64, payload []byte) error {
 	f.mu.Lock()
 	f.applied = seq
 	f.mu.Unlock()
-	f.reg.Counter("expertfind_replication_records_applied_total",
-		"WAL records received from the leader and applied.").Inc()
+	f.applies.Inc()
 	return nil
 }
 
@@ -528,8 +530,7 @@ func (f *Follower) Promote() (uint64, error) {
 	}
 	f.store.engine.SetUpdateLog(f.store.wal)
 	f.store.setEpochGauge()
-	f.reg.Counter("expertfind_replication_promotions_total",
-		"Times this node was promoted from follower to leader.").Inc()
+	f.promotions.Inc()
 	f.log.Info("follower_promoted", "epoch", epoch, "applied", f.applied)
 	return epoch, nil
 }
@@ -551,11 +552,7 @@ func (f *Follower) setGauges() {
 	f.mu.Lock()
 	applied, leaderSeq, polled, lag := f.applied, f.leaderSeq, f.polled, f.lagLocked()
 	f.mu.Unlock()
-	f.reg.Gauge("expertfind_replication_lag_seq",
-		"WAL sequences this follower trails its leader by.").Set(float64(lag))
-	f.reg.Gauge("expertfind_replication_applied_seq",
-		"Last WAL sequence this follower has applied.").Set(float64(applied))
-	f.reg.Gauge("expertfind_replication_caught_up",
-		"1 when the follower has applied everything the leader acknowledged.").
-		Set(b2f(polled && leaderSeq <= applied))
+	f.lag.Set(float64(lag))
+	f.appliedSeq.Set(float64(applied))
+	f.caughtUp.Set(b2f(polled && leaderSeq <= applied))
 }

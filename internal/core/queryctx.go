@@ -24,11 +24,8 @@ import (
 // detaches the cache. Not safe to call concurrently with queries: enable
 // the cache before serving.
 func (e *Engine) EnableQueryCache(cfg CacheConfig) {
-	e.qcache = newQueryCache(cfg, e.reg)
+	e.qcache = newQueryCache(cfg, e.m.cache)
 }
-
-// QueryCacheEnabled reports whether a query cache is attached.
-func (e *Engine) QueryCacheEnabled() bool { return e.qcache != nil }
 
 // QueryCacheLen returns the resident entry count (0 when disabled).
 func (e *Engine) QueryCacheLen() int {
@@ -146,8 +143,7 @@ func (e *Engine) cachedQuery(ctx context.Context, key string,
 		return fill(ctx)
 	})
 	if shared {
-		e.reg.Counter("expertfind_singleflight_shared_total",
-			"Queries answered by piggybacking on a concurrent identical query.").Inc()
+		e.m.coalesced.Inc()
 		if err != nil && ctx.Err() == nil {
 			// The leader died on ITS context, not ours: run the query
 			// ourselves rather than propagating a foreign cancellation.

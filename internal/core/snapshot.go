@@ -15,7 +15,6 @@ import (
 	"expertfind/internal/pgindex"
 	"expertfind/internal/sampling"
 	"expertfind/internal/textenc"
-	"expertfind/internal/train"
 	"expertfind/internal/vec"
 )
 
@@ -236,21 +235,21 @@ func Load(r io.Reader, g *hetgraph.Graph) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	return loadSnapshot(bytes.NewReader(data), "<stream>", int64(len(data)), colstore.ModeOff, g)
+	return loadSnapshot(bytes.NewReader(data), "<stream>", int64(len(data)), colstore.ModeOff, g, nil)
 }
 
-// LoadFile is Load with path context in every error, and — unlike the
-// streaming Load — able to mmap the snapshot's columnar section.
-// It uses ModeAuto; LoadFileWith exposes the choice.
-func LoadFile(path string, g *hetgraph.Graph) (*Engine, error) {
-	return LoadFileWith(path, g, LoadOptions{})
-}
-
-// LoadFileWith is LoadFile with explicit materialisation options: o.Mmap
-// decides whether the snapshot's columnar section is mmap'd (zero-copy
-// views, corpus larger than RAM) or read onto the heap. The two modes
-// produce bit-identical engines; only residency behaviour differs.
+// LoadFileWith is Load with path context in every error, and — unlike the
+// streaming Load — able to mmap the snapshot's columnar section: o.Mmap
+// decides whether it is mmap'd (zero-copy views, corpus larger than RAM)
+// or read onto the heap. The two modes produce bit-identical engines; only
+// residency behaviour differs. The engine records into obs.Default().
 func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error) {
+	return loadFile(path, g, o.Mmap, nil)
+}
+
+// loadFile is LoadFileWith recording into reg (obs.Default() when nil):
+// a store or follower hands its own registry to the engine it opens.
+func loadFile(path string, g *hetgraph.Graph, mode colstore.Mode, reg *obs.Registry) (*Engine, error) {
 	f, size, err := openSized(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
@@ -259,7 +258,7 @@ func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error
 	// survives Close, and heap mode materialises every segment before
 	// loadSnapshot returns.
 	defer f.Close()
-	return loadSnapshot(f, path, size, o.Mmap, g)
+	return loadSnapshot(f, path, size, mode, g, reg)
 }
 
 // VerifySnapshotFile checks everything of a snapshot file that needs no
@@ -329,15 +328,16 @@ func openSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode) 
 	return payload, sec, nil
 }
 
-// loadSnapshot opens a snapshot, assembles the engine it describes and
-// re-applies its journal to g.
-func loadSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode, g *hetgraph.Graph) (*Engine, error) {
+// loadSnapshot opens a snapshot, assembles the engine it describes,
+// recording into reg, and re-applies its journal to g.
+func loadSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode, g *hetgraph.Graph, reg *obs.Registry) (*Engine, error) {
 	payload, sec, err := openSnapshot(src, name, size, mode)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	e, updates, err := engineFromColumns(payload, name, sec)
 	if err == nil {
+		e.useRegistry(reg)
 		err = e.replayJournal(g, updates)
 	}
 	if err != nil {
@@ -476,7 +476,7 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section) (*Eng
 		}
 	}
 
-	e := &Engine{opts: opts, enc: enc, reg: obs.Default()}
+	e := &Engine{opts: opts, enc: enc}
 	// The index adopts the matrix where it lies, mapping included, clipped
 	// so that an AddPaper reallocates instead of writing through it.
 	if e.index, err = pgindex.FromColumns(c); err != nil {
@@ -486,11 +486,6 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section) (*Eng
 		e.stats.IndexEdges = e.index.NumEdges()
 		e.stats.IndexMemory = e.index.MemoryBytes()
 	}
-	// The token cache is rebuilt lazily: journalled updates repopulate
-	// their entries, and new AddPapers write theirs. Eagerly
-	// re-tokenising the whole corpus would defeat the point of the
-	// rebuild-free load.
-	e.cache = make(train.TokenCache)
 	e.stats.VocabSize = vocab.Size()
 	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, col.Rows)
 	e.viewRowsLocked()
@@ -498,8 +493,8 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section) (*Eng
 	return e, p.Updates, nil
 }
 
-// replayJournal attaches g and re-applies the journal to it and the token
-// cache only: the embeddings and index rows are in the columns already, so
+// replayJournal attaches g and re-applies the journal to it only: the
+// embeddings and index rows are in the columns already, so
 // each replayed paper must land on a row the snapshot has. Nothing else
 // can reach the engine yet, so no lock is taken.
 func (e *Engine) replayJournal(g *hetgraph.Graph, updates []NewPaper) error {

@@ -55,6 +55,33 @@ type Store struct {
 	fmu         sync.Mutex
 	followers   map[string]followerPos
 	followerTTL time.Duration
+
+	fences                                 *obs.Counter
+	liveFollowers, lowWater, epoch, fenced *obs.Gauge
+}
+
+// newStore returns the store over dir before anything is recovered into
+// it, recording into o.Metrics (obs.Default() when nil), where it creates
+// its replication handles.
+func newStore(dir string, o StoreOptions) *Store {
+	reg, log := o.Metrics, o.Logger
+	if reg == nil {
+		reg = obs.Default()
+	}
+	if log == nil {
+		log = obs.NopLogger()
+	}
+	if o.FollowerTTL <= 0 {
+		o.FollowerTTL = DefaultFollowerTTL
+	}
+	return &Store{dir: dir, reg: reg, log: log,
+		followers: make(map[string]followerPos), followerTTL: o.FollowerTTL,
+		fences:        reg.Counter("expertfind_replication_fences_total", "Times this node's WAL was fenced by a newer replication epoch."),
+		liveFollowers: reg.Gauge("expertfind_replication_followers", "Live replication followers tracked by this leader."),
+		lowWater:      reg.Gauge("expertfind_replication_low_water_seq", "Lowest WAL sequence applied by any live follower."),
+		epoch:         reg.Gauge("expertfind_replication_epoch", "Persisted replication epoch of this node's WAL."),
+		fenced:        reg.Gauge("expertfind_replication_fenced", "1 when this node's WAL is fenced by a newer epoch."),
+	}
 }
 
 // followerPos is one follower's replication position as last reported.
@@ -121,22 +148,11 @@ const SnapshotFileName = "snapshot.efs"
 // initial snapshot is written immediately, so a later restart never
 // repeats the expensive build.
 func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o StoreOptions) (*Store, error) {
-	reg := o.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
-	log := o.Logger
-	if log == nil {
-		log = obs.NopLogger()
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: open store: %w", err)
 	}
-	s := &Store{dir: dir, reg: reg, log: log,
-		followers: make(map[string]followerPos), followerTTL: o.FollowerTTL}
-	if s.followerTTL <= 0 {
-		s.followerTTL = DefaultFollowerTTL
-	}
+	s := newStore(dir, o)
+	reg, log := s.reg, s.log
 	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), reg), "recover")
 	defer root.End() // on the error paths; recovery's own end is taken below
 
@@ -145,7 +161,7 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 	_, sp := obs.StartSpan(ctx, "snapshot")
 	hadSnapshot := false
 	if st, err := os.Stat(snapPath); err == nil {
-		e, err := LoadFileWith(snapPath, g, LoadOptions{Mmap: o.Mmap})
+		e, err := loadFile(snapPath, g, o.Mmap, reg)
 		if err != nil {
 			return nil, err // typed: checksum/truncation/version context intact
 		}
@@ -188,6 +204,7 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 	s.info.Replayed = replayed
 	sp.End()
 	s.engine.SetUpdateLog(wal)
+	s.setEpochGauge()
 	s.info.Duration = root.End()
 
 	reg.Counter("expertfind_recovery_wal_records_replayed_total",
@@ -410,8 +427,7 @@ func (s *Store) Fenced() bool { return s.wal.Fenced() }
 func (s *Store) Fence(epoch uint64) error {
 	err := s.wal.Fence(epoch)
 	if err == nil {
-		s.reg.Counter("expertfind_replication_fences_total",
-			"Times this node's WAL was fenced by a newer replication epoch.").Inc()
+		s.fences.Inc()
 		s.setEpochGauge()
 		s.log.Info("store_fenced", "epoch", epoch)
 	}
@@ -451,19 +467,15 @@ func (s *Store) FollowerLowWater() (uint64, bool) {
 			low, ok = p.applied, true
 		}
 	}
-	s.reg.Gauge("expertfind_replication_followers",
-		"Live replication followers tracked by this leader.").Set(float64(len(s.followers)))
+	s.liveFollowers.Set(float64(len(s.followers)))
 	if ok {
-		s.reg.Gauge("expertfind_replication_low_water_seq",
-			"Lowest WAL sequence applied by any live follower.").Set(float64(low))
+		s.lowWater.Set(float64(low))
 	}
 	return low, ok
 }
 
 // setEpochGauge publishes the replication epoch and fence state.
 func (s *Store) setEpochGauge() {
-	s.reg.Gauge("expertfind_replication_epoch",
-		"Persisted replication epoch of this node's WAL.").Set(float64(s.wal.Epoch()))
-	s.reg.Gauge("expertfind_replication_fenced",
-		"1 when this node's WAL is fenced by a newer epoch.").Set(b2f(s.wal.Fenced()))
+	s.epoch.Set(float64(s.wal.Epoch()))
+	s.fenced.Set(b2f(s.wal.Fenced()))
 }

@@ -411,7 +411,7 @@ func TestAddPaperSpans(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir)
 	names := []string{"update", "update/log", "update/apply"}
-	counts := func(e *Engine) (c [3]uint64) { // the fixture's engines share obs.Default()
+	counts := func(e *Engine) (c [3]uint64) {
 		for i, name := range names {
 			c[i] = e.Metrics().Histogram("expertfind_stage_seconds", "", nil, obs.L("stage", name)).Count()
 		}
@@ -425,10 +425,38 @@ func TestAddPaperSpans(t *testing.T) {
 			t.Errorf("stage %s recorded %d times for 3 updates", name, got)
 		}
 	}
-	st2, _ := openTestStore(t, dir) // crash, then replay of the three
+	// Crash, then replay of the three into the reopened store's own
+	// registry, where the loaded engine records.
+	st2, _ := openTestStore(t, dir)
 	defer st2.Close()
-	if st2.Recovery().Replayed != 3 || counts(st2.Engine()) != after {
-		t.Errorf("replayed %d updates, stage counts %v -> %v, want 3 and no change",
-			st2.Recovery().Replayed, after, counts(st2.Engine()))
+	if st2.Recovery().Replayed != 3 || counts(st2.Engine()) != [3]uint64{} {
+		t.Errorf("replayed %d updates, stage counts %v, want 3 and none",
+			st2.Recovery().Replayed, counts(st2.Engine()))
+	}
+}
+
+// TestReopenedEngineRecordsIntoStoreRegistry: an engine a store loads
+// records its queries in the registry the store was opened with, not in
+// the process-wide one.
+func TestReopenedEngineRecordsIntoStoreRegistry(t *testing.T) {
+	dir := t.TempDir()
+	st, ds := openTestStore(t, dir)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st2, err := OpenStore(dir, ds.Graph, nil, StoreOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Engine().Metrics() != reg {
+		t.Fatal("the loaded engine does not record into the store's registry")
+	}
+	if _, _, err := st2.Engine().TopExperts(ds.Corpus()[0][:30], 20, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("expertfind_queries_total", "").Value(); got != 1 {
+		t.Errorf("expertfind_queries_total = %v in the store's registry, want 1", got)
 	}
 }

@@ -194,7 +194,7 @@ func (e *Engine) applyUpdateLocked(p NewPaper, seq uint64) (hetgraph.NodeID, err
 		return 0, err
 	}
 	// New node ids only grow, so the insert keeps the rows ascending.
-	if err := e.index.Insert(id, e.enc.EncodeTokens(e.cache[id])); err != nil {
+	if err := e.index.Insert(id, e.enc.Encode(p.Text)); err != nil {
 		return 0, fmt.Errorf("core: index insert: %w", err)
 	}
 	e.viewRowsLocked()
@@ -206,8 +206,8 @@ func (e *Engine) applyUpdateLocked(p NewPaper, seq uint64) (hetgraph.NodeID, err
 
 // addToGraphLocked is the half of an update that a snapshot does not
 // already hold, and so the whole of replaying a snapshot's journal: the
-// paper node and its edges, its token-cache entry, the journal append and
-// the update counter — no embedding, no index insert. Caller holds e.mu
+// paper node and its edges, the journal append and the update counter —
+// no tokens, no embedding, no index insert. Caller holds e.mu
 // for writing (or owns the engine outright) and has validated p.
 func (e *Engine) addToGraphLocked(p NewPaper) (hetgraph.NodeID, error) {
 	g := e.g
@@ -235,9 +235,8 @@ func (e *Engine) addToGraphLocked(p NewPaper) (hetgraph.NodeID, error) {
 			return 0, err
 		}
 	}
-	e.cache[id] = e.enc.Tokenizer().Tokenize(p.Text)
 	e.updates = append(e.updates, p)
-	e.reg.Counter("expertfind_updates_total", "Online papers added to a built engine.").Inc()
+	e.m.updates.Inc()
 	return id, nil
 }
 

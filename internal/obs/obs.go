@@ -10,22 +10,14 @@
 // stage) keep cardinality small. All span durations land in one histogram
 // family, `expertfind_stage_seconds{stage="<span path>"}`, so the offline
 // build phases and the online query stages share an exposition schema.
+// Every other family has one owner — an engine, server, router, shard
+// client, store or follower — that creates its handles in its own
+// registry when it is constructed; the name is written nowhere else.
 package obs
 
-import "sync"
+var defaultReg = NewRegistry()
 
-var (
-	defaultMu  sync.Mutex
-	defaultReg *Registry
-)
-
-// Default returns the process-wide registry, creating it on first use.
-// Library code that is not handed an explicit registry records here.
-func Default() *Registry {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultReg == nil {
-		defaultReg = NewRegistry()
-	}
-	return defaultReg
-}
+// Default returns the process-wide registry. An owner that is not handed
+// a registry of its own (an engine, store, follower, shard client or
+// router built with a nil one) records here.
+func Default() *Registry { return defaultReg }

@@ -228,20 +228,6 @@ func escapeLabel(v string) string {
 	return labelEscaper.Replace(v)
 }
 
-// declare creates the family for name without any series, fixing its
-// kind, help and (for histograms) buckets ahead of the first sample.
-func (r *Registry) declare(name, help string, k kind, buckets []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f := r.families[name]; f != nil {
-		if f.kind != k {
-			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, k))
-		}
-		return
-	}
-	r.families[name] = &family{name: name, help: help, kind: k, buckets: buckets, series: map[string]*series{}}
-}
-
 // getSeries returns (creating as needed) the series for name+labels,
 // checking that the metric kind is consistent with prior registrations.
 // Labels name the same series in any order. Finding an existing one —
@@ -316,30 +302,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // selects DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	return r.getSeries(name, help, histogramKind, buckets, labels).h
-}
-
-// Observe routes a named measurement to the matching metric: histograms
-// get an observation, gauges are set, and anything else (including
-// unregistered names, which are created as counters) is added. This is
-// the sink entry point the pipeline packages (pgindex, ta, train) feed
-// through an injected interface, keeping them decoupled from metric
-// types.
-func (r *Registry) Observe(name string, v float64) {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		r.Counter(name, "auto-registered by sink").Add(v)
-		return
-	}
-	switch f.kind {
-	case histogramKind:
-		r.Histogram(name, f.help, nil).Observe(v)
-	case gaugeKind:
-		r.Gauge(name, f.help).Set(v)
-	default:
-		r.Counter(name, f.help).Add(v)
-	}
 }
 
 // fmtFloat renders a sample value the way Prometheus expects.

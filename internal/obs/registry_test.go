@@ -61,25 +61,6 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
-func TestObserveRouting(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("h_seconds", "", []float64{1, 10})
-	r.Gauge("g", "")
-	r.Observe("h_seconds", 0.5)
-	r.Observe("g", 42)
-	r.Observe("new_total", 3) // auto-registered counter
-	r.Observe("new_total", 4)
-	if got := r.Histogram("h_seconds", "", nil).Count(); got != 1 {
-		t.Errorf("histogram observations = %d, want 1", got)
-	}
-	if got := r.Gauge("g", "").Value(); got != 42 {
-		t.Errorf("gauge = %v, want 42", got)
-	}
-	if got := r.Counter("new_total", "").Value(); got != 7 {
-		t.Errorf("auto counter = %v, want 7", got)
-	}
-}
-
 // TestConcurrentUpdates hammers one histogram, counter and gauge from many
 // goroutines; run with -race. The exact sum checks catch lost updates.
 func TestConcurrentUpdates(t *testing.T) {

@@ -306,8 +306,7 @@ func mkRecord(id string, durMs float64) TraceRecord {
 }
 
 func TestTraceStoreKeepRules(t *testing.T) {
-	reg := NewRegistry()
-	st := NewTraceStore(TracePolicy{Capacity: 16, SlowestN: 2, SampleEvery: 4}, reg)
+	st := NewTraceStore(TracePolicy{Capacity: 16, SlowestN: 2, SampleEvery: 4})
 
 	// Error/hedged are kept unconditionally, in that precedence.
 	if reason, kept := st.Add(mkRecord("e1", 1), KeepFlags{Error: true, Hedged: true}); !kept || reason != KeepError {
@@ -349,14 +348,6 @@ func TestTraceStoreKeepRules(t *testing.T) {
 	if idx[0].TraceID != "s2" {
 		t.Fatalf("index not newest-first: %q", idx[0].TraceID)
 	}
-
-	snap := reg.Snapshot()
-	if v, _ := snap[`expertfind_traces_kept_total{reason="slow"}`].(float64); v != 2 {
-		t.Fatalf("kept{slow} = %v", v)
-	}
-	if v, _ := snap["expertfind_traces_dropped_total"].(float64); v != 1 {
-		t.Fatalf("dropped = %v", v)
-	}
 }
 
 // TestTraceStoreSlowColdStart: until the ring holds SlowestN records,
@@ -364,7 +355,7 @@ func TestTraceStoreKeepRules(t *testing.T) {
 // stays disarmed and ordinary cold-start traffic falls through to the
 // sampling rule instead of being mislabelled "slow".
 func TestTraceStoreSlowColdStart(t *testing.T) {
-	st := NewTraceStore(TracePolicy{Capacity: 16, SlowestN: 2, SampleEvery: 4}, nil)
+	st := NewTraceStore(TracePolicy{Capacity: 16, SlowestN: 2, SampleEvery: 4})
 	if reason, kept := st.Add(mkRecord("t0", 1), KeepFlags{}); !kept || reason != KeepSampled {
 		t.Fatalf("first cold-start trace: reason=%q kept=%v, want sampled", reason, kept)
 	}
@@ -381,7 +372,7 @@ func TestTraceStoreSlowColdStart(t *testing.T) {
 }
 
 func TestTraceStoreSampling(t *testing.T) {
-	st := NewTraceStore(TracePolicy{Capacity: 64, SlowestN: -1, SampleEvery: 4}, nil)
+	st := NewTraceStore(TracePolicy{Capacity: 64, SlowestN: -1, SampleEvery: 4})
 	kept := 0
 	for i := 0; i < 16; i++ {
 		if _, ok := st.Add(mkRecord(fmt.Sprintf("t%d", i), 1), KeepFlags{}); ok {
@@ -392,14 +383,14 @@ func TestTraceStoreSampling(t *testing.T) {
 		t.Fatalf("sampled %d of 16 with SampleEvery=4, want 4", kept)
 	}
 	// Disabled sampling keeps nothing ordinary.
-	st2 := NewTraceStore(TracePolicy{Capacity: 64, SlowestN: -1, SampleEvery: -1}, nil)
+	st2 := NewTraceStore(TracePolicy{Capacity: 64, SlowestN: -1, SampleEvery: -1})
 	if _, ok := st2.Add(mkRecord("x", 1), KeepFlags{}); ok {
 		t.Fatal("record kept with all tail rules disabled")
 	}
 }
 
 func TestTraceStoreRingEviction(t *testing.T) {
-	st := NewTraceStore(TracePolicy{Capacity: 4, SlowestN: -1, SampleEvery: 1}, nil)
+	st := NewTraceStore(TracePolicy{Capacity: 4, SlowestN: -1, SampleEvery: 1})
 	for i := 0; i < 10; i++ {
 		st.Add(mkRecord(fmt.Sprintf("t%d", i), float64(i)), KeepFlags{})
 	}
@@ -421,7 +412,7 @@ func TestTraceStoreRingEviction(t *testing.T) {
 func TestTraceStoreMultipleRecordsPerTrace(t *testing.T) {
 	// A shard can serve two sub-requests of one query (a hedged or retried
 	// /shard/papers): two records share one trace id and Get returns both.
-	st := NewTraceStore(TracePolicy{Capacity: 8, SlowestN: -1, SampleEvery: 1}, nil)
+	st := NewTraceStore(TracePolicy{Capacity: 8, SlowestN: -1, SampleEvery: 1})
 	a := mkRecord("shared", 1)
 	a.Route = "/shard/papers"
 	b := mkRecord("shared", 2)

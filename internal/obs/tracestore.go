@@ -89,30 +89,12 @@ type TraceStore struct {
 	next    int           // ring write cursor
 	full    bool          // ring has wrapped
 	offered uint64        // total records offered, drives sampling
-
-	kept    map[string]*Counter // per-reason kept counters (nil without a registry)
-	dropped *Counter
 }
 
-// NewTraceStore returns a store with the given policy. reg, when
-// non-nil, receives expertfind_traces_kept_total{reason=...} and
-// expertfind_traces_dropped_total counters.
-func NewTraceStore(policy TracePolicy, reg *Registry) *TraceStore {
+// NewTraceStore returns a store with the given policy.
+func NewTraceStore(policy TracePolicy) *TraceStore {
 	p := policy.withDefaults()
-	s := &TraceStore{
-		policy: p,
-		ring:   make([]TraceRecord, 0, p.Capacity),
-	}
-	if reg != nil {
-		s.kept = make(map[string]*Counter, 4)
-		for _, reason := range []string{KeepError, KeepHedged, KeepSlow, KeepSampled} {
-			s.kept[reason] = reg.Counter("expertfind_traces_kept_total",
-				"Traces retained by the trace store, by keep rule.", L("reason", reason))
-		}
-		s.dropped = reg.Counter("expertfind_traces_dropped_total",
-			"Traces offered to the trace store but kept by no rule.")
-	}
-	return s
+	return &TraceStore{policy: p, ring: make([]TraceRecord, 0, p.Capacity)}
 }
 
 // Add offers a finished trace to the store. flags supply the shape
@@ -120,13 +102,10 @@ func NewTraceStore(policy TracePolicy, reg *Registry) *TraceStore {
 // keep reason and whether the record was retained.
 func (s *TraceStore) Add(rec TraceRecord, flags KeepFlags) (string, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.offered++
 	reason := s.decide(rec, flags)
 	if reason == "" {
-		s.mu.Unlock()
-		if s.dropped != nil {
-			s.dropped.Inc()
-		}
 		return "", false
 	}
 	rec.Kept = reason
@@ -136,11 +115,6 @@ func (s *TraceStore) Add(rec TraceRecord, flags KeepFlags) (string, bool) {
 		s.ring[s.next] = rec
 		s.next = (s.next + 1) % cap(s.ring)
 		s.full = true
-	}
-	c := s.kept[reason]
-	s.mu.Unlock()
-	if c != nil {
-		c.Inc()
 	}
 	return reason, true
 }

@@ -368,7 +368,6 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 		if err == nil {
 			st.DistanceComputations, st.NodesVisited = n, n
 		}
-		st.record()
 		return res, st, err
 	}
 
@@ -400,7 +399,6 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 	for cur < len(s.pool) {
 		if st.Expansions%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				st.record()
 				return nil, st, err
 			}
 		}
@@ -415,7 +413,6 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 			cur++
 		}
 	}
-	st.record()
 	// The pool is in canonical order over the traversal's distances — the
 	// same kernel over the same rows as BruteForce — so its head is the
 	// answer.

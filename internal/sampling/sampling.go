@@ -70,7 +70,7 @@ type Config struct {
 	// every community is answered from a kpcore.CoreIndex whatever this
 	// says: the field keeps its name, and exists at all, because the
 	// frozen bench/ sets it on four workloads whose triples must not move
-	// (ROADMAP 3(a)).
+	// (ROADMAP 1(a)).
 	UseCoreIndex bool
 }
 

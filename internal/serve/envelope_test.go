@@ -24,7 +24,7 @@ import (
 // ones it replaced in insignificant whitespace only.
 
 func TestWriteJSONCompact(t *testing.T) {
-	env := Envelope{Reg: obs.NewRegistry()}
+	env := Envelope{Metrics: NewEnvelopeMetrics(obs.NewRegistry())}
 	v := ExpertsResponse{Query: "graph <embedding>", ResponseMs: 0.125,
 		Experts: []ExpertResult{{Rank: 1, ID: 7, Name: "Ünal \"Q\"", Score: 1.0 / 3, Papers: 2}}}
 	want, err := json.Marshal(v)

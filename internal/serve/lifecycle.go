@@ -45,7 +45,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // state.
 func bootHandler() http.Handler {
 	mux := http.NewServeMux()
-	env := Envelope{Reg: obs.Default()} // no engine yet, so no registry of its own
+	env := Envelope{Metrics: NewEnvelopeMetrics(obs.Default())} // no engine yet, so no registry of its own
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		env.WriteJSON(w, http.StatusOK, ReadyResponse{Status: "booting"})
 	})

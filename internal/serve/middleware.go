@@ -26,8 +26,10 @@ import (
 // servers differ only in the values they put in it, and a fix to the
 // shell reaches both.
 type Envelope struct {
-	Reg *obs.Registry
-	Log *obs.Logger
+	// Metrics is the owner's registry with the handles the envelope
+	// records through, created once with the owner (NewEnvelopeMetrics).
+	Metrics *EnvelopeMetrics
+	Log     *obs.Logger
 	// Traces retains captured query span trees and backs /debug/traces;
 	// nil disables retention.
 	Traces *obs.TraceStore
@@ -43,6 +45,34 @@ type Envelope struct {
 	// store: the query-serving paths. Health, metrics and debug
 	// endpoints stay untraced.
 	Traced map[string]bool
+}
+
+// EnvelopeMetrics is the registry an envelope records into and the
+// handles of its fixed series. The server or router that owns the
+// registry creates it once, so these families are listed before the
+// first request.
+type EnvelopeMetrics struct {
+	Reg                                           *obs.Registry
+	inFlight                                      *obs.Gauge
+	timeouts, slow, encodeFailures, tracesDropped *obs.Counter
+	tracesKept                                    map[string]*obs.Counter // by keep rule
+}
+
+// NewEnvelopeMetrics creates the envelope's families in reg.
+func NewEnvelopeMetrics(reg *obs.Registry) *EnvelopeMetrics {
+	m := &EnvelopeMetrics{Reg: reg,
+		inFlight:       reg.Gauge("expertfind_http_in_flight", "Requests currently being served."),
+		timeouts:       reg.Counter("expertfind_http_timeouts_total", "Query requests that exceeded their deadline."),
+		slow:           reg.Counter("expertfind_slow_queries_total", "Queries slower than the slow-query log threshold."),
+		encodeFailures: reg.Counter("expertfind_http_encode_failures_total", "Responses dropped because JSON encoding failed."),
+		tracesDropped:  reg.Counter("expertfind_traces_dropped_total", "Traces offered to the trace store but kept by no rule."),
+		tracesKept:     map[string]*obs.Counter{},
+	}
+	for _, rule := range []string{obs.KeepError, obs.KeepHedged, obs.KeepSlow, obs.KeepSampled} {
+		m.tracesKept[rule] = reg.Counter("expertfind_traces_kept_total",
+			"Traces retained by the trace store, by keep rule.", obs.L("reason", rule))
+	}
+	return m
 }
 
 // serverRoutes is the Server's route table, the /shard/papers route the
@@ -72,7 +102,7 @@ var serverTraced = map[string]bool{
 
 // envelope assembles the Server's shell from its current settings.
 func (s *Server) envelope() Envelope {
-	return Envelope{Reg: s.reg, Log: s.Log, Traces: s.Traces, SlowQuery: s.SlowQuery,
+	return Envelope{Metrics: s.metrics, Log: s.Log, Traces: s.Traces, SlowQuery: s.SlowQuery,
 		Routes: serverRoutes, Traced: serverTraced}
 }
 
@@ -151,7 +181,8 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	w.Header().Set("X-Request-ID", reqID)
 	route := routeLabel(e.Routes, r.URL.Path)
 
-	ctx := obs.WithRegistry(r.Context(), e.Reg)
+	reg := e.Metrics.Reg
+	ctx := obs.WithRegistry(r.Context(), reg)
 	if tc, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)); ok {
 		ctx = obs.ContextWithRemote(ctx, tc)
 	}
@@ -161,8 +192,7 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	}
 	r = r.WithContext(ctx)
 
-	inflight := e.Reg.Gauge("expertfind_http_in_flight", "Requests currently being served.")
-	inflight.Add(1)
+	e.Metrics.inFlight.Add(1)
 	sw := &statusWriter{ResponseWriter: w}
 	switch route {
 	case "/metrics":
@@ -170,13 +200,13 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	case "/debug/vars":
 		// A JSON snapshot of every metric, histograms summarised as
 		// count/sum/p50/p90/p99 — a human-readable mirror of /metrics.
-		e.WriteJSON(sw, http.StatusOK, e.Reg.Snapshot())
+		e.WriteJSON(sw, http.StatusOK, reg.Snapshot())
 	case "/debug/traces":
 		e.serveTraces(sw, r)
 	default:
 		next.ServeHTTP(sw, r)
 	}
-	inflight.Add(-1)
+	e.Metrics.inFlight.Add(-1)
 
 	if sw.code == 0 { // handler wrote nothing at all
 		sw.code = http.StatusOK
@@ -185,9 +215,9 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	durMs := float64(dur.Microseconds()) / 1000
 	traceID := e.finishTrace(capture, r, route, sw.code, durMs)
 	// Labels in key order: a sorted lookup is answered without a copy.
-	e.Reg.Counter("expertfind_http_requests_total", "HTTP requests by route and status code.",
+	reg.Counter("expertfind_http_requests_total", "HTTP requests by route and status code.",
 		obs.L("code", strconv.Itoa(sw.code)), obs.L("route", route)).Inc()
-	e.Reg.Histogram("expertfind_http_request_seconds", "HTTP request latency by route.",
+	reg.Histogram("expertfind_http_request_seconds", "HTTP request latency by route.",
 		nil, obs.L("route", route)).ObserveWithExemplar(dur.Seconds(), traceID)
 	if e.Log.Enabled(obs.LevelInfo) { // a silenced logger should not cost 14 boxed arguments
 		e.Log.Info("access", "req_id", reqID, "method", r.Method, "path", r.URL.Path,
@@ -216,7 +246,7 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 	q := r.URL.Query().Get("q") // parsed here at most once, and only when a record needs it
 	if e.Traces != nil {
 		tree := root.Tree()
-		e.Traces.Add(obs.TraceRecord{
+		rule, kept := e.Traces.Add(obs.TraceRecord{
 			TraceID:    traceID,
 			Route:      route,
 			Query:      q,
@@ -228,10 +258,14 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 			Error:  status >= 500,
 			Hedged: tree.HasAttr("hedge"),
 		})
+		if kept {
+			e.Metrics.tracesKept[rule].Inc()
+		} else {
+			e.Metrics.tracesDropped.Inc()
+		}
 	}
 	if slow {
-		e.Reg.Counter("expertfind_slow_queries_total",
-			"Queries slower than the slow-query log threshold.").Inc()
+		e.Metrics.slow.Inc()
 		e.Log.Warn("slow_query", "trace_id", traceID, "route", route, "q", q,
 			"status", status, "dur_ms", durMs)
 	}
@@ -244,11 +278,11 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 func (e Envelope) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if obs.AcceptsOpenMetrics(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
-		e.Reg.WriteOpenMetrics(w)
+		e.Metrics.Reg.WriteOpenMetrics(w)
 		return
 	}
 	w.Header().Set("Content-Type", obs.ContentTypeText)
-	e.Reg.WritePrometheus(w)
+	e.Metrics.Reg.WritePrometheus(w)
 }
 
 // serveTraces answers both /debug/traces (index) and /debug/traces/{id}
@@ -297,8 +331,7 @@ func (e Envelope) WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 		}
 	}()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		e.Reg.Counter("expertfind_http_encode_failures_total",
-			"Responses dropped because JSON encoding failed.").Inc()
+		e.Metrics.encodeFailures.Inc()
 		http.Error(w, "response encoding failed", http.StatusInternalServerError)
 		return
 	}
@@ -320,8 +353,7 @@ func (e Envelope) WriteQueryError(w http.ResponseWriter, err error) bool {
 	case errors.As(err, &bad):
 		http.Error(w, bad.Error(), http.StatusBadRequest)
 	case errors.Is(err, context.DeadlineExceeded):
-		e.Reg.Counter("expertfind_http_timeouts_total",
-			"Query requests that exceeded their deadline.").Inc()
+		e.Metrics.timeouts.Inc()
 		http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
 	case errors.Is(err, context.Canceled):
 		http.Error(w, "client closed request", statusClientClosedRequest)

@@ -17,7 +17,6 @@ func startMmapFollower(t *testing.T, leaderURL string, mode colstore.Mode) *repl
 	t.Helper()
 	g := dataset.Generate(dataset.AminerSim(replCorpus)).Graph
 	reg := obs.NewRegistry()
-	obs.RegisterReplication(reg)
 	fo, err := core.OpenFollower(t.TempDir(), g, leaderURL, core.FollowerOptions{
 		ID: "mmap-follower-" + mode.String(), PollInterval: 10 * time.Millisecond,
 		Mmap: mode, Metrics: reg,

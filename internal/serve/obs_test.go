@@ -14,17 +14,13 @@ import (
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
-	"expertfind/internal/train"
 )
 
-// obsServer builds an engine recording into a private registry, wiring
-// the train sink first (as cmd/expertserve does) so offline training
-// metrics land there too.
+// obsServer builds an engine recording into a private registry; its
+// offline training metrics land there too.
 func obsServer(t *testing.T) (*Server, *obs.Registry, *dataset.Dataset) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	obs.RegisterWellKnown(reg)
-	train.SetSink(reg)
 	ds := dataset.Generate(dataset.AminerSim(150))
 	e, err := core.Build(ds.Graph, core.Options{Dim: 16, Seed: 11, Metrics: reg})
 	if err != nil {
@@ -77,7 +73,7 @@ func TestMetricsEndpointIntegration(t *testing.T) {
 		`expertfind_http_request_seconds_bucket{route="/experts",le="+Inf"} 1`,
 		`expertfind_http_request_seconds_count{route="/experts"} 1`,
 		"expertfind_http_in_flight",
-		// Online pipeline work, via the injected sinks.
+		// Online pipeline work, recorded by the engine.
 		"expertfind_pgindex_searches_total",
 		"expertfind_pgindex_hops_total",
 		"expertfind_ta_runs_total 1",
@@ -98,7 +94,7 @@ func TestMetricsEndpointIntegration(t *testing.T) {
 		`expertfind_stage_seconds_count{stage="build/training"} 1`,
 		`expertfind_stage_seconds_count{stage="build/embedding"} 1`,
 		`expertfind_stage_seconds_count{stage="build/indexing"} 1`,
-		// Training progress via the train sink.
+		// The fine-tuning run, recorded once Build has it.
 		"expertfind_train_epochs_total 4",
 		"expertfind_builds_total 1",
 	} {
@@ -111,6 +107,26 @@ func TestMetricsEndpointIntegration(t *testing.T) {
 	hops := regexp.MustCompile(`expertfind_pgindex_hops_total (\d+)`).FindStringSubmatch(body)
 	if hops == nil || hops[1] == "0" {
 		t.Errorf("pgindex hops not recorded: %v", hops)
+	}
+}
+
+// TestServedEnginesRecordApart: two engines served side by side each
+// record their own searches and rankings, whichever was served last.
+func TestServedEnginesRecordApart(t *testing.T) {
+	a, regA, ds := obsServer(t)
+	_, regB, _ := obsServer(t) // served after A
+	rec := httptest.NewRecorder()
+	a.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?m=30&q="+url.QueryEscape(ds.Corpus()[0][:30]), nil))
+	if rec.Code != 200 {
+		t.Fatalf("/experts on A: %d %s", rec.Code, rec.Body.String())
+	}
+	for _, name := range []string{"expertfind_ta_runs_total", "expertfind_pgindex_searches_total"} {
+		if got := regA.Counter(name, "").Value(); got != 1 {
+			t.Errorf("A's %s = %v, want 1", name, got)
+		}
+		if got := regB.Counter(name, "").Value(); got != 0 {
+			t.Errorf("B's %s = %v, want 0", name, got)
+		}
 	}
 }
 
@@ -186,13 +202,13 @@ func TestPprofOptIn(t *testing.T) {
 }
 
 func TestWriteJSONEncodeFailure(t *testing.T) {
-	s := &Server{reg: obs.NewRegistry()}
+	s := &Server{metrics: NewEnvelopeMetrics(obs.NewRegistry())}
 	rec := httptest.NewRecorder()
 	s.WriteJSON(rec, map[string]interface{}{"bad": make(chan int)})
 	if rec.Code != 500 {
 		t.Errorf("status %d, want 500", rec.Code)
 	}
-	if got := s.reg.Counter("expertfind_http_encode_failures_total", "").Value(); got != 1 {
+	if got := s.Registry().Counter("expertfind_http_encode_failures_total", "").Value(); got != 1 {
 		t.Errorf("encode failure counter = %v, want 1", got)
 	}
 	// Success path: headers only written after a full encode.

@@ -50,6 +50,8 @@ func replEpochHeaders(w http.ResponseWriter, st *core.Store) {
 }
 
 func handleReplWAL(srv *Server, st *core.Store) http.HandlerFunc {
+	streamErrors := srv.Registry().Counter("expertfind_replication_stream_errors_total",
+		"Tail streams aborted mid-flight by a read error.")
 	return func(w http.ResponseWriter, r *http.Request) {
 		// A request carrying a higher epoch than ours is proof a newer
 		// leader was promoted: fence immediately, then refuse — streaming
@@ -102,8 +104,7 @@ func handleReplWAL(srv *Server, st *core.Store) http.HandlerFunc {
 				// Mid-stream there is no status left to change; cutting the
 				// connection leaves the follower a torn tail it knows how to
 				// resume from.
-				srv.reg.Counter("expertfind_replication_stream_errors_total",
-					"Tail streams aborted mid-flight by a read error.").Inc()
+				streamErrors.Inc()
 				return
 			}
 			if _, err := w.Write(durable.MarshalRecord(seq, payload)); err != nil {

@@ -82,7 +82,6 @@ func startReplFollower(t *testing.T, leaderURL, dir string, maxLag uint64) *repl
 	}
 	g := dataset.Generate(dataset.AminerSim(replCorpus)).Graph
 	reg := obs.NewRegistry()
-	obs.RegisterReplication(reg)
 	fo, err := core.OpenFollower(dir, g, leaderURL, core.FollowerOptions{
 		ID: "test-follower", PollInterval: 10 * time.Millisecond,
 		MaxLag: maxLag, Metrics: reg,

@@ -25,16 +25,15 @@ import (
 	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
-	"expertfind/internal/pgindex"
-	"expertfind/internal/ta"
-	"expertfind/internal/train"
 )
 
 // Server wraps an engine with HTTP handlers.
 type Server struct {
-	engine *core.Engine
-	mux    *http.ServeMux
-	reg    *obs.Registry
+	engine  *core.Engine
+	mux     *http.ServeMux
+	metrics *EnvelopeMetrics
+	// Requests the server's own handlers refuse.
+	shed, fencedWrites, logFailures *obs.Counter
 	// Log receives one structured access line per request; NopLogger by
 	// default so library use stays silent. Replace before serving.
 	Log *obs.Logger
@@ -83,25 +82,24 @@ type Server struct {
 }
 
 // New returns a server over a built engine with sensible bounds. The
-// server records into the engine's metrics registry and installs that
-// registry as the measurement sink of the pipeline packages, so PG-Index
-// and expert-ranking work counters aggregate across requests.
+// server records into the engine's metrics registry, beside the engine's
+// own search, ranking and cache counters.
 func New(engine *core.Engine) *Server {
+	reg := engine.Metrics()
 	s := &Server{
-		engine:     engine,
-		mux:        http.NewServeMux(),
-		reg:        engine.Metrics(),
-		Log:        obs.NopLogger(),
-		DefaultM:   200,
-		DefaultN:   10,
-		MaxM:       5000,
-		MaxN:       500,
-		RetryAfter: time.Second,
+		engine:       engine,
+		mux:          http.NewServeMux(),
+		metrics:      NewEnvelopeMetrics(reg),
+		shed:         reg.Counter("expertfind_http_shed_total", "Query requests shed because the in-flight limit was reached."),
+		fencedWrites: reg.Counter("expertfind_http_fenced_writes_total", "Writes rejected because this node's WAL is fenced by a newer epoch."),
+		logFailures:  reg.Counter("expertfind_http_update_log_failures_total", "Updates rejected because the write-ahead log failed."),
+		Log:          obs.NopLogger(),
+		DefaultM:     200,
+		DefaultN:     10,
+		MaxM:         5000,
+		MaxN:         500,
+		RetryAfter:   time.Second,
 	}
-	obs.RegisterWellKnown(s.reg)
-	pgindex.SetSink(s.reg)
-	ta.SetSink(s.reg)
-	train.SetSink(s.reg)
 	s.mux.HandleFunc("/experts", s.handleExperts)
 	s.mux.HandleFunc("/papers", s.handlePapers)
 	s.mux.HandleFunc("/similar", s.handleSimilar)
@@ -144,17 +142,7 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Registry returns the metrics registry the server records into.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// ListenAndServe blocks serving on addr.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	return srv.ListenAndServe()
-}
+func (s *Server) Registry() *obs.Registry { return s.metrics.Reg }
 
 // ListenAndServeContext serves on addr until ctx is cancelled, then
 // shuts down gracefully: the readiness gate flips to 503 (so load
@@ -163,7 +151,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // nil on a clean drain; the caller then flushes durable state (final
 // snapshot, WAL close) knowing no handler is still mutating the engine.
 func (s *Server) ListenAndServeContext(ctx context.Context, addr string, drain time.Duration) error {
-	return serveContext(ctx, s, addr, drain, func() { s.SetReady(false) }, s.reg, s.Log)
+	return serveContext(ctx, s, addr, drain, func() { s.SetReady(false) }, s.Registry(), s.Log)
 }
 
 // statusClientClosedRequest is nginx's 499: the client went away before
@@ -182,8 +170,7 @@ func (s *Server) acquireQuerySlot(w http.ResponseWriter) (release func(), ok boo
 	for {
 		cur := s.inflightQueries.Load()
 		if cur >= int64(s.MaxInFlight) {
-			s.reg.Counter("expertfind_http_shed_total",
-				"Query requests shed because the in-flight limit was reached.").Inc()
+			s.shed.Inc()
 			s.setRetryAfter(w)
 			http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)
 			return nil, false
@@ -441,13 +428,11 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		// This node was deposed by a newer replication epoch: the write
 		// belongs on the new leader, and no amount of retrying here will
 		// ever apply it. 409, not 503 — the conflict is permanent.
-		s.reg.Counter("expertfind_http_fenced_writes_total",
-			"Writes rejected because this node's WAL is fenced by a newer epoch.").Inc()
+		s.fencedWrites.Inc()
 		http.Error(w, fenced.Error(), http.StatusConflict)
 		return
 	case errors.As(err, &logErr):
-		s.reg.Counter("expertfind_http_update_log_failures_total",
-			"Updates rejected because the write-ahead log failed.").Inc()
+		s.logFailures.Inc()
 		http.Error(w, "durability unavailable, update not applied; retry",
 			http.StatusServiceUnavailable)
 		return

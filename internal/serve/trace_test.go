@@ -26,7 +26,7 @@ func retainEverything() obs.TracePolicy {
 func TestTraceServeLifecycle(t *testing.T) {
 	s, reg, ds := obsServer(t)
 	s.engine.EnableQueryCache(core.CacheConfig{MaxEntries: 64})
-	s.Traces = obs.NewTraceStore(retainEverything(), reg)
+	s.Traces = obs.NewTraceStore(retainEverything())
 	s.SlowQuery = time.Nanosecond // everything is slow: the log line must fire
 	var logBuf bytes.Buffer
 	s.Log = obs.NewLogger(&logBuf, obs.LevelWarn)
@@ -152,12 +152,28 @@ func TestTraceServeLifecycle(t *testing.T) {
 	if !strings.HasSuffix(om, "# EOF\n") {
 		t.Error("OpenMetrics /metrics output missing the # EOF terminator")
 	}
+
+	// The envelope counts each trace it offers the store by the rule that
+	// kept it, or as dropped when none did; the cache hit offered nothing.
+	kept := func(rule string) float64 {
+		return reg.Counter("expertfind_traces_kept_total", "", obs.L("reason", rule)).Value()
+	}
+	dropped := reg.Counter("expertfind_traces_dropped_total", "")
+	if kept(obs.KeepSampled) != 1 || kept(obs.KeepSlow) != 0 || dropped.Value() != 0 {
+		t.Errorf("kept{sampled} %v, kept{slow} %v, dropped %v; want 1, 0, 0",
+			kept(obs.KeepSampled), kept(obs.KeepSlow), dropped.Value())
+	}
+	s.Traces = obs.NewTraceStore(obs.TracePolicy{SlowestN: -1, SampleEvery: -1}) // keeps no ordinary trace
+	get("/papers?q=" + url.QueryEscape(q) + "&m=3")
+	if dropped.Value() != 1 {
+		t.Errorf("dropped = %v after a trace no rule keeps, want 1", dropped.Value())
+	}
 }
 
 // TestTraceServeEndpointsDisabled pins the /debug/traces behaviour when
 // no store is configured, and the not-found path when one is.
 func TestTraceServeEndpointsDisabled(t *testing.T) {
-	s, reg, _ := obsServer(t)
+	s, _, _ := obsServer(t)
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
@@ -165,7 +181,7 @@ func TestTraceServeEndpointsDisabled(t *testing.T) {
 		t.Fatalf("without store: %d %s", rec.Code, rec.Body.String())
 	}
 
-	s.Traces = obs.NewTraceStore(retainEverything(), reg)
+	s.Traces = obs.NewTraceStore(retainEverything())
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces/deadbeef", nil))
 	if rec.Code != 404 || !strings.Contains(rec.Body.String(), "not found") {

@@ -36,7 +36,7 @@ type Stats struct {
 	// Depth is the longest author list among the ranked papers.
 	Depth int
 	// EarlyTermination is always false: TopExperts reads every entry. The
-	// field stays until bench/ stops reading it (ROADMAP item 3(a)).
+	// field stays until bench/ stops reading it (ROADMAP item 1(a)).
 	EarlyTermination bool
 }
 
@@ -208,7 +208,6 @@ func TopExpertsCtx(ctx context.Context, g *hetgraph.Graph, papers []hetgraph.Nod
 // router from the lists the shards sent with their papers — one loop, so
 // the two cannot disagree on a bit of a score or on a tie.
 func TopExpertsOf(ctx context.Context, m int, authorsOf func(j int) []hetgraph.NodeID, n int) (out []Ranking, st Stats, err error) {
-	defer func() { st.record() }()
 	sc := NewScores(m)
 	for j := 0; j < m; j++ {
 		if j%pollEvery == 0 {

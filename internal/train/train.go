@@ -36,8 +36,6 @@ type Config struct {
 	// summed in, one goroutine per chunk; 0 means GOMAXPROCS. It is part of
 	// the arithmetic, not only of the speed: see FineTune.
 	Workers int
-	// Progress, if non-nil, receives the mean loss after each epoch.
-	Progress func(epoch int, meanLoss float64)
 }
 
 func (c Config) withDefaults() Config {
@@ -139,19 +137,6 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 		mean := epochLoss / float64(len(order))
 		res.EpochLosses = append(res.EpochLosses, mean)
 		res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
-		if s := currentSink(); s != nil {
-			s.Observe("expertfind_train_epochs_total", 1)
-			s.Observe("expertfind_train_epoch_seconds_total", time.Since(epochStart).Seconds())
-			s.Observe("expertfind_train_loss", mean)
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(epoch, mean)
-		}
-	}
-	if s := currentSink(); s != nil {
-		s.Observe("expertfind_train_runs_total", 1)
-		s.Observe("expertfind_train_triples_total", float64(len(triples)))
-		s.Observe("expertfind_train_steps_total", float64(res.Steps))
 	}
 	return res
 }
