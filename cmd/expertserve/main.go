@@ -41,7 +41,11 @@
 //	          promoted via POST /replication/promote
 //	router    no corpus: scatters /experts and /papers once across the
 //	          shard replicas given by -replicas, merges and ranks what
-//	          comes back, with retries, hedging and replica health ejection
+//	          comes back, with retries, replica health ejection and, with
+//	          -hedge-after > 0, a hedge to a second replica past that delay
+//
+// Logs go to stderr as log/slog text lines at -log-level and above, one
+// access line per request (time=... level=INFO msg=access req_id=...).
 //
 // Usage:
 //
@@ -55,6 +59,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -104,7 +109,7 @@ var (
 	replPoll     = flag.Duration("replication-poll", 200*time.Millisecond, "tail poll interval once caught up (role follower)")
 	followerID   = flag.String("follower-id", "", "identity reported to the leader for low-water tracking; default hostname-pid (role follower)")
 	replicas     = flag.String("replicas", "", "shard replica addresses: shards comma-separated, replicas of one shard separated by '|' (role router)")
-	hedgeAfter   = flag.Duration("hedge-after", 0, "hedge a slow shard sub-request to another replica after this delay; 0 derives it from the observed p99, negative disables (role router)")
+	hedgeAfter   = flag.Duration("hedge-after", 0, "hedge a slow shard sub-request to another replica after this delay (0 = off) (role router)")
 	probeEvery   = flag.Duration("probe-interval", 2*time.Second, "health-probe period for ejected replicas (role router)")
 	ejectAfter   = flag.Int("eject-after", 3, "consecutive sub-request failures before a replica is ejected (role router)")
 	shardRetries = flag.Int("shard-retries", 2, "retries per shard sub-request (role router)")
@@ -125,7 +130,7 @@ type node struct {
 	gate    *serve.Gate
 	servErr chan error // the listener's exit
 	reg     *obs.Registry
-	log     *obs.Logger
+	log     *slog.Logger
 	sync    durable.SyncPolicy
 	mmap    colstore.Mode
 }
@@ -133,12 +138,13 @@ type node struct {
 func main() {
 	flag.Parse()
 
-	lvl, err := obs.ParseLevel(*logLevel)
+	var lvl slog.Level
+	err := lvl.UnmarshalText([]byte(*logLevel))
 	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("-log-level: %w", err))
 	}
-	n := &node{gate: serve.NewGate(), servErr: make(chan error, 1),
-		reg: obs.Default(), log: obs.NewLogger(os.Stderr, lvl)}
+	n := &node{gate: serve.NewGate(), servErr: make(chan error, 1), reg: obs.Default(),
+		log: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))}
 
 	if *dataDir != "" && (*engineFile != "" || *saveFile != "") {
 		fail(fmt.Errorf("-data-dir owns engine persistence; it cannot be combined with -engine or -save"))
@@ -249,13 +255,7 @@ func (n *node) runFollower() error {
 		cluster.MountFollowerShard(srv, se, fo)
 	} else {
 		srv.SetTopology(serve.Topology{Role: "follower"})
-		srv.ReadyProbe = func() (bool, string) {
-			if fo.Ready() {
-				return true, ""
-			}
-			return false, "replication_lag"
-		}
-		srv.DenyWrites("replication follower serves reads only; write to the leader")
+		serve.ServeReadOnly(srv, fo)
 	}
 	serve.MountReplication(srv, fo.Store(), fo)
 	fo.Start()

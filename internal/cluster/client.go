@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -23,10 +24,9 @@ type ClientConfig struct {
 	// jittered uniformly in [backoff/2, backoff) per attempt, doubling
 	// each retry. Zero skips waiting.
 	RetryBackoff time.Duration
-	// HedgeAfter launches a duplicate request to a second replica when
-	// the first has not answered within this delay. Zero derives the
-	// delay from the shard's observed p99 fan-out latency; negative
-	// disables hedging.
+	// HedgeAfter, when positive, launches a duplicate request to a second
+	// replica when the first has not answered within this delay. Zero or
+	// negative never hedges.
 	HedgeAfter time.Duration
 	// EjectAfter ejects a replica after this many consecutive failures
 	// (default 3). Ejected replicas receive no traffic until a probe
@@ -37,9 +37,6 @@ type ClientConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 500ms).
 	ProbeTimeout time.Duration
-	// MinHedge floors the p99-derived hedge delay (default 1ms) so a
-	// cold histogram cannot hedge instantly and double every request.
-	MinHedge time.Duration
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -57,9 +54,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 500 * time.Millisecond
-	}
-	if c.MinHedge <= 0 {
-		c.MinHedge = time.Millisecond
 	}
 	return c
 }
@@ -145,7 +139,7 @@ type ShardClient struct {
 	sets []*replicaSet
 	hc   *http.Client
 	cfg  ClientConfig
-	log  *obs.Logger
+	log  *slog.Logger
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -153,7 +147,7 @@ type ShardClient struct {
 
 // NewShardClient builds a client over one replica address list per shard,
 // recording into reg (obs.Default() when nil) per shard and replica.
-func NewShardClient(shards [][]string, cfg ClientConfig, reg *obs.Registry, log *obs.Logger) (*ShardClient, error) {
+func NewShardClient(shards [][]string, cfg ClientConfig, reg *obs.Registry, log *slog.Logger) (*ShardClient, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one shard")
 	}
@@ -226,26 +220,6 @@ func (c *ShardClient) jitter(d time.Duration) time.Duration {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-}
-
-// hedgeDelay resolves the hedging trigger: the configured value, or the
-// shard's observed p99 fan-out latency when unset.
-func (c *ShardClient) hedgeDelay(shard int) time.Duration {
-	if c.cfg.HedgeAfter < 0 {
-		return -1
-	}
-	if c.cfg.HedgeAfter > 0 {
-		return c.cfg.HedgeAfter
-	}
-	h := c.sets[shard].fanout
-	if h.Count() < 16 {
-		return -1 // not enough signal yet; don't double cold traffic
-	}
-	d := time.Duration(h.Quantile(0.99) * float64(time.Second))
-	if d < c.cfg.MinHedge {
-		d = c.cfg.MinHedge
-	}
-	return d
 }
 
 // collectKey flags a context whose sub-requests should ask shards to
@@ -379,8 +353,8 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 	launch(rp, false)
 
 	var hedgeTimer <-chan time.Time
-	if d := c.hedgeDelay(rs.shard); d >= 0 && rs.aliveCount() > 1 {
-		t := time.NewTimer(d)
+	if c.cfg.HedgeAfter > 0 && rs.aliveCount() > 1 {
+		t := time.NewTimer(c.cfg.HedgeAfter)
 		defer t.Stop()
 		hedgeTimer = t.C
 	}

@@ -16,20 +16,23 @@ import (
 	"time"
 
 	"expertfind/internal/ctxtest"
+	"expertfind/internal/obs"
 	"expertfind/internal/serve"
 )
 
 // faultGate wraps a shard handler with switchable failure modes: while
 // broken it answers 500 to everything (including /readyz, so probes see
-// it down too); while slowed it delays every response.
+// it down too); while slowed it delays every response past the first
+// fast ones.
 type faultGate struct {
 	inner  http.Handler
 	broken atomic.Bool
 	delay  atomic.Int64 // nanoseconds
+	fast   atomic.Int64 // requests still answered without the delay
 }
 
 func (f *faultGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d := f.delay.Load(); d > 0 {
+	if d := f.delay.Load(); d > 0 && f.fast.Add(-1) < 0 {
 		time.Sleep(time.Duration(d))
 	}
 	if f.broken.Load() {
@@ -140,46 +143,63 @@ func TestReplicaEjectionAndReadmission(t *testing.T) {
 	assertSameRanking(t, q.Text, queryExperts(t, topo.routerURL, q.Text, m, n), want)
 }
 
-// TestHedgedRequests checks the tail-latency path: a slow replica must
-// trigger a hedge to its peer after the configured delay, the hedge must
-// win, and the hedge counters must reach /metrics.
+// TestHedgedRequests checks the hedge setting both ways on shard 0's
+// two replicas, one of which stalls. A positive HedgeAfter hedges a
+// stalled sub-request to the peer after that delay and the hedge wins.
+// An unset one never hedges, however fast the stalling replica answered
+// before, and the rankings are the same either way.
 func TestHedgedRequests(t *testing.T) {
 	ds, eng := equivEngine(t)
 	queries := ds.Queries(6, rand.New(rand.NewSource(33)))
 	const m, n = 40, 10
 
-	var gate *faultGate
-	topo := startTopology(t, eng, 2,
-		RouterConfig{QueryTimeout: 10 * time.Second},
-		ClientConfig{
-			HedgeAfter:   5 * time.Millisecond,
-			RetryBackoff: time.Millisecond,
-		},
-		map[int]int{0: 2},
-		func(shard, rep int, inner http.Handler) http.Handler {
-			if shard == 0 && rep == 0 {
-				gate = &faultGate{inner: inner}
-				return gate
+	for _, c := range []struct {
+		name   string
+		cfg    ClientConfig
+		fast   int64 // sub-requests the stalling replica answers before it stalls
+		stall  time.Duration
+		rounds int
+		hedges bool
+	}{
+		{"fixed 5ms", ClientConfig{HedgeAfter: 5 * time.Millisecond, RetryBackoff: time.Millisecond},
+			0, 200 * time.Millisecond, 6, true},
+		{"unset", ClientConfig{}, 20, 100 * time.Millisecond, 48, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var gate *faultGate
+			topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 10 * time.Second}, c.cfg,
+				map[int]int{0: 2},
+				func(shard, rep int, inner http.Handler) http.Handler {
+					if shard == 0 && rep == 0 {
+						gate = &faultGate{inner: inner}
+						return gate
+					}
+					return inner
+				})
+			gate.fast.Store(c.fast)
+			gate.delay.Store(int64(c.stall))
+			for i := 0; i < c.rounds; i++ {
+				q := queries[i%len(queries)]
+				want, _, err := eng.TopExperts(q.Text, m, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameRanking(t, q.Text, queryExperts(t, topo.routerURL, q.Text, m, n), want)
 			}
-			return inner
+			if gate.fast.Load() >= 0 {
+				t.Fatalf("the replica never stalled (%d fast answers left)", gate.fast.Load())
+			}
+
+			shard0 := obs.L("shard", "0")
+			hedges := topo.reg.Counter("expertfind_cluster_hedges_total", "", shard0).Value()
+			wins := topo.reg.Counter("expertfind_cluster_hedge_wins_total", "", shard0).Value()
+			if c.hedges && (hedges == 0 || wins == 0) {
+				t.Errorf("HedgeAfter %v: %v hedges, %v wins; want both > 0", c.cfg.HedgeAfter, hedges, wins)
+			}
+			if !c.hedges && hedges != 0 {
+				t.Errorf("HedgeAfter %v: %v hedges, want none", c.cfg.HedgeAfter, hedges)
+			}
 		})
-
-	gate.delay.Store(int64(200 * time.Millisecond))
-	for _, q := range queries {
-		want, _, err := eng.TopExperts(q.Text, m, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := queryExperts(t, topo.routerURL, q.Text, m, n)
-		assertSameRanking(t, q.Text, got, want)
-	}
-
-	mtx := scrapeMetrics(t, topo.routerURL)
-	if !strings.Contains(mtx, "expertfind_cluster_hedges_total") {
-		t.Fatal("/metrics is missing expertfind_cluster_hedges_total; no hedge fired")
-	}
-	if !strings.Contains(mtx, "expertfind_cluster_hedge_wins_total") {
-		t.Error("/metrics is missing expertfind_cluster_hedge_wins_total; hedges never won")
 	}
 }
 

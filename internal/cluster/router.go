@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"slices"
@@ -57,7 +58,7 @@ type Router struct {
 	metrics     *serve.EnvelopeMetrics
 	rank        *ta.Metrics
 	unavailable *obs.Counter
-	Log         *obs.Logger
+	Log         *slog.Logger
 	// Traces, when set, retains assembled cross-node query traces under
 	// its tail-based keep rules and serves them on /debug/traces. It also
 	// switches span collection on: sub-requests ask shards to return
@@ -74,7 +75,7 @@ type Router struct {
 
 // NewRouter assembles a router over a shard client, recording into reg
 // (obs.Default() when nil).
-func NewRouter(client *ShardClient, cfg RouterConfig, reg *obs.Registry, log *obs.Logger) *Router {
+func NewRouter(client *ShardClient, cfg RouterConfig, reg *obs.Registry, log *slog.Logger) *Router {
 	if reg == nil {
 		reg = obs.Default()
 	}

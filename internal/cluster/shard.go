@@ -57,13 +57,7 @@ func MountFollowerShard(srv *serve.Server, se *ShardEngine, fo *core.Follower) {
 		Shards:      se.Of(),
 		OwnedPapers: se.NumOwned(),
 	})
-	srv.ReadyProbe = func() (bool, string) {
-		if fo.Ready() {
-			return true, ""
-		}
-		return false, "replication_lag"
-	}
-	srv.DenyWrites("replication follower serves reads only; write to the leader")
+	serve.ServeReadOnly(srv, fo)
 }
 
 type shardAPI struct{ se *ShardEngine }

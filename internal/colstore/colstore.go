@@ -1,8 +1,10 @@
 // Package colstore implements the mmap-able columnar section that makes
 // snapshots servable without heap-decoding them: a directory of
 // fixed-width, page-aligned, individually CRC-32C-checked segments
-// (float32 embedding rows, int32 CSR adjacency, int8 quantized codes,
-// ...) appended after the gob payload of an EFSNAP snapshot.
+// (float32 embedding rows, int32 CSR adjacency, uint64 offsets, ...)
+// appended after the gob payload of an EFSNAP snapshot. The u32 and i8
+// kinds stay in the format, so files that carry them still open, but no
+// writer emits them.
 //
 // The layout is built for two readers with identical semantics:
 //

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -32,11 +33,21 @@ func testSegs(n int) []SegmentData {
 	return []SegmentData{
 		F32Seg("embs", f32),
 		I32Seg("ids", i32),
-		U32Seg("flags", u32),
+		u32Seg("flags", u32),
 		U64Seg("nbroff", u64),
-		I8Seg("qcodes", i8),
+		{Name: "qcodes", Kind: KindI8, Count: uint64(n), raw: asBytes(i8, 1)},
 		U8Seg("dead", u8),
 	}
+}
+
+// u32Seg hand-builds a u32 segment. No writer emits the kind any more,
+// but the format keeps it, so files that carry one must still open.
+func u32Seg(name string, v []uint32) SegmentData {
+	raw := make([]byte, 4*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(raw[4*i:], x)
+	}
+	return SegmentData{Name: name, Kind: KindU32, Count: uint64(len(v)), raw: raw}
 }
 
 // writeTestFile writes prefix bytes followed by a section and returns
@@ -96,7 +107,7 @@ func TestRoundTripAllKindsBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u32, err := s.Uint32s("flags")
+		u32, err := typed[uint32](s, "flags", KindU32, binary.LittleEndian.Uint32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +115,7 @@ func TestRoundTripAllKindsBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i8, err := s.Int8s("qcodes")
+		i8, err := typed[int8](s, "qcodes", KindI8, func(b []byte) int8 { return int8(b[0]) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,6 +255,8 @@ func TestHeapAndMappedBytesIdentical(t *testing.T) {
 	}
 }
 
+// TestVerifySection: a section parses and CRC-verifies from any
+// random-access source, and reports where its last payload ends.
 func TestVerifySection(t *testing.T) {
 	segs := testSegs(100)
 	path, base := writeTestFile(t, []byte("prefix"), segs)
@@ -253,13 +266,24 @@ func TestVerifySection(t *testing.T) {
 	}
 	defer f.Close()
 	fi, _ := f.Stat()
-	end, err := VerifySection(f, path, fi.Size(), base)
+	s, err := OpenReaderAt(f, path, fi.Size(), base)
 	if err != nil {
-		t.Fatalf("VerifySection: %v", err)
+		t.Fatalf("OpenReaderAt: %v", err)
 	}
-	if end <= base || end > fi.Size() {
-		t.Fatalf("VerifySection end %d outside (%d, %d]", end, base, fi.Size())
+	if end := s.End(); end <= base || end > fi.Size() {
+		t.Fatalf("section end %d outside (%d, %d]", end, base, fi.Size())
 	}
+}
+
+// sectionEnd is the offset one past the last payload of the section at
+// base of full, before its alignment padding.
+func sectionEnd(t *testing.T, full []byte, base int64) int64 {
+	t.Helper()
+	s, err := OpenReaderAt(bytes.NewReader(full), "<test>", int64(len(full)), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.End()
 }
 
 func TestTornWriteRejected(t *testing.T) {
@@ -271,10 +295,7 @@ func TestTornWriteRejected(t *testing.T) {
 	}
 	// The file ends with alignment padding; find the true end of the
 	// last payload so the chop removes real data, not padding.
-	end, err := VerifySection(bytes.NewReader(full), path, int64(len(full)), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	end := sectionEnd(t, full, base)
 	// Chop at several depths: inside the last payload, inside the
 	// directory, inside the header.
 	for _, keep := range []int{int(end) - 100, int(base) + headerSize + 10, int(base) + 5} {
@@ -305,10 +326,7 @@ func TestBitFlipsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, err := VerifySection(bytes.NewReader(full), path, int64(len(full)), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	end := sectionEnd(t, full, base)
 	// Flip one byte in the directory, and one deep inside the last
 	// payload (end is past the final payload byte, before padding).
 	for _, off := range []int64{base + headerSize + 24, end - 64} {
@@ -399,22 +417,6 @@ func TestWriterValidation(t *testing.T) {
 	}
 	if _, _, err := WriteSection(&bytes.Buffer{}, 0, ok); err != nil {
 		t.Errorf("valid segs rejected: %v", err)
-	}
-}
-
-func TestSectionSizeMatchesWrite(t *testing.T) {
-	segs := testSegs(123)
-	want, err := SectionSize(77, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	end, _, err := WriteSection(&buf, 77, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(buf.Len()) != want || end != 77+want {
-		t.Fatalf("SectionSize %d, wrote %d, end %d", want, buf.Len(), end)
 	}
 }
 

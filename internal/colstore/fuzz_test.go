@@ -38,20 +38,16 @@ func FuzzSectionHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, off int64) {
 		s, err := OpenReaderAt(bytes.NewReader(data), "<fuzz>", int64(len(data)), off)
 		if err == nil {
-			// Accepted sections must behave: every declared segment is
-			// reachable through its typed accessor without panicking.
+			// Accepted sections must behave: every declared segment of a
+			// kind with an accessor reads without panicking.
 			for _, sg := range s.Segments() {
 				switch sg.Kind {
 				case KindF32:
 					s.Float32s(sg.Name)
 				case KindI32:
 					s.Int32s(sg.Name)
-				case KindU32:
-					s.Uint32s(sg.Name)
 				case KindU64:
 					s.Uint64s(sg.Name)
-				case KindI8:
-					s.Int8s(sg.Name)
 				case KindU8:
 					s.Bytes(sg.Name)
 				}

@@ -250,21 +250,6 @@ func verifySegments(ra io.ReaderAt, name string, dir []Segment) error {
 	return nil
 }
 
-// VerifySection parses and CRC-verifies a section without materialising
-// any segment — replication bootstrap uses it to validate a fetched
-// snapshot before installing the file. It returns the absolute offset
-// one past the last segment payload.
-func VerifySection(ra io.ReaderAt, name string, size, off int64) (end int64, err error) {
-	_, dir, end, err := parseDirectory(ra, name, size, off)
-	if err != nil {
-		return 0, err
-	}
-	if err := verifySegments(ra, name, dir); err != nil {
-		return 0, err
-	}
-	return end, nil
-}
-
 // Open opens, validates and (per mode) maps the section at offset off
 // of file f. ModeAuto and ModeOn map the whole file read-only and hand
 // out zero-copy views; ModeOff — and ModeAuto on platforms without mmap
@@ -361,12 +346,6 @@ func (s *Section) Segments() []Segment {
 	return out
 }
 
-// Has reports whether a segment with the given name exists.
-func (s *Section) Has(name string) bool {
-	_, ok := s.byName[name]
-	return ok
-}
-
 // lookup finds a segment by name and checks its kind.
 func (s *Section) lookup(name string, kind Kind) (Segment, error) {
 	i, ok := s.byName[name]
@@ -456,19 +435,9 @@ func (s *Section) Int32s(name string) ([]int32, error) {
 	})
 }
 
-// Uint32s returns the named u32 segment.
-func (s *Section) Uint32s(name string) ([]uint32, error) {
-	return typed[uint32](s, name, KindU32, binary.LittleEndian.Uint32)
-}
-
 // Uint64s returns the named u64 segment.
 func (s *Section) Uint64s(name string) ([]uint64, error) {
 	return typed[uint64](s, name, KindU64, binary.LittleEndian.Uint64)
-}
-
-// Int8s returns the named i8 segment.
-func (s *Section) Int8s(name string) ([]int8, error) {
-	return typed[int8](s, name, KindI8, func(b []byte) int8 { return int8(b[0]) })
 }
 
 // Bytes returns the named u8 segment.

@@ -50,20 +50,6 @@ func I32Seg(name string, v []int32) SegmentData {
 	return SegmentData{Name: name, Kind: KindI32, Count: uint64(len(v)), raw: raw}
 }
 
-// U32Seg queues a uint32 column.
-func U32Seg(name string, v []uint32) SegmentData {
-	var raw []byte
-	if hostLittleEndian {
-		raw = asBytes(v, 4)
-	} else {
-		raw = make([]byte, 4*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(raw[4*i:], x)
-		}
-	}
-	return SegmentData{Name: name, Kind: KindU32, Count: uint64(len(v)), raw: raw}
-}
-
 // U64Seg queues a uint64 column.
 func U64Seg(name string, v []uint64) SegmentData {
 	var raw []byte
@@ -78,24 +64,9 @@ func U64Seg(name string, v []uint64) SegmentData {
 	return SegmentData{Name: name, Kind: KindU64, Count: uint64(len(v)), raw: raw}
 }
 
-// I8Seg queues an int8 column (zero-copy view of v on every host).
-func I8Seg(name string, v []int8) SegmentData {
-	return SegmentData{Name: name, Kind: KindI8, Count: uint64(len(v)), raw: asBytes(v, 1)}
-}
-
 // U8Seg queues a raw byte column.
 func U8Seg(name string, v []byte) SegmentData {
 	return SegmentData{Name: name, Kind: KindU8, Count: uint64(len(v)), raw: v}
-}
-
-// SectionSize reports the exact number of bytes WriteSection will emit
-// for segs when the section starts at absolute file offset base.
-func SectionSize(base int64, segs []SegmentData) (int64, error) {
-	end, _, err := layout(base, segs)
-	if err != nil {
-		return 0, err
-	}
-	return end - base, nil
 }
 
 // layout assigns absolute, page-aligned payload offsets and returns the

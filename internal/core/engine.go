@@ -370,7 +370,7 @@ func (e *Engine) startQuery(ctx context.Context) (context.Context, *obs.Span) {
 func (e *Engine) finishQuery(root *obs.Span, st QueryStats) {
 	root.End()
 	e.m.queries.Inc()
-	e.m.latency.ObserveWithExemplar(st.Total().Seconds(), root.TraceIDString())
+	e.m.latency.Observe(st.Total().Seconds())
 	if st.UsedPGIndex {
 		e.m.search.Record(st.Search)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"os"
@@ -83,7 +84,7 @@ type FollowerOptions struct {
 	// Metrics receives replication metrics (nil: obs.Default()).
 	Metrics *obs.Registry
 	// Logger receives replication progress lines (nil: silent).
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Follower replicates a leader's store: it bootstraps from the leader's
@@ -96,7 +97,7 @@ type Follower struct {
 	id     string
 	opts   FollowerOptions
 	client *http.Client
-	log    *obs.Logger
+	log    *slog.Logger
 
 	applies, reconnects, tears, promotions *obs.Counter
 	lag, appliedSeq, caughtUp, bootstrap   *obs.Gauge

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -38,7 +39,7 @@ type Store struct {
 	engine *Engine
 	wal    *durable.WAL
 	reg    *obs.Registry
-	log    *obs.Logger
+	log    *slog.Logger
 	info   RecoveryInfo
 
 	mu       sync.Mutex // serialises Snapshot/Close
@@ -107,7 +108,7 @@ type StoreOptions struct {
 	// Metrics receives recovery and snapshot metrics (nil: obs.Default()).
 	Metrics *obs.Registry
 	// Logger receives recovery progress lines (nil: silent).
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// FollowerTTL overrides how long a silent replication follower pins
 	// WAL truncation (zero: DefaultFollowerTTL).
 	FollowerTTL time.Duration

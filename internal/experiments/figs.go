@@ -267,10 +267,3 @@ func SamplingStrategyStats(sc Scale, strategy sampling.Strategy) *sampling.Repor
 	_, rep := sampling.Generate(ds.Graph, sampling.Config{Strategy: strategy}, rng)
 	return rep
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -72,10 +72,3 @@ func PairedBootstrap(a, b []float64, iters int, rng *rand.Rand) (BootstrapResult
 		Iterations: iters,
 	}, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -71,20 +71,6 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(upper)+1; last is +Inf
 	sum    atomicFloat
 	count  atomic.Uint64
-
-	// exemplar is the most recent traced observation, rendered
-	// OpenMetrics-style on its bucket line so dashboards can jump from a
-	// latency series to the trace that exhibited it. Nil until an
-	// observation arrives with a trace id.
-	exemplar atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one histogram observation to the trace that produced
-// it.
-type Exemplar struct {
-	TraceID string
-	Value   float64
-	bucket  int
 }
 
 // DefBuckets spans 100µs to 10s, the useful range for both per-request
@@ -95,28 +81,10 @@ var DefBuckets = []float64{
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) { h.ObserveWithExemplar(v, "") }
-
-// ObserveWithExemplar records one value and, when traceID is non-empty,
-// remembers it as the histogram's exemplar (last writer wins — recency
-// is the useful property for "show me a trace like this").
-func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
-	i := sort.SearchFloat64s(h.upper, v) // first bucket with upper >= v
-	h.counts[i].Add(1)
+func (h *Histogram) Observe(v float64) {
+	h.counts[sort.SearchFloat64s(h.upper, v)].Add(1) // first bucket with upper >= v
 	h.sum.Add(v)
 	h.count.Add(1)
-	if traceID != "" && traceID != zeroTraceID {
-		h.exemplar.Store(&Exemplar{TraceID: traceID, Value: v, bucket: i})
-	}
-}
-
-// zeroTraceID is the string form of an unset TraceID, which names no
-// trace and must not become an exemplar.
-const zeroTraceID = "00000000000000000000000000000000"
-
-// LastExemplar returns the histogram's current exemplar, or nil.
-func (h *Histogram) LastExemplar() *Exemplar {
-	return h.exemplar.Load()
 }
 
 // Count returns the number of observations.
@@ -312,52 +280,14 @@ func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Content types for the two exposition formats /metrics can serve.
-const (
-	// ContentTypeText is the classic Prometheus text format. Its parser
-	// expects an optional integer timestamp after each value and errors
-	// on anything else, so output in this format must not carry
-	// exemplars.
-	ContentTypeText = "text/plain; version=0.0.4; charset=utf-8"
-	// ContentTypeOpenMetrics is the OpenMetrics 1.0 text format, the
-	// only exposition format whose parsers accept exemplars.
-	ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
-
-// AcceptsOpenMetrics reports whether an Accept header negotiates the
-// OpenMetrics exposition format. Metrics handlers use it to decide
-// between WritePrometheus (safe for every scraper) and WriteOpenMetrics
-// (exemplars included).
-func AcceptsOpenMetrics(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		if strings.EqualFold(mt, "application/openmetrics-text") {
-			return true
-		}
-	}
-	return false
-}
+// ContentTypeText is the classic Prometheus text exposition format, the
+// one /metrics serves to every scraper.
+const ContentTypeText = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus renders every family in the classic text exposition
 // format (version 0.0.4), families and series in lexicographic order so
-// output is deterministic and diffable. Exemplars are never emitted:
-// the 0.0.4 parser rejects them, which would fail the whole scrape.
+// output is deterministic and diffable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.writeExposition(w, false)
-}
-
-// WriteOpenMetrics renders every family in the OpenMetrics 1.0 text
-// format: histogram exemplars included, counter families declared under
-// their un-suffixed name, and the mandatory # EOF terminator. Serve it
-// only to scrapers that negotiated ContentTypeOpenMetrics via Accept.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	return r.writeExposition(w, true)
-}
-
-func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 	r.mu.RLock()
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
@@ -384,22 +314,10 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 	var b strings.Builder
 	for _, sn := range snaps {
 		f := sn.fam
-		// OpenMetrics declares counter families under the un-suffixed
-		// name (samples keep the _total suffix); a counter whose name
-		// lacks the suffix cannot be declared as such and degrades to
-		// the unknown type.
-		famName, famKind := f.name, f.kind.String()
-		if openMetrics && f.kind == counterKind {
-			if strings.HasSuffix(famName, "_total") {
-				famName = strings.TrimSuffix(famName, "_total")
-			} else {
-				famKind = "unknown"
-			}
-		}
 		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", famName, f.help)
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", famName, famKind)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, key := range sn.keys {
 			s := f.series[key]
 			switch f.kind {
@@ -409,45 +327,23 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 				writeSample(&b, f.name, key, "", s.g.Value())
 			case histogramKind:
 				h := s.h
-				var ex *Exemplar
-				if openMetrics {
-					ex = h.exemplar.Load()
-				}
 				var cum uint64
 				for i, ub := range h.upper {
 					cum += h.counts[i].Load()
-					writeSampleExemplar(&b, f.name+"_bucket", key,
-						`le="`+fmtFloat(ub)+`"`, float64(cum), exemplarFor(ex, i))
+					writeSample(&b, f.name+"_bucket", key, `le="`+fmtFloat(ub)+`"`, float64(cum))
 				}
 				cum += h.counts[len(h.upper)].Load()
-				writeSampleExemplar(&b, f.name+"_bucket", key, `le="+Inf"`, float64(cum),
-					exemplarFor(ex, len(h.upper)))
+				writeSample(&b, f.name+"_bucket", key, `le="+Inf"`, float64(cum))
 				writeSample(&b, f.name+"_sum", key, "", h.Sum())
 				writeSample(&b, f.name+"_count", key, "", float64(h.Count()))
 			}
 		}
-	}
-	if openMetrics {
-		b.WriteString("# EOF\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
 func writeSample(b *strings.Builder, name, labels, extra string, v float64) {
-	writeSampleExemplar(b, name, labels, extra, v, nil)
-}
-
-// exemplarFor returns ex only when it lands in bucket i, so the exemplar
-// suffix appears on exactly one bucket line.
-func exemplarFor(ex *Exemplar, i int) *Exemplar {
-	if ex != nil && ex.bucket == i {
-		return ex
-	}
-	return nil
-}
-
-func writeSampleExemplar(b *strings.Builder, name, labels, extra string, v float64, ex *Exemplar) {
 	b.WriteString(name)
 	if labels != "" || extra != "" {
 		b.WriteByte('{')
@@ -460,14 +356,6 @@ func writeSampleExemplar(b *strings.Builder, name, labels, extra string, v float
 	}
 	b.WriteByte(' ')
 	b.WriteString(fmtFloat(v))
-	if ex != nil {
-		// OpenMetrics exemplar syntax. Callers pass a non-nil ex only in
-		// OpenMetrics mode: the 0.0.4 parser errors on the # suffix.
-		b.WriteString(` # {trace_id="`)
-		b.WriteString(ex.TraceID)
-		b.WriteString(`"} `)
-		b.WriteString(fmtFloat(ex.Value))
-	}
 	b.WriteByte('\n')
 }
 
@@ -478,24 +366,17 @@ type HistogramSummary struct {
 	P50   float64 `json:"p50"`
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
-	// ExemplarTraceID is the trace behind the most recent traced
-	// observation, when the histogram has one.
-	ExemplarTraceID string `json:"exemplar_trace_id,omitempty"`
 }
 
 // Summary returns the count/sum and estimated p50/p90/p99 of h.
 func (h *Histogram) Summary() HistogramSummary {
-	s := HistogramSummary{
+	return HistogramSummary{
 		Count: h.Count(),
 		Sum:   h.Sum(),
 		P50:   h.Quantile(0.50),
 		P90:   h.Quantile(0.90),
 		P99:   h.Quantile(0.99),
 	}
-	if ex := h.exemplar.Load(); ex != nil {
-		s.ExemplarTraceID = ex.TraceID
-	}
-	return s
 }
 
 // Snapshot returns every series keyed by "name{labels}": float64 for

@@ -23,7 +23,6 @@ type Span struct {
 	// level up — possibly on another node, when the trace context arrived
 	// over the wire.
 	traceID  TraceID
-	traceHex string // traceID formatted once, by the root; every End's exemplar reads it
 	id       SpanID
 	parentID SpanID
 
@@ -60,7 +59,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent, ok := ctx.Value(spanKey).(*Span); ok && parent != nil {
 		s.name = parent.name + "/" + name
 		s.reg = parent.reg
-		s.traceID, s.traceHex = parent.traceID, parent.traceHex
+		s.traceID = parent.traceID
 		s.parentID = parent.id
 		parent.mu.Lock()
 		parent.children = append(parent.children, s)
@@ -78,7 +77,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		} else {
 			s.traceID = NewTraceID()
 		}
-		s.traceHex = s.traceID.String()
 		if c, ok := ctx.Value(captureKey).(*TraceCapture); ok {
 			c.offer(s)
 		}
@@ -118,7 +116,7 @@ func (s *Span) end() (time.Duration, bool) {
 	if reg != nil {
 		reg.Histogram("expertfind_stage_seconds",
 			"Duration of pipeline stages, labelled by span path.",
-			nil, L("stage", s.name)).ObserveWithExemplar(d.Seconds(), s.traceHex)
+			nil, L("stage", s.name)).Observe(d.Seconds())
 	}
 	return d, true
 }
@@ -126,8 +124,8 @@ func (s *Span) end() (time.Duration, bool) {
 // TraceID returns the id of the trace the span belongs to.
 func (s *Span) TraceID() TraceID { return s.traceID }
 
-// TraceIDString returns TraceID().String() without formatting it again.
-func (s *Span) TraceIDString() string { return s.traceHex }
+// TraceIDString formats the trace id as 32 hex characters.
+func (s *Span) TraceIDString() string { return s.traceID.String() }
 
 // ID returns the span's own id.
 func (s *Span) ID() SpanID { return s.id }

@@ -5,9 +5,11 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -111,6 +113,19 @@ func NewSpanID() SpanID {
 	}
 	idMu.Unlock()
 	return s
+}
+
+// reqCounter backs the request-id fallback when crypto/rand fails.
+var reqCounter atomic.Uint64
+
+// NewRequestID returns a 16-hex-character id for correlating one
+// request's log lines, response header and traces.
+func NewRequestID() string {
+	var buf [8]byte
+	if _, err := crand.Read(buf[:]); err != nil {
+		return fmt.Sprintf("req-%016x", reqCounter.Add(1))
+	}
+	return hex.EncodeToString(buf[:])
 }
 
 // TraceContext is the wire-portable part of a trace: which trace the

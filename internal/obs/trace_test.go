@@ -204,93 +204,39 @@ func TestTraceStageMetricNamesUnchanged(t *testing.T) {
 	}
 }
 
+// TestTraceExemplarExposition: a traced span's duration is an ordinary
+// observation. The exposition carries no exemplar suffix and no
+// OpenMetrics terminator, which the 0.0.4 parser would reject.
 func TestTraceExemplarExposition(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("expertfind_query_seconds", "q", nil)
-	h.Observe(0.002) // untraced: no exemplar
+	ctx, root := StartSpan(WithRegistry(context.Background(), reg), "query")
+	_, enc := StartSpan(ctx, "encode")
+	enc.End()
+	root.End()
 	var b strings.Builder
-	reg.WriteOpenMetrics(&b)
-	if strings.Contains(b.String(), "trace_id") {
-		t.Fatal("exemplar rendered without any traced observation")
-	}
-
-	id := NewTraceID().String()
-	h.ObserveWithExemplar(0.002, id)
-
-	// The classic 0.0.4 format must never carry exemplars: its parser
-	// errors on the # suffix and the whole scrape fails.
-	b.Reset()
 	reg.WritePrometheus(&b)
-	if strings.Contains(b.String(), "trace_id") {
-		t.Fatalf("0.0.4 exposition carries an exemplar:\n%s", b.String())
+	out := b.String()
+	if !strings.Contains(out, `expertfind_stage_seconds_count{stage="query/encode"} 1`+"\n") {
+		t.Fatalf("traced span not counted:\n%s", out)
 	}
-
-	// The OpenMetrics format carries it, on exactly one bucket line, and
-	// terminates with # EOF.
-	b.Reset()
-	reg.WriteOpenMetrics(&b)
-	want := fmt.Sprintf(`le="0.0025"} 2 # {trace_id=%q} 0.002`, id)
-	if !strings.Contains(b.String(), want) {
-		t.Fatalf("exemplar line missing %q in:\n%s", want, b.String())
-	}
-	if strings.Count(b.String(), "trace_id") != 1 {
-		t.Fatal("exemplar rendered on more than one bucket line")
-	}
-	if !strings.HasSuffix(b.String(), "# EOF\n") {
-		t.Fatal("OpenMetrics exposition missing the # EOF terminator")
-	}
-	if reg.Histogram("expertfind_query_seconds", "q", nil).Summary().ExemplarTraceID != id {
-		t.Fatal("summary missing exemplar trace id")
-	}
-
-	// The zero trace id (span outside any trace context) is suppressed.
-	h2 := reg.Histogram("other_seconds", "o", nil)
-	h2.ObserveWithExemplar(0.1, TraceID{}.String())
-	if h2.LastExemplar() != nil {
-		t.Fatal("zero trace id produced an exemplar")
+	for _, bad := range []string{"trace_id", " # ", "# EOF"} {
+		if strings.Contains(out, bad) {
+			t.Errorf("exposition carries %q:\n%s", bad, out)
+		}
 	}
 }
 
-// TestOpenMetricsNegotiation pins the Accept-header decision and the
-// counter-family renaming that the OpenMetrics format requires.
-func TestOpenMetricsNegotiation(t *testing.T) {
-	cases := []struct {
-		accept string
-		want   bool
-	}{
-		{"", false},
-		{"text/plain", false},
-		{"text/plain; version=0.0.4", false},
-		{"application/openmetrics-text", true},
-		{"application/openmetrics-text; version=1.0.0; charset=utf-8", true},
-		{"text/plain, application/openmetrics-text;version=1.0.0", true},
-		{"Application/OpenMetrics-Text", true},
-		{"application/openmetrics-text-ish", false},
-	}
-	for _, c := range cases {
-		if got := AcceptsOpenMetrics(c.accept); got != c.want {
-			t.Errorf("AcceptsOpenMetrics(%q) = %v, want %v", c.accept, got, c.want)
+func TestRequestIDs(t *testing.T) {
+	seen := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		id := NewRequestID()
+		if len(id) != 16 {
+			t.Fatalf("id %q has length %d, want 16", id, len(id))
 		}
-	}
-
-	// OpenMetrics declares a counter family under its un-suffixed name
-	// while samples keep _total; the 0.0.4 format keeps the full name in
-	// the TYPE line.
-	reg := NewRegistry()
-	reg.Counter("requests_total", "h").Inc()
-	var b strings.Builder
-	reg.WriteOpenMetrics(&b)
-	om := b.String()
-	if !strings.Contains(om, "# TYPE requests counter\n") {
-		t.Errorf("OpenMetrics TYPE line not un-suffixed:\n%s", om)
-	}
-	if !strings.Contains(om, "requests_total 1\n") {
-		t.Errorf("OpenMetrics sample lost its _total suffix:\n%s", om)
-	}
-	b.Reset()
-	reg.WritePrometheus(&b)
-	if !strings.Contains(b.String(), "# TYPE requests_total counter\n") {
-		t.Errorf("0.0.4 TYPE line altered:\n%s", b.String())
+		if seen[id] {
+			t.Fatalf("duplicate id %q", id)
+		}
+		seen[id] = true
 	}
 }
 

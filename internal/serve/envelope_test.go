@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -138,10 +139,12 @@ func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestServeAllocsPerQuery pins what a served query allocates, engine and
 // envelope together: an uncached /experts (m=40, n=5) through
-// Server.ServeHTTP measured 59 allocations when this was written — 110
-// with the indenting writer, the sorted-copy metric lookups and a trace id
-// formatted by every span. The bound is that plus 10 %. Not under -race,
-// where sync.Pool drops a quarter of what it is handed on purpose.
+// Server.ServeHTTP measured 51 allocations when this was written — 59
+// with one exemplar per histogram observation and the root span's trace
+// id formatted up front, 110 before that with the indenting writer, the
+// sorted-copy metric lookups and a trace id formatted by every span. The
+// bound is that plus 10 %. Not under -race, where sync.Pool drops a
+// quarter of what it is handed on purpose.
 func TestServeAllocsPerQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool leaks by design under the race detector")
@@ -150,8 +153,9 @@ func TestServeAllocsPerQuery(t *testing.T) {
 	req := httptest.NewRequest("GET", "/experts?q="+url.QueryEscape(ds.Corpus()[3][:40])+"&n=5&m=40", nil)
 	w := discardWriter{header: http.Header{}}
 	allocs := testing.AllocsPerRun(50, func() { s.ServeHTTP(w, req) })
-	if allocs > 65 {
-		t.Fatalf("a served /experts made %v allocations, want <= 65 (59 measured + 10 %%)", allocs)
+	t.Logf("a served /experts made %v allocations", allocs)
+	if allocs > 56 {
+		t.Fatalf("a served /experts made %v allocations, want <= 56 (51 measured + 10 %%)", allocs)
 	}
 }
 
@@ -284,7 +288,7 @@ func TestSnapshotDownloadCountsBytes(t *testing.T) {
 	var _ io.ReaderFrom = (*statusWriter)(nil)
 	ld := startReplLeader(t, 0, 0)
 	var log bytes.Buffer
-	ld.srv.Log = obs.NewLogger(&log, obs.LevelInfo)
+	ld.srv.Log = slog.New(slog.NewTextHandler(&log, nil))
 	rec := httptest.NewRecorder()
 	ld.srv.ServeHTTP(rec, httptest.NewRequest("GET", "/replication/snapshot", nil))
 	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {

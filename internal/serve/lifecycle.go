@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -65,14 +66,14 @@ func bootHandler() http.Handler {
 // then drains like (*Server).ListenAndServeContext. onDrain (optional)
 // runs as shutdown begins — flip the installed server's readiness gate
 // there so probes go 503 while in-flight requests finish.
-func (g *Gate) ListenAndServeContext(ctx context.Context, addr string, drain time.Duration, onDrain func(), reg *obs.Registry, log *obs.Logger) error {
+func (g *Gate) ListenAndServeContext(ctx context.Context, addr string, drain time.Duration, onDrain func(), reg *obs.Registry, log *slog.Logger) error {
 	return serveContext(ctx, g, addr, drain, onDrain, reg, log)
 }
 
 // serveContext is the shared graceful-shutdown loop: serve h on addr
 // until ctx cancels, run onDrain, then http.Server.Shutdown bounded by
 // drain, force-closing (and counting) on overrun.
-func serveContext(ctx context.Context, h http.Handler, addr string, drain time.Duration, onDrain func(), reg *obs.Registry, log *obs.Logger) error {
+func serveContext(ctx context.Context, h http.Handler, addr string, drain time.Duration, onDrain func(), reg *obs.Registry, log *slog.Logger) error {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -29,7 +30,7 @@ type Envelope struct {
 	// Metrics is the owner's registry with the handles the envelope
 	// records through, created once with the owner (NewEnvelopeMetrics).
 	Metrics *EnvelopeMetrics
-	Log     *obs.Logger
+	Log     *slog.Logger
 	// Traces retains captured query span trees and backs /debug/traces;
 	// nil disables retention.
 	Traces *obs.TraceStore
@@ -170,8 +171,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // trace-aware context: an incoming X-Trace-Context joins the request to
 // its originating distributed trace, and the handler's root span is
 // captured here — rather than wrapped in a middleware span, which would
-// rename every stage metric series — for trace retention, exemplars and
-// the slow-query log.
+// rename every stage metric series — for trace retention and the
+// slow-query log.
 func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) {
 	start := time.Now()
 	reqID := r.Header.Get("X-Request-ID")
@@ -196,7 +197,7 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	sw := &statusWriter{ResponseWriter: w}
 	switch route {
 	case "/metrics":
-		e.serveMetrics(sw, r)
+		e.serveMetrics(sw)
 	case "/debug/vars":
 		// A JSON snapshot of every metric, histograms summarised as
 		// count/sum/p50/p90/p99 — a human-readable mirror of /metrics.
@@ -213,13 +214,13 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	}
 	dur := time.Since(start)
 	durMs := float64(dur.Microseconds()) / 1000
-	traceID := e.finishTrace(capture, r, route, sw.code, durMs)
+	e.finishTrace(capture, r, route, sw.code, durMs)
 	// Labels in key order: a sorted lookup is answered without a copy.
 	reg.Counter("expertfind_http_requests_total", "HTTP requests by route and status code.",
 		obs.L("code", strconv.Itoa(sw.code)), obs.L("route", route)).Inc()
 	reg.Histogram("expertfind_http_request_seconds", "HTTP request latency by route.",
-		nil, obs.L("route", route)).ObserveWithExemplar(dur.Seconds(), traceID)
-	if e.Log.Enabled(obs.LevelInfo) { // a silenced logger should not cost 14 boxed arguments
+		nil, obs.L("route", route)).Observe(dur.Seconds())
+	if e.Log.Enabled(r.Context(), slog.LevelInfo) { // a silenced logger should not cost 14 boxed arguments
 		e.Log.Info("access", "req_id", reqID, "method", r.Method, "path", r.URL.Path,
 			"route", route, "status", sw.code, "bytes", sw.bytes, "dur_ms", durMs)
 	}
@@ -227,22 +228,19 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 
 // finishTrace runs the envelope's tail work for one request: offer the
 // captured root to the trace store under the tail-based keep rules, and
-// emit the slow-query log line. Returns the trace id ("" when the
-// request produced no span — e.g. a cache hit).
+// emit the slow-query log line. It formats the trace id only for them;
+// a request that produced no span (a cache hit) has neither.
 func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route string,
-	status int, durMs float64) string {
+	status int, durMs float64) {
 	if capture == nil {
-		return ""
+		return
 	}
 	root := capture.Root()
-	if root == nil {
-		return ""
+	slow := e.SlowQuery > 0 && durMs >= e.SlowQuery.Seconds()*1000
+	if root == nil || (e.Traces == nil && !slow) {
+		return
 	}
 	traceID := root.TraceIDString()
-	slow := e.SlowQuery > 0 && durMs >= e.SlowQuery.Seconds()*1000
-	if e.Traces == nil && !slow {
-		return traceID
-	}
 	q := r.URL.Query().Get("q") // parsed here at most once, and only when a record needs it
 	if e.Traces != nil {
 		tree := root.Tree()
@@ -269,18 +267,11 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 		e.Log.Warn("slow_query", "trace_id", traceID, "route", route, "q", q,
 			"status", status, "dur_ms", durMs)
 	}
-	return traceID
 }
 
-// serveMetrics serves the registry in the Prometheus text exposition
-// format; scrapers that negotiate OpenMetrics via Accept additionally
-// get histogram exemplars, which the classic 0.0.4 parser rejects.
-func (e Envelope) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if obs.AcceptsOpenMetrics(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
-		e.Metrics.Reg.WriteOpenMetrics(w)
-		return
-	}
+// serveMetrics serves the registry in the Prometheus 0.0.4 text
+// exposition format, whatever the scraper's Accept header asks for.
+func (e Envelope) serveMetrics(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", obs.ContentTypeText)
 	e.Metrics.Reg.WritePrometheus(w)
 }

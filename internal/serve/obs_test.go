@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
 	"net/url"
 	"regexp"
@@ -156,7 +157,7 @@ func TestDebugVarsEndpoint(t *testing.T) {
 func TestRequestIDPropagation(t *testing.T) {
 	s, _, _ := obsServer(t)
 	var buf strings.Builder
-	s.Log = obs.NewLogger(&buf, obs.LevelInfo)
+	s.Log = slog.New(slog.NewTextHandler(&buf, nil))
 
 	// Incoming id is honoured: echoed in the response header and logged.
 	req := httptest.NewRequest("GET", "/healthz", nil)

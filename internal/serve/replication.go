@@ -43,6 +43,19 @@ func MountReplication(srv *Server, st *core.Store, fo *core.Follower) {
 	}
 }
 
+// ServeReadOnly puts srv in a replication follower's serving state:
+// /readyz answers 503 "replication_lag" until fo's lag is within its
+// bound, and /add refuses writes until POST /replication/promote.
+func ServeReadOnly(srv *Server, fo *core.Follower) {
+	srv.ReadyProbe = func() (bool, string) {
+		if fo.Ready() {
+			return true, ""
+		}
+		return false, "replication_lag"
+	}
+	srv.DenyWrites("replication follower serves reads only; write to the leader")
+}
+
 // replEpochHeaders stamps the node's replication identity on a response.
 func replEpochHeaders(w http.ResponseWriter, st *core.Store) {
 	w.Header().Set(core.ReplEpochHeader, strconv.FormatUint(st.Epoch(), 10))

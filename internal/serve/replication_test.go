@@ -91,13 +91,7 @@ func startReplFollower(t *testing.T, leaderURL, dir string, maxLag uint64) *repl
 	}
 	srv := New(fo.Engine())
 	srv.SetTopology(Topology{Role: "follower"})
-	srv.ReadyProbe = func() (bool, string) {
-		if fo.Ready() {
-			return true, ""
-		}
-		return false, "replication_lag"
-	}
-	srv.DenyWrites("replication follower serves reads only; write to the leader")
+	ServeReadOnly(srv, fo)
 	MountReplication(srv, fo.Store(), fo)
 	srv.SetReady(true)
 	fo.Start()

@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -34,9 +35,9 @@ type Server struct {
 	metrics *EnvelopeMetrics
 	// Requests the server's own handlers refuse.
 	shed, fencedWrites, logFailures *obs.Counter
-	// Log receives one structured access line per request; NopLogger by
-	// default so library use stays silent. Replace before serving.
-	Log *obs.Logger
+	// Log receives one structured access line per request; obs.NopLogger
+	// by default so library use stays silent. Replace before serving.
+	Log *slog.Logger
 	// defaults for m and n when the request omits them.
 	DefaultM, DefaultN int
 	// MaxM and MaxN bound per-request work.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -21,15 +22,15 @@ func retainEverything() obs.TracePolicy {
 
 // TestTraceServeLifecycle drives one traced query through the full
 // single-node middleware stack and checks every surfacing path: the
-// ?debug=1 response field, /debug/traces retention, the slow-query log,
-// and the histogram exemplar on /metrics.
+// ?debug=1 response field, /debug/traces retention and the slow-query
+// log, and checks /metrics stays the plain 0.0.4 text.
 func TestTraceServeLifecycle(t *testing.T) {
 	s, reg, ds := obsServer(t)
 	s.engine.EnableQueryCache(core.CacheConfig{MaxEntries: 64})
 	s.Traces = obs.NewTraceStore(retainEverything())
 	s.SlowQuery = time.Nanosecond // everything is slow: the log line must fire
 	var logBuf bytes.Buffer
-	s.Log = obs.NewLogger(&logBuf, obs.LevelWarn)
+	s.Log = slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelWarn}))
 
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -126,31 +127,20 @@ func TestTraceServeLifecycle(t *testing.T) {
 		t.Errorf("cache hit debug block: %+v", cached.Debug)
 	}
 
-	// The request-latency histogram exposes the trace id as an exemplar —
-	// but only to scrapers that negotiate OpenMetrics. The default 0.0.4
-	// format must stay exemplar-free: its parser errors on the # suffix,
-	// which would fail the entire scrape.
-	rec = get("/metrics")
-	if ct := rec.Header().Get("Content-Type"); ct != obs.ContentTypeText {
-		t.Errorf("/metrics content type %q, want %q", ct, obs.ContentTypeText)
-	}
-	if strings.Contains(rec.Body.String(), "# {trace_id=") {
-		t.Error("0.0.4 /metrics output carries exemplars; classic scrapers will reject the scrape")
-	}
-
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if ct := rec.Header().Get("Content-Type"); ct != obs.ContentTypeOpenMetrics {
-		t.Errorf("negotiated /metrics content type %q, want %q", ct, obs.ContentTypeOpenMetrics)
-	}
-	om := rec.Body.String()
-	if !strings.Contains(om, `# {trace_id="`+traceID+`"}`) {
-		t.Error("OpenMetrics /metrics has no exemplar carrying the trace id")
-	}
-	if !strings.HasSuffix(om, "# EOF\n") {
-		t.Error("OpenMetrics /metrics output missing the # EOF terminator")
+	// /metrics is the 0.0.4 text for every scraper, one that asks for
+	// OpenMetrics included: no exemplar suffix, no # EOF terminator. The
+	// way from a slow query to its trace is the log line and the store.
+	for _, accept := range []string{"", "application/openmetrics-text; version=1.0.0"} {
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		req.Header.Set("Accept", accept)
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Errorf("Accept %q: /metrics content type %q, want the 0.0.4 text", accept, ct)
+		}
+		if body := rec.Body.String(); strings.Contains(body, "# {trace_id=") || strings.Contains(body, "# EOF") {
+			t.Errorf("Accept %q: /metrics carries OpenMetrics syntax", accept)
+		}
 	}
 
 	// The envelope counts each trace it offers the store by the rule that
