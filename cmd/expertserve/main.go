@@ -81,8 +81,6 @@ import (
 // text name the role a flag belongs to.
 var (
 	graphFile   = flag.String("graph", "", "JSON graph file (from datagen)")
-	engineFile  = flag.String("engine", "", "saved engine file (from a previous -save)")
-	saveFile    = flag.String("save", "", "save the built engine to this file and continue serving")
 	preset      = flag.String("dataset", "aminer", "built-in preset when -graph is not given")
 	papers      = flag.Int("papers", 1000, "preset size in papers")
 	dim         = flag.Int("dim", 64, "embedding dimension")
@@ -92,7 +90,6 @@ var (
 	enablePprof = flag.Bool("pprof", false, "mount profiling handlers under /debug/pprof/")
 
 	queryCache  = flag.Int("query-cache", 4096, "query-cache entries (0 disables caching)")
-	queryTTL    = flag.Duration("query-cache-ttl", 5*time.Minute, "query-cache entry TTL (0 = no expiry)")
 	queryTO     = flag.Duration("query-timeout", 2*time.Second, "per-request query deadline, 504 past it (0 = none)")
 	maxInflight = flag.Int("max-inflight", 256, "concurrent query requests before shedding 503 (0 = unlimited)")
 
@@ -114,11 +111,10 @@ var (
 	ejectAfter   = flag.Int("eject-after", 3, "consecutive sub-request failures before a replica is ejected (role router)")
 	shardRetries = flag.Int("shard-retries", 2, "retries per shard sub-request (role router)")
 
-	dataDir      = flag.String("data-dir", "", "durable state directory: snapshot + write-ahead log (enables crash recovery)")
+	dataDir      = flag.String("data-dir", "", "durable state directory: snapshot + write-ahead log (enables crash recovery; a snapshot there is served instead of a build)")
 	mmapMode     = flag.String("mmap", "auto", "serve embeddings from the mmap'd snapshot: auto, on, off")
 	snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "background snapshot period with -data-dir (0 disables)")
-	fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
-	fsyncEvery   = flag.Duration("fsync-interval", 50*time.Millisecond, "flush period under -fsync interval")
+	fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always, never")
 	walSegBytes  = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment size before rotation")
 	drainTO      = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window for in-flight requests")
 )
@@ -146,9 +142,6 @@ func main() {
 	n := &node{gate: serve.NewGate(), servErr: make(chan error, 1), reg: obs.Default(),
 		log: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))}
 
-	if *dataDir != "" && (*engineFile != "" || *saveFile != "") {
-		fail(fmt.Errorf("-data-dir owns engine persistence; it cannot be combined with -engine or -save"))
-	}
 	if n.sync, err = durable.ParseSyncPolicy(*fsyncPolicy); err != nil {
 		fail(err)
 	}
@@ -236,7 +229,6 @@ func (n *node) runFollower() error {
 		PollInterval: *replPoll,
 		MaxLag:       *maxLag,
 		Sync:         n.sync,
-		SyncEvery:    *fsyncEvery,
 		SegmentBytes: *walSegBytes,
 		Mmap:         n.mmap,
 		Metrics:      n.reg,
@@ -270,8 +262,8 @@ func (n *node) runFollower() error {
 }
 
 // runNode serves a whole corpus (role single) or one slice of it to a
-// router (role shard) from an engine that is recovered from -data-dir,
-// loaded from -engine, or built.
+// router (role shard) from an engine that is recovered from -data-dir
+// or built.
 func (n *node) runNode() error {
 	g, err := cli.LoadGraph(*graphFile, *preset, *papers)
 	if err != nil {
@@ -299,11 +291,9 @@ func (n *node) runNode() error {
 
 	var engine *core.Engine
 	var store *core.Store
-	switch {
-	case *dataDir != "":
+	if *dataDir != "" {
 		store, err = core.OpenStore(*dataDir, g, build, core.StoreOptions{
 			Sync:         n.sync,
-			SyncEvery:    *fsyncEvery,
 			SegmentBytes: *walSegBytes,
 			Mmap:         n.mmap,
 			Metrics:      n.reg,
@@ -328,27 +318,8 @@ func (n *node) runNode() error {
 			store.StartSnapshotLoop(*snapInterval)
 			n.log.Info("snapshot_loop_started", "interval", *snapInterval)
 		}
-	case *engineFile != "":
-		engine, err = core.LoadFileWith(*engineFile, g, core.LoadOptions{Mmap: n.mmap})
-		if err != nil {
-			return err
-		}
-		n.log.Info("engine_loaded", "file", *engineFile, "mmap", engine.SnapshotMapped())
-	default:
-		if engine, err = build(); err != nil {
-			return err
-		}
-	}
-	if *saveFile != "" {
-		f, err := os.Create(*saveFile)
-		if err != nil {
-			return err
-		}
-		if err := engine.Save(f); err != nil {
-			return err
-		}
-		f.Close()
-		n.log.Info("engine_saved", "file", *saveFile)
+	} else if engine, err = build(); err != nil {
+		return err
 	}
 
 	srv := n.newServer(engine)
@@ -383,8 +354,8 @@ func (n *node) runNode() error {
 // slow-query log, pprof.
 func (n *node) newServer(engine *core.Engine) *serve.Server {
 	if *queryCache > 0 {
-		engine.EnableQueryCache(core.CacheConfig{MaxEntries: *queryCache, TTL: *queryTTL})
-		n.log.Info("query_cache_enabled", "entries", *queryCache, "ttl", *queryTTL)
+		engine.EnableQueryCache(core.CacheConfig{MaxEntries: *queryCache})
+		n.log.Info("query_cache_enabled", "entries", *queryCache)
 	}
 	srv := serve.New(engine)
 	srv.Log = n.log

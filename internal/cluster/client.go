@@ -18,12 +18,9 @@ import (
 // ClientConfig tunes the router's fan-out behaviour.
 type ClientConfig struct {
 	// Retries is how many times one sub-request is retried on another
-	// replica (or the same one, single-replica shards) after a failure.
+	// replica (or the same one, single-replica shards) after a failure,
+	// each after a jittered wait that starts at retryBackoff.
 	Retries int
-	// RetryBackoff is the base backoff before a retry; the actual wait is
-	// jittered uniformly in [backoff/2, backoff) per attempt, doubling
-	// each retry. Zero skips waiting.
-	RetryBackoff time.Duration
 	// HedgeAfter, when positive, launches a duplicate request to a second
 	// replica when the first has not answered within this delay. Zero or
 	// negative never hedges.
@@ -35,25 +32,26 @@ type ClientConfig struct {
 	// ProbeInterval is the health-probe period for ejected replicas
 	// (default 2s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 500ms).
-	ProbeTimeout time.Duration
 }
+
+const (
+	// retryBackoff is the base wait before a sub-request's first retry;
+	// the actual wait is jittered uniformly in [backoff/2, backoff], and
+	// the base doubles each retry.
+	retryBackoff = 10 * time.Millisecond
+	// probeTimeout bounds one health probe.
+	probeTimeout = 500 * time.Millisecond
+)
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Retries < 0 {
 		c.Retries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
 	}
 	return c
 }
@@ -254,7 +252,7 @@ func (e *shardError) Unwrap() error { return e.err }
 func (c *ShardClient) Get(ctx context.Context, shard int, path string) ([]byte, error) {
 	rs := c.sets[shard]
 	attempts := c.cfg.Retries + 1
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	var last error
 	var prev *replica
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -521,7 +519,7 @@ func (c *ShardClient) probeOnce(ctx context.Context) {
 			if !ejected {
 				continue
 			}
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			ok := c.probe(pctx, rp)
 			cancel()
 			if !ok {
@@ -558,7 +556,7 @@ func (c *ShardClient) CheckReady(ctx context.Context) bool {
 	for _, rs := range c.sets {
 		ok := false
 		for _, rp := range rs.replicas {
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			alive := c.probe(pctx, rp)
 			cancel()
 			if alive {

@@ -83,7 +83,6 @@ func TestReplicaEjectionAndReadmission(t *testing.T) {
 		RouterConfig{QueryTimeout: 10 * time.Second},
 		ClientConfig{
 			Retries:       2,
-			RetryBackoff:  time.Millisecond,
 			HedgeAfter:    -1, // isolate the retry/eject path
 			EjectAfter:    2,
 			ProbeInterval: 20 * time.Millisecond,
@@ -161,7 +160,7 @@ func TestHedgedRequests(t *testing.T) {
 		rounds int
 		hedges bool
 	}{
-		{"fixed 5ms", ClientConfig{HedgeAfter: 5 * time.Millisecond, RetryBackoff: time.Millisecond},
+		{"fixed 5ms", ClientConfig{HedgeAfter: 5 * time.Millisecond},
 			0, 200 * time.Millisecond, 6, true},
 		{"unset", ClientConfig{}, 20, 100 * time.Millisecond, 48, false},
 	} {
@@ -213,7 +212,7 @@ func TestWholeShardDownIs502(t *testing.T) {
 	var gate *faultGate
 	topo := startTopology(t, eng, 2,
 		RouterConfig{QueryTimeout: 5 * time.Second},
-		ClientConfig{Retries: 1, RetryBackoff: time.Millisecond, HedgeAfter: -1},
+		ClientConfig{Retries: 1, HedgeAfter: -1},
 		nil,
 		func(shard, rep int, inner http.Handler) http.Handler {
 			if shard == 1 {

@@ -20,29 +20,12 @@ import (
 	"expertfind/internal/ta"
 )
 
-// RouterConfig tunes the router's query handling.
+// RouterConfig tunes the router's query handling. Its query bounds are
+// the single node's (serve.DefaultM and the rest).
 type RouterConfig struct {
-	// DefaultM/DefaultN/MaxM/MaxN mirror the single-node serve bounds.
-	DefaultM, DefaultN, MaxM, MaxN int
 	// QueryTimeout bounds each query end to end (504 past it); the
 	// per-shard budgets of every scatter derive from what remains of it.
 	QueryTimeout time.Duration
-}
-
-func (c RouterConfig) withDefaults() RouterConfig {
-	if c.DefaultM <= 0 {
-		c.DefaultM = 200
-	}
-	if c.DefaultN <= 0 {
-		c.DefaultN = 10
-	}
-	if c.MaxM <= 0 {
-		c.MaxM = 5000
-	}
-	if c.MaxN <= 0 {
-		c.MaxN = 500
-	}
-	return c
 }
 
 // Router is the scatter-gather front of a sharded cluster. It holds no
@@ -85,7 +68,7 @@ func NewRouter(client *ShardClient, cfg RouterConfig, reg *obs.Registry, log *sl
 	rt := &Router{
 		mux:     http.NewServeMux(),
 		client:  client,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		metrics: serve.NewEnvelopeMetrics(reg),
 		rank:    ta.NewMetrics(reg),
 		unavailable: reg.Counter("expertfind_cluster_shard_unavailable_total",
@@ -350,12 +333,12 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	n, err := serve.IntParam(params, "n", rt.cfg.DefaultN, rt.cfg.MaxN)
+	n, err := serve.IntParam(params, "n", serve.DefaultN, serve.MaxN)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	m, err := serve.IntParam(params, "m", rt.cfg.DefaultM, rt.cfg.MaxM)
+	m, err := serve.IntParam(params, "m", serve.DefaultM, serve.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -395,7 +378,7 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	m, err := serve.IntParam(params, "m", rt.cfg.DefaultN, rt.cfg.MaxM)
+	m, err := serve.IntParam(params, "m", serve.DefaultN, serve.MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -61,7 +61,6 @@ package colstore
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // SectionMagic identifies a columnar section.
@@ -176,14 +175,14 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// ParseMode parses the -mmap flag grammar: auto, on, off.
+// ParseMode parses the -mmap flag grammar: exactly auto, on or off.
 func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "":
+	switch s {
+	case "auto":
 		return ModeAuto, nil
-	case "on", "true", "1":
+	case "on":
 		return ModeOn, nil
-	case "off", "false", "0":
+	case "off":
 		return ModeOff, nil
 	}
 	return 0, fmt.Errorf("colstore: unknown mmap mode %q (want auto, on, or off)", s)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -421,16 +422,22 @@ func TestWriterValidation(t *testing.T) {
 }
 
 func TestParseModes(t *testing.T) {
-	for in, want := range map[string]Mode{
-		"auto": ModeAuto, "": ModeAuto, "ON": ModeOn, "off": ModeOff, "1": ModeOn, "0": ModeOff,
-	} {
+	for in, want := range map[string]Mode{"auto": ModeAuto, "on": ModeOn, "off": ModeOff} {
 		got, err := ParseMode(in)
 		if err != nil || got != want {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseMode("sometimes"); err == nil {
-		t.Error("ParseMode accepted garbage")
+	// Only the spellings the -mmap help lists; each refusal names them.
+	for _, in := range []string{"", "ON", " on", "true", "1", "false", "0", "sometimes"} {
+		_, err := ParseMode(in)
+		if err == nil {
+			t.Errorf("ParseMode(%q) accepted", in)
+			continue
+		}
+		if want := fmt.Sprintf("colstore: unknown mmap mode %q (want auto, on, or off)", in); err.Error() != want {
+			t.Errorf("ParseMode(%q) error %q, want %q", in, err, want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
@@ -17,11 +16,6 @@ type CacheConfig struct {
 	// MaxEntries bounds the total number of cached queries across all
 	// shards; <= 0 disables the cache.
 	MaxEntries int
-	// TTL expires entries this long after their fill; 0 means no expiry.
-	TTL time.Duration
-	// Shards is the number of independently locked segments (default 16,
-	// rounded up to a power of two).
-	Shards int
 }
 
 // cachedResult is one memoised query answer. Slices are never handed out
@@ -46,12 +40,12 @@ func (r cachedResult) clone() cachedResult {
 
 // cacheEntry is one shard-resident entry. gen pins the engine state the
 // fill observed; Get rejects entries from a superseded generation even if
-// a concurrent purge has not swept them yet.
+// a concurrent purge has not swept them yet. An entry of the current
+// generation is exactly as current as the engine, so none expires by age.
 type cacheEntry struct {
-	key     string
-	val     cachedResult
-	gen     uint64
-	expires time.Time // zero: never
+	key string
+	val cachedResult
+	gen uint64
 }
 
 type cacheShard struct {
@@ -62,12 +56,11 @@ type cacheShard struct {
 }
 
 // queryCache is a sharded, concurrency-safe LRU over normalized query
-// keys with TTL and generation-based invalidation. Hit/miss/eviction
+// keys with generation-based invalidation. Hit/miss/eviction
 // traffic lands in the engine's cacheMetrics.
 type queryCache struct {
 	shards []*cacheShard
 	seed   maphash.Seed
-	ttl    time.Duration
 	gen    atomic.Uint64
 	size   atomic.Int64
 	*cacheMetrics
@@ -76,37 +69,34 @@ type queryCache struct {
 // cacheMetrics are the engine's query-cache handles. The engine owns them,
 // not the cache, so they are listed whether or not a cache is attached.
 type cacheMetrics struct {
-	hits, misses, evictions, expirations, invalidations *obs.Counter
-	entries                                             *obs.Gauge
+	hits, misses, evictions, invalidations *obs.Counter
+	entries                                *obs.Gauge
 }
 
-func newQueryCache(cfg CacheConfig, m *cacheMetrics) *queryCache {
-	if cfg.MaxEntries <= 0 {
+// newQueryCache returns a cache of at most maxEntries entries split over
+// shards independently locked segments (rounded up to a power of two, and
+// down to one entry each at least), or nil when maxEntries <= 0.
+func newQueryCache(maxEntries, shards int, m *cacheMetrics) *queryCache {
+	if maxEntries <= 0 {
 		return nil
 	}
-	ns := cfg.Shards
-	if ns <= 0 {
-		ns = 16
-	}
 	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < ns {
-		p <<= 1
+	ns := 1
+	for ns < shards {
+		ns <<= 1
 	}
-	ns = p
-	if ns > cfg.MaxEntries {
+	if ns > maxEntries {
 		ns = 1
-		for ns*2 <= cfg.MaxEntries {
+		for ns*2 <= maxEntries {
 			ns <<= 1
 		}
 	}
 	c := &queryCache{
 		shards:       make([]*cacheShard, ns),
 		seed:         maphash.MakeSeed(),
-		ttl:          cfg.TTL,
 		cacheMetrics: m,
 	}
-	per := cfg.MaxEntries / ns
+	per := maxEntries / ns
 	if per < 1 {
 		per = 1
 	}
@@ -126,11 +116,10 @@ func (c *queryCache) shard(key string) *cacheShard {
 // experts.
 func (c *queryCache) generation() uint64 { return c.gen.Load() }
 
-// Get returns the cached result for key, if present, unexpired and from
-// the current generation.
+// Get returns the cached result for key, if present and from the current
+// generation.
 func (c *queryCache) Get(key string) (cachedResult, bool) {
 	s := c.shard(key)
-	now := time.Now()
 	gen := c.gen.Load()
 	s.mu.Lock()
 	el, ok := s.pos[key]
@@ -148,15 +137,6 @@ func (c *queryCache) Get(key string) (cachedResult, bool) {
 		c.misses.Inc()
 		return cachedResult{}, false
 	}
-	if !e.expires.IsZero() && now.After(e.expires) {
-		s.removeLocked(el)
-		s.mu.Unlock()
-		c.size.Add(-1)
-		c.entries.Add(-1)
-		c.expirations.Inc()
-		c.misses.Inc()
-		return cachedResult{}, false
-	}
 	s.lru.MoveToFront(el)
 	out := e.val.clone()
 	s.mu.Unlock()
@@ -171,9 +151,6 @@ func (c *queryCache) Put(key string, v cachedResult, gen uint64) {
 		return
 	}
 	e := &cacheEntry{key: key, val: v.clone(), gen: gen}
-	if c.ttl > 0 {
-		e.expires = time.Now().Add(c.ttl)
-	}
 	s := c.shard(key)
 	s.mu.Lock()
 	if el, ok := s.pos[key]; ok {

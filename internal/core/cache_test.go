@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
@@ -19,12 +18,12 @@ func cacheMetricsIn(reg *obs.Registry) *cacheMetrics {
 	return e.m.cache
 }
 
-func newTestCache(t *testing.T, cfg CacheConfig) (*queryCache, *obs.Registry) {
+func newTestCache(t *testing.T, maxEntries, shards int) (*queryCache, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	c := newQueryCache(cfg, cacheMetricsIn(reg))
+	c := newQueryCache(maxEntries, shards, cacheMetricsIn(reg))
 	if c == nil {
-		t.Fatalf("cache disabled for cfg %+v", cfg)
+		t.Fatalf("cache disabled for %d entries", maxEntries)
 	}
 	return c, reg
 }
@@ -100,7 +99,7 @@ func TestCacheKeyDistinguishesKindAndBounds(t *testing.T) {
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
-	c, reg := newTestCache(t, CacheConfig{MaxEntries: 8, Shards: 2})
+	c, reg := newTestCache(t, 8, 2)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -121,7 +120,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// One shard of capacity 4 so the LRU order is fully observable.
-	c, reg := newTestCache(t, CacheConfig{MaxEntries: 4, Shards: 1})
+	c, reg := newTestCache(t, 4, 1)
 	for i := 0; i < 4; i++ {
 		c.Put(fmt.Sprintf("k%d", i), resultWithPapers(hetgraph.NodeID(i)), c.generation())
 	}
@@ -146,26 +145,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiry(t *testing.T) {
-	c, reg := newTestCache(t, CacheConfig{MaxEntries: 8, Shards: 1, TTL: 10 * time.Millisecond})
-	c.Put("a", resultWithPapers(1), c.generation())
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("fresh entry should hit")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("expired entry served")
-	}
-	if got := reg.Counter("expertfind_qcache_expired_total", "").Value(); got != 1 {
-		t.Errorf("expirations = %v, want 1", got)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after expiry, want 0", c.Len())
-	}
-}
-
 func TestCacheInvalidateDropsEverythingAndBlocksStalePut(t *testing.T) {
-	c, reg := newTestCache(t, CacheConfig{MaxEntries: 32, Shards: 4})
+	c, reg := newTestCache(t, 32, 4)
 	gen := c.generation()
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), resultWithPapers(hetgraph.NodeID(i)), gen)
@@ -192,7 +173,7 @@ func TestCacheInvalidateDropsEverythingAndBlocksStalePut(t *testing.T) {
 func TestCacheStaleGenerationEntryRejectedByGet(t *testing.T) {
 	// Simulate the Put-vs-Invalidate race: an entry carrying an old
 	// generation that the purge missed must still be rejected at Get.
-	c, _ := newTestCache(t, CacheConfig{MaxEntries: 8, Shards: 1})
+	c, _ := newTestCache(t, 8, 1)
 	gen := c.generation()
 	c.Put("a", resultWithPapers(1), gen)
 	// Bump the generation WITHOUT purging (not possible through the public
@@ -204,7 +185,7 @@ func TestCacheStaleGenerationEntryRejectedByGet(t *testing.T) {
 }
 
 func TestCacheGetReturnsIsolatedCopies(t *testing.T) {
-	c, _ := newTestCache(t, CacheConfig{MaxEntries: 8, Shards: 1})
+	c, _ := newTestCache(t, 8, 1)
 	c.Put("a", cachedResult{
 		papers:  []hetgraph.NodeID{1, 2},
 		experts: []ta.Ranking{{Expert: 3, Score: 1}},
@@ -223,18 +204,18 @@ func TestCacheShardCountRounding(t *testing.T) {
 	for _, tc := range []struct {
 		entries, shards, wantShards int
 	}{
-		{64, 0, 16}, // default
-		{64, 3, 4},  // rounded up to a power of two
-		{4, 16, 4},  // clamped so every shard holds at least one entry
+		{64, 16, 16}, // what EnableQueryCache asks for
+		{64, 3, 4},   // rounded up to a power of two
+		{4, 16, 4},   // clamped so every shard holds at least one entry
 		{1, 16, 1},
 	} {
-		c := newQueryCache(CacheConfig{MaxEntries: tc.entries, Shards: tc.shards}, cacheMetricsIn(reg))
+		c := newQueryCache(tc.entries, tc.shards, cacheMetricsIn(reg))
 		if len(c.shards) != tc.wantShards {
 			t.Errorf("entries=%d shards=%d: got %d shards, want %d",
 				tc.entries, tc.shards, len(c.shards), tc.wantShards)
 		}
 	}
-	if c := newQueryCache(CacheConfig{MaxEntries: 0}, cacheMetricsIn(reg)); c != nil {
+	if c := newQueryCache(0, 16, cacheMetricsIn(reg)); c != nil {
 		t.Error("MaxEntries=0 should disable the cache")
 	}
 }

@@ -206,7 +206,6 @@ func (e *Engine) useRegistry(reg *obs.Registry) {
 			hits:          reg.Counter("expertfind_qcache_hits_total", "Query-cache lookups answered from the cache."),
 			misses:        reg.Counter("expertfind_qcache_misses_total", "Query-cache lookups that fell through to a full query."),
 			evictions:     reg.Counter("expertfind_qcache_evictions_total", "Query-cache entries evicted by the LRU size bound."),
-			expirations:   reg.Counter("expertfind_qcache_expired_total", "Query-cache entries dropped because their TTL elapsed."),
 			invalidations: reg.Counter("expertfind_qcache_invalidations_total", "Whole-cache invalidations triggered by graph updates."),
 			entries:       reg.Gauge("expertfind_qcache_entries", "Query-cache entries currently resident."),
 		},

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -66,17 +65,8 @@ type FollowerOptions struct {
 	// MaxLag is the largest leader-minus-applied sequence distance at
 	// which the follower still reports Ready.
 	MaxLag uint64
-	// Client performs the HTTP requests (nil: a client with sane timeouts).
-	Client *http.Client
-	// BootstrapTimeout bounds how long a fresh follower keeps retrying
-	// the initial snapshot download when the leader is unreachable or
-	// has no snapshot yet (0: 2 minutes). Followers commonly start
-	// before or alongside their leader; dying on the first refused
-	// connection would make orderly fleet bring-up impossible.
-	BootstrapTimeout time.Duration
-	// Sync, SyncEvery, SegmentBytes configure the follower's own WAL.
+	// Sync and SegmentBytes configure the follower's own WAL.
 	Sync         durable.SyncPolicy
-	SyncEvery    time.Duration
 	SegmentBytes int64
 	// Mmap selects how the snapshot's columnar section is materialised
 	// (see LoadOptions.Mmap); zero value maps when the platform allows.
@@ -95,15 +85,14 @@ type FollowerOptions struct {
 type Follower struct {
 	store  *Store
 	id     string
+	leader string // base URL, e.g. http://10.0.0.1:7080
 	opts   FollowerOptions
-	client *http.Client
 	log    *slog.Logger
 
 	applies, reconnects, tears, promotions *obs.Counter
 	lag, appliedSeq, caughtUp, bootstrap   *obs.Gauge
 
 	mu        sync.Mutex
-	leader    string // base URL, e.g. http://10.0.0.1:7080
 	applied   uint64 // last sequence logged and applied locally
 	leaderSeq uint64 // leader's last sequence as of the last poll
 	polled    bool   // at least one successful poll completed
@@ -111,9 +100,20 @@ type Follower struct {
 	lastErr   error
 
 	stop     chan struct{}
-	done     chan struct{}
 	stopOnce sync.Once
+	tail     sync.WaitGroup // the tail loop, once Start has run it
 }
+
+// followerClient performs a follower's requests to its leader: the
+// snapshot download and every tail poll.
+var followerClient = &http.Client{Timeout: 2 * time.Minute}
+
+// bootstrapTimeout bounds how long a fresh follower keeps retrying the
+// initial snapshot download while the leader is unreachable or has no
+// snapshot yet. Followers commonly start before or alongside their
+// leader; dying on the first refused connection would make orderly fleet
+// bring-up impossible.
+const bootstrapTimeout = 2 * time.Minute
 
 // OpenFollower opens (creating if needed) a follower store in dir,
 // replicating leaderURL. A fresh directory bootstraps by downloading
@@ -131,10 +131,6 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 	if o.PollInterval <= 0 {
 		o.PollInterval = 200 * time.Millisecond
 	}
-	client := o.Client
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Minute}
-	}
 	id := o.ID
 	if id == "" {
 		host, _ := os.Hostname()
@@ -145,9 +141,8 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 	}
 
 	f := &Follower{
-		store: st, id: id, opts: o, client: client, log: log,
-		leader: leaderURL,
-		stop:   make(chan struct{}), done: make(chan struct{}),
+		store: st, id: id, leader: leaderURL, opts: o, log: log,
+		stop: make(chan struct{}),
 
 		applies:    reg.Counter("expertfind_replication_records_applied_total", "WAL records received from the leader and applied."),
 		reconnects: reg.Counter("expertfind_replication_reconnects_total", "Tail stream failures followed by a backoff and reconnect."),
@@ -164,7 +159,7 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 	defer root.End()
 
 	// Phase 1: obtain a snapshot — local if present, else the leader's.
-	snapPath := filepath.Join(dir, SnapshotFileName)
+	snapPath := st.SnapshotPath()
 	var leaderEpoch uint64
 	if _, err := os.Stat(snapPath); os.IsNotExist(err) {
 		start := time.Now()
@@ -183,12 +178,12 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 	// Phase 2: load the snapshot and recover the local log over it,
 	// exactly as a leader would — minus attaching the engine's update
 	// log, because a follower's writes come only from replication.
-	e, err := loadFile(snapPath, g, o.Mmap, reg)
-	if err != nil {
+	if err := st.loadSnapshot(g, o.Mmap); err != nil {
 		return nil, err
 	}
+	e := st.engine
 	wal, replayed, err := recoverLog(dir, e, durable.WALOptions{
-		Sync: o.Sync, SyncEvery: o.SyncEvery, SegmentBytes: o.SegmentBytes,
+		Sync: o.Sync, SegmentBytes: o.SegmentBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -200,12 +195,11 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 			return nil, err
 		}
 	}
-	st.engine, st.wal = e, wal
+	st.recovered(wal, replayed, root)
 	f.applied = wal.LastSeq()
 	if f.applied == 0 {
 		f.applied = e.LastUpdateSeq()
 	}
-	f.store.setEpochGauge()
 	f.setGauges()
 	log.Info("follower_recovered", "applied", f.applied,
 		"replayed", replayed, "epoch", wal.Epoch())
@@ -213,15 +207,11 @@ func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOpt
 }
 
 // fetchSnapshotRetry keeps trying the snapshot download until it
-// succeeds or BootstrapTimeout elapses. A refused connection or a 404
+// succeeds or bootstrapTimeout elapses. A refused connection or a 404
 // just means the leader is still booting (or has not snapshotted yet) —
 // both routine during fleet bring-up, neither a reason to die.
 func (f *Follower) fetchSnapshotRetry(path string) (uint64, error) {
-	timeout := f.opts.BootstrapTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(bootstrapTimeout)
 	backoff := 100 * time.Millisecond
 	for {
 		epoch, err := f.fetchSnapshot(path)
@@ -243,7 +233,7 @@ func (f *Follower) fetchSnapshotRetry(path string) (uint64, error) {
 // container's checksums before anything replaces path. Returns the
 // leader's epoch as reported on the response.
 func (f *Follower) fetchSnapshot(path string) (uint64, error) {
-	resp, err := f.client.Get(f.leaderURL() + ReplSnapshotPath)
+	resp, err := followerClient.Get(f.leader + ReplSnapshotPath)
 	if err != nil {
 		return 0, fmt.Errorf("core: bootstrap snapshot: %w", err)
 	}
@@ -278,29 +268,18 @@ func (f *Follower) Engine() *Engine { return f.store.Engine() }
 // ID returns the follower's identity as reported to the leader.
 func (f *Follower) ID() string { return f.id }
 
-func (f *Follower) leaderURL() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.leader
-}
-
-// SetLeader re-points the follower at a new leader — the runbook step
-// after promoting a different follower. Takes effect on the next poll.
-func (f *Follower) SetLeader(url string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.leader = url
-}
-
 // Start launches the tail loop: poll the leader's WAL from the next
 // needed sequence, apply what arrives, repeat — reconnecting with
 // jittered exponential backoff on any failure. Call once.
 func (f *Follower) Start() {
-	go f.run()
+	f.tail.Add(1)
+	go func() {
+		defer f.tail.Done()
+		f.run()
+	}()
 }
 
 func (f *Follower) run() {
-	defer close(f.done)
 	const (
 		backoffMin = 50 * time.Millisecond
 		backoffMax = 5 * time.Second
@@ -353,17 +332,16 @@ func (f *Follower) run() {
 func (f *Follower) streamOnce() (int, error) {
 	f.mu.Lock()
 	from := f.applied + 1
-	leader := f.leader
 	f.mu.Unlock()
 
 	req, err := http.NewRequest(http.MethodGet,
-		fmt.Sprintf("%s%s?from=%d", leader, ReplWALPath, from), nil)
+		fmt.Sprintf("%s%s?from=%d", f.leader, ReplWALPath, from), nil)
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set(ReplEpochHeader, strconv.FormatUint(f.store.Epoch(), 10))
 	req.Header.Set(ReplFollowerHeader, f.id)
-	resp, err := f.client.Do(req)
+	resp, err := followerClient.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -374,7 +352,8 @@ func (f *Follower) streamOnce() (int, error) {
 		return 0, ErrBehindLeader
 	case http.StatusConflict:
 		// The leader saw our (higher) epoch and fenced itself: it is
-		// stale. Keep backing off until SetLeader re-points us.
+		// stale. Keep backing off; the operator re-points this follower
+		// by restarting it with the new -leader.
 		return 0, fmt.Errorf("core: tail rejected: leader is fenced below our epoch %d", f.store.Epoch())
 	default:
 		return 0, fmt.Errorf("core: tail request: leader answered %s", resp.Status)
@@ -441,14 +420,6 @@ func (f *Follower) applyRecord(seq uint64, payload []byte) error {
 	f.mu.Unlock()
 	f.applies.Inc()
 	return nil
-}
-
-// Lag returns how many sequences the follower trails the leader by, as
-// of the last successful poll.
-func (f *Follower) Lag() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lagLocked()
 }
 
 func (f *Follower) lagLocked() uint64 {
@@ -536,10 +507,10 @@ func (f *Follower) Promote() (uint64, error) {
 	return epoch, nil
 }
 
-// stopTail stops the tail loop and waits for it to exit.
+// stopTail stops the tail loop, if Start ran it, and waits for it to exit.
 func (f *Follower) stopTail() {
 	f.stopOnce.Do(func() { close(f.stop) })
-	<-f.done
+	f.tail.Wait()
 }
 
 // Close stops tailing and closes the store (final snapshot included).

@@ -19,12 +19,12 @@ import (
 // EnableQueryCache attaches a sharded LRU query cache to the engine.
 // Queries with identical normalized text and bounds (see
 // NormalizeQueryKey) are then answered from memory until an update
-// invalidates them or their TTL lapses; concurrent identical misses are
-// coalesced into one fill through singleflight. A MaxEntries <= 0 config
-// detaches the cache. Not safe to call concurrently with queries: enable
-// the cache before serving.
+// invalidates them; concurrent identical misses are coalesced into one
+// fill through singleflight. A MaxEntries <= 0 config detaches the cache.
+// Not safe to call concurrently with queries: enable the cache before
+// serving.
 func (e *Engine) EnableQueryCache(cfg CacheConfig) {
-	e.qcache = newQueryCache(cfg, e.m.cache)
+	e.qcache = newQueryCache(cfg.MaxEntries, 16, e.m.cache)
 }
 
 // QueryCacheLen returns the resident entry count (0 when disabled).

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -101,8 +103,6 @@ type StoreOptions struct {
 	// Sync is the WAL fsync policy; it decides what "acknowledged" buys
 	// (see durable.SyncPolicy).
 	Sync durable.SyncPolicy
-	// SyncEvery is the flush period under SyncInterval.
-	SyncEvery time.Duration
 	// SegmentBytes caps WAL segment size before rotation.
 	SegmentBytes int64
 	// Metrics receives recovery and snapshot metrics (nil: obs.Default()).
@@ -119,10 +119,11 @@ type StoreOptions struct {
 	Mmap colstore.Mode
 }
 
-// RecoveryInfo reports what OpenStore found and did.
+// RecoveryInfo reports what OpenStore or OpenFollower found and did.
 type RecoveryInfo struct {
 	// SnapshotLoaded is true when a snapshot file was restored (false:
-	// the engine came from the build function).
+	// the engine came from the build function). Always true on a
+	// follower, whose engine is its leader's snapshot.
 	SnapshotLoaded bool
 	// SnapshotSeq is the WAL sequence the snapshot covered.
 	SnapshotSeq uint64
@@ -153,39 +154,18 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 		return nil, fmt.Errorf("core: open store: %w", err)
 	}
 	s := newStore(dir, o)
-	reg, log := s.reg, s.log
-	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), reg), "recover")
+	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), s.reg), "recover")
 	defer root.End() // on the error paths; recovery's own end is taken below
 
 	// Phase 1: restore the checkpointed state.
-	snapPath := filepath.Join(dir, SnapshotFileName)
 	_, sp := obs.StartSpan(ctx, "snapshot")
-	hadSnapshot := false
-	if st, err := os.Stat(snapPath); err == nil {
-		e, err := loadFile(snapPath, g, o.Mmap, reg)
-		if err != nil {
-			return nil, err // typed: checksum/truncation/version context intact
-		}
-		s.engine, hadSnapshot = e, true
-		s.info.SnapshotLoaded = true
-		s.info.SnapshotSeq = e.LastUpdateSeq()
-		s.info.SnapshotMapped = e.SnapshotMapped()
-		s.lastSnap = st.ModTime()
-		reg.Gauge("expertfind_snapshot_mmap",
-			"1 when the engine's columnar state is an mmap'd snapshot view.").
-			Set(b2f(s.info.SnapshotMapped))
-		log.Info("store_snapshot_loaded", "file", snapPath,
-			"seq", s.info.SnapshotSeq, "mmap", s.info.SnapshotMapped,
-			"age", time.Since(st.ModTime()).Round(time.Second))
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("core: open store: %w", err)
-	} else {
-		e, err := build()
-		if err != nil {
+	if err := s.loadSnapshot(g, o.Mmap); errors.Is(err, fs.ErrNotExist) {
+		if s.engine, err = build(); err != nil {
 			return nil, err
 		}
-		s.engine = e
-		log.Info("store_built_fresh", "dir", dir)
+		s.log.Info("store_built_fresh", "dir", dir)
+	} else if err != nil {
+		return nil, err // typed: checksum/truncation/version context intact
 	}
 	sp.End()
 
@@ -194,36 +174,18 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 	_, sp = obs.StartSpan(ctx, "wal_replay")
 	wal, replayed, err := recoverLog(dir, s.engine, durable.WALOptions{
 		Sync:         o.Sync,
-		SyncEvery:    o.SyncEvery,
 		SegmentBytes: o.SegmentBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.wal = wal
-	s.info.TornWALTail = wal.Stats().TornTail
-	s.info.Replayed = replayed
 	sp.End()
 	s.engine.SetUpdateLog(wal)
-	s.setEpochGauge()
-	s.info.Duration = root.End()
-
-	reg.Counter("expertfind_recovery_wal_records_replayed_total",
-		"WAL records re-applied during store recovery.").Add(float64(s.info.Replayed))
-	reg.Counter("expertfind_recovery_torn_wal_tails_total",
-		"Torn WAL tails truncated during store recovery.").Add(b2f(s.info.TornWALTail))
-	reg.Gauge("expertfind_recovery_seconds",
-		"Duration of the most recent store recovery.").Set(s.info.Duration.Seconds())
-	s.setSnapshotGauges()
-	log.Info("store_recovered",
-		"snapshot", s.info.SnapshotLoaded,
-		"replayed", s.info.Replayed,
-		"torn_tail", s.info.TornWALTail,
-		"dur", s.info.Duration.Round(time.Millisecond))
+	s.recovered(wal, replayed, root)
 
 	// A fresh store checkpoints immediately: the build is deterministic
 	// but expensive, and the next boot should not pay for it again.
-	if !hadSnapshot {
+	if !s.info.SnapshotLoaded {
 		if err := s.Snapshot(); err != nil {
 			wal.Close()
 			return nil, err
@@ -232,10 +194,62 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 	return s, nil
 }
 
+// loadSnapshot restores the engine from the store's snapshot file and
+// records the load in Recovery(), the mmap gauge and the log. A store
+// without a snapshot yet gets an error wrapping fs.ErrNotExist.
+func (s *Store) loadSnapshot(g *hetgraph.Graph, mode colstore.Mode) error {
+	path := s.SnapshotPath()
+	st, err := os.Stat(path)
+	if err != nil {
+		return fmt.Errorf("core: open store: %w", err)
+	}
+	e, err := loadFile(path, g, mode, s.reg)
+	if err != nil {
+		return err
+	}
+	s.engine = e
+	s.info.SnapshotLoaded = true
+	s.info.SnapshotSeq = e.LastUpdateSeq()
+	s.info.SnapshotMapped = e.SnapshotMapped()
+	s.lastSnap = st.ModTime()
+	s.reg.Gauge("expertfind_snapshot_mmap",
+		"1 when the engine's columnar state is an mmap'd snapshot view.").
+		Set(b2f(s.info.SnapshotMapped))
+	s.log.Info("store_snapshot_loaded", "file", path,
+		"seq", s.info.SnapshotSeq, "mmap", s.info.SnapshotMapped,
+		"age", time.Since(st.ModTime()).Round(time.Second))
+	return nil
+}
+
+// recovered attaches wal, the log recoverLog opened and replayed onto the
+// store's engine, and records what recovery found — in Recovery(), the
+// recovery counters and gauge, and the log — ending root, the recovery
+// span. A leader's store and a follower's both finish here.
+func (s *Store) recovered(wal *durable.WAL, replayed int, root *obs.Span) {
+	s.wal = wal
+	s.info.TornWALTail = wal.Stats().TornTail
+	s.info.Replayed = replayed
+	s.setEpochGauge()
+	s.info.Duration = root.End()
+
+	s.reg.Counter("expertfind_recovery_wal_records_replayed_total",
+		"WAL records re-applied during store recovery.").Add(float64(s.info.Replayed))
+	s.reg.Counter("expertfind_recovery_torn_wal_tails_total",
+		"Torn WAL tails truncated during store recovery.").Add(b2f(s.info.TornWALTail))
+	s.reg.Gauge("expertfind_recovery_seconds",
+		"Duration of the most recent store recovery.").Set(s.info.Duration.Seconds())
+	s.setSnapshotGauges()
+	s.log.Info("store_recovered",
+		"snapshot", s.info.SnapshotLoaded,
+		"replayed", s.info.Replayed,
+		"torn_tail", s.info.TornWALTail,
+		"dur", s.info.Duration.Round(time.Millisecond))
+}
+
 // Engine returns the recovered engine. Updates through it are logged.
 func (s *Store) Engine() *Engine { return s.engine }
 
-// Recovery reports what OpenStore found and did.
+// Recovery reports what OpenStore or OpenFollower found and did.
 func (s *Store) Recovery() RecoveryInfo { return s.info }
 
 // Dir returns the store's directory.

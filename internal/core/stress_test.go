@@ -27,7 +27,7 @@ func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableQueryCache(CacheConfig{MaxEntries: 256, Shards: 4})
+	e.EnableQueryCache(CacheConfig{MaxEntries: 256})
 
 	queries := []string{
 		"graph embedding", "neural ranking", "community detection",
@@ -156,7 +156,7 @@ func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 }
 
 func TestStressCacheFillInvalidate(t *testing.T) {
-	c, _ := newTestCache(t, CacheConfig{MaxEntries: 64, Shards: 4, TTL: 5 * time.Millisecond})
+	c, _ := newTestCache(t, 64, 4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 8; w++ {

@@ -52,32 +52,13 @@ func WriteContainer(w io.Writer, version uint16, payload []byte) error {
 	return nil
 }
 
-// ReadContainer reads and verifies a container from r. name labels the
-// source in errors (a path, or "<stream>"). maxVersion is the newest
-// format version the caller understands; newer files yield a
-// *VersionError so an old binary never misreads a future layout.
-// Trailing bytes after the payload are corruption (a concatenated or
-// doubly-written file) and are rejected.
-func ReadContainer(r io.Reader, name string, maxVersion uint16) (version uint16, payload []byte, err error) {
-	version, payload, end, err := ReadContainerPrefix(r, name, maxVersion)
-	if err != nil {
-		return 0, nil, err
-	}
-	// One extra readable byte past the payload means the file holds more
-	// than its header declares — reject rather than silently ignore.
-	var one [1]byte
-	if n, _ := r.Read(one[:]); n != 0 {
-		return 0, nil, &CorruptError{Path: name, Offset: end,
-			Detail: "trailing bytes after payload", Err: ErrChecksum}
-	}
-	return version, payload, nil
-}
-
-// ReadContainerPrefix reads and verifies a container at the head of r
-// but — unlike ReadContainer — tolerates bytes after the payload,
-// returning the offset where they begin. It exists for the snapshot
-// layout, where a columnar section follows the gob container in the
-// same file.
+// ReadContainerPrefix reads and verifies a container at the head of r.
+// name labels the source in errors (a path, or "<stream>"). maxVersion is
+// the newest format version the caller understands; newer files yield a
+// *VersionError so an old binary never misreads a future layout. Bytes
+// after the payload are left unread, and end is the offset where they
+// begin: in a snapshot a columnar section follows the container in the
+// same file, and the snapshot reader decides what may come after it.
 func ReadContainerPrefix(r io.Reader, name string, maxVersion uint16) (version uint16, payload []byte, end int64, err error) {
 	var hdr [containerHeaderSize]byte
 	n, err := io.ReadFull(r, hdr[:])

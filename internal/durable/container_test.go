@@ -11,13 +11,20 @@ import (
 	"testing"
 )
 
+// readContainer reads the container at the head of r, for the tests that
+// only look at what it holds.
+func readContainer(r io.Reader, name string, maxVersion uint16) (uint16, []byte, error) {
+	v, payload, _, err := ReadContainerPrefix(r, name, maxVersion)
+	return v, payload, err
+}
+
 func TestContainerRoundTrip(t *testing.T) {
 	payload := []byte("the engine snapshot payload, opaque to durable")
 	var buf bytes.Buffer
 	if err := WriteContainer(&buf, 3, payload); err != nil {
 		t.Fatal(err)
 	}
-	v, got, err := ReadContainer(bytes.NewReader(buf.Bytes()), "<stream>", 3)
+	v, got, err := readContainer(bytes.NewReader(buf.Bytes()), "<stream>", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +38,7 @@ func TestContainerEmptyPayload(t *testing.T) {
 	if err := WriteContainer(&buf, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := ReadContainer(bytes.NewReader(buf.Bytes()), "<stream>", 1)
+	_, got, err := readContainer(bytes.NewReader(buf.Bytes()), "<stream>", 1)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty payload: %v, %d bytes", err, len(got))
 	}
@@ -39,7 +46,7 @@ func TestContainerEmptyPayload(t *testing.T) {
 
 func TestContainerRejectsBadMagic(t *testing.T) {
 	data := []byte("GOBGOBGOB this is not a container at all........")
-	_, _, err := ReadContainer(bytes.NewReader(data), "f", 1)
+	_, _, err := readContainer(bytes.NewReader(data), "f", 1)
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
 	}
@@ -54,7 +61,7 @@ func TestContainerRejectsFutureVersion(t *testing.T) {
 	if err := WriteContainer(&buf, 9, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadContainer(bytes.NewReader(buf.Bytes()), "f", 2)
+	_, _, err := readContainer(bytes.NewReader(buf.Bytes()), "f", 2)
 	var ve *VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("want *VersionError, got %v", err)
@@ -72,7 +79,7 @@ func TestContainerRejectsTruncation(t *testing.T) {
 	full := buf.Bytes()
 	// Every proper prefix must be rejected as truncated.
 	for _, cut := range []int{0, 3, containerHeaderSize - 1, containerHeaderSize, len(full) - 1} {
-		_, _, err := ReadContainer(bytes.NewReader(full[:cut]), "f", 1)
+		_, _, err := readContainer(bytes.NewReader(full[:cut]), "f", 1)
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: want ErrTruncated, got %v", cut, err)
 		}
@@ -88,7 +95,7 @@ func TestContainerRejectsBitFlips(t *testing.T) {
 	// Flip one byte at every offset; every flip must be detected.
 	for off := 0; off < len(full); off++ {
 		r := &FlipReader{R: bytes.NewReader(full), Offset: int64(off), Mask: 0x40}
-		_, _, err := ReadContainer(r, "f", 1)
+		_, _, err := readContainer(r, "f", 1)
 		if err == nil {
 			t.Fatalf("bit flip at offset %d went undetected", off)
 		}
@@ -97,18 +104,6 @@ func TestContainerRejectsBitFlips(t *testing.T) {
 		if !errors.As(err, &ce) && !errors.As(err, &ve) {
 			t.Fatalf("flip at %d: untyped error %T %v", off, err, err)
 		}
-	}
-}
-
-func TestContainerRejectsTrailingBytes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteContainer(&buf, 1, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString("extra")
-	_, _, err := ReadContainer(bytes.NewReader(buf.Bytes()), "f", 1)
-	if !errors.Is(err, ErrChecksum) {
-		t.Fatalf("want ErrChecksum for trailing bytes, got %v", err)
 	}
 }
 
@@ -126,7 +121,7 @@ func readContainerFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	_, payload, err := ReadContainer(f, path, 1)
+	_, payload, err := readContainer(f, path, 1)
 	return payload, err
 }
 
@@ -184,12 +179,7 @@ func TestReadContainerPrefixToleratesTrailer(t *testing.T) {
 		t.Fatalf("prefix read: version %d payload %q end %d (want end %d)", v, got, end, wantEnd)
 	}
 
-	// The strict reader must still reject the same bytes.
-	if _, _, err := ReadContainer(bytes.NewReader(buf.Bytes()), "<stream>", 2); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("ReadContainer accepted trailing bytes: %v", err)
-	}
-
-	// And the prefix reader keeps the full corruption taxonomy.
+	// The prefix reader keeps the full corruption taxonomy.
 	torn := buf.Bytes()[:10]
 	if _, _, _, err := ReadContainerPrefix(bytes.NewReader(torn), "<s>", 2); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn prefix: %v", err)

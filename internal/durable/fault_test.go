@@ -18,7 +18,7 @@ func TestFailingWriterSurfacesError(t *testing.T) {
 		t.Fatal("write through a failing disk reported success")
 	}
 	// Whatever did land must be rejected on read, not half-parsed.
-	if _, _, err := ReadContainer(bytes.NewReader(sink.Bytes()), "f", 1); err == nil {
+	if _, _, err := readContainer(bytes.NewReader(sink.Bytes()), "f", 1); err == nil {
 		t.Fatal("partial container accepted")
 	}
 }
@@ -31,7 +31,7 @@ func TestErrorAfterNWriter(t *testing.T) {
 	if err := WriteContainer(ew, 1, []byte("payload")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
-	_, _, err := ReadContainer(bytes.NewReader(sink.Bytes()), "f", 1)
+	_, _, err := readContainer(bytes.NewReader(sink.Bytes()), "f", 1)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("header-only container: want ErrTruncated, got %v", err)
 	}
@@ -51,7 +51,7 @@ func TestTornWriterProducesDetectableTear(t *testing.T) {
 		if err := WriteContainer(tw, 1, payload); err != nil {
 			t.Fatalf("torn writer must look successful, got %v", err)
 		}
-		if _, _, err := ReadContainer(bytes.NewReader(disk.Bytes()), "f", 1); !errors.Is(err, ErrTruncated) {
+		if _, _, err := readContainer(bytes.NewReader(disk.Bytes()), "f", 1); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("tear at %d: want ErrTruncated, got %v", limit, err)
 		}
 	}

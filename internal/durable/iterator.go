@@ -41,18 +41,9 @@ func (w *WAL) ReadFrom(from uint64) (*WALIterator, error) {
 		w.mu.Unlock()
 		return nil, ErrClosed
 	}
+	// Appends write straight to the file, so every record up to here is
+	// visible to the re-read below whatever the fsync policy.
 	upTo := w.nextSeq - 1
-	// Under the buffered fsync policies the tail records may not have
-	// reached the file yet; flush so the re-read below sees everything
-	// the iterator promises. (os.File writes are unbuffered in-process,
-	// so this only matters for exotic UpdateLog wrappers — cheap anyway.)
-	if w.dirty {
-		if err := w.f.Sync(); err != nil {
-			w.mu.Unlock()
-			return nil, fmt.Errorf("durable: WAL fsync before read: %w", err)
-		}
-		w.dirty = false
-	}
 	w.mu.Unlock()
 
 	it := &WALIterator{w: w, from: from, upTo: upTo}

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Write-ahead log. Records are appended to segment files named
@@ -44,20 +43,17 @@ const recordHeaderSize = 16
 // is treated as a corrupt header.
 const MaxRecordBytes = 64 << 20
 
-// SyncPolicy selects when appended records are fsynced to stable
-// storage, trading acknowledgement latency for durability.
+// SyncPolicy selects whether an append is fsynced to stable storage
+// before it returns, trading acknowledgement latency for durability.
 type SyncPolicy int
 
 const (
 	// SyncAlways fsyncs after every append: an acknowledged record is
 	// durable before Append returns. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background ticker (WALOptions.SyncEvery):
-	// an acknowledged record may be lost if the machine dies within one
-	// interval. A process crash (kill -9) alone loses nothing — the
-	// bytes are already in the page cache.
-	SyncInterval
-	// SyncNever leaves flushing to the OS entirely.
+	// SyncNever leaves flushing to the OS: a process crash (kill -9)
+	// loses nothing, the bytes are already in the page cache, but an
+	// acknowledged record may be lost if the machine dies.
 	SyncNever
 )
 
@@ -65,8 +61,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	}
@@ -78,12 +72,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, interval or never)", s)
+	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always or never)", s)
 }
 
 // WALOptions configures OpenWAL. The zero value is usable: 4 MiB
@@ -93,8 +85,6 @@ type WALOptions struct {
 	SegmentBytes int64
 	// Sync selects the fsync policy.
 	Sync SyncPolicy
-	// SyncEvery is the flush period under SyncInterval (default 50ms).
-	SyncEvery time.Duration
 	// InitialSeq is the sequence the first append receives when the log
 	// is brand new (no segments on disk). Zero means 1. A replication
 	// follower bootstrapping from a snapshot covering sequence S opens
@@ -106,9 +96,6 @@ type WALOptions struct {
 func (o WALOptions) withDefaults() WALOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 50 * time.Millisecond
 	}
 	return o
 }
@@ -140,7 +127,6 @@ type WAL struct {
 	segFirst uint64   // first sequence in the active segment
 	segRecs  int      // records in the active segment
 	nextSeq  uint64
-	dirty    bool // records appended since the last fsync
 	closed   bool
 	// epoch and fenced are the persisted replication-epoch state (see
 	// epoch.go). A fenced log rejects every append with *FencedError.
@@ -148,9 +134,6 @@ type WAL struct {
 	fenced bool
 
 	stats ReplayStats
-
-	stopSync chan struct{} // closes the SyncInterval flusher
-	syncDone chan struct{}
 }
 
 // OpenWAL opens (creating if needed) the log in dir, scans and
@@ -224,11 +207,6 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 			return nil, err
 		}
 	}
-	if opts.Sync == SyncInterval {
-		w.stopSync = make(chan struct{})
-		w.syncDone = make(chan struct{})
-		go w.syncLoop()
-	}
 	return w, nil
 }
 
@@ -247,7 +225,7 @@ func (w *WAL) Dir() string { return w.dir }
 
 // Append writes one record and returns its sequence number. Under
 // SyncAlways the record is on stable storage when Append returns; see
-// SyncPolicy for the weaker modes. An error means the record must be
+// SyncNever for what it gives up. An error means the record must be
 // treated as not written: the caller should refuse the update rather
 // than acknowledge something the log may not hold.
 func (w *WAL) Append(payload []byte) (uint64, error) {
@@ -307,13 +285,10 @@ func (w *WAL) appendLocked(payload []byte) error {
 	w.size += int64(len(rec))
 	w.segRecs++
 	w.nextSeq++
-	switch w.opts.Sync {
-	case SyncAlways:
+	if w.opts.Sync == SyncAlways {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("durable: WAL fsync: %w", err)
 		}
-	case SyncInterval:
-		w.dirty = true
 	}
 	return nil
 }
@@ -398,17 +373,6 @@ func (w *WAL) AdoptEpoch(epoch uint64) error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	w.dirty = false
-	return w.f.Sync()
-}
-
 // Replay streams every record with sequence > after, in order, to fn:
 // a walk of ReadFrom(after+1), so it reflects exactly what survived on
 // disk up to the last sequence at call time. The payload is valid only
@@ -485,19 +449,11 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 // ErrClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	stop := w.stopSync
-	w.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-w.syncDone
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var err error
 	if w.f != nil {
 		if serr := w.f.Sync(); serr != nil {
@@ -509,26 +465,6 @@ func (w *WAL) Close() error {
 		w.f = nil
 	}
 	return err
-}
-
-// syncLoop is the SyncInterval flusher.
-func (w *WAL) syncLoop() {
-	defer close(w.syncDone)
-	t := time.NewTicker(w.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stopSync:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			if !w.closed && w.dirty {
-				w.f.Sync()
-				w.dirty = false
-			}
-			w.mu.Unlock()
-		}
-	}
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens a new

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 )
 
 func appendN(t *testing.T, w *WAL, start, n int) {
@@ -252,19 +252,18 @@ func TestWALTruncateThroughEverything(t *testing.T) {
 }
 
 func TestWALSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+	for _, pol := range []SyncPolicy{SyncAlways, SyncNever} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := OpenWAL(dir, WALOptions{Sync: pol, SyncEvery: 5 * time.Millisecond})
+			w, err := OpenWAL(dir, WALOptions{Sync: pol})
 			if err != nil {
 				t.Fatal(err)
 			}
 			appendN(t, w, 0, 8)
-			if pol == SyncInterval {
-				time.Sleep(20 * time.Millisecond) // let the flusher run
-			}
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
+			// Appends are visible to a reader of the live log whatever
+			// the policy, before any fsync.
+			if got := replayAll(t, w, 0); len(got) != 8 {
+				t.Fatalf("%v: live log holds %d records, want 8", pol, len(got))
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
@@ -295,22 +294,30 @@ func TestWALClosedOperationsFail(t *testing.T) {
 	if _, err := w.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append on closed WAL: %v", err)
 	}
-	if err := w.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("sync on closed WAL: %v", err)
+	if _, err := w.ReadFrom(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read of closed WAL: %v", err)
 	}
 }
 
 func TestParseSyncPolicy(t *testing.T) {
-	for s, want := range map[string]SyncPolicy{
-		"always": SyncAlways, "interval": SyncInterval, "never": SyncNever,
-	} {
+	for s, want := range map[string]SyncPolicy{"always": SyncAlways, "never": SyncNever} {
 		got, err := ParseSyncPolicy(s)
 		if err != nil || got != want {
 			t.Fatalf("%q: %v, %v", s, got, err)
 		}
+		if got.String() != s {
+			t.Fatalf("%q parses to a policy named %q", s, got)
+		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	// Nor is there an "interval" policy: the WAL has no background flusher.
+	for _, s := range []string{"interval", "sometimes", "Always", ""} {
+		_, err := ParseSyncPolicy(s)
+		if err == nil {
+			t.Fatalf("policy %q accepted", s)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "always") || !strings.Contains(msg, "never") {
+			t.Fatalf("refusal of %q does not name both policies: %v", s, err)
+		}
 	}
 }
 

@@ -176,13 +176,19 @@ func TestGateBootWindow(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdown: cancelling the context drains the listener,
-// flips readiness off, and returns nil on a clean drain.
+// TestGracefulShutdown: cancelling the context drains the gate's
+// listener, runs onDrain (which flips the installed server's readiness
+// off), and returns nil on a clean drain.
 func TestGracefulShutdown(t *testing.T) {
 	s, _ := updateServer(t)
+	g := NewGate()
+	g.Install(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServeContext(ctx, "127.0.0.1:0", 2*time.Second) }()
+	go func() {
+		done <- g.ListenAndServeContext(ctx, "127.0.0.1:0", 2*time.Second,
+			func() { s.SetReady(false) }, s.Registry(), nil)
+	}()
 	// ListenAndServeContext picks its own port via :0 which we cannot see
 	// from here; readiness flip + clean return are the observable part.
 	time.Sleep(50 * time.Millisecond)

@@ -122,16 +122,15 @@ func TestGoldenQueryScript(t *testing.T) {
 	}
 	s.QueryTimeout = 0
 
-	// 10. Saturated server: 503 with a Retry-After hint.
+	// 10. Saturated server: 503 with a Retry-After hint of one second.
 	s.MaxInFlight = 2
-	s.RetryAfter = 1500 * time.Millisecond
 	s.inflightQueries.Store(2)
 	code, rec = get("/experts?q=" + url.QueryEscape(query) + "&m=40&n=5")
 	if code != 503 {
 		t.Fatalf("step 10: status %d, want 503", code)
 	}
-	if ra := rec.Result().Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("step 10: Retry-After = %q, want \"2\" (1.5s rounded up)", ra)
+	if ra := rec.Result().Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("step 10: Retry-After = %q, want \"1\"", ra)
 	}
 	s.inflightQueries.Store(0)
 	s.MaxInFlight = 0

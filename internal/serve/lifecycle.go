@@ -52,28 +52,24 @@ func bootHandler() http.Handler {
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Booting is transient by definition; tell probes when to look again.
-		w.Header().Set("Retry-After", "1")
+		retryLater(w)
 		env.WriteJSON(w, http.StatusServiceUnavailable, ReadyResponse{Status: "loading"})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
+		retryLater(w)
 		http.Error(w, "engine not ready, still recovering", http.StatusServiceUnavailable)
 	})
 	return mux
 }
 
 // ListenAndServeContext serves the gate on addr until ctx is cancelled,
-// then drains like (*Server).ListenAndServeContext. onDrain (optional)
-// runs as shutdown begins — flip the installed server's readiness gate
-// there so probes go 503 while in-flight requests finish.
+// then shuts down gracefully: onDrain (optional) runs first — flip the
+// installed server's readiness gate there so probes go 503 — then the
+// listener closes and in-flight requests get up to drain to finish
+// before being cut off (and counted in reg). It returns nil on a clean
+// drain; the caller then flushes durable state (final snapshot, WAL
+// close) knowing no handler is still mutating the engine.
 func (g *Gate) ListenAndServeContext(ctx context.Context, addr string, drain time.Duration, onDrain func(), reg *obs.Registry, log *slog.Logger) error {
-	return serveContext(ctx, g, addr, drain, onDrain, reg, log)
-}
-
-// serveContext is the shared graceful-shutdown loop: serve h on addr
-// until ctx cancels, run onDrain, then http.Server.Shutdown bounded by
-// drain, force-closing (and counting) on overrun.
-func serveContext(ctx context.Context, h http.Handler, addr string, drain time.Duration, onDrain func(), reg *obs.Registry, log *slog.Logger) error {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -82,7 +78,7 @@ func serveContext(ctx context.Context, h http.Handler, addr string, drain time.D
 	}
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           h,
+		Handler:           g,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errc := make(chan error, 1)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -497,34 +496,38 @@ func TestLowWaterTruncationGuard(t *testing.T) {
 	}
 }
 
-// TestRetryAfterOn503s pins the satellite contract: every transient 503
-// — the boot gate's, the lag-gated follower /readyz, and the shedding
-// path — carries a Retry-After header.
+// TestRetryAfterOn503s pins the contract: every transient 503 — the boot
+// gate's, the lag-gated follower /readyz, a not-ready or write-denied
+// /add, a WAL that refused the record, and the shedding path — carries
+// Retry-After: 1.
 func TestRetryAfterOn503s(t *testing.T) {
+	retryAfterOne := func(what string, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s = %d, want 503", what, rec.Code)
+		}
+		if ra := rec.Header().Get("Retry-After"); ra != "1" {
+			t.Fatalf("%s 503: Retry-After %q, want \"1\"", what, ra)
+		}
+	}
+	do := func(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	const add = `{"text":"x","authors":[1]}`
+
 	// Boot gate: /readyz and arbitrary routes.
 	g := NewGate()
 	for _, path := range []string{"/readyz", "/experts?q=x"} {
-		rec := httptest.NewRecorder()
-		g.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("boot %s = %d, want 503", path, rec.Code)
-		}
-		if rec.Header().Get("Retry-After") == "" {
-			t.Fatalf("boot %s 503 missing Retry-After", path)
-		}
+		retryAfterOne("boot "+path, do(g, "GET", path, ""))
 	}
 
 	// Lag-gated follower readiness.
-	s, _ := updateServer(t)
+	s, ds := updateServer(t)
 	s.ReadyProbe = func() (bool, string) { return false, "replication_lag" }
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("lagging /readyz = %d, want 503", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("lagging /readyz 503 missing Retry-After")
-	}
+	rec := do(s, "GET", "/readyz", "")
+	retryAfterOne("lagging /readyz", rec)
 	var body ReadyResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
@@ -536,13 +539,22 @@ func TestRetryAfterOn503s(t *testing.T) {
 	// Not-ready /add.
 	s.ReadyProbe = nil
 	s.SetReady(false)
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("POST", "/add",
-		bytes.NewReader([]byte(`{"text":"x","authors":[1]}`))))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("not-ready /add = %d, want 503", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("not-ready /add 503 missing Retry-After")
-	}
+	retryAfterOne("not-ready /add", do(s, "POST", "/add", add))
+	s.SetReady(true)
+
+	// Writes denied, as on a follower.
+	s.DenyWrites("read-only follower")
+	retryAfterOne("write-denied /add", do(s, "POST", "/add", add))
+	s.AllowWrites()
+
+	// A WAL that refuses the record.
+	s.engine.SetUpdateLog(failingLog{})
+	author := ds.Graph.NodesOfType(hetgraph.Author)[0]
+	retryAfterOne("WAL-failure /add", do(s, "POST", "/add",
+		fmt.Sprintf(`{"text":"x","authors":[%d]}`, author)))
+
+	// Shedding past the in-flight bound.
+	s.MaxInFlight = 1
+	s.inflightQueries.Store(1)
+	retryAfterOne("shed /experts", do(s, "GET", "/experts?q=x", ""))
 }

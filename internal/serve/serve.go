@@ -13,7 +13,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"log/slog"
@@ -38,10 +37,6 @@ type Server struct {
 	// Log receives one structured access line per request; obs.NopLogger
 	// by default so library use stays silent. Replace before serving.
 	Log *slog.Logger
-	// defaults for m and n when the request omits them.
-	DefaultM, DefaultN int
-	// MaxM and MaxN bound per-request work.
-	MaxM, MaxN int
 	// QueryTimeout bounds each query route's work; past it the handler
 	// answers 504. Zero means no per-request deadline (the client's own
 	// cancellation still propagates). Set before serving.
@@ -50,8 +45,6 @@ type Server struct {
 	// ones with 503 + Retry-After, keeping tail latency bounded under
 	// overload. Zero means unlimited. Set before serving.
 	MaxInFlight int
-	// RetryAfter is the Retry-After hint on shed responses (default 1s).
-	RetryAfter time.Duration
 	// Traces, when set, retains query span trees under its tail-based
 	// keep rules and serves them on /debug/traces. Nil disables trace
 	// retention (spans still time stages and propagate trace context).
@@ -82,9 +75,20 @@ type Server struct {
 	denyWrites atomic.Pointer[string]
 }
 
-// New returns a server over a built engine with sensible bounds. The
-// server records into the engine's metrics registry, beside the engine's
-// own search, ranking and cache counters.
+// The bounds of every query route, on a single node and on a router: when
+// a request names no m, DefaultM papers are retrieved for /experts and
+// DefaultN for /papers and /similar; when it names no n, DefaultN experts
+// are ranked. No request may ask for more than MaxM papers or MaxN experts.
+const (
+	DefaultM = 200
+	DefaultN = 10
+	MaxM     = 5000
+	MaxN     = 500
+)
+
+// New returns a server over a built engine. The server records into the
+// engine's metrics registry, beside the engine's own search, ranking and
+// cache counters.
 func New(engine *core.Engine) *Server {
 	reg := engine.Metrics()
 	s := &Server{
@@ -95,11 +99,6 @@ func New(engine *core.Engine) *Server {
 		fencedWrites: reg.Counter("expertfind_http_fenced_writes_total", "Writes rejected because this node's WAL is fenced by a newer epoch."),
 		logFailures:  reg.Counter("expertfind_http_update_log_failures_total", "Updates rejected because the write-ahead log failed."),
 		Log:          obs.NopLogger(),
-		DefaultM:     200,
-		DefaultN:     10,
-		MaxM:         5000,
-		MaxN:         500,
-		RetryAfter:   time.Second,
 	}
 	s.mux.HandleFunc("/experts", s.handleExperts)
 	s.mux.HandleFunc("/papers", s.handlePapers)
@@ -145,16 +144,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // Registry returns the metrics registry the server records into.
 func (s *Server) Registry() *obs.Registry { return s.metrics.Reg }
 
-// ListenAndServeContext serves on addr until ctx is cancelled, then
-// shuts down gracefully: the readiness gate flips to 503 (so load
-// balancers stop routing here), the listener closes, and in-flight
-// requests get up to drain to finish before being cut off. It returns
-// nil on a clean drain; the caller then flushes durable state (final
-// snapshot, WAL close) knowing no handler is still mutating the engine.
-func (s *Server) ListenAndServeContext(ctx context.Context, addr string, drain time.Duration) error {
-	return serveContext(ctx, s, addr, drain, func() { s.SetReady(false) }, s.Registry(), s.Log)
-}
-
 // statusClientClosedRequest is nginx's 499: the client went away before
 // the response was ready, so no status will reach it anyway — but the
 // access log and counters should not blame the server with a 5xx.
@@ -172,7 +161,7 @@ func (s *Server) acquireQuerySlot(w http.ResponseWriter) (release func(), ok boo
 		cur := s.inflightQueries.Load()
 		if cur >= int64(s.MaxInFlight) {
 			s.shed.Inc()
-			s.setRetryAfter(w)
+			retryLater(w)
 			http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)
 			return nil, false
 		}
@@ -182,15 +171,9 @@ func (s *Server) acquireQuerySlot(w http.ResponseWriter) (release func(), ok boo
 	}
 }
 
-// setRetryAfter stamps the Retry-After hint every transient 503 carries,
-// rounded up to whole seconds as the header requires.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	retry := s.RetryAfter
-	if retry <= 0 {
-		retry = time.Second
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-}
+// retryLater stamps the Retry-After hint every transient 503 carries:
+// look again in a second.
+func retryLater(w http.ResponseWriter) { w.Header().Set("Retry-After", "1") }
 
 // ExpertResult is one expert in an /experts response.
 type ExpertResult struct {
@@ -221,12 +204,12 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	n, err := IntParam(params, "n", s.DefaultN, s.MaxN)
+	n, err := IntParam(params, "n", DefaultN, MaxN)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	m, err := IntParam(params, "m", s.DefaultM, s.MaxM)
+	m, err := IntParam(params, "m", DefaultM, MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -307,7 +290,7 @@ func (s *Server) handlePapers(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	m, err := IntParam(params, "m", s.DefaultN, s.MaxM)
+	m, err := IntParam(params, "m", DefaultN, MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -342,7 +325,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "id must be an integer node id", http.StatusBadRequest)
 		return
 	}
-	m, err := IntParam(params, "m", s.DefaultN, s.MaxM)
+	m, err := IntParam(params, "m", DefaultN, MaxM)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -396,12 +379,12 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.ready.Load() {
-		s.setRetryAfter(w)
+		retryLater(w)
 		http.Error(w, "engine not ready, still recovering", http.StatusServiceUnavailable)
 		return
 	}
 	if reason := s.denyWrites.Load(); reason != nil {
-		s.setRetryAfter(w)
+		retryLater(w)
 		http.Error(w, *reason, http.StatusServiceUnavailable)
 		return
 	}
@@ -434,6 +417,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.As(err, &logErr):
 		s.logFailures.Inc()
+		retryLater(w)
 		http.Error(w, "durability unavailable, update not applied; retry",
 			http.StatusServiceUnavailable)
 		return
@@ -480,7 +464,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !ready {
-		s.setRetryAfter(w)
+		retryLater(w)
 		s.envelope().WriteJSON(w, http.StatusServiceUnavailable, ReadyResponse{Status: status})
 		return
 	}
