@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,8 +19,10 @@ import (
 	"time"
 
 	"expertfind/internal/ctxtest"
+	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 	"expertfind/internal/serve"
+	"expertfind/internal/ta"
 )
 
 // faultGate wraps a shard handler with switchable failure modes: while
@@ -435,7 +440,9 @@ func TestOldShardJSONIs502(t *testing.T) {
 // TestRouterRefusesUnmergeableAnswers: answers that decode but would
 // corrupt the expert sum are 502s naming the shards, not rankings — a paper
 // two shards both return (it would be summed twice), a list out of
-// retrieval order, and an author no table holds.
+// retrieval order, and an author no table holds. Ids that are merely
+// hostile — the largest int32, a negative one — are consistent answers and
+// rank as given.
 func TestRouterRefusesUnmergeableAnswers(t *testing.T) {
 	ds, eng := equivEngine(t)
 	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
@@ -489,6 +496,67 @@ func TestRouterRefusesUnmergeableAnswers(t *testing.T) {
 		topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil,
 			rewrite(func(r *PapersResponse) { r.Authors = nil }, 0, 1))
 		refused(t, topo, "is in no author table", "sent papers listing it")
+	})
+	t.Run("hostile author ids", func(t *testing.T) {
+		// The shards rename the query's two best experts to the largest
+		// int32 and to a negative id, in their lists and their tables
+		// alike. That is a consistent answer: the router ranks the ids as
+		// given, and no memory it allocates may scale with an id.
+		text := ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text
+		papers, _, err := eng.RetrievePapers(text, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, _ := ta.TopExperts(eng.Graph(), papers, math.MaxInt32)
+		rename := map[hetgraph.NodeID]hetgraph.NodeID{all[0].Expert: math.MaxInt32, all[1].Expert: -7}
+		want := slices.Clone(all)
+		for i, r := range want {
+			if to, ok := rename[r.Expert]; ok {
+				want[i].Expert = to
+			}
+		}
+		slices.SortFunc(want, func(a, b ta.Ranking) int {
+			if a.Before(b) {
+				return -1
+			}
+			return 1
+		})
+		topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil,
+			rewrite(func(r *PapersResponse) {
+				for _, p := range r.Papers {
+					for j, a := range p.Authors {
+						if to, ok := rename[a]; ok {
+							p.Authors[j] = to
+						}
+					}
+				}
+				for i, a := range r.Authors {
+					if to, ok := rename[a.ID]; ok {
+						r.Authors[i].ID = to
+					}
+				}
+				slices.SortFunc(r.Authors, func(a, b WireAuthor) int { return cmp.Compare(a.ID, b.ID) })
+			}, 0, 1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := queryExperts(t, topo.routerURL, text, 40, 10)
+		if code, body := routerStatus(t, topo, "/papers?q="+q+"&m=10"); code != http.StatusOK {
+			t.Fatalf("/papers: status %d: %s", code, body)
+		}
+		runtime.ReadMemStats(&after)
+		assertSameRanking(t, text, got, want[:10])
+		for _, e := range got.Experts {
+			for from, to := range rename {
+				if e.ID == int32(to) && e.Name != eng.Graph().Label(from) {
+					t.Fatalf("expert %d is named %q, want %q", e.ID, e.Name, eng.Graph().Label(from))
+				}
+			}
+		}
+		// A table indexed by id would be gigabytes; both queries, their
+		// shards and the HTTP around them allocate about half a megabyte.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Fatalf("two queries over hostile ids allocated %d bytes", grew)
+		}
 	})
 }
 

@@ -22,7 +22,8 @@ import (
 //
 // Expert and paper ids on the wire are GLOBAL: every process builds the
 // same deterministic engine over the same corpus, so node ids agree
-// everywhere and no translation tables are needed in the hot path.
+// everywhere. The router re-keys authors only to index its accumulator,
+// as positions in the merged ascending author table.
 //
 // The response travels as one binary frame (frame.go), little-endian
 // throughout:

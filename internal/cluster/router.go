@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/bits"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"slices"
@@ -263,6 +265,30 @@ func findAuthor(resps []*PapersResponse, id hetgraph.NodeID) (WireAuthor, bool) 
 	return WireAuthor{}, false
 }
 
+// mergeAuthors merges the shards' author tables, each ascending by id (the
+// frame decoder refuses one that is not), into one ascending table of
+// distinct ids.
+func mergeAuthors(resps []*PapersResponse) (ids []hetgraph.NodeID) {
+	for _, r := range resps {
+		merged, i := make([]hetgraph.NodeID, 0, len(ids)+len(r.Authors)), 0
+		for _, a := range r.Authors {
+			for ; i < len(ids) && ids[i] < a.ID; i++ {
+				merged = append(merged, ids[i])
+			}
+			if i < len(ids) && ids[i] == a.ID {
+				i++ // an earlier shard lists it too
+			}
+			merged = append(merged, a.ID)
+		}
+		ids = append(merged, ids[i:]...)
+	}
+	return ids
+}
+
+// authorHash is the odd multiplier of rankResponses' multiply-shift hash,
+// drawn per process so that no shard can choose ids that collide.
+var authorHash = rand.Uint32() | 1
+
 // missingAuthor is the refusal of an author some paper lists and no table
 // holds; it names the shards whose papers list it.
 func missingAuthor(papers []rankedPaper, id hetgraph.NodeID) error {
@@ -298,8 +324,9 @@ func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.
 // the single node's own expert sum (ta.TopExpertsOf) over the merged author
 // lists: every term of Eq. 4 needs only a paper's global rank and its
 // ordered authors, both of which the router holds, so scores, ties and work
-// stats are the single node's, bit for bit. The n winners take their name
-// and paper count from the shards' author tables.
+// stats are the single node's, bit for bit. An author a merged paper lists
+// and no table holds is refused, whether or not it would have won. The n
+// winners take their name and paper count from the shards' author tables.
 func rankResponses(ctx context.Context, resps []*PapersResponse, m, n int) ([]serve.ExpertResult, ta.Stats, error) {
 	_, mp := obs.StartSpan(ctx, "merge_papers")
 	papers, err := mergePapers(resps, m)
@@ -310,17 +337,42 @@ func rankResponses(ctx context.Context, resps []*PapersResponse, m, n int) ([]se
 
 	rctx, rs := obs.StartSpan(ctx, "rank")
 	defer rs.End()
-	top, st, err := ta.TopExpertsOf(rctx, len(papers), func(j int) []hetgraph.NodeID { return papers[j].Authors }, n)
+	// The scorer's keys are positions in the merged author table, so key
+	// order is id order and no memory is indexed by an id from the wire.
+	// Open addressing over more slots than ids (position + 1, 0 is empty)
+	// finds them; every probe ends at the id or at an empty slot.
+	ids := mergeAuthors(resps)
+	shift := 32 - bits.Len(uint(len(ids)+len(ids)/2))
+	slots, mask := make([]int32, 1<<(32-shift)), 1<<(32-shift)-1
+	probe := func(id hetgraph.NodeID) int {
+		h := int(uint32(id) * authorHash >> shift)
+		for slots[h] != 0 && ids[slots[h]-1] != id {
+			h = (h + 1) & mask
+		}
+		return h
+	}
+	for k, id := range ids {
+		slots[probe(id)] = int32(k + 1)
+	}
+	keys, ends := make([]hetgraph.NodeID, 0, len(ids)), make([]int, len(papers)+1)
+	for j, p := range papers {
+		for _, id := range p.Authors {
+			k := slots[probe(id)] - 1
+			if k < 0 {
+				return nil, ta.Stats{}, missingAuthor(papers, id)
+			}
+			keys = append(keys, hetgraph.NodeID(k))
+		}
+		ends[j+1] = len(keys)
+	}
+	top, st, err := ta.TopExpertsOf(rctx, len(papers), len(ids), func(j int) []hetgraph.NodeID { return keys[ends[j]:ends[j+1]] }, n)
 	if err != nil {
 		return nil, st, err
 	}
 	experts := make([]serve.ExpertResult, len(top))
 	for i, r := range top {
-		a, ok := findAuthor(resps, r.Expert)
-		if !ok {
-			return nil, st, missingAuthor(papers, r.Expert)
-		}
-		experts[i] = serve.ExpertResult{Rank: i + 1, ID: int32(r.Expert), Name: a.Name, Score: r.Score, Papers: a.Papers}
+		a, _ := findAuthor(resps, ids[r.Expert]) // every id in ids is in a table
+		experts[i] = serve.ExpertResult{Rank: i + 1, ID: int32(a.ID), Name: a.Name, Score: r.Score, Papers: a.Papers}
 	}
 	return experts, st, nil
 }

@@ -324,6 +324,7 @@ type searchScratch struct {
 	visited []uint32
 	epoch   uint32
 	pool    []poolEntry
+	seeds   []int32 // the walk's entry points
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &searchScratch{} }}
@@ -379,24 +380,30 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 	s := getScratch(n)
 	defer scratchPool.Put(s)
 	cur := 0 // the first unexpanded pool entry
-	push := func(i int32) {
-		if s.visited[i] == s.epoch {
-			return
-		}
-		s.visited[i] = s.epoch
-		st.DistanceComputations++
-		st.NodesVisited++
-		if at := s.add(idx.ids, i, vec.L2Sq32(idx.embs.Row(int(i)), query), ef); at < cur {
-			cur = at
-		}
-	}
-	push(idx.nav)
+	// Score a batch (the entry points, then each expansion's neighbours).
+	batch := append(s.seeds[:0], idx.nav)
 	if multiEntry {
-		for _, e := range idx.entries {
-			push(e)
-		}
+		batch = append(batch, idx.entries...)
 	}
-	for cur < len(s.pool) {
+	s.seeds = batch
+	for {
+		for _, i := range batch {
+			if s.visited[i] == s.epoch {
+				continue
+			}
+			s.visited[i] = s.epoch
+			st.DistanceComputations++
+			st.NodesVisited++
+			if at := s.add(idx.ids, i, vec.L2Sq32(idx.embs.Row(int(i)), query), ef); at < cur {
+				cur = at
+			}
+		}
+		for cur < len(s.pool) && s.pool[cur].done {
+			cur++
+		}
+		if cur == len(s.pool) {
+			break
+		}
 		if st.Expansions%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, st, err
@@ -404,14 +411,8 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 		}
 		st.Expansions++
 		s.pool[cur].done = true
-		id := s.pool[cur].id
+		batch = idx.nbrs[s.pool[cur].id]
 		cur++
-		for _, nb := range idx.nbrs[id] {
-			push(nb)
-		}
-		for cur < len(s.pool) && s.pool[cur].done {
-			cur++
-		}
 	}
 	// The pool is in canonical order over the traversal's distances — the
 	// same kernel over the same rows as BruteForce — so its head is the

@@ -1,10 +1,10 @@
 // Package ta implements §IV-C: expert scoring over the retrieved top-m
 // papers (Eq. 4-6, with Zipf-distributed author-contribution weights) and
 // the top-n expert ranking over them — one accumulate-and-select pass
-// (Scores) under one order (Ranking.Before). The paper's threshold
-// algorithm (TA/NRA) is kept as Figure 7's reference in
-// internal/experiments; TopExpertsFullScan is the naive oracle the tests
-// and the benchmark compare against.
+// (TopExpertsOf, a dense accumulator over keys below a stated bound) under
+// one order (Ranking.Before). The paper's threshold algorithm (TA/NRA) is
+// kept as Figure 7's reference in internal/experiments; TopExpertsFullScan
+// is the naive oracle the tests and the benchmark compare against.
 //
 // Note on polarity: Problem 1 writes arg min R(a), but the score of Eq. 4-6
 // accumulates reciprocal ranks, so larger R means a better expert, and the
@@ -102,42 +102,23 @@ func (a Ranking) Before(b Ranking) bool {
 	return a.Score > b.Score || (a.Score == b.Score && a.Expert < b.Expert)
 }
 
-// Scores accumulates per-expert sums of S(a,p) and selects the top n. An
-// expert's score is the float sum of its contributions in the order they
-// were added, so callers that want comparable bits add in one agreed
-// order: ASCENDING PAPER RANK, the package's canonical summation order,
-// which TopExpertsOf — the one loop behind the engine and the cluster
-// router — follows.
-type Scores struct {
-	slot map[hetgraph.NodeID]int32
+// scorer is TopExpertsOf's accumulator, recycled through scorerPool.
+// slot[key] is 0 for a key with no sum yet, else its index in sums plus 1;
+// sums, in first-added order, is also the list of slots to zero before the
+// scorer goes back. A sum adds in ASCENDING PAPER RANK, the package's
+// canonical summation order.
+type scorer struct {
+	slot []int32
 	sums []Ranking
 }
 
-// NewScores returns an empty accumulator sized for about hint experts;
-// growing a map to a few hundred keys costs as much as filling it.
-func NewScores(hint int) *Scores {
-	return &Scores{slot: make(map[hetgraph.NodeID]int32, hint), sums: make([]Ranking, 0, hint)}
-}
+var scorerPool = sync.Pool{New: func() any { return new(scorer) }}
 
-// Add adds one contribution to the expert's running sum.
-func (s *Scores) Add(expert hetgraph.NodeID, score float64) {
-	i, ok := s.slot[expert]
-	if !ok {
-		i = int32(len(s.sums))
-		s.slot[expert] = i
-		s.sums = append(s.sums, Ranking{Expert: expert})
-	}
-	s.sums[i].Score += score
-}
-
-// Len returns the number of distinct experts added so far.
-func (s *Scores) Len() int { return len(s.sums) }
-
-// Top returns the n experts that come first under Before, in that order
+// top returns the n experts that come first under Before, in that order
 // (all of them when fewer were added, nil when n <= 0 or none were): a
 // binary heap of n survivors whose root is the one a better candidate
 // evicts, then sorted in place.
-func (s *Scores) Top(n int) []Ranking {
+func (s *scorer) top(n int) []Ranking {
 	n = min(n, len(s.sums))
 	if n <= 0 {
 		return nil
@@ -199,16 +180,27 @@ func TopExperts(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, 
 // every pollEvery papers. On cancellation it returns ctx.Err() with the
 // work done so far and no partial ranking.
 func TopExpertsCtx(ctx context.Context, g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, Stats, error) {
-	return TopExpertsOf(ctx, len(papers), func(j int) []hetgraph.NodeID { return g.AuthorsOf(papers[j]) }, n)
+	return TopExpertsOf(ctx, len(papers), g.NumNodes(), func(j int) []hetgraph.NodeID { return g.AuthorsOf(papers[j]) }, n)
 }
 
 // TopExpertsOf is the ranking loop itself, fed author lists instead of a
 // graph: authorsOf(j) is the ordered author list of the paper at rank j+1
-// of m. The engine feeds it from its graph (TopExpertsCtx), the cluster
-// router from the lists the shards sent with their papers — one loop, so
+// of m, as keys in [0, bound) that become the Experts of the ranking. The
+// engine feeds NodeIDs below NumNodes (TopExpertsCtx), the cluster router
+// positions in the shards' merged ascending author table — one loop, so
 // the two cannot disagree on a bit of a score or on a tie.
-func TopExpertsOf(ctx context.Context, m int, authorsOf func(j int) []hetgraph.NodeID, n int) (out []Ranking, st Stats, err error) {
-	sc := NewScores(m)
+func TopExpertsOf(ctx context.Context, m, bound int, authorsOf func(j int) []hetgraph.NodeID, n int) (out []Ranking, st Stats, err error) {
+	s := scorerPool.Get().(*scorer)
+	if len(s.slot) < bound { // with headroom, so a growing graph reallocates rarely
+		s.slot = make([]int32, bound+bound/4)
+	}
+	defer func() { // on every exit: zero the slots this ranking set
+		for _, r := range s.sums {
+			s.slot[r.Expert] = 0
+		}
+		s.sums = s.sums[:0]
+		scorerPool.Put(s)
+	}()
 	for j := 0; j < m; j++ {
 		if j%pollEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -216,18 +208,25 @@ func TopExpertsOf(ctx context.Context, m int, authorsOf func(j int) []hetgraph.N
 			}
 		}
 		authors := authorsOf(j)
+		h, rank := harmonic(len(authors)), float64(j+1) // ExpertScore's terms, hoisted
 		for i, a := range authors {
-			sc.Add(a, ExpertScore(j+1, i+1, len(authors)))
+			k := s.slot[a]
+			if k == 0 {
+				s.sums = append(s.sums, Ranking{Expert: a})
+				k = int32(len(s.sums))
+				s.slot[a] = k
+			}
+			s.sums[k-1].Score += 1 / (float64(i+1) * h) / rank
 		}
 		st.SortedAccesses += len(authors)
 		st.Depth = max(st.Depth, len(authors))
-		st.Candidates = sc.Len()
+		st.Candidates = len(s.sums)
 	}
-	return sc.Top(n), st, nil
+	return s.top(n), st, nil
 }
 
 // TopExpertsFullScan is the naive reference of TopExperts — a map of
-// sums, every candidate sorted, cut to n — kept independent of Scores so
+// sums, every candidate sorted, cut to n — kept independent of scorer so
 // tests and the benchmark have an oracle to compare against.
 func TopExpertsFullScan(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) []Ranking {
 	scores := map[hetgraph.NodeID]float64{}
