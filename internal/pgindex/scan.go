@@ -122,14 +122,17 @@ func FlatRows(embs map[hetgraph.NodeID]vec.Vec32) ([]hetgraph.NodeID, *vec.Matri
 	return ids, rows
 }
 
-// scanBlock is how many rows the scan covers between context polls: 256 KB
-// of a 64-dim matrix, tens of microseconds of work.
+// scanBlock is how many rows the scan covers between context polls and
+// per kernel call: 256 KB of a 64-dim matrix, tens of microseconds of
+// work, and a 4 KB array of distances on the scan's stack.
 const scanBlock = 1024
 
 // Scan returns the exact m nearest rows to the query — the "w/o PG-Index"
 // retrieval of Ours-3/Ours-4 — in canonical order: distance ascending,
 // ties by paper id. ids[i] names row i of rows; both are only read. A done
-// ctx stops the scan at the next block of rows with ctx.Err(). It is one
+// ctx stops the scan at the next block of rows with ctx.Err(). A block's
+// distances come from one vec.L2SqRows32 call and reach the heap in row
+// order, the sequence a call per row would give. It is one
 // pass on the caller's goroutine: splitting row ranges over Ps did not beat
 // it by more than the run-to-run spread on any benchmarked workload
 // (EXPERIMENTS.md, "Exact scan").
@@ -140,15 +143,16 @@ func Scan(ctx context.Context, ids []hetgraph.NodeID, rows *vec.Matrix32, query 
 	}
 	t := newTopM(m)
 	dim := rows.Cols
+	var d2 [scanBlock]float32
 	for lo := 0; lo < len(ids); lo += scanBlock {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		end := min(lo+scanBlock, len(ids))
-		block := rows.Data[lo*dim : end*dim]
-		for i := lo; i < end; i++ {
-			t.offer(vec.L2Sq32(block[:dim:dim], query), ids[i])
-			block = block[dim:]
+		block := d2[:end-lo]
+		vec.L2SqRows32(block, rows.Data[lo*dim:end*dim], query)
+		for i, d := range block {
+			t.offer(d, ids[lo+i])
 		}
 	}
 	return t.results(), nil

@@ -18,7 +18,7 @@ func elemsOverflow(rows, cols int) bool {
 // it; Matrix32Of, which takes shapes from snapshot files, returns it.
 type ShapeError struct {
 	Op         string // operation that rejected the shape
-	Rows, Cols int    // the offending pair (rows x cols, or the two lengths)
+	Rows, Cols int    // the offending pair (rows x cols, or the two lengths; -1 -1 from L2Sq32)
 }
 
 func (e *ShapeError) Error() string {

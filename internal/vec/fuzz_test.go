@@ -17,9 +17,9 @@ func bytesToFloat32s(b []byte) []float32 {
 	return v
 }
 
-// FuzzDotKernels checks that Dot32 and L2Sq32 agree bit for bit with the
-// lane-order reference on arbitrary inputs — the conformance sweep's
-// contract, extended to adversarial bit patterns.
+// FuzzDotKernels checks that Dot32, L2Sq32 and L2SqRows32 agree bit for
+// bit with the lane-order reference on arbitrary inputs — the conformance
+// sweep's contract, extended to adversarial bit patterns.
 func FuzzDotKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64}, []byte{0, 0, 64, 64, 0, 0, 128, 64})
@@ -28,9 +28,29 @@ func FuzzDotKernels(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed, seed)
+	// Distinct finite values, one row of 67 and thirteen of 5, so that a
+	// lane-order slip in any step changes bits without the fuzzer's help.
+	a, b := make([]byte, 67*4), make([]byte, 67*4)
+	for i := 0; i < 67; i++ {
+		binary.LittleEndian.PutUint32(a[i*4:], math.Float32bits(float32(math.Sqrt(float64(i+2)))))
+		binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(float32(i)/3))
+	}
+	f.Add(a, b)
+	f.Add(a, b[:5*4])
 	f.Fuzz(func(t *testing.T, ab, bb []byte) {
 		a := bytesToFloat32s(ab)
 		b := bytesToFloat32s(bb)
+		// The rows kernel over every whole row of width len(b) that fits
+		// in a, the block ending at a's last float (so starting 0 to
+		// len(b)-1 floats into it), with b as the query.
+		rows := len(a) % 10
+		if len(b) > 0 {
+			rows = len(a) / len(b)
+		}
+		if err := checkRows(a[len(a)-rows*len(b):], b, rows); err != "" {
+			t.Fatalf("L2SqRows32 dim=%d: %s", len(b), err)
+		}
+
 		n := len(a)
 		if len(b) < n {
 			n = len(b)

@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // This file holds the float32 compute kernels behind Vec32 and Matrix32:
@@ -23,6 +24,19 @@ import (
 // The conformance suite re-implements this order naively and asserts
 // bit-equality across every length 0..67, so the unrolling can never
 // silently change results.
+//
+// On amd64 the squared-L2 kernel is SSE2 assembly (kernels32_amd64.s),
+// and the lane order is what lets it keep the bits: lane l is slot l of
+// one XMM register. An 8-wide step is SUBPS and MULPS on two 4-wide
+// halves, ADDPS of the halves, then ADDPS into the accumulator; the
+// 4-wide step feeds all four slots; the scalar tail is ADDSS into slot 0;
+// the reduction is (s0+s1)+(s2+s3). Every amd64 CPU has SSE2, so there is
+// no CPU-feature dispatch and no second path to choose. AVX and FMA are
+// left out on purpose: 8 or 16 lanes sum different terms per lane, and a
+// fused multiply-add rounds once where the order rounds twice, so either
+// would change published bits. Other architectures run the portable
+// bodies (l2Sq32Go, l2SqRows32Go), which amd64 builds compile and test
+// too.
 
 // Dot32 returns the inner product <a, b> in float32, using the package's
 // documented four-lane accumulation order. It panics if lengths differ.
@@ -59,11 +73,44 @@ func Dot32(a, b []float32) float32 {
 // L2Sq32 returns the squared Euclidean distance between a and b in
 // float32, with the same four-lane accumulation order as Dot32. It panics
 // if lengths differ.
-func L2Sq32(a, b []float32) float32 {
-	n := len(a)
-	if len(b) != n {
-		panic(fmt.Sprintf("vec: l2sq32 of mismatched dims %d and %d", n, len(b)))
+func L2Sq32(a, b []float32) (d float32) {
+	if len(a) != len(b) {
+		panic(errL2Sq32Dims)
 	}
+	// One row: the kernel writes its distance through a one-element view
+	// of d, which stays on the stack because l2SqRows32 is go:noescape.
+	l2SqRows32(unsafe.Slice(&d, 1), a, b)
+	return d
+}
+
+// errL2Sq32Dims is L2Sq32's panic value, built once: building it at the
+// panic, with the two lengths, would put L2Sq32 over the inlining budget.
+var errL2Sq32Dims = &ShapeError{Op: "L2Sq32 of slices of different lengths", Rows: -1, Cols: -1}
+
+// L2SqRows32 sets dst[r] to L2Sq32(row r, q) for every row of rows, a
+// row-major block of len(dst) rows of len(q) floats. One call covers the
+// whole block, so a scan pays the call once per block, not once per row.
+// It panics with a *ShapeError unless len(rows) == len(dst)*len(q).
+func L2SqRows32(dst, rows, q []float32) {
+	if elemsOverflow(len(dst), len(q)) || len(rows) != len(dst)*len(q) {
+		panic(&ShapeError{Op: "L2SqRows32 of a block not len(dst) x len(q)", Rows: len(dst), Cols: len(q)})
+	}
+	l2SqRows32(dst, rows, q)
+}
+
+// l2SqRows32Go is the portable body of L2SqRows32; the caller has checked
+// the shapes.
+func l2SqRows32Go(dst, rows, q []float32) {
+	dim := len(q)
+	for r := range dst {
+		dst[r] = l2Sq32Go(rows[r*dim:(r+1)*dim:(r+1)*dim], q)
+	}
+}
+
+// l2Sq32Go is the portable body of L2Sq32 over two slices of one length.
+func l2Sq32Go(a, b []float32) float32 {
+	n := len(a)
+	b = b[:n]
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+8 <= n; i += 8 {

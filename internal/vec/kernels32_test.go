@@ -1,8 +1,10 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -126,6 +128,10 @@ func TestKernelConformanceAllLengths(t *testing.T) {
 				t.Fatalf("L2Sq32 len=%d trial=%d: kernel %x, lane reference %x",
 					n, trial, math.Float32bits(got), math.Float32bits(want))
 			}
+			if got, want := l2Sq32Go(a, b), laneL2Sq32(a, b); !bitsEq(got, want) {
+				t.Fatalf("l2Sq32Go len=%d trial=%d: portable %x, lane reference %x",
+					n, trial, math.Float32bits(got), math.Float32bits(want))
+			}
 
 			// Axpy32 is element-wise: bit-exact against the naive loop.
 			alpha := float32(rng.NormFloat64())
@@ -157,7 +163,35 @@ func TestKernelConformanceAllLengths(t *testing.T) {
 				}
 			}
 		}
+
+		// L2SqRows32 over 0..9 rows of this width, the block starting 0..3
+		// floats into its buffer (unaligned loads) and ending at its end.
+		for rows := 0; rows <= 9; rows++ {
+			for off := 0; off <= 3; off++ {
+				buf := randSlice32(rng, off+rows*n)
+				if err := checkRows(buf[off:], randSlice32(rng, n), rows); err != "" {
+					t.Fatalf("dim=%d rows=%d offset=%d: %s", n, rows, off, err)
+				}
+			}
+		}
 	}
+}
+
+// checkRows holds L2SqRows32 and its portable body to laneL2Sq32 row by
+// row, bit for bit, over a block of n rows of len(q) floats. It returns ""
+// or what differed.
+func checkRows(block, q []float32, n int) string {
+	got, portable := make([]float32, n), make([]float32, n)
+	L2SqRows32(got, block, q)
+	l2SqRows32Go(portable, block, q)
+	for r := range got {
+		want := laneL2Sq32(block[r*len(q):(r+1)*len(q)], q)
+		if !bitsEq(got[r], want) || !bitsEq(portable[r], want) {
+			return fmt.Sprintf("row %d of %d: kernel %x, portable %x, lane reference %x", r, n,
+				math.Float32bits(got[r]), math.Float32bits(portable[r]), math.Float32bits(want))
+		}
+	}
+	return ""
 }
 
 // TestKernelNearNaiveAccumulation bounds the reordering drift: kernel and
@@ -275,12 +309,21 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 		"Axpy32":     func() { Axpy32([]float32{1}, 1, []float32{1, 2}) },
 		"AxpyInto64": func() { AxpyInto64([]float64{1}, 1, []float32{1, 2}) },
 		"DotInt8":    func() { DotInt8([]int8{1}, []int8{1, 2}) },
+		// One float short, one over, and rows for a dim-0 query.
+		"L2SqRows32 short": func() { L2SqRows32(make([]float32, 2), make([]float32, 5), make([]float32, 3)) },
+		"L2SqRows32 long":  func() { L2SqRows32(make([]float32, 2), make([]float32, 7), make([]float32, 3)) },
+		"L2SqRows32 dim 0": func() { L2SqRows32(make([]float32, 2), make([]float32, 1), nil) },
 	}
 	for name, f := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
+				switch v := recover(); {
+				case v == nil:
 					t.Errorf("%s on mismatched dims did not panic", name)
+				case strings.HasPrefix(name, "L2Sq"):
+					if _, ok := v.(*ShapeError); !ok {
+						t.Errorf("%s panicked with %T, want *ShapeError", name, v)
+					}
 				}
 			}()
 			f()
