@@ -17,7 +17,8 @@
 //
 // Binaries: cmd/expertfind (query CLI), cmd/datagen (dataset generator),
 // cmd/benchtab (prints the paper's tables and figures), cmd/expertserve
-// (the HTTP service). Runnable examples are under examples/. Performance
-// is measured by one program, bench/ (its own module; `sh bench/run.sh`),
-// whose workloads and metrics BENCHMARK.json names.
+// (the HTTP service). example_test.go holds runnable examples whose
+// output go test checks. Performance is measured by one program, bench/
+// (its own module; `sh bench/run.sh`), whose workloads and metrics
+// BENCHMARK.json names.
 package expertfind

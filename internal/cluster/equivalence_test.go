@@ -515,7 +515,7 @@ func TestFollowerReplicaMatchesSingleNode(t *testing.T) {
 	defer fo.Close()
 	fo.Start()
 	deadline := time.Now().Add(20 * time.Second)
-	for !(fo.CaughtUp() && fo.Store().LastSeq() >= 10) {
+	for !(fo.Status().CaughtUp && fo.Store().LastSeq() >= 10) {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower never caught up: %+v", fo.Status())
 		}

@@ -24,7 +24,7 @@ func TestMmapEquivalenceSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Save(w); err != nil {
+	if _, err := eng.SaveSnapshot(w); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

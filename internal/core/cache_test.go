@@ -57,8 +57,8 @@ func TestNormalizeQueryKey(t *testing.T) {
 		{"bad\xffutf8", "bad\ufffdutf8"},
 	}
 	for _, c := range cases {
-		if got := NormalizeQueryKey(c.in); got != c.want {
-			t.Errorf("NormalizeQueryKey(%q) = %q, want %q", c.in, got, c.want)
+		if got := normalizeQueryKey(c.in); got != c.want {
+			t.Errorf("normalizeQueryKey(%q) = %q, want %q", c.in, got, c.want)
 		}
 		// The fast path may only ever return its input; the general path
 		// defines the function.
@@ -66,12 +66,12 @@ func TestNormalizeQueryKey(t *testing.T) {
 			t.Errorf("isNormalASCII(%q) is true, but the normal form is %q", c.in, c.want)
 		}
 		// Idempotence is part of the contract.
-		if once := NormalizeQueryKey(c.in); NormalizeQueryKey(once) != once {
-			t.Errorf("NormalizeQueryKey not idempotent on %q", c.in)
+		if once := normalizeQueryKey(c.in); normalizeQueryKey(once) != once {
+			t.Errorf("normalizeQueryKey not idempotent on %q", c.in)
 		}
 	}
 	normal := "heterogeneous graph embedding for expert finding"
-	if allocs := testing.AllocsPerRun(100, func() { normal = NormalizeQueryKey(normal) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { normal = normalizeQueryKey(normal) }); allocs != 0 {
 		t.Errorf("normalizing already-normal text made %v allocations, want 0", allocs)
 	}
 }

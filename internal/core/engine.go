@@ -162,7 +162,8 @@ type Engine struct {
 	// applied (see SetUpdateLog); nil runs memory-only.
 	wal UpdateLog
 	// updates journals every accepted online update since the offline
-	// build, in order — Save embeds it so snapshots capture live state.
+	// build, in order — SaveSnapshot embeds it so snapshots capture live
+	// state.
 	updates []NewPaper
 	// walSeq is the WAL sequence of the most recent applied update.
 	walSeq uint64
@@ -314,7 +315,7 @@ func (e *Engine) Stats() BuildStats { return e.stats }
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // Graph returns the underlying heterogeneous graph. Reading it is safe
-// only while no update (AddPaper, ApplyLogged) can run: updates append
+// only while no update (AddPaper, WAL replay) can run: updates append
 // nodes and edges under the engine's write lock. Code that reads the
 // graph of a live engine goes through ReadGraph.
 func (e *Engine) Graph() *hetgraph.Graph { return e.g }
@@ -480,12 +481,8 @@ func (e *BadParamError) Error() string {
 // excluding the paper itself — the related-work lookup behind /similar.
 // It is query retrieval with the paper's embedding for the query's: the
 // PG-Index at the engine's configured EF, or the exact scan without one.
-func (e *Engine) SimilarPapers(id hetgraph.NodeID, m int) ([]hetgraph.NodeID, QueryStats, error) {
-	return e.SimilarPapersCtx(context.Background(), id, m)
-}
-
-// SimilarPapersCtx is SimilarPapers with cooperative cancellation.
-func (e *Engine) SimilarPapersCtx(ctx context.Context, id hetgraph.NodeID, m int) ([]hetgraph.NodeID, QueryStats, error) {
+// ctx cancels the search cooperatively, as it does for TopExpertsCtx.
+func (e *Engine) SimilarPapers(ctx context.Context, id hetgraph.NodeID, m int) ([]hetgraph.NodeID, QueryStats, error) {
 	if m <= 0 {
 		return nil, QueryStats{}, &BadParamError{Param: "m", Value: m}
 	}

@@ -251,7 +251,7 @@ func (f *Follower) fetchSnapshot(path string) (uint64, error) {
 		// is allowed to become the snapshot: a torn download must fail
 		// here, not at some later boot. The caller's load then validates
 		// the payload in depth.
-		return VerifySnapshotFile(tmp.Name())
+		return verifySnapshotFile(tmp.Name())
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: bootstrap snapshot: %w", err)
@@ -429,23 +429,16 @@ func (f *Follower) lagLocked() uint64 {
 	return f.leaderSeq - f.applied
 }
 
-// CaughtUp reports whether the follower had applied everything the
-// leader acknowledged as of the last successful poll.
-func (f *Follower) CaughtUp() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.polled && f.leaderSeq <= f.applied
-}
-
 // Ready reports whether the follower should serve reads: bootstrap and
 // at least one poll completed, and lag within the configured bound.
 func (f *Follower) Ready() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.promoted {
-		return true
-	}
-	return f.polled && f.lagLocked() <= f.opts.MaxLag
+	return f.readyLocked()
+}
+
+func (f *Follower) readyLocked() bool {
+	return f.promoted || f.polled && f.lagLocked() <= f.opts.MaxLag
 }
 
 // FollowerStatus is the JSON shape of /replication/status on a follower.
@@ -461,15 +454,17 @@ type FollowerStatus struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Status snapshots the follower's replication state.
+// Status snapshots the follower's replication state, every field at one
+// instant: CaughtUp (everything the leader acknowledged as of the last
+// successful poll is applied) implies Lag == 0 and Ready.
 func (f *Follower) Status() FollowerStatus {
-	ready, caught := f.Ready(), f.CaughtUp()
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	lag := f.lagLocked()
 	st := FollowerStatus{
 		Role: "follower", Leader: f.leader, Epoch: f.store.Epoch(),
-		Applied: f.applied, LeaderSeq: f.leaderSeq, Lag: f.lagLocked(),
-		CaughtUp: caught, Ready: ready,
+		Applied: f.applied, LeaderSeq: f.leaderSeq, Lag: lag,
+		CaughtUp: f.polled && lag == 0, Ready: f.readyLocked(),
 	}
 	if f.promoted {
 		st.Role = "leader"

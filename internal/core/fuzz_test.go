@@ -6,7 +6,7 @@ import (
 	"unicode"
 )
 
-// FuzzQueryKey drives NormalizeQueryKey and cacheKey with arbitrary
+// FuzzQueryKey drives normalizeQueryKey and cacheKey with arbitrary
 // bytes: normalization must never panic, must be idempotent, must be
 // insensitive to case and surrounding whitespace, and two distinct
 // (kind, query, m, n) tuples must never share a cache key.
@@ -18,17 +18,17 @@ func FuzzQueryKey(f *testing.F) {
 		f.Add(seed, 10, 5)
 	}
 	f.Fuzz(func(t *testing.T, q string, m, n int) {
-		norm := NormalizeQueryKey(q)
-		if again := NormalizeQueryKey(norm); again != norm {
+		norm := normalizeQueryKey(q)
+		if again := normalizeQueryKey(norm); again != norm {
 			t.Fatalf("not idempotent: %q -> %q -> %q", q, norm, again)
 		}
 		// Simple Unicode lowercasing is idempotent, so a pre-lowercased
 		// variant must land on the same key. (ToUpper is NOT safe to fold
 		// here: ı/ſ-style characters round-trip to different letters.)
-		if NormalizeQueryKey(strings.ToLower(q)) != norm {
+		if normalizeQueryKey(strings.ToLower(q)) != norm {
 			t.Fatalf("lowercase variant of %q normalizes differently", q)
 		}
-		if NormalizeQueryKey("  "+q+"\t") != norm {
+		if normalizeQueryKey("  "+q+"\t") != norm {
 			t.Fatalf("surrounding whitespace changes the key for %q", q)
 		}
 		if strings.ContainsFunc(norm, func(r rune) bool { return unicode.IsSpace(r) && r != ' ' }) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,7 +74,7 @@ func mmapEquivSetup(t testing.TB) (*dataset.Dataset, *Engine, string) {
 			f.err = err
 			return
 		}
-		if err := e.Save(w); err != nil {
+		if _, err := e.SaveSnapshot(w); err != nil {
 			f.err = err
 			return
 		}
@@ -132,11 +133,11 @@ func assertSimilarIdentical(t *testing.T, label string, want, got *Engine) {
 	t.Helper()
 	papers := want.Graph().NodesOfType(hetgraph.Paper)
 	for _, id := range []hetgraph.NodeID{papers[0], papers[len(papers)/2], papers[len(papers)-1]} {
-		w, _, err := want.SimilarPapers(id, 8)
+		w, _, err := want.SimilarPapers(context.Background(), id, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := got.SimilarPapers(id, 8)
+		g, _, err := got.SimilarPapers(context.Background(), id, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +225,7 @@ func TestMmapEquivalenceExactEngine(t *testing.T) {
 	}
 	add(built, "journalled", 3)
 	var saved bytes.Buffer
-	if err := built.Save(&saved); err != nil {
+	if _, err := built.SaveSnapshot(&saved); err != nil {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(t.TempDir(), "exact.snap")
@@ -267,7 +268,7 @@ func TestMmapEquivalenceExactEngine(t *testing.T) {
 
 	// A save of the loaded engine reproduces the file byte for byte.
 	var resaved bytes.Buffer
-	if err := mapped.Save(&resaved); err != nil {
+	if _, err := mapped.SaveSnapshot(&resaved); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
@@ -316,7 +317,7 @@ func TestEmbeddingsViewIndexRows(t *testing.T) {
 		}
 		snap := filepath.Join(t.TempDir(), "engine.snap")
 		var saved bytes.Buffer
-		if err := built.Save(&saved); err != nil {
+		if _, err := built.SaveSnapshot(&saved); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(snap, saved.Bytes(), 0o644); err != nil {
@@ -338,7 +339,7 @@ func TestEmbeddingsViewIndexRows(t *testing.T) {
 			}
 			assertViewsIndexRows(t, label, e)
 			var resaved bytes.Buffer
-			if err := e.Save(&resaved); err != nil {
+			if _, err := e.SaveSnapshot(&resaved); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
@@ -375,12 +376,12 @@ func TestMmapEquivalenceModeAuto(t *testing.T) {
 }
 
 // TestSnapshotOpenersAgree pins the one-opener rule: whatever is wrong
-// with a snapshot's bytes, the streaming Load, the heap and the mapped
-// LoadFileWith and the follower's VerifySnapshotFile all refuse it, with
-// the same typed error class. A retired format version — 1, all-gob; 2,
-// Θ_B inside the gob payload — is refused by *durable.VersionError naming
-// the version this build reads, never by a gob error from a
-// half-interpreted payload.
+// with a snapshot's bytes, loadSnapshot over the bytes alone, the heap
+// and the mapped LoadFileWith and the follower's verifySnapshotFile all
+// refuse it, with the same typed error class. A retired format version —
+// 1, all-gob; 2, Θ_B inside the gob payload — is refused by
+// *durable.VersionError naming the version this build reads, never by a
+// gob error from a half-interpreted payload.
 func TestSnapshotOpenersAgree(t *testing.T) {
 	_, _, snap := mmapEquivSetup(t)
 	valid, err := os.ReadFile(snap)
@@ -411,14 +412,14 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 	// Row ids that do not ascend, saved with valid checksums: only the
 	// content is wrong, and a loader must not rank a paper twice.
 	withIDs := func(forge func(ids []hetgraph.NodeID)) []byte {
-		e, err := Load(bytes.NewReader(valid), freshEquivGraph())
+		e, err := loadBytes(valid, freshEquivGraph())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids, _ := e.index.Rows()
 		forge(ids)
 		var b bytes.Buffer
-		if err := e.Save(&b); err != nil {
+		if _, err := e.SaveSnapshot(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
@@ -472,13 +473,13 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 		name string
 		open func(path string, b []byte) error
 	}{
-		{"Load", func(_ string, b []byte) error {
-			_, err := Load(bytes.NewReader(b), freshEquivGraph())
+		{"loadBytes", func(_ string, b []byte) error {
+			_, err := loadBytes(b, freshEquivGraph())
 			return err
 		}},
 		{"LoadFileWith heap", loadFile(colstore.ModeOff)},
 		{"LoadFileWith mmap", loadFile(colstore.ModeOn)},
-		{"VerifySnapshotFile", func(path string, _ []byte) error { return VerifySnapshotFile(path) }},
+		{"verifySnapshotFile", func(path string, _ []byte) error { return verifySnapshotFile(path) }},
 	}
 	dir := t.TempDir()
 	for i, c := range cases {
@@ -543,7 +544,7 @@ func parentSnapshotEngine(t *testing.T) (*dataset.Dataset, *Engine) {
 // corpus, where retrieval is the exact scan — ranks Float64bits-identically
 // to an engine built fresh at the same options.
 func TestLoadsParentSnapshotWithShadowColumns(t *testing.T) {
-	if err := VerifySnapshotFile(parentSnapshot); err != nil {
+	if err := verifySnapshotFile(parentSnapshot); err != nil {
 		t.Fatalf("parent snapshot rejected: %v", err)
 	}
 	raw, err := os.ReadFile(parentSnapshot)
@@ -574,7 +575,7 @@ func TestLoadsParentSnapshotWithShadowColumns(t *testing.T) {
 // with a typed error.
 func TestVerifySnapshotFile(t *testing.T) {
 	_, _, snap := mmapEquivSetup(t)
-	if err := VerifySnapshotFile(snap); err != nil {
+	if err := verifySnapshotFile(snap); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
 	raw, err := os.ReadFile(snap)
@@ -590,16 +591,16 @@ func TestVerifySnapshotFile(t *testing.T) {
 		return p
 	}
 
-	if err := VerifySnapshotFile(write("trunc", raw[:len(raw)-1])); err == nil {
+	if err := verifySnapshotFile(write("trunc", raw[:len(raw)-1])); err == nil {
 		t.Fatal("truncated snapshot verified")
 	}
-	if err := VerifySnapshotFile(write("trail", append(append([]byte(nil), raw...), 0xEE))); err == nil {
+	if err := verifySnapshotFile(write("trail", append(append([]byte(nil), raw...), 0xEE))); err == nil {
 		t.Fatal("trailing-junk snapshot verified")
 	}
 	for _, off := range []int{3, 17, 40, len(raw) / 2, len(raw) - 1} {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x10
-		if err := VerifySnapshotFile(write(fmt.Sprintf("flip%d", off), mut)); err == nil {
+		if err := verifySnapshotFile(write(fmt.Sprintf("flip%d", off), mut)); err == nil {
 			t.Fatalf("bit flip at %d verified", off)
 		}
 	}

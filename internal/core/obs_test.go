@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -123,7 +124,7 @@ func TestQueryStatsSpanConsistency(t *testing.T) {
 // status.
 func TestSimilarPapersErrors(t *testing.T) {
 	e, _, _ := buildObserved(t)
-	if _, _, err := e.SimilarPapers(999999, 5); err != ErrUnknownPaper {
+	if _, _, err := e.SimilarPapers(context.Background(), 999999, 5); err != ErrUnknownPaper {
 		t.Errorf("unknown id: %v", err)
 	}
 }
@@ -145,7 +146,7 @@ func TestSimilarPapersExactEngine(t *testing.T) {
 		return e
 	}
 	exact, indexed := build(false), build(true)
-	if _, _, err := exact.SimilarPapers(999999, 5); err != ErrUnknownPaper {
+	if _, _, err := exact.SimilarPapers(context.Background(), 999999, 5); err != ErrUnknownPaper {
 		t.Errorf("unknown id on an exact engine: %v", err)
 	}
 	const m = 7
@@ -158,12 +159,12 @@ func TestSimilarPapersExactEngine(t *testing.T) {
 				want = append(want, r.ID)
 			}
 		}
-		got, st, err := exact.SimilarPapers(id, m)
+		got, st, err := exact.SimilarPapers(context.Background(), id, m)
 		if err != nil || st.UsedPGIndex || !slices.Equal(got, want) {
 			t.Fatalf("similar(%d) on the exact engine: %v (index used: %v, err %v), scan says %v",
 				id, got, st.UsedPGIndex, err, want)
 		}
-		got, st, err = indexed.SimilarPapers(id, m)
+		got, st, err = indexed.SimilarPapers(context.Background(), id, m)
 		if err != nil || !st.UsedPGIndex || !slices.Equal(got, want) {
 			t.Fatalf("similar(%d) on the indexed engine: %v (index used: %v, err %v), scan says %v",
 				id, got, st.UsedPGIndex, err, want)

@@ -18,7 +18,7 @@ import (
 
 // EnableQueryCache attaches a sharded LRU query cache to the engine.
 // Queries with identical normalized text and bounds (see
-// NormalizeQueryKey) are then answered from memory until an update
+// normalizeQueryKey) are then answered from memory until an update
 // invalidates them; concurrent identical misses are coalesced into one
 // fill through singleflight. A MaxEntries <= 0 config detaches the cache.
 // Not safe to call concurrently with queries: enable the cache before
@@ -35,10 +35,9 @@ func (e *Engine) QueryCacheLen() int {
 	return e.qcache.Len()
 }
 
-// InvalidateQueryCache drops every cached query result. Updates call this
-// automatically; it is exported for operators whose out-of-band changes
-// (e.g. swapping label data) also invalidate rankings.
-func (e *Engine) InvalidateQueryCache() {
+// invalidateQueryCache drops every cached query result; every update
+// calls it.
+func (e *Engine) invalidateQueryCache() {
 	if e.qcache != nil {
 		e.qcache.Invalidate()
 	}
@@ -72,7 +71,7 @@ func (e *Engine) TopExpertsCtx(ctx context.Context, query string, m, n int) ([]t
 	if e.qcache == nil {
 		return e.topExpertsLocked(ctx, query, m, n)
 	}
-	v, st, err := e.cachedQuery(ctx, cacheKey(kindExperts, NormalizeQueryKey(query), m, n),
+	v, st, err := e.cachedQuery(ctx, cacheKey(kindExperts, normalizeQueryKey(query), m, n),
 		func(ctx context.Context) (cachedResult, error) {
 			experts, st, err := e.topExpertsLocked(ctx, query, m, n)
 			return cachedResult{experts: experts, stats: st}, err
@@ -102,7 +101,7 @@ func (e *Engine) RetrievePapersCtx(ctx context.Context, query string, m int) ([]
 	if e.qcache == nil {
 		return e.retrievePapersQuery(ctx, query, m)
 	}
-	v, st, err := e.cachedQuery(ctx, cacheKey(kindPapers, NormalizeQueryKey(query), m, 0),
+	v, st, err := e.cachedQuery(ctx, cacheKey(kindPapers, normalizeQueryKey(query), m, 0),
 		func(ctx context.Context) (cachedResult, error) {
 			ids, st, err := e.retrievePapersQuery(ctx, query, m)
 			return cachedResult{papers: ids, stats: st}, err

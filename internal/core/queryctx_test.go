@@ -45,8 +45,8 @@ func TestQueryParamBoundaries(t *testing.T) {
 		{"papers m=0", func() error { _, _, err := e.RetrievePapers("q", 0); return err }, "m"},
 		{"papers m=-9", func() error { _, _, err := e.RetrievePapers("q", -9); return err }, "m"},
 		{"papers m=1", func() error { _, _, err := e.RetrievePapers("q", 1); return err }, ""},
-		{"similar m=0", func() error { _, _, err := e.SimilarPapers(paper, 0); return err }, "m"},
-		{"similar m=1", func() error { _, _, err := e.SimilarPapers(paper, 1); return err }, ""},
+		{"similar m=0", func() error { _, _, err := e.SimilarPapers(context.Background(), paper, 0); return err }, "m"},
+		{"similar m=1", func() error { _, _, err := e.SimilarPapers(context.Background(), paper, 1); return err }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,8 +115,8 @@ func TestQueryCtxPreCancelled(t *testing.T) {
 		t.Errorf("RetrievePapersCtx: got %v, want context.Canceled", err)
 	}
 	paper := e.Graph().NodesOfType(hetgraph.Paper)[0]
-	if _, _, err := e.SimilarPapersCtx(ctx, paper, 10); !errors.Is(err, context.Canceled) {
-		t.Errorf("SimilarPapersCtx: got %v, want context.Canceled", err)
+	if _, _, err := e.SimilarPapers(ctx, paper, 10); !errors.Is(err, context.Canceled) {
+		t.Errorf("SimilarPapers: got %v, want context.Canceled", err)
 	}
 }
 

@@ -7,14 +7,14 @@ import (
 	"unicode/utf8"
 )
 
-// NormalizeQueryKey canonicalises free-form query text for cache lookup:
+// normalizeQueryKey canonicalises free-form query text for cache lookup:
 // Unicode-lowercased, with every run of whitespace (including leading and
 // trailing) collapsed to a single space. Two queries that differ only in
 // case or spacing therefore share one cache entry, matching the encoder,
 // whose tokenizer is itself case- and whitespace-insensitive. The function
-// is idempotent: NormalizeQueryKey(NormalizeQueryKey(q)) == NormalizeQueryKey(q).
+// is idempotent: normalizeQueryKey(normalizeQueryKey(q)) == normalizeQueryKey(q).
 // Text that is already normal comes back as it is, unallocated.
-func NormalizeQueryKey(q string) string {
+func normalizeQueryKey(q string) string {
 	if isNormalASCII(q) {
 		return q
 	}
@@ -35,7 +35,7 @@ func NormalizeQueryKey(q string) string {
 	return b.String()
 }
 
-// isNormalASCII reports whether q is ASCII that NormalizeQueryKey would
+// isNormalASCII reports whether q is ASCII that normalizeQueryKey would
 // return unchanged: no upper case, no whitespace but single inner spaces.
 func isNormalASCII(q string) bool {
 	afterSpace := true // so a leading space is refused

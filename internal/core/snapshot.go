@@ -19,12 +19,12 @@ import (
 )
 
 // The offline pipeline (§III) runs once; the online stage (§IV) serves
-// queries. Save and Load split the two across process lifetimes: Save
-// writes the fine-tuned parameters Θ_B, the embeddings E, the PG-Index,
-// the configuration, and the journal of online updates accepted since
-// the build; Load restores a query-ready engine against the same base
-// graph by adopting those blocks as they are and re-applying the
-// journalled updates to the graph.
+// queries. SaveSnapshot and LoadFileWith split the two across process
+// lifetimes: SaveSnapshot writes the fine-tuned parameters Θ_B, the
+// embeddings E, the PG-Index, the configuration, and the journal of
+// online updates accepted since the build; LoadFileWith restores a
+// query-ready engine against the same base graph by adopting those
+// blocks as they are and re-applying the journalled updates to the graph.
 //
 // One format, container version 3, with one rule for what lives where:
 // the gob payload holds scalars and strings (options, vocabulary, update
@@ -56,8 +56,8 @@ import (
 // gob payload as float64) are as unreadable as a future one and say so by
 // type: rebuild from the graph.
 
-// snapshotVersion is the container format version Save writes and the
-// only one Load reads.
+// snapshotVersion is the container format version SaveSnapshot writes
+// and the only one a load reads.
 const snapshotVersion = 3
 
 // Columnar segment names inside the section.
@@ -115,8 +115,8 @@ type snapshotPayload struct {
 	Updates []NewPaper
 	LastSeq uint64
 	// Col describes the columnar section that follows the payload
-	// (shapes and index scalars). Never nil in a snapshot Save wrote: an
-	// engine always has embeddings.
+	// (shapes and index scalars). Never nil in a snapshot SaveSnapshot
+	// wrote: an engine always has embeddings.
 	Col *colPersist
 }
 
@@ -129,19 +129,13 @@ type LoadOptions struct {
 	Mmap colstore.Mode
 }
 
-// Save serialises the engine — fine-tuned encoder, embeddings, index,
-// configuration, and the journal of accepted online updates — as a
-// versioned, checksummed container. It holds the engine's read lock, so
-// it can run while queries are served but not mid-update.
-func (e *Engine) Save(w io.Writer) error {
-	_, err := e.SaveSnapshot(w)
-	return err
-}
-
-// SaveSnapshot is Save returning the WAL sequence number the written
-// snapshot covers: every update with sequence <= lastSeq is inside the
-// snapshot, so WAL segments up to it can be truncated once the bytes
-// are durably on disk.
+// SaveSnapshot serialises the engine — fine-tuned encoder, embeddings,
+// index, configuration, and the journal of accepted online updates — as
+// a versioned, checksummed container, and returns the WAL sequence
+// number the written snapshot covers: every update with sequence <=
+// lastSeq is inside the snapshot, so WAL segments up to it can be
+// truncated once the bytes are durably on disk. It holds the engine's
+// read lock, so it can run while queries are served but not mid-update.
 func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -217,32 +211,22 @@ func idsToInt32(ids []hetgraph.NodeID) []int32 {
 	return out
 }
 
-// Load restores an engine saved with Save: it verifies the container
-// (magic, version, checksum) and the columnar section, decodes the
-// payload, adopts the saved encoder table, embedding matrix and PG-Index
-// as they are, and re-applies the journalled online updates to g. The
-// graph must be the base graph the engine was built over (same node
-// ids); Load cannot verify that beyond shape checks.
+// LoadFileWith restores an engine from a snapshot file SaveSnapshot
+// wrote: it verifies the container (magic, version, checksum) and the
+// columnar section, decodes the payload, adopts the saved encoder table,
+// embedding matrix and PG-Index as they are, and re-applies the
+// journalled online updates to g. The graph must be the base graph the
+// engine was built over (same node ids); the load cannot verify that
+// beyond shape checks. o.Mmap decides whether the columnar section is
+// mmap'd (zero-copy views, corpus larger than RAM) or read onto the
+// heap; the two modes produce bit-identical engines, only residency
+// differs. The engine records into obs.Default().
 //
-// Failure modes are typed: errors.Is(err, durable.ErrTruncated /
-// ErrChecksum / ErrBadMagic) and errors.As(&durable.VersionError{},
-// &durable.CorruptError{}) distinguish damage classes, and every decode
-// error carries the byte offset where parsing stopped.
-func Load(r io.Reader, g *hetgraph.Graph) (*Engine, error) {
-	// A stream has no file to map: its bytes are read whole and opened the
-	// way a file's are, on the heap.
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
-	}
-	return loadSnapshot(bytes.NewReader(data), "<stream>", int64(len(data)), colstore.ModeOff, g, nil)
-}
-
-// LoadFileWith is Load with path context in every error, and — unlike the
-// streaming Load — able to mmap the snapshot's columnar section: o.Mmap
-// decides whether it is mmap'd (zero-copy views, corpus larger than RAM)
-// or read onto the heap. The two modes produce bit-identical engines; only
-// residency behaviour differs. The engine records into obs.Default().
+// Failure modes are typed and name the path: errors.Is(err,
+// durable.ErrTruncated / ErrChecksum / ErrBadMagic) and
+// errors.As(&durable.VersionError{}, &durable.CorruptError{})
+// distinguish damage classes, and every decode error carries the byte
+// offset where parsing stopped.
 func LoadFileWith(path string, g *hetgraph.Graph, o LoadOptions) (*Engine, error) {
 	return loadFile(path, g, o.Mmap, nil)
 }
@@ -261,12 +245,12 @@ func loadFile(path string, g *hetgraph.Graph, mode colstore.Mode, reg *obs.Regis
 	return loadSnapshot(f, path, size, mode, g, reg)
 }
 
-// VerifySnapshotFile checks everything of a snapshot file that needs no
+// verifySnapshotFile checks everything of a snapshot file that needs no
 // graph: container, every CRC, the file's end, and the content the
 // segments must agree on (shapes, ascending row ids, adjacency). A
 // replication follower runs it on a downloaded snapshot before letting it
 // replace anything, so a torn or forged download fails here, typed.
-func VerifySnapshotFile(path string) error {
+func verifySnapshotFile(path string) error {
 	f, size, err := openSized(path)
 	if err != nil {
 		return err

@@ -16,7 +16,7 @@ import (
 
 // snapshotFixture builds one tiny engine and serialises it, shared by
 // the corruption tests and the fuzzer. The build skips fine-tuning so
-// the fixture is cheap; Save/Load exercise exactly the same paths.
+// the fixture is cheap; saving and loading exercise the same paths.
 var snapshotFixture = struct {
 	once  sync.Once
 	ds    *dataset.Dataset
@@ -40,7 +40,7 @@ func validSnapshotBytes(t testing.TB) ([]byte, *dataset.Dataset) {
 			return
 		}
 		var buf bytes.Buffer
-		f.err = e.Save(&buf)
+		_, f.err = e.SaveSnapshot(&buf)
 		f.bytes = buf.Bytes()
 	})
 	if f.err != nil {
@@ -74,7 +74,7 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 
 	t.Run("truncations", func(t *testing.T) {
 		for _, cut := range []int{0, 1, 5, 19, 20, 21, len(valid) / 2, len(valid) - 1} {
-			_, err := Load(bytes.NewReader(valid[:cut]), freshGraph())
+			_, err := loadBytes(valid[:cut], freshGraph())
 			if err == nil {
 				t.Fatalf("truncation at %d accepted", cut)
 			}
@@ -90,7 +90,7 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 		for _, off := range offsets {
 			mut := append([]byte(nil), valid...)
 			mut[off] ^= 0x04
-			_, err := Load(bytes.NewReader(mut), freshGraph())
+			_, err := loadBytes(mut, freshGraph())
 			if err == nil {
 				t.Fatalf("bit flip at %d accepted", off)
 			}
@@ -104,7 +104,7 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 	})
 
 	t.Run("foreign file", func(t *testing.T) {
-		_, err := Load(strings.NewReader("not a snapshot at all, definitely long enough"), freshGraph())
+		_, err := loadBytes([]byte("not a snapshot at all, definitely long enough"), freshGraph())
 		if !errors.Is(err, durable.ErrBadMagic) {
 			t.Fatalf("want ErrBadMagic, got %v", err)
 		}
@@ -113,7 +113,7 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 	t.Run("future version", func(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		mut[6] = 0xFF // version field low byte
-		_, err := Load(bytes.NewReader(mut), freshGraph())
+		_, err := loadBytes(mut, freshGraph())
 		var ve *durable.VersionError
 		if !errors.As(err, &ve) {
 			t.Fatalf("want *VersionError, got %v", err)
@@ -136,7 +136,7 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 		if _, _, err := colstore.WriteSection(mut, int64(mut.Len()), segs); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(mut, freshGraph())
+		_, err := loadBytes(mut.Bytes(), freshGraph())
 		var ce *durable.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("want *CorruptError, got %v", err)
@@ -151,7 +151,7 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 }
 
 // FuzzLoadCorrupt mutates valid snapshot bytes at an arbitrary position
-// and asserts the invariant behind the whole durability layer: Load
+// and asserts the invariant behind the whole durability layer: a load
 // never panics on damaged input and always rejects it with a typed
 // error. The container checksum makes any single-byte change
 // detectable, so err must be non-nil whenever the bytes differ.
@@ -168,7 +168,7 @@ func FuzzLoadCorrupt(f *testing.F) {
 		}
 		mut := append([]byte(nil), valid...)
 		mut[int(pos)%len(mut)] ^= mask
-		_, err := Load(bytes.NewReader(mut), g)
+		_, err := loadBytes(mut, g)
 		if err == nil {
 			t.Fatalf("mutation at %d (mask %#x) went undetected", int(pos)%len(mut), mask)
 		}

@@ -24,7 +24,7 @@ import (
 // table is a float32 column of the snapshot, not a widened copy.
 func loadBothModes(t *testing.T, built *Engine, saved []byte, graph func() *hetgraph.Graph) (heap, mapped *Engine) {
 	t.Helper()
-	heap, err := Load(bytes.NewReader(saved), graph())
+	heap, err := loadBytes(saved, graph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
+	if _, err := built.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// No journalled update touches the graph, so both loads may share it.
@@ -118,8 +118,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestSaveLoadAfterUpdates: a snapshot taken after online AddPaper
 // mutations restores the complete live state — the updates are
-// journalled inside the snapshot and re-applied on Load, so rankings
-// are identical across the restart even though Load starts from the
+// journalled inside the snapshot and re-applied on load, so rankings
+// are identical across the restart even though the load starts from the
 // base graph.
 func TestSaveLoadAfterUpdates(t *testing.T) {
 	gen := func() *dataset.Dataset { return dataset.Generate(dataset.AminerSim(150)) }
@@ -142,7 +142,7 @@ func TestSaveLoadAfterUpdates(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
+	if _, err := built.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Restore against a FRESH base graph, as a restarted process would.
@@ -177,16 +177,16 @@ func TestSaveLoadAfterUpdates(t *testing.T) {
 
 func TestLoadRejectsCorruptData(t *testing.T) {
 	ds := dataset.Generate(dataset.AminerSim(100))
-	if _, err := Load(strings.NewReader("garbage"), ds.Graph); err == nil {
+	if _, err := loadBytes([]byte("garbage"), ds.Graph); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Load(bytes.NewReader(nil), ds.Graph); err == nil {
+	if _, err := loadBytes(nil, ds.Graph); err == nil {
 		t.Error("empty input accepted")
 	}
 }
 
 // TestSnapshotWithoutColumnsRejected: a container of this build's version
-// whose payload describes no columnar section is not something Save can
+// whose payload describes no columnar section is not something SaveSnapshot can
 // write. Every checksum holds, so it is the content that is refused —
 // by type, before anything dereferences the missing shapes.
 func TestSnapshotWithoutColumnsRejected(t *testing.T) {
@@ -202,11 +202,17 @@ func TestSnapshotWithoutColumnsRejected(t *testing.T) {
 	if _, _, err := colstore.WriteSection(&file, int64(file.Len()), segs); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(&file, dataset.Generate(dataset.AminerSim(60)).Graph)
+	_, err := loadBytes(file.Bytes(), dataset.Generate(dataset.AminerSim(60)).Graph)
 	var ce *durable.CorruptError
 	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "no columnar section") {
 		t.Fatalf("want *durable.CorruptError naming the missing section, got %v", err)
 	}
+}
+
+// loadBytes opens snapshot bytes on the heap through loadSnapshot, the
+// path LoadFileWith takes with colstore.ModeOff, without a file.
+func loadBytes(b []byte, g *hetgraph.Graph) (*Engine, error) {
+	return loadSnapshot(bytes.NewReader(b), "<bytes>", int64(len(b)), colstore.ModeOff, g, nil)
 }
 
 // randSource is a tiny helper for deterministic query sampling in tests.

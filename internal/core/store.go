@@ -414,12 +414,12 @@ func recoverLog(dir string, e *Engine, o durable.WALOptions) (wal *durable.WAL, 
 // applyRecord decodes one WAL record's payload and applies it under the
 // record's sequence; dir names the log holding the record in the error.
 func (e *Engine) applyRecord(dir string, seq uint64, payload []byte) error {
-	p, err := DecodeUpdate(payload)
+	p, err := decodeUpdate(payload)
 	if err != nil {
 		return &durable.CorruptError{Path: dir, Offset: 0,
 			Detail: fmt.Sprintf("update record seq %d", seq), Err: err}
 	}
-	if _, err := e.ApplyLogged(p, seq); err != nil {
+	if _, err := e.applyLogged(p, seq); err != nil {
 		return fmt.Errorf("core: apply of update seq %d failed: %w", seq, err)
 	}
 	return nil

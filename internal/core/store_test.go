@@ -332,7 +332,7 @@ func TestStoreLogPastSnapshotFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := EncodeUpdate(NewPaper{Text: "an update past the hole",
+	payload, err := encodeUpdate(NewPaper{Text: "an update past the hole",
 		Authors: ds.Graph.NodesOfType(hetgraph.Author)[:1]})
 	if err != nil {
 		t.Fatal(err)

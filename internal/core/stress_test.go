@@ -83,7 +83,7 @@ func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 					}
 				default:
 					p := papers[rng.Intn(len(papers))]
-					if _, _, err := e.SimilarPapers(p, 5); err != nil {
+					if _, _, err := e.SimilarPapers(context.Background(), p, 5); err != nil {
 						fail("SimilarPapers: %v", err)
 						return
 					}
@@ -106,7 +106,7 @@ func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(2 * time.Millisecond):
-				e.InvalidateQueryCache()
+				e.invalidateQueryCache()
 			}
 		}
 	}()

@@ -77,8 +77,8 @@ func (e *Engine) AppliedUpdates() int {
 	return len(e.updates)
 }
 
-// EncodeUpdate serialises an update for the write-ahead log.
-func EncodeUpdate(p NewPaper) ([]byte, error) {
+// encodeUpdate serialises an update for the write-ahead log.
+func encodeUpdate(p NewPaper) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 		return nil, fmt.Errorf("core: encode update: %w", err)
@@ -86,8 +86,8 @@ func EncodeUpdate(p NewPaper) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeUpdate reverses EncodeUpdate for WAL replay.
-func DecodeUpdate(b []byte) (NewPaper, error) {
+// decodeUpdate reverses encodeUpdate for WAL replay.
+func decodeUpdate(b []byte) (NewPaper, error) {
 	var p NewPaper
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
 		return NewPaper{}, fmt.Errorf("core: decode update: %w", err)
@@ -127,7 +127,7 @@ func (e *Engine) AddPaper(p NewPaper) (hetgraph.NodeID, error) {
 	var seq uint64
 	if e.wal != nil {
 		_, sp := obs.StartSpan(ctx, "log")
-		payload, err := EncodeUpdate(p)
+		payload, err := encodeUpdate(p)
 		if err == nil {
 			if seq, err = e.wal.Append(payload); err != nil {
 				err = &UpdateLogError{Err: err}
@@ -143,10 +143,10 @@ func (e *Engine) AddPaper(p NewPaper) (hetgraph.NodeID, error) {
 	return e.applyUpdateLocked(p, seq)
 }
 
-// ApplyLogged applies an update replayed from the write-ahead log: the
+// applyLogged applies an update replayed from the write-ahead log: the
 // same mutation as AddPaper without re-logging it. seq is the record's
 // WAL sequence, so snapshots taken later know what the engine covers.
-func (e *Engine) ApplyLogged(p NewPaper, seq uint64) (hetgraph.NodeID, error) {
+func (e *Engine) applyLogged(p NewPaper, seq uint64) (hetgraph.NodeID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.validateNewPaper(p); err != nil {
@@ -213,7 +213,7 @@ func (e *Engine) addToGraphLocked(p NewPaper) (hetgraph.NodeID, error) {
 	g := e.g
 	// From here on the graph mutates; invalidate even on a partial failure
 	// so no cached ranking outlives a half-applied update.
-	defer e.InvalidateQueryCache()
+	defer e.invalidateQueryCache()
 	id := g.AddNode(hetgraph.Paper, p.Text)
 	for _, a := range p.Authors {
 		if err := g.AddEdge(a, id, hetgraph.Write); err != nil {

@@ -93,7 +93,7 @@ func TestAddPaperValidation(t *testing.T) {
 }
 
 // TestOldUpdateRecordDecodes pins the WAL record payload across the
-// change of the encoded type: these are the bytes EncodeUpdate produced
+// change of the encoded type: these are the bytes encodeUpdate produced
 // when the record was a struct of []int32 lists named persistUpdate. gob
 // matches fields by name and sends NodeID as the integer it is, so a log
 // written before the change still replays, and a node running the older
@@ -114,7 +114,7 @@ func TestOldUpdateRecordDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeUpdate(b)
+	got, err := decodeUpdate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestOldUpdateRecordDecodes(t *testing.T) {
 		t.Fatalf("old record decoded to %+v, want %+v", got, want)
 	}
 	// And what this build writes decodes to the same paper.
-	b, err = EncodeUpdate(want)
+	b, err = encodeUpdate(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err = DecodeUpdate(b); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err = decodeUpdate(b); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip gave %+v, %v", got, err)
 	}
 }

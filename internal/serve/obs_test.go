@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -302,11 +303,11 @@ func TestSimilarUsesEngineEF(t *testing.T) {
 	}
 	id := ds.Graph.NodesOfType(hetgraph.Paper)[5]
 
-	_, stWide, err := e.SimilarPapers(id, 3)
+	_, stWide, err := e.SimilarPapers(context.Background(), id, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, err := e.SimilarPapers(id, 3)
+	ids, _, err := e.SimilarPapers(context.Background(), id, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestSimilarUsesEngineEF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stNarrow, err := eDefault.SimilarPapers(id, 3)
+	_, stNarrow, err := eDefault.SimilarPapers(context.Background(), id, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,7 +135,7 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 func waitApplied(t *testing.T, fo *core.Follower, seq uint64) {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("follower to apply seq %d", seq), 20*time.Second, func() bool {
-		return fo.CaughtUp() && fo.Store().LastSeq() >= seq
+		return fo.Status().CaughtUp && fo.Store().LastSeq() >= seq
 	})
 }
 
@@ -205,6 +206,50 @@ func TestFollowerCatchUpBitIdentical(t *testing.T) {
 	if post.Header.Get("Retry-After") == "" {
 		t.Fatal("follower /add 503 must carry Retry-After")
 	}
+}
+
+// TestFollowerStatusIsOneInstant polls Status while a follower tails a
+// leader that takes writes. Each read must describe one instant of the
+// follower: caught_up is never published beside a lag or a not-ready
+// flag, whatever poll or record apply lands while Status runs.
+func TestFollowerStatusIsOneInstant(t *testing.T) {
+	ld := startReplLeader(t, 0, 0)
+	fw := startReplFollower(t, ld.ts.URL, "", 0)
+
+	stop := make(chan struct{})
+	var reads, torn atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := fw.fo.Status()
+				reads.Add(1)
+				if st.CaughtUp && (st.Lag != 0 || !st.Ready) && torn.Add(1) == 1 {
+					t.Errorf("torn status: caught_up with lag_seq %d, ready %v (applied %d, leader %d)",
+						st.Lag, st.Ready, st.Applied, st.LeaderSeq)
+				}
+			}
+		}()
+	}
+	const writes = 60
+	for i := 0; i < writes; i++ {
+		addPapers(t, ld.store.Engine(), i, 1)
+		time.Sleep(time.Duration(i%4) * time.Millisecond)
+	}
+	waitApplied(t, fw.fo, writes)
+	close(stop)
+	wg.Wait()
+	if reads.Load() < writes {
+		t.Fatalf("only %d status reads across %d writes", reads.Load(), writes)
+	}
+	t.Logf("%d status reads, %d torn", reads.Load(), torn.Load())
 }
 
 // TestFollowerRestartResumes is the in-process shape of the

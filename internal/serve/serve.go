@@ -337,7 +337,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := QueryContext(r, s.QueryTimeout)
 	defer cancel()
-	ids, _, err := s.engine.SimilarPapersCtx(ctx, hetgraph.NodeID(id64), m)
+	ids, _, err := s.engine.SimilarPapers(ctx, hetgraph.NodeID(id64), m)
 	switch {
 	case errors.Is(err, core.ErrUnknownPaper):
 		http.Error(w, "unknown paper id", http.StatusNotFound)
