@@ -13,7 +13,6 @@ import (
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/ta"
-	"expertfind/internal/train"
 )
 
 // Example is the quickstart: generate a small synthetic academic network,
@@ -31,9 +30,7 @@ func Example() {
 	// of the document encoder, and PG-Index construction. The zero-value
 	// options select the paper's defaults (k=4, P-A-P ∩ P-T-P, f=0.3,
 	// near negatives 1:3).
-	engine, err := core.Build(ds.Graph, core.Options{Dim: 32, Seed: 1,
-		// One worker fixes the gradient sums' order, so the output holds on any core count.
-		Train: train.Config{Workers: 1}})
+	engine, err := core.Build(ds.Graph, core.Options{Dim: 32, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,9 +82,7 @@ func Example() {
 func Example_reviewerAssignment() {
 	ds := dataset.Generate(dataset.DBLPSim(400))
 	g := ds.Graph
-	engine, err := core.Build(g, core.Options{Dim: 32, Seed: 2,
-		// One worker fixes the gradient sums' order, so the output holds on any core count.
-		Train: train.Config{Workers: 1}})
+	engine, err := core.Build(g, core.Options{Dim: 32, Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -156,9 +151,7 @@ func Example_reviewerAssignment() {
 func Example_teamAssembly() {
 	ds := dataset.Generate(dataset.DBLPSim(500))
 	g := ds.Graph
-	engine, err := core.Build(g, core.Options{Dim: 32, Seed: 6,
-		// One worker fixes the gradient sums' order, so the output holds on any core count.
-		Train: train.Config{Workers: 1}})
+	engine, err := core.Build(g, core.Options{Dim: 32, Seed: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

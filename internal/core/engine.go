@@ -52,13 +52,10 @@ type Options struct {
 	Dim int
 	// Pooling selects Φ_P (mean by default).
 	Pooling textenc.Pooling
-	// Train carries the optimiser hyper-parameters. Train.Workers also
-	// fixes the order of the gradient sums and defaults to GOMAXPROCS: pin
-	// it to get the same embedding bits on machines with different core
-	// counts (README, "Reproducing a build").
+	// Train carries the optimiser hyper-parameters. With the graph and
+	// Seed they fix every bit of the fine-tuned table: the gradient sums
+	// are grouped by a constant grid, not by the machine's core count.
 	Train train.Config
-	// Index configures PG-Index construction.
-	Index pgindex.Config
 	// EF is the search-pool size for PG-Index retrieval (0: 2m).
 	EF int
 	// UseKPCore gates the structural fine-tuning; false freezes the
@@ -107,10 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Dim <= 0 {
 		o.Dim = 64
-	}
-	if o.Index == (pgindex.Config{}) {
-		o.Index = pgindex.DefaultConfig()
-		o.Index.Seed = o.Seed
 	}
 	return o
 }
@@ -291,7 +284,7 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 
 	if boolOpt(opts.UsePGIndex, true) {
 		_, sp = obs.StartSpan(ctx, "indexing")
-		e.index.BuildGraph(opts.Index, rand.New(rand.NewSource(opts.Index.Seed)))
+		e.index.BuildGraph(pgindex.DefaultConfig(), rand.New(rand.NewSource(opts.Seed)))
 		e.stats.IndexTime = sp.End()
 		e.stats.IndexEdges = e.index.NumEdges()
 		e.stats.IndexMemory = e.index.MemoryBytes()

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/metrics"
-	"expertfind/internal/pgindex"
 	"expertfind/internal/sampling"
 )
 
@@ -155,6 +158,50 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuildIndependentOfGOMAXPROCS: a build is a function of (graph,
+// Options, Seed), not of the machine. Under GOMAXPROCS 1, 2 and 8 an
+// indexed and an exact engine each rank a fixed query set
+// Float64bits-identically, save the same snapshot bytes and report the
+// same epoch losses — the float64 sums that move first when the gradient
+// grid follows the core count.
+func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
+	ds := dataset.Generate(dataset.AminerSim(200))
+	build := func(procs int, indexed bool) (*Engine, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		e, err := Build(ds.Graph, Options{Dim: 16, Seed: 9, UsePGIndex: Bool(indexed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if _, err := e.SaveSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return e, snap.Bytes()
+	}
+	for _, indexed := range []bool{true, false} {
+		want, wantSnap := build(1, indexed)
+		wantLosses := want.Stats().Training.EpochLosses
+		for _, procs := range []int{2, 8} {
+			label := fmt.Sprintf("indexed %v, GOMAXPROCS %d vs 1", indexed, procs)
+			got, gotSnap := build(procs, indexed)
+			gotLosses := got.Stats().Training.EpochLosses
+			if len(gotLosses) != len(wantLosses) {
+				t.Fatalf("%s: %d epochs, want %d", label, len(gotLosses), len(wantLosses))
+			}
+			for i, l := range wantLosses {
+				if math.Float64bits(gotLosses[i]) != math.Float64bits(l) {
+					t.Errorf("%s: epoch %d loss bits %x, want %x", label, i,
+						math.Float64bits(gotLosses[i]), math.Float64bits(l))
+				}
+			}
+			if !bytes.Equal(gotSnap, wantSnap) {
+				t.Errorf("%s: snapshots differ (%d vs %d bytes)", label, len(gotSnap), len(wantSnap))
+			}
+			assertRankingsIdentical(t, ds, label, want, got)
+		}
+	}
+}
+
 func TestRetrievePapersAgreesWithBruteForceOnSelf(t *testing.T) {
 	ds, e := buildSmall(t, nil)
 	// Querying with a paper's exact text must retrieve that paper first.
@@ -191,27 +238,6 @@ func TestCustomMetaPathOptions(t *testing.T) {
 	})
 	if e.Stats().Sampling.Triples == 0 {
 		t.Error("citation-only configuration produced no training data")
-	}
-}
-
-func TestExplicitRawIndexConfigRespected(t *testing.T) {
-	// Requesting an unrefined index must not be clobbered by defaults.
-	ds := dataset.Generate(dataset.AminerSim(120))
-	e, err := Build(ds.Graph, Options{
-		Dim:   8,
-		Seed:  2,
-		Index: pgindex.Config{K: 5, Refine: false, Seed: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := e.Index().NumEdges()
-	e2, err := Build(ds.Graph, Options{Dim: 8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw == e2.Index().NumEdges() {
-		t.Error("raw and refined index configurations produced identical graphs")
 	}
 }
 

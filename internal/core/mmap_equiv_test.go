@@ -20,7 +20,6 @@ import (
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 	"expertfind/internal/textenc"
-	"expertfind/internal/train"
 )
 
 // The mmap equivalence suite: the same snapshot loaded heap-decoded and
@@ -522,13 +521,12 @@ func segmentMiddle(t *testing.T, raw []byte, name string) int {
 const parentSnapshot = "testdata/parent_pr23_shadow.efs"
 
 // parentSnapshotEngine rebuilds the engine parentSnapshot was saved from.
-// Train.Workers is pinned because it fixes the order of the gradient sums;
 // EF covers the corpus, so every retrieval is the exact scan.
 func parentSnapshotEngine(t *testing.T) (*dataset.Dataset, *Engine) {
 	t.Helper()
 	ds := dataset.Generate(dataset.AminerSim(60))
 	e, err := Build(ds.Graph, Options{
-		Dim: 8, Seed: 7, EF: 1 << 20, Train: train.Config{Workers: 1},
+		Dim: 8, Seed: 7, EF: 1 << 20,
 		Vocab: textenc.VocabConfig{MaxWords: 300, MaxSubwords: 200}, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {

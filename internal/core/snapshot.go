@@ -85,7 +85,6 @@ type enginePersist struct {
 	EF                  int
 	Seed                int64
 	UsePGIndex          bool
-	IndexConfig         pgindex.Config
 
 	// Tokens is the vocabulary in id order; the fine-tuned table over it
 	// is the segTable column.
@@ -152,7 +151,6 @@ func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
 		EF:                  e.opts.EF,
 		Seed:                e.opts.Seed,
 		UsePGIndex:          boolOpt(e.opts.UsePGIndex, true),
-		IndexConfig:         e.opts.Index,
 		NumDocs:             vocab.NumDocs(),
 	}
 	for _, mp := range e.opts.MetaPaths {
@@ -374,7 +372,6 @@ func optionsFromPersist(ep *enginePersist) (Options, error) {
 		Dim:                 ep.Dim,
 		EF:                  ep.EF,
 		Seed:                ep.Seed,
-		Index:               ep.IndexConfig,
 		UsePGIndex:          Bool(ep.UsePGIndex),
 	}
 	for _, s := range ep.MetaPaths {

@@ -10,8 +10,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
+	"expertfind/internal/par"
 	"expertfind/internal/vec"
 )
 
@@ -93,7 +93,6 @@ func nnDescent(embs *vec.Matrix32, k, maxIters int, rng *rand.Rand) [][]int32 {
 
 	const delta = 0.001
 	const chunkSize = 256
-	workers := runtime.GOMAXPROCS(0)
 
 	for iter := 0; iter < maxIters; iter++ {
 		// Collect per-node new and old neighbour sets, including reverse
@@ -122,26 +121,11 @@ func nnDescent(embs *vec.Matrix32, k, maxIters int, rng *rand.Rand) [][]int32 {
 			// Parallel phase: enumerate candidate pairs of this chunk and
 			// price them against the lists as of the chunk start.
 			props := make([][]proposal, hi-lo)
-			var wg sync.WaitGroup
-			per := (hi - lo + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				s := lo + w*per
-				e := s + per
-				if e > hi {
-					e = hi
+			par.Chunks(hi-lo, runtime.GOMAXPROCS(0), func(_, s, e int) {
+				for i := s; i < e; i++ {
+					props[i] = joinCandidates(embs, dedupIDs(newN[lo+i]), dedupIDs(oldN[lo+i]))
 				}
-				if s >= e {
-					continue
-				}
-				wg.Add(1)
-				go func(s, e int) {
-					defer wg.Done()
-					for i := s; i < e; i++ {
-						props[i-lo] = joinCandidates(embs, dedupIDs(newN[i]), dedupIDs(oldN[i]))
-					}
-				}(s, e)
-			}
-			wg.Wait()
+			})
 			// Sequential phase: apply proposals in node order.
 			for _, ps := range props {
 				for _, p := range ps {

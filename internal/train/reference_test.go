@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 
 // The functions below are the trainer as it stood before PR 18 replaced
 // its map[TokenID]vec.Vector gradients with dense rows: frozen here as the
-// reference FineTune must reproduce bit for bit at every Workers value.
+// reference FineTune must reproduce bit for bit at every batch size.
 // They allocate per triple and step Adam on one goroutine; nothing else
 // about them differs, which is the point.
 
@@ -53,7 +52,7 @@ func refFineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Trip
 
 func refBatchGradients(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 	batch []int, cfg Config) (map[textenc.TokenID]vec.Vector, float64) {
-	workers := cfg.Workers
+	workers := gradChunks
 	if workers > len(batch) {
 		workers = len(batch)
 	}
@@ -221,15 +220,16 @@ func requireSameRun(t *testing.T, what string, got, want *textenc.Encoder, gotRe
 
 // TestFineTuneMatchesReference: the dense-row trainer moves no bit of the
 // table or of any epoch's loss relative to the map-of-vectors trainer, for
-// every chunk grid a batch of 64 (and a ragged last batch of 9) can be cut
-// into, both poolings, with and without normalisation.
+// batches that fill fewer chunks than the grid has (1, 5), ragged ones
+// (9, 100 and the short last batch of each size) and the default 64, both
+// poolings, with and without normalisation.
 func TestFineTuneMatchesReference(t *testing.T) {
 	g, base, cache := fixture(t)
 	triples := someTriples(g, 64*3+9)
 	for _, pooling := range []textenc.Pooling{textenc.MeanPooling, textenc.MaxPooling} {
 		for _, normalize := range []bool{true, false} {
-			for _, workers := range []int{1, 2, 3, 4, 8} {
-				cfg := Config{Epochs: 3, Workers: workers}
+			for _, batch := range []int{1, 5, 9, 64, 100} {
+				cfg := Config{Epochs: 3, BatchSize: batch}
 				got, want := base.Clone(), base.Clone()
 				for _, e := range []*textenc.Encoder{got, want} {
 					e.Pooling, e.Normalize = pooling, normalize
@@ -239,36 +239,9 @@ func TestFineTuneMatchesReference(t *testing.T) {
 				if wantRes.Steps == 0 {
 					t.Fatal("the reference took no optimiser step")
 				}
-				requireSameRun(t, fmt.Sprintf("%s pooling, normalize %v, %d workers", pooling, normalize, workers),
+				requireSameRun(t, fmt.Sprintf("%s pooling, normalize %v, batch %d", pooling, normalize, batch),
 					got, want, gotRes, wantRes)
 			}
 		}
-	}
-}
-
-// TestFineTuneBitsFollowWorkersNotGOMAXPROCS pins what FineTune's comment
-// promises: with Workers set, the result does not depend on how many Ps
-// the process runs on — and, so that the promise is not vacuous, that it
-// does depend on Workers (on this small fixture the float64 loss sums show
-// it; the float32 table needs a longer run before a last bit flips).
-func TestFineTuneBitsFollowWorkersNotGOMAXPROCS(t *testing.T) {
-	g, base, cache := fixture(t)
-	triples := someTriples(g, 200)
-	run := func(procs, workers int) (*textenc.Encoder, *Result) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		enc := base.Clone()
-		return enc, FineTune(enc, cache, triples, Config{Epochs: 2, Workers: workers}, rand.New(rand.NewSource(3)))
-	}
-	one, oneRes := run(1, 2)
-	four, fourRes := run(4, 2)
-	requireSameRun(t, "Workers 2 under GOMAXPROCS 4 vs 1", four, one, fourRes, oneRes)
-
-	_, otherRes := run(4, 1)
-	same := true
-	for i, l := range oneRes.EpochLosses {
-		same = same && math.Float64bits(otherRes.EpochLosses[i]) == math.Float64bits(l)
-	}
-	if same {
-		t.Error("Workers 1 reproduced the losses of Workers 2 bit for bit: the fixture no longer shows that the chunk grid decides the bits")
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/par"
 	"expertfind/internal/sampling"
 	"expertfind/internal/textenc"
 	"expertfind/internal/vec"
@@ -32,10 +32,6 @@ type Config struct {
 	Margin       float64 // c in Eq. 3
 	Epochs       int
 	BatchSize    int
-	// Workers is the number of contiguous chunks each batch's gradient is
-	// summed in, one goroutine per chunk; 0 means GOMAXPROCS. It is part of
-	// the arithmetic, not only of the speed: see FineTune.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -59,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -90,15 +83,18 @@ func BuildTokenCache(g *hetgraph.Graph, enc *textenc.Encoder) TokenCache {
 	return cache
 }
 
+// gradChunks is the number of contiguous chunks every batch's gradient is
+// summed in, merged in chunk order. It fixes how the float64 sums are
+// grouped, so it is a constant, the same on every machine; GOMAXPROCS only
+// decides how many chunks run at once (DESIGN.md, "Determinism").
+const gradChunks = 8
+
 // FineTune minimises the triplet loss over triples, updating enc's
 // embedding table in place. Shuffling uses rng, and every floating-point
-// sum is taken in an order fixed by the batch and by cfg.Workers (each
-// batch is cut into Workers contiguous chunks whose partial gradients are
-// merged in chunk order), so a fixed seed and a fixed Workers reproduce
-// the run bit for bit on any machine. The default Workers is GOMAXPROCS:
-// leave it unset and two machines with different core counts group the
-// float64 sums differently, so their tables may differ in their last bits.
-// Pin Workers to reproduce a build.
+// sum is taken in an order fixed by the batch alone (each batch is cut
+// into gradChunks contiguous chunks whose partial gradients are merged in
+// chunk order), so a fixed seed reproduces the run bit for bit on any
+// machine, whatever its core count.
 func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 	cfg Config, rng *rand.Rand) *Result {
 	cfg = cfg.withDefaults()
@@ -109,7 +105,7 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 
 	opt := newAdam(enc.Emb, cfg)
 	weights := poolWeights(enc, cache, triples)
-	workers := make([]*worker, cfg.Workers)
+	workers := make([]*worker, gradChunks)
 	for i := range workers {
 		workers[i] = newWorker(enc, cache, weights)
 	}
@@ -130,7 +126,7 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 			grads, loss := batchGradients(workers, triples, order[start:end], cfg.Margin)
 			epochLoss += loss
 			if len(grads.ids) > 0 {
-				opt.step(grads, cfg.Workers)
+				opt.step(grads)
 				res.Steps++
 			}
 		}
@@ -139,33 +135,6 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 		res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
 	}
 	return res
-}
-
-// inChunks cuts [0,n) into at most parts contiguous chunks of
-// ceil(n/parts) and runs fn on each — concurrently, or inline when there
-// is one — returning when all are done. Chunk c is always the same range
-// for the same (n, parts): the grid FineTune's summation order is made of.
-func inChunks(n, parts int, fn func(c, lo, hi int)) {
-	if parts > n {
-		parts = n
-	}
-	if parts <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
-		return
-	}
-	size := (n + parts - 1) / parts
-	var wg sync.WaitGroup
-	for c := 0; c*size < n; c++ {
-		lo, hi := c*size, min((c+1)*size, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(c, lo, hi)
-		}()
-	}
-	wg.Wait()
 }
 
 // batchGradients computes the summed sparse gradient of the batch and its
@@ -178,7 +147,7 @@ func batchGradients(workers []*worker, triples []sampling.Triple, batch []int,
 		w.grad.reset()
 		w.loss = 0
 	}
-	inChunks(len(batch), len(workers), func(c, lo, hi int) {
+	par.Chunks(len(batch), len(workers), func(c, lo, hi int) {
 		w := workers[c]
 		for _, idx := range batch[lo:hi] {
 			w.loss += w.tripleGradient(triples[idx], margin)
@@ -249,7 +218,15 @@ func (g *sparseGrad) row(id textenc.TokenID) vec.Vector {
 		s = int32(len(g.ids))
 		g.slot[id] = s
 		g.ids = append(g.ids, id)
-		g.arena = append(g.arena, make([]float64, g.dim)...)
+		n := len(g.arena) + g.dim
+		if n > cap(g.arena) {
+			// Double: append grows a large slice by a quarter, and the
+			// copies that leaves behind, times gradChunks arenas, would
+			// raise the build's peak memory.
+			g.arena = append(make([]float64, 0, 2*n), g.arena...)
+		}
+		g.arena = g.arena[:n]
+		clear(g.at(int(s)))
 	}
 	return g.at(int(s))
 }
@@ -432,11 +409,11 @@ func newAdam(table *vec.Matrix32, cfg Config) *adam {
 }
 
 // step applies one Adam update to every row grads touched, on up to
-// workers goroutines: a row's update reads and writes that row's state
+// GOMAXPROCS goroutines: a row's update reads and writes that row's state
 // only, so how the rows are split changes no bit.
-func (a *adam) step(grads *sparseGrad, workers int) {
+func (a *adam) step(grads *sparseGrad) {
 	c := a.cfg
-	inChunks(len(grads.ids), workers, func(_, lo, hi int) {
+	par.Chunks(len(grads.ids), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			r := int(grads.ids[s])
 			a.tRow[r]++
@@ -457,8 +434,9 @@ func (a *adam) step(grads *sparseGrad, workers int) {
 
 // EmbedRows computes the fine-tuned representation of every paper in
 // cache, in parallel, into one matrix: ids ascending, row i the embedding
-// of ids[i]. Each worker fills its own range of rows. The pair is E in the
-// form the PG-Index adopts (pgindex.FromRows).
+// of ids[i]. Each goroutine fills its own range of rows, so how they are
+// split changes no bit. The pair is E in the form the PG-Index adopts
+// (pgindex.FromRows).
 func EmbedRows(enc *textenc.Encoder, cache TokenCache) ([]hetgraph.NodeID, *vec.Matrix32) {
 	ids := make([]hetgraph.NodeID, 0, len(cache))
 	for id := range cache {
@@ -466,20 +444,11 @@ func EmbedRows(enc *textenc.Encoder, cache TokenCache) ([]hetgraph.NodeID, *vec.
 	}
 	slices.Sort(ids)
 	rows := vec.NewMatrix32(len(ids), enc.Dim)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	chunk := (len(ids) + workers - 1) / workers
-	for lo := 0; lo < len(ids); lo += chunk {
-		hi := min(lo+chunk, len(ids))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				copy(rows.Row(i), enc.EncodeTokens(cache[ids[i]]))
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.Chunks(len(ids), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			copy(rows.Row(i), enc.EncodeTokens(cache[ids[i]]))
+		}
+	})
 	return ids, rows
 }
 

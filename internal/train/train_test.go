@@ -84,8 +84,8 @@ func TestFineTuneDeterministic(t *testing.T) {
 	triples := someTriples(g, 60)
 	e1 := enc.Clone()
 	e2 := enc.Clone()
-	FineTune(e1, cache, triples, Config{Epochs: 2, Workers: 4}, rand.New(rand.NewSource(3)))
-	FineTune(e2, cache, triples, Config{Epochs: 2, Workers: 4}, rand.New(rand.NewSource(3)))
+	FineTune(e1, cache, triples, Config{Epochs: 2}, rand.New(rand.NewSource(3)))
+	FineTune(e2, cache, triples, Config{Epochs: 2}, rand.New(rand.NewSource(3)))
 	for i := range e1.Emb.Data {
 		if e1.Emb.Data[i] != e2.Emb.Data[i] {
 			t.Fatal("training not deterministic across runs")
@@ -214,7 +214,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Beta1 != 0.9 || c.Beta2 != 0.999 || c.Margin != 1 || c.Epochs != 4 || c.BatchSize != 64 {
 		t.Errorf("paper defaults wrong: %+v", c)
 	}
-	if c.LearningRate <= 0 || c.Workers <= 0 || c.Epsilon <= 0 {
+	if c.LearningRate <= 0 || c.Epsilon <= 0 {
 		t.Errorf("unset defaults: %+v", c)
 	}
 }
@@ -224,7 +224,7 @@ func TestAdamStepMovesAgainstGradient(t *testing.T) {
 	opt := newAdam(table, Config{}.withDefaults())
 	g := newSparseGrad(2, 3)
 	copy(g.row(0), []float64{1, -1, 0})
-	opt.step(g, 1)
+	opt.step(g)
 	row := table.Row(0)
 	if !(row[0] < 0 && row[1] > 0 && row[2] == 0) {
 		t.Errorf("Adam step direction wrong: %v", row)
