@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"regexp"
 	"strings"
@@ -68,5 +69,50 @@ func TestRunPrintsOneExperiment(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "TABLE I") || !strings.Contains(out.String(), "[table1 completed in") {
 		t.Errorf("unexpected output:\n%s", out.String())
+	}
+}
+
+// TestExperimentsShowsOneRun keeps EXPERIMENTS.md tied to a run of this
+// program: every experiment's block sits in a section that names the
+// command and the commit it came from, and Table I's block — cheap and
+// deterministic — is what benchtab prints now, byte for byte.
+func TestExperimentsShowsOneRun(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A section runs from one heading to the next.
+	sections := strings.Split(string(doc), "\n#")
+	command := regexp.MustCompile("(?m)^- Command: `go run \\./cmd/benchtab -exp [^`]+`$")
+	commit := regexp.MustCompile("(?m)^- Commit: `[0-9a-f]{7,40}`$")
+	sectionOf := func(id string) string {
+		for _, s := range sections {
+			if strings.Contains(s, "\n["+id+" completed in ") {
+				return s
+			}
+		}
+		return ""
+	}
+	for _, id := range ids() {
+		s := sectionOf(id)
+		if s == "" {
+			t.Errorf("EXPERIMENTS.md shows no %s block", id)
+			continue
+		}
+		if !command.MatchString(s) {
+			t.Errorf("the section with the %s block states no command line", id)
+		}
+		if !commit.MatchString(s) {
+			t.Errorf("the section with the %s block states no commit line", id)
+		}
+	}
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "table1"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	block, _, _ := strings.Cut(out.String(), "[table1 completed in ")
+	if !strings.Contains(sectionOf("table1"), "```\n"+block) {
+		t.Errorf("EXPERIMENTS.md's Table I section does not show what benchtab prints:\n%s", block)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"expertfind/internal/durable"
+	"expertfind/internal/durable/faultfs"
 )
 
 // testSegs builds one segment of every kind with deterministic values.
@@ -336,7 +337,7 @@ func TestBitFlipsRejected(t *testing.T) {
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := durable.CorruptFileByte(p, off, 0x40); err != nil {
+		if err := faultfs.CorruptFileByte(p, off, 0x40); err != nil {
 			t.Fatal(err)
 		}
 		f, err := os.Open(p)
@@ -364,7 +365,7 @@ func TestFutureVersionRejected(t *testing.T) {
 	// check we must recompute... easier: VersionError must win BEFORE
 	// the CRC check, which is exactly what a future writer would
 	// produce (valid CRC under a layout we cannot parse).
-	if err := durable.CorruptFileByte(path, base+8, 0x03); err != nil { // 1 ^ 3 = 2
+	if err := faultfs.CorruptFileByte(path, base+8, 0x03); err != nil { // 1 ^ 3 = 2
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

@@ -8,6 +8,7 @@ import (
 
 	"expertfind/internal/dataset"
 	"expertfind/internal/durable"
+	"expertfind/internal/durable/faultfs"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 )
@@ -248,7 +249,7 @@ func TestStoreCorruptSnapshotFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := durable.CorruptFileByte(snap, fi.Size()/2, 0x20); err != nil {
+	if err := faultfs.CorruptFileByte(snap, fi.Size()/2, 0x20); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +304,7 @@ func TestStoreCorruptWALInteriorFailsLoudly(t *testing.T) {
 	addTestPapers(t, st.Engine(), 3)
 	// Crash without Close; flip a byte inside the FIRST record.
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
-	if err := durable.CorruptFileByte(segs[0], 20, 0x80); err != nil {
+	if err := faultfs.CorruptFileByte(segs[0], 20, 0x80); err != nil {
 		t.Fatal(err)
 	}
 
@@ -355,7 +356,7 @@ func TestStoreLogPastSnapshotFailsLoudly(t *testing.T) {
 // failingUpdateLog refuses every append.
 type failingUpdateLog struct{}
 
-func (failingUpdateLog) Append([]byte) (uint64, error) { return 0, durable.ErrInjected }
+func (failingUpdateLog) Append([]byte) (uint64, error) { return 0, faultfs.ErrInjected }
 
 // TestAddPaperRejectedWhenLogFails: a WAL failure must reject the
 // update entirely — nothing applied, typed error out.
@@ -373,7 +374,7 @@ func TestAddPaperRejectedWhenLogFails(t *testing.T) {
 	if !errors.As(err, &ule) {
 		t.Fatalf("want *UpdateLogError, got %v", err)
 	}
-	if !errors.Is(err, durable.ErrInjected) {
+	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("cause lost: %v", err)
 	}
 	if got := e.Graph().NumNodesOfType(hetgraph.Paper); got != papers {

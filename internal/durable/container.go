@@ -89,7 +89,7 @@ func ReadContainerPrefix(r io.Reader, name string, maxVersion uint16) (version u
 	// actually holds, never the 4 GiB it may claim. The buffer is sized up
 	// front only when a seekable reader (a file) shows it holds that many
 	// bytes: growing by doubling through a 10 MB snapshot payload costs
-	// serve_rw 6 % of its peak RSS (EXPERIMENTS.md, "Exact scan").
+	// serve_rw 6 % of its peak RSS.
 	var buf bytes.Buffer
 	if left, ok := remaining(r); ok && left >= int64(plen) {
 		// MinRead more, or ReadFrom doubles a full buffer to find EOF.

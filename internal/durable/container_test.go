@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"expertfind/internal/durable/faultfs"
 )
 
 // readContainer reads the container at the head of r, for the tests that
@@ -94,7 +96,7 @@ func TestContainerRejectsBitFlips(t *testing.T) {
 	full := buf.Bytes()
 	// Flip one byte at every offset; every flip must be detected.
 	for off := 0; off < len(full); off++ {
-		r := &FlipReader{R: bytes.NewReader(full), Offset: int64(off), Mask: 0x40}
+		r := &faultfs.FlipReader{R: bytes.NewReader(full), Offset: int64(off), Mask: 0x40}
 		_, _, err := readContainer(r, "f", 1)
 		if err == nil {
 			t.Fatalf("bit flip at offset %d went undetected", off)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"testing"
+
+	"expertfind/internal/durable/faultfs"
 )
 
 // The contract under test: every injected fault either recovers fully
@@ -13,7 +15,7 @@ import (
 
 func TestFailingWriterSurfacesError(t *testing.T) {
 	var sink bytes.Buffer
-	fw := &FailingWriter{W: &sink, Limit: 10}
+	fw := &faultfs.FailingWriter{W: &sink, Limit: 10}
 	if err := WriteContainer(fw, 1, bytes.Repeat([]byte("x"), 100)); err == nil {
 		t.Fatal("write through a failing disk reported success")
 	}
@@ -27,9 +29,9 @@ func TestErrorAfterNWriter(t *testing.T) {
 	var sink bytes.Buffer
 	// First write (header) succeeds, second (payload) fails: the classic
 	// header-without-body tear.
-	ew := &ErrorAfterNWriter{W: &sink, N: 1}
-	if err := WriteContainer(ew, 1, []byte("payload")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want ErrInjected, got %v", err)
+	ew := &faultfs.ErrorAfterNWriter{W: &sink, N: 1}
+	if err := WriteContainer(ew, 1, []byte("payload")); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("want faultfs.ErrInjected, got %v", err)
 	}
 	_, _, err := readContainer(bytes.NewReader(sink.Bytes()), "f", 1)
 	if !errors.Is(err, ErrTruncated) {
@@ -47,7 +49,7 @@ func TestTornWriterProducesDetectableTear(t *testing.T) {
 	// disk. Every possible tear point must be detected on read.
 	for _, limit := range []int64{0, 5, 19, 20, 21, int64(full.Len()) - 1} {
 		var disk bytes.Buffer
-		tw := &TornWriter{W: &disk, Limit: limit}
+		tw := &faultfs.TornWriter{W: &disk, Limit: limit}
 		if err := WriteContainer(tw, 1, payload); err != nil {
 			t.Fatalf("torn writer must look successful, got %v", err)
 		}
@@ -59,7 +61,7 @@ func TestTornWriterProducesDetectableTear(t *testing.T) {
 
 func TestTruncateReader(t *testing.T) {
 	src := bytes.Repeat([]byte("abc"), 10)
-	tr := &TruncateReader{R: bytes.NewReader(src), Limit: 7}
+	tr := &faultfs.TruncateReader{R: bytes.NewReader(src), Limit: 7}
 	got, err := io.ReadAll(tr)
 	if err != nil || len(got) != 7 {
 		t.Fatalf("got %d bytes, %v", len(got), err)
@@ -68,7 +70,7 @@ func TestTruncateReader(t *testing.T) {
 
 func TestFlipReaderFlipsExactlyOneByte(t *testing.T) {
 	src := bytes.Repeat([]byte("abcdefgh"), 4)
-	fr := &FlipReader{R: bytes.NewReader(src), Offset: 13, Mask: 0xFF}
+	fr := &faultfs.FlipReader{R: bytes.NewReader(src), Offset: 13, Mask: 0xFF}
 	got, err := io.ReadAll(fr)
 	if err != nil || len(got) != len(src) {
 		t.Fatal(err)
@@ -107,7 +109,7 @@ func TestWALAppendFaultDoesNotAcknowledge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := encodeRecord(2, []byte("never finished"))
+	rec := MarshalRecord(2, []byte("never finished"))
 	if _, err := f.Write(rec[:len(rec)-6]); err != nil {
 		t.Fatal(err)
 	}

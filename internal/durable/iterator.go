@@ -212,14 +212,6 @@ func (it *WALIterator) scanOne() (uint64, []byte, error) {
 	return seq, payload, nil
 }
 
-// MarshalRecord encodes one record in the WAL's on-disk format — the
-// same bytes Append writes. The replication stream ships records in this
-// format so a follower can CRC-check and apply them without a second
-// framing layer.
-func MarshalRecord(seq uint64, payload []byte) []byte {
-	return encodeRecord(seq, payload)
-}
-
 // RecordReader decodes a stream of records in the WAL wire/on-disk
 // format (see MarshalRecord), validating each checksum. It is the only
 // place a record header is interpreted: the open-time segment scan, the

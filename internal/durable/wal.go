@@ -276,7 +276,7 @@ func (w *WAL) appendLocked(payload []byte) error {
 			return err
 		}
 	}
-	rec := encodeRecord(w.nextSeq, payload)
+	rec := MarshalRecord(w.nextSeq, payload)
 	if _, err := w.f.Write(rec); err != nil {
 		// The segment may now hold a partial record; that is exactly the
 		// torn-tail case the next open truncates away.
@@ -588,7 +588,11 @@ func scanSegment(path string, firstSeq, expect uint64, last bool) (scanResult, e
 	}
 }
 
-func encodeRecord(seq uint64, payload []byte) []byte {
+// MarshalRecord encodes one record in the WAL's on-disk format — the
+// same bytes Append writes. The replication stream ships records in this
+// format so a follower can CRC-check and apply them without a second
+// framing layer.
+func MarshalRecord(seq uint64, payload []byte) []byte {
 	rec := make([]byte, recordHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], recordChecksum(seq, payload))

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"expertfind/internal/durable/faultfs"
 )
 
 func appendN(t *testing.T, w *WAL, start, n int) {
@@ -148,7 +150,7 @@ func TestWALBitFlipFailsLoudly(t *testing.T) {
 	// Flip a payload byte of the SECOND record: mid-file corruption, not
 	// a torn tail, must abort the open with a typed checksum error.
 	off := int64(recordHeaderSize + len("record-0000") + recordHeaderSize + 3)
-	if err := CorruptFileByte(segs[0].path, off, 0x01); err != nil {
+	if err := faultfs.CorruptFileByte(segs[0].path, off, 0x01); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenWAL(dir, WALOptions{})

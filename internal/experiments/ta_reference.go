@@ -13,7 +13,7 @@ import (
 // and its adaptation to ranked papers. It is not on the serving path —
 // ta.TopExperts sums and selects instead, because each ranked list here
 // is one paper's handful of authors and the threshold test cannot fire
-// before the lists are exhausted (EXPERIMENTS.md, Figure 7 and the
+// before the lists are exhausted (DESIGN.md, caveat 7, has the
 // (m × authors/paper × pool) sweep). RunFig7 ranks through it for the
 // "+TA" legs, and ta's equivalence fuzz checks the serving ranker
 // against it.

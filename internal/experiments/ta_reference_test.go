@@ -239,11 +239,11 @@ func TestTAEarlyTermination(t *testing.T) {
 	}
 }
 
-// BenchmarkExpertRankers is the sweep behind EXPERIMENTS.md "Expert
-// ranking sweep": the three rankers over m ranked papers of a fixed
-// number of authors each, drawn from a pool of authors, n = 20. The TA
-// rows also report whether the threshold test ever fired before the
-// lists were exhausted ("early" = 1).
+// BenchmarkExpertRankers is the sweep behind DESIGN.md's caveat 7: the
+// three rankers over m ranked papers of a fixed number of authors each,
+// drawn from a pool of authors, n = 20. The TA rows also report whether
+// the threshold test ever fired before the lists were exhausted
+// ("early" = 1).
 func BenchmarkExpertRankers(b *testing.B) {
 	const n = 20
 	for _, m := range []int{200, 1000, 5000} {

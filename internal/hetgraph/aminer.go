@@ -22,9 +22,8 @@ import (
 // Blocks are separated by blank lines. Citations may reference papers that
 // appear later; they are resolved after the whole input is read, and
 // references to unknown ids are dropped (the public dumps contain them).
-// Topic nodes are not part of the format; AttachTopics can add them from a
-// separate mapping keyed by the returned #index → paper translation, or
-// the P-A-P/P-P meta-paths can be used alone.
+// Topic nodes are not part of the format, so a graph read from it has
+// the P-A-P and P-P meta-paths only.
 func ReadAminer(r io.Reader) (*Graph, map[string]NodeID, error) {
 	g := New()
 	authors := map[string]NodeID{}
@@ -178,35 +177,4 @@ func containsID(ids []NodeID, x NodeID) bool {
 		}
 	}
 	return false
-}
-
-// AttachTopics adds topic nodes and Mention edges from an external
-// paper-to-topics mapping (Aminer dumps ship topic labels separately).
-// Keys are the #index values used at parse time; the byIndex map returned
-// by ReadAminer translates them. Unknown paper keys are reported.
-func AttachTopics(g *Graph, byIndex map[string]NodeID, topics map[string][]string) error {
-	topicNodes := map[string]NodeID{}
-	var missing []string
-	for key, names := range topics {
-		p, ok := byIndex[key]
-		if !ok {
-			missing = append(missing, key)
-			continue
-		}
-		for _, name := range names {
-			t, ok := topicNodes[name]
-			if !ok {
-				t = g.AddNode(Topic, name)
-				topicNodes[name] = t
-			}
-			if !containsID(g.Neighbors(p, Topic), t) {
-				g.MustAddEdge(p, t, Mention)
-			}
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("hetgraph: %d topic entries reference unknown papers (first: %q)",
-			len(missing), missing[0])
-	}
-	return nil
 }

@@ -94,31 +94,6 @@ func TestReadAminerErrors(t *testing.T) {
 	}
 }
 
-func TestAttachTopics(t *testing.T) {
-	g, byIndex, err := ReadAminer(strings.NewReader(aminerSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = AttachTopics(g, byIndex, map[string][]string{
-		"1": {"databases", "graphs"},
-		"2": {"graphs"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodesOfType(Topic) != 2 {
-		t.Fatalf("topics = %d, want 2", g.NumNodesOfType(Topic))
-	}
-	// P-T-P now connects papers 1 and 2 through "graphs".
-	if ns := g.PNeighbors(byIndex["1"], PTP); len(ns) != 1 || ns[0] != byIndex["2"] {
-		t.Errorf("PTP neighbours = %v", ns)
-	}
-	// Unknown paper keys are reported.
-	if err := AttachTopics(g, byIndex, map[string][]string{"999": {"x"}}); err == nil {
-		t.Error("unknown paper key accepted")
-	}
-}
-
 func TestReadAminerRoundTripThroughJSON(t *testing.T) {
 	g, _, err := ReadAminer(strings.NewReader(aminerSample))
 	if err != nil {

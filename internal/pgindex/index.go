@@ -64,7 +64,7 @@ type Index struct {
 	// entries are additional stratified search entry points. Fine-tuned
 	// corpora form tight, mutually near-equidistant clusters; a single
 	// entry leaves greedy search stranded on that plateau, so the search
-	// seeds its pool with these as well (see EXPERIMENTS.md).
+	// seeds its pool with these as well (DESIGN.md, caveat 6).
 	entries []int32
 }
 

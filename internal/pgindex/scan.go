@@ -135,7 +135,7 @@ const scanBlock = 1024
 // order, the sequence a call per row would give. It is one
 // pass on the caller's goroutine: splitting row ranges over Ps did not beat
 // it by more than the run-to-run spread on any benchmarked workload
-// (EXPERIMENTS.md, "Exact scan").
+// (DESIGN.md, "One exact top-m selector, one canonical order").
 func Scan(ctx context.Context, ids []hetgraph.NodeID, rows *vec.Matrix32, query vec.Vec32, m int) ([]Result, error) {
 	m = min(m, len(ids))
 	if m <= 0 {

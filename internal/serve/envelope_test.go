@@ -129,36 +129,6 @@ func getJSON(t *testing.T, h http.Handler, path string, v interface{}) {
 	}
 }
 
-// discardWriter is a ResponseWriter that keeps nothing, so what
-// TestServeAllocsPerQuery counts is the server's own work.
-type discardWriter struct{ header http.Header }
-
-func (w discardWriter) Header() http.Header         { return w.header }
-func (w discardWriter) WriteHeader(int)             {}
-func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// TestServeAllocsPerQuery pins what a served query allocates, engine and
-// envelope together: an uncached /experts (m=40, n=5) through
-// Server.ServeHTTP measured 51 allocations when this was written — 59
-// with one exemplar per histogram observation and the root span's trace
-// id formatted up front, 110 before that with the indenting writer, the
-// sorted-copy metric lookups and a trace id formatted by every span. The
-// bound is that plus 10 %. Not under -race, where sync.Pool drops a
-// quarter of what it is handed on purpose.
-func TestServeAllocsPerQuery(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool leaks by design under the race detector")
-	}
-	s, ds := server(t)
-	req := httptest.NewRequest("GET", "/experts?q="+url.QueryEscape(ds.Corpus()[3][:40])+"&n=5&m=40", nil)
-	w := discardWriter{header: http.Header{}}
-	allocs := testing.AllocsPerRun(50, func() { s.ServeHTTP(w, req) })
-	t.Logf("a served /experts made %v allocations", allocs)
-	if allocs > 56 {
-		t.Fatalf("a served /experts made %v allocations, want <= 56 (51 measured + 10 %%)", allocs)
-	}
-}
-
 // indented is the body the writer this one replaced would have sent: the
 // same encoding, indented by two spaces.
 func indented(t *testing.T, compact []byte) []byte {

@@ -170,7 +170,7 @@ const pollEvery = 256
 // (Theorem 2); each ranked list here is one paper's handful of authors,
 // so the first sorted-access round already reads a third of all entries
 // and the prune never fires — the reference implementation and the sweep
-// that shows it live in internal/experiments (EXPERIMENTS.md, Figure 7).
+// that shows it live in internal/experiments (DESIGN.md, caveat 7).
 func TopExperts(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, Stats) {
 	out, st, _ := TopExpertsCtx(context.Background(), g, papers, n)
 	return out, st

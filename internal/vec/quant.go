@@ -6,7 +6,7 @@ package vec
 // together). It was the int8 shadow of the PG-Index's embedding matrix —
 // traversal candidates scored against codes, the pool re-ranked with the
 // float32 kernels — which lost to the plain float32 traversal on every
-// workload that measured it (EXPERIMENTS.md, "One distance, no dead rows")
+// workload that measured it (DESIGN.md, "One distance")
 // and left the index; nothing under internal/ or cmd/ reads any of this.
 //
 // Int8 scalar quantization: each row of a Matrix32 is coded independently
