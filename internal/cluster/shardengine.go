@@ -58,21 +58,21 @@ func NewShardEngine(eng *core.Engine, cfg ShardConfig) (*ShardEngine, error) {
 	}
 	se := &ShardEngine{eng: eng, cfg: cfg, owned: map[hetgraph.NodeID]bool{},
 		search: pgindex.NewMetrics(eng.Metrics())}
-	var ids []hetgraph.NodeID // papers are numbered in insertion order: ascending
 	for _, p := range eng.Graph().NodesOfType(hetgraph.Paper) {
-		if AssignShard(p, cfg.Of) != cfg.ID {
-			continue
-		}
-		se.owned[p] = true
-		if _, ok := eng.Embeddings[p]; ok {
-			ids = append(ids, p)
+		if AssignShard(p, cfg.Of) == cfg.ID {
+			se.owned[p] = true
 		}
 	}
-	rows := vec.NewMatrix32(len(ids), eng.Encoder().Dim)
-	for i, p := range ids {
-		copy(rows.Row(i), eng.Embeddings[p])
+	// The engine's rows are ascending, so the owned ones are too.
+	all, rows := eng.Rows()
+	var ids []hetgraph.NodeID
+	var data []float32
+	for i, p := range all {
+		if se.owned[p] {
+			ids, data = append(ids, p), append(data, rows.Row(i)...)
+		}
 	}
-	se.index = pgindex.FromRows(ids, rows)
+	se.index = pgindex.FromRows(ids, &vec.Matrix32{Rows: len(ids), Cols: rows.Cols, Data: data})
 	if cfg.UsePGIndex {
 		se.index.BuildGraph(cfg.Index, rand.New(rand.NewSource(cfg.Index.Seed)))
 	}

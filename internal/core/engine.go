@@ -136,6 +136,9 @@ type Engine struct {
 	// Embeddings is E, the representation of every paper, as views of
 	// the index's rows (viewRowsLocked). Read-only outside the engine,
 	// which mutates it under mu; a vector is never written to.
+	//
+	// Deprecated: read E through Rows. The map is kept for bench/, which
+	// cannot change with the engine; ROADMAP item 1(a) deletes it.
 	Embeddings map[hetgraph.NodeID]vec.Vec32
 	// index holds E once, ids ascending; it has a proximity graph exactly
 	// when Options.UsePGIndex is on.
@@ -280,7 +283,7 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 	e.viewRowsLocked()
 	e.stats.EmbedTime = sp.End()
 	e.reg.Counter("expertfind_build_papers_embedded_total",
-		"Papers embedded by offline builds.").Add(float64(len(e.Embeddings)))
+		"Papers embedded by offline builds.").Add(float64(e.index.Len()))
 
 	if boolOpt(opts.UsePGIndex, true) {
 		_, sp = obs.StartSpan(ctx, "indexing")
@@ -415,6 +418,19 @@ func (e *Engine) retrieveVecLocked(ctx context.Context, qv vec.Vec32, m int) ([]
 	return res, st, err
 }
 
+// Rows returns E as the index holds it: the paper ids ascending, and a
+// matrix whose row i embeds ids[i]. Both are read-only and stay valid
+// and unchanged after later updates: the ids are clipped to their length
+// and the matrix is a fresh header over the rows present now, so an
+// AddPaper that appends to, or moves, the index's storage leaves them be.
+func (e *Engine) Rows() ([]hetgraph.NodeID, *vec.Matrix32) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	ids, rows := e.index.Rows()
+	n, d := len(ids), rows.Cols
+	return ids[:n:n], &vec.Matrix32{Rows: n, Cols: d, Data: rows.Data[: n*d : n*d]}
+}
+
 // viewRowsLocked brings Embeddings up to date with the index: it views
 // the rows appended since the last call, or every row when an append moved
 // the matrix — views of the old array would keep it alive beside the new
@@ -481,8 +497,8 @@ func (e *Engine) SimilarPapers(ctx context.Context, id hetgraph.NodeID, m int) (
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	emb, ok := e.Embeddings[id]
-	if !ok {
+	emb := e.index.Embedding(id)
+	if emb == nil {
 		return nil, QueryStats{}, ErrUnknownPaper
 	}
 	sctx, root := e.startQuery(ctx)

@@ -64,7 +64,7 @@ func TestBuildProducesAllArtifacts(t *testing.T) {
 	if st.Training == nil || st.Training.Steps == 0 {
 		t.Error("no training steps")
 	}
-	if len(e.Embeddings) != ds.Graph.NumNodesOfType(hetgraph.Paper) {
+	if e.index.Len() != ds.Graph.NumNodesOfType(hetgraph.Paper) {
 		t.Error("not all papers embedded")
 	}
 	if e.Index() == nil || st.IndexEdges == 0 {
@@ -140,8 +140,9 @@ func TestBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, v1 := range e1.Embeddings {
-		v2 := e2.Embeddings[p]
+	ids, _ := e1.index.Rows()
+	for _, p := range ids {
+		v1, v2 := e1.index.Embedding(p), e2.index.Embedding(p)
 		for i := range v1 {
 			if v1[i] != v2[i] {
 				t.Fatalf("embedding of paper %d differs between identical builds", p)

@@ -152,7 +152,11 @@ func TestSimilarPapersExactEngine(t *testing.T) {
 	const m = 7
 	papers := ds.Graph.NodesOfType(hetgraph.Paper)
 	for _, id := range []hetgraph.NodeID{papers[0], papers[len(papers)/2], papers[len(papers)-1]} {
-		scanned := pgindex.BruteForce(exact.Embeddings, exact.Embeddings[id], m+1)
+		ids, rows := exact.Rows()
+		scanned, err := pgindex.Scan(context.Background(), ids, rows, exact.index.Embedding(id), m+1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var want []hetgraph.NodeID
 		for _, r := range scanned {
 			if r.ID != id && len(want) < m {

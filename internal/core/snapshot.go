@@ -486,7 +486,7 @@ func (e *Engine) replayJournal(g *hetgraph.Graph, updates []NewPaper) error {
 		if err == nil {
 			id, err = e.addToGraphLocked(np)
 		}
-		if _, ok := e.Embeddings[id]; err == nil && !ok {
+		if err == nil && e.index.Embedding(id) == nil {
 			err = fmt.Errorf("replayed paper %d has no row in the columnar matrix", id)
 		}
 		if err != nil {

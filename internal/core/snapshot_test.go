@@ -81,11 +81,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	// Restored embeddings must be bit-identical: same vocabulary, same
 	// fine-tuned table, same pooling.
-	if len(loaded.Embeddings) != len(built.Embeddings) {
-		t.Fatalf("embedding count %d != %d", len(loaded.Embeddings), len(built.Embeddings))
+	if loaded.index.Len() != built.index.Len() {
+		t.Fatalf("embedding count %d != %d", loaded.index.Len(), built.index.Len())
 	}
-	for p, v := range built.Embeddings {
-		w := loaded.Embeddings[p]
+	ids, _ := built.index.Rows()
+	for _, p := range ids {
+		v, w := built.index.Embedding(p), loaded.index.Embedding(p)
 		for i := range v {
 			if v[i] != w[i] {
 				t.Fatalf("embedding of paper %d differs after reload", p)
@@ -147,14 +148,14 @@ func TestSaveLoadAfterUpdates(t *testing.T) {
 	}
 	// Restore against a FRESH base graph, as a restarted process would.
 	loaded, _ := loadBothModes(t, built, buf.Bytes(), func() *hetgraph.Graph { return gen().Graph })
-	if loaded.AppliedUpdates() != 4 {
-		t.Fatalf("journalled updates: %d, want 4", loaded.AppliedUpdates())
+	if len(loaded.updates) != 4 {
+		t.Fatalf("journalled updates: %d, want 4", len(loaded.updates))
 	}
 	for _, id := range added {
 		if loaded.g.Type(id) != hetgraph.Paper {
 			t.Fatalf("added paper %d missing after reload", id)
 		}
-		if _, ok := loaded.Embeddings[id]; !ok {
+		if loaded.index.Embedding(id) == nil {
 			t.Fatalf("added paper %d lost its embedding after reload", id)
 		}
 	}

@@ -123,7 +123,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 		if e2.Graph().Type(id) != hetgraph.Paper {
 			t.Errorf("acknowledged paper %d missing after recovery", id)
 		}
-		if _, ok := e2.Embeddings[id]; !ok {
+		if e2.index.Embedding(id) == nil {
 			t.Errorf("acknowledged paper %d has no embedding after recovery", id)
 		}
 	}
@@ -200,8 +200,8 @@ func TestStoreSnapshotCoversUpdates(t *testing.T) {
 	if rec.SnapshotSeq != 4 {
 		t.Errorf("snapshot seq %d, want 4", rec.SnapshotSeq)
 	}
-	if st2.Engine().AppliedUpdates() != 4 {
-		t.Errorf("journalled updates %d, want 4", st2.Engine().AppliedUpdates())
+	if got := len(st2.Engine().updates); got != 4 {
+		t.Errorf("journalled updates %d, want 4", got)
 	}
 	if after := rankingsOf(t, st2.Engine(), ds2); !sameRankings(before, after) {
 		t.Error("rankings differ after snapshot restart")
@@ -227,8 +227,8 @@ func TestStoreMixedSnapshotAndWAL(t *testing.T) {
 	if rec.SnapshotSeq != 3 || rec.Replayed != 2 {
 		t.Errorf("recovery: %+v, want snapshot seq 3 + 2 replayed", rec)
 	}
-	if st2.Engine().AppliedUpdates() != 5 {
-		t.Errorf("applied updates %d, want 5", st2.Engine().AppliedUpdates())
+	if got := len(st2.Engine().updates); got != 5 {
+		t.Errorf("applied updates %d, want 5", got)
 	}
 	if after := rankingsOf(t, st2.Engine(), ds2); !sameRankings(before, after) {
 		t.Error("rankings differ after mixed recovery")
@@ -380,7 +380,7 @@ func TestAddPaperRejectedWhenLogFails(t *testing.T) {
 	if got := e.Graph().NumNodesOfType(hetgraph.Paper); got != papers {
 		t.Errorf("update applied despite log failure: %d papers, want %d", got, papers)
 	}
-	if e.AppliedUpdates() != 0 {
+	if len(e.updates) != 0 {
 		t.Error("journal grew despite log failure")
 	}
 }

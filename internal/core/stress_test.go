@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/vec"
 )
 
 // The Stress tests are the race-hunting suite: CI runs them under -race
@@ -244,5 +246,84 @@ func TestStressDeadlineLeavesNoGoroutines(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStressRowsUnderAddPaper holds the contract of Rows: what a reader
+// got stays as it got it while AddPaper appends to the index's storage,
+// within its capacity and past it (every append past it moves the
+// matrix), and reading it races with no write.
+func TestStressRowsUnderAddPaper(t *testing.T) {
+	ds := dataset.Generate(dataset.AminerSim(60))
+	e, err := Build(ds.Graph, Options{Dim: 8, Seed: 4, UseKPCore: Bool(false), UsePGIndex: Bool(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, firstRows := e.Rows()
+	firstIDs, firstData := slices.Clone(first), slices.Clone(firstRows.Data)
+
+	// check re-reads a held pair against the copy taken when it was got.
+	check := func(ids []hetgraph.NodeID, rows *vec.Matrix32, wantIDs []hetgraph.NodeID, want []float32) error {
+		if len(ids) != len(wantIDs) || rows.Rows != len(wantIDs) || len(rows.Data) != len(want) {
+			return fmt.Errorf("held shape moved: %d ids, %d rows, %d floats; got %d, %d, %d",
+				len(wantIDs), len(wantIDs), len(want), len(ids), rows.Rows, len(rows.Data))
+		}
+		if !slices.Equal(ids, wantIDs) || !slices.Equal(rows.Data, want) {
+			return errors.New("held ids or rows changed")
+		}
+		return nil
+	}
+
+	const readers, adds = 4, 200
+	stop := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	ready.Add(readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for held := 0; ; held++ {
+				ids, rows := e.Rows()
+				wantIDs, want := slices.Clone(ids), slices.Clone(rows.Data)
+				if held == 0 {
+					ready.Done()
+				}
+				for i := 0; i < 8; i++ {
+					runtime.Gosched()
+					if err := check(ids, rows, wantIDs, want); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	authors := ds.Graph.NodesOfType(hetgraph.Author)
+	for i := 0; i < adds; i++ {
+		if _, err := e.AddPaper(NewPaper{Text: fmt.Sprintf("rows stress paper %d", i),
+			Authors: authors[i%len(authors) : i%len(authors)+1]}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if err := check(first, firstRows, firstIDs, firstData); err != nil {
+		t.Fatalf("the first hold after %d adds: %v", adds, err)
+	}
+	ids, rows := e.Rows()
+	if len(ids) != len(first)+adds || !slices.Equal(ids[:len(first)], firstIDs) ||
+		!slices.Equal(rows.Data[:len(firstData)], firstData) {
+		t.Fatalf("%d rows after %d adds to %d, or the first rows moved", len(ids), adds, len(first))
 	}
 }

@@ -69,14 +69,6 @@ func (e *Engine) LastUpdateSeq() uint64 {
 	return e.walSeq
 }
 
-// AppliedUpdates returns how many online updates the engine has
-// accepted since its offline build (journalled + replayed).
-func (e *Engine) AppliedUpdates() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.updates)
-}
-
 // encodeUpdate serialises an update for the write-ahead log.
 func encodeUpdate(p NewPaper) ([]byte, error) {
 	var buf bytes.Buffer

@@ -137,7 +137,7 @@ func Evaluate(sys System, g *hetgraph.Graph, queries []dataset.Query, m, n int,
 		eff.P10 /= nq
 		eff.P20 /= nq
 		eff.ADS /= nq
-		eff.AvgMs = float64(totalDur.Milliseconds()) / nq
+		eff.AvgMs = float64(totalDur) / float64(time.Millisecond) / nq
 	}
 	eff.MAP = metrics.MAP(aps)
 	return eff

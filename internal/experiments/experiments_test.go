@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"expertfind/internal/dataset"
 	"expertfind/internal/ta"
 )
 
@@ -97,6 +99,16 @@ func TestRunTable6Monotone(t *testing.T) {
 	if rows[0].MemoryBytes <= rows[4].MemoryBytes {
 		t.Errorf("memory not monotone: G=%d, G4=%d", rows[0].MemoryBytes, rows[4].MemoryBytes)
 	}
+	// The counts themselves: the index a corpus gets is fixed by its rows
+	// and the seed.
+	wantEdges := []int{1420, 1108, 507, 240, 107}
+	wantBytes := []int64{26080, 20752, 10188, 5040, 2468}
+	for i, r := range rows {
+		if r.IndexEdges != wantEdges[i] || r.MemoryBytes != wantBytes[i] {
+			t.Errorf("%s: %d index edges, %d bytes; want %d, %d",
+				r.Name, r.IndexEdges, r.MemoryBytes, wantEdges[i], wantBytes[i])
+		}
+	}
 	if out := FormatTable6(rows); !strings.Contains(out, "TABLE VI") {
 		t.Error("format missing header")
 	}
@@ -142,13 +154,29 @@ func TestEvaluateEmptyQuerySet(t *testing.T) {
 	if eff.MAP != 0 || eff.AvgMs != 0 {
 		t.Errorf("empty evaluation non-zero: %+v", eff)
 	}
-	_ = time.Now()
 }
 
-type fakeSystem struct{}
+// TestEvaluateQueryTimeFullResolution: AvgMs is the mean query time at
+// the clock's resolution, not the total floored to whole milliseconds
+// and then divided.
+func TestEvaluateQueryTimeFullResolution(t *testing.T) {
+	const sleep = 1500 * time.Microsecond
+	queries := make([]dataset.Query, 3)
+	eff := Evaluate(fakeSystem{sleep: sleep}, nil, queries, 10, 5, nil)
+	if least := float64(sleep) / float64(time.Millisecond); eff.AvgMs < least {
+		t.Errorf("AvgMs %.6f below the %.3f ms every query sleeps", eff.AvgMs, least)
+	}
+	if total := eff.AvgMs * float64(len(queries)); total == math.Trunc(total) {
+		t.Errorf("AvgMs × %d queries = %v ms, a whole number: the total was truncated", len(queries), total)
+	}
+}
+
+// fakeSystem returns no experts, after sleeping for sleep.
+type fakeSystem struct{ sleep time.Duration }
 
 func (fakeSystem) Name() string { return "fake" }
-func (fakeSystem) TopExperts(string, int, int) []ta.Ranking {
+func (f fakeSystem) TopExperts(string, int, int) []ta.Ranking {
+	time.Sleep(f.sleep)
 	return nil
 }
 
@@ -176,6 +204,23 @@ func TestRunFig5RefinementReducesWork(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	raw, refined := rows[0], rows[1]
+	// The work and recall themselves, as expansions / visited /
+	// dist-comps / recall averaged over the ten queries.
+	for _, c := range []struct {
+		got  Fig5Row
+		want [4]float64
+	}{
+		{raw, [4]float64{31.4, 127.2, 127.2, 0.92}},
+		{refined, [4]float64{31.3, 124.6, 124.6, 0.93}},
+	} {
+		got := [4]float64{c.got.AvgExpansions, c.got.AvgVisited, c.got.AvgDistComps, c.got.Recall}
+		for i := range got {
+			if math.Abs(got[i]-c.want[i]) > 1e-9 {
+				t.Errorf("%s: %v, want %v", c.got.Index, got, c.want)
+				break
+			}
+		}
+	}
 	if refined.Recall < 0.8 {
 		t.Errorf("refined recall %.3f too low", refined.Recall)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -11,7 +12,7 @@ import (
 	"expertfind/internal/metrics"
 	"expertfind/internal/pgindex"
 	"expertfind/internal/textenc"
-	"expertfind/internal/vec"
+	"expertfind/internal/train"
 )
 
 // Table1Row mirrors the paper's Table I: per-dataset statistics.
@@ -69,17 +70,15 @@ type Fig5Row struct {
 // RunFig5 reproduces the point of Figure 5: the refined PG-Index reaches
 // the query's neighbourhood with fewer expansions and visited papers than
 // the raw kNN graph, at equal-or-better recall. It embeds one corpus with
-// the frozen encoder and runs the same query set over both index builds.
+// the frozen encoder the way the engine does (train.EmbedRows) and runs
+// the same query set over both index builds of those rows.
 func RunFig5(sc Scale) []Fig5Row {
 	ds := dataset.Generate(dataset.AminerSim(sc.Papers))
 	g := ds.Graph
 	vocab := textenc.BuildVocab(ds.Corpus(), textenc.VocabConfig{})
 	enc := textenc.NewEncoder(vocab, sc.Dim, sc.Seed)
 	textenc.PretrainDistributional(enc, ds.Corpus())
-	embs := make(map[hetgraph.NodeID]vec.Vec32, g.NumNodesOfType(hetgraph.Paper))
-	for _, p := range g.NodesOfType(hetgraph.Paper) {
-		embs[p] = enc.Encode(g.Label(p))
-	}
+	ids, rows := train.EmbedRows(enc, train.BuildTokenCache(g, enc))
 	rng := rand.New(rand.NewSource(sc.Seed))
 	queries := ds.Queries(sc.Queries, rng)
 
@@ -96,7 +95,8 @@ func RunFig5(sc Scale) []Fig5Row {
 	const topM = 10
 	var out []Fig5Row
 	for _, v := range variants {
-		idx := pgindex.Build(embs, pgindex.Config{Refine: v.refine, Seed: sc.Seed})
+		idx := pgindex.FromRows(ids, rows)
+		idx.BuildGraph(pgindex.Config{Refine: v.refine, Seed: sc.Seed}, rand.New(rand.NewSource(sc.Seed)))
 		row := Fig5Row{Index: v.name}
 		for _, q := range queries {
 			qv := enc.Encode(q.Text)
@@ -104,8 +104,10 @@ func RunFig5(sc Scale) []Fig5Row {
 			row.AvgExpansions += float64(st.Expansions)
 			row.AvgVisited += float64(st.NodesVisited)
 			row.AvgDistComps += float64(st.DistanceComputations)
+			// A Background context never ends, so the scan cannot fail.
+			scanned, _ := pgindex.Scan(context.Background(), ids, rows, qv, topM)
 			exact := map[hetgraph.NodeID]bool{}
-			for _, r := range pgindex.BruteForce(embs, qv, topM) {
+			for _, r := range scanned {
 				exact[r.ID] = true
 			}
 			hit := 0

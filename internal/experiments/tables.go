@@ -13,7 +13,7 @@ import (
 	"expertfind/internal/pgindex"
 	"expertfind/internal/sampling"
 	"expertfind/internal/textenc"
-	"expertfind/internal/vec"
+	"expertfind/internal/train"
 )
 
 // Table2Result holds the effectiveness comparison of Table II for one
@@ -305,17 +305,13 @@ func FormatTable6(rows []Table6Row) string {
 }
 
 func buildTable6Row(name string, g *hetgraph.Graph, enc *textenc.Encoder, sc Scale) Table6Row {
-	papers := g.NodesOfType(hetgraph.Paper)
-	embs := make(map[hetgraph.NodeID]vec.Vec32, len(papers))
-	for _, p := range papers {
-		embs[p] = enc.Encode(g.Label(p))
-	}
+	idx := pgindex.FromRows(train.EmbedRows(enc, train.BuildTokenCache(g, enc)))
 	t0 := time.Now()
-	idx := pgindex.Build(embs, pgindex.Config{Refine: true, Seed: sc.Seed})
+	idx.BuildGraph(pgindex.Config{Refine: true, Seed: sc.Seed}, rand.New(rand.NewSource(sc.Seed)))
 	dur := time.Since(t0)
 	return Table6Row{
 		Name:        name,
-		Papers:      len(papers),
+		Papers:      idx.Len(),
 		GraphEdges:  g.NumEdges(),
 		IndexEdges:  idx.NumEdges(),
 		MemoryBytes: idx.MemoryBytes(),

@@ -19,7 +19,7 @@ func buildTestIndex(t *testing.T, n, dim int) *Index {
 		}
 		embs[hetgraph.NodeID(i*3+1)] = v
 	}
-	return Build(embs, Config{K: 4, Refine: true, Seed: 5})
+	return build(embs, Config{K: 4, Refine: true, Seed: 5})
 }
 
 // reload persists idx the way the product does — Columns() out,

@@ -14,27 +14,32 @@ func indexFingerprint(idx *Index) (nav int32, nbrs [][]int32, entries []int32) {
 func TestBuildDeterministicAcrossRuns(t *testing.T) {
 	embs := clusteredEmbeddings(rand.New(rand.NewSource(3)), 6, 40, 16)
 	cfg := Config{Refine: true, Seed: 42}
-	a := Build(embs, cfg)
-	b := Build(embs, cfg)
+	a := build(embs, cfg)
+	b := build(embs, cfg)
 	an, ae, ax := indexFingerprint(a)
 	bn, be, bx := indexFingerprint(b)
 	if an != bn || !reflect.DeepEqual(ae, be) || !reflect.DeepEqual(ax, bx) {
-		t.Fatal("two Build runs with the same seed differ")
+		t.Fatal("two builds with the same seed differ")
 	}
 }
 
 func TestBuildWithRandMatchesBuild(t *testing.T) {
-	// BuildWithRand with a fresh rng seeded from cfg.Seed must reproduce
-	// Build exactly: shard replicas rebuild indexes independently and rely
-	// on this to serve identical partial rankings.
-	embs := clusteredEmbeddings(rand.New(rand.NewSource(5)), 4, 50, 16)
+	// The one pin on bench/'s map path: BuildWithRand over a map of row
+	// views must build the index FromRows + BuildGraph builds over the
+	// same rows with an equally seeded rng — nav, neighbour lists and
+	// entries alike.
+	ids, rows, _ := scanCorpus(5, 200, 16, false)
 	cfg := Config{Refine: true, Seed: 7}
-	a := Build(embs, cfg)
-	b := BuildWithRand(embs, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	a := FromRows(ids, rows)
+	a.BuildGraph(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	b := BuildWithRand(rowMap(ids, rows), cfg, rand.New(rand.NewSource(cfg.Seed)))
 	an, ae, ax := indexFingerprint(a)
 	bn, be, bx := indexFingerprint(b)
 	if an != bn || !reflect.DeepEqual(ae, be) || !reflect.DeepEqual(ax, bx) {
-		t.Fatal("BuildWithRand(seeded rng) differs from Build")
+		t.Fatal("BuildWithRand(map) differs from FromRows + BuildGraph over the same rows")
+	}
+	if gotIDs, gotRows := b.Rows(); !reflect.DeepEqual(gotIDs, ids) || !reflect.DeepEqual(gotRows.Data, rows.Data) {
+		t.Fatal("BuildWithRand(map) holds other rows than the map's, ascending")
 	}
 }
 
@@ -43,8 +48,8 @@ func TestBuildSeedChangesInitialisation(t *testing.T) {
 	// regression to the global math/rand source, which would make the seed
 	// a no-op and shard rebuilds nondeterministic).
 	embs := randomEmbeddings(rand.New(rand.NewSource(9)), 300, 8)
-	a := Build(embs, Config{Refine: false, MaxIters: 1, Seed: 1})
-	b := Build(embs, Config{Refine: false, MaxIters: 1, Seed: 2})
+	a := build(embs, Config{Refine: false, MaxIters: 1, Seed: 1})
+	b := build(embs, Config{Refine: false, MaxIters: 1, Seed: 2})
 	_, ae, _ := indexFingerprint(a)
 	_, be, _ := indexFingerprint(b)
 	if reflect.DeepEqual(ae, be) {

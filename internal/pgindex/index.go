@@ -74,16 +74,23 @@ type Result struct {
 	Dist float64 // L2 distance δ to the query
 }
 
-// Build constructs the PG-Index over the document embeddings E: FlatRows
-// copies them into ascending rows, and BuildGraph runs Algorithm 2 over
-// them. Construction is deterministic for a given cfg.Seed.
-func Build(embs map[hetgraph.NodeID]vec.Vec32, cfg Config) *Index {
-	return BuildWithRand(embs, cfg, rand.New(rand.NewSource(cfg.Seed)))
-}
-
-// BuildWithRand is Build with the random source injected (see BuildGraph).
+// BuildWithRand copies an embedding map into ascending rows and builds
+// the proximity graph over them with rng (see FromRows and BuildGraph).
+//
+// Deprecated: the engine and the experiments embed straight into rows
+// (train.EmbedRows) and build with FromRows and BuildGraph. BuildWithRand
+// is kept for bench/'s replay of a build; ROADMAP item 1(a) deletes it.
 func BuildWithRand(embs map[hetgraph.NodeID]vec.Vec32, cfg Config, rng *rand.Rand) *Index {
-	idx := FromRows(FlatRows(embs))
+	ids, dim := make([]hetgraph.NodeID, 0, len(embs)), 0
+	for id, v := range embs {
+		ids, dim = append(ids, id), v.Dim()
+	}
+	slices.Sort(ids)
+	rows := vec.NewMatrix32(len(ids), dim)
+	for i, id := range ids {
+		copy(rows.Row(i), embs[id])
+	}
+	idx := FromRows(ids, rows)
 	idx.BuildGraph(cfg, rng)
 	return idx
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestInsertIntoEmptyIndex(t *testing.T) {
-	idx := Build(map[hetgraph.NodeID]vec.Vec32{}, Config{Refine: true})
+	idx := build(map[hetgraph.NodeID]vec.Vec32{}, Config{Refine: true})
 	if err := idx.Insert(5, vec.Vec32{1, 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestInsertIntoEmptyIndex(t *testing.T) {
 func TestInsertFindable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	embs := randomEmbeddings(rng, 100, 8)
-	idx := Build(embs, Config{Refine: true, Seed: 1})
+	idx := build(embs, Config{Refine: true, Seed: 1})
 
 	// Insert 30 new points; each must be retrievable as its own nearest
 	// neighbour afterwards.
@@ -67,7 +67,7 @@ func TestInsertFindable(t *testing.T) {
 }
 
 func TestInsertRejectsDuplicatesAndBadDims(t *testing.T) {
-	idx := Build(map[hetgraph.NodeID]vec.Vec32{1: {1, 0}, 4: {0, 1}}, Config{Refine: true})
+	idx := build(map[hetgraph.NodeID]vec.Vec32{1: {1, 0}, 4: {0, 1}}, Config{Refine: true})
 	if err := idx.Insert(4, vec.Vec32{0, 1}); err == nil {
 		t.Error("duplicate id accepted")
 	}
@@ -84,7 +84,7 @@ func TestInsertRejectsDuplicatesAndBadDims(t *testing.T) {
 func TestInsertDuplicateGeometry(t *testing.T) {
 	// Exact duplicate vectors can occlude everything; the node must still
 	// become reachable.
-	idx := Build(map[hetgraph.NodeID]vec.Vec32{1: {1, 0}, 2: {0, 1}, 3: {1, 1}}, Config{Refine: true})
+	idx := build(map[hetgraph.NodeID]vec.Vec32{1: {1, 0}, 2: {0, 1}, 3: {1, 1}}, Config{Refine: true})
 	if err := idx.Insert(9, vec.Vec32{1, 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestInsertDuplicateGeometry(t *testing.T) {
 func TestIndexSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	embs := clusteredEmbeddings(rng, 8, 10, 6)
-	idx := Build(embs, Config{Refine: true, Seed: 2})
+	idx := build(embs, Config{Refine: true, Seed: 2})
 
 	loaded := reload(t, idx)
 	if loaded.Len() != idx.Len() || loaded.NavigatingNode() != idx.NavigatingNode() ||

@@ -29,7 +29,7 @@ func TestSearchTieOrderMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		embs[hetgraph.NodeID(i)] = proto[i%5].Clone()
 	}
-	idx := Build(embs, Config{Refine: true, Seed: 2})
+	idx := build(embs, Config{Refine: true, Seed: 2})
 	for p := 0; p < 5; p++ {
 		want := BruteForce(embs, proto[p], 12)
 		for _, ef := range []int{0, 50} {
@@ -74,7 +74,7 @@ func TestSearchPoolIsCanonicalUnderTies(t *testing.T) {
 				embs[hetgraph.NodeID(i)] = proto[rng.Intn(3)].Clone()
 			}
 		}
-		idx := Build(embs, Config{Refine: true, Seed: seed})
+		idx := build(embs, Config{Refine: true, Seed: seed})
 		for p, q := range proto {
 			want := BruteForce(embs, q, 10)
 			if reached, _ := canonicalWalk(idx, q, 10, 20, true); sameResults(reached, want) != nil {
@@ -162,7 +162,7 @@ func TestSearchMatchesCanonicalWalk(t *testing.T) {
 		"clustered": clusteredEmbeddings(rng, 30, 20, 16),
 	}
 	for name, embs := range corpora {
-		idx := Build(embs, Config{Refine: true, Seed: 4})
+		idx := build(embs, Config{Refine: true, Seed: 4})
 		n := idx.Len()
 		for q := 0; q < 12; q++ {
 			query := embs[hetgraph.NodeID(rng.Intn(n))].Clone()
@@ -204,7 +204,7 @@ func FuzzSearchMatchesReference(f *testing.F) {
 	f.Add(int64(6), uint16(90), uint8(5), uint16(90), uint16(0), true)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, m, ef uint16, multi bool) {
 		ids, rows, q := scanCorpus(seed, int(n)%400+1, int(dim)%24+1, seed%2 == 0)
-		idx := Build(rowMap(ids, rows), Config{K: 2 + int(uint64(seed)%8), Refine: seed%3 != 0, Seed: seed})
+		idx := build(rowMap(ids, rows), Config{K: 2 + int(uint64(seed)%8), Refine: seed%3 != 0, Seed: seed})
 		mm := int(m)%(len(ids)+3) + 1
 		got, gst := idx.SearchEx(q, mm, int(ef), multi)
 		// Search's own bounds: m at most the corpus, a pool below m is 2m.
@@ -234,7 +234,7 @@ func FuzzSearchMatchesReference(f *testing.F) {
 func TestExhaustiveSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	embs := randomEmbeddings(rng, 90, 12)
-	idx := Build(embs, Config{Refine: true, Seed: 6})
+	idx := build(embs, Config{Refine: true, Seed: 6})
 	for q := 0; q < 15; q++ {
 		query := embs[hetgraph.NodeID(rng.Intn(len(embs)))].Clone()
 		for j := range query {

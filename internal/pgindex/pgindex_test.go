@@ -22,6 +22,27 @@ func randomEmbeddings(rng *rand.Rand, n, d int) map[hetgraph.NodeID]vec.Vec32 {
 	return out
 }
 
+// build is the map-input build the tests use: the map's ids ascending,
+// their rows in that order (FromRows), and Algorithm 2 over them with an
+// rng seeded from cfg.Seed.
+func build(embs map[hetgraph.NodeID]vec.Vec32, cfg Config) *Index {
+	ids := make([]hetgraph.NodeID, 0, len(embs))
+	for id := range embs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var rows *vec.Matrix32
+	if len(ids) > 0 {
+		rows = vec.NewMatrix32(len(ids), embs[ids[0]].Dim())
+		for i, id := range ids {
+			copy(rows.Row(i), embs[id])
+		}
+	}
+	idx := FromRows(ids, rows)
+	idx.BuildGraph(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	return idx
+}
+
 // clusteredEmbeddings mimics the fine-tuned geometry: tight clusters with
 // large inter-cluster gaps — the hard case for proximity-graph search.
 func clusteredEmbeddings(rng *rand.Rand, clusters, perCluster, d int) map[hetgraph.NodeID]vec.Vec32 {
@@ -134,7 +155,7 @@ func TestNNDescentRecall(t *testing.T) {
 func TestBuildProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	embs := randomEmbeddings(rng, 150, 8)
-	idx := Build(embs, Config{Refine: true, Seed: 7})
+	idx := build(embs, Config{Refine: true, Seed: 7})
 	if idx.Len() != 150 {
 		t.Fatalf("Len = %d", idx.Len())
 	}
@@ -165,7 +186,7 @@ func TestBuildAllReachable(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		embs := clusteredEmbeddings(rng, 12, 12, 8)
-		idx := Build(embs, Config{Refine: true, Seed: seed})
+		idx := build(embs, Config{Refine: true, Seed: seed})
 		// BFS from the navigating node must reach every paper.
 		visited := map[int32]bool{idx.nav: true}
 		queue := []int32{idx.nav}
@@ -188,7 +209,7 @@ func TestBuildAllReachable(t *testing.T) {
 func TestSearchRecallOnClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	embs := clusteredEmbeddings(rng, 15, 15, 12)
-	idx := Build(embs, Config{Refine: true, Seed: 9})
+	idx := build(embs, Config{Refine: true, Seed: 9})
 	var recall float64
 	const m = 15
 	queries := 20
@@ -222,7 +243,7 @@ func TestSearchRecallOnClusters(t *testing.T) {
 func TestSearchVisitsFewerThanBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	embs := clusteredEmbeddings(rng, 20, 20, 12)
-	idx := Build(embs, Config{Refine: true, Seed: 9})
+	idx := build(embs, Config{Refine: true, Seed: 9})
 	q := embs[hetgraph.NodeID(3)]
 	_, st := idx.Search(q, 10, 0)
 	if st.NodesVisited >= idx.Len() {
@@ -233,7 +254,7 @@ func TestSearchVisitsFewerThanBrute(t *testing.T) {
 func TestSearchResultsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	embs := randomEmbeddings(rng, 100, 8)
-	idx := Build(embs, Config{Refine: true, Seed: 3})
+	idx := build(embs, Config{Refine: true, Seed: 3})
 	res, _ := idx.Search(embs[hetgraph.NodeID(0)], 10, 0)
 	if len(res) != 10 {
 		t.Fatalf("got %d results", len(res))
@@ -254,7 +275,7 @@ func TestRefineOcclusionRule(t *testing.T) {
 	embs := map[hetgraph.NodeID]vec.Vec32{
 		0: {0}, 1: {1}, 2: {2.5},
 	}
-	idx := Build(embs, Config{K: 2, Refine: true, Seed: 1})
+	idx := build(embs, Config{K: 2, Refine: true, Seed: 1})
 	n0 := idx.Neighbors(0)
 	for _, nb := range n0 {
 		if nb == 2 {
@@ -264,14 +285,14 @@ func TestRefineOcclusionRule(t *testing.T) {
 }
 
 func TestEmptyAndTinyIndexes(t *testing.T) {
-	idx := Build(map[hetgraph.NodeID]vec.Vec32{}, Config{Refine: true})
+	idx := build(map[hetgraph.NodeID]vec.Vec32{}, Config{Refine: true})
 	if idx.Len() != 0 {
 		t.Error("empty index non-empty")
 	}
 	if res, _ := idx.Search(vec.Vec32{1}, 5, 0); res != nil {
 		t.Error("search on empty index returned results")
 	}
-	one := Build(map[hetgraph.NodeID]vec.Vec32{4: {1, 2}}, Config{Refine: true})
+	one := build(map[hetgraph.NodeID]vec.Vec32{4: {1, 2}}, Config{Refine: true})
 	res, _ := one.Search(vec.Vec32{1, 2}, 3, 0)
 	if len(res) != 1 || res[0].ID != 4 {
 		t.Errorf("singleton search = %v", res)
@@ -281,8 +302,8 @@ func TestEmptyAndTinyIndexes(t *testing.T) {
 func TestBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	embs := randomEmbeddings(rng, 80, 8)
-	a := Build(embs, Config{Refine: true, Seed: 5})
-	b := Build(embs, Config{Refine: true, Seed: 5})
+	a := build(embs, Config{Refine: true, Seed: 5})
+	b := build(embs, Config{Refine: true, Seed: 5})
 	if a.NumEdges() != b.NumEdges() || a.NavigatingNode() != b.NavigatingNode() {
 		t.Fatal("builds with same seed differ")
 	}
@@ -303,8 +324,8 @@ func TestBuildDeterministic(t *testing.T) {
 func TestNoRefineKeepsRawKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	embs := randomEmbeddings(rng, 60, 8)
-	raw := Build(embs, Config{K: 5, Refine: false, Seed: 2})
-	refined := Build(embs, Config{K: 5, Refine: true, Seed: 2})
+	raw := build(embs, Config{K: 5, Refine: false, Seed: 2})
+	refined := build(embs, Config{K: 5, Refine: true, Seed: 2})
 	if raw.Len() != refined.Len() {
 		t.Fatal("lengths differ")
 	}
@@ -323,7 +344,7 @@ func TestNoRefineKeepsRawKNN(t *testing.T) {
 func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	embs := clusteredEmbeddings(rng, 100, 50, 64)
-	idx := Build(embs, DefaultConfig())
+	idx := build(embs, DefaultConfig())
 	queries := make([]vec.Vec32, 64)
 	for i := range queries {
 		q := embs[hetgraph.NodeID(rng.Intn(len(embs)))].Clone()
@@ -352,7 +373,7 @@ func BenchmarkSearch(b *testing.B) {
 
 func TestEmbeddingAccessor(t *testing.T) {
 	embs := map[hetgraph.NodeID]vec.Vec32{1: {1, 0}, 2: {0, 1}, 3: {1, 1}}
-	idx := Build(embs, Config{Refine: true})
+	idx := build(embs, Config{Refine: true})
 	if got := idx.Embedding(2); got == nil || got[1] != 1 {
 		t.Errorf("Embedding(2) = %v", got)
 	}

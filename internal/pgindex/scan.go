@@ -2,7 +2,6 @@ package pgindex
 
 import (
 	"context"
-	"slices"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/vec"
@@ -101,25 +100,6 @@ func (t *topM) results() []Result {
 	}
 	t.h = h
 	return out
-}
-
-// FlatRows copies an embedding map into the representation an index holds
-// (FromRows): the paper ids ascending and one contiguous row-major matrix
-// whose row i is the embedding of ids[i] (nil for an empty map).
-func FlatRows(embs map[hetgraph.NodeID]vec.Vec32) ([]hetgraph.NodeID, *vec.Matrix32) {
-	ids := make([]hetgraph.NodeID, 0, len(embs))
-	for id := range embs {
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		return ids, nil
-	}
-	slices.Sort(ids)
-	rows := vec.NewMatrix32(len(ids), embs[ids[0]].Dim())
-	for i, id := range ids {
-		copy(rows.Row(i), embs[id])
-	}
-	return ids, rows
 }
 
 // scanBlock is how many rows the scan covers between context polls and

@@ -130,7 +130,7 @@ func TestScanEquivalence(t *testing.T) {
 func TestScanEquivalenceIndex(t *testing.T) {
 	for _, tc := range []struct{ n, dim int }{{1, 3}, {11, 5}, {600, 13}, {2500, 32}} {
 		ids, rows, q := scanCorpus(int64(tc.n+tc.dim), tc.n, tc.dim, tc.dim == 13)
-		idx := Build(rowMap(ids, rows), Config{K: 4, MaxIters: 2, Seed: 1})
+		idx := build(rowMap(ids, rows), Config{K: 4, MaxIters: 2, Seed: 1})
 		for _, m := range []int{1, 10, tc.n, tc.n + 7} {
 			want := sortEverything(ids, rows, q, m)
 			got, _ := idx.Search(q, m, tc.n+7)

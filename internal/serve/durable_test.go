@@ -131,7 +131,7 @@ func TestAddEndpointErrors(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("wrong node type = %d, want 400", rec.Code)
 	}
-	before := s.engine.AppliedUpdates()
+	before, _ := s.engine.Rows()
 
 	// A failing WAL turns acks off: 503, nothing applied.
 	s.engine.SetUpdateLog(failingLog{})
@@ -139,8 +139,8 @@ func TestAddEndpointErrors(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("failing WAL = %d, want 503: %s", rec.Code, rec.Body.String())
 	}
-	if got := s.engine.AppliedUpdates(); got != before {
-		t.Fatalf("update applied despite log failure: %d -> %d", before, got)
+	if after, _ := s.engine.Rows(); len(after) != len(before) {
+		t.Fatalf("update applied despite log failure: %d -> %d rows", len(before), len(after))
 	}
 }
 

@@ -452,8 +452,11 @@ func EmbedRows(enc *textenc.Encoder, cache TokenCache) ([]hetgraph.NodeID, *vec.
 	return ids, rows
 }
 
-// EmbedAll is EmbedRows as a map of row views, kept for the benchmark's
-// replay of a build.
+// EmbedAll is EmbedRows as a map of row views.
+//
+// Deprecated: embed with EmbedRows, as the engine and the experiments do.
+// EmbedAll is kept for bench/'s replay of a build; ROADMAP item 1(a)
+// deletes it.
 func EmbedAll(enc *textenc.Encoder, cache TokenCache) map[hetgraph.NodeID]vec.Vec32 {
 	ids, rows := EmbedRows(enc, cache)
 	out := make(map[hetgraph.NodeID]vec.Vec32, len(ids))
