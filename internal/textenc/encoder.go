@@ -6,9 +6,11 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"unicode/utf8"
 
+	"expertfind/internal/par"
 	"expertfind/internal/vec"
 )
 
@@ -77,72 +79,104 @@ func NewEncoder(v *Vocab, dim int, seed int64) *Encoder {
 		Normalize: true,
 		idf:       make([]float64, v.Size()),
 	}
-	// One initialiser for the whole table: vocabulary tokens share most of
-	// their character n-grams (about 26 uses per distinct n-gram on the
-	// benchmark corpora), and its memo of their hash vectors is dropped
-	// with it when this function returns.
-	surf := newSurfaceInit(dim, seed)
-	for id := 0; id < v.Size(); id++ {
-		surf.fill(e.Emb.Row(id), v.Token(TokenID(id)))
+	for id := range e.idf {
 		e.idf[id] = v.IDF(TokenID(id))
 	}
+	surfaceRows(e.Emb.Data, v.tokens, dim, seed)
 	return e
 }
 
-// surfaceInit builds pre-trained token vectors FastText-style: the unit
-// mean of deterministic hash vectors of the surface form and its character
-// 3- and 4-grams. Morphological variants of one stem therefore start out
-// close — the sub-lexical "semantic" knowledge a real pre-trained encoder
-// brings, which bag-of-words baselines lack. The accumulation runs in
-// float64 and rounds once into the float32 row.
-type surfaceInit struct {
-	hash hasher
-	seed int64
-	acc  vec.Vector
-	// grams memoises the hash vector of every n-gram met so far.
-	grams map[string]vec.Vector
+// surfaceRows sets rows, len(tokens) rows of dim floats, to the
+// pre-trained vectors of tokens, built FastText-style: the unit mean of
+// deterministic hash vectors of the surface form and its character 3- and
+// 4-grams. Morphological variants of one stem therefore start out close —
+// the sub-lexical "semantic" knowledge a real pre-trained encoder brings,
+// which bag-of-words baselines lack. A row accumulates in float64, the
+// surface form's vector first and then its n-grams' in order, and rounds
+// once into float32.
+//
+// Tokens share most of their n-grams (about 26 uses per distinct n-gram
+// on the benchmark corpora), so each distinct n-gram is hashed once. One
+// goroutine numbers the distinct n-grams; then they are hashed into one
+// flat table, and the rows filled from it, each pass on up to GOMAXPROCS
+// goroutines. A goroutine writes only its own rows, and a hasher's output
+// is a function of the string it hashes, so how the work is split changes
+// no bit.
+func surfaceRows(rows []float32, tokens []string, dim int, seed int64) {
+	index := map[string]int32{}
+	var grams []string // the distinct n-grams, in order of first use
+	var cut ngrams
+	for _, tok := range tokens {
+		cut.each(tok, func(gram []byte) {
+			if _, ok := index[string(gram)]; !ok {
+				s := string(gram)
+				index[s] = int32(len(grams))
+				grams = append(grams, s)
+			}
+		})
+	}
+
+	// Chunk c of either pass hashes with hashers[c]: a source is 4.9 KB
+	// and costs as much to create as a string does to hash.
+	procs := runtime.GOMAXPROCS(0)
+	hashers := make([]hasher, procs)
+	hasherOf := func(c int) hasher {
+		if hashers[c].rng == nil {
+			hashers[c] = newHasher()
+		}
+		return hashers[c]
+	}
+	table := make([]float64, len(grams)*dim)
+	par.Chunks(len(grams), procs, func(c, lo, hi int) {
+		h := hasherOf(c)
+		for g := lo; g < hi; g++ {
+			h.into(table[g*dim:(g+1)*dim], grams[g], seed)
+		}
+	})
+	par.Chunks(len(tokens), procs, func(c, lo, hi int) {
+		h := hasherOf(c)
+		acc := vec.New(dim)
+		var cut ngrams
+		for i := lo; i < hi; i++ {
+			h.into(acc, tokens[i], seed) // the exact form always contributes
+			cut.each(tokens[i], func(gram []byte) {
+				g := int(index[string(gram)])
+				acc.Add(table[g*dim : (g+1)*dim])
+			})
+			acc.Normalize()
+			for j, x := range acc {
+				rows[i*dim+j] = float32(x)
+			}
+		}
+	})
+}
+
+// ngrams cuts tokens into the character n-grams of surfaceRows, keeping
+// its scratch from one token to the next.
+type ngrams struct {
 	runes []rune
 	key   []byte
 }
 
-func newSurfaceInit(dim int, seed int64) *surfaceInit {
-	return &surfaceInit{hash: newHasher(), seed: seed, acc: vec.New(dim), grams: map[string]vec.Vector{}}
-}
-
-// fill sets row to the pre-trained vector of token.
-func (s *surfaceInit) fill(row vec.Vec32, token string) {
-	acc := s.acc
-	s.hash.into(acc, token, s.seed) // the exact form always contributes
-	r := append(s.runes[:0], '<')
-	for _, c := range strings.TrimPrefix(token, "##") {
-		r = append(r, c)
+// each calls fn with every character 3-gram of the padded surface form
+// "<surface>" of tok ("##" stripped), then every 4-gram, as UTF-8 that is
+// valid until fn returns. The grams are cut on runes: an undecodable
+// byte is one U+FFFD.
+func (c *ngrams) each(tok string, fn func(gram []byte)) {
+	c.runes = append(c.runes[:0], '<')
+	for _, r := range strings.TrimPrefix(tok, "##") {
+		c.runes = append(c.runes, r)
 	}
-	r = append(r, '>')
-	s.runes = r
+	c.runes = append(c.runes, '>')
 	for n := 3; n <= 4; n++ {
-		for i := 0; i+n <= len(r); i++ {
-			acc.Add(s.gram(r[i : i+n]))
+		for j := 0; j+n <= len(c.runes); j++ {
+			c.key = c.key[:0]
+			for _, r := range c.runes[j : j+n] {
+				c.key = utf8.AppendRune(c.key, r)
+			}
+			fn(c.key)
 		}
 	}
-	acc.Normalize()
-	for j := range row {
-		row[j] = float32(acc[j])
-	}
-}
-
-// gram returns the hash vector of one character n-gram.
-func (s *surfaceInit) gram(r []rune) vec.Vector {
-	s.key = s.key[:0]
-	for _, c := range r {
-		s.key = utf8.AppendRune(s.key, c)
-	}
-	if v, ok := s.grams[string(s.key)]; ok {
-		return v
-	}
-	v := vec.New(len(s.acc))
-	s.hash.into(v, string(s.key), s.seed)
-	s.grams[string(s.key)] = v
-	return v
 }
 
 // PretrainDistributional completes the encoder's "pre-training" with a
@@ -191,7 +225,7 @@ func PretrainDistributional(e *Encoder, corpus []string) {
 // that methods differ in how they use structure, not in lexical capability.
 func SurfaceVector(dim int, s string, seed int64) vec.Vec32 {
 	row := vec.New32(dim)
-	newSurfaceInit(dim, seed).fill(row, s)
+	surfaceRows(row, []string{s}, dim, seed)
 	return row
 }
 

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -175,6 +176,9 @@ func TestBuildVocabMatchesPerOccurrenceCount(t *testing.T) {
 	}
 }
 
+// TestNewEncoderMatchesUnmemoised holds the memoised, parallel
+// pre-training to the reference's one source per string, on one core and
+// on four.
 func TestNewEncoderMatchesUnmemoised(t *testing.T) {
 	sameTable := func(what string, got, want *vec.Matrix32) {
 		t.Helper()
@@ -185,28 +189,33 @@ func TestNewEncoderMatchesUnmemoised(t *testing.T) {
 			}
 		}
 	}
-	for name, corpus := range referenceCorpora() {
-		v := BuildVocab(corpus, VocabConfig{})
-		for _, dim := range []int{12, 64} {
-			const seed = 7
-			got := NewEncoder(v, dim, seed)
-			want := got.Clone()
-			for id := 0; id < v.Size(); id++ {
-				refInitTokenRow(want.Emb.Row(id), v.Token(TokenID(id)), seed)
-			}
-			sameTable(fmt.Sprintf("%s dim %d: NewEncoder", name, dim), got.Emb, want.Emb)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for name, corpus := range referenceCorpora() {
+			v := BuildVocab(corpus, VocabConfig{})
+			for _, dim := range []int{12, 64} {
+				const seed = 7
+				what := fmt.Sprintf("GOMAXPROCS %d, %s dim %d", procs, name, dim)
+				got := NewEncoder(v, dim, seed)
+				want := got.Clone()
+				for id := 0; id < v.Size(); id++ {
+					refInitTokenRow(want.Emb.Row(id), v.Token(TokenID(id)), seed)
+				}
+				sameTable(what+": NewEncoder", got.Emb, want.Emb)
 
-			PretrainDistributional(got, corpus)
-			refPretrainDistributional(want, corpus)
-			sameTable(fmt.Sprintf("%s dim %d: PretrainDistributional", name, dim), got.Emb, want.Emb)
+				PretrainDistributional(got, corpus)
+				refPretrainDistributional(want, corpus)
+				sameTable(what+": PretrainDistributional", got.Emb, want.Emb)
 
-			// Baselines hand SurfaceVector arbitrary strings, undecodable
-			// bytes included (n-grams are cut on runes, not bytes).
-			for _, word := range []string{v.Token(TokenID(v.Size() / 2)), "ab\xffcd\xc3", ""} {
-				one := vec.New32(dim)
-				refInitTokenRow(one, word, seed)
-				if !slices.Equal(SurfaceVector(dim, word, seed), one) {
-					t.Fatalf("%s dim %d: SurfaceVector(%q) differs from the reference", name, dim, word)
+				// Baselines hand SurfaceVector arbitrary strings, undecodable
+				// bytes included (n-grams are cut on runes, not bytes).
+				for _, word := range []string{v.Token(TokenID(v.Size() / 2)), "ab\xffcd\xc3", ""} {
+					one := vec.New32(dim)
+					refInitTokenRow(one, word, seed)
+					if !slices.Equal(SurfaceVector(dim, word, seed), one) {
+						t.Fatalf("%s: SurfaceVector(%q) differs from the reference", what, word)
+					}
 				}
 			}
 		}

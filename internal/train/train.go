@@ -97,17 +97,27 @@ const gradChunks = 8
 // machine, whatever its core count.
 func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 	cfg Config, rng *rand.Rand) *Result {
+	res, _ := fineTune(enc, cache, triples, cfg, rng)
+	return res
+}
+
+// fineTune is FineTune, also returning the optimiser (nil without
+// triples), whose moments the tests hold to the reference's.
+func fineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
+	cfg Config, rng *rand.Rand) (*Result, *adam) {
 	cfg = cfg.withDefaults()
 	res := &Result{Triples: len(triples)}
 	if len(triples) == 0 {
-		return res
+		return res, nil
 	}
 
 	opt := newAdam(enc.Emb, cfg)
 	weights := poolWeights(enc, cache, triples)
 	workers := make([]*worker, gradChunks)
+	parts := make([]*sparseGrad, gradChunks)
 	for i := range workers {
 		workers[i] = newWorker(enc, cache, weights)
+		parts[i] = workers[i].grad
 	}
 	order := make([]int, len(triples))
 	for i := range order {
@@ -123,10 +133,8 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 			if end > len(order) {
 				end = len(order)
 			}
-			grads, loss := batchGradients(workers, triples, order[start:end], cfg.Margin)
-			epochLoss += loss
-			if len(grads.ids) > 0 {
-				opt.step(grads)
+			epochLoss += batchGradients(workers, triples, order[start:end], cfg.Margin)
+			if opt.step(parts) {
 				res.Steps++
 			}
 		}
@@ -134,15 +142,14 @@ func FineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 		res.EpochLosses = append(res.EpochLosses, mean)
 		res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
 	}
-	return res
+	return res, opt
 }
 
-// batchGradients computes the summed sparse gradient of the batch and its
+// batchGradients computes the batch's partial gradients and returns its
 // total loss. Worker c takes chunk c of the batch, triple by triple in
-// batch order; the partial sums are then merged into worker 0's in chunk
-// order. The returned gradient is worker 0's and lives until the next call.
-func batchGradients(workers []*worker, triples []sampling.Triple, batch []int,
-	margin float64) (*sparseGrad, float64) {
+// batch order, into its own sparse gradient; adam.step merges them. The
+// losses are summed in chunk order.
+func batchGradients(workers []*worker, triples []sampling.Triple, batch []int, margin float64) float64 {
 	for _, w := range workers {
 		w.grad.reset()
 		w.loss = 0
@@ -153,15 +160,11 @@ func batchGradients(workers []*worker, triples []sampling.Triple, batch []int,
 			w.loss += w.tripleGradient(triples[idx], margin)
 		}
 	})
-	total := workers[0].grad
 	var loss float64
-	for c, w := range workers {
+	for _, w := range workers {
 		loss += w.loss
-		if c > 0 {
-			total.add(w.grad)
-		}
 	}
-	return total, loss
+	return loss
 }
 
 // poolWeights resolves, once per paper that occurs in triples, the
@@ -240,19 +243,6 @@ func (g *sparseGrad) reset() {
 	}
 	g.ids = g.ids[:0]
 	g.arena = g.arena[:0]
-}
-
-// add merges o into g: a row g has not touched is copied, one it has is
-// summed into — in that order per row, which is the order that fixes the
-// bits of the sum.
-func (g *sparseGrad) add(o *sparseGrad) {
-	for s, id := range o.ids {
-		if g.slot[id] < 0 {
-			copy(g.row(id), o.at(s))
-		} else {
-			g.row(id).Add(o.at(s))
-		}
-	}
 }
 
 // worker is one goroutine's share of a batch: the sparse gradient and loss
@@ -396,6 +386,13 @@ type adam struct {
 	table *vec.Matrix32
 	m, v  *vec.Matrix
 	tRow  []int // per-row step count for bias correction
+	// bc1[t] and bc2[t] are the bias corrections 1-β1^t and 1-β2^t of a
+	// row's step t, grown by one entry per optimiser step (no row can be
+	// further along than the optimiser).
+	bc1, bc2 []float64
+	// rows lists the rows the step in hand touches, marked in seen.
+	rows []textenc.TokenID
+	seen []bool
 }
 
 func newAdam(table *vec.Matrix32, cfg Config) *adam {
@@ -405,31 +402,58 @@ func newAdam(table *vec.Matrix32, cfg Config) *adam {
 		m:     vec.NewMatrix(table.Rows, table.Cols),
 		v:     vec.NewMatrix(table.Rows, table.Cols),
 		tRow:  make([]int, table.Rows),
+		bc1:   []float64{0},
+		bc2:   []float64{0},
+		seen:  make([]bool, table.Rows),
 	}
 }
 
-// step applies one Adam update to every row grads touched, on up to
-// GOMAXPROCS goroutines: a row's update reads and writes that row's state
+// step merges the partial gradients and applies one Adam update to every
+// row any of them touched, reporting whether there was one. A row's
+// gradient is the sum of its partial rows in part order, taken in the
+// first part that has the row, so its bits do not depend on which parts
+// touched other rows. The rows are split across up to GOMAXPROCS
+// goroutines: a row's merge and update read and write that row's state
 // only, so how the rows are split changes no bit.
-func (a *adam) step(grads *sparseGrad) {
-	c := a.cfg
-	par.Chunks(len(grads.ids), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			r := int(grads.ids[s])
-			a.tRow[r]++
-			t := float64(a.tRow[r])
-			mRow, vRow, w := a.m.Row(r), a.v.Row(r), a.table.Row(r)
-			bc1 := 1 - math.Pow(c.Beta1, t)
-			bc2 := 1 - math.Pow(c.Beta2, t)
-			for j, gj := range grads.at(s) {
-				mRow[j] = c.Beta1*mRow[j] + (1-c.Beta1)*gj
-				vRow[j] = c.Beta2*vRow[j] + (1-c.Beta2)*gj*gj
-				mHat := mRow[j] / bc1
-				vHat := vRow[j] / bc2
-				w[j] = float32(float64(w[j]) - c.LearningRate*mHat/(math.Sqrt(vHat)+c.Epsilon))
+func (a *adam) step(parts []*sparseGrad) bool {
+	a.rows = a.rows[:0]
+	for _, p := range parts {
+		for _, id := range p.ids {
+			if !a.seen[id] {
+				a.seen[id] = true
+				a.rows = append(a.rows, id)
 			}
 		}
+	}
+	if len(a.rows) == 0 {
+		return false
+	}
+	c := a.cfg
+	t := float64(len(a.bc1))
+	a.bc1 = append(a.bc1, 1-math.Pow(c.Beta1, t))
+	a.bc2 = append(a.bc2, 1-math.Pow(c.Beta2, t))
+	par.Chunks(len(a.rows), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		k := vec.AdamCoef{Beta1: c.Beta1, OneMinusBeta1: 1 - c.Beta1, Beta2: c.Beta2, OneMinusBeta2: 1 - c.Beta2,
+			LearningRate: c.LearningRate, Epsilon: c.Epsilon}
+		for _, id := range a.rows[lo:hi] {
+			r := int(id)
+			a.seen[r] = false
+			var g vec.Vector
+			for _, p := range parts {
+				if s := p.slot[r]; s >= 0 {
+					if g == nil {
+						g = p.at(int(s))
+					} else {
+						g.Add(p.at(int(s)))
+					}
+				}
+			}
+			a.tRow[r]++
+			k.BiasCorr1, k.BiasCorr2 = a.bc1[a.tRow[r]], a.bc2[a.tRow[r]]
+			vec.AdamRow(a.table.Row(r), a.m.Row(r), a.v.Row(r), g, &k)
+		}
 	})
+	return true
 }
 
 // EmbedRows computes the fine-tuned representation of every paper in

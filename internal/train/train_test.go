@@ -224,7 +224,7 @@ func TestAdamStepMovesAgainstGradient(t *testing.T) {
 	opt := newAdam(table, Config{}.withDefaults())
 	g := newSparseGrad(2, 3)
 	copy(g.row(0), []float64{1, -1, 0})
-	opt.step(g)
+	opt.step([]*sparseGrad{g})
 	row := table.Row(0)
 	if !(row[0] < 0 && row[1] > 0 && row[2] == 0) {
 		t.Errorf("Adam step direction wrong: %v", row)

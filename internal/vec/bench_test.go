@@ -2,6 +2,7 @@ package vec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -107,6 +108,67 @@ func BenchmarkAxpy32(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			Axpy32(dst, 0.5, b32)
+		}
+	})
+}
+
+// The float64 kernels of the fine-tune at the dimensions the benchmark
+// and the tests build with (64, 12): "kernel" is the exported entry point,
+// SSE2 on amd64; "portable" the Go body other architectures run.
+func benchKernels64(b *testing.B, f func(b *testing.B, n int, portable bool)) {
+	for _, n := range []int{12, 64} {
+		for _, portable := range []bool{false, true} {
+			name := map[bool]string{false: "kernel", true: "portable"}[portable]
+			b.Run(fmt.Sprintf("d=%d/%s", n, name), func(b *testing.B) { f(b, n, portable) })
+		}
+	}
+}
+
+func BenchmarkAxpyInto64(b *testing.B) {
+	benchKernels64(b, func(b *testing.B, n int, portable bool) {
+		a64, _, _, b32, _, _ := benchVecs(n)
+		k := AxpyInto64
+		if portable {
+			k = axpyInto64Go
+		}
+		for i := 0; i < b.N; i++ {
+			k(a64, 1e-9, b32)
+		}
+	})
+}
+
+func BenchmarkAxpy64(b *testing.B) {
+	benchKernels64(b, func(b *testing.B, n int, portable bool) {
+		a64, b64, _, _, _, _ := benchVecs(n)
+		k := func(v Vector, a float64, w Vector) { v.Axpy(a, w) }
+		if portable {
+			k = func(v Vector, a float64, w Vector) { axpy64Go(v, a, w) }
+		}
+		for i := 0; i < b.N; i++ {
+			k(a64, 1e-9, b64)
+		}
+	})
+}
+
+// BenchmarkAdamRow is one optimiser step of one embedding row at the
+// trainer's defaults, late enough that the moments have settled.
+func BenchmarkAdamRow(b *testing.B) {
+	benchKernels64(b, func(b *testing.B, n int, portable bool) {
+		m, g, _, w32, _, _ := benchVecs(n)
+		v := New(n)
+		for i := range v {
+			v[i] = g[i] * g[i]
+		}
+		beta1, beta2 := 0.9, 0.999
+		c := &AdamCoef{Beta1: beta1, OneMinusBeta1: 1 - beta1, Beta2: beta2, OneMinusBeta2: 1 - beta2,
+			BiasCorr1: 1 - math.Pow(beta1, 100), BiasCorr2: 1 - math.Pow(beta2, 100),
+			LearningRate: 0.01, Epsilon: 1e-8}
+		k := AdamRow
+		if portable {
+			k = adamRowGo
+		}
+		for i := 0; i < b.N; i++ {
+			k(w32, m, v, g, c)
 		}
 	})
 }

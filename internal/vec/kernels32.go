@@ -189,33 +189,6 @@ func Axpy32(dst []float32, alpha float32, x []float32) {
 	}
 }
 
-// AxpyInto64 sets dst = dst + alpha*x with float64 accumulation over
-// float32 inputs — the mixed-precision primitive the trainer pools with,
-// so gradient checks keep float64 resolution while the table stays
-// float32. Element-wise; panics if lengths differ.
-func AxpyInto64(dst []float64, alpha float64, x []float32) {
-	n := len(dst)
-	if len(x) != n {
-		panic(fmt.Sprintf("vec: axpyinto64 of mismatched dims %d and %d", n, len(x)))
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dd := dst[i : i+8 : i+8]
-		xx := x[i : i+8 : i+8]
-		dd[0] += alpha * float64(xx[0])
-		dd[1] += alpha * float64(xx[1])
-		dd[2] += alpha * float64(xx[2])
-		dd[3] += alpha * float64(xx[3])
-		dd[4] += alpha * float64(xx[4])
-		dd[5] += alpha * float64(xx[5])
-		dd[6] += alpha * float64(xx[6])
-		dd[7] += alpha * float64(xx[7])
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * float64(x[i])
-	}
-}
-
 // Scale32 sets dst = alpha*dst element-wise.
 func Scale32(dst []float32, alpha float32) {
 	for i := range dst {

@@ -309,6 +309,15 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 		"Axpy32":     func() { Axpy32([]float32{1}, 1, []float32{1, 2}) },
 		"AxpyInto64": func() { AxpyInto64([]float64{1}, 1, []float32{1, 2}) },
 		"DotInt8":    func() { DotInt8([]int8{1}, []int8{1, 2}) },
+		// The in-place float64 ops, with w longer and shorter than v.
+		"Add long":   func() { Vector{1}.Add(Vector{1, 2}) },
+		"Add short":  func() { Vector{1, 2}.Add(Vector{1}) },
+		"Sub long":   func() { Vector{1}.Sub(Vector{1, 2}) },
+		"Sub short":  func() { Vector{1, 2}.Sub(Vector{1}) },
+		"Axpy long":  func() { Vector{1}.Axpy(1, Vector{1, 2}) },
+		"Axpy short": func() { Vector{1, 2}.Axpy(1, Vector{1}) },
+		"AdamRow g":  func() { AdamRow(make([]float32, 2), New(2), New(2), New(3), &AdamCoef{}) },
+		"AdamRow m":  func() { AdamRow(make([]float32, 2), New(1), New(2), New(2), &AdamCoef{}) },
 		// One float short, one over, and rows for a dim-0 query.
 		"L2SqRows32 short": func() { L2SqRows32(make([]float32, 2), make([]float32, 5), make([]float32, 3)) },
 		"L2SqRows32 long":  func() { L2SqRows32(make([]float32, 2), make([]float32, 7), make([]float32, 3)) },
@@ -320,9 +329,14 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 				switch v := recover(); {
 				case v == nil:
 					t.Errorf("%s on mismatched dims did not panic", name)
-				case strings.HasPrefix(name, "L2Sq"):
+				case strings.HasPrefix(name, "L2Sq") || strings.HasPrefix(name, "AdamRow"):
 					if _, ok := v.(*ShapeError); !ok {
 						t.Errorf("%s panicked with %T, want *ShapeError", name, v)
+					}
+				default:
+					_, typed := v.(*ShapeError)
+					if s, _ := v.(string); !typed && !strings.Contains(s, "mismatched dims") {
+						t.Errorf("%s panicked with %v, want a mismatched-dims message", name, v)
 					}
 				}
 			}()

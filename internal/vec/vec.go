@@ -72,16 +72,24 @@ func (v Vector) Cosine(w Vector) float64 {
 	return v.Dot(w) / (nv * nw)
 }
 
-// Add sets v = v + w in place and returns v.
+// Add sets v = v + w in place and returns v. It panics if dimensions
+// differ.
 func (v Vector) Add(w Vector) Vector {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("vec: add of mismatched dims %d and %d", len(v), len(w)))
+	}
 	for i := range v {
 		v[i] += w[i]
 	}
 	return v
 }
 
-// Sub sets v = v - w in place and returns v.
+// Sub sets v = v - w in place and returns v. It panics if dimensions
+// differ.
 func (v Vector) Sub(w Vector) Vector {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("vec: sub of mismatched dims %d and %d", len(v), len(w)))
+	}
 	for i := range v {
 		v[i] -= w[i]
 	}
@@ -97,11 +105,13 @@ func (v Vector) Scale(a float64) Vector {
 }
 
 // Axpy sets v = v + a*w in place and returns v (the BLAS "axpy" primitive
-// the trainer uses to accumulate gradients).
+// the trainer uses to accumulate gradients; SSE2 on amd64, see
+// kernels64.go). It panics if dimensions differ.
 func (v Vector) Axpy(a float64, w Vector) Vector {
-	for i := range v {
-		v[i] += a * w[i]
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("vec: axpy of mismatched dims %d and %d", len(v), len(w)))
 	}
+	axpy64(v, a, w)
 	return v
 }
 
