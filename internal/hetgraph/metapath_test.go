@@ -135,49 +135,6 @@ func TestCitationMetaPathSymmetric(t *testing.T) {
 	}
 }
 
-func TestProjectMatchesPNeighbors(t *testing.T) {
-	g, n := figure2Core(t)
-	h := Project(g, PAP)
-	if h.NumNodes() != 7 {
-		t.Fatalf("projected %d nodes, want 7", h.NumNodes())
-	}
-	for _, p := range h.Nodes {
-		want := g.PNeighbors(p, PAP)
-		got := h.Adj[p]
-		if len(got) != len(want) {
-			t.Errorf("projection adjacency of %v: %v vs %v", p, got, want)
-		}
-	}
-	// Undirected edge count: p1-p2, p1-p3, p1-p4, p2-p3, p2-p4, p3-p4,
-	// p4-p5, p5-p6 = 8.
-	if got := h.NumEdges(); got != 8 {
-		t.Errorf("NumEdges = %d, want 8", got)
-	}
-	if _, ok := h.Index(n["p10"]); !ok {
-		t.Error("isolated paper missing from projection")
-	}
-}
-
-func TestProjectMulti(t *testing.T) {
-	g := New()
-	p1 := g.AddNode(Paper, "")
-	p2 := g.AddNode(Paper, "")
-	p3 := g.AddNode(Paper, "")
-	a := g.AddNode(Author, "")
-	tp := g.AddNode(Topic, "")
-	g.MustAddEdge(a, p1, Write)
-	g.MustAddEdge(a, p2, Write)
-	g.MustAddEdge(p2, tp, Mention)
-	g.MustAddEdge(p3, tp, Mention)
-	h := ProjectMulti(g, []MetaPath{PAP, PTP})
-	if len(h.Adj[p2]) != 2 { // p1 via PAP, p3 via PTP
-		t.Errorf("multi projection of p2 = %v, want 2 neighbours", h.Adj[p2])
-	}
-	if len(h.Adj[p1]) != 1 || len(h.Adj[p3]) != 1 {
-		t.Error("multi projection endpoints wrong")
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	for path, want := range map[string]bool{
 		"P-A-P": true, "P-T-P": true, "P-P": true, "P-V-P": true, "P-A-P-A-P": true,

@@ -1,6 +1,12 @@
 package hetgraph
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"slices"
+
+	"expertfind/internal/par"
+)
 
 // HomoGraph is the homogeneous paper-paper graph G' obtained by projecting
 // a heterogeneous graph along a meta-path (the "straightforward solution"
@@ -12,15 +18,24 @@ type HomoGraph struct {
 	Nodes []NodeID
 	// Adj maps each node to its deduplicated neighbour list.
 	Adj map[NodeID][]NodeID
-	// index maps a NodeID to its position in Nodes.
-	index map[NodeID]int
+	// index[p] is the position of node p in Nodes, -1 for a node of the
+	// source graph that is not projected.
+	index []int32
 }
 
-// Project materialises the full homogeneous graph for meta-path mp,
-// enumerating every paper's P-neighbours. This is the expensive step the
-// paper's community search avoids; it is provided for the naive (k,P)-core
-// baseline and for baselines that genuinely need the whole projection.
-func Project(g *Graph, mp MetaPath) *HomoGraph {
+// Project materialises the full homogeneous graph for meta-path mp: every
+// paper's P-neighbours, each list in PNeighbors' order. The (k,P)-core
+// index (kpcore.NewCoreIndex) and the naive (k,P)-core search project
+// through it; Algorithm 1 itself only walks the P-neighbours it needs.
+//
+// The papers are walked on up to GOMAXPROCS goroutines, each over a
+// contiguous chunk and writing only its papers' lists, so the projection
+// is the same however the work is split.
+func Project(g *Graph, mp MetaPath) *HomoGraph { return project(g, mp, 0) }
+
+// project is Project with every walker's stamp generation starting at
+// gen0, so that a test can make the generation wrap.
+func project(g *Graph, mp MetaPath, gen0 uint32) *HomoGraph {
 	if !mp.IsPaperPaper() {
 		panic(fmt.Sprintf("hetgraph: projection requires a paper-paper meta-path, got %s", mp))
 	}
@@ -28,42 +43,68 @@ func Project(g *Graph, mp MetaPath) *HomoGraph {
 	h := &HomoGraph{
 		Nodes: papers,
 		Adj:   make(map[NodeID][]NodeID, len(papers)),
-		index: make(map[NodeID]int, len(papers)),
+		index: make([]int32, g.NumNodes()),
+	}
+	adj := make([][]NodeID, len(papers))
+	par.Chunks(len(papers), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		w := &pwalker{g: g, stamp: make([]uint32, g.NumNodes()), gen: gen0}
+		var buf []NodeID
+		for i := lo; i < hi; i++ {
+			buf = w.appendPNeighbors(buf[:0], papers[i], mp)
+			if len(buf) > 0 {
+				adj[i] = slices.Clone(buf)
+			}
+		}
+	})
+	for i := range h.index {
+		h.index[i] = -1
 	}
 	for i, p := range papers {
-		h.index[p] = i
-		h.Adj[p] = g.PNeighbors(p, mp)
+		h.index[p] = int32(i)
+		h.Adj[p] = adj[i]
 	}
 	return h
 }
 
-// ProjectMulti materialises the homogeneous graph whose edge set is the
-// union of the projections along each meta-path (used by baselines that
-// treat all relationships equally, the very noise source §I criticises).
-func ProjectMulti(g *Graph, mps []MetaPath) *HomoGraph {
-	papers := g.NodesOfType(Paper)
-	h := &HomoGraph{
-		Nodes: papers,
-		Adj:   make(map[NodeID][]NodeID, len(papers)),
-		index: make(map[NodeID]int, len(papers)),
-	}
-	seen := map[NodeID]bool{}
-	for i, p := range papers {
-		h.index[p] = i
-		clear(seen)
-		var nbrs []NodeID
-		for _, mp := range mps {
-			g.ForEachPNeighbor(p, mp, func(q NodeID) bool {
-				if !seen[q] {
-					seen[q] = true
-					nbrs = append(nbrs, q)
-				}
-				return true
-			})
+// pwalker is ForEachPNeighbor's layered walk for a goroutine that walks
+// many papers. A node is seen in the current hop when its stamp equals
+// gen, so starting a hop is an increment rather than a fresh set.
+type pwalker struct {
+	g              *Graph
+	stamp          []uint32 // indexed by NodeID
+	gen            uint32
+	frontier, next []NodeID
+}
+
+// appendPNeighbors appends the P-neighbours of u via mp to out, in the
+// order ForEachPNeighbor visits them.
+func (w *pwalker) appendPNeighbors(out []NodeID, u NodeID, mp MetaPath) []NodeID {
+	w.frontier = append(w.frontier[:0], u)
+	for hop := 1; hop <= mp.Len(); hop++ {
+		w.gen++
+		if w.gen == 0 {
+			// Wrapped: a stamp left from 2^32 hops ago would read as seen.
+			clear(w.stamp)
+			w.gen = 1
 		}
-		h.Adj[p] = nbrs
+		w.next = w.next[:0]
+		last := hop == mp.Len()
+		for _, x := range w.frontier {
+			for _, y := range w.g.Neighbors(x, mp.types[hop]) {
+				if w.stamp[y] == w.gen || (last && y == u) {
+					continue
+				}
+				w.stamp[y] = w.gen
+				if last {
+					out = append(out, y)
+				} else {
+					w.next = append(w.next, y)
+				}
+			}
+		}
+		w.frontier, w.next = w.next, w.frontier
 	}
-	return h
+	return out
 }
 
 // NumNodes returns the number of projected nodes.
@@ -81,6 +122,8 @@ func (h *HomoGraph) NumEdges() int {
 // Index returns the dense position of node p in Nodes, and whether p is a
 // projected node.
 func (h *HomoGraph) Index(p NodeID) (int, bool) {
-	i, ok := h.index[p]
-	return i, ok
+	if p < 0 || int(p) >= len(h.index) || h.index[p] < 0 {
+		return 0, false
+	}
+	return int(h.index[p]), true
 }

@@ -1,6 +1,8 @@
 // Package par runs a loop over [0,n) in contiguous chunks, one goroutine
-// per chunk: the one fan-out the offline build uses for gradient sums,
-// optimiser steps, embedding and the kNN-graph join.
+// per chunk: the one fan-out the offline build uses for the vocabulary's
+// counts, the n-gram table, the distributional pre-training, the token
+// cache, the (k,P)-core projection, gradient sums, optimiser steps,
+// embedding, the kNN-graph join and the PG-Index refine.
 package par
 
 import "sync"

@@ -3,6 +3,7 @@ package pgindex
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -20,6 +21,16 @@ func TestBuildDeterministicAcrossRuns(t *testing.T) {
 	bn, be, bx := indexFingerprint(b)
 	if an != bn || !reflect.DeepEqual(ae, be) || !reflect.DeepEqual(ax, bx) {
 		t.Fatal("two builds with the same seed differ")
+	}
+	// The join and the refine run on GOMAXPROCS goroutines; their count
+	// must not show in the graph.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		cn, ce, cx := indexFingerprint(build(embs, cfg))
+		if cn != an || !reflect.DeepEqual(ce, ae) || !reflect.DeepEqual(cx, ax) {
+			t.Fatalf("the build at GOMAXPROCS %d differs", procs)
+		}
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/par"
 	"expertfind/internal/vec"
 )
 
@@ -147,20 +149,24 @@ func (idx *Index) BuildGraph(cfg Config, rng *rand.Rand) {
 	}
 
 	// (3) Refine neighbours: extend with two-hop "highway" candidates,
-	// then drop occluded (redundant) ones.
+	// then drop occluded (redundant) ones. A node's refined list reads
+	// only the kNN graph and the rows, so the nodes are refined on up to
+	// GOMAXPROCS goroutines, each writing only its own nodes' lists.
 	idx.nbrs = make([][]int32, len(knn))
-	var cands []int32
-	for p := range knn {
-		cands = append(cands[:0], knn[p]...)
-		for _, x := range knn[p] {
-			for _, y := range knn[x] {
-				if int(y) != p {
-					cands = append(cands, y)
+	par.Chunks(len(knn), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		var cands []int32
+		for p := lo; p < hi; p++ {
+			cands = append(cands[:0], knn[p]...)
+			for _, x := range knn[p] {
+				for _, y := range knn[x] {
+					if int(y) != p {
+						cands = append(cands, y)
+					}
 				}
 			}
+			idx.nbrs[p] = idx.refineNeighbors(int32(p), cands, cfg.MaxDegree)
 		}
-		idx.nbrs[p] = idx.refineNeighbors(int32(p), cands, cfg.MaxDegree)
-	}
+	})
 
 	// (4) Connectivity repair: occlusion pruning can disconnect tightly
 	// clustered corpora from the navigating node (every cross-cluster edge

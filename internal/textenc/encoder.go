@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"unicode/utf8"
 
@@ -188,35 +189,92 @@ func (c *ngrams) each(tok string, fn func(gram []byte)) {
 // language model brings and that bag-of-words methods lack. The result is
 // blended equally with the character-n-gram initialisation and
 // renormalised; the blend runs in float64 and rounds once per component.
+//
+// It runs in two passes, each on up to GOMAXPROCS goroutines. The first
+// takes every document's signature and its distinct tokens in order of
+// first occurrence; the second sums each token's row over an inverted
+// list of its documents, in document order — the order a single pass over
+// the corpus adds them in — so a row is the same however the rows are
+// split.
 func PretrainDistributional(e *Encoder, corpus []string) {
-	acc := vec.NewMatrix(e.vocab.Size(), e.Dim)
-	sig := vec.New(e.Dim)
-	hash := newHasher()
-	seen := map[TokenID]bool{}
-	for d, doc := range corpus {
-		hash.into(sig, fmt.Sprintf("doc|%d", d), 0x3779B97F4A7C15)
-		clear(seen)
-		for _, id := range e.tok.Tokenize(doc) {
-			if seen[id] {
-				continue
+	ix := newDocIndex(e, corpus)
+	par.Chunks(e.vocab.Size(), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		dist := vec.New(e.Dim)
+		for id := lo; id < hi; id++ {
+			if !ix.sum(dist, id, e.idf[id]) || dist.Norm() == 0 {
+				continue // token unseen in corpus: keep the n-gram prior
 			}
-			seen[id] = true
-			acc.Row(int(id)).Axpy(e.idf[id], sig)
+			dist.Normalize()
+			row := e.Emb.Row(id)
+			blend := row.Float64()
+			blend.Scale(0.5).Axpy(0.5, dist).Normalize()
+			for j := range row {
+				row[j] = float32(blend[j])
+			}
+		}
+	})
+}
+
+// docIndex is the first pass of PretrainDistributional: every document's
+// signature, and for every token the documents containing it.
+type docIndex struct {
+	dim  int
+	sigs []float64 // document d's signature is sigs[d*dim:(d+1)*dim]
+	// docs[start[t]:start[t+1]] are the documents containing token t,
+	// ascending.
+	start, docs []int32
+}
+
+func newDocIndex(e *Encoder, corpus []string) *docIndex {
+	dim := e.Dim
+	ix := &docIndex{dim: dim, sigs: make([]float64, len(corpus)*dim), start: make([]int32, e.vocab.Size()+1)}
+	// docTokens[d] lists the distinct tokens of document d.
+	docTokens := make([][]TokenID, len(corpus))
+	par.Chunks(len(corpus), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		hash := newHasher()
+		// countedIn[t] is the last document (1-based) that listed token t.
+		countedIn := make([]int, e.vocab.Size())
+		for d := lo; d < hi; d++ {
+			hash.into(ix.sigs[d*dim:(d+1)*dim], fmt.Sprintf("doc|%d", d), 0x3779B97F4A7C15)
+			toks := e.tok.Tokenize(corpus[d])
+			ids := toks[:0]
+			for _, id := range toks {
+				if countedIn[id] != d+1 {
+					countedIn[id] = d + 1
+					ids = append(ids, id)
+				}
+			}
+			docTokens[d] = ids
+		}
+	})
+	for _, ids := range docTokens {
+		for _, id := range ids {
+			ix.start[id+1]++
 		}
 	}
-	for id := 0; id < e.vocab.Size(); id++ {
-		dist := acc.Row(id)
-		if dist.Norm() == 0 {
-			continue // token unseen in corpus: keep the n-gram prior
-		}
-		dist.Normalize()
-		row := e.Emb.Row(id)
-		blend := row.Float64()
-		blend.Scale(0.5).Axpy(0.5, dist).Normalize()
-		for j := range row {
-			row[j] = float32(blend[j])
+	for t := 1; t < len(ix.start); t++ {
+		ix.start[t] += ix.start[t-1]
+	}
+	ix.docs = make([]int32, ix.start[len(ix.start)-1])
+	fill := slices.Clone(ix.start[:len(ix.start)-1])
+	for d, ids := range docTokens {
+		for _, id := range ids {
+			ix.docs[fill[id]] = int32(d)
+			fill[id]++
 		}
 	}
+	return ix
+}
+
+// sum sets dist to the signatures of the documents containing token id,
+// each weighted by idf and added in document order, and reports whether
+// there are any.
+func (ix *docIndex) sum(dist vec.Vector, id int, idf float64) bool {
+	dist.Zero()
+	for _, d := range ix.docs[ix.start[id]:ix.start[id+1]] {
+		dist.Axpy(idf, ix.sigs[int(d)*ix.dim:(int(d)+1)*ix.dim])
+	}
+	return ix.start[id] < ix.start[id+1]
 }
 
 // SurfaceVector returns the deterministic stem-aware vector of a surface

@@ -52,6 +52,25 @@ func refInitTokenRow(row vec.Vec32, token string, seed int64) {
 }
 
 func refPretrainDistributional(e *Encoder, corpus []string) {
+	acc := refDistributions(e, corpus)
+	for id := 0; id < e.vocab.Size(); id++ {
+		dist := acc.Row(id)
+		if dist.Norm() == 0 {
+			continue
+		}
+		dist.Normalize()
+		row := e.Emb.Row(id)
+		blend := row.Float64()
+		blend.Scale(0.5).Axpy(0.5, dist).Normalize()
+		for j := range row {
+			row[j] = float32(blend[j])
+		}
+	}
+}
+
+// refDistributions returns every token's IDF-weighted sum of the
+// signatures of the documents containing it, before normalisation.
+func refDistributions(e *Encoder, corpus []string) *vec.Matrix {
 	acc := vec.NewMatrix(e.vocab.Size(), e.Dim)
 	sig := vec.New(e.Dim)
 	seen := map[TokenID]bool{}
@@ -66,19 +85,23 @@ func refPretrainDistributional(e *Encoder, corpus []string) {
 			acc.Row(int(id)).Axpy(e.idf[id], sig)
 		}
 	}
-	for id := 0; id < e.vocab.Size(); id++ {
-		dist := acc.Row(id)
-		if dist.Norm() == 0 {
-			continue
-		}
-		dist.Normalize()
-		row := e.Emb.Row(id)
-		blend := row.Float64()
-		blend.Scale(0.5).Axpy(0.5, dist).Normalize()
-		for j := range row {
-			row[j] = float32(blend[j])
+	return acc
+}
+
+// piecesOf returns the WordPiece candidate pieces of a word: prefixes of
+// length 2-6 and continuation pieces ("##"+substring) of length 2-4.
+func piecesOf(w string) []string {
+	r := []rune(w)
+	var out []string
+	for l := 2; l <= 6 && l <= len(r); l++ {
+		out = append(out, string(r[:l]))
+	}
+	for start := 1; start < len(r); start++ {
+		for l := 2; l <= 4 && start+l <= len(r); l++ {
+			out = append(out, "##"+string(r[start:start+l]))
 		}
 	}
+	return out
 }
 
 func refBuildVocab(corpus []string, cfg VocabConfig) *Vocab {
@@ -161,16 +184,22 @@ func referenceCorpora() map[string][]string {
 	}
 }
 
+// TestBuildVocabMatchesPerOccurrenceCount holds the chunked counts to the
+// reference's one pass, on one core and on four.
 func TestBuildVocabMatchesPerOccurrenceCount(t *testing.T) {
-	for name, corpus := range referenceCorpora() {
-		for _, cfg := range []VocabConfig{{}, {MaxWords: 40, MaxSubwords: 60, MinWordFreq: 2}} {
-			got, want := BuildVocab(corpus, cfg), refBuildVocab(corpus, cfg)
-			if !slices.Equal(got.tokens, want.tokens) {
-				t.Fatalf("%s %+v: token list differs from the per-occurrence count's (%d vs %d tokens)",
-					name, cfg, len(got.tokens), len(want.tokens))
-			}
-			if !slices.Equal(got.docFreq, want.docFreq) || got.numDocs != want.numDocs {
-				t.Fatalf("%s %+v: document frequencies differ", name, cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for name, corpus := range referenceCorpora() {
+			for _, cfg := range []VocabConfig{{}, {MaxWords: 40, MaxSubwords: 60, MinWordFreq: 2}} {
+				got, want := BuildVocab(corpus, cfg), refBuildVocab(corpus, cfg)
+				if !slices.Equal(got.tokens, want.tokens) {
+					t.Fatalf("GOMAXPROCS %d, %s %+v: token list differs from the per-occurrence count's (%d vs %d tokens)",
+						procs, name, cfg, len(got.tokens), len(want.tokens))
+				}
+				if !slices.Equal(got.docFreq, want.docFreq) || got.numDocs != want.numDocs {
+					t.Fatalf("GOMAXPROCS %d, %s %+v: document frequencies differ", procs, name, cfg)
+				}
 			}
 		}
 	}
@@ -204,6 +233,19 @@ func TestNewEncoderMatchesUnmemoised(t *testing.T) {
 				}
 				sameTable(what+": NewEncoder", got.Emb, want.Emb)
 
+				// The float32 table rounds away most float64 sum orders, so
+				// the rows' sums are held to the reference's before it.
+				ix, wantDist := newDocIndex(got, corpus), refDistributions(got, corpus)
+				dist := vec.New(dim)
+				for id := 0; id < v.Size(); id++ {
+					ix.sum(dist, id, got.idf[id])
+					for j, x := range wantDist.Row(id) {
+						if math.Float64bits(dist[j]) != math.Float64bits(x) {
+							t.Fatalf("%s: token %d's distribution dim %d is %x, the reference has %x",
+								what, id, j, math.Float64bits(dist[j]), math.Float64bits(x))
+						}
+					}
+				}
 				PretrainDistributional(got, corpus)
 				refPretrainDistributional(want, corpus)
 				sameTable(what+": PretrainDistributional", got.Emb, want.Emb)

@@ -51,11 +51,7 @@ func (t *Tokenizer) appendWord(out []TokenID, w string) []TokenID {
 	// or the bare-continuation map (later pieces, standing in for
 	// "##"+piece), so no candidate string is ever built. offs[k] is the
 	// byte offset of the k-th rune.
-	offs := make([]int, 0, 32)
-	for i := range w {
-		offs = append(offs, i)
-	}
-	offs = append(offs, len(w))
+	offs := appendRuneOffsets(make([]int, 0, 32), w)
 	nr := len(offs) - 1
 	mark := len(out)
 	start := 0

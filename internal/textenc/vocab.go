@@ -12,11 +12,15 @@
 package textenc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"expertfind/internal/par"
 )
 
 // TokenID indexes a token in a Vocab. The zero value is the unknown token.
@@ -72,38 +76,135 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 		cfg.MinWordFreq = 1
 	}
 
-	wordFreq := map[string]int{}
-	for _, doc := range corpus {
-		forEachWord(doc, func(w string) bool {
-			wordFreq[w]++
+	// Every pass over the corpus runs on up to GOMAXPROCS goroutines, each
+	// over a contiguous chunk of documents (or of distinct words). Counts
+	// are integers, so summing the chunks' counts gives the same bits in
+	// any order, and the one list built here — the characters, in order of
+	// first appearance — is merged in chunk order.
+	procs := runtime.GOMAXPROCS(0)
+	wordFreq := countChunks(len(corpus), procs, func(freq map[string]int, d int) {
+		forEachWord(corpus[d], func(w string) bool {
+			freq[w]++
 			return true
 		})
+	})
+	// Candidate pieces — prefixes of 2-6 runes and ## continuations of 2-4
+	// — are a function of the word, so each distinct word is cut up once
+	// and its pieces counted at the word's frequency. A piece is counted
+	// under a substring of its word, continuations without their "##", so
+	// only a piece new to its chunk costs a string.
+	words := make([]string, 0, len(wordFreq))
+	for w := range wordFreq {
+		words = append(words, w)
 	}
-	// Candidate pieces — prefixes and ## continuations — are a function of
-	// the word, so each distinct word is cut up once and its pieces counted
-	// at the word's frequency.
-	subFreq := map[string]int{}
-	for w, f := range wordFreq {
-		for _, piece := range piecesOf(w) {
-			subFreq[piece] += f
+	subFreq := countChunks(len(words), procs, func(freq map[string]int, i int) {
+		w := words[i]
+		var buf [32]int
+		offs := appendRuneOffsets(buf[:0], w)
+		for l := 2; l <= 6 && l < len(offs); l++ {
+			freq[w[:offs[l]]] += wordFreq[w]
 		}
+	})
+	contFreq := countChunks(len(words), procs, func(freq map[string]int, i int) {
+		w := words[i]
+		var buf [32]int
+		offs := appendRuneOffsets(buf[:0], w)
+		nr := len(offs) - 1
+		for start := 1; start < nr; start++ {
+			for l := 2; l <= 4 && start+l <= nr; l++ {
+				freq[w[offs[start]:offs[start+l]]] += wordFreq[w]
+			}
+		}
+	})
+	for s, f := range contFreq {
+		subFreq["##"+s] = f // no prefix starts with '#', so no key collides
 	}
 
 	v := &Vocab{ids: map[string]TokenID{}}
 	v.add("[UNK]") // id 0
 
 	// Whole words by descending frequency, ties broken lexically.
-	words := topK(wordFreq, cfg.MaxWords, cfg.MinWordFreq)
-	for _, w := range words {
+	for _, w := range topK(wordFreq, cfg.MaxWords, cfg.MinWordFreq) {
 		v.add(w)
 	}
 	// Always include every single character (as both start and
 	// continuation piece) so segmentation can't fail on known alphabets.
-	// Ids follow first appearance in the corpus; a character seen before
-	// has its two tokens already.
+	// Ids follow first appearance in the corpus: each chunk lists its
+	// letters and digits in order of first appearance, and the lists are
+	// added in chunk order (add ignores a token it already has).
+	firsts := make([][]rune, procs)
+	par.Chunks(len(corpus), procs, func(c, lo, hi int) {
+		firsts[c] = firstLetters(corpus[lo:hi])
+	})
+	for _, rs := range firsts {
+		for _, r := range rs {
+			v.add(string(r))
+			v.add("##" + string(r))
+		}
+	}
+	for _, s := range topK(subFreq, cfg.MaxSubwords, 1) {
+		v.add(s)
+	}
+
+	// Document frequencies for IDF, counted over the final vocabulary by
+	// re-tokenizing each document. countedIn[t] is the last document
+	// (1-based) that counted token t.
+	tk := &Tokenizer{vocab: v, maxLen: 1 << 30}
+	dfs := make([][]int, procs)
+	par.Chunks(len(corpus), procs, func(c, lo, hi int) {
+		df := make([]int, len(v.tokens))
+		countedIn := make([]int, len(v.tokens))
+		for d := lo; d < hi; d++ {
+			for _, id := range tk.Tokenize(corpus[d]) {
+				if countedIn[id] != d+1 {
+					countedIn[id] = d + 1
+					df[id]++
+				}
+			}
+		}
+		dfs[c] = df
+	})
+	v.docFreq = make([]int, len(v.tokens))
+	for _, df := range dfs {
+		for id, n := range df {
+			v.docFreq[id] += n
+		}
+	}
+	v.numDocs = len(corpus)
+	return v
+}
+
+// countChunks calls count(freq, i) for every i in [0,n), on up to procs
+// goroutines that each count a contiguous chunk into a map of their own,
+// and returns the sum of the maps.
+func countChunks(n, procs int, count func(freq map[string]int, i int)) map[string]int {
+	parts := make([]map[string]int, procs)
+	par.Chunks(n, procs, func(c, lo, hi int) {
+		freq := map[string]int{}
+		for i := lo; i < hi; i++ {
+			count(freq, i)
+		}
+		parts[c] = freq
+	})
+	total := parts[0]
+	if total == nil {
+		return map[string]int{}
+	}
+	for _, part := range parts[1:] {
+		for k, f := range part {
+			total[k] += f
+		}
+	}
+	return total
+}
+
+// firstLetters returns the distinct lower-cased letters and digits of
+// docs in order of first appearance.
+func firstLetters(docs []string) []rune {
+	var out []rune
 	var seenASCII [utf8.RuneSelf]bool
 	seenWide := map[rune]bool{}
-	for _, doc := range corpus {
+	for _, doc := range docs {
 		for _, r := range doc {
 			r = unicode.ToLower(r)
 			if r < utf8.RuneSelf {
@@ -118,47 +219,20 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 				seenWide[r] = true
 			}
 			if unicode.IsLetter(r) || unicode.IsDigit(r) {
-				v.add(string(r))
-				v.add("##" + string(r))
+				out = append(out, r)
 			}
-		}
-	}
-	for _, s := range topK(subFreq, cfg.MaxSubwords, 1) {
-		v.add(s)
-	}
-
-	// Document frequencies for IDF, counted over the final vocabulary by
-	// re-tokenizing each document. countedIn[t] is the last document
-	// (1-based) that counted token t.
-	v.docFreq = make([]int, len(v.tokens))
-	tk := &Tokenizer{vocab: v, maxLen: 1 << 30}
-	countedIn := make([]int, len(v.tokens))
-	for _, doc := range corpus {
-		v.numDocs++
-		for _, id := range tk.Tokenize(doc) {
-			if countedIn[id] != v.numDocs {
-				countedIn[id] = v.numDocs
-				v.docFreq[id]++
-			}
-		}
-	}
-	return v
-}
-
-// piecesOf returns the WordPiece candidate pieces of a word: prefixes of
-// length 2-6 and continuation pieces ("##"+substring) of length 2-4.
-func piecesOf(w string) []string {
-	r := []rune(w)
-	var out []string
-	for l := 2; l <= 6 && l <= len(r); l++ {
-		out = append(out, string(r[:l]))
-	}
-	for start := 1; start < len(r); start++ {
-		for l := 2; l <= 4 && start+l <= len(r); l++ {
-			out = append(out, "##"+string(r[start:start+l]))
 		}
 	}
 	return out
+}
+
+// appendRuneOffsets appends to offs the byte offset of every rune of w,
+// then len(w).
+func appendRuneOffsets(offs []int, w string) []int {
+	for i := range w {
+		offs = append(offs, i)
+	}
+	return append(offs, len(w))
 }
 
 func topK(freq map[string]int, k, minFreq int) []string {
@@ -172,11 +246,11 @@ func topK(freq map[string]int, k, minFreq int) []string {
 			all = append(all, wf{w, f})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].f != all[j].f {
-			return all[i].f > all[j].f
+	slices.SortFunc(all, func(a, b wf) int {
+		if c := cmp.Compare(b.f, a.f); c != 0 {
+			return c
 		}
-		return all[i].w < all[j].w
+		return strings.Compare(a.w, b.w)
 	})
 	if len(all) > k {
 		all = all[:k]

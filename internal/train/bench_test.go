@@ -36,3 +36,21 @@ func BenchmarkFineTune(b *testing.B) {
 	b.ReportMetric(float64(len(triples)), "triples")
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
+
+// BenchmarkBuildTokenCache tokenises every label of a generated
+// 2 000-paper corpus, the size of the benchmark's offline build, with a
+// vocabulary built outside the timer.
+func BenchmarkBuildTokenCache(b *testing.B) {
+	g := dataset.Generate(dataset.AminerSim(2000)).Graph
+	var corpus []string
+	for _, p := range g.NodesOfType(hetgraph.Paper) {
+		corpus = append(corpus, g.Label(p))
+	}
+	enc := textenc.NewEncoder(textenc.BuildVocab(corpus, textenc.VocabConfig{}), 64, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tokenCacheSink = BuildTokenCache(g, enc)
+	}
+}
+
+var tokenCacheSink TokenCache

@@ -72,13 +72,20 @@ type Result struct {
 type TokenCache map[hetgraph.NodeID][]textenc.TokenID
 
 // BuildTokenCache tokenises L(p) for every paper of g with enc's
-// tokenizer.
+// tokenizer, on up to GOMAXPROCS goroutines; a paper's tokens are a
+// function of its label alone.
 func BuildTokenCache(g *hetgraph.Graph, enc *textenc.Encoder) TokenCache {
 	papers := g.NodesOfType(hetgraph.Paper)
-	cache := make(TokenCache, len(papers))
+	tokens := make([][]textenc.TokenID, len(papers))
 	tk := enc.Tokenizer()
-	for _, p := range papers {
-		cache[p] = tk.Tokenize(g.Label(p))
+	par.Chunks(len(papers), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			tokens[i] = tk.Tokenize(g.Label(papers[i]))
+		}
+	})
+	cache := make(TokenCache, len(papers))
+	for i, p := range papers {
+		cache[p] = tokens[i]
 	}
 	return cache
 }

@@ -3,8 +3,11 @@ package train
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
+	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/hetgraph/testgraph"
 	"expertfind/internal/sampling"
@@ -51,6 +54,30 @@ func TestBuildTokenCacheCoversAllPapers(t *testing.T) {
 		}
 		if len(ids) == 0 {
 			t.Fatalf("paper %d tokenized to nothing", p)
+		}
+	}
+}
+
+// TestBuildTokenCacheMatchesTokenize holds the parallel cache to one
+// Tokenize per paper, on one core and on four.
+func TestBuildTokenCacheMatchesTokenize(t *testing.T) {
+	g := dataset.Generate(dataset.AminerSim(300)).Graph
+	var corpus []string
+	for _, p := range g.NodesOfType(hetgraph.Paper) {
+		corpus = append(corpus, g.Label(p))
+	}
+	enc := textenc.NewEncoder(textenc.BuildVocab(corpus, textenc.VocabConfig{}), 8, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		cache := BuildTokenCache(g, enc)
+		if len(cache) != len(corpus) {
+			t.Fatalf("GOMAXPROCS %d: cache has %d papers, want %d", procs, len(cache), len(corpus))
+		}
+		for _, p := range g.NodesOfType(hetgraph.Paper) {
+			if want := enc.Tokenizer().Tokenize(g.Label(p)); !slices.Equal(cache[p], want) {
+				t.Fatalf("GOMAXPROCS %d: paper %d has tokens %v, Tokenize gives %v", procs, p, cache[p], want)
+			}
 		}
 	}
 }
