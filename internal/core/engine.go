@@ -26,8 +26,8 @@ import (
 )
 
 // Options configures an Engine build. Zero values select the paper's
-// defaults (§VI-A): k=4, P-A-P ∩ P-T-P, f=0.3, near-negative 1:3, mean
-// pooling, margin 1, 4 epochs.
+// defaults (§VI-A): k=4, P-A-P ∩ P-T-P, f=0.3, near-negative 1:3, 4
+// epochs. Φ_P is always IDF-weighted mean pooling and the margin always 1.
 type Options struct {
 	// K is the (k,P)-core cohesiveness threshold.
 	K int
@@ -50,9 +50,7 @@ type Options struct {
 	FastSampling bool
 	// Dim is the embedding dimensionality d.
 	Dim int
-	// Pooling selects Φ_P (mean by default).
-	Pooling textenc.Pooling
-	// Train carries the optimiser hyper-parameters. With the graph and
+	// Train carries the fine-tune's schedule. With the graph and
 	// Seed they fix every bit of the fine-tuned table: the gradient sums
 	// are grouped by a constant grid, not by the machine's core count.
 	Train train.Config
@@ -244,7 +242,6 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 	_, sp = obs.StartSpan(ctx, "pretrain")
 	e.enc = textenc.NewEncoder(vocab, opts.Dim, opts.Seed)
 	textenc.PretrainDistributional(e.enc, corpus)
-	e.enc.Pooling = opts.Pooling
 	sp.End()
 	_, sp = obs.StartSpan(ctx, "tokencache")
 	cache := train.BuildTokenCache(g, e.enc)

@@ -73,7 +73,8 @@ const (
 // enginePersist is the gob-encoded form of the engine's static state.
 type enginePersist struct {
 	// Options echoes the build configuration (function-typed and pointer
-	// fields excluded).
+	// fields excluded). Older writers also echoed a Pooling field, always
+	// mean; gob skips it on load.
 	K                   int
 	MetaPaths           []string
 	SampleFraction      float64
@@ -81,7 +82,6 @@ type enginePersist struct {
 	NegPerPos           int
 	MaxPositivesPerSeed int
 	Dim                 int
-	Pooling             uint8
 	EF                  int
 	Seed                int64
 	UsePGIndex          bool
@@ -147,7 +147,6 @@ func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
 		NegPerPos:           e.opts.NegPerPos,
 		MaxPositivesPerSeed: e.opts.MaxPositivesPerSeed,
 		Dim:                 e.opts.Dim,
-		Pooling:             uint8(e.enc.Pooling),
 		EF:                  e.opts.EF,
 		Seed:                e.opts.Seed,
 		UsePGIndex:          boolOpt(e.opts.UsePGIndex, true),
@@ -428,7 +427,6 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section) (*Eng
 	if err != nil {
 		return nil, nil, err
 	}
-	enc.Pooling = textenc.Pooling(p.Engine.Pooling)
 
 	c := pgindex.Columns{Dim: col.Dim, Nav: col.Nav}
 	if c.Embs, err = sec.Float32s(segEmbs); err != nil {

@@ -17,17 +17,17 @@ import (
 
 // Config controls PG-Index construction. Zero values take defaults.
 type Config struct {
-	// K is the kNN-graph degree (default 10).
+	// K is the kNN-graph degree (default 10). Refinement caps a node's
+	// out-degree at 2*K.
 	K int
 	// MaxIters bounds NNDescent iterations (default 12).
 	MaxIters int
-	// MaxDegree caps a node's refined out-degree after long-distance
-	// extension and redundant removal (default 2*K).
-	MaxDegree int
 	// Refine toggles Algorithm 2's neighbour refinement (lines 7-12); the
 	// "raw kNN graph" ablation disables it.
 	Refine bool
-	// Seed drives NNDescent's random initialisation.
+	// Seed is the value callers (cmd/expertserve, cluster.ShardEngine,
+	// bench/) seed the rng handed to BuildGraph from; BuildGraph itself
+	// never reads it.
 	Seed int64
 }
 
@@ -37,9 +37,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIters <= 0 {
 		c.MaxIters = 12
-	}
-	if c.MaxDegree <= 0 {
-		c.MaxDegree = 2 * c.K
 	}
 	return c
 }
@@ -164,7 +161,7 @@ func (idx *Index) BuildGraph(cfg Config, rng *rand.Rand) {
 					}
 				}
 			}
-			idx.nbrs[p] = idx.refineNeighbors(int32(p), cands, cfg.MaxDegree)
+			idx.nbrs[p] = idx.refineNeighbors(int32(p), cands, 2*cfg.K)
 		}
 	})
 

@@ -44,7 +44,7 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 	// Candidate neighbours: the nearest nodes under the current graph
 	// (over-fetched, then occlusion-pruned like refineNeighbors) at the
 	// degree a build refines to, so an inserted node links like a built one.
-	maxDegree := DefaultConfig().MaxDegree
+	maxDegree := 2 * DefaultConfig().K
 	cands := idx.searchDense(v, maxDegree*3)
 	// The exhaustive search path scans every row, including the one just
 	// appended; as a candidate for itself it sits at distance zero and

@@ -176,8 +176,8 @@ func TestBuildProperties(t *testing.T) {
 	cfg := Config{Refine: true}.withDefaults()
 	for i := 0; i < 150; i++ {
 		p := hetgraph.NodeID(i)
-		if d := len(idx.Neighbors(p)); d > cfg.MaxDegree+4 {
-			t.Errorf("paper %d degree %d exceeds cap %d", p, d, cfg.MaxDegree)
+		if d := len(idx.Neighbors(p)); d > 2*cfg.K+4 {
+			t.Errorf("paper %d degree %d exceeds cap %d", p, d, 2*cfg.K)
 		}
 	}
 }

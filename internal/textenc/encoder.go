@@ -15,35 +15,17 @@ import (
 	"expertfind/internal/vec"
 )
 
-// Pooling selects the feature-extraction strategy Φ_P of Eq. 2.
-type Pooling uint8
-
-const (
-	// MeanPooling averages token vectors, IDF-weighted (the paper's default;
-	// §III-C adopts mean pooling for its better performance).
-	MeanPooling Pooling = iota
-	// MaxPooling takes the component-wise maximum over token vectors.
-	MaxPooling
-)
-
-// String names the pooling strategy.
-func (p Pooling) String() string {
-	switch p {
-	case MeanPooling:
-		return "mean"
-	case MaxPooling:
-		return "max"
-	default:
-		return fmt.Sprintf("Pooling(%d)", uint8(p))
-	}
-}
-
 // Encoder is the document encoder of Eq. 2: Φ_B maps each token to a row of
 // a trainable embedding table (the parameters Θ_B), and Φ_P pools the rows
-// into the document representation v_p. A fresh encoder is "pre-trained":
-// every row is deterministically initialised from a hash of its token's
-// surface form, so documents sharing subwords are already close before any
-// fine-tuning — the property the frozen SBERT/SciBERT baselines rely on.
+// into the document representation v_p. Φ_P is the IDF-weighted mean of
+// the rows scaled to unit L2 norm: §III-C adopts mean pooling for its
+// better performance, and the unit norm keeps L2 distances on the scale
+// the triplet margin c=1 expects, as sentence-encoder practice does.
+//
+// A fresh encoder is "pre-trained": every row is deterministically
+// initialised from a hash of its token's surface form, so documents
+// sharing subwords are already close before any fine-tuning — the
+// property the frozen SBERT/SciBERT baselines rely on.
 //
 // The table is stored in float32 (one contiguous Matrix32): serving-path
 // encodes pool rows with the float32 kernels, while the trainer pools
@@ -51,15 +33,10 @@ func (p Pooling) String() string {
 // precision. Rows are initialised from float64 draws rounded once, so the
 // table is independent of which path reads it.
 type Encoder struct {
-	vocab   *Vocab
-	tok     *Tokenizer
-	Emb     *vec.Matrix32 // token embedding table Θ_B, vocab.Size() x Dim
-	Dim     int
-	Pooling Pooling
-	// Normalize scales document vectors to unit L2 norm after pooling
-	// (on by default), keeping L2 distances on the scale the triplet
-	// margin c=1 expects, as sentence-encoder practice does.
-	Normalize bool
+	vocab *Vocab
+	tok   *Tokenizer
+	Emb   *vec.Matrix32 // token embedding table Θ_B, vocab.Size() x Dim
+	Dim   int
 	// idf caches per-token IDF weights used by mean pooling.
 	idf []float64
 }
@@ -72,13 +49,11 @@ func NewEncoder(v *Vocab, dim int, seed int64) *Encoder {
 		panic(fmt.Sprintf("textenc: non-positive dimension %d", dim))
 	}
 	e := &Encoder{
-		vocab:     v,
-		tok:       NewTokenizer(v),
-		Emb:       vec.NewMatrix32(v.Size(), dim),
-		Dim:       dim,
-		Pooling:   MeanPooling,
-		Normalize: true,
-		idf:       make([]float64, v.Size()),
+		vocab: v,
+		tok:   NewTokenizer(v),
+		Emb:   vec.NewMatrix32(v.Size(), dim),
+		Dim:   dim,
+		idf:   make([]float64, v.Size()),
 	}
 	for id := range e.idf {
 		e.idf[id] = v.IDF(TokenID(id))
@@ -321,15 +296,10 @@ func (e *Encoder) Encode(text string) vec.Vec32 {
 	return e.EncodeTokens(e.tok.Tokenize(text))
 }
 
-// EncodeTokens pools the embedding rows of ids into a document vector,
-// normalised when Normalize is set. An empty token list yields the zero
-// vector.
+// EncodeTokens pools the embedding rows of ids into a unit document
+// vector. An empty token list yields the zero vector.
 func (e *Encoder) EncodeTokens(ids []TokenID) vec.Vec32 {
-	out := e.EncodeTokensRaw(ids)
-	if e.Normalize {
-		out.Normalize()
-	}
-	return out
+	return e.EncodeTokensRaw(ids).Normalize()
 }
 
 // EncodeTokensRaw pools without the final normalisation, entirely in
@@ -339,22 +309,9 @@ func (e *Encoder) EncodeTokensRaw(ids []TokenID) vec.Vec32 {
 	if len(ids) == 0 {
 		return out
 	}
-	switch e.Pooling {
-	case MaxPooling:
-		copy(out, e.Emb.Row(int(ids[0])))
-		for _, id := range ids[1:] {
-			row := e.Emb.Row(int(id))
-			for j, x := range row {
-				if x > out[j] {
-					out[j] = x
-				}
-			}
-		}
-	default: // MeanPooling, IDF-weighted
-		ws := e.PoolWeights(ids)
-		for i, id := range ids {
-			out.Axpy(float32(ws[i]), e.Emb.Row(int(id)))
-		}
+	ws := e.PoolWeights(ids)
+	for i, id := range ids {
+		out.Axpy(float32(ws[i]), e.Emb.Row(int(id)))
 	}
 	return out
 }
@@ -367,25 +324,9 @@ func (e *Encoder) EncodeTokensRaw64(ids []TokenID) vec.Vector {
 	if len(ids) == 0 {
 		return out
 	}
-	switch e.Pooling {
-	case MaxPooling:
-		row := e.Emb.Row(int(ids[0]))
-		for j, x := range row {
-			out[j] = float64(x)
-		}
-		for _, id := range ids[1:] {
-			row := e.Emb.Row(int(id))
-			for j, x := range row {
-				if float64(x) > out[j] {
-					out[j] = float64(x)
-				}
-			}
-		}
-	default: // MeanPooling, IDF-weighted
-		ws := e.PoolWeights(ids)
-		for i, id := range ids {
-			vec.AxpyInto64(out, ws[i], e.Emb.Row(int(id)))
-		}
+	ws := e.PoolWeights(ids)
+	for i, id := range ids {
+		vec.AxpyInto64(out, ws[i], e.Emb.Row(int(id)))
 	}
 	return out
 }
@@ -439,38 +380,14 @@ func NewEncoderWithTable(v *Vocab, dim int, data []float32) (*Encoder, error) {
 			len(data), v.Size(), dim, err)
 	}
 	e := &Encoder{
-		vocab:     v,
-		tok:       NewTokenizer(v),
-		Emb:       emb,
-		Dim:       dim,
-		Pooling:   MeanPooling,
-		Normalize: true,
-		idf:       make([]float64, v.Size()),
+		vocab: v,
+		tok:   NewTokenizer(v),
+		Emb:   emb,
+		Dim:   dim,
+		idf:   make([]float64, v.Size()),
 	}
 	for id := 0; id < v.Size(); id++ {
 		e.idf[id] = v.IDF(TokenID(id))
 	}
 	return e, nil
-}
-
-// PoolArgmax returns, for each dimension, the position within ids of the
-// token whose embedding attains the maximum (ties to the earliest token) —
-// the sub-gradient routing max pooling needs. It panics on an empty list.
-func (e *Encoder) PoolArgmax(ids []TokenID) []int {
-	if len(ids) == 0 {
-		panic("textenc: PoolArgmax of no tokens")
-	}
-	arg := make([]int, e.Dim)
-	best := make([]float32, e.Dim)
-	copy(best, e.Emb.Row(int(ids[0])))
-	for i, id := range ids[1:] {
-		row := e.Emb.Row(int(id))
-		for j, x := range row {
-			if x > best[j] {
-				best[j] = x
-				arg[j] = i + 1
-			}
-		}
-	}
-	return arg
 }

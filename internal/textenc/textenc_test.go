@@ -205,27 +205,6 @@ func TestPretrainDistributionalPullsCooccurringTokens(t *testing.T) {
 	}
 }
 
-func TestPoolingMeanVsMax(t *testing.T) {
-	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
-	e := NewEncoder(v, 16, 7)
-	ids := e.Tokenizer().Tokenize("community search embedding")
-	mean := e.EncodeTokens(ids)
-	e.Pooling = MaxPooling
-	max := e.EncodeTokens(ids)
-	diff := false
-	for i := range mean {
-		if mean[i] != max[i] {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Error("mean and max pooling identical")
-	}
-	if MeanPooling.String() != "mean" || MaxPooling.String() != "max" {
-		t.Error("pooling names wrong")
-	}
-}
-
 func TestPoolWeightsSumToOne(t *testing.T) {
 	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
 	e := NewEncoder(v, 8, 7)

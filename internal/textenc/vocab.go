@@ -3,7 +3,7 @@
 // whose vocabulary is induced from the corpus, a trainable token-embedding
 // table deterministically initialised from token hashes (the "pre-trained"
 // state, a Johnson-Lindenstrauss sketch of the bag-of-subwords space), IDF
-// token weighting, and the paper's mean/max pooling Φ_P (Eq. 2).
+// token weighting, and the paper's IDF-weighted mean pooling Φ_P (Eq. 2).
 //
 // The table's rows are the parameters Θ_B that the triplet-loss fine-tuning
 // of internal/train updates, mirroring how the paper fine-tunes SciBERT's

@@ -25,7 +25,7 @@ func refFineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Trip
 	if len(triples) == 0 {
 		return res, nil
 	}
-	opt := newAdam(enc.Emb, cfg)
+	opt := newAdam(enc.Emb)
 	order := make([]int, len(triples))
 	for i := range order {
 		order[i] = i
@@ -38,7 +38,7 @@ func refFineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Trip
 			if end > len(order) {
 				end = len(order)
 			}
-			grads, loss := refBatchGradients(enc, cache, triples, order[start:end], cfg)
+			grads, loss := refBatchGradients(enc, cache, triples, order[start:end])
 			epochLoss += loss
 			if len(grads) > 0 {
 				refAdamStep(opt, grads)
@@ -51,7 +51,7 @@ func refFineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Trip
 }
 
 func refBatchGradients(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
-	batch []int, cfg Config) (map[textenc.TokenID]vec.Vector, float64) {
+	batch []int) (map[textenc.TokenID]vec.Vector, float64) {
 	workers := gradChunks
 	if workers > len(batch) {
 		workers = len(batch)
@@ -77,7 +77,7 @@ func refBatchGradients(enc *textenc.Encoder, cache TokenCache, triples []samplin
 			defer wg.Done()
 			p := partial{grads: map[textenc.TokenID]vec.Vector{}}
 			for _, idx := range batch[lo:hi] {
-				p.loss += refTripleGradient(enc, cache, triples[idx], cfg.Margin, p.grads)
+				p.loss += refTripleGradient(enc, cache, triples[idx], p.grads)
 			}
 			parts[w] = p
 		}(w, lo, hi)
@@ -100,14 +100,14 @@ func refBatchGradients(enc *textenc.Encoder, cache TokenCache, triples []samplin
 }
 
 func refTripleGradient(enc *textenc.Encoder, cache TokenCache, t sampling.Triple,
-	margin float64, grads map[textenc.TokenID]vec.Vector) float64 {
+	grads map[textenc.TokenID]vec.Vector) float64 {
 	sTok, pTok, nTok := cache[t.Seed], cache[t.Pos], cache[t.Neg]
 	us := enc.EncodeTokensRaw64(sTok)
 	up := enc.EncodeTokensRaw64(pTok)
 	un := enc.EncodeTokensRaw64(nTok)
-	vs, nvs := refNormalized(enc, us)
-	vp, nvp := refNormalized(enc, up)
-	vn, nvn := refNormalized(enc, un)
+	vs, nvs := refNormalized(us)
+	vp, nvp := refNormalized(up)
+	vn, nvn := refNormalized(un)
 
 	dp := vs.Clone().Sub(vp)
 	dn := vs.Clone().Sub(vn)
@@ -128,22 +128,22 @@ func refTripleGradient(enc *textenc.Encoder, cache TokenCache, t sampling.Triple
 		gs.Axpy(-1/nn, dn)
 		gn.Axpy(1/nn, dn)
 	}
-	refScatter(enc, sTok, refThroughNorm(enc, gs, vs, nvs), grads)
-	refScatter(enc, pTok, refThroughNorm(enc, gp, vp, nvp), grads)
-	refScatter(enc, nTok, refThroughNorm(enc, gn, vn, nvn), grads)
+	refScatter(enc, sTok, refThroughNorm(gs, vs, nvs), grads)
+	refScatter(enc, pTok, refThroughNorm(gp, vp, nvp), grads)
+	refScatter(enc, nTok, refThroughNorm(gn, vn, nvn), grads)
 	return loss
 }
 
-func refNormalized(enc *textenc.Encoder, u vec.Vector) (vec.Vector, float64) {
+func refNormalized(u vec.Vector) (vec.Vector, float64) {
 	n := u.Norm()
-	if !enc.Normalize || n == 0 {
+	if n == 0 {
 		return u, n
 	}
 	return u.Clone().Scale(1 / n), n
 }
 
-func refThroughNorm(enc *textenc.Encoder, g, v vec.Vector, rawNorm float64) vec.Vector {
-	if !enc.Normalize || rawNorm == 0 {
+func refThroughNorm(g, v vec.Vector, rawNorm float64) vec.Vector {
+	if rawNorm == 0 {
 		return g
 	}
 	out := g.Clone()
@@ -164,13 +164,6 @@ func refScatter(enc *textenc.Encoder, ids []textenc.TokenID, gDoc vec.Vector,
 		}
 		return g
 	}
-	if enc.Pooling == textenc.MaxPooling {
-		arg := enc.PoolArgmax(ids)
-		for j, pos := range arg {
-			row(ids[pos])[j] += gDoc[j]
-		}
-		return
-	}
 	ws := enc.PoolWeights(ids)
 	for i, id := range ids {
 		row(id).Axpy(ws[i], gDoc)
@@ -178,20 +171,19 @@ func refScatter(enc *textenc.Encoder, ids []textenc.TokenID, gDoc vec.Vector,
 }
 
 func refAdamStep(a *adam, grads map[textenc.TokenID]vec.Vector) {
-	c := a.cfg
 	for id, g := range grads {
 		r := int(id)
 		a.tRow[r]++
 		t := float64(a.tRow[r])
 		mRow, vRow, w := a.m.Row(r), a.v.Row(r), a.table.Row(r)
-		bc1 := 1 - math.Pow(c.Beta1, t)
-		bc2 := 1 - math.Pow(c.Beta2, t)
+		bc1 := 1 - math.Pow(beta1, t)
+		bc2 := 1 - math.Pow(beta2, t)
 		for j, gj := range g {
-			mRow[j] = c.Beta1*mRow[j] + (1-c.Beta1)*gj
-			vRow[j] = c.Beta2*vRow[j] + (1-c.Beta2)*gj*gj
+			mRow[j] = beta1*mRow[j] + (1-beta1)*gj
+			vRow[j] = beta2*vRow[j] + (1-beta2)*gj*gj
 			mHat := mRow[j] / bc1
 			vHat := vRow[j] / bc2
-			w[j] = float32(float64(w[j]) - c.LearningRate*mHat/(math.Sqrt(vHat)+c.Epsilon))
+			w[j] = float32(float64(w[j]) - learningRate*mHat/(math.Sqrt(vHat)+epsilon))
 		}
 	}
 }
@@ -230,34 +222,27 @@ func requireSameRun(t *testing.T, what string, got, want *textenc.Encoder, gotRe
 }
 
 // TestFineTuneMatchesReference: the dense-row trainer moves no bit of the
-// table, of any epoch's loss or of the Adam moments relative to the map-of-vectors trainer, for
-// batches that fill fewer chunks than the grid has (1, 5), ragged ones
-// (9, 100 and the short last batch of each size) and the default 64, both
-// poolings, with and without normalisation, at dimensions that leave the
-// float64 kernels' pair steps and scalar tails every remainder (1, 7, the
-// fixture's 12, and the benchmark's 64).
+// table, of any epoch's loss or of the Adam moments relative to the
+// map-of-vectors trainer, for batches that fill fewer chunks than the grid
+// has (1, 5), ragged ones (9, 100 and the short last batch of each size)
+// and the default 64, at dimensions that leave the float64 kernels' pair
+// steps and scalar tails every remainder (1, 7, the fixture's 12, and the
+// benchmark's 64).
 func TestFineTuneMatchesReference(t *testing.T) {
 	g, fixed, cache := fixture(t)
 	triples := someTriples(g, 64*3+9)
 	for _, dim := range []int{1, 7, 12, 64} {
 		base := textenc.NewEncoder(fixed.Vocab(), dim, 7)
-		for _, pooling := range []textenc.Pooling{textenc.MeanPooling, textenc.MaxPooling} {
-			for _, normalize := range []bool{true, false} {
-				for _, batch := range []int{1, 5, 9, 64, 100} {
-					cfg := Config{Epochs: 3, BatchSize: batch}
-					got, want := base.Clone(), base.Clone()
-					for _, e := range []*textenc.Encoder{got, want} {
-						e.Pooling, e.Normalize = pooling, normalize
-					}
-					gotRes, gotOpt := fineTune(got, cache, triples, cfg, rand.New(rand.NewSource(3)))
-					wantRes, wantOpt := refFineTune(want, cache, triples, cfg, rand.New(rand.NewSource(3)))
-					if wantRes.Steps == 0 {
-						t.Fatal("the reference took no optimiser step")
-					}
-					requireSameRun(t, fmt.Sprintf("dim %d, %s pooling, normalize %v, batch %d",
-						dim, pooling, normalize, batch), got, want, gotRes, wantRes, gotOpt, wantOpt)
-				}
+		for _, batch := range []int{1, 5, 9, 64, 100} {
+			cfg := Config{Epochs: 3, BatchSize: batch}
+			got, want := base.Clone(), base.Clone()
+			gotRes, gotOpt := fineTune(got, cache, triples, cfg, rand.New(rand.NewSource(3)))
+			wantRes, wantOpt := refFineTune(want, cache, triples, cfg, rand.New(rand.NewSource(3)))
+			if wantRes.Steps == 0 {
+				t.Fatal("the reference took no optimiser step")
 			}
+			requireSameRun(t, fmt.Sprintf("dim %d, batch %d", dim, batch),
+				got, want, gotRes, wantRes, gotOpt, wantOpt)
 		}
 	}
 }

@@ -20,36 +20,29 @@ import (
 	"expertfind/internal/vec"
 )
 
-// Config holds the training hyper-parameters. Zero values select defaults:
-// the paper's β1=0.9, β2=0.999, margin c=1, 4 epochs, batch size 64. The
-// learning rate defaults to 0.01 rather than the paper's 2e-5 — the paper's
-// value is tuned for a 110M-parameter transformer, while our substitute
-// table needs larger steps to move in 4 epochs (see DESIGN.md).
+// The optimiser's and the loss's settings: the paper's β1=0.9, β2=0.999
+// and margin c=1. The learning rate is 0.01 rather than the paper's 2e-5 —
+// the paper's value is tuned for a 110M-parameter transformer, while our
+// substitute table needs larger steps to move in 4 epochs (see DESIGN.md).
+// They are typed float64, so 1-beta1 is the difference of the rounded
+// 0.9 (0.09999999999999998), not the 0.1 an untyped constant folds to;
+// the same holds for 1-beta2. TestFineTuneGolden pins the result.
+const (
+	learningRate float64 = 0.01
+	beta1        float64 = 0.9
+	beta2        float64 = 0.999
+	epsilon      float64 = 1e-8
+	margin       float64 = 1 // c in Eq. 3
+)
+
+// Config holds the training schedule. Zero values select the defaults:
+// 4 epochs of batches of 64 triples.
 type Config struct {
-	LearningRate float64
-	Beta1, Beta2 float64
-	Epsilon      float64
-	Margin       float64 // c in Eq. 3
-	Epochs       int
-	BatchSize    int
+	Epochs    int
+	BatchSize int
 }
 
 func (c Config) withDefaults() Config {
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.01
-	}
-	if c.Beta1 <= 0 {
-		c.Beta1 = 0.9
-	}
-	if c.Beta2 <= 0 {
-		c.Beta2 = 0.999
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-8
-	}
-	if c.Margin <= 0 {
-		c.Margin = 1
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 4
 	}
@@ -118,7 +111,7 @@ func fineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 		return res, nil
 	}
 
-	opt := newAdam(enc.Emb, cfg)
+	opt := newAdam(enc.Emb)
 	weights := poolWeights(enc, cache, triples)
 	workers := make([]*worker, gradChunks)
 	parts := make([]*sparseGrad, gradChunks)
@@ -140,7 +133,7 @@ func fineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 			if end > len(order) {
 				end = len(order)
 			}
-			epochLoss += batchGradients(workers, triples, order[start:end], cfg.Margin)
+			epochLoss += batchGradients(workers, triples, order[start:end])
 			if opt.step(parts) {
 				res.Steps++
 			}
@@ -156,7 +149,7 @@ func fineTune(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple,
 // total loss. Worker c takes chunk c of the batch, triple by triple in
 // batch order, into its own sparse gradient; adam.step merges them. The
 // losses are summed in chunk order.
-func batchGradients(workers []*worker, triples []sampling.Triple, batch []int, margin float64) float64 {
+func batchGradients(workers []*worker, triples []sampling.Triple, batch []int) float64 {
 	for _, w := range workers {
 		w.grad.reset()
 		w.loss = 0
@@ -177,11 +170,8 @@ func batchGradients(workers []*worker, triples []sampling.Triple, batch []int, m
 // poolWeights resolves, once per paper that occurs in triples, the
 // mean-pooling weights of its tokens (they depend on the vocabulary's IDF
 // table, which training does not change). All weights share one flat
-// slice. Max pooling has no weights and gets nil.
+// slice.
 func poolWeights(enc *textenc.Encoder, cache TokenCache, triples []sampling.Triple) map[hetgraph.NodeID][]float64 {
-	if enc.Pooling == textenc.MaxPooling {
-		return nil
-	}
 	weights := map[hetgraph.NodeID][]float64{}
 	total := 0
 	for _, t := range triples {
@@ -270,11 +260,10 @@ type worker struct {
 type pooledDoc struct {
 	toks []textenc.TokenID
 	ws   []float64  // mean-pooling weights of toks
-	arg  []int      // max pooling: per dimension, the position in toks that attains it
 	u    vec.Vector // pooled, before normalisation
 	norm float64    // ‖u‖
-	v    vec.Vector // what the loss sees: u/‖u‖ in unit, or u itself
-	unit vec.Vector // backing store of v when the encoder normalises
+	v    vec.Vector // what the loss sees: u/‖u‖ in unit, or u itself when ‖u‖ = 0
+	unit vec.Vector // backing store of v when ‖u‖ ≠ 0
 	g    vec.Vector // ∂L/∂v, then ∂L/∂u
 }
 
@@ -283,7 +272,6 @@ func newWorker(enc *textenc.Encoder, cache TokenCache, weights map[hetgraph.Node
 		grad: newSparseGrad(enc.Emb.Rows, enc.Dim), dp: vec.New(enc.Dim), dn: vec.New(enc.Dim)}
 	for _, d := range []*pooledDoc{&w.seed, &w.pos, &w.neg} {
 		d.u, d.unit, d.g = vec.New(enc.Dim), vec.New(enc.Dim), vec.New(enc.Dim)
-		d.arg = make([]int, enc.Dim)
 	}
 	return w
 }
@@ -296,28 +284,12 @@ func (w *worker) forward(d *pooledDoc, p hetgraph.NodeID) {
 	d.toks, d.ws = w.cache[p], w.weights[p]
 	emb := w.enc.Emb
 	d.u.Zero()
-	switch {
-	case len(d.toks) == 0:
-	case w.enc.Pooling == textenc.MaxPooling:
-		// Ties go to the earliest token, as in Encoder.PoolArgmax.
-		for j, x := range emb.Row(int(d.toks[0])) {
-			d.u[j], d.arg[j] = float64(x), 0
-		}
-		for i, id := range d.toks[1:] {
-			for j, x := range emb.Row(int(id)) {
-				if float64(x) > d.u[j] {
-					d.u[j], d.arg[j] = float64(x), i+1
-				}
-			}
-		}
-	default: // MeanPooling, IDF-weighted
-		for i, id := range d.toks {
-			vec.AxpyInto64(d.u, d.ws[i], emb.Row(int(id)))
-		}
+	for i, id := range d.toks {
+		vec.AxpyInto64(d.u, d.ws[i], emb.Row(int(id)))
 	}
 	d.norm = d.u.Norm()
 	d.v = d.u
-	if w.enc.Normalize && d.norm != 0 {
+	if d.norm != 0 {
 		copy(d.unit, d.u)
 		d.v = d.unit.Scale(1 / d.norm)
 	}
@@ -325,22 +297,14 @@ func (w *worker) forward(d *pooledDoc, p hetgraph.NodeID) {
 
 // backward routes d.g, the gradient on the document vector, into token
 // rows. Through the normalisation v = u/‖u‖ first: ∂L/∂u = (g - (g·v)v)/‖u‖.
-// Then, under mean pooling, every token receives its pooling weight's
-// share (∂v_doc/∂row_t = w_t · I); under max pooling each dimension's
-// gradient goes solely to the token attaining the maximum there (the
-// standard max-pool sub-gradient).
+// Then every token receives its pooling weight's share
+// (∂v_doc/∂row_t = w_t · I).
 func (w *worker) backward(d *pooledDoc) {
 	if len(d.toks) == 0 {
 		return
 	}
-	if w.enc.Normalize && d.norm != 0 {
+	if d.norm != 0 {
 		d.g.Axpy(-d.g.Dot(d.v), d.v).Scale(1 / d.norm)
-	}
-	if w.enc.Pooling == textenc.MaxPooling {
-		for j, pos := range d.arg {
-			w.grad.row(d.toks[pos])[j] += d.g[j]
-		}
-		return
 	}
 	for i, id := range d.toks {
 		w.grad.row(id).Axpy(d.ws[i], d.g)
@@ -349,7 +313,7 @@ func (w *worker) backward(d *pooledDoc) {
 
 // tripleGradient accumulates ∂L/∂Θ_B for one triple into w.grad and
 // returns the triple's loss L = max(δ(v_s,v+) - δ(v_s,v-) + c, 0).
-func (w *worker) tripleGradient(t sampling.Triple, margin float64) float64 {
+func (w *worker) tripleGradient(t sampling.Triple, c float64) float64 {
 	s, p, n := &w.seed, &w.pos, &w.neg
 	w.forward(s, t.Seed)
 	w.forward(p, t.Pos)
@@ -359,7 +323,7 @@ func (w *worker) tripleGradient(t sampling.Triple, margin float64) float64 {
 	copy(w.dn, s.v)
 	np := w.dp.Sub(p.v).Norm() // δ(v_s, v_+)
 	nn := w.dn.Sub(n.v).Norm() // δ(v_s, v_-)
-	loss := np - nn + margin
+	loss := np - nn + c
 	if loss <= 0 {
 		return 0
 	}
@@ -389,7 +353,6 @@ func (w *worker) tripleGradient(t sampling.Triple, margin float64) float64 {
 // float64, with one rounding when the new weight is stored — mixed
 // precision in the usual sense, so tiny gradients still move the moments.
 type adam struct {
-	cfg   Config
 	table *vec.Matrix32
 	m, v  *vec.Matrix
 	tRow  []int // per-row step count for bias correction
@@ -402,9 +365,8 @@ type adam struct {
 	seen []bool
 }
 
-func newAdam(table *vec.Matrix32, cfg Config) *adam {
+func newAdam(table *vec.Matrix32) *adam {
 	return &adam{
-		cfg:   cfg,
 		table: table,
 		m:     vec.NewMatrix(table.Rows, table.Cols),
 		v:     vec.NewMatrix(table.Rows, table.Cols),
@@ -435,13 +397,12 @@ func (a *adam) step(parts []*sparseGrad) bool {
 	if len(a.rows) == 0 {
 		return false
 	}
-	c := a.cfg
 	t := float64(len(a.bc1))
-	a.bc1 = append(a.bc1, 1-math.Pow(c.Beta1, t))
-	a.bc2 = append(a.bc2, 1-math.Pow(c.Beta2, t))
+	a.bc1 = append(a.bc1, 1-math.Pow(beta1, t))
+	a.bc2 = append(a.bc2, 1-math.Pow(beta2, t))
 	par.Chunks(len(a.rows), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
-		k := vec.AdamCoef{Beta1: c.Beta1, OneMinusBeta1: 1 - c.Beta1, Beta2: c.Beta2, OneMinusBeta2: 1 - c.Beta2,
-			LearningRate: c.LearningRate, Epsilon: c.Epsilon}
+		k := vec.AdamCoef{Beta1: beta1, OneMinusBeta1: 1 - beta1, Beta2: beta2, OneMinusBeta2: 1 - beta2,
+			LearningRate: learningRate, Epsilon: epsilon}
 		for _, id := range a.rows[lo:hi] {
 			r := int(id)
 			a.seen[r] = false

@@ -1,6 +1,8 @@
 package train
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -195,7 +197,7 @@ func TestTripleGradientNumerical(t *testing.T) {
 func tripleLoss64(enc *textenc.Encoder, cache TokenCache, tr sampling.Triple, margin float64) float64 {
 	norm := func(ids []textenc.TokenID) vec.Vector {
 		u := enc.EncodeTokensRaw64(ids)
-		if n := u.Norm(); enc.Normalize && n != 0 {
+		if n := u.Norm(); n != 0 {
 			u.Scale(1 / n)
 		}
 		return u
@@ -237,18 +239,14 @@ func TestEmbedAllMatchesSequential(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Beta1 != 0.9 || c.Beta2 != 0.999 || c.Margin != 1 || c.Epochs != 4 || c.BatchSize != 64 {
-		t.Errorf("paper defaults wrong: %+v", c)
-	}
-	if c.LearningRate <= 0 || c.Epsilon <= 0 {
-		t.Errorf("unset defaults: %+v", c)
+	if c := (Config{}).withDefaults(); c.Epochs != 4 || c.BatchSize != 64 {
+		t.Errorf("defaults wrong: %+v", c)
 	}
 }
 
 func TestAdamStepMovesAgainstGradient(t *testing.T) {
 	table := vec.NewMatrix32(2, 3)
-	opt := newAdam(table, Config{}.withDefaults())
+	opt := newAdam(table)
 	g := newSparseGrad(2, 3)
 	copy(g.row(0), []float64{1, -1, 0})
 	opt.step([]*sparseGrad{g})
@@ -268,48 +266,23 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestTripleGradientNumericalMaxPooling repeats the finite-difference
-// check under max pooling, whose sub-gradient routes each dimension to a
-// single token.
-func TestTripleGradientNumericalMaxPooling(t *testing.T) {
+// TestFineTuneGolden pins the default fine-tune's bits: the last epoch's
+// loss and an FNV-64a hash of the tuned table's float32 bits. A change
+// that moves the optimiser or the pooling by one rounding fails here.
+func TestFineTuneGolden(t *testing.T) {
 	g, enc, cache := fixture(t)
-	enc.Pooling = textenc.MaxPooling
-	papers := g.NodesOfType(hetgraph.Paper)
-	tr := sampling.Triple{Seed: papers[0], Pos: papers[3], Neg: papers[5]}
-	const margin = 1.0
-
-	loss := func() float64 { return tripleLoss64(enc, cache, tr, margin) }
-	if loss() == 0 {
-		t.Skip("fixture triple has zero loss under max pooling")
+	res := FineTune(enc, cache, someTriples(g, 200), Config{}, rand.New(rand.NewSource(11)))
+	h := fnv.New64a()
+	var b [4]byte
+	for _, x := range enc.Emb.Data {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+		h.Write(b[:])
 	}
-	w := newWorker(enc, cache, poolWeights(enc, cache, []sampling.Triple{tr}))
-	w.tripleGradient(tr, margin)
-
-	const h = 1e-6
-	checked := 0
-	for s, id := range w.grad.ids {
-		gv := w.grad.at(s)
-		row := enc.Emb.Row(int(id))
-		for j := 0; j < len(row); j += 4 {
-			if gv[j] == 0 {
-				continue // not the argmax of dimension j: sub-gradient zero
-			}
-			orig := row[j]
-			row[j] = float32(float64(orig) + h)
-			hp := float64(row[j]) - float64(orig)
-			lp := loss()
-			row[j] = float32(float64(orig) - h)
-			hm := float64(orig) - float64(row[j])
-			lm := loss()
-			row[j] = orig
-			num := (lp - lm) / (hp + hm)
-			if diff := num - gv[j]; diff > 1e-4 || diff < -1e-4 {
-				t.Fatalf("token %d dim %d: analytic %v, numeric %v", id, j, gv[j], num)
-			}
-			checked++
-		}
+	const wantLoss, wantTable = 0x3feca366541276ff, 0x2d844aec31f29d20
+	if got := math.Float64bits(res.EpochLosses[len(res.EpochLosses)-1]); got != wantLoss {
+		t.Errorf("final epoch loss bits %#x, want %#x", got, uint64(wantLoss))
 	}
-	if checked < 5 {
-		t.Skipf("only %d parameters checked (sparse argmax overlap)", checked)
+	if got := h.Sum64(); got != wantTable {
+		t.Errorf("table hash %#x, want %#x", got, uint64(wantTable))
 	}
 }
