@@ -57,10 +57,9 @@ func frozenEncoder(g *hetgraph.Graph, dim int, seed int64) *textenc.Encoder {
 	if enc, ok := frozenCache[key]; ok {
 		return enc
 	}
-	corpus := corpusOf(g)
-	vocab := textenc.BuildVocab(corpus, textenc.DefaultVocabConfig())
+	vocab, docs := textenc.BuildVocabTokens(corpusOf(g), textenc.DefaultVocabConfig())
 	enc := textenc.NewEncoder(vocab, dim, seed)
-	textenc.PretrainDistributional(enc, corpus)
+	textenc.PretrainTokens(enc, docs)
 	if len(frozenCache) > 8 {
 		frozenCache = map[frozenKey]*textenc.Encoder{} // bound growth across many datasets
 	}

@@ -229,25 +229,12 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 	e.useRegistry(opts.Metrics)
 	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), e.reg), "build")
 
-	// Vocabulary, pre-trained encoder, tokenised corpus: one span each,
-	// the stages bench/ times one by one in its replay of a build.
-	_, sp := obs.StartSpan(ctx, "vocab")
-	corpus := make([]string, 0, g.NumNodesOfType(hetgraph.Paper))
-	for _, p := range g.NodesOfType(hetgraph.Paper) {
-		corpus = append(corpus, g.Label(p))
-	}
-	vocab := textenc.BuildVocab(corpus, opts.Vocab)
-	e.stats.VocabSize = vocab.Size()
-	sp.End()
-	_, sp = obs.StartSpan(ctx, "pretrain")
-	e.enc = textenc.NewEncoder(vocab, opts.Dim, opts.Seed)
-	textenc.PretrainDistributional(e.enc, corpus)
-	sp.End()
-	_, sp = obs.StartSpan(ctx, "tokencache")
-	cache := train.BuildTokenCache(g, e.enc)
-	sp.End()
+	var cache train.TokenCache
+	e.enc, cache = readCorpus(ctx, g, opts)
+	e.stats.VocabSize = e.enc.Vocab().Size()
 
 	// Offline stage 1: (k,P)-core communities and training triples.
+	var sp *obs.Span
 	if boolOpt(opts.UseKPCore, true) {
 		_, sp = obs.StartSpan(ctx, "sampling")
 		rng := rand.New(rand.NewSource(opts.Seed))
@@ -299,6 +286,29 @@ func Build(g *hetgraph.Graph, opts Options) (*Engine, error) {
 	e.reg.Gauge("expertfind_index_bytes", "Estimated resident size of the PG-Index.").
 		Set(float64(e.stats.IndexMemory))
 	return e, nil
+}
+
+// readCorpus runs the build's text stages, one span each: the vocabulary,
+// the pre-trained encoder and the token cache. The papers' labels are
+// read and tokenised once, by the vocabulary's scan, whose token lists
+// feed the pre-training and the cache.
+func readCorpus(ctx context.Context, g *hetgraph.Graph, opts Options) (*textenc.Encoder, train.TokenCache) {
+	_, sp := obs.StartSpan(ctx, "vocab")
+	papers := g.NodesOfType(hetgraph.Paper)
+	corpus := make([]string, len(papers))
+	for i, p := range papers {
+		corpus[i] = g.Label(p)
+	}
+	vocab, docs := textenc.BuildVocabTokens(corpus, opts.Vocab)
+	sp.End()
+	_, sp = obs.StartSpan(ctx, "pretrain")
+	enc := textenc.NewEncoder(vocab, opts.Dim, opts.Seed)
+	textenc.PretrainTokens(enc, docs)
+	sp.End()
+	_, sp = obs.StartSpan(ctx, "tokencache")
+	cache := train.NewTokenCache(papers, docs)
+	sp.End()
+	return enc, cache
 }
 
 // Stats returns the build statistics.

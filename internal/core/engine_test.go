@@ -2,16 +2,22 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/metrics"
 	"expertfind/internal/sampling"
+	"expertfind/internal/textenc"
+	"expertfind/internal/train"
 )
 
 func buildSmall(t *testing.T, mutate func(*Options)) (*dataset.Dataset, *Engine) {
@@ -199,6 +205,42 @@ func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
 				t.Errorf("%s: snapshots differ (%d vs %d bytes)", label, len(gotSnap), len(wantSnap))
 			}
 			assertRankingsIdentical(t, ds, label, want, got)
+		}
+	}
+}
+
+// TestReadCorpusMatchesBuildTokenCache holds the build's one read of the
+// corpus to the three-tokenisation path it replaced: the token cache the
+// engine trains and embeds from is what BuildTokenCache tokenises, and
+// the encoder is the one a build without fine-tuning serves, on one core
+// and on four.
+func TestReadCorpusMatchesBuildTokenCache(t *testing.T) {
+	ds := dataset.Generate(dataset.AminerSim(300))
+	g := ds.Graph
+	// Labels the generator never writes: case folding, other scripts,
+	// broken UTF-8 and a label longer than MaxSequenceLength tokens.
+	for _, label := range []string{
+		"Поиск экспертов в ГЕТЕРОГЕННЫХ графах; İstanbul \xff\xfe ǅ",
+		strings.Repeat("Expert FINDING over heterogeneous graphs ", 150),
+	} {
+		p := g.AddNode(hetgraph.Paper, label)
+		g.MustAddEdge(g.NodesOfType(hetgraph.Author)[0], p, hetgraph.Write)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		opts := Options{Dim: 16, Seed: 5, UseKPCore: Bool(false), UsePGIndex: Bool(false)}.withDefaults()
+		enc, cache := readCorpus(context.Background(), g, opts)
+		want := train.BuildTokenCache(g, enc)
+		if !maps.EqualFunc(cache, want, slices.Equal[[]textenc.TokenID]) {
+			t.Fatalf("GOMAXPROCS %d: the build's token cache differs from BuildTokenCache's", procs)
+		}
+		e, err := Build(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(e.enc.Emb.Data, enc.Emb.Data) {
+			t.Fatalf("GOMAXPROCS %d: the built engine's frozen encoder differs from readCorpus's", procs)
 		}
 	}
 }

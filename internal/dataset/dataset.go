@@ -299,6 +299,7 @@ func Generate(cfg Config) *Dataset {
 	papersOfTopic := make([][]hetgraph.NodeID, cfg.NumTopics)
 	papersOfGroup := make([][]hetgraph.NodeID, len(groups))
 	var allPapers []hetgraph.NodeID
+	var text []byte // genText's buffer
 	for i := 0; i < cfg.NumPapers; i++ {
 		gi := rng.Intn(len(groups))
 		gr := &groups[gi]
@@ -315,8 +316,7 @@ func Generate(cfg Config) *Dataset {
 		if rng.Float64() < 0.2 {
 			dialect = rng.Intn(cfg.Dialects)
 		}
-		text := genText(rng, topicLex[topic], common, cfg, dialect)
-		p := g.AddNode(hetgraph.Paper, text)
+		p := g.AddNode(hetgraph.Paper, genText(&text, rng, topicLex[topic], common, cfg, dialect))
 		d.PrimaryTopic[p] = topic
 		papersOfTopic[topic] = append(papersOfTopic[topic], p)
 		papersOfGroup[gi] = append(papersOfGroup[gi], p)
@@ -540,27 +540,30 @@ func (w *wordGen) words(n int) []string {
 // genText builds title+abstract text: TopicWordFrac of the words come from
 // the topic's stem lexicon (weighted towards its head so topics have
 // characteristic high-frequency terms), rendered in the paper's dialect;
-// the rest come from the common lexicon.
-func genText(rng *rand.Rand, topicStems, common []string, cfg Config, dialect int) string {
-	var b strings.Builder
+// the rest come from the common lexicon. The text is written into *buf,
+// which is reused from one call to the next, and copied out once, so a
+// label keeps no spare capacity alive.
+func genText(buf *[]byte, rng *rand.Rand, topicStems, common []string, cfg Config, dialect int) string {
+	b := (*buf)[:0]
 	total := cfg.TitleWords + cfg.AbstractWords
 	for i := 0; i < total; i++ {
 		if i == cfg.TitleWords {
-			b.WriteString(". ")
+			b = append(b, ". "...)
 		} else if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
 		if rng.Float64() < cfg.TopicWordFrac {
 			// Head-biased pick: squaring the uniform skews toward index 0.
 			u := rng.Float64()
-			b.WriteString(topicStems[int(u*u*float64(len(topicStems)))])
-			b.WriteString(dialectSuffixes[dialect])
-			b.WriteString(inflections[rng.Intn(len(inflections))])
+			b = append(b, topicStems[int(u*u*float64(len(topicStems)))]...)
+			b = append(b, dialectSuffixes[dialect]...)
+			b = append(b, inflections[rng.Intn(len(inflections))]...)
 		} else {
-			b.WriteString(common[rng.Intn(len(common))])
+			b = append(b, common[rng.Intn(len(common))]...)
 		}
 	}
-	return b.String()
+	*buf = b
+	return string(b)
 }
 
 // queryJSON is the serialised form of an evaluation query.

@@ -69,16 +69,17 @@ type Fig5Row struct {
 
 // RunFig5 reproduces the point of Figure 5: the refined PG-Index reaches
 // the query's neighbourhood with fewer expansions and visited papers than
-// the raw kNN graph, at equal-or-better recall. It embeds one corpus with
-// the frozen encoder the way the engine does (train.EmbedRows) and runs
-// the same query set over both index builds of those rows.
+// the raw kNN graph, at equal-or-better recall. It tokenises one corpus
+// once and embeds it with the frozen encoder the way the engine does
+// (textenc.BuildVocabTokens, train.EmbedRows), then runs the same query
+// set over both index builds of those rows.
 func RunFig5(sc Scale) []Fig5Row {
 	ds := dataset.Generate(dataset.AminerSim(sc.Papers))
 	g := ds.Graph
-	vocab := textenc.BuildVocab(ds.Corpus(), textenc.VocabConfig{})
+	vocab, docs := textenc.BuildVocabTokens(ds.Corpus(), textenc.VocabConfig{})
 	enc := textenc.NewEncoder(vocab, sc.Dim, sc.Seed)
-	textenc.PretrainDistributional(enc, ds.Corpus())
-	ids, rows := train.EmbedRows(enc, train.BuildTokenCache(g, enc))
+	textenc.PretrainTokens(enc, docs)
+	ids, rows := train.EmbedRows(enc, train.NewTokenCache(g.NodesOfType(hetgraph.Paper), docs))
 	rng := rand.New(rand.NewSource(sc.Seed))
 	queries := ds.Queries(sc.Queries, rng)
 

@@ -279,14 +279,17 @@ func RunTable6(sc Scale) []Table6Row {
 			g = sub
 		}
 		// One vocabulary/encoder per subgraph corpus keeps rows
-		// self-contained, as each of the paper's sub-graphs would be.
-		corpus := make([]string, 0, g.NumNodesOfType(hetgraph.Paper))
-		for _, p := range g.NodesOfType(hetgraph.Paper) {
-			corpus = append(corpus, g.Label(p))
+		// self-contained, as each of the paper's sub-graphs would be; the
+		// corpus is tokenised once, as the engine's build does.
+		papers := g.NodesOfType(hetgraph.Paper)
+		corpus := make([]string, len(papers))
+		for i, p := range papers {
+			corpus[i] = g.Label(p)
 		}
-		subVocab := textenc.BuildVocab(corpus, textenc.VocabConfig{})
+		subVocab, docs := textenc.BuildVocabTokens(corpus, textenc.VocabConfig{})
 		enc := textenc.NewEncoder(subVocab, sc.Dim, sc.Seed)
-		out = append(out, buildTable6Row(fc.name, g, enc, sc))
+		cache := train.NewTokenCache(papers, docs)
+		out = append(out, buildTable6Row(fc.name, g, enc, cache, sc))
 	}
 	return out
 }
@@ -304,8 +307,8 @@ func FormatTable6(rows []Table6Row) string {
 	return b.String()
 }
 
-func buildTable6Row(name string, g *hetgraph.Graph, enc *textenc.Encoder, sc Scale) Table6Row {
-	idx := pgindex.FromRows(train.EmbedRows(enc, train.BuildTokenCache(g, enc)))
+func buildTable6Row(name string, g *hetgraph.Graph, enc *textenc.Encoder, cache train.TokenCache, sc Scale) Table6Row {
+	idx := pgindex.FromRows(train.EmbedRows(enc, cache))
 	t0 := time.Now()
 	idx.BuildGraph(pgindex.Config{Refine: true, Seed: sc.Seed}, rand.New(rand.NewSource(sc.Seed)))
 	dur := time.Since(t0)

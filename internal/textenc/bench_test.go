@@ -19,8 +19,8 @@ func benchCorpus() []string {
 }
 
 // BenchmarkBuildVocab is vocabulary induction over the benchmark corpus:
-// word counts, piece counts, the character pass and the document
-// frequencies.
+// the one scan of the text, piece counts, the segmentation of every
+// distinct word, the document frequencies and the token lists.
 func BenchmarkBuildVocab(b *testing.B) {
 	corpus := benchCorpus()
 	var v *Vocab
@@ -42,18 +42,18 @@ func BenchmarkNewEncoder(b *testing.B) {
 	b.ReportMetric(float64(v.Size()), "tokens")
 }
 
-// BenchmarkPretrainDistributional is the random-indexing pass of a
-// 64-dimensional encoder over the benchmark corpus. The vocabulary and
-// the n-gram table are built outside the timer, and every iteration
-// starts from the same table.
-func BenchmarkPretrainDistributional(b *testing.B) {
-	corpus := benchCorpus()
-	base := NewEncoder(BuildVocab(corpus, VocabConfig{}), 64, 1)
+// BenchmarkPretrainTokens is the random-indexing pass of a
+// 64-dimensional encoder over the benchmark corpus's token lists. The
+// vocabulary, the token lists and the n-gram table are built outside the
+// timer, and every iteration starts from the same table.
+func BenchmarkPretrainTokens(b *testing.B) {
+	v, docs := BuildVocabTokens(benchCorpus(), VocabConfig{})
+	base := NewEncoder(v, 64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := base.Clone()
 		b.StartTimer()
-		PretrainDistributional(e, corpus)
+		PretrainTokens(e, docs)
 	}
 }

@@ -2,12 +2,10 @@ package textenc
 
 import (
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -155,33 +153,48 @@ func (c *ngrams) each(tok string, fn func(gram []byte)) {
 	}
 }
 
-// PretrainDistributional completes the encoder's "pre-training" with a
-// random-indexing pass over the corpus: every document gets a deterministic
-// signature vector, and each token's row accumulates the IDF-weighted
-// signatures of the documents containing it. Tokens with similar document
-// distributions — synonyms, topic-mates, dialect variants — end up with
-// correlated vectors, the distributional semantics a real pre-trained
-// language model brings and that bag-of-words methods lack. The result is
-// blended equally with the character-n-gram initialisation and
-// renormalised; the blend runs in float64 and rounds once per component.
+// PretrainDistributional is PretrainTokens over the tokens of corpus.
 //
-// It runs in two passes, each on up to GOMAXPROCS goroutines. The first
-// takes every document's signature and its distinct tokens in order of
-// first occurrence; the second sums each token's row over an inverted
-// list of its documents, in document order — the order a single pass over
-// the corpus adds them in — so a row is the same however the rows are
-// split.
+// Deprecated: pre-train with the token lists of BuildVocabTokens, as the
+// engine and the experiments do. PretrainDistributional is kept for
+// bench/'s replay of a build; ROADMAP item 1(a) deletes it.
 func PretrainDistributional(e *Encoder, corpus []string) {
-	ix := newDocIndex(e, corpus)
+	e.pretrain(newDocIndex(e, corpus))
+}
+
+// PretrainTokens completes the encoder's "pre-training" with a
+// random-indexing pass over the corpus, given as every document's tokens
+// (docs[d] those of document d, as BuildVocabTokens returns them): every
+// document gets a deterministic signature vector, and each token's row
+// accumulates the IDF-weighted signatures of the documents containing it.
+// Tokens with similar document distributions — synonyms, topic-mates,
+// dialect variants — end up with correlated vectors, the distributional
+// semantics a real pre-trained language model brings and that
+// bag-of-words methods lack. The result is blended equally with the
+// character-n-gram initialisation and renormalised; the blend runs in
+// float64 and rounds once per component.
+//
+// It runs in three passes, each on up to GOMAXPROCS goroutines. The first
+// two take every document's signature and build an inverted list of each
+// token's documents, ascending; the third sums each token's row over its
+// list — the order a single pass over the corpus adds them in — so a row
+// is the same however the rows are split.
+func PretrainTokens(e *Encoder, docs [][]TokenID) {
+	e.pretrain(indexDocs(e, docs))
+}
+
+func (e *Encoder) pretrain(ix *docIndex) {
 	par.Chunks(e.vocab.Size(), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
-		dist := vec.New(e.Dim)
+		dist, blend := vec.New(e.Dim), vec.New(e.Dim)
 		for id := lo; id < hi; id++ {
 			if !ix.sum(dist, id, e.idf[id]) || dist.Norm() == 0 {
 				continue // token unseen in corpus: keep the n-gram prior
 			}
 			dist.Normalize()
 			row := e.Emb.Row(id)
-			blend := row.Float64()
+			for j, x := range row {
+				blend[j] = float64(x)
+			}
 			blend.Scale(0.5).Axpy(0.5, dist).Normalize()
 			for j := range row {
 				row[j] = float32(blend[j])
@@ -190,7 +203,7 @@ func PretrainDistributional(e *Encoder, corpus []string) {
 	})
 }
 
-// docIndex is the first pass of PretrainDistributional: every document's
+// docIndex is the first pass of PretrainTokens: every document's
 // signature, and for every token the documents containing it.
 type docIndex struct {
 	dim  int
@@ -200,44 +213,71 @@ type docIndex struct {
 	start, docs []int32
 }
 
+// newDocIndex is indexDocs over the tokens of corpus.
 func newDocIndex(e *Encoder, corpus []string) *docIndex {
-	dim := e.Dim
-	ix := &docIndex{dim: dim, sigs: make([]float64, len(corpus)*dim), start: make([]int32, e.vocab.Size()+1)}
-	// docTokens[d] lists the distinct tokens of document d.
-	docTokens := make([][]TokenID, len(corpus))
+	docs := make([][]TokenID, len(corpus))
 	par.Chunks(len(corpus), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
-		hash := newHasher()
-		// countedIn[t] is the last document (1-based) that listed token t.
-		countedIn := make([]int, e.vocab.Size())
 		for d := lo; d < hi; d++ {
-			hash.into(ix.sigs[d*dim:(d+1)*dim], fmt.Sprintf("doc|%d", d), 0x3779B97F4A7C15)
-			toks := e.tok.Tokenize(corpus[d])
-			ids := toks[:0]
-			for _, id := range toks {
-				if countedIn[id] != d+1 {
-					countedIn[id] = d + 1
-					ids = append(ids, id)
-				}
-			}
-			docTokens[d] = ids
+			docs[d] = e.tok.Tokenize(corpus[d])
 		}
 	})
-	for _, ids := range docTokens {
-		for _, id := range ids {
-			ix.start[id+1]++
+	return indexDocs(e, docs)
+}
+
+// indexDocs builds the docIndex of docs in two passes over contiguous
+// chunks of documents. The first takes the chunk's signatures and counts
+// the chunk's documents holding each token; the counts place each chunk's
+// part of a token's list after the parts of the chunks before it, and the
+// second pass writes the parts, so every list ascends.
+func indexDocs(e *Encoder, docs [][]TokenID) *docIndex {
+	dim, size := e.Dim, e.vocab.Size()
+	procs := runtime.GOMAXPROCS(0)
+	ix := &docIndex{dim: dim, sigs: make([]float64, len(docs)*dim), start: make([]int32, size+1)}
+	// each calls fn(d, t) for every distinct token t of every document d
+	// of [lo,hi), in order of first occurrence.
+	each := func(lo, hi int, fn func(d int, t TokenID)) {
+		// countedIn[t] is the last document (1-based) that listed token t.
+		countedIn := make([]int, size)
+		for d := lo; d < hi; d++ {
+			for _, id := range docs[d] {
+				if countedIn[id] != d+1 {
+					countedIn[id] = d + 1
+					fn(d, id)
+				}
+			}
 		}
 	}
-	for t := 1; t < len(ix.start); t++ {
-		ix.start[t] += ix.start[t-1]
-	}
-	ix.docs = make([]int32, ix.start[len(ix.start)-1])
-	fill := slices.Clone(ix.start[:len(ix.start)-1])
-	for d, ids := range docTokens {
-		for _, id := range ids {
-			ix.docs[fill[id]] = int32(d)
-			fill[id]++
+	// at[c][t] counts chunk c's documents holding token t, then is where
+	// the chunk writes the next of them.
+	at := make([][]int32, procs)
+	par.Chunks(len(docs), procs, func(c, lo, hi int) {
+		hash := newHasher()
+		key := []byte("doc|") // document d's signature hashes "doc|<d>"
+		for d := lo; d < hi; d++ {
+			key = strconv.AppendInt(key[:4], int64(d), 10)
+			hash.fill(ix.sigs[d*dim:(d+1)*dim], fnv64a(key), 0x3779B97F4A7C15)
 		}
+		n := make([]int32, size)
+		each(lo, hi, func(_ int, t TokenID) { n[t]++ })
+		at[c] = n
+	})
+	for t := 0; t < size; t++ {
+		next := ix.start[t]
+		for _, n := range at {
+			if n != nil {
+				n[t], next = next, next+n[t]
+			}
+		}
+		ix.start[t+1] = next
 	}
+	ix.docs = make([]int32, ix.start[size])
+	par.Chunks(len(docs), procs, func(c, lo, hi int) {
+		next := at[c]
+		each(lo, hi, func(d int, t TokenID) {
+			ix.docs[next[t]] = int32(d)
+			next[t]++
+		})
+	})
 	return ix
 }
 
@@ -267,22 +307,31 @@ func SurfaceVector(dim int, s string, seed int64) vec.Vec32 {
 // seeded with FNV-1a(s) ^ seed. It owns one source and re-seeds it per
 // string — Seed(x) leaves the state NewSource(x) starts in — because a
 // source is 4.9 KB and a table initialisation hashes some 10^5 strings.
-type hasher struct {
-	fnv hash.Hash64
-	rng *rand.Rand
-}
+type hasher struct{ rng *rand.Rand }
 
-func newHasher() hasher { return hasher{fnv.New64a(), rand.New(rand.NewSource(0))} }
+func newHasher() hasher { return hasher{rand.New(rand.NewSource(0))} }
 
 // into fills dst with the hash vector of s.
-func (h hasher) into(dst vec.Vector, s string, seed int64) {
-	h.fnv.Reset()
-	h.fnv.Write([]byte(s))
-	h.rng.Seed(int64(h.fnv.Sum64()) ^ seed)
+func (h hasher) into(dst vec.Vector, s string, seed int64) { h.fill(dst, fnv64a(s), seed) }
+
+// fill fills dst with the hash vector of the string whose FNV-1a is sum.
+func (h hasher) fill(dst vec.Vector, sum uint64, seed int64) {
+	h.rng.Seed(int64(sum) ^ seed)
 	sigma := 1 / math.Sqrt(float64(len(dst)))
 	for j := range dst {
 		dst[j] = h.rng.NormFloat64() * sigma
 	}
+}
+
+// fnv64a is hash/fnv's 64-bit FNV-1a of s, taken without copying a
+// string into a []byte.
+func fnv64a[S string | []byte](s S) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Tokenizer returns the encoder's tokenizer.
@@ -306,14 +355,31 @@ func (e *Encoder) EncodeTokens(ids []TokenID) vec.Vec32 {
 // float32 — the serving path.
 func (e *Encoder) EncodeTokensRaw(ids []TokenID) vec.Vec32 {
 	out := vec.New32(e.Dim)
-	if len(ids) == 0 {
-		return out
-	}
-	ws := e.PoolWeights(ids)
-	for i, id := range ids {
-		out.Axpy(float32(ws[i]), e.Emb.Row(int(id)))
+	if len(ids) > 0 {
+		e.pool(out, ids, nil)
 	}
 	return out
+}
+
+// EncodeTokensInto is EncodeTokens into dst, a row of Dim floats, with ws
+// as scratch for the pool weights. It returns the scratch, grown if it
+// was short, for the next call, so a loop over many documents allocates
+// nothing per document.
+func (e *Encoder) EncodeTokensInto(dst vec.Vec32, ids []TokenID, ws []float64) []float64 {
+	dst.Zero()
+	ws = e.pool(dst, ids, ws)
+	dst.Normalize()
+	return ws
+}
+
+// pool adds the rows of ids, weighted by PoolWeights in float32, to dst,
+// computing the weights into ws, and returns ws.
+func (e *Encoder) pool(dst vec.Vec32, ids []TokenID, ws []float64) []float64 {
+	ws = e.poolWeights(ws, ids)
+	for i, id := range ids {
+		dst.Axpy(float32(ws[i]), e.Emb.Row(int(id)))
+	}
+	return ws
 }
 
 // EncodeTokensRaw64 pools the float32 rows with float64 accumulation and
@@ -335,7 +401,15 @@ func (e *Encoder) EncodeTokensRaw64(ids []TokenID) vec.Vector {
 // to ids — the same coefficients the trainer uses to route the document
 // gradient back into individual embedding rows (∂v_p/∂Θ_B rows).
 func (e *Encoder) PoolWeights(ids []TokenID) []float64 {
-	ws := make([]float64, len(ids))
+	return e.poolWeights(nil, ids)
+}
+
+// poolWeights is PoolWeights into ws, grown if it is short.
+func (e *Encoder) poolWeights(ws []float64, ids []TokenID) []float64 {
+	if cap(ws) < len(ids) {
+		ws = make([]float64, len(ids))
+	}
+	ws = ws[:len(ids)]
 	var total float64
 	for i, id := range ids {
 		w := 1.0

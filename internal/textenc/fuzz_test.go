@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzTokenize asserts the tokenizer's invariants on arbitrary input:
 // never panic, never exceed the sequence cap, and only emit ids inside
-// the vocabulary.
+// the vocabulary. A vocabulary induced from the text with the small
+// corpus then holds the one scan to the reference and to Tokenize.
 func FuzzTokenize(f *testing.F) {
 	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
 	tk := NewTokenizer(v)
@@ -24,6 +25,10 @@ func FuzzTokenize(f *testing.F) {
 				t.Fatalf("token id %d outside vocabulary [0,%d)", id, v.Size())
 			}
 		}
+		corpus := append(smallCorpus(), text)
+		cfg := VocabConfig{MinWordFreq: 1}
+		got, docs := BuildVocabTokens(corpus, cfg)
+		checkVocab(t, "one scan", corpus, got, docs, refBuildVocab(corpus, cfg))
 	})
 }
 

@@ -184,23 +184,47 @@ func referenceCorpora() map[string][]string {
 	}
 }
 
-// TestBuildVocabMatchesPerOccurrenceCount holds the chunked counts to the
-// reference's one pass, on one core and on four.
+// TestBuildVocabMatchesPerOccurrenceCount holds the one scan's chunked
+// counts to the reference's one pass, and its token lists to Tokenize, on
+// one core and on four. The "long" corpus has documents past
+// MaxSequenceLength tokens, cut inside a word that segments into pieces.
 func TestBuildVocabMatchesPerOccurrenceCount(t *testing.T) {
+	corpora := referenceCorpora()
+	var long strings.Builder
+	for i := range 700 {
+		fmt.Fprintf(&long, "Graph%d ", i*7919)
+	}
+	corpora["long"] = []string{long.String(), strings.Repeat("searching GRAPHS ", 600), "a short one"}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for name, corpus := range referenceCorpora() {
+		for name, corpus := range corpora {
 			for _, cfg := range []VocabConfig{{}, {MaxWords: 40, MaxSubwords: 60, MinWordFreq: 2}} {
-				got, want := BuildVocab(corpus, cfg), refBuildVocab(corpus, cfg)
-				if !slices.Equal(got.tokens, want.tokens) {
-					t.Fatalf("GOMAXPROCS %d, %s %+v: token list differs from the per-occurrence count's (%d vs %d tokens)",
-						procs, name, cfg, len(got.tokens), len(want.tokens))
-				}
-				if !slices.Equal(got.docFreq, want.docFreq) || got.numDocs != want.numDocs {
-					t.Fatalf("GOMAXPROCS %d, %s %+v: document frequencies differ", procs, name, cfg)
-				}
+				got, docs := BuildVocabTokens(corpus, cfg)
+				checkVocab(t, fmt.Sprintf("GOMAXPROCS %d, %s %+v", procs, name, cfg), corpus, got, docs, refBuildVocab(corpus, cfg))
 			}
+		}
+	}
+}
+
+// checkVocab fails t unless got has want's tokens and document
+// frequencies and docs[d] is Tokenize(corpus[d]) under got.
+func checkVocab(t *testing.T, what string, corpus []string, got *Vocab, docs [][]TokenID, want *Vocab) {
+	t.Helper()
+	if !slices.Equal(got.tokens, want.tokens) {
+		t.Fatalf("%s: token list differs from the per-occurrence count's (%d vs %d tokens)",
+			what, len(got.tokens), len(want.tokens))
+	}
+	if !slices.Equal(got.docFreq, want.docFreq) || got.numDocs != want.numDocs {
+		t.Fatalf("%s: document frequencies differ", what)
+	}
+	if len(docs) != len(corpus) {
+		t.Fatalf("%s: %d token lists for %d documents", what, len(docs), len(corpus))
+	}
+	tk := NewTokenizer(got)
+	for d, doc := range corpus {
+		if want := tk.Tokenize(doc); !slices.Equal(docs[d], want) {
+			t.Fatalf("%s: document %d has %d tokens from the scan, Tokenize gives %d", what, d, len(docs[d]), len(want))
 		}
 	}
 }

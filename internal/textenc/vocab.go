@@ -65,7 +65,19 @@ func DefaultVocabConfig() VocabConfig {
 // become whole-word tokens; character pieces (prefix pieces and
 // "##"-continuations of length 1-4 from all words) fill the subword budget
 // so any word segments greedily without hitting UnknownToken in practice.
+// It is BuildVocabTokens without the token lists.
 func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
+	v, _ := BuildVocabTokens(corpus, cfg)
+	return v
+}
+
+// BuildVocabTokens is BuildVocab that also returns every document's
+// tokens, docs[d] equal to Tokenize(corpus[d]) under the vocabulary's
+// tokenizer (truncated at MaxSequenceLength), from the one scan of the
+// corpus the vocabulary is induced from. A build hands the lists to
+// PretrainTokens and the trainer's token cache, so no text is tokenised
+// twice.
+func BuildVocabTokens(corpus []string, cfg VocabConfig) (v *Vocab, docs [][]TokenID) {
 	if cfg.MaxWords <= 0 {
 		cfg.MaxWords = DefaultVocabConfig().MaxWords
 	}
@@ -76,33 +88,27 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 		cfg.MinWordFreq = 1
 	}
 
-	// Every pass over the corpus runs on up to GOMAXPROCS goroutines, each
-	// over a contiguous chunk of documents (or of distinct words). Counts
-	// are integers, so summing the chunks' counts gives the same bits in
-	// any order, and the one list built here — the characters, in order of
-	// first appearance — is merged in chunk order.
+	// Every pass runs on up to GOMAXPROCS goroutines, each over a
+	// contiguous chunk of documents (or of distinct words). Counts are
+	// integers, so summing the chunks' counts gives the same bits in any
+	// order, and the lists built here — the distinct words and the
+	// characters, each in order of first appearance — are merged in chunk
+	// order.
 	procs := runtime.GOMAXPROCS(0)
-	wordFreq := countChunks(len(corpus), procs, func(freq map[string]int, d int) {
-		forEachWord(corpus[d], func(w string) bool {
-			freq[w]++
-			return true
-		})
-	})
+	sc := scanWords(corpus, procs)
+	words, wordFreq := sc.words, sc.freq
+
 	// Candidate pieces — prefixes of 2-6 runes and ## continuations of 2-4
 	// — are a function of the word, so each distinct word is cut up once
 	// and its pieces counted at the word's frequency. A piece is counted
 	// under a substring of its word, continuations without their "##", so
 	// only a piece new to its chunk costs a string.
-	words := make([]string, 0, len(wordFreq))
-	for w := range wordFreq {
-		words = append(words, w)
-	}
 	subFreq := countChunks(len(words), procs, func(freq map[string]int, i int) {
 		w := words[i]
 		var buf [32]int
 		offs := appendRuneOffsets(buf[:0], w)
 		for l := 2; l <= 6 && l < len(offs); l++ {
-			freq[w[:offs[l]]] += wordFreq[w]
+			freq[w[:offs[l]]] += wordFreq[i]
 		}
 	})
 	contFreq := countChunks(len(words), procs, func(freq map[string]int, i int) {
@@ -112,7 +118,7 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 		nr := len(offs) - 1
 		for start := 1; start < nr; start++ {
 			for l := 2; l <= 4 && start+l <= nr; l++ {
-				freq[w[offs[start]:offs[start+l]]] += wordFreq[w]
+				freq[w[offs[start]:offs[start+l]]] += wordFreq[i]
 			}
 		}
 	})
@@ -120,24 +126,36 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 		subFreq["##"+s] = f // no prefix starts with '#', so no key collides
 	}
 
-	v := &Vocab{ids: map[string]TokenID{}}
+	v = &Vocab{ids: map[string]TokenID{}}
 	v.add("[UNK]") // id 0
 
 	// Whole words by descending frequency, ties broken lexically.
-	for _, w := range topK(wordFreq, cfg.MaxWords, cfg.MinWordFreq) {
+	for _, w := range topWords(words, wordFreq, cfg.MaxWords, cfg.MinWordFreq) {
 		v.add(w)
 	}
 	// Always include every single character (as both start and
 	// continuation piece) so segmentation can't fail on known alphabets.
-	// Ids follow first appearance in the corpus: each chunk lists its
-	// letters and digits in order of first appearance, and the lists are
-	// added in chunk order (add ignores a token it already has).
-	firsts := make([][]rune, procs)
-	par.Chunks(len(corpus), procs, func(c, lo, hi int) {
-		firsts[c] = firstLetters(corpus[lo:hi])
-	})
-	for _, rs := range firsts {
-		for _, r := range rs {
+	// Ids follow first appearance in the corpus. A word is a run of
+	// letters and digits, lower-cased (and lower-casing keeps a rune a
+	// letter or digit, or not), so every character is in some word, and
+	// it first appears in the first occurrence of the first word holding
+	// it: the characters of the distinct words, in their order of first
+	// use, are the corpus's in order of first appearance.
+	var seenASCII [utf8.RuneSelf]bool
+	seenWide := map[rune]bool{}
+	for _, w := range words {
+		for _, r := range w {
+			if r < utf8.RuneSelf {
+				if seenASCII[r] {
+					continue
+				}
+				seenASCII[r] = true
+			} else {
+				if seenWide[r] {
+					continue
+				}
+				seenWide[r] = true
+			}
 			v.add(string(r))
 			v.add("##" + string(r))
 		}
@@ -146,23 +164,15 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 		v.add(s)
 	}
 
-	// Document frequencies for IDF, counted over the final vocabulary by
-	// re-tokenizing each document. countedIn[t] is the last document
-	// (1-based) that counted token t.
-	tk := &Tokenizer{vocab: v, maxLen: 1 << 30}
+	// Each distinct word is segmented once; a document's tokens are its
+	// words' tokens in order, and give its document frequencies (counted
+	// over all of them, as Tokenize without its cap would list them).
+	wordToks := segmentWords(&Tokenizer{vocab: v}, words, procs)
+	docs = make([][]TokenID, len(corpus))
 	dfs := make([][]int, procs)
+	// The grid of scanWords: chunk c is the documents sc.chunks[c] holds.
 	par.Chunks(len(corpus), procs, func(c, lo, hi int) {
-		df := make([]int, len(v.tokens))
-		countedIn := make([]int, len(v.tokens))
-		for d := lo; d < hi; d++ {
-			for _, id := range tk.Tokenize(corpus[d]) {
-				if countedIn[id] != d+1 {
-					countedIn[id] = d + 1
-					df[id]++
-				}
-			}
-		}
-		dfs[c] = df
+		dfs[c] = sc.chunks[c].tokens(docs[lo:hi], wordToks, v.Size(), lo)
 	})
 	v.docFreq = make([]int, len(v.tokens))
 	for _, df := range dfs {
@@ -171,7 +181,129 @@ func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 		}
 	}
 	v.numDocs = len(corpus)
-	return v
+	return v, docs
+}
+
+// wordScan is the one pass over the corpus's text: its distinct words in
+// order of first appearance with their frequencies, and every document
+// as a sequence of word ids.
+type wordScan struct {
+	words  []string
+	freq   []int
+	chunks []docWords // one per chunk of documents
+}
+
+// docWords is one chunk of documents as word ids: the chunk numbers its
+// distinct words in order of first use, and the merge maps those numbers
+// to the corpus's.
+type docWords struct {
+	words []string // the chunk's distinct words, in order of first use
+	count []int    // count[i] is the occurrences of words[i] in the chunk
+	seq   []int32  // the chunk's documents' words as chunk ids, one after another
+	ends  []int32  // document lo+j's words end at seq[ends[j]]
+	ids   []int32  // ids[i] is words[i]'s id in the corpus
+}
+
+// scanWords splits every document of corpus into words once, in
+// contiguous chunks on up to procs goroutines, and merges the chunks'
+// numberings in chunk order, so a word's id is its rank in order of first
+// appearance in the corpus.
+func scanWords(corpus []string, procs int) *wordScan {
+	sc := &wordScan{chunks: make([]docWords, procs)}
+	par.Chunks(len(corpus), procs, func(c, lo, hi int) {
+		ch := &sc.chunks[c]
+		local := map[string]int32{}
+		ch.ends = make([]int32, 0, hi-lo)
+		for _, doc := range corpus[lo:hi] {
+			forEachWord(doc, func(w string) bool {
+				id, ok := local[w]
+				if !ok {
+					id = int32(len(ch.words))
+					local[w] = id
+					ch.words = append(ch.words, w)
+					ch.count = append(ch.count, 0)
+				}
+				ch.count[id]++
+				ch.seq = append(ch.seq, id)
+				return true
+			})
+			ch.ends = append(ch.ends, int32(len(ch.seq)))
+		}
+	})
+	index := map[string]int32{}
+	for c := range sc.chunks {
+		ch := &sc.chunks[c]
+		ch.ids = make([]int32, len(ch.words))
+		for i, w := range ch.words {
+			id, ok := index[w]
+			if !ok {
+				id = int32(len(sc.words))
+				index[w] = id
+				sc.words = append(sc.words, w)
+				sc.freq = append(sc.freq, 0)
+			}
+			sc.freq[id] += ch.count[i]
+			ch.ids[i] = id
+		}
+	}
+	return sc
+}
+
+// segmentWords returns every word's tokens under tk, on up to procs
+// goroutines, each chunk of words into one array of its own.
+func segmentWords(tk *Tokenizer, words []string, procs int) [][]TokenID {
+	toks := make([][]TokenID, len(words))
+	par.Chunks(len(words), procs, func(_, lo, hi int) {
+		var flat []TokenID
+		ends := make([]int, hi-lo)
+		for i := lo; i < hi; i++ {
+			flat = tk.appendWord(flat, words[i])
+			ends[i-lo] = len(flat)
+		}
+		start := 0
+		for i, end := range ends {
+			toks[lo+i] = flat[start:end:end]
+			start = end
+		}
+	})
+	return toks
+}
+
+// tokens sets docs[j] to the tokens of the chunk's document j, the
+// concatenation of its words' tokens cut at MaxSequenceLength, all in one
+// array, and returns how many of the chunk's documents hold each of the
+// size tokens. first is the corpus index of the chunk's first document.
+func (ch *docWords) tokens(docs [][]TokenID, wordToks [][]TokenID, size, first int) []int {
+	n, start := 0, int32(0)
+	for _, end := range ch.ends {
+		l := 0
+		for _, w := range ch.seq[start:end] {
+			l += len(wordToks[ch.ids[w]])
+		}
+		n += min(l, MaxSequenceLength)
+		start = end
+	}
+	flat := make([]TokenID, 0, n)
+	df := make([]int, size)
+	// countedIn[t] is the last document (1-based) that counted token t.
+	countedIn := make([]int, size)
+	start = 0
+	for j, end := range ch.ends {
+		from := len(flat)
+		for _, w := range ch.seq[start:end] {
+			toks := wordToks[ch.ids[w]]
+			for _, id := range toks {
+				if countedIn[id] != first+j+1 {
+					countedIn[id] = first + j + 1
+					df[id]++
+				}
+			}
+			flat = append(flat, toks[:min(len(toks), from+MaxSequenceLength-len(flat))]...)
+		}
+		docs[j] = flat[from:len(flat):len(flat)]
+		start = end
+	}
+	return df
 }
 
 // countChunks calls count(freq, i) for every i in [0,n), on up to procs
@@ -198,34 +330,6 @@ func countChunks(n, procs int, count func(freq map[string]int, i int)) map[strin
 	return total
 }
 
-// firstLetters returns the distinct lower-cased letters and digits of
-// docs in order of first appearance.
-func firstLetters(docs []string) []rune {
-	var out []rune
-	var seenASCII [utf8.RuneSelf]bool
-	seenWide := map[rune]bool{}
-	for _, doc := range docs {
-		for _, r := range doc {
-			r = unicode.ToLower(r)
-			if r < utf8.RuneSelf {
-				if seenASCII[r] {
-					continue
-				}
-				seenASCII[r] = true
-			} else {
-				if seenWide[r] {
-					continue
-				}
-				seenWide[r] = true
-			}
-			if unicode.IsLetter(r) || unicode.IsDigit(r) {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}
-
 // appendRuneOffsets appends to offs the byte offset of every rune of w,
 // then len(w).
 func appendRuneOffsets(offs []int, w string) []int {
@@ -235,15 +339,28 @@ func appendRuneOffsets(offs []int, w string) []int {
 	return append(offs, len(w))
 }
 
+// topK is topWords over the keys of freq.
 func topK(freq map[string]int, k, minFreq int) []string {
+	words, counts := make([]string, 0, len(freq)), make([]int, 0, len(freq))
+	for w, f := range freq {
+		words = append(words, w)
+		counts = append(counts, f)
+	}
+	return topWords(words, counts, k, minFreq)
+}
+
+// topWords returns the at most k of words whose frequency (freq[i] that
+// of words[i]) is at least minFreq, by descending frequency, ties broken
+// lexically.
+func topWords(words []string, freq []int, k, minFreq int) []string {
 	type wf struct {
 		w string
 		f int
 	}
-	all := make([]wf, 0, len(freq))
-	for w, f := range freq {
-		if f >= minFreq {
-			all = append(all, wf{w, f})
+	all := make([]wf, 0, len(words))
+	for i, w := range words {
+		if freq[i] >= minFreq {
+			all = append(all, wf{w, freq[i]})
 		}
 	}
 	slices.SortFunc(all, func(a, b wf) int {

@@ -64,9 +64,25 @@ type Result struct {
 // training and embedding never re-tokenize.
 type TokenCache map[hetgraph.NodeID][]textenc.TokenID
 
+// NewTokenCache is the token cache of papers, docs[i] the tokens of
+// papers[i]'s label — the lists textenc.BuildVocabTokens returns for the
+// labels in that order.
+func NewTokenCache(papers []hetgraph.NodeID, docs [][]textenc.TokenID) TokenCache {
+	cache := make(TokenCache, len(papers))
+	for i, p := range papers {
+		cache[p] = docs[i]
+	}
+	return cache
+}
+
 // BuildTokenCache tokenises L(p) for every paper of g with enc's
 // tokenizer, on up to GOMAXPROCS goroutines; a paper's tokens are a
 // function of its label alone.
+//
+// Deprecated: build the cache with NewTokenCache from the token lists of
+// textenc.BuildVocabTokens, as the engine and the experiments do.
+// BuildTokenCache is kept for bench/'s replay of a build; ROADMAP item
+// 1(a) deletes it.
 func BuildTokenCache(g *hetgraph.Graph, enc *textenc.Encoder) TokenCache {
 	papers := g.NodesOfType(hetgraph.Paper)
 	tokens := make([][]textenc.TokenID, len(papers))
@@ -76,11 +92,7 @@ func BuildTokenCache(g *hetgraph.Graph, enc *textenc.Encoder) TokenCache {
 			tokens[i] = tk.Tokenize(g.Label(papers[i]))
 		}
 	})
-	cache := make(TokenCache, len(papers))
-	for i, p := range papers {
-		cache[p] = tokens[i]
-	}
-	return cache
+	return NewTokenCache(papers, tokens)
 }
 
 // gradChunks is the number of contiguous chunks every batch's gradient is
@@ -426,8 +438,9 @@ func (a *adam) step(parts []*sparseGrad) bool {
 
 // EmbedRows computes the fine-tuned representation of every paper in
 // cache, in parallel, into one matrix: ids ascending, row i the embedding
-// of ids[i]. Each goroutine fills its own range of rows, so how they are
-// split changes no bit. The pair is E in the form the PG-Index adopts
+// of ids[i]. Each goroutine pools straight into its own range of rows,
+// reusing one scratch for the pool weights, so how they are split changes
+// no bit. The pair is E in the form the PG-Index adopts
 // (pgindex.FromRows).
 func EmbedRows(enc *textenc.Encoder, cache TokenCache) ([]hetgraph.NodeID, *vec.Matrix32) {
 	ids := make([]hetgraph.NodeID, 0, len(cache))
@@ -437,8 +450,9 @@ func EmbedRows(enc *textenc.Encoder, cache TokenCache) ([]hetgraph.NodeID, *vec.
 	slices.Sort(ids)
 	rows := vec.NewMatrix32(len(ids), enc.Dim)
 	par.Chunks(len(ids), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		var ws []float64
 		for i := lo; i < hi; i++ {
-			copy(rows.Row(i), enc.EncodeTokens(cache[ids[i]]))
+			ws = enc.EncodeTokensInto(rows.Row(i), cache[ids[i]], ws)
 		}
 	})
 	return ids, rows

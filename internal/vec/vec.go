@@ -132,33 +132,3 @@ func (v Vector) Zero() Vector {
 	}
 	return v
 }
-
-// Mean returns the component-wise mean of vs (the paper's mean pooling Φ_P).
-// It panics if vs is empty or dimensions differ.
-func Mean(vs []Vector) Vector {
-	if len(vs) == 0 {
-		panic("vec: mean of no vectors")
-	}
-	m := New(vs[0].Dim())
-	for _, v := range vs {
-		m.Add(v)
-	}
-	return m.Scale(1 / float64(len(vs)))
-}
-
-// Max returns the component-wise maximum of vs (the paper's max pooling
-// alternative). It panics if vs is empty.
-func Max(vs []Vector) Vector {
-	if len(vs) == 0 {
-		panic("vec: max of no vectors")
-	}
-	m := vs[0].Clone()
-	for _, v := range vs[1:] {
-		for j, x := range v {
-			if x > m[j] {
-				m[j] = x
-			}
-		}
-	}
-	return m
-}

@@ -113,32 +113,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestMeanMax(t *testing.T) {
-	vs := []Vector{{1, 5}, {3, 1}}
-	m := Mean(vs)
-	if !almostEqual(m[0], 2) || !almostEqual(m[1], 3) {
-		t.Errorf("Mean = %v, want [2 3]", m)
-	}
-	x := Max(vs)
-	if x[0] != 3 || x[1] != 5 {
-		t.Errorf("Max = %v, want [3 5]", x)
-	}
-	// Max must not alias its inputs.
-	x[0] = 99
-	if vs[0][0] == 99 || vs[1][0] == 99 {
-		t.Error("Max aliases input storage")
-	}
-}
-
-func TestMeanEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Mean of empty slice did not panic")
-		}
-	}()
-	Mean(nil)
-}
-
 func randVec(rng *rand.Rand, d int) Vector {
 	v := New(d)
 	for i := range v {
