@@ -168,7 +168,7 @@ func TestGraphBaselinesUseStructure(t *testing.T) {
 	diff := 0
 	for _, p := range g.NodesOfType(hetgraph.Paper) {
 		a, b := tadw.embs[p], sb.Embeddings()[p]
-		if a.L2(b) > 1e-9 {
+		if a.L2Sq(b) > 1e-18 {
 			diff++
 		}
 	}

@@ -71,7 +71,8 @@ func TestLoadGraphFromAminerFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodesOfType(hetgraph.Paper) != 2 || g.NumEdgesOfType(hetgraph.Cite) != 1 {
+	papers := g.NodesOfType(hetgraph.Paper)
+	if len(papers) != 2 || len(g.Neighbors(papers[0], hetgraph.Paper)) != 1 {
 		t.Errorf("aminer load wrong: %+v", g.Stats())
 	}
 	if !strings.Contains(g.Label(g.NodesOfType(hetgraph.Paper)[0]), "First Paper") {

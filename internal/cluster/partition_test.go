@@ -56,9 +56,9 @@ func TestPartitionPapersCoversDisjointly(t *testing.T) {
 		}
 		for _, p := range papers {
 			for id, se := range engines {
-				if want := AssignShard(p, shards) == id; se.Owns(p) != want {
+				if want := AssignShard(p, shards) == id; se.owned[p] != want {
 					t.Fatalf("paper %d: shard %d/%d Owns = %v, AssignShard says %v",
-						p, id, shards, se.Owns(p), want)
+						p, id, shards, se.owned[p], want)
 				}
 			}
 		}

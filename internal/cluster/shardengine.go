@@ -88,12 +88,6 @@ func (se *ShardEngine) Of() int { return se.cfg.Of }
 // NumOwned returns how many papers this shard owns.
 func (se *ShardEngine) NumOwned() int { return len(se.owned) }
 
-// Owns reports whether paper p belongs to this shard.
-func (se *ShardEngine) Owns(p hetgraph.NodeID) bool { return se.owned[p] }
-
-// Engine exposes the underlying full engine (for serving /healthz etc.).
-func (se *ShardEngine) Engine() *core.Engine { return se.eng }
-
 // Retrieve returns the top-m owned papers for the query text with exact
 // L2 distances, sorted (distance ascending, id ascending). Distances come
 // from the shared deterministic model, so lists from different shards

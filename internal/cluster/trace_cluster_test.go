@@ -259,13 +259,13 @@ func TestTraceAssemblyAcrossCluster(t *testing.T) {
 		names["scatter_experts"]+names["shard_experts"] != 0 {
 		t.Fatalf("assembled trace has spans %v; want one scatter_papers over %d fanout/shard_papers, one merge_papers, one rank", names, shards)
 	}
-	scatter := rec.Root.Find("scatter_papers")
+	scatter := findNode(rec.Root, "scatter_papers")
 	if len(scatter.Children) != shards {
 		t.Fatalf("scatter_papers has %d children, want %d fan-outs", len(scatter.Children), shards)
 	}
 	seen := map[string]bool{}
 	for _, fanout := range scatter.Children {
-		sub := fanout.Find("shard_papers")
+		sub := findNode(fanout, "shard_papers")
 		if fanout.Name != "fanout" || sub == nil || sub.Attrs["shard"] != fanout.Attrs["shard"] {
 			t.Fatalf("fan-out %+v does not hold its shard's grafted subtree", fanout)
 		}
@@ -276,7 +276,7 @@ func TestTraceAssemblyAcrossCluster(t *testing.T) {
 			t.Errorf("no grafted shard_papers subtree for shard %d (saw %v)", i, seen)
 		}
 	}
-	if sp := rec.Root.Find("shard_papers"); sp != nil && sp.Find("search") == nil {
+	if sp := findNode(rec.Root, "shard_papers"); sp != nil && findNode(*sp, "search") == nil {
 		t.Error("grafted shard subtree lost its pipeline spans")
 	}
 
@@ -451,4 +451,15 @@ func walkNodes(n obs.SpanNode, f func(obs.SpanNode)) {
 	for _, c := range n.Children {
 		walkNodes(c, f)
 	}
+}
+
+// findNode returns the first node (pre-order) named name, or nil.
+func findNode(n obs.SpanNode, name string) *obs.SpanNode {
+	var found *obs.SpanNode
+	walkNodes(n, func(nd obs.SpanNode) {
+		if found == nil && nd.Name == name {
+			found = &nd
+		}
+	})
+	return found
 }

@@ -2,9 +2,9 @@
 // snapshots servable without heap-decoding them: a directory of
 // fixed-width, page-aligned, individually CRC-32C-checked segments
 // (float32 embedding rows, int32 CSR adjacency, uint64 offsets, ...)
-// appended after the gob payload of an EFSNAP snapshot. The u32 and i8
-// kinds stay in the format, so files that carry them still open, but no
-// writer emits them.
+// appended after the gob payload of an EFSNAP snapshot. The u8, u32 and
+// i8 kinds stay in the format, so files that carry them still open, but
+// no writer emits them.
 //
 // The layout is built for two readers with identical semantics:
 //
@@ -161,19 +161,6 @@ const (
 	// ModeOff always materialises segments on the heap.
 	ModeOff
 )
-
-// String returns the flag spelling of the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeOn:
-		return "on"
-	case ModeOff:
-		return "off"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // ParseMode parses the -mmap flag grammar: exactly auto, on or off.
 func ParseMode(s string) (Mode, error) {

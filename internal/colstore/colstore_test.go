@@ -38,8 +38,14 @@ func testSegs(n int) []SegmentData {
 		u32Seg("flags", u32),
 		U64Seg("nbroff", u64),
 		{Name: "qcodes", Kind: KindI8, Count: uint64(n), raw: asBytes(i8, 1)},
-		U8Seg("dead", u8),
+		{Name: "dead", Kind: KindU8, Count: uint64(n), raw: u8},
 	}
+}
+
+// u8s reads a u8 segment. Like u32, the kind stays in the format with no
+// writer or reader outside these tests.
+func u8s(s *Section, name string) ([]byte, error) {
+	return typed[byte](s, name, KindU8, func(b []byte) byte { return b[0] })
 }
 
 // u32Seg hand-builds a u32 segment. No writer emits the kind any more,
@@ -121,7 +127,7 @@ func TestRoundTripAllKindsBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u8, err := s.Bytes("dead")
+		u8, err := u8s(s, "dead")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +174,7 @@ func TestMappedViewsFullCap(t *testing.T) {
 
 	f32, _ := s.Float32s("embs")
 	i32, _ := s.Int32s("ids")
-	u8, _ := s.Bytes("dead")
+	u8, _ := u8s(s, "dead")
 	for _, c := range []struct {
 		name     string
 		len, cap int

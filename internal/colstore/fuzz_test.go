@@ -40,7 +40,7 @@ func FuzzSectionHeader(f *testing.F) {
 		if err == nil {
 			// Accepted sections must behave: every declared segment of a
 			// kind with an accessor reads without panicking.
-			for _, sg := range s.Segments() {
+			for _, sg := range s.dir {
 				switch sg.Kind {
 				case KindF32:
 					s.Float32s(sg.Name)
@@ -49,7 +49,7 @@ func FuzzSectionHeader(f *testing.F) {
 				case KindU64:
 					s.Uint64s(sg.Name)
 				case KindU8:
-					s.Bytes(sg.Name)
+					u8s(s, sg.Name)
 				}
 			}
 			return

@@ -339,13 +339,6 @@ func (s *Section) Materialized() *Section {
 // payload (before any trailing alignment padding).
 func (s *Section) End() int64 { return s.end }
 
-// Segments returns a copy of the directory, in written order.
-func (s *Section) Segments() []Segment {
-	out := make([]Segment, len(s.dir))
-	copy(out, s.dir)
-	return out
-}
-
 // lookup finds a segment by name and checks its kind.
 func (s *Section) lookup(name string, kind Kind) (Segment, error) {
 	i, ok := s.byName[name]
@@ -438,9 +431,4 @@ func (s *Section) Int32s(name string) ([]int32, error) {
 // Uint64s returns the named u64 segment.
 func (s *Section) Uint64s(name string) ([]uint64, error) {
 	return typed[uint64](s, name, KindU64, binary.LittleEndian.Uint64)
-}
-
-// Bytes returns the named u8 segment.
-func (s *Section) Bytes(name string) ([]byte, error) {
-	return typed[byte](s, name, KindU8, func(b []byte) byte { return b[0] })
 }

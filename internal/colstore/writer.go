@@ -64,11 +64,6 @@ func U64Seg(name string, v []uint64) SegmentData {
 	return SegmentData{Name: name, Kind: KindU64, Count: uint64(len(v)), raw: raw}
 }
 
-// U8Seg queues a raw byte column.
-func U8Seg(name string, v []byte) SegmentData {
-	return SegmentData{Name: name, Kind: KindU8, Count: uint64(len(v)), raw: v}
-}
-
 // layout assigns absolute, page-aligned payload offsets and returns the
 // section end offset plus the finished directory.
 func layout(base int64, segs []SegmentData) (end int64, dir []Segment, err error) {

@@ -62,7 +62,6 @@ type queryCache struct {
 	shards []*cacheShard
 	seed   maphash.Seed
 	gen    atomic.Uint64
-	size   atomic.Int64
 	*cacheMetrics
 }
 
@@ -132,7 +131,6 @@ func (c *queryCache) Get(key string) (cachedResult, bool) {
 	if e.gen != gen {
 		s.removeLocked(el)
 		s.mu.Unlock()
-		c.size.Add(-1)
 		c.entries.Add(-1)
 		c.misses.Inc()
 		return cachedResult{}, false
@@ -169,13 +167,12 @@ func (c *queryCache) Put(key string, v cachedResult, gen uint64) {
 	if evicted {
 		c.evictions.Inc()
 	} else {
-		c.size.Add(1)
 		c.entries.Add(1)
 	}
 }
 
 // removeLocked unlinks el from the shard; the caller holds s.mu and owns
-// the size accounting.
+// the entries gauge.
 func (s *cacheShard) removeLocked(el *list.Element) {
 	delete(s.pos, el.Value.(*cacheEntry).key)
 	s.lru.Remove(el)
@@ -186,18 +183,14 @@ func (s *cacheShard) removeLocked(el *list.Element) {
 // the new epoch and refuses the stale value.
 func (c *queryCache) Invalidate() {
 	c.gen.Add(1)
-	var dropped int64
+	var dropped int
 	for _, s := range c.shards {
 		s.mu.Lock()
-		dropped += int64(s.lru.Len())
+		dropped += s.lru.Len()
 		s.lru.Init()
 		s.pos = map[string]*list.Element{}
 		s.mu.Unlock()
 	}
-	c.size.Add(-dropped)
 	c.entries.Add(float64(-dropped))
 	c.invalidations.Inc()
 }
-
-// Len returns the resident entry count (approximate under concurrency).
-func (c *queryCache) Len() int { return int(c.size.Load()) }

@@ -113,8 +113,8 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if got := reg.Counter("expertfind_qcache_misses_total", "").Value(); got != 1 {
 		t.Errorf("misses = %v, want 1", got)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if n := cacheEntries(reg); n != 1 {
+		t.Errorf("entries = %d, want 1", n)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if got := reg.Counter("expertfind_qcache_evictions_total", "").Value(); got != 1 {
 		t.Errorf("evictions = %v, want 1", got)
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
+	if n := cacheEntries(reg); n != 4 {
+		t.Errorf("entries = %d, want 4", n)
 	}
 }
 
@@ -157,8 +157,8 @@ func TestCacheInvalidateDropsEverythingAndBlocksStalePut(t *testing.T) {
 			t.Fatalf("k%d survived invalidation", i)
 		}
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after invalidation, want 0", c.Len())
+	if n := cacheEntries(reg); n != 0 {
+		t.Errorf("entries = %d after invalidation, want 0", n)
 	}
 	// A fill computed against the pre-invalidation state must be refused.
 	c.Put("stale", resultWithPapers(9), gen)

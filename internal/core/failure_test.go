@@ -11,25 +11,24 @@ import (
 // Failure-injection tests: the engine must stay well-behaved on degenerate
 // graphs a loader or generator could produce.
 
-func degenerateGraph(mutate func(g *hetgraph.Graph)) *hetgraph.Graph {
+// degenerateGraph is six papers labelled paperLabel, all by one author,
+// in one venue, on one topic.
+func degenerateGraph(paperLabel string) *hetgraph.Graph {
 	g := hetgraph.New()
 	a := g.AddNode(hetgraph.Author, "solo author")
 	tp := g.AddNode(hetgraph.Topic, "topic")
 	v := g.AddNode(hetgraph.Venue, "venue")
 	for i := 0; i < 6; i++ {
-		p := g.AddNode(hetgraph.Paper, "some paper text about things")
+		p := g.AddNode(hetgraph.Paper, paperLabel)
 		g.MustAddEdge(a, p, hetgraph.Write)
 		g.MustAddEdge(p, tp, hetgraph.Mention)
 		g.MustAddEdge(p, v, hetgraph.Publish)
-	}
-	if mutate != nil {
-		mutate(g)
 	}
 	return g
 }
 
 func TestBuildOnTinyGraph(t *testing.T) {
-	g := degenerateGraph(nil)
+	g := degenerateGraph("some paper text about things")
 	e, err := Build(g, Options{Dim: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +56,7 @@ func TestBuildWithEmptyLabels(t *testing.T) {
 }
 
 func TestBuildWithUnicodeLabels(t *testing.T) {
-	g := degenerateGraph(func(g *hetgraph.Graph) {
-		for _, p := range g.NodesOfType(hetgraph.Paper) {
-			g.SetLabel(p, "研究 gráph-embédding ω≤∞ "+strings.Repeat("naïve ", 3))
-		}
-	})
+	g := degenerateGraph("研究 gráph-embédding ω≤∞ " + strings.Repeat("naïve ", 3))
 	e, err := Build(g, Options{Dim: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +89,7 @@ func TestBuildWithIsolatedPapers(t *testing.T) {
 }
 
 func TestQueryEdgeCases(t *testing.T) {
-	g := degenerateGraph(nil)
+	g := degenerateGraph("some paper text about things")
 	e, err := Build(g, Options{Dim: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

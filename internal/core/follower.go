@@ -265,9 +265,6 @@ func (f *Follower) Store() *Store { return f.store }
 // Engine returns the replicated engine for serving queries.
 func (f *Follower) Engine() *Engine { return f.store.Engine() }
 
-// ID returns the follower's identity as reported to the leader.
-func (f *Follower) ID() string { return f.id }
-
 // Start launches the tail loop: poll the leader's WAL from the next
 // needed sequence, apply what arrives, repeat — reconnecting with
 // jittered exponential backoff on any failure. Call once.

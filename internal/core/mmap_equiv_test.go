@@ -512,15 +512,17 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 // columnar segment of a snapshot.
 func segmentMiddle(t *testing.T, raw []byte, name string) int {
 	t.Helper()
-	plen := int64(binary.LittleEndian.Uint64(raw[8:16]))
-	sec, err := colstore.OpenReaderAt(bytes.NewReader(raw), name, int64(len(raw)),
-		durable.ContainerHeaderSize+plen)
-	if err != nil {
+	off := durable.ContainerHeaderSize + int64(binary.LittleEndian.Uint64(raw[8:16]))
+	if _, err := colstore.OpenReaderAt(bytes.NewReader(raw), name, int64(len(raw)), off); err != nil {
 		t.Fatal(err)
 	}
-	for _, sg := range sec.Segments() {
-		if sg.Name == name && sg.Length > 0 {
-			return int(sg.Offset + sg.Length/2)
+	// The directory is valid: walk its 64-byte entries (name, then the
+	// payload's offset and length at 32 and 40; see package colstore).
+	for i := 0; i < int(binary.LittleEndian.Uint32(raw[off+12:])); i++ {
+		e := raw[off+20+64*int64(i):]
+		sgOff, sgLen := binary.LittleEndian.Uint64(e[32:]), binary.LittleEndian.Uint64(e[40:])
+		if string(bytes.TrimRight(e[:16], "\x00")) == name && sgLen > 0 {
+			return int(sgOff + sgLen/2)
 		}
 	}
 	t.Fatalf("snapshot has no %q segment", name)

@@ -27,14 +27,6 @@ func (e *Engine) EnableQueryCache(cfg CacheConfig) {
 	e.qcache = newQueryCache(cfg.MaxEntries, 16, e.m.cache)
 }
 
-// QueryCacheLen returns the resident entry count (0 when disabled).
-func (e *Engine) QueryCacheLen() int {
-	if e.qcache == nil {
-		return 0
-	}
-	return e.qcache.Len()
-}
-
 // invalidateQueryCache drops every cached query result; every update
 // calls it.
 func (e *Engine) invalidateQueryCache() {

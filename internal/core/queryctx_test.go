@@ -180,22 +180,31 @@ func TestExactRetrievalHonoursContext(t *testing.T) {
 	}
 }
 
+// ownRegistry gives an engine a registry of its own, so that its gauges
+// count nothing another test's engine did.
+func ownRegistry(o *Options) { o.Metrics = obs.NewRegistry() }
+
+// cacheEntries reads the expertfind_qcache_entries gauge of reg.
+func cacheEntries(reg *obs.Registry) int {
+	return int(reg.Gauge("expertfind_qcache_entries", "").Value())
+}
+
 func TestQueryCtxErrorsAreNotCached(t *testing.T) {
-	_, e := buildTiny(t, nil)
+	_, e := buildTiny(t, ownRegistry)
 	e.EnableQueryCache(CacheConfig{MaxEntries: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := e.TopExpertsCtx(ctx, "graph", 10, 5); err == nil {
 		t.Fatal("cancelled query succeeded")
 	}
-	if n := e.QueryCacheLen(); n != 0 {
+	if n := cacheEntries(e.Metrics()); n != 0 {
 		t.Fatalf("failed fill was cached: %d entries", n)
 	}
 	// The same query with a live context must succeed and then cache.
 	if _, st, err := e.TopExperts("graph", 10, 5); err != nil || st.CacheHit {
 		t.Fatalf("post-cancel query: err=%v hit=%v", err, st.CacheHit)
 	}
-	if n := e.QueryCacheLen(); n != 1 {
+	if n := cacheEntries(e.Metrics()); n != 1 {
 		t.Fatalf("successful fill not cached: %d entries", n)
 	}
 }
@@ -241,7 +250,7 @@ func TestEngineCacheHitAndVariants(t *testing.T) {
 }
 
 func TestAddPaperInvalidatesEngineCache(t *testing.T) {
-	ds, e := buildTiny(t, nil)
+	ds, e := buildTiny(t, ownRegistry)
 	e.EnableQueryCache(CacheConfig{MaxEntries: 64})
 	g := ds.Graph
 	existing := g.NodesOfType(hetgraph.Paper)[0]
@@ -250,8 +259,8 @@ func TestAddPaperInvalidatesEngineCache(t *testing.T) {
 	if _, _, err := e.RetrievePapers(query, 5); err != nil {
 		t.Fatal(err)
 	}
-	if e.QueryCacheLen() != 1 {
-		t.Fatalf("cache len = %d, want 1", e.QueryCacheLen())
+	if n := cacheEntries(e.Metrics()); n != 1 {
+		t.Fatalf("cache entries = %d, want 1", n)
 	}
 
 	id, err := e.AddPaper(NewPaper{
@@ -261,8 +270,8 @@ func TestAddPaperInvalidatesEngineCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.QueryCacheLen() != 0 {
-		t.Fatalf("AddPaper left %d cached entries", e.QueryCacheLen())
+	if n := cacheEntries(e.Metrics()); n != 0 {
+		t.Fatalf("AddPaper left %d cached entries", n)
 	}
 
 	// The re-run is a miss and must see the new paper — the cached

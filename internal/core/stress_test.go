@@ -14,6 +14,7 @@ import (
 
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/obs"
 	"expertfind/internal/vec"
 )
 
@@ -25,7 +26,7 @@ import (
 func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 	ds := dataset.Generate(dataset.AminerSim(120))
 	g := ds.Graph
-	e, err := Build(g, Options{Dim: 8, Seed: 4})
+	e, err := Build(g, Options{Dim: 8, Seed: 4, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +153,13 @@ func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 	if n := queriesRun.Load(); n == 0 {
 		t.Fatal("workers never ran a query")
 	}
-	if n, max := e.QueryCacheLen(), 256; n > max {
+	if n, max := cacheEntries(e.Metrics()), 256; n > max {
 		t.Fatalf("cache grew past its bound: %d > %d", n, max)
 	}
 }
 
 func TestStressCacheFillInvalidate(t *testing.T) {
-	c, _ := newTestCache(t, 64, 4)
+	c, reg := newTestCache(t, 64, 4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 8; w++ {
@@ -190,7 +191,7 @@ func TestStressCacheFillInvalidate(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if n := c.Len(); n > 64 {
+	if n := cacheEntries(reg); n > 64 {
 		t.Fatalf("cache size %d exceeds bound 64", n)
 	}
 }

@@ -405,10 +405,6 @@ func Generate(cfg Config) *Dataset {
 	return d
 }
 
-// ExpertsOfTopic returns the ground-truth expert set of topic index t: all
-// authors who have published in t.
-func (d *Dataset) ExpertsOfTopic(t int) map[hetgraph.NodeID]bool { return d.expertsByTopic[t] }
-
 // Query is one evaluation query: a descriptive text about a randomly
 // chosen paper's topic plus the ground truth of §VI-A (all authors sharing
 // the source paper's topic).

@@ -45,10 +45,10 @@ func TestGenerateStructure(t *testing.T) {
 		if len(g.AuthorsOf(p)) == 0 {
 			t.Fatalf("paper %d has no authors", p)
 		}
-		if g.Degree(p, hetgraph.Venue) != 1 {
-			t.Fatalf("paper %d has %d venues", p, g.Degree(p, hetgraph.Venue))
+		if nv := len(g.Neighbors(p, hetgraph.Venue)); nv != 1 {
+			t.Fatalf("paper %d has %d venues", p, nv)
 		}
-		nt := g.Degree(p, hetgraph.Topic)
+		nt := len(g.Neighbors(p, hetgraph.Topic))
 		if nt < 1 || nt > 2 {
 			t.Fatalf("paper %d mentions %d topics", p, nt)
 		}
@@ -89,7 +89,7 @@ func TestAuthorTopicsMatchGroundTruth(t *testing.T) {
 	ds := Generate(small())
 	for a, topics := range ds.AuthorTopics {
 		for tp := range topics {
-			if !ds.ExpertsOfTopic(tp)[a] {
+			if !ds.expertsByTopic[tp][a] {
 				t.Fatalf("author %d missing from topic %d ground truth", a, tp)
 			}
 		}
@@ -97,7 +97,7 @@ func TestAuthorTopicsMatchGroundTruth(t *testing.T) {
 	// Every author in a ground-truth set authored a paper of that topic.
 	g := ds.Graph
 	for tp := 0; tp < 7; tp++ {
-		for a := range ds.ExpertsOfTopic(tp) {
+		for a := range ds.expertsByTopic[tp] {
 			ok := false
 			for _, p := range g.PapersOf(a) {
 				if ds.PrimaryTopic[p] == tp {
@@ -119,7 +119,7 @@ func TestCoAuthorshipCohesion(t *testing.T) {
 	dense := 0
 	papers := g.NodesOfType(hetgraph.Paper)
 	for _, p := range papers {
-		if g.PDegree(p, hetgraph.PAP) >= 4 {
+		if len(g.PNeighbors(p, hetgraph.PAP)) >= 4 {
 			dense++
 		}
 	}

@@ -200,20 +200,3 @@ func FormatEffectivenessTable(title string, rows []Effectiveness, withTime bool)
 	}
 	return b.String()
 }
-
-// EvalOne runs the Table II comparison on a single dataset, for quick
-// shape checks and the per-dataset benchmarks.
-func EvalOne(spec DatasetSpec, sc Scale) []Effectiveness {
-	ds, queries, ref := buildDataset(spec, sc)
-	g := ds.Graph
-	var rows []Effectiveness
-	for _, m := range baselines.All(sc.Dim, sc.Seed) {
-		if err := m.Build(g); err != nil {
-			panic(err)
-		}
-		rows = append(rows, Evaluate(baselineSystem{m, g}, g, queries, sc.M, sc.N, ref))
-	}
-	ours := buildOurs(g, sc, nil)
-	rows = append(rows, Evaluate(WrapEngine("Ours (PAP ∩ PTP)", ours), g, queries, sc.M, sc.N, ref))
-	return rows
-}

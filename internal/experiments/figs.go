@@ -12,7 +12,6 @@ import (
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/kpcore"
 	"expertfind/internal/metrics"
-	"expertfind/internal/sampling"
 	"expertfind/internal/ta"
 )
 
@@ -257,13 +256,4 @@ func RunCoreSearchComparison(sc Scale, k int, seeds int) []CoreSearchComparison 
 		})
 	}
 	return out
-}
-
-// SamplingStrategyStats exposes the near-vs-random pool statistics for
-// ablation reporting.
-func SamplingStrategyStats(sc Scale, strategy sampling.Strategy) *sampling.Report {
-	ds := dataset.Generate(dataset.AminerSim(sc.Papers))
-	rng := rand.New(rand.NewSource(sc.Seed))
-	_, rep := sampling.Generate(ds.Graph, sampling.Config{Strategy: strategy}, rng)
-	return rep
 }

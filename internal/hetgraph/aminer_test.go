@@ -58,11 +58,11 @@ func TestReadAminerBasic(t *testing.T) {
 	}
 	// Citation 1->2 resolved (despite 2 appearing later); 404 dropped;
 	// the mutual cite 2->1 deduplicated into one undirected edge.
-	if g.NumEdgesOfType(Cite) != 1 {
-		t.Errorf("cite edges = %d, want 1", g.NumEdgesOfType(Cite))
+	if g.edgeCount[Cite] != 1 {
+		t.Errorf("cite edges = %d, want 1", g.edgeCount[Cite])
 	}
 	// Paper 3 has no venue: allowed.
-	if g.Degree(byIndex["3"], Venue) != 0 {
+	if len(g.Neighbors(byIndex["3"], Venue)) != 0 {
 		t.Error("venue invented for paper 3")
 	}
 }

@@ -190,18 +190,11 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// NumEdgesOfType returns the number of undirected edges of type et.
-func (g *Graph) NumEdgesOfType(et EdgeType) int { return g.edgeCount[et] }
-
 // Type returns φ(u).
 func (g *Graph) Type(u NodeID) NodeType { return g.types[u] }
 
 // Label returns L(u).
 func (g *Graph) Label(u NodeID) string { return g.labels[u] }
-
-// SetLabel replaces L(u); generators use it to attach text after wiring
-// structure.
-func (g *Graph) SetLabel(u NodeID, label string) { g.labels[u] = label }
 
 // NodesOfType returns all nodes with type t in insertion order. The
 // returned slice is owned by the graph and must not be modified.
@@ -214,9 +207,6 @@ func (g *Graph) NumNodesOfType(t NodeType) int { return len(g.nodesByType[t]) }
 // order. The returned slice is owned by the graph and must not be modified.
 // For a paper node and t == Author, the order is the paper's author list.
 func (g *Graph) Neighbors(u NodeID, t NodeType) []NodeID { return g.adj[u][t] }
-
-// Degree returns the number of neighbours of u having node type t.
-func (g *Graph) Degree(u NodeID, t NodeType) int { return len(g.adj[u][t]) }
 
 // AuthorsOf returns the ordered author list of a paper (rank 1 first).
 // It panics if p is not a paper.

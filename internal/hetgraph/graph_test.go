@@ -114,10 +114,10 @@ func TestStatsAndCounts(t *testing.T) {
 	if st.Papers != 2 || st.Experts != 1 || st.Venues != 1 || st.Topics != 1 || st.Relations != 5 {
 		t.Errorf("Stats = %+v", st)
 	}
-	if g.NumEdgesOfType(Write) != 2 || g.NumEdgesOfType(Cite) != 1 {
+	if g.edgeCount[Write] != 2 || g.edgeCount[Cite] != 1 {
 		t.Error("per-type edge counts wrong")
 	}
-	if g.Degree(p1, Author) != 1 || g.Degree(a, Paper) != 2 {
+	if len(g.Neighbors(p1, Author)) != 1 || len(g.Neighbors(a, Paper)) != 2 {
 		t.Error("typed degrees wrong")
 	}
 	if len(g.NodesOfType(Paper)) != 2 {
@@ -179,7 +179,7 @@ func TestInducedSubgraph(t *testing.T) {
 		t.Errorf("author order broken: %s, %s", sub.Label(authors[0]), sub.Label(authors[1]))
 	}
 	// P-neighbour structure restricted to kept papers is intact.
-	if d := sub.PDegree(p4, PAP); d != 3 {
+	if d := len(sub.PNeighbors(p4, PAP)); d != 3 {
 		t.Errorf("deg(p4) in subgraph = %d, want 3", d)
 	}
 }

@@ -140,26 +140,3 @@ func (g *Graph) PNeighbors(u NodeID, mp MetaPath) []NodeID {
 	})
 	return out
 }
-
-// PDegree returns deg(u), the number of P-neighbours of u via mp
-// (Definition 5 counts this against k).
-func (g *Graph) PDegree(u NodeID, mp MetaPath) int {
-	n := 0
-	g.ForEachPNeighbor(u, mp, func(NodeID) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// CountPNeighborsUpTo counts P-neighbours of u, stopping once the count
-// reaches limit. The (k,P)-core search uses it to test the k-constraint in
-// O(k)·degree instead of enumerating all neighbours of high-degree hubs.
-func (g *Graph) CountPNeighborsUpTo(u NodeID, mp MetaPath, limit int) int {
-	n := 0
-	g.ForEachPNeighbor(u, mp, func(NodeID) bool {
-		n++
-		return n < limit
-	})
-	return n
-}

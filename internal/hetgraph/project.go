@@ -110,15 +110,6 @@ func (w *pwalker) appendPNeighbors(out []NodeID, u NodeID, mp MetaPath) []NodeID
 // NumNodes returns the number of projected nodes.
 func (h *HomoGraph) NumNodes() int { return len(h.Nodes) }
 
-// NumEdges returns the number of undirected projected edges.
-func (h *HomoGraph) NumEdges() int {
-	n := 0
-	for _, nbrs := range h.Adj {
-		n += len(nbrs)
-	}
-	return n / 2
-}
-
 // Index returns the dense position of node p in Nodes, and whether p is a
 // projected node.
 func (h *HomoGraph) Index(p NodeID) (int, bool) {

@@ -22,9 +22,13 @@ func TestProjectMatchesPNeighbors(t *testing.T) {
 		t.Fatalf("projected %d nodes, want 7", h.NumNodes())
 	}
 	// Undirected edge count: p1-p2, p1-p3, p1-p4, p2-p3, p2-p4, p3-p4,
-	// p4-p5, p5-p6 = 8.
-	if got := h.NumEdges(); got != 8 {
-		t.Errorf("NumEdges = %d, want 8", got)
+	// p4-p5, p5-p6 = 8, each listed from both ends.
+	entries := 0
+	for _, nbrs := range h.Adj {
+		entries += len(nbrs)
+	}
+	if entries != 2*8 {
+		t.Errorf("%d adjacency entries, want 16 (8 undirected edges)", entries)
 	}
 	if _, ok := h.Index(n["p10"]); !ok {
 		t.Error("isolated paper missing from projection")

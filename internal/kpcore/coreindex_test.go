@@ -180,7 +180,7 @@ func TestCoreIndexMatchesSearchOnDatasets(t *testing.T) {
 			var boundary []hetgraph.NodeID
 			for _, c := range want.Core {
 				for _, u := range g.PNeighbors(c, mp) {
-					if !want.InCore(u) && !want.Contains(u) {
+					if !inCore(want, u) && !want.Contains(u) {
 						boundary = append(boundary, u)
 					}
 				}

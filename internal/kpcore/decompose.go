@@ -87,19 +87,6 @@ func Decompose(h *hetgraph.HomoGraph) *Decomposition {
 	return d
 }
 
-// KCore returns all papers with core number >= k, sorted by NodeID: the
-// global (k,P)-core of Definition 5 (all components).
-func (d *Decomposition) KCore(k int) []hetgraph.NodeID {
-	var out []hetgraph.NodeID
-	for p, c := range d.CoreNumber {
-		if c >= k {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // KCoreAround returns the k-core region connected to seed through core
 // nodes, sorted by NodeID: the same community semantics as Algorithm 1 and
 // FastBCore, so the naive-baseline equivalence tests can compare them

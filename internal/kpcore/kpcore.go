@@ -44,12 +44,6 @@ func (c *Community) Contains(p hetgraph.NodeID) bool {
 	return i < len(c.Members) && c.Members[i] == p
 }
 
-// InCore reports whether p is a strict core member.
-func (c *Community) InCore(p hetgraph.NodeID) bool {
-	i := sort.Search(len(c.Core), func(i int) bool { return c.Core[i] >= p })
-	return i < len(c.Core) && c.Core[i] == p
-}
-
 // Search runs Algorithm 1: the optimised (k,P)-core community search with
 // early pruning of unpromising nodes and the community extension around the
 // seed. The strict core it computes equals FastBCore's output (Theorem 1).

@@ -2,6 +2,7 @@ package kpcore
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,6 +10,25 @@ import (
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/hetgraph/testgraph"
 )
+
+// kCore returns the papers whose core number is at least k, sorted: the
+// global (k,P)-core of Definition 5, read off d's core numbers.
+func kCore(d *Decomposition, k int) []hetgraph.NodeID {
+	var out []hetgraph.NodeID
+	for p, c := range d.CoreNumber {
+		if c >= k {
+			out = append(out, p)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// inCore reports whether p is a strict core member of c.
+func inCore(c *Community, p hetgraph.NodeID) bool {
+	_, ok := slices.BinarySearch(c.Core, p)
+	return ok
+}
 
 func asNames(n map[string]hetgraph.NodeID, ids []hetgraph.NodeID) []string {
 	rev := map[hetgraph.NodeID]string{}
@@ -51,7 +71,7 @@ func TestExample4(t *testing.T) {
 	if !com.Contains(n["p5"]) {
 		t.Error("extension lost p5")
 	}
-	if com.InCore(n["p5"]) {
+	if inCore(com, n["p5"]) {
 		t.Error("p5 must not be in the strict core (deg=2 < 3)")
 	}
 	// p5 is pruned during the search but re-admitted by the extension, so
@@ -79,13 +99,13 @@ func TestExample4(t *testing.T) {
 func TestExample3Cores(t *testing.T) {
 	g, n := testgraph.Figure2()
 	d := Decompose(hetgraph.Project(g, hetgraph.PAP))
-	if got := len(d.KCore(0)); got != 10 {
+	if got := len(kCore(d, 0)); got != 10 {
 		t.Errorf("|0-core| = %d, want 10 (all papers, even p10)", got)
 	}
-	if got := len(d.KCore(1)); got != 9 {
+	if got := len(kCore(d, 1)); got != 9 {
 		t.Errorf("|1-core| = %d, want 9 (all but p10)", got)
 	}
-	if got, want := asNames(n, d.KCore(3)), []string{"p1", "p2", "p3", "p4"}; !equalStr(got, want) {
+	if got, want := asNames(n, kCore(d, 3)), []string{"p1", "p2", "p3", "p4"}; !equalStr(got, want) {
 		t.Errorf("3-core = %v, want %v", got, want)
 	}
 }
@@ -265,13 +285,13 @@ func TestTheorem1OnDatasets(t *testing.T) {
 }
 
 func TestDecomposeCoreNumbersMonotone(t *testing.T) {
-	// k-cores must be nested: KCore(k+1) ⊆ KCore(k).
+	// k-cores must be nested: the (k+1)-core is inside the k-core.
 	rng := rand.New(rand.NewSource(11))
 	g := testgraph.Random(rng, 60, 25, 3, 3)
 	d := Decompose(hetgraph.Project(g, hetgraph.PAP))
 	for k := 0; k < 5; k++ {
-		if !subsetIDs(d.KCore(k+1), d.KCore(k)) {
-			t.Fatalf("KCore(%d) not subset of KCore(%d)", k+1, k)
+		if !subsetIDs(kCore(d, k+1), kCore(d, k)) {
+			t.Fatalf("%d-core not inside the %d-core", k+1, k)
 		}
 	}
 }
@@ -285,7 +305,7 @@ func TestDecomposeAgainstPeeling(t *testing.T) {
 	d := Decompose(h)
 	for k := 1; k <= 4; k++ {
 		want := peelAll(h, k)
-		got := d.KCore(k)
+		got := kCore(d, k)
 		if !equalIDs(got, want) {
 			t.Fatalf("k=%d: decomposition %v != peel %v", k, got, want)
 		}

@@ -29,12 +29,12 @@ func TestSearchMultiIntersection(t *testing.T) {
 		ptp := Search(g, s, 2, hetgraph.PTP)
 		// Eq. 8: the common sub-community is the per-path intersection.
 		for _, v := range multi.Core {
-			if !pap.InCore(v) || !ptp.InCore(v) {
+			if !inCore(pap, v) || !inCore(ptp, v) {
 				t.Fatalf("core member %d missing from a per-path core", v)
 			}
 		}
 		for _, v := range pap.Core {
-			if ptp.InCore(v) && !multi.InCore(v) {
+			if inCore(ptp, v) && !inCore(multi, v) {
 				t.Fatalf("intersection lost %d", v)
 			}
 		}

@@ -130,9 +130,6 @@ func (s *Span) TraceIDString() string { return s.traceID.String() }
 // ID returns the span's own id.
 func (s *Span) ID() SpanID { return s.id }
 
-// ParentID returns the id of the span's parent (zero for a true root).
-func (s *Span) ParentID() SpanID { return s.parentID }
-
 // Annotate attaches a key=value attribute to the span. Attributes carry
 // per-instance detail (shard, replica, hedge, round) that must NOT go
 // into the span name, which labels a bounded metric series. Safe after
@@ -203,44 +200,3 @@ func (s *Span) Name() string { return s.name }
 
 // Start returns the span's start time.
 func (s *Span) Start() time.Time { return s.start }
-
-// Duration returns the recorded duration, or the running time if the
-// span has not ended.
-func (s *Span) Duration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.dur
-	}
-	return time.Since(s.start)
-}
-
-// Children returns the directly nested spans, in start order.
-func (s *Span) Children() []*Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
-}
-
-// Child returns the first direct child whose last path segment is name,
-// or nil.
-func (s *Span) Child(name string) *Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.children {
-		if c.name == s.name+"/"+name {
-			return c
-		}
-	}
-	return nil
-}
-
-// ChildrenTotal sums the durations of all direct children — the portion
-// of the span accounted for by named sub-phases.
-func (s *Span) ChildrenTotal() time.Duration {
-	var t time.Duration
-	for _, c := range s.Children() {
-		t += c.Duration()
-	}
-	return t
-}

@@ -24,16 +24,17 @@ func TestSpanHierarchyAndNaming(t *testing.T) {
 		inner.Name() != "build/sampling/positives" {
 		t.Errorf("names: %q %q %q", root.Name(), sampling.Name(), inner.Name())
 	}
-	if len(root.Children()) != 2 {
-		t.Fatalf("root has %d children, want 2", len(root.Children()))
+	tree := root.Tree()
+	if len(tree.Children) != 2 {
+		t.Fatalf("root has %d children, want 2", len(tree.Children))
 	}
-	if root.Child("sampling") != sampling || root.Child("missing") != nil {
-		t.Error("Child lookup broken")
+	if c := tree.Children[0]; c.Name != "sampling" || c.SpanID != sampling.ID().String() {
+		t.Errorf("first child %q (%s), want the sampling span", c.Name, c.SpanID)
 	}
-	if root.Duration() < sampling.Duration() {
+	if tree.DurationNano < tree.Children[0].DurationNano {
 		t.Error("parent shorter than child")
 	}
-	if root.ChildrenTotal() > root.Duration() {
+	if childrenTotal(tree) > tree.DurationNano {
 		t.Error("children total exceeds parent duration")
 	}
 
@@ -80,16 +81,27 @@ func TestSpanDurationsSumConsistency(t *testing.T) {
 		s.End()
 	}
 	total := root.End()
-	if sum := root.ChildrenTotal(); total < sum {
+	tree := root.Tree()
+	if sum := time.Duration(childrenTotal(tree)); total < sum {
 		t.Errorf("total %v < children sum %v", total, sum)
 	}
 	var names []string
-	for _, c := range root.Children() {
-		names = append(names, c.Name())
+	for _, c := range tree.Children {
+		names = append(names, c.Name)
 	}
-	if got := strings.Join(names, ","); got != "query/encode,query/retrieve,query/rank" {
+	if got := strings.Join(names, ","); got != "encode,retrieve,rank" {
 		t.Errorf("children order: %s", got)
 	}
+}
+
+// childrenTotal sums the durations of n's direct children: the part of
+// the span its named sub-phases account for.
+func childrenTotal(n SpanNode) int64 {
+	var t int64
+	for _, c := range n.Children {
+		t += c.DurationNano
+	}
+	return t
 }
 
 // TestSpanTraceIDString: every span of a trace reports the root's trace

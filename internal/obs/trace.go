@@ -249,20 +249,6 @@ func (n SpanNode) HasAttr(key string) bool {
 	return false
 }
 
-// Find returns the first node (pre-order) whose short name matches, or
-// nil.
-func (n *SpanNode) Find(name string) *SpanNode {
-	if n.Name == name {
-		return n
-	}
-	for i := range n.Children {
-		if f := n.Children[i].Find(name); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
 // TraceCapture receives the root span of work done under a context — how
 // the serve middleware gets hold of the span tree the engine builds and
 // ends internally, without wrapping queries in an extra span (which

@@ -41,15 +41,15 @@ func TestTraceSpanIdentity(t *testing.T) {
 	if root.TraceID().IsZero() || root.ID().IsZero() {
 		t.Fatal("root span missing trace or span id")
 	}
-	if !root.ParentID().IsZero() {
-		t.Fatalf("fresh root has parent %s", root.ParentID())
+	if !root.parentID.IsZero() {
+		t.Fatalf("fresh root has parent %s", root.parentID)
 	}
 	_, child := StartSpan(ctx, "encode")
 	if child.TraceID() != root.TraceID() {
 		t.Fatalf("child trace %s != root trace %s", child.TraceID(), root.TraceID())
 	}
-	if child.ParentID() != root.ID() {
-		t.Fatalf("child parent %s != root id %s", child.ParentID(), root.ID())
+	if child.parentID != root.ID() {
+		t.Fatalf("child parent %s != root id %s", child.parentID, root.ID())
 	}
 	if child.ID() == root.ID() {
 		t.Fatal("child reused root span id")
@@ -63,8 +63,8 @@ func TestTraceRemoteJoin(t *testing.T) {
 	if root.TraceID() != remote.Trace {
 		t.Fatalf("root trace %s, want remote %s", root.TraceID(), remote.Trace)
 	}
-	if root.ParentID() != remote.Span {
-		t.Fatalf("root parent %s, want remote span %s", root.ParentID(), remote.Span)
+	if root.parentID != remote.Span {
+		t.Fatalf("root parent %s, want remote span %s", root.parentID, remote.Span)
 	}
 }
 
@@ -164,12 +164,6 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 	if !tree.HasAttr("shard") {
 		t.Fatal("HasAttr failed to find grafted attr")
-	}
-	if tree.Find("rank") == nil || tree.Find("shard_experts") == nil {
-		t.Fatal("Find failed on exported tree")
-	}
-	if tree.Find("nope") != nil {
-		t.Fatal("Find invented a node")
 	}
 	// Exported trees must round-trip through JSON (wire envelope).
 	b, err := json.Marshal(tree)

@@ -486,27 +486,10 @@ func BruteForce(embs map[hetgraph.NodeID]vec.Vec32, query vec.Vec32, m int) []Re
 // Len returns the number of indexed papers.
 func (idx *Index) Len() int { return len(idx.ids) }
 
-// NavigatingNode returns the entry paper of the index.
-func (idx *Index) NavigatingNode() hetgraph.NodeID { return idx.ids[idx.nav] }
-
 // row returns the dense row of paper p and whether p is indexed.
 func (idx *Index) row(p hetgraph.NodeID) (int32, bool) {
 	i, ok := slices.BinarySearch(idx.ids, p)
 	return int32(i), ok
-}
-
-// Neighbors returns the refined out-neighbours of paper p, for tests and
-// diagnostics.
-func (idx *Index) Neighbors(p hetgraph.NodeID) []hetgraph.NodeID {
-	i, ok := idx.row(p)
-	if !ok || !idx.graph {
-		return nil
-	}
-	out := make([]hetgraph.NodeID, len(idx.nbrs[i]))
-	for j, nb := range idx.nbrs[i] {
-		out[j] = idx.ids[nb]
-	}
-	return out
 }
 
 // NumEdges returns the total number of directed proximity edges, the

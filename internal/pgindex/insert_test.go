@@ -2,6 +2,7 @@ package pgindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"expertfind/internal/hetgraph"
@@ -13,8 +14,8 @@ func TestInsertIntoEmptyIndex(t *testing.T) {
 	if err := idx.Insert(5, vec.Vec32{1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Len() != 1 || idx.NavigatingNode() != 5 {
-		t.Fatalf("empty-insert state: len %d, nav %d", idx.Len(), idx.NavigatingNode())
+	if idx.Len() != 1 || navOf(idx) != 5 {
+		t.Fatalf("empty-insert state: len %d, nav %d", idx.Len(), navOf(idx))
 	}
 	res, _ := idx.Search(vec.Vec32{1, 0}, 1, 0)
 	if len(res) != 1 || res[0].ID != 5 {
@@ -106,7 +107,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 	idx := build(embs, Config{Refine: true, Seed: 2})
 
 	loaded := reload(t, idx)
-	if loaded.Len() != idx.Len() || loaded.NavigatingNode() != idx.NavigatingNode() ||
+	if loaded.Len() != idx.Len() || navOf(loaded) != navOf(idx) ||
 		loaded.NumEdges() != idx.NumEdges() {
 		t.Fatal("shape changed after round trip")
 	}
@@ -125,7 +126,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// A loaded index accepts inserts.
-	if err := loaded.Insert(hetgraph.NodeID(5000), embs[loaded.NavigatingNode()].Clone()); err != nil {
+	if err := loaded.Insert(hetgraph.NodeID(5000), slices.Clone(embs[navOf(loaded)])); err != nil {
 		t.Fatal(err)
 	}
 }

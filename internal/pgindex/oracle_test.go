@@ -3,6 +3,7 @@ package pgindex
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestSearchTieOrderMatchesBruteForce(t *testing.T) {
 	}
 	// Ten copies of each prototype, interleaved IDs.
 	for i := 0; i < 50; i++ {
-		embs[hetgraph.NodeID(i)] = proto[i%5].Clone()
+		embs[hetgraph.NodeID(i)] = slices.Clone(proto[i%5])
 	}
 	idx := build(embs, Config{Refine: true, Seed: 2})
 	for p := 0; p < 5; p++ {
@@ -71,7 +72,7 @@ func TestSearchPoolIsCanonicalUnderTies(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			embs[hetgraph.NodeID(i)] = draw()
 			if i%2 == 1 {
-				embs[hetgraph.NodeID(i)] = proto[rng.Intn(3)].Clone()
+				embs[hetgraph.NodeID(i)] = slices.Clone(proto[rng.Intn(3)])
 			}
 		}
 		idx := build(embs, Config{Refine: true, Seed: seed})
@@ -165,7 +166,7 @@ func TestSearchMatchesCanonicalWalk(t *testing.T) {
 		idx := build(embs, Config{Refine: true, Seed: 4})
 		n := idx.Len()
 		for q := 0; q < 12; q++ {
-			query := embs[hetgraph.NodeID(rng.Intn(n))].Clone()
+			query := slices.Clone(embs[hetgraph.NodeID(rng.Intn(n))])
 			for j := range query {
 				query[j] += float32(rng.NormFloat64() * 0.05)
 			}
@@ -236,7 +237,7 @@ func TestExhaustiveSearchMatchesBruteForce(t *testing.T) {
 	embs := randomEmbeddings(rng, 90, 12)
 	idx := build(embs, Config{Refine: true, Seed: 6})
 	for q := 0; q < 15; q++ {
-		query := embs[hetgraph.NodeID(rng.Intn(len(embs)))].Clone()
+		query := slices.Clone(embs[hetgraph.NodeID(rng.Intn(len(embs)))])
 		for j := range query {
 			query[j] += float32(rng.NormFloat64() * 0.1)
 		}

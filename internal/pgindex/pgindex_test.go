@@ -10,6 +10,23 @@ import (
 	"expertfind/internal/vec"
 )
 
+// navOf returns the index's navigating paper, read through Columns.
+func navOf(idx *Index) hetgraph.NodeID {
+	c := idx.Columns()
+	return c.IDs[c.Nav]
+}
+
+// neighborsOf returns p's refined out-neighbours as paper ids, read from
+// the CSR adjacency of c.
+func neighborsOf(c Columns, p hetgraph.NodeID) []hetgraph.NodeID {
+	i, _ := slices.BinarySearch(c.IDs, p)
+	var out []hetgraph.NodeID
+	for _, nb := range c.NbrDat[c.NbrOff[i]:c.NbrOff[i+1]] {
+		out = append(out, c.IDs[nb])
+	}
+	return out
+}
+
 func randomEmbeddings(rng *rand.Rand, n, d int) map[hetgraph.NodeID]vec.Vec32 {
 	out := make(map[hetgraph.NodeID]vec.Vec32, n)
 	for i := 0; i < n; i++ {
@@ -55,7 +72,7 @@ func clusteredEmbeddings(rng *rand.Rand, clusters, perCluster, d int) map[hetgra
 		}
 		center.Normalize()
 		for p := 0; p < perCluster; p++ {
-			v := center.Clone()
+			v := slices.Clone(center)
 			for j := range v {
 				v[j] += float32(rng.NormFloat64() * 0.01)
 			}
@@ -165,18 +182,19 @@ func TestBuildProperties(t *testing.T) {
 	// Navigating node is the paper closest to the centroid.
 	centroid := vec.New32(8)
 	for _, e := range embs {
-		centroid.Add(e)
+		centroid.Axpy(1, e)
 	}
 	centroid.Scale(1 / float32(len(embs)))
 	best := BruteForce(embs, centroid, 1)[0].ID
-	if idx.NavigatingNode() != best {
-		t.Errorf("navigating node %d, want %d", idx.NavigatingNode(), best)
+	if navOf(idx) != best {
+		t.Errorf("navigating node %d, want %d", navOf(idx), best)
 	}
 	// Degree cap respected (plus at most a few repair edges).
 	cfg := Config{Refine: true}.withDefaults()
+	cols := idx.Columns()
 	for i := 0; i < 150; i++ {
 		p := hetgraph.NodeID(i)
-		if d := len(idx.Neighbors(p)); d > 2*cfg.K+4 {
+		if d := len(neighborsOf(cols, p)); d > 2*cfg.K+4 {
 			t.Errorf("paper %d degree %d exceeds cap %d", p, d, 2*cfg.K)
 		}
 	}
@@ -214,7 +232,7 @@ func TestSearchRecallOnClusters(t *testing.T) {
 	const m = 15
 	queries := 20
 	for i := 0; i < queries; i++ {
-		q := embs[hetgraph.NodeID(rng.Intn(len(embs)))].Clone()
+		q := slices.Clone(embs[hetgraph.NodeID(rng.Intn(len(embs)))])
 		for j := range q {
 			q[j] += float32(rng.NormFloat64() * 0.02)
 		}
@@ -276,7 +294,7 @@ func TestRefineOcclusionRule(t *testing.T) {
 		0: {0}, 1: {1}, 2: {2.5},
 	}
 	idx := build(embs, Config{K: 2, Refine: true, Seed: 1})
-	n0 := idx.Neighbors(0)
+	n0 := neighborsOf(idx.Columns(), 0)
 	for _, nb := range n0 {
 		if nb == 2 {
 			t.Errorf("occluded neighbour kept: %v", n0)
@@ -304,19 +322,14 @@ func TestBuildDeterministic(t *testing.T) {
 	embs := randomEmbeddings(rng, 80, 8)
 	a := build(embs, Config{Refine: true, Seed: 5})
 	b := build(embs, Config{Refine: true, Seed: 5})
-	if a.NumEdges() != b.NumEdges() || a.NavigatingNode() != b.NavigatingNode() {
+	if a.NumEdges() != b.NumEdges() || navOf(a) != navOf(b) {
 		t.Fatal("builds with same seed differ")
 	}
+	ca, cb := a.Columns(), b.Columns()
 	for i := 0; i < 80; i++ {
 		p := hetgraph.NodeID(i)
-		na, nb := a.Neighbors(p), b.Neighbors(p)
-		if len(na) != len(nb) {
+		if !slices.Equal(neighborsOf(ca, p), neighborsOf(cb, p)) {
 			t.Fatalf("paper %d adjacency differs", p)
-		}
-		for j := range na {
-			if na[j] != nb[j] {
-				t.Fatalf("paper %d adjacency differs", p)
-			}
 		}
 	}
 }
@@ -347,7 +360,7 @@ func BenchmarkSearch(b *testing.B) {
 	idx := build(embs, DefaultConfig())
 	queries := make([]vec.Vec32, 64)
 	for i := range queries {
-		q := embs[hetgraph.NodeID(rng.Intn(len(embs)))].Clone()
+		q := slices.Clone(embs[hetgraph.NodeID(rng.Intn(len(embs)))])
 		for j := range q {
 			q[j] += float32(rng.NormFloat64() * 0.02)
 		}

@@ -37,7 +37,7 @@ func scanCorpus(seed int64, n, dim int, grid bool) ([]hetgraph.NodeID, *vec.Matr
 			continue
 		}
 		for j := 0; j < dim; j++ {
-			rows.Set(i, j, draw())
+			rows.Row(i)[j] = draw()
 		}
 	}
 	q := vec.New32(dim)

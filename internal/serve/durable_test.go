@@ -202,7 +202,7 @@ func TestGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("shutdown did not complete")
 	}
-	if s.Ready() {
+	if s.ready.Load() {
 		t.Fatal("readiness not flipped off during drain")
 	}
 }

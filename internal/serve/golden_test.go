@@ -61,6 +61,9 @@ func TestGoldenQueryScript(t *testing.T) {
 	counter := func(name string) int {
 		return int(reg.Counter(name, "").Value())
 	}
+	entries := func() int {
+		return int(reg.Gauge("expertfind_qcache_entries", "").Value())
+	}
 
 	// 1. Cold query: a miss that fills the cache.
 	first := experts(query, 40, 5)
@@ -97,6 +100,9 @@ func TestGoldenQueryScript(t *testing.T) {
 	if rec5.Body.String() != rec6.Body.String() {
 		t.Fatal("steps 5/6: papers hit differs from miss")
 	}
+	if n := entries(); n != 3 {
+		t.Fatalf("steps 1-6: %d entries resident, want 3 (m=40, m=41, /papers)", n)
+	}
 
 	// 7. An update invalidates everything.
 	if _, err := e.AddPaper(core.NewPaper{
@@ -105,8 +111,8 @@ func TestGoldenQueryScript(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if e.QueryCacheLen() != 0 {
-		t.Fatalf("step 7: %d entries survived the update", e.QueryCacheLen())
+	if n := entries(); n != 0 {
+		t.Fatalf("step 7: %d entries survived the update", n)
 	}
 
 	// 8. Post-update repeat of step 1: a miss again.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func startMmapFollower(t *testing.T, leaderURL string, mode colstore.Mode) *repl
 	g := dataset.Generate(dataset.AminerSim(replCorpus)).Graph
 	reg := obs.NewRegistry()
 	fo, err := core.OpenFollower(t.TempDir(), g, leaderURL, core.FollowerOptions{
-		ID: "mmap-follower-" + mode.String(), PollInterval: 10 * time.Millisecond,
+		ID: "mmap-follower-" + strconv.Itoa(int(mode)), PollInterval: 10 * time.Millisecond,
 		Mmap: mode, Metrics: reg,
 	})
 	if err != nil {

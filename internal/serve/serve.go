@@ -138,9 +138,6 @@ func (s *Server) AllowWrites() { s.denyWrites.Store(nil) }
 // and back to false when shutdown begins.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Ready reports the current /readyz state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // Registry returns the metrics registry the server records into.
 func (s *Server) Registry() *obs.Registry { return s.metrics.Reg }
 

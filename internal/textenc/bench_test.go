@@ -52,7 +52,7 @@ func BenchmarkPretrainTokens(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := base.Clone()
+		e := cloneEncoder(base)
 		b.StartTimer()
 		PretrainTokens(e, docs)
 	}

@@ -27,9 +27,9 @@ import (
 //
 // The table is stored in float32 (one contiguous Matrix32): serving-path
 // encodes pool rows with the float32 kernels, while the trainer pools
-// through EncodeTokensRaw64 in float64 so gradient checks keep full
-// precision. Rows are initialised from float64 draws rounded once, so the
-// table is independent of which path reads it.
+// them in float64 so gradient checks keep full precision. Rows are
+// initialised from float64 draws rounded once, so the table is
+// independent of which path reads it.
 type Encoder struct {
 	vocab *Vocab
 	tok   *Tokenizer
@@ -382,21 +382,6 @@ func (e *Encoder) pool(dst vec.Vec32, ids []TokenID, ws []float64) []float64 {
 	return ws
 }
 
-// EncodeTokensRaw64 pools the float32 rows with float64 accumulation and
-// no final normalisation — the trainer's forward pass, where the numerical
-// gradient check needs more resolution than float32 partial sums give.
-func (e *Encoder) EncodeTokensRaw64(ids []TokenID) vec.Vector {
-	out := vec.New(e.Dim)
-	if len(ids) == 0 {
-		return out
-	}
-	ws := e.PoolWeights(ids)
-	for i, id := range ids {
-		vec.AxpyInto64(out, ws[i], e.Emb.Row(int(id)))
-	}
-	return out
-}
-
 // PoolWeights returns the normalised per-token weights mean pooling applies
 // to ids — the same coefficients the trainer uses to route the document
 // gradient back into individual embedding rows (∂v_p/∂Θ_B rows).
@@ -427,18 +412,6 @@ func (e *Encoder) poolWeights(ws []float64, ids []TokenID) []float64 {
 	}
 	return ws
 }
-
-// Clone returns a deep copy of the encoder sharing the vocabulary but with
-// an independent embedding table, so fine-tuning one copy leaves the
-// pre-trained encoder intact (the "w/o (k,P)-core" ablation needs both).
-func (e *Encoder) Clone() *Encoder {
-	c := *e
-	c.Emb = e.Emb.Clone()
-	return &c
-}
-
-// NumParameters returns the number of trainable parameters in Θ_B.
-func (e *Encoder) NumParameters() int { return len(e.Emb.Data) }
 
 // NewEncoderWithTable builds an encoder over v whose embedding table is
 // the given row-major weight data (vocab.Size() x dim) — the restore path

@@ -1,6 +1,9 @@
 package textenc
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestVocabRoundTripViaTokens(t *testing.T) {
 	orig := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
@@ -54,7 +57,7 @@ func TestNewVocabFromTokensValidation(t *testing.T) {
 func TestNewEncoderWithTable(t *testing.T) {
 	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
 	orig := NewEncoder(v, 8, 3)
-	data := orig.Emb.Clone().Data
+	data := slices.Clone(orig.Emb.Data)
 	re, err := NewEncoderWithTable(v, 8, data)
 	if err != nil {
 		t.Fatal(err)

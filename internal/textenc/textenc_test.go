@@ -3,9 +3,12 @@ package textenc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"expertfind/internal/vec"
 )
 
 func TestSplitWords(t *testing.T) {
@@ -166,6 +169,17 @@ func TestEncodeNormalized(t *testing.T) {
 	}
 }
 
+// cosine is the cosine similarity of a and b, in float64.
+func cosine(a, b vec.Vec32) float64 { return a.Float64().Cosine(b.Float64()) }
+
+// cloneEncoder copies e with an independent embedding table, so a run
+// that trains one copy leaves the other as it was.
+func cloneEncoder(e *Encoder) *Encoder {
+	c := *e
+	c.Emb = &vec.Matrix32{Rows: e.Emb.Rows, Cols: e.Emb.Cols, Data: slices.Clone(e.Emb.Data)}
+	return &c
+}
+
 func TestMorphologicalVariantsCloserThanUnrelated(t *testing.T) {
 	// The FastText-style init must place stem variants closer than
 	// unrelated words.
@@ -173,8 +187,8 @@ func TestMorphologicalVariantsCloserThanUnrelated(t *testing.T) {
 	a := SurfaceVector(d, "clustering", 7)
 	b := SurfaceVector(d, "clusterization", 7)
 	c := SurfaceVector(d, "photosynthesis", 7)
-	if a.Cosine(b) <= a.Cosine(c) {
-		t.Errorf("cos(variants)=%v <= cos(unrelated)=%v", a.Cosine(b), a.Cosine(c))
+	if cosine(a, b) <= cosine(a, c) {
+		t.Errorf("cos(variants)=%v <= cos(unrelated)=%v", cosine(a, b), cosine(a, c))
 	}
 }
 
@@ -199,9 +213,9 @@ func TestPretrainDistributionalPullsCooccurringTokens(t *testing.T) {
 	alpha := e.Emb.Row(int(id("alphaone")))
 	beta := e.Emb.Row(int(id("betaone")))
 	gamma := e.Emb.Row(int(id("gammaone")))
-	if alpha.Cosine(beta) <= alpha.Cosine(gamma) {
+	if cosine(alpha, beta) <= cosine(alpha, gamma) {
 		t.Errorf("cooccurring cos=%v <= non-cooccurring cos=%v",
-			alpha.Cosine(beta), alpha.Cosine(gamma))
+			cosine(alpha, beta), cosine(alpha, gamma))
 	}
 }
 
@@ -227,19 +241,6 @@ func TestPoolWeightsSumToOne(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCloneIsolatesTable(t *testing.T) {
-	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
-	e := NewEncoder(v, 8, 7)
-	c := e.Clone()
-	c.Emb.Data[0] += 5
-	if e.Emb.Data[0] == c.Emb.Data[0] {
-		t.Error("Clone shares the embedding table")
-	}
-	if e.NumParameters() != v.Size()*8 {
-		t.Errorf("NumParameters = %d", e.NumParameters())
 	}
 }
 

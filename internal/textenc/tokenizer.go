@@ -19,9 +19,6 @@ func NewTokenizer(v *Vocab) *Tokenizer {
 	return &Tokenizer{vocab: v, maxLen: MaxSequenceLength}
 }
 
-// Vocab returns the tokenizer's vocabulary.
-func (t *Tokenizer) Vocab() *Vocab { return t.vocab }
-
 // Tokenize splits text into words and segments each word into vocabulary
 // tokens: a whole-word token if present, otherwise greedy longest-match
 // pieces with "##" continuations, falling back to UnknownToken for

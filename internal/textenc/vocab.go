@@ -61,22 +61,25 @@ func DefaultVocabConfig() VocabConfig {
 	return VocabConfig{MaxWords: 20000, MaxSubwords: 4000, MinWordFreq: 2}
 }
 
-// BuildVocab induces a vocabulary from the corpus: the most frequent words
-// become whole-word tokens; character pieces (prefix pieces and
-// "##"-continuations of length 1-4 from all words) fill the subword budget
-// so any word segments greedily without hitting UnknownToken in practice.
-// It is BuildVocabTokens without the token lists.
+// BuildVocab is BuildVocabTokens without the token lists.
+//
+// Deprecated: build the vocabulary with BuildVocabTokens, as the engine
+// and the experiments do. BuildVocab is kept for bench/'s replay of a
+// build; ROADMAP item 1(a) deletes it.
 func BuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 	v, _ := BuildVocabTokens(corpus, cfg)
 	return v
 }
 
-// BuildVocabTokens is BuildVocab that also returns every document's
-// tokens, docs[d] equal to Tokenize(corpus[d]) under the vocabulary's
-// tokenizer (truncated at MaxSequenceLength), from the one scan of the
-// corpus the vocabulary is induced from. A build hands the lists to
-// PretrainTokens and the trainer's token cache, so no text is tokenised
-// twice.
+// BuildVocabTokens induces a vocabulary from the corpus: the most frequent
+// words become whole-word tokens; character pieces (prefix pieces and
+// "##"-continuations of length 1-4 from all words) fill the subword budget
+// so any word segments greedily without hitting UnknownToken in practice.
+// It also returns every document's tokens, docs[d] equal to
+// Tokenize(corpus[d]) under the vocabulary's tokenizer (truncated at
+// MaxSequenceLength), from the one scan of the corpus the vocabulary is
+// induced from. A build hands the lists to PretrainTokens and the
+// trainer's token cache, so no text is tokenised twice.
 func BuildVocabTokens(corpus []string, cfg VocabConfig) (v *Vocab, docs [][]TokenID) {
 	if cfg.MaxWords <= 0 {
 		cfg.MaxWords = DefaultVocabConfig().MaxWords

@@ -29,7 +29,7 @@ func BenchmarkFineTune(b *testing.B) {
 	var steps int
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		enc := base.Clone()
+		enc := cloneEncoder(b, base)
 		b.StartTimer()
 		steps += FineTune(enc, cache, triples, Config{}, rand.New(rand.NewSource(2))).Steps
 	}

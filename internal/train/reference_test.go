@@ -102,9 +102,9 @@ func refBatchGradients(enc *textenc.Encoder, cache TokenCache, triples []samplin
 func refTripleGradient(enc *textenc.Encoder, cache TokenCache, t sampling.Triple,
 	grads map[textenc.TokenID]vec.Vector) float64 {
 	sTok, pTok, nTok := cache[t.Seed], cache[t.Pos], cache[t.Neg]
-	us := enc.EncodeTokensRaw64(sTok)
-	up := enc.EncodeTokensRaw64(pTok)
-	un := enc.EncodeTokensRaw64(nTok)
+	us := encodeRaw64(enc, sTok)
+	up := encodeRaw64(enc, pTok)
+	un := encodeRaw64(enc, nTok)
 	vs, nvs := refNormalized(us)
 	vp, nvp := refNormalized(up)
 	vn, nvn := refNormalized(un)
@@ -235,7 +235,7 @@ func TestFineTuneMatchesReference(t *testing.T) {
 		base := textenc.NewEncoder(fixed.Vocab(), dim, 7)
 		for _, batch := range []int{1, 5, 9, 64, 100} {
 			cfg := Config{Epochs: 3, BatchSize: batch}
-			got, want := base.Clone(), base.Clone()
+			got, want := cloneEncoder(t, base), cloneEncoder(t, base)
 			gotRes, gotOpt := fineTune(got, cache, triples, cfg, rand.New(rand.NewSource(3)))
 			wantRes, wantOpt := refFineTune(want, cache, triples, cfg, rand.New(rand.NewSource(3)))
 			if wantRes.Steps == 0 {

@@ -288,9 +288,9 @@ func newWorker(enc *textenc.Encoder, cache TokenCache, weights map[hetgraph.Node
 	return w
 }
 
-// forward pools paper p as Encoder.EncodeTokensRaw64 does — the float32
-// table in float64, because the finite-difference gradient check needs
-// loss resolution float32 partial sums cannot provide — and normalises as
+// forward pools paper p's float32 rows in float64 with the weights of
+// Encoder.PoolWeights, because the finite-difference gradient check needs
+// loss resolution float32 partial sums cannot provide, and normalises as
 // Encoder.EncodeTokens does.
 func (w *worker) forward(d *pooledDoc, p hetgraph.NodeID) {
 	d.toks, d.ws = w.cache[p], w.weights[p]

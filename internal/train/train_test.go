@@ -111,8 +111,8 @@ func TestFineTuneLossDecreases(t *testing.T) {
 func TestFineTuneDeterministic(t *testing.T) {
 	g, enc, cache := fixture(t)
 	triples := someTriples(g, 60)
-	e1 := enc.Clone()
-	e2 := enc.Clone()
+	e1 := cloneEncoder(t, enc)
+	e2 := cloneEncoder(t, enc)
 	FineTune(e1, cache, triples, Config{Epochs: 2}, rand.New(rand.NewSource(3)))
 	FineTune(e2, cache, triples, Config{Epochs: 2}, rand.New(rand.NewSource(3)))
 	for i := range e1.Emb.Data {
@@ -150,7 +150,7 @@ func TestTripleGradientNumerical(t *testing.T) {
 	const margin = 1.0
 
 	// The loss is recomputed through the trainer's float64 forward path
-	// (EncodeTokensRaw64): finite differences need more resolution than the
+	// (encodeRaw64): finite differences need more resolution than the
 	// float32 serving encode provides.
 	loss := func() float64 { return tripleLoss64(enc, cache, tr, margin) }
 	if loss() == 0 {
@@ -191,19 +191,39 @@ func TestTripleGradientNumerical(t *testing.T) {
 	}
 }
 
+// encodeRaw64 pools enc's float32 rows for ids with float64 accumulation
+// and no normalisation: the trainer's forward pass.
+func encodeRaw64(enc *textenc.Encoder, ids []textenc.TokenID) vec.Vector {
+	out := vec.New(enc.Dim)
+	for i, w := range enc.PoolWeights(ids) {
+		vec.AxpyInto64(out, w, enc.Emb.Row(int(ids[i])))
+	}
+	return out
+}
+
+// cloneEncoder copies enc with an independent embedding table, so two
+// runs can start from the same weights.
+func cloneEncoder(tb testing.TB, enc *textenc.Encoder) *textenc.Encoder {
+	c, err := textenc.NewEncoderWithTable(enc.Vocab(), enc.Dim, slices.Clone(enc.Emb.Data))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // tripleLoss64 recomputes the triplet loss exactly as tripleGradient's
 // forward pass does: float64 pooling over the float32 table, float64
 // normalisation.
 func tripleLoss64(enc *textenc.Encoder, cache TokenCache, tr sampling.Triple, margin float64) float64 {
 	norm := func(ids []textenc.TokenID) vec.Vector {
-		u := enc.EncodeTokensRaw64(ids)
+		u := encodeRaw64(enc, ids)
 		if n := u.Norm(); n != 0 {
 			u.Scale(1 / n)
 		}
 		return u
 	}
 	vs, vp, vn := norm(cache[tr.Seed]), norm(cache[tr.Pos]), norm(cache[tr.Neg])
-	l := vs.L2(vp) - vs.L2(vn) + margin
+	l := math.Sqrt(vs.L2Sq(vp)) - math.Sqrt(vs.L2Sq(vn)) + margin
 	if l < 0 {
 		return 0
 	}

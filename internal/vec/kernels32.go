@@ -153,16 +153,6 @@ func L232(a, b []float32) float64 { return sqrtNonNeg(float64(L2Sq32(a, b))) }
 // Norm32 returns the Euclidean norm of a, via Dot32(a, a).
 func Norm32(a []float32) float64 { return sqrtNonNeg(float64(Dot32(a, a))) }
 
-// Cosine32 returns the cosine similarity between a and b in [-1, 1],
-// with the zero-vector convention of Vector.Cosine (similarity 0).
-func Cosine32(a, b []float32) float32 {
-	na, nb := Norm32(a), Norm32(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return float32(float64(Dot32(a, b)) / (na * nb))
-}
-
 // Axpy32 sets dst = dst + alpha*x element-wise. Every element is updated
 // independently, so no accumulation-order caveat applies. It panics if
 // lengths differ.

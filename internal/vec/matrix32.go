@@ -1,14 +1,12 @@
 package vec
 
-import "math/rand"
-
 // Matrix32 is a dense row-major float32 matrix backed by one contiguous
 // allocation — no per-row slice headers, no pointer chasing. It is the
 // storage type of the PG-Index embedding block and the encoder's token
 // table: row views share the backing array, so handing a row to a caller
 // costs nothing, and a full-matrix scan walks memory linearly.
 //
-// Like Matrix, the accessors (Row, At, Set) panic on misuse.
+// Like Matrix, Row and the constructors panic on misuse.
 type Matrix32 struct {
 	Rows, Cols int
 	Data       []float32
@@ -36,19 +34,6 @@ func (m *Matrix32) Row(i int) Vec32 {
 	return Vec32(m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols])
 }
 
-// At returns the element at (i, j). Unchecked for speed.
-func (m *Matrix32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j). Unchecked for speed.
-func (m *Matrix32) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix32) Clone() *Matrix32 {
-	c := NewMatrix32(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // AppendRow grows the matrix by one row, copying v. Existing row views
 // keep pointing at the previous backing array if growth reallocates; rows
 // are treated as immutable by every user of Matrix32, so stale views stay
@@ -59,14 +44,6 @@ func (m *Matrix32) AppendRow(v []float32) {
 	}
 	m.Data = append(m.Data, v...)
 	m.Rows++
-}
-
-// FillGaussian fills m with N(0, sigma²) samples from rng, drawn in
-// float64 and rounded once — the same stream a float64 Matrix would see.
-func (m *Matrix32) FillGaussian(rng *rand.Rand, sigma float64) {
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64() * sigma)
-	}
 }
 
 // Matrix32Of wraps row-major data as a rows x cols matrix without copying

@@ -90,8 +90,8 @@ func TestMatrix32AppendRowAndConvert(t *testing.T) {
 	m := NewMatrix32(0, 3)
 	m.AppendRow([]float32{1, 2, 3})
 	m.AppendRow([]float32{4, 5, 6})
-	if m.Rows != 2 || m.At(1, 2) != 6 {
-		t.Fatalf("AppendRow built %dx%d with At(1,2)=%v", m.Rows, m.Cols, m.At(1, 2))
+	if m.Rows != 2 || m.Row(1)[2] != 6 {
+		t.Fatalf("AppendRow built %dx%d with [1][2]=%v", m.Rows, m.Cols, m.Row(1)[2])
 	}
 	if _, ok := panicValue(func() { m.AppendRow([]float32{1}) }).(*ShapeError); !ok {
 		t.Error("AppendRow with wrong width did not panic with *ShapeError")
@@ -110,11 +110,5 @@ func TestMatrix32AppendRowAndConvert(t *testing.T) {
 	}
 	if _, err := Matrix32Of(-1, 2, nil); err == nil {
 		t.Error("Matrix32Of with negative rows returned nil error")
-	}
-
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) == 99 {
-		t.Error("Clone shares storage")
 	}
 }

@@ -59,7 +59,7 @@ func TestConstructorBoundaryShapes(t *testing.T) {
 	if _, err := Matrix32Of(2, 3, make([]float32, 5)); !errors.As(err, &se) {
 		t.Errorf("Matrix32Of length mismatch: got %v, want *ShapeError", err)
 	}
-	if m, err := Matrix32Of(2, 2, []float32{1, 2, 3, 4}); err != nil || m.At(1, 1) != 4 {
+	if m, err := Matrix32Of(2, 2, []float32{1, 2, 3, 4}); err != nil || m.Row(1)[1] != 4 {
 		t.Errorf("Matrix32Of valid: %v", err)
 	}
 }

@@ -43,10 +43,6 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm returns the Euclidean (L2) norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// L2 returns the Euclidean distance between v and w, the distance measure δ
-// used throughout the paper (triplet loss, PG-Index edges, query search).
-func (v Vector) L2(w Vector) float64 { return math.Sqrt(v.L2Sq(w)) }
-
 // L2Sq returns the squared Euclidean distance between v and w. It is the
 // form used in inner loops where only distance comparisons matter, avoiding
 // the square root.

@@ -6,27 +6,17 @@ import (
 )
 
 // Vec32 is a dense float32 vector — the storage type of document
-// representations throughout the online system. It mirrors Vector's
-// method set on top of the unrolled kernels of kernels32.go; callers may
-// index and slice a Vec32 directly, exactly as with Vector.
+// representations throughout the online system. Its methods run on the
+// unrolled kernels of kernels32.go; callers may index and slice a Vec32
+// directly, exactly as with Vector.
 type Vec32 []float32
 
 // New32 returns a zero float32 vector of dimension d.
 func New32(d int) Vec32 { return make(Vec32, d) }
 
-// ToVec32 converts a float64 vector to float32, rounding each component
-// once (round-to-nearest-even).
-func ToVec32(v Vector) Vec32 {
-	out := make(Vec32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
-}
-
 // Float64 converts v to a float64 Vector. Every float32 value is exactly
-// representable in float64, so the conversion is lossless and
-// ToVec32(v.Float64()) reproduces v bit for bit.
+// representable in float64, so the conversion is lossless: rounding each
+// component back to float32 reproduces v bit for bit.
 func (v Vec32) Float64() Vector {
 	out := make(Vector, len(v))
 	for i, x := range v {
@@ -35,54 +25,14 @@ func (v Vec32) Float64() Vector {
 	return out
 }
 
-// Clone returns a deep copy of v.
-func (v Vec32) Clone() Vec32 {
-	c := make(Vec32, len(v))
-	copy(c, v)
-	return c
-}
-
 // Dim returns the dimensionality of v.
 func (v Vec32) Dim() int { return len(v) }
-
-// Dot returns the inner product <v, w> (kernel accumulation order; see
-// kernels32.go). It panics if dimensions differ.
-func (v Vec32) Dot(w Vec32) float32 { return Dot32(v, w) }
 
 // Norm returns the Euclidean norm of v as float64.
 func (v Vec32) Norm() float64 { return Norm32(v) }
 
 // L2 returns the Euclidean distance between v and w as float64.
 func (v Vec32) L2(w Vec32) float64 { return L232(v, w) }
-
-// L2Sq returns the squared Euclidean distance between v and w.
-func (v Vec32) L2Sq(w Vec32) float32 { return L2Sq32(v, w) }
-
-// Cosine returns the cosine similarity between v and w, in [-1, 1].
-// Zero vectors have similarity 0 by convention.
-func (v Vec32) Cosine(w Vec32) float32 { return Cosine32(v, w) }
-
-// Add sets v = v + w in place and returns v.
-func (v Vec32) Add(w Vec32) Vec32 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("vec: add of mismatched dims %d and %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += w[i]
-	}
-	return v
-}
-
-// Sub sets v = v - w in place and returns v.
-func (v Vec32) Sub(w Vec32) Vec32 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("vec: sub of mismatched dims %d and %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] -= w[i]
-	}
-	return v
-}
 
 // Scale sets v = a*v in place and returns v.
 func (v Vec32) Scale(a float32) Vec32 {
@@ -137,23 +87,6 @@ func Mean32(vs []Vec32) Vec32 {
 		out[j] = float32(s * inv)
 	}
 	return out
-}
-
-// Max32 returns the component-wise maximum of vs without aliasing its
-// inputs. It panics if vs is empty.
-func Max32(vs []Vec32) Vec32 {
-	if len(vs) == 0 {
-		panic("vec: max of no vectors")
-	}
-	m := vs[0].Clone()
-	for _, v := range vs[1:] {
-		for j, x := range v {
-			if x > m[j] {
-				m[j] = x
-			}
-		}
-	}
-	return m
 }
 
 // IsFinite32 reports whether every component of v is finite (no NaN or

@@ -50,9 +50,6 @@ func TestDotDimMismatchPanics(t *testing.T) {
 func TestL2KnownValues(t *testing.T) {
 	a := Vector{0, 0}
 	b := Vector{3, 4}
-	if got := a.L2(b); !almostEqual(got, 5) {
-		t.Errorf("L2 = %v, want 5", got)
-	}
 	if got := a.L2Sq(b); !almostEqual(got, 25) {
 		t.Errorf("L2Sq = %v, want 25", got)
 	}
@@ -127,7 +124,8 @@ func TestL2TriangleInequality(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b, c := randVec(r, 8), randVec(r, 8), randVec(r, 8)
-		return a.L2(c) <= a.L2(b)+b.L2(c)+1e-9
+		l2 := func(v, w Vector) float64 { return math.Sqrt(v.L2Sq(w)) }
+		return l2(a, c) <= l2(a, b)+l2(b, c)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Error(err)
@@ -146,7 +144,8 @@ func TestCauchySchwarz(t *testing.T) {
 	}
 }
 
-// Property: normalization is idempotent and L2Sq agrees with L2².
+// Property: normalization is idempotent and L2Sq agrees with the squared
+// norm of the difference.
 func TestNormalizeIdempotentAndL2Consistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -158,7 +157,8 @@ func TestNormalizeIdempotentAndL2Consistency(t *testing.T) {
 				return false
 			}
 		}
-		return math.Abs(a.L2(b)*a.L2(b)-a.L2Sq(b)) < 1e-6
+		d := a.Clone().Sub(b)
+		return math.Abs(d.Norm()*d.Norm()-a.L2Sq(b)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -168,31 +168,12 @@ func TestNormalizeIdempotentAndL2Consistency(t *testing.T) {
 func TestMatrixRowSharing(t *testing.T) {
 	m := NewMatrix(3, 2)
 	m.Row(1)[0] = 7
-	if m.At(1, 0) != 7 {
+	if m.Data[1*m.Cols+0] != 7 {
 		t.Error("Row does not share storage with matrix")
 	}
-	m.Set(2, 1, 5)
+	m.Data[2*m.Cols+1] = 5
 	if m.Row(2)[1] != 5 {
-		t.Error("Set not visible through Row")
-	}
-}
-
-func TestMatrixClone(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone shares storage")
-	}
-}
-
-func TestMatrixMulVec(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	y := m.MulVec(Vector{1, 1, 1})
-	if !almostEqual(y[0], 6) || !almostEqual(y[1], 15) {
-		t.Errorf("MulVec = %v, want [6 15]", y)
+		t.Error("a write to Data is not visible through Row")
 	}
 }
 
@@ -203,16 +184,4 @@ func TestMatrixRowOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	NewMatrix(1, 1).Row(1)
-}
-
-func TestMatrixFillGaussianDeterministic(t *testing.T) {
-	a := NewMatrix(4, 4)
-	b := NewMatrix(4, 4)
-	a.FillGaussian(rand.New(rand.NewSource(5)), 1)
-	b.FillGaussian(rand.New(rand.NewSource(5)), 1)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("FillGaussian not deterministic for equal seeds")
-		}
-	}
 }
