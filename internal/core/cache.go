@@ -2,9 +2,7 @@ package core
 
 import (
 	"container/list"
-	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
@@ -13,8 +11,8 @@ import (
 
 // CacheConfig configures the engine's query cache (EnableQueryCache).
 type CacheConfig struct {
-	// MaxEntries bounds the total number of cached queries across all
-	// shards; <= 0 disables the cache.
+	// MaxEntries bounds the number of cached queries; <= 0 disables the
+	// cache.
 	MaxEntries int
 }
 
@@ -38,30 +36,23 @@ func (r cachedResult) clone() cachedResult {
 	return out
 }
 
-// cacheEntry is one shard-resident entry. gen pins the engine state the
-// fill observed; Get rejects entries from a superseded generation even if
-// a concurrent purge has not swept them yet. An entry of the current
-// generation is exactly as current as the engine, so none expires by age.
+// cacheEntry is one resident entry. Invalidate empties the list under the
+// lock that bumps the generation, so every resident entry belongs to the
+// current generation and none expires by age.
 type cacheEntry struct {
 	key string
 	val cachedResult
-	gen uint64
 }
 
-type cacheShard struct {
+// queryCache is a concurrency-safe LRU of exactly max entries over
+// normalized query keys, with generation-based invalidation. Hit, miss
+// and eviction traffic lands in the engine's cacheMetrics.
+type queryCache struct {
 	mu  sync.Mutex
 	lru *list.List // front: most recent; values are *cacheEntry
 	pos map[string]*list.Element
-	cap int
-}
-
-// queryCache is a sharded, concurrency-safe LRU over normalized query
-// keys with generation-based invalidation. Hit/miss/eviction
-// traffic lands in the engine's cacheMetrics.
-type queryCache struct {
-	shards []*cacheShard
-	seed   maphash.Seed
-	gen    atomic.Uint64
+	max int
+	gen uint64
 	*cacheMetrics
 }
 
@@ -72,125 +63,70 @@ type cacheMetrics struct {
 	entries                                *obs.Gauge
 }
 
-// newQueryCache returns a cache of at most maxEntries entries split over
-// shards independently locked segments (rounded up to a power of two, and
-// down to one entry each at least), or nil when maxEntries <= 0.
-func newQueryCache(maxEntries, shards int, m *cacheMetrics) *queryCache {
+// newQueryCache returns a cache of at most maxEntries entries, or nil
+// when maxEntries <= 0.
+func newQueryCache(maxEntries int, m *cacheMetrics) *queryCache {
 	if maxEntries <= 0 {
 		return nil
 	}
-	// Round up to a power of two so shard selection is a mask.
-	ns := 1
-	for ns < shards {
-		ns <<= 1
-	}
-	if ns > maxEntries {
-		ns = 1
-		for ns*2 <= maxEntries {
-			ns <<= 1
-		}
-	}
-	c := &queryCache{
-		shards:       make([]*cacheShard, ns),
-		seed:         maphash.MakeSeed(),
-		cacheMetrics: m,
-	}
-	per := maxEntries / ns
-	if per < 1 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{lru: list.New(), pos: map[string]*list.Element{}, cap: per}
-	}
-	return c
-}
-
-func (c *queryCache) shard(key string) *cacheShard {
-	return c.shards[maphash.String(c.seed, key)&uint64(len(c.shards)-1)]
+	return &queryCache{lru: list.New(), pos: map[string]*list.Element{}, max: maxEntries, cacheMetrics: m}
 }
 
 // generation returns the current invalidation epoch. Callers capture it
 // BEFORE reading engine state; Put then refuses results computed against
 // a superseded epoch, so a fill racing an update can never publish stale
 // experts.
-func (c *queryCache) generation() uint64 { return c.gen.Load() }
+func (c *queryCache) generation() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
 
-// Get returns the cached result for key, if present and from the current
-// generation.
+// Get returns the cached result for key, if present.
 func (c *queryCache) Get(key string) (cachedResult, bool) {
-	s := c.shard(key)
-	gen := c.gen.Load()
-	s.mu.Lock()
-	el, ok := s.pos[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.pos[key]
 	if !ok {
-		s.mu.Unlock()
 		c.misses.Inc()
 		return cachedResult{}, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.gen != gen {
-		s.removeLocked(el)
-		s.mu.Unlock()
-		c.entries.Add(-1)
-		c.misses.Inc()
-		return cachedResult{}, false
-	}
-	s.lru.MoveToFront(el)
-	out := e.val.clone()
-	s.mu.Unlock()
+	c.lru.MoveToFront(el)
 	c.hits.Inc()
-	return out, true
+	return el.Value.(*cacheEntry).val.clone(), true
 }
 
 // Put stores a result computed while the cache was at generation gen. A
 // stale gen (an update landed meanwhile) discards the value instead.
 func (c *queryCache) Put(key string, v cachedResult, gen uint64) {
-	if c.gen.Load() != gen {
+	e := &cacheEntry{key: key, val: v.clone()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen != gen {
 		return
 	}
-	e := &cacheEntry{key: key, val: v.clone(), gen: gen}
-	s := c.shard(key)
-	s.mu.Lock()
-	if el, ok := s.pos[key]; ok {
+	if el, ok := c.pos[key]; ok {
 		el.Value = e
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
+		c.lru.MoveToFront(el)
 		return
 	}
-	s.pos[key] = s.lru.PushFront(e)
-	var evicted bool
-	if s.lru.Len() > s.cap {
-		s.removeLocked(s.lru.Back())
-		evicted = true
-	}
-	s.mu.Unlock()
-	if evicted {
+	c.pos[key] = c.lru.PushFront(e)
+	if c.lru.Len() > c.max {
+		delete(c.pos, c.lru.Remove(c.lru.Back()).(*cacheEntry).key)
 		c.evictions.Inc()
 	} else {
 		c.entries.Add(1)
 	}
 }
 
-// removeLocked unlinks el from the shard; the caller holds s.mu and owns
-// the entries gauge.
-func (s *cacheShard) removeLocked(el *list.Element) {
-	delete(s.pos, el.Value.(*cacheEntry).key)
-	s.lru.Remove(el)
-}
-
-// Invalidate drops every entry. The generation bump happens first, so a
-// racing Put (or a Get of an entry the sweep has not reached) observes
-// the new epoch and refuses the stale value.
+// Invalidate drops every entry and starts a new generation, so a fill
+// captured before the call can no longer Put.
 func (c *queryCache) Invalidate() {
-	c.gen.Add(1)
-	var dropped int
-	for _, s := range c.shards {
-		s.mu.Lock()
-		dropped += s.lru.Len()
-		s.lru.Init()
-		s.pos = map[string]*list.Element{}
-		s.mu.Unlock()
-	}
-	c.entries.Add(float64(-dropped))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gen++
+	c.entries.Add(float64(-c.lru.Len()))
+	c.lru.Init()
+	c.pos = map[string]*list.Element{}
 	c.invalidations.Inc()
 }

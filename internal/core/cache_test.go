@@ -18,10 +18,10 @@ func cacheMetricsIn(reg *obs.Registry) *cacheMetrics {
 	return e.m.cache
 }
 
-func newTestCache(t *testing.T, maxEntries, shards int) (*queryCache, *obs.Registry) {
+func newTestCache(t *testing.T, maxEntries int) (*queryCache, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	c := newQueryCache(maxEntries, shards, cacheMetricsIn(reg))
+	c := newQueryCache(maxEntries, cacheMetricsIn(reg))
 	if c == nil {
 		t.Fatalf("cache disabled for %d entries", maxEntries)
 	}
@@ -99,7 +99,7 @@ func TestCacheKeyDistinguishesKindAndBounds(t *testing.T) {
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
-	c, reg := newTestCache(t, 8, 2)
+	c, reg := newTestCache(t, 8)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -119,8 +119,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	// One shard of capacity 4 so the LRU order is fully observable.
-	c, reg := newTestCache(t, 4, 1)
+	c, reg := newTestCache(t, 4)
 	for i := 0; i < 4; i++ {
 		c.Put(fmt.Sprintf("k%d", i), resultWithPapers(hetgraph.NodeID(i)), c.generation())
 	}
@@ -145,8 +144,51 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheHoldsExactlyMaxEntries checks the size EnableQueryCache
+// promises: MaxEntries distinct keys all stay resident, and the next one
+// evicts exactly the least recently used key.
+func TestCacheHoldsExactlyMaxEntries(t *testing.T) {
+	for _, size := range []int{100, 4096} {
+		var e Engine
+		e.useRegistry(obs.NewRegistry())
+		e.EnableQueryCache(CacheConfig{MaxEntries: size})
+		c, gen := e.qcache, e.qcache.generation()
+		for i := 0; i < size; i++ {
+			c.Put(fmt.Sprintf("k%d", i), resultWithPapers(hetgraph.NodeID(i)), gen)
+		}
+		evictions := func() float64 { return e.reg.Counter("expertfind_qcache_evictions_total", "").Value() }
+		if got := evictions(); got != 0 {
+			t.Errorf("MaxEntries=%d: %v evictions filling the cache, want 0", size, got)
+		}
+		if n := cacheEntries(e.reg); n != size {
+			t.Errorf("MaxEntries=%d: entries = %d, want %d", size, n, size)
+		}
+		// Touch every key but k0, so k0 is the least recently used.
+		for i := 1; i < size; i++ {
+			if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
+				t.Fatalf("MaxEntries=%d: k%d not resident", size, i)
+			}
+		}
+		c.Put("extra", resultWithPapers(0), gen)
+		if got := evictions(); got != 1 {
+			t.Errorf("MaxEntries=%d: %v evictions after one more Put, want 1", size, got)
+		}
+		if _, ok := c.Get("k0"); ok {
+			t.Errorf("MaxEntries=%d: least recently used k0 survived", size)
+		}
+		for i := 1; i < size; i++ {
+			if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
+				t.Fatalf("MaxEntries=%d: k%d evicted instead of k0", size, i)
+			}
+		}
+		if _, ok := c.Get("extra"); !ok {
+			t.Errorf("MaxEntries=%d: the new key is not resident", size)
+		}
+	}
+}
+
 func TestCacheInvalidateDropsEverythingAndBlocksStalePut(t *testing.T) {
-	c, reg := newTestCache(t, 32, 4)
+	c, reg := newTestCache(t, 32)
 	gen := c.generation()
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), resultWithPapers(hetgraph.NodeID(i)), gen)
@@ -170,22 +212,8 @@ func TestCacheInvalidateDropsEverythingAndBlocksStalePut(t *testing.T) {
 	}
 }
 
-func TestCacheStaleGenerationEntryRejectedByGet(t *testing.T) {
-	// Simulate the Put-vs-Invalidate race: an entry carrying an old
-	// generation that the purge missed must still be rejected at Get.
-	c, _ := newTestCache(t, 8, 1)
-	gen := c.generation()
-	c.Put("a", resultWithPapers(1), gen)
-	// Bump the generation WITHOUT purging (not possible through the public
-	// surface; poke the field to model the in-flight insert).
-	c.gen.Add(1)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry from a superseded generation served")
-	}
-}
-
 func TestCacheGetReturnsIsolatedCopies(t *testing.T) {
-	c, _ := newTestCache(t, 8, 1)
+	c, _ := newTestCache(t, 8)
 	c.Put("a", cachedResult{
 		papers:  []hetgraph.NodeID{1, 2},
 		experts: []ta.Ranking{{Expert: 3, Score: 1}},
@@ -200,22 +228,7 @@ func TestCacheGetReturnsIsolatedCopies(t *testing.T) {
 }
 
 func TestCacheShardCountRounding(t *testing.T) {
-	reg := obs.NewRegistry()
-	for _, tc := range []struct {
-		entries, shards, wantShards int
-	}{
-		{64, 16, 16}, // what EnableQueryCache asks for
-		{64, 3, 4},   // rounded up to a power of two
-		{4, 16, 4},   // clamped so every shard holds at least one entry
-		{1, 16, 1},
-	} {
-		c := newQueryCache(tc.entries, tc.shards, cacheMetricsIn(reg))
-		if len(c.shards) != tc.wantShards {
-			t.Errorf("entries=%d shards=%d: got %d shards, want %d",
-				tc.entries, tc.shards, len(c.shards), tc.wantShards)
-		}
-	}
-	if c := newQueryCache(0, 16, cacheMetricsIn(reg)); c != nil {
+	if c := newQueryCache(0, cacheMetricsIn(obs.NewRegistry())); c != nil {
 		t.Error("MaxEntries=0 should disable the cache")
 	}
 }

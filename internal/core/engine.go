@@ -147,10 +147,8 @@ type Engine struct {
 
 	// mu serialises online updates against queries.
 	mu sync.RWMutex
-	// qcache is the optional sharded query cache; nil when disabled.
+	// qcache is the optional query cache; nil when disabled.
 	qcache *queryCache
-	// flights coalesces concurrent identical cache misses.
-	flights flightGroup
 
 	// wal, when attached, records every accepted update before it is
 	// applied (see SetUpdateLog); nil runs memory-only.
@@ -173,12 +171,12 @@ type Engine struct {
 // fine-tuning work through, created with the engine, built or loaded, so
 // every family it feeds is listed before its first event.
 type engineMetrics struct {
-	queries, abandoned, coalesced, updates *obs.Counter
-	latency                                *obs.Histogram
-	search                                 *pgindex.Metrics
-	rank                                   *ta.Metrics
-	train                                  *train.Metrics
-	cache                                  *cacheMetrics
+	queries, abandoned, updates *obs.Counter
+	latency                     *obs.Histogram
+	search                      *pgindex.Metrics
+	rank                        *ta.Metrics
+	train                       *train.Metrics
+	cache                       *cacheMetrics
 }
 
 // useRegistry points the engine at reg (obs.Default() when nil) and
@@ -191,7 +189,6 @@ func (e *Engine) useRegistry(reg *obs.Registry) {
 	e.m = engineMetrics{
 		queries:   reg.Counter("expertfind_queries_total", "Online queries answered."),
 		abandoned: reg.Counter("expertfind_query_abandoned_total", "Queries abandoned because their context was cancelled or timed out."),
-		coalesced: reg.Counter("expertfind_singleflight_shared_total", "Queries answered by piggybacking on a concurrent identical query."),
 		updates:   reg.Counter("expertfind_updates_total", "Online papers added to a built engine."),
 		latency:   reg.Histogram("expertfind_query_seconds", "End-to-end online query latency.", nil),
 		search:    pgindex.NewMetrics(reg),
@@ -354,9 +351,6 @@ type QueryStats struct {
 	// CacheHit reports that the answer came from the query cache; the
 	// remaining fields then describe the original fill, not this lookup.
 	CacheHit bool
-	// Coalesced reports that this call piggybacked on a concurrent
-	// identical query through singleflight.
-	Coalesced bool
 }
 
 // Total returns the end-to-end response time of the query.

@@ -9,22 +9,21 @@ import (
 
 // This file is the concurrent query-serving layer over the engine: the
 // public TopExperts/RetrievePapers entry points, their context-aware
-// variants, and the cache + singleflight orchestration between them.
+// variants, and the cache lookup and fill between them.
 //
 // A cached entry is only ever published for the engine state it was
 // computed on: fills capture the cache generation before taking the read
-// lock, updates bump the generation after mutating, and Put/Get refuse
-// mismatched generations. See cache.go for the full invariant.
+// lock, updates bump the generation after mutating, and Put refuses a
+// fill from an older generation. See cache.go for the full invariant.
 
-// EnableQueryCache attaches a sharded LRU query cache to the engine.
-// Queries with identical normalized text and bounds (see
-// normalizeQueryKey) are then answered from memory until an update
-// invalidates them; concurrent identical misses are coalesced into one
-// fill through singleflight. A MaxEntries <= 0 config detaches the cache.
+// EnableQueryCache attaches an LRU query cache to the engine. Queries
+// with identical normalized text and bounds (see normalizeQueryKey) are
+// then answered from memory until an update invalidates them. A
+// MaxEntries <= 0 config detaches the cache.
 // Not safe to call concurrently with queries: enable the cache before
 // serving.
 func (e *Engine) EnableQueryCache(cfg CacheConfig) {
-	e.qcache = newQueryCache(cfg.MaxEntries, 16, e.m.cache)
+	e.qcache = newQueryCache(cfg.MaxEntries, e.m.cache)
 }
 
 // invalidateQueryCache drops every cached query result; every update
@@ -60,10 +59,7 @@ func (e *Engine) TopExpertsCtx(ctx context.Context, query string, m, n int) ([]t
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
 	}
-	if e.qcache == nil {
-		return e.topExpertsLocked(ctx, query, m, n)
-	}
-	v, st, err := e.cachedQuery(ctx, cacheKey(kindExperts, normalizeQueryKey(query), m, n),
+	v, st, err := e.cachedQuery(ctx, kindExperts, query, m, n,
 		func(ctx context.Context) (cachedResult, error) {
 			experts, st, err := e.topExpertsLocked(ctx, query, m, n)
 			return cachedResult{experts: experts, stats: st}, err
@@ -90,10 +86,7 @@ func (e *Engine) RetrievePapersCtx(ctx context.Context, query string, m int) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
 	}
-	if e.qcache == nil {
-		return e.retrievePapersQuery(ctx, query, m)
-	}
-	v, st, err := e.cachedQuery(ctx, cacheKey(kindPapers, normalizeQueryKey(query), m, 0),
+	v, st, err := e.cachedQuery(ctx, kindPapers, query, m, 0,
 		func(ctx context.Context) (cachedResult, error) {
 			ids, st, err := e.retrievePapersQuery(ctx, query, m)
 			return cachedResult{papers: ids, stats: st}, err
@@ -119,42 +112,26 @@ func (e *Engine) retrievePapersQuery(ctx context.Context, query string, m int) (
 	return ids, st, nil
 }
 
-// cachedQuery is the shared cache + singleflight path: lookup, coalesced
-// fill, publish. Only successful fills are published, and only under the
-// generation captured before the fill read any engine state.
-func (e *Engine) cachedQuery(ctx context.Context, key string,
+// cachedQuery is the shared cache path: lookup, fill, publish. Only
+// successful fills are published, and only under the generation captured
+// before the fill read any engine state. Without a cache it only fills.
+func (e *Engine) cachedQuery(ctx context.Context, kind queryKind, query string, m, n int,
 	fill func(context.Context) (cachedResult, error)) (cachedResult, QueryStats, error) {
+	if e.qcache == nil {
+		v, err := fill(ctx)
+		return v, v.stats, err
+	}
+	key := cacheKey(kind, normalizeQueryKey(query), m, n)
 	if v, ok := e.qcache.Get(key); ok {
 		st := v.stats
 		st.CacheHit = true
 		return v, st, nil
 	}
 	gen := e.qcache.generation()
-	v, err, shared := e.flights.Do(ctx, key, func() (cachedResult, error) {
-		return fill(ctx)
-	})
-	if shared {
-		e.m.coalesced.Inc()
-		if err != nil && ctx.Err() == nil {
-			// The leader died on ITS context, not ours: run the query
-			// ourselves rather than propagating a foreign cancellation.
-			// gen was captured before this fill reads engine state, so
-			// publishing under it is safe.
-			v, err = fill(ctx)
-			if err != nil {
-				return cachedResult{}, v.stats, err
-			}
-			e.qcache.Put(key, v, gen)
-			return v, v.stats, nil
-		}
-	}
+	v, err := fill(ctx)
 	if err != nil {
 		return cachedResult{}, v.stats, err
 	}
-	if !shared {
-		e.qcache.Put(key, v, gen)
-	}
-	st := v.stats
-	st.Coalesced = shared
-	return v, st, nil
+	e.qcache.Put(key, v, gen)
+	return v, v.stats, nil
 }

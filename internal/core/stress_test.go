@@ -47,7 +47,7 @@ func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 	}
 
 	// Query workers: experts, papers and similar lookups over a small
-	// query set so cache hits, misses and coalesced fills all occur. Each
+	// query set so cache hits and misses both occur. Each
 	// signals ready after its first query so the checker below genuinely
 	// races them even on GOMAXPROCS=1, where an un-yielding main goroutine
 	// could otherwise finish before any worker is scheduled.
@@ -159,7 +159,7 @@ func TestStressConcurrentQueriesAndUpdates(t *testing.T) {
 }
 
 func TestStressCacheFillInvalidate(t *testing.T) {
-	c, reg := newTestCache(t, 64, 4)
+	c, reg := newTestCache(t, 64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 8; w++ {
@@ -207,8 +207,8 @@ func TestStressDeadlineLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// A burst of concurrent queries whose deadlines are already expired,
-	// interleaved with live ones so the singleflight path sees both leader
-	// cancellations and healthy fills.
+	// interleaved with live ones so the cache path sees both cancelled
+	// and healthy fills.
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
