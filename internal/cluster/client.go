@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,7 +42,73 @@ const (
 	retryBackoff = 10 * time.Millisecond
 	// probeTimeout bounds one health probe.
 	probeTimeout = 500 * time.Millisecond
+	// maxShardBody caps a shard response body the router reads: 64 MiB
+	// (67.1 MB), above the largest legal /shard/papers frame. MaxM
+	// (5 000) papers with 8 KiB of text and 64 authors each, and a table
+	// of their 320 000 authors with 64-byte names, come to 66.7 MB. Whatever
+	// answers at a shard address costs the router at most this much
+	// memory per sub-request.
+	maxShardBody = 64 << 20
 )
+
+// BodyError is a shard response body the router refuses: a declared
+// Content-Length above the cap, a body that ends before its declared
+// length, or a body without a length that runs past the cap. It fails the
+// replica, as a transport error does.
+type BodyError struct {
+	Replica string
+	Length  int64 // the declared Content-Length, -1 when the body had none
+	Read    int64 // bytes read before the body was refused
+	Cap     int64
+}
+
+func (e *BodyError) Error() string {
+	switch {
+	case e.Length > e.Cap:
+		return fmt.Sprintf("replica %s: body of %d bytes exceeds the %d-byte cap", e.Replica, e.Length, e.Cap)
+	case e.Length >= 0:
+		return fmt.Sprintf("replica %s: body ends after %d of its %d bytes", e.Replica, e.Read, e.Length)
+	default:
+		return fmt.Sprintf("replica %s: body without a length runs past the %d-byte cap", e.Replica, e.Cap)
+	}
+}
+
+// readBody reads resp's body whole, at most limit bytes. A body that
+// declares its length (every shard's frame does) is read into one buffer
+// of that size; one that does not, such as an error page, is read in
+// chunks of doubling size, joined when it ends. Either way a body is
+// refused with a *BodyError before the router has allocated more than
+// limit+1 bytes for it.
+func readBody(resp *http.Response, addr string, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 {
+		if n > limit {
+			return nil, &BodyError{Replica: addr, Length: n, Cap: limit}
+		}
+		b := make([]byte, n)
+		read, err := io.ReadFull(resp.Body, b)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return b[:read], &BodyError{Replica: addr, Length: n, Read: int64(read), Cap: limit}
+		}
+		return b, err
+	}
+	var chunks [][]byte
+	var total int64
+	for size := int64(4 << 10); ; size *= 2 {
+		c := make([]byte, min(size, limit+1-total))
+		n, err := io.ReadFull(resp.Body, c)
+		chunks = append(chunks, c[:n])
+		total += int64(n)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return bytes.Join(chunks, nil), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if total > limit {
+			return nil, &BodyError{Replica: addr, Length: -1, Read: total, Cap: limit}
+		}
+	}
+}
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Retries < 0 {
@@ -138,6 +205,8 @@ type ShardClient struct {
 	hc   *http.Client
 	cfg  ClientConfig
 	log  *slog.Logger
+	// maxBody is maxShardBody; the tests lower it.
+	maxBody int64
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -156,10 +225,11 @@ func NewShardClient(shards [][]string, cfg ClientConfig, reg *obs.Registry, log 
 		log = obs.NopLogger()
 	}
 	c := &ShardClient{
-		hc:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}},
-		cfg: cfg.withDefaults(),
-		log: log,
-		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
+		hc:      &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}},
+		cfg:     cfg.withDefaults(),
+		log:     log,
+		maxBody: maxShardBody,
+		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for i, addrs := range shards {
 		if len(addrs) == 0 {
@@ -392,9 +462,9 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 // send issues one GET to one replica and settles its health
 // accounting: success resets the failure streak, failure advances it and
 // ejects past the threshold. A response, whatever its status, proves the
-// replica alive; only 5xx, transport errors and a response frame that
-// claims another shard (a replica started with the wrong -shard-id) count
-// as failures.
+// replica alive; only 5xx, transport errors, a body readBody refuses and a
+// response frame that claims another shard (a replica started with the
+// wrong -shard-id) count as failures.
 func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+rp.addr+path, nil)
 	if err != nil {
@@ -425,7 +495,7 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path str
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp, rp.addr, c.maxBody)
 	rs := c.sets[shard]
 	rs.fanout.Observe(time.Since(start).Seconds())
 	rs.wireBytes.Add(float64(len(b)))

@@ -628,3 +628,81 @@ func TestRouterNotReadyBody(t *testing.T) {
 		t.Errorf("router /readyz while draining: %d %q %v", rec.Code, rec.Body.String(), rec.Header())
 	}
 }
+
+// TestShardBodyIsBounded: whatever answers at a shard address, the router
+// reads at most its cap of it. A 1 GiB Content-Length, a body that ends
+// before its Content-Length and a chunked body past the cap each fail the
+// replica with a *BodyError, and none costs the router more than the cap;
+// a chunked body within the cap is read whole, for at most twice the cap.
+func TestShardBodyIsBounded(t *testing.T) {
+	const limit = 1 << 20
+	chunk := make([]byte, 64<<10)
+	for i := range chunk {
+		chunk[i] = byte(i * 7)
+	}
+	chunked := func(total int) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			for sent := 0; sent < total; sent += len(chunk) {
+				if _, err := w.Write(chunk[:min(len(chunk), total-sent)]); err != nil {
+					return
+				}
+				w.(http.Flusher).Flush()
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		limit int64
+		h     http.HandlerFunc
+		ok    bool
+	}{
+		{"1 GiB Content-Length", maxShardBody, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(1<<30))
+			w.Write(chunk)
+		}, false},
+		{"truncated", limit, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(limit/2))
+			w.Write(chunk)
+		}, false},
+		{"chunked past the cap", limit, chunked(8 * limit), false},
+		{"chunked within the cap", limit, chunked(limit - 5), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(c.h)
+			defer ts.Close()
+			client, err := NewShardClient([][]string{{strings.TrimPrefix(ts.URL, "http://")}},
+				ClientConfig{EjectAfter: 1}, obs.NewRegistry(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.maxBody = c.limit
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b, err := client.Get(ctx, 0, "/shard/papers?q=x&m=1")
+			runtime.ReadMemStats(&after)
+			// A body read whole costs its chunks and the joined copy.
+			bound := uint64(min(c.limit, limit))
+			if c.ok {
+				bound *= 2
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound+256<<10 {
+				t.Errorf("the sub-request allocated %d bytes, cap %d", alloc, c.limit)
+			}
+			if c.ok {
+				if err != nil || len(b) != limit-5 || b[len(chunk)+1] != chunk[1] {
+					t.Fatalf("chunked body within the cap: %d bytes, %v", len(b), err)
+				}
+				return
+			}
+			var be *BodyError
+			if !errors.As(err, &be) {
+				t.Fatalf("err = %v, want a *BodyError", err)
+			}
+			if alive := client.AliveReplicas()[0]; alive != 0 {
+				t.Fatalf("%v did not fail the replica: %d alive", err, alive)
+			}
+		})
+	}
+}

@@ -136,6 +136,10 @@ func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := sh.se.Papers(res, withAuthors, withText)
 	resp.Trace = exportTree(span, r)
+	frame := encodeFrame(&resp)
+	// The length lets the router read the frame into one buffer of its
+	// size.
 	w.Header().Set("Content-Type", frameContentType)
-	w.Write(encodeFrame(&resp))
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame)
 }

@@ -12,18 +12,21 @@ import (
 
 // BenchmarkFineTune is one fine-tune at the defaults (4 epochs, batch 64)
 // of a 64-dimensional encoder on the (k,P)-core triples of a generated
-// 500-paper corpus: forward pooling, backward scatter, the merge of the
+// 500-paper corpus, tokenised as core.Build does (BuildVocabTokens' lists
+// in NewTokenCache): forward pooling, backward scatter, the merge of the
 // chunks' gradients and the Adam steps. The corpus, the encoder and the
 // triples are built outside the timer, and every iteration starts from
 // the same pre-trained table.
 func BenchmarkFineTune(b *testing.B) {
 	g := dataset.Generate(dataset.AminerSim(500)).Graph
-	var corpus []string
-	for _, p := range g.NodesOfType(hetgraph.Paper) {
-		corpus = append(corpus, g.Label(p))
+	papers := g.NodesOfType(hetgraph.Paper)
+	corpus := make([]string, len(papers))
+	for i, p := range papers {
+		corpus[i] = g.Label(p)
 	}
-	base := textenc.NewEncoder(textenc.BuildVocab(corpus, textenc.VocabConfig{}), 64, 1)
-	cache := BuildTokenCache(g, base)
+	vocab, docs := textenc.BuildVocabTokens(corpus, textenc.VocabConfig{})
+	base := textenc.NewEncoder(vocab, 64, 1)
+	cache := NewTokenCache(papers, docs)
 	triples, _ := sampling.Generate(g, sampling.Config{}, rand.New(rand.NewSource(1)))
 	b.ResetTimer()
 	var steps int

@@ -291,14 +291,10 @@ func newWorker(enc *textenc.Encoder, cache TokenCache, weights map[hetgraph.Node
 // forward pools paper p's float32 rows in float64 with the weights of
 // Encoder.PoolWeights, because the finite-difference gradient check needs
 // loss resolution float32 partial sums cannot provide, and normalises as
-// Encoder.EncodeTokens does.
+// Encoder.EncodeTokens does. The pooling is one vec.PoolRows64 call.
 func (w *worker) forward(d *pooledDoc, p hetgraph.NodeID) {
 	d.toks, d.ws = w.cache[p], w.weights[p]
-	emb := w.enc.Emb
-	d.u.Zero()
-	for i, id := range d.toks {
-		vec.AxpyInto64(d.u, d.ws[i], emb.Row(int(id)))
-	}
+	vec.PoolRows64(d.u, w.enc.Emb, d.toks, d.ws)
 	d.norm = d.u.Norm()
 	d.v = d.u
 	if d.norm != 0 {

@@ -192,11 +192,13 @@ func TestTripleGradientNumerical(t *testing.T) {
 }
 
 // encodeRaw64 pools enc's float32 rows for ids with float64 accumulation
-// and no normalisation: the trainer's forward pass.
+// and no normalisation: the trainer's forward pass, a row at a time.
 func encodeRaw64(enc *textenc.Encoder, ids []textenc.TokenID) vec.Vector {
 	out := vec.New(enc.Dim)
 	for i, w := range enc.PoolWeights(ids) {
-		vec.AxpyInto64(out, w, enc.Emb.Row(int(ids[i])))
+		for j, x := range enc.Emb.Row(int(ids[i])) {
+			out[j] += w * float64(x)
+		}
 	}
 	return out
 }

@@ -127,7 +127,7 @@ func benchKernels64(b *testing.B, f func(b *testing.B, n int, portable bool)) {
 func BenchmarkAxpyInto64(b *testing.B) {
 	benchKernels64(b, func(b *testing.B, n int, portable bool) {
 		a64, _, _, b32, _, _ := benchVecs(n)
-		k := AxpyInto64
+		k := axpyInto64
 		if portable {
 			k = axpyInto64Go
 		}
@@ -171,4 +171,36 @@ func BenchmarkAdamRow(b *testing.B) {
 			k(w32, m, v, g, c)
 		}
 	})
+}
+
+// BenchmarkPoolRows64 pools 68-token documents, a query_pg paper's
+// length, from a 14 366 x 64 table, the size of that workload's
+// vocabulary (3.7 MB): "kernel" is PoolRows64, the AVX2 body where the
+// CPU has it; "portable" the Go body, one axpyInto64 per token. Each
+// iteration pools the next of 1 024 documents of random tokens, so the
+// rows come from L2 or L3 as they do in a fine-tune, not from L1.
+func BenchmarkPoolRows64(b *testing.B) {
+	rng := rand.New(rand.NewSource(68))
+	table := NewMatrix32(14366, 64)
+	copy(table.Data, randSlice32(rng, len(table.Data)))
+	const docs, doc = 1024, 68
+	toks, ws := make([]int32, docs*doc), make([]float64, docs*doc)
+	for i := range toks {
+		toks[i], ws[i] = int32(rng.Intn(table.Rows)), rng.Float64()/doc
+	}
+	dst := make([]float64, table.Cols)
+	for _, k := range []struct {
+		name string
+		f    func(toks []int32, ws []float64)
+	}{
+		{"kernel", func(toks []int32, ws []float64) { PoolRows64(dst, table, toks, ws) }},
+		{"portable", func(toks []int32, ws []float64) { poolRows64Go(dst, table.Data, toks, ws) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lo := i % docs * doc
+				k.f(toks[lo:lo+doc], ws[lo:lo+doc])
+			}
+		})
+	}
 }

@@ -138,3 +138,54 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPoolRows64 holds PoolRows64 to its Go body on arbitrary tables,
+// tokens and weights: the table is rowBytes read as float32s in rows of
+// one of the widths TestPoolRows64MatchesGoBody covers, each token byte
+// picks a row, and each token's weight is the next eight bytes of
+// wBytes, little endian. Any two NaNs compare equal, as in diff64.
+func FuzzPoolRows64(f *testing.F) {
+	le := binary.LittleEndian
+	row := make([]byte, 128*4)
+	for i := 0; i < 128; i++ {
+		v := float32(i) / 7
+		switch i % 9 {
+		case 0:
+			v = float32(math.Inf(1))
+		case 1:
+			v = float32(math.Inf(-1))
+		case 2:
+			v = float32(math.Copysign(0, -1))
+		}
+		le.PutUint32(row[i*4:], math.Float32bits(v))
+	}
+	var ws []byte
+	for _, w := range append([]float64{0.5, -3}, poolWeights64...) {
+		ws = le.AppendUint64(ws, math.Float64bits(w))
+	}
+	f.Add(row, []byte{}, ws, uint8(1))
+	f.Add(row, []byte{0, 1, 2, 3, 3, 0, 1}, ws, uint8(0))
+	f.Add(row, []byte{0, 1, 2, 3, 3, 0, 1}, ws, uint8(1))
+	f.Add(append(row, row...), []byte{3, 1, 4, 1, 5, 9, 2}, ws, uint8(3))
+	f.Fuzz(func(t *testing.T, rowBytes, tokBytes, wBytes []byte, width uint8) {
+		dim := []int{12, 32, 48, 64, 96, 128}[int(width)%6]
+		data := bytesToFloat32s(rowBytes)
+		rows := len(data) / dim
+		table := &Matrix32{Rows: rows, Cols: dim, Data: data[:rows*dim]}
+		n := min(len(tokBytes), len(wBytes)/8)
+		if rows == 0 {
+			n = 0
+		}
+		toks, weights := make([]int32, n), make([]float64, n)
+		for i := range toks {
+			toks[i] = int32(int(tokBytes[i]) % rows)
+			weights[i] = math.Float64frombits(le.Uint64(wBytes[i*8:]))
+		}
+		got, want := make([]float64, dim), make([]float64, dim)
+		PoolRows64(got, table, toks, weights)
+		poolRows64Go(want, table.Data, toks, weights)
+		if d := diff64(got, want); d != "" {
+			t.Fatalf("dim %d, %d tokens over %d rows: %s", dim, n, rows, d)
+		}
+	})
+}

@@ -149,17 +149,17 @@ func TestKernelConformanceAllLengths(t *testing.T) {
 				}
 			}
 
-			// AxpyInto64 likewise, in float64.
+			// axpyInto64 likewise, in float64.
 			alpha64 := rng.NormFloat64()
 			got64 := make([]float64, n)
 			want64 := make([]float64, n)
-			AxpyInto64(got64, alpha64, b)
+			axpyInto64(got64, alpha64, b)
 			for i := range want64 {
 				want64[i] += alpha64 * float64(b[i])
 			}
 			for i := range got64 {
 				if math.Float64bits(got64[i]) != math.Float64bits(want64[i]) {
-					t.Fatalf("AxpyInto64 len=%d trial=%d elem=%d: kernel %x, naive %x",
+					t.Fatalf("axpyInto64 len=%d trial=%d elem=%d: kernel %x, naive %x",
 						n, trial, i, math.Float64bits(got64[i]), math.Float64bits(want64[i]))
 				}
 			}
@@ -296,11 +296,17 @@ func TestKernelKnownValues(t *testing.T) {
 // TestKernelDimMismatchPanics pins the panic contract of every kernel.
 func TestKernelDimMismatchPanics(t *testing.T) {
 	cases := map[string]func(){
-		"Dot32":      func() { Dot32([]float32{1}, []float32{1, 2}) },
-		"L2Sq32":     func() { L2Sq32([]float32{1, 2}, []float32{1}) },
-		"Axpy32":     func() { Axpy32([]float32{1}, 1, []float32{1, 2}) },
-		"AxpyInto64": func() { AxpyInto64([]float64{1}, 1, []float32{1, 2}) },
-		"DotInt8":    func() { DotInt8([]int8{1}, []int8{1, 2}) },
+		"Dot32":   func() { Dot32([]float32{1}, []float32{1, 2}) },
+		"L2Sq32":  func() { L2Sq32([]float32{1, 2}, []float32{1}) },
+		"Axpy32":  func() { Axpy32([]float32{1}, 1, []float32{1, 2}) },
+		"DotInt8": func() { DotInt8([]int8{1}, []int8{1, 2}) },
+		// A destination of another width, a weight count other than the
+		// token count, and tokens outside the table.
+		"PoolRows64 width":     func() { PoolRows64(make([]float64, 1), NewMatrix32(3, 2), []int32{0}, []float64{1}) },
+		"PoolRows64 weights":   func() { PoolRows64(make([]float64, 2), NewMatrix32(3, 2), []int32{0}, nil) },
+		"PoolRows64 negative":  func() { PoolRows64(make([]float64, 2), NewMatrix32(3, 2), []int32{-1}, []float64{1}) },
+		"PoolRows64 past end":  func() { PoolRows64(make([]float64, 2), NewMatrix32(3, 2), []int32{0, 3}, []float64{1, 1}) },
+		"PoolRows64 int32 max": func() { PoolRows64(make([]float64, 2), NewMatrix32(3, 2), []int32{math.MaxInt32}, []float64{1}) },
 		// The in-place float64 ops, with w longer and shorter than v.
 		"Add long":   func() { Vector{1}.Add(Vector{1, 2}) },
 		"Add short":  func() { Vector{1, 2}.Add(Vector{1}) },
@@ -321,7 +327,7 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 				switch v := recover(); {
 				case v == nil:
 					t.Errorf("%s on mismatched dims did not panic", name)
-				case strings.HasPrefix(name, "L2Sq") || strings.HasPrefix(name, "AdamRow"):
+				case strings.HasPrefix(name, "L2Sq") || strings.HasPrefix(name, "AdamRow") || strings.HasPrefix(name, "PoolRows64"):
 					if _, ok := v.(*ShapeError); !ok {
 						t.Errorf("%s panicked with %T, want *ShapeError", name, v)
 					}

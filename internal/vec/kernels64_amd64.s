@@ -208,3 +208,112 @@ tail:
 
 done:
 	RET
+
+// func poolRows64AVX2(dst []float64, rows []float32, toks []int32, ws []float64)
+//
+// dst[j] = sum over i of ws[i]*float64(rows[toks[i]*len(dst)+j]), from +0
+// in token order, len(dst) a positive multiple of 32. Each pass holds the
+// sums of 32 elements in Y0-Y7 across every token and stores them once;
+// per token and per four elements it runs VCVTPS2PD, VMULPD by the
+// weight in Y8, then VADDPD into the sum. SI is the pass's column in the
+// table, so a token's part of its row starts at SI + token*R10.
+TEXT ·poolRows64AVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ rows_base+24(FP), SI
+	MOVQ toks_base+48(FP), R8
+	MOVQ toks_len+56(FP), CX
+	MOVQ ws_base+72(FP), R9
+	MOVQ DX, R10
+	SHLQ $2, R10 // a row's bytes
+
+pass:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   BX, BX // token index
+	TESTQ  CX, CX
+	JZ     store
+
+token:
+	MOVLQSX      (R8)(BX*4), AX
+	IMULQ        R10, AX
+	ADDQ         SI, AX
+	VBROADCASTSD (R9)(BX*8), Y8
+
+	// The same pass's part of the row four tokens ahead.
+	LEAQ       4(BX), R11
+	CMPQ       R11, CX
+	JAE        sum
+	MOVLQSX    (R8)(R11*4), R11
+	IMULQ      R10, R11
+	PREFETCHT0 (SI)(R11*1)
+	PREFETCHT0 64(SI)(R11*1)
+
+sum:
+	VCVTPS2PD (AX), Y9
+	VCVTPS2PD 16(AX), Y10
+	VCVTPS2PD 32(AX), Y11
+	VCVTPS2PD 48(AX), Y12
+	VMULPD    Y8, Y9, Y9
+	VMULPD    Y8, Y10, Y10
+	VMULPD    Y8, Y11, Y11
+	VMULPD    Y8, Y12, Y12
+	VADDPD    Y9, Y0, Y0
+	VADDPD    Y10, Y1, Y1
+	VADDPD    Y11, Y2, Y2
+	VADDPD    Y12, Y3, Y3
+	VCVTPS2PD 64(AX), Y9
+	VCVTPS2PD 80(AX), Y10
+	VCVTPS2PD 96(AX), Y11
+	VCVTPS2PD 112(AX), Y12
+	VMULPD    Y8, Y9, Y9
+	VMULPD    Y8, Y10, Y10
+	VMULPD    Y8, Y11, Y11
+	VMULPD    Y8, Y12, Y12
+	VADDPD    Y9, Y4, Y4
+	VADDPD    Y10, Y5, Y5
+	VADDPD    Y11, Y6, Y6
+	VADDPD    Y12, Y7, Y7
+	INCQ      BX
+	CMPQ      BX, CX
+	JB        token
+
+store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $128, SI
+	SUBQ    $32, DX
+	JNZ     pass
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
+	RET

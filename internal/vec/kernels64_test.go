@@ -102,10 +102,10 @@ func TestKernels64MatchGoBodies(t *testing.T) {
 			}
 
 			got, want := append([]float64(nil), x64...), append([]float64(nil), x64...)
-			AxpyInto64(got, alpha, x32)
+			axpyInto64(got, alpha, x32)
 			axpyInto64Go(want, alpha, x32)
 			if d := diff64(got, want); d != "" {
-				t.Fatalf("AxpyInto64 len=%d trial=%d alpha=%v: %s", n, trial, alpha, d)
+				t.Fatalf("axpyInto64 len=%d trial=%d alpha=%v: %s", n, trial, alpha, d)
 			}
 
 			got, want = append([]float64(nil), x64...), append([]float64(nil), x64...)
@@ -162,6 +162,71 @@ func TestAdamRowIsTheAdamUpdate(t *testing.T) {
 			for _, d := range []string{diff32(w, wantW), diff64(m, wantM), diff64(v, wantV)} {
 				if d != "" {
 					t.Fatalf("step %d len %d: %s", step, n, d)
+				}
+			}
+		}
+	}
+}
+
+// poolWeights64 are the weights the PoolRows64 suites mix into their
+// draws: zeros of both signs, a negative, a subnormal and one whose
+// products overflow.
+var poolWeights64 = []float64{0, math.Copysign(0, -1), -0.75, math.Float64frombits(1), 1e308}
+
+// poolTable returns a rows x dim table of normal draws, a fifth of them
+// replaced by ±0 or ±Inf.
+func poolTable(rng *rand.Rand, rows, dim int) *Matrix32 {
+	edge := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1))}
+	m := NewMatrix32(rows, dim)
+	for i := range m.Data {
+		m.Data[i] = float32(rng.NormFloat64())
+		if rng.Intn(5) == 0 {
+			m.Data[i] = edge[rng.Intn(len(edge))]
+		}
+	}
+	return m
+}
+
+// TestPoolRows64MatchesGoBody holds PoolRows64 to poolRows64Go, the
+// per-token loop, bit for bit: at widths 32, 64, 96 and 128 (the AVX2
+// body where the CPU has it) and 12 and 48 (the fallback), for no tokens,
+// repeated tokens and the table's last row, with the weights of
+// poolWeights64 among normal ones and rows that hold ±0 and ±Inf. Their
+// products and sums make NaNs, but only the default one, so the bits
+// compare exactly.
+func TestPoolRows64MatchesGoBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const rows = 40
+	for _, dim := range []int{12, 32, 48, 64, 96, 128} {
+		table := poolTable(rng, rows, dim)
+		for trial := 0; trial < 40; trial++ {
+			n := rng.Intn(70)
+			if trial == 0 {
+				n = 0
+			}
+			toks := make([]int32, n)
+			ws := make([]float64, n)
+			for i := range toks {
+				toks[i] = int32(rng.Intn(rows))
+				ws[i] = rng.NormFloat64()
+				if rng.Intn(3) == 0 {
+					ws[i] = poolWeights64[rng.Intn(len(poolWeights64))]
+				}
+			}
+			if n > 2 {
+				toks[n-1] = rows - 1
+				toks[1] = toks[0]
+			}
+			got, want := make([]float64, dim), make([]float64, dim)
+			for i := range got {
+				got[i], want[i] = math.NaN(), math.NaN() // PoolRows64 sets, not adds
+			}
+			PoolRows64(got, table, toks, ws)
+			poolRows64Go(want, table.Data, toks, ws)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("dim %d trial %d (%d tokens) elem %d: %x, want %x", dim, trial, n, j,
+						math.Float64bits(got[j]), math.Float64bits(want[j]))
 				}
 			}
 		}
