@@ -1,10 +1,6 @@
 package baselines
 
 import (
-	"hash/fnv"
-	"math"
-	"math/rand"
-
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/textenc"
 	"expertfind/internal/vec"
@@ -57,14 +53,8 @@ func (a *AvgGloVe) encode(text string) vec.Vector {
 
 // wordVector returns the deterministic hash-projected vector of a word.
 func wordVector(w string, dim int, seed int64) vec.Vector {
-	h := fnv.New64a()
-	h.Write([]byte(w))
-	rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ seed))
 	v := vec.New(dim)
-	sigma := 1 / math.Sqrt(float64(dim))
-	for i := range v {
-		v[i] = rng.NormFloat64() * sigma
-	}
+	textenc.HashVector(v, w, seed)
 	return v
 }
 

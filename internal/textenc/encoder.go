@@ -90,25 +90,16 @@ func surfaceRows(rows []float32, tokens []string, dim int, seed int64) {
 		})
 	}
 
-	// Chunk c of either pass hashes with hashers[c]: a source is 4.9 KB
-	// and costs as much to create as a string does to hash.
 	procs := runtime.GOMAXPROCS(0)
-	hashers := make([]hasher, procs)
-	hasherOf := func(c int) hasher {
-		if hashers[c].rng == nil {
-			hashers[c] = newHasher()
-		}
-		return hashers[c]
-	}
 	table := make([]float64, len(grams)*dim)
-	par.Chunks(len(grams), procs, func(c, lo, hi int) {
-		h := hasherOf(c)
+	par.Chunks(len(grams), procs, func(_, lo, hi int) {
+		h := newHasher()
 		for g := lo; g < hi; g++ {
 			h.into(table[g*dim:(g+1)*dim], grams[g], seed)
 		}
 	})
-	par.Chunks(len(tokens), procs, func(c, lo, hi int) {
-		h := hasherOf(c)
+	par.Chunks(len(tokens), procs, func(_, lo, hi int) {
+		h := newHasher()
 		acc := vec.New(dim)
 		var cut ngrams
 		for i := lo; i < hi; i++ {
@@ -302,14 +293,17 @@ func SurfaceVector(dim int, s string, seed int64) vec.Vec32 {
 	return row
 }
 
-// hasher draws the deterministic Gaussian hash vectors the pre-trained
-// state is made of: the vector of s is the stream of the math/rand source
-// seeded with FNV-1a(s) ^ seed. It owns one source and re-seeds it per
-// string — Seed(x) leaves the state NewSource(x) starts in — because a
-// source is 4.9 KB and a table initialisation hashes some 10^5 strings.
+// HashVector fills dst with the deterministic Gaussian hash vector of s,
+// the one the encoder's pre-trained rows are built from: σ = 1/√len(dst)
+// times the NormFloat64 draws of rand.NewSource(FNV-1a(s) ^ seed).
+func HashVector(dst vec.Vector, s string, seed int64) { newHasher().into(dst, s, seed) }
+
+// hasher draws HashVector's vectors. It re-seeds one seededSource per
+// string, whose Seed costs nothing, so a hasher is a few words and each
+// goroutine makes its own.
 type hasher struct{ rng *rand.Rand }
 
-func newHasher() hasher { return hasher{rand.New(rand.NewSource(0))} }
+func newHasher() hasher { return hasher{rand.New(new(seededSource))} }
 
 // into fills dst with the hash vector of s.
 func (h hasher) into(dst vec.Vector, s string, seed int64) { h.fill(dst, fnv64a(s), seed) }
