@@ -126,11 +126,13 @@ func (idx *Index) BuildGraph(cfg Config, rng *rand.Rand) {
 	for i := range rows {
 		rows[i] = idx.embs.Row(i)
 	}
-	centroid := vec.Mean32(rows)
-	best, bestD := 0, vec.L2Sq32(idx.embs.Row(0), centroid)
-	for i := 1; i < idx.embs.Rows; i++ {
-		if d := vec.L2Sq32(idx.embs.Row(i), centroid); d < bestD {
-			best, bestD = i, d
+	// The first row at the least distance, by strict < in row order.
+	d2 := make([]float32, idx.embs.Rows)
+	vec.L2SqRows32(d2, idx.embs.Data, vec.Mean32(rows))
+	best := 0
+	for i, d := range d2 {
+		if d < d2[best] {
+			best = i
 		}
 	}
 	idx.nav = int32(best)
@@ -476,11 +478,15 @@ func BruteForce(embs map[hetgraph.NodeID]vec.Vec32, query vec.Vec32, m int) []Re
 	if m <= 0 {
 		return []Result{}
 	}
-	t := newTopM(m)
+	ids := make([]hetgraph.NodeID, 0, len(embs))
+	d2 := make([]float32, 0, len(embs))
 	for id, e := range embs {
-		t.offer(vec.L2Sq32(query, e), id)
+		ids = append(ids, id)
+		d2 = append(d2, vec.L2Sq32(query, e))
 	}
-	return t.results()
+	s := newSelector(m, len(ids))
+	s.add(ids, d2)
+	return s.results()
 }
 
 // Len returns the number of indexed papers.

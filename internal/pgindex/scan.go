@@ -2,104 +2,104 @@ package pgindex
 
 import (
 	"context"
+	"math"
+	"slices"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/vec"
 )
 
 // This file holds the package's exact top-m selection over row scans: a
-// bounded max-heap under the canonical total order (squared distance
-// ascending, paper id ascending) and the blocked scan over contiguous
-// rows that feeds it. An index without a graph (every search), a graph
-// index's exhaustive path and the map oracle BruteForce select through
-// it; the greedy search keeps its pool sorted in the same order
-// (searchScratch), so their rankings agree bit for bit by construction.
+// threshold buffer of packed keys under the canonical total order
+// (squared distance ascending, paper id ascending) and the blocked scan
+// over contiguous rows that feeds it. An index without a graph (every
+// search), a graph index's exhaustive path and the map oracle BruteForce
+// select through it; the greedy search keeps its pool sorted in the same
+// order (searchScratch), so their rankings agree bit for bit by
+// construction.
 
-// scored is one candidate: its squared distance to the query and its id.
-type scored struct {
-	d2 float32
-	id hetgraph.NodeID
+// selector keeps the m first candidates in canonical order, each packed
+// into one key Float32bits(d²)<<32 | uint32(id). Distances are ≥ +0 and
+// ids non-negative, so keys order exactly as (d², id) do, a NaN d² after
+// +Inf; squared float32 distances order as their float64 roots do (sqrt
+// is strictly monotone at this precision), so only survivors get a root.
+// keys holds every candidate whose key was at most tau when added, tau
+// being the m-th key at the last compaction. The buffer is not pooled:
+// at m = 200 it is one 11 KB allocation per query, noise beside a scan.
+type selector struct {
+	m    int
+	tau  uint64
+	keys []uint64 // cap 2m+scanBlock, or the candidate count if smaller
 }
 
-// before is the canonical order. Squared float32 distances order exactly
-// as the float64 roots published in Result.Dist do (sqrt is strictly
-// monotone at this precision), so the root is taken for survivors only.
-func (a scored) before(b scored) bool {
-	return a.d2 < b.d2 || (a.d2 == b.d2 && a.id < b.id)
+// newSelector returns a selector of the m best of total candidates;
+// 0 < m <= total.
+func newSelector(m, total int) *selector {
+	return &selector{m: m, tau: math.MaxUint64, keys: make([]uint64, 0, min(total, 2*m+scanBlock))}
 }
 
-// topM keeps, of the candidates offered, the m that come first in
-// canonical order, as a binary max-heap: h[0] is the worst survivor, the
-// one a better candidate evicts. m must be positive.
-type topM struct {
-	m int
-	h []scored
-}
-
-func newTopM(m int) topM { return topM{m: m, h: make([]scored, 0, m)} }
-
-// offer considers one candidate. The common case — a full heap and a
-// distance beyond its worst — is one comparison and inlines into the scan.
-func (t *topM) offer(d2 float32, id hetgraph.NodeID) {
-	if len(t.h) == t.m && d2 > t.h[0].d2 {
-		return
-	}
-	t.insert(scored{d2, id})
-}
-
-func (t *topM) insert(s scored) {
-	h := t.h
-	if len(h) < t.m {
-		h = append(h, s)
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !h[p].before(h[i]) {
-				break
+// add offers candidate i (id ids[i], squared distance d2[i]) for every i,
+// scanBlock at a time, with no data-dependent branch per row: each key is
+// written and the length advanced past it only if it is within tau. At 2m
+// keys the buffer is cut back to its m smallest, which lowers tau.
+func (s *selector) add(ids []hetgraph.NodeID, d2 []float32) {
+	for lo := 0; lo < len(d2); lo += scanBlock {
+		buf, n, tau := s.keys[:cap(s.keys)], len(s.keys), s.tau
+		for i, d := range d2[lo:min(lo+scanBlock, len(d2))] {
+			k := uint64(math.Float32bits(d))<<32 | uint64(uint32(ids[lo+i]))
+			buf[n] = k
+			if k <= tau {
+				n++
 			}
-			h[p], h[i] = h[i], h[p]
-			i = p
 		}
-		t.h = h
-		return
-	}
-	if !s.before(h[0]) {
-		return
-	}
-	h[0] = s
-	siftDown(h, 0)
-}
-
-func siftDown(h []scored, i int) {
-	for {
-		l, r, worst := 2*i+1, 2*i+2, i
-		if l < len(h) && h[worst].before(h[l]) {
-			worst = l
+		if s.keys = buf[:n]; n >= 2*s.m {
+			s.keys = selectSmallest(s.keys, s.m)
+			s.tau = s.keys[s.m-1]
 		}
-		if r < len(h) && h[worst].before(h[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
 	}
 }
 
-// results empties the heap into canonical ascending order, taking the
-// square root of each survivor's distance.
-func (t *topM) results() []Result {
-	h := t.h
-	out := make([]Result, len(h))
-	for n := len(h) - 1; n >= 0; n-- {
-		out[n] = Result{ID: h[0].id, Dist: sqrt(float64(h[0].d2))}
-		h[0] = h[n]
-		h = h[:n]
-		siftDown(h, 0)
+// results returns the m survivors in canonical order, each distance
+// square-rooted.
+func (s *selector) results() []Result {
+	keys := selectSmallest(s.keys, s.m)
+	slices.Sort(keys)
+	out := make([]Result, len(keys))
+	for i, k := range keys {
+		out[i] = Result{ID: hetgraph.NodeID(uint32(k)), Dist: sqrt(float64(math.Float32frombits(uint32(k >> 32))))}
 	}
-	t.h = h
 	return out
+}
+
+// selectSmallest reorders keys so that its first k are its k smallest,
+// the k-th smallest last among them, and returns them: Hoare's
+// quickselect with a median-of-three pivot, O(len(keys)) expected.
+func selectSmallest(keys []uint64, k int) []uint64 {
+	lo, hi, t := 0, len(keys)-1, k-1
+	for lo < hi {
+		a, b, c := keys[lo], keys[lo+(hi-lo)/2], keys[hi]
+		p, i, j := max(min(a, b), min(max(a, b), c)), lo, hi
+		for i <= j {
+			for keys[i] < p {
+				i++
+			}
+			for p < keys[j] {
+				j--
+			}
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+				j--
+			}
+		}
+		if j < t {
+			lo = i
+		}
+		if t < i {
+			hi = j
+		}
+	}
+	return keys[:k]
 }
 
 // scanBlock is how many rows the scan covers between context polls and
@@ -109,19 +109,20 @@ const scanBlock = 1024
 
 // Scan returns the exact m nearest rows to the query — the "w/o PG-Index"
 // retrieval of Ours-3/Ours-4 — in canonical order: distance ascending,
-// ties by paper id. ids[i] names row i of rows; both are only read. A done
-// ctx stops the scan at the next block of rows with ctx.Err(). A block's
-// distances come from one vec.L2SqRows32 call and reach the heap in row
-// order, the sequence a call per row would give. It is one
-// pass on the caller's goroutine: splitting row ranges over Ps did not beat
-// it by more than the run-to-run spread on any benchmarked workload
-// (DESIGN.md, "One exact top-m selector, one canonical order").
+// ties by paper id; a NaN distance, which finite rows never give, ranks
+// after +Inf and after every finite one. ids[i] names row i of rows;
+// both are only read. A done ctx stops the scan at the next block of rows
+// with ctx.Err(). A block's distances come from one vec.L2SqRows32 call,
+// the bits a call per row would give. It is one pass on the caller's
+// goroutine: splitting row ranges over Ps did not beat it by more than
+// the run-to-run spread on any benchmarked workload (DESIGN.md, "One
+// exact top-m selector, one canonical order").
 func Scan(ctx context.Context, ids []hetgraph.NodeID, rows *vec.Matrix32, query vec.Vec32, m int) ([]Result, error) {
 	m = min(m, len(ids))
 	if m <= 0 {
 		return nil, ctx.Err()
 	}
-	t := newTopM(m)
+	s := newSelector(m, len(ids))
 	dim := rows.Cols
 	var d2 [scanBlock]float32
 	for lo := 0; lo < len(ids); lo += scanBlock {
@@ -131,9 +132,7 @@ func Scan(ctx context.Context, ids []hetgraph.NodeID, rows *vec.Matrix32, query 
 		end := min(lo+scanBlock, len(ids))
 		block := d2[:end-lo]
 		vec.L2SqRows32(block, rows.Data[lo*dim:end*dim], query)
-		for i, d := range block {
-			t.offer(d, ids[lo+i])
-		}
+		s.add(ids[lo:end], block)
 	}
-	return t.results(), nil
+	return s.results(), nil
 }

@@ -106,11 +106,11 @@ func checkScan(t *testing.T, ids []hetgraph.NodeID, rows *vec.Matrix32, q vec.Ve
 }
 
 // TestScanEquivalence is the generated differential suite: corpus sizes
-// around the heap bound, every kernel tail width, duplicated rows, and m
-// at, below and beyond n.
+// around the selector's compaction bound 2m, every kernel tail width,
+// duplicated rows, m from 1 to beyond n, and ties at the threshold.
 func TestScanEquivalence(t *testing.T) {
 	const m0 = 10
-	for _, n := range []int{0, 1, m0 - 1, m0, m0 + 1, 5000} {
+	for _, n := range []int{0, 1, m0 - 1, m0, m0 + 1, 2*m0 - 1, 2 * m0, 2*m0 + 1, scanBlock + 2*m0, 5000} {
 		for _, dim := range []int{1, 7, 64} {
 			ids, rows, q := scanCorpus(int64(n*100+dim), n, dim, dim == 7)
 			for _, m := range []int{1, m0, n, n + 7} {
@@ -121,6 +121,54 @@ func TestScanEquivalence(t *testing.T) {
 	for dim := 1; dim <= 67; dim++ {
 		ids, rows, q := scanCorpus(int64(dim), 300, dim, dim%2 == 0)
 		checkScan(t, ids, rows, q, 25)
+	}
+	// Three distinct rows repeated under shuffled ids: every distance is
+	// one of three, the m-th ties with hundreds of rows, and rows after a
+	// compaction tie at the threshold with ids below and above its own.
+	for _, m := range []int{1, 7, 300, 1500} {
+		ids, rows, q := tiedCorpus(int64(m), 3*scanBlock+5, 8)
+		checkScan(t, ids, rows, q, m)
+	}
+}
+
+// tiedCorpus is n rows drawn from three distinct ones, with the ids
+// 0..n-1 in random order.
+func tiedCorpus(seed int64, n, dim int) ([]hetgraph.NodeID, *vec.Matrix32, vec.Vec32) {
+	rng := rand.New(rand.NewSource(seed))
+	_, distinct, q := scanCorpus(seed, 3, dim, true)
+	ids := make([]hetgraph.NodeID, n)
+	rows := vec.NewMatrix32(n, dim)
+	for i, p := range rng.Perm(n) {
+		ids[i] = hetgraph.NodeID(p)
+		copy(rows.Row(i), distinct.Row(rng.Intn(3)))
+	}
+	return ids, rows, q
+}
+
+// TestScanRanksNaNLast pins the packed key's order on distances finite
+// embeddings never give: +Inf after every finite distance, NaN after
+// +Inf, ties by id within each.
+func TestScanRanksNaNLast(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(1e30) // 1e30² overflows to +Inf
+	vals := []float32{nan, 2, inf, 0, nan, 1, inf}
+	ids := []hetgraph.NodeID{5, 9, 3, 4, 2, 8, 7}
+	rows := vec.NewMatrix32(len(vals), 1)
+	copy(rows.Data, vals)
+	want := []hetgraph.NodeID{4, 8, 9, 3, 7, 2, 5}
+	for m := 1; m <= len(ids); m++ {
+		got, err := Scan(context.Background(), ids, rows, vec.Vec32{0}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		brute := BruteForce(rowMap(ids, rows), vec.Vec32{0}, m)
+		for i, r := range got {
+			if r.ID != want[i] || brute[i].ID != want[i] {
+				t.Fatalf("m=%d rank %d: Scan %d, BruteForce %d, want %d", m, i, r.ID, brute[i].ID, want[i])
+			}
+		}
+		if m == len(ids) && !(math.IsInf(got[4].Dist, 1) && math.IsNaN(got[5].Dist)) {
+			t.Fatalf("ranks 4 and 5 at distances %v and %v, want +Inf and NaN", got[4].Dist, got[5].Dist)
+		}
 	}
 }
 
@@ -147,6 +195,12 @@ func FuzzScanEquivalence(f *testing.F) {
 	for _, n := range []uint16{0, 1, 9, 10, 11, 5000} {
 		f.Add(int64(n), n, uint8(n%67), uint16(10))
 		f.Add(int64(n)+1, n, uint8(63), n+7)
+	}
+	// m near n/2, where the buffer fills to 2m just at the corpus's end.
+	for _, n := range []uint16{41, 2000, 2100} {
+		for _, m := range []uint16{n/2 - 1, n / 2, n/2 + 1} {
+			f.Add(int64(n+m), n, uint8(n%67), m)
+		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, m uint16) {
 		ids, mat, q := scanCorpus(seed, int(n)%6000, int(dim)%67+1, seed%2 == 0)

@@ -79,8 +79,10 @@ func BenchmarkL2Sq32(b *testing.B) {
 // BenchmarkL2SqRows32 streams one block of 64-dim rows per call at three
 // working sets: 1 024 rows (256 KiB, inside L2), 20 000 (5 MiB, the
 // query_exact corpus, past a 2 MiB L2) and 100 000 (25.6 MB). "kernel" is
-// L2SqRows32, "portable" the Go body other architectures run; SetBytes
-// counts the rows read, so MB/s is the kernel's bandwidth.
+// L2SqRows32 (two rows per register where the CPU has AVX2), "sse2" the
+// one-row body it falls back to (on other architectures the portable
+// one), "portable" the Go body other architectures run; SetBytes counts
+// the rows read, so MB/s is the kernel's bandwidth.
 func BenchmarkL2SqRows32(b *testing.B) {
 	for _, n := range []int{1024, 20000, 100000} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -89,7 +91,7 @@ func BenchmarkL2SqRows32(b *testing.B) {
 		for _, k := range []struct {
 			name string
 			f    func(dst, rows, q []float32)
-		}{{"kernel", L2SqRows32}, {"portable", l2SqRows32Go}} {
+		}{{"kernel", L2SqRows32}, {"sse2", l2SqRows32}, {"portable", l2SqRows32Go}} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, k.name), func(b *testing.B) {
 				b.SetBytes(int64(len(rows) * 4))
 				for i := 0; i < b.N; i++ {

@@ -30,13 +30,18 @@ import (
 // one XMM register. An 8-wide step is SUBPS and MULPS on two 4-wide
 // halves, ADDPS of the halves, then ADDPS into the accumulator; the
 // 4-wide step feeds all four slots; the scalar tail is ADDSS into slot 0;
-// the reduction is (s0+s1)+(s2+s3). Every amd64 CPU has SSE2, so there is
-// no CPU-feature dispatch and no second path to choose. AVX and FMA are
-// left out on purpose: 8 or 16 lanes sum different terms per lane, and a
-// fused multiply-add rounds once where the order rounds twice, so either
-// would change published bits. Other architectures run the portable
-// bodies (l2Sq32Go, l2SqRows32Go), which amd64 builds compile and test
-// too.
+// the reduction is (s0+s1)+(s2+s3). Every amd64 CPU has SSE2, and L2Sq32
+// (one row: the greedy walk's and NNDescent's distance) calls that body
+// with no dispatch. L2SqRows32 on a CPU with AVX2, over rows whose width
+// is a multiple of 8, runs two rows per YMM register instead: the low
+// 128-bit lane holds row r's four accumulators and the high lane row
+// r+1's, each lane running the SSE2 statements in their order, with two
+// VPERM2F128 pairing the rows' low halves and their high halves before
+// the add. An odd last row and other widths run the SSE2 body. Each row
+// keeps four lanes, not eight: eight or sixteen lanes per row, or a fused
+// multiply-add (one rounding where the order rounds twice), would change
+// published bits. Other architectures run the portable bodies
+// (l2Sq32Go, l2SqRows32Go), which amd64 builds compile and test too.
 
 // Dot32 returns the inner product <a, b> in float32, using the package's
 // documented four-lane accumulation order. It panics if lengths differ.
@@ -95,7 +100,7 @@ func L2SqRows32(dst, rows, q []float32) {
 	if elemsOverflow(len(dst), len(q)) || len(rows) != len(dst)*len(q) {
 		panic(&ShapeError{Op: "L2SqRows32 of a block not len(dst) x len(q)", Rows: len(dst), Cols: len(q)})
 	}
-	l2SqRows32(dst, rows, q)
+	l2SqBlock32(dst, rows, q)
 }
 
 // l2SqRows32Go is the portable body of L2SqRows32; the caller has checked

@@ -81,3 +81,58 @@ reduce:
 
 done:
 	RET
+
+// func l2SqRows32AVX2(dst, rows, q []float32)
+//
+// l2SqRows32 two rows per YMM register, len(dst) even and len(q) a
+// positive multiple of 8. The low lane of Y0 holds row r's s0..s3 and
+// the high lane row r+1's, so each lane runs the SSE2 body's statements
+// in its order: row minus q, squared, the low half plus the high half
+// (VPERM2F128 pairs them across the two rows), then into the sum. The
+// row is loaded and q is the memory operand, as SUBPS has them above,
+// so even a NaN keeps its payload. AX and R11 walk the two rows.
+TEXT ·l2SqRows32AVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ rows_base+24(FP), AX
+	MOVQ q_base+48(FP), DX
+	MOVQ q_len+56(FP), BX
+	SHRQ $1, CX // pairs of rows
+
+pair:
+	VXORPS Y0, Y0, Y0
+	LEAQ   (AX)(BX*4), R11
+	MOVQ   BX, R8 // floats left in this row
+	MOVQ   DX, R9 // q cursor
+
+eight:
+	VMOVUPS    (AX), Y1
+	VMOVUPS    (R11), Y2
+	VSUBPS     (R9), Y1, Y1
+	VSUBPS     (R9), Y2, Y2
+	VMULPS     Y1, Y1, Y1
+	VMULPS     Y2, Y2, Y2
+	VPERM2F128 $0x20, Y2, Y1, Y3 // both rows' d[l]^2
+	VPERM2F128 $0x31, Y2, Y1, Y4 // both rows' d[l+4]^2
+	VADDPS     Y4, Y3, Y3
+	VADDPS     Y3, Y0, Y0
+	ADDQ       $32, AX
+	ADDQ       $32, R11
+	ADDQ       $32, R9
+	SUBQ       $8, R8
+	JNZ        eight
+
+	// (s0+s1) + (s2+s3) in each lane
+	VPSHUFD      $0xB1, Y0, Y1
+	VADDPS       Y1, Y0, Y0
+	VPSHUFD      $0x0E, Y0, Y1
+	VADDPS       Y1, Y0, Y0
+	VMOVSS       X0, (DI)
+	VEXTRACTF128 $1, Y0, X1
+	VMOVSS       X1, 4(DI)
+	ADDQ         $8, DI
+	MOVQ         R11, AX // past row r+1: the next pair
+	DECQ         CX
+	JNZ          pair
+	VZEROUPPER
+	RET

@@ -3,3 +3,5 @@
 package vec
 
 func l2SqRows32(dst, rows, q []float32) { l2SqRows32Go(dst, rows, q) }
+
+func l2SqBlock32(dst, rows, q []float32) { l2SqRows32Go(dst, rows, q) }

@@ -178,18 +178,21 @@ func TestKernelConformanceAllLengths(t *testing.T) {
 	}
 }
 
-// checkRows holds L2SqRows32 and its portable body to laneL2Sq32 row by
-// row, bit for bit, over a block of n rows of len(q) floats. It returns ""
-// or what differed.
+// checkRows holds three bodies to laneL2Sq32 row by row, bit for bit,
+// over a block of n rows of len(q) floats: L2SqRows32 (on amd64 with
+// AVX2 and a width a multiple of 8, two rows per register and an odd
+// last row on SSE2), l2SqRows32 called directly (the SSE2 body on amd64)
+// and the portable body. It returns "" or what differed.
 func checkRows(block, q []float32, n int) string {
-	got, portable := make([]float32, n), make([]float32, n)
+	got, direct, portable := make([]float32, n), make([]float32, n), make([]float32, n)
 	L2SqRows32(got, block, q)
+	l2SqRows32(direct, block, q)
 	l2SqRows32Go(portable, block, q)
 	for r := range got {
 		want := laneL2Sq32(block[r*len(q):(r+1)*len(q)], q)
-		if !bitsEq(got[r], want) || !bitsEq(portable[r], want) {
-			return fmt.Sprintf("row %d of %d: kernel %x, portable %x, lane reference %x", r, n,
-				math.Float32bits(got[r]), math.Float32bits(portable[r]), math.Float32bits(want))
+		if !bitsEq(got[r], want) || !bitsEq(direct[r], want) || !bitsEq(portable[r], want) {
+			return fmt.Sprintf("row %d of %d: kernel %x, direct %x, portable %x, lane reference %x", r, n,
+				math.Float32bits(got[r]), math.Float32bits(direct[r]), math.Float32bits(portable[r]), math.Float32bits(want))
 		}
 	}
 	return ""

@@ -8,9 +8,10 @@ import (
 )
 
 // TestPoolRows64TakesAVX2WhereTheCPUHasIt holds the CPUID/XGETBV check to
-// the kernel's own: PoolRows64 takes its AVX2 body for 64-wide rows
-// exactly when /proc/cpuinfo lists avx2. A check that wrongly says no
-// would fall back to the per-token loop, which every bit test passes.
+// the kernels' own: PoolRows64 and L2SqRows32 take their AVX2 bodies for
+// 64-wide rows exactly when /proc/cpuinfo lists avx2. A check that
+// wrongly says no would fall back to the per-token loop or to one row per
+// SSE2 register, which every bit test passes.
 func TestPoolRows64TakesAVX2WhereTheCPUHasIt(t *testing.T) {
 	b, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -26,9 +27,17 @@ func TestPoolRows64TakesAVX2WhereTheCPUHasIt(t *testing.T) {
 	if got := poolsInAVX2(64); got != listed {
 		t.Fatalf("PoolRows64 takes the AVX2 body for 64-wide rows: %v; /proc/cpuinfo lists avx2: %v", got, listed)
 	}
+	if got := scansInAVX2(64); got != listed {
+		t.Fatalf("L2SqRows32 takes the AVX2 body for 64-wide rows: %v; /proc/cpuinfo lists avx2: %v", got, listed)
+	}
 	for _, dim := range []int{0, 12, 48} {
 		if poolsInAVX2(dim) {
 			t.Errorf("PoolRows64 takes the AVX2 body for %d-wide rows", dim)
+		}
+	}
+	for _, dim := range []int{0, 12, 67} {
+		if scansInAVX2(dim) {
+			t.Errorf("L2SqRows32 takes the AVX2 body for %d-wide rows", dim)
 		}
 	}
 }
