@@ -1,10 +1,8 @@
 // Package colstore implements the mmap-able columnar section that makes
 // snapshots servable without heap-decoding them: a directory of
 // fixed-width, page-aligned, individually CRC-32C-checked segments
-// (float32 embedding rows, int32 CSR adjacency, uint64 offsets, ...)
-// appended after the gob payload of an EFSNAP snapshot. The u8, u32 and
-// i8 kinds stay in the format, so files that carry them still open, but
-// no writer emits them.
+// (float32 embedding rows, int32 CSR adjacency, uint64 offsets, raw
+// bytes, ...); a snapshot file is one section from byte 0.
 //
 // The layout is built for two readers with identical semantics:
 //
@@ -54,8 +52,8 @@
 // or damaged header is a *durable.CorruptError (wrapping ErrBadMagic,
 // ErrTruncated or ErrChecksum with the byte offset of the damage), and
 // a future section version is a *durable.VersionError — the same
-// taxonomy the container and WAL use, so callers discriminate damage
-// classes uniformly.
+// taxonomy the WAL uses, so callers discriminate damage classes
+// uniformly.
 package colstore
 
 import (
@@ -95,13 +93,12 @@ const (
 // Kind is the element type of a segment.
 type Kind uint32
 
-// The element kinds. Values are part of the on-disk format.
+// The element kinds. Values are part of the on-disk format; 3 and 5 are
+// retired (u32 and i8, which only version-3 snapshots wrote) and refused.
 const (
 	KindF32 Kind = 1 // float32
 	KindI32 Kind = 2 // int32
-	KindU32 Kind = 3 // uint32
 	KindU64 Kind = 4 // uint64
-	KindI8  Kind = 5 // int8
 	KindU8  Kind = 6 // uint8 / raw bytes
 )
 
@@ -109,11 +106,11 @@ const (
 // kind.
 func (k Kind) ElemSize() int {
 	switch k {
-	case KindF32, KindI32, KindU32:
+	case KindF32, KindI32:
 		return 4
 	case KindU64:
 		return 8
-	case KindI8, KindU8:
+	case KindU8:
 		return 1
 	}
 	return 0
@@ -126,12 +123,8 @@ func (k Kind) String() string {
 		return "f32"
 	case KindI32:
 		return "i32"
-	case KindU32:
-		return "u32"
 	case KindU64:
 		return "u64"
-	case KindI8:
-		return "i8"
 	case KindU8:
 		return "u8"
 	}

@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -20,42 +19,20 @@ func testSegs(n int) []SegmentData {
 	rng := rand.New(rand.NewSource(7))
 	f32 := make([]float32, n)
 	i32 := make([]int32, n)
-	u32 := make([]uint32, n)
 	u64 := make([]uint64, n)
-	i8 := make([]int8, n)
 	u8 := make([]byte, n)
 	for i := 0; i < n; i++ {
 		f32[i] = rng.Float32()*2 - 1
 		i32[i] = rng.Int31() - 1<<30
-		u32[i] = rng.Uint32()
 		u64[i] = rng.Uint64()
-		i8[i] = int8(rng.Intn(256) - 128)
 		u8[i] = byte(rng.Intn(256))
 	}
 	return []SegmentData{
 		F32Seg("embs", f32),
 		I32Seg("ids", i32),
-		u32Seg("flags", u32),
 		U64Seg("nbroff", u64),
-		{Name: "qcodes", Kind: KindI8, Count: uint64(n), raw: asBytes(i8, 1)},
-		{Name: "dead", Kind: KindU8, Count: uint64(n), raw: u8},
+		U8Seg("meta", u8),
 	}
-}
-
-// u8s reads a u8 segment. Like u32, the kind stays in the format with no
-// writer or reader outside these tests.
-func u8s(s *Section, name string) ([]byte, error) {
-	return typed[byte](s, name, KindU8, func(b []byte) byte { return b[0] })
-}
-
-// u32Seg hand-builds a u32 segment. No writer emits the kind any more,
-// but the format keeps it, so files that carry one must still open.
-func u32Seg(name string, v []uint32) SegmentData {
-	raw := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(raw[4*i:], x)
-	}
-	return SegmentData{Name: name, Kind: KindU32, Count: uint64(len(v)), raw: raw}
 }
 
 // writeTestFile writes prefix bytes followed by a section and returns
@@ -111,11 +88,7 @@ func TestRoundTripAllKindsBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i32, err := s.Int32s("ids")
-		if err != nil {
-			t.Fatal(err)
-		}
-		u32, err := typed[uint32](s, "flags", KindU32, binary.LittleEndian.Uint32)
+		i32, err := Int32s[int32](s, "ids")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +96,7 @@ func TestRoundTripAllKindsBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i8, err := typed[int8](s, "qcodes", KindI8, func(b []byte) int8 { return int8(b[0]) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		u8, err := u8s(s, "dead")
+		u8, err := s.Bytes("meta")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,14 +109,8 @@ func TestRoundTripAllKindsBothModes(t *testing.T) {
 			if want := rng.Int31() - 1<<30; i32[i] != want {
 				t.Fatalf("%v i32[%d] = %d, want %d", mode, i, i32[i], want)
 			}
-			if want := rng.Uint32(); u32[i] != want {
-				t.Fatalf("%v u32[%d] = %d, want %d", mode, i, u32[i], want)
-			}
 			if want := rng.Uint64(); u64[i] != want {
 				t.Fatalf("%v u64[%d] = %d, want %d", mode, i, u64[i], want)
-			}
-			if want := int8(rng.Intn(256) - 128); i8[i] != want {
-				t.Fatalf("%v i8[%d] = %d, want %d", mode, i, i8[i], want)
 			}
 			if want := byte(rng.Intn(256)); u8[i] != want {
 				t.Fatalf("%v u8[%d] = %d, want %d", mode, i, u8[i], want)
@@ -173,15 +136,15 @@ func TestMappedViewsFullCap(t *testing.T) {
 	}
 
 	f32, _ := s.Float32s("embs")
-	i32, _ := s.Int32s("ids")
-	u8, _ := u8s(s, "dead")
+	i32, _ := Int32s[int32](s, "ids")
+	u8, _ := s.Bytes("meta")
 	for _, c := range []struct {
 		name     string
 		len, cap int
 	}{
 		{"embs", len(f32), cap(f32)},
 		{"ids", len(i32), cap(i32)},
-		{"dead", len(u8), cap(u8)},
+		{"meta", len(u8), cap(u8)},
 	} {
 		if c.cap != c.len {
 			t.Fatalf("segment %q view cap %d != len %d", c.name, c.cap, c.len)
@@ -212,11 +175,11 @@ func TestMaterializedReadsHeap(t *testing.T) {
 	if m.Mapped {
 		t.Fatal("Materialized section reports Mapped")
 	}
-	view, err := s.Int32s("ids")
+	view, err := Int32s[int32](s, "ids")
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := m.Int32s("ids")
+	heap, err := Int32s[int32](m, "ids")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +375,7 @@ func TestWriterValidation(t *testing.T) {
 		segs []SegmentData
 	}{
 		{"empty", nil},
-		{"dup names", []SegmentData{F32Seg("a", nil), I32Seg("a", nil)}},
+		{"dup names", []SegmentData{F32Seg("a", nil), I32Seg[int32]("a", nil)}},
 		{"bad name", []SegmentData{F32Seg("has space", nil)}},
 		{"long name", []SegmentData{F32Seg("aaaaaaaaaaaaaaaaa", nil)}},
 		{"hand-rolled mismatch", []SegmentData{{Name: "x", Kind: KindF32, Count: 3, raw: []byte{0}}}},
@@ -455,7 +418,7 @@ func TestWrongKindLookup(t *testing.T) {
 	if _, err := s.Float32s("ids"); err == nil {
 		t.Error("kind mismatch not rejected")
 	}
-	if _, err := s.Int32s("nosuch"); err == nil {
+	if _, err := Int32s[int32](s, "nosuch"); err == nil {
 		t.Error("missing segment not rejected")
 	}
 }
@@ -469,7 +432,7 @@ func TestEmptySegmentsRoundTrip(t *testing.T) {
 		if err != nil || len(f32) != 0 {
 			t.Fatalf("%v: empty segment: %v, len %d", mode, err, len(f32))
 		}
-		i32, err := s.Int32s("ids")
+		i32, err := Int32s[int32](s, "ids")
 		if err != nil || len(i32) != 1 || i32[0] != 5 {
 			t.Fatalf("%v: ids = %v, %v", mode, i32, err)
 		}

@@ -45,11 +45,11 @@ func FuzzSectionHeader(f *testing.F) {
 				case KindF32:
 					s.Float32s(sg.Name)
 				case KindI32:
-					s.Int32s(sg.Name)
+					Int32s[int32](s, sg.Name)
 				case KindU64:
 					s.Uint64s(sg.Name)
 				case KindU8:
-					u8s(s, sg.Name)
+					s.Bytes(sg.Name)
 				}
 			}
 			return

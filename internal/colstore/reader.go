@@ -421,11 +421,17 @@ func (s *Section) Float32s(name string) ([]float32, error) {
 	})
 }
 
-// Int32s returns the named i32 segment.
-func (s *Section) Int32s(name string) ([]int32, error) {
-	return typed[int32](s, name, KindI32, func(b []byte) int32 {
-		return int32(binary.LittleEndian.Uint32(b))
+// Int32s returns the named i32 segment as int32s, or as a type over
+// them such as node ids.
+func Int32s[T ~int32](s *Section, name string) ([]T, error) {
+	return typed[T](s, name, KindI32, func(b []byte) T {
+		return T(binary.LittleEndian.Uint32(b))
 	})
+}
+
+// Bytes returns the named u8 segment.
+func (s *Section) Bytes(name string) ([]byte, error) {
+	return typed[byte](s, name, KindU8, func(b []byte) byte { return b[0] })
 }
 
 // Uint64s returns the named u64 segment.

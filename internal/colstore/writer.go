@@ -36,8 +36,8 @@ func F32Seg(name string, v []float32) SegmentData {
 	return SegmentData{Name: name, Kind: KindF32, Count: uint64(len(v)), raw: raw}
 }
 
-// I32Seg queues an int32 column.
-func I32Seg(name string, v []int32) SegmentData {
+// I32Seg queues an int32 column, such as node ids.
+func I32Seg[T ~int32](name string, v []T) SegmentData {
 	var raw []byte
 	if hostLittleEndian {
 		raw = asBytes(v, 4)
@@ -62,6 +62,12 @@ func U64Seg(name string, v []uint64) SegmentData {
 		}
 	}
 	return SegmentData{Name: name, Kind: KindU64, Count: uint64(len(v)), raw: raw}
+}
+
+// U8Seg queues a raw-byte column. The payload is b itself (b must not be
+// mutated until WriteSection returns).
+func U8Seg(name string, b []byte) SegmentData {
+	return SegmentData{Name: name, Kind: KindU8, Count: uint64(len(b)), raw: b}
 }
 
 // layout assigns absolute, page-aligned payload offsets and returns the

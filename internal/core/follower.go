@@ -229,8 +229,8 @@ func (f *Follower) fetchSnapshotRetry(path string) (uint64, error) {
 	}
 }
 
-// fetchSnapshot downloads the leader's snapshot to path, validating the
-// container's checksums before anything replaces path. Returns the
+// fetchSnapshot downloads the leader's snapshot to path, validating every
+// checksum before anything replaces path. Returns the
 // leader's epoch as reported on the response.
 func (f *Follower) fetchSnapshot(path string) (uint64, error) {
 	resp, err := followerClient.Get(f.leader + ReplSnapshotPath)
@@ -246,11 +246,10 @@ func (f *Follower) fetchSnapshot(path string) (uint64, error) {
 		if _, err := io.Copy(tmp, resp.Body); err != nil {
 			return err
 		}
-		// Validate every checksum — container header, payload CRC, the
-		// columnar section directory and each segment — before the file
-		// is allowed to become the snapshot: a torn download must fail
-		// here, not at some later boot. The caller's load then validates
-		// the payload in depth.
+		// Validate every checksum — the section directory and each
+		// segment — and the meta segment before the file is allowed to
+		// become the snapshot: a torn download must fail here, not at
+		// some later boot.
 		return verifySnapshotFile(tmp.Name())
 	})
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
-	"expertfind/internal/textenc"
 )
 
 // The mmap equivalence suite: the same snapshot loaded heap-decoded and
@@ -392,31 +391,38 @@ func TestMmapEquivalenceModeAuto(t *testing.T) {
 // with a snapshot's bytes, loadSnapshot over the bytes alone, the heap
 // and the mapped LoadFileWith and the follower's verifySnapshotFile all
 // refuse it, with the same typed error class. A retired format version —
-// 1, all-gob; 2, Θ_B inside the gob payload — is refused by
-// *durable.VersionError naming the version this build reads, never by a
-// gob error from a half-interpreted payload.
+// 1, all-gob; 2, Θ_B inside the gob payload; 3, a gob payload before the
+// columnar section — is refused by *durable.VersionError naming the
+// version this build reads, never by a decode error from a
+// half-interpreted file.
 func TestSnapshotOpenersAgree(t *testing.T) {
 	_, _, snap := mmapEquivSetup(t)
 	valid, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A byte flipped inside a segment no loader reads — the int8 codes a
-	// build before the shadow left the index wrote — is refused like one
-	// inside a segment every query touches.
+	// Versions 1 to 3 opened with the EFSNAP container, whose version
+	// field sat outside every checksum: rewriting it in a version-3 file
+	// is what an older build's file looks like to the opener.
 	parent, err := os.ReadFile(parentSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The version field sits outside every checksum and is judged before
-	// the payload is read, so rewriting it is what a retired build's file
-	// looks like to the opener.
 	withVersion := func(v uint16) []byte {
-		b := append([]byte(nil), valid...)
+		b := append([]byte(nil), parent...)
 		binary.LittleEndian.PutUint16(b[6:8], v)
 		return b
 	}
+	e, err := loadBytes(valid, freshEquivGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A byte flipped inside a segment no loader reads — such as the int8
+	// codes builds before the shadow left the index wrote — is refused like
+	// one inside a segment every query touches.
+	ignored := resave(t, e, func(segs []colstore.SegmentData) []colstore.SegmentData {
+		return append(segs, colstore.U8Seg("qcodes", bytes.Repeat([]byte{7}, 5000)))
+	})
 	flipIn := func(raw []byte, segment string) []byte {
 		b := append([]byte(nil), raw...)
 		b[segmentMiddle(t, raw, segment)] ^= 0x20
@@ -447,8 +453,11 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 		{"one byte short", valid[:len(valid)-1], "corrupt: truncated"},
 		{"version-1 container", withVersion(1), "version 1"},
 		{"version-2 container", withVersion(2), "version 2"},
+		{"version-3 container", parent, "version 3"},
+		{"version-3 meta segment", withMeta(t, e, valid, func(m []byte) []byte { m[1] = 3; return m }), "version 3"},
 		{"flipped byte in the table segment", flipIn(valid, segTable), "corrupt: checksum"},
-		{"flipped byte in the parent's ignored qcodes segment", flipIn(parent, "qcodes"), "corrupt: checksum"},
+		{"flipped byte in the meta segment", flipIn(valid, segMeta), "corrupt: checksum"},
+		{"flipped byte in an ignored segment", flipIn(ignored, "qcodes"), "corrupt: checksum"},
 		{"duplicate row id", withIDs(func(ids []hetgraph.NodeID) { ids[1] = ids[0] }), "corrupt: content"},
 		{"descending row ids", withIDs(func(ids []hetgraph.NodeID) { ids[1], ids[2] = ids[2], ids[1] }), "corrupt: content"},
 	}
@@ -509,17 +518,16 @@ func TestSnapshotOpenersAgree(t *testing.T) {
 }
 
 // segmentMiddle returns the file offset of the middle byte of the named
-// columnar segment of a snapshot.
+// segment of a snapshot.
 func segmentMiddle(t *testing.T, raw []byte, name string) int {
 	t.Helper()
-	off := durable.ContainerHeaderSize + int64(binary.LittleEndian.Uint64(raw[8:16]))
-	if _, err := colstore.OpenReaderAt(bytes.NewReader(raw), name, int64(len(raw)), off); err != nil {
+	if _, err := colstore.OpenReaderAt(bytes.NewReader(raw), name, int64(len(raw)), 0); err != nil {
 		t.Fatal(err)
 	}
 	// The directory is valid: walk its 64-byte entries (name, then the
 	// payload's offset and length at 32 and 40; see package colstore).
-	for i := 0; i < int(binary.LittleEndian.Uint32(raw[off+12:])); i++ {
-		e := raw[off+20+64*int64(i):]
+	for i := 0; i < int(binary.LittleEndian.Uint32(raw[12:])); i++ {
+		e := raw[20+64*i:]
 		sgOff, sgLen := binary.LittleEndian.Uint64(e[32:]), binary.LittleEndian.Uint64(e[40:])
 		if string(bytes.TrimRight(e[:16], "\x00")) == name && sgLen > 0 {
 			return int(sgOff + sgLen/2)
@@ -529,63 +537,64 @@ func segmentMiddle(t *testing.T, raw []byte, name string) int {
 	return -1
 }
 
-// parentSnapshot is a 60 KB snapshot written by the last build whose
-// PG-Index carried an int8 shadow of the embedding matrix (PR 23's
-// SaveSnapshot, container version 3): the engine of parentSnapshotEngine,
-// with the qcodes, qscales and qnorms segments and the traversal-mode
-// header field this build no longer has.
+// parentSnapshot is a 60 KB snapshot in format version 3, written by the
+// last build whose PG-Index carried an int8 shadow of the embedding
+// matrix: an EFSNAP container around a gob payload, then a columnar
+// section with the qcodes, qscales and qnorms segments.
 const parentSnapshot = "testdata/parent_pr23_shadow.efs"
 
-// parentSnapshotEngine rebuilds the engine parentSnapshot was saved from.
-// EF covers the corpus, so every retrieval is the exact scan.
-func parentSnapshotEngine(t *testing.T) (*dataset.Dataset, *Engine) {
-	t.Helper()
-	ds := dataset.Generate(dataset.AminerSim(60))
-	e, err := Build(ds.Graph, Options{
-		Dim: 8, Seed: 7, EF: 1 << 20,
-		Vocab: textenc.VocabConfig{MaxWords: 300, MaxSubwords: 200}, Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, e
-}
-
-// TestLoadsParentSnapshotWithShadowColumns pins the format decision that
-// took the int8 shadow out of the snapshot without a version bump: a
-// version-3 file that still carries the three shadow segments verifies,
-// opens heap-decoded and mmap'd, and — searched with a pool that covers the
-// corpus, where retrieval is the exact scan — ranks Float64bits-identically
-// to an engine built fresh at the same options.
-func TestLoadsParentSnapshotWithShadowColumns(t *testing.T) {
-	if err := verifySnapshotFile(parentSnapshot); err != nil {
-		t.Fatalf("parent snapshot rejected: %v", err)
-	}
+// TestParentSnapshotRefusedByVersion pins the format decision that made
+// the snapshot one columnar section: a version-3 file — here one that
+// also carries the three shadow segments — is refused with
+// *durable.VersionError{Got: 3, Max: 4} by every opener, heap-decoded and
+// mmap'd, through a store and through the follower's validator, before a
+// byte of its gob payload is read. The remedy is to rebuild from the graph.
+func TestParentSnapshotRefusedByVersion(t *testing.T) {
 	raw, err := os.ReadFile(parentSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segmentMiddle(t, raw, "qcodes") // the file really is a shadow-carrying one
-	ds, built := parentSnapshotEngine(t)
+	// The file really is a shadow-carrying version-3 one: the container's
+	// header, then a section whose directory names the int8 codes.
+	if string(raw[:6]) != containerMagic || binary.LittleEndian.Uint16(raw[6:8]) != 3 {
+		t.Fatalf("fixture starts %q, want the version-3 container", raw[:8])
+	}
+	if sec := raw[20+binary.LittleEndian.Uint64(raw[8:16]):]; string(sec[:8]) != "EFCOLSEG" ||
+		!bytes.Contains(sec[:colstore.PageAlign], []byte("qcodes")) {
+		t.Fatal("fixture's section does not declare the qcodes segment")
+	}
+
+	refused := func(how string, err error) {
+		t.Helper()
+		var ve *durable.VersionError
+		if !errors.As(err, &ve) || ve.Got != 3 || ve.Max != 4 {
+			t.Fatalf("%s: %v, want *durable.VersionError{Got: 3, Max: 4}", how, err)
+		}
+	}
 	for _, mode := range []colstore.Mode{colstore.ModeOff, colstore.ModeOn} {
-		loaded, err := LoadFileWith(parentSnapshot, dataset.Generate(dataset.AminerSim(60)).Graph, LoadOptions{Mmap: mode})
-		if err != nil {
-			t.Fatalf("mmap mode %v: %v", mode, err)
-		}
-		if loaded.opts.EF != built.opts.EF || loaded.index == nil || loaded.index.Len() != built.index.Len() ||
-			loaded.index.NumEdges() != built.index.NumEdges() {
-			t.Fatalf("mmap mode %v: loaded index %v, built %v", mode, loaded.index, built.index)
-		}
-		assertRankingsIdentical(t, ds, fmt.Sprintf("built vs parent snapshot (mmap mode %v)", mode), built, loaded)
-		if err := loaded.CloseSnapshot(); err != nil {
-			t.Fatal(err)
-		}
+		_, err := LoadFileWith(parentSnapshot, dataset.Generate(dataset.AminerSim(60)).Graph, LoadOptions{Mmap: mode})
+		refused(fmt.Sprintf("LoadFileWith, mmap mode %v", mode), err)
+	}
+	refused("verifySnapshotFile", verifySnapshotFile(parentSnapshot))
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	built := false
+	_, err = OpenStore(dir, dataset.Generate(dataset.AminerSim(60)).Graph, func() (*Engine, error) {
+		built = true
+		return nil, errors.New("a refused snapshot must not be rebuilt over")
+	}, StoreOptions{Metrics: obs.NewRegistry()})
+	refused("OpenStore", err)
+	if built {
+		t.Fatal("OpenStore rebuilt over a refused snapshot")
 	}
 }
 
 // TestVerifySnapshotFile pins the follower-bootstrap validator: a valid
 // file passes, and truncation, trailing junk, or a flipped byte in
-// any region (header, gob payload, columnar payload, padding) fails
+// any region (header, directory, meta, columnar payload, padding) fails
 // with a typed error.
 func TestVerifySnapshotFile(t *testing.T) {
 	_, _, snap := mmapEquivSetup(t)

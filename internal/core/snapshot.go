@@ -1,8 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,9 +12,9 @@ import (
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 	"expertfind/internal/pgindex"
-	"expertfind/internal/sampling"
 	"expertfind/internal/textenc"
 	"expertfind/internal/vec"
+	"expertfind/internal/wire"
 )
 
 // The offline pipeline (§III) runs once; the online stage (§IV) serves
@@ -26,21 +25,20 @@ import (
 // query-ready engine against the same base graph by adopting those
 // blocks as they are and re-applying the journalled updates to the graph.
 //
-// One format, container version 3, with one rule for what lives where:
-// the gob payload holds scalars and strings (options, vocabulary, update
-// journal, block shapes), and every fixed-width block is a segment of
-// the page-aligned columnar section (internal/colstore) that follows it —
-// the encoder table Θ_B, the float32 embedding matrix and the PG-Index CSR
-// adjacency. Segments are looked up by name and gob skips fields the
-// struct lacks, so the three int8 shadow segments and the traversal-mode
-// header field that builds before PR 24 wrote are checksummed with the rest
-// and otherwise ignored; the version did not change because those builds
-// open a file without them too.
+// One format, version 4: a snapshot file is one columnar section
+// (internal/colstore) starting at byte 0, and nothing else. Θ_B, the
+// embedding matrix E, the row ids and the PG-Index CSR are segments, and
+// the scalars and strings are the meta segment's bytes, one wire walk
+// with uvarint counts and lengths:
 //
-//	0                durable container header (magic, version, CRC-32C)
-//	20               gob(snapshotPayload)   — includes Col metadata
-//	20+len(payload)  colstore section       — page-aligned segments
-//	                 ... and nothing after the section's final page
+//	meta     'S' · version u8 (4) · options · vocab · index ·
+//	         LastSeq uvarint · n uvarint · n × update
+//	options  K i64 · meta-paths (n · n × str) · SampleFraction f64 ·
+//	         NegStrategy u8 · NegPerPos i64 · MaxPositivesPerSeed i64 ·
+//	         Dim i64 · EF i64 · Seed i64 · UsePGIndex bool
+//	vocab    NumDocs uvarint · n uvarint · n × { token str · doc freq uvarint }
+//	index    has a graph bool · Nav i32
+//	update   the WAL's update record without its header (update.go)
 //
 // The payoff is the load path: nothing is re-embedded or rebuilt, and
 // when the file is mmap'd (LoadOptions.Mmap) the matrix and adjacency are
@@ -48,20 +46,27 @@ import (
 // pages fault in on demand and the kernel evicts them under pressure.
 // Rankings are bit-identical either way: the bytes are the bytes.
 //
-// A truncated, bit-flipped, foreign or differently-versioned file is
-// rejected with a typed error (durable.ErrTruncated, durable.ErrChecksum,
-// durable.ErrBadMagic, *durable.VersionError) before a single payload
-// byte is interpreted — never a cryptic mid-gob failure, and never a
-// silently half-loaded engine. Versions 1 (all-gob) and 2 (Θ_B inside the
-// gob payload as float64) are as unreadable as a future one and say so by
-// type: rebuild from the graph.
+// A truncated, bit-flipped or foreign file is rejected with a typed error
+// (durable.ErrTruncated, ErrChecksum, ErrBadMagic) before a meta byte is
+// interpreted, and a meta segment the walk refuses is a
+// *durable.CorruptError — never a silently half-loaded engine. Versions 1
+// to 3 wrapped a gob payload in an EFSNAP container; such a file, like a
+// meta segment of another version, is a *durable.VersionError: rebuild
+// from the graph.
 
-// snapshotVersion is the container format version SaveSnapshot writes
-// and the only one a load reads.
-const snapshotVersion = 3
-
-// Columnar segment names inside the section.
 const (
+	// snapshotVersion is the format version SaveSnapshot writes and the
+	// only one a load reads, after tagSnapshot at the meta segment's head.
+	snapshotVersion      = 4
+	tagSnapshot     byte = 'S'
+	// containerMagic opens the files versions 1 to 3 wrote, their version
+	// following as a little-endian uint16.
+	containerMagic = "EFSNAP"
+)
+
+// Segment names inside the section.
+const (
+	segMeta    = "meta"    // u8, the snapshotMeta walk
 	segTable   = "table"   // float32, vocabulary x Dim row-major encoder table Θ_B
 	segEmbs    = "embs"    // float32, Rows x Dim row-major embedding matrix
 	segIDs     = "ids"     // int32, paper node id of each row
@@ -70,53 +75,64 @@ const (
 	segEntries = "entries" // int32, PG-Index entry points
 )
 
-// enginePersist is the gob-encoded form of the engine's static state.
-type enginePersist struct {
-	// Options echoes the build configuration (function-typed and pointer
-	// fields excluded). Older writers also echoed a Pooling field, always
-	// mean; gob skips it on load.
-	K                   int
-	MetaPaths           []string
-	SampleFraction      float64
-	NegStrategy         uint8
-	NegPerPos           int
-	MaxPositivesPerSeed int
-	Dim                 int
-	EF                  int
-	Seed                int64
-	UsePGIndex          bool
-
-	// Tokens is the vocabulary in id order; the fine-tuned table over it
-	// is the segTable column.
-	Tokens []string
-	// DocFreqs and NumDocs restore the IDF weights.
-	DocFreqs []int
-	NumDocs  int
+// snapshotMeta is the content of the meta segment: the build options
+// (function-typed and pointer fields excluded), the vocabulary the table
+// is over with its IDF counts, the index scalars, and the journal of
+// online updates the engine has accepted with the WAL sequence it
+// reaches. Restoring it therefore reproduces the live state, and WAL
+// replay only needs records past lastSeq.
+type snapshotMeta struct {
+	opts     Options
+	tokens   []string
+	docFreqs []int
+	numDocs  int
+	hasIndex bool
+	nav      int32
+	lastSeq  uint64
+	updates  []NewPaper
 }
 
-// colPersist is the gob-side metadata describing the columnar section:
-// the shapes the segments must agree with, and the index scalars that
-// are not worth a segment of their own.
-type colPersist struct {
-	Rows     int
-	Dim      int
-	HasIndex bool
-	Nav      int32
-}
+// walk writes or reads the meta segment after its header.
+func (m *snapshotMeta) walk(w *wire.Walker) {
+	o := &m.opts
+	wire.I64(w, &o.K)
+	for i := range wire.List(w, &o.MetaPaths, 1) {
+		s := o.MetaPaths[i].String()
+		if w.Str(&s); !w.Writing() {
+			mp, err := hetgraph.ParseMetaPath(s)
+			if err != nil {
+				w.Fail("%v", err)
+			}
+			o.MetaPaths[i] = mp
+		}
+	}
+	w.F64(&o.SampleFraction)
+	wire.U8(w, &o.NegStrategy)
+	wire.I64(w, &o.NegPerPos)
+	wire.I64(w, &o.MaxPositivesPerSeed)
+	if wire.I64(w, &o.Dim); o.Dim <= 0 {
+		w.Fail("embedding dimension %d", o.Dim)
+	}
+	wire.I64(w, &o.EF)
+	wire.I64(w, &o.Seed)
+	usePG := boolOpt(o.UsePGIndex, true)
+	w.Bool(&usePG)
+	o.UsePGIndex = Bool(usePG)
 
-// snapshotPayload is the complete gob payload inside the container: the
-// static engine state plus the journal of online updates it has
-// accepted, and the WAL sequence the journal reaches. Restoring the
-// payload therefore reproduces the live state, and WAL replay only
-// needs records past LastSeq.
-type snapshotPayload struct {
-	Engine  enginePersist
-	Updates []NewPaper
-	LastSeq uint64
-	// Col describes the columnar section that follows the payload
-	// (shapes and index scalars). Never nil in a snapshot SaveSnapshot
-	// wrote: an engine always has embeddings.
-	Col *colPersist
+	wire.Uvarint(w, &m.numDocs)
+	if n := w.Count(len(m.tokens), 2); !w.Writing() {
+		m.tokens, m.docFreqs = make([]string, n), make([]int, n)
+	}
+	for i := range m.tokens {
+		w.Str(&m.tokens[i])
+		wire.Uvarint(w, &m.docFreqs[i])
+	}
+	w.Bool(&m.hasIndex)
+	wire.I32(w, &m.nav)
+	wire.Uvarint(w, &m.lastSeq)
+	for i := range wire.List(w, &m.updates, 5) {
+		m.updates[i].walk(w)
+	}
 }
 
 // LoadOptions configures how LoadFileWith materialises a snapshot.
@@ -130,87 +146,60 @@ type LoadOptions struct {
 
 // SaveSnapshot serialises the engine — fine-tuned encoder, embeddings,
 // index, configuration, and the journal of accepted online updates — as
-// a versioned, checksummed container, and returns the WAL sequence
-// number the written snapshot covers: every update with sequence <=
-// lastSeq is inside the snapshot, so WAL segments up to it can be
-// truncated once the bytes are durably on disk. It holds the engine's
-// read lock, so it can run while queries are served but not mid-update.
+// one checksummed columnar section, and returns the WAL sequence number
+// the written snapshot covers: every update with sequence <= lastSeq is
+// inside the snapshot, so WAL segments up to it can be truncated once the
+// bytes are durably on disk. It holds the engine's read lock, so it can
+// run while queries are served but not mid-update.
 func (e *Engine) SaveSnapshot(w io.Writer) (lastSeq uint64, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	vocab := e.enc.Vocab()
-	p := snapshotPayload{LastSeq: e.walSeq, Updates: e.updates}
-	p.Engine = enginePersist{
-		K:                   e.opts.K,
-		SampleFraction:      e.opts.SampleFraction,
-		NegStrategy:         uint8(e.opts.NegStrategy),
-		NegPerPos:           e.opts.NegPerPos,
-		MaxPositivesPerSeed: e.opts.MaxPositivesPerSeed,
-		Dim:                 e.opts.Dim,
-		EF:                  e.opts.EF,
-		Seed:                e.opts.Seed,
-		UsePGIndex:          boolOpt(e.opts.UsePGIndex, true),
-		NumDocs:             vocab.NumDocs(),
+	segs, err := e.snapshotSegmentsLocked()
+	if err == nil {
+		_, _, err = colstore.WriteSection(w, 0, segs)
 	}
-	for _, mp := range e.opts.MetaPaths {
-		p.Engine.MetaPaths = append(p.Engine.MetaPaths, mp.String())
-	}
-	p.Engine.Tokens = make([]string, vocab.Size())
-	p.Engine.DocFreqs = make([]int, vocab.Size())
-	for id := range p.Engine.Tokens {
-		p.Engine.Tokens[id] = vocab.Token(textenc.TokenID(id))
-		p.Engine.DocFreqs[id] = vocab.DocFreq(textenc.TokenID(id))
-	}
-	var segs []colstore.SegmentData
-	segs, p.Col = e.columnSegmentsLocked()
-
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
-		return 0, fmt.Errorf("core: save: %w", err)
-	}
-	if err := durable.WriteContainer(w, snapshotVersion, payload.Bytes()); err != nil {
-		return 0, fmt.Errorf("core: save: %w", err)
-	}
-	base := int64(durable.ContainerHeaderSize) + int64(payload.Len())
-	if _, _, err := colstore.WriteSection(w, base, segs); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("core: save: %w", err)
 	}
 	return e.walSeq, nil
 }
 
-// columnSegmentsLocked decomposes the engine's fixed-width state into
-// columnar segments, with the shapes that describe them. Caller holds
-// e.mu (read). The returned slices view live engine storage — they are
-// only valid until the lock is released, which is exactly long enough to
-// write them out.
-func (e *Engine) columnSegmentsLocked() ([]colstore.SegmentData, *colPersist) {
-	c := e.index.Columns()
+// snapshotSegmentsLocked is the snapshot's every segment, meta first.
+// Caller holds e.mu (read). The column segments view live engine storage
+// — they are only valid until the lock is released, which is exactly long
+// enough to write them out.
+func (e *Engine) snapshotSegmentsLocked() ([]colstore.SegmentData, error) {
+	vocab, c := e.enc.Vocab(), e.index.Columns()
+	m := snapshotMeta{opts: e.opts, numDocs: vocab.NumDocs(), hasIndex: e.index.HasGraph(), nav: c.Nav,
+		lastSeq: e.walSeq, updates: e.updates}
+	for id := range vocab.Size() {
+		m.tokens = append(m.tokens, vocab.Token(textenc.TokenID(id)))
+		m.docFreqs = append(m.docFreqs, vocab.DocFreq(textenc.TokenID(id)))
+	}
+	w := wire.Writer(make([]byte, 0, 64+16*len(m.tokens)), wire.Varint)
+	w.Header(tagSnapshot, snapshotVersion)
+	m.walk(&w)
+	if err := w.Err(); err != nil {
+		return nil, err
+	}
 	segs := []colstore.SegmentData{
+		colstore.U8Seg(segMeta, w.Bytes()),
 		colstore.F32Seg(segTable, e.enc.Emb.Data),
 		colstore.F32Seg(segEmbs, c.Embs),
-		colstore.I32Seg(segIDs, idsToInt32(c.IDs)),
+		colstore.I32Seg(segIDs, c.IDs),
 	}
-	col := &colPersist{Rows: len(c.IDs), Dim: c.Dim, HasIndex: e.index.HasGraph(), Nav: c.Nav}
-	if col.HasIndex {
+	if m.hasIndex {
 		segs = append(segs,
 			colstore.U64Seg(segNbrOff, c.NbrOff),
 			colstore.I32Seg(segNbrDat, c.NbrDat),
 			colstore.I32Seg(segEntries, c.Entries))
 	}
-	return segs, col
-}
-
-func idsToInt32(ids []hetgraph.NodeID) []int32 {
-	out := make([]int32, len(ids))
-	for i, id := range ids {
-		out[i] = int32(id)
-	}
-	return out
+	return segs, nil
 }
 
 // LoadFileWith restores an engine from a snapshot file SaveSnapshot
-// wrote: it verifies the container (magic, version, checksum) and the
-// columnar section, decodes the payload, adopts the saved encoder table,
+// wrote: it verifies the section (magic, directory, every segment
+// checksum), decodes the meta segment, adopts the saved encoder table,
 // embedding matrix and PG-Index as they are, and re-applies the
 // journalled online updates to g. The graph must be the base graph the
 // engine was built over (same node ids); the load cannot verify that
@@ -243,7 +232,7 @@ func loadFile(path string, g *hetgraph.Graph, mode colstore.Mode, reg *obs.Regis
 }
 
 // verifySnapshotFile checks everything of a snapshot file that needs no
-// graph: container, every CRC, the file's end, and the content the
+// graph: every CRC, the file's end, the meta segment and the content the
 // segments must agree on (shapes, ascending row ids, adjacency). A
 // replication follower runs it on a downloaded snapshot before letting it
 // replace anything, so a torn or forged download fails here, typed.
@@ -253,12 +242,12 @@ func verifySnapshotFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	payload, sec, err := openSnapshot(f, path, size, colstore.ModeOff)
+	sec, err := openSnapshot(f, path, size, colstore.ModeOff)
 	if err != nil {
 		return err
 	}
 	defer sec.Close()
-	_, _, err = engineFromColumns(payload, path, sec)
+	_, _, err = engineFromColumns(path, sec)
 	return contentError(path, err)
 }
 
@@ -276,47 +265,44 @@ func openSized(path string) (*os.File, int64, error) {
 }
 
 // openSnapshot is the one way snapshot bytes are accepted, whichever
-// entry point they came through: the container at the head of src (magic,
-// payload CRC, and the one format version this build reads — an older
-// file is as unreadable as a newer one, and says so by type), then the
-// columnar section behind it with its directory and every segment CRC,
-// then the end of the source, which must be the section's final page
-// boundary — readable bytes past it mean a concatenated or doubly-written
-// file, never a legitimate one. src is the whole snapshot, size bytes
-// long; when it is a file, mode decides whether the returned section maps
-// it (a stream's bytes can only be read onto the heap).
-func openSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode) (payload []byte, sec *colstore.Section, err error) {
-	version, payload, end, err := durable.ReadContainerPrefix(io.NewSectionReader(src, 0, size), name, snapshotVersion)
-	if err != nil {
-		return nil, nil, err
-	}
-	if version != snapshotVersion {
-		return nil, nil, &durable.VersionError{Path: name, Got: version, Max: snapshotVersion}
+// entry point they came through: a file a retired build wrote refused by
+// its container's magic and version, then the columnar section at byte 0
+// with its directory and every segment CRC, then the end of the source,
+// which must be the section's final page boundary — readable bytes past
+// it mean a concatenated or doubly-written file, never a legitimate one.
+// src is the whole snapshot, size bytes long; when it is a file, mode
+// decides whether the returned section maps it (a stream's bytes can only
+// be read onto the heap).
+func openSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode) (sec *colstore.Section, err error) {
+	var head [len(containerMagic) + 2]byte
+	if n, _ := src.ReadAt(head[:], 0); n == len(head) && string(head[:len(containerMagic)]) == containerMagic {
+		return nil, &durable.VersionError{Path: name, Got: binary.LittleEndian.Uint16(head[len(containerMagic):]),
+			Max: snapshotVersion}
 	}
 	if f, ok := src.(*os.File); ok {
-		sec, err = colstore.Open(f, end, mode)
+		sec, err = colstore.Open(f, 0, mode)
 	} else {
-		sec, err = colstore.OpenReaderAt(src, name, size, end)
+		sec, err = colstore.OpenReaderAt(src, name, size, 0)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if aligned := colstore.AlignUp(sec.End()); size != aligned {
 		sec.Close()
-		return nil, nil, &durable.CorruptError{Path: name, Offset: aligned,
+		return nil, &durable.CorruptError{Path: name, Offset: aligned,
 			Detail: "trailing bytes after snapshot", Err: durable.ErrChecksum}
 	}
-	return payload, sec, nil
+	return sec, nil
 }
 
 // loadSnapshot opens a snapshot, assembles the engine it describes,
 // recording into reg, and re-applies its journal to g.
 func loadSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode, g *hetgraph.Graph, reg *obs.Registry) (*Engine, error) {
-	payload, sec, err := openSnapshot(src, name, size, mode)
+	sec, err := openSnapshot(src, name, size, mode)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	e, updates, err := engineFromColumns(payload, name, sec)
+	e, updates, err := engineFromColumns(name, sec)
 	if err == nil {
 		e.useRegistry(reg)
 		err = e.replayJournal(g, updates)
@@ -331,80 +317,51 @@ func loadSnapshot(src io.ReaderAt, name string, size int64, mode colstore.Mode, 
 	return e, nil
 }
 
-// contentError types an error found after every checksum held: what is
-// wrong is the snapshot's content, so it is a *durable.CorruptError.
+// contentError types an error found after every checksum held: unless
+// the meta segment's version was refused, what is wrong is the snapshot's
+// content, so it is a *durable.CorruptError.
 func contentError(name string, err error) error {
 	var ce *durable.CorruptError
-	if err == nil || errors.As(err, &ce) {
+	var ve *durable.VersionError
+	if err == nil || errors.As(err, &ce) || errors.As(err, &ve) {
 		return err
 	}
 	return &durable.CorruptError{Path: name, Detail: "snapshot content", Err: err}
 }
 
-// decodePayload gob-decodes a snapshot payload.
-func decodePayload(payload []byte, name string) (*snapshotPayload, error) {
-	var p snapshotPayload
-	// gob reads a bytes.Reader byte by byte, so what is left of it says
-	// how far into the payload parsing got.
-	rd := bytes.NewReader(payload)
-	if err := gob.NewDecoder(rd).Decode(&p); err != nil {
-		// The payload passed its checksum, so a gob failure means the
-		// snapshot was written by an incompatible build — report it with
-		// position context instead of a bare "gob: ..." message.
-		return nil, &durable.CorruptError{Path: name, Offset: int64(len(payload) - rd.Len()),
-			Detail: "engine gob payload", Err: err}
+// decodeMeta reads the meta segment of sec. Its bytes passed their
+// checksum, so a walk that stops early means a build that wrote another
+// format: a different version is a *durable.VersionError, anything else a
+// *durable.CorruptError carrying the byte of the segment where the walk
+// stopped.
+func decodeMeta(sec *colstore.Section, name string) (*snapshotMeta, error) {
+	b, err := sec.Bytes(segMeta)
+	if err != nil {
+		return nil, err
 	}
-	if p.Col == nil {
-		return nil, errors.New("snapshot describes no columnar section")
+	if len(b) >= 2 && b[0] == tagSnapshot && b[1] != snapshotVersion {
+		return nil, &durable.VersionError{Path: name, Got: uint16(b[1]), Max: snapshotVersion}
 	}
-	return &p, nil
-}
-
-// optionsFromPersist reconstructs the build Options a payload echoes.
-func optionsFromPersist(ep *enginePersist) (Options, error) {
-	opts := Options{
-		K:                   ep.K,
-		SampleFraction:      ep.SampleFraction,
-		NegStrategy:         sampling.Strategy(ep.NegStrategy),
-		NegPerPos:           ep.NegPerPos,
-		MaxPositivesPerSeed: ep.MaxPositivesPerSeed,
-		Dim:                 ep.Dim,
-		EF:                  ep.EF,
-		Seed:                ep.Seed,
-		UsePGIndex:          Bool(ep.UsePGIndex),
+	var m snapshotMeta
+	r := wire.Reader(b, wire.Varint)
+	r.Header(tagSnapshot, snapshotVersion)
+	m.walk(&r)
+	if err := r.Done(); err != nil {
+		return nil, &durable.CorruptError{Path: name, Offset: int64(err.(*wire.Error).At),
+			Detail: "snapshot meta segment", Err: err}
 	}
-	for _, s := range ep.MetaPaths {
-		mp, err := hetgraph.ParseMetaPath(s)
-		if err != nil {
-			return Options{}, err
-		}
-		opts.MetaPaths = append(opts.MetaPaths, mp)
-	}
-	return opts, nil
+	return &m, nil
 }
 
 // engineFromColumns assembles an engine without its graph from the
-// CRC-verified payload (name labels its source) and columnar section, and
-// returns the payload's journal. The encoder table, matrix and adjacency
-// are adopted as-is (the latter two zero-copy when sec is mapped). An
-// error is a *durable.CorruptError or a plain one for contentError.
-func engineFromColumns(payload []byte, name string, sec *colstore.Section) (*Engine, []NewPaper, error) {
-	p, err := decodePayload(payload, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	col := p.Col
-	if col.Rows < 0 || p.Engine.Dim <= 0 || col.Dim != p.Engine.Dim {
-		return nil, nil, fmt.Errorf("columnar shape: %d rows x %d dims vs engine dim %d",
-			col.Rows, col.Dim, p.Engine.Dim)
-	}
-	opts, err := optionsFromPersist(&p.Engine)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Residency discipline: the assembly below walks the small metadata
-	// columns (row ids, CSR offsets, entry points) in full,
+// CRC-verified section (name labels its source), and returns the meta
+// segment's journal. The encoder table, matrix and adjacency are adopted
+// as-is (the latter two zero-copy when sec is mapped). An error is a
+// *durable.CorruptError, a *durable.VersionError or a plain one for
+// contentError.
+func engineFromColumns(name string, sec *colstore.Section) (*Engine, []NewPaper, error) {
+	// Residency discipline: the assembly below walks the meta segment and
+	// the small columns (row ids, CSR offsets, entry points) in full,
 	// so zero-copy views of them would fault their pages resident during
 	// load for no benefit — read those through the file onto the heap.
 	// The encoder table goes there too: every query token touches it, and
@@ -412,64 +369,60 @@ func engineFromColumns(payload []byte, name string, sec *colstore.Section) (*Eng
 	// The blocks that actually pay off lazily — the embedding matrix and
 	// the concatenated neighbour lists — stay views of the mapping and page
 	// in on first query touch.
-	meta := sec.Materialized()
-	table, err := meta.Float32s(segTable)
+	heap := sec.Materialized()
+	m, err := decodeMeta(heap, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	table, err := heap.Float32s(segTable)
 	if err != nil {
 		return nil, nil, fmt.Errorf("encoder table: %w", err)
 	}
-	vocab, err := textenc.NewVocabFromTokens(p.Engine.Tokens, p.Engine.DocFreqs, p.Engine.NumDocs)
+	vocab, err := textenc.NewVocabFromTokens(m.tokens, m.docFreqs, m.numDocs)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The shape check (vocabulary x Dim against the segment's length,
 	// overflow included) is the constructor's: shapes come from a file.
-	enc, err := textenc.NewEncoderWithTable(vocab, p.Engine.Dim, table)
+	enc, err := textenc.NewEncoderWithTable(vocab, m.opts.Dim, table)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	c := pgindex.Columns{Dim: col.Dim, Nav: col.Nav}
+	c := pgindex.Columns{Dim: m.opts.Dim, Nav: m.nav}
 	if c.Embs, err = sec.Float32s(segEmbs); err != nil {
 		return nil, nil, fmt.Errorf("embedding matrix: %w", err)
 	}
-	ids32, err := meta.Int32s(segIDs)
-	if err != nil {
+	if c.IDs, err = colstore.Int32s[hetgraph.NodeID](heap, segIDs); err != nil {
 		return nil, nil, fmt.Errorf("row ids: %w", err)
 	}
-	if len(ids32) != col.Rows {
-		return nil, nil, fmt.Errorf("columnar shape: %d ids for %d rows", len(ids32), col.Rows)
-	}
-	c.IDs = make([]hetgraph.NodeID, len(ids32))
-	for i, id := range ids32 {
-		c.IDs[i] = hetgraph.NodeID(id)
-	}
-	if col.HasIndex {
-		if c.NbrOff, err = meta.Uint64s(segNbrOff); err != nil {
+	if m.hasIndex {
+		if c.NbrOff, err = heap.Uint64s(segNbrOff); err != nil {
 			return nil, nil, fmt.Errorf("CSR offsets: %w", err)
 		}
-		if c.NbrDat, err = sec.Int32s(segNbrDat); err != nil {
+		if c.NbrDat, err = colstore.Int32s[int32](sec, segNbrDat); err != nil {
 			return nil, nil, fmt.Errorf("CSR neighbours: %w", err)
 		}
-		if c.Entries, err = meta.Int32s(segEntries); err != nil {
+		if c.Entries, err = colstore.Int32s[int32](heap, segEntries); err != nil {
 			return nil, nil, fmt.Errorf("index entry points: %w", err)
 		}
 	}
 
-	e := &Engine{opts: opts, enc: enc}
+	e := &Engine{opts: m.opts, enc: enc}
 	// The index adopts the matrix where it lies, mapping included, clipped
 	// so that an AddPaper reallocates instead of writing through it.
 	if e.index, err = pgindex.FromColumns(c); err != nil {
 		return nil, nil, fmt.Errorf("columnar index: %w", err)
 	}
-	if col.HasIndex {
+	if m.hasIndex {
 		e.stats.IndexEdges = e.index.NumEdges()
 		e.stats.IndexMemory = e.index.MemoryBytes()
 	}
 	e.stats.VocabSize = vocab.Size()
-	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, col.Rows)
+	e.Embeddings = make(map[hetgraph.NodeID]vec.Vec32, len(c.IDs))
 	e.viewRowsLocked()
-	e.walSeq = p.LastSeq
-	return e, p.Updates, nil
+	e.walSeq = m.lastSeq
+	return e, m.updates, nil
 }
 
 // replayJournal attaches g and re-applies the journal to it only: the

@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 
-	"expertfind/internal/colstore"
 	"expertfind/internal/dataset"
 	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
@@ -63,14 +61,17 @@ func typedLoadError(err error) bool {
 
 // TestLoadCorruptionsAreTyped damages a valid snapshot every way the
 // fault model covers and asserts each one is rejected with a typed,
-// contextual error — never a bare "gob: ..." string, never a partially
+// contextual error — never a bare "wire: ..." string, never a partially
 // loaded engine.
 func TestLoadCorruptionsAreTyped(t *testing.T) {
-	valid, ds := validSnapshotBytes(t)
+	valid, _ := validSnapshotBytes(t)
 	freshGraph := func() *hetgraph.Graph {
 		return dataset.Generate(dataset.AminerSim(60)).Graph
 	}
-	_ = ds
+	e, err := loadBytes(valid, freshGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("truncations", func(t *testing.T) {
 		for _, cut := range []int{0, 1, 5, 19, 20, 21, len(valid) / 2, len(valid) - 1} {
@@ -97,8 +98,8 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 			if !typedLoadError(err) {
 				t.Fatalf("bit flip at %d: untyped error %v", off, err)
 			}
-			if strings.HasPrefix(err.Error(), "gob:") {
-				t.Fatalf("bit flip at %d surfaces raw gob error: %v", off, err)
+			if strings.HasPrefix(err.Error(), "wire:") {
+				t.Fatalf("bit flip at %d surfaces a raw wire error: %v", off, err)
 			}
 		}
 	})
@@ -111,41 +112,35 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 	})
 
 	t.Run("future version", func(t *testing.T) {
-		mut := append([]byte(nil), valid...)
-		mut[6] = 0xFF // version field low byte
+		mut := withMeta(t, e, valid, func(meta []byte) []byte {
+			meta[1] = 0xFF // the version byte after the tag
+			return meta
+		})
 		_, err := loadBytes(mut, freshGraph())
 		var ve *durable.VersionError
-		if !errors.As(err, &ve) {
-			t.Fatalf("want *VersionError, got %v", err)
+		if !errors.As(err, &ve) || ve.Got != 0xFF || ve.Max != snapshotVersion {
+			t.Fatalf("want *VersionError{Got: 255, Max: %d}, got %v", snapshotVersion, err)
 		}
 	})
 
-	t.Run("gob damage carries offset context", func(t *testing.T) {
-		// A container that checks out (header and CRC consistent) but whose
-		// gob stream stops early — the shape of an incompatible or buggy
-		// writer rather than bit rot. The typed error must say the payload
-		// was the problem and carry the offset where decoding stopped.
-		// Cut inside the gob payload, re-seal the shortened container and
-		// put a well-formed columnar section behind it, so only gob decoding
-		// can object.
-		plen := int(binary.LittleEndian.Uint64(valid[8:16]))
-		mut := bytes.NewBuffer(append([]byte(nil), valid[:20+plen-10]...))
-		binary.LittleEndian.PutUint64(mut.Bytes()[8:16], uint64(plen-10))
-		binary.LittleEndian.PutUint32(mut.Bytes()[16:20], durable.Checksum(mut.Bytes()[20:]))
-		segs := []colstore.SegmentData{colstore.F32Seg(segTable, make([]float32, 4))}
-		if _, _, err := colstore.WriteSection(mut, int64(mut.Len()), segs); err != nil {
-			t.Fatal(err)
-		}
-		_, err := loadBytes(mut.Bytes(), freshGraph())
+	t.Run("meta damage carries offset context", func(t *testing.T) {
+		// A section that checks out (directory and every CRC consistent)
+		// but whose meta segment stops early — the shape of an
+		// incompatible or buggy writer rather than bit rot. The typed error
+		// must say the meta segment was the problem and carry the offset
+		// where the walk stopped.
+		cut := len(savedMeta(t, valid)) - 10
+		mut := withMeta(t, e, valid, func(meta []byte) []byte { return meta[:cut] })
+		_, err := loadBytes(mut, freshGraph())
 		var ce *durable.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("want *CorruptError, got %v", err)
 		}
-		if ce.Detail != "engine gob payload" {
+		if ce.Detail != "snapshot meta segment" {
 			t.Fatalf("wrong detail: %+v", ce)
 		}
-		if ce.Offset <= 0 {
-			t.Fatalf("no offset context: %+v", ce)
+		if ce.Offset <= 0 || ce.Offset > int64(cut) {
+			t.Fatalf("no offset context inside the %d-byte segment: %+v", cut, ce)
 		}
 	})
 }
@@ -153,8 +148,7 @@ func TestLoadCorruptionsAreTyped(t *testing.T) {
 // FuzzLoadCorrupt mutates valid snapshot bytes at an arbitrary position
 // and asserts the invariant behind the whole durability layer: a load
 // never panics on damaged input and always rejects it with a typed
-// error. The container checksum makes any single-byte change
-// detectable, so err must be non-nil whenever the bytes differ.
+// error. The segment checksums make any single-byte change detectable, so err must be non-nil whenever the bytes differ.
 func FuzzLoadCorrupt(f *testing.F) {
 	valid, _ := validSnapshotBytes(f)
 	g := dataset.Generate(dataset.AminerSim(60)).Graph

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -186,28 +185,66 @@ func TestLoadRejectsCorruptData(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithoutColumnsRejected: a container of this build's version
-// whose payload describes no columnar section is not something SaveSnapshot can
-// write. Every checksum holds, so it is the content that is refused —
-// by type, before anything dereferences the missing shapes.
+// TestSnapshotWithoutColumnsRejected: a section of this build's version
+// whose meta segment checks out but that carries no embedding matrix is not
+// something SaveSnapshot can write. Every checksum holds, so it is the
+// content that is refused — by type, naming the missing segment.
 func TestSnapshotWithoutColumnsRejected(t *testing.T) {
-	var payload, file bytes.Buffer
-	p := snapshotPayload{Engine: enginePersist{Dim: 4, Tokens: []string{"[UNK]"}, DocFreqs: []int{0}}}
-	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
+	valid, _ := validSnapshotBytes(t)
+	g := dataset.Generate(dataset.AminerSim(60)).Graph
+	e, err := loadBytes(valid, g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := durable.WriteContainer(&file, snapshotVersion, payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	segs := []colstore.SegmentData{colstore.F32Seg(segTable, make([]float32, 4))}
-	if _, _, err := colstore.WriteSection(&file, int64(file.Len()), segs); err != nil {
-		t.Fatal(err)
-	}
-	_, err := loadBytes(file.Bytes(), dataset.Generate(dataset.AminerSim(60)).Graph)
+	// meta and the encoder table only
+	forged := resave(t, e, func(segs []colstore.SegmentData) []colstore.SegmentData { return segs[:2] })
+	_, err = loadBytes(forged, dataset.Generate(dataset.AminerSim(60)).Graph)
 	var ce *durable.CorruptError
-	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "no columnar section") {
-		t.Fatalf("want *durable.CorruptError naming the missing section, got %v", err)
+	if !errors.As(err, &ce) || !strings.Contains(err.Error(), `no segment "embs"`) {
+		t.Fatalf("want *durable.CorruptError naming the missing segment, got %v", err)
 	}
+}
+
+// savedMeta is the meta segment of snapshot bytes.
+func savedMeta(t testing.TB, saved []byte) []byte {
+	t.Helper()
+	sec, err := colstore.OpenReaderAt(bytes.NewReader(saved), "<bytes>", int64(len(saved)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := sec.Bytes(segMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta
+}
+
+// resave writes e's snapshot again with its segments, meta first, passed
+// through forge: every checksum holds over what forge returns, so only
+// what the segments say can be refused.
+func resave(t testing.TB, e *Engine, forge func([]colstore.SegmentData) []colstore.SegmentData) []byte {
+	t.Helper()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	segs, err := e.snapshotSegmentsLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if _, _, err := colstore.WriteSection(&b, 0, forge(segs)); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// withMeta is resave with the meta segment replaced by forge's copy of the
+// saved one.
+func withMeta(t testing.TB, e *Engine, saved []byte, forge func(meta []byte) []byte) []byte {
+	meta := forge(bytes.Clone(savedMeta(t, saved)))
+	return resave(t, e, func(segs []colstore.SegmentData) []colstore.SegmentData {
+		segs[0] = colstore.U8Seg(segMeta, meta)
+		return segs
+	})
 }
 
 // loadBytes opens snapshot bytes on the heap through loadSnapshot, the

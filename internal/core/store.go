@@ -256,7 +256,7 @@ func (s *Store) Recovery() RecoveryInfo { return s.info }
 func (s *Store) Dir() string { return s.dir }
 
 // Snapshot checkpoints the live engine: it serialises the engine plus
-// its update journal into the versioned container, atomically replaces
+// its update journal into one columnar section, atomically replaces
 // the snapshot file (temp + fsync + rename), and only then truncates
 // WAL segments the new snapshot covers. A crash at any point leaves
 // either the old snapshot with its WAL or the new snapshot with a

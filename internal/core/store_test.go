@@ -333,11 +333,8 @@ func TestStoreLogPastSnapshotFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeUpdate(NewPaper{Text: "an update past the hole",
+	payload := encodeUpdate(NewPaper{Text: "an update past the hole",
 		Authors: ds.Graph.NodesOfType(hetgraph.Author)[:1]})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if seq, err := w.Append(payload); err != nil || seq != 7 {
 		t.Fatalf("append: seq %d, %v", seq, err)
 	}

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
+	"expertfind/internal/wire"
 )
 
 // NewPaper describes a paper to add to a built engine: its text, its
@@ -69,22 +69,60 @@ func (e *Engine) LastUpdateSeq() uint64 {
 	return e.walSeq
 }
 
-// encodeUpdate serialises an update for the write-ahead log.
-func encodeUpdate(p NewPaper) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("core: encode update: %w", err)
-	}
-	return buf.Bytes(), nil
+// The update record, the write-ahead log's payload, is one wire walk with
+// uvarint counts and lengths (the snapshot's journal holds it headless):
+//
+//	'U' · version u8 (1) · text str · authors, venues, topics, cites:
+//	each n · n × id uvarint
+const (
+	tagUpdate     byte = 'U'
+	updateVersion byte = 1
+)
+
+// lists are the paper's four id lists, in record order.
+func (p *NewPaper) lists() [4]*[]hetgraph.NodeID {
+	return [...]*[]hetgraph.NodeID{&p.Authors, &p.Venues, &p.Topics, &p.Cites}
 }
 
-// decodeUpdate reverses encodeUpdate for WAL replay.
-func decodeUpdate(b []byte) (NewPaper, error) {
-	var p NewPaper
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
-		return NewPaper{}, fmt.Errorf("core: decode update: %w", err)
+// walk writes or reads the paper's fields.
+func (p *NewPaper) walk(w *wire.Walker) {
+	w.Str(&p.Text)
+	for _, ids := range p.lists() {
+		for i := range wire.List(w, ids, 1) {
+			wire.Uvarint(w, &(*ids)[i])
+		}
 	}
-	return p, nil
+}
+
+// encodeUpdate serialises a validated update for the write-ahead log:
+// every id is a node of the graph, so the walk cannot fail.
+func encodeUpdate(p NewPaper) []byte {
+	w := wire.Writer(make([]byte, 0, 16+len(p.Text)), wire.Varint)
+	w.Header(tagUpdate, updateVersion)
+	p.walk(&w)
+	return w.Bytes()
+}
+
+// decodeUpdate reverses encodeUpdate for WAL replay. A record it refuses
+// — one an older build wrote included — is a *wire.Error, and p is then
+// meaningless.
+func decodeUpdate(b []byte) (p NewPaper, err error) {
+	r := wire.Reader(b, wire.Varint)
+	r.Header(tagUpdate, updateVersion)
+	p.walk(&r)
+	return p, r.Done()
+}
+
+// firstOccurrences keeps the first occurrence of each id — ReadAminer's
+// rule for an author repeated within one paper — so that a paper's list
+// never counts one node twice.
+func firstOccurrences(ids []hetgraph.NodeID) []hetgraph.NodeID {
+	seen := make(map[hetgraph.NodeID]bool, len(ids))
+	return slices.DeleteFunc(slices.Clone(ids), func(id hetgraph.NodeID) bool {
+		dup := seen[id]
+		seen[id] = true
+		return dup
+	})
 }
 
 // AddPaper appends a paper to the engine's graph, embeds it with the
@@ -99,13 +137,18 @@ func decodeUpdate(b []byte) (NewPaper, error) {
 // returns, the update is as durable as the log's fsync policy promises,
 // and a crash at any point either replays it fully or never
 // acknowledged it. A log failure rejects the update with a typed
-// *UpdateLogError instead of applying it unlogged.
+// *UpdateLogError instead of applying it unlogged. An id repeated within
+// one of p's lists is kept once, at its first position, before anything
+// is logged.
 //
 // AddPaper is safe to call concurrently with queries: it holds the
 // engine's write lock for the duration of the mutation and then
 // invalidates the query cache, so a query started after AddPaper returns
 // always sees the new paper and never a memoised pre-update ranking.
 func (e *Engine) AddPaper(p NewPaper) (hetgraph.NodeID, error) {
+	for _, ids := range p.lists() {
+		*ids = firstOccurrences(*ids)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.validateNewPaper(p); err != nil {
@@ -119,15 +162,11 @@ func (e *Engine) AddPaper(p NewPaper) (hetgraph.NodeID, error) {
 	var seq uint64
 	if e.wal != nil {
 		_, sp := obs.StartSpan(ctx, "log")
-		payload, err := encodeUpdate(p)
-		if err == nil {
-			if seq, err = e.wal.Append(payload); err != nil {
-				err = &UpdateLogError{Err: err}
-			}
-		}
+		var err error
+		seq, err = e.wal.Append(encodeUpdate(p))
 		sp.End()
 		if err != nil {
-			return 0, err
+			return 0, &UpdateLogError{Err: err}
 		}
 	}
 	_, sp := obs.StartSpan(ctx, "apply")

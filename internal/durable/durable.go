@@ -1,7 +1,8 @@
 // Package durable provides the crash-safety substrate for the online
-// engine: a versioned, checksummed container format for snapshots, a
-// segmented write-ahead log with configurable fsync policy, atomic
-// file replacement, and fault-injection helpers for testing recovery.
+// engine: a segmented write-ahead log with configurable fsync policy,
+// atomic file replacement, the typed errors every on-disk format of the
+// project reports damage with, and fault-injection helpers for testing
+// recovery. The snapshot's format is internal/colstore's section.
 //
 // The package is deliberately generic — it moves opaque byte payloads
 // and knows nothing about engines or papers. internal/core layers the
@@ -11,7 +12,7 @@
 //
 // Every failure mode is a typed error: callers distinguish a truncated
 // file (ErrTruncated), a checksum mismatch (ErrChecksum), a foreign
-// file (ErrBadMagic) and a future format (VersionError) with errors.Is
+// file (ErrBadMagic) and a version it does not read (VersionError) with errors.Is
 // / errors.As, and can decide to fail loudly instead of serving partial
 // state. Nothing in this package papers over corruption silently; the
 // single deliberate exception is a torn tail in the final WAL segment,
@@ -42,11 +43,11 @@ var (
 
 // CorruptError wraps one of the sentinel corruption errors with the
 // file path and byte offset where the damage was detected, so operators
-// can locate the bad bytes instead of guessing from a bare gob message.
+// can locate the bad bytes instead of guessing from a bare decoder message.
 type CorruptError struct {
 	Path   string // file being read ("<stream>" for readers with no path)
 	Offset int64  // byte offset of the damaged region
-	Detail string // human context, e.g. "record header" or "gob payload"
+	Detail string // human context, e.g. "record header" or "snapshot meta segment"
 	Err    error  // the sentinel (or underlying decode error)
 }
 
@@ -57,7 +58,7 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return e.Err }
 
-// VersionError reports a container written in a format version this
+// VersionError reports a file written in a format version this
 // build does not read: a newer (or unknown) one, or an older one whose
 // reader has been retired.
 type VersionError struct {

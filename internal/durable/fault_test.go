@@ -13,52 +13,6 @@ import (
 // The contract under test: every injected fault either recovers fully
 // or fails with a typed error — never a silent partial success.
 
-func TestFailingWriterSurfacesError(t *testing.T) {
-	var sink bytes.Buffer
-	fw := &faultfs.FailingWriter{W: &sink, Limit: 10}
-	if err := WriteContainer(fw, 1, bytes.Repeat([]byte("x"), 100)); err == nil {
-		t.Fatal("write through a failing disk reported success")
-	}
-	// Whatever did land must be rejected on read, not half-parsed.
-	if _, _, err := readContainer(bytes.NewReader(sink.Bytes()), "f", 1); err == nil {
-		t.Fatal("partial container accepted")
-	}
-}
-
-func TestErrorAfterNWriter(t *testing.T) {
-	var sink bytes.Buffer
-	// First write (header) succeeds, second (payload) fails: the classic
-	// header-without-body tear.
-	ew := &faultfs.ErrorAfterNWriter{W: &sink, N: 1}
-	if err := WriteContainer(ew, 1, []byte("payload")); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("want faultfs.ErrInjected, got %v", err)
-	}
-	_, _, err := readContainer(bytes.NewReader(sink.Bytes()), "f", 1)
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("header-only container: want ErrTruncated, got %v", err)
-	}
-}
-
-func TestTornWriterProducesDetectableTear(t *testing.T) {
-	payload := bytes.Repeat([]byte("engine state "), 50)
-	var full bytes.Buffer
-	if err := WriteContainer(&full, 1, payload); err != nil {
-		t.Fatal(err)
-	}
-	// A torn write reports success to the writer but only a prefix hits
-	// disk. Every possible tear point must be detected on read.
-	for _, limit := range []int64{0, 5, 19, 20, 21, int64(full.Len()) - 1} {
-		var disk bytes.Buffer
-		tw := &faultfs.TornWriter{W: &disk, Limit: limit}
-		if err := WriteContainer(tw, 1, payload); err != nil {
-			t.Fatalf("torn writer must look successful, got %v", err)
-		}
-		if _, _, err := readContainer(bytes.NewReader(disk.Bytes()), "f", 1); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("tear at %d: want ErrTruncated, got %v", limit, err)
-		}
-	}
-}
-
 func TestTruncateReader(t *testing.T) {
 	src := bytes.Repeat([]byte("abc"), 10)
 	tr := &faultfs.TruncateReader{R: bytes.NewReader(src), Limit: 7}
@@ -86,6 +40,53 @@ func TestFlipReaderFlipsExactlyOneByte(t *testing.T) {
 	}
 	if diff != 1 {
 		t.Fatalf("flipped %d bytes", diff)
+	}
+}
+
+// TestRecordStreamDamageIsDetected reads two records through every
+// single-byte flip and every truncation a stream can suffer: the records
+// before the damage come back intact, and the damage itself ends the read
+// typed — a *CorruptError, or io.ErrUnexpectedEOF for a cut inside a
+// record — never a record with bytes it was not written with.
+func TestRecordStreamDamageIsDetected(t *testing.T) {
+	recs := [][]byte{MarshalRecord(1, []byte("first payload")), MarshalRecord(2, []byte("second"))}
+	stream := append(append([]byte(nil), recs[0]...), recs[1]...)
+	// readAll returns how many records came back equal to the originals,
+	// failing on one that differs, and the error that ended the read.
+	readAll := func(r io.Reader) (int, error) {
+		rr := NewRecordReader(r)
+		for i := 0; ; i++ {
+			seq, payload, err := rr.Next()
+			if err != nil {
+				return i, err
+			}
+			if i >= len(recs) || !bytes.Equal(MarshalRecord(seq, payload), recs[i]) {
+				t.Fatalf("record %d came back as seq %d %q", i, seq, payload)
+			}
+		}
+	}
+	for off := range stream {
+		_, err := readAll(&faultfs.FlipReader{R: bytes.NewReader(stream), Offset: int64(off), Mask: 0x40})
+		var ce *CorruptError
+		if !errors.As(err, &ce) && err != io.ErrUnexpectedEOF {
+			t.Fatalf("flip at %d: read ended with %v", off, err)
+		}
+	}
+	for cut := 0; cut <= len(stream); cut++ {
+		n, err := readAll(&faultfs.TruncateReader{R: bytes.NewReader(stream), Limit: int64(cut)})
+		whole := 0
+		for _, end := range []int{len(recs[0]), len(stream)} {
+			if cut >= end {
+				whole++
+			}
+		}
+		want := io.ErrUnexpectedEOF
+		if cut == 0 || cut == len(recs[0]) || cut == len(stream) {
+			want = io.EOF
+		}
+		if n != whole || err != want {
+			t.Fatalf("cut at %d: %d records then %v, want %d then %v", cut, n, err, whole, want)
+		}
 	}
 }
 

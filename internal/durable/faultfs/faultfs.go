@@ -18,27 +18,22 @@ import (
 var ErrInjected = errors.New("faultfs: injected fault")
 
 // FailingWriter passes writes through until Limit bytes have been
-// written, then fails every subsequent write with Err (ErrInjected if
-// nil) — a disk that fills or errors mid-stream.
+// written, then fails every subsequent write with ErrInjected — a disk
+// that fills or errors mid-stream.
 type FailingWriter struct {
 	W       io.Writer
 	Limit   int64 // bytes accepted before failing
-	Err     error // error to return; nil means ErrInjected
 	written int64
 }
 
 func (f *FailingWriter) Write(p []byte) (int, error) {
-	errv := f.Err
-	if errv == nil {
-		errv = ErrInjected
-	}
 	if f.written >= f.Limit {
-		return 0, errv
+		return 0, ErrInjected
 	}
 	if rem := f.Limit - f.written; int64(len(p)) > rem {
 		n, _ := f.W.Write(p[:rem])
 		f.written += int64(n)
-		return n, errv
+		return n, ErrInjected
 	}
 	n, err := f.W.Write(p)
 	f.written += int64(n)
@@ -109,24 +104,18 @@ func (t *TruncateReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ErrorAfterNWriter fails the (N+1)th call to Write with Err
-// (ErrInjected if nil), regardless of byte counts — for exercising
-// failures at exact operation boundaries such as "header written,
-// payload not".
+// ErrorAfterNWriter fails the (N+1)th call to Write with ErrInjected,
+// regardless of byte counts — for exercising failures at exact operation
+// boundaries such as "directory written, payload not".
 type ErrorAfterNWriter struct {
 	W     io.Writer
 	N     int
-	Err   error
 	calls int
 }
 
 func (e *ErrorAfterNWriter) Write(p []byte) (int, error) {
 	if e.calls >= e.N {
-		errv := e.Err
-		if errv == nil {
-			errv = ErrInjected
-		}
-		return 0, errv
+		return 0, ErrInjected
 	}
 	e.calls++
 	return e.W.Write(p)

@@ -3,6 +3,7 @@ package vec
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func TestConstructorOverflowGuard(t *testing.T) {
 		{half, 2},
 		{2, half},
 		{math.MaxInt, math.MaxInt},
-		{1 << 32, 1 << 32}, // wraps to exactly 0 on 64-bit int
+		{1 << (bits.UintSize / 2), 1 << (bits.UintSize / 2)}, // wraps to exactly 0
 		{-1, 3},
 		{3, -1},
 	}
