@@ -20,6 +20,8 @@
 // POST /add is recorded before it is applied, and a restart — including
 // kill -9 — recovers exactly the acknowledged state. The listener opens
 // before recovery so /readyz honestly reports 503 until replay is done.
+// Every durable node serves /replication/*: its store leads, and other
+// nodes can follow it, or (role follower) it follows -leader.
 //
 // Snapshots carry a columnar section holding the embedding matrix and
 // the proximity-graph index. With -mmap auto (the default) that section
@@ -35,9 +37,11 @@
 //	          (its slice's top-m papers with their author lists, as a
 //	          binary frame) for the router (-shards total, -shard-id this
 //	          one)
-//	follower  read replica: bootstraps from the -leader node's snapshot,
-//	          tails its WAL (resumable, log-before-apply), serves reads
-//	          once lag <= -max-replication-lag, refuses writes until
+//	follower  read replica: a single node (or, with -shards, a shard)
+//	          whose -data-dir store follows the -leader node instead of
+//	          leading: it bootstraps from the leader's snapshot, tails its
+//	          WAL (resumable, log-before-apply), serves reads once lag <=
+//	          -max-replication-lag, and its engine refuses writes until
 //	          promoted via POST /replication/promote
 //	router    no corpus: scatters /experts and /papers once across the
 //	          shard replicas given by -replicas, merges and ranks what
@@ -52,6 +56,7 @@
 //	expertserve -dataset aminer -papers 1000 -addr :8080
 //	expertserve -graph g.json -data-dir /var/lib/expertfind -addr :8080
 //	expertserve -role shard -shards 4 -shard-id 2 -graph g.json -addr :8082
+//	expertserve -role follower -leader http://h1:8080 -data-dir /var/lib/ef-replica -addr :9080
 //	expertserve -role router -replicas 'h1:8081|h1:9081,h2:8082' -addr :8080
 package main
 
@@ -166,10 +171,8 @@ func main() {
 	n.log.Info("listening", "addr", *addr, "role", *role, "ready", false)
 
 	switch *role {
-	case "single", "shard":
+	case "single", "shard", "follower":
 		err = n.runNode()
-	case "follower":
-		err = n.runFollower()
 	case "router":
 		err = n.runRouter()
 	default:
@@ -209,62 +212,21 @@ func (n *node) runRouter() error {
 	return n.serveUntilDone(router.SetReady, "", nil)
 }
 
-// runFollower serves reads from a replica of the -leader node. A follower
-// holds no authority over the corpus: it bootstraps from the leader's
-// snapshot, tails the leader's WAL, and refuses writes until
-// POST /replication/promote.
-func (n *node) runFollower() error {
-	if *leaderURL == "" {
-		return fmt.Errorf("-role follower requires -leader")
-	}
-	if *dataDir == "" {
-		return fmt.Errorf("-role follower requires -data-dir")
-	}
-	g, err := cli.LoadGraph(*graphFile, *preset, *papers)
-	if err != nil {
-		return err
-	}
-	fo, err := core.OpenFollower(*dataDir, g, *leaderURL, core.FollowerOptions{
-		ID:           *followerID,
-		PollInterval: *replPoll,
-		MaxLag:       *maxLag,
-		Sync:         n.sync,
-		SegmentBytes: *walSegBytes,
-		Mmap:         n.mmap,
-		Metrics:      n.reg,
-		Logger:       n.log,
-	})
-	if err != nil {
-		return err
-	}
-	srv := n.newServer(fo.Engine())
-	if *shards > 0 {
-		// Follower of a shard server: same shard API, replicated engine.
-		se, err := newShardEngine(fo.Engine())
-		if err != nil {
-			return err
-		}
-		cluster.MountFollowerShard(srv, se, fo)
-	} else {
-		srv.SetTopology(serve.Topology{Role: "follower"})
-		serve.ServeReadOnly(srv, fo)
-	}
-	serve.MountReplication(srv, fo.Store(), fo)
-	fo.Start()
-	if *snapInterval > 0 {
-		fo.Store().StartSnapshotLoop(*snapInterval)
-	}
-	n.gate.Install(srv)
-	srv.SetReady(true) // actual readiness still gated by ReadyProbe (lag)
-	n.log.Info("serving", "addr", *addr, "role", "follower",
-		"leader", *leaderURL, "max_lag", *maxLag, "applied", fo.Store().LastSeq())
-	return n.serveUntilDone(srv.SetReady, "follower", fo.Close)
-}
-
 // runNode serves a whole corpus (role single) or one slice of it to a
 // router (role shard) from an engine that is recovered from -data-dir
-// or built.
+// or built, or (role follower) a replica of the -leader node's engine,
+// sliced when -shards is set, that its store bootstraps from the
+// leader's snapshot and keeps up to date by tailing the leader's WAL.
 func (n *node) runNode() error {
+	var leader string
+	if *role == "follower" {
+		if leader = *leaderURL; leader == "" {
+			return fmt.Errorf("-role follower requires -leader")
+		}
+		if *dataDir == "" {
+			return fmt.Errorf("-role follower requires -data-dir")
+		}
+	}
 	g, err := cli.LoadGraph(*graphFile, *preset, *papers)
 	if err != nil {
 		return err
@@ -298,6 +260,10 @@ func (n *node) runNode() error {
 			Mmap:         n.mmap,
 			Metrics:      n.reg,
 			Logger:       n.log,
+			Leader:       leader,
+			FollowerID:   *followerID,
+			PollInterval: *replPoll,
+			MaxLag:       *maxLag,
 		})
 		if err != nil {
 			return err
@@ -323,7 +289,7 @@ func (n *node) runNode() error {
 	}
 
 	srv := n.newServer(engine)
-	if *role == "shard" {
+	if *role == "shard" || leader != "" && *shards > 0 {
 		se, err := newShardEngine(engine)
 		if err != nil {
 			return err
@@ -335,9 +301,11 @@ func (n *node) runNode() error {
 	var closeStore func() error
 	if store != nil {
 		// A durable node can lead: expose the replication surface so
-		// followers bootstrap from its snapshot and tail its WAL.
-		serve.MountReplication(srv, store, nil)
-		n.log.Info("replication_mounted", "epoch", store.Epoch(), "last_seq", store.LastSeq())
+		// followers bootstrap from its snapshot and tail its WAL. A
+		// follower's is the same, plus promotion and a lag-gated /readyz.
+		serve.MountReplication(srv, store)
+		n.log.Info("replication_mounted", "epoch", store.Epoch(), "last_seq", store.LastSeq(),
+			"leader", leader, "max_lag", *maxLag)
 		// Final snapshot + WAL close: everything acknowledged is then in
 		// the snapshot and the next boot replays nothing.
 		closeStore = store.Close

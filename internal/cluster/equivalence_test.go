@@ -498,7 +498,7 @@ func TestFollowerReplicaMatchesSingleNode(t *testing.T) {
 	leaderSrv := serve.New(leaderEng)
 	leaderSrv.SetReady(true)
 	MountShard(leaderSrv, leaderSE)
-	serve.MountReplication(leaderSrv, store, nil)
+	serve.MountReplication(leaderSrv, store)
 	lts := httptest.NewServer(leaderSrv)
 	defer lts.Close()
 
@@ -506,16 +506,15 @@ func TestFollowerReplicaMatchesSingleNode(t *testing.T) {
 	// its WAL over the wire, over an independent copy of the base graph.
 	fg := dataset.Generate(dataset.AminerSim(papers)).Graph
 	foReg := obs.NewRegistry()
-	fo, err := core.OpenFollower(t.TempDir(), fg, lts.URL, core.FollowerOptions{
-		ID: "replica-1", PollInterval: 10 * time.Millisecond, Metrics: foReg,
+	fo, err := core.OpenStore(t.TempDir(), fg, nil, core.StoreOptions{
+		Leader: lts.URL, FollowerID: "replica-1", PollInterval: 10 * time.Millisecond, Metrics: foReg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fo.Close()
-	fo.Start()
 	deadline := time.Now().Add(20 * time.Second)
-	for !(fo.Status().CaughtUp && fo.Store().LastSeq() >= 10) {
+	for !(fo.Status().CaughtUp && fo.LastSeq() >= 10) {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower never caught up: %+v", fo.Status())
 		}
@@ -535,7 +534,8 @@ func TestFollowerReplicaMatchesSingleNode(t *testing.T) {
 
 	foSrv := serve.New(fo.Engine())
 	foSrv.SetReady(true)
-	MountFollowerShard(foSrv, foSE, fo)
+	MountShard(foSrv, foSE)
+	serve.MountReplication(foSrv, fo)
 	var followerHits atomic.Int64
 	fts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/shard/") {
@@ -583,5 +583,20 @@ func TestFollowerReplicaMatchesSingleNode(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("caught-up follower /readyz = %d, want 200", resp.StatusCode)
+	}
+	// Its /healthz names it a follower and keeps the shard's coordinates.
+	resp, err = http.Get(fts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health serve.HealthResponse
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if health.Role != "follower" || health.Shards != 1 || health.OwnedPapers != foSE.NumOwned() {
+		t.Fatalf("follower /healthz topology = %+v, want role follower of shard 0/1 owning %d",
+			health.Topology, foSE.NumOwned())
 	}
 }

@@ -28,6 +28,11 @@ const BudgetHeader = "X-Budget-Ms"
 // X-Budget-Ms deadline budget. The server's /healthz topology block is set
 // to the shard's coordinates (satisfying probes that must tell topology
 // members apart).
+//
+// A shard whose store follows a leader is a drop-in member of a router
+// replica set: serve.MountReplication, mounted after this, reports role
+// "follower" and holds /readyz at 503 until the lag is within bound, and
+// the router's ejection and re-admission already key off /readyz.
 func MountShard(srv *serve.Server, se *ShardEngine) {
 	sh := &shardAPI{se: se}
 	srv.Handle("/shard/papers", sh.handlePapers)
@@ -37,27 +42,6 @@ func MountShard(srv *serve.Server, se *ShardEngine) {
 		Shards:      se.Of(),
 		OwnedPapers: se.NumOwned(),
 	})
-}
-
-// MountFollowerShard exposes the shard API on a replication follower,
-// making it a drop-in member of a router replica set: same /shard/papers
-// route, same wire shape, but the engine underneath is replicated
-// from a leader rather than locally written. The differences are all
-// lifecycle — /healthz reports role "follower", /readyz stays 503
-// (status "replication_lag") until the follower's lag is within its
-// bound, and /add refuses writes until promotion — and the router needs
-// none of them spelled out: its ejection/re-admission loop already
-// keys off /readyz, so a lagging follower drains and a caught-up one
-// re-admits with zero router changes.
-func MountFollowerShard(srv *serve.Server, se *ShardEngine, fo *core.Follower) {
-	MountShard(srv, se)
-	srv.SetTopology(serve.Topology{
-		Role:        "follower",
-		ShardID:     se.ID(),
-		Shards:      se.Of(),
-		OwnedPapers: se.NumOwned(),
-	})
-	serve.ServeReadOnly(srv, fo)
 }
 
 type shardAPI struct{ se *ShardEngine }

@@ -30,7 +30,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // io.ReaderAt it was opened with, so that source must stay open until
 // the last accessor call (typically the duration of a snapshot load).
 type Section struct {
-	Version uint16
 	// Mapped reports whether typed accessors return zero-copy views
 	// into an mmap'd file (true) or freshly allocated heap slices.
 	Mapped bool
@@ -54,45 +53,45 @@ func corrupt(name string, off int64, detail string, err error) error {
 // and every alignment-padding byte must be present and zero (the
 // section is canonical — see the padding check below). Payload CRCs
 // are NOT checked here — see verifySegments.
-func parseDirectory(ra io.ReaderAt, name string, size, off int64) (version uint16, dir []Segment, end int64, err error) {
+func parseDirectory(ra io.ReaderAt, name string, size, off int64) (dir []Segment, end int64, err error) {
 	if off < 0 || off > size {
-		return 0, nil, 0, corrupt(name, off, "section offset", durable.ErrTruncated)
+		return nil, 0, corrupt(name, off, "section offset", durable.ErrTruncated)
 	}
 	var hdr [headerSize]byte
 	if size-off < headerSize {
-		return 0, nil, 0, corrupt(name, size, "section header", durable.ErrTruncated)
+		return nil, 0, corrupt(name, size, "section header", durable.ErrTruncated)
 	}
 	if _, err := ra.ReadAt(hdr[:], off); err != nil {
-		return 0, nil, 0, fmt.Errorf("colstore: %s: read section header: %w", name, err)
+		return nil, 0, fmt.Errorf("colstore: %s: read section header: %w", name, err)
 	}
 	if [8]byte(hdr[0:8]) != SectionMagic {
-		return 0, nil, 0, corrupt(name, off, "section magic", durable.ErrBadMagic)
+		return nil, 0, corrupt(name, off, "section magic", durable.ErrBadMagic)
 	}
-	version = binary.LittleEndian.Uint16(hdr[8:10])
+	version := binary.LittleEndian.Uint16(hdr[8:10])
 	if version == 0 || version > SectionVersion {
-		return 0, nil, 0, &durable.VersionError{Path: name, Got: version, Max: SectionVersion}
+		return nil, 0, &durable.VersionError{Path: name, Got: version, Max: SectionVersion}
 	}
 	count := binary.LittleEndian.Uint32(hdr[12:16])
 	if count == 0 || count > MaxSegments {
-		return 0, nil, 0, corrupt(name, off+12, "segment count", durable.ErrChecksum)
+		return nil, 0, corrupt(name, off+12, "segment count", durable.ErrChecksum)
 	}
 	alignment := binary.LittleEndian.Uint32(hdr[16:20])
 	if alignment == 0 || alignment&(alignment-1) != 0 || alignment > 1<<20 {
-		return 0, nil, 0, corrupt(name, off+16, "section alignment", durable.ErrChecksum)
+		return nil, 0, corrupt(name, off+16, "section alignment", durable.ErrChecksum)
 	}
 
 	dirLen := int64(headerSize) + int64(count)*entrySize + crcSize
 	if size-off < dirLen {
-		return 0, nil, 0, corrupt(name, size, "segment directory", durable.ErrTruncated)
+		return nil, 0, corrupt(name, size, "segment directory", durable.ErrTruncated)
 	}
 	raw := make([]byte, dirLen)
 	if _, err := ra.ReadAt(raw, off); err != nil {
-		return 0, nil, 0, fmt.Errorf("colstore: %s: read segment directory: %w", name, err)
+		return nil, 0, fmt.Errorf("colstore: %s: read segment directory: %w", name, err)
 	}
 	crcAt := dirLen - crcSize
 	want := binary.LittleEndian.Uint32(raw[crcAt:])
 	if got := crc32.Checksum(raw[:crcAt], castagnoli); got != want {
-		return 0, nil, 0, corrupt(name, off, "segment directory", durable.ErrChecksum)
+		return nil, 0, corrupt(name, off, "segment directory", durable.ErrChecksum)
 	}
 
 	dir = make([]Segment, count)
@@ -106,27 +105,27 @@ func parseDirectory(ra io.ReaderAt, name string, size, off int64) (version uint1
 		segName := string(e[:nameLen])
 		entryOff := off + int64(headerSize) + int64(i)*entrySize
 		if !validName(segName) {
-			return 0, nil, 0, corrupt(name, entryOff, "segment name", durable.ErrChecksum)
+			return nil, 0, corrupt(name, entryOff, "segment name", durable.ErrChecksum)
 		}
 		kind := Kind(binary.LittleEndian.Uint32(e[16:20]))
 		es := kind.ElemSize()
 		if es == 0 || binary.LittleEndian.Uint32(e[20:24]) != uint32(es) {
-			return 0, nil, 0, corrupt(name, entryOff+16,
+			return nil, 0, corrupt(name, entryOff+16,
 				fmt.Sprintf("segment %q element kind", segName), durable.ErrChecksum)
 		}
 		cnt := binary.LittleEndian.Uint64(e[24:32])
 		segOff := binary.LittleEndian.Uint64(e[32:40])
 		segLen := binary.LittleEndian.Uint64(e[40:48])
 		if cnt > math.MaxUint64/uint64(es) || segLen != cnt*uint64(es) {
-			return 0, nil, 0, corrupt(name, entryOff+24,
+			return nil, 0, corrupt(name, entryOff+24,
 				fmt.Sprintf("segment %q length", segName), durable.ErrChecksum)
 		}
 		if segOff%uint64(alignment) != 0 || segOff < uint64(off)+uint64(dirLen-crcSize) {
-			return 0, nil, 0, corrupt(name, entryOff+32,
+			return nil, 0, corrupt(name, entryOff+32,
 				fmt.Sprintf("segment %q offset", segName), durable.ErrChecksum)
 		}
 		if segOff > uint64(size) || segLen > uint64(size)-segOff {
-			return 0, nil, 0, corrupt(name, entryOff+32,
+			return nil, 0, corrupt(name, entryOff+32,
 				fmt.Sprintf("segment %q extent", segName), durable.ErrTruncated)
 		}
 		dir[i] = Segment{
@@ -148,7 +147,7 @@ func parseDirectory(ra io.ReaderAt, name string, size, off int64) (version uint1
 	seen := make(map[string]bool, count)
 	for i := range dir {
 		if seen[dir[i].Name] {
-			return 0, nil, 0, corrupt(name, off+headerSize,
+			return nil, 0, corrupt(name, off+headerSize,
 				fmt.Sprintf("duplicate segment %q", dir[i].Name), durable.ErrChecksum)
 		}
 		seen[dir[i].Name] = true
@@ -157,7 +156,7 @@ func parseDirectory(ra io.ReaderAt, name string, size, off int64) (version uint1
 	sort.Slice(byOff, func(i, j int) bool { return byOff[i].Offset < byOff[j].Offset })
 	for i := 1; i < len(byOff); i++ {
 		if byOff[i].Offset < byOff[i-1].Offset+byOff[i-1].Length {
-			return 0, nil, 0, corrupt(name, int64(byOff[i].Offset),
+			return nil, 0, corrupt(name, int64(byOff[i].Offset),
 				fmt.Sprintf("segments %q and %q overlap", byOff[i-1].Name, byOff[i].Name),
 				durable.ErrChecksum)
 		}
@@ -171,7 +170,7 @@ func parseDirectory(ra io.ReaderAt, name string, size, off int64) (version uint1
 	// detected, not just one inside a payload.
 	padEnd := align(end, int64(alignment))
 	if padEnd > size {
-		return 0, nil, 0, corrupt(name, size, "section padding", durable.ErrTruncated)
+		return nil, 0, corrupt(name, size, "section padding", durable.ErrTruncated)
 	}
 	pos := off + dirLen
 	for _, sg := range byOff {
@@ -180,7 +179,7 @@ func parseDirectory(ra io.ReaderAt, name string, size, off int64) (version uint1
 		}
 		if int64(sg.Offset) > pos {
 			if err := checkZeroRange(ra, name, pos, int64(sg.Offset)); err != nil {
-				return 0, nil, 0, err
+				return nil, 0, err
 			}
 		}
 		if e := int64(sg.Offset) + int64(sg.Length); e > pos {
@@ -188,9 +187,9 @@ func parseDirectory(ra io.ReaderAt, name string, size, off int64) (version uint1
 		}
 	}
 	if err := checkZeroRange(ra, name, pos, padEnd); err != nil {
-		return 0, nil, 0, err
+		return nil, 0, err
 	}
-	return version, dir, end, nil
+	return dir, end, nil
 }
 
 // checkZeroRange reads [lo, hi) in bounded chunks and rejects any
@@ -288,7 +287,7 @@ func Open(f *os.File, off int64, mode Mode) (*Section, error) {
 // Typed accessors allocate and copy; the source must stay readable
 // until the last accessor call.
 func OpenReaderAt(ra io.ReaderAt, name string, size, off int64) (*Section, error) {
-	version, dir, end, err := parseDirectory(ra, name, size, off)
+	dir, end, err := parseDirectory(ra, name, size, off)
 	if err != nil {
 		return nil, err
 	}
@@ -300,12 +299,11 @@ func OpenReaderAt(ra io.ReaderAt, name string, size, off int64) (*Section, error
 		byName[dir[i].Name] = i
 	}
 	return &Section{
-		Version: version,
-		name:    name,
-		ra:      ra,
-		dir:     dir,
-		byName:  byName,
-		end:     end,
+		name:   name,
+		ra:     ra,
+		dir:    dir,
+		byName: byName,
+		end:    end,
 	}, nil
 }
 

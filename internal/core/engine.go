@@ -4,6 +4,11 @@
 // API. The offline stages and the index can be ablated through Options,
 // which is how the experiment harness produces the "w/o PG-Index" variants
 // of Figure 7 and the "w/o (k,P)-core" row of Table IV.
+//
+// A Store is an engine's durable home — a snapshot and a write-ahead log
+// — and the one durable node: it leads, logging its engine's writes for
+// followers to tail, or (StoreOptions.Leader) follows a leader, replaying
+// that leader's log into an engine that refuses writes until Promote.
 package core
 
 import (
@@ -153,6 +158,10 @@ type Engine struct {
 	// wal, when attached, records every accepted update before it is
 	// applied (see SetUpdateLog); nil runs memory-only.
 	wal UpdateLog
+	// following makes AddPaper refuse every write with ErrReadOnly: the
+	// engine is a following store's, whose updates come from its
+	// leader's log until SetUpdateLog attaches a log of its own.
+	following bool
 	// updates journals every accepted online update since the offline
 	// build, in order — SaveSnapshot embeds it so snapshots capture live
 	// state.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"os"
@@ -13,9 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"expertfind/internal/colstore"
 	"expertfind/internal/durable"
-	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 )
 
@@ -53,41 +50,19 @@ const (
 // the follower TTL) and must re-bootstrap from a fresh snapshot.
 var ErrBehindLeader = errors.New("core: follower fell behind leader's compacted WAL; re-bootstrap required")
 
-// FollowerOptions configures OpenFollower. Zero values mean: 200ms
-// poll, lag bound 0 (ready only when fully caught up at the last poll),
-// SyncAlways WAL, process-wide metrics, no logging.
-type FollowerOptions struct {
-	// ID names this follower to the leader for low-water tracking.
-	// Empty: derived from hostname and pid.
-	ID string
-	// PollInterval is the delay between tail polls once caught up.
-	PollInterval time.Duration
-	// MaxLag is the largest leader-minus-applied sequence distance at
-	// which the follower still reports Ready.
-	MaxLag uint64
-	// Sync and SegmentBytes configure the follower's own WAL.
-	Sync         durable.SyncPolicy
-	SegmentBytes int64
-	// Mmap selects how the snapshot's columnar section is materialised
-	// (see LoadOptions.Mmap); zero value maps when the platform allows.
-	Mmap colstore.Mode
-	// Metrics receives replication metrics (nil: obs.Default()).
-	Metrics *obs.Registry
-	// Logger receives replication progress lines (nil: silent).
-	Logger *slog.Logger
-}
+// ErrReadOnly is the refusal a following store's engine gives every
+// AddPaper, wrapped in *UpdateLogError, before anything changes: its
+// updates come only from its leader's log, until Promote.
+var ErrReadOnly = errors.New("core: a following store takes writes only from its leader's log")
 
-// Follower replicates a leader's store: it bootstraps from the leader's
-// snapshot, tails the leader's WAL over HTTP, and applies each record
-// log-before-apply exactly as the leader did, so at every moment its
-// engine equals the leader's engine at some recent sequence. Queries
-// are served from the local engine; writes are refused until Promote.
-type Follower struct {
-	store  *Store
-	id     string
+// tail is a following store's replication state: its leader, how far
+// it has applied the leader's log, and the loop that tails it. A store
+// that leads has none.
+type tail struct {
 	leader string // base URL, e.g. http://10.0.0.1:7080
-	opts   FollowerOptions
-	log    *slog.Logger
+	id     string // names this follower to the leader
+	poll   time.Duration
+	maxLag uint64
 
 	applies, reconnects, tears, promotions *obs.Counter
 	lag, appliedSeq, caughtUp, bootstrap   *obs.Gauge
@@ -99,9 +74,36 @@ type Follower struct {
 	promoted  bool
 	lastErr   error
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	tail     sync.WaitGroup // the tail loop, once Start has run it
+	ctx    context.Context // cancelled to stop the loop and its request
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the loop has exited
+}
+
+// newTail returns the replication state of a store following o.Leader,
+// with its handles in reg. Zero options mean: a 200ms poll, ready only
+// when fully caught up at the last poll, an id from hostname and pid.
+func newTail(o StoreOptions, reg *obs.Registry) *tail {
+	if o.PollInterval <= 0 {
+		o.PollInterval = 200 * time.Millisecond
+	}
+	if o.FollowerID == "" {
+		host, _ := os.Hostname()
+		o.FollowerID = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &tail{
+		leader: o.Leader, id: o.FollowerID, poll: o.PollInterval, maxLag: o.MaxLag,
+		ctx: ctx, cancel: cancel, done: make(chan struct{}),
+
+		applies:    reg.Counter("expertfind_replication_records_applied_total", "WAL records received from the leader and applied."),
+		reconnects: reg.Counter("expertfind_replication_reconnects_total", "Tail stream failures followed by a backoff and reconnect."),
+		tears:      reg.Counter("expertfind_replication_stream_tears_total", "Tail streams cut mid-record (resumed from the applied prefix)."),
+		promotions: reg.Counter("expertfind_replication_promotions_total", "Times this node was promoted from follower to leader."),
+		lag:        reg.Gauge("expertfind_replication_lag_seq", "WAL sequences this follower trails its leader by."),
+		appliedSeq: reg.Gauge("expertfind_replication_applied_seq", "Last WAL sequence this follower has applied."),
+		caughtUp:   reg.Gauge("expertfind_replication_caught_up", "1 when the follower has applied everything the leader acknowledged."),
+		bootstrap:  reg.Gauge("expertfind_replication_bootstrap_seconds", "Duration of the most recent follower snapshot bootstrap."),
+	}
 }
 
 // followerClient performs a follower's requests to its leader: the
@@ -115,113 +117,28 @@ var followerClient = &http.Client{Timeout: 2 * time.Minute}
 // bring-up impossible.
 const bootstrapTimeout = 2 * time.Minute
 
-// OpenFollower opens (creating if needed) a follower store in dir,
-// replicating leaderURL. A fresh directory bootstraps by downloading
-// the leader's snapshot (CRC-validated before it replaces anything); a
-// directory with prior state recovers locally — snapshot plus WAL
-// replay — and resumes tailing from where it stopped, which is how a
-// follower killed mid-catch-up converges after restart. g must be the
-// same base graph the leader was built over.
-//
-// OpenFollower returns with the engine consistent; call Start to begin
-// tailing.
-func OpenFollower(dir string, g *hetgraph.Graph, leaderURL string, o FollowerOptions) (*Follower, error) {
-	st := newStore(dir, StoreOptions{Metrics: o.Metrics, Logger: o.Logger})
-	reg, log := st.reg, st.log
-	if o.PollInterval <= 0 {
-		o.PollInterval = 200 * time.Millisecond
-	}
-	id := o.ID
-	if id == "" {
-		host, _ := os.Hostname()
-		id = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: open follower: %w", err)
-	}
-
-	f := &Follower{
-		store: st, id: id, leader: leaderURL, opts: o, log: log,
-		stop: make(chan struct{}),
-
-		applies:    reg.Counter("expertfind_replication_records_applied_total", "WAL records received from the leader and applied."),
-		reconnects: reg.Counter("expertfind_replication_reconnects_total", "Tail stream failures followed by a backoff and reconnect."),
-		tears:      reg.Counter("expertfind_replication_stream_tears_total", "Tail streams cut mid-record (resumed from the applied prefix)."),
-		promotions: reg.Counter("expertfind_replication_promotions_total", "Times this node was promoted from follower to leader."),
-		lag:        reg.Gauge("expertfind_replication_lag_seq", "WAL sequences this follower trails its leader by."),
-		appliedSeq: reg.Gauge("expertfind_replication_applied_seq", "Last WAL sequence this follower has applied."),
-		caughtUp:   reg.Gauge("expertfind_replication_caught_up", "1 when the follower has applied everything the leader acknowledged."),
-		bootstrap:  reg.Gauge("expertfind_replication_bootstrap_seconds", "Duration of the most recent follower snapshot bootstrap."),
-	}
-	// The same root span as a store's recovery, so a follower's stage
-	// family is listed before its first query too.
-	_, root := obs.StartSpan(obs.WithRegistry(context.Background(), reg), "recover")
-	defer root.End()
-
-	// Phase 1: obtain a snapshot — local if present, else the leader's.
-	snapPath := st.SnapshotPath()
-	var leaderEpoch uint64
-	if _, err := os.Stat(snapPath); os.IsNotExist(err) {
-		start := time.Now()
-		ep, err := f.fetchSnapshotRetry(snapPath)
-		if err != nil {
-			return nil, err
-		}
-		leaderEpoch = ep
-		f.bootstrap.Set(time.Since(start).Seconds())
-		log.Info("follower_bootstrapped", "leader", leaderURL,
-			"dur", time.Since(start).Round(time.Millisecond))
-	} else if err != nil {
-		return nil, fmt.Errorf("core: open follower: %w", err)
-	}
-
-	// Phase 2: load the snapshot and recover the local log over it,
-	// exactly as a leader would — minus attaching the engine's update
-	// log, because a follower's writes come only from replication.
-	if err := st.loadSnapshot(g, o.Mmap); err != nil {
-		return nil, err
-	}
-	e := st.engine
-	wal, replayed, err := recoverLog(dir, e, durable.WALOptions{
-		Sync: o.Sync, SegmentBytes: o.SegmentBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if leaderEpoch > 0 {
-		if err := wal.AdoptEpoch(leaderEpoch); err != nil {
-			wal.Close()
-			e.CloseSnapshot()
-			return nil, err
-		}
-	}
-	st.recovered(wal, replayed, root)
-	f.applied = wal.LastSeq()
-	if f.applied == 0 {
-		f.applied = e.LastUpdateSeq()
-	}
-	f.setGauges()
-	log.Info("follower_recovered", "applied", f.applied,
-		"replayed", replayed, "epoch", wal.Epoch())
-	return f, nil
-}
-
-// fetchSnapshotRetry keeps trying the snapshot download until it
-// succeeds or bootstrapTimeout elapses. A refused connection or a 404
-// just means the leader is still booting (or has not snapshotted yet) —
-// both routine during fleet bring-up, neither a reason to die.
-func (f *Follower) fetchSnapshotRetry(path string) (uint64, error) {
-	deadline := time.Now().Add(bootstrapTimeout)
+// bootstrap downloads the leader's snapshot into the store's fresh
+// directory, retrying until it succeeds or bootstrapTimeout elapses: a
+// refused connection or a 404 just means the leader is still booting
+// (or has not snapshotted yet), both routine during fleet bring-up.
+// Returns the leader's epoch as its response reported it.
+func (s *Store) bootstrap() (uint64, error) {
+	t := s.tail
+	start := time.Now()
+	deadline := start.Add(bootstrapTimeout)
 	backoff := 100 * time.Millisecond
 	for {
-		epoch, err := f.fetchSnapshot(path)
+		epoch, err := t.fetchSnapshot(s.SnapshotPath())
 		if err == nil {
+			t.bootstrap.Set(time.Since(start).Seconds())
+			s.log.Info("follower_bootstrapped", "leader", t.leader,
+				"dur", time.Since(start).Round(time.Millisecond))
 			return epoch, nil
 		}
 		if time.Now().After(deadline) {
 			return 0, err
 		}
-		f.log.Info("follower_bootstrap_retry", "err", err, "backoff", backoff)
+		s.log.Info("follower_bootstrap_retry", "err", err, "backoff", backoff)
 		time.Sleep(time.Duration(rand.Int63n(int64(backoff))) + time.Millisecond)
 		if backoff *= 2; backoff > 5*time.Second {
 			backoff = 5 * time.Second
@@ -232,8 +149,8 @@ func (f *Follower) fetchSnapshotRetry(path string) (uint64, error) {
 // fetchSnapshot downloads the leader's snapshot to path, validating every
 // checksum before anything replaces path. Returns the
 // leader's epoch as reported on the response.
-func (f *Follower) fetchSnapshot(path string) (uint64, error) {
-	resp, err := followerClient.Get(f.leader + ReplSnapshotPath)
+func (t *tail) fetchSnapshot(path string) (uint64, error) {
+	resp, err := followerClient.Get(t.leader + ReplSnapshotPath)
 	if err != nil {
 		return 0, fmt.Errorf("core: bootstrap snapshot: %w", err)
 	}
@@ -258,47 +175,29 @@ func (f *Follower) fetchSnapshot(path string) (uint64, error) {
 	return epoch, nil
 }
 
-// Store exposes the follower's store (engine, snapshots, epoch).
-func (f *Follower) Store() *Store { return f.store }
-
-// Engine returns the replicated engine for serving queries.
-func (f *Follower) Engine() *Engine { return f.store.Engine() }
-
-// Start launches the tail loop: poll the leader's WAL from the next
-// needed sequence, apply what arrives, repeat — reconnecting with
-// jittered exponential backoff on any failure. Call once.
-func (f *Follower) Start() {
-	f.tail.Add(1)
-	go func() {
-		defer f.tail.Done()
-		f.run()
-	}()
-}
-
-func (f *Follower) run() {
+// runTail polls the leader's WAL from the next needed sequence, applies
+// what arrives, and repeats — reconnecting with jittered exponential
+// backoff on any failure — until the tail is stopped.
+func (s *Store) runTail() {
 	const (
 		backoffMin = 50 * time.Millisecond
 		backoffMax = 5 * time.Second
 	)
+	t := s.tail
+	defer close(t.done)
 	backoff := backoffMin
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
+	for t.ctx.Err() == nil {
+		n, err := s.streamOnce()
+		if t.ctx.Err() != nil {
+			return // stopped mid-request: not a stream failure
 		}
-		n, err := f.streamOnce()
-		f.mu.Lock()
-		f.lastErr = err
-		promoted := f.promoted
-		f.mu.Unlock()
-		if promoted {
-			return
-		}
+		t.mu.Lock()
+		t.lastErr = err
+		t.mu.Unlock()
 		var wait time.Duration
 		if err != nil {
-			f.reconnects.Inc()
-			f.log.Warn("follower_stream_error", "err", err.Error(),
+			t.reconnects.Inc()
+			s.log.Warn("follower_stream_error", "err", err.Error(),
 				"backoff", backoff.Round(time.Millisecond))
 			// Full jitter: uniform in (0, backoff], then grow the cap.
 			wait = time.Duration(rand.Int63n(int64(backoff))) + time.Millisecond
@@ -308,13 +207,12 @@ func (f *Follower) run() {
 		} else {
 			backoff = backoffMin
 			if n == 0 {
-				wait = f.opts.PollInterval // caught up; poll gently
+				wait = t.poll // caught up; poll gently
 			}
 		}
 		if wait > 0 {
 			select {
-			case <-f.stop:
-				return
+			case <-t.ctx.Done():
 			case <-time.After(wait):
 			}
 		}
@@ -325,18 +223,19 @@ func (f *Follower) run() {
 // carries, returning how many were applied. A stream cut mid-record is
 // not an error — the applied prefix is kept and the next call resumes
 // after it.
-func (f *Follower) streamOnce() (int, error) {
-	f.mu.Lock()
-	from := f.applied + 1
-	f.mu.Unlock()
+func (s *Store) streamOnce() (int, error) {
+	t := s.tail
+	t.mu.Lock()
+	from := t.applied + 1
+	t.mu.Unlock()
 
-	req, err := http.NewRequest(http.MethodGet,
-		fmt.Sprintf("%s%s?from=%d", f.leader, ReplWALPath, from), nil)
+	req, err := http.NewRequestWithContext(t.ctx, http.MethodGet,
+		fmt.Sprintf("%s%s?from=%d", t.leader, ReplWALPath, from), nil)
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set(ReplEpochHeader, strconv.FormatUint(f.store.Epoch(), 10))
-	req.Header.Set(ReplFollowerHeader, f.id)
+	req.Header.Set(ReplEpochHeader, strconv.FormatUint(s.Epoch(), 10))
+	req.Header.Set(ReplFollowerHeader, t.id)
 	resp, err := followerClient.Do(req)
 	if err != nil {
 		return 0, err
@@ -350,7 +249,7 @@ func (f *Follower) streamOnce() (int, error) {
 		// The leader saw our (higher) epoch and fenced itself: it is
 		// stale. Keep backing off; the operator re-points this follower
 		// by restarting it with the new -leader.
-		return 0, fmt.Errorf("core: tail rejected: leader is fenced below our epoch %d", f.store.Epoch())
+		return 0, fmt.Errorf("core: tail rejected: leader is fenced below our epoch %d", s.Epoch())
 	default:
 		return 0, fmt.Errorf("core: tail request: leader answered %s", resp.Status)
 	}
@@ -358,20 +257,20 @@ func (f *Follower) streamOnce() (int, error) {
 	// Epoch exchange: a newer leader epoch is adopted, an older one
 	// rejected — a deposed leader must not feed us records.
 	if leaderEpoch, perr := strconv.ParseUint(resp.Header.Get(ReplEpochHeader), 10, 64); perr == nil {
-		if leaderEpoch < f.store.Epoch() {
-			return 0, &durable.FencedError{Op: "tail", Epoch: f.store.Epoch()}
+		if leaderEpoch < s.Epoch() {
+			return 0, &durable.FencedError{Op: "tail", Epoch: s.Epoch()}
 		}
-		if leaderEpoch > f.store.Epoch() {
-			if err := f.store.wal.AdoptEpoch(leaderEpoch); err != nil {
+		if leaderEpoch > s.Epoch() {
+			if err := s.wal.AdoptEpoch(leaderEpoch); err != nil {
 				return 0, err
 			}
-			f.store.setEpochGauge()
+			s.setEpochGauge()
 		}
 	}
 	if last, perr := strconv.ParseUint(resp.Header.Get(ReplLastSeqHeader), 10, 64); perr == nil {
-		f.mu.Lock()
-		f.leaderSeq = last
-		f.mu.Unlock()
+		t.mu.Lock()
+		t.leaderSeq = last
+		t.mu.Unlock()
 	}
 
 	applied := 0
@@ -383,65 +282,67 @@ func (f *Follower) streamOnce() (int, error) {
 		}
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			// Torn tail on the wire: keep the applied prefix, resume later.
-			f.tears.Inc()
+			t.tears.Inc()
 			break
 		}
 		if err != nil {
 			return applied, err
 		}
-		if err := f.applyRecord(seq, payload); err != nil {
+		// Log, then apply: the order the leader used, so a crash between
+		// the two replays the record instead of losing it.
+		if err := s.wal.AppendReplicated(seq, payload); err != nil {
 			return applied, err
 		}
+		if err := s.engine.applyRecord(s.wal.Dir(), seq, payload); err != nil {
+			return applied, err
+		}
+		t.mu.Lock()
+		t.applied = seq
+		t.mu.Unlock()
+		t.applies.Inc()
 		applied++
 	}
-	f.mu.Lock()
-	f.polled = true
-	f.mu.Unlock()
-	f.setGauges()
+	t.mu.Lock()
+	t.polled = true
+	t.mu.Unlock()
+	t.setGauges()
 	return applied, nil
 }
 
-// applyRecord logs then applies one replicated record — the same
-// log-before-apply order the leader used, so a crash between the two
-// replays the record instead of losing it.
-func (f *Follower) applyRecord(seq uint64, payload []byte) error {
-	if err := f.store.wal.AppendReplicated(seq, payload); err != nil {
-		return err
-	}
-	if err := f.store.engine.applyRecord(f.store.wal.Dir(), seq, payload); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.applied = seq
-	f.mu.Unlock()
-	f.applies.Inc()
-	return nil
-}
-
-func (f *Follower) lagLocked() uint64 {
-	if f.leaderSeq <= f.applied {
+func (t *tail) lagLocked() uint64 {
+	if t.leaderSeq <= t.applied {
 		return 0
 	}
-	return f.leaderSeq - f.applied
+	return t.leaderSeq - t.applied
 }
 
-// Ready reports whether the follower should serve reads: bootstrap and
-// at least one poll completed, and lag within the configured bound.
-func (f *Follower) Ready() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.readyLocked()
+// readyLocked reports whether the store should serve reads: bootstrap
+// and at least one poll completed, and lag within the configured bound.
+func (t *tail) readyLocked() bool {
+	return t.promoted || t.polled && t.lagLocked() <= t.maxLag
 }
 
-func (f *Follower) readyLocked() bool {
-	return f.promoted || f.polled && f.lagLocked() <= f.opts.MaxLag
+// setGauges publishes the follower's replication position.
+func (t *tail) setGauges() {
+	t.mu.Lock()
+	applied, leaderSeq, polled, lag := t.applied, t.leaderSeq, t.polled, t.lagLocked()
+	t.mu.Unlock()
+	t.lag.Set(float64(lag))
+	t.appliedSeq.Set(float64(applied))
+	t.caughtUp.Set(b2f(polled && leaderSeq <= applied))
 }
 
-// FollowerStatus is the JSON shape of /replication/status on a follower.
-type FollowerStatus struct {
-	Role      string `json:"role"`
-	Leader    string `json:"leader"`
+// ReplStatus is a node's replication state, the body of
+// /replication/status. A leader has applied its whole log: its applied
+// and leader sequences are its last one, and it is caught up and ready.
+// A following store names its leader and reports its tail's position.
+type ReplStatus struct {
+	Role      string `json:"role"` // "leader" or "follower"
+	Leader    string `json:"leader,omitempty"`
 	Epoch     uint64 `json:"epoch"`
+	Fenced    bool   `json:"fenced"`
+	LastSeq   uint64 `json:"last_seq"`
+	LowWater  uint64 `json:"follower_low_water_seq,omitempty"`
 	Applied   uint64 `json:"applied_seq"`
 	LeaderSeq uint64 `json:"leader_seq"`
 	Lag       uint64 `json:"lag_seq"`
@@ -450,72 +351,63 @@ type FollowerStatus struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Status snapshots the follower's replication state, every field at one
-// instant: CaughtUp (everything the leader acknowledged as of the last
-// successful poll is applied) implies Lag == 0 and Ready.
-func (f *Follower) Status() FollowerStatus {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	lag := f.lagLocked()
-	st := FollowerStatus{
-		Role: "follower", Leader: f.leader, Epoch: f.store.Epoch(),
-		Applied: f.applied, LeaderSeq: f.leaderSeq, Lag: lag,
-		CaughtUp: f.polled && lag == 0, Ready: f.readyLocked(),
+// Status reports the store's replication state: Role is "follower"
+// while the store follows a leader, until Promote. A following store's
+// position is read at one instant: CaughtUp (everything the leader
+// acknowledged as of the last successful poll is applied) implies
+// Lag == 0 and Ready.
+func (s *Store) Status() ReplStatus {
+	st := ReplStatus{Role: "leader", Epoch: s.Epoch(), Fenced: s.Fenced(),
+		LastSeq: s.LastSeq(), CaughtUp: true, Ready: true}
+	st.LowWater, _ = s.followerLowWater()
+	st.Applied, st.LeaderSeq = st.LastSeq, st.LastSeq
+	t := s.tail
+	if t == nil {
+		return st
 	}
-	if f.promoted {
-		st.Role = "leader"
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.promoted {
+		return st
 	}
-	if f.lastErr != nil {
-		st.LastError = f.lastErr.Error()
+	st.Role, st.Leader = "follower", t.leader
+	st.Applied, st.LeaderSeq, st.Lag = t.applied, t.leaderSeq, t.lagLocked()
+	st.CaughtUp = t.polled && st.Lag == 0
+	st.Ready = t.readyLocked()
+	if t.lastErr != nil {
+		st.LastError = t.lastErr.Error()
 	}
 	return st
 }
 
-// Promote turns the follower into a leader: the tail loop stops, the
-// replication epoch is bumped (persisted before anything else), and the
-// engine starts logging its own writes to the local WAL — which now
+// Promote turns a following store into a leader: the tail loop stops,
+// the replication epoch is bumped (persisted before anything else), and
+// the engine starts logging its own writes to the local WAL — which now
 // extends the replicated sequence space under the new epoch. Returns
 // the new epoch; the caller re-points surviving followers and fences
-// the old leader if it is still reachable.
-func (f *Follower) Promote() (uint64, error) {
-	f.mu.Lock()
-	if f.promoted {
-		epoch := f.store.Epoch()
-		f.mu.Unlock()
-		return epoch, nil
+// the old leader if it is still reachable. A store that already leads
+// returns its epoch unchanged.
+func (s *Store) Promote() (uint64, error) {
+	t := s.tail
+	if t == nil {
+		return s.Epoch(), nil
 	}
-	f.promoted = true
-	f.mu.Unlock()
-	f.stopTail()
-	epoch, err := f.store.wal.BumpEpoch()
+	t.mu.Lock()
+	if t.promoted {
+		t.mu.Unlock()
+		return s.Epoch(), nil
+	}
+	t.promoted = true
+	t.mu.Unlock()
+	t.cancel() // the loop's request in flight too
+	<-t.done
+	epoch, err := s.wal.BumpEpoch()
 	if err != nil {
 		return 0, err
 	}
-	f.store.engine.SetUpdateLog(f.store.wal)
-	f.store.setEpochGauge()
-	f.promotions.Inc()
-	f.log.Info("follower_promoted", "epoch", epoch, "applied", f.applied)
+	s.engine.SetUpdateLog(s.wal)
+	s.setEpochGauge()
+	t.promotions.Inc()
+	s.log.Info("follower_promoted", "epoch", epoch, "applied", t.applied)
 	return epoch, nil
-}
-
-// stopTail stops the tail loop, if Start ran it, and waits for it to exit.
-func (f *Follower) stopTail() {
-	f.stopOnce.Do(func() { close(f.stop) })
-	f.tail.Wait()
-}
-
-// Close stops tailing and closes the store (final snapshot included).
-func (f *Follower) Close() error {
-	f.stopTail()
-	return f.store.Close()
-}
-
-// setGauges publishes the follower's replication position.
-func (f *Follower) setGauges() {
-	f.mu.Lock()
-	applied, leaderSeq, polled, lag := f.applied, f.leaderSeq, f.polled, f.lagLocked()
-	f.mu.Unlock()
-	f.lag.Set(float64(lag))
-	f.appliedSeq.Set(float64(applied))
-	f.caughtUp.Set(b2f(polled && leaderSeq <= applied))
 }

@@ -36,6 +36,13 @@ import (
 // internal/durable); only a torn tail on the final WAL segment — the
 // signature of a crash mid-append, by definition unacknowledged — is
 // truncated and recovered past.
+//
+// A store leads or follows. A leader's engine logs its own writes; its
+// log is what followers tail. A store opened with StoreOptions.Leader
+// follows that leader: it replicates the leader's log over HTTP, record
+// by record, log-before-apply as the leader did, so at every moment its
+// engine equals the leader's at some recent sequence. Its engine
+// refuses writes (ErrReadOnly) until Promote makes it a leader.
 type Store struct {
 	dir    string
 	engine *Engine
@@ -50,6 +57,8 @@ type Store struct {
 
 	stopLoop chan struct{}
 	loopDone chan struct{}
+
+	tail *tail // nil on a store that leads
 
 	// followers tracks the last sequence each live replication follower
 	// has applied, so Snapshot never truncates WAL records a follower
@@ -77,7 +86,7 @@ func newStore(dir string, o StoreOptions) *Store {
 	if o.FollowerTTL <= 0 {
 		o.FollowerTTL = DefaultFollowerTTL
 	}
-	return &Store{dir: dir, reg: reg, log: log,
+	s := &Store{dir: dir, reg: reg, log: log,
 		followers: make(map[string]followerPos), followerTTL: o.FollowerTTL,
 		fences:        reg.Counter("expertfind_replication_fences_total", "Times this node's WAL was fenced by a newer replication epoch."),
 		liveFollowers: reg.Gauge("expertfind_replication_followers", "Live replication followers tracked by this leader."),
@@ -85,6 +94,10 @@ func newStore(dir string, o StoreOptions) *Store {
 		epoch:         reg.Gauge("expertfind_replication_epoch", "Persisted replication epoch of this node's WAL."),
 		fenced:        reg.Gauge("expertfind_replication_fenced", "1 when this node's WAL is fenced by a newer epoch."),
 	}
+	if o.Leader != "" {
+		s.tail = newTail(o, reg)
+	}
+	return s
 }
 
 // followerPos is one follower's replication position as last reported.
@@ -97,8 +110,9 @@ type followerPos struct {
 // WAL truncation before it is presumed dead.
 const DefaultFollowerTTL = 30 * time.Second
 
-// StoreOptions configures OpenStore. Zero values mean: SyncAlways,
-// 4 MiB WAL segments, the process-wide metrics registry, no logging.
+// StoreOptions configures OpenStore. Zero values mean: a store that
+// leads, SyncAlways, 4 MiB WAL segments, the process-wide metrics
+// registry, no logging.
 type StoreOptions struct {
 	// Sync is the WAL fsync policy; it decides what "acknowledged" buys
 	// (see durable.SyncPolicy).
@@ -117,13 +131,27 @@ type StoreOptions struct {
 	// the platform allows, ModeOff forces heap reads, ModeOn fails if
 	// the mapping cannot be established.
 	Mmap colstore.Mode
+
+	// Leader, when set, is the base URL of the leader this store
+	// follows (e.g. http://10.0.0.1:7080); empty, the store leads.
+	Leader string
+	// FollowerID names a following store to its leader for low-water
+	// tracking (empty: hostname and pid).
+	FollowerID string
+	// PollInterval is a following store's delay between tail polls once
+	// caught up (zero: 200ms).
+	PollInterval time.Duration
+	// MaxLag is the largest leader-minus-applied sequence distance at
+	// which a following store still reports ready (zero: ready only when
+	// caught up at the last poll).
+	MaxLag uint64
 }
 
-// RecoveryInfo reports what OpenStore or OpenFollower found and did.
+// RecoveryInfo reports what OpenStore found and did.
 type RecoveryInfo struct {
 	// SnapshotLoaded is true when a snapshot file was restored (false:
 	// the engine came from the build function). Always true on a
-	// follower, whose engine is its leader's snapshot.
+	// following store, whose engine is its leader's snapshot.
 	SnapshotLoaded bool
 	// SnapshotSeq is the WAL sequence the snapshot covered.
 	SnapshotSeq uint64
@@ -149,6 +177,14 @@ const SnapshotFileName = "snapshot.efs"
 // calls are logged before they apply. When the store is brand new an
 // initial snapshot is written immediately, so a later restart never
 // repeats the expensive build.
+//
+// With o.Leader set the store follows that leader, and g must be the
+// base graph the leader was built over. A fresh directory downloads the
+// leader's snapshot (every checksum validated before it replaces
+// anything) instead of calling build; a directory with prior state
+// recovers locally and resumes tailing where it stopped; build is never
+// called. The recovery is the same one, and the tail starts before
+// OpenStore returns.
 func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: open store: %w", err)
@@ -157,14 +193,20 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 	ctx, root := obs.StartSpan(obs.WithRegistry(context.Background(), s.reg), "recover")
 	defer root.End() // on the error paths; recovery's own end is taken below
 
-	// Phase 1: restore the checkpointed state.
+	// Phase 1: restore the checkpointed state, or make the first one.
 	_, sp := obs.StartSpan(ctx, "snapshot")
-	if err := s.loadSnapshot(g, o.Mmap); errors.Is(err, fs.ErrNotExist) {
-		if s.engine, err = build(); err != nil {
-			return nil, err
+	var leaderEpoch uint64
+	err := s.loadSnapshot(g, o.Mmap)
+	if errors.Is(err, fs.ErrNotExist) {
+		if s.tail != nil {
+			if leaderEpoch, err = s.bootstrap(); err == nil {
+				err = s.loadSnapshot(g, o.Mmap)
+			}
+		} else if s.engine, err = build(); err == nil {
+			s.log.Info("store_built_fresh", "dir", dir)
 		}
-		s.log.Info("store_built_fresh", "dir", dir)
-	} else if err != nil {
+	}
+	if err != nil {
 		return nil, err // typed: checksum/truncation/version context intact
 	}
 	sp.End()
@@ -180,7 +222,20 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 		return nil, err
 	}
 	sp.End()
-	s.engine.SetUpdateLog(wal)
+	if s.tail == nil {
+		s.engine.SetUpdateLog(wal)
+	} else {
+		// A follower's writes come only from replication, and its epoch
+		// is its leader's from the first download on.
+		s.engine.following = true
+		if leaderEpoch > 0 {
+			if err := wal.AdoptEpoch(leaderEpoch); err != nil {
+				wal.Close()
+				s.engine.CloseSnapshot()
+				return nil, err
+			}
+		}
+	}
 	s.recovered(wal, replayed, root)
 
 	// A fresh store checkpoints immediately: the build is deterministic
@@ -190,6 +245,11 @@ func OpenStore(dir string, g *hetgraph.Graph, build func() (*Engine, error), o S
 			wal.Close()
 			return nil, err
 		}
+	}
+	if t := s.tail; t != nil {
+		t.applied = max(wal.LastSeq(), s.engine.LastUpdateSeq())
+		t.setGauges()
+		go s.runTail()
 	}
 	return s, nil
 }
@@ -224,7 +284,7 @@ func (s *Store) loadSnapshot(g *hetgraph.Graph, mode colstore.Mode) error {
 // recovered attaches wal, the log recoverLog opened and replayed onto the
 // store's engine, and records what recovery found — in Recovery(), the
 // recovery counters and gauge, and the log — ending root, the recovery
-// span. A leader's store and a follower's both finish here.
+// span. A store that leads and one that follows both finish here.
 func (s *Store) recovered(wal *durable.WAL, replayed int, root *obs.Span) {
 	s.wal = wal
 	s.info.TornWALTail = wal.Stats().TornTail
@@ -246,10 +306,11 @@ func (s *Store) recovered(wal *durable.WAL, replayed int, root *obs.Span) {
 		"dur", s.info.Duration.Round(time.Millisecond))
 }
 
-// Engine returns the recovered engine. Updates through it are logged.
+// Engine returns the recovered engine. Updates through it are logged,
+// or refused while the store follows a leader.
 func (s *Store) Engine() *Engine { return s.engine }
 
-// Recovery reports what OpenStore or OpenFollower found and did.
+// Recovery reports what OpenStore found and did.
 func (s *Store) Recovery() RecoveryInfo { return s.info }
 
 // Dir returns the store's directory.
@@ -288,7 +349,7 @@ func (s *Store) Snapshot() error {
 	// through sequence L still needs L+1, so reclamation stops at
 	// min(snapshot seq, follower low-water).
 	trunc := seq
-	if lw, ok := s.FollowerLowWater(); ok && lw < trunc {
+	if lw, ok := s.followerLowWater(); ok && lw < trunc {
 		trunc = lw
 	}
 	if err := s.wal.TruncateThrough(trunc); err != nil {
@@ -339,8 +400,9 @@ func (s *Store) snapshotLoop(interval time.Duration, stop <-chan struct{}, done 
 	}
 }
 
-// Close writes a final snapshot, then flushes and closes the WAL. The
-// store is unusable afterwards. Safe to call twice.
+// Close stops a following store's tail, writes a final snapshot, then
+// flushes and closes the WAL. The store is unusable afterwards. Safe to
+// call twice.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -353,6 +415,10 @@ func (s *Store) Close() error {
 	if stop != nil {
 		close(stop)
 		<-done
+	}
+	if t := s.tail; t != nil {
+		t.cancel() // the tail applies nothing past this point
+		<-t.done
 	}
 
 	err := s.Snapshot()
@@ -465,10 +531,10 @@ func (s *Store) ObserveFollower(id string, applied uint64) {
 	s.followers[id] = followerPos{applied: applied, seen: time.Now()}
 }
 
-// FollowerLowWater returns the lowest applied sequence among live
+// followerLowWater returns the lowest applied sequence among live
 // followers, and whether any follower is live at all. Expired entries
 // are dropped as a side effect.
-func (s *Store) FollowerLowWater() (uint64, bool) {
+func (s *Store) followerLowWater() (uint64, bool) {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
 	now := time.Now()

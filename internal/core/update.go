@@ -54,11 +54,13 @@ type UpdateLog interface {
 // SetUpdateLog attaches a write-ahead log to the engine: from now on
 // every AddPaper is recorded (and fsynced, per the log's policy) before
 // it mutates any state, so an acknowledged update survives kill -9.
-// Attach the log before serving; it must already be replayed.
+// Attach the log before serving; it must already be replayed. On a
+// following store's engine, which refuses writes, it is what Promote
+// calls to take them.
 func (e *Engine) SetUpdateLog(l UpdateLog) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.wal = l
+	e.wal, e.following = l, false
 }
 
 // LastUpdateSeq returns the WAL sequence of the most recent applied
@@ -137,9 +139,10 @@ func firstOccurrences(ids []hetgraph.NodeID) []hetgraph.NodeID {
 // returns, the update is as durable as the log's fsync policy promises,
 // and a crash at any point either replays it fully or never
 // acknowledged it. A log failure rejects the update with a typed
-// *UpdateLogError instead of applying it unlogged. An id repeated within
-// one of p's lists is kept once, at its first position, before anything
-// is logged.
+// *UpdateLogError instead of applying it unlogged; so does the engine of
+// a store that follows a leader, with ErrReadOnly, before it validates
+// anything. An id repeated within one of p's lists is kept once, at its
+// first position, before anything is logged.
 //
 // AddPaper is safe to call concurrently with queries: it holds the
 // engine's write lock for the duration of the mutation and then
@@ -151,6 +154,9 @@ func (e *Engine) AddPaper(p NewPaper) (hetgraph.NodeID, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.following {
+		return 0, &UpdateLogError{Err: ErrReadOnly}
+	}
 	if err := e.validateNewPaper(p); err != nil {
 		return 0, err
 	}

@@ -251,12 +251,23 @@ func (rr *RecordReader) Next() (seq uint64, payload []byte, err error) {
 		return 0, nil, &CorruptError{Path: rr.name, Offset: rr.off,
 			Detail: "record length", Err: ErrChecksum}
 	}
-	if cap(rr.buf) < int(plen) {
-		rr.buf = make([]byte, plen)
-	}
-	payload = rr.buf[:plen]
-	if _, err := io.ReadFull(rr.r, payload); err != nil {
-		return 0, nil, rr.readErr(err, io.ErrUnexpectedEOF)
+	// The payload arrives in chunks of at most 64 KiB, and the buffer
+	// grows only as they do: a header that lies about its length costs
+	// the bytes the source really holds, not the length it declares.
+	n := int(plen)
+	payload = rr.buf[:0]
+	for len(payload) < n {
+		chunk := min(n-len(payload), 64<<10)
+		if cap(payload)-len(payload) < chunk {
+			grown := make([]byte, len(payload), min(n, max(2*cap(payload), len(payload)+chunk)))
+			copy(grown, payload)
+			payload, rr.buf = grown, grown
+		}
+		got, err := io.ReadFull(rr.r, payload[len(payload):len(payload)+chunk])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return 0, nil, rr.readErr(err, io.ErrUnexpectedEOF)
+		}
 	}
 	if got := recordChecksum(seq, payload); got != crc {
 		return 0, nil, &CorruptError{Path: rr.name, Offset: rr.off,

@@ -2,9 +2,11 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -218,6 +220,25 @@ func TestRecordReaderTornAndCorrupt(t *testing.T) {
 	var ce *CorruptError
 	if _, _, err := rr.Next(); !errors.As(err, &ce) || !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt record: got %v, want *CorruptError(ErrChecksum)", err)
+	}
+}
+
+// TestRecordReaderLyingLengthDoesNotAllocate: a 16-byte stream whose
+// header declares the largest payload a record may have ends torn, having
+// allocated room for the bytes that arrived rather than the 64 MiB the
+// header claims. A follower reads its leader's bytes through this reader.
+func TestRecordReaderLyingLengthDoesNotAllocate(t *testing.T) {
+	hdr := make([]byte, recordHeaderSize)
+	binary.LittleEndian.PutUint32(hdr[0:4], MaxRecordBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := NewRecordReader(bytes.NewReader(hdr)).Next()
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header with no payload: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a 16-byte stream allocated %d B, want under 1 MiB", got)
 	}
 }
 

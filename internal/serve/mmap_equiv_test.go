@@ -18,15 +18,14 @@ func startMmapFollower(t *testing.T, leaderURL string, mode colstore.Mode) *repl
 	t.Helper()
 	g := dataset.Generate(dataset.AminerSim(replCorpus)).Graph
 	reg := obs.NewRegistry()
-	fo, err := core.OpenFollower(t.TempDir(), g, leaderURL, core.FollowerOptions{
-		ID: "mmap-follower-" + strconv.Itoa(int(mode)), PollInterval: 10 * time.Millisecond,
-		Mmap: mode, Metrics: reg,
+	fo, err := core.OpenStore(t.TempDir(), g, nil, core.StoreOptions{
+		Leader: leaderURL, FollowerID: "mmap-follower-" + strconv.Itoa(int(mode)),
+		PollInterval: 10 * time.Millisecond, Mmap: mode, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fo.Close() })
-	fo.Start()
 	return &replFollower{fo: fo, reg: reg}
 }
 

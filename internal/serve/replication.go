@@ -22,10 +22,13 @@ import (
 //	POST /replication/fence        depose this node: {"epoch": N}
 //	POST /replication/promote      promote this follower to leader
 //
-// fo is non-nil on a follower and enables /replication/promote (plus a
-// follower-shaped /replication/status). The same routes stay mounted
+// The store decides the rest. One that follows a leader also gets
+// /replication/promote, reports role "follower" on /healthz, and answers
+// /readyz with 503 "replication_lag" until its lag is within its bound;
+// its engine refuses /add until promoted. The same routes stay mounted
 // after promotion — a promoted follower serves the tail stream to the
-// followers that re-point at it.
+// followers that re-point at it. Mount it after cluster.MountShard, so
+// the shard keeps its coordinates on /healthz.
 //
 // Epoch fencing runs on every tail request: a follower sends its epoch,
 // and a leader seeing a HIGHER one fences itself on the spot — the
@@ -33,27 +36,24 @@ import (
 // for any request once fenced. Responses carry the leader's epoch so
 // followers adopt promotions they haven't heard about, and the leader's
 // last sequence so followers can compute lag.
-func MountReplication(srv *Server, st *core.Store, fo *core.Follower) {
+func MountReplication(srv *Server, st *core.Store) {
 	srv.Handle(core.ReplWALPath, handleReplWAL(srv, st))
 	srv.Handle(core.ReplSnapshotPath, handleReplSnapshot(srv, st))
-	srv.Handle(core.ReplStatusPath, handleReplStatus(srv, st, fo))
+	srv.Handle(core.ReplStatusPath, func(w http.ResponseWriter, r *http.Request) {
+		srv.WriteJSON(w, st.Status())
+	})
 	srv.Handle(core.ReplFencePath, handleReplFence(srv, st))
-	if fo != nil {
-		srv.Handle(core.ReplPromotePath, handleReplPromote(srv, fo))
+	if st.Status().Role != "follower" {
+		return
 	}
-}
-
-// ServeReadOnly puts srv in a replication follower's serving state:
-// /readyz answers 503 "replication_lag" until fo's lag is within its
-// bound, and /add refuses writes until POST /replication/promote.
-func ServeReadOnly(srv *Server, fo *core.Follower) {
+	srv.Handle(core.ReplPromotePath, handleReplPromote(srv, st))
+	srv.topology.Role = "follower"
 	srv.ReadyProbe = func() (bool, string) {
-		if fo.Ready() {
+		if st.Status().Ready {
 			return true, ""
 		}
 		return false, "replication_lag"
 	}
-	srv.DenyWrites("replication follower serves reads only; write to the leader")
 }
 
 // replEpochHeaders stamps the node's replication identity on a response.
@@ -154,36 +154,6 @@ func handleReplSnapshot(srv *Server, st *core.Store) http.HandlerFunc {
 	}
 }
 
-// LeaderReplStatus is the JSON shape of /replication/status on a node
-// that is not tailing anyone (a leader, or a promoted follower).
-type LeaderReplStatus struct {
-	Role     string `json:"role"`
-	Epoch    uint64 `json:"epoch"`
-	Fenced   bool   `json:"fenced"`
-	LastSeq  uint64 `json:"last_seq"`
-	LowWater uint64 `json:"follower_low_water_seq,omitempty"`
-}
-
-func handleReplStatus(srv *Server, st *core.Store, fo *core.Follower) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if fo != nil {
-			stat := fo.Status()
-			if stat.Role == "follower" {
-				srv.WriteJSON(w, stat)
-				return
-			}
-			// Promoted: fall through to the leader shape.
-		}
-		out := LeaderReplStatus{
-			Role: "leader", Epoch: st.Epoch(), Fenced: st.Fenced(), LastSeq: st.LastSeq(),
-		}
-		if lw, ok := st.FollowerLowWater(); ok {
-			out.LowWater = lw
-		}
-		srv.WriteJSON(w, out)
-	}
-}
-
 // FenceRequest is the POST /replication/fence body.
 type FenceRequest struct {
 	Epoch uint64 `json:"epoch"`
@@ -217,20 +187,19 @@ func handleReplFence(srv *Server, st *core.Store) http.HandlerFunc {
 	}
 }
 
-func handleReplPromote(srv *Server, fo *core.Follower) http.HandlerFunc {
+func handleReplPromote(srv *Server, st *core.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		epoch, err := fo.Promote()
+		// The node accepts writes from now on, and is ready.
+		epoch, err := st.Promote()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		// The node now accepts writes and is unconditionally ready.
-		srv.AllowWrites()
 		srv.WriteJSON(w, map[string]any{"promoted": true, "epoch": epoch})
 	}
 }

@@ -59,16 +59,16 @@ func startReplLeader(t *testing.T, segBytes int64, followerTTL time.Duration) *r
 	t.Cleanup(func() { store.Close() })
 	srv := New(store.Engine())
 	srv.SetReady(true)
-	MountReplication(srv, store, nil)
+	MountReplication(srv, store)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &replLeader{store: store, srv: srv, ts: ts, ds: ds, reg: reg}
 }
 
-// replFollower is a follower served over loopback HTTP, wired the way
-// cmd/expertserve wires role=follower.
+// replFollower is a following store served over loopback HTTP, wired
+// the way cmd/expertserve wires role=follower.
 type replFollower struct {
-	fo  *core.Follower
+	fo  *core.Store
 	srv *Server
 	ts  *httptest.Server
 	reg *obs.Registry
@@ -82,19 +82,16 @@ func startReplFollower(t *testing.T, leaderURL, dir string, maxLag uint64) *repl
 	}
 	g := dataset.Generate(dataset.AminerSim(replCorpus)).Graph
 	reg := obs.NewRegistry()
-	fo, err := core.OpenFollower(dir, g, leaderURL, core.FollowerOptions{
-		ID: "test-follower", PollInterval: 10 * time.Millisecond,
+	fo, err := core.OpenStore(dir, g, nil, core.StoreOptions{
+		Leader: leaderURL, FollowerID: "test-follower", PollInterval: 10 * time.Millisecond,
 		MaxLag: maxLag, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(fo.Engine())
-	srv.SetTopology(Topology{Role: "follower"})
-	ServeReadOnly(srv, fo)
-	MountReplication(srv, fo.Store(), fo)
+	MountReplication(srv, fo)
 	srv.SetReady(true)
-	fo.Start()
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { fo.Close() })
@@ -132,10 +129,10 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func waitApplied(t *testing.T, fo *core.Follower, seq uint64) {
+func waitApplied(t *testing.T, fo *core.Store, seq uint64) {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("follower to apply seq %d", seq), 20*time.Second, func() bool {
-		return fo.Status().CaughtUp && fo.Store().LastSeq() >= seq
+		return fo.Status().CaughtUp && fo.LastSeq() >= seq
 	})
 }
 
@@ -252,6 +249,55 @@ func TestFollowerStatusIsOneInstant(t *testing.T) {
 	t.Logf("%d status reads, %d torn", reads.Load(), torn.Load())
 }
 
+// TestFollowerAndLeaderStatusFields: /replication/status is one shape on
+// every node, and each role still reports every field it reported when a
+// leader and a follower answered with two shapes, under the same names.
+func TestFollowerAndLeaderStatusFields(t *testing.T) {
+	ld := startReplLeader(t, 0, 0)
+	addPapers(t, ld.store.Engine(), 0, 3)
+	fw := startReplFollower(t, ld.ts.URL, "", 0)
+	waitApplied(t, fw.fo, 3)
+	addPapers(t, ld.store.Engine(), 3, 1) // the next poll reports the follower's low-water
+
+	leaderFields := []string{"role", "epoch", "fenced", "last_seq", "follower_low_water_seq"}
+	followerFields := []string{"role", "leader", "epoch", "applied_seq", "leader_seq", "lag_seq", "caught_up", "ready"}
+	status := func(base string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(base + core.ReplStatusPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	check := func(who, role string, got map[string]any, fields []string) {
+		t.Helper()
+		if got["role"] != role {
+			t.Fatalf("%s status role %v, want %s: %v", who, got["role"], role, got)
+		}
+		for _, f := range fields {
+			if _, ok := got[f]; !ok {
+				t.Errorf("%s status lacks %q: %v", who, f, got)
+			}
+		}
+	}
+	waitApplied(t, fw.fo, 4)
+	check("leader", "leader", status(ld.ts.URL), leaderFields)
+	check("follower", "follower", status(fw.ts.URL), followerFields)
+	if got := status(fw.ts.URL); got["leader"] != ld.ts.URL || got["applied_seq"] != 4.0 {
+		t.Fatalf("follower status %v, want leader %s and applied_seq 4", got, ld.ts.URL)
+	}
+
+	if _, err := fw.fo.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	check("promoted follower", "leader", status(fw.ts.URL), leaderFields[:4])
+}
+
 // TestFollowerRestartResumes is the in-process shape of the
 // killed-mid-catch-up fault: the follower stops with replication
 // incomplete, the leader keeps writing, and a reopen over the same
@@ -272,7 +318,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	addPapers(t, ld.store.Engine(), 6, 7)
 
 	fw2 := startReplFollower(t, ld.ts.URL, dir, 0)
-	if got := fw2.fo.Store().LastSeq(); got < 6 {
+	if got := fw2.fo.LastSeq(); got < 6 {
 		t.Fatalf("reopened follower lost progress: applied %d, want >= 6", got)
 	}
 	waitApplied(t, fw2.fo, 13)
@@ -413,7 +459,7 @@ func TestPromotionFencesStaleLeader(t *testing.T) {
 
 	// The new leader accepts writes now.
 	addPapers(t, fw.fo.Engine(), 5, 4)
-	if got := fw.fo.Store().LastSeq(); got != 9 {
+	if got := fw.fo.LastSeq(); got != 9 {
 		t.Fatalf("new leader seq = %d, want 9 (5 replicated + 4 own)", got)
 	}
 
@@ -542,8 +588,8 @@ func TestLowWaterTruncationGuard(t *testing.T) {
 }
 
 // TestRetryAfterOn503s pins the contract: every transient 503 — the boot
-// gate's, the lag-gated follower /readyz, a not-ready or write-denied
-// /add, a WAL that refused the record, and the shedding path — carries
+// gate's, the lag-gated follower /readyz, a not-ready /add or one a
+// follower refuses, a WAL that refused the record, and the shedding path — carries
 // Retry-After: 1.
 func TestRetryAfterOn503s(t *testing.T) {
 	retryAfterOne := func(what string, rec *httptest.ResponseRecorder) {
@@ -587,10 +633,13 @@ func TestRetryAfterOn503s(t *testing.T) {
 	retryAfterOne("not-ready /add", do(s, "POST", "/add", add))
 	s.SetReady(true)
 
-	// Writes denied, as on a follower.
-	s.DenyWrites("read-only follower")
-	retryAfterOne("write-denied /add", do(s, "POST", "/add", add))
-	s.AllowWrites()
+	// Writes refused by a following store's engine, whatever the paper.
+	fw := startReplFollower(t, startReplLeader(t, 0, 0).ts.URL, "", 0)
+	rec = do(fw.srv, "POST", "/add", add)
+	retryAfterOne("follower /add", rec)
+	if got, want := rec.Body.String(), "replication follower serves reads only; write to the leader\n"; got != want {
+		t.Fatalf("follower /add body %q, want %q", got, want)
+	}
 
 	// A WAL that refuses the record.
 	s.engine.SetUpdateLog(failingLog{})

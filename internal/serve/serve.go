@@ -10,6 +10,11 @@
 // status-code counters and an in-flight gauge, all recorded in the
 // engine's obs.Registry and scrapeable at /metrics (with a JSON mirror
 // at /debug/vars and opt-in pprof under /debug/pprof/).
+//
+// MountReplication puts a durable node's core.Store on the same server:
+// the routes a follower tails, and — when the store follows a leader —
+// promotion and a lag-gated /readyz. Which role a node plays is the
+// store's to say; the server only asks.
 package serve
 
 import (
@@ -70,9 +75,6 @@ type Server struct {
 	// operator signals that recovery — engine load/build and WAL replay —
 	// is complete. See SetReady.
 	ready atomic.Bool
-	// denyWrites, when non-nil, is the reason /add refuses writes — a
-	// replication follower serves reads only until promoted.
-	denyWrites atomic.Pointer[string]
 }
 
 // The bounds of every query route, on a single node and on a router: when
@@ -122,14 +124,6 @@ func (s *Server) Handle(pattern string, h http.HandlerFunc) {
 func (s *Server) WriteJSON(w http.ResponseWriter, v interface{}) {
 	s.envelope().WriteJSON(w, http.StatusOK, v)
 }
-
-// DenyWrites makes /add refuse updates with 503 + Retry-After and the
-// given reason — the state of a replication follower, whose only writes
-// come from its leader's log. AllowWrites (on promotion) reverses it.
-func (s *Server) DenyWrites(reason string) { s.denyWrites.Store(&reason) }
-
-// AllowWrites lifts DenyWrites.
-func (s *Server) AllowWrites() { s.denyWrites.Store(nil) }
 
 // SetReady flips the /readyz gate. Serve it false while booting —
 // building or loading the engine, replaying the WAL — so load
@@ -380,11 +374,6 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "engine not ready, still recovering", http.StatusServiceUnavailable)
 		return
 	}
-	if reason := s.denyWrites.Load(); reason != nil {
-		retryLater(w)
-		http.Error(w, *reason, http.StatusServiceUnavailable)
-		return
-	}
 	var req AddRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -404,6 +393,13 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.As(err, &invalid):
 		http.Error(w, invalid.Error(), http.StatusBadRequest)
+		return
+	case errors.Is(err, core.ErrReadOnly):
+		// A following store: its writes come from its leader's log
+		// until it is promoted.
+		retryLater(w)
+		http.Error(w, "replication follower serves reads only; write to the leader",
+			http.StatusServiceUnavailable)
 		return
 	case errors.As(err, &fenced):
 		// This node was deposed by a newer replication epoch: the write
