@@ -75,8 +75,8 @@ func (e *BodyError) Error() string {
 
 // readBody reads resp's body whole, at most limit bytes. A body that
 // declares its length (every shard's frame does) is read into one buffer
-// of that size; one that does not, such as an error page, is read in
-// chunks of doubling size, joined when it ends. Either way a body is
+// of that size from frameBuf; one that does not, such as an error page, is
+// read in chunks of doubling size, joined when it ends. Either way a body is
 // refused with a *BodyError before the router has allocated more than
 // limit+1 bytes for it.
 func readBody(resp *http.Response, addr string, limit int64) ([]byte, error) {
@@ -84,7 +84,7 @@ func readBody(resp *http.Response, addr string, limit int64) ([]byte, error) {
 		if n > limit {
 			return nil, &BodyError{Replica: addr, Length: n, Cap: limit}
 		}
-		b := make([]byte, n)
+		b := frameBuf(int(n))
 		read, err := io.ReadFull(resp.Body, b)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return b[:read], &BodyError{Replica: addr, Length: n, Read: int64(read), Cap: limit}

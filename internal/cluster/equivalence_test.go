@@ -235,7 +235,7 @@ func shardFrames(t *testing.T, engines []*ShardEngine, query string, m int) []*P
 		}
 		sent := se.Papers(res, true, false)
 		resps[i] = new(PapersResponse)
-		if err := decodeFrame(encodeFrame(&sent), resps[i]); err != nil {
+		if err := decodeFrame(encodeFrame(sent), resps[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

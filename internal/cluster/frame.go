@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"encoding/json"
+	"sync"
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
@@ -28,19 +29,48 @@ type FrameError struct{ Reason string }
 
 func (e *FrameError) Error() string { return "cluster: bad shard frame: " + e.Reason }
 
-// encodeFrame writes one response: header, then its fields.
+// frameBufs recycles frame buffers of 64 KiB, room for a frame at the
+// default m (~13 KB with author lists): frameBuf takes one when n fits,
+// freeFrameBuf gives it back once nothing reads it.
+const frameBufSize = 64 << 10
+
+var frameBufs = sync.Pool{New: func() any { return new([frameBufSize]byte) }}
+
+func frameBuf(n int) []byte {
+	if n > frameBufSize {
+		return make([]byte, n)
+	}
+	return frameBufs.Get().(*[frameBufSize]byte)[:n]
+}
+
+func freeFrameBuf(b []byte) {
+	if cap(b) == frameBufSize {
+		frameBufs.Put((*[frameBufSize]byte)(b[:frameBufSize]))
+	}
+}
+
+// responses recycles the papers and tables of the responses a shard builds
+// and a router decodes; free gives one back once nothing reads it.
+var responses = sync.Pool{New: func() any { return new(PapersResponse) }}
+
+func (r *PapersResponse) free() { responses.Put(r) }
+
+// encodeFrame writes one response, header then fields, into a buffer from
+// frameBuf (which a frame larger than one outgrows) for the caller to free.
 func encodeFrame(r *PapersResponse) []byte {
-	f := wire.Writer(make([]byte, 0, frameHeaderLen+r.wireSize()), wire.Fixed)
+	f := wire.Writer(frameBuf(frameBufSize)[:0], wire.Fixed)
 	f.Header(tagPapers, frameVersion)
 	r.walk(&f)
 	return f.Bytes()
 }
 
-// decodeFrame reads one response into r, whose strings and author lists
-// it allocates once each, not per entry. It refuses a frame that does not
-// open with the tag and this version — a JSON body, a peer that speaks
-// version 1, fails there on its first bytes — and one with bytes left over.
+// decodeFrame reads one response into r, reusing its papers and table and
+// allocating its strings and author lists once each, not per entry. It
+// refuses a frame that does not open with the tag and this version — a
+// JSON body, a peer that speaks version 1, fails there on its first bytes
+// — and one with bytes left over.
 func decodeFrame(b []byte, r *PapersResponse) error {
+	*r = PapersResponse{Papers: r.Papers[:0], Authors: r.Authors[:0]}
 	f := wire.Reader(b, wire.Fixed)
 	f.Header(tagPapers, frameVersion)
 	r.walk(&f)
@@ -69,29 +99,15 @@ func trace(f *wire.Walker, t **obs.SpanNode) {
 	}
 }
 
-// totals are the two sums the frame declares ahead of their parts: author
-// ids over all lists, name bytes over the table.
-func (r *PapersResponse) totals() (ids, names int) {
+func (r *PapersResponse) walk(f *wire.Walker) {
+	// The two sums the frame declares ahead of their parts: author ids over
+	// all lists, name bytes over the table (0 reading: decodeFrame emptied r).
+	ids, names := 0, 0
 	for i := range r.Papers {
 		ids += len(r.Papers[i].Authors)
 	}
 	for i := range r.Authors {
 		names += len(r.Authors[i].Name)
-	}
-	return ids, names
-}
-
-// wireSize is the body length, text and span tree aside, the encoder
-// allocates up front.
-func (r *PapersResponse) wireSize() int {
-	ids, names := r.totals()
-	return 24 + 20*len(r.Papers) + 4*ids + 12*len(r.Authors) + names
-}
-
-func (r *PapersResponse) walk(f *wire.Walker) {
-	ids, names := 0, 0
-	if f.Writing() {
-		ids, names = r.totals()
 	}
 	wire.I32(f, &r.Shard)
 	papers := wire.List(f, &r.Papers, 20)
@@ -107,9 +123,7 @@ func (r *PapersResponse) walk(f *wire.Walker) {
 		if a := f.Count(len(p.Authors), 4); !f.Writing() && a > 0 && f.Share(a, len(arena)) {
 			p.Authors, arena = arena[:a:a], arena[a:]
 		}
-		for j := range p.Authors {
-			wire.I32(f, &p.Authors[j])
-		}
+		wire.I32s(f, p.Authors)
 	}
 
 	table := wire.List(f, &r.Authors, 12)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -208,6 +209,18 @@ func TestFrameDecodeAllocatesPerResponse(t *testing.T) {
 	}
 }
 
+// bulkList is a response with one paper of n authors, 0..n-1, and their
+// table: the list the frame walks in one call.
+func bulkList(n int) *PapersResponse {
+	r := &PapersResponse{Shard: 1, Papers: []WirePaper{{ID: 5, Dist: 2, Authors: make([]hetgraph.NodeID, n)}},
+		Authors: make([]WireAuthor, n)}
+	for i := range r.Authors {
+		r.Papers[0].Authors[i] = hetgraph.NodeID(i)
+		r.Authors[i] = WireAuthor{ID: hetgraph.NodeID(i), Papers: 1}
+	}
+	return r
+}
+
 // FuzzShardFrame: whatever the bytes, the decoder does not panic, what it
 // builds is bounded by the frame's length, and anything it accepts encodes
 // back to the bytes it came from (a span tree, being JSON, to a fixed
@@ -225,6 +238,7 @@ func FuzzShardFrame(f *testing.F) {
 		v1,
 		append(encodeFrame(authored()), 0),
 		encodeFrame(&PapersResponse{Papers: []WirePaper{{ID: 1}, {ID: 2}}, Authors: []WireAuthor{{ID: 1}}}),
+		encodeFrame(bulkList(600)),
 	} {
 		f.Add(seed)
 	}
@@ -249,4 +263,43 @@ func FuzzShardFrame(f *testing.F) {
 			t.Fatalf("encode∘decode is not a fixed point (err %v)", err)
 		}
 	})
+}
+
+// goldenFrame is the version-2 frame of goldenResponse, byte for byte: one
+// line per paper (id, dist, text, its author list) and per table entry
+// (id, papers, name length).
+var goldenFrame = "5002" + "01000000" + "02000000" + "04000000" + // header, shard, papers, ids
+	"15000000" + "000000000000e03f" + "05000000" + "6772617068" + "02000000" + "09000000" + "04000000" +
+	"16000000" + "0000000000000080" + "00000000" + "02000000" + "04000000" + "2c010000" +
+	"03000000" + "04000000" + "6162c3b1" + // table entries, name bytes, the names
+	"04000000" + "02000000" + "02000000" +
+	"09000000" + "01000000" + "00000000" +
+	"2c010000" + "07000000" + "02000000" +
+	"41000000" + hexJSON // the trace section
+
+var hexJSON = hex.EncodeToString([]byte(`{"name":"s","span_id":"01","start_unix_nano":0,"duration_nano":3}`))
+
+// goldenResponse has two papers, the first with text, their author lists,
+// a three-entry table and a span tree in the trace section.
+func goldenResponse() *PapersResponse {
+	return &PapersResponse{Shard: 1,
+		Papers: []WirePaper{
+			{ID: 21, Dist: 0.5, Text: "graph", Authors: []hetgraph.NodeID{9, 4}},
+			{ID: 22, Dist: math.Copysign(0, -1), Authors: []hetgraph.NodeID{4, 300}},
+		},
+		Authors: []WireAuthor{{ID: 4, Papers: 2, Name: "ab"}, {ID: 9, Papers: 1, Name: ""}, {ID: 300, Papers: 7, Name: "ñ"}},
+		Trace:   &obs.SpanNode{Name: "s", SpanID: "01", DurationNano: 3},
+	}
+}
+
+// TestFrameGoldenBytes pins the frame's bytes: a change here is a format
+// change and needs a new frame version.
+func TestFrameGoldenBytes(t *testing.T) {
+	b := encodeFrame(goldenResponse())
+	if got := hex.EncodeToString(b); got != goldenFrame {
+		t.Fatalf("frame\n got %s\nwant %s", got, goldenFrame)
+	}
+	if got, err := decodePapersResponse(b); err != nil || !reflect.DeepEqual(got, goldenResponse()) {
+		t.Fatalf("the golden frame decoded to %+v, %v", got, err)
+	}
 }

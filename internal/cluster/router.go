@@ -152,9 +152,20 @@ func (rt *Router) writeRouterError(w http.ResponseWriter, err error) bool {
 // rankedPaper is one globally merged retrieved paper with the shard it
 // came from; its global rank is its position in the merged list plus one.
 type rankedPaper struct {
-	WirePaper
+	*WirePaper
 	shard int
 }
+
+// rankScratch is rankResponses' memory, reused across queries; a slot
+// holds an id and its position in the merged table + 1 (0: empty).
+type rankScratch struct {
+	papers           []rankedPaper
+	ids, spare, keys []hetgraph.NodeID
+	slots            []struct{ id, key hetgraph.NodeID }
+	ends             []int
+}
+
+var rankScratches = sync.Pool{New: func() any { return new(rankScratch) }}
 
 // startFanout opens the per-shard fan-out span under ctx: the parent of
 // this sub-request's rpc attempts and the graft point for the shard's
@@ -185,8 +196,10 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, detail str
 				errs[i] = err
 				return
 			}
-			var pr PapersResponse
-			if err := decodeFrame(b, &pr); err != nil {
+			pr := responses.Get().(*PapersResponse)
+			err = decodeFrame(b, pr)
+			freeFrameBuf(b) // pr holds copies of what it keeps
+			if err != nil {
 				errs[i] = &shardError{shard: i, err: fmt.Errorf("bad papers payload: %w", err)}
 				return
 			}
@@ -194,7 +207,7 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, detail str
 			if pr.Trace != nil {
 				fanout.Graft(*pr.Trace)
 			}
-			resps[i] = &pr
+			resps[i] = pr
 		}(i)
 	}
 	wg.Wait()
@@ -204,6 +217,13 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, detail str
 		}
 	}
 	return resps, nil
+}
+
+// freeAll frees one scatter's responses once nothing reads them.
+func freeAll(resps []*PapersResponse) {
+	for _, r := range resps {
+		r.free()
+	}
 }
 
 // before is the one retrieval order, (distance ascending, id ascending):
@@ -220,14 +240,14 @@ func (p *WirePaper) before(q *WirePaper) bool {
 // shard). It refuses, naming the shards, what would corrupt the expert sum:
 // a list out of order, and a paper two shards both returned — or one
 // returned twice — which would be summed twice.
-func mergePapers(resps []*PapersResponse, m int) ([]rankedPaper, error) {
+func mergePapers(out []rankedPaper, resps []*PapersResponse, m int) ([]rankedPaper, error) {
 	total := 0
 	for _, r := range resps {
 		total += len(r.Papers)
 	}
-	out := make([]rankedPaper, 0, min(m, total))
+	out = slices.Grow(out[:0], min(m, total))
 	next := make([]int, len(resps)) // per shard, the head of its list
-	for len(out) < cap(out) {
+	for len(out) < min(m, total) {
 		var head *WirePaper
 		from := -1
 		for i, r := range resps {
@@ -246,7 +266,7 @@ func mergePapers(resps []*PapersResponse, m int) ([]rankedPaper, error) {
 			return nil, &shardError{shard: from, err: fmt.Errorf(
 				"papers %d and %d are not in (distance, id) order", resps[from].Papers[k-1].ID, head.ID)}
 		}
-		out = append(out, rankedPaper{WirePaper: *head, shard: from})
+		out = append(out, rankedPaper{WirePaper: head, shard: from})
 		next[from]++
 	}
 	return out, nil
@@ -267,10 +287,11 @@ func findAuthor(resps []*PapersResponse, id hetgraph.NodeID) (WireAuthor, bool) 
 
 // mergeAuthors merges the shards' author tables, each ascending by id (the
 // frame decoder refuses one that is not), into one ascending table of
-// distinct ids.
-func mergeAuthors(resps []*PapersResponse) (ids []hetgraph.NodeID) {
+// distinct ids, s.ids, merging into s.spare and swapping the two.
+func (s *rankScratch) mergeAuthors(resps []*PapersResponse) []hetgraph.NodeID {
+	ids := s.ids[:0]
 	for _, r := range resps {
-		merged, i := make([]hetgraph.NodeID, 0, len(ids)+len(r.Authors)), 0
+		merged, i := s.spare[:0], 0
 		for _, a := range r.Authors {
 			for ; i < len(ids) && ids[i] < a.ID; i++ {
 				merged = append(merged, ids[i])
@@ -280,8 +301,9 @@ func mergeAuthors(resps []*PapersResponse) (ids []hetgraph.NodeID) {
 			}
 			merged = append(merged, a.ID)
 		}
-		ids = append(merged, ids[i:]...)
+		ids, s.spare = append(merged, ids[i:]...), ids
 	}
+	s.ids = ids
 	return ids
 }
 
@@ -313,6 +335,7 @@ func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.
 	if err != nil {
 		return nil, ta.Stats{}, err
 	}
+	defer freeAll(resps)
 	experts, st, err := rankResponses(ctx, resps, m, n)
 	if err == nil {
 		rt.rank.Record(st)
@@ -328,12 +351,16 @@ func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.
 // and no table holds is refused, whether or not it would have won. The n
 // winners take their name and paper count from the shards' author tables.
 func rankResponses(ctx context.Context, resps []*PapersResponse, m, n int) ([]serve.ExpertResult, ta.Stats, error) {
+	s := rankScratches.Get().(*rankScratch)
+	defer rankScratches.Put(s)
 	_, mp := obs.StartSpan(ctx, "merge_papers")
-	papers, err := mergePapers(resps, m)
+	papers, err := mergePapers(s.papers, resps, m)
 	mp.End()
 	if err != nil {
 		return nil, ta.Stats{}, err
 	}
+	s.papers = papers
+	defer clear(papers) // no pointer into this query's responses stays pooled
 
 	rctx, rs := obs.StartSpan(ctx, "rank")
 	defer rs.End()
@@ -341,30 +368,33 @@ func rankResponses(ctx context.Context, resps []*PapersResponse, m, n int) ([]se
 	// order is id order and no memory is indexed by an id from the wire.
 	// Open addressing over more slots than ids (position + 1, 0 is empty)
 	// finds them; every probe ends at the id or at an empty slot.
-	ids := mergeAuthors(resps)
-	shift := 32 - bits.Len(uint(len(ids)+len(ids)/2))
-	slots, mask := make([]int32, 1<<(32-shift)), 1<<(32-shift)-1
+	ids := s.mergeAuthors(resps)
+	shift := 32 - bits.Len(uint(2*len(ids)))
+	s.slots = append(s.slots[:0], make([]struct{ id, key hetgraph.NodeID }, 1<<(32-shift))...)
+	slots, mask := s.slots, 1<<(32-shift)-1
 	probe := func(id hetgraph.NodeID) int {
 		h := int(uint32(id) * authorHash >> shift)
-		for slots[h] != 0 && ids[slots[h]-1] != id {
+		for slots[h].key != 0 && slots[h].id != id {
 			h = (h + 1) & mask
 		}
 		return h
 	}
 	for k, id := range ids {
-		slots[probe(id)] = int32(k + 1)
+		h := probe(id)
+		slots[h].id, slots[h].key = id, hetgraph.NodeID(k+1)
 	}
-	keys, ends := make([]hetgraph.NodeID, 0, len(ids)), make([]int, len(papers)+1)
-	for j, p := range papers {
+	keys, ends := s.keys[:0], append(s.ends[:0], 0)
+	for _, p := range papers {
 		for _, id := range p.Authors {
-			k := slots[probe(id)] - 1
+			k := slots[probe(id)].key - 1
 			if k < 0 {
 				return nil, ta.Stats{}, missingAuthor(papers, id)
 			}
-			keys = append(keys, hetgraph.NodeID(k))
+			keys = append(keys, k)
 		}
-		ends[j+1] = len(keys)
+		ends = append(ends, len(keys))
 	}
+	s.keys, s.ends = keys, ends
 	top, st, err := ta.TopExpertsOf(rctx, len(papers), len(ids), func(j int) []hetgraph.NodeID { return keys[ends[j]:ends[j+1]] }, n)
 	if err != nil {
 		return nil, st, err
@@ -443,7 +473,8 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 	if rt.writeRouterError(w, err) {
 		return
 	}
-	merged, err := mergePapers(resps, m)
+	defer freeAll(resps)
+	merged, err := mergePapers(nil, resps, m)
 	if rt.writeRouterError(w, err) {
 		return
 	}

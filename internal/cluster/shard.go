@@ -120,10 +120,12 @@ func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := sh.se.Papers(res, withAuthors, withText)
 	resp.Trace = exportTree(span, r)
-	frame := encodeFrame(&resp)
+	frame := encodeFrame(resp)
+	resp.free()
 	// The length lets the router read the frame into one buffer of its
 	// size.
 	w.Header().Set("Content-Type", frameContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame)
+	freeFrameBuf(frame)
 }

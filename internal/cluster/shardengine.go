@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"expertfind/internal/core"
 	"expertfind/internal/hetgraph"
@@ -111,41 +113,58 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 	return res, err
 }
 
-// Papers renders retrieved papers as the /shard/papers payload under ONE
-// read of the graph — a shard accepts POST /add while it answers — copying
+// Papers renders retrieved papers as the /shard/papers payload (a
+// recycled response, for the caller to free once sent) under ONE read of
+// the graph — a shard accepts POST /add while it answers — copying
 // what it reads: with authors, each paper's ordered author ids (one array
 // behind every list) and the table of those authors, each once in
-// ascending id order (sorted and compacted: a few hundred ids are cheaper
-// to sort than to hash); with text, the papers' text too.
-func (se *ShardEngine) Papers(res []pgindex.Result, authors, text bool) PapersResponse {
-	resp := PapersResponse{Shard: se.cfg.ID, Papers: make([]WirePaper, len(res))}
+// ascending id order — marked in a bitset over node ids, then read out and
+// cleared word by word between the lowest and the highest, no sort; with
+// text, the papers' text too.
+func (se *ShardEngine) Papers(res []pgindex.Result, authors, text bool) *PapersResponse {
+	resp := responses.Get().(*PapersResponse)
+	*resp = PapersResponse{Shard: se.cfg.ID, Papers: slices.Grow(resp.Papers[:0], len(res))[:len(res)], Authors: resp.Authors[:0]}
 	se.eng.ReadGraph(func(g *hetgraph.Graph) {
-		ids := 0
+		marks := authorMarks.Get().(*[]uint64)
+		if words := (g.NumNodes() + 63) / 64; len(*marks) < words {
+			*marks = make([]uint64, words)
+		}
+		set, lo, hi, ids := *marks, len(*marks), -1, 0
 		for i, p := range res {
 			resp.Papers[i] = WirePaper{ID: int32(p.ID), Dist: p.Dist}
 			if text {
 				resp.Papers[i].Text = g.Label(p.ID)
 			}
-			if authors {
-				ids += len(g.AuthorsOf(p.ID))
+			if !authors {
+				continue
+			}
+			for _, a := range g.AuthorsOf(p.ID) {
+				w := int(a >> 6)
+				set[w] |= 1 << (a & 63)
+				lo, hi = min(lo, w), max(hi, w)
+				ids++
 			}
 		}
-		if ids == 0 {
-			return
+		if ids > 0 {
+			arena := make([]hetgraph.NodeID, 0, ids)
+			for i, p := range res {
+				from := len(arena)
+				arena = append(arena, g.AuthorsOf(p.ID)...)
+				resp.Papers[i].Authors = arena[from:len(arena):len(arena)]
+			}
 		}
-		arena := make([]hetgraph.NodeID, 0, ids)
-		for i, p := range res {
-			from := len(arena)
-			arena = append(arena, g.AuthorsOf(p.ID)...)
-			resp.Papers[i].Authors = arena[from:len(arena):len(arena)]
+		for w := lo; w <= hi; w++ {
+			for x := set[w]; x != 0; x &= x - 1 {
+				a := hetgraph.NodeID(w<<6 + bits.TrailingZeros64(x))
+				resp.Authors = append(resp.Authors, WireAuthor{ID: a, Papers: len(g.PapersOf(a)), Name: g.Label(a)})
+			}
+			set[w] = 0
 		}
-		distinct := slices.Clone(arena)
-		slices.Sort(distinct)
-		distinct = slices.Compact(distinct)
-		resp.Authors = make([]WireAuthor, len(distinct))
-		for i, a := range distinct {
-			resp.Authors[i] = WireAuthor{ID: a, Papers: len(g.PapersOf(a)), Name: g.Label(a)}
-		}
+		authorMarks.Put(marks)
 	})
 	return resp
 }
+
+// authorMarks holds Papers' bitsets over node ids, all zero between uses
+// (one that a panic leaves marked is not put back).
+var authorMarks = sync.Pool{New: func() any { return new([]uint64) }}

@@ -47,8 +47,9 @@ const (
 // ErrBehindLeader reports a tail request the leader could not serve
 // because the requested records were already compacted: the follower
 // fell below the leader's truncation point (it was presumed dead past
-// the follower TTL) and must re-bootstrap from a fresh snapshot.
-var ErrBehindLeader = errors.New("core: follower fell behind leader's compacted WAL; re-bootstrap required")
+// the follower TTL): no retry can fetch them, so the tail stops.
+var ErrBehindLeader = errors.New("core: follower fell behind leader's compacted WAL; " +
+	"restart it with an empty -data-dir to bootstrap from the leader's snapshot")
 
 // ErrReadOnly is the refusal a following store's engine gives every
 // AddPaper, wrapped in *UpdateLogError, before anything changes: its
@@ -177,7 +178,7 @@ func (t *tail) fetchSnapshot(path string) (uint64, error) {
 
 // runTail polls the leader's WAL from the next needed sequence, applies
 // what arrives, and repeats — reconnecting with jittered exponential
-// backoff on any failure — until the tail is stopped.
+// backoff on any failure — until the tail is stopped or ErrBehindLeader.
 func (s *Store) runTail() {
 	const (
 		backoffMin = 50 * time.Millisecond
@@ -194,6 +195,10 @@ func (s *Store) runTail() {
 		t.mu.Lock()
 		t.lastErr = err
 		t.mu.Unlock()
+		if errors.Is(err, ErrBehindLeader) {
+			s.log.Error("follower_behind_leader", "err", err.Error(), "applied", t.applied)
+			return
+		}
 		var wait time.Duration
 		if err != nil {
 			t.reconnects.Inc()
@@ -317,9 +322,10 @@ func (t *tail) lagLocked() uint64 {
 }
 
 // readyLocked reports whether the store should serve reads: bootstrap
-// and at least one poll completed, and lag within the configured bound.
+// and at least one poll completed, lag within the configured bound, the
+// tail not stopped.
 func (t *tail) readyLocked() bool {
-	return t.promoted || t.polled && t.lagLocked() <= t.maxLag
+	return t.promoted || t.polled && t.lagLocked() <= t.maxLag && !errors.Is(t.lastErr, ErrBehindLeader)
 }
 
 // setGauges publishes the follower's replication position.

@@ -24,11 +24,12 @@ import (
 //
 // The store decides the rest. One that follows a leader also gets
 // /replication/promote, reports role "follower" on /healthz, and answers
-// /readyz with 503 "replication_lag" until its lag is within its bound;
-// its engine refuses /add until promoted. The same routes stay mounted
-// after promotion — a promoted follower serves the tail stream to the
-// followers that re-point at it. Mount it after cluster.MountShard, so
-// the shard keeps its coordinates on /healthz.
+// /readyz with 503 "replication_lag" until its lag is within its bound
+// (with ErrBehindLeader's remedy once its tail stopped behind the leader's
+// compacted log); its engine refuses /add until promoted. The same routes
+// stay mounted after promotion — a promoted follower serves the tail
+// stream to the followers that re-point at it. Mount it after
+// cluster.MountShard, so the shard keeps its coordinates on /healthz.
 //
 // Epoch fencing runs on every tail request: a follower sends its epoch,
 // and a leader seeing a HIGHER one fences itself on the spot — the
@@ -49,8 +50,11 @@ func MountReplication(srv *Server, st *core.Store) {
 	srv.Handle(core.ReplPromotePath, handleReplPromote(srv, st))
 	srv.topology.Role = "follower"
 	srv.ReadyProbe = func() (bool, string) {
-		if st.Status().Ready {
+		switch s := st.Status(); {
+		case s.Ready:
 			return true, ""
+		case s.LastError == core.ErrBehindLeader.Error():
+			return false, s.LastError
 		}
 		return false, "replication_lag"
 	}

@@ -587,6 +587,53 @@ func TestLowWaterTruncationGuard(t *testing.T) {
 	}
 }
 
+// TestFollowerBehindCompactionStops: a follower reopened after its leader
+// compacted the records it needs past its TTL cannot catch up by retrying.
+// Its tail stops: the error stays in /replication/status, the reconnect
+// counter stops growing, /readyz answers 503 with the remedy, and Close
+// and Promote still return at once.
+func TestFollowerBehindCompactionStops(t *testing.T) {
+	ld := startReplLeader(t, 512, 300*time.Millisecond)
+	addPapers(t, ld.store.Engine(), 0, 3)
+	dir := t.TempDir()
+	fw := startReplFollower(t, ld.ts.URL, dir, 0)
+	waitApplied(t, fw.fo, 3)
+	if err := fw.fo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	addPapers(t, ld.store.Engine(), 3, 30)
+	time.Sleep(400 * time.Millisecond) // past the follower TTL
+	if err := ld.store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	fw = startReplFollower(t, ld.ts.URL, dir, 0)
+	waitFor(t, "the behind-leader error", 3*time.Second, func() bool {
+		return fw.fo.Status().LastError == core.ErrBehindLeader.Error()
+	})
+	reconnects := fw.reg.Counter("expertfind_replication_reconnects_total", "")
+	before := reconnects.Value()
+	time.Sleep(300 * time.Millisecond) // 30 polls, and several backoffs
+	if st := fw.fo.Status(); reconnects.Value() != before || st.Ready || st.Applied != 3 {
+		t.Fatalf("after the behind-leader error: reconnects %v -> %v, status %+v", before, reconnects.Value(), st)
+	}
+	rec := httptest.NewRecorder()
+	fw.srv.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+	var body ReadyResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusServiceUnavailable ||
+		!strings.Contains(body.Status, "empty -data-dir") {
+		t.Fatalf("/readyz = %d %q (%v), want 503 naming the remedy", rec.Code, rec.Body.String(), err)
+	}
+
+	start := time.Now()
+	if epoch, err := fw.fo.Promote(); err != nil || epoch != 1 {
+		t.Fatalf("Promote = %d, %v", epoch, err)
+	}
+	if err := fw.fo.Close(); err != nil || time.Since(start) > 3*time.Second {
+		t.Fatalf("Promote and Close took %v (err %v)", time.Since(start), err)
+	}
+}
+
 // TestRetryAfterOn503s pins the contract: every transient 503 — the boot
 // gate's, the lag-gated follower /readyz, a not-ready /add or one a
 // follower refuses, a WAL that refused the record, and the shedding path — carries

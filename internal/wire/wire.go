@@ -33,34 +33,38 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("wire: %s (at byte %d)", e.Reason, e.At) }
 
-// Walker is a message being written (b grows) or read (b is what remains).
+// Walker is a message being written or read, its place an offset into b:
+// writing, b runs to the buffer's capacity and b[:off] is the message;
+// reading, b[off:] is what remains.
 type Walker struct {
 	b       []byte
-	size    int // reading: the message's length, so size-len(b) is the offset
+	off     int
 	write   bool
 	lengths Lengths
 	err     error // the first failure, a *Error
 }
 
 // Writer starts a message appended to buf.
-func Writer(buf []byte, l Lengths) Walker { return Walker{b: buf, write: true, lengths: l} }
+func Writer(buf []byte, l Lengths) Walker {
+	return Walker{b: buf[:cap(buf)], off: len(buf), write: true, lengths: l}
+}
 
 // Reader starts reading the message b.
-func Reader(b []byte, l Lengths) Walker { return Walker{b: b, size: len(b), lengths: l} }
+func Reader(b []byte, l Lengths) Walker { return Walker{b: b, lengths: l} }
 
 // Writing reports the walk's direction.
 func (w *Walker) Writing() bool { return w.write }
 
-// Bytes is the message written so far, or what is left to read.
-func (w *Walker) Bytes() []byte { return w.b }
+// Bytes is the message written so far.
+func (w *Walker) Bytes() []byte { return w.b[:w.off] }
 
 // Err is the walk's first failure, a *Error, or nil.
 func (w *Walker) Err() error { return w.err }
 
 // Done ends a read, refusing bytes left over, and returns Err.
 func (w *Walker) Done() error {
-	if !w.write && w.err == nil && len(w.b) != 0 {
-		w.Fail("%d trailing bytes", len(w.b))
+	if left := len(w.b) - w.off; !w.write && w.err == nil && left != 0 {
+		w.Fail("%d trailing bytes", left)
 	}
 	return w.err
 }
@@ -68,37 +72,43 @@ func (w *Walker) Done() error {
 // Fail records the walk's first failure and empties what remains to read.
 func (w *Walker) Fail(format string, args ...any) {
 	if w.err == nil {
-		at := len(w.b)
-		if !w.write {
-			at = w.size - len(w.b)
-		}
-		w.err = &Error{At: at, Reason: fmt.Sprintf(format, args...)}
+		w.err = &Error{At: w.off, Reason: fmt.Sprintf(format, args...)}
 	}
 	if !w.write {
-		w.b = nil
+		w.off = len(w.b)
 	}
 }
 
-// Field is the next n bytes: appended on write, for the caller to fill;
-// consumed on read (nil when the message ends first).
-func (w *Walker) Field(n int) []byte {
-	if w.write {
-		w.b = append(w.b, make([]byte, n)...)
-		return w.b[len(w.b)-n:]
+// Field is the next n bytes: appended on write, for the caller to fill
+// whole (spare room is not cleared); consumed on read (nil when the
+// message ends first).
+func (w *Walker) Field(n int) []byte { return w.take(n, (*Walker).past) }
+
+// take is Field, its slow path a parameter: gc charges a call through a
+// parameter less than a direct one, so Field, I32 and F64 inline.
+func (w *Walker) take(n int, past func(*Walker, int) []byte) (b []byte) {
+	if b = w.b[w.off:]; n > len(b) {
+		return past(w, n)
 	}
-	if n > len(w.b) {
+	w.off += n
+	return b[:n]
+}
+
+// past is Field past the end: writing grows the buffer, reading fails.
+func (w *Walker) past(n int) []byte {
+	if !w.write {
 		w.Fail("body ends inside a field")
 		return nil
 	}
-	out := w.b[:n]
-	w.b = w.b[n:]
-	return out
+	w.b = append(w.b[:w.off], make([]byte, n)...)
+	w.b, w.off = w.b[:cap(w.b)], w.off+n
+	return w.b[w.off-n : w.off]
 }
 
 // Header writes a message's tag and format version, or reads them and
 // refuses any other pair.
 func (w *Walker) Header(tag, version byte) {
-	whole := w.b
+	whole := w.b[w.off:]
 	if h := w.Field(2); w.write {
 		h[0], h[1] = tag, version
 	} else if h == nil || h[0] != tag || h[1] != version {
@@ -129,10 +139,23 @@ func (w *Walker) Bool(v *bool) {
 
 // I32 is a 4-byte int32.
 func I32[T ~int | ~int32](w *Walker, v *T) {
-	if b := w.Field(4); w.write {
-		le.PutUint32(b, uint32(int32(*v)))
+	if b := w.take(4, (*Walker).past); w.write {
+		le.PutUint32(b, uint32(*v))
 	} else if b != nil {
 		*v = T(int32(le.Uint32(b)))
+	}
+}
+
+// I32s is s as 4-byte int32s in one Field; the caller walks its length.
+func I32s[T ~int32](w *Walker, s []T) {
+	if b := w.Field(4 * len(s)); w.write {
+		for i, v := range s {
+			le.PutUint32(b[4*i:], uint32(v))
+		}
+	} else if b != nil {
+		for i := range s {
+			s[i] = T(le.Uint32(b[4*i:]))
+		}
 	}
 }
 
@@ -150,7 +173,7 @@ func I64[T ~int | ~int64](w *Walker, v *T) {
 
 // F64 is math.Float64bits: a value keeps its bits, −0 and NaN payloads too.
 func (w *Walker) F64(v *float64) {
-	if b := w.Field(8); w.write {
+	if b := w.take(8, (*Walker).past); w.write {
 		le.PutUint64(b, math.Float64bits(*v))
 	} else if b != nil {
 		*v = math.Float64frombits(le.Uint64(b))
@@ -166,23 +189,25 @@ func Uvarint[T ~int | ~int32 | ~uint64](w *Walker, v *T) {
 			w.Fail("negative value %d", *v)
 			return
 		}
-		w.b = binary.AppendUvarint(w.b, uint64(*v))
+		w.b = binary.AppendUvarint(w.b[:w.off], uint64(*v))
+		w.b, w.off = w.b[:cap(w.b)], len(w.b)
 		return
 	}
-	x, n := binary.Uvarint(w.b)
+	left := w.b[w.off:]
+	x, n := binary.Uvarint(left)
 	switch {
 	case n == 0:
 		w.Fail("body ends inside a field")
 	case n < 0:
 		w.Fail("uvarint overflows 64 bits")
-	case n > 1 && w.b[n-1] == 0:
+	case n > 1 && left[n-1] == 0:
 		w.Fail("uvarint in %d bytes is not in its shortest form", n)
 	default:
 		if *v = T(x); *v < 0 || uint64(*v) != x {
 			w.Fail("%d overflows the field", x)
 			return
 		}
-		w.b = w.b[n:]
+		w.off += n
 	}
 }
 
@@ -196,28 +221,33 @@ func (w *Walker) Count(n, min int) int {
 	} else if I32(w, &n); !w.write {
 		u = uint64(uint32(n)) // a negative count is past any message's end
 	}
-	if !w.write && u > uint64(len(w.b)/min) {
-		w.Fail("count %d exceeds the %d bytes that remain", u, len(w.b))
+	// u > left/min, not divided: u <= left keeps u*min from overflowing.
+	if left := uint64(len(w.b) - w.off); !w.write && (u > left || u*uint64(min) > left) {
+		w.Fail("count %d exceeds the %d bytes that remain", u, left)
 		return 0
 	}
 	return int(u)
 }
 
-// List writes len(*s), or reads a count and allocates *s to it, and
-// returns the slice to walk either way.
+// List writes len(*s), or reads a count and makes *s that long, zeroed, in
+// its own memory if it fits, and returns the slice to walk either way.
 func List[T any](w *Walker, s *[]T, min int) []T {
-	if n := w.Count(len(*s), min); !w.write && n > 0 {
+	if n := w.Count(len(*s), min); !w.write && n > cap(*s) {
 		*s = make([]T, n)
+	} else if !w.write && n > 0 {
+		*s = (*s)[:n]
+		clear(*s)
 	}
 	return *s
 }
 
-// Str is a length, then the bytes.
+// Str is a length, then the bytes. Reading an empty string into an empty
+// target writes nothing.
 func (w *Walker) Str(s *string) {
-	if n := w.Count(len(*s), 1); w.write {
-		w.b = append(w.b, *s...)
-	} else {
-		*s = string(w.Field(n))
+	if b := w.Field(w.Count(len(*s), 1)); w.write {
+		copy(b, *s)
+	} else if len(b) > 0 || *s != "" {
+		*s = string(b)
 	}
 }
 
