@@ -74,8 +74,10 @@ var (
 
 // BenchmarkShardReply times the stages of one routed /experts reply on the
 // cluster benchmark's shape — AminerSim(3000), exact retrieval, two shards,
-// m = 200, n = 20 — cycling over 16 queries: papers is one shard's
-// ShardEngine.Papers, encode its encodeFrame, decode the router's
+// m = 200, n = 20 — cycling over 16 queries: retrieve is one shard's
+// ShardEngine.Retrieve (the query's encoding and the exact scan of its
+// 1 500 rows), papers its ShardEngine.Papers, encode its encodeFrame,
+// decode the router's
 // decodeFrame of it, and rank the router's rankResponses over both shards'
 // decoded frames.
 func BenchmarkShardReply(b *testing.B) {
@@ -95,6 +97,13 @@ func BenchmarkShardReply(b *testing.B) {
 	}
 	engines := splitEngine(b, replyEng)
 	cases := replyCases(b, engines, queries, m)
+	b.Run("retrieve", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := engines[0].Retrieve(context.Background(), queries[i%len(queries)], m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("papers", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := &cases[i%len(cases)]

@@ -428,6 +428,10 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryContext(w, r)
 	defer cancel()
 
+	debug := params.Get("debug") == "1"
+	if debug {
+		ctx = obs.WithSpanTree(ctx) // the stages come from the root's tree
+	}
 	// The root span of the distributed query: every fan-out, retry and
 	// hedge below shares its trace id, and the middleware capture picks
 	// it up for the trace store.
@@ -444,7 +448,7 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 		Candidates: st.Candidates,
 		TADepth:    st.Depth,
 	}
-	if params.Get("debug") == "1" {
+	if debug {
 		resp.Debug = &serve.QueryDebug{
 			TraceID: root.TraceIDString(),
 			Stages:  serve.StagesFromTree(root.Tree()),

@@ -412,7 +412,7 @@ func TestTraceHedgeLoserSpanClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sctx, root := obs.StartSpan(context.Background(), "query")
+	sctx, root := obs.StartSpan(obs.WithSpanTree(context.Background()), "query")
 	if _, err := client.Get(sctx, 0, "/shard/papers?q=x&m=1"); err != nil {
 		t.Fatal(err)
 	}

@@ -162,11 +162,14 @@ type family struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	stages   stage // the root of the span paths recorded here
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: map[string]*family{}}
+	r := &Registry{families: map[string]*family{}}
+	r.stages.reg = r
+	return r
 }
 
 // appendLabelKey renders labels, already in key order, as the series'
@@ -199,7 +202,7 @@ func escapeLabel(v string) string {
 // getSeries returns (creating as needed) the series for name+labels,
 // checking that the metric kind is consistent with prior registrations.
 // Labels name the same series in any order. Finding an existing one —
-// every Span.End, every envelope counter — allocates nothing when they
+// every envelope counter, a span path's first End — allocates nothing when they
 // arrive in key order (none, one, or a sorted set): no copy, the signature
 // built on the stack; a series keeps that string, never the caller's slice.
 func (r *Registry) getSeries(name, help string, k kind, buckets []float64, labels []Label) *series {

@@ -9,7 +9,7 @@ import (
 
 func TestSpanHierarchyAndNaming(t *testing.T) {
 	reg := NewRegistry()
-	ctx := WithRegistry(context.Background(), reg)
+	ctx := WithSpanTree(WithRegistry(context.Background(), reg))
 	ctx, root := StartSpan(ctx, "build")
 	cctx, sampling := StartSpan(ctx, "sampling")
 	_, inner := StartSpan(cctx, "positives")
@@ -74,7 +74,7 @@ func TestSpanWithoutRegistry(t *testing.T) {
 func TestSpanDurationsSumConsistency(t *testing.T) {
 	// The contract QueryStats.Total relies on: a parent span covering
 	// back-to-back children is at least their sum.
-	ctx, root := StartSpan(context.Background(), "query")
+	ctx, root := StartSpan(WithSpanTree(context.Background()), "query")
 	for _, name := range []string{"encode", "retrieve", "rank"} {
 		_, s := StartSpan(ctx, name)
 		time.Sleep(2 * time.Millisecond)
@@ -122,6 +122,46 @@ func TestSpanTraceIDString(t *testing.T) {
 		}
 		if root.TraceIDString() != want || child.TraceIDString() != want || TraceIDFromContext(ctx) != want {
 			t.Errorf("%s: ids %q / %q, want %q", name, root.TraceIDString(), child.TraceIDString(), want)
+		}
+	}
+}
+
+// TestSpanTreeKeptOnlyUnderWithSpanTree: without WithSpanTree a root keeps
+// no child list — Tree exports it and its grafts alone — while every span
+// still records its stage series under its full name; with it the same
+// spans export their tree.
+func TestSpanTreeKeptOnlyUnderWithSpanTree(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		reg := NewRegistry()
+		ctx := WithRegistry(context.Background(), reg)
+		if keep {
+			ctx = WithSpanTree(ctx)
+		}
+		ctx, root := StartSpan(ctx, "query")
+		cctx, enc := StartSpan(ctx, "encode")
+		_, tok := StartSpan(cctx, "tokenize")
+		tok.End()
+		enc.End()
+		root.Graft(SpanNode{Name: "remote", SpanID: NewSpanID().String()})
+		root.End()
+		tree := root.Tree()
+		want := 1 // the graft
+		if keep {
+			want = 2
+		}
+		if len(tree.Children) != want {
+			t.Fatalf("keep %v: root exports %d children, want %d", keep, len(tree.Children), want)
+		}
+		if keep && (tree.Children[0].Name != "encode" || len(tree.Children[0].Children) != 1) {
+			t.Fatalf("kept tree lost its shape: %+v", tree)
+		}
+		if tok.Name() != "query/encode/tokenize" {
+			t.Fatalf("name %q", tok.Name())
+		}
+		for _, stage := range []string{"query", "query/encode", "query/encode/tokenize"} {
+			if n := reg.Histogram("expertfind_stage_seconds", "", nil, L("stage", stage)).Count(); n != 1 {
+				t.Errorf("keep %v: stage %q has %d observations, want 1", keep, stage, n)
+			}
 		}
 	}
 }

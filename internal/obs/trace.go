@@ -6,11 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Cross-node trace propagation. A trace is one logical query; its spans
@@ -77,41 +76,25 @@ func ParseSpanID(s string) (SpanID, bool) {
 	return id, !id.IsZero()
 }
 
-// id generation: a locked math/rand source seeded from crypto/rand once.
-// Span creation sits on the query path, so ids must not pay a syscall
-// each; one PRNG draw under a mutex is a few tens of nanoseconds.
-var (
-	idMu  sync.Mutex
-	idRng = rand.New(rand.NewSource(randSeed()))
-)
-
-func randSeed() int64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return time.Now().UnixNano()
-	}
-	return int64(binary.LittleEndian.Uint64(b[:]))
-}
-
-// NewTraceID returns a random non-zero trace id.
+// NewTraceID returns a random non-zero trace id. Ids come from the
+// runtime's per-thread generator (math/rand/v2), seeded from the
+// operating system at start-up: a span on the query path takes no lock
+// and makes no syscall for its id.
 func NewTraceID() TraceID {
 	var t TraceID
-	idMu.Lock()
 	for t.IsZero() {
-		idRng.Read(t[:])
+		binary.LittleEndian.PutUint64(t[:8], rand.Uint64())
+		binary.LittleEndian.PutUint64(t[8:], rand.Uint64())
 	}
-	idMu.Unlock()
 	return t
 }
 
-// NewSpanID returns a random non-zero span id.
+// NewSpanID returns a random non-zero span id, drawn as NewTraceID's.
 func NewSpanID() SpanID {
 	var s SpanID
-	idMu.Lock()
 	for s.IsZero() {
-		idRng.Read(s[:])
+		binary.LittleEndian.PutUint64(s[:], rand.Uint64())
 	}
-	idMu.Unlock()
 	return s
 }
 

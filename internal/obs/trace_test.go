@@ -125,7 +125,7 @@ func TestTraceCapture(t *testing.T) {
 
 func TestTraceSpanTree(t *testing.T) {
 	reg := NewRegistry()
-	ctx := WithRegistry(context.Background(), reg)
+	ctx := WithSpanTree(WithRegistry(context.Background(), reg))
 	ctx, root := StartSpan(ctx, "query")
 	root.Annotate("query", "graph embedding")
 	cctx, enc := StartSpan(ctx, "encode")

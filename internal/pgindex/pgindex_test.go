@@ -182,7 +182,7 @@ func TestBuildProperties(t *testing.T) {
 	// Navigating node is the paper closest to the centroid.
 	centroid := vec.New32(8)
 	for _, e := range embs {
-		centroid.Axpy(1, e)
+		vec.Axpy32(centroid, 1, e)
 	}
 	centroid.Scale(1 / float32(len(embs)))
 	best := BruteForce(embs, centroid, 1)[0].ID

@@ -131,6 +131,62 @@ func TestScanEquivalence(t *testing.T) {
 	}
 }
 
+// TestScanAroundCompactionBound offers the selector 2m-1, 2m and 2m+1
+// candidates — one short of its first compaction, exactly at it, and one
+// past it — and as many around the end of its buffer, 2m+selectSlack, at
+// m = 1, 3 and the shards' 200, on distinct distances and on three tied
+// ones.
+func TestScanAroundCompactionBound(t *testing.T) {
+	for _, m := range []int{1, 3, 200} {
+		for _, n := range []int{2*m - 1, 2 * m, 2*m + 1, 2*m + selectSlack - 1, 2*m + selectSlack, 2*m + selectSlack + 1, 3*m + selectSlack} {
+			ids, rows, q := scanCorpus(int64(m*10000+n), n, 64, false)
+			checkScan(t, ids, rows, q, m)
+			ids, rows, q = tiedCorpus(int64(n), n, 8)
+			checkScan(t, ids, rows, q, m)
+		}
+	}
+}
+
+// TestSelectAndSortKeys holds selectSmallest and sortKeys to a sort of
+// the same keys on inputs a scan never makes but the two must still
+// handle: repeated keys (a few distinct values, all equal), keys that
+// differ in one byte only, and sizes around the insertion cut-off.
+func TestSelectAndSortKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	draws := map[string]func() uint64{
+		"random":   rng.Uint64,
+		"repeated": func() uint64 { return uint64(rng.Intn(3)) << 40 },
+		"equal":    func() uint64 { return 7 },
+		"one byte": func() uint64 { return 0xabcd<<48 | uint64(rng.Intn(256))<<16 },
+		"max":      func() uint64 { return math.MaxUint64 - uint64(rng.Intn(2)) },
+	}
+	for name, draw := range draws {
+		for _, n := range []int{1, 2, 16, 17, 18, 100, 465} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = draw()
+			}
+			want := append([]uint64(nil), keys...)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			for _, k := range []int{1, n / 2, n} {
+				if k < 1 {
+					continue
+				}
+				got := selectSmallest(append([]uint64(nil), keys...), k)
+				if got[k-1] != want[k-1] {
+					t.Fatalf("%s n=%d k=%d: k-th key %x, want %x", name, n, k, got[k-1], want[k-1])
+				}
+				sortKeys(got, make([]uint64, k))
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d k=%d: key %d is %x, want %x", name, n, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // tiedCorpus is n rows drawn from three distinct ones, with the ids
 // 0..n-1 in random order.
 func tiedCorpus(seed int64, n, dim int) ([]hetgraph.NodeID, *vec.Matrix32, vec.Vec32) {

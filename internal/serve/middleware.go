@@ -190,6 +190,11 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	var capture *obs.TraceCapture
 	if e.Traced[route] {
 		ctx, capture = obs.WithTraceCapture(ctx)
+		// The root's tree is read only by the trace store and by a
+		// remote caller that collects it.
+		if e.Traces != nil || r.Header.Get(obs.CollectHeader) == "1" {
+			ctx = obs.WithSpanTree(ctx)
+		}
 	}
 	r = r.WithContext(ctx)
 

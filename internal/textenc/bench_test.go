@@ -1,6 +1,7 @@
 package textenc
 
 import (
+	"math/rand"
 	"testing"
 
 	"expertfind/internal/dataset"
@@ -55,5 +56,30 @@ func BenchmarkPretrainTokens(b *testing.B) {
 		e := cloneEncoder(base)
 		b.StartTimer()
 		PretrainTokens(e, docs)
+	}
+}
+
+var encodeSink []float32
+
+// BenchmarkEncodeQuery is Engine.EncodeQuery's work — Encoder.Encode:
+// the tokenizer and the pooling — on the shape of the query workloads: a
+// 64-dimensional encoder over the vocabulary of AminerSim(3000) (about
+// 14 000 tokens), pre-trained as a build leaves it, and 2 000 generated
+// queries (about 68 tokens each), one per iteration. The table and the
+// queries are built outside the timer.
+func BenchmarkEncodeQuery(b *testing.B) {
+	ds := dataset.Generate(dataset.AminerSim(3000))
+	var corpus []string
+	for _, p := range ds.Graph.NodesOfType(hetgraph.Paper) {
+		corpus = append(corpus, ds.Graph.Label(p))
+	}
+	v, docs := BuildVocabTokens(corpus, VocabConfig{})
+	e := NewEncoder(v, 64, 1)
+	PretrainTokens(e, docs)
+	queries := ds.Queries(2000, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encodeSink = e.Encode(queries[i%len(queries)].Text)
 	}
 }

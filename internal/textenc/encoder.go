@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"expertfind/internal/par"
@@ -334,25 +335,46 @@ func (e *Encoder) Tokenizer() *Tokenizer { return e.tok }
 // Vocab returns the encoder's vocabulary.
 func (e *Encoder) Vocab() *Vocab { return e.vocab }
 
-// Encode maps a document's text to its representation v_p (Eq. 2).
+// Encode maps a document's text to its representation v_p (Eq. 2). The
+// tokens and their pool weights live in scratch reused from call to call,
+// so the returned vector is its one allocation.
 func (e *Encoder) Encode(text string) vec.Vec32 {
-	return e.EncodeTokens(e.tok.Tokenize(text))
+	sc := encodeScratches.Get().(*encodeScratch)
+	sc.ids = e.tok.appendTokens(sc.ids[:0], text, &sc.tok)
+	out := vec.New32(e.Dim)
+	sc.ws = e.pool(out, sc.ids, sc.ws)
+	if cap(sc.tok.word) > maxPooledWord {
+		sc.tok = tokScratch{} // one huge word does not stay pinned in the pool
+	}
+	if cap(sc.ids) > maxPooledTokens || cap(sc.ws) > maxPooledTokens {
+		sc.ids, sc.ws = nil, nil // nor do the pieces of one huge final word
+	}
+	encodeScratches.Put(sc)
+	return out.Normalize()
 }
+
+// encodeScratch is the memory Encode reuses: a query's tokens (at most
+// MaxSequenceLength), their pool weights and the tokenizer's scratch.
+type encodeScratch struct {
+	ids []TokenID
+	ws  []float64
+	tok tokScratch
+}
+
+var encodeScratches = sync.Pool{New: func() any { return new(encodeScratch) }}
+
+// maxPooledWord caps the word buffer an encodeScratch keeps, in bytes.
+const maxPooledWord = 1 << 10
+
+// maxPooledTokens caps the token ids and weights an encodeScratch keeps.
+const maxPooledTokens = 4 * MaxSequenceLength
 
 // EncodeTokens pools the embedding rows of ids into a unit document
 // vector. An empty token list yields the zero vector.
 func (e *Encoder) EncodeTokens(ids []TokenID) vec.Vec32 {
-	return e.EncodeTokensRaw(ids).Normalize()
-}
-
-// EncodeTokensRaw pools without the final normalisation, entirely in
-// float32 — the serving path.
-func (e *Encoder) EncodeTokensRaw(ids []TokenID) vec.Vec32 {
 	out := vec.New32(e.Dim)
-	if len(ids) > 0 {
-		e.pool(out, ids, nil)
-	}
-	return out
+	e.pool(out, ids, nil)
+	return out.Normalize()
 }
 
 // EncodeTokensInto is EncodeTokens into dst, a row of Dim floats, with ws
@@ -360,19 +382,17 @@ func (e *Encoder) EncodeTokensRaw(ids []TokenID) vec.Vec32 {
 // was short, for the next call, so a loop over many documents allocates
 // nothing per document.
 func (e *Encoder) EncodeTokensInto(dst vec.Vec32, ids []TokenID, ws []float64) []float64 {
-	dst.Zero()
 	ws = e.pool(dst, ids, ws)
 	dst.Normalize()
 	return ws
 }
 
-// pool adds the rows of ids, weighted by PoolWeights in float32, to dst,
-// computing the weights into ws, and returns ws.
+// pool sets dst to the rows of ids weighted by PoolWeights, each weight
+// rounded to float32, in one vec.PoolRows32 call, computing the weights
+// into ws, and returns ws.
 func (e *Encoder) pool(dst vec.Vec32, ids []TokenID, ws []float64) []float64 {
 	ws = e.poolWeights(ws, ids)
-	for i, id := range ids {
-		dst.Axpy(float32(ws[i]), e.Emb.Row(int(id)))
-	}
+	vec.PoolRows32(dst, e.Emb, ids, ws)
 	return ws
 }
 

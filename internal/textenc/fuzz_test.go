@@ -1,14 +1,18 @@
 package textenc
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzTokenize asserts the tokenizer's invariants on arbitrary input:
 // never panic, never exceed the sequence cap, and only emit ids inside
-// the vocabulary. A vocabulary induced from the text with the small
-// corpus then holds the one scan to the reference and to Tokenize.
+// the vocabulary, the map-based reference's ids. A vocabulary induced
+// from the text with the small corpus then holds the one scan to the
+// reference and to Tokenize, and Tokenize under it to the reference.
 func FuzzTokenize(f *testing.F) {
 	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
-	tk := NewTokenizer(v)
+	tk, ref := NewTokenizer(v), newRefTokenizer(v)
 	for _, seed := range []string{
 		"", "community search", "日本語テキスト", "a", "ALL CAPS!!!",
 		"mixed123numbers", "\x00\xff binary-ish", "ω≤∞ unicode math",
@@ -25,10 +29,16 @@ func FuzzTokenize(f *testing.F) {
 				t.Fatalf("token id %d outside vocabulary [0,%d)", id, v.Size())
 			}
 		}
+		if want := ref.Tokenize(text); !slices.Equal(ids, want) {
+			t.Fatalf("Tokenize = %v, the reference %v", ids, want)
+		}
 		corpus := append(smallCorpus(), text)
 		cfg := VocabConfig{MinWordFreq: 1}
 		got, docs := BuildVocabTokens(corpus, cfg)
 		checkVocab(t, "one scan", corpus, got, docs, refBuildVocab(corpus, cfg))
+		if ids, want := NewTokenizer(got).Tokenize(text), newRefTokenizer(got).Tokenize(text); !slices.Equal(ids, want) {
+			t.Fatalf("under its own vocabulary Tokenize = %v, the reference %v", ids, want)
+		}
 	})
 }
 

@@ -124,7 +124,7 @@ func refBuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 			}
 		}
 	}
-	v := &Vocab{ids: map[string]TokenID{}}
+	v := &Vocab{}
 	v.add("[UNK]")
 	for _, w := range topK(wordFreq, cfg.MaxWords, cfg.MinWordFreq) {
 		v.add(w)

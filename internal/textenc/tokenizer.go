@@ -25,56 +25,66 @@ func NewTokenizer(v *Vocab) *Tokenizer {
 // unsegmentable words. The output is truncated to the maximum sequence
 // length.
 func (t *Tokenizer) Tokenize(text string) []TokenID {
-	var out []TokenID
-	forEachWord(text, func(w string) bool {
-		if len(out) >= t.maxLen {
-			return false
-		}
-		out = t.appendWord(out, w)
-		return true
-	})
-	if len(out) > t.maxLen {
-		out = out[:t.maxLen]
-	}
-	return out
+	var sc tokScratch
+	return t.appendTokens(nil, text, &sc)
 }
 
-func (t *Tokenizer) appendWord(out []TokenID, w string) []TokenID {
-	if id, ok := t.vocab.ID(w); ok {
+// tokScratch is the memory one tokenisation reuses from word to word, and
+// an encoder from query to query: the current word and its rune offsets.
+type tokScratch struct {
+	word []byte
+	offs []int
+}
+
+// appendTokens appends the tokens of text, as Tokenize returns them, to
+// out. Each word is found and lower-cased into sc.word by one scan
+// (nextWord) and looked up in the token table by its hash.
+func (t *Tokenizer) appendTokens(out []TokenID, text string, sc *tokScratch) []TokenID {
+	limit := len(out) + t.maxLen
+	for i := 0; len(out) < limit; {
+		sc.word, i = nextWord(text, i, sc.word[:0])
+		if len(sc.word) == 0 {
+			break
+		}
+		out = t.appendWord(out, sc.word, &sc.offs)
+	}
+	return out[:min(len(out), limit)]
+}
+
+// appendWord appends the tokens of one lower-cased word w to out, using
+// offs as scratch for its rune offsets. The whole word is one probe of
+// the token table. A word that is not a token is segmented greedily,
+// longest match first, over rune boundaries: the first piece is probed
+// as a whole key, later pieces as continuation keys (the "##" token by
+// its bare surface), so every candidate is a subslice of w and none is
+// built, and a candidate longer than the longest key is not hashed.
+func (t *Tokenizer) appendWord(out []TokenID, w []byte, offs *[]int) []TokenID {
+	v := t.vocab
+	if id, ok := v.table.find(w, wholeKey, v.tokens); ok {
 		return append(out, id)
 	}
-	// Greedy longest-match segmentation over rune boundaries. Candidates
-	// are substrings of w probed against the whole-word map (first piece)
-	// or the bare-continuation map (later pieces, standing in for
-	// "##"+piece), so no candidate string is ever built. offs[k] is the
-	// byte offset of the k-th rune.
-	offs := appendRuneOffsets(make([]int, 0, 32), w)
-	nr := len(offs) - 1
+	o := appendRuneOffsets((*offs)[:0], w)
+	*offs = o
+	nr := len(o) - 1
 	mark := len(out)
-	start := 0
-	for start < nr {
-		matched := false
-		for end := nr; end > start; end-- {
-			cand := w[offs[start]:offs[end]]
-			var id TokenID
-			var ok bool
-			if start > 0 {
-				id, ok = t.vocab.contID(cand)
-			} else {
-				id, ok = t.vocab.ID(cand)
-			}
-			if ok {
+	for start := 0; start < nr; {
+		kind := wholeKey
+		if start > 0 {
+			kind = contKey
+		}
+		end := nr
+		for ; end > start; end-- {
+			if id, ok := v.table.find(w[o[start]:o[end]], kind, v.tokens); ok {
 				out = append(out, id)
-				start = end
-				matched = true
 				break
 			}
 		}
-		if !matched {
+		if end == start {
 			// Unsegmentable word: represent the whole word as [UNK],
 			// matching WordPiece behaviour.
 			return append(out[:mark], UnknownToken)
 		}
+		start = end
 	}
 	return out
 }

@@ -34,12 +34,9 @@ const UnknownToken TokenID = 0
 // continuation subwords, induced from a corpus.
 type Vocab struct {
 	tokens []string
-	ids    map[string]TokenID
-	// contIDs indexes the "##"-continuation tokens by their bare surface
-	// (prefix stripped), so the tokenizer's greedy segmentation can probe
-	// substrings of the word directly instead of building "##"+piece
-	// strings for every candidate length.
-	contIDs map[string]TokenID
+	// table finds a token by its surface, and a "##"-continuation token
+	// also by its surface without the prefix (tokentable.go).
+	table tokenTable
 	// docFreq[t] counts the corpus documents containing token t at build
 	// time; the encoder turns it into IDF weights.
 	docFreq []int
@@ -109,7 +106,7 @@ func BuildVocabTokens(corpus []string, cfg VocabConfig) (v *Vocab, docs [][]Toke
 	subFreq := countChunks(len(words), procs, func(freq map[string]int, i int) {
 		w := words[i]
 		var buf [32]int
-		offs := appendRuneOffsets(buf[:0], w)
+		offs := appendRuneOffsets(buf[:0], bytesOf(w))
 		for l := 2; l <= 6 && l < len(offs); l++ {
 			freq[w[:offs[l]]] += wordFreq[i]
 		}
@@ -117,7 +114,7 @@ func BuildVocabTokens(corpus []string, cfg VocabConfig) (v *Vocab, docs [][]Toke
 	contFreq := countChunks(len(words), procs, func(freq map[string]int, i int) {
 		w := words[i]
 		var buf [32]int
-		offs := appendRuneOffsets(buf[:0], w)
+		offs := appendRuneOffsets(buf[:0], bytesOf(w))
 		nr := len(offs) - 1
 		for start := 1; start < nr; start++ {
 			for l := 2; l <= 4 && start+l <= nr; l++ {
@@ -129,7 +126,7 @@ func BuildVocabTokens(corpus []string, cfg VocabConfig) (v *Vocab, docs [][]Toke
 		subFreq["##"+s] = f // no prefix starts with '#', so no key collides
 	}
 
-	v = &Vocab{ids: map[string]TokenID{}}
+	v = &Vocab{}
 	v.add("[UNK]") // id 0
 
 	// Whole words by descending frequency, ties broken lexically.
@@ -218,12 +215,13 @@ func scanWords(corpus []string, procs int) *wordScan {
 		local := map[string]int32{}
 		ch.ends = make([]int32, 0, hi-lo)
 		for _, doc := range corpus[lo:hi] {
-			forEachWord(doc, func(w string) bool {
-				id, ok := local[w]
+			forEachWord(doc, func(w []byte) bool {
+				id, ok := local[string(w)]
 				if !ok {
 					id = int32(len(ch.words))
-					local[w] = id
-					ch.words = append(ch.words, w)
+					word := string(w)
+					local[word] = id
+					ch.words = append(ch.words, word)
 					ch.count = append(ch.count, 0)
 				}
 				ch.count[id]++
@@ -253,14 +251,16 @@ func scanWords(corpus []string, procs int) *wordScan {
 }
 
 // segmentWords returns every word's tokens under tk, on up to procs
-// goroutines, each chunk of words into one array of its own.
+// goroutines, each chunk of words into one array of its own: the
+// tokenizer's segmentation, through the same token table.
 func segmentWords(tk *Tokenizer, words []string, procs int) [][]TokenID {
 	toks := make([][]TokenID, len(words))
 	par.Chunks(len(words), procs, func(_, lo, hi int) {
 		var flat []TokenID
+		var offs []int
 		ends := make([]int, hi-lo)
 		for i := lo; i < hi; i++ {
-			flat = tk.appendWord(flat, words[i])
+			flat = tk.appendWord(flat, bytesOf(words[i]), &offs)
 			ends[i-lo] = len(flat)
 		}
 		start := 0
@@ -334,10 +334,16 @@ func countChunks(n, procs int, count func(freq map[string]int, i int)) map[strin
 }
 
 // appendRuneOffsets appends to offs the byte offset of every rune of w,
-// then len(w).
-func appendRuneOffsets(offs []int, w string) []int {
-	for i := range w {
+// then len(w); an undecodable byte is a rune of its own.
+func appendRuneOffsets(offs []int, w []byte) []int {
+	for i := 0; i < len(w); {
 		offs = append(offs, i)
+		if w[i] < utf8.RuneSelf {
+			i++
+			continue
+		}
+		_, sz := utf8.DecodeRune(w[i:])
+		i += sz
 	}
 	return append(offs, len(w))
 }
@@ -383,25 +389,16 @@ func topWords(words []string, freq []int, k, minFreq int) []string {
 }
 
 func (v *Vocab) add(tok string) TokenID {
-	if id, ok := v.ids[tok]; ok {
+	if id, ok := v.ID(tok); ok {
 		return id
 	}
 	id := TokenID(len(v.tokens))
 	v.tokens = append(v.tokens, tok)
-	v.ids[tok] = id
+	v.table.insert(bytesOf(tok), wholeKey, id, v.tokens)
 	if strings.HasPrefix(tok, "##") {
-		if v.contIDs == nil {
-			v.contIDs = map[string]TokenID{}
-		}
-		v.contIDs[tok[2:]] = id
+		v.table.insert(bytesOf(tok[2:]), contKey, id, v.tokens)
 	}
 	return id
-}
-
-// contID returns the id of the continuation token "##"+s, if present.
-func (v *Vocab) contID(s string) (TokenID, bool) {
-	id, ok := v.contIDs[s]
-	return id, ok
 }
 
 // Size returns the number of tokens in the vocabulary.
@@ -412,8 +409,7 @@ func (v *Vocab) Token(id TokenID) string { return v.tokens[id] }
 
 // ID returns the id of tok and whether it is in the vocabulary.
 func (v *Vocab) ID(tok string) (TokenID, bool) {
-	id, ok := v.ids[tok]
-	return id, ok
+	return v.table.find(bytesOf(tok), wholeKey, v.tokens)
 }
 
 // IDF returns the inverse document frequency weight of id, computed as
@@ -434,86 +430,88 @@ func (v *Vocab) IDF(id TokenID) float64 {
 // lexical baselines (TFIDF, Avg.GloVe-sim).
 func SplitWords(text string) []string {
 	var words []string
-	forEachWord(text, func(w string) bool {
-		words = append(words, w)
+	forEachWord(text, func(w []byte) bool {
+		words = append(words, string(w))
 		return true
 	})
 	return words
 }
 
-// forEachWord streams the words of SplitWords without materialising the
-// slice. Words that are already lower-case ASCII — the overwhelmingly
-// common case for paper titles — are passed as substrings of text, so the
-// hot tokenize path allocates nothing per word; anything needing case
-// folding or non-ASCII handling goes through a scratch buffer. Returning
-// false from fn stops the scan.
-func forEachWord(text string, fn func(string) bool) {
-	var scratch []byte
-	i, n := 0, len(text)
-	for i < n {
-		// Skip separators.
-		c := text[i]
-		if c < utf8.RuneSelf {
-			if !isASCIIWordByte(c) {
-				i++
-				continue
-			}
-		} else {
-			r, sz := utf8.DecodeRuneInString(text[i:])
-			if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-				i += sz
-				continue
-			}
-		}
-		// A word starts at i. dirty marks that the lowered word differs
-		// from the raw bytes (uppercase ASCII or non-ASCII runes).
-		start := i
-		dirty := false
-		for i < n {
-			c := text[i]
-			if c < utf8.RuneSelf {
-				if ('a' <= c && c <= 'z') || ('0' <= c && c <= '9') {
-					if dirty {
-						scratch = append(scratch, c)
-					}
-					i++
-					continue
-				}
-				if 'A' <= c && c <= 'Z' {
-					if !dirty {
-						scratch = append(scratch[:0], text[start:i]...)
-						dirty = true
-					}
-					scratch = append(scratch, c+'a'-'A')
-					i++
-					continue
-				}
-				break
-			}
-			r, sz := utf8.DecodeRuneInString(text[i:])
-			if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-				break
-			}
-			if !dirty {
-				scratch = append(scratch[:0], text[start:i]...)
-				dirty = true
-			}
-			scratch = utf8.AppendRune(scratch, unicode.ToLower(r))
-			i += sz
-		}
-		w := text[start:i]
-		if dirty {
-			w = string(scratch)
-		}
-		if !fn(w) {
+// forEachWord calls fn with every word of SplitWords, in one buffer that
+// is valid until fn returns, until fn returns false.
+func forEachWord(text string, fn func(w []byte) bool) {
+	var buf []byte
+	for i := 0; ; {
+		buf, i = nextWord(text, i, buf[:0])
+		if len(buf) == 0 || !fn(buf) {
 			return
 		}
 	}
 }
 
-func isASCIIWordByte(c byte) bool {
-	return ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
+// nextWord appends to buf the first word of text at or after byte i —
+// a maximal run of letters and digits, lower-cased — and returns buf and
+// the byte after the word; buf comes back as it was when no word is
+// left. It finds and lower-cases the word in one scan: wordByte answers
+// for every ASCII byte, and only a byte of a multi-byte rune costs a
+// decode and a Unicode table lookup.
+func nextWord(text string, i int, buf []byte) ([]byte, int) {
+	n := len(text)
+	for i < n {
+		c := wordByte[text[i]]
+		if c == 0 {
+			i++
+			continue
+		}
+		if c == runeByte {
+			if r, sz := utf8.DecodeRuneInString(text[i:]); !isWordRune(r) {
+				i += sz
+				continue
+			}
+		}
+		break
+	}
+	for i < n {
+		c := wordByte[text[i]]
+		if c == 0 {
+			break
+		}
+		if c != runeByte {
+			buf = append(buf, c)
+			i++
+			continue
+		}
+		r, sz := utf8.DecodeRuneInString(text[i:])
+		if !isWordRune(r) {
+			break
+		}
+		buf = utf8.AppendRune(buf, unicode.ToLower(r))
+		i += sz
+	}
+	return buf, i
 }
+
+// runeByte is wordByte's answer for a byte of a multi-byte rune.
+const runeByte = 0x80
+
+// wordByte maps an ASCII letter or digit to its lower-case form, every
+// other ASCII byte to 0 (a separator), and every byte from 0x80 up to
+// runeByte.
+var wordByte = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+			t[c] = byte(c)
+		case 'A' <= c && c <= 'Z':
+			t[c] = byte(c) + 'a' - 'A'
+		case c >= utf8.RuneSelf:
+			t[c] = runeByte
+		}
+	}
+	return t
+}()
+
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
 // NumDocs returns the number of corpus documents seen at build time.
 func (v *Vocab) NumDocs() int { return v.numDocs }
@@ -537,9 +535,16 @@ func NewVocabFromTokens(tokens []string, docFreqs []int, numDocs int) (*Vocab, e
 	if len(docFreqs) != len(tokens) {
 		return nil, fmt.Errorf("textenc: %d tokens but %d doc freqs", len(tokens), len(docFreqs))
 	}
-	v := &Vocab{ids: make(map[string]TokenID, len(tokens)), numDocs: numDocs}
+	v := &Vocab{tokens: make([]string, 0, len(tokens)), numDocs: numDocs}
+	keys := len(tokens)
 	for _, t := range tokens {
-		if _, dup := v.ids[t]; dup {
+		if strings.HasPrefix(t, "##") {
+			keys++
+		}
+	}
+	v.table.reserve(keys)
+	for _, t := range tokens {
+		if _, dup := v.ID(t); dup {
 			return nil, fmt.Errorf("textenc: duplicate token %q", t)
 		}
 		v.add(t)

@@ -206,3 +206,34 @@ func BenchmarkPoolRows64(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPoolRows32 pools 68-token documents, a query's length on the
+// query_pg corpus, from a 14 181 x 64 table, the size of the vocabulary
+// of AminerSim(3000) (3.6 MB): "kernel" is PoolRows32, the AVX2 body where
+// the CPU has it; "portable" the Go body, one axpy32Go per token. Each
+// iteration pools the next of 1 024 documents of random tokens.
+func BenchmarkPoolRows32(b *testing.B) {
+	rng := rand.New(rand.NewSource(68))
+	table := NewMatrix32(14181, 64)
+	copy(table.Data, randSlice32(rng, len(table.Data)))
+	const docs, doc = 1024, 68
+	toks, ws := make([]int32, docs*doc), make([]float64, docs*doc)
+	for i := range toks {
+		toks[i], ws[i] = int32(rng.Intn(table.Rows)), rng.Float64()/doc
+	}
+	dst := make([]float32, table.Cols)
+	for _, k := range []struct {
+		name string
+		f    func(toks []int32, ws []float64)
+	}{
+		{"kernel", func(toks []int32, ws []float64) { PoolRows32(dst, table, toks, ws) }},
+		{"portable", func(toks []int32, ws []float64) { poolRows32Go(dst, table.Data, toks, ws) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lo := i % docs * doc
+				k.f(toks[lo:lo+doc], ws[lo:lo+doc])
+			}
+		})
+	}
+}

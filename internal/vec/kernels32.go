@@ -162,25 +162,78 @@ func Norm32(a []float32) float64 { return sqrtNonNeg(float64(Dot32(a, a))) }
 // independently, so no accumulation-order caveat applies. It panics if
 // lengths differ.
 func Axpy32(dst []float32, alpha float32, x []float32) {
-	n := len(dst)
-	if len(x) != n {
-		panic(fmt.Sprintf("vec: axpy32 of mismatched dims %d and %d", n, len(x)))
+	if len(x) != len(dst) {
+		panic(fmt.Sprintf("vec: axpy32 of mismatched dims %d and %d", len(dst), len(x)))
 	}
+	axpy32Go(dst, alpha, x)
+}
+
+// axpy32Go is the body of Axpy32, one token's step of poolRows32Go; the
+// caller has checked the lengths. Each element is dst[i] +=
+// float32(alpha*x[i]): the explicit conversion rounds the product, which
+// the Go spec then forbids fusing into the add, so an architecture with a
+// fused multiply-add (arm64) rounds twice, as amd64 and the AVX2 body of
+// PoolRows32 do.
+func axpy32Go(dst []float32, alpha float32, x []float32) {
+	n := len(dst)
+	x = x[:n]
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		dd := dst[i : i+8 : i+8]
 		xx := x[i : i+8 : i+8]
-		dd[0] += alpha * xx[0]
-		dd[1] += alpha * xx[1]
-		dd[2] += alpha * xx[2]
-		dd[3] += alpha * xx[3]
-		dd[4] += alpha * xx[4]
-		dd[5] += alpha * xx[5]
-		dd[6] += alpha * xx[6]
-		dd[7] += alpha * xx[7]
+		dd[0] += float32(alpha * xx[0])
+		dd[1] += float32(alpha * xx[1])
+		dd[2] += float32(alpha * xx[2])
+		dd[3] += float32(alpha * xx[3])
+		dd[4] += float32(alpha * xx[4])
+		dd[5] += float32(alpha * xx[5])
+		dd[6] += float32(alpha * xx[6])
+		dd[7] += float32(alpha * xx[7])
 	}
 	for ; i < n; i++ {
-		dst[i] += alpha * x[i]
+		dst[i] += float32(alpha * x[i])
+	}
+}
+
+// PoolRows32 sets dst to the sum over i of float32(ws[i])*x for x in row
+// toks[i] of table, element by element, each sum taken from +0 in token
+// order with every product and addition rounded to float32 — Axpy32 of
+// each row in turn into a zeroed dst, the float32 pooling of a document
+// whose weights are ws, in one call. It panics with a *ShapeError when
+// len(dst) is not the table's width, when len(ws) != len(toks), or when a
+// token is not a row of table.
+//
+// On amd64 with AVX2, rows whose width is a positive multiple of 8 pool in
+// poolRows32AVX2 (kernels32_amd64.s): it keeps 64 sums in Y0–Y7 across all
+// the tokens, so a 64-wide row is one pass and no sum is loaded or stored
+// between tokens, and a width past a multiple of 64 takes a pass of 8 sums
+// per 8 floats left. Per token it rounds the weight to float32
+// (VCVTSD2SS), broadcasts it, multiplies (VMULPS) and adds (VADDPS) — no
+// FMA — so each element sees the roundings of axpy32Go in its token
+// order. Everything else runs poolRows32Go, one axpy32Go per token.
+func PoolRows32[T ~int32](dst []float32, table *Matrix32, toks []T, ws []float64) {
+	if len(dst) != table.Cols {
+		panic(&ShapeError{Op: "PoolRows32 of a row into a vector of another width", Rows: table.Cols, Cols: len(dst)})
+	}
+	if len(ws) != len(toks) {
+		panic(&ShapeError{Op: "PoolRows32 with one weight per token", Rows: len(toks), Cols: len(ws)})
+	}
+	for _, t := range toks {
+		if t < 0 || int(t) >= table.Rows {
+			panic(&ShapeError{Op: "PoolRows32 of a token outside the table", Rows: int(t), Cols: table.Rows})
+		}
+	}
+	poolRows32(dst, table.Data, unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(toks))), len(toks)), ws)
+}
+
+// poolRows32Go is the portable body of PoolRows32; the caller has checked
+// the shapes. rows holds rows of len(dst) floats.
+func poolRows32Go(dst, rows []float32, toks []int32, ws []float64) {
+	clear(dst)
+	dim := len(dst)
+	for i, t := range toks {
+		r := int(t) * dim
+		axpy32Go(dst, float32(ws[i]), rows[r:r+dim])
 	}
 }
 

@@ -26,3 +26,21 @@ func l2SqBlock32(dst, rows, q []float32) {
 	}
 	l2SqRows32(dst, rows, q)
 }
+
+// poolRows32AVX2 is PoolRows32's AVX2 body; len(dst) must be a positive
+// multiple of 8.
+//
+//go:noescape
+func poolRows32AVX2(dst, rows []float32, toks []int32, ws []float64)
+
+// poolsInAVX232 reports whether PoolRows32 takes its AVX2 body for rows of
+// dim floats.
+func poolsInAVX232(dim int) bool { return useAVX2 && dim > 0 && dim%8 == 0 }
+
+func poolRows32(dst, rows []float32, toks []int32, ws []float64) {
+	if poolsInAVX232(len(dst)) {
+		poolRows32AVX2(dst, rows, toks, ws)
+		return
+	}
+	poolRows32Go(dst, rows, toks, ws)
+}

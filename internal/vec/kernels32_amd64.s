@@ -136,3 +136,124 @@ eight:
 	JNZ          pair
 	VZEROUPPER
 	RET
+
+// func poolRows32AVX2(dst, rows []float32, toks []int32, ws []float64)
+//
+// dst[j] = sum over i of float32(ws[i])*rows[toks[i]*len(dst)+j], from +0
+// in token order, len(dst) a positive multiple of 8. A wide pass holds the
+// sums of 64 elements in Y0-Y7 across every token and stores them once;
+// per token it rounds the weight to float32 (VCVTSD2SS), broadcasts it to
+// Y8, and runs VMULPS then VADDPS per eight elements. The floats past the
+// last multiple of 64 take one pass of eight sums (Y0) each. SI is the
+// pass's column in the table, so a token's part of its row starts at
+// SI + token*R10.
+TEXT ·poolRows32AVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ rows_base+24(FP), SI
+	MOVQ toks_base+48(FP), R8
+	MOVQ toks_len+56(FP), CX
+	MOVQ ws_base+72(FP), R9
+	MOVQ DX, R10
+	SHLQ $2, R10 // a row's bytes
+	CMPQ DX, $64
+	JB   narrow
+
+wide:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ   BX, BX // token index
+	TESTQ  CX, CX
+	JZ     widestore
+
+widetoken:
+	MOVLQSX      (R8)(BX*4), AX
+	IMULQ        R10, AX
+	ADDQ         SI, AX
+	VCVTSD2SS    (R9)(BX*8), X8, X8
+	VBROADCASTSS X8, Y8
+
+	// The same pass's part of the row four tokens ahead.
+	LEAQ       4(BX), R11
+	CMPQ       R11, CX
+	JAE        widesum
+	MOVLQSX    (R8)(R11*4), R11
+	IMULQ      R10, R11
+	PREFETCHT0 (SI)(R11*1)
+	PREFETCHT0 64(SI)(R11*1)
+	PREFETCHT0 128(SI)(R11*1)
+	PREFETCHT0 192(SI)(R11*1)
+
+widesum:
+	VMULPS (AX), Y8, Y9
+	VMULPS 32(AX), Y8, Y10
+	VMULPS 64(AX), Y8, Y11
+	VMULPS 96(AX), Y8, Y12
+	VADDPS Y9, Y0, Y0
+	VADDPS Y10, Y1, Y1
+	VADDPS Y11, Y2, Y2
+	VADDPS Y12, Y3, Y3
+	VMULPS 128(AX), Y8, Y9
+	VMULPS 160(AX), Y8, Y10
+	VMULPS 192(AX), Y8, Y11
+	VMULPS 224(AX), Y8, Y12
+	VADDPS Y9, Y4, Y4
+	VADDPS Y10, Y5, Y5
+	VADDPS Y11, Y6, Y6
+	VADDPS Y12, Y7, Y7
+	INCQ   BX
+	CMPQ   BX, CX
+	JB     widetoken
+
+widestore:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	SUBQ    $64, DX
+	CMPQ    DX, $64
+	JAE     wide
+
+narrow:
+	TESTQ DX, DX
+	JZ    done
+
+eight:
+	VXORPS Y0, Y0, Y0
+	XORQ   BX, BX
+	TESTQ  CX, CX
+	JZ     eightstore
+
+eighttoken:
+	MOVLQSX      (R8)(BX*4), AX
+	IMULQ        R10, AX
+	VCVTSD2SS    (R9)(BX*8), X8, X8
+	VBROADCASTSS X8, Y8
+	VMULPS       (SI)(AX*1), Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	INCQ         BX
+	CMPQ         BX, CX
+	JB           eighttoken
+
+eightstore:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, DX
+	JNZ     eight
+
+done:
+	VZEROUPPER
+	RET

@@ -375,3 +375,46 @@ func TestVec32MirrorsVector(t *testing.T) {
 		t.Errorf("Mean32 = %v, want [2 3]", m)
 	}
 }
+
+// TestPoolRows32MatchesAxpy holds PoolRows32 to Axpy32 of each token's row
+// in turn into a zeroed vector, Float32bits-equal: at every width from 1
+// to 72 — on amd64 with AVX2 the 8-float passes alone (8..56), the
+// 64-float pass (64) and both (72), the Go body elsewhere — for 0 to 600
+// tokens with repeats and the table's last row, the weights of
+// poolWeights64 among normal ones, and rows that hold ±0 and ±Inf.
+func TestPoolRows32MatchesAxpy(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	const rows = 50
+	for dim := 1; dim <= 72; dim++ {
+		table := poolTable(rng, rows, dim)
+		for _, n := range []int{0, 1, 2, 3, 5, 68, 600} {
+			toks := make([]int32, n)
+			ws := make([]float64, n)
+			for i := range toks {
+				toks[i] = int32(rng.Intn(rows))
+				ws[i] = rng.NormFloat64() / 10
+				if rng.Intn(4) == 0 {
+					ws[i] = poolWeights64[rng.Intn(len(poolWeights64))]
+				}
+			}
+			if n > 2 {
+				toks[n-1] = rows - 1
+				toks[1] = toks[0]
+			}
+			got, want := make([]float32, dim), make([]float32, dim)
+			for j := range got {
+				got[j] = float32(math.NaN()) // PoolRows32 sets, not adds
+			}
+			PoolRows32(got, table, toks, ws)
+			for i, tok := range toks {
+				Axpy32(want, float32(ws[i]), table.Row(int(tok)))
+			}
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("dim %d, %d tokens, elem %d: %x, want %x", dim, n, j,
+						math.Float32bits(got[j]), math.Float32bits(want[j]))
+				}
+			}
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPoolRows64TakesAVX2WhereTheCPUHasIt holds the CPUID/XGETBV check to
-// the kernels' own: PoolRows64 and L2SqRows32 take their AVX2 bodies for
+// the kernels' own: PoolRows64, PoolRows32 and L2SqRows32 take their AVX2 bodies for
 // 64-wide rows exactly when /proc/cpuinfo lists avx2. A check that
 // wrongly says no would fall back to the per-token loop or to one row per
 // SSE2 register, which every bit test passes.
@@ -26,6 +26,9 @@ func TestPoolRows64TakesAVX2WhereTheCPUHasIt(t *testing.T) {
 	}
 	if got := poolsInAVX2(64); got != listed {
 		t.Fatalf("PoolRows64 takes the AVX2 body for 64-wide rows: %v; /proc/cpuinfo lists avx2: %v", got, listed)
+	}
+	if got := poolsInAVX232(64); got != listed {
+		t.Fatalf("PoolRows32 takes the AVX2 body for 64-wide rows: %v; /proc/cpuinfo lists avx2: %v", got, listed)
 	}
 	if got := scansInAVX2(64); got != listed {
 		t.Fatalf("L2SqRows32 takes the AVX2 body for 64-wide rows: %v; /proc/cpuinfo lists avx2: %v", got, listed)

@@ -40,12 +40,6 @@ func (v Vec32) Scale(a float32) Vec32 {
 	return v
 }
 
-// Axpy sets v = v + a*w in place and returns v.
-func (v Vec32) Axpy(a float32, w Vec32) Vec32 {
-	Axpy32(v, a, w)
-	return v
-}
-
 // Normalize scales v to unit L2 norm in place and returns v. A zero
 // vector is left unchanged. The reciprocal norm is formed in float64 and
 // rounded once, matching Vector.Normalize's structure.
@@ -55,14 +49,6 @@ func (v Vec32) Normalize() Vec32 {
 		return v
 	}
 	return v.Scale(float32(1 / n))
-}
-
-// Zero resets every component of v to 0 and returns v.
-func (v Vec32) Zero() Vec32 {
-	for i := range v {
-		v[i] = 0
-	}
-	return v
 }
 
 // Mean32 returns the component-wise mean of vs, accumulated in float64
