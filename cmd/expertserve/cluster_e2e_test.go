@@ -127,7 +127,7 @@ func TestClusterE2E(t *testing.T) {
 
 	// Golden query through the healthy topology.
 	const goldenQuery = "graph embedding expert search"
-	queryURL := routerBase + "/experts?q=" + url.QueryEscape(goldenQuery) + "&m=40&n=10"
+	queryURL := routerBase + "/experts?" + url.Values{"q": {goldenQuery}}.Encode() + "&m=40&n=10"
 	type expertsResp struct {
 		Experts []struct {
 			Rank  int     `json:"rank"`

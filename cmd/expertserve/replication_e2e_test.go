@@ -228,7 +228,7 @@ func TestReplicationFailoverE2E(t *testing.T) {
 	}
 	fetch := func(base, q string) []expert {
 		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("%s/experts?q=%s&m=40&n=10", base, url.QueryEscape(q)))
+		resp, err := http.Get(fmt.Sprintf("%s/experts?%s&m=40&n=10", base, url.Values{"q": {q}}.Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -290,21 +290,6 @@ func (c *ShardClient) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 }
 
-// collectKey flags a context whose sub-requests should ask shards to
-// return their span trees in the response envelope. The router sets it
-// only when it holds a trace store — untraced deployments never pay the
-// export or wire cost.
-type collectKey struct{}
-
-func withCollect(ctx context.Context) context.Context {
-	return context.WithValue(ctx, collectKey{}, true)
-}
-
-func collectEnabled(ctx context.Context) bool {
-	on, _ := ctx.Value(collectKey{}).(bool)
-	return on
-}
-
 // shardError is a sub-request failure after all attempts; the router maps
 // it to 502.
 type shardError struct {
@@ -317,9 +302,9 @@ func (e *shardError) Error() string {
 }
 func (e *shardError) Unwrap() error { return e.err }
 
-// Get runs a GET sub-request against shard, with retries and hedging, and
-// returns the response body.
-func (c *ShardClient) Get(ctx context.Context, shard int, path string) ([]byte, error) {
+// Papers asks shard for req, with retries and hedging, and returns the
+// response body.
+func (c *ShardClient) Papers(ctx context.Context, shard int, req PapersRequest) ([]byte, error) {
 	rs := c.sets[shard]
 	attempts := c.cfg.Retries + 1
 	backoff := retryBackoff
@@ -344,7 +329,7 @@ func (c *ShardClient) Get(ctx context.Context, shard int, path string) ([]byte, 
 		actx, cancel := c.attemptContext(ctx, attempts-attempt)
 		rp := rs.pick(prev)
 		prev = rp
-		b, err := c.attempt(actx, rs, rp, path)
+		b, err := c.attempt(actx, rs, rp, req)
 		cancel()
 		if err == nil {
 			return b, nil
@@ -373,7 +358,7 @@ func (c *ShardClient) attemptContext(ctx context.Context, attemptsLeft int) (con
 // a hedge_win mark, and an attempt abandoned in flight is closed with a
 // cancelled mark before attempt returns (attributes are safe to set
 // after End, which only freezes timing).
-func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, path string) ([]byte, error) {
+func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, req PapersRequest) ([]byte, error) {
 	type outcome struct {
 		body   []byte
 		err    error
@@ -410,7 +395,7 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 		}
 		launched = append(launched, span)
 		go func() {
-			b, err := c.send(sctx, rs.shard, target, path)
+			b, err := c.send(sctx, rs.shard, target, req)
 			span.End()
 			if err != nil {
 				span.Annotate("error", err.Error())
@@ -459,24 +444,24 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 	}
 }
 
-// send issues one GET to one replica and settles its health
-// accounting: success resets the failure streak, failure advances it and
-// ejects past the threshold. A response, whatever its status, proves the
-// replica alive; only 5xx, transport errors, a body readBody refuses and a
-// response frame that claims another shard (a replica started with the
-// wrong -shard-id) count as failures.
-func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+rp.addr+path, nil)
+// send posts req to one replica, with the attempt's own budget, and
+// settles its health accounting: success resets the failure streak,
+// failure advances it and ejects past the threshold. A response, whatever
+// its status, proves the replica alive; only 5xx, transport errors, a body
+// readBody refuses and a response frame that claims another shard (a
+// replica started with the wrong -shard-id) count as failures.
+func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, pr PapersRequest) ([]byte, error) {
+	if dl, ok := ctx.Deadline(); ok {
+		pr.BudgetMs = max(1, int(time.Until(dl).Milliseconds()))
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+rp.addr+"/shard/papers",
+		bytes.NewReader(encodeRequest(&pr)))
 	if err != nil {
 		return nil, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		ms := int(time.Until(dl).Milliseconds())
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(BudgetHeader, strconv.Itoa(ms))
-	}
+	// A key, sent empty (so not at all), lets the transport resend the POST
+	// when a kept-alive connection turns out closed, as it does a GET.
+	req.Header["Idempotency-Key"] = nil
 	// Forward the router's request ID so access logs join across nodes,
 	// and the trace context so the shard's spans land in this query's
 	// trace instead of a fresh one.
@@ -484,9 +469,6 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path str
 		req.Header.Set("X-Request-ID", reqID)
 	}
 	obs.InjectTrace(ctx, req.Header)
-	if collectEnabled(ctx) {
-		req.Header.Set(obs.CollectHeader, "1")
-	}
 
 	start := time.Now()
 	resp, err := c.hc.Do(req)
@@ -499,21 +481,17 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path str
 	rs := c.sets[shard]
 	rs.fanout.Observe(time.Since(start).Seconds())
 	rs.wireBytes.Add(float64(len(b)))
-	if err != nil {
-		c.fail(shard, rp, err)
-		return nil, err
-	}
-	if resp.StatusCode >= 500 {
-		err := fmt.Errorf("replica %s: status %d: %s", rp.addr, resp.StatusCode, firstLine(b))
-		c.fail(shard, rp, err)
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
+	switch got, ok := frameShard(b); {
+	case err != nil:
+	case resp.StatusCode >= 500:
+		err = fmt.Errorf("replica %s: status %d: %s", rp.addr, resp.StatusCode, firstLine(b))
+	case resp.StatusCode != http.StatusOK:
 		// 4xx is the router's bug, not the replica's health problem.
 		return nil, fmt.Errorf("replica %s: status %d: %s", rp.addr, resp.StatusCode, firstLine(b))
+	case ok && got != shard:
+		err = fmt.Errorf("replica %s: answered as shard %d, asked as shard %d", rp.addr, got, shard)
 	}
-	if got, ok := frameShard(b); ok && got != shard {
-		err := fmt.Errorf("replica %s: answered as shard %d, asked as shard %d", rp.addr, got, shard)
+	if err != nil {
 		c.fail(shard, rp, err)
 		return nil, err
 	}

@@ -49,18 +49,26 @@ func equivEngine(t *testing.T) (*dataset.Dataset, *core.Engine) {
 	return eqDS, eqEng
 }
 
-// topology is a live router-over-real-HTTP-shards deployment for tests.
+// topology is a router on a loopback HTTP server over shard replicas
+// served in process by a memNet, for tests.
 type topology struct {
 	routerURL string
 	reg       *obs.Registry
 	client    *ShardClient
+	router    *Router
+	net       memNet
+	servers   []*serve.Server // the replicas', shard by shard
 }
 
-// startTopology serves eng as S shards (each on its own loopback HTTP
-// server, exact retrieval) fronted by a router, all torn down with the
-// test. faults, when non-nil, wraps shard handlers for fault injection:
-// it receives (shard, replica index, inner handler) and returns the
-// handler to serve. replicasPerShard maps shard -> replica count
+// replica is the memNet entry of a shard's rep-th replica.
+func (tp *topology) replica(shard, rep int) *memReplica {
+	return tp.net[tp.client.Replicas()[shard][rep]]
+}
+
+// startTopology serves eng as S shards (exact retrieval) fronted by a
+// router, torn down with the test. faults, when non-nil, wraps shard
+// handlers: it receives (shard, replica index, inner handler) and returns
+// the handler to serve. replicasPerShard maps shard -> replica count
 // (default 1).
 func startTopology(t *testing.T, eng *core.Engine, shards int, rcfg RouterConfig, ccfg ClientConfig,
 	replicasPerShard map[int]int, faults func(shard, rep int, inner http.Handler) http.Handler) *topology {
@@ -75,6 +83,7 @@ func startTopologyCfg(t *testing.T, eng *core.Engine, shards int, rcfg RouterCon
 	replicasPerShard map[int]int, faults func(shard, rep int, inner http.Handler) http.Handler,
 	shardCfg func(id, of int) ShardConfig) *topology {
 	t.Helper()
+	tp := &topology{reg: obs.NewRegistry(), net: memNet{}}
 	addrs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
 		cfg := ShardConfig{ID: i, Of: shards}
@@ -97,26 +106,28 @@ func startTopologyCfg(t *testing.T, eng *core.Engine, shards int, rcfg RouterCon
 			if faults != nil {
 				h = faults(i, r, h)
 			}
-			ts := httptest.NewServer(h)
-			t.Cleanup(ts.Close)
-			addrs[i] = append(addrs[i], strings.TrimPrefix(ts.URL, "http://"))
+			addr := fmt.Sprintf("shard%d.%d", i, r)
+			tp.net[addr] = &memReplica{h: h}
+			tp.servers = append(tp.servers, srv)
+			addrs[i] = append(addrs[i], addr)
 		}
 	}
-	reg := obs.NewRegistry()
-	client, err := NewShardClient(addrs, ccfg, reg, nil)
-	if err != nil {
+	var err error
+	if tp.client, err = NewShardClient(addrs, ccfg, tp.reg, nil); err != nil {
 		t.Fatal(err)
 	}
-	router := NewRouter(client, rcfg, reg, nil)
-	rs := httptest.NewServer(router)
+	tp.client.hc.Transport = tp.net
+	tp.router = NewRouter(tp.client, rcfg, tp.reg, nil)
+	rs := httptest.NewServer(tp.router)
 	t.Cleanup(rs.Close)
-	return &topology{routerURL: rs.URL, reg: reg, client: client}
+	tp.routerURL = rs.URL
+	return tp
 }
 
 // queryExperts runs one /experts query against a base URL and decodes it.
 func queryExperts(t *testing.T, base, q string, m, n int) serve.ExpertsResponse {
 	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/experts?q=%s&m=%d&n=%d", base, url.QueryEscape(q), m, n))
+	resp, err := http.Get(fmt.Sprintf("%s/experts?%s&m=%d&n=%d", base, url.Values{"q": {q}}.Encode(), m, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +219,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 				got := queryExperts(t, topo.routerURL, q.Text, m, n)
 				assertSameRanking(t, q.Text, got, want)
 
-				path := fmt.Sprintf("/experts?q=%s&m=%d&n=%d", url.QueryEscape(q.Text), m, n)
+				path := fmt.Sprintf("/experts?%s&m=%d&n=%d", url.Values{"q": {q.Text}}.Encode(), m, n)
 				routed, alone := getJSON(t, topo.routerURL+path), getJSON(t, single+path)
 				if routed["candidates"] == float64(0) || routed["ta_depth"] == float64(0) {
 					t.Fatalf("query %q: candidates %v, ta_depth %v", q.Text, routed["candidates"], routed["ta_depth"])
@@ -387,7 +398,7 @@ func TestRouterPapersMatchesSingleNode(t *testing.T) {
 	topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{}, nil, nil)
 
 	fetch := func(base string) []serve.PaperResult {
-		resp, err := http.Get(fmt.Sprintf("%s/papers?q=%s&m=%d", base, url.QueryEscape(q.Text), m))
+		resp, err := http.Get(fmt.Sprintf("%s/papers?%s&m=%d", base, url.Values{"q": {q.Text}}.Encode(), m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +445,7 @@ func TestRouterHealthTopology(t *testing.T) {
 		t.Fatalf("router healthz alive: %+v", rh.AliveReplicas)
 	}
 
-	sresp, err := http.Get("http://" + rh.Replicas[1][0] + "/healthz")
+	sresp, err := topo.client.hc.Get("http://" + rh.Replicas[1][0] + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -25,26 +29,73 @@ import (
 	"expertfind/internal/ta"
 )
 
-// faultGate wraps a shard handler with switchable failure modes: while
-// broken it answers 500 to everything (including /readyz, so probes see
-// it down too); while slowed it delays every response past the first
-// fast ones.
-type faultGate struct {
-	inner  http.Handler
-	broken atomic.Bool
-	delay  atomic.Int64 // nanoseconds
-	fast   atomic.Int64 // requests still answered without the delay
+// memNet is the shard replicas of a test, served in process: as the
+// ShardClient's http.RoundTripper it hands each request to the handler of
+// the replica its URL names, as that replica's schedule says.
+type memNet map[string]*memReplica
+
+// memReplica is one replica's handler and its schedule, the step for its
+// n-th request (from 0, probes included), which a test may replace at
+// any time. Without one, every request is served. A test that schedules
+// holdServe makes release before it sets the schedule.
+type memReplica struct {
+	h        http.Handler
+	schedule atomic.Pointer[func(n int64) step]
+	release  chan struct{} // one receive per holdServe request answered
+	requests atomic.Int64
+	held     atomic.Int64
 }
 
-func (f *faultGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d := f.delay.Load(); d > 0 && f.fast.Add(-1) < 0 {
-		time.Sleep(time.Duration(d))
+type step int
+
+const (
+	serveIt   step = iota // hand the request to the handler
+	fail500               // answer 500 without it
+	hold                  // hold it until its context ends, then fail it
+	holdServe             // hold it until the test releases it, then serve it
+)
+
+func (rp *memReplica) set(schedule func(n int64) step) { rp.schedule.Store(&schedule) }
+
+func always(s step) func(int64) step { return func(int64) step { return s } }
+
+func (mn memNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		defer req.Body.Close()
 	}
-	if f.broken.Load() {
-		http.Error(w, "injected fault", http.StatusInternalServerError)
-		return
+	rp := mn[req.URL.Host]
+	if rp == nil {
+		return nil, fmt.Errorf("no replica at %s", req.URL.Host)
 	}
-	f.inner.ServeHTTP(w, r)
+	s, n := serveIt, rp.requests.Add(1)-1
+	if schedule := rp.schedule.Load(); schedule != nil {
+		s = (*schedule)(n)
+	}
+	rec := httptest.NewRecorder()
+	switch s {
+	case fail500:
+		http.Error(rec, "injected fault", http.StatusInternalServerError)
+	case hold, holdServe:
+		rp.held.Add(1)
+		var release chan struct{} // nil, so a plain hold is never released
+		if s == holdServe {
+			release = rp.release
+		}
+		select {
+		case <-release:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+		fallthrough
+	default:
+		// The handler sees the request end, as a server sees its
+		// connection close, and none of the caller's context values.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer context.AfterFunc(req.Context(), cancel)()
+		defer cancel()
+		rp.h.ServeHTTP(rec, req.Clone(ctx))
+	}
+	return rec.Result(), nil
 }
 
 func scrapeMetrics(t *testing.T, routerURL string) string {
@@ -83,7 +134,6 @@ func TestReplicaEjectionAndReadmission(t *testing.T) {
 	queries := ds.Queries(6, rand.New(rand.NewSource(21)))
 	const m, n = 40, 10
 
-	var gate *faultGate
 	topo := startTopology(t, eng, 2,
 		RouterConfig{QueryTimeout: 10 * time.Second},
 		ClientConfig{
@@ -92,20 +142,15 @@ func TestReplicaEjectionAndReadmission(t *testing.T) {
 			EjectAfter:    2,
 			ProbeInterval: 20 * time.Millisecond,
 		},
-		map[int]int{0: 2},
-		func(shard, rep int, inner http.Handler) http.Handler {
-			if shard == 0 && rep == 1 {
-				gate = &faultGate{inner: inner}
-				return gate
-			}
-			return inner
-		})
+		map[int]int{0: 2}, nil)
+	bad := topo.replica(0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	topo.client.StartProbes(ctx)
 
-	// Break the replica mid-operation, then query through the failure.
-	gate.broken.Store(true)
+	// Break the replica mid-operation, then query through the failure:
+	// it answers 500 to everything, /readyz too, so probes see it down.
+	bad.set(always(fail500))
 	for _, q := range queries {
 		want, _, err := eng.TopExperts(q.Text, m, n)
 		if err != nil {
@@ -130,7 +175,7 @@ func TestReplicaEjectionAndReadmission(t *testing.T) {
 	}
 
 	// Heal the replica; the background probe must re-admit it.
-	gate.broken.Store(false)
+	bad.set(always(serveIt))
 	waitFor(t, "probe re-admission", 2*time.Second, func() bool {
 		return topo.client.AliveReplicas()[0] == 2
 	})
@@ -149,9 +194,11 @@ func TestReplicaEjectionAndReadmission(t *testing.T) {
 
 // TestHedgedRequests checks the hedge setting both ways on shard 0's
 // two replicas, one of which stalls. A positive HedgeAfter hedges a
-// stalled sub-request to the peer after that delay and the hedge wins.
-// An unset one never hedges, however fast the stalling replica answered
-// before, and the rankings are the same either way.
+// stalled sub-request to the peer after that delay and the hedge wins;
+// the stalled one is held until its context ends. An unset one never
+// hedges, however fast the stalling replica answered before: the router
+// waits on each held sub-request until the test releases it and takes
+// its late answer. The rankings are the same either way.
 func TestHedgedRequests(t *testing.T) {
 	ds, eng := equivEngine(t)
 	queries := ds.Queries(6, rand.New(rand.NewSource(33)))
@@ -161,27 +208,36 @@ func TestHedgedRequests(t *testing.T) {
 		name   string
 		cfg    ClientConfig
 		fast   int64 // sub-requests the stalling replica answers before it stalls
-		stall  time.Duration
+		stall  step
 		rounds int
 		hedges bool
 	}{
-		{"fixed 5ms", ClientConfig{HedgeAfter: 5 * time.Millisecond},
-			0, 200 * time.Millisecond, 6, true},
-		{"unset", ClientConfig{}, 20, 100 * time.Millisecond, 48, false},
+		{"fixed 5ms", ClientConfig{HedgeAfter: 5 * time.Millisecond}, 0, hold, 6, true},
+		{"unset", ClientConfig{}, 20, holdServe, 48, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var gate *faultGate
-			topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 10 * time.Second}, c.cfg,
-				map[int]int{0: 2},
-				func(shard, rep int, inner http.Handler) http.Handler {
-					if shard == 0 && rep == 0 {
-						gate = &faultGate{inner: inner}
-						return gate
+			topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 10 * time.Second}, c.cfg, map[int]int{0: 2}, nil)
+			stalling := topo.replica(0, 0)
+			stalling.release = make(chan struct{})
+			stalling.set(func(n int64) step {
+				if n < c.fast {
+					return serveIt
+				}
+				return c.stall
+			})
+			// Release each holdServe request once it is held. With no
+			// retries, a held request that failed would fail its query.
+			stop := make(chan struct{})
+			defer close(stop)
+			go func() {
+				for {
+					select {
+					case stalling.release <- struct{}{}:
+					case <-stop:
+						return
 					}
-					return inner
-				})
-			gate.fast.Store(c.fast)
-			gate.delay.Store(int64(c.stall))
+				}
+			}()
 			for i := 0; i < c.rounds; i++ {
 				q := queries[i%len(queries)]
 				want, _, err := eng.TopExperts(q.Text, m, n)
@@ -190,8 +246,8 @@ func TestHedgedRequests(t *testing.T) {
 				}
 				assertSameRanking(t, q.Text, queryExperts(t, topo.routerURL, q.Text, m, n), want)
 			}
-			if gate.fast.Load() >= 0 {
-				t.Fatalf("the replica never stalled (%d fast answers left)", gate.fast.Load())
+			if stalling.held.Load() == 0 {
+				t.Fatalf("the replica never stalled (%d requests)", stalling.requests.Load())
 			}
 
 			shard0 := obs.L("shard", "0")
@@ -214,20 +270,12 @@ func TestWholeShardDownIs502(t *testing.T) {
 	ds, eng := equivEngine(t)
 	q := ds.Queries(1, rand.New(rand.NewSource(5)))[0]
 
-	var gate *faultGate
 	topo := startTopology(t, eng, 2,
 		RouterConfig{QueryTimeout: 5 * time.Second},
 		ClientConfig{Retries: 1, HedgeAfter: -1},
-		nil,
-		func(shard, rep int, inner http.Handler) http.Handler {
-			if shard == 1 {
-				gate = &faultGate{inner: inner}
-				return gate
-			}
-			return inner
-		})
+		nil, nil)
 
-	gate.broken.Store(true)
+	topo.replica(1, 0).set(always(fail500))
 	resp, err := http.Get(topo.routerURL + "/experts?q=" + strings.ReplaceAll(q.Text, " ", "+") + "&m=40&n=10")
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +293,7 @@ func TestWholeShardDownIs502(t *testing.T) {
 	}
 
 	// Heal: the same query must immediately succeed again.
-	gate.broken.Store(false)
+	topo.replica(1, 0).set(always(serveIt))
 	want, _, err := eng.TopExperts(q.Text, 40, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -258,23 +306,15 @@ func TestWholeShardDownIs502(t *testing.T) {
 // increments expertfind_http_timeouts_total.
 func TestSlowShardIs504AndCounted(t *testing.T) {
 	ds, eng := equivEngine(t)
-	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
+	q := url.Values{"q": {ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text}}.Encode()
 
-	var gate *faultGate
 	topo := startTopology(t, eng, 2,
 		RouterConfig{QueryTimeout: 30 * time.Millisecond},
 		ClientConfig{HedgeAfter: -1},
-		nil,
-		func(shard, rep int, inner http.Handler) http.Handler {
-			if shard == 1 {
-				gate = &faultGate{inner: inner}
-				return gate
-			}
-			return inner
-		})
+		nil, nil)
 
-	gate.delay.Store(int64(300 * time.Millisecond))
-	for _, path := range []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"} {
+	topo.replica(1, 0).set(always(hold))
+	for _, path := range []string{"/experts?" + q + "&m=40&n=10", "/papers?" + q + "&m=10"} {
 		resp, err := http.Get(topo.routerURL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +345,8 @@ func TestExactShardHonoursContext(t *testing.T) {
 	MountShard(srv, se)
 	status := func(ctx context.Context) int {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/papers?q=graph&m=10", nil).WithContext(ctx))
+		body := bytes.NewReader(encodeRequest(&PapersRequest{M: 10, Query: "graph"}))
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/papers", body).WithContext(ctx))
 		return rec.Code
 	}
 	if got := status(context.Background()); got != http.StatusOK {
@@ -370,7 +411,7 @@ func routerStatus(t *testing.T, topo *topology, path string) (int, string) {
 // index and the lying replica is a failed replica: 502, named.
 func TestWrongShardIDIs502NamingReplica(t *testing.T) {
 	ds, eng := equivEngine(t)
-	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
+	q := url.Values{"q": {ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text}}.Encode()
 
 	for _, claimed := range []int{7, 0, -1} { // past the shard count, a real other shard, negative
 		topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 5 * time.Second},
@@ -385,7 +426,7 @@ func TestWrongShardIDIs502NamingReplica(t *testing.T) {
 				})
 			})
 		liar := topo.client.Replicas()[1][0]
-		for _, path := range []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"} {
+		for _, path := range []string{"/experts?" + q + "&m=40&n=10", "/papers?" + q + "&m=10"} {
 			code, body := routerStatus(t, topo, path)
 			if code != http.StatusBadGateway {
 				t.Fatalf("claimed shard %d, %s: status %d, want 502: %s", claimed, path, code, body)
@@ -403,7 +444,7 @@ func TestWrongShardIDIs502NamingReplica(t *testing.T) {
 // as 502, never a panic or a silently empty merge.
 func TestOldShardJSONIs502(t *testing.T) {
 	ds, eng := equivEngine(t)
-	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
+	q := url.Values{"q": {ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text}}.Encode()
 
 	var answer atomic.Pointer[[]byte]
 	topo := startTopology(t, eng, 2, RouterConfig{QueryTimeout: 5 * time.Second},
@@ -427,7 +468,7 @@ func TestOldShardJSONIs502(t *testing.T) {
 		"experts frame": {'E', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 	} {
 		answer.Store(&body)
-		for _, path := range []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"} {
+		for _, path := range []string{"/experts?" + q + "&m=40&n=10", "/papers?" + q + "&m=10"} {
 			code, got := routerStatus(t, topo, path)
 			if code != http.StatusBadGateway || !strings.Contains(got, "bad papers payload") ||
 				!strings.Contains(got, "bad shard frame") || !strings.Contains(got, "shard 0") {
@@ -445,8 +486,8 @@ func TestOldShardJSONIs502(t *testing.T) {
 // rank as given.
 func TestRouterRefusesUnmergeableAnswers(t *testing.T) {
 	ds, eng := equivEngine(t)
-	q := url.QueryEscape(ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text)
-	paths := []string{"/experts?q=" + q + "&m=40&n=10", "/papers?q=" + q + "&m=10"}
+	q := url.Values{"q": {ds.Queries(1, rand.New(rand.NewSource(5)))[0].Text}}.Encode()
+	paths := []string{"/experts?" + q + "&m=40&n=10", "/papers?" + q + "&m=10"}
 	refused := func(t *testing.T, topo *topology, want ...string) {
 		t.Helper()
 		for _, path := range paths {
@@ -540,7 +581,7 @@ func TestRouterRefusesUnmergeableAnswers(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		got := queryExperts(t, topo.routerURL, text, 40, 10)
-		if code, body := routerStatus(t, topo, "/papers?q="+q+"&m=10"); code != http.StatusOK {
+		if code, body := routerStatus(t, topo, "/papers?"+q+"&m=10"); code != http.StatusOK {
 			t.Fatalf("/papers: status %d: %s", code, body)
 		}
 		runtime.ReadMemStats(&after)
@@ -560,9 +601,11 @@ func TestRouterRefusesUnmergeableAnswers(t *testing.T) {
 	})
 }
 
-// TestShardPapersRequest: the one shard route answers 400 to a request
-// without a query or a positive m, frames whatever detail was asked for,
-// and the retired experts route is not there at all.
+// TestShardPapersRequest: the one shard route takes a POST and nothing
+// else, answers 400 to a body that is not one request — a refusal of the
+// decoder, an empty query, an m outside 1 to serve.MaxM, a body over the
+// cap — frames whatever detail was asked for, and the retired experts
+// route is not there at all.
 func TestShardPapersRequest(t *testing.T) {
 	_, eng := equivEngine(t)
 	se, err := NewShardEngine(eng, ShardConfig{ID: 0, Of: 1})
@@ -572,41 +615,104 @@ func TestShardPapersRequest(t *testing.T) {
 	srv := serve.New(eng)
 	srv.SetReady(true)
 	MountShard(srv, se)
-	do := func(method, target string) *httptest.ResponseRecorder {
+	do := func(method, target string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		srv.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
 		return rec
 	}
-	for target, want := range map[string]int{
-		"/shard/papers":               http.StatusBadRequest,
-		"/shard/papers?m=5":           http.StatusBadRequest,
-		"/shard/papers?q=graph":       http.StatusBadRequest,
-		"/shard/papers?q=graph&m=0":   http.StatusBadRequest,
-		"/shard/papers?q=graph&m=ten": http.StatusBadRequest,
-		"/shard/papers?q=graph&m=5":   http.StatusOK,
-		"/shard/experts":              http.StatusNotFound,
+	good := encodeRequest(&PapersRequest{M: 5, Query: "graph"})
+	if rec := do(http.MethodGet, "/shard/papers", good); rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != http.MethodPost {
+		t.Errorf("GET /shard/papers: status %d, Allow %q; want 405, POST", rec.Code, rec.Header().Get("Allow"))
+	}
+	edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(good)) }
+	for name, body := range map[string][]byte{
+		"empty body":     nil,
+		"wrong tag":      edit(func(b []byte) []byte { b[0] = tagPapers; return b }),
+		"version 2":      edit(func(b []byte) []byte { b[1] = 2; return b }),
+		"trailing bytes": append(bytes.Clone(good), 0),
+		"empty query":    encodeRequest(&PapersRequest{M: 5}),
+		"m 0":            encodeRequest(&PapersRequest{Query: "graph"}),
+		"m over MaxM":    encodeRequest(&PapersRequest{M: serve.MaxM + 1, Query: "graph"}),
+		"over 1 MiB":     encodeRequest(&PapersRequest{M: 5, Query: strings.Repeat("graph ", maxRequestBody/6)}),
 	} {
-		if got := do(http.MethodGet, target).Code; got != want {
-			t.Errorf("GET %s: status %d, want %d", target, got, want)
+		if rec := do(http.MethodPost, "/shard/papers", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, rec.Code, rec.Body)
 		}
 	}
-	if got := do(http.MethodPost, "/shard/experts").Code; got != http.StatusNotFound {
-		t.Errorf("POST /shard/experts: status %d, want 404", got)
+	if got := do(http.MethodPost, "/shard/papers", good).Code; got != http.StatusOK {
+		t.Errorf("a good request: status %d", got)
 	}
-	for detail, want := range map[string][3]bool{ // lists, table, text
-		"":                  {false, false, false},
-		"&authors=1":        {true, true, false},
-		"&meta=1":           {true, true, true},
-		"&authors=0&meta=0": {false, false, false},
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		if got := do(method, "/shard/experts", good).Code; got != http.StatusNotFound {
+			t.Errorf("%s /shard/experts: status %d, want 404", method, got)
+		}
+	}
+	for _, c := range []struct {
+		authors, text bool
+		want          [3]bool // lists, table, text
+	}{
+		{false, false, [3]bool{false, false, false}},
+		{true, false, [3]bool{true, true, false}},
+		{false, true, [3]bool{true, true, true}},
+		{true, true, [3]bool{true, true, true}},
 	} {
-		resp, err := decodePapersResponse(do(http.MethodGet, "/shard/papers?q=graph&m=5"+detail).Body.Bytes())
+		body := encodeRequest(&PapersRequest{M: 5, Authors: c.authors, Text: c.text, Query: "graph"})
+		resp, err := decodePapersResponse(do(http.MethodPost, "/shard/papers", body).Body.Bytes())
 		if err != nil || len(resp.Papers) != 5 {
-			t.Fatalf("detail %q: %d papers, err %v", detail, len(resp.Papers), err)
+			t.Fatalf("authors %v, text %v: %d papers, err %v", c.authors, c.text, len(resp.Papers), err)
 		}
 		got := [3]bool{len(resp.Papers[0].Authors) > 0, len(resp.Authors) > 0, resp.Papers[0].Text != ""}
-		if got != want {
-			t.Errorf("detail %q: lists, table, text = %v, want %v", detail, got, want)
+		if got != c.want {
+			t.Errorf("authors %v, text %v: lists, table, text = %v, want %v", c.authors, c.text, got, c.want)
 		}
+	}
+}
+
+// TestShardRequestReplaysOnStaleConnection: a shard that closes a
+// kept-alive connection — it restarted, or drained — costs the router no
+// failed sub-request, since the transport sends the request again on a
+// new connection. The listener here answers one request per connection
+// and drops the next unanswered; with no retries and ejection at the first
+// failure, every request must still succeed and the replica stay alive.
+func TestShardRequestReplaysOnStaleConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	frame := encodeFrame(&PapersResponse{})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for answered := false; ; answered = true {
+					req, err := http.ReadRequest(br)
+					if err != nil || answered {
+						return
+					}
+					io.Copy(io.Discard, req.Body)
+					fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(frame), frame)
+				}
+			}()
+		}
+	}()
+	client, err := NewShardClient([][]string{{ln.Addr().String()}},
+		ClientConfig{Retries: 0, EjectAfter: 1}, obs.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := client.Papers(context.Background(), 0, PapersRequest{M: 1, Query: "x"}); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if alive := client.AliveReplicas()[0]; alive != 1 {
+		t.Fatalf("%d replicas alive, want 1", alive)
 	}
 }
 
@@ -680,7 +786,7 @@ func TestShardBodyIsBounded(t *testing.T) {
 			defer cancel()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			b, err := client.Get(ctx, 0, "/shard/papers?q=x&m=1")
+			b, err := client.Papers(ctx, 0, PapersRequest{M: 1, Query: "x"})
 			runtime.ReadMemStats(&after)
 			// A body read whole costs its chunks and the joined copy.
 			bound := uint64(min(c.limit, limit))

@@ -7,24 +7,28 @@ import (
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
+	"expertfind/internal/serve"
 	"expertfind/internal/wire"
 )
 
-// The codec of the /shard/papers body (layout: proto.go): one wire walk,
-// counts and lengths as 4-byte int32s.
+// The codec of the /shard/papers bodies (layout: proto.go): one wire walk
+// each, counts and lengths as 4-byte int32s.
 
 const (
-	tagPapers byte = 'P'
+	tagPapers  byte = 'P'
+	tagRequest byte = 'Q'
 
 	frameVersion     byte = 2
+	requestVersion   byte = 1
 	frameHeaderLen        = 2 // tag, version
 	frameContentType      = "application/x-expertfind-frame"
+	maxRequestBody        = 1 << 20 // a shard reads no larger request
 )
 
 var le = binary.LittleEndian
 
-// FrameError is a /shard/papers body the decoder refuses; the router
-// answers 502 for one.
+// FrameError is a /shard/papers body a decoder refuses: the shard answers
+// 400 for a request, the router 502 for a response.
 type FrameError struct{ Reason string }
 
 func (e *FrameError) Error() string { return "cluster: bad shard frame: " + e.Reason }
@@ -78,6 +82,37 @@ func decodeFrame(b []byte, r *PapersResponse) error {
 		return &FrameError{err.(*wire.Error).Reason}
 	}
 	return nil
+}
+
+// encodeRequest writes one request into a fresh buffer the transport owns.
+func encodeRequest(r *PapersRequest) []byte {
+	f := wire.Writer(make([]byte, 0, 20+len(r.Query)), wire.Fixed)
+	f.Header(tagRequest, requestVersion)
+	r.walk(&f)
+	return f.Bytes()
+}
+
+// decodeRequest reads one request into r, refusing besides what the walk
+// does an empty query and an m outside 1 to serve.MaxM.
+func decodeRequest(b []byte, r *PapersRequest) error {
+	f := wire.Reader(b, wire.Fixed)
+	f.Header(tagRequest, requestVersion)
+	if r.walk(&f); f.Err() == nil && (r.Query == "" || r.M < 1 || r.M > serve.MaxM) {
+		f.Fail("m %d and a query of %d bytes; want m in 1..%d and a query", r.M, len(r.Query), serve.MaxM)
+	}
+	if err := f.Done(); err != nil {
+		return &FrameError{err.(*wire.Error).Reason}
+	}
+	return nil
+}
+
+func (r *PapersRequest) walk(f *wire.Walker) {
+	wire.I32(f, &r.M)
+	f.Bool(&r.Authors)
+	f.Bool(&r.Text)
+	f.Bool(&r.Collect)
+	wire.I32(f, &r.BudgetMs)
+	f.Str(&r.Query)
 }
 
 // trace closes the response: the span tree as length-prefixed JSON, of

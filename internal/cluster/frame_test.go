@@ -13,6 +13,7 @@ import (
 
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
+	"expertfind/internal/serve"
 )
 
 func decodePapersResponse(b []byte) (*PapersResponse, error) {
@@ -302,4 +303,51 @@ func TestFrameGoldenBytes(t *testing.T) {
 	if got, err := decodePapersResponse(b); err != nil || !reflect.DeepEqual(got, goldenResponse()) {
 		t.Fatalf("the golden frame decoded to %+v, %v", got, err)
 	}
+}
+
+// TestShardRequestGoldenBytes pins a request's bytes: a change here is a
+// format change and needs a new request version.
+func TestShardRequestGoldenBytes(t *testing.T) {
+	want := PapersRequest{M: 40, Authors: true, Collect: true, BudgetMs: 250, Query: "graph"}
+	b := encodeRequest(&want)
+	const golden = "5101" + "28000000" + "01" + "00" + "01" + "fa000000" + "05000000" + "6772617068"
+	if got := hex.EncodeToString(b); got != golden {
+		t.Fatalf("request\n got %s\nwant %s", got, golden)
+	}
+	var got PapersRequest
+	if err := decodeRequest(b, &got); err != nil || got != want {
+		t.Fatalf("the golden request decoded to %+v, %v", got, err)
+	}
+}
+
+// FuzzShardRequest: whatever the bytes, the decoder refuses with a
+// *FrameError or builds no more than the bytes present, and anything it
+// accepts encodes back to the bytes it came from.
+func FuzzShardRequest(f *testing.F) {
+	for _, seed := range [][]byte{
+		encodeRequest(&PapersRequest{M: 40, Authors: true, Query: "graph"}),
+		encodeRequest(&PapersRequest{M: serve.MaxM, Text: true, Collect: true, BudgetMs: 1, Query: "Ünïcode 图嵌入"}),
+		{tagRequest, requestVersion, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 'x'},
+		{tagRequest, requestVersion, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'x'},
+		[]byte("q=graph&m=5"), nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var req PapersRequest
+		err := decodeRequest(b, &req)
+		if len(req.Query) > len(b) {
+			t.Fatalf("a query of %d bytes decoded from %d", len(req.Query), len(b))
+		}
+		if err != nil {
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("err = %v, want a *FrameError", err)
+			}
+			return
+		}
+		if again := encodeRequest(&req); !bytes.Equal(again, b) {
+			t.Fatalf("accepted %x, encodes back to %x", b, again)
+		}
+	})
 }

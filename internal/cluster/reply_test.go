@@ -143,7 +143,7 @@ func TestRouterRepliesConcurrently(t *testing.T) {
 	topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{}, nil, nil)
 	var paths []string
 	for _, q := range ds.Queries(8, rand.New(rand.NewSource(9))) {
-		paths = append(paths, "/experts?m=200&n=20&q="+url.QueryEscape(q.Text), "/papers?m=30&q="+url.QueryEscape(q.Text))
+		paths = append(paths, "/experts?m=200&n=20&"+url.Values{"q": {q.Text}}.Encode(), "/papers?m=30&"+url.Values{"q": {q.Text}}.Encode())
 	}
 	// response_ms is the one field a routed body may differ in.
 	responseMs := regexp.MustCompile(`"response_ms":[^,}]*,?`)

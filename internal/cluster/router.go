@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"net/http"
-	"net/url"
 	"slices"
 	"strconv"
 	"sync"
@@ -122,16 +121,10 @@ type requestIDKey struct{}
 
 // queryContext derives a query handler's context: bounded by
 // QueryTimeout, carrying the request ID the envelope stamped on the
-// response so shard sub-requests forward it, and — when a trace store is
-// attached — the collect flag that makes sub-requests ask shards for
-// their span trees.
+// response so shard sub-requests forward it.
 func (rt *Router) queryContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc) {
 	ctx, cancel := serve.QueryContext(r, rt.cfg.QueryTimeout)
-	ctx = context.WithValue(ctx, requestIDKey{}, w.Header().Get("X-Request-ID"))
-	if rt.Traces != nil {
-		ctx = withCollect(ctx)
-	}
-	return ctx, cancel
+	return context.WithValue(ctx, requestIDKey{}, w.Header().Get("X-Request-ID")), cancel
 }
 
 // writeRouterError maps fan-out failures onto client statuses: a whole
@@ -167,20 +160,10 @@ type rankScratch struct {
 
 var rankScratches = sync.Pool{New: func() any { return new(rankScratch) }}
 
-// startFanout opens the per-shard fan-out span under ctx: the parent of
-// this sub-request's rpc attempts and the graft point for the shard's
-// returned span tree.
-func startFanout(ctx context.Context, shard int) (context.Context, *obs.Span) {
-	fctx, span := obs.StartSpan(ctx, "fanout")
-	span.Annotate("shard", strconv.Itoa(shard))
-	return fctx, span
-}
-
-// scatterPapers fans GET /shard/papers out to every shard — detail is
-// "&authors=1", "&meta=1" or empty — and returns the per-shard results.
-// Any shard failing entirely fails the query.
-func (rt *Router) scatterPapers(ctx context.Context, q string, m int, detail string) ([]*PapersResponse, error) {
-	path := "/shard/papers?q=" + url.QueryEscape(q) + "&m=" + strconv.Itoa(m) + detail
+// scatterPapers asks every shard for req, and for its span tree when the
+// router keeps traces; any shard failing entirely fails the query.
+func (rt *Router) scatterPapers(ctx context.Context, req PapersRequest) ([]*PapersResponse, error) {
+	req.Collect = rt.Traces != nil
 	s := rt.client.NumShards()
 	resps := make([]*PapersResponse, s)
 	errs := make([]error, s)
@@ -189,9 +172,11 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, detail str
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fctx, fanout := startFanout(ctx, i)
+			// The parent of the rpc attempts, where the shard's tree is grafted.
+			fctx, fanout := obs.StartSpan(ctx, "fanout")
+			fanout.Annotate("shard", strconv.Itoa(i))
 			defer fanout.End()
-			b, err := rt.client.Get(fctx, i, path)
+			b, err := rt.client.Papers(fctx, i, req)
 			if err != nil {
 				errs[i] = err
 				return
@@ -330,7 +315,7 @@ func missingAuthor(papers []rankedPaper, id hetgraph.NodeID) error {
 // ranking in the router's registry.
 func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.ExpertResult, ta.Stats, error) {
 	sctx, sp := obs.StartSpan(ctx, "scatter_papers")
-	resps, err := rt.scatterPapers(sctx, q, m, "&authors=1")
+	resps, err := rt.scatterPapers(sctx, PapersRequest{M: m, Authors: true, Query: q})
 	sp.End()
 	if err != nil {
 		return nil, ta.Stats{}, err
@@ -472,7 +457,7 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryContext(w, r)
 	defer cancel()
 	qctx, root := obs.StartSpan(ctx, "papers")
-	resps, err := rt.scatterPapers(qctx, q, m, "&meta=1")
+	resps, err := rt.scatterPapers(qctx, PapersRequest{M: m, Text: true, Query: q})
 	root.End()
 	if rt.writeRouterError(w, err) {
 		return

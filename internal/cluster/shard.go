@@ -3,31 +3,24 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
-	"expertfind/internal/core"
 	"expertfind/internal/obs"
 	"expertfind/internal/serve"
 )
 
-// BudgetHeader carries the router's per-attempt deadline budget, in
-// milliseconds, to the shard. The shard bounds its own work by it so a
-// sub-request never outlives the fan-out attempt that issued it — the
-// router's context deadline cannot reach across the process boundary, the
-// header can.
-const BudgetHeader = "X-Budget-Ms"
-
 // MountShard exposes the internal shard API on an existing serve.Server:
 //
-//	GET /shard/papers?q=&m=[&authors=1][&meta=1] -> PapersResponse
+//	POST /shard/papers, body a PapersRequest -> PapersResponse
 //
-// with the body in the frame proto.go lays out. The route rides the
-// server's observability middleware like the public ones, and honours the
-// X-Budget-Ms deadline budget. The server's /healthz topology block is set
-// to the shard's coordinates (satisfying probes that must tell topology
-// members apart).
+// both bodies the frames proto.go lays out (any other method is 405). The
+// route rides the server's observability middleware like the public ones;
+// the server's /healthz topology block is set to the shard's coordinates.
 //
 // A shard whose store follows a leader is a drop-in member of a router
 // replica set: serve.MountReplication, mounted after this, reports role
@@ -46,31 +39,40 @@ func MountShard(srv *serve.Server, se *ShardEngine) {
 
 type shardAPI struct{ se *ShardEngine }
 
-// budgetContext bounds ctx by the request's X-Budget-Ms header, when
-// present and positive.
-func budgetContext(ctx context.Context, r *http.Request) (context.Context, context.CancelFunc) {
-	raw := r.Header.Get(BudgetHeader)
-	if raw == "" {
+// readRequest reads a body of declared length, at most maxRequestBody,
+// into a buffer from frameBuf and decodes it into req.
+func readRequest(r *http.Request, req *PapersRequest) error {
+	if n := r.ContentLength; n < 0 || n > maxRequestBody {
+		return &FrameError{fmt.Sprintf("Content-Length %d, want 0 to %d", n, maxRequestBody)}
+	}
+	b := frameBuf(int(r.ContentLength))
+	defer freeFrameBuf(b)
+	if _, err := io.ReadFull(r.Body, b); err != nil {
+		return &FrameError{"reading the body: " + err.Error()}
+	}
+	return decodeRequest(b, req)
+}
+
+// shardContext derives req's context: bounded by a positive budget, and
+// keeping the root span's tree when the router collects it.
+func (req *PapersRequest) shardContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if req.Collect {
+		ctx = obs.WithSpanTree(ctx)
+	}
+	if req.BudgetMs <= 0 {
 		return ctx, func() {}
 	}
-	ms, err := strconv.Atoi(raw)
-	if err != nil || ms <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	return context.WithTimeout(ctx, time.Duration(req.BudgetMs)*time.Millisecond)
 }
 
 // writeShardError maps shard-side failures the way the public query
-// routes do: 400 for bad parameters, 504 past the budget, 499 when the
-// router went away, 500 otherwise.
+// routes do: 504 past the budget, 499 when the router went away, 500
+// otherwise (the request's decoder has refused bad parameters).
 func writeShardError(w http.ResponseWriter, err error) bool {
 	if err == nil {
 		return false
 	}
-	var bad *core.BadParamError
 	switch {
-	case errors.As(err, &bad):
-		http.Error(w, bad.Error(), http.StatusBadRequest)
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, "shard budget exceeded", http.StatusGatewayTimeout)
 	case errors.Is(err, context.Canceled):
@@ -81,49 +83,39 @@ func writeShardError(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// exportTree closes the shard-side root span and returns its tree for
-// the frame's trace section when the router asked for it.
-func exportTree(span *obs.Span, r *http.Request) *obs.SpanNode {
-	span.End()
-	if r.Header.Get(obs.CollectHeader) != "1" {
-		return nil
-	}
-	t := span.Tree()
-	return &t
-}
-
 func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	q := params.Get("q")
-	if q == "" {
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	m, err := strconv.Atoi(params.Get("m"))
-	if err != nil || m < 1 {
-		http.Error(w, "parameter m must be a positive integer", http.StatusBadRequest)
+	var req PapersRequest
+	if err := readRequest(r, &req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	withText := params.Get("meta") == "1"
-	withAuthors := withText || params.Get("authors") == "1"
+	// Where the envelope's trace record and slow-query line find the text.
+	r.Form = url.Values{"q": {req.Query}}
+	ctx, cancel := req.shardContext(r.Context())
+	defer cancel()
 	// The root span joins the router's trace through the remote context
 	// the serve middleware extracted from X-Trace-Context.
-	sctx, span := obs.StartSpan(r.Context(), "shard_papers")
+	ctx, span := obs.StartSpan(ctx, "shard_papers")
 	span.Annotate("shard", strconv.Itoa(sh.se.ID()))
 	defer span.End()
-	ctx, cancel := budgetContext(sctx, r)
-	defer cancel()
 
-	res, err := sh.se.Retrieve(ctx, q, m)
+	res, err := sh.se.Retrieve(ctx, req.Query, req.M)
 	if writeShardError(w, err) {
 		return
 	}
-	resp := sh.se.Papers(res, withAuthors, withText)
-	resp.Trace = exportTree(span, r)
+	resp := sh.se.Papers(res, req.Authors || req.Text, req.Text)
+	if span.End(); req.Collect {
+		t := span.Tree()
+		resp.Trace = &t
+	}
 	frame := encodeFrame(resp)
 	resp.free()
-	// The length lets the router read the frame into one buffer of its
-	// size.
+	// The length lets the router read the frame into one buffer.
 	w.Header().Set("Content-Type", frameContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame)

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -26,62 +28,27 @@ func keepAll() obs.TracePolicy {
 	return obs.TracePolicy{Capacity: 128, SlowestN: -1, SampleEvery: 1}
 }
 
-// tracedTopology is a cluster deployment with trace stores attached on
-// the router and on every shard replica.
-type tracedTopology struct {
-	routerURL   string
-	router      *Router
-	shardStores []*obs.TraceStore // one per (shard, replica), row-major
-}
-
-// startTracedTopology mirrors startTopology but wires a trace store into
-// the router and each shard server, the way expertserve does with
-// -trace-capacity set.
+// startTracedTopology is startTopology with trace stores attached on the
+// router and on every shard replica, the way expertserve does with
+// -trace-capacity set; shardStores holds the replicas', shard by shard.
 func startTracedTopology(t *testing.T, eng *core.Engine, shards int, rcfg RouterConfig,
-	ccfg ClientConfig, replicasPerShard map[int]int) *tracedTopology {
+	ccfg ClientConfig, replicasPerShard map[int]int) (topo *topology, shardStores []*obs.TraceStore) {
 	t.Helper()
-	out := &tracedTopology{}
-	addrs := make([][]string, shards)
-	for i := 0; i < shards; i++ {
-		se, err := NewShardEngine(eng, ShardConfig{ID: i, Of: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps := 1
-		if replicasPerShard != nil && replicasPerShard[i] > 0 {
-			reps = replicasPerShard[i]
-		}
-		for r := 0; r < reps; r++ {
-			srv := serve.New(eng)
-			srv.SetReady(true)
-			srv.Traces = obs.NewTraceStore(keepAll())
-			MountShard(srv, se)
-			ts := httptest.NewServer(srv)
-			t.Cleanup(ts.Close)
-			addrs[i] = append(addrs[i], strings.TrimPrefix(ts.URL, "http://"))
-			out.shardStores = append(out.shardStores, srv.Traces)
-		}
+	topo = startTopology(t, eng, shards, rcfg, ccfg, replicasPerShard, nil)
+	topo.router.Traces = obs.NewTraceStore(keepAll())
+	for _, srv := range topo.servers {
+		srv.Traces = obs.NewTraceStore(keepAll())
+		shardStores = append(shardStores, srv.Traces)
 	}
-	reg := obs.NewRegistry()
-	client, err := NewShardClient(addrs, ccfg, reg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := NewRouter(client, rcfg, reg, nil)
-	router.Traces = obs.NewTraceStore(keepAll())
-	rs := httptest.NewServer(router)
-	t.Cleanup(rs.Close)
-	out.routerURL = rs.URL
-	out.router = router
-	return out
+	return topo, shardStores
 }
 
 // queryExpertsDebug is queryExperts with ?debug=1 set, so the response
 // carries the trace id.
 func queryExpertsDebug(t *testing.T, base, q string, m, n int) serve.ExpertsResponse {
 	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/experts?q=%s&m=%d&n=%d&debug=1",
-		base, url.QueryEscape(q), m, n))
+	resp, err := http.Get(fmt.Sprintf("%s/experts?%s&m=%d&n=%d&debug=1",
+		base, url.Values{"q": {q}}.Encode(), m, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +66,20 @@ func queryExpertsDebug(t *testing.T, base, q string, m, n int) serve.ExpertsResp
 
 // TestTraceRequestIDForwarded is the regression test for the fan-out
 // header gap: the router's request ID and trace context must reach the
-// shard on every sub-request, with span collection asked for only when
-// the context carries the collect flag.
+// shard on every sub-request, and the request body must carry the collect
+// flag it was given and the attempt's budget.
 func TestTraceRequestIDForwarded(t *testing.T) {
 	var mu sync.Mutex
 	var got []http.Header
+	var bodies []PapersRequest
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req PapersRequest
+		if err := readRequest(r, &req); err != nil {
+			t.Error(err)
+		}
 		mu.Lock()
 		got = append(got, r.Header.Clone())
+		bodies = append(bodies, req)
 		mu.Unlock()
 		w.Write([]byte("{}"))
 	}))
@@ -120,10 +93,12 @@ func TestTraceRequestIDForwarded(t *testing.T) {
 
 	ctx := context.WithValue(context.Background(), requestIDKey{}, "req-abc123")
 	sctx, span := obs.StartSpan(ctx, "query")
-	if _, err := client.Get(sctx, 0, "/shard/papers?q=x&m=1"); err != nil {
+	if _, err := client.Papers(sctx, 0, PapersRequest{M: 1, Query: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Get(withCollect(sctx), 0, "/shard/papers?q=x&m=1"); err != nil {
+	dctx, cancel := context.WithTimeout(sctx, 5*time.Second)
+	defer cancel()
+	if _, err := client.Papers(dctx, 0, PapersRequest{M: 1, Collect: true, Query: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	span.End()
@@ -145,36 +120,25 @@ func TestTraceRequestIDForwarded(t *testing.T) {
 			t.Errorf("request %d: trace id %s, want %s", i, tc.Trace, span.TraceID())
 		}
 	}
-	if got[0].Get(obs.CollectHeader) != "" {
-		t.Error("collect header sent without the collect flag")
+	if bodies[0].Collect || bodies[0].BudgetMs != 0 {
+		t.Errorf("request without a deadline or collection: %+v", bodies[0])
 	}
-	if got[1].Get(obs.CollectHeader) != "1" {
-		t.Error("collect header missing with the collect flag set")
+	if !bodies[1].Collect || bodies[1].BudgetMs < 1 || bodies[1].BudgetMs > 5000 {
+		t.Errorf("request with collection and a 5 s deadline: %+v", bodies[1])
 	}
 }
 
-// TestBudgetContext covers the shard-side budget header edge cases.
+// TestBudgetContext covers the shard side of the budget: none leaves the
+// context unbounded, a positive one bounds it, and one longer than the
+// caller's remaining deadline does not extend it.
 func TestBudgetContext(t *testing.T) {
-	mkReq := func(budget string) *http.Request {
-		r := httptest.NewRequest(http.MethodGet, "/shard/papers", nil)
-		if budget != "" {
-			r.Header.Set(BudgetHeader, budget)
-		}
-		return r
+	ctx, cancel := (&PapersRequest{}).shardContext(context.Background())
+	if _, ok := ctx.Deadline(); ok {
+		t.Error("budget 0: unexpected deadline")
 	}
+	cancel()
 
-	// Missing, zero, negative and non-numeric budgets leave the context
-	// unbounded rather than guessing a deadline.
-	for _, budget := range []string{"", "0", "-50", "soon", "12.5"} {
-		ctx, cancel := budgetContext(context.Background(), mkReq(budget))
-		if _, ok := ctx.Deadline(); ok {
-			t.Errorf("budget %q: unexpected deadline", budget)
-		}
-		cancel()
-	}
-
-	// A positive budget bounds the context.
-	ctx, cancel := budgetContext(context.Background(), mkReq("250"))
+	ctx, cancel = (&PapersRequest{BudgetMs: 250}).shardContext(context.Background())
 	dl, ok := ctx.Deadline()
 	if !ok {
 		t.Fatal("budget 250: no deadline")
@@ -184,12 +148,10 @@ func TestBudgetContext(t *testing.T) {
 	}
 	cancel()
 
-	// A budget LONGER than the caller's remaining deadline must not
-	// extend it: the tighter bound wins.
 	parent, pcancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer pcancel()
 	pdl, _ := parent.Deadline()
-	ctx, cancel = budgetContext(parent, mkReq("10000"))
+	ctx, cancel = (&PapersRequest{BudgetMs: 10000}).shardContext(parent)
 	defer cancel()
 	dl, ok = ctx.Deadline()
 	if !ok {
@@ -200,8 +162,39 @@ func TestBudgetContext(t *testing.T) {
 	}
 }
 
-// TestTraceAssemblyAcrossCluster is the tentpole's end-to-end check over
-// real loopback HTTP: one query through router + 3 shards yields ONE
+// TestShardTraceNamesQuery: the query text reaches a shard in its body,
+// not its URL, and the shard's trace record and slow-query line still
+// name it.
+func TestShardTraceNamesQuery(t *testing.T) {
+	_, eng := equivEngine(t)
+	se, err := NewShardEngine(eng, ShardConfig{ID: 0, Of: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	srv := serve.New(eng)
+	srv.SetReady(true)
+	srv.Traces = obs.NewTraceStore(keepAll())
+	srv.SlowQuery = time.Nanosecond
+	srv.Log = slog.New(slog.NewTextHandler(&log, nil))
+	MountShard(srv, se)
+	const q = "graph embedding"
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/papers",
+		bytes.NewReader(encodeRequest(&PapersRequest{M: 5, Query: q}))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if idx := srv.Traces.Index(); len(idx) != 1 || idx[0].Query != q {
+		t.Errorf("traces %+v, want one naming %q", idx, q)
+	}
+	if !strings.Contains(log.String(), "msg=slow_query") || !strings.Contains(log.String(), `q="`+q+`"`) {
+		t.Errorf("no slow_query line naming %q:\n%s", q, log.String())
+	}
+}
+
+// TestTraceAssemblyAcrossCluster is the end-to-end trace check: one
+// query through router + 3 shards yields ONE
 // assembled trace — a single trace id shared by the router's spans and
 // every shard's grafted subtree — while rankings stay bit-identical to
 // single node.
@@ -210,7 +203,7 @@ func TestTraceAssemblyAcrossCluster(t *testing.T) {
 	q := ds.Queries(1, rand.New(rand.NewSource(21)))[0]
 	const m, n, shards = 40, 10, 3
 
-	topo := startTracedTopology(t, eng, shards, RouterConfig{}, ClientConfig{}, nil)
+	topo, shardStores := startTracedTopology(t, eng, shards, RouterConfig{}, ClientConfig{}, nil)
 
 	want, _, err := eng.TopExperts(q.Text, m, n)
 	if err != nil {
@@ -282,7 +275,7 @@ func TestTraceAssemblyAcrossCluster(t *testing.T) {
 
 	// Cross-node identity: each shard's own trace store retains records
 	// under the SAME trace id — the header propagated, nothing re-minted.
-	for i, store := range topo.shardStores {
+	for i, store := range shardStores {
 		recs := store.Get(traceID)
 		if len(recs) == 0 {
 			t.Errorf("shard server %d has no records for trace %s", i, traceID)
@@ -327,13 +320,15 @@ func TestTraceHedgeVisible(t *testing.T) {
 	q := ds.Queries(1, rand.New(rand.NewSource(33)))[0]
 	const m, n = 40, 10
 
-	// HedgeAfter of 1ns hedges every sub-request against the second
-	// replica; rankings must be unaffected (replicas are identical).
-	// EjectAfter 1 arms the ejection-regression check below: if losing a
-	// hedge race counted as a replica failure, a single query would eject
-	// the loser.
-	topo := startTracedTopology(t, eng, 2, RouterConfig{},
+	// Each shard's first pick, its replica 0, holds the sub-request until
+	// the hedge to replica 1, 1ns later, wins and cancels it; rankings must
+	// be unaffected (replicas are identical). EjectAfter 1 arms the
+	// ejection-regression check below: if losing a hedge race counted as
+	// a replica failure, a single query would eject the loser.
+	topo, _ := startTracedTopology(t, eng, 2, RouterConfig{},
 		ClientConfig{HedgeAfter: time.Nanosecond, EjectAfter: 1}, map[int]int{0: 2, 1: 2})
+	topo.replica(0, 0).set(always(hold))
+	topo.replica(1, 0).set(always(hold))
 
 	want, _, err := eng.TopExperts(q.Text, m, n)
 	if err != nil {
@@ -390,54 +385,52 @@ func TestTraceHedgeVisible(t *testing.T) {
 // immediately afterwards and an open span would show a still-running
 // clock there.
 func TestTraceHedgeLoserSpanClosed(t *testing.T) {
-	newReplica := func(delay time.Duration) string {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			select {
-			case <-time.After(delay):
-			case <-r.Context().Done():
-				return
-			}
-			w.Write([]byte("{}"))
-		}))
-		t.Cleanup(ts.Close)
-		return strings.TrimPrefix(ts.URL, "http://")
-	}
-	// Whichever replica is picked as primary, the fast one wins the race
-	// and the slow one is abandoned mid-sleep.
-	fast := newReplica(30 * time.Millisecond)
-	slow := newReplica(500 * time.Millisecond)
-
-	client, err := NewShardClient([][]string{{fast, slow}},
+	answer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("{}")) })
+	// The first pick holds the request, so the hedge to the other wins
+	// and the first is abandoned in flight.
+	mn := memNet{"held": {h: answer}, "fast": {h: answer}}
+	mn["held"].set(always(hold))
+	client, err := NewShardClient([][]string{{"held", "fast"}},
 		ClientConfig{HedgeAfter: 5 * time.Millisecond}, obs.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	client.hc.Transport = mn
 	sctx, root := obs.StartSpan(obs.WithSpanTree(context.Background()), "query")
-	if _, err := client.Get(sctx, 0, "/shard/papers?q=x&m=1"); err != nil {
+	if _, err := client.Papers(sctx, 0, PapersRequest{M: 1, Query: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
 
-	// Serialize well after the win but while the loser handler is still
-	// sleeping: an un-closed loser span would export a running clock.
-	time.Sleep(150 * time.Millisecond)
-	var rpcs []obs.SpanNode
-	walkNodes(root.Tree(), func(nd obs.SpanNode) {
-		if nd.Name == "rpc" {
-			rpcs = append(rpcs, nd)
-		}
-	})
-	if len(rpcs) != 2 {
+	// An open span exports its running clock, so the loser's duration
+	// must read the same in two serializations taken apart.
+	rpcSpans := func() []obs.SpanNode {
+		var rpcs []obs.SpanNode
+		walkNodes(root.Tree(), func(nd obs.SpanNode) {
+			if nd.Name == "rpc" {
+				rpcs = append(rpcs, nd)
+			}
+		})
+		return rpcs
+	}
+	rpcs := rpcSpans()
+	time.Sleep(2 * time.Millisecond)
+	later := rpcSpans()
+	if len(rpcs) != 2 || len(later) != 2 {
 		t.Fatalf("%d rpc spans, want 2 (primary + hedge)", len(rpcs))
 	}
 	cancelled := 0
-	for _, nd := range rpcs {
+	for i, nd := range rpcs {
 		if nd.Attrs["cancelled"] != "1" {
 			continue
 		}
 		cancelled++
 		if d := time.Duration(nd.DurationNano); d > 120*time.Millisecond {
 			t.Errorf("cancelled rpc span duration %v: clock not frozen at cancellation", d)
+		}
+		if nd.SpanID != later[i].SpanID || nd.DurationNano != later[i].DurationNano {
+			t.Errorf("cancelled rpc span %s reads %v, then %s %v: clock not frozen at cancellation",
+				nd.SpanID, time.Duration(nd.DurationNano), later[i].SpanID, time.Duration(later[i].DurationNano))
 		}
 	}
 	if cancelled != 1 {

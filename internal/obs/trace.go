@@ -28,12 +28,6 @@ import (
 // standard tooling.
 const TraceHeader = "X-Trace-Context"
 
-// CollectHeader asks the receiving node to return its completed span
-// tree in the response envelope ("1" enables). The router sets it only
-// when it has a trace store to graft the result into, so shards do not
-// pay the export and wire cost for untraced deployments.
-const CollectHeader = "X-Trace-Collect"
-
 // TraceID names one distributed query across every node it touches.
 type TraceID [16]byte
 

@@ -28,7 +28,7 @@ func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // before. The bound is that plus 10 %.
 func TestServeAllocsPerQuery(t *testing.T) {
 	s, ds := server(t)
-	req := httptest.NewRequest("GET", "/experts?q="+url.QueryEscape(ds.Corpus()[3][:40])+"&n=5&m=40", nil)
+	req := httptest.NewRequest("GET", "/experts?"+url.Values{"q": {ds.Corpus()[3][:40]}}.Encode()+"&n=5&m=40", nil)
 	w := discardWriter{header: http.Header{}}
 	allocs := testing.AllocsPerRun(50, func() { s.ServeHTTP(w, req) })
 	t.Logf("a served /experts made %v allocations", allocs)

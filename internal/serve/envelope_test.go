@@ -84,7 +84,7 @@ func TestWriteJSONPoolIsolation(t *testing.T) {
 			q := fmt.Sprintf("%s %d", corpus[i%len(corpus)][:30], i)
 			if i%2 == 0 {
 				var resp ExpertsResponse
-				getJSON(t, s, "/experts?q="+url.QueryEscape(q)+"&n=5&m=40", &resp)
+				getJSON(t, s, "/experts?"+url.Values{"q": {q}}.Encode()+"&n=5&m=40", &resp)
 				if resp.Query != q || len(resp.Experts) != 5 {
 					t.Errorf("request %d got the answer to %q with %d experts", i, resp.Query, len(resp.Experts))
 				}
@@ -92,7 +92,7 @@ func TestWriteJSONPoolIsolation(t *testing.T) {
 			}
 			m := 1 + i%7
 			var papers []PaperResult
-			getJSON(t, s, fmt.Sprintf("/papers?q=%s&m=%d", url.QueryEscape(q), m), &papers)
+			getJSON(t, s, fmt.Sprintf("/papers?%s&m=%d", url.Values{"q": {q}}.Encode(), m), &papers)
 			if len(papers) != m {
 				t.Errorf("request %d asked for %d papers, got %d", i, m, len(papers))
 			}
@@ -145,7 +145,7 @@ func indented(t *testing.T, compact []byte) []byte {
 // the new one is the old one minus insignificant whitespace.
 func TestBodiesDifferOnlyInWhitespace(t *testing.T) {
 	s, ds := updateServer(t)
-	q := url.QueryEscape(ds.Corpus()[0][:40])
+	q := url.Values{"q": {ds.Corpus()[0][:40]}}.Encode()
 	authors := ds.Graph.NodesOfType(hetgraph.Author)
 	paper := ds.Graph.NodesOfType(hetgraph.Paper)[0]
 	notReady, _ := updateServer(t)
@@ -158,8 +158,8 @@ func TestBodiesDifferOnlyInWhitespace(t *testing.T) {
 		code         int
 		into         func() interface{}
 	}{
-		{s, "GET", "/experts?q=" + q + "&n=5&m=40&debug=1", "", 200, func() interface{} { return new(ExpertsResponse) }},
-		{s, "GET", "/papers?q=" + q + "&m=7", "", 200, func() interface{} { return new([]PaperResult) }},
+		{s, "GET", "/experts?" + q + "&n=5&m=40&debug=1", "", 200, func() interface{} { return new(ExpertsResponse) }},
+		{s, "GET", "/papers?" + q + "&m=7", "", 200, func() interface{} { return new([]PaperResult) }},
 		{s, "GET", fmt.Sprintf("/similar?id=%d&m=3", paper), "", 200, func() interface{} { return new([]PaperResult) }},
 		{s, "POST", "/add", fmt.Sprintf(`{"text":"one more paper","authors":[%d]}`, authors[0]), 200, func() interface{} { return new(AddResponse) }},
 		{s, "GET", "/healthz", "", 200, func() interface{} { return new(HealthResponse) }},

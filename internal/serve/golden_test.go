@@ -47,7 +47,7 @@ func TestGoldenQueryScript(t *testing.T) {
 	}
 	experts := func(q string, m, n int) ExpertsResponse {
 		t.Helper()
-		code, rec := get("/experts?q=" + url.QueryEscape(q) +
+		code, rec := get("/experts?" + url.Values{"q": {q}}.Encode() +
 			"&m=" + strconv.Itoa(m) + "&n=" + strconv.Itoa(n))
 		if code != 200 {
 			t.Fatalf("experts %q: status %d: %s", q, code, rec.Body.String())
@@ -95,8 +95,8 @@ func TestGoldenQueryScript(t *testing.T) {
 	}
 
 	// 5+6. /papers is its own entry: miss then hit, same bytes.
-	_, rec5 := get("/papers?q=" + url.QueryEscape(query) + "&m=10")
-	_, rec6 := get("/papers?q=" + url.QueryEscape(query) + "&m=10")
+	_, rec5 := get("/papers?" + url.Values{"q": {query}}.Encode() + "&m=10")
+	_, rec6 := get("/papers?" + url.Values{"q": {query}}.Encode() + "&m=10")
 	if rec5.Body.String() != rec6.Body.String() {
 		t.Fatal("steps 5/6: papers hit differs from miss")
 	}
@@ -122,7 +122,7 @@ func TestGoldenQueryScript(t *testing.T) {
 
 	// 9. Expired deadline: 504, counted, and not a cache interaction.
 	s.QueryTimeout = time.Nanosecond
-	code, rec := get("/experts?q=" + url.QueryEscape(query) + "&m=40&n=5")
+	code, rec := get("/experts?" + url.Values{"q": {query}}.Encode() + "&m=40&n=5")
 	if code != 504 {
 		t.Fatalf("step 9: status %d, want 504: %s", code, rec.Body.String())
 	}
@@ -131,7 +131,7 @@ func TestGoldenQueryScript(t *testing.T) {
 	// 10. Saturated server: 503 with a Retry-After hint of one second.
 	s.MaxInFlight = 2
 	s.inflightQueries.Store(2)
-	code, rec = get("/experts?q=" + url.QueryEscape(query) + "&m=40&n=5")
+	code, rec = get("/experts?" + url.Values{"q": {query}}.Encode() + "&m=40&n=5")
 	if code != 503 {
 		t.Fatalf("step 10: status %d, want 503", code)
 	}
@@ -168,7 +168,7 @@ func TestGoldenRankingsDeterministic(t *testing.T) {
 	s1, _, ds, _ := goldenServer(t)
 	s2, _, _, _ := goldenServer(t)
 	for _, q := range []string{ds.Corpus()[0][:40], ds.Corpus()[7][:30]} {
-		path := "/experts?q=" + url.QueryEscape(q) + "&m=40&n=5"
+		path := "/experts?" + url.Values{"q": {q}}.Encode() + "&m=40&n=5"
 		rec1, rec2 := httptest.NewRecorder(), httptest.NewRecorder()
 		s1.ServeHTTP(rec1, httptest.NewRequest("GET", path, nil))
 		s2.ServeHTTP(rec2, httptest.NewRequest("GET", path, nil))

@@ -190,9 +190,9 @@ func (e Envelope) Serve(w http.ResponseWriter, r *http.Request, next http.Handle
 	var capture *obs.TraceCapture
 	if e.Traced[route] {
 		ctx, capture = obs.WithTraceCapture(ctx)
-		// The root's tree is read only by the trace store and by a
-		// remote caller that collects it.
-		if e.Traces != nil || r.Header.Get(obs.CollectHeader) == "1" {
+		// The trace store reads the root's tree; a handler whose caller
+		// collects it marks its own context.
+		if e.Traces != nil {
 			ctx = obs.WithSpanTree(ctx)
 		}
 	}
@@ -246,7 +246,7 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 		return
 	}
 	traceID := root.TraceIDString()
-	q := r.URL.Query().Get("q") // parsed here at most once, and only when a record needs it
+	q := r.FormValue("q") // the URL's, or what a handler decoded from its body
 	if e.Traces != nil {
 		tree := root.Tree()
 		rule, kept := e.Traces.Add(obs.TraceRecord{

@@ -44,11 +44,11 @@ func TestMetricsEndpointIntegration(t *testing.T) {
 		s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		return rec
 	}
-	q := url.QueryEscape(ds.Corpus()[0][:30])
-	if rec := get("/experts?q=" + q + "&n=5&m=30"); rec.Code != 200 {
+	q := url.Values{"q": {ds.Corpus()[0][:30]}}.Encode()
+	if rec := get("/experts?" + q + "&n=5&m=30"); rec.Code != 200 {
 		t.Fatalf("/experts: %d %s", rec.Code, rec.Body.String())
 	}
-	if rec := get("/papers?q=" + q + "&m=5"); rec.Code != 200 {
+	if rec := get("/papers?" + q + "&m=5"); rec.Code != 200 {
 		t.Fatalf("/papers: %d", rec.Code)
 	}
 	paper := ds.Graph.NodesOfType(hetgraph.Paper)[0]
@@ -118,7 +118,7 @@ func TestServedEnginesRecordApart(t *testing.T) {
 	a, regA, ds := obsServer(t)
 	_, regB, _ := obsServer(t) // served after A
 	rec := httptest.NewRecorder()
-	a.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?m=30&q="+url.QueryEscape(ds.Corpus()[0][:30]), nil))
+	a.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?m=30&"+url.Values{"q": {ds.Corpus()[0][:30]}}.Encode(), nil))
 	if rec.Code != 200 {
 		t.Fatalf("/experts on A: %d %s", rec.Code, rec.Body.String())
 	}
@@ -135,7 +135,7 @@ func TestServedEnginesRecordApart(t *testing.T) {
 func TestDebugVarsEndpoint(t *testing.T) {
 	s, _, ds := obsServer(t)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?q="+url.QueryEscape(ds.Corpus()[1][:20]), nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?"+url.Values{"q": {ds.Corpus()[1][:20]}}.Encode(), nil))
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
 	if rec.Code != 200 {
@@ -268,7 +268,7 @@ func TestPapersNonASCIITitles(t *testing.T) {
 	}
 	s := New(e)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/papers?q="+url.QueryEscape("専門家検索")+"&m=5", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/papers?"+url.Values{"q": {"専門家検索"}}.Encode()+"&m=5", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}

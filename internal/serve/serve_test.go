@@ -37,7 +37,7 @@ func TestExpertsEndpoint(t *testing.T) {
 	s, ds := server(t)
 	q := ds.Corpus()[0][:40]
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?q="+url.QueryEscape(q)+"&n=5&m=40", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?"+url.Values{"q": {q}}.Encode()+"&n=5&m=40", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -59,7 +59,7 @@ func TestExpertsEndpoint(t *testing.T) {
 	// candidates is the number of distinct authors of the papers the
 	// query retrieved, whatever the engine's options.
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/papers?q="+url.QueryEscape(q)+"&m=40", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/papers?"+url.Values{"q": {q}}.Encode()+"&m=40", nil))
 	var papers []PaperResult
 	if err := json.Unmarshal(rec.Body.Bytes(), &papers); err != nil || len(papers) != 40 {
 		t.Fatalf("/papers: %d papers, err %v", len(papers), err)
@@ -79,7 +79,7 @@ func TestExpertsEndpoint(t *testing.T) {
 func TestPapersEndpoint(t *testing.T) {
 	s, ds := server(t)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/papers?q="+url.QueryEscape(ds.Corpus()[3][:30])+"&m=7", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/papers?"+url.Values{"q": {ds.Corpus()[3][:30]}}.Encode()+"&m=7", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -146,7 +146,7 @@ func TestConcurrentQueries(t *testing.T) {
 			go func(q string) {
 				defer wg.Done()
 				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?q="+url.QueryEscape(q[:20])+"&n=3&m=20", nil))
+				s.ServeHTTP(rec, httptest.NewRequest("GET", "/experts?"+url.Values{"q": {q[:20]}}.Encode()+"&n=3&m=20", nil))
 				if rec.Code != 200 {
 					errs <- rec.Body.String()
 				}

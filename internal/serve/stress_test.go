@@ -20,10 +20,10 @@ func TestStressReadsDuringAdd(t *testing.T) {
 	s, ds := updateServer(t)
 	authors := ds.Graph.NodesOfType(hetgraph.Author)
 	paper := ds.Graph.NodesOfType(hetgraph.Paper)[0]
-	q := url.QueryEscape(ds.Corpus()[0][:40])
+	q := url.Values{"q": {ds.Corpus()[0][:40]}}.Encode()
 	reads := []string{
-		"/experts?q=" + q + "&n=5&m=40",
-		"/papers?q=" + q + "&m=10",
+		"/experts?" + q + "&n=5&m=40",
+		"/papers?" + q + "&m=10",
 		fmt.Sprintf("/similar?id=%d&m=5", paper),
 		"/healthz",
 	}

@@ -38,7 +38,7 @@ func TestTraceServeLifecycle(t *testing.T) {
 		return rec
 	}
 	q := ds.Corpus()[0][:30]
-	path := "/experts?q=" + url.QueryEscape(q) + "&n=5&m=30&debug=1"
+	path := "/experts?" + url.Values{"q": {q}}.Encode() + "&n=5&m=30&debug=1"
 
 	rec := get(path)
 	if rec.Code != 200 {
@@ -158,7 +158,7 @@ func TestTraceServeLifecycle(t *testing.T) {
 			kept(obs.KeepSampled), kept(obs.KeepSlow), dropped.Value())
 	}
 	s.Traces = obs.NewTraceStore(obs.TracePolicy{SlowestN: -1, SampleEvery: -1}) // keeps no ordinary trace
-	get("/papers?q=" + url.QueryEscape(q) + "&m=3")
+	get("/papers?" + url.Values{"q": {q}}.Encode() + "&m=3")
 	if dropped.Value() != 1 {
 		t.Errorf("dropped = %v after a trace no rule keeps, want 1", dropped.Value())
 	}
