@@ -68,13 +68,14 @@ func encodeFrame(r *PapersResponse) []byte {
 	return f.Bytes()
 }
 
-// decodeFrame reads one response into r, reusing its papers and table and
+// decodeFrame reads one response into r, reusing its papers and table
+// (and keeping the array Papers recycles, for r's next use on a shard) and
 // allocating its strings and author lists once each, not per entry. It
 // refuses a frame that does not open with the tag and this version — a
 // JSON body, a peer that speaks version 1, fails there on its first bytes
 // — and one with bytes left over.
 func decodeFrame(b []byte, r *PapersResponse) error {
-	*r = PapersResponse{Papers: r.Papers[:0], Authors: r.Authors[:0]}
+	*r = PapersResponse{Papers: r.Papers[:0], Authors: r.Authors[:0], ids: r.ids}
 	f := wire.Reader(b, wire.Fixed)
 	f.Header(tagPapers, frameVersion)
 	r.walk(&f)

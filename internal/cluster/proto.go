@@ -92,4 +92,7 @@ type PapersResponse struct {
 	// Trace is the shard's completed span tree for this sub-request when
 	// the request set Collect, which the router grafts into its trace.
 	Trace *obs.SpanNode
+	// ids is the array behind Papers' author lists on the shard, kept
+	// with the response when it is recycled.
+	ids []hetgraph.NodeID
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -95,7 +94,9 @@ func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Where the envelope's trace record and slow-query line find the text.
-	r.Form = url.Values{"q": {req.Query}}
+	if c := obs.CaptureFromContext(r.Context()); c != nil {
+		c.Query = req.Query
+	}
 	ctx, cancel := req.shardContext(r.Context())
 	defer cancel()
 	// The root span joins the router's trace through the remote context

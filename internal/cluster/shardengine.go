@@ -116,42 +116,48 @@ func (se *ShardEngine) Retrieve(ctx context.Context, query string, m int) ([]pgi
 // Papers renders retrieved papers as the /shard/papers payload (a
 // recycled response, for the caller to free once sent) under ONE read of
 // the graph — a shard accepts POST /add while it answers — copying
-// what it reads: with authors, each paper's ordered author ids (one array
-// behind every list) and the table of those authors, each once in
-// ascending id order — marked in a bitset over node ids, then read out and
-// cleared word by word between the lowest and the highest, no sort; with
-// text, the papers' text too.
+// what it reads: with authors, each paper's ordered author ids, read once
+// into one array behind every list (recycled with the response), and the
+// table of those authors, each once in ascending id order — marked from
+// that array in a bitset over node ids, then read out and cleared word by
+// word between the lowest and the highest, no sort; with text, the
+// papers' text too.
 func (se *ShardEngine) Papers(res []pgindex.Result, authors, text bool) *PapersResponse {
 	resp := responses.Get().(*PapersResponse)
-	*resp = PapersResponse{Shard: se.cfg.ID, Papers: slices.Grow(resp.Papers[:0], len(res))[:len(res)], Authors: resp.Authors[:0]}
+	*resp = PapersResponse{Shard: se.cfg.ID, Papers: slices.Grow(resp.Papers[:0], len(res))[:len(res)],
+		Authors: resp.Authors[:0], ids: resp.ids[:0]}
 	se.eng.ReadGraph(func(g *hetgraph.Graph) {
-		marks := authorMarks.Get().(*[]uint64)
-		if words := (g.NumNodes() + 63) / 64; len(*marks) < words {
-			*marks = make([]uint64, words)
-		}
-		set, lo, hi, ids := *marks, len(*marks), -1, 0
+		ids := resp.ids
 		for i, p := range res {
 			resp.Papers[i] = WirePaper{ID: int32(p.ID), Dist: p.Dist}
 			if text {
 				resp.Papers[i].Text = g.Label(p.ID)
 			}
-			if !authors {
-				continue
-			}
-			for _, a := range g.AuthorsOf(p.ID) {
-				w := int(a >> 6)
-				set[w] |= 1 << (a & 63)
-				lo, hi = min(lo, w), max(hi, w)
-				ids++
+			if authors {
+				from := len(ids)
+				ids = append(ids, g.AuthorsOf(p.ID)...)
+				resp.Papers[i].Authors = ids[from:]
 			}
 		}
-		if ids > 0 {
-			arena := make([]hetgraph.NodeID, 0, ids)
-			for i, p := range res {
-				from := len(arena)
-				arena = append(arena, g.AuthorsOf(p.ID)...)
-				resp.Papers[i].Authors = arena[from:len(arena):len(arena)]
-			}
+		if len(ids) == 0 {
+			return
+		}
+		// The lists again, now that ids has stopped moving.
+		from := 0
+		for i := range resp.Papers {
+			n := from + len(resp.Papers[i].Authors)
+			resp.Papers[i].Authors, from = ids[from:n:n], n
+		}
+		resp.ids = ids
+		marks := authorMarks.Get().(*[]uint64)
+		if words := (g.NumNodes() + 63) / 64; len(*marks) < words {
+			*marks = make([]uint64, words)
+		}
+		set, lo, hi := *marks, len(*marks), -1
+		for _, a := range ids {
+			w := int(a >> 6)
+			set[w] |= 1 << (a & 63)
+			lo, hi = min(lo, w), max(hi, w)
 		}
 		for w := lo; w <= hi; w++ {
 			for x := set[w]; x != 0; x &= x - 1 {

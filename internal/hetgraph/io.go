@@ -45,13 +45,13 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	// rebuild author lists in author-id order and silently change every
 	// loaded corpus's expert scores. Cite edges (paper-paper) are
 	// deduplicated by emitting only towards the higher id.
-	for u := range g.adj {
+	for u := range g.types {
 		uid := NodeID(u)
 		if g.types[uid] != Paper {
 			continue
 		}
 		for t := NodeType(0); t < numNodeTypes; t++ {
-			for _, v := range g.adj[u][t] {
+			for _, v := range g.Neighbors(uid, t) {
 				if g.types[v] == Paper && v < uid {
 					continue // Cite edge, emitted from the lower paper
 				}

@@ -47,33 +47,15 @@ func InducedSubgraph(g *Graph, papers []NodeID) (*Graph, map[NodeID]NodeID, erro
 		if !keep[old] || g.Type(old) != Paper {
 			continue
 		}
-		add := func(v NodeID, et EdgeType) error {
-			if !keep[v] {
-				return nil
-			}
-			return sub.AddEdge(mapping[old], mapping[v], et)
-		}
-		for _, a := range g.adj[old][Author] {
-			if err := add(a, Write); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, v := range g.adj[old][Venue] {
-			if err := add(v, Publish); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, t := range g.adj[old][Topic] {
-			if err := add(t, Mention); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, q := range g.adj[old][Paper] {
-			if q < old {
-				continue
-			}
-			if err := add(q, Cite); err != nil {
-				return nil, nil, err
+		for t := NodeType(0); t < numNodeTypes; t++ {
+			et, _ := edgeTypeFor(Paper, t) // every node type has one
+			for _, v := range g.Neighbors(old, t) {
+				if !keep[v] || (t == Paper && v < old) {
+					continue
+				}
+				if err := sub.AddEdge(mapping[old], mapping[v], et); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 	}

@@ -167,7 +167,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		} else {
 			s.traceID = NewTraceID()
 		}
-		if c, ok := ctx.Value(captureKey).(*TraceCapture); ok {
+		if c := CaptureFromContext(ctx); c != nil {
 			c.offer(s)
 		}
 	}

@@ -184,7 +184,7 @@ func TraceIDFromContext(ctx context.Context) string {
 	if s := SpanFromContext(ctx); s != nil {
 		return s.TraceIDString()
 	}
-	if c, ok := ctx.Value(captureKey).(*TraceCapture); ok {
+	if c := CaptureFromContext(ctx); c != nil {
 		if root := c.Root(); root != nil {
 			return root.TraceIDString()
 		}
@@ -231,8 +231,12 @@ func (n SpanNode) HasAttr(key string) bool {
 // ends internally, without wrapping queries in an extra span (which
 // would rename every stage metric).
 type TraceCapture struct {
-	mu   sync.Mutex
-	root *Span
+	// Query is the query text a handler decoded from its request body,
+	// for the trace record and the slow-query line, set on the handler's
+	// goroutine; empty, they read the URL's q.
+	Query string
+	mu    sync.Mutex
+	root  *Span
 }
 
 // WithTraceCapture derives a context whose first root span is recorded
@@ -240,6 +244,13 @@ type TraceCapture struct {
 func WithTraceCapture(ctx context.Context) (context.Context, *TraceCapture) {
 	c := &TraceCapture{}
 	return context.WithValue(ctx, captureKey, c), c
+}
+
+// CaptureFromContext returns the capture WithTraceCapture installed in
+// ctx, or nil.
+func CaptureFromContext(ctx context.Context) *TraceCapture {
+	c, _ := ctx.Value(captureKey).(*TraceCapture)
+	return c
 }
 
 // Root returns the captured root span, or nil if none started.

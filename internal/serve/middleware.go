@@ -246,7 +246,10 @@ func (e Envelope) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 		return
 	}
 	traceID := root.TraceIDString()
-	q := r.FormValue("q") // the URL's, or what a handler decoded from its body
+	q := capture.Query // what a handler decoded from its body
+	if q == "" {
+		q = r.URL.Query().Get("q")
+	}
 	if e.Traces != nil {
 		tree := root.Tree()
 		rule, kept := e.Traces.Add(obs.TraceRecord{
