@@ -2,6 +2,7 @@ package textenc
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -11,11 +12,18 @@ import (
 // from the text with the small corpus then holds the one scan to the
 // reference and to Tokenize, and Tokenize under it to the reference.
 func FuzzTokenize(f *testing.F) {
-	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
+	v, _ := BuildVocabTokens(smallCorpus(), VocabConfig{MinWordFreq: 1})
 	tk, ref := NewTokenizer(v), newRefTokenizer(v)
 	for _, seed := range []string{
 		"", "community search", "日本語テキスト", "a", "ALL CAPS!!!",
 		"mixed123numbers", "\x00\xff binary-ish", "ω≤∞ unicode math",
+		// Upper-case letters outside ASCII, which lower-case rune by rune.
+		"Поиск экспертов в ГЕТЕРОГЕННЫХ графах, İstanbul Kelvin ǅ",
+		// Words of 5-7 bytes one byte off a token: the table's key hash
+		// reads their tails in two overlapping loads.
+		"graphz searcx expers",
+		// Past MaxSequenceLength tokens, cut inside a word of two pieces.
+		"a " + strings.Repeat("searching ", 300),
 	} {
 		f.Add(seed)
 	}
@@ -45,7 +53,7 @@ func FuzzTokenize(f *testing.F) {
 // FuzzEncode asserts the encoder always yields a finite, unit-or-zero
 // vector for arbitrary text.
 func FuzzEncode(f *testing.F) {
-	v := BuildVocab(smallCorpus(), VocabConfig{MinWordFreq: 1})
+	v, _ := BuildVocabTokens(smallCorpus(), VocabConfig{MinWordFreq: 1})
 	e := NewEncoder(v, 8, 1)
 	f.Add("community graphs")
 	f.Add("")

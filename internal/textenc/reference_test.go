@@ -11,8 +11,6 @@ import (
 	"testing"
 	"unicode"
 
-	"expertfind/internal/dataset"
-	"expertfind/internal/hetgraph"
 	"expertfind/internal/vec"
 )
 
@@ -158,15 +156,9 @@ func refBuildVocab(corpus []string, cfg VocabConfig) *Vocab {
 
 // referenceCorpora are the texts both equivalence tests run over: plain
 // lower-case ASCII, mixed case (case folding changes which characters and
-// words exist), multi-byte scripts with characters that lower-case into
-// ASCII or fail to decode, and a generated corpus with enough repetition
-// for the n-gram memo and the frequency cut-offs to matter.
+// words exist), and multi-byte scripts with characters that lower-case
+// into ASCII or fail to decode.
 func referenceCorpora() map[string][]string {
-	var aminer []string
-	g := dataset.Generate(dataset.AminerSim(150)).Graph
-	for _, p := range g.NodesOfType(hetgraph.Paper) {
-		aminer = append(aminer, g.Label(p))
-	}
 	return map[string][]string{
 		"ascii": smallCorpus(),
 		"upper-case": {
@@ -180,14 +172,15 @@ func referenceCorpora() map[string][]string {
 			"Поиск экспертов в ГЕТЕРОГЕННЫХ графах",
 			"İstanbul Kelvin scale \xff\xfe broken bytes and ǅ titlecase",
 		},
-		"aminer-150": aminer,
 	}
 }
 
 // TestBuildVocabMatchesPerOccurrenceCount holds the one scan's chunked
-// counts to the reference's one pass, and its token lists to Tokenize, on
-// one core and on four. The "long" corpus has documents past
-// MaxSequenceLength tokens, cut inside a word that segments into pieces.
+// counts to the reference's one pass, and its token lists to Tokenize, at
+// GOMAXPROCS 4. The "long" corpus has documents past MaxSequenceLength
+// tokens, cut inside a word that segments into pieces: it is the one
+// check that catches document frequencies counted over the cut lists
+// instead of every token of the document.
 func TestBuildVocabMatchesPerOccurrenceCount(t *testing.T) {
 	corpora := referenceCorpora()
 	var long strings.Builder
@@ -195,14 +188,11 @@ func TestBuildVocabMatchesPerOccurrenceCount(t *testing.T) {
 		fmt.Fprintf(&long, "Graph%d ", i*7919)
 	}
 	corpora["long"] = []string{long.String(), strings.Repeat("searching GRAPHS ", 600), "a short one"}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for name, corpus := range corpora {
-			for _, cfg := range []VocabConfig{{}, {MaxWords: 40, MaxSubwords: 60, MinWordFreq: 2}} {
-				got, docs := BuildVocabTokens(corpus, cfg)
-				checkVocab(t, fmt.Sprintf("GOMAXPROCS %d, %s %+v", procs, name, cfg), corpus, got, docs, refBuildVocab(corpus, cfg))
-			}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for name, corpus := range corpora {
+		for _, cfg := range []VocabConfig{{}, {MaxWords: 40, MaxSubwords: 60, MinWordFreq: 2}} {
+			got, docs := BuildVocabTokens(corpus, cfg)
+			checkVocab(t, fmt.Sprintf("%s %+v", name, cfg), corpus, got, docs, refBuildVocab(corpus, cfg))
 		}
 	}
 }
@@ -230,8 +220,14 @@ func checkVocab(t *testing.T, what string, corpus []string, got *Vocab, docs [][
 }
 
 // TestNewEncoderMatchesUnmemoised holds the memoised, parallel
-// pre-training to the reference's one source per string, on one core and
-// on four.
+// pre-training to the reference's one source per string, at GOMAXPROCS 4
+// and one dimension. It is the one check that catches two faults of the
+// code it guards: the chunks' parts of the inverted lists placed in
+// reverse chunk order, which sums a token's signatures in another float64
+// order that the float32 table rounds away (its distribution check), and
+// n-grams cut on bytes instead of runes (the multi-byte corpus, and
+// SurfaceVector of undecodable bytes). The counts ledger, the golden
+// tests and the Examples pass under both.
 func TestNewEncoderMatchesUnmemoised(t *testing.T) {
 	sameTable := func(what string, got, want *vec.Matrix32) {
 		t.Helper()
@@ -242,47 +238,41 @@ func TestNewEncoderMatchesUnmemoised(t *testing.T) {
 			}
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for name, corpus := range referenceCorpora() {
-			v := BuildVocab(corpus, VocabConfig{})
-			for _, dim := range []int{12, 64} {
-				const seed = 7
-				what := fmt.Sprintf("GOMAXPROCS %d, %s dim %d", procs, name, dim)
-				got := NewEncoder(v, dim, seed)
-				want := cloneEncoder(got)
-				for id := 0; id < v.Size(); id++ {
-					refInitTokenRow(want.Emb.Row(id), v.Token(TokenID(id)), seed)
-				}
-				sameTable(what+": NewEncoder", got.Emb, want.Emb)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const dim, seed = 12, 7
+	for name, corpus := range referenceCorpora() {
+		v, docs := BuildVocabTokens(corpus, VocabConfig{})
+		got := NewEncoder(v, dim, seed)
+		want := cloneEncoder(got)
+		for id := 0; id < v.Size(); id++ {
+			refInitTokenRow(want.Emb.Row(id), v.Token(TokenID(id)), seed)
+		}
+		sameTable(name+": NewEncoder", got.Emb, want.Emb)
 
-				// The float32 table rounds away most float64 sum orders, so
-				// the rows' sums are held to the reference's before it.
-				ix, wantDist := newDocIndex(got, corpus), refDistributions(got, corpus)
-				dist := vec.New(dim)
-				for id := 0; id < v.Size(); id++ {
-					ix.sum(dist, id, got.idf[id])
-					for j, x := range wantDist.Row(id) {
-						if math.Float64bits(dist[j]) != math.Float64bits(x) {
-							t.Fatalf("%s: token %d's distribution dim %d is %x, the reference has %x",
-								what, id, j, math.Float64bits(dist[j]), math.Float64bits(x))
-						}
-					}
+		// The float32 table rounds away most float64 sum orders, so the
+		// rows' sums are held to the reference's before it.
+		ix, wantDist := indexDocs(got, docs), refDistributions(got, corpus)
+		dist := vec.New(dim)
+		for id := 0; id < v.Size(); id++ {
+			ix.sum(dist, id, got.idf[id])
+			for j, x := range wantDist.Row(id) {
+				if math.Float64bits(dist[j]) != math.Float64bits(x) {
+					t.Fatalf("%s: token %d's distribution dim %d is %x, the reference has %x",
+						name, id, j, math.Float64bits(dist[j]), math.Float64bits(x))
 				}
-				PretrainDistributional(got, corpus)
-				refPretrainDistributional(want, corpus)
-				sameTable(what+": PretrainDistributional", got.Emb, want.Emb)
+			}
+		}
+		PretrainTokens(got, docs)
+		refPretrainDistributional(want, corpus)
+		sameTable(name+": PretrainTokens", got.Emb, want.Emb)
 
-				// Baselines hand SurfaceVector arbitrary strings, undecodable
-				// bytes included (n-grams are cut on runes, not bytes).
-				for _, word := range []string{v.Token(TokenID(v.Size() / 2)), "ab\xffcd\xc3", ""} {
-					one := vec.New32(dim)
-					refInitTokenRow(one, word, seed)
-					if !slices.Equal(SurfaceVector(dim, word, seed), one) {
-						t.Fatalf("%s: SurfaceVector(%q) differs from the reference", what, word)
-					}
-				}
+		// Baselines hand SurfaceVector arbitrary strings, undecodable bytes
+		// included (n-grams are cut on runes, not bytes).
+		for _, word := range []string{v.Token(TokenID(v.Size() / 2)), "ab\xffcd\xc3", ""} {
+			one := vec.New32(dim)
+			refInitTokenRow(one, word, seed)
+			if !slices.Equal(SurfaceVector(dim, word, seed), one) {
+				t.Fatalf("%s: SurfaceVector(%q) differs from the reference", name, word)
 			}
 		}
 	}

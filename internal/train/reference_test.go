@@ -223,26 +223,22 @@ func requireSameRun(t *testing.T, what string, got, want *textenc.Encoder, gotRe
 
 // TestFineTuneMatchesReference: the dense-row trainer moves no bit of the
 // table, of any epoch's loss or of the Adam moments relative to the
-// map-of-vectors trainer, for batches that fill fewer chunks than the grid
-// has (1, 5), ragged ones (9, 100 and the short last batch of each size)
-// and the default 64, at dimensions that leave the float64 kernels' pair
-// steps and scalar tails every remainder (1, 7, the fixture's 12, and the
-// benchmark's 64).
+// map-of-vectors trainer, for a batch that fills fewer chunks than the
+// grid has (5), the default 64, and 100, whose last batch is short. It is
+// the one check that catches the partial gradients merged in reverse part
+// order: that moves the float64 moments, while the float32 table rounds it
+// away from TestFineTuneGolden, every Example and the counts ledger.
 func TestFineTuneMatchesReference(t *testing.T) {
 	g, fixed, cache := fixture(t)
 	triples := someTriples(g, 64*3+9)
-	for _, dim := range []int{1, 7, 12, 64} {
-		base := textenc.NewEncoder(fixed.Vocab(), dim, 7)
-		for _, batch := range []int{1, 5, 9, 64, 100} {
-			cfg := Config{Epochs: 3, BatchSize: batch}
-			got, want := cloneEncoder(t, base), cloneEncoder(t, base)
-			gotRes, gotOpt := fineTune(got, cache, triples, cfg, rand.New(rand.NewSource(3)))
-			wantRes, wantOpt := refFineTune(want, cache, triples, cfg, rand.New(rand.NewSource(3)))
-			if wantRes.Steps == 0 {
-				t.Fatal("the reference took no optimiser step")
-			}
-			requireSameRun(t, fmt.Sprintf("dim %d, batch %d", dim, batch),
-				got, want, gotRes, wantRes, gotOpt, wantOpt)
+	for _, batch := range []int{5, 64, 100} {
+		cfg := Config{Epochs: 3, BatchSize: batch}
+		got, want := cloneEncoder(t, fixed), cloneEncoder(t, fixed)
+		gotRes, gotOpt := fineTune(got, cache, triples, cfg, rand.New(rand.NewSource(3)))
+		wantRes, wantOpt := refFineTune(want, cache, triples, cfg, rand.New(rand.NewSource(3)))
+		if wantRes.Steps == 0 {
+			t.Fatal("the reference took no optimiser step")
 		}
+		requireSameRun(t, fmt.Sprintf("batch %d", batch), got, want, gotRes, wantRes, gotOpt, wantOpt)
 	}
 }

@@ -22,13 +22,14 @@ func fixture(t *testing.T) (*hetgraph.Graph, *textenc.Encoder, TokenCache) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	g := testgraph.Random(rng, 30, 12, 2, 3)
+	papers := g.NodesOfType(hetgraph.Paper)
 	var corpus []string
-	for _, p := range g.NodesOfType(hetgraph.Paper) {
+	for _, p := range papers {
 		corpus = append(corpus, g.Label(p))
 	}
-	vocab := textenc.BuildVocab(corpus, textenc.VocabConfig{MinWordFreq: 1})
+	vocab, docs := textenc.BuildVocabTokens(corpus, textenc.VocabConfig{MinWordFreq: 1})
 	enc := textenc.NewEncoder(vocab, 12, 7)
-	return g, enc, BuildTokenCache(g, enc)
+	return g, enc, NewTokenCache(papers, docs)
 }
 
 func someTriples(g *hetgraph.Graph, n int) []sampling.Triple {
