@@ -1,11 +1,14 @@
 package baselines
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/textenc"
 	"expertfind/internal/vec"
 )
 
@@ -205,12 +208,57 @@ func TestIDNEAttentionFavoursTopicalWords(t *testing.T) {
 	if err := idne.Build(g); err != nil {
 		t.Fatal(err)
 	}
-	if len(idne.att) == 0 {
+	if len(idne.words) == 0 {
 		t.Fatal("no attention weights learned")
 	}
-	for w, a := range idne.att {
-		if a < 0 || a > 1.0000001 {
+	for w, iw := range idne.words {
+		if a := iw.att; a < 0 || a > 1.0000001 {
 			t.Fatalf("attention of %q = %v outside [0,1]", w, a)
 		}
+	}
+}
+
+// TestIDNEEncodeMatchesPerOccurrenceSum holds encode, which reads each
+// corpus word's vector from Build's memo, to the weighted sum it replaced:
+// SurfaceVector drawn afresh at every occurrence and the idf counted from
+// the corpus, for a text with a repeated corpus word and an unseen word.
+func TestIDNEEncodeMatchesPerOccurrenceSum(t *testing.T) {
+	g := testDataset(t).Graph
+	idne := NewIDNE(24, 7)
+	if err := idne.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	papers := g.NodesOfType(hetgraph.Paper)
+	word := textenc.SplitWords(g.Label(papers[0]))[0]
+	const unseen = "qqzzunseen"
+	if _, ok := idne.words[unseen]; ok {
+		t.Fatalf("%q is a corpus word", unseen)
+	}
+	text := word + " " + unseen + " " + word
+	want := vec.New(24)
+	var total float64
+	for _, w := range textenc.SplitWords(text) {
+		att, df := 0.5, 0
+		if iw, ok := idne.words[w]; ok {
+			att = iw.att
+		}
+		for _, p := range papers {
+			if slices.Contains(textenc.SplitWords(g.Label(p)), w) {
+				df++
+			}
+		}
+		wt := att * math.Log(1+float64(len(papers))/float64(1+df))
+		want.Axpy(wt, textenc.SurfaceVector(24, w, 7).Float64())
+		total += wt
+	}
+	want.Scale(1 / total)
+	got := idne.encode(text)
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("encode(%q)[%d] = %v, per-occurrence sum %v", text, j, got[j], want[j])
+		}
+	}
+	if _, ok := idne.words[unseen]; ok {
+		t.Errorf("encode inserted %q into the memo", unseen)
 	}
 }

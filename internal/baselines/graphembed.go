@@ -288,12 +288,18 @@ func (t *G2G) QueryPapers(text string, m int) []hetgraph.NodeID {
 // Mention edges used to fit the attention, as in the original inductive
 // model.
 type IDNE struct {
-	dim  int
-	seed int64
-	att  map[string]float64
-	df   map[string]int
-	n    int
-	embs map[hetgraph.NodeID]vec.Vector
+	dim   int
+	seed  int64
+	words map[string]idneWord // every word of the corpus
+	n     int
+	embs  map[hetgraph.NodeID]vec.Vector
+}
+
+// idneWord is what IDNE's Build learns of one corpus word: its attention,
+// its idf and its surface vector, drawn once rather than per occurrence.
+type idneWord struct {
+	att, idf float64
+	vec      vec.Vector
 }
 
 // NewIDNE returns an unbuilt IDNE baseline.
@@ -310,10 +316,9 @@ func (t *IDNE) Build(g *hetgraph.Graph) error {
 	for i, tp := range topics {
 		topicIdx[tp] = i
 	}
-	// Word-topic co-occurrence counts.
+	// Word-topic co-occurrence counts and document frequencies.
 	wordTopic := map[string][]int{}
-	wordTotal := map[string]int{}
-	t.df = map[string]int{}
+	df := map[string]int{}
 	t.n = len(papers)
 	for _, p := range papers {
 		var tids []int
@@ -326,7 +331,7 @@ func (t *IDNE) Build(g *hetgraph.Graph) error {
 				continue
 			}
 			seen[w] = true
-			t.df[w]++
+			df[w]++
 			counts := wordTopic[w]
 			if counts == nil {
 				counts = make([]int, len(topics))
@@ -335,11 +340,10 @@ func (t *IDNE) Build(g *hetgraph.Graph) error {
 			for _, ti := range tids {
 				counts[ti]++
 			}
-			wordTotal[w]++
 		}
 	}
 	// Attention: how concentrated the word's topic distribution is.
-	t.att = make(map[string]float64, len(wordTopic))
+	t.words = make(map[string]idneWord, len(wordTopic))
 	for w, counts := range wordTopic {
 		maxC := 0
 		for _, c := range counts {
@@ -347,8 +351,10 @@ func (t *IDNE) Build(g *hetgraph.Graph) error {
 				maxC = c
 			}
 		}
-		if wordTotal[w] > 0 {
-			t.att[w] = float64(maxC) / float64(wordTotal[w])
+		t.words[w] = idneWord{
+			att: float64(maxC) / float64(df[w]),
+			idf: t.idf(df[w]),
+			vec: textenc.SurfaceVector(t.dim, w, t.seed).Float64(),
 		}
 	}
 	t.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
@@ -358,17 +364,22 @@ func (t *IDNE) Build(g *hetgraph.Graph) error {
 	return nil
 }
 
+// idf is the inverse document frequency of a word in df papers.
+func (t *IDNE) idf(df int) float64 { return math.Log(1 + float64(t.n)/float64(1+df)) }
+
+// encode is the attention- and idf-weighted mean of the text's word
+// vectors. A word the corpus lacks gets neutral attention and a vector
+// drawn for this call alone, so encode never writes t.words.
 func (t *IDNE) encode(text string) vec.Vector {
 	out := vec.New(t.dim)
 	var total float64
 	for _, w := range textenc.SplitWords(text) {
-		a, ok := t.att[w]
+		iw, ok := t.words[w]
 		if !ok {
-			a = 0.5 // unseen words get neutral attention
+			iw = idneWord{att: 0.5, idf: t.idf(0), vec: textenc.SurfaceVector(t.dim, w, t.seed).Float64()}
 		}
-		idf := math.Log(1 + float64(t.n)/float64(1+t.df[w]))
-		wt := a * idf
-		out.Axpy(wt, textenc.SurfaceVector(t.dim, w, t.seed).Float64())
+		wt := iw.att * iw.idf
+		out.Axpy(wt, iw.vec)
 		total += wt
 	}
 	if total > 0 {

@@ -12,9 +12,10 @@ import (
 // the unweighted mean of its word vectors. No subwords, no IDF weighting —
 // the weakest dense text representation, as in Table II.
 type AvgGloVe struct {
-	dim  int
-	seed int64
-	embs map[hetgraph.NodeID]vec.Vector
+	dim   int
+	seed  int64
+	words map[string]vec.Vector // every corpus word's vector, drawn once
+	embs  map[hetgraph.NodeID]vec.Vector
 }
 
 // NewAvgGloVe returns an unbuilt AvgGloVe baseline of dimension dim.
@@ -26,6 +27,14 @@ func (a *AvgGloVe) Name() string { return "AvgGloVe" }
 // Build embeds every paper of g.
 func (a *AvgGloVe) Build(g *hetgraph.Graph) error {
 	papers := g.NodesOfType(hetgraph.Paper)
+	a.words = map[string]vec.Vector{}
+	for _, p := range papers {
+		for _, w := range textenc.SplitWords(g.Label(p)) {
+			if _, ok := a.words[w]; !ok {
+				a.words[w] = wordVector(w, a.dim, a.seed)
+			}
+		}
+	}
 	a.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
 	for _, p := range papers {
 		a.embs[p] = a.encode(g.Label(p))
@@ -38,7 +47,9 @@ func (a *AvgGloVe) QueryPapers(text string, m int) []hetgraph.NodeID {
 	return rankByDistance(a.embs, a.encode(text), m)
 }
 
-// encode averages the hash-projected vectors of the document's words.
+// encode averages the hash-projected vectors of the document's words. A
+// word the corpus lacks is drawn for this call alone, so encode never
+// writes a.words.
 func (a *AvgGloVe) encode(text string) vec.Vector {
 	out := vec.New(a.dim)
 	words := textenc.SplitWords(text)
@@ -46,7 +57,11 @@ func (a *AvgGloVe) encode(text string) vec.Vector {
 		return out
 	}
 	for _, w := range words {
-		out.Add(wordVector(w, a.dim, a.seed))
+		v, ok := a.words[w]
+		if !ok {
+			v = wordVector(w, a.dim, a.seed)
+		}
+		out.Add(v)
 	}
 	return out.Scale(1 / float64(len(words)))
 }
