@@ -3,15 +3,20 @@
 // DESIGN.md): three that use only the papers' textual semantics (TFIDF,
 // Avg.GloVe-sim, SBERT-sim) and four that embed the homogeneous
 // paper-paper graph together with text (TADW-sim, GVNR-t-sim, G2G-sim,
-// IDNE-sim). Every baseline retrieves ranked papers with an exhaustive
-// scan and ranks all candidate experts — the cost profile the paper's
-// PG-Index + TA pipeline is measured against.
+// IDNE-sim). Each of the six dense methods keeps one float32 row per
+// paper and retrieves through pgindex.Scan, the engine's exact scan;
+// TFIDF retrieves through an inverted index. The experiment harness ranks
+// the retrieved papers' experts with ta.TopExperts, the engine's ranker,
+// so the methods differ only in how they represent papers and queries.
 package baselines
 
 import (
-	"sort"
+	"context"
+	"slices"
 
 	"expertfind/internal/hetgraph"
+	"expertfind/internal/pgindex"
+	"expertfind/internal/textenc"
 	"expertfind/internal/vec"
 )
 
@@ -40,30 +45,43 @@ func All(dim int, seed int64) []Method {
 	}
 }
 
-// rankByDistance scores every embedded paper against the query vector by
-// L2 distance and returns the m closest, rank 1 first — the exhaustive
-// retrieval shared by all dense baselines.
-func rankByDistance(embs map[hetgraph.NodeID]vec.Vector, q vec.Vector, m int) []hetgraph.NodeID {
-	type pd struct {
-		p hetgraph.NodeID
-		d float64
+// paperRows is a dense baseline's paper space: one float32 row per paper
+// of the graph, ids ascending. Every dense baseline retrieves through
+// query, the engine's exact scan.
+type paperRows struct {
+	ids  []hetgraph.NodeID
+	rows *vec.Matrix32
+}
+
+// newPaperRows returns a zero row of width dim for every paper of g.
+func newPaperRows(g *hetgraph.Graph, dim int) paperRows {
+	ids := g.NodesOfType(hetgraph.Paper)
+	return paperRows{ids: ids, rows: vec.NewMatrix32(len(ids), dim)}
+}
+
+// encodeRows returns every paper of g encoded by enc.
+func encodeRows(g *hetgraph.Graph, enc *textenc.Encoder) paperRows {
+	r := newPaperRows(g, enc.Dim)
+	for i, p := range r.ids {
+		copy(r.rows.Row(i), enc.Encode(g.Label(p)))
 	}
-	all := make([]pd, 0, len(embs))
-	for p, e := range embs {
-		all = append(all, pd{p, q.L2Sq(e)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].p < all[j].p
-	})
-	if len(all) > m {
-		all = all[:m]
-	}
-	out := make([]hetgraph.NodeID, len(all))
-	for i, x := range all {
-		out[i] = x.p
+	return r
+}
+
+// row returns the row of paper p.
+func (r paperRows) row(p hetgraph.NodeID) vec.Vec32 {
+	i, _ := slices.BinarySearch(r.ids, p)
+	return r.rows.Row(i)
+}
+
+// query returns the m papers closest to q by L2 distance, rank 1 first,
+// a tie going to the smaller id: pgindex.Scan, the exact scan the engine
+// answers with when it has no PG-Index.
+func (r paperRows) query(q vec.Vec32, m int) []hetgraph.NodeID {
+	res, _ := pgindex.Scan(context.Background(), r.ids, r.rows, q, m)
+	out := make([]hetgraph.NodeID, len(res))
+	for i, x := range res {
+		out[i] = x.ID
 	}
 	return out
 }

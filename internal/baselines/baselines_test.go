@@ -56,13 +56,16 @@ func TestAllBaselinesBuildAndRetrieve(t *testing.T) {
 	}
 }
 
-func TestRankByDistanceExact(t *testing.T) {
-	embs := map[hetgraph.NodeID]vec.Vector{
-		1: {0, 0}, 2: {1, 0}, 3: {5, 5},
+func TestPaperRowsQueryExact(t *testing.T) {
+	rows, err := vec.Matrix32Of(4, 2, []float32{0, 0, 1, 0, 5, 5, 0.2, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := rankByDistance(embs, vec.Vector{0.1, 0}, 2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("rankByDistance = %v, want [1 2]", got)
+	r := paperRows{ids: []hetgraph.NodeID{1, 2, 3, 4}, rows: rows}
+	// Papers 1 and 4 are both 0.1 from the query: the smaller id ranks first.
+	got := r.query(vec.Vec32{0.1, 0}, 3)
+	if want := []hetgraph.NodeID{1, 4, 2}; !slices.Equal(got, want) {
+		t.Errorf("query = %v, want %v", got, want)
 	}
 }
 
@@ -117,7 +120,7 @@ func TestSBERTFrozenEncoderShared(t *testing.T) {
 	if s1.Encoder() != s2.Encoder() {
 		t.Error("frozen encoder not memoised per (graph, dim, seed)")
 	}
-	if len(s1.Embeddings()) != g.NumNodesOfType(hetgraph.Paper) {
+	if ids, rows := s1.Rows(); len(ids) != g.NumNodesOfType(hetgraph.Paper) || rows.Rows != len(ids) {
 		t.Error("SBERT did not embed all papers")
 	}
 }
@@ -169,9 +172,8 @@ func TestGraphBaselinesUseStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := 0
-	for _, p := range g.NodesOfType(hetgraph.Paper) {
-		a, b := tadw.embs[p], sb.Embeddings()[p]
-		if a.L2Sq(b) > 1e-18 {
+	for i := range tadw.ids {
+		if !slices.Equal(tadw.rows.Row(i), sb.rows.Row(i)) {
 			diff++
 		}
 	}
@@ -235,7 +237,7 @@ func TestIDNEEncodeMatchesPerOccurrenceSum(t *testing.T) {
 		t.Fatalf("%q is a corpus word", unseen)
 	}
 	text := word + " " + unseen + " " + word
-	want := vec.New(24)
+	want := vec.New32(24)
 	var total float64
 	for _, w := range textenc.SplitWords(text) {
 		att, df := 0.5, 0
@@ -248,13 +250,14 @@ func TestIDNEEncodeMatchesPerOccurrenceSum(t *testing.T) {
 			}
 		}
 		wt := att * math.Log(1+float64(len(papers))/float64(1+df))
-		want.Axpy(wt, textenc.SurfaceVector(24, w, 7).Float64())
+		vec.Axpy32(want, float32(wt), textenc.SurfaceVector(24, w, 7))
 		total += wt
 	}
-	want.Scale(1 / total)
-	got := idne.encode(text)
+	vec.Scale32(want, float32(1/total))
+	got := vec.New32(24)
+	idne.encode(got, text)
 	for j := range want {
-		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
 			t.Fatalf("encode(%q)[%d] = %v, per-occurrence sum %v", text, j, got[j], want[j])
 		}
 	}

@@ -10,34 +10,18 @@ import (
 	"expertfind/internal/vec"
 )
 
-// The four homogeneous-graph baselines below share a text-feature encoder
-// (IDF-weighted hash-projected word vectors) and a capped homogeneous
-// neighbourhood drawn from the union of all three paper-paper meta-paths —
-// deliberately treating every relationship equally, the noise source §I
-// attributes to homogeneous-graph methods.
-
-// textFeatureEncoder supplies the lexical document features shared by the
-// corpus-trained dense baselines: the same frozen pre-trained encoder the
-// SBERT baseline uses (subword tokenizer, distributional pre-training,
-// IDF-weighted mean pooling). All dense baselines therefore have identical
-// lexical capability and differ only in how they use graph structure — the
-// dimension the paper's Table II actually compares.
-type textFeatureEncoder struct {
-	enc *textenc.Encoder
-}
-
-func newTextFeatures(g *hetgraph.Graph, dim int, seed int64) *textFeatureEncoder {
-	return &textFeatureEncoder{enc: frozenEncoder(g, dim, seed)}
-}
-
-func (e *textFeatureEncoder) encode(text string) vec.Vector {
-	// Baselines accumulate in float64 throughout; widen the float32
-	// encoder output at the boundary.
-	return e.enc.Encode(text).Float64()
-}
+// The homogeneous-graph baselines below start from text features and a
+// capped homogeneous neighbourhood drawn from the union of all three
+// paper-paper meta-paths — deliberately treating every relationship
+// equally, the noise source §I attributes to homogeneous-graph methods.
+// TADW, GVNR-t and G2G take their text features from the frozen
+// pre-trained encoder the SBERT baseline uses (subword tokenizer,
+// distributional pre-training, IDF-weighted mean pooling), so they have
+// SBERT's lexical capability and differ only in how they use graph
+// structure — the dimension the paper's Table II actually compares.
 
 // frozenEncoder memoises one pre-trained encoder per (graph, dim, seed) so
-// the seven baselines and the ADS reference space don't each re-run
+// the dense baselines and the ADS reference space don't each re-run
 // vocabulary induction and distributional pre-training.
 var (
 	frozenMu    sync.Mutex
@@ -105,8 +89,8 @@ var allMetaPaths = []hetgraph.MetaPath{hetgraph.PAP, hetgraph.PTP, hetgraph.PP}
 type TADW struct {
 	dim  int
 	seed int64
-	tf   *textFeatureEncoder
-	embs map[hetgraph.NodeID]vec.Vector
+	enc  *textenc.Encoder
+	paperRows
 }
 
 // NewTADW returns an unbuilt TADW baseline.
@@ -117,46 +101,43 @@ func (t *TADW) Name() string { return "TADW" }
 
 // Build implements Method.
 func (t *TADW) Build(g *hetgraph.Graph) error {
-	t.tf = newTextFeatures(g, t.dim, t.seed)
-	papers := g.NodesOfType(hetgraph.Paper)
-	base := make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	nbrs := make(map[hetgraph.NodeID][]hetgraph.NodeID, len(papers))
-	for _, p := range papers {
-		base[p] = t.tf.encode(g.Label(p))
-		nbrs[p] = homoNeighbors(g, p, allMetaPaths)
+	t.enc = frozenEncoder(g, t.dim, t.seed)
+	base := encodeRows(g, t.enc)
+	nbrs := make([][]hetgraph.NodeID, len(base.ids))
+	for i, p := range base.ids {
+		nbrs[i] = homoNeighbors(g, p, allMetaPaths)
 	}
 	hop1 := smooth(base, nbrs)
 	hop2 := smooth(hop1, nbrs)
-	t.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	for _, p := range papers {
-		e := base[p].Clone().Scale(0.5)
-		e.Axpy(0.35, hop1[p])
-		e.Axpy(0.15, hop2[p])
-		t.embs[p] = e
+	for i := range base.ids {
+		e := base.rows.Row(i)
+		vec.Scale32(e, 0.5)
+		vec.Axpy32(e, 0.35, hop1.rows.Row(i))
+		vec.Axpy32(e, 0.15, hop2.rows.Row(i))
 	}
+	t.paperRows = base
 	return nil
 }
 
 // QueryPapers implements Method.
 func (t *TADW) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return rankByDistance(t.embs, t.tf.encode(text), m)
+	return t.query(t.enc.Encode(text), m)
 }
 
-// smooth returns, for every paper, the mean of its neighbours' vectors
-// (itself when isolated).
-func smooth(base map[hetgraph.NodeID]vec.Vector,
-	nbrs map[hetgraph.NodeID][]hetgraph.NodeID) map[hetgraph.NodeID]vec.Vector {
-	out := make(map[hetgraph.NodeID]vec.Vector, len(base))
-	for p, ns := range nbrs {
+// smooth returns, for every paper, the mean of its neighbours' rows
+// (its own when isolated); nbrs[i] lists the neighbours of base.ids[i].
+func smooth(base paperRows, nbrs [][]hetgraph.NodeID) paperRows {
+	out := paperRows{base.ids, vec.NewMatrix32(base.rows.Rows, base.rows.Cols)}
+	for i, ns := range nbrs {
+		m := out.rows.Row(i)
 		if len(ns) == 0 {
-			out[p] = base[p].Clone()
+			copy(m, base.rows.Row(i))
 			continue
 		}
-		m := vec.New(base[p].Dim())
 		for _, q := range ns {
-			m.Add(base[q])
+			vec.Axpy32(m, 1, base.row(q))
 		}
-		out[p] = m.Scale(1 / float64(len(ns)))
+		vec.Scale32(m, 1/float32(len(ns)))
 	}
 	return out
 }
@@ -168,8 +149,8 @@ func smooth(base map[hetgraph.NodeID]vec.Vector,
 type GVNRT struct {
 	dim  int
 	seed int64
-	tf   *textFeatureEncoder
-	embs map[hetgraph.NodeID]vec.Vector
+	enc  *textenc.Encoder
+	paperRows
 }
 
 // NewGVNRT returns an unbuilt GVNR-t baseline.
@@ -180,37 +161,32 @@ func (t *GVNRT) Name() string { return "GVNR-t" }
 
 // Build implements Method.
 func (t *GVNRT) Build(g *hetgraph.Graph) error {
-	t.tf = newTextFeatures(g, t.dim, t.seed)
-	papers := g.NodesOfType(hetgraph.Paper)
-	base := make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	for _, p := range papers {
-		base[p] = t.tf.encode(g.Label(p))
-	}
-	t.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	for _, p := range papers {
-		ns := homoNeighbors(g, p, allMetaPaths)
-		e := base[p].Clone().Scale(0.6)
-		if len(ns) > 0 {
-			agg := vec.New(t.dim)
-			var wsum float64
-			for _, q := range ns {
-				w := 1 / math.Log(2+float64(len(g.Neighbors(q, hetgraph.Author))+
-					len(g.Neighbors(q, hetgraph.Paper))))
-				agg.Axpy(w, base[q])
-				wsum += w
-			}
-			if wsum > 0 {
-				e.Axpy(0.4/wsum, agg)
-			}
+	t.enc = frozenEncoder(g, t.dim, t.seed)
+	base := encodeRows(g, t.enc)
+	t.paperRows = newPaperRows(g, t.dim)
+	agg := vec.New32(t.dim)
+	for i, p := range t.ids {
+		e := t.rows.Row(i)
+		copy(e, base.rows.Row(i))
+		vec.Scale32(e, 0.6)
+		clear(agg)
+		var wsum float64
+		for _, q := range homoNeighbors(g, p, allMetaPaths) {
+			w := 1 / math.Log(2+float64(len(g.Neighbors(q, hetgraph.Author))+
+				len(g.Neighbors(q, hetgraph.Paper))))
+			vec.Axpy32(agg, float32(w), base.row(q))
+			wsum += w
 		}
-		t.embs[p] = e
+		if wsum > 0 {
+			vec.Axpy32(e, float32(0.4/wsum), agg)
+		}
 	}
 	return nil
 }
 
 // QueryPapers implements Method.
 func (t *GVNRT) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return rankByDistance(t.embs, t.tf.encode(text), m)
+	return t.query(t.enc.Encode(text), m)
 }
 
 // G2G is the deep-Gaussian graph-embedding baseline [51], simulated as a
@@ -223,8 +199,8 @@ type G2G struct {
 	dim    int
 	seed   int64
 	epochs int
-	tf     *textFeatureEncoder
-	embs   map[hetgraph.NodeID]vec.Vector
+	enc    *textenc.Encoder
+	paperRows
 }
 
 // NewG2G returns an unbuilt G2G baseline.
@@ -235,19 +211,19 @@ func (t *G2G) Name() string { return "G2G" }
 
 // Build implements Method.
 func (t *G2G) Build(g *hetgraph.Graph) error {
-	t.tf = newTextFeatures(g, t.dim, t.seed)
-	papers := g.NodesOfType(hetgraph.Paper)
-	t.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	nbrs := make(map[hetgraph.NodeID][]hetgraph.NodeID, len(papers))
-	for _, p := range papers {
-		t.embs[p] = t.tf.encode(g.Label(p))
-		nbrs[p] = homoNeighbors(g, p, allMetaPaths)
+	t.enc = frozenEncoder(g, t.dim, t.seed)
+	t.paperRows = encodeRows(g, t.enc)
+	papers := t.ids
+	nbrs := make([][]hetgraph.NodeID, len(papers))
+	for i, p := range papers {
+		nbrs[i] = homoNeighbors(g, p, allMetaPaths)
 	}
 	rng := rand.New(rand.NewSource(t.seed))
 	const lr, margin = 0.05, 1.0
+	dp, dn := vec.New32(t.dim), vec.New32(t.dim)
 	for epoch := 0; epoch < t.epochs; epoch++ {
-		for _, p := range papers {
-			ns := nbrs[p]
+		for i, p := range papers {
+			ns := nbrs[i]
 			if len(ns) == 0 {
 				continue
 			}
@@ -256,20 +232,22 @@ func (t *G2G) Build(g *hetgraph.Graph) error {
 			if neg == p || neg == pos {
 				continue
 			}
-			vp, vpos, vneg := t.embs[p], t.embs[pos], t.embs[neg]
-			dp := vp.Clone().Sub(vpos)
-			dn := vp.Clone().Sub(vneg)
-			np, nn := dp.Norm(), dn.Norm()
+			vp, vpos, vneg := t.rows.Row(i), t.row(pos), t.row(neg)
+			copy(dp, vp)
+			vec.Axpy32(dp, -1, vpos)
+			copy(dn, vp)
+			vec.Axpy32(dn, -1, vneg)
+			np, nn := vec.Norm32(dp), vec.Norm32(dn)
 			if np-nn+margin <= 0 {
 				continue
 			}
 			if np > 0 {
-				vp.Axpy(-lr/np, dp)
-				vpos.Axpy(lr/np, dp)
+				vec.Axpy32(vp, float32(-lr/np), dp)
+				vec.Axpy32(vpos, float32(lr/np), dp)
 			}
 			if nn > 0 {
-				vp.Axpy(lr/nn, dn)
-				vneg.Axpy(-lr/nn, dn)
+				vec.Axpy32(vp, float32(lr/nn), dn)
+				vec.Axpy32(vneg, float32(-lr/nn), dn)
 			}
 		}
 	}
@@ -278,7 +256,7 @@ func (t *G2G) Build(g *hetgraph.Graph) error {
 
 // QueryPapers implements Method.
 func (t *G2G) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return rankByDistance(t.embs, t.tf.encode(text), m)
+	return t.query(t.enc.Encode(text), m)
 }
 
 // IDNE is the topic-word-attention baseline [52], simulated as
@@ -292,14 +270,14 @@ type IDNE struct {
 	seed  int64
 	words map[string]idneWord // every word of the corpus
 	n     int
-	embs  map[hetgraph.NodeID]vec.Vector
+	paperRows
 }
 
 // idneWord is what IDNE's Build learns of one corpus word: its attention,
 // its idf and its surface vector, drawn once rather than per occurrence.
 type idneWord struct {
 	att, idf float64
-	vec      vec.Vector
+	vec      vec.Vec32
 }
 
 // NewIDNE returns an unbuilt IDNE baseline.
@@ -354,12 +332,12 @@ func (t *IDNE) Build(g *hetgraph.Graph) error {
 		t.words[w] = idneWord{
 			att: float64(maxC) / float64(df[w]),
 			idf: t.idf(df[w]),
-			vec: textenc.SurfaceVector(t.dim, w, t.seed).Float64(),
+			vec: textenc.SurfaceVector(t.dim, w, t.seed),
 		}
 	}
-	t.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	for _, p := range papers {
-		t.embs[p] = t.encode(g.Label(p))
+	t.paperRows = newPaperRows(g, t.dim)
+	for i, p := range t.ids {
+		t.encode(t.rows.Row(i), g.Label(p))
 	}
 	return nil
 }
@@ -367,28 +345,28 @@ func (t *IDNE) Build(g *hetgraph.Graph) error {
 // idf is the inverse document frequency of a word in df papers.
 func (t *IDNE) idf(df int) float64 { return math.Log(1 + float64(t.n)/float64(1+df)) }
 
-// encode is the attention- and idf-weighted mean of the text's word
-// vectors. A word the corpus lacks gets neutral attention and a vector
-// drawn for this call alone, so encode never writes t.words.
-func (t *IDNE) encode(text string) vec.Vector {
-	out := vec.New(t.dim)
+// encode sets dst, a zero row, to the attention- and idf-weighted mean of
+// the text's word vectors. A word the corpus lacks gets neutral attention
+// and a vector drawn for this call alone, so encode never writes t.words.
+func (t *IDNE) encode(dst vec.Vec32, text string) {
 	var total float64
 	for _, w := range textenc.SplitWords(text) {
 		iw, ok := t.words[w]
 		if !ok {
-			iw = idneWord{att: 0.5, idf: t.idf(0), vec: textenc.SurfaceVector(t.dim, w, t.seed).Float64()}
+			iw = idneWord{att: 0.5, idf: t.idf(0), vec: textenc.SurfaceVector(t.dim, w, t.seed)}
 		}
 		wt := iw.att * iw.idf
-		out.Axpy(wt, iw.vec)
+		vec.Axpy32(dst, float32(wt), iw.vec)
 		total += wt
 	}
 	if total > 0 {
-		out.Scale(1 / total)
+		vec.Scale32(dst, float32(1/total))
 	}
-	return out
 }
 
 // QueryPapers implements Method.
 func (t *IDNE) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return rankByDistance(t.embs, t.encode(text), m)
+	q := vec.New32(t.dim)
+	t.encode(q, text)
+	return t.query(q, m)
 }

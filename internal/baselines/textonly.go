@@ -14,8 +14,8 @@ import (
 type AvgGloVe struct {
 	dim   int
 	seed  int64
-	words map[string]vec.Vector // every corpus word's vector, drawn once
-	embs  map[hetgraph.NodeID]vec.Vector
+	words map[string]vec.Vec32 // every corpus word's vector, drawn once
+	paperRows
 }
 
 // NewAvgGloVe returns an unbuilt AvgGloVe baseline of dimension dim.
@@ -26,50 +26,55 @@ func (a *AvgGloVe) Name() string { return "AvgGloVe" }
 
 // Build embeds every paper of g.
 func (a *AvgGloVe) Build(g *hetgraph.Graph) error {
-	papers := g.NodesOfType(hetgraph.Paper)
-	a.words = map[string]vec.Vector{}
-	for _, p := range papers {
+	a.paperRows = newPaperRows(g, a.dim)
+	a.words = map[string]vec.Vec32{}
+	for _, p := range a.ids {
 		for _, w := range textenc.SplitWords(g.Label(p)) {
 			if _, ok := a.words[w]; !ok {
 				a.words[w] = wordVector(w, a.dim, a.seed)
 			}
 		}
 	}
-	a.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	for _, p := range papers {
-		a.embs[p] = a.encode(g.Label(p))
+	for i, p := range a.ids {
+		a.encode(a.rows.Row(i), g.Label(p))
 	}
 	return nil
 }
 
 // QueryPapers implements Method.
 func (a *AvgGloVe) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return rankByDistance(a.embs, a.encode(text), m)
+	q := vec.New32(a.dim)
+	a.encode(q, text)
+	return a.query(q, m)
 }
 
-// encode averages the hash-projected vectors of the document's words. A
-// word the corpus lacks is drawn for this call alone, so encode never
-// writes a.words.
-func (a *AvgGloVe) encode(text string) vec.Vector {
-	out := vec.New(a.dim)
+// encode sets dst, a zero row, to the mean of the hash-projected vectors
+// of the document's words. A word the corpus lacks is drawn for this call
+// alone, so encode never writes a.words.
+func (a *AvgGloVe) encode(dst vec.Vec32, text string) {
 	words := textenc.SplitWords(text)
 	if len(words) == 0 {
-		return out
+		return
 	}
 	for _, w := range words {
 		v, ok := a.words[w]
 		if !ok {
 			v = wordVector(w, a.dim, a.seed)
 		}
-		out.Add(v)
+		vec.Axpy32(dst, 1, v)
 	}
-	return out.Scale(1 / float64(len(words)))
+	vec.Scale32(dst, 1/float32(len(words)))
 }
 
-// wordVector returns the deterministic hash-projected vector of a word.
-func wordVector(w string, dim int, seed int64) vec.Vector {
-	v := vec.New(dim)
-	textenc.HashVector(v, w, seed)
+// wordVector returns the deterministic hash-projected vector of a word:
+// textenc.HashVector's draws, each rounded to float32.
+func wordVector(w string, dim int, seed int64) vec.Vec32 {
+	draws := make([]float64, dim)
+	textenc.HashVector(draws, w, seed)
+	v := vec.New32(dim)
+	for i, x := range draws {
+		v[i] = float32(x)
+	}
 	return v
 }
 
@@ -82,7 +87,7 @@ type SBERT struct {
 	dim  int
 	seed int64
 	enc  *textenc.Encoder
-	embs map[hetgraph.NodeID]vec.Vector
+	paperRows
 }
 
 // NewSBERT returns an unbuilt SBERT baseline of dimension dim.
@@ -95,22 +100,19 @@ func (s *SBERT) Name() string { return "SBERT" }
 // the frozen encoder.
 func (s *SBERT) Build(g *hetgraph.Graph) error {
 	s.enc = frozenEncoder(g, s.dim, s.seed)
-	papers := g.NodesOfType(hetgraph.Paper)
-	s.embs = make(map[hetgraph.NodeID]vec.Vector, len(papers))
-	for _, p := range papers {
-		s.embs[p] = s.enc.Encode(g.Label(p)).Float64()
-	}
+	s.paperRows = encodeRows(g, s.enc)
 	return nil
 }
 
 // QueryPapers implements Method.
 func (s *SBERT) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return rankByDistance(s.embs, s.enc.Encode(text).Float64(), m)
+	return s.query(s.enc.Encode(text), m)
 }
 
 // Encoder exposes the frozen encoder; the experiment harness uses it as
 // the common reference space for the ADS metric.
 func (s *SBERT) Encoder() *textenc.Encoder { return s.enc }
 
-// Embeddings exposes the frozen paper representations.
-func (s *SBERT) Embeddings() map[hetgraph.NodeID]vec.Vector { return s.embs }
+// Rows exposes the frozen paper representations: the papers, ascending,
+// and one row each.
+func (s *SBERT) Rows() ([]hetgraph.NodeID, *vec.Matrix32) { return s.ids, s.rows }

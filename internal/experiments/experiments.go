@@ -91,11 +91,13 @@ type Effectiveness struct {
 }
 
 // RefSpace is the fixed similarity space used by the ADS metric: the
-// frozen pre-trained encoder's embeddings, identical for every method so
-// ADS is comparable across rows (see EXPERIMENTS.md).
+// frozen pre-trained encoder and its rows of the papers (IDs ascending),
+// identical for every method so ADS is comparable across rows (see
+// EXPERIMENTS.md).
 type RefSpace struct {
 	Enc  *textenc.Encoder
-	Embs map[hetgraph.NodeID]vec.Vector
+	IDs  []hetgraph.NodeID
+	Rows *vec.Matrix32
 }
 
 // NewRefSpace builds the reference space for a dataset by constructing the
@@ -105,7 +107,8 @@ func NewRefSpace(g *hetgraph.Graph, dim int, seed int64) *RefSpace {
 	if err := sb.Build(g); err != nil {
 		panic(err)
 	}
-	return &RefSpace{Enc: sb.Encoder(), Embs: sb.Embeddings()}
+	ids, rows := sb.Rows()
+	return &RefSpace{Enc: sb.Encoder(), IDs: ids, Rows: rows}
 }
 
 // Evaluate runs the queries against sys and aggregates the paper's
@@ -128,7 +131,7 @@ func Evaluate(sys System, g *hetgraph.Graph, queries []dataset.Query, m, n int,
 		eff.P20 += metrics.PrecisionAtN(ids, q.Truth, 20)
 		aps = append(aps, metrics.AveragePrecision(ids, q.Truth))
 		if ref != nil {
-			eff.ADS += metrics.ADS(g, ids, ref.Embs, ref.Enc.Encode(q.Text).Float64())
+			eff.ADS += metrics.ADS(g, ids, ref.IDs, ref.Rows, ref.Enc.Encode(q.Text))
 		}
 	}
 	nq := float64(len(queries))

@@ -5,6 +5,9 @@
 package metrics
 
 import (
+	"math"
+	"slices"
+
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/vec"
 )
@@ -64,10 +67,11 @@ func MAP(aps []float64) float64 {
 // ADS returns the average document similarity of the returned experts'
 // papers to the query representation:
 // Σ_i Σ_{p ∈ P(a_i)} sim(p, T) / |P(a_i)| / n, with sim the cosine
-// similarity of the papers' representations. Experts with no embedded
-// papers contribute 0.
+// similarity of the papers' rows in a reference space of the papers ids
+// (ascending), row i of rows representing ids[i]. Experts with no paper
+// in the space contribute 0.
 func ADS(g *hetgraph.Graph, experts []hetgraph.NodeID,
-	embs map[hetgraph.NodeID]vec.Vector, query vec.Vector) float64 {
+	ids []hetgraph.NodeID, rows *vec.Matrix32, query []float32) float64 {
 	if len(experts) == 0 {
 		return 0
 	}
@@ -77,8 +81,8 @@ func ADS(g *hetgraph.Graph, experts []hetgraph.NodeID,
 		var s float64
 		cnt := 0
 		for _, p := range papers {
-			if e, ok := embs[p]; ok {
-				s += query.Cosine(e)
+			if i, ok := slices.BinarySearch(ids, p); ok {
+				s += cosine(query, rows.Row(i))
 				cnt++
 			}
 		}
@@ -87,4 +91,22 @@ func ADS(g *hetgraph.Graph, experts []hetgraph.NodeID,
 		}
 	}
 	return total / float64(len(experts))
+}
+
+// cosine returns the cosine similarity of a and b, in [-1, 1], taken in
+// float64 over the widened components: each of the three sums adds its
+// rounded products in index order. Zero vectors have similarity 0.
+func cosine(a, b []float32) float64 {
+	var ab, aa, bb float64
+	for i := range a {
+		x, y := float64(a[i]), float64(b[i])
+		ab += float64(x * y)
+		aa += float64(x * x)
+		bb += float64(y * y)
+	}
+	na, nb := math.Sqrt(aa), math.Sqrt(bb)
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return ab / (na * nb)
 }

@@ -89,26 +89,43 @@ func TestADS(t *testing.T) {
 	g.MustAddEdge(a1, p2, hetgraph.Write)
 	g.MustAddEdge(a2, p3, hetgraph.Write)
 
-	embs := map[hetgraph.NodeID]vec.Vector{
-		p1: {1, 0},
-		p2: {0, 1},
-		p3: {1, 0},
+	ids := []hetgraph.NodeID{p1, p2, p3}
+	rows, err := vec.Matrix32Of(3, 2, []float32{1, 0, 0, 1, 1, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	q := vec.Vector{1, 0}
+	q := []float32{1, 0}
 	// a1: mean cos = (1 + 0)/2 = 0.5; a2: 1. ADS = (0.5+1)/2 = 0.75.
-	got := ADS(g, []hetgraph.NodeID{a1, a2}, embs, q)
+	got := ADS(g, []hetgraph.NodeID{a1, a2}, ids, rows, q)
 	if math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("ADS = %v, want 0.75", got)
 	}
-	if ADS(g, nil, embs, q) != 0 {
+	if ADS(g, nil, ids, rows, q) != 0 {
 		t.Error("ADS of no experts must be 0")
 	}
 	// Expert whose papers are not embedded contributes 0.
 	a3 := g.AddNode(hetgraph.Author, "")
 	p4 := g.AddNode(hetgraph.Paper, "")
 	g.MustAddEdge(a3, p4, hetgraph.Write)
-	got = ADS(g, []hetgraph.NodeID{a3}, embs, q)
+	got = ADS(g, []hetgraph.NodeID{a3}, ids, rows, q)
 	if got != 0 {
 		t.Errorf("ADS with unembedded papers = %v, want 0", got)
+	}
+}
+
+func TestCosine(t *testing.T) {
+	a := []float32{1, 0}
+	for _, c := range []struct {
+		b    []float32
+		want float64
+	}{
+		{[]float32{0, 1}, 0},   // orthogonal
+		{[]float32{2, 0}, 1},   // parallel
+		{[]float32{-3, 0}, -1}, // antiparallel
+		{[]float32{0, 0}, 0},   // a zero vector
+	} {
+		if got := cosine(a, c.b); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("cosine(%v, %v) = %v, want %v", a, c.b, got, c.want)
+		}
 	}
 }

@@ -58,7 +58,10 @@ func refPretrainDistributional(e *Encoder, corpus []string) {
 		}
 		dist.Normalize()
 		row := e.Emb.Row(id)
-		blend := row.Float64()
+		blend := vec.New(len(row))
+		for j, x := range row {
+			blend[j] = float64(x)
+		}
 		blend.Scale(0.5).Axpy(0.5, dist).Normalize()
 		for j := range row {
 			row[j] = float32(blend[j])

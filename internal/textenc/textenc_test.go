@@ -169,8 +169,13 @@ func TestEncodeNormalized(t *testing.T) {
 	}
 }
 
-// cosine is the cosine similarity of a and b, in float64.
-func cosine(a, b vec.Vec32) float64 { return a.Float64().Cosine(b.Float64()) }
+// cosine is the cosine similarity of a and b, 0 when either is zero.
+func cosine(a, b vec.Vec32) float64 {
+	if a.Norm() == 0 || b.Norm() == 0 {
+		return 0
+	}
+	return float64(vec.Dot32(a, b)) / (a.Norm() * b.Norm())
+}
 
 // cloneEncoder copies e with an independent embedding table, so a run
 // that trains one copy leaves the other as it was.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -109,8 +110,8 @@ func refTripleGradient(enc *textenc.Encoder, cache TokenCache, t sampling.Triple
 	vp, nvp := refNormalized(up)
 	vn, nvn := refNormalized(un)
 
-	dp := vs.Clone().Sub(vp)
-	dn := vs.Clone().Sub(vn)
+	dp := slices.Clone(vs).Sub(vp)
+	dn := slices.Clone(vs).Sub(vn)
 	np := dp.Norm()
 	nn := dn.Norm()
 	loss := np - nn + margin
@@ -139,14 +140,14 @@ func refNormalized(u vec.Vector) (vec.Vector, float64) {
 	if n == 0 {
 		return u, n
 	}
-	return u.Clone().Scale(1 / n), n
+	return slices.Clone(u).Scale(1 / n), n
 }
 
 func refThroughNorm(g, v vec.Vector, rawNorm float64) vec.Vector {
 	if rawNorm == 0 {
 		return g
 	}
-	out := g.Clone()
+	out := slices.Clone(g)
 	out.Axpy(-g.Dot(v), v)
 	return out.Scale(1 / rawNorm)
 }
@@ -159,7 +160,7 @@ func refScatter(enc *textenc.Encoder, ids []textenc.TokenID, gDoc vec.Vector,
 	row := func(id textenc.TokenID) vec.Vector {
 		g, ok := grads[id]
 		if !ok {
-			g = vec.New(gDoc.Dim())
+			g = vec.New(len(gDoc))
 			grads[id] = g
 		}
 		return g

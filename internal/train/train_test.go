@@ -226,7 +226,7 @@ func tripleLoss64(enc *textenc.Encoder, cache TokenCache, tr sampling.Triple, ma
 		return u
 	}
 	vs, vp, vn := norm(cache[tr.Seed]), norm(cache[tr.Pos]), norm(cache[tr.Neg])
-	l := math.Sqrt(vs.L2Sq(vp)) - math.Sqrt(vs.L2Sq(vn)) + margin
+	l := slices.Clone(vs).Sub(vp).Norm() - slices.Clone(vs).Sub(vn).Norm() + margin
 	if l < 0 {
 		return 0
 	}

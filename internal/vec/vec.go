@@ -1,10 +1,12 @@
 // Package vec provides the dense vector and matrix primitives used by the
-// document encoder, the triplet-loss trainer, and the proximity-graph index.
+// document encoder, the triplet-loss trainer, the proximity-graph index and
+// the baselines. It is stdlib-only.
 //
-// Everything is float64 and stdlib-only. Vectors are plain []float64 slices
-// wrapped in the Vector type so that method names document intent (L2, Dot,
-// Axpy, ...) without hiding the underlying storage; callers may index and
-// slice a Vector directly.
+// Vec32 and Matrix32 (float32) hold every representation the system stores
+// and scans; Vector and Matrix (float64) are the accumulators of the
+// encoder's pre-training and the trainer. Vec32 and Vector are plain
+// slices wrapped so that method names document intent (Dot, Axpy, ...)
+// without hiding the storage; callers may index and slice them directly.
 package vec
 
 import (
@@ -17,16 +19,6 @@ type Vector []float64
 
 // New returns a zero vector of dimension d.
 func New(d int) Vector { return make(Vector, d) }
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	copy(c, v)
-	return c
-}
-
-// Dim returns the dimensionality of v.
-func (v Vector) Dim() int { return len(v) }
 
 // Dot returns the inner product <v, w>. It panics if dimensions differ.
 func (v Vector) Dot(w Vector) float64 {
@@ -42,31 +34,6 @@ func (v Vector) Dot(w Vector) float64 {
 
 // Norm returns the Euclidean (L2) norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// L2Sq returns the squared Euclidean distance between v and w. It is the
-// form used in inner loops where only distance comparisons matter, avoiding
-// the square root.
-func (v Vector) L2Sq(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("vec: l2 of mismatched dims %d and %d", len(v), len(w)))
-	}
-	var s float64
-	for i, x := range v {
-		d := x - w[i]
-		s += d * d
-	}
-	return s
-}
-
-// Cosine returns the cosine similarity between v and w, in [-1, 1].
-// Zero vectors have similarity 0 by convention.
-func (v Vector) Cosine(w Vector) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	return v.Dot(w) / (nv * nw)
-}
 
 // Add sets v = v + w in place and returns v. It panics if dimensions
 // differ.

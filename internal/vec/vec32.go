@@ -14,17 +14,6 @@ type Vec32 []float32
 // New32 returns a zero float32 vector of dimension d.
 func New32(d int) Vec32 { return make(Vec32, d) }
 
-// Float64 converts v to a float64 Vector. Every float32 value is exactly
-// representable in float64, so the conversion is lossless: rounding each
-// component back to float32 reproduces v bit for bit.
-func (v Vec32) Float64() Vector {
-	out := make(Vector, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // Dim returns the dimensionality of v.
 func (v Vec32) Dim() int { return len(v) }
 

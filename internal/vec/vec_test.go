@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -11,22 +12,13 @@ func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestNewZero(t *testing.T) {
 	v := New(4)
-	if v.Dim() != 4 {
-		t.Fatalf("dim = %d, want 4", v.Dim())
+	if len(v) != 4 {
+		t.Fatalf("dim = %d, want 4", len(v))
 	}
 	for i, x := range v {
 		if x != 0 {
 			t.Errorf("v[%d] = %v, want 0", i, x)
 		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	v := Vector{1, 2, 3}
-	c := v.Clone()
-	c[0] = 42
-	if v[0] != 1 {
-		t.Error("Clone shares storage with original")
 	}
 }
 
@@ -48,28 +40,8 @@ func TestDotDimMismatchPanics(t *testing.T) {
 }
 
 func TestL2KnownValues(t *testing.T) {
-	a := Vector{0, 0}
-	b := Vector{3, 4}
-	if got := a.L2Sq(b); !almostEqual(got, 25) {
-		t.Errorf("L2Sq = %v, want 25", got)
-	}
-}
-
-func TestCosine(t *testing.T) {
-	a := Vector{1, 0}
-	b := Vector{0, 1}
-	if got := a.Cosine(b); !almostEqual(got, 0) {
-		t.Errorf("orthogonal cosine = %v, want 0", got)
-	}
-	if got := a.Cosine(Vector{2, 0}); !almostEqual(got, 1) {
-		t.Errorf("parallel cosine = %v, want 1", got)
-	}
-	if got := a.Cosine(Vector{-3, 0}); !almostEqual(got, -1) {
-		t.Errorf("antiparallel cosine = %v, want -1", got)
-	}
-	zero := Vector{0, 0}
-	if got := a.Cosine(zero); got != 0 {
-		t.Errorf("cosine with zero vector = %v, want 0", got)
+	if got := L2Sq32([]float32{0, 0}, []float32{3, 4}); got != 25 {
+		t.Errorf("L2Sq32 = %v, want 25", got)
 	}
 }
 
@@ -123,9 +95,9 @@ func TestL2TriangleInequality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b, c := randVec(r, 8), randVec(r, 8), randVec(r, 8)
-		l2 := func(v, w Vector) float64 { return math.Sqrt(v.L2Sq(w)) }
-		return l2(a, c) <= l2(a, b)+l2(b, c)+1e-9
+		a, b, c := randSlice32(r, 8), randSlice32(r, 8), randSlice32(r, 8)
+		l2 := func(v, w []float32) float64 { return math.Sqrt(float64(L2Sq32(v, w))) }
+		return l2(a, c) <= l2(a, b)+l2(b, c)+1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Error(err)
@@ -144,21 +116,23 @@ func TestCauchySchwarz(t *testing.T) {
 	}
 }
 
-// Property: normalization is idempotent and L2Sq agrees with the squared
-// norm of the difference.
+// Property: normalization is idempotent and L2Sq32 agrees with the
+// squared norm of the difference.
 func TestNormalizeIdempotentAndL2Consistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b := randVec(r, 5), randVec(r, 5)
-		n1 := a.Clone().Normalize()
-		n2 := n1.Clone().Normalize()
+		a := randVec(r, 5)
+		n1 := slices.Clone(a).Normalize()
+		n2 := slices.Clone(n1).Normalize()
 		for i := range n1 {
 			if math.Abs(n1[i]-n2[i]) > 1e-12 {
 				return false
 			}
 		}
-		d := a.Clone().Sub(b)
-		return math.Abs(d.Norm()*d.Norm()-a.L2Sq(b)) < 1e-6
+		a32, b32 := randSlice32(r, 5), randSlice32(r, 5)
+		d := slices.Clone(a32)
+		Axpy32(d, -1, b32)
+		return math.Abs(Norm32(d)*Norm32(d)-float64(L2Sq32(a32, b32))) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
