@@ -13,9 +13,9 @@ import (
 // The tests of the §IV-C reference (ta_reference.go) that nothing else
 // covers. FuzzTopExpertsEquivalence (internal/ta) holds TopExpertsTA to
 // the serving ranker and the naive oracle, ids, order and score bits, for
-// every cut n ≥ 1, ties included; these two hold what that check cannot
+// every cut n ≥ 1, ties included; these three hold what that check cannot
 // see: the n = 0 and empty-list answers, and the early-termination
-// statistic RunFig7's TA legs report.
+// statistic and stop depth RunFig7's TA legs report.
 
 // exactFor builds the random-access oracle from the lists themselves.
 func exactFor(lists [][]ListEntry, numKeys int) func(int32) float64 {
@@ -42,6 +42,51 @@ func TestAggregateEdgeCases(t *testing.T) {
 	out, _ := Aggregate(lists, 1, 5, exactFor(lists, 1))
 	if len(out) != 1 || out[0].Key != 0 || out[0].Score != 1 {
 		t.Errorf("out = %v", out)
+	}
+}
+
+// TestAggregateStopDepthAtTies pins where the threshold test fires when a
+// lower bound ties at the n-th place, the only place the rankings cannot
+// show: each instance is built so that one mutation of terminated moves
+// TAStats.Depth and EarlyTermination and the others do not.
+func TestAggregateStopDepthAtTies(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		lists [][]ListEntry
+		keys  int
+		depth int
+		early bool
+	}{
+		// At depth 1 key 0's lower bound 3 equals an unseen key's upper
+		// bound 3: the test fires on LB = UB (it would not on LB > UB).
+		{"lb equals ub", [][]ListEntry{
+			{{0, 2}, {1, 1}},
+			{{0, 1}, {2, 1}},
+		}, 3, 1, true},
+		// At depth 2 key 0 alone holds LB = 3 and is the provisional
+		// top-1; list 1 may still hold it, so its own upper bound is 4.
+		// It must be left out of UB (counting it in stops at depth 3).
+		{"lb-tied key inside the top-n", [][]ListEntry{
+			{{0, 3}, {2, 1}, {4, 0.5}},
+			{{1, 1}, {3, 1}},
+		}, 5, 2, true},
+		// At depth 2 keys 0 and 1 tie at LB = 2; key 0 fills the one slot,
+		// and key 1, which may still appear in list 0, bounds UB at 2.5,
+		// and again at 2.1 at depth 3: the test never fires (leaving every
+		// tied key out of UB stops at depth 2).
+		{"lb-tied key outside the top-n", [][]ListEntry{
+			{{0, 2}, {2, 0.5}, {4, 0.1}},
+			{{1, 2}, {3, 0.5}},
+		}, 5, 3, false},
+	} {
+		out, st := Aggregate(c.lists, c.keys, 1, exactFor(c.lists, c.keys))
+		if st.Depth != c.depth || st.EarlyTermination != c.early {
+			t.Errorf("%s: depth %d, early %v; want depth %d, early %v",
+				c.name, st.Depth, st.EarlyTermination, c.depth, c.early)
+		}
+		if len(out) != 1 || out[0].Key != 0 {
+			t.Errorf("%s: top-1 = %v, want key 0", c.name, out)
+		}
 	}
 }
 
