@@ -74,6 +74,19 @@ func (r paperRows) row(p hetgraph.NodeID) vec.Vec32 {
 	return r.rows.Row(i)
 }
 
+// frozenRows is the paper space of a baseline whose queries the frozen
+// encoder embeds: SBERT's rows are the encoder's own, TADW's, GVNR-t's and
+// G2G's start from them and are shaped by the graph.
+type frozenRows struct {
+	enc *textenc.Encoder
+	paperRows
+}
+
+// QueryPapers implements Method.
+func (f *frozenRows) QueryPapers(text string, m int) []hetgraph.NodeID {
+	return f.query(f.enc.Encode(text), m)
+}
+
 // query returns the m papers closest to q by L2 distance, rank 1 first,
 // a tie going to the smaller id: pgindex.Scan, the exact scan the engine
 // answers with when it has no PG-Index.

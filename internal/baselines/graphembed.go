@@ -89,8 +89,7 @@ var allMetaPaths = []hetgraph.MetaPath{hetgraph.PAP, hetgraph.PTP, hetgraph.PP}
 type TADW struct {
 	dim  int
 	seed int64
-	enc  *textenc.Encoder
-	paperRows
+	frozenRows
 }
 
 // NewTADW returns an unbuilt TADW baseline.
@@ -119,11 +118,6 @@ func (t *TADW) Build(g *hetgraph.Graph) error {
 	return nil
 }
 
-// QueryPapers implements Method.
-func (t *TADW) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return t.query(t.enc.Encode(text), m)
-}
-
 // smooth returns, for every paper, the mean of its neighbours' rows
 // (its own when isolated); nbrs[i] lists the neighbours of base.ids[i].
 func smooth(base paperRows, nbrs [][]hetgraph.NodeID) paperRows {
@@ -149,8 +143,7 @@ func smooth(base paperRows, nbrs [][]hetgraph.NodeID) paperRows {
 type GVNRT struct {
 	dim  int
 	seed int64
-	enc  *textenc.Encoder
-	paperRows
+	frozenRows
 }
 
 // NewGVNRT returns an unbuilt GVNR-t baseline.
@@ -184,11 +177,6 @@ func (t *GVNRT) Build(g *hetgraph.Graph) error {
 	return nil
 }
 
-// QueryPapers implements Method.
-func (t *GVNRT) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return t.query(t.enc.Encode(text), m)
-}
-
 // G2G is the deep-Gaussian graph-embedding baseline [51], simulated as a
 // per-paper free embedding initialised from text features and fine-tuned
 // with a margin ranking loss over raw homogeneous edges: positives are any
@@ -199,8 +187,7 @@ type G2G struct {
 	dim    int
 	seed   int64
 	epochs int
-	enc    *textenc.Encoder
-	paperRows
+	frozenRows
 }
 
 // NewG2G returns an unbuilt G2G baseline.
@@ -252,11 +239,6 @@ func (t *G2G) Build(g *hetgraph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// QueryPapers implements Method.
-func (t *G2G) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return t.query(t.enc.Encode(text), m)
 }
 
 // IDNE is the topic-word-attention baseline [52], simulated as

@@ -86,8 +86,7 @@ func wordVector(w string, dim int, seed int64) vec.Vec32 {
 type SBERT struct {
 	dim  int
 	seed int64
-	enc  *textenc.Encoder
-	paperRows
+	frozenRows
 }
 
 // NewSBERT returns an unbuilt SBERT baseline of dimension dim.
@@ -102,11 +101,6 @@ func (s *SBERT) Build(g *hetgraph.Graph) error {
 	s.enc = frozenEncoder(g, s.dim, s.seed)
 	s.paperRows = encodeRows(g, s.enc)
 	return nil
-}
-
-// QueryPapers implements Method.
-func (s *SBERT) QueryPapers(text string, m int) []hetgraph.NodeID {
-	return s.query(s.enc.Encode(text), m)
 }
 
 // Encoder exposes the frozen encoder; the experiment harness uses it as

@@ -532,6 +532,7 @@ func (e *Engine) SimilarPapers(ctx context.Context, id hetgraph.NodeID, m int) (
 	return ids, st, nil
 }
 
-// EncodeQuery exposes the query representation v_T, which the experiment
-// harness reuses for the ADS metric.
+// EncodeQuery exposes the query representation v_T: a shard encodes a
+// routed query with it (cluster.ShardEngine), and bench/ checks its
+// answers against an exact scan of it.
 func (e *Engine) EncodeQuery(query string) vec.Vec32 { return e.enc.Encode(query) }
