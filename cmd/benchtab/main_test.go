@@ -77,24 +77,10 @@ func TestRunPrintsOneExperiment(t *testing.T) {
 // command and the commit it came from, and Table I's block — cheap and
 // deterministic — is what benchtab prints now, byte for byte.
 func TestExperimentsShowsOneRun(t *testing.T) {
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A section runs from one heading to the next.
-	sections := strings.Split(string(doc), "\n#")
 	command := regexp.MustCompile("(?m)^- Command: `go run \\./cmd/benchtab -exp [^`]+`$")
 	commit := regexp.MustCompile("(?m)^- Commit: `[0-9a-f]{7,40}`$")
-	sectionOf := func(id string) string {
-		for _, s := range sections {
-			if strings.Contains(s, "\n["+id+" completed in ") {
-				return s
-			}
-		}
-		return ""
-	}
 	for _, id := range ids() {
-		s := sectionOf(id)
+		s := sectionOf(t, id)
 		if s == "" {
 			t.Errorf("EXPERIMENTS.md shows no %s block", id)
 			continue
@@ -106,13 +92,37 @@ func TestExperimentsShowsOneRun(t *testing.T) {
 			t.Errorf("the section with the %s block states no commit line", id)
 		}
 	}
+	showsWhatBenchtabPrints(t, "table1")
+}
 
+// sectionOf returns the EXPERIMENTS.md section that holds experiment
+// id's block, or "" when none does. A section runs from one heading to
+// the next.
+func sectionOf(t *testing.T, id string) string {
+	t.Helper()
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range strings.Split(string(doc), "\n#") {
+		if strings.Contains(s, "\n["+id+" completed in ") {
+			return s
+		}
+	}
+	return ""
+}
+
+// showsWhatBenchtabPrints fails t unless experiment id's block in
+// EXPERIMENTS.md is what `benchtab -exp id` prints now, byte for byte,
+// up to its completion line (the one time in the block).
+func showsWhatBenchtabPrints(t *testing.T, id string) {
+	t.Helper()
 	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "table1"}, &out, &errb); code != 0 {
+	if code := run([]string{"-exp", id}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	block, _, _ := strings.Cut(out.String(), "[table1 completed in ")
-	if !strings.Contains(sectionOf("table1"), "```\n"+block) {
-		t.Errorf("EXPERIMENTS.md's Table I section does not show what benchtab prints:\n%s", block)
+	block, _, _ := strings.Cut(out.String(), "["+id+" completed in ")
+	if !strings.Contains(sectionOf(t, id), "```\n"+block) {
+		t.Errorf("EXPERIMENTS.md's %s section does not show what benchtab prints:\n%s", id, block)
 	}
 }

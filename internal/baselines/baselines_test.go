@@ -160,7 +160,8 @@ func TestBaselinesDeterministic(t *testing.T) {
 
 func TestGraphBaselinesUseStructure(t *testing.T) {
 	// TADW's paper embeddings must differ from the frozen text encoding
-	// (graph smoothing must actually do something).
+	// (graph smoothing must actually do something). Float32 rounding of
+	// the 0.5/0.35/0.15 blend alone moves a row by far less than 1e-6.
 	ds := testDataset(t)
 	g := ds.Graph
 	tadw := NewTADW(24, 7)
@@ -173,12 +174,12 @@ func TestGraphBaselinesUseStructure(t *testing.T) {
 	}
 	diff := 0
 	for i := range tadw.ids {
-		if !slices.Equal(tadw.rows.Row(i), sb.rows.Row(i)) {
+		if vec.L2Sq32(tadw.rows.Row(i), sb.rows.Row(i)) > 1e-6 {
 			diff++
 		}
 	}
 	if diff == 0 {
-		t.Error("TADW embeddings identical to text-only embeddings")
+		t.Error("TADW embeddings equal the text-only embeddings up to rounding")
 	}
 }
 
