@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,16 +13,18 @@ import (
 	"net/url"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"expertfind/internal/colstore"
 	"expertfind/internal/core"
 	"expertfind/internal/dataset"
+	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
+	"expertfind/internal/pgindex"
 	"expertfind/internal/serve"
 	"expertfind/internal/ta"
 )
@@ -167,26 +170,6 @@ func assertSameRanking(t *testing.T, q string, got serve.ExpertsResponse, want [
 	}
 }
 
-// getJSON fetches a URL that must answer 200 and decodes its body as
-// generic JSON.
-func getJSON(t *testing.T, url string) map[string]any {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, b)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatalf("%s: bad payload: %v", url, err)
-	}
-	return out
-}
-
 // singleNode serves eng the way a one-process deployment does.
 func singleNode(t *testing.T, eng *core.Engine) string {
 	t.Helper()
@@ -195,114 +178,6 @@ func singleNode(t *testing.T, eng *core.Engine) string {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return ts.URL
-}
-
-// TestRouterMatchesSingleNode is the acceptance equivalence test: for
-// S in {2, 4}, the router's top-n over S shards must equal single-node
-// ta.TopExperts exactly — ids, order and float bits, ties included — and
-// its whole /experts body must be the single node's, response_ms aside:
-// names, paper counts, candidates, ta_depth, cached.
-func TestRouterMatchesSingleNode(t *testing.T) {
-	ds, eng := equivEngine(t)
-	queries := ds.Queries(8, rand.New(rand.NewSource(3)))
-	const m, n = 40, 10
-	single := singleNode(t, eng)
-
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			topo := startTopology(t, eng, shards, RouterConfig{}, ClientConfig{}, nil, nil)
-			for _, q := range queries {
-				want, _, err := eng.TopExperts(q.Text, m, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := queryExperts(t, topo.routerURL, q.Text, m, n)
-				assertSameRanking(t, q.Text, got, want)
-
-				path := fmt.Sprintf("/experts?%s&m=%d&n=%d", url.Values{"q": {q.Text}}.Encode(), m, n)
-				routed, alone := getJSON(t, topo.routerURL+path), getJSON(t, single+path)
-				if routed["candidates"] == float64(0) || routed["ta_depth"] == float64(0) {
-					t.Fatalf("query %q: candidates %v, ta_depth %v", q.Text, routed["candidates"], routed["ta_depth"])
-				}
-				delete(routed, "response_ms")
-				delete(alone, "response_ms")
-				if !reflect.DeepEqual(routed, alone) {
-					t.Fatalf("query %q: router body %v, single node %v", q.Text, routed, alone)
-				}
-			}
-		})
-	}
-}
-
-// shardFrames asks S shard engines for a query's papers the way the router
-// does and passes each answer through the wire codec.
-func shardFrames(t *testing.T, engines []*ShardEngine, query string, m int) []*PapersResponse {
-	t.Helper()
-	resps := make([]*PapersResponse, len(engines))
-	for i, se := range engines {
-		res, err := se.Retrieve(context.Background(), query, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sent := se.Papers(res, true, false)
-		resps[i] = new(PapersResponse)
-		if err := decodeFrame(encodeFrame(sent), resps[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resps
-}
-
-// TestRouterSumMatchesTopExperts holds the router's ranking itself — no
-// HTTP, no router — to the single-node ranker: the papers S in 2..5 shard
-// engines retrieve, framed with their author lists, decoded, merged and
-// summed by rankResponses, must come out as ta.TopExperts returns them over
-// the undivided list on the graph, for cuts inside, at and past the
-// candidate count — ids, score bits, work stats, names and paper counts.
-func TestRouterSumMatchesTopExperts(t *testing.T) {
-	ds, eng := equivEngine(t)
-	g := eng.Graph()
-	const m = 40
-	for shards := 2; shards <= 5; shards++ {
-		engines := make([]*ShardEngine, shards)
-		for i := range engines {
-			se, err := NewShardEngine(eng, ShardConfig{ID: i, Of: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines[i] = se
-		}
-		for _, q := range ds.Queries(6, rand.New(rand.NewSource(11))) {
-			papers, _, err := eng.RetrievePapers(q.Text, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resps := shardFrames(t, engines, q.Text, m)
-			_, all := ta.TopExperts(g, papers, 1)
-			for _, n := range []int{1, 10, all.Candidates, all.Candidates + 5} {
-				want, wantStats := ta.TopExperts(g, papers, n)
-				got, stats, err := rankResponses(context.Background(), resps, m, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats != wantStats || len(got) != len(want) {
-					t.Fatalf("S=%d %q n=%d: router ranked %d with stats %+v, single node %d with %+v",
-						shards, q.Text, n, len(got), stats, len(want), wantStats)
-				}
-				for i, e := range got {
-					w := want[i]
-					if e.ID != int32(w.Expert) || math.Float64bits(e.Score) != math.Float64bits(w.Score) || e.Rank != i+1 {
-						t.Fatalf("S=%d %q n=%d rank %d: router (%d, %x), single node (%d, %x)", shards, q.Text,
-							n, i+1, e.ID, math.Float64bits(e.Score), w.Expert, math.Float64bits(w.Score))
-					}
-					if e.Name != g.Label(w.Expert) || e.Papers != len(g.PapersOf(w.Expert)) {
-						t.Fatalf("S=%d %q rank %d: metadata (%q, %d) is not expert %d's",
-							shards, q.Text, i+1, e.Name, e.Papers, w.Expert)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestRouterOneRound pins the shape of a routed /experts: every shard is
@@ -387,39 +262,6 @@ func checkAuthorFrame(t *testing.T, eng *core.Engine, shard int, body []byte) {
 	}
 }
 
-// TestRouterPapersMatchesSingleNode checks the retrieval route too: the
-// merged /papers list must equal the single-node one.
-func TestRouterPapersMatchesSingleNode(t *testing.T) {
-	ds, eng := equivEngine(t)
-	q := ds.Queries(1, rand.New(rand.NewSource(17)))[0]
-	const m = 15
-
-	single := singleNode(t, eng)
-	topo := startTopology(t, eng, 2, RouterConfig{}, ClientConfig{}, nil, nil)
-
-	fetch := func(base string) []serve.PaperResult {
-		resp, err := http.Get(fmt.Sprintf("%s/papers?%s&m=%d", base, url.Values{"q": {q.Text}}.Encode(), m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, b)
-		}
-		var out []serve.PaperResult
-		if err := json.Unmarshal(b, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	want := fetch(single)
-	got := fetch(topo.routerURL)
-	if len(want) != m || !reflect.DeepEqual(got, want) {
-		t.Fatalf("router returned %+v, single node %+v", got, want)
-	}
-}
-
 // TestRouterHealthTopology pins the /healthz contract for routers and
 // shards: role, shard coordinates, replica sets.
 func TestRouterHealthTopology(t *testing.T) {
@@ -459,155 +301,300 @@ func TestRouterHealthTopology(t *testing.T) {
 	}
 }
 
-// addEquivPapers applies n deterministic updates starting at index
-// start; the same call against any engine over the same base corpus
-// produces bit-identical state.
-func addEquivPapers(t *testing.T, eng *core.Engine, start, n int) {
+// answer serves one GET through h and returns its status and, when 200,
+// its JSON body with response_ms left out.
+func answer(t *testing.T, h http.Handler, path string) (int, any) {
 	t.Helper()
-	authors := eng.Graph().NodesOfType(hetgraph.Author)
-	for i := start; i < start+n; i++ {
-		_, err := eng.AddPaper(core.NewPaper{
-			Text: fmt.Sprintf("replicated paper %d on expert retrieval", i),
-			Authors: []hetgraph.NodeID{
-				authors[i%len(authors)], authors[(i*5+2)%len(authors)],
-			},
-		})
-		if err != nil {
-			t.Fatalf("add paper %d: %v", i, err)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		return rec.Code, nil
+	}
+	var body any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("%s: bad payload: %v", path, err)
+	}
+	if m, ok := body.(map[string]any); ok {
+		delete(m, "response_ms")
+	}
+	return rec.Code, body
+}
+
+// sameRanking fails unless got is want: the same experts in the same
+// order with the same score bits.
+func sameRanking(t *testing.T, label string, got, want []ta.Ranking) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d experts, want %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].Expert != w.Expert || math.Float64bits(got[i].Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s rank %d: expert %d (%x), want %d (%x)", label, i+1, got[i].Expert,
+				math.Float64bits(got[i].Score), w.Expert, math.Float64bits(w.Score))
 		}
 	}
 }
 
-// TestFollowerReplicaMatchesSingleNode slots a WAL-shipping follower
-// into a router replica set next to its leader: one shard, two replicas,
-// one of them replicated rather than locally written. After catch-up
-// every routed query — whichever replica serves it — must match the
-// single-node ranking bit for bit, and the follower must actually have
-// served some of the traffic.
-func TestFollowerReplicaMatchesSingleNode(t *testing.T) {
-	const papers = 150
-	ds := dataset.Generate(dataset.AminerSim(papers))
-	reg := obs.NewRegistry()
-	store, err := core.OpenStore(t.TempDir(), ds.Graph,
-		func() (*core.Engine, error) {
-			return core.Build(ds.Graph, core.Options{
-				Dim: 16, Seed: 5, UsePGIndex: core.Bool(false), Metrics: reg,
-			})
-		}, core.StoreOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	leaderEng := store.Engine()
-	addEquivPapers(t, leaderEng, 0, 10)
-
-	// Leader replica: shard API plus the replication surface.
-	leaderSE, err := NewShardEngine(leaderEng, ShardConfig{ID: 0, Of: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaderSrv := serve.New(leaderEng)
-	leaderSrv.SetReady(true)
-	MountShard(leaderSrv, leaderSE)
-	serve.MountReplication(leaderSrv, store)
-	lts := httptest.NewServer(leaderSrv)
-	defer lts.Close()
-
-	// Follower replica: bootstraps from the leader's snapshot and tails
-	// its WAL over the wire, over an independent copy of the base graph.
-	fg := dataset.Generate(dataset.AminerSim(papers)).Graph
-	foReg := obs.NewRegistry()
-	fo, err := core.OpenStore(t.TempDir(), fg, nil, core.StoreOptions{
-		Leader: lts.URL, FollowerID: "replica-1", PollInterval: 10 * time.Millisecond, Metrics: foReg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fo.Close()
-	deadline := time.Now().Add(20 * time.Second)
-	for !(fo.Status().CaughtUp && fo.LastSeq() >= 10) {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never caught up: %+v", fo.Status())
+// FuzzRankingEquivalence holds every topology to one ranking on generated
+// corpora. The corpus is a dataset preset at a fuzzed seed and size (40 to
+// 250 papers) with a fuzzed topic count, authors-per-paper bound and group
+// size; a durable exact leader store takes 0 to 8 updates that repeat one
+// base paper's text, so that the query of that text ties them at distance
+// 0 across the m-cut; then a snapshot. For that query and the fuzzed one,
+// at the fuzzed m and n over S in 1..5 shards, each of these answers
+// /experts and /papers with the leader's own server's JSON body
+// (response_ms aside) and ranks TopExperts Float64bits-equal:
+//   - the router over S exact shards serving the snapshot's mapped load,
+//     one of whose replicas is a following store bootstrapped over HTTP
+//     with the fuzzed mmap mode and caught up; it must have served
+//     sub-requests, answer /readyz 200 and /healthz as the shard's
+//     follower, and map its snapshot exactly when its mode is not off;
+//   - rankResponses over the shards' framed answers, without HTTP, at n in
+//     {1, n, candidates, candidates+5}, work stats and metadata included;
+//   - heap and mapped loads of the snapshot;
+//   - an engine built with a PG-Index whose pool admits every paper.
+//
+// And S shards searching their own PG-Index, with a pool below every
+// shard's size so the walk runs, rank like ta.TopExperts over the global
+// top-m of the shards' own Search.
+func FuzzRankingEquivalence(f *testing.F) {
+	f.Add(uint8(0), int64(101), uint8(160), uint8(5), uint8(2), uint8(3), uint8(0), "graph embedding", uint8(39), uint8(9), uint8(1), uint8(0))
+	f.Add(uint8(1), int64(7), uint8(0), uint8(11), uint8(4), uint8(9), uint8(80), "  ", uint8(2), uint8(2), uint8(2), uint8(1))
+	f.Add(uint8(2), int64(3), uint8(210), uint8(0), uint8(0), uint8(0), uint8(44), "\xff\xfe[UNK]", uint8(4), uint8(0), uint8(4), uint8(2))
+	f.Add(uint8(0), int64(55), uint8(60), uint8(3), uint8(5), uint8(22), uint8(25), "[UNK]", uint8(255), uint8(63), uint8(3), uint8(1))
+	f.Add(uint8(1), int64(-9), uint8(30), uint8(7), uint8(1), uint8(15), uint8(17), "", uint8(5), uint8(5), uint8(0), uint8(2))
+	f.Add(uint8(2), int64(12), uint8(120), uint8(1), uint8(3), uint8(5), uint8(71), "retrieval of experts", uint8(7), uint8(4), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, preset uint8, seed int64, size, topics, authors, group, updates uint8,
+		query string, m, n, shards, mmap uint8) {
+		cfg := []func(int) dataset.Config{dataset.AminerSim, dataset.DBLPSim, dataset.ACMSim}[preset%3](40 + int(size)%211)
+		cfg.Seed, cfg.NumTopics = seed, 2+int(topics)%12
+		cfg.AuthorsPerPaperMin, cfg.AuthorsPerPaperMax = 1, 1+int(authors)%6
+		cfg.GroupSizeMin, cfg.GroupSizeMax = 1+int(group)%4, 1+int(group)%4+int(group/4)%6
+		gen := func() *hetgraph.Graph { return dataset.Generate(cfg).Graph }
+		build := func(g *hetgraph.Graph, pg bool, ef int) (*core.Engine, error) {
+			return core.Build(g, core.Options{Dim: 8, Seed: 5, UseKPCore: core.Bool(false),
+				UsePGIndex: core.Bool(pg), EF: ef, Metrics: obs.NewRegistry()})
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		query = query[:min(len(query), 200)]
+		S, mq, nq := 1+int(shards)%5, 1+int(m), 1+int(n)%64
 
-	// The shard view is carved out only after catch-up — shard serving
-	// state is a build-time snapshot on leaders and followers alike.
-	foSE, err := NewShardEngine(fo.Engine(), ShardConfig{ID: 0, Of: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if foSE.NumOwned() != leaderSE.NumOwned() {
-		t.Fatalf("follower shard owns %d papers, leader owns %d — the 10 "+
-			"replicated updates are missing", foSE.NumOwned(), leaderSE.NumOwned())
-	}
-
-	foSrv := serve.New(fo.Engine())
-	foSrv.SetReady(true)
-	MountShard(foSrv, foSE)
-	serve.MountReplication(foSrv, fo)
-	var followerHits atomic.Int64
-	fts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/shard/") {
-			followerHits.Add(1)
+		// The leader and its updates: u of them, k before the snapshot the
+		// follower bootstraps from, the rest replicated to it.
+		g := gen()
+		papers, writers := g.NodesOfType(hetgraph.Paper), g.NodesOfType(hetgraph.Author)
+		text := g.Label(papers[int(uint64(seed)%uint64(len(papers)))])
+		u := int(updates) % 9
+		k := int(updates) / 9 % (u + 1)
+		add := func(e *core.Engine, from, to int) {
+			for i := from; i < to; i++ {
+				p := core.NewPaper{Text: text, Authors: []hetgraph.NodeID{writers[i*7%len(writers)], writers[(i*13+1)%len(writers)]}}
+				if _, err := e.AddPaper(p); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		foSrv.ServeHTTP(w, r)
-	}))
-	defer fts.Close()
-
-	// The follower is a drop-in replica: same address list shape, no
-	// router-side configuration.
-	creg := obs.NewRegistry()
-	addrs := [][]string{{
-		strings.TrimPrefix(lts.URL, "http://"),
-		strings.TrimPrefix(fts.URL, "http://"),
-	}}
-	client, err := NewShardClient(addrs, ClientConfig{}, creg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := NewRouter(client, RouterConfig{}, creg, nil)
-	rs := httptest.NewServer(router)
-	defer rs.Close()
-
-	queries := ds.Queries(8, rand.New(rand.NewSource(3)))
-	const m, n = 40, 10
-	for _, q := range queries {
-		want, _, err := leaderEng.TopExperts(q.Text, m, n)
+		store, err := core.OpenStore(t.TempDir(), g, func() (*core.Engine, error) { return build(g, false, 0) },
+			core.StoreOptions{Sync: durable.SyncNever, Metrics: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := queryExperts(t, rs.URL, q.Text, m, n)
-		assertSameRanking(t, q.Text, got, want)
-	}
-	if followerHits.Load() == 0 {
-		t.Fatal("the follower replica never served a shard sub-request")
-	}
+		t.Cleanup(func() { store.Close() })
+		leader := store.Engine()
+		single := serve.New(leader)
+		single.SetReady(true)
+		serve.MountReplication(single, store)
+		lts := httptest.NewServer(single)
+		t.Cleanup(lts.Close)
+		add(leader, 0, k)
+		if err := store.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		mode := []colstore.Mode{colstore.ModeAuto, colstore.ModeOff, colstore.ModeOn}[mmap%3]
+		fo, err := core.OpenStore(t.TempDir(), gen(), nil, core.StoreOptions{Leader: lts.URL, FollowerID: "fuzz",
+			PollInterval: 5 * time.Millisecond, Mmap: mode, Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fo.Close() })
+		add(leader, k, u)
+		deadline := time.Now().Add(10 * time.Second)
+		for !(fo.Status().CaughtUp && fo.LastSeq() >= uint64(u)) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower never caught up: %+v", fo.Status())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := store.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
 
-	// The follower's lag-aware /readyz is what the router's re-admission
-	// probe reads; caught up, it must say 200.
-	resp, err := http.Get(fts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("caught-up follower /readyz = %d, want 200", resp.StatusCode)
-	}
-	// Its /healthz names it a follower and keeps the shard's coordinates.
-	resp, err = http.Get(fts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health serve.HealthResponse
-	err = json.NewDecoder(resp.Body).Decode(&health)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if health.Role != "follower" || health.Shards != 1 || health.OwnedPapers != foSE.NumOwned() {
-		t.Fatalf("follower /healthz topology = %+v, want role follower of shard 0/1 owning %d",
-			health.Topology, foSE.NumOwned())
-	}
+		// The other engines: the snapshot loaded both ways, and a PG build.
+		load := func(mode colstore.Mode) *core.Engine {
+			e, err := core.LoadFileWith(store.SnapshotPath(), gen(), core.LoadOptions{Mmap: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { e.CloseSnapshot() })
+			return e
+		}
+		pgEng, err := build(gen(), true, len(papers)+u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(pgEng, 0, u)
+		mapped := load(colstore.ModeOn)
+		if !mapped.SnapshotMapped() || fo.Engine().SnapshotMapped() != (mode != colstore.ModeOff) {
+			t.Fatalf("mapped load %v, follower in mode %v %v", mapped.SnapshotMapped(), mode, fo.Engine().SnapshotMapped())
+		}
+		others := map[string]*core.Engine{"heap": load(colstore.ModeOff), "mapped": mapped,
+			"follower": fo.Engine(), "PG-Index": pgEng}
+
+		// The exact topology over the mapped load, the follower as shard 0's
+		// second replica.
+		foSE, err := NewShardEngine(fo.Engine(), ShardConfig{ID: 0, Of: S})
+		if err != nil {
+			t.Fatal(err)
+		}
+		foSrv := serve.New(fo.Engine())
+		foSrv.SetReady(true)
+		MountShard(foSrv, foSE)
+		serve.MountReplication(foSrv, fo)
+		var foServed atomic.Int64
+		topo := startTopology(t, mapped, S, RouterConfig{}, ClientConfig{}, map[int]int{0: 2},
+			func(shard, rep int, inner http.Handler) http.Handler {
+				if shard > 0 || rep == 0 {
+					return inner
+				}
+				return interceptShard(foSrv, func(_ string, resp []byte) []byte { foServed.Add(1); return resp })
+			})
+		engines := make([]*ShardEngine, S)
+		for i := range engines {
+			if engines[i], err = NewShardEngine(leader, ShardConfig{ID: i, Of: S}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if foSE.NumOwned() != engines[0].NumOwned() {
+			t.Fatalf("the follower's shard owns %d papers, the leader's %d", foSE.NumOwned(), engines[0].NumOwned())
+		}
+
+		servers := map[string]http.Handler{"router": topo.router, "follower": foSrv}
+		for name, e := range others {
+			if name != "follower" {
+				servers[name] = serve.New(e)
+			}
+		}
+		for _, q := range []string{query, text} {
+			want, wantStats, err := leader.TopExperts(q, mq, nq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, e := range others {
+				got, _, err := e.TopExperts(q, mq, nq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRanking(t, fmt.Sprintf("%s, query %q", name, q), got, want)
+			}
+			for _, path := range []string{
+				fmt.Sprintf("/experts?%s&m=%d&n=%d", url.Values{"q": {q}}.Encode(), mq, nq),
+				fmt.Sprintf("/papers?%s&m=%d", url.Values{"q": {q}}.Encode(), mq),
+			} {
+				code, body := answer(t, single, path)
+				for name, h := range servers {
+					if c, b := answer(t, h, path); c != code || !reflect.DeepEqual(b, body) {
+						t.Fatalf("%s %s: %d %v, single node %d %v", name, path, c, b, code, body)
+					}
+				}
+			}
+
+			// The router's sum over the framed shard answers.
+			resps := make([]*PapersResponse, S)
+			for i, se := range engines {
+				res, err := se.Retrieve(context.Background(), q, mq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resps[i] = new(PapersResponse)
+				if err := decodeFrame(encodeFrame(se.Papers(res, true, false)), resps[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			retrieved, _, err := leader.RetrievePapers(q, mq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, nq, wantStats.TA.Candidates, wantStats.TA.Candidates + 5} {
+				want, wantStats := ta.TopExperts(leader.Graph(), retrieved, n)
+				got, stats, err := rankResponses(context.Background(), resps, mq, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats != wantStats || len(got) != len(want) {
+					t.Fatalf("query %q n=%d: ranked %d with %+v, single node %d with %+v", q, n, len(got), stats, len(want), wantStats)
+				}
+				for i, e := range got {
+					w := want[i]
+					if e.ID != int32(w.Expert) || math.Float64bits(e.Score) != math.Float64bits(w.Score) || e.Rank != i+1 ||
+						e.Name != leader.Graph().Label(w.Expert) || e.Papers != len(leader.Graph().PapersOf(w.Expert)) {
+						t.Fatalf("query %q n=%d rank %d: %+v (%x), single node %d (%x)", q, n, i+1, e,
+							math.Float64bits(e.Score), w.Expert, math.Float64bits(w.Score))
+					}
+				}
+			}
+		}
+		if foServed.Load() == 0 || foServed.Load() != topo.replica(0, 1).requests.Load() {
+			t.Fatalf("the follower answered %d of %d sub-requests", foServed.Load(), topo.replica(0, 1).requests.Load())
+		}
+		if code, _ := answer(t, foSrv, "/readyz"); code != http.StatusOK {
+			t.Fatalf("caught-up follower /readyz = %d", code)
+		}
+		rec := httptest.NewRecorder()
+		foSrv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var health serve.HealthResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
+			t.Fatal(err)
+		}
+		if health.Role != "follower" || health.ShardID != 0 || health.Shards != S || health.OwnedPapers != foSE.NumOwned() {
+			t.Fatalf("follower /healthz topology %+v, want shard 0 of %d owning %d", health.Topology, S, foSE.NumOwned())
+		}
+
+		// S shards searching their own PG-Index below their size.
+		owned := len(papers) + u
+		for _, se := range engines {
+			owned = min(owned, se.NumOwned())
+		}
+		ef := owned - 1
+		if ef < 1 {
+			return
+		}
+		mPG := min(mq, ef)
+		pgCfg := func(id, of int) ShardConfig {
+			return ShardConfig{ID: id, Of: of, UsePGIndex: true, EF: ef, Index: pgindex.Config{Refine: true, Seed: 11}}
+		}
+		pgTopo := startTopologyCfg(t, leader, S, RouterConfig{}, ClientConfig{}, nil, nil, pgCfg)
+		for i := range engines {
+			if engines[i], err = NewShardEngine(leader, pgCfg(i, S)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range []string{query, text} {
+			if q == "" {
+				continue
+			}
+			var all []pgindex.Result
+			for _, se := range engines {
+				res, _ := se.index.Search(leader.EncodeQuery(q), mPG, ef)
+				all = append(all, res...)
+			}
+			slices.SortFunc(all, func(a, b pgindex.Result) int {
+				return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+			})
+			top := make([]hetgraph.NodeID, 0, mPG)
+			for _, r := range all[:min(mPG, len(all))] {
+				top = append(top, r.ID)
+			}
+			want, _ := ta.TopExperts(leader.Graph(), top, nq)
+			assertSameRanking(t, q, queryExperts(t, pgTopo.routerURL, q, mPG, nq), want)
+		}
+	})
 }

@@ -7,14 +7,18 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"expertfind/internal/colstore"
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/metrics"
+	"expertfind/internal/obs"
 	"expertfind/internal/sampling"
 	"expertfind/internal/textenc"
 	"expertfind/internal/train"
@@ -185,6 +189,12 @@ func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
 		}
 		return e, snap.Bytes()
 	}
+	var queries []string
+	for _, q := range ds.Queries(6, randSource(21)) {
+		queries = append(queries, q.Text)
+	}
+	papers := ds.Graph.NodesOfType(hetgraph.Paper)
+	similar := []hetgraph.NodeID{papers[0], papers[len(papers)/2], papers[len(papers)-1]}
 	for _, indexed := range []bool{true, false} {
 		want, wantSnap := build(1, indexed)
 		wantLosses := want.Stats().Training.EpochLosses
@@ -204,7 +214,7 @@ func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
 			if !bytes.Equal(gotSnap, wantSnap) {
 				t.Errorf("%s: snapshots differ (%d vs %d bytes)", label, len(gotSnap), len(wantSnap))
 			}
-			assertRankingsIdentical(t, ds, label, want, got)
+			assertRankingsIdentical(t, label, want, got, queries, similar)
 		}
 	}
 }
@@ -298,5 +308,81 @@ func TestFastSamplingMatchesCommunityStructure(t *testing.T) {
 	if slow.Stats().Sampling.Communities != fast.Stats().Sampling.Communities {
 		t.Errorf("community counts differ: %d vs %d",
 			slow.Stats().Sampling.Communities, fast.Stats().Sampling.Communities)
+	}
+}
+
+// assertViewsIndexRows checks that E has one home in e: the map holds one
+// entry per row of the index, and each is a view of its row of the index
+// matrix with cap == len.
+func assertViewsIndexRows(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	ids, rows := e.index.Rows()
+	if len(e.Embeddings) != len(ids) {
+		t.Fatalf("%s: %d embeddings for %d rows", label, len(e.Embeddings), len(ids))
+	}
+	for i, id := range ids {
+		v := e.Embeddings[id]
+		if len(v) != rows.Cols || &v[0] != &rows.Data[i*rows.Cols] || cap(v) != len(v) {
+			t.Fatalf("%s: Embeddings[%d] is not a clipped view of row %d", label, id, i)
+		}
+	}
+}
+
+// TestEmbeddingsViewIndexRows holds every engine kind — built, heap-loaded
+// and mmap-loaded, with and without a PG-Index — to one copy of E: the
+// Embeddings map is views of the index's matrix before and after AddPapers
+// that move that matrix (a built matrix is allocated to size, a loaded one
+// clipped, so the first append reallocates either).
+func TestEmbeddingsViewIndexRows(t *testing.T) {
+	for _, usePG := range []bool{true, false} {
+		built, err := Build(dataset.Generate(dataset.AminerSim(120)).Graph, Options{Dim: 8, Seed: 11, UseKPCore: Bool(false),
+			UsePGIndex: Bool(usePG), Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := filepath.Join(t.TempDir(), "engine.snap")
+		var saved bytes.Buffer
+		if _, err := built.SaveSnapshot(&saved); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snap, saved.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		engines := map[string]*Engine{"built": built}
+		for name, mode := range map[string]colstore.Mode{"heap": colstore.ModeOff, "mmap": colstore.ModeOn} {
+			e, err := LoadFileWith(snap, dataset.Generate(dataset.AminerSim(120)).Graph, LoadOptions{Mmap: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.CloseSnapshot()
+			engines[name] = e
+		}
+		for name, e := range engines {
+			label := fmt.Sprintf("%s, PG-Index %v", name, usePG)
+			if (e.Index() != nil) != usePG {
+				t.Fatalf("%s: Index() = %v", label, e.Index())
+			}
+			assertViewsIndexRows(t, label, e)
+			var resaved bytes.Buffer
+			if _, err := e.SaveSnapshot(&resaved); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+				t.Fatalf("%s: save -> load -> save changed the snapshot", label)
+			}
+			_, rows := e.index.Rows()
+			before := &rows.Data[0]
+			authors := e.Graph().NodesOfType(hetgraph.Author)
+			for i := 0; i < 3; i++ {
+				if _, err := e.AddPaper(NewPaper{Text: fmt.Sprintf("views paper %d", i),
+					Authors: authors[i : i+1]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, rows = e.index.Rows(); &rows.Data[0] == before {
+				t.Fatalf("%s: the adds did not move the matrix", label)
+			}
+			assertViewsIndexRows(t, label+", after adds", e)
+		}
 	}
 }

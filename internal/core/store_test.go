@@ -49,41 +49,6 @@ func addTestPapers(t *testing.T, e *Engine, n int) []hetgraph.NodeID {
 	return ids
 }
 
-// rankingsOf runs a fixed query set and returns the expert id lists.
-func rankingsOf(t *testing.T, e *Engine, ds *dataset.Dataset) [][]hetgraph.NodeID {
-	t.Helper()
-	var out [][]hetgraph.NodeID
-	for _, q := range ds.Queries(3, randSource(9)) {
-		ranked, _, err := e.TopExperts(q.Text, 40, 10)
-		if err != nil {
-			t.Fatalf("query %q: %v", q.Text, err)
-		}
-		ids := make([]hetgraph.NodeID, len(ranked))
-		for i, r := range ranked {
-			ids[i] = r.Expert
-		}
-		out = append(out, ids)
-	}
-	return out
-}
-
-func sameRankings(a, b [][]hetgraph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func openTestStore(t *testing.T, dir string) (*Store, *dataset.Dataset) {
 	t.Helper()
 	ds, mk := storeFixture()
@@ -92,47 +57,6 @@ func openTestStore(t *testing.T, dir string) (*Store, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	return st, ds
-}
-
-// TestStoreCrashRecovery is the core durability contract: acknowledged
-// updates survive a crash (no Close, no final snapshot) and rankings
-// are identical after restart-plus-replay.
-func TestStoreCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	st, ds := openTestStore(t, dir)
-	ids := addTestPapers(t, st.Engine(), 5)
-	before := rankingsOf(t, st.Engine(), ds)
-	papersBefore := st.Engine().Graph().NumNodesOfType(hetgraph.Paper)
-	// Crash: the store is abandoned without Close — the only durability
-	// it gets is what Append already put on disk.
-
-	st2, ds2 := openTestStore(t, dir)
-	defer st2.Close()
-	rec := st2.Recovery()
-	if !rec.SnapshotLoaded {
-		t.Error("initial snapshot was not used on restart")
-	}
-	if rec.Replayed != 5 {
-		t.Errorf("replayed %d records, want 5", rec.Replayed)
-	}
-	e2 := st2.Engine()
-	if got := e2.Graph().NumNodesOfType(hetgraph.Paper); got != papersBefore {
-		t.Errorf("paper count after recovery: %d, want %d", got, papersBefore)
-	}
-	for _, id := range ids {
-		if e2.Graph().Type(id) != hetgraph.Paper {
-			t.Errorf("acknowledged paper %d missing after recovery", id)
-		}
-		if e2.index.Embedding(id) == nil {
-			t.Errorf("acknowledged paper %d has no embedding after recovery", id)
-		}
-	}
-	if after := rankingsOf(t, e2, ds2); !sameRankings(before, after) {
-		t.Error("rankings differ after crash recovery")
-	}
-	if e2.LastUpdateSeq() != 5 {
-		t.Errorf("last seq %d, want 5", e2.LastUpdateSeq())
-	}
 }
 
 // TestStoreLostLogResumesAfterSnapshot: a store whose snapshot covers
@@ -166,75 +90,6 @@ func TestStoreLostLogResumesAfterSnapshot(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotCoversUpdates: after an explicit snapshot, restart
-// needs no WAL replay, and the covered segments are reclaimed.
-func TestStoreSnapshotCoversUpdates(t *testing.T) {
-	dir := t.TempDir()
-	st, ds := openTestStore(t, dir)
-	addTestPapers(t, st.Engine(), 4)
-	before := rankingsOf(t, st.Engine(), ds)
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// The WAL must have been truncated down to (at most) one empty
-	// active segment.
-	walFiles, err := os.ReadDir(filepath.Join(dir, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var walBytes int64
-	for _, f := range walFiles {
-		fi, _ := f.Info()
-		walBytes += fi.Size()
-	}
-	if walBytes != 0 {
-		t.Errorf("WAL holds %d bytes after covering snapshot", walBytes)
-	}
-
-	st2, ds2 := openTestStore(t, dir)
-	defer st2.Close()
-	rec := st2.Recovery()
-	if rec.Replayed != 0 {
-		t.Errorf("replayed %d records, want 0 after snapshot", rec.Replayed)
-	}
-	if rec.SnapshotSeq != 4 {
-		t.Errorf("snapshot seq %d, want 4", rec.SnapshotSeq)
-	}
-	if got := len(st2.Engine().updates); got != 4 {
-		t.Errorf("journalled updates %d, want 4", got)
-	}
-	if after := rankingsOf(t, st2.Engine(), ds2); !sameRankings(before, after) {
-		t.Error("rankings differ after snapshot restart")
-	}
-}
-
-// TestStoreMixedSnapshotAndWAL: updates both before and after the
-// snapshot all survive.
-func TestStoreMixedSnapshotAndWAL(t *testing.T) {
-	dir := t.TempDir()
-	st, ds := openTestStore(t, dir)
-	addTestPapers(t, st.Engine(), 3)
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	addTestPapers(t, st.Engine(), 2) // live only in the WAL
-	before := rankingsOf(t, st.Engine(), ds)
-	// Crash without Close.
-
-	st2, ds2 := openTestStore(t, dir)
-	defer st2.Close()
-	rec := st2.Recovery()
-	if rec.SnapshotSeq != 3 || rec.Replayed != 2 {
-		t.Errorf("recovery: %+v, want snapshot seq 3 + 2 replayed", rec)
-	}
-	if got := len(st2.Engine().updates); got != 5 {
-		t.Errorf("applied updates %d, want 5", got)
-	}
-	if after := rankingsOf(t, st2.Engine(), ds2); !sameRankings(before, after) {
-		t.Error("rankings differ after mixed recovery")
-	}
-}
-
 // TestStoreCorruptSnapshotFailsLoudly: a flipped byte in the snapshot
 // must abort recovery with a typed checksum error, not serve bad state.
 func TestStoreCorruptSnapshotFailsLoudly(t *testing.T) {
@@ -261,38 +116,6 @@ func TestStoreCorruptSnapshotFailsLoudly(t *testing.T) {
 	var ce *durable.CorruptError
 	if !errors.As(err, &ce) || ce.Path == "" {
 		t.Fatalf("corrupt snapshot error lacks file context: %v", err)
-	}
-}
-
-// TestStoreTornWALTailRecovered: a partial record at the WAL tail (a
-// crash mid-append, never acknowledged) is dropped; everything
-// acknowledged before it survives.
-func TestStoreTornWALTailRecovered(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir)
-	addTestPapers(t, st.Engine(), 3)
-	// Crash without Close, then a torn half-record at the tail.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no wal segments: %v", err)
-	}
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("PARTIAL")); err != nil { // 7 bytes < record header
-		t.Fatal(err)
-	}
-	f.Close()
-
-	st2, _ := openTestStore(t, dir)
-	defer st2.Close()
-	rec := st2.Recovery()
-	if !rec.TornWALTail {
-		t.Error("torn tail not reported")
-	}
-	if rec.Replayed != 3 {
-		t.Errorf("replayed %d, want 3", rec.Replayed)
 	}
 }
 

@@ -1,7 +1,6 @@
 package kpcore
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -43,86 +42,13 @@ func requireIndexMatchesSearch(t *testing.T, g *hetgraph.Graph, k int, mps []het
 	}
 }
 
-// blobs builds two co-author cliques of six papers joined three ways — by
-// a paper below any k ≥ 3 (one co-author in each clique), by a paper with
-// four P-neighbours spread over both, and by a chain hanging off the first
-// clique whose head meets k = 3 but peels — plus a paper with no co-author
-// at all. Every paper mentions one of two topics and a few cite each
-// other, so P-T-P and P-P have structure too.
-func blobs() *hetgraph.Graph {
-	g := hetgraph.New()
-	paper := func(name string) hetgraph.NodeID { return g.AddNode(hetgraph.Paper, name) }
-	nAuthors := 0
-	coauthor := func(ps ...hetgraph.NodeID) {
-		a := g.AddNode(hetgraph.Author, fmt.Sprintf("a%d", nAuthors))
-		nAuthors++
-		for _, p := range ps {
-			g.MustAddEdge(a, p, hetgraph.Write)
-		}
-	}
-	var left, right []hetgraph.NodeID
-	for i := 0; i < 6; i++ {
-		left = append(left, paper(fmt.Sprintf("left %d", i)))
-		right = append(right, paper(fmt.Sprintf("right %d", i)))
-	}
-	coauthor(left...)
-	coauthor(right...)
-	thin, wide, lone := paper("thin bridge"), paper("wide bridge"), paper("lone")
-	coauthor(thin, left[0])
-	coauthor(thin, right[0])
-	for _, p := range []hetgraph.NodeID{left[1], left[2], right[1], right[2]} {
-		coauthor(wide, p)
-	}
-	head, mid, tail := paper("chain head"), paper("chain mid"), paper("chain tail")
-	coauthor(head, left[3])
-	coauthor(head, left[4])
-	coauthor(head, mid)
-	coauthor(mid, tail)
-	coauthor(lone)
-
-	topics := []hetgraph.NodeID{g.AddNode(hetgraph.Topic, "t0"), g.AddNode(hetgraph.Topic, "t1")}
-	for i, p := range g.NodesOfType(hetgraph.Paper) {
-		if p != lone {
-			g.MustAddEdge(p, topics[i%2], hetgraph.Mention)
-		}
-	}
-	g.MustAddEdge(left[0], left[1], hetgraph.Cite)
-	g.MustAddEdge(left[1], right[1], hetgraph.Cite)
-	g.MustAddEdge(thin, head, hetgraph.Cite)
-	g.MustAddEdge(mid, wide, hetgraph.Cite)
-	return g
-}
-
-// TestCoreIndexMatchesSearchEverySeed is the equivalence the sampling
-// stage rests on: on hand-built and random graphs, for k from 0
-// (everything is core) to 7 (nearly nothing is), the index answers every
-// seed exactly as Algorithm 1 does — sub-k seeds, isolated papers and
-// papers bridging two dense regions included. FuzzCoreIndexMatchesSearch's
-// seeds catch every fault this sweep has been checked against; figure2
-// and blobs are shapes testgraph.Random does not draw, and the random
-// graphs are three more of the fuzzer's inputs. A generated dataset graph
-// is TestCoreIndexMatchesSearchOnDatasets' and the counts ledger's.
-func TestCoreIndexMatchesSearchEverySeed(t *testing.T) {
-	fig2, _ := testgraph.Figure2()
-	graphs := map[string]*hetgraph.Graph{
-		"figure2": fig2,
-		"blobs":   blobs(),
-		// Few authors: one dense co-author blob. Many: mostly sub-k papers.
-		"random-dense":  testgraph.Random(rand.New(rand.NewSource(1)), 70, 12, 3, 2),
-		"random-mixed":  testgraph.Random(rand.New(rand.NewSource(2)), 90, 40, 5, 2),
-		"random-sparse": testgraph.Random(rand.New(rand.NewSource(3)), 90, 160, 12, 1),
-	}
-	for name, g := range graphs {
-		for k := 0; k <= 7; k++ {
-			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
-				requireIndexMatchesSearch(t, g, k, threePaths)
-			})
-		}
-	}
-}
-
-// FuzzCoreIndexMatchesSearch draws the graph's shape and k from the
-// fuzzer and requires the same equivalence for every seed.
+// FuzzCoreIndexMatchesSearch is the equivalence the sampling stage rests
+// on: on a random graph whose shape and k the fuzzer draws, the index
+// answers every seed exactly as Algorithm 1 does — sub-k seeds, isolated
+// papers and papers bridging two dense regions included. Its seeds catch
+// every fault of CoreIndex the hand-built graphs were checked against. A
+// generated dataset graph is TestCoreIndexMatchesSearchOnDatasets' and the
+// counts ledger's.
 func FuzzCoreIndexMatchesSearch(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(10), uint8(3), uint8(2), uint8(3))
 	f.Add(int64(2), uint8(60), uint8(90), uint8(1), uint8(1), uint8(2))
@@ -131,9 +57,20 @@ func FuzzCoreIndexMatchesSearch(f *testing.F) {
 	// Ten papers, k = 3: a seed touches two core components whose papers
 	// interleave, so a union of two lists must be sorted.
 	f.Add(int64(2), uint8(9), uint8(13), uint8(7), uint8(2), uint8(3))
+	// Three shapes at every k from 0 (everything is core) to 7 (nearly
+	// nothing is): few authors make one dense co-author blob, many leave
+	// mostly sub-k papers.
+	for _, g := range []struct {
+		seed                                int64
+		papers, authors, topics, edgeFactor uint8
+	}{{1, 69, 11, 3, 2}, {2, 89, 39, 5, 2}, {3, 89, 159, 12, 1}} {
+		for k := range uint8(8) {
+			f.Add(g.seed, g.papers, g.authors, g.topics, g.edgeFactor, k)
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, papers, authors, topics, edgeFactor, k uint8) {
 		g := testgraph.Random(rand.New(rand.NewSource(seed)),
-			1+int(papers%80), 1+int(authors), int(topics%8), int(edgeFactor%5))
+			1+int(papers%96), 1+int(authors), int(topics%16), int(edgeFactor%5))
 		requireIndexMatchesSearch(t, g, int(k%9), threePaths)
 	})
 }
