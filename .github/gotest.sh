@@ -12,8 +12,9 @@
 #   - a package named without "..." runs no test;
 #   - a top-level `|` alternative of -run matches no test that ran.
 # Fuzz mode lists each package's Fuzz targets (`go test -list '^Fuzz'`)
-# and fuzzes every one for DURATION. It fails when a target fails or a
-# package named without "..." has no target.
+# and fuzzes every one for DURATION, with TMPDIR inside the script's own
+# temporary directory. It fails when a target fails or a package named
+# without "..." has no target.
 #
 # Other flags take their value after "=" (-count=2). Needs only go and
 # POSIX sh, sed, awk and grep; run it from the module root.
@@ -59,7 +60,9 @@ if [ -n "$fuzz" ]; then
 		fi
 		for t in $targets; do
 			echo "gotest: fuzzing $p $t for $fuzz"
-			go test $flags -run '^$' -fuzz "^$t\$" -fuzztime "$fuzz" "$p" || fail "$p $t"
+			# A worker stopped mid-input leaves its t.TempDir behind;
+			# under $tmp it goes with the EXIT trap.
+			TMPDIR="$tmp" go test $flags -run '^$' -fuzz "^$t\$" -fuzztime "$fuzz" "$p" || fail "$p $t"
 		done
 	done
 	exit $failed

@@ -56,16 +56,9 @@ func main() {
 		fail("-queries requires -out (the queries land next to the graph file)")
 	}
 
-	var cfg dataset.Config
-	switch *preset {
-	case "aminer":
-		cfg = dataset.AminerSim(*papers)
-	case "dblp":
-		cfg = dataset.DBLPSim(*papers)
-	case "acm":
-		cfg = dataset.ACMSim(*papers)
-	default:
-		fail("unknown preset %q (want aminer, dblp, or acm)", *preset)
+	cfg, err := dataset.PresetConfig(*preset, *papers)
+	if err != nil {
+		fail("%v", err)
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed

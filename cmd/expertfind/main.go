@@ -20,12 +20,12 @@ import (
 	"strings"
 	"time"
 
-	"expertfind/internal/cli"
 	"expertfind/internal/core"
 	"expertfind/internal/dataset"
+	"expertfind/internal/experiments"
 	"expertfind/internal/hetgraph"
-	"expertfind/internal/metrics"
 	"expertfind/internal/sampling"
+	"expertfind/internal/serve"
 )
 
 func main() {
@@ -47,7 +47,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := cli.LoadGraph(*graphFile, *preset, *papers)
+	g, err := dataset.LoadGraph(*graphFile, *preset, *papers)
 	if err != nil {
 		fail(err)
 	}
@@ -128,30 +128,13 @@ func evaluate(engine *core.Engine, g *hetgraph.Graph, file string, m, n int) err
 	if err != nil {
 		return err
 	}
-	var aps []float64
-	var p5, p10, p20 float64
-	var total time.Duration
-	for _, q := range queries {
-		t0 := time.Now()
-		ranked, _, _ := engine.TopExperts(q.Text, m, n)
-		total += time.Since(t0)
-		ids := make([]hetgraph.NodeID, len(ranked))
-		for i, r := range ranked {
-			ids[i] = r.Expert
-		}
-		aps = append(aps, metrics.AveragePrecision(ids, q.Truth))
-		p5 += metrics.PrecisionAtN(ids, q.Truth, 5)
-		p10 += metrics.PrecisionAtN(ids, q.Truth, 10)
-		p20 += metrics.PrecisionAtN(ids, q.Truth, 20)
-	}
-	nq := float64(len(queries))
-	if nq == 0 {
+	if len(queries) == 0 {
 		return fmt.Errorf("no queries in %s", file)
 	}
+	eff := experiments.Evaluate(experiments.WrapEngine("Ours", engine), g, queries, m, n, nil)
 	fmt.Printf("evaluated %d queries (m=%d, n=%d)\n", len(queries), m, n)
 	fmt.Printf("MAP %.3f  P@5 %.3f  P@10 %.3f  P@20 %.3f  avg %.2fms\n",
-		metrics.MAP(aps), p5/nq, p10/nq, p20/nq,
-		float64(total.Milliseconds())/nq)
+		eff.MAP, eff.P5, eff.P10, eff.P20, eff.AvgMs)
 	return nil
 }
 
@@ -161,7 +144,7 @@ func answer(engine *core.Engine, g *hetgraph.Graph, query string, m, n int) {
 		fmt.Printf("query failed: %v\n", err)
 		return
 	}
-	fmt.Printf("query: %s\n", truncate(query, 70))
+	fmt.Printf("query: %s\n", serve.Truncate(query, 70))
 	fmt.Printf("top-%d experts (%.2fms: encode %.2f, retrieve %.2f, rank %.2f; %d dist comps, %d candidates):\n",
 		n, ms(st.Total()), ms(st.EncodeTime), ms(st.RetrieveTime), ms(st.RankTime),
 		st.Search.DistanceComputations, st.TA.Candidates)
@@ -178,13 +161,6 @@ func last(xs []float64) float64 {
 		return 0
 	}
 	return xs[len(xs)-1]
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
 
 func fail(err error) {

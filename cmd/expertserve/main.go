@@ -71,10 +71,10 @@ import (
 	"syscall"
 	"time"
 
-	"expertfind/internal/cli"
 	"expertfind/internal/cluster"
 	"expertfind/internal/colstore"
 	"expertfind/internal/core"
+	"expertfind/internal/dataset"
 	"expertfind/internal/durable"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
@@ -227,7 +227,7 @@ func (n *node) runNode() error {
 			return fmt.Errorf("-role follower requires -data-dir")
 		}
 	}
-	g, err := cli.LoadGraph(*graphFile, *preset, *papers)
+	g, err := dataset.LoadGraph(*graphFile, *preset, *papers)
 	if err != nil {
 		return err
 	}

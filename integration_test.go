@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestCLIPipeline exercises the shipped binaries end to end: generate a
@@ -56,5 +57,18 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "top-3 experts") {
 		t.Errorf("query output unexpected:\n%s", out)
+	}
+
+	// A query whose 70th byte falls inside a two-byte rune: the echoed
+	// text is cut at a rune boundary, never inside one.
+	out, err = exec.Command(bin("expertfind"), "-graph", graph,
+		"-query", "xграфовые сообщества экспертов и поиск специалистов по темам",
+		"-m", "40", "-n", "3", "-dim", "16").Output()
+	if err != nil {
+		t.Fatalf("expertfind -query (Cyrillic): %v\n%s", err, out)
+	}
+	line, _, _ := strings.Cut(string(out), "\n")
+	if !strings.HasPrefix(line, "query: x") || !utf8.ValidString(line) {
+		t.Errorf("query line is not the query cut at a rune boundary: %q", line)
 	}
 }

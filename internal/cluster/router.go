@@ -469,7 +469,7 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]serve.PaperResult, len(merged))
 	for i, p := range merged {
-		out[i] = serve.PaperResult{Rank: i + 1, ID: p.ID, Text: serve.Truncate(p.Text, 120)}
+		out[i] = serve.PaperResult{Rank: i + 1, ID: p.ID, Text: serve.Truncate(p.Text, serve.PaperTextRunes)}
 		for _, id := range p.Authors {
 			a, ok := findAuthor(resps, id)
 			if !ok {

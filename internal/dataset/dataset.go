@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 
@@ -185,6 +186,57 @@ func ACMSim(numPapers int) Config {
 		numPapers = 3000
 	}
 	return Config{Name: "acm-sim", Seed: 303, NumPapers: numPapers, NumTopics: 13}
+}
+
+// Preset names one synthetic stand-in: the name a command-line flag
+// takes, the title the paper's tables print, and its generator.
+type Preset struct {
+	Flag  string
+	Title string
+	Gen   func(numPapers int) Config
+}
+
+// Presets lists the three stand-ins in the paper's order.
+var Presets = []Preset{
+	{"aminer", "Aminer", AminerSim},
+	{"dblp", "DBLP", DBLPSim},
+	{"acm", "ACM", ACMSim},
+}
+
+// PresetConfig returns the configuration of the preset whose flag name is
+// name, scaled to numPapers (0 for the preset default).
+func PresetConfig(name string, numPapers int) (Config, error) {
+	for _, p := range Presets {
+		if p.Flag == name {
+			return p.Gen(numPapers), nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown preset %q (want aminer, dblp, or acm)", name)
+}
+
+// LoadGraph returns the heterogeneous graph from a file (when file is
+// non-empty) or from the preset named preset at numPapers papers (0 for
+// the preset default). Files ending in .txt are parsed as the real Aminer
+// citation-network format; everything else as the JSON written by
+// cmd/datagen.
+func LoadGraph(file, preset string, numPapers int) (*hetgraph.Graph, error) {
+	if file == "" {
+		cfg, err := PresetConfig(preset, numPapers)
+		if err != nil {
+			return nil, err
+		}
+		return Generate(cfg).Graph, nil
+	}
+	f, err := os.Open(file)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(file, ".txt") {
+		g, _, err := hetgraph.ReadAminer(f)
+		return g, err
+	}
+	return hetgraph.ReadJSON(f)
 }
 
 // Dataset is a generated academic network plus the side information the

@@ -79,15 +79,18 @@ func (s engineSystem) TopExperts(query string, m, n int) []ta.Ranking {
 // WrapEngine exposes a built engine as a System named name.
 func WrapEngine(name string, e *core.Engine) System { return engineSystem{name, e} }
 
-// Effectiveness is one row of Table II / IV / V.
+// Effectiveness is one row of Table II / IV / V: the paper's metrics
+// averaged over a query set, and the per-query data behind them.
 type Effectiveness struct {
 	Method string
 	MAP    float64
 	P5     float64
 	P10    float64
 	P20    float64
+	PAtN   float64 // mean P@n at the n the queries were ranked to
 	ADS    float64
-	AvgMs  float64 // mean response time per query, for Figure 7
+	AvgMs  float64   // mean response time per query, for Figure 7
+	APs    []float64 // each query's average precision, in query order
 }
 
 // RefSpace is the fixed similarity space used by the ADS metric: the
@@ -112,11 +115,12 @@ func NewRefSpace(g *hetgraph.Graph, dim int, seed int64) *RefSpace {
 }
 
 // Evaluate runs the queries against sys and aggregates the paper's
-// effectiveness metrics, averaging over queries.
+// effectiveness metrics, averaging over queries. It is the one place a
+// query set is scored: every table, figure, significance test and
+// expertfind -eval reads its row.
 func Evaluate(sys System, g *hetgraph.Graph, queries []dataset.Query, m, n int,
 	ref *RefSpace) Effectiveness {
-	eff := Effectiveness{Method: sys.Name()}
-	var aps []float64
+	eff := Effectiveness{Method: sys.Name(), APs: make([]float64, 0, len(queries))}
 	var totalDur time.Duration
 	for _, q := range queries {
 		t0 := time.Now()
@@ -129,7 +133,8 @@ func Evaluate(sys System, g *hetgraph.Graph, queries []dataset.Query, m, n int,
 		eff.P5 += metrics.PrecisionAtN(ids, q.Truth, 5)
 		eff.P10 += metrics.PrecisionAtN(ids, q.Truth, 10)
 		eff.P20 += metrics.PrecisionAtN(ids, q.Truth, 20)
-		aps = append(aps, metrics.AveragePrecision(ids, q.Truth))
+		eff.PAtN += metrics.PrecisionAtN(ids, q.Truth, n)
+		eff.APs = append(eff.APs, metrics.AveragePrecision(ids, q.Truth))
 		if ref != nil {
 			eff.ADS += metrics.ADS(g, ids, ref.IDs, ref.Rows, ref.Enc.Encode(q.Text))
 		}
@@ -139,32 +144,18 @@ func Evaluate(sys System, g *hetgraph.Graph, queries []dataset.Query, m, n int,
 		eff.P5 /= nq
 		eff.P10 /= nq
 		eff.P20 /= nq
+		eff.PAtN /= nq
 		eff.ADS /= nq
 		eff.AvgMs = float64(totalDur) / float64(time.Millisecond) / nq
 	}
-	eff.MAP = metrics.MAP(aps)
+	eff.MAP = metrics.MAP(eff.APs)
 	return eff
-}
-
-// DatasetSpec names a dataset preset and its generator.
-type DatasetSpec struct {
-	Name string
-	Gen  func(papers int) dataset.Config
-}
-
-// Datasets lists the three presets in the paper's order.
-func Datasets() []DatasetSpec {
-	return []DatasetSpec{
-		{"Aminer", dataset.AminerSim},
-		{"DBLP", dataset.DBLPSim},
-		{"ACM", dataset.ACMSim},
-	}
 }
 
 // buildDataset generates a dataset at the given scale plus its query set
 // and reference space.
-func buildDataset(spec DatasetSpec, sc Scale) (*dataset.Dataset, []dataset.Query, *RefSpace) {
-	ds := dataset.Generate(spec.Gen(sc.Papers))
+func buildDataset(p dataset.Preset, sc Scale) (*dataset.Dataset, []dataset.Query, *RefSpace) {
+	ds := dataset.Generate(p.Gen(sc.Papers))
 	rng := rand.New(rand.NewSource(sc.Seed))
 	queries := ds.Queries(sc.Queries, rng)
 	ref := NewRefSpace(ds.Graph, sc.Dim, sc.Seed)

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"expertfind/internal/dataset"
+	"expertfind/internal/hetgraph"
+	"expertfind/internal/metrics"
 	"expertfind/internal/ta"
 )
 
@@ -169,6 +171,57 @@ func TestEvaluateQueryTimeFullResolution(t *testing.T) {
 	if total := eff.AvgMs * float64(len(queries)); total == math.Trunc(total) {
 		t.Errorf("AvgMs × %d queries = %v ms, a whole number: the total was truncated", len(queries), total)
 	}
+}
+
+// TestEvaluateScoresEachQuery: Evaluate's per-query APs are
+// metrics.AveragePrecision of each ranking, MAP is their mean and PAtN
+// the mean P@n at the n the queries were ranked to, on hand-built truth.
+func TestEvaluateScoresEachQuery(t *testing.T) {
+	sys := stubSystem{
+		"a": {1, 2, 3, 4},
+		"b": {5, 6},
+	}
+	queries := []dataset.Query{
+		{Text: "a", Truth: map[hetgraph.NodeID]bool{1: true, 3: true, 9: true}},
+		{Text: "b", Truth: map[hetgraph.NodeID]bool{6: true}},
+	}
+	const n = 3
+	eff := Evaluate(sys, nil, queries, 10, n, nil)
+	if len(eff.APs) != len(queries) {
+		t.Fatalf("%d APs for %d queries", len(eff.APs), len(queries))
+	}
+
+	wantAPs := []float64{(1 + 2.0/3) / 3, 1.0 / 2}
+	var pAtN float64
+	for i, q := range queries {
+		ids := sys[q.Text][:min(n, len(sys[q.Text]))]
+		if ap := metrics.AveragePrecision(ids, q.Truth); eff.APs[i] != ap || math.Abs(ap-wantAPs[i]) > 1e-12 {
+			t.Errorf("query %q: AP %v, metrics.AveragePrecision %v, by hand %v", q.Text, eff.APs[i], ap, wantAPs[i])
+		}
+		pAtN += metrics.PrecisionAtN(ids, q.Truth, n)
+	}
+	if eff.MAP != metrics.MAP(eff.APs) {
+		t.Errorf("MAP %v, metrics.MAP of the APs %v", eff.MAP, metrics.MAP(eff.APs))
+	}
+	if want := pAtN / 2; eff.PAtN != want || math.Abs(want-0.5) > 1e-12 {
+		t.Errorf("P@%d %v, want the mean %v (by hand 0.5)", n, eff.PAtN, want)
+	}
+	if math.Abs(eff.P5-0.3) > 1e-12 {
+		t.Errorf("P@5 %v, want 0.3", eff.P5)
+	}
+}
+
+// stubSystem ranks the experts listed under a query's text, in order,
+// cut to the n asked for.
+type stubSystem map[string][]hetgraph.NodeID
+
+func (stubSystem) Name() string { return "stub" }
+func (s stubSystem) TopExperts(query string, m, n int) []ta.Ranking {
+	var out []ta.Ranking
+	for _, id := range s[query][:min(n, len(s[query]))] {
+		out = append(out, ta.Ranking{Expert: id})
+	}
+	return out
 }
 
 // fakeSystem returns no experts, after sleeping for sleep.

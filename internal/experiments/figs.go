@@ -11,7 +11,6 @@ import (
 	"expertfind/internal/dataset"
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/kpcore"
-	"expertfind/internal/metrics"
 	"expertfind/internal/ta"
 )
 
@@ -55,7 +54,7 @@ func (s taSystem) TopExperts(query string, m, n int) []ta.Ranking {
 // ranker (ta.TopExperts) returns the same ranking bit for bit.
 func RunFig7(sc Scale) []Fig7Row {
 	var out []Fig7Row
-	for _, spec := range Datasets() {
+	for _, spec := range dataset.Presets {
 		ds, queries, _ := buildDataset(spec, sc)
 		g := ds.Graph
 		for _, m := range baselines.All(sc.Dim, sc.Seed) {
@@ -63,7 +62,7 @@ func RunFig7(sc Scale) []Fig7Row {
 				panic(err)
 			}
 			eff := Evaluate(baselineSystem{m, g}, g, queries, sc.M, sc.N, nil)
-			out = append(out, Fig7Row{Dataset: spec.Name, Method: m.Name(), AvgMs: eff.AvgMs})
+			out = append(out, Fig7Row{Dataset: spec.Title, Method: m.Name(), AvgMs: eff.AvgMs})
 		}
 		for _, v := range []struct {
 			withTA, withoutTA string
@@ -75,7 +74,7 @@ func RunFig7(sc Scale) []Fig7Row {
 			e := buildOurs(g, sc, func(o *core.Options) { o.UsePGIndex = core.Bool(v.usePGIndex) })
 			for _, sys := range []System{taSystem{engineSystem{v.withTA, e}}, WrapEngine(v.withoutTA, e)} {
 				eff := Evaluate(sys, g, queries, sc.M, sc.N, nil)
-				out = append(out, Fig7Row{Dataset: spec.Name, Method: sys.Name(), AvgMs: eff.AvgMs})
+				out = append(out, Fig7Row{Dataset: spec.Title, Method: sys.Name(), AvgMs: eff.AvgMs})
 			}
 		}
 	}
@@ -117,7 +116,7 @@ func FormatSensitivity(title, costLabel string, rows []SensitivityRow) string {
 // RunFig8a reproduces Figure 8(a): the effect of the sample ratio f on
 // effectiveness and training time (Aminer-sim).
 func RunFig8a(sc Scale) []SensitivityRow {
-	ds, queries, ref := buildDataset(Datasets()[0], sc)
+	ds, queries, ref := buildDataset(dataset.Presets[0], sc)
 	g := ds.Graph
 	var out []SensitivityRow
 	for _, f := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
@@ -136,7 +135,7 @@ func RunFig8a(sc Scale) []SensitivityRow {
 // RunFig8b reproduces Figure 8(b): the effect of the core size k on
 // effectiveness and training time (Aminer-sim).
 func RunFig8b(sc Scale) []SensitivityRow {
-	ds, queries, ref := buildDataset(Datasets()[0], sc)
+	ds, queries, ref := buildDataset(dataset.Presets[0], sc)
 	g := ds.Graph
 	var out []SensitivityRow
 	for k := 2; k <= 9; k++ {
@@ -155,7 +154,7 @@ func RunFig8b(sc Scale) []SensitivityRow {
 // RunFig8c reproduces Figure 8(c): the effect of the retrieval size m on
 // effectiveness and query time, over one built engine (Aminer-sim).
 func RunFig8c(sc Scale) []SensitivityRow {
-	ds, queries, ref := buildDataset(Datasets()[0], sc)
+	ds, queries, ref := buildDataset(dataset.Presets[0], sc)
 	g := ds.Graph
 	e := buildOurs(g, sc, nil)
 	var out []SensitivityRow
@@ -176,31 +175,16 @@ func RunFig8c(sc Scale) []SensitivityRow {
 // RunFig8d reproduces Figure 8(d): the effect of the result size n on P@n
 // and query time, over one built engine (Aminer-sim).
 func RunFig8d(sc Scale) []SensitivityRow {
-	ds, queries, _ := buildDataset(Datasets()[0], sc)
+	ds, queries, _ := buildDataset(dataset.Presets[0], sc)
 	g := ds.Graph
 	e := buildOurs(g, sc, nil)
 	var out []SensitivityRow
 	for _, n := range []int{5, 10, 20, 50, 100} {
-		var pAtN float64
-		var aps []float64
-		var total time.Duration
-		for _, q := range queries {
-			t0 := time.Now()
-			ranked, _, _ := e.TopExperts(q.Text, sc.M, n)
-			total += time.Since(t0)
-			ids := make([]hetgraph.NodeID, len(ranked))
-			for i, r := range ranked {
-				ids[i] = r.Expert
-			}
-			pAtN += metrics.PrecisionAtN(ids, q.Truth, n)
-			aps = append(aps, metrics.AveragePrecision(ids, q.Truth))
-		}
-		if len(queries) > 0 {
-			pAtN /= float64(len(queries))
-			total /= time.Duration(len(queries))
-		}
-		out = append(out, SensitivityRow{Param: "n", Value: float64(n),
-			MAP: metrics.MAP(aps), PAtN: pAtN, Cost: total})
+		eff := Evaluate(WrapEngine("Ours", e), g, queries, sc.M, n, nil)
+		out = append(out, SensitivityRow{
+			Param: "n", Value: float64(n), MAP: eff.MAP, PAtN: eff.PAtN,
+			Cost: time.Duration(eff.AvgMs * float64(time.Millisecond)),
+		})
 	}
 	return out
 }

@@ -29,11 +29,11 @@ type Table1Row struct {
 // scale: the corpus statistics every other experiment runs against.
 func RunTable1(sc Scale) []Table1Row {
 	var out []Table1Row
-	for _, spec := range Datasets() {
+	for _, spec := range dataset.Presets {
 		ds := dataset.Generate(spec.Gen(sc.Papers))
 		st := ds.Graph.Stats()
 		out = append(out, Table1Row{
-			Dataset:   spec.Name,
+			Dataset:   spec.Title,
 			Papers:    st.Papers,
 			Experts:   st.Experts,
 			Venues:    st.Venues,
@@ -156,24 +156,12 @@ type Significance struct {
 // bootstrap-tests the per-query AP differences on each dataset.
 func RunSignificance(sc Scale) []Significance {
 	var out []Significance
-	for _, spec := range Datasets() {
+	for _, spec := range dataset.Presets {
 		ds, queries, _ := buildDataset(spec, sc)
 		g := ds.Graph
 		ours := buildOurs(g, sc, nil)
 
-		apsOf := func(sys System) []float64 {
-			var aps []float64
-			for _, q := range queries {
-				ranked := sys.TopExperts(q.Text, sc.M, sc.N)
-				ids := make([]hetgraph.NodeID, len(ranked))
-				for i, r := range ranked {
-					ids[i] = r.Expert
-				}
-				aps = append(aps, metrics.AveragePrecision(ids, q.Truth))
-			}
-			return aps
-		}
-		a := apsOf(WrapEngine("Ours", ours))
+		a := Evaluate(WrapEngine("Ours", ours), g, queries, sc.M, sc.N, nil).APs
 
 		for _, base := range []baselines.Method{
 			baselines.NewTADW(sc.Dim, sc.Seed),
@@ -182,12 +170,12 @@ func RunSignificance(sc Scale) []Significance {
 			if err := base.Build(g); err != nil {
 				panic(err)
 			}
-			b := apsOf(baselineSystem{base, g})
+			b := Evaluate(baselineSystem{base, g}, g, queries, sc.M, sc.N, nil).APs
 			res, err := metrics.PairedBootstrap(a, b, 10000, rand.New(rand.NewSource(sc.Seed)))
 			if err != nil {
 				panic(err)
 			}
-			out = append(out, Significance{Dataset: spec.Name, Baseline: base.Name(), Result: res})
+			out = append(out, Significance{Dataset: spec.Title, Baseline: base.Name(), Result: res})
 		}
 	}
 	return out

@@ -12,6 +12,7 @@ import (
 	"expertfind/internal/hetgraph"
 	"expertfind/internal/pgindex"
 	"expertfind/internal/sampling"
+	"expertfind/internal/serve"
 	"expertfind/internal/textenc"
 	"expertfind/internal/train"
 )
@@ -27,7 +28,7 @@ type Table2Result struct {
 // (P-A-P ∩ P-T-P) on each dataset, measured by MAP, P@5/10/20 and ADS.
 func RunTable2(sc Scale) []Table2Result {
 	var out []Table2Result
-	for _, spec := range Datasets() {
+	for _, spec := range dataset.Presets {
 		ds, queries, ref := buildDataset(spec, sc)
 		g := ds.Graph
 		var rows []Effectiveness
@@ -39,7 +40,7 @@ func RunTable2(sc Scale) []Table2Result {
 		}
 		ours := buildOurs(g, sc, nil)
 		rows = append(rows, Evaluate(WrapEngine("Ours (PAP ∩ PTP)", ours), g, queries, sc.M, sc.N, ref))
-		out = append(out, Table2Result{Dataset: spec.Name, Rows: rows})
+		out = append(out, Table2Result{Dataset: spec.Title, Rows: rows})
 	}
 	return out
 }
@@ -68,7 +69,7 @@ type CaseStudy struct {
 // dataset: the top-5 experts of two queries from different topics, under
 // the best baseline (GVNR-t) and Ours.
 func RunTable3(sc Scale) []CaseStudy {
-	ds, _, _ := buildDataset(Datasets()[0], sc)
+	ds, _, _ := buildDataset(dataset.Presets[0], sc)
 	g := ds.Graph
 
 	gv := baselines.NewGVNRT(sc.Dim, sc.Seed)
@@ -96,7 +97,7 @@ func RunTable3(sc Scale) []CaseStudy {
 	systems := []System{baselineSystem{gv, g}, WrapEngine("Ours", ours)}
 	for _, q := range picks {
 		for _, sys := range systems {
-			cs := CaseStudy{Method: sys.Name(), Query: truncate(q.Text, 48), Topic: q.Topic}
+			cs := CaseStudy{Method: sys.Name(), Query: serve.Truncate(q.Text, 48), Topic: q.Topic}
 			for _, r := range sys.TopExperts(q.Text, sc.M, 5) {
 				name := g.Label(r.Expert)
 				if q.Truth[r.Expert] {
@@ -124,13 +125,6 @@ func FormatTable3(cases []CaseStudy) string {
 	return b.String()
 }
 
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
-}
-
 // metaPathConfig names one row of Table IV.
 type metaPathConfig struct {
 	Label string
@@ -156,7 +150,7 @@ func metaPathConfigs() []metaPathConfig {
 // two, or three paths, and no core at all) on effectiveness, per dataset.
 func RunTable4(sc Scale) []Table2Result {
 	var out []Table2Result
-	for _, spec := range Datasets() {
+	for _, spec := range dataset.Presets {
 		ds, queries, ref := buildDataset(spec, sc)
 		g := ds.Graph
 		var rows []Effectiveness
@@ -172,7 +166,7 @@ func RunTable4(sc Scale) []Table2Result {
 			row := Evaluate(WrapEngine(cfg.Label, e), g, queries, sc.M, sc.N, ref)
 			rows = append(rows, row)
 		}
-		out = append(out, Table2Result{Dataset: spec.Name, Rows: rows})
+		out = append(out, Table2Result{Dataset: spec.Title, Rows: rows})
 	}
 	return out
 }
@@ -190,7 +184,7 @@ type Table5Row struct {
 // negatives at 1:3 versus near negatives at ratios 1:1 through 1:4,
 // reporting effectiveness and training cost.
 func RunTable5(sc Scale) []Table5Row {
-	ds, queries, ref := buildDataset(Datasets()[0], sc)
+	ds, queries, ref := buildDataset(dataset.Presets[0], sc)
 	g := ds.Graph
 	type variant struct {
 		label    string

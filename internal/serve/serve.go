@@ -250,6 +250,10 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 	s.WriteJSON(w, resp)
 }
 
+// PaperTextRunes is how many runes of a paper's text a /papers response
+// carries, on a single node and through the router alike.
+const PaperTextRunes = 120
+
 // PaperResult is one paper in a /papers response.
 type PaperResult struct {
 	Rank    int      `json:"rank"`
@@ -264,7 +268,7 @@ func (s *Server) paperResults(papers []hetgraph.NodeID) []PaperResult {
 	out := make([]PaperResult, 0, len(papers))
 	s.engine.ReadGraph(func(g *hetgraph.Graph) {
 		for i, p := range papers {
-			pr := PaperResult{Rank: i + 1, ID: int32(p), Text: Truncate(g.Label(p), 120)}
+			pr := PaperResult{Rank: i + 1, ID: int32(p), Text: Truncate(g.Label(p), PaperTextRunes)}
 			for _, a := range g.AuthorsOf(p) {
 				pr.Authors = append(pr.Authors, g.Label(a))
 			}
