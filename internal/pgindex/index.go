@@ -1,7 +1,6 @@
 package pgindex
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -244,34 +243,24 @@ func (idx *Index) ensureReachable() {
 // candidate y is redundant — and removed — if some already-kept neighbour x
 // satisfies δ(x,y) <= δ(y,p), because the search can reach y through x.
 // cands may repeat a row; it is sorted and compacted in place, so each
-// distinct candidate costs one distance.
+// distinct candidate costs one distance. Candidates are visited in the
+// order of their packed keys, ties by row.
 func (idx *Index) refineNeighbors(p int32, cands []int32, maxDegree int) []int32 {
 	slices.Sort(cands)
 	cands = slices.Compact(cands)
-	list := make([]poolEntry, len(cands))
+	keys := make([]uint64, len(cands))
 	for k, c := range cands {
-		list[k] = poolEntry{id: c, dist: idx.l2sqDense(p, c)}
+		keys[k] = packKey(idx.l2sqDense(p, c), c)
 	}
-	slices.SortFunc(list, func(a, b poolEntry) int {
-		if c := cmp.Compare(a.dist, b.dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	slices.Sort(keys)
 	var kept []int32
-	for _, c := range list {
+	for _, k := range keys {
 		if len(kept) >= maxDegree {
 			break
 		}
-		redundant := false
-		for _, x := range kept {
-			if idx.l2sqDense(x, c.id) <= c.dist {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			kept = append(kept, c.id)
+		y, d := int32(uint32(k)), math.Float32frombits(uint32(k>>32))
+		if !slices.ContainsFunc(kept, func(x int32) bool { return idx.l2sqDense(x, y) <= d }) {
+			kept = append(kept, y)
 		}
 	}
 	return kept
@@ -317,31 +306,32 @@ func (idx *Index) SearchEx(query vec.Vec32, m, ef int, multiEntry bool) ([]Resul
 // an expansion performs.
 const cancelCheckEvery = 32
 
-// poolEntry is one scored paper: its dense row, its squared distance to
-// the query (or, in refineNeighbors, to the paper being linked), and
-// whether a search has pushed its neighbours.
-type poolEntry struct {
-	id   int32
-	dist float32
-	done bool
-}
-
 // searchScratch is the per-search working memory, recycled through a
 // package-level pool so steady-state queries allocate only their result
 // slice. visited is an epoch-stamped array: marking a node is one store,
-// clearing all marks is one epoch increment. pool holds the ef best papers
-// scored so far in canonical order (distance, then paper id); it is the
-// walk's frontier and the selector of its answer at once.
+// clearing all marks is one epoch increment. The walk's pool, the ef
+// papers nearest the query among those scored, is two runs of packKey
+// keys, Float32bits(d²)<<32 | uint32(dense row), which order canonically
+// because ids ascend with the rows. todo[head:] holds the unexpanded entries in ascending order, so
+// its head is the next to expand and the gap todo[:head] that expansions
+// leave takes inserts near the front; done holds the expanded entries
+// unsorted, doneMax the largest of them.
 type searchScratch struct {
 	visited []uint32
 	epoch   uint32
-	pool    []poolEntry
-	seeds   []int32 // the walk's entry points
+	todo    []uint64
+	head    int
+	done    []uint64
+	doneMax uint64
+	tmp     []uint64 // the answer's radix-sort scratch
+	seeds   []int32  // the walk's entry points
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &searchScratch{} }}
 
-func getScratch(n int) *searchScratch {
+// getScratch returns a recycled scratch for a walk over n rows with a
+// pool of ef, its marks cleared and todo's capacity 2ef or more.
+func getScratch(n, ef int) *searchScratch {
 	s := scratchPool.Get().(*searchScratch)
 	if len(s.visited) < n {
 		s.visited = make([]uint32, n)
@@ -354,7 +344,10 @@ func getScratch(n int) *searchScratch {
 		}
 		s.epoch = 1
 	}
-	s.pool = s.pool[:0]
+	if cap(s.todo) < 2*ef {
+		s.todo = make([]uint64, 0, 2*ef)
+	}
+	s.todo, s.head, s.done, s.doneMax = s.todo[:0], 0, s.done[:0], 0
 	return s
 }
 
@@ -383,15 +376,26 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 		}
 		return res, st, err
 	}
-
-	// Greedy best-first expansion (§IV-B). s.pool keeps the ef papers
-	// nearest the query among those scored, in canonical order. Every
-	// scored paper is in the pool or was dropped behind its last entry, so
-	// the first unexpanded entry is the nearest unexpanded candidate, and
-	// the walk ends when no entry is left to expand.
-	s := getScratch(n)
+	s := getScratch(n, ef)
 	defer scratchPool.Put(s)
-	cur := 0 // the first unexpanded pool entry
+	keys, err := idx.walk(ctx, s, query, m, ef, multiEntry, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	res := make([]Result, len(keys))
+	for i, k := range keys {
+		res[i] = Result{ID: idx.ids[uint32(k)], Dist: keyDist(k)}
+	}
+	return res, st, nil
+}
+
+// walk is the greedy best-first expansion of §IV-B with a pool of ef <
+// len(idx.ids) over s, fresh from getScratch. Every scored paper is in
+// the pool or was dropped as its worst entry, so todo's head is the
+// nearest unexpanded candidate; the walk expands it until todo is empty,
+// and returns the pool's m first keys in ascending order, in s's memory.
+// The stats count into st.
+func (idx *Index) walk(ctx context.Context, s *searchScratch, query vec.Vec32, m, ef int, multiEntry bool, st *SearchStats) ([]uint64, error) {
 	// Score a batch (the entry points, then each expansion's neighbours).
 	batch := append(s.seeds[:0], idx.nav)
 	if multiEntry {
@@ -406,67 +410,74 @@ func (idx *Index) searchCtx(ctx context.Context, query vec.Vec32, m, ef int, mul
 			s.visited[i] = s.epoch
 			st.DistanceComputations++
 			st.NodesVisited++
-			if at := s.add(idx.ids, i, vec.L2Sq32(idx.embs.Row(int(i)), query), ef); at < cur {
-				cur = at
-			}
+			s.offer(packKey(vec.L2Sq32(idx.embs.Row(int(i)), query), i), ef)
 		}
-		for cur < len(s.pool) && s.pool[cur].done {
-			cur++
-		}
-		if cur == len(s.pool) {
+		if s.head == len(s.todo) {
 			break
 		}
 		if st.Expansions%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, st, err
+				return nil, err
 			}
 		}
 		st.Expansions++
-		s.pool[cur].done = true
-		batch = idx.nbrs[s.pool[cur].id]
-		cur++
+		k := s.todo[s.head]
+		s.head++
+		s.done = append(s.done, k)
+		s.doneMax = max(s.doneMax, k)
+		batch = idx.nbrs[uint32(k)]
 	}
-	// The pool is in canonical order over the traversal's distances — the
-	// same kernel over the same rows as BruteForce — so its head is the
-	// answer.
-	res := make([]Result, min(m, len(s.pool)))
-	for i, e := range s.pool[:len(res)] {
-		res[i] = Result{ID: idx.ids[e.id], Dist: sqrt(float64(e.dist))}
+	// Every pool entry is expanded now: done is the pool, and its m
+	// smallest keys are the answer.
+	keys := s.done
+	if len(keys) > m {
+		keys = selectSmallest(keys, m)
 	}
-	return res, st, nil
+	if cap(s.tmp) < len(keys) {
+		s.tmp = make([]uint64, len(keys))
+	}
+	sortKeys(keys, s.tmp[:len(keys)])
+	return keys, nil
 }
 
-// add inserts row i at squared distance d into the pool at its canonical
-// place, keeping at most ef entries, and returns that place — len(s.pool)
-// when i does not come before the last entry of a full pool.
-func (s *searchScratch) add(ids []hetgraph.NodeID, i int32, d float32, ef int) int {
-	pool := s.pool
-	n := len(pool)
-	if n == ef {
-		if w := pool[n-1]; !(d < w.dist || d == w.dist && ids[i] < ids[w.id]) {
-			return n
+// offer adds the unexpanded key k to a pool of at most ef entries. A full
+// pool takes it only below its worst entry — todo's last or doneMax —
+// and drops that entry. An insert shifts the shorter side of todo: its
+// front into the gap before the head, or its tail.
+func (s *searchScratch) offer(k uint64, ef int) {
+	if len(s.todo)-s.head+len(s.done) == ef {
+		var last uint64
+		if s.head < len(s.todo) {
+			last = s.todo[len(s.todo)-1]
 		}
-	}
-	// Binary search by distance, then along a run of equal distances by
-	// paper id.
-	at, hi := 0, n
-	for at < hi {
-		if h := int(uint(at+hi) >> 1); pool[h].dist < d {
-			at = h + 1
+		if k >= max(last, s.doneMax) {
+			return
+		}
+		if last > s.doneMax {
+			s.todo = s.todo[:len(s.todo)-1]
 		} else {
-			hi = h
+			at := slices.Index(s.done, s.doneMax)
+			s.done[at] = s.done[len(s.done)-1]
+			s.done, s.doneMax = s.done[:len(s.done)-1], 0
+			for _, d := range s.done {
+				s.doneMax = max(s.doneMax, d)
+			}
 		}
 	}
-	for at < n && pool[at].dist == d && ids[pool[at].id] < ids[i] {
-		at++
+	h := s.head
+	t := s.todo[h:]
+	at, _ := slices.BinarySearch(t, k)
+	if h > 0 && at < len(t)-at {
+		copy(s.todo[h-1:], t[:at])
+		s.todo[h-1+at], s.head = k, h-1
+		return
 	}
-	if n < ef {
-		pool = append(pool, poolEntry{})
+	if len(s.todo) == cap(s.todo) && h > 0 { // slide the entries to the front
+		s.todo, s.head, h = s.todo[:copy(s.todo, t)], 0, 0
 	}
-	copy(pool[at+1:], pool[at:]) // a full pool drops its last entry
-	pool[at] = poolEntry{id: i, dist: d}
-	s.pool = pool
-	return at
+	s.todo = append(s.todo, 0)
+	copy(s.todo[h+at+1:], s.todo[h+at:])
+	s.todo[h+at] = k
 }
 
 // BruteForce scans every embedding of the map and returns the exact m

@@ -1,6 +1,7 @@
 package pgindex
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -69,12 +70,23 @@ func (idx *Index) Insert(id hetgraph.NodeID, v vec.Vec32) error {
 	return nil
 }
 
-// searchDense is Search returning dense indices, for internal use.
+// searchDense is Search(q, m, 0) returning dense rows: the walk's keys
+// carry them, and only the exhaustive path maps ids back to rows.
 func (idx *Index) searchDense(q vec.Vec32, m int) []int32 {
-	res, _ := idx.Search(q, m, 0)
-	out := make([]int32, len(res))
-	for i, r := range res {
-		out[i], _ = idx.row(r.ID)
+	var out []int32
+	if n := len(idx.ids); 2*min(m, n) >= n {
+		res, _ := idx.Search(q, m, 0)
+		for _, r := range res {
+			i, _ := idx.row(r.ID)
+			out = append(out, i)
+		}
+		return out
+	}
+	s := getScratch(len(idx.ids), 2*m)
+	defer scratchPool.Put(s)
+	keys, _ := idx.walk(context.Background(), s, q, m, 2*m, true, new(SearchStats))
+	for _, k := range keys {
+		out = append(out, int32(uint32(k)))
 	}
 	return out
 }

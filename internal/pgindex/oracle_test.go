@@ -203,6 +203,14 @@ func FuzzSearchMatchesReference(f *testing.F) {
 	f.Add(int64(4), uint16(250), uint8(16), uint16(40), uint16(200), true)
 	f.Add(int64(5), uint16(40), uint8(2), uint16(1), uint16(1), false)
 	f.Add(int64(6), uint16(90), uint8(5), uint16(90), uint16(0), true)
+	// A full pool drops its worst entry: an expanded one (done's
+	// largest; the second corpus drops both kinds), an unexpanded one
+	// (todo's last), and, on a grid with duplicated rows, a key whose
+	// distance ties the worst entry's enters only on a smaller row.
+	f.Add(int64(863), uint16(21), uint8(11), uint16(7), uint16(18), false)
+	f.Add(int64(721), uint16(73), uint8(2), uint16(12), uint16(22), false)
+	f.Add(int64(897), uint16(289), uint8(4), uint16(36), uint16(20), false)
+	f.Add(int64(496), uint16(90), uint8(4), uint16(5), uint16(5), true)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, m, ef uint16, multi bool) {
 		ids, rows, q := scanCorpus(seed, int(n)%400+1, int(dim)%24+1, seed%2 == 0)
 		idx := build(rowMap(ids, rows), Config{K: 2 + int(uint64(seed)%8), Refine: seed%3 != 0, Seed: seed})

@@ -15,9 +15,10 @@ import (
 // (squared distance ascending, paper id ascending) and the blocked scan
 // over contiguous rows that feeds it. An index without a graph (every
 // search), a graph index's exhaustive path and the map oracle BruteForce
-// select through it; the greedy search keeps its pool sorted in the same
-// order (searchScratch), so their rankings agree bit for bit by
-// construction.
+// select through it; the greedy search keeps its pool in the same keys,
+// the dense row in the id's place (searchScratch), and cuts and sorts its
+// answer with the same selectSmallest and sortKeys, so their rankings
+// agree bit for bit by construction.
 
 // selector keeps the m first candidates in canonical order, each packed
 // into one key Float32bits(d²)<<32 | uint32(id). Distances are ≥ +0 and
@@ -71,7 +72,7 @@ func (s *selector) add(ids []hetgraph.NodeID, d2 []float32) {
 	for len(d2) > 0 {
 		step := min(len(d2), len(buf)-n)
 		for i, d := range d2[:step] {
-			k := uint64(math.Float32bits(d))<<32 | uint64(uint32(ids[i]))
+			k := packKey(d, int32(ids[i]))
 			buf[n] = k
 			_, over := bits.Sub64(tau, k, 0) // 1 when k > tau: SUB and SBB, no branch
 			n += int(over ^ 1)
@@ -98,7 +99,7 @@ func (s *selector) results() []Result {
 	sortKeys(keys, s.tmp[:len(keys)])
 	out := make([]Result, len(keys))
 	for i, k := range keys {
-		out[i] = Result{ID: hetgraph.NodeID(uint32(k)), Dist: sqrt(float64(math.Float32frombits(uint32(k >> 32))))}
+		out[i] = Result{ID: hetgraph.NodeID(uint32(k)), Dist: keyDist(k)}
 	}
 	if cap(s.keys) > maxPooledKeys || cap(s.tmp) > maxPooledKeys {
 		s.keys, s.tmp = nil, nil // one exhaustive cut does not stay pinned in the pool
@@ -106,6 +107,13 @@ func (s *selector) results() []Result {
 	selectors.Put(s)
 	return out
 }
+
+// packKey packs squared distance d and id i, a paper id or (in the
+// greedy walk and refineNeighbors) a dense row, into one key.
+func packKey(d float32, i int32) uint64 { return uint64(math.Float32bits(d))<<32 | uint64(uint32(i)) }
+
+// keyDist returns the distance δ of key k: the root of its d².
+func keyDist(k uint64) float64 { return sqrt(float64(math.Float32frombits(uint32(k >> 32)))) }
 
 // sortKeys sorts keys ascending, with tmp (as long as keys) as scratch:
 // an LSD radix sort by bytes that skips every byte all keys share — the

@@ -41,7 +41,10 @@ import (
 // keeps four lanes, not eight: eight or sixteen lanes per row, or a fused
 // multiply-add (one rounding where the order rounds twice), would change
 // published bits. Other architectures run the portable bodies
-// (l2Sq32Go, l2SqRows32Go), which amd64 builds compile and test too.
+// (l2Sq32Go, l2SqRows32Go), which amd64 builds compile and test too; they
+// and Dot32 convert every product to float32, which the Go spec forbids
+// fusing into the add, so an architecture with a fused multiply-add
+// (arm64) rounds twice, as SSE2 does.
 
 // Dot32 returns the inner product <a, b> in float32, using the package's
 // documented four-lane accumulation order. It panics if lengths differ.
@@ -55,22 +58,22 @@ func Dot32(a, b []float32) float32 {
 	for ; i+8 <= n; i += 8 {
 		aa := a[i : i+8 : i+8]
 		bb := b[i : i+8 : i+8]
-		s0 += aa[0]*bb[0] + aa[4]*bb[4]
-		s1 += aa[1]*bb[1] + aa[5]*bb[5]
-		s2 += aa[2]*bb[2] + aa[6]*bb[6]
-		s3 += aa[3]*bb[3] + aa[7]*bb[7]
+		s0 += float32(aa[0]*bb[0]) + float32(aa[4]*bb[4])
+		s1 += float32(aa[1]*bb[1]) + float32(aa[5]*bb[5])
+		s2 += float32(aa[2]*bb[2]) + float32(aa[6]*bb[6])
+		s3 += float32(aa[3]*bb[3]) + float32(aa[7]*bb[7])
 	}
 	if i+4 <= n {
 		aa := a[i : i+4 : i+4]
 		bb := b[i : i+4 : i+4]
-		s0 += aa[0] * bb[0]
-		s1 += aa[1] * bb[1]
-		s2 += aa[2] * bb[2]
-		s3 += aa[3] * bb[3]
+		s0 += float32(aa[0] * bb[0])
+		s1 += float32(aa[1] * bb[1])
+		s2 += float32(aa[2] * bb[2])
+		s3 += float32(aa[3] * bb[3])
 		i += 4
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += float32(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -125,10 +128,10 @@ func l2Sq32Go(a, b []float32) float32 {
 		d1, d5 := aa[1]-bb[1], aa[5]-bb[5]
 		d2, d6 := aa[2]-bb[2], aa[6]-bb[6]
 		d3, d7 := aa[3]-bb[3], aa[7]-bb[7]
-		s0 += d0*d0 + d4*d4
-		s1 += d1*d1 + d5*d5
-		s2 += d2*d2 + d6*d6
-		s3 += d3*d3 + d7*d7
+		s0 += float32(d0*d0) + float32(d4*d4)
+		s1 += float32(d1*d1) + float32(d5*d5)
+		s2 += float32(d2*d2) + float32(d6*d6)
+		s3 += float32(d3*d3) + float32(d7*d7)
 	}
 	if i+4 <= n {
 		aa := a[i : i+4 : i+4]
@@ -137,15 +140,15 @@ func l2Sq32Go(a, b []float32) float32 {
 		d1 := aa[1] - bb[1]
 		d2 := aa[2] - bb[2]
 		d3 := aa[3] - bb[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
 		i += 4
 	}
 	for ; i < n; i++ {
 		d := a[i] - b[i]
-		s0 += d * d
+		s0 += float32(d * d)
 	}
 	return (s0 + s1) + (s2 + s3)
 }
